@@ -1,4 +1,4 @@
-"""The simplex solver and the receding-horizon dispatch program.
+"""The HiGHS-backed LP solver and the receding-horizon dispatch program.
 
 Solves a toy LP, then assembles the zone dispatch program for a
 hand-built two-zone scenario and shows how the reject penalty flips the

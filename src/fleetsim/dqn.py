@@ -19,6 +19,7 @@ import numpy as np
 
 from . import neural
 from .clock import Clock, periodic_features
+from .geo import region_cells
 from .neural import Concat, Conv2D
 from .rhc import mismatch
 from .sim import DispatchOrder
@@ -257,7 +258,6 @@ class Schedules:
     alpha_start: float = 0.3
     alpha_end: float = 1.0
     alpha_ramp: int = 5000
-    total_steps: int = 20_000
     sync_period: int = 150
 
     def epsilon(self, step: int) -> float:
@@ -415,7 +415,6 @@ class _Pending:
     action: tuple[int, int]
     pickups: float
     dispatch_minutes: float
-    t: float
 
 
 class DqnPolicy:
@@ -441,11 +440,7 @@ class DqnPolicy:
         self.last_decision: dict[int, float] = {}
         self.step = 0
         self.training_log: list[tuple] = []
-        self._zone_cells: dict[int, list[tuple[int, int]]] = {}
-        rows, cols = region_map.assignment.shape
-        for r in range(rows):
-            for c in range(cols):
-                self._zone_cells.setdefault(int(region_map.assignment[r, c]), []).append((r, c))
+        self._zone_cells = region_cells(region_map)
         if self.config.train:
             self.target = net.copy()
             self.buffer = ReplayBuffer(self.config.buffer_capacity)
@@ -545,8 +540,7 @@ class DqnPolicy:
                                                 ctx, tau_steps))
                 self.pending[vid] = _Pending(ctx, action,
                                              float(view.pickups[vid]),
-                                             float(view.dispatch_minutes[vid]),
-                                             view.t)
+                                             float(view.dispatch_minutes[vid]))
             self.last_decision[vid] = view.t
         return orders
 

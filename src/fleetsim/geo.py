@@ -197,6 +197,16 @@ def region_of(cell: tuple[int, int], rm: RegionMap) -> int:
     return rid
 
 
+def region_cells(rm: RegionMap) -> dict[int, list[tuple[int, int]]]:
+    """Cells of each region id, in row-major order."""
+    cells: dict[int, list[tuple[int, int]]] = {}
+    rows, cols = rm.assignment.shape
+    for r in range(rows):
+        for c in range(cols):
+            cells.setdefault(int(rm.assignment[r, c]), []).append((r, c))
+    return cells
+
+
 def aggregate_to_regions(heat: np.ndarray, rm: RegionMap) -> np.ndarray:
     """Sum a per-cell heat map into per-region totals (count conserving)."""
     heat = np.asarray(heat, dtype=np.float64)

@@ -55,6 +55,11 @@ def _overrides(pairs: list[str]) -> dict:
     return out
 
 
+def _num(value, spec: str) -> str:
+    """Format a metric; a run without one (None, or a blank summary cell) shows "-"."""
+    return "-" if value is None or value == "" else format(float(value), spec)
+
+
 def _cmd_synth_data(cfg) -> int:
     from .synth import synth_city, write_city
 
@@ -115,7 +120,7 @@ def _cmd_simulate(cfg) -> int:
     rate = agg["reject_rate"]
     wait = agg["mean_wait_minutes"]
     print(f"policy={cfg.policy} seed={cfg.seed}: reject rate "
-          f"{rate:.4f}, mean wait {wait:.2f} min" if rate is not None else
+          f"{rate:.4f}, mean wait {_num(wait, '.2f')} min" if rate is not None else
           f"policy={cfg.policy} seed={cfg.seed}: no measured requests")
     print(f"summary: {result['summary_path']}")
     print(f"plot data: {result['plot_path']}")
@@ -138,10 +143,10 @@ def _cmd_report(cfg) -> int:
                 if rec["day"] != "all":
                     continue
                 print(f"{rec['policy']:<10}{rec['seed']:>6}"
-                      f"{float(rec['reject_rate']):>14.4f}"
-                      f"{float(rec['mean_wait_minutes']):>12.2f}"
-                      f"{float(rec['idle_cruise_per_accepted']):>13.2f}"
-                      f"{float(rec['utilization_min']):>10.3f}")
+                      f"{_num(rec['reject_rate'], '.4f'):>14}"
+                      f"{_num(rec['mean_wait_minutes'], '.2f'):>12}"
+                      f"{_num(rec['idle_cruise_per_accepted'], '.2f'):>13}"
+                      f"{_num(rec['utilization_min'], '.3f'):>10}")
     return EXIT_OK
 
 

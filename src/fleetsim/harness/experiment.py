@@ -274,14 +274,6 @@ class ModelDemandPredictor:
         return heat
 
 
-class HistoricalDemandPredictor:
-    def __init__(self, baseline: demand_mod.HistoricalAverageDemand):
-        self.baseline = baseline
-
-    def __call__(self, view):
-        return self.baseline.predict(view.clock)
-
-
 # --- policies and episodes ---------------------------------------------------
 
 def region_shape(cfg: ExperimentConfig) -> tuple[int, int]:
@@ -472,7 +464,7 @@ def train_dqn(cfg: ExperimentConfig, city: City | None = None,
         bundle = ensure_models(cfg)
     schedules = dqn_mod.Schedules(
         eps_ramp=cfg.dqn_eps_ramp, alpha_ramp=cfg.dqn_alpha_ramp,
-        total_steps=steps, sync_period=cfg.dqn_sync_period)
+        sync_period=cfg.dqn_sync_period)
     config = dqn_mod.DqnConfig(
         reject_weight=cfg.dqn_reject_weight, discount=cfg.dqn_discount,
         decision_interval=cfg.dqn_decision_interval, cycle=1, train=True,

@@ -1,10 +1,11 @@
-"""Dense linear-program solver: two-phase simplex over inequality constraints.
+"""Linear programs behind a small, validated contract, solved by HiGHS.
 
 Problems are ``maximize c.x subject to A x <= b, x >= 0`` with optional
-upper bounds.  Pricing is Dantzig's rule with lowest-index tie breaking,
-falling back to Bland's rule after a stall so that degenerate problems
-cannot cycle.  Everything is deterministic: identical problems produce
-identical pivots and identical solutions.
+equality rows and upper bounds.  :func:`solve` hands them to
+``scipy.optimize.linprog(method="highs")``.  HiGHS is deterministic:
+identical problems give identical solutions.  When the optimum is not
+unique it may return any optimal vertex, so a caller must not rely on
+which one.
 """
 
 from __future__ import annotations
@@ -13,34 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FEAS_TOL = 1e-9       # constraint feasibility slack
-OPT_TOL = 1e-9        # reduced-cost threshold for optimality
-PIVOT_TOL = 1e-10     # entries below this are treated as zero pivots
-STALL_LIMIT = 64      # non-improving pivots before switching to Bland's rule
-MAX_ITER = 200_000
-
-# pivots granted to the exact pass before the anti-degeneracy restart;
-# highly degenerate instances re-run with a tiny right-hand-side
-# perturbation and the final basis is then re-priced against the original
-# right-hand side, so returned solutions are exact either way
-def _pivot_budget(m: int, n: int) -> int:
-    return max(1000, 2 * (m + n))
-
-
-# problems at least this large skip the exact pass and start perturbed;
-# fleet-scale dispatch programs are so degenerate that the perturbed walk
-# plus re-pricing is both faster and better conditioned
-PERTURB_FIRST_SIZE = 600
+# linprog status codes; 1 and 4 are the solver giving up, not a verdict
+_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded",
+           4: "numerical_difficulties"}
 
 
 @dataclass(frozen=True)
 class LpProblem:
     """maximize ``c . x`` subject to ``a_ub @ x <= b_ub`` and ``0 <= x <= upper``.
 
-    Optional equality rows ``a_eq @ x == b_eq`` are supported natively;
-    encoding an equality as two opposing inequalities makes every basis
-    degenerate and can stall the simplex, so callers with equality
-    structure should use these fields.
+    Optional equality rows ``a_eq @ x == b_eq`` are passed to the solver
+    as equalities; ``inf`` in ``upper`` leaves that variable unbounded
+    above.  Dimensions and finiteness are checked on construction, so a
+    malformed problem raises ``ValueError`` here rather than in the solver.
     """
 
     c: np.ndarray
@@ -92,231 +78,34 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str                 # "optimal" | "infeasible" | "unbounded"
+    """Outcome of :func:`solve`; ``x`` and ``objective`` are set only when optimal.
+
+    ``status`` is one of "optimal", "infeasible", "unbounded",
+    "iteration_limit" or "numerical_difficulties".
+    """
+
+    status: str
     x: np.ndarray | None
     objective: float | None
 
 
-def _pivot(tab: np.ndarray, obj: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tab[row] /= tab[row, col]
-    colvals = tab[:, col].copy()
-    colvals[row] = 0.0
-    tab -= np.outer(colvals, tab[row])
-    obj -= obj[col] * tab[row]
-    basis[row] = col
-
-
-def _lexico_leaving(tab, ties: np.ndarray, col: int, ref_cols: np.ndarray,
-                    basis: np.ndarray) -> int:
-    """Resolve a degenerate ratio-test tie lexicographically.
-
-    Among tied rows, compare the ratios of the reference columns (the
-    identity columns of the initial basis, which hold the running basis
-    inverse) one by one; the lexicographically smallest row leaves.
-    This is the classic termination guarantee, independent of the
-    entering rule.  Remaining exact ties fall back to the lowest basic
-    variable index.
-    """
-    cand = ties
-    piv = tab[cand, col]
-    for ref in ref_cols:
-        r = tab[cand, ref] / piv
-        best = r.min()
-        keep = r <= best + PIVOT_TOL
-        cand = cand[keep]
-        piv = piv[keep]
-        if cand.size == 1:
-            return int(cand[0])
-    return int(cand[np.argmin(basis[cand])])
-
-
-def _run_simplex(tab, obj, basis, n_price: int, ref_cols: np.ndarray,
-                 max_iter: int = MAX_ITER) -> str:
-    """Iterate pivots until optimal, unbounded, or out of budget.
-
-    ``obj`` holds reduced costs with ``obj[-1] == -objective``; only the
-    first ``n_price`` columns are priced.  Entering is Dantzig's rule
-    with a switch to Bland's rule after a stall; leaving ties resolve
-    lexicographically.
-    """
-    bland = False
-    stall = 0
-    for _ in range(max_iter):
-        reduced = obj[:n_price]
-        if not bland:
-            col = int(np.argmax(reduced))
-            if reduced[col] <= OPT_TOL:
-                return "optimal"
-        else:
-            improving = np.nonzero(reduced > OPT_TOL)[0]
-            if improving.size == 0:
-                return "optimal"
-            col = int(improving[0])
-
-        colvals = tab[:, col]
-        eligible = colvals > PIVOT_TOL
-        if not eligible.any():
-            return "unbounded"
-        ratios = np.full(colvals.shape, np.inf)
-        ratios[eligible] = tab[eligible, -1] / colvals[eligible]
-        rmin = ratios.min()
-        ties = np.nonzero(ratios <= rmin + PIVOT_TOL)[0]
-        if ties.size == 1:
-            row = int(ties[0])
-        else:
-            row = _lexico_leaving(tab, ties, col, ref_cols, basis)
-
-        before = obj[-1]
-        _pivot(tab, obj, basis, row, col)
-        if obj[-1] < before - 1e-12:
-            stall = 0
-        else:
-            stall += 1
-            if stall >= STALL_LIMIT:
-                bland = True
-    return "budget"
-
-
-def _attempt(c, a, b, ae, be, budget: int, perturb: bool):
-    """One full two-phase pass; returns an LpSolution or "budget".
-
-    With ``perturb`` the (sign-normalized) right-hand side gets a tiny
-    increasing offset that breaks primal degeneracy; the optimal basis is
-    then re-priced against the unperturbed right-hand side, so the
-    returned vertex is exact for the original problem.
-    """
-    m_ub, n = a.shape
-    m_eq = ae.shape[0]
-    m = m_ub + m_eq
-
-    slacks = np.vstack([np.eye(m_ub), np.zeros((m_eq, m_ub))])
-    tab = np.hstack([np.vstack([a, ae]), slacks,
-                     np.concatenate([b, be])[:, None]])
-    neg = tab[:, -1] < 0
-    tab[neg] *= -1.0
-    rhs_true = tab[:, -1].copy()
-    if perturb:
-        tab[:, -1] += 1e-9 * (1.0 + np.arange(m))
-
-    # rows without a usable slack start from an artificial basis
-    needs_art = np.zeros(m, dtype=bool)
-    needs_art[:m_ub] = neg[:m_ub]
-    needs_art[m_ub:] = True
-    basis = np.empty(m, dtype=np.int64)
-    n_art = int(needs_art.sum())
-
-    # reference columns: each row's initial identity column (slack or
-    # artificial); they hold the basis inverse, which the lexicographic
-    # ratio test and the final re-pricing use.  Artificial columns are
-    # therefore kept (but never priced) through phase 2.
-    ref_cols = np.empty(m, dtype=np.int64)
-    plain = ~needs_art
-    ref_cols[plain] = n + np.nonzero(plain)[0]
-    basis[plain] = ref_cols[plain]
-    if n_art:
-        art = np.zeros((m, n_art))
-        art_rows = np.nonzero(needs_art)[0]
-        art[art_rows, np.arange(n_art)] = 1.0
-        tab = np.hstack([tab[:, :-1], art, tab[:, -1:]])
-        ref_cols[needs_art] = n + m_ub + np.arange(n_art)
-        basis[needs_art] = ref_cols[needs_art]
-
-        cost1 = np.zeros(n + m_ub + n_art)
-        cost1[n + m_ub:] = -1.0
-        obj = np.append(cost1, 0.0) - cost1[basis] @ tab
-        status = _run_simplex(tab, obj, basis, n_price=n + m_ub,
-                              ref_cols=ref_cols, max_iter=budget)
-        if status == "budget":
-            return "budget"
-        rhs_scale = max(1.0, np.abs(b).max() if b.size else 1.0,
-                        np.abs(be).max() if be.size else 1.0)
-        if status != "optimal" or obj[-1] > FEAS_TOL * rhs_scale:
-            return LpSolution("infeasible", None, None)
-
-        # clear basic artificials (degenerate at zero); rows that cannot be
-        # cleared are redundant and dropped together with their reference
-        drop_rows = []
-        for r in range(tab.shape[0]):
-            if basis[r] >= n + m_ub:
-                pivots = np.nonzero(np.abs(tab[r, : n + m_ub]) > PIVOT_TOL)[0]
-                if pivots.size:
-                    _pivot(tab, obj, basis, r, int(pivots[0]))
-                else:
-                    drop_rows.append(r)
-        if drop_rows:
-            keep = np.setdiff1d(np.arange(tab.shape[0]), drop_rows)
-            tab = tab[keep]
-            basis = basis[keep]
-            ref_cols = ref_cols[keep]
-            rhs_true = rhs_true[keep]
-
-    n_total = n + m_ub + n_art
-    cost2 = np.concatenate([c, np.zeros(n_total - n)])
-    obj = np.append(cost2, 0.0) - cost2[basis] @ tab
-    status = _run_simplex(tab, obj, basis, n_price=n + m_ub,
-                          ref_cols=ref_cols, max_iter=budget)
-    if status == "budget":
-        return "budget"
-    if status == "unbounded":
-        return LpSolution("unbounded", None, None)
-
-    rhs = tab[:, -1]
-    if perturb:
-        # re-price the final basis against the true right-hand side
-        rhs = tab[:, ref_cols] @ rhs_true
-        if rhs.min() < -1e-7:
-            return "budget"  # perturbed basis invalid for the original: give up
-        rhs = np.maximum(rhs, 0.0)
-    x_full = np.zeros(n_total)
-    x_full[basis] = rhs
-    x = x_full[:n]
-    return LpSolution("optimal", x, float(c @ x))
-
-
 def solve(problem: LpProblem) -> LpSolution:
-    """Solve the program; optimal solutions satisfy A x <= b + 1e-9, x >= -1e-9."""
-    c = problem.c
-    a = problem.a_ub
-    b = problem.b_ub
-    if problem.upper is not None:
-        finite = np.isfinite(problem.upper)
-        if finite.any():
-            rows = np.eye(problem.n_vars)[finite]
-            a = np.vstack([a, rows])
-            b = np.concatenate([b, problem.upper[finite]])
+    """Solve the program with HiGHS.
 
-    m_ub, n = a.shape
-    ae = problem.a_eq if problem.a_eq is not None else np.zeros((0, n))
-    be = problem.b_eq if problem.b_eq is not None else np.zeros(0)
-    m = m_ub + ae.shape[0]
-    if m == 0:
-        # only the sign constraints remain: optimum is 0 unless some c > 0
-        if (c > OPT_TOL).any():
-            return LpSolution("unbounded", None, None)
-        return LpSolution("optimal", np.zeros(n), 0.0)
+    Optimal solutions meet every constraint to HiGHS's primal feasibility
+    tolerance (1e-7).  Never raises on a solver failure: every outcome
+    but an optimum comes back as a non-"optimal" status.
+    """
+    # imported on first use: only the RHC policy solves LPs, and loading
+    # scipy.optimize raised the day-none benchmark's peak RSS from 117 to 146 MB
+    from scipy.optimize import linprog
 
-    if m + n >= PERTURB_FIRST_SIZE:
-        result = _attempt(c, a, b, ae, be, MAX_ITER, perturb=True)
-    else:
-        result = _attempt(c, a, b, ae, be, _pivot_budget(m, n), perturb=False)
-        if result == "budget":
-            result = _attempt(c, a, b, ae, be, MAX_ITER, perturb=True)
-    if result == "budget":
-        raise RuntimeError("simplex iteration limit exceeded")
-    return result
-
-
-def to_debug_text(problem: LpProblem) -> str:
-    """Plain-text dump of a problem, for bug reports."""
-    lines = ["maximize"]
-    lines.append("  " + " + ".join(f"{ci:g}*x{i}" for i, ci in enumerate(problem.c)))
-    lines.append("subject to")
-    for row, rhs in zip(problem.a_ub, problem.b_ub):
-        terms = " + ".join(f"{v:g}*x{i}" for i, v in enumerate(row) if v != 0.0) or "0"
-        lines.append(f"  {terms} <= {rhs:g}")
-    if problem.upper is not None:
-        for i, u in enumerate(problem.upper):
-            if np.isfinite(u):
-                lines.append(f"  x{i} <= {u:g}")
-    lines.append("  x >= 0")
-    return "\n".join(lines)
+    upper = problem.upper if problem.upper is not None else np.full(problem.n_vars, np.inf)
+    res = linprog(-problem.c, A_ub=problem.a_ub, b_ub=problem.b_ub,
+                  A_eq=problem.a_eq, b_eq=problem.b_eq,
+                  bounds=np.column_stack([np.zeros(problem.n_vars), upper]),
+                  method="highs")
+    status = _STATUS.get(res.status, f"linprog_status_{res.status}")
+    if status != "optimal":
+        return LpSolution(status, None, None)
+    return LpSolution(status, res.x, float(problem.c @ res.x))

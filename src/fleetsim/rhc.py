@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geo import GridSpec, RegionMap, aggregate_to_regions, center_of, haversine
+from .geo import (GridSpec, RegionMap, aggregate_to_regions, center_of, haversine,
+                  region_cells)
 from .lp import LpProblem, LpSolution, solve
 from .sim import DispatchOrder
 
@@ -482,11 +483,7 @@ def assign_vehicles(u_rounded: np.ndarray, eta: np.ndarray, x_cells: np.ndarray,
     for vids in by_cell.values():
         vids.sort(reverse=True)  # pop() yields the lowest id
 
-    zone_cells: dict[int, list[tuple[int, int]]] = {}
-    rows, cols = rm.assignment.shape
-    for r in range(rows):
-        for c in range(cols):
-            zone_cells.setdefault(int(rm.assignment[r, c]), []).append((r, c))
+    zone_cells = region_cells(rm)
 
     orders: list[DispatchOrder] = []
     warnings: list[str] = []

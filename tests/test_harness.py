@@ -290,3 +290,20 @@ class TestCli:
         proc = self.run_cli("--config", str(cfg_file), "report")
         assert proc.returncode == 0, proc.stderr
         assert "none" in proc.stdout
+        # a run with no accepted requests leaves its metrics blank
+        (tmp_path / "out" / "summary_rhc_3.csv").write_text(
+            "policy,seed,day,total_requests,rejects,reject_rate,accepted,"
+            "mean_wait_minutes,idle_cruise_per_accepted,utilization_mean,utilization_min\n"
+            "rhc,3,all,0,0,,0,,,,\n")
+        proc = self.run_cli("--config", str(cfg_file), "report")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].split() == ["rhc", "3", "-", "-", "-", "-"]
+
+    def test_simulate_prints_dash_without_accepted_requests(self, monkeypatch, capsys):
+        from fleetsim.harness import cli
+
+        all_rejected = {"aggregate": {"reject_rate": 1.0, "mean_wait_minutes": None},
+                        "summary_path": "s.csv", "plot_path": "p.csv"}
+        monkeypatch.setattr(ex, "run_experiment", lambda cfg: all_rejected)
+        assert cli._cmd_simulate(ExperimentConfig(seed=3)) == 0
+        assert "reject rate 1.0000, mean wait - min" in capsys.readouterr().out

@@ -1,7 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fleetsim.lp import LpProblem, LpSolution, solve, to_debug_text
+from fleetsim.lp import LpProblem, LpSolution, solve
 from oracles import random_bounded_lp, vertex_enumeration_optimum
 
 
@@ -50,11 +54,6 @@ class TestBasics:
             LpProblem(c=[1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
         with pytest.raises(ValueError):
             LpProblem(c=[np.nan], a_ub=[[1.0]], b_ub=[1.0])
-
-    def test_debug_text(self):
-        p = LpProblem(c=[1.0, 0.0], a_ub=[[1.0, 2.0]], b_ub=[3.0])
-        text = to_debug_text(p)
-        assert "maximize" in text and "<= 3" in text
 
 
 class TestOracleEquivalence:
@@ -131,3 +130,15 @@ class TestDeterminismAndCycling:
             expect, _ = vertex_enumeration_optimum(c, a, b)
             if sol.status == "optimal":
                 assert expect == pytest.approx(sol.objective, abs=1e-7)
+
+
+def test_scipy_optimize_loaded_only_by_solve():
+    # policies other than RHC never solve an LP and must not pay for scipy's memory
+    code = ("import sys, fleetsim.sim, fleetsim.dqn, fleetsim.rhc, fleetsim.harness.experiment; "
+            "print('scipy.optimize' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+             "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.stdout.strip() == "False"

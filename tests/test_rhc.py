@@ -18,8 +18,10 @@ from fleetsim.rhc import (
     solve_rhc,
     zone_centroid_distances,
 )
-from fleetsim.lp import solve
+from fleetsim import rhc
+from fleetsim.lp import LpSolution, solve
 from oracles import event_supply_oracle, random_supply_scenario
+from test_policies import GRID, ZONES, fake_view
 
 DT = 15.0
 
@@ -352,3 +354,23 @@ class TestAssignVehicles:
         # first target was the -0.3 cell, whose share then rose by 0.25
         assert orders[0].target_cell == (1, 0)
         assert orders[1].target_cell == (1, 1)
+
+
+class TestNonOptimalLp:
+    def test_non_optimal_status_degrades_to_no_dispatch(self, monkeypatch):
+        m = ZONES.region_count
+        tau = np.full((7, 24, m, m), 5.0)
+        prob = np.full((7, 24, m, m), 1.0 / m)
+        policy = rhc.RhcPolicy(ZONES, TripTimeTable(tau), DestDistribution(prob),
+                               demand_predictor=lambda view: view.trailing_heat)
+        # supply in one corner, demand in the opposite one: an optimal plan dispatches
+        trailing = np.zeros(GRID.shape)
+        trailing[9, 9] = 8.0
+        view = fake_view(t=60.0, idle_cells={vid: (0, vid % 2) for vid in range(4)},
+                         trailing=trailing)
+        assert policy.dispatch(view)
+
+        gave_up = LpSolution("iteration_limit", None, None)
+        monkeypatch.setattr(rhc, "solve", lambda problem: gave_up)
+        assert policy.dispatch(view) == []
+        assert policy.last_plan.status == "iteration_limit"
