@@ -9,7 +9,7 @@ import numpy as np
 from fleetsim import neural
 from fleetsim.dqn import (
     QNetwork, ReplayBuffer, Schedules, Transition, VehicleContext,
-    build_feature_planes, legal_action_mask, masked_q, select_action,
+    build_feature_planes, legal_action_mask, select_action,
     train_step,
 )
 
@@ -27,7 +27,7 @@ print(f"main branch {qin.main.shape}, aux branch {qin.aux.shape}")
 print(f"legal destination cells: {int(qin.aux[..., 10].sum())} of 225")
 
 net = QNetwork.create(rng)
-qmap = masked_q(net.q_map(qin), legal_action_mask(ctx.region, shape))
+qmap = net.q_map(qin, legal_action_mask(ctx.region, shape))  # -inf off the grid
 greedy = select_action(qmap, epsilon=0.0, rng=rng)
 print(f"greedy action cell {greedy} (offset {greedy[0]-7:+d},{greedy[1]-7:+d})")
 

@@ -1,12 +1,13 @@
 """Distributed per-vehicle deep-Q dispatch policy.
 
 Each idle vehicle independently evaluates a 15x15 map of Q-values over
-destination regions at most 7 region steps away, built from
-vehicle-centered crops of region-level demand/supply/idle maps plus
-auxiliary clock and geometry planes.  Training is double Q-learning
-over an experience replay of per-vehicle transitions, with a
-trip-time-aware discount exponent and a periodically synced target
-network.
+destination regions at most 7 region steps away; only the moves that
+stay on the region grid are evaluated.  The network sees a 23x23
+vehicle-centred window of the region-level demand, supply and idle maps
+and of their 15- and 30-cell mean pools, plus auxiliary clock and
+geometry planes.  Training is double Q-learning over an experience
+replay of per-vehicle transitions, with a trip-time-aware discount
+exponent and a periodically synced target network.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from .sim import DispatchOrder
 
 ACTION_SIZE = 15          # side of the action map
 ACTION_RADIUS = 7         # moves up to 7 regions per axis
-CROP_SIZE = 51            # vehicle-centered source window
 MAIN_SIZE = 23            # spatial side of the main input branch
-MAIN_PLANES = 15          # 5 sources x (crop, 15-pool, 30-pool)
+MAIN_PLANES = 15          # (raw, 15-pool, 30-pool) x 5 sources
 AUX_PLANES = 11
+POOL_SIZES = (15, 30)     # mean-pool sides of the main branch
 
 Q_SPEC = (
     Conv2D(MAIN_PLANES, 16, 5, 5, "relu", "valid"),
@@ -41,6 +42,10 @@ Q_SPEC = (
 )
 
 _DIAGONAL_REACH = ACTION_RADIUS * math.sqrt(2.0)
+
+# side of one output cell's receptive field in the main input
+# (valid 5x5 + 3x3 + 3x3 convolutions; the 1x1 layers do not widen it)
+_FIELD = 9
 
 
 @dataclass(frozen=True)
@@ -94,33 +99,59 @@ def action_offset(cell: tuple[int, int]) -> tuple[int, int]:
 STAY_CELL = (ACTION_RADIUS, ACTION_RADIUS)
 
 
+def _pooled(maps: np.ndarray, pad: int) -> np.ndarray:
+    """(R + 2 pad, C + 2 pad, 3, n): raw, 15- and 30-pooled (n, R, C) maps on a zero border."""
+    n, rows, cols = maps.shape
+    padded = np.zeros((n, rows + 2 * pad, cols + 2 * pad))
+    padded[:, pad:pad + rows, pad:pad + cols] = maps
+    pools = [padded] + [neural.avg_pool(padded, k) for k in POOL_SIZES]
+    return np.stack(pools).transpose(2, 3, 0, 1)
+
+
+class FeatureCanvas:
+    """The main-branch planes of every region, from which each vehicle slices its window.
+
+    The five source maps (demand, supply at the 0/15/30 minute horizons,
+    idle) and their 15x15 and 30x30 stride-1 mean pools sit on one
+    zero-padded region canvas.  Pooling the padded canvas once equals
+    pooling each vehicle's zero-padded window, so a vehicle's 23x23 main
+    input is a slice.  The border is at least 11 cells, for a window
+    centred on an edge region, and wide enough that each side is at
+    least 30 cells, which the 30-cell pool needs.
+    """
+
+    def __init__(self, demand: np.ndarray, supply: np.ndarray, idle: np.ndarray):
+        self.pad = max(MAIN_SIZE // 2, -(-(POOL_SIZES[-1] - min(demand.shape)) // 2))
+        self.planes = _pooled(np.concatenate([demand[None], supply, idle[None]]), self.pad)
+        self.supply = supply
+
+    def set_supply(self, supply: np.ndarray) -> None:
+        """Replace the three supply maps (3, R, C) and their pools."""
+        self.supply = supply
+        self.planes[..., 1:4] = _pooled(supply, self.pad)
+
+    def main(self, region: tuple[int, int]) -> np.ndarray:
+        """The (23, 23, 15) main input centred on ``region``, as a new array."""
+        r = region[0] + self.pad - MAIN_SIZE // 2
+        c = region[1] + self.pad - MAIN_SIZE // 2
+        window = np.array(self.planes[r:r + MAIN_SIZE, c:c + MAIN_SIZE])
+        return window.reshape(MAIN_SIZE, MAIN_SIZE, MAIN_PLANES)
+
+
 def build_feature_planes(ctx: VehicleContext) -> QInput:
     """Assemble the two-branch network input for one vehicle.
 
-    Main branch: each of the five source maps (demand, supply at three
-    horizons, idle) is embedded in a vehicle-centered 51x51 window, then
-    reduced three ways: a 23x23 center crop, and 15x15 / 30x30 stride-1
-    average pools center-cropped to 23x23.
+    Main branch: a 23x23 window centred on the vehicle's region of each
+    of the five source maps (demand, supply at three horizons, idle),
+    then of their 15x15 and of their 30x30 stride-1 mean pools, with the
+    maps zero outside the region grid (see :class:`FeatureCanvas`).
 
     Auxiliary branch: constant clock trig planes, the one-hot position
     plane, the vehicle's normalized coordinates, per-action destination
     coordinates, normalized move distance, and the legality plane.
     """
-    rows, cols = ctx.demand.shape
-    sources = np.empty((5, rows, cols))
-    sources[0] = ctx.demand
-    sources[1:4] = ctx.supply
-    sources[4] = ctx.idle
-
-    big = neural.crop_pad_center(sources, ctx.region, CROP_SIZE, CROP_SIZE)
-    center = (CROP_SIZE // 2, CROP_SIZE // 2)
-    main = np.empty((MAIN_PLANES, MAIN_SIZE, MAIN_SIZE))
-    main[0:5] = neural.crop_pad_center(big, center, MAIN_SIZE, MAIN_SIZE)
-    main[5:10] = neural.crop_pad_center(neural.avg_pool(big, 15), center,
-                                        MAIN_SIZE, MAIN_SIZE)
-    main[10:15] = neural.crop_pad_center(neural.avg_pool(big, 30), center,
-                                         MAIN_SIZE, MAIN_SIZE)
-    return QInput(np.ascontiguousarray(main.transpose(1, 2, 0)), _aux_planes(ctx))
+    canvas = FeatureCanvas(ctx.demand, ctx.supply, ctx.idle)
+    return QInput(canvas.main(ctx.region), _aux_planes(ctx))
 
 
 def _aux_planes(ctx: VehicleContext) -> np.ndarray:
@@ -159,9 +190,31 @@ class QNetwork:
     def copy(self) -> "QNetwork":
         return QNetwork(self.net.copy())
 
-    def q_map(self, qin: QInput) -> np.ndarray:
-        """Raw 15x15 action-value map (no legality masking)."""
-        return self.net.forward(qin.main, aux=qin.aux)[..., 0]
+    def q_map(self, qin: QInput, legal: np.ndarray | None = None) -> np.ndarray:
+        """The 15x15 action-value map; with ``legal``, only its legal cells.
+
+        Without ``legal`` every cell is evaluated and none is masked.  With
+        a (15, 15) boolean ``legal`` mask, the network runs only on the
+        bounding rectangle of the legal cells, rows ``r0..r1`` by columns
+        ``c0..c1``: main input rows ``r0..r1+8`` and columns ``c0..c1+8``
+        (each output cell sees a 9x9 main window) and the same rows and
+        columns of the aux input.  Every cell outside ``legal`` is -inf.
+        The result equals ``masked_q(q_map(qin), legal)`` up to float
+        rounding in the last bits; a mask without a legal cell raises.
+        """
+        if legal is None:
+            return self.net.forward(qin.main, aux=qin.aux)[..., 0]
+        rows = np.flatnonzero(legal.any(axis=1))
+        cols = np.flatnonzero(legal.any(axis=0))
+        if rows.size == 0:
+            raise ValueError("no legal action available")
+        r0, r1 = rows[0], rows[-1] + 1
+        c0, c1 = cols[0], cols[-1] + 1
+        qmap = np.full((ACTION_SIZE, ACTION_SIZE), -np.inf)
+        qmap[r0:r1, c0:c1] = self.net.forward(
+            qin.main[r0:r1 + _FIELD - 1, c0:c1 + _FIELD - 1],
+            aux=qin.aux[r0:r1, c0:c1])[..., 0]
+        return masked_q(qmap, legal)
 
     def q_map_batch(self, mains: np.ndarray, auxs: np.ndarray) -> np.ndarray:
         return self.net.forward(mains, aux=auxs)[..., 0]
@@ -274,37 +327,9 @@ class Schedules:
 
 
 def assemble_batch(contexts: list[VehicleContext]) -> tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`build_feature_planes` with the pooling vectorized.
-
-    Produces the same planes as the per-context builder (one of the unit
-    tests asserts this) but runs the two average pools once over the
-    whole minibatch.
-    """
-    n = len(contexts)
-    bigs = np.empty((n, 5, CROP_SIZE, CROP_SIZE))
-    auxs = np.empty((n, ACTION_SIZE, ACTION_SIZE, AUX_PLANES))
-    for i, ctx in enumerate(contexts):
-        rows, cols = ctx.demand.shape
-        src = np.empty((5, rows, cols))
-        src[0] = ctx.demand
-        src[1:4] = ctx.supply
-        src[4] = ctx.idle
-        bigs[i] = neural.crop_pad_center(src, ctx.region, CROP_SIZE, CROP_SIZE)
-        auxs[i] = _aux_planes(ctx)
-    lo = (CROP_SIZE - MAIN_SIZE) // 2
-    hi = lo + MAIN_SIZE
-    stacked = np.concatenate([
-        bigs[:, :, lo:hi, lo:hi],
-        neural.avg_pool(bigs, 15)[:, :, lo:hi, lo:hi],
-        neural.avg_pool(bigs, 30)[:, :, lo:hi, lo:hi],
-    ], axis=1)
-    mains = np.ascontiguousarray(stacked.transpose(0, 2, 3, 1))
-    return mains, auxs
-
-
-# side of one output cell's receptive field in the main input
-# (valid 5x5 + 3x3 + 3x3 convolutions; the 1x1 layers do not widen it)
-_FIELD = 9
+    """:func:`build_feature_planes` stacked: (n, 23, 23, 15) mains, (n, 15, 15, 11) auxs."""
+    qins = [build_feature_planes(ctx) for ctx in contexts]
+    return np.stack([q.main for q in qins]), np.stack([q.aux for q in qins])
 
 
 def _crop_at_cells(mains: np.ndarray, auxs: np.ndarray, rows: np.ndarray,
@@ -479,6 +504,8 @@ class DqnPolicy:
                 x[self._region_cell(cell) + (h,)] += 1
 
         eta_cells = None  # built lazily; many invocations issue no orders
+        supply3 = None    # rebuilt only after an order has changed x
+        canvas = None     # built on the first greedy decision
         sd, cd, sh, ch = periodic_features(view.clock)
         eps = cfg.schedules.epsilon(self.step) if cfg.train else 0.0
         alpha = cfg.schedules.alpha(self.step) if cfg.train else 1.0
@@ -491,11 +518,12 @@ class DqnPolicy:
                 continue  # skipped outright; no decision, no transition
 
             region = self._region_cell(view.vehicle_cells[vid])
-            supply3 = np.stack([
-                x[..., :1].sum(axis=-1),
-                x[..., :16].sum(axis=-1),
-                x[..., :horizon + 1].sum(axis=-1),
-            ])
+            if supply3 is None:
+                supply3 = np.stack([
+                    x[..., :1].sum(axis=-1),
+                    x[..., :16].sum(axis=-1),
+                    x[..., :horizon + 1].sum(axis=-1),
+                ])
             ctx = VehicleContext(demand=demand_regions, supply=supply3,
                                  idle=idle_regions, region=region,
                                  sin_dow=sd, cos_dow=cd, sin_hour=sh, cos_hour=ch)
@@ -505,8 +533,12 @@ class DqnPolicy:
                 flat = int(legal_flat[self.rng.integers(legal_flat.size)])
                 action = (flat // ACTION_SIZE, flat % ACTION_SIZE)
             else:
-                qmap = masked_q(self.net.q_map(build_feature_planes(ctx)), legal)
-                flat = int(np.argmax(qmap.ravel()))
+                if canvas is None:
+                    canvas = FeatureCanvas(demand_regions, supply3, idle_regions)
+                elif canvas.supply is not supply3:
+                    canvas.set_supply(supply3)
+                qin = QInput(canvas.main(region), _aux_planes(ctx))
+                flat = int(np.argmax(self.net.q_map(qin, legal).ravel()))
                 action = (flat // ACTION_SIZE, flat % ACTION_SIZE)
 
             tau_steps = 0
@@ -527,6 +559,7 @@ class DqnPolicy:
                 orders.append(DispatchOrder(vid, dest_cell))
                 x[region + (0,)] -= 1
                 x[dest_region + (min(tau_steps, horizon),)] += 1
+                supply3 = None
 
             if cfg.train:
                 prev = self.pending.get(vid)

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from ..geo import RegionMapError
+from ..rhc import ZoneTableError
 from ..roadgraph import EdgeListParseError
 from .config import ConfigError, parse_config, render_config
 from .ingest import TripDataError
@@ -170,8 +171,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TripDataError, EdgeListParseError, RegionMapError, FileNotFoundError,
-            OSError) as exc:
+    except (TripDataError, EdgeListParseError, RegionMapError, ZoneTableError,
+            FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

@@ -108,4 +108,5 @@ def solve(problem: LpProblem) -> LpSolution:
     status = _STATUS.get(res.status, f"linprog_status_{res.status}")
     if status != "optimal":
         return LpSolution(status, None, None)
-    return LpSolution(status, res.x, float(problem.c @ res.x))
+    x = res.x + 0.0  # HiGHS can return -0.0, which prints as a negative value
+    return LpSolution(status, x, float(problem.c @ x))

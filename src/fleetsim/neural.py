@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 ACTIVATIONS = ("relu", "linear")
 
@@ -102,12 +102,10 @@ def _im2col(x: np.ndarray, kh: int, kw: int):
     oh, ow = h - kh + 1, w - kw + 1
     if kh == 1 and kw == 1:
         return x.reshape(b * h * w, c), oh, ow
-    flat = x.reshape(b, h, w * c)
-    win = sliding_window_view(flat, kw * c, axis=2)[:, :, ::c, :]
-    cols = np.empty((b, oh, ow, kh, kw * c))
-    for ki in range(kh):
-        cols[:, :, :, ki, :] = win[:, ki:ki + oh, :, :]
-    return cols.reshape(b * oh * ow, kh * kw * c), oh, ow
+    sb, sh, sw, sc = x.strides
+    win = as_strided(x, shape=(b, oh, ow, kh, kw, c), strides=(sb, sh, sw, sh, sw, sc),
+                     writeable=False)
+    return win.reshape(b * oh * ow, kh * kw * c), oh, ow
 
 
 def _conv_forward(layer: Conv2D, w, bias, x, want_cache: bool):

@@ -143,15 +143,53 @@ def save_tables(tt: TripTimeTable, dd: DestDistribution, tau_path, prob_path) ->
                         w.writerow([d, h, i, j, repr(float(dd.prob[d, h, i, j]))])
 
 
+class ZoneTableError(ValueError):
+    """A trip-time or destination table file does not fit the zone layout."""
+
+
+def _read_table(path, column: str, zone_count: int) -> np.ndarray:
+    """One (7, 24, M, M) table from CSV; every entry must appear and be in range."""
+    shape = (7, 24, zone_count, zone_count)
+    table = np.zeros(shape)
+    seen = np.zeros(shape, dtype=bool)
+    with open(path, newline="") as fh:
+        for line, rec in enumerate(csv.DictReader(fh), start=2):
+            try:
+                key = tuple(int(rec[k]) for k in ("dow", "hour", "origin", "dest"))
+                value = float(rec[column])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ZoneTableError(f"{path}:{line}: malformed row ({exc})") from None
+            if not all(0 <= k < n for k, n in zip(key, shape)):
+                raise ZoneTableError(f"{path}:{line}: entry {key} is outside "
+                                     f"7 days x 24 hours x {zone_count} zones")
+            table[key] = value
+            seen[key] = True
+    if not seen.all():
+        missing = tuple(int(i) for i in np.argwhere(~seen)[0])
+        raise ZoneTableError(f"{path}: {int((~seen).sum())} entries missing for "
+                             f"{zone_count} zones, first {missing}")
+    return table
+
+
 def load_tables(tau_path, prob_path, zone_count: int) -> tuple[TripTimeTable, DestDistribution]:
-    tau = np.zeros((7, 24, zone_count, zone_count))
-    with open(tau_path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            tau[int(rec["dow"]), int(rec["hour"]), int(rec["origin"]), int(rec["dest"])] = float(rec["minutes"])
-    prob = np.zeros((7, 24, zone_count, zone_count))
-    with open(prob_path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            prob[int(rec["dow"]), int(rec["hour"]), int(rec["origin"]), int(rec["dest"])] = float(rec["prob"])
+    """Read the tables written by :func:`save_tables` for ``zone_count`` zones.
+
+    Raises :class:`ZoneTableError` unless each file holds every
+    (dow, hour, origin, dest) entry and no other, the minutes are finite
+    and non-negative, and each destination row is a probability vector
+    summing to 1 within 1e-9.
+    """
+    tau = _read_table(tau_path, "minutes", zone_count)
+    if not (np.isfinite(tau).all() and (tau >= 0).all()):
+        raise ZoneTableError(f"{tau_path}: trip minutes must be finite and non-negative")
+    prob = _read_table(prob_path, "prob", zone_count)
+    if not (np.isfinite(prob).all() and (prob >= 0).all()):
+        raise ZoneTableError(f"{prob_path}: probabilities must be finite and non-negative")
+    bad = np.abs(prob.sum(axis=-1) - 1.0) > 1e-9
+    if bad.any():
+        row = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ZoneTableError(f"{prob_path}: destination row (dow, hour, origin) = "
+                             f"{row} does not sum to 1")
     return TripTimeTable(tau), DestDistribution(prob)
 
 

@@ -165,3 +165,28 @@ def random_bounded_lp(rng, max_vars=6, max_rows=6):
     b = np.concatenate([b, [float(rng.uniform(1.0, 10.0))]])
     c = rng.uniform(-2.0, 3.0, size=n)
     return c, a, b
+
+
+def q_main_planes_51(demand, supply, idle, region):
+    """The Q-network's (23, 23, 15) main planes from a vehicle-centred 51x51 window.
+
+    Each of the five source maps is embedded, zero-padded, in a 51x51
+    window centred on ``region``; the planes are its 23x23 centre crop,
+    then the 23x23 centre crops of its 15x15 and of its 30x30 stride-1
+    mean pools.  The 30-pool window at crop offset +11 reaches offset +26,
+    outside the 51x51 window, so for region grids wider than 26 cells this
+    reference drops the last row and column of that window.
+    """
+    from fleetsim import neural
+
+    rows, cols = demand.shape
+    sources = np.empty((5, rows, cols))
+    sources[0] = demand
+    sources[1:4] = supply
+    sources[4] = idle
+    big = neural.crop_pad_center(sources, region, 51, 51)
+    main = np.empty((15, 23, 23))
+    main[0:5] = neural.crop_pad_center(big, (25, 25), 23, 23)
+    main[5:10] = neural.crop_pad_center(neural.avg_pool(big, 15), (25, 25), 23, 23)
+    main[10:15] = neural.crop_pad_center(neural.avg_pool(big, 30), (25, 25), 23, 23)
+    return main.transpose(1, 2, 0)

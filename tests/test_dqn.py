@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import q_main_planes_51
 
 from fleetsim import neural
 from fleetsim.dqn import (
@@ -93,6 +94,44 @@ class TestFeaturePlanes:
                         acc += big[rr, cc]
             assert qin.main[out_r, out_c, 5] == pytest.approx(acc / 225, abs=1e-12)
 
+    def test_main_planes_equal_51_window_reference_on_every_region(self):
+        rng = np.random.default_rng(12)
+        for r in range(10):
+            for c in range(10):
+                ctx = make_ctx(region=(r, c), rng=rng)
+                np.testing.assert_array_equal(
+                    build_feature_planes(ctx).main,
+                    q_main_planes_51(ctx.demand, ctx.supply, ctx.idle, ctx.region))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (7, 12), (26, 26)])
+    def test_main_planes_equal_51_window_reference_on_grid_shapes(self, shape):
+        rng = np.random.default_rng(13)
+        for _ in range(12):
+            region = (int(rng.integers(shape[0])), int(rng.integers(shape[1])))
+            ctx = make_ctx(region=region, shape=shape, rng=rng,
+                           minute=float(rng.uniform(0, 9000)))
+            np.testing.assert_array_equal(
+                build_feature_planes(ctx).main,
+                q_main_planes_51(ctx.demand, ctx.supply, ctx.idle, ctx.region))
+        for region in [(0, 0), (shape[0] - 1, shape[1] - 1)]:
+            ctx = make_ctx(region=region, shape=shape, rng=rng)
+            np.testing.assert_array_equal(
+                build_feature_planes(ctx).main,
+                q_main_planes_51(ctx.demand, ctx.supply, ctx.idle, ctx.region))
+
+    def test_wide_grid_30_pool_covers_the_whole_window(self):
+        # on a grid wider than 26 regions the 30-cell window at crop offset
+        # +11 reaches region offset +26, and that row and column count
+        rng = np.random.default_rng(14)
+        ctx = make_ctx(region=(3, 4), shape=(40, 33), rng=rng)
+        qin = build_feature_planes(ctx)
+        for out_r, out_c in [(22, 22), (0, 0), (11, 11), (22, 5)]:
+            r, c = 3 + out_r - 11, 4 + out_c - 11
+            rows = slice(max(0, r - 14), r + 16)
+            cols = slice(max(0, c - 14), c + 16)
+            expect = ctx.demand[rows, cols].sum() / 900
+            assert qin.main[out_r, out_c, 10] == pytest.approx(expect, abs=1e-12)
+
     def test_demand_crop_is_vehicle_centered(self):
         ctx = make_ctx(region=(2, 9))
         qin = build_feature_planes(ctx)
@@ -116,6 +155,34 @@ class TestQNetwork:
         qin = build_feature_planes(make_ctx())
         direct = neural.forward(Q_SPEC, net.net.params, qin.main, aux=qin.aux)
         np.testing.assert_array_equal(net.q_map(qin), direct[..., 0])
+
+    def test_legal_window_matches_masked_full_map(self):
+        # 520 contexts on varied grids, each grid's four corners and four
+        # edge midpoints among them
+        rng = np.random.default_rng(15)
+        net = QNetwork.create(rng)
+        cases = []
+        for shape in [(1, 1), (3, 2), (10, 10), (15, 15), (6, 20)]:
+            last_r, last_c = shape[0] - 1, shape[1] - 1
+            cases += [(shape, (r, c)) for r in (0, last_r // 2, last_r)
+                      for c in (0, last_c // 2, last_c)]
+        while len(cases) < 520:
+            shape = (int(rng.integers(1, 21)), int(rng.integers(1, 21)))
+            cases.append((shape, (int(rng.integers(shape[0])),
+                                  int(rng.integers(shape[1])))))
+        for shape, region in cases:
+            qin = build_feature_planes(make_ctx(region=region, shape=shape, rng=rng))
+            legal = legal_action_mask(region, shape)
+            windowed = net.q_map(qin, legal)
+            full = masked_q(net.q_map(qin), legal)
+            assert np.isneginf(windowed[~legal]).all()
+            np.testing.assert_allclose(windowed[legal], full[legal], rtol=0, atol=1e-12)
+            assert np.argmax(windowed) == np.argmax(full)
+
+    def test_legal_window_without_legal_cell_raises(self):
+        net = QNetwork.create(np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            net.q_map(build_feature_planes(make_ctx()), np.zeros((15, 15), dtype=bool))
 
     def test_checkpoint_round_trip(self, tmp_path):
         net = QNetwork.create(np.random.default_rng(2))

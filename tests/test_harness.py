@@ -299,6 +299,25 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1].split() == ["rhc", "3", "-", "-", "-", "-"]
 
+    def test_stale_zone_tables_are_data_error(self, tmp_path):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(
+            "seed = 3\n"
+            f"data_dir = {tmp_path / 'city'}\n"
+            f"out_dir = {tmp_path / 'out'}\n"
+            "fine_rows = 10\nfine_cols = 10\nregion_block = 1\nzone_block = 5\n"
+            "vehicles = 5\ndays = 1\ntrips_per_day = 200.0\ntrain_days = 2\n"
+            "eta_epochs = 1\ndemand_epochs = 1\n"
+        )
+        proc = self.run_cli("--config", str(cfg_file), "synth-data")
+        assert proc.returncode == 0, proc.stderr
+        proc = self.run_cli("--config", str(cfg_file), "simulate")
+        assert proc.returncode == 0, proc.stderr
+        # the cached tables hold 4 zones; 2x2 zone blocks make 25
+        proc = self.run_cli("--config", str(cfg_file), "--set", "zone_block=2", "simulate")
+        assert proc.returncode == 2, proc.stderr
+        assert "entries missing for 25 zones" in proc.stderr
+
     def test_simulate_prints_dash_without_accepted_requests(self, monkeypatch, capsys):
         from fleetsim.harness import cli
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fleetsim.lp import LpProblem, LpSolution, solve
+from fleetsim.rhc import build_rhc_lp
 from oracles import random_bounded_lp, vertex_enumeration_optimum
 
 
@@ -54,6 +55,19 @@ class TestBasics:
             LpProblem(c=[1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
         with pytest.raises(ValueError):
             LpProblem(c=[np.nan], a_ub=[[1.0]], b_ub=[1.0])
+
+
+    def test_no_negative_zero_in_solution(self):
+        # the low-penalty two-zone program of demo 05, where HiGHS returns
+        # the zero dispatch as -0.0
+        problem, _ = build_rhc_lp(np.array([1.0, 0.0]), np.zeros((1, 2)),
+                                  np.array([[0.0, 0.0], [0.0, 1.0]]),
+                                  [np.array([[0.0, 6.0], [6.0, 0.0]])] * 2,
+                                  [np.eye(2)] * 2, reject_penalty=3.0,
+                                  discount=1.0, slot_minutes=15.0)
+        sol = solve(problem)
+        assert sol.status == "optimal"
+        assert not np.signbit(sol.x).any()
 
 
 class TestOracleEquivalence:

@@ -17,6 +17,7 @@ from fleetsim.neural import (
     save_model,
     walk_param_layers,
 )
+from fleetsim.neural import _im2col
 
 
 def numerical_gradients(spec, params, x, target, aux=None, h=1e-4):
@@ -111,6 +112,21 @@ class TestForward:
         for i in range(6):
             np.testing.assert_allclose(batch_out[i], forward(spec, params, xs[i]),
                                        rtol=0, atol=1e-12)
+
+    def test_im2col_equals_loop_reference(self):
+        rng = np.random.default_rng(6)
+        for b, h, w, c, kh, kw in [(1, 23, 23, 15, 5, 5), (3, 9, 7, 2, 3, 3),
+                                   (2, 6, 8, 4, 2, 4), (1, 5, 5, 3, 5, 5),
+                                   (2, 4, 4, 3, 1, 1)]:
+            x = rng.normal(size=(b, h, w, c))
+            cols, oh, ow = _im2col(x, kh, kw)
+            ref = np.empty((b, h - kh + 1, w - kw + 1, kh * kw * c))
+            for n in range(b):
+                for i in range(h - kh + 1):
+                    for j in range(w - kw + 1):
+                        ref[n, i, j] = x[n, i:i + kh, j:j + kw, :].ravel()
+            assert (oh, ow) == (h - kh + 1, w - kw + 1)
+            np.testing.assert_array_equal(cols, ref.reshape(-1, kh * kw * c))
 
 
 class TestBackward:

@@ -72,9 +72,6 @@ class TestDqnPolicy:
     def test_mover_net_issues_orders_and_shifts_projection(self):
         net = crafted_qnet(base=0.0, dist_coef=5.0)  # corner-loving
         policy = self.make_policy(net)
-        captured = {}
-        orig = DqnPolicy.dispatch
-
         view = fake_view(idle_cells={0: (5, 5)})
         orders = policy.dispatch(view)
         assert len(orders) == 1
@@ -89,10 +86,10 @@ class TestDqnPolicy:
         totals = []
 
         class SpyNet:
-            def q_map(self, qin):
+            def q_map(self, qin, legal=None):
                 # records the supply planes each vehicle observed
                 totals.append(qin.main.sum())
-                return net.q_map(qin)
+                return net.q_map(qin, legal)
 
         policy.net = SpyNet()
         view = fake_view(idle_cells={0: (5, 5), 1: (5, 6)})
@@ -107,9 +104,9 @@ class TestDqnPolicy:
         real_q_map = net.q_map
 
         class Recorder:
-            def q_map(self, qin):
+            def q_map(self, qin, legal=None):
                 seen.append(qin)
-                return real_q_map(qin)
+                return real_q_map(qin, legal)
 
         policy.net = Recorder()
         view = fake_view(idle_cells={0: (5, 5), 1: (5, 5)})
@@ -177,9 +174,6 @@ class TestDqnPolicy:
         rng = np.random.default_rng(99)
         rng.random()  # the alpha gate draw
         ctx_mask = legal_action_mask((5, 5), (10, 10))
-        qin_map = net.q_map  # independent reconstruction
-        from fleetsim.dqn import VehicleContext, build_feature_planes
-        sd = cd = sh = ch = 0.0
         # replicate the action draw: u < eps -> uniform legal
         u = rng.random()
         assert u < 0.7

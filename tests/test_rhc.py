@@ -5,6 +5,7 @@ from fleetsim.geo import GridSpec, Location, RegionMap, block_region_map
 from fleetsim.rhc import (
     DestDistribution,
     TripTimeTable,
+    ZoneTableError,
     assign_vehicles,
     build_rhc_lp,
     check_plan_feasibility,
@@ -249,6 +250,49 @@ class TestTables:
         tt2, dd2 = load_tables(tmp_path / "tau.csv", tmp_path / "prob.csv", 2)
         np.testing.assert_array_equal(tt.minutes, tt2.minutes)
         np.testing.assert_array_equal(dd.prob, dd2.prob)
+
+    @staticmethod
+    def uniform_tables(tmp_path, m):
+        tt = TripTimeTable(np.full((7, 24, m, m), 5.0))
+        dd = DestDistribution(np.full((7, 24, m, m), 1.0 / m))
+        save_tables(tt, dd, tmp_path / "tau.csv", tmp_path / "prob.csv")
+        return tmp_path / "tau.csv", tmp_path / "prob.csv"
+
+    def test_16_zone_tables_loaded_as_100_zones_rejected(self, tmp_path):
+        tau_path, prob_path = self.uniform_tables(tmp_path, 16)
+        load_tables(tau_path, prob_path, 16)
+        with pytest.raises(ZoneTableError, match="missing"):
+            load_tables(tau_path, prob_path, 100)
+
+    def test_100_zone_tables_loaded_as_16_zones_rejected(self, tmp_path):
+        # the (dow 0, hour 0) head of 100-zone files: the whole files take
+        # seconds to write, and row 17 already names dest zone 16
+        for name, col, value in [("tau.csv", "minutes", 5.0), ("prob.csv", "prob", 0.01)]:
+            with open(tmp_path / name, "w") as fh:
+                fh.write(f"dow,hour,origin,dest,{col}\n")
+                for i in range(100):
+                    for j in range(100):
+                        fh.write(f"0,0,{i},{j},{value!r}\n")
+        with pytest.raises(ZoneTableError, match="outside"):
+            load_tables(tmp_path / "tau.csv", tmp_path / "prob.csv", 16)
+
+    @pytest.mark.parametrize("column,row,value,match", [
+        ("minutes", 5, "nan", "finite"),
+        ("minutes", 5, "-1.0", "non-negative"),
+        ("prob", 5, "0.6", "sum to 1"),
+        ("prob", 5, "-0.5", "non-negative"),
+        ("prob", 5, "abc", "malformed"),
+    ])
+    def test_bad_table_values_rejected(self, tmp_path, column, row, value, match):
+        tau_path, prob_path = self.uniform_tables(tmp_path, 2)
+        path = tau_path if column == "minutes" else prob_path
+        lines = path.read_text().splitlines()
+        fields = lines[row].split(",")
+        fields[-1] = value
+        lines[row] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ZoneTableError, match=match):
+            load_tables(tau_path, prob_path, 2)
 
     def test_zone_centroid_distances_symmetric(self):
         g = GridSpec(rows=4, cols=4, cell_size=500.0, origin=Location(40.0, -74.0))
