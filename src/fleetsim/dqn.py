@@ -47,6 +47,9 @@ _DIAGONAL_REACH = ACTION_RADIUS * math.sqrt(2.0)
 # (valid 5x5 + 3x3 + 3x3 convolutions; the 1x1 layers do not widen it)
 _FIELD = 9
 
+# full-size inputs per network call in QNetwork.q_map_batch
+_MAP_CHUNK = 8
+
 
 @dataclass(frozen=True)
 class VehicleContext:
@@ -217,7 +220,21 @@ class QNetwork:
         return masked_q(qmap, legal)
 
     def q_map_batch(self, mains: np.ndarray, auxs: np.ndarray) -> np.ndarray:
-        return self.net.forward(mains, aux=auxs)[..., 0]
+        """Q-maps of a batch; full-size inputs go ``_MAP_CHUNK`` at a time.
+
+        In one call, a minibatch of 64 full 23x23 inputs builds a 69 MB
+        first-layer patch matrix and 20-30 MB ones after it.  How much of
+        such transients the allocator kept after a train step varied from
+        run to run, and with it the peak RSS of training by 30 MB.  In
+        chunks the largest patch matrix is 9 MB, and the maps are the same
+        bit for bit.  Receptive-field crops (9x9 main inputs) are small
+        and go in one call: split, their last bits would change.
+        """
+        if mains.shape[1] <= _FIELD:
+            return self.net.forward(mains, aux=auxs)[..., 0]
+        return np.concatenate([self.net.forward(mains[i:i + _MAP_CHUNK],
+                                                aux=auxs[i:i + _MAP_CHUNK])[..., 0]
+                               for i in range(0, len(mains), _MAP_CHUNK)])
 
     def save(self, path, optimizer: neural.RmsProp | None = None,
              extra: dict | None = None) -> None:
@@ -236,6 +253,23 @@ def masked_q(qmap: np.ndarray, legal: np.ndarray) -> np.ndarray:
     return np.where(legal, qmap, -np.inf)
 
 
+def explore_action(legal: np.ndarray, epsilon: float, rng: np.random.Generator
+                   ) -> tuple[int, int] | None:
+    """With probability ``epsilon`` a uniform legal cell, else None (act greedily).
+
+    Draws one ``random()``, then one ``integers`` only when it explores.
+    """
+    if rng.random() >= epsilon:
+        return None
+    legal_flat = np.flatnonzero(legal)
+    return divmod(int(legal_flat[rng.integers(legal_flat.size)]), ACTION_SIZE)
+
+
+def greedy_action(qmap: np.ndarray) -> tuple[int, int]:
+    """The highest cell of a masked Q-map, ties to the lowest row-major index."""
+    return divmod(int(np.argmax(qmap)), ACTION_SIZE)
+
+
 def select_action(qmap: np.ndarray, epsilon: float, rng: np.random.Generator
                   ) -> tuple[int, int]:
     """Epsilon-greedy over the legal (finite) cells of a masked Q-map.
@@ -243,14 +277,11 @@ def select_action(qmap: np.ndarray, epsilon: float, rng: np.random.Generator
     Greedy ties resolve to the lowest row-major index.  The random
     branch draws uniformly over legal cells.
     """
-    legal_flat = np.nonzero(np.isfinite(qmap.ravel()))[0]
-    if legal_flat.size == 0:
+    legal = np.isfinite(qmap)
+    if not legal.any():
         raise ValueError("no legal action available")
-    if rng.random() < epsilon:
-        flat = int(legal_flat[rng.integers(legal_flat.size)])
-    else:
-        flat = int(np.argmax(qmap.ravel()))
-    return (flat // ACTION_SIZE, flat % ACTION_SIZE)
+    action = explore_action(legal, epsilon, rng)
+    return greedy_action(qmap) if action is None else action
 
 
 def reward_dqn(pickups: float, dispatch_minutes: float, reject_weight: float) -> float:
@@ -528,18 +559,14 @@ class DqnPolicy:
                                  idle=idle_regions, region=region,
                                  sin_dow=sd, cos_dow=cd, sin_hour=sh, cos_hour=ch)
             legal = legal_action_mask(region, (rr, rc))
-            if cfg.train and self.rng.random() < eps:
-                legal_flat = np.nonzero(legal.ravel())[0]
-                flat = int(legal_flat[self.rng.integers(legal_flat.size)])
-                action = (flat // ACTION_SIZE, flat % ACTION_SIZE)
-            else:
+            action = explore_action(legal, eps, self.rng) if cfg.train else None
+            if action is None:
                 if canvas is None:
                     canvas = FeatureCanvas(demand_regions, supply3, idle_regions)
                 elif canvas.supply is not supply3:
                     canvas.set_supply(supply3)
                 qin = QInput(canvas.main(region), _aux_planes(ctx))
-                flat = int(np.argmax(self.net.q_map(qin, legal).ravel()))
-                action = (flat // ACTION_SIZE, flat % ACTION_SIZE)
+                action = greedy_action(self.net.q_map(qin, legal))
 
             tau_steps = 0
             if action != STAY_CELL:

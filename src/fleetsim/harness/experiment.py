@@ -22,7 +22,8 @@ from .. import dqn as dqn_mod
 from .. import eta as eta_mod
 from .. import rhc as rhc_mod
 from ..clock import Clock
-from ..geo import GridSpec, Location, RegionMap, cell_arrays
+from ..geo import (GridSpec, Location, RegionMap, RegionMapError, block_region_map,
+                   cell_arrays)
 from ..roadgraph import load_edge_list
 from ..sim import RideRequest, Simulation
 from .config import ConfigError, ExperimentConfig
@@ -57,6 +58,12 @@ def city_from_synth(sc: SynthCity) -> City:
 
 
 def load_city(cfg: ExperimentConfig, data_dir=None) -> City:
+    """Read a city directory; its partitions must be the ones the config implies.
+
+    The Q-policy decodes region ids as the ``region_block`` block layout
+    and the zone tables hold ``zone_block`` zones, so any other
+    ``regions.csv`` or zone count raises :class:`RegionMapError`.
+    """
     base = Path(data_dir or cfg.data_dir)
     grid = GridSpec(rows=cfg.fine_rows, cols=cfg.fine_cols, cell_size=cfg.cell_size_m,
                     origin=Location(cfg.origin_lat, cfg.origin_lon))
@@ -67,6 +74,13 @@ def load_city(cfg: ExperimentConfig, data_dir=None) -> City:
     graph = load_edge_list(base / "roads.txt")
     regions = RegionMap.from_csv(base / "regions.csv", grid.rows, grid.cols)
     zones = RegionMap.from_csv(base / "zones.csv", grid.rows, grid.cols)
+    blocks = block_region_map(grid, cfg.region_block, cfg.region_block)
+    if not np.array_equal(regions.assignment, blocks.assignment):
+        raise RegionMapError(f"{base / 'regions.csv'} is not the {cfg.region_block}x"
+                             f"{cfg.region_block} block layout set by region_block")
+    if zones.region_count != zone_block_count(cfg):
+        raise RegionMapError(f"{base / 'zones.csv'} has {zones.region_count} zones, "
+                             f"zone_block = {cfg.zone_block} makes {zone_block_count(cfg)}")
     return City(grid, graph, regions, zones, requests)
 
 
@@ -235,9 +249,12 @@ def training_city(cfg: ExperimentConfig) -> City:
 def ensure_models(cfg: ExperimentConfig) -> ModelBundle:
     paths = model_paths(cfg)
     if all(paths[k].exists() for k in ("eta", "demand", "tau", "prob", "historical")):
-        zone_count = (cfg.fine_rows // cfg.zone_block) * (cfg.fine_cols // cfg.zone_block)
-        return load_models(cfg, zone_count)
+        return load_models(cfg, zone_block_count(cfg))
     return train_models(cfg, training_city(cfg))
+
+
+def zone_block_count(cfg: ExperimentConfig) -> int:
+    return (cfg.fine_rows // cfg.zone_block) * (cfg.fine_cols // cfg.zone_block)
 
 
 # --- demand predictors -----------------------------------------------------
@@ -379,13 +396,15 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # models first: stale cached tables report their own error, not the
+    # zone-count check in load_city
+    if bundle is None:
+        bundle = ensure_models(cfg)
     if city is None:
         if (Path(cfg.data_dir) / "trips.csv").exists():
             city = load_city(cfg)
         else:
             city = city_from_synth(synth_city(cfg, cfg.seed, cfg.days))
-    if bundle is None:
-        bundle = ensure_models(cfg)
     if cfg.policy in ("dqn", "dqn_star") and qnet is None:
         qnet_path = model_paths(cfg)["qnet"]
         if not qnet_path.exists():

@@ -348,29 +348,6 @@ def avg_pool(plane: np.ndarray, k: int) -> np.ndarray:
     return sums / float(k * k)
 
 
-def crop_pad_center(plane: np.ndarray, center: tuple[int, int], out_h: int, out_w: int) -> np.ndarray:
-    """Crop an ``out_h x out_w`` window centered at ``center``, zero-padding outside.
-
-    Operates on the trailing two axes.  Output dims must be odd so the
-    center is well defined; the output's middle element equals
-    ``plane[center]``.
-    """
-    if out_h % 2 == 0 or out_w % 2 == 0:
-        raise ValueError(f"output dims must be odd, got {out_h}x{out_w}")
-    x = np.asarray(plane, dtype=np.float64)
-    h, w = x.shape[-2], x.shape[-1]
-    cr, cc = center
-    mr, mc = out_h // 2, out_w // 2
-    out = np.zeros(x.shape[:-2] + (out_h, out_w))
-    sr0, sr1 = max(0, cr - mr), min(h, cr + mr + 1)
-    sc0, sc1 = max(0, cc - mc), min(w, cc + mc + 1)
-    if sr0 < sr1 and sc0 < sc1:
-        dr0 = sr0 - (cr - mr)
-        dc0 = sc0 - (cc - mc)
-        out[..., dr0:dr0 + (sr1 - sr0), dc0:dc0 + (sc1 - sc0)] = x[..., sr0:sr1, sc0:sc1]
-    return out
-
-
 # --- checkpoint container -------------------------------------------------
 
 def _layer_to_dict(layer) -> dict:

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import (GridSpec, RegionMap, aggregate_to_regions, center_of, haversine,
+from .geo import (GridSpec, RegionMap, aggregate_to_regions, haversine_arrays,
                   region_cells)
 from .lp import LpProblem, LpSolution, solve
 from .sim import DispatchOrder
@@ -57,25 +57,11 @@ class DestDistribution:
 
 def zone_centroid_distances(rm: RegionMap, grid: GridSpec) -> np.ndarray:
     """Pairwise great-circle distances between zone centroids, meters."""
-    m = rm.region_count
-    lat_sum = np.zeros(m)
-    lon_sum = np.zeros(m)
-    count = np.zeros(m)
-    for r in range(grid.rows):
-        for c in range(grid.cols):
-            z = rm.assignment[r, c]
-            loc = center_of((r, c), grid)
-            lat_sum[z] += loc.lat
-            lon_sum[z] += loc.lon
-            count[z] += 1
-    lats = lat_sum / np.maximum(count, 1)
-    lons = lon_sum / np.maximum(count, 1)
-    out = np.zeros((m, m))
-    from .geo import Location, haversine_arrays
-
-    for i in range(m):
-        out[i] = haversine_arrays(lats[i], lons[i], lats, lons)
-    return out
+    rows, cols = np.indices((grid.rows, grid.cols))
+    count = np.maximum(aggregate_to_regions(np.ones(rows.shape), rm), 1)
+    lats = aggregate_to_regions(grid.origin.lat + (rows + 0.5) * grid.d_lat, rm) / count
+    lons = aggregate_to_regions(grid.origin.lon + (cols + 0.5) * grid.d_lon, rm) / count
+    return np.array([haversine_arrays(lat, lon, lats, lons) for lat, lon in zip(lats, lons)])
 
 
 def estimate_tables(origin_zone, dest_zone, dow_idx, hour_idx, minutes,
@@ -123,24 +109,17 @@ def estimate_tables(origin_zone, dest_zone, dow_idx, hour_idx, minutes,
     return TripTimeTable(tau), DestDistribution(prob)
 
 
+def _write_table(path, column: str, table: np.ndarray) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["dow", "hour", "origin", "dest", column])
+        for key in np.ndindex(table.shape):
+            w.writerow([*key, repr(float(table[key]))])
+
+
 def save_tables(tt: TripTimeTable, dd: DestDistribution, tau_path, prob_path) -> None:
-    m = tt.minutes.shape[-1]
-    with open(tau_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dow", "hour", "origin", "dest", "minutes"])
-        for d in range(7):
-            for h in range(24):
-                for i in range(m):
-                    for j in range(m):
-                        w.writerow([d, h, i, j, repr(float(tt.minutes[d, h, i, j]))])
-    with open(prob_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dow", "hour", "origin", "dest", "prob"])
-        for d in range(7):
-            for h in range(24):
-                for i in range(m):
-                    for j in range(m):
-                        w.writerow([d, h, i, j, repr(float(dd.prob[d, h, i, j]))])
+    _write_table(tau_path, "minutes", tt.minutes)
+    _write_table(prob_path, "prob", dd.prob)
 
 
 class ZoneTableError(ValueError):
@@ -239,14 +218,14 @@ def predict_supply(x0: np.ndarray, sched: np.ndarray, wbar: np.ndarray,
 
 @dataclass
 class RhcLpIndex:
-    """Column registry for the assembled LP."""
+    """Where each variable block of the assembled LP sits among its columns."""
 
     n_vars: int
-    u_cols: dict  # (k, i, j) -> column
-    x_cols: dict  # (k, i) -> column, k >= 1
-    s_cols: dict  # (k, i) -> column
-    m_cols: dict  # (k, i) -> column
-    l_cols: dict  # (k, i) -> column
+    u: tuple[np.ndarray, np.ndarray, np.ndarray]  # (k, i, j) of dispatch columns 0, 1, ...
+    x_cols: np.ndarray  # (T, M): [k - 1, i] -> column of x[k, i], k = 1..T
+    s_cols: np.ndarray  # (T + 1, M)
+    m_cols: np.ndarray  # (T, M)
+    l_cols: np.ndarray  # (T, M)
 
 
 def build_rhc_lp(x0: np.ndarray, sched: np.ndarray, wbar: np.ndarray,
@@ -261,6 +240,19 @@ def build_rhc_lp(x0: np.ndarray, sched: np.ndarray, wbar: np.ndarray,
     each slot's standing supply.  Served mass redistributes through the
     destination distribution with the travel-time lag; shortages are
     penalized at ``reject_penalty`` per predicted unserved request.
+
+    Columns: ``u[k, i, j]`` for each ``i != j`` reachable in slot k,
+    row-major in ``(k, i, j)``, then the blocks ``x`` (k = 1..T), ``s``
+    (k = 0..T), ``m`` and ``L`` (k = 0..T-1), each row-major in ``(k, i)``.
+    Rows come in blocks row-major in ``(k, i)``, with ``x[0] = x0`` moved
+    to the right-hand side.  Inequalities: the budgets
+    ``sum_j u[k, i, j] <= x[k, i]`` (only where zone i has a reachable
+    move), the shortages ``s[k, i] >= wbar[k, i] - x[k, i]`` and the caps
+    ``m[k, i] <= wbar[k + 1, i]``.  Equalities: the splits ``m + L = x``
+    and the dynamics ``x[k + 1, i] = L[k, i] - out + in + sched[k, i] +
+    arrivals``, where the served trips j -> i of slot kp <= k arrive with
+    weight ``p_slots[kp][j, i]`` if
+    ``floor(tau_slots[kp][j, i] / slot_minutes) == k - kp``.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     wbar = np.asarray(wbar, dtype=np.float64)
@@ -270,125 +262,62 @@ def build_rhc_lp(x0: np.ndarray, sched: np.ndarray, wbar: np.ndarray,
     if sched.shape != (max(horizon, 0), m) and horizon > 0:
         raise ValueError(f"sched shape {sched.shape} != ({horizon}, {m})")
 
-    u_cols: dict = {}
-    x_cols: dict = {}
-    s_cols: dict = {}
-    m_cols: dict = {}
-    l_cols: dict = {}
-    col = 0
-    for k in range(horizon + 1):
-        tau = np.asarray(tau_slots[k])
-        for i in range(m):
-            for j in range(m):
-                if i != j and tau[i, j] <= slot_minutes:
-                    u_cols[(k, i, j)] = col
-                    col += 1
-    for k in range(1, horizon + 1):
-        for i in range(m):
-            x_cols[(k, i)] = col
-            col += 1
-    for k in range(horizon + 1):
-        for i in range(m):
-            s_cols[(k, i)] = col
-            col += 1
+    tau = np.array([tau_slots[k] for k in range(horizon + 1)], dtype=np.float64)
+    p = np.array([p_slots[k] for k in range(horizon)], dtype=np.float64)
+    u = np.nonzero((tau <= slot_minutes) & ~np.eye(m, dtype=bool))
+    uk, ui, uj = u
+    nu = uk.size
+    blocks = np.arange(nu, nu + (4 * horizon + 1) * m).reshape(-1, m)
+    x_cols, s_cols, m_cols, l_cols = np.split(blocks, [horizon, 2 * horizon + 1,
+                                                       3 * horizon + 1])
+    n = nu + blocks.size
+    r = np.arange(horizon * m)          # a row per (k, i), k < T
+    rs = np.arange((horizon + 1) * m)   # a row per (k, i), k <= T
+
+    budget = np.unique(uk * m + ui)  # flat k * M + i of each budget row
+    a_budget = np.zeros((budget.size, n))
+    a_budget[np.searchsorted(budget, uk * m + ui), np.arange(nu)] = 1.0
+    later = np.flatnonzero(budget >= m)
+    a_budget[later, x_cols.ravel()[budget[later] - m]] = -1.0
+    a_short = np.zeros((rs.size, n))
+    a_short[rs, s_cols.ravel()] = -1.0
+    a_short[rs[m:], x_cols.ravel()] = -1.0
+    a_cap = np.zeros((r.size, n))
+    a_cap[r, m_cols.ravel()] = 1.0
+
+    a_split = np.zeros((r.size, n))
+    a_split[r, m_cols.ravel()] = 1.0
+    a_split[r, l_cols.ravel()] = 1.0
+    a_split[r[m:], x_cols[:-1].ravel()] = -1.0
+    a_dyn = np.zeros((r.size, n))
+    a_dyn[r, x_cols.ravel()] = 1.0
+    a_dyn[r, l_cols.ravel()] = -1.0
+    now = np.flatnonzero(uk < horizon)
+    a_dyn[uk[now] * m + ui[now], now] = 1.0
+    a_dyn[uk[now] * m + uj[now], now] = -1.0
+    lag = np.floor(tau[:horizon] / slot_minutes).astype(int)
     for k in range(horizon):
-        for i in range(m):
-            m_cols[(k, i)] = col
-            col += 1
-    for k in range(horizon):
-        for i in range(m):
-            l_cols[(k, i)] = col
-            col += 1
-    n = col
+        for kp in range(k + 1):
+            j, i = np.nonzero((lag[kp] == k - kp) & (p[kp] > 0))
+            a_dyn[k * m + i, m_cols[kp, j]] = -p[kp, j, i]
 
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    eq_rows: list[np.ndarray] = []
-    eq_rhs: list[float] = []
-
-    def add_row(coeffs: dict[int, float], bound: float) -> None:
-        row = np.zeros(n)
-        for c, v in coeffs.items():
-            row[c] += v
-        rows.append(row)
-        rhs.append(bound)
-
-    def add_eq(coeffs: dict[int, float], bound: float) -> None:
-        row = np.zeros(n)
-        for c, v in coeffs.items():
-            row[c] += v
-        eq_rows.append(row)
-        eq_rhs.append(bound)
-
-    # dispatch budgets: sum_j u[k,i,j] <= x[k,i]
-    for k in range(horizon + 1):
-        for i in range(m):
-            coeffs = {u_cols[(k, i, j)]: 1.0 for j in range(m) if (k, i, j) in u_cols}
-            if not coeffs:
-                continue
-            if k == 0:
-                add_row(coeffs, float(x0[i]))
-            else:
-                coeffs[x_cols[(k, i)]] = -1.0
-                add_row(coeffs, 0.0)
-
-    # shortage epigraph: s[k,i] >= wbar[k,i] - x[k,i]
-    for k in range(horizon + 1):
-        for i in range(m):
-            if k == 0:
-                add_row({s_cols[(k, i)]: -1.0}, -(float(wbar[0, i] - x0[i])))
-            else:
-                add_row({s_cols[(k, i)]: -1.0, x_cols[(k, i)]: -1.0}, -float(wbar[k, i]))
-
-    # served/leftover split of standing supply: m + L = x, m <= next demand
-    for k in range(horizon):
-        for i in range(m):
-            coeffs = {m_cols[(k, i)]: 1.0, l_cols[(k, i)]: 1.0}
-            if k == 0:
-                add_eq(coeffs, float(x0[i]))
-            else:
-                coeffs[x_cols[(k, i)]] = -1.0
-                add_eq(coeffs, 0.0)
-            add_row({m_cols[(k, i)]: 1.0}, float(wbar[k + 1, i]))
-
-    # dynamics: x[k+1] = L[k] - out(u) + in(u) + sched[k] + lagged served arrivals
-    for k in range(horizon):
-        lags = [np.floor(np.asarray(tau_slots[kp]) / slot_minutes).astype(int)
-                for kp in range(k + 1)]
-        for i in range(m):
-            coeffs: dict[int, float] = {x_cols[(k + 1, i)]: 1.0, l_cols[(k, i)]: -1.0}
-            for j in range(m):
-                if (k, i, j) in u_cols:
-                    coeffs[u_cols[(k, i, j)]] = coeffs.get(u_cols[(k, i, j)], 0.0) + 1.0
-                if (k, j, i) in u_cols:
-                    coeffs[u_cols[(k, j, i)]] = coeffs.get(u_cols[(k, j, i)], 0.0) - 1.0
-            for kp in range(k + 1):
-                p = np.asarray(p_slots[kp])
-                for j in range(m):
-                    if lags[kp][j, i] == k - kp and p[j, i] > 0:
-                        c = m_cols[(kp, j)]
-                        coeffs[c] = coeffs.get(c, 0.0) - float(p[j, i])
-            add_eq(coeffs, float(sched[k, i]))
-
-    objective = np.zeros(n)
-    for k in range(horizon + 1):
-        g = discount ** k
-        for i in range(m):
-            objective[s_cols[(k, i)]] -= g * reject_penalty
-        tau = np.asarray(tau_slots[k])
-        for i in range(m):
-            for j in range(m):
-                if (k, i, j) in u_cols:
-                    objective[u_cols[(k, i, j)]] -= g * float(tau[i, j])
+    g = np.array([discount ** k for k in range(horizon + 1)])
+    c = np.zeros(n)
+    # subtracted from +0.0, so a zero penalty or trip time stays +0.0
+    c[s_cols] -= g[:, None] * reject_penalty
+    c[:nu] -= g[uk] * tau[u]
 
     problem = LpProblem(
-        c=objective,
-        a_ub=np.asarray(rows) if rows else np.zeros((0, n)),
-        b_ub=np.asarray(rhs),
-        a_eq=np.asarray(eq_rows) if eq_rows else None,
-        b_eq=np.asarray(eq_rhs) if eq_rows else None,
+        c=c,
+        a_ub=np.vstack([a_budget, a_short, a_cap]),
+        # -(wbar - x0), not x0 - wbar: an equal pair gives -0.0, as it always has
+        b_ub=np.concatenate([np.where(budget < m, x0[budget % m], 0.0),
+                             -(wbar[0] - x0), -wbar[1:].ravel(), wbar[1:].ravel()]),
+        a_eq=np.vstack([a_split, a_dyn]) if horizon else None,
+        b_eq=np.concatenate([np.where(r < m, x0[r % m], 0.0), sched.ravel()])
+        if horizon else None,
     )
-    return problem, RhcLpIndex(n, u_cols, x_cols, s_cols, m_cols, l_cols)
+    return problem, RhcLpIndex(n, u, x_cols, s_cols, m_cols, l_cols)
 
 
 @dataclass
@@ -434,23 +363,17 @@ def solve_rhc(x0, sched, wbar, tau_slots, p_slots,
     problem, index = build_rhc_lp(x0, sched, wbar, tau_slots, p_slots,
                                   reject_penalty, discount, slot_minutes)
     sol: LpSolution = solve(problem)
-    m = np.asarray(x0).shape[0]
-    horizon = np.asarray(wbar).shape[0] - 1
+    m = index.s_cols.shape[1]
     u0 = np.zeros((m, m))
-    shortage = np.zeros((horizon + 1, m))
-    x_future = np.zeros((horizon, m))
     if sol.status != "optimal":
         log.warning("RHC LP not optimal (%s); dispatching nothing", sol.status)
-        return RhcPlan(u0, np.zeros((m, m), dtype=np.int64), float("nan"),
-                       sol.status, shortage, x_future)
-    for (k, i, j), c in index.u_cols.items():
-        if k == 0:
-            u0[i, j] = sol.x[c]
-    for (k, i), c in index.s_cols.items():
-        shortage[k, i] = sol.x[c]
-    for (k, i), c in index.x_cols.items():
-        x_future[k - 1, i] = sol.x[c]
-    plan = RhcPlan(u0, round_plan(u0), sol.objective, sol.status, shortage, x_future)
+        return RhcPlan(u0, np.zeros((m, m), dtype=np.int64), float("nan"), sol.status,
+                       np.zeros(index.s_cols.shape), np.zeros(index.x_cols.shape))
+    k, i, j = index.u
+    first = k == 0
+    u0[i[first], j[first]] = sol.x[:k.size][first]
+    plan = RhcPlan(u0, round_plan(u0), sol.objective, sol.status,
+                   sol.x[index.s_cols], sol.x[index.x_cols])
     check_plan_feasibility(plan, np.asarray(x0, dtype=np.float64),
                            np.asarray(tau_slots[0]), slot_minutes)
     return plan

@@ -176,25 +176,3 @@ def shortest_path(origin: int, dest: int, graph: RoadGraph) -> Path | None:
                 parent[nbr] = node
                 heapq.heappush(frontier, (g2 + h(nbr), g2, nbr))
     return None
-
-
-def dijkstra_length(origin: int, dest: int, graph: RoadGraph) -> float | None:
-    """Plain Dijkstra distance, used as the routing oracle in tests."""
-    if origin == dest:
-        return 0.0
-    dist = {origin: 0.0}
-    done = set()
-    frontier = [(0.0, origin)]
-    while frontier:
-        g, node = heapq.heappop(frontier)
-        if node in done:
-            continue
-        if node == dest:
-            return g
-        done.add(node)
-        for nbr, length in graph.adjacency[node]:
-            g2 = g + length
-            if g2 < dist.get(nbr, np.inf):
-                dist[nbr] = g2
-                heapq.heappush(frontier, (g2, nbr))
-    return None

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import q_main_planes_51
+from oracles import crop_pad_center, q_main_planes_51
 
 from fleetsim import neural
 from fleetsim.dqn import (
@@ -80,7 +80,7 @@ class TestFeaturePlanes:
         rng = np.random.default_rng(1)
         ctx = make_ctx(region=(4, 6), rng=rng)
         qin = build_feature_planes(ctx)
-        big = neural.crop_pad_center(ctx.demand, ctx.region, 51, 51)
+        big = crop_pad_center(ctx.demand, ctx.region, 51, 51)
         # main[5] is the 15x15-pooled demand plane cropped to 23x23; check
         # a few positions against a direct window sum over the crop
         for out_r, out_c in [(11, 11), (0, 0), (22, 13)]:
@@ -178,6 +178,21 @@ class TestQNetwork:
             assert np.isneginf(windowed[~legal]).all()
             np.testing.assert_allclose(windowed[legal], full[legal], rtol=0, atol=1e-12)
             assert np.argmax(windowed) == np.argmax(full)
+
+    def test_batch_maps_match_one_forward_call(self):
+        # 21 full inputs: two full chunks and a short one; and a
+        # batch of receptive-field crops, which goes in one call
+        rng = np.random.default_rng(4)
+        net = QNetwork.create(rng)
+        mains, auxs = assemble_batch([make_ctx(rng=rng, minute=float(m)) for m in range(21)])
+        whole = neural.forward(Q_SPEC, net.net.params, mains, aux=auxs)[..., 0]
+        batch = net.q_map_batch(mains, auxs)
+        assert batch.shape == (21, ACTION_SIZE, ACTION_SIZE)
+        np.testing.assert_allclose(batch, whole, rtol=0, atol=1e-12)
+        crops, crop_auxs = mains[:, 3:12, 4:13], auxs[:, 3:4, 4:5]
+        np.testing.assert_array_equal(
+            net.q_map_batch(crops, crop_auxs),
+            neural.forward(Q_SPEC, net.net.params, crops, aux=crop_auxs)[..., 0])
 
     def test_legal_window_without_legal_cell_raises(self):
         net = QNetwork.create(np.random.default_rng(0))

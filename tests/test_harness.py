@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fleetsim.geo import GridSpec, Location
+from fleetsim.geo import GridSpec, Location, RegionMapError, block_region_map
 from fleetsim.harness.config import ConfigError, ExperimentConfig, parse_config, render_config
 from fleetsim.harness.ingest import TripDataError, ingest_trips
 from fleetsim.harness.synth import build_road_grid, synth_city, write_city
@@ -97,6 +97,15 @@ class TestSynth:
         for r, tr in zip(requests[:30], city.trips[:30]):
             assert r.minute == pytest.approx(tr.pickup_minute, abs=1 / 60 + 1e-9)
             assert r.trip_minutes == pytest.approx(tr.duration_minutes, abs=2 / 60)
+
+    def test_load_city_rejects_partitions_other_than_the_config(self, tmp_path):
+        cfg = small_cfg(tmp_path)
+        write_city(synth_city(cfg, seed=5, days=1), cfg, cfg.data_dir)
+        assert ex.load_city(cfg).regions.region_count == 100
+        with pytest.raises(RegionMapError, match="block layout"):
+            ex.load_city(small_cfg(tmp_path, region_block=2))
+        with pytest.raises(RegionMapError, match="has 4 zones"):
+            ex.load_city(small_cfg(tmp_path, zone_block=2))
 
     def test_road_grid_connected(self, tmp_path):
         cfg = small_cfg(tmp_path)
@@ -317,6 +326,25 @@ class TestCli:
         proc = self.run_cli("--config", str(cfg_file), "--set", "zone_block=2", "simulate")
         assert proc.returncode == 2, proc.stderr
         assert "entries missing for 25 zones" in proc.stderr
+
+    def test_non_block_regions_are_data_error(self, tmp_path):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(
+            "seed = 3\n"
+            f"data_dir = {tmp_path / 'city'}\n"
+            f"out_dir = {tmp_path / 'out'}\n"
+            "fine_rows = 10\nfine_cols = 10\nregion_block = 1\nzone_block = 5\n"
+            "vehicles = 5\ndays = 1\ntrips_per_day = 200.0\ntrain_days = 2\n"
+            "eta_epochs = 1\ndemand_epochs = 1\n"
+        )
+        proc = self.run_cli("--config", str(cfg_file), "synth-data")
+        assert proc.returncode == 0, proc.stderr
+        # region_block = 1 means 100 one-cell regions; write 4 blocks of 5x5
+        grid = GridSpec(rows=10, cols=10, cell_size=600.0, origin=Location(0.0, 0.0))
+        block_region_map(grid, 5, 5).to_csv(tmp_path / "city" / "regions.csv")
+        proc = self.run_cli("--config", str(cfg_file), "simulate")
+        assert proc.returncode == 2, proc.stderr
+        assert "block layout" in proc.stderr
 
     def test_simulate_prints_dash_without_accepted_requests(self, monkeypatch, capsys):
         from fleetsim.harness import cli

@@ -9,7 +9,6 @@ from fleetsim.neural import (
     RmsProp,
     avg_pool,
     backward,
-    crop_pad_center,
     forward,
     init_params,
     load_model,
@@ -18,6 +17,7 @@ from fleetsim.neural import (
     walk_param_layers,
 )
 from fleetsim.neural import _im2col
+from oracles import crop_pad_center
 
 
 def numerical_gradients(spec, params, x, target, aux=None, h=1e-4):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fleetsim.geo import GridSpec, Location, RegionMap, block_region_map
 from fleetsim.rhc import (
@@ -21,7 +24,8 @@ from fleetsim.rhc import (
 )
 from fleetsim import rhc
 from fleetsim.lp import LpSolution, solve
-from oracles import event_supply_oracle, random_supply_scenario
+from oracles import (event_supply_oracle, random_supply_scenario, rhc_lp_reference,
+                     zone_centroid_distances_reference)
 from test_policies import GRID, ZONES, fake_view
 
 DT = 15.0
@@ -137,12 +141,9 @@ class TestRhcLp:
                                       [p] * (horizon + 1), 20.0, 0.99, DT)
         sol = solve(problem)
         assert sol.status == "optimal"
-        u_slots = [np.zeros((m, m)) for _ in range(horizon + 1)]
-        for (k, i, j), c in index.u_cols.items():
-            u_slots[k][i, j] = sol.x[c]
-        x_lp = np.zeros((horizon, m))
-        for (k, i), c in index.x_cols.items():
-            x_lp[k - 1, i] = sol.x[c]
+        u_slots = np.zeros((horizon + 1, m, m))
+        u_slots[index.u] = sol.x[:index.u[0].size]
+        x_lp = sol.x[index.x_cols]
         expected = predict_supply(x0, sched, wbar, [tau] * (horizon + 1),
                                   [p] * (horizon + 1), u_slots, DT)
         np.testing.assert_allclose(x_lp, expected, atol=1e-7)
@@ -160,6 +161,80 @@ class TestRhcLp:
             shortages.append(float(np.maximum(wbar - xs, 0.0).sum()))
         for a, b in zip(shortages[:-1], shortages[1:]):
             assert b <= a + 1e-7
+
+
+def assert_same_program(problem, reference):
+    """Equal coefficients, signed zeros included, in every array of the LP."""
+    for name in ("c", "a_ub", "b_ub", "a_eq", "b_eq"):
+        got, want = getattr(problem, name), getattr(reference, name)
+        if want is None:
+            assert got is None, name
+            continue
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
+@st.composite
+def lp_inputs(draw):
+    """Small horizon programs with trip times on and around the one-slot limit."""
+    m = draw(st.integers(1, 5))
+    horizon = draw(st.integers(0, 4))
+    dt = draw(st.sampled_from([15.0, 10.0]))
+    counts = st.sampled_from([0.0, 1.0, 2.0, 3.0, 0.5])
+    minutes = st.sampled_from([0.0, dt, 0.5 * dt, dt + 0.25, 2.0 * dt, 3.5 * dt])
+    probs = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0])
+    return dict(
+        x0=draw(hnp.arrays(np.float64, m, elements=counts)),
+        sched=draw(hnp.arrays(np.float64, (horizon, m), elements=counts)),
+        wbar=draw(hnp.arrays(np.float64, (horizon + 1, m), elements=counts)),
+        tau_slots=list(draw(hnp.arrays(np.float64, (horizon + 1, m, m), elements=minutes))),
+        p_slots=list(draw(hnp.arrays(np.float64, (horizon + 1, m, m), elements=probs))),
+        reject_penalty=draw(st.sampled_from([0.0, 3.0, 20.0])),
+        discount=draw(st.sampled_from([0.0, 0.5, 0.99, 1.0])),
+        slot_minutes=dt,
+    )
+
+
+class TestLpAssembly:
+    @settings(max_examples=300, deadline=None)
+    @given(lp_inputs())
+    def test_equals_reference_builder(self, kw):
+        problem, _ = build_rhc_lp(**kw)
+        assert_same_program(problem, rhc_lp_reference(**kw))
+
+    def test_equals_reference_builder_on_seeded_programs(self):
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(1, 7))
+            horizon = int(rng.integers(0, 5))
+            minutes = DT * np.array([0.0, 1.0, 0.5, 1.01, 2.0, 3.3])
+            kw = dict(
+                x0=rng.integers(0, 4, m).astype(float),
+                sched=rng.integers(0, 3, (horizon, m)).astype(float),
+                wbar=rng.integers(0, 4, (horizon + 1, m)).astype(float),
+                tau_slots=[rng.choice(minutes, (m, m)) for _ in range(horizon + 1)],
+                p_slots=[rng.choice([0.0, 0.25, 0.5, 1.0], (m, m))
+                         for _ in range(horizon + 1)],
+                reject_penalty=float(rng.choice([0.0, 20.0])),
+                discount=float(rng.choice([0.99, 1.0])),
+                slot_minutes=DT,
+            )
+            problem, _ = build_rhc_lp(**kw)
+            assert_same_program(problem, rhc_lp_reference(**kw))
+
+    def test_index_blocks_tile_the_columns(self):
+        sc = random_supply_scenario(np.random.default_rng(3))
+        problem, index = build_rhc_lp(sc["x0"], sc["sched"], sc["wbar"],
+                                      sc["tau_slots"], sc["p_slots"], 20.0, 0.99, sc["dt"])
+        nu = index.u[0].size
+        cols = np.concatenate([np.arange(nu)] + [b.ravel() for b in (
+            index.x_cols, index.s_cols, index.m_cols, index.l_cols)])
+        assert index.n_vars == problem.n_vars
+        assert np.array_equal(cols, np.arange(problem.n_vars))
+        tau = np.asarray(sc["tau_slots"])
+        reach = (tau <= sc["dt"]) & ~np.eye(tau.shape[1], dtype=bool)
+        assert np.array_equal(np.nonzero(reach), index.u)
 
 
 class TestRewardAndMismatch:
@@ -301,6 +376,13 @@ class TestTables:
         np.testing.assert_allclose(d, d.T, atol=1e-6)
         assert d[0, 0] == 0.0
         assert d[0, 1] > 0
+
+    def test_zone_centroid_distances_equal_cell_by_cell_reference(self):
+        rng = np.random.default_rng(4)
+        g = GridSpec(rows=12, cols=9, cell_size=450.0, origin=Location(40.7, -74.0))
+        for rm in (block_region_map(g, 3, 3), RegionMap(rng.integers(0, 7, g.shape), 7)):
+            np.testing.assert_array_equal(zone_centroid_distances(rm, g),
+                                          zone_centroid_distances_reference(rm, g))
 
 
 class TestRounding:

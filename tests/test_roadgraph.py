@@ -6,12 +6,12 @@ from fleetsim.roadgraph import (
     EdgeListParseError,
     Path,
     build_graph,
-    dijkstra_length,
     load_edge_list,
     nearest_node,
     save_edge_list,
     shortest_path,
 )
+from oracles import dijkstra_length
 
 
 def random_graph(rng, n_nodes=20, extra_edges=30, noisy_lengths=False):
