@@ -157,15 +157,40 @@ def build_feature_planes(ctx: VehicleContext) -> QInput:
     return QInput(canvas.main(ctx.region), _aux_planes(ctx))
 
 
-def _aux_planes(ctx: VehicleContext) -> np.ndarray:
-    rows, cols = ctx.demand.shape
+def _static_aux() -> np.ndarray:
     aux = np.zeros((ACTION_SIZE, ACTION_SIZE, AUX_PLANES))
-    aux[..., 0] = ctx.sin_dow
-    aux[..., 1] = ctx.cos_dow
-    aux[..., 2] = ctx.sin_hour
-    aux[..., 3] = ctx.cos_hour
     aux[ACTION_RADIUS, ACTION_RADIUS, 4] = 1.0
-    r, c = ctx.region
+    dr = np.arange(ACTION_SIZE) - ACTION_RADIUS
+    aux[..., 9] = np.sqrt(dr[:, None] ** 2 + dr[None, :] ** 2) / _DIAGONAL_REACH
+    aux.setflags(write=False)
+    return aux
+
+
+# aux planes that depend on neither the clock nor the region: the stay
+# one-hot (plane 4) and the normalized move distance (plane 9)
+_STATIC_AUX = _static_aux()
+
+
+def _clock_aux(sin_dow: float, cos_dow: float, sin_hour: float,
+               cos_hour: float) -> np.ndarray:
+    """New aux planes with the clock (0-3) and static planes set, region planes zero."""
+    aux = _STATIC_AUX.copy()
+    aux[..., 0] = sin_dow
+    aux[..., 1] = cos_dow
+    aux[..., 2] = sin_hour
+    aux[..., 3] = cos_hour
+    return aux
+
+
+def _set_region_aux(aux: np.ndarray, region: tuple[int, int],
+                    grid_shape: tuple[int, int], legal: np.ndarray) -> np.ndarray:
+    """Overwrite, in place, the five planes that depend on the vehicle's region.
+
+    Planes 5-6 are the region's normalized coordinates, 7-8 each move's
+    clipped destination coordinates and 10 the ``legal`` move mask.
+    """
+    rows, cols = grid_shape
+    r, c = region
     aux[..., 5] = r / (rows - 1) if rows > 1 else 0.0
     aux[..., 6] = c / (cols - 1) if cols > 1 else 0.0
     dr = np.arange(ACTION_SIZE) - ACTION_RADIUS
@@ -173,9 +198,14 @@ def _aux_planes(ctx: VehicleContext) -> np.ndarray:
     dest_c = (c + dr[None, :]) / (cols - 1) if cols > 1 else np.zeros((1, ACTION_SIZE))
     aux[..., 7] = np.clip(np.broadcast_to(dest_r, (ACTION_SIZE, ACTION_SIZE)), 0.0, 1.0)
     aux[..., 8] = np.clip(np.broadcast_to(dest_c, (ACTION_SIZE, ACTION_SIZE)), 0.0, 1.0)
-    aux[..., 9] = np.sqrt(dr[:, None] ** 2 + dr[None, :] ** 2) / _DIAGONAL_REACH
-    aux[..., 10] = legal_action_mask(ctx.region, (rows, cols)).astype(np.float64)
+    aux[..., 10] = legal
     return aux
+
+
+def _aux_planes(ctx: VehicleContext) -> np.ndarray:
+    shape = ctx.demand.shape
+    aux = _clock_aux(ctx.sin_dow, ctx.cos_dow, ctx.sin_hour, ctx.cos_hour)
+    return _set_region_aux(aux, ctx.region, shape, legal_action_mask(ctx.region, shape))
 
 
 class QNetwork:
@@ -537,6 +567,7 @@ class DqnPolicy:
         eta_cells = None  # built lazily; many invocations issue no orders
         supply3 = None    # rebuilt only after an order has changed x
         canvas = None     # built on the first greedy decision
+        aux = None        # likewise; its region planes are rewritten per decision
         sd, cd, sh, ch = periodic_features(view.clock)
         eps = cfg.schedules.epsilon(self.step) if cfg.train else 0.0
         alpha = cfg.schedules.alpha(self.step) if cfg.train else 1.0
@@ -563,9 +594,11 @@ class DqnPolicy:
             if action is None:
                 if canvas is None:
                     canvas = FeatureCanvas(demand_regions, supply3, idle_regions)
+                    aux = _clock_aux(sd, cd, sh, ch)
                 elif canvas.supply is not supply3:
                     canvas.set_supply(supply3)
-                qin = QInput(canvas.main(region), _aux_planes(ctx))
+                qin = QInput(canvas.main(region),
+                             _set_region_aux(aux, region, (rr, rc), legal))
                 action = greedy_action(self.net.q_map(qin, legal))
 
             tau_steps = 0

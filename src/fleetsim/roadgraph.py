@@ -1,19 +1,26 @@
 """Directed road network with A* shortest-path search.
 
 Dispatch trajectories run along this graph; travel *time* comes from the
-ETA model, the graph only supplies distances and waypoints.  Graphs are
-immutable after loading and queries are pure functions, so concurrent
-use is safe.
+ETA model, the graph only supplies distances and waypoints.
+
+A graph derives its query arrays once, when it is built: the sorted node
+ids with their latitude and longitude arrays (for nearest-node lookups),
+an id -> index map, adjacency lists over those indices, and each node's
+latitude and longitude in radians with the cosine of its latitude (for
+the A* heuristic).  ``nodes`` and ``adjacency`` must therefore not be
+mutated afterwards; build a new graph instead.  Queries are pure
+functions, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geo import Location, haversine, haversine_arrays
+from .geo import EARTH_RADIUS_M, Location, haversine, haversine_arrays
 
 
 class EdgeListParseError(ValueError):
@@ -38,12 +45,26 @@ class RoadGraph:
     _ids: np.ndarray = field(default=None, repr=False)
     _lats: np.ndarray = field(default=None, repr=False)
     _lons: np.ndarray = field(default=None, repr=False)
+    # A* works on indices into the sorted ids, so heap ties still break by id
+    _index: dict[int, int] = field(init=False, repr=False)
+    _id_list: list[int] = field(init=False, repr=False)
+    _adj: list[list[tuple[int, float]]] = field(init=False, repr=False)
+    _rad_lats: list[float] = field(init=False, repr=False)
+    _rad_lons: list[float] = field(init=False, repr=False)
+    _cos_lats: list[float] = field(init=False, repr=False)
 
     def __post_init__(self):
         ids = sorted(self.nodes)
         self._ids = np.asarray(ids, dtype=np.int64)
         self._lats = np.asarray([self.nodes[i].lat for i in ids], dtype=np.float64)
         self._lons = np.asarray([self.nodes[i].lon for i in ids], dtype=np.float64)
+        self._index = {nid: k for k, nid in enumerate(ids)}
+        self._id_list = ids
+        self._adj = [[(self._index[to], length) for to, length in self.adjacency[nid]]
+                     for nid in ids]
+        self._rad_lats = [math.radians(self.nodes[i].lat) for i in ids]
+        self._rad_lons = [math.radians(self.nodes[i].lon) for i in ids]
+        self._cos_lats = [math.cos(lat) for lat in self._rad_lats]
 
     @property
     def node_count(self) -> int:
@@ -125,13 +146,20 @@ def save_edge_list(graph: RoadGraph, path) -> None:
                 fh.write(f"{frm},{to},{float(length)!r}\n")
 
 
+def nearest_nodes(lats, lons, graph: RoadGraph) -> np.ndarray:
+    """Id of the node nearest each point (haversine); ties go to the lowest id."""
+    if not graph.nodes:
+        raise ValueError("nearest-node lookup on an empty graph")
+    lats = np.asarray(lats, dtype=np.float64)
+    lons = np.asarray(lons, dtype=np.float64)
+    d = haversine_arrays(lats[:, None], lons[:, None], graph._lats, graph._lons)
+    # ids are sorted ascending, so argmin's first-hit rule breaks ties by lowest id
+    return graph._ids[np.argmin(d, axis=1)]
+
+
 def nearest_node(loc: Location, graph: RoadGraph) -> int:
     """Node minimizing haversine distance to ``loc``; ties go to the lowest id."""
-    if not graph.nodes:
-        raise ValueError("nearest_node on empty graph")
-    d = haversine_arrays(loc.lat, loc.lon, graph._lats, graph._lons)
-    # ids are sorted ascending, so argmin's first-hit rule breaks ties by lowest id
-    return int(graph._ids[int(np.argmin(d))])
+    return int(nearest_nodes([loc.lat], [loc.lon], graph)[0])
 
 
 def shortest_path(origin: int, dest: int, graph: RoadGraph) -> Path | None:
@@ -139,40 +167,50 @@ def shortest_path(origin: int, dest: int, graph: RoadGraph) -> Path | None:
 
     Returns ``None`` when ``dest`` is unreachable from ``origin``.  The
     heuristic scale keeps the estimate admissible, so results match
-    Dijkstra exactly.
+    Dijkstra exactly.  The search runs over node indices; the heuristic
+    is :func:`geo.haversine` from a node to ``dest``, evaluated inline
+    from the precomputed radians and cosines with the same operations.
     """
     if origin not in graph.nodes or dest not in graph.nodes:
         raise KeyError(f"endpoint missing from graph: {origin} or {dest}")
     if origin == dest:
         return Path(nodes=(), total_length=0.0)
 
-    goal = graph.nodes[dest]
+    lats, lons, coss = graph._rad_lats, graph._rad_lons, graph._cos_lats
+    src, goal = graph._index[origin], graph._index[dest]
+    glat, glon, gcos = lats[goal], lons[goal], coss[goal]
     scale = graph.heuristic_scale
+    sin, sqrt, asin = math.sin, math.sqrt, math.asin
+    diameter = 2.0 * EARTH_RADIUS_M
 
-    def h(node: int) -> float:
-        return scale * haversine(graph.nodes[node], goal)
+    def h(k: int) -> float:
+        hav = (sin((glat - lats[k]) / 2.0) ** 2
+               + coss[k] * gcos * sin((glon - lons[k]) / 2.0) ** 2)
+        return scale * (diameter * asin(min(1.0, sqrt(hav))))
 
-    dist: dict[int, float] = {origin: 0.0}
-    parent: dict[int, int] = {}
-    done: set[int] = set()
-    frontier: list[tuple[float, float, int]] = [(h(origin), 0.0, origin)]
+    adj = graph._adj
+    dist = [math.inf] * len(adj)
+    dist[src] = 0.0
+    parent = [-1] * len(adj)
+    done = [False] * len(adj)
+    frontier: list[tuple[float, float, int]] = [(h(src), 0.0, src)]
     while frontier:
-        f, g, node = heapq.heappop(frontier)
-        if node in done:
+        f, g, k = heapq.heappop(frontier)
+        if done[k]:
             continue
-        if node == dest:
-            seq = [node]
-            while seq[-1] != origin:
+        if k == goal:
+            seq = [k]
+            while seq[-1] != src:
                 seq.append(parent[seq[-1]])
-            seq.reverse()
-            return Path(nodes=tuple(seq), total_length=g)
-        done.add(node)
-        for nbr, length in graph.adjacency[node]:
-            if nbr in done:
+            ids = graph._id_list
+            return Path(nodes=tuple(ids[j] for j in reversed(seq)), total_length=g)
+        done[k] = True
+        for nbr, length in adj[k]:
+            if done[nbr]:
                 continue
             g2 = g + length
-            if g2 < dist.get(nbr, np.inf):
+            if g2 < dist[nbr]:
                 dist[nbr] = g2
-                parent[nbr] = node
+                parent[nbr] = k
                 heapq.heappush(frontier, (g2 + h(nbr), g2, nbr))
     return None

@@ -8,6 +8,16 @@ times.  The engine is single-threaded, policy-agnostic and fully
 deterministic: identical data, configuration and seeds reproduce
 bit-identical metrics.
 
+Phase (2) runs in three passes over the minute's requests: every request
+is matched, in arrival order, against one snapshot of the free vehicles'
+positions; then one nearest-node lookup serves all matched pickups; then,
+again in arrival order, each match is routed, timed by the ETA model and
+recorded.  Matching everything first is exact: a match only takes its
+vehicle out of the free set, and the route and ETA it gets decide
+nothing about which vehicles the later requests of the minute can have.
+Phase (4) likewise looks up the nearest nodes of all orders at once,
+which is why an order list may name a vehicle only once.
+
 Vehicles executing a dispatch move remain matchable at their
 interpolated position along the planned route; vehicles committed to a
 passenger (en route to pickup, or occupied) are not.
@@ -23,8 +33,9 @@ import numpy as np
 
 from .clock import Clock
 from .eta import build_eta_features
-from .geo import GridSpec, Location, cell_of, center_of, haversine
-from .roadgraph import RoadGraph, nearest_node, shortest_path
+from .geo import (GridSpec, Location, cell_arrays, cell_of, center_of, haversine,
+                  haversine_arrays)
+from .roadgraph import RoadGraph, nearest_nodes, shortest_path
 
 log = logging.getLogger(__name__)
 
@@ -253,13 +264,23 @@ class Simulation:
         a, b = v.path[i - 1], v.path[i]
         return Location(a.lat + w * (b.lat - a.lat), a.lon + w * (b.lon - a.lon))
 
-    def _route(self, origin: Location, dest: Location) -> tuple[tuple[Location, ...], float]:
+    def _route_nodes(self, origins: list[Location], dests: list[Location]
+                     ) -> list[tuple[int, int]]:
+        """Nearest graph nodes ``(o, d)`` of each origin and destination, in one lookup."""
+        points = origins + dests
+        if not points:
+            return []
+        nodes = nearest_nodes([p.lat for p in points], [p.lon for p in points],
+                              self.graph).tolist()
+        return list(zip(nodes[:len(origins)], nodes[len(origins):]))
+
+    def _route(self, origin: Location, dest: Location, o: int, d: int
+               ) -> tuple[tuple[Location, ...], float]:
         """Waypoints and meters from origin to dest along the road graph.
 
+        ``o`` and ``d`` are the graph nodes nearest ``origin`` and ``dest``.
         Falls back to the straight line when the graph offers no path.
         """
-        o = nearest_node(origin, self.graph)
-        d = nearest_node(dest, self.graph)
         path = shortest_path(o, d, self.graph)
         if path is None or len(path.nodes) < 2:
             dist = haversine(origin, dest)
@@ -322,27 +343,42 @@ class Simulation:
                     v.ride_id = -1
 
     def _match_requests(self, t: float, measured: bool) -> None:
+        requests = []
         while self._queue and self._queue[0].minute < t + 1.0:
-            req = self._queue.popleft()
+            requests.append(self._queue.popleft())
+        if not requests:
+            return
+
+        # 1. match each request, in order, to the closest still-free vehicle
+        free = [v for v in self.fleet if v.status in (IDLE, DISPATCHING)]
+        pos = [self.position(v, t) for v in free]
+        dists = haversine_arrays([[p.lat for p in pos]], [[p.lon for p in pos]],
+                                 [[r.pickup.lat] for r in requests],
+                                 [[r.pickup.lon] for r in requests])
+        free_left = len(free)
+        rows: list[int | None] = []
+        for i, req in enumerate(requests):
             cell = cell_of(req.pickup, self.grid)
             self._heat_current[cell] += 1
             self._minute_heat[cell] += 1
+            row = None
+            if free_left:
+                # columns are in ascending vehicle id, so ties go to the lowest id
+                best = int(np.argmin(dists[i]))
+                if dists[i, best] <= self.match_radius_m:
+                    row = best
+                    dists[:, best] = np.inf  # taken
+                    free_left -= 1
+            rows.append(row)
 
-            candidates = [v for v in self.fleet if v.status in (IDLE, DISPATCHING)]
-            assigned = None
-            if candidates:
-                pos = [self.position(v, t) for v in candidates]
-                lats = np.array([p.lat for p in pos])
-                lons = np.array([p.lon for p in pos])
-                from .geo import haversine_arrays
+        # 2. one nearest-node lookup for every matched origin and pickup
+        nodes = iter(self._route_nodes([pos[r] for r in rows if r is not None],
+                                       [q.pickup for q, r in zip(requests, rows)
+                                        if r is not None]))
 
-                dists = haversine_arrays(lats, lons, req.pickup.lat, req.pickup.lon)
-                order = np.lexsort((np.array([v.vid for v in candidates]), dists))
-                best = order[0]
-                if dists[best] <= self.match_radius_m:
-                    assigned = candidates[best]
-                    origin = pos[best]
-            if assigned is None:
+        # 3. route, time and record each request in order
+        for req, row in zip(requests, rows):
+            if row is None:
                 if measured:
                     self.metrics.total_requests += 1
                     self.metrics.rejects += 1
@@ -352,9 +388,9 @@ class Simulation:
                 self._log("reject", rid=req.rid)
                 continue
 
-            points, dist_m = self._route(origin, req.pickup)
+            v, origin = free[row], pos[row]
+            points, dist_m = self._route(origin, req.pickup, *next(nodes))
             eta = self._eta(origin, req.pickup, dist_m, t)
-            v = assigned
             v.status = TO_PICKUP
             v.last_ride_time = t
             v.ride_trip_minutes = req.trip_minutes
@@ -371,30 +407,44 @@ class Simulation:
                 bucket["wait_sum"] += eta
             self._log("assign", vid=v.vid, rid=req.rid, detail=f"eta={eta:.2f}")
 
+    def _cells(self, points: list[Location]) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column arrays of each point's cell; out-of-bounds points raise."""
+        g = self.grid
+        lats = np.array([p.lat for p in points])
+        lons = np.array([p.lon for p in points])
+        inside = ((lats >= g.origin.lat) & (lats < g.lat_max)
+                  & (lons >= g.origin.lon) & (lons < g.lon_max))
+        if not inside.all():
+            cell_of(points[int(np.argmin(inside))], g)  # raises OutOfBoundsError
+        return cell_arrays(lats, lons, g)
+
     def build_view(self, t: float) -> SimView:
         idle_ids = idle_set(self.fleet, t, self.idle_window)
         dispatchable = set(idle_ids)
-        vehicle_cells = {}
-        idle_cells = np.zeros(self.grid.shape)
-        supply_events = []
-        for v in self.fleet:
-            pos = self.position(v, t)
-            cell = cell_of(pos, self.grid)
-            vehicle_cells[v.vid] = cell
+        pos = [self.position(v, t) for v in self.fleet]
+        # where and in how many minutes each vehicle next stands idle
+        nxt: list[Location] = []
+        minutes: list[float] = []
+        for v, p in zip(self.fleet, pos):
             if v.status == IDLE or (v.status == DISPATCHING and v.vid in dispatchable):
-                supply_events.append((v.vid, cell, 0.0))
-            elif v.status == DISPATCHING:
-                dcell = cell_of(v.dest, self.grid)
-                supply_events.append((v.vid, dcell, max(0.0, v.arrival_time - t)))
+                nxt.append(p)
+                minutes.append(0.0)
             elif v.status == TO_PICKUP:
                 dropoff_t = v.arrival_time + v.ride_trip_minutes
-                dcell = cell_of(v.ride_dropoff, self.grid)
-                supply_events.append((v.vid, dcell, max(0.0, dropoff_t - t)))
-            else:
-                dcell = cell_of(v.dest, self.grid)
-                supply_events.append((v.vid, dcell, max(0.0, v.arrival_time - t)))
-        for vid in idle_ids:
-            idle_cells[vehicle_cells[vid]] += 1
+                nxt.append(v.ride_dropoff)
+                minutes.append(max(0.0, dropoff_t - t))
+            else:  # OCCUPIED, or DISPATCHING outside the idle set
+                nxt.append(v.dest)
+                minutes.append(max(0.0, v.arrival_time - t))
+        rows, cols = self._cells(pos + nxt)
+        cells = list(zip(rows.tolist(), cols.tolist()))
+        n = len(self.fleet)
+        vehicle_cells = {v.vid: cell for v, cell in zip(self.fleet, cells[:n])}
+        supply_events = [(v.vid, cell, m)
+                         for v, cell, m in zip(self.fleet, cells[n:], minutes)]
+        idle_cells = np.zeros(self.grid.shape)
+        idle = np.asarray(idle_ids, dtype=np.int64)
+        np.add.at(idle_cells, (rows[idle], cols[idle]), 1.0)
 
         pickups = np.array([v.pickups for v in self.fleet], dtype=np.float64)
         cruise = np.array([v.dispatch_minutes for v in self.fleet])
@@ -421,19 +471,33 @@ class Simulation:
         )
 
     def apply_dispatch(self, orders: list[DispatchOrder], t: float) -> None:
+        """Execute orders in list order; a list naming a vehicle twice is rejected."""
+        vids = [order.vehicle_id for order in orders]
+        if len(set(vids)) != len(vids):
+            twice = sorted({vid for vid in vids if vids.count(vid) > 1})
+            raise ValueError(f"dispatch orders name vehicles {twice} more than once")
+        # (order, vehicle, origin, destination); origin is None for a skipped order
+        plan = []
         for order in orders:
             v = self.fleet[order.vehicle_id]
             if v.status in (TO_PICKUP, OCCUPIED):
+                plan.append((order, v, None, None))
+            else:
+                plan.append((order, v, self.position(v, t),
+                             center_of(order.target_cell, self.grid)))
+        moves = [p for p in plan if p[2] is not None]
+        nodes = iter(self._route_nodes([p[2] for p in moves], [p[3] for p in moves]))
+
+        for order, v, origin, dest in plan:
+            if origin is None:
                 log.warning("order for vehicle %d ignored: status %s",
                             v.vid, STATUS_NAMES[v.status])
                 self._log("order_skipped", vid=v.vid,
                           detail=STATUS_NAMES[v.status])
                 continue
-            origin = self.position(v, t)
-            dest = center_of(order.target_cell, self.grid)
             v.loc = origin
             v.ordered_since_dropoff = True
-            points, dist_m = self._route(origin, dest)
+            points, dist_m = self._route(origin, dest, *next(nodes))
             eta = self._eta(origin, dest, dist_m, t)
             if dist_m <= 0.0 or eta <= 0.0:
                 v.status = IDLE

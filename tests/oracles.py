@@ -10,6 +10,11 @@ from itertools import combinations
 
 import numpy as np
 
+from fleetsim.eta import build_eta_features
+from fleetsim.geo import cell_of, center_of, haversine, haversine_arrays
+from fleetsim.sim import (DISPATCHING, IDLE, OCCUPIED, STATUS_NAMES, TO_PICKUP,
+                          SimView, Simulation, idle_set, log)
+
 
 def vertex_enumeration_optimum(c, a_ub, b_ub):
     """Best objective of max c.x s.t. a_ub x <= b_ub, x >= 0 over all vertices.
@@ -406,3 +411,228 @@ def dijkstra_length(origin, dest, graph):
                 dist[nbr] = g2
                 heapq.heappush(frontier, (g2, nbr))
     return None
+
+
+def astar_reference(origin, dest, graph):
+    """A* over node ids with the heuristic ``scale * haversine(node, dest)``.
+
+    The id-keyed search ``roadgraph.shortest_path`` replaced; it must return
+    the same node tuple and the same ``total_length``, bit for bit.
+    """
+    from fleetsim.roadgraph import Path
+
+    if origin not in graph.nodes or dest not in graph.nodes:
+        raise KeyError(f"endpoint missing from graph: {origin} or {dest}")
+    if origin == dest:
+        return Path(nodes=(), total_length=0.0)
+
+    goal = graph.nodes[dest]
+    scale = graph.heuristic_scale
+
+    def h(node: int) -> float:
+        return scale * haversine(graph.nodes[node], goal)
+
+    dist: dict[int, float] = {origin: 0.0}
+    parent: dict[int, int] = {}
+    done: set[int] = set()
+    frontier: list[tuple[float, float, int]] = [(h(origin), 0.0, origin)]
+    while frontier:
+        f, g, node = heapq.heappop(frontier)
+        if node in done:
+            continue
+        if node == dest:
+            seq = [node]
+            while seq[-1] != origin:
+                seq.append(parent[seq[-1]])
+            seq.reverse()
+            return Path(nodes=tuple(seq), total_length=g)
+        done.add(node)
+        for nbr, length in graph.adjacency[node]:
+            if nbr in done:
+                continue
+            g2 = g + length
+            if g2 < dist.get(nbr, np.inf):
+                dist[nbr] = g2
+                parent[nbr] = node
+                heapq.heappush(frontier, (g2 + h(nbr), g2, nbr))
+    return None
+
+
+def nearest_node_reference(loc, graph):
+    """Node minimizing haversine distance to ``loc``, one point per call."""
+    if not graph.nodes:
+        raise ValueError("nearest_node on empty graph")
+    d = haversine_arrays(loc.lat, loc.lon, graph._lats, graph._lons)
+    return int(graph._ids[int(np.argmin(d))])
+
+
+def aux_planes_reference(ctx):
+    """The Q-network's (15, 15, 11) aux planes, every plane built per call."""
+    from fleetsim.dqn import (ACTION_RADIUS, ACTION_SIZE, AUX_PLANES,
+                              _DIAGONAL_REACH, legal_action_mask)
+
+    rows, cols = ctx.demand.shape
+    aux = np.zeros((ACTION_SIZE, ACTION_SIZE, AUX_PLANES))
+    aux[..., 0] = ctx.sin_dow
+    aux[..., 1] = ctx.cos_dow
+    aux[..., 2] = ctx.sin_hour
+    aux[..., 3] = ctx.cos_hour
+    aux[ACTION_RADIUS, ACTION_RADIUS, 4] = 1.0
+    r, c = ctx.region
+    aux[..., 5] = r / (rows - 1) if rows > 1 else 0.0
+    aux[..., 6] = c / (cols - 1) if cols > 1 else 0.0
+    dr = np.arange(ACTION_SIZE) - ACTION_RADIUS
+    dest_r = (r + dr[:, None]) / (rows - 1) if rows > 1 else np.zeros((ACTION_SIZE, 1))
+    dest_c = (c + dr[None, :]) / (cols - 1) if cols > 1 else np.zeros((1, ACTION_SIZE))
+    aux[..., 7] = np.clip(np.broadcast_to(dest_r, (ACTION_SIZE, ACTION_SIZE)), 0.0, 1.0)
+    aux[..., 8] = np.clip(np.broadcast_to(dest_c, (ACTION_SIZE, ACTION_SIZE)), 0.0, 1.0)
+    aux[..., 9] = np.sqrt(dr[:, None] ** 2 + dr[None, :] ** 2) / _DIAGONAL_REACH
+    aux[..., 10] = legal_action_mask(ctx.region, (rows, cols)).astype(np.float64)
+    return aux
+
+
+class ReferenceSimulation(Simulation):
+    """The simulator that matches, routes and views one vehicle at a time.
+
+    Each request scans the free fleet on its own and routes at once,
+    each route looks up its two nearest nodes on its own, and the view
+    maps every cell with ``cell_of``; paths come from
+    :func:`astar_reference`.
+    """
+
+    def _route(self, origin, dest):
+        o = nearest_node_reference(origin, self.graph)
+        d = nearest_node_reference(dest, self.graph)
+        path = astar_reference(o, d, self.graph)
+        if path is None or len(path.nodes) < 2:
+            dist = haversine(origin, dest)
+            return (origin, dest), dist
+        points = [origin] + [self.graph.nodes[n] for n in path.nodes] + [dest]
+        dist = (haversine(origin, points[1]) + path.total_length
+                + haversine(points[-2], dest))
+        return tuple(points), dist
+
+    def _match_requests(self, t, measured):
+        while self._queue and self._queue[0].minute < t + 1.0:
+            req = self._queue.popleft()
+            cell = cell_of(req.pickup, self.grid)
+            self._heat_current[cell] += 1
+            self._minute_heat[cell] += 1
+
+            candidates = [v for v in self.fleet if v.status in (IDLE, DISPATCHING)]
+            assigned = None
+            if candidates:
+                pos = [self.position(v, t) for v in candidates]
+                lats = np.array([p.lat for p in pos])
+                lons = np.array([p.lon for p in pos])
+                dists = haversine_arrays(lats, lons, req.pickup.lat, req.pickup.lon)
+                order = np.lexsort((np.array([v.vid for v in candidates]), dists))
+                best = order[0]
+                if dists[best] <= self.match_radius_m:
+                    assigned = candidates[best]
+                    origin = pos[best]
+            if assigned is None:
+                if measured:
+                    self.metrics.total_requests += 1
+                    self.metrics.rejects += 1
+                    bucket = self.metrics.hour_bucket(int(t) // 60)
+                    bucket["requests"] += 1
+                    bucket["rejects"] += 1
+                self._log("reject", rid=req.rid)
+                continue
+
+            points, dist_m = self._route(origin, req.pickup)
+            eta = self._eta(origin, req.pickup, dist_m, t)
+            v = assigned
+            v.status = TO_PICKUP
+            v.last_ride_time = t
+            v.ride_trip_minutes = req.trip_minutes
+            v.ride_dropoff = req.dropoff
+            v.ride_id = req.rid
+            self._set_route(v, points, t, t + eta, req.pickup)
+            if measured:
+                self.metrics.total_requests += 1
+                self.metrics.accepted += 1
+                self.metrics.wait_sum += eta
+                bucket = self.metrics.hour_bucket(int(t) // 60)
+                bucket["requests"] += 1
+                bucket["accepted"] += 1
+                bucket["wait_sum"] += eta
+            self._log("assign", vid=v.vid, rid=req.rid, detail=f"eta={eta:.2f}")
+
+    def build_view(self, t):
+        idle_ids = idle_set(self.fleet, t, self.idle_window)
+        dispatchable = set(idle_ids)
+        vehicle_cells = {}
+        idle_cells = np.zeros(self.grid.shape)
+        supply_events = []
+        for v in self.fleet:
+            pos = self.position(v, t)
+            cell = cell_of(pos, self.grid)
+            vehicle_cells[v.vid] = cell
+            if v.status == IDLE or (v.status == DISPATCHING and v.vid in dispatchable):
+                supply_events.append((v.vid, cell, 0.0))
+            elif v.status == DISPATCHING:
+                dcell = cell_of(v.dest, self.grid)
+                supply_events.append((v.vid, dcell, max(0.0, v.arrival_time - t)))
+            elif v.status == TO_PICKUP:
+                dropoff_t = v.arrival_time + v.ride_trip_minutes
+                dcell = cell_of(v.ride_dropoff, self.grid)
+                supply_events.append((v.vid, dcell, max(0.0, dropoff_t - t)))
+            else:
+                dcell = cell_of(v.dest, self.grid)
+                supply_events.append((v.vid, dcell, max(0.0, v.arrival_time - t)))
+        for vid in idle_ids:
+            idle_cells[vehicle_cells[vid]] += 1
+
+        pickups = np.array([v.pickups for v in self.fleet], dtype=np.float64)
+        cruise = np.array([v.dispatch_minutes for v in self.fleet])
+        dropoffs = np.array([v.last_dropoff_time for v in self.fleet])
+        clock = self.clock0.plus(t)
+        grid = self.grid
+
+        def eta_minutes(from_cell, to_cell):
+            a = center_of(from_cell, grid)
+            b = center_of(to_cell, grid)
+            dist = haversine(a, b)
+            feats = build_eta_features(a, b, clock, dist / 1000.0)
+            return self.eta_model.predict(feats)
+
+        slots = list(self._heat_slots)
+        return SimView(
+            t=t, clock=clock, grid=grid, idle_ids=idle_ids,
+            vehicle_cells=vehicle_cells, idle_cell_counts=idle_cells,
+            trailing_heat=self._trailing_heat.copy(),
+            heat_prev1=slots[-1].copy(), heat_prev2=slots[-2].copy(),
+            supply_events=supply_events, pickups=pickups,
+            dispatch_minutes=cruise, last_dropoff=dropoffs,
+            eta_minutes=eta_minutes,
+        )
+
+    def apply_dispatch(self, orders, t):
+        for order in orders:
+            v = self.fleet[order.vehicle_id]
+            if v.status in (TO_PICKUP, OCCUPIED):
+                log.warning("order for vehicle %d ignored: status %s",
+                            v.vid, STATUS_NAMES[v.status])
+                self._log("order_skipped", vid=v.vid,
+                          detail=STATUS_NAMES[v.status])
+                continue
+            origin = self.position(v, t)
+            dest = center_of(order.target_cell, self.grid)
+            v.loc = origin
+            v.ordered_since_dropoff = True
+            points, dist_m = self._route(origin, dest)
+            eta = self._eta(origin, dest, dist_m, t)
+            if dist_m <= 0.0 or eta <= 0.0:
+                v.status = IDLE
+                v.loc = dest
+                v.dest = None
+                v.arrival_time = None
+                v.path = ()
+                self._log("dispatch_noop", vid=v.vid)
+                continue
+            v.status = DISPATCHING
+            self._set_route(v, points, t, t + eta, dest)
+            self._log("dispatch", vid=v.vid,
+                      detail=f"cell={order.target_cell} eta={eta:.2f}")

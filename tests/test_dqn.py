@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import crop_pad_center, q_main_planes_51
+from oracles import aux_planes_reference, crop_pad_center, q_main_planes_51
 
 from fleetsim import neural
 from fleetsim.dqn import (
@@ -24,6 +24,7 @@ from fleetsim.dqn import (
     sync_target,
     train_step,
 )
+from fleetsim.dqn import _STATIC_AUX, _aux_planes, _clock_aux, _set_region_aux
 
 
 def make_ctx(region=(5, 5), shape=(10, 10), rng=None, minute=0.0):
@@ -465,3 +466,31 @@ def test_assemble_batch_matches_per_context_builder():
         qin = build_feature_planes(ctx)
         np.testing.assert_allclose(mains[i], qin.main, atol=1e-12)
         np.testing.assert_array_equal(auxs[i], qin.aux)
+
+
+class TestAuxPlanes:
+    SHAPES = [(1, 1), (2, 3), (10, 10)]
+
+    def test_per_context_builder_matches_reference(self):
+        for shape in self.SHAPES:
+            for r in range(shape[0]):
+                for c in range(shape[1]):
+                    ctx = make_ctx(region=(r, c), shape=shape, minute=611.0)
+                    assert np.array_equal(_aux_planes(ctx), aux_planes_reference(ctx))
+
+    def test_dispatch_buffer_matches_reference_on_every_region(self):
+        # DqnPolicy.dispatch fills the clock planes once and rewrites the
+        # region planes of one buffer per decision: no plane may go stale
+        for shape in self.SHAPES:
+            ctx0 = make_ctx(shape=shape, region=(0, 0), minute=2345.0)
+            aux = _clock_aux(ctx0.sin_dow, ctx0.cos_dow, ctx0.sin_hour, ctx0.cos_hour)
+            regions = [(r, c) for r in range(shape[0]) for c in range(shape[1])]
+            for region in regions + regions[::-1]:
+                legal = legal_action_mask(region, shape)
+                got = _set_region_aux(aux, region, shape, legal)
+                ctx = make_ctx(region=region, shape=shape, minute=2345.0)
+                assert np.array_equal(got, aux_planes_reference(ctx))
+
+    def test_static_planes_are_read_only(self):
+        with pytest.raises(ValueError):
+            _STATIC_AUX[0, 0, 4] = 1.0

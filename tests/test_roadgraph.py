@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from fleetsim.geo import Location, haversine
+from fleetsim.geo import GridSpec, Location, haversine
+from fleetsim.harness.synth import build_road_grid
 from fleetsim.roadgraph import (
     EdgeListParseError,
     Path,
     build_graph,
     load_edge_list,
     nearest_node,
+    nearest_nodes,
     save_edge_list,
     shortest_path,
 )
-from oracles import dijkstra_length
+from oracles import astar_reference, dijkstra_length, nearest_node_reference
 
 
 def random_graph(rng, n_nodes=20, extra_edges=30, noisy_lengths=False):
@@ -82,6 +84,9 @@ class TestNearestNode:
         g = random_graph(np.random.default_rng(1))
         for nid, loc in list(g.nodes.items())[:5]:
             assert nearest_node(loc, g) == nid
+        locs = list(g.nodes.values())
+        got = nearest_nodes([p.lat for p in locs], [p.lon for p in locs], g)
+        assert got.tolist() == list(g.nodes)
 
     def test_equidistant_prefers_lower_id(self):
         nodes = {
@@ -90,15 +95,35 @@ class TestNearestNode:
         }
         g = build_graph(nodes, [])
         assert nearest_node(Location(40.0, -74.0), g) == 5
+        got = nearest_nodes([40.0, 40.0, 40.0], [-74.0, -74.001, -73.999], g)
+        assert got.tolist() == [5, 5, 9]
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(2)
         g = random_graph(rng, n_nodes=30)
+        points = []
         for _ in range(20):
             q = Location(40.0 + rng.uniform(0, 0.05), -74.0 + rng.uniform(0, 0.05))
             got = nearest_node(q, g)
             best = min(g.nodes, key=lambda nid: (haversine(q, g.nodes[nid]), nid))
             assert got == best
+            points.append((q, best))
+        batch = nearest_nodes([q.lat for q, _ in points], [q.lon for q, _ in points], g)
+        assert batch.tolist() == [best for _, best in points]
+
+    def test_batch_equals_one_point_lookups(self):
+        # grid graph: many points sit exactly between two or four nodes
+        grid = GridSpec(rows=6, cols=6, cell_size=500.0, origin=Location(40.0, -74.0))
+        g = build_road_grid(grid)
+        rng = np.random.default_rng(5)
+        lats = grid.origin.lat + grid.d_lat * np.concatenate(
+            [rng.uniform(0, 6, 200), rng.integers(0, 13, 100) / 2.0])
+        lons = grid.origin.lon + grid.d_lon * np.concatenate(
+            [rng.uniform(0, 6, 200), rng.integers(0, 13, 100) / 2.0])
+        got = nearest_nodes(lats, lons, g)
+        expect = [nearest_node_reference(Location(a, b), g) for a, b in zip(lats, lons)]
+        assert got.tolist() == expect
+        assert nearest_nodes([], [], g).tolist() == []
 
     def test_empty_graph(self):
         g = build_graph({}, [])
@@ -158,6 +183,15 @@ class TestShortestPath:
                 assert got is None
             else:
                 assert got.total_length == pytest.approx(expect, rel=0, abs=1e-9)
+            for d2 in g.nodes:
+                assert shortest_path(o, d2, g) == astar_reference(o, d2, g)
+
+    def test_grid_all_pairs_equal_reference(self):
+        grid = GridSpec(rows=10, cols=10, cell_size=500.0, origin=Location(40.0, -74.0))
+        g = build_road_grid(grid)
+        for o in g.nodes:
+            for d in g.nodes:
+                assert shortest_path(o, d, g) == astar_reference(o, d, g)
 
     def test_length_monotone_under_edge_deletion(self):
         rng = np.random.default_rng(9)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import ReferenceSimulation
 
 from fleetsim.clock import Clock
-from fleetsim.geo import GridSpec, Location, center_of, haversine
+from fleetsim.geo import GridSpec, Location, OutOfBoundsError, center_of, haversine
 from fleetsim.roadgraph import build_graph
 from fleetsim.sim import (
     DISPATCHING,
@@ -290,6 +293,15 @@ class TestApplyDispatch:
         assert v.status == TO_PICKUP
         assert any("ignored" in r.message for r in caplog.records)
 
+    def test_order_list_naming_a_vehicle_twice_rejected(self):
+        sim = scripted_simulation()
+        before = [(v.status, v.loc) for v in sim.fleet]
+        orders = [DispatchOrder(1, (2, 2)), DispatchOrder(0, (1, 1)),
+                  DispatchOrder(1, (3, 3))]
+        with pytest.raises(ValueError, match=r"\[1\]"):
+            sim.apply_dispatch(orders, t=0.0)
+        assert [(v.status, v.loc) for v in sim.fleet] == before
+
     def test_longer_detour_weakly_increases_eta(self):
         # same endpoints, direct edge versus forced detour
         a = Location(40.0, -74.0)
@@ -305,8 +317,8 @@ class TestApplyDispatch:
         eta = DistanceEta(2.0)
         sim_direct = Simulation(grid, direct, eta, reqs, 1, warmup=0)
         sim_detour = Simulation(grid, detour, eta, reqs, 1, warmup=0)
-        _, d_direct = sim_direct._route(a, b)
-        _, d_detour = sim_detour._route(a, b)
+        _, d_direct = sim_direct._route(a, b, *sim_direct._route_nodes([a], [b])[0])
+        _, d_detour = sim_detour._route(a, b, *sim_detour._route_nodes([a], [b])[0])
         assert d_detour >= d_direct
         t_direct = sim_direct._eta(a, b, d_direct, 0.0)
         t_detour = sim_detour._eta(a, b, d_detour, 0.0)
@@ -378,3 +390,165 @@ class TestFinalize:
         m.occupied_minutes[0] = 50.0
         report = finalize_metrics(m)
         assert report["utilization_mean"] == pytest.approx(1.0)
+
+
+def test_view_of_vehicle_outside_grid_raises():
+    grid = make_grid()
+    p = center_of((1, 1), grid)
+    sim = Simulation(grid, grid_graph(grid), ConstantEta(), [req(0, 0.0, p, p)],
+                     n_vehicles=1, warmup=0)
+    sim.fleet[0].loc = Location(grid.lat_max + 0.01, p.lon)
+    with pytest.raises(OutOfBoundsError):
+        sim.build_view(0.0)
+
+
+# --- the batched simulator against the one-request-at-a-time reference ------
+
+class FeatureEta:
+    """Stub ETA model: positive minutes from distance and hour of day."""
+
+    def predict(self, features):
+        return 0.5 + 2.0 * features[8] + 0.25 * (features[2] + 1.0)
+
+
+class RandomOrderPolicy:
+    """Orders random vehicles, in random order, to random cells; keeps every view.
+
+    Committed vehicles are ordered too, so skipped orders are exercised.
+    """
+
+    def __init__(self, seed: int, grid: GridSpec, n_vehicles: int, cycle: int = 2):
+        self.rng = np.random.default_rng(seed)
+        self.grid = grid
+        self.n_vehicles = n_vehicles
+        self.cycle = cycle
+        self.views = []
+
+    def dispatch(self, view):
+        self.views.append(view)
+        k = int(self.rng.integers(0, self.n_vehicles + 1))
+        return [DispatchOrder(int(vid), (int(self.rng.integers(self.grid.rows)),
+                                         int(self.rng.integers(self.grid.cols))))
+                for vid in self.rng.permutation(self.n_vehicles)[:k]]
+
+
+def small_city(seed: int, rows: int, cols: int, n_vehicles: int, n_requests: int,
+               minutes: int = 30):
+    """Grid, road graph and requests of a random small city.
+
+    The graph is the 4-connected cell-centre grid with a fifth of its
+    edges dropped, so some routes fall back to the straight line.
+    Pickups repeat a few points, so distance ties occur.  The first
+    ``n_vehicles`` requests place the fleet; ``n_requests`` more follow.
+    """
+    rng = np.random.default_rng(seed)
+    grid = make_grid(rows, cols, cell=800.0)
+    full = grid_graph(grid)
+    edges = [(a, b, length) for a, adj in full.adjacency.items() for b, length in adj
+             if rng.random() >= 0.2]
+    graph = build_graph(full.nodes, edges)
+
+    def point():
+        return Location(grid.origin.lat + rng.uniform(0, rows) * grid.d_lat,
+                        grid.origin.lon + rng.uniform(0, cols) * grid.d_lon)
+
+    hubs = [point() for _ in range(3)]
+    requests = []
+    for rid in range(n_vehicles + n_requests):
+        pickup = hubs[int(rng.integers(3))] if rng.random() < 0.3 else point()
+        requests.append(RideRequest(rid, float(rng.uniform(0, minutes)), pickup,
+                                    point(), float(rng.uniform(1.0, 12.0)),
+                                    float(rng.uniform(0.5, 5.0))))
+    return grid, graph, requests
+
+
+def fleet_state(sim):
+    return [(v.vid, v.status, v.loc, v.dest, v.arrival_time, v.depart_time, v.path,
+             None if v.path_cumlen is None else v.path_cumlen.tolist(),
+             v.ride_trip_minutes, v.ride_dropoff, v.ride_id, v.last_dropoff_time,
+             v.last_ride_time, v.ordered_since_dropoff, v.pickups, v.dispatch_minutes)
+            for v in sim.fleet]
+
+
+def metrics_state(m):
+    return (m.total_requests, m.rejects, m.accepted, m.wait_sum, m.cruise_sum,
+            m.elapsed_minutes, m.occupied_minutes.tolist(),
+            {hour: dict(bucket) for hour, bucket in m.hourly.items()})
+
+
+def view_state(view):
+    g = view.grid
+    cells = [(0, 0), (g.rows - 1, g.cols - 1), (g.rows // 2, 0)]
+    return (view.t, view.clock, view.grid, view.idle_ids, view.vehicle_cells,
+            view.idle_cell_counts.tolist(), view.trailing_heat.tolist(),
+            view.heat_prev1.tolist(), view.heat_prev2.tolist(), view.supply_events,
+            view.pickups.tolist(), view.dispatch_minutes.tolist(),
+            view.last_dropoff.tolist(),
+            [view.eta_minutes(a, b) for a in cells for b in cells])
+
+
+def city_simulation(sim_cls, seed, rows, cols, n_vehicles, n_requests, policy):
+    """A simulation of :func:`small_city`, measured from minute 0."""
+    grid, graph, requests = small_city(seed, rows, cols, n_vehicles, n_requests)
+    pol = RandomOrderPolicy(seed, grid, n_vehicles) if policy else None
+    return sim_cls(grid, graph, FeatureEta(), requests, n_vehicles, policy=pol,
+                   clock0=Clock(400.0), warmup=0, event_log=[])
+
+
+def run_city(sim_cls, *args, minutes=45):
+    sim = city_simulation(sim_cls, *args)
+    states = []
+    for _ in range(minutes):
+        sim.step_minute()
+        states.append((fleet_state(sim), metrics_state(sim.metrics)))
+    views = [view_state(v) for v in sim.policy.views] if sim.policy else []
+    return sim, states, views
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_logs_metrics_and_views(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        args = (seed, int(rng.integers(2, 7)), int(rng.integers(2, 7)),
+                int(rng.integers(1, 9)), int(rng.integers(0, 41)), True)
+        sim, states, views = run_city(Simulation, *args)
+        ref, ref_states, ref_views = run_city(ReferenceSimulation, *args)
+        assert sim.event_log == ref.event_log
+        assert states == ref_states
+        assert len(views) == len(ref_views) > 0
+        assert views == ref_views
+
+    def test_default_sized_fleet(self):
+        args = (7, 8, 8, 40, 300, True)
+        sim, states, views = run_city(Simulation, *args)
+        ref, ref_states, ref_views = run_city(ReferenceSimulation, *args)
+        assert sim.event_log == ref.event_log
+        assert states == ref_states
+        assert views == ref_views
+
+
+class TestInvariants:
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**16), rows=st.integers(2, 6), cols=st.integers(2, 6),
+           n_vehicles=st.integers(1, 8), n_requests=st.integers(0, 40),
+           policy=st.booleans())
+    def test_every_minute(self, seed, rows, cols, n_vehicles, n_requests, policy):
+        args = (seed, rows, cols, n_vehicles, n_requests, policy)
+        sim = city_simulation(Simulation, *args)
+        minutes = [r.minute for r in sim.requests]
+        states = []
+        for _ in range(40):
+            t_before = sim.t
+            sim.step_minute()
+            m = sim.metrics
+            assert m.accepted + m.rejects == m.total_requests
+            assert m.total_requests == sum(1 for x in minutes if x < t_before + 1.0)
+            assert [v.vid for v in sim.fleet] == list(range(n_vehicles))
+            assert all(v.status in (IDLE, DISPATCHING, TO_PICKUP, OCCUPIED)
+                       for v in sim.fleet)
+            assert all(v.arrival_time >= t_before for v in sim.fleet
+                       if v.arrival_time is not None)
+            states.append((fleet_state(sim), metrics_state(m)))
+        rerun, rerun_states, _ = run_city(Simulation, *args, minutes=40)
+        assert rerun_states == states
+        assert rerun.event_log == sim.event_log
