@@ -25,15 +25,17 @@ ETA_SPEC = (
 )
 
 
+def eta_feature_row(origin: Location, dest: Location, clock: Clock,
+                    distance_km: float) -> tuple:
+    """Feature values: dow/hour trig pair, endpoint coordinates, distance."""
+    sd, cd, sh, ch = periodic_features(clock)
+    return (sd, cd, sh, ch, origin.lat, origin.lon, dest.lat, dest.lon, float(distance_km))
+
+
 def build_eta_features(origin: Location, dest: Location, clock: Clock,
                        distance_km: float) -> np.ndarray:
-    """Feature vector: dow/hour trig pair, endpoint coordinates, distance."""
-    sd, cd, sh, ch = periodic_features(clock)
-    return np.array([
-        sd, cd, sh, ch,
-        origin.lat, origin.lon, dest.lat, dest.lon,
-        float(distance_km),
-    ])
+    """Feature vector of :func:`eta_feature_row`."""
+    return np.array(eta_feature_row(origin, dest, clock, distance_km))
 
 
 @dataclass

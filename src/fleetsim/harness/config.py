@@ -7,6 +7,7 @@ round-trip exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 POLICIES = ("none", "rhc", "dqn", "dqn_star")
@@ -80,6 +81,17 @@ class ExperimentConfig:
             raise ConfigError("fine grid must divide evenly into regions")
         if self.fine_rows % self.zone_block or self.fine_cols % self.zone_block:
             raise ConfigError("fine grid must divide evenly into zones")
+        if self.train_days < 1:
+            raise ConfigError(f"train_days must be at least 1, got {self.train_days}")
+        if not (math.isfinite(self.trips_per_day) and self.trips_per_day >= 0):
+            raise ConfigError("trips_per_day must be finite and non-negative, "
+                              f"got {self.trips_per_day}")
+        if not (math.isfinite(self.synth_speed_kmh) and self.synth_speed_kmh > 0):
+            raise ConfigError("synth_speed_kmh must be finite and positive, "
+                              f"got {self.synth_speed_kmh}")
+        if not (math.isfinite(self.synth_noise) and self.synth_noise >= 0):
+            raise ConfigError("synth_noise must be finite and non-negative, "
+                              f"got {self.synth_noise}")
         return self
 
 

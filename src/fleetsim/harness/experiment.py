@@ -90,9 +90,8 @@ def eta_training_arrays(requests: list[RideRequest], cfg: ExperimentConfig):
     feats = np.empty((len(requests), eta_mod.FEATURE_COUNT))
     target = np.empty(len(requests))
     for i, r in enumerate(requests):
-        feats[i] = eta_mod.build_eta_features(r.pickup, r.dropoff,
-                                              Clock(r.minute, cfg.epoch_dow),
-                                              r.distance_km)
+        feats[i] = eta_mod.eta_feature_row(r.pickup, r.dropoff,
+                                           Clock(r.minute, cfg.epoch_dow), r.distance_km)
         target[i] = r.trip_minutes
     return feats, target
 

@@ -7,11 +7,18 @@ nightlife).  Destinations mix uniform scatter with hour-dependent pulls
 toward the hotspots, so the fleet drains away from demand unless a
 dispatch policy intervenes.  Everything is a deterministic function of
 the seed.
+
+The order of the random draws per trip is part of the output: every
+city, trained model and benchmark outcome depends on it, so a rewrite of
+:func:`synth_city` must make the same generator calls in the same order.
+``tests/oracles.py::synth_city_reference`` keeps the per-trip numpy form
+as an equality oracle.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -152,50 +159,63 @@ def _activity_level(rng, n_slots: int, sigma: float = 0.22,
 
 
 def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
-    """Generate a fully deterministic city and trip workload."""
+    """Generate a fully deterministic city and trip workload.
+
+    Each trip draws, in this order: its pickup minute, the pickup's row
+    and column offsets, the scatter-or-hotspot coin, then either two
+    scatter coordinates or a hotspot (one uniform against the hour's
+    destination CDF, as ``Generator.choice`` draws it) with a normal and
+    a uniform per coordinate, and last, unless the hop is under 100 m,
+    the duration noise.
+    """
     rng = np.random.default_rng(seed)
     grid = GridSpec(rows=cfg.fine_rows, cols=cfg.fine_cols, cell_size=cfg.cell_size_m,
                     origin=Location(cfg.origin_lat, cfg.origin_lon))
     rates = _slot_rates(grid, cfg)
     level = _activity_level(rng, days * 48)
-    spots = _hotspot_maps(grid)
     spot_centers = [((fr * (grid.rows - 1)), (fc * (grid.cols - 1)))
                     for _, fr, fc, _ in _HOTSPOTS]
     spot_sigma = [sigma * max(grid.rows, grid.cols) for *_x, sigma in _HOTSPOTS]
+    speeds, dest_cdfs = [], []
+    for slot in range(48):
+        speeds.append(_speed_kmh(slot * 0.5, cfg))
+        cdf = _dest_weights(slot * 0.5).cumsum()
+        cdf /= cdf[-1]
+        dest_cdfs.append(cdf.tolist())
 
+    lat0, lon0, d_lat, d_lon = grid.origin.lat, grid.origin.lon, grid.d_lat, grid.d_lon
+    rows, cols = grid.rows, grid.cols
+    row_hi, col_hi = rows - 1e-6, cols - 1e-6
+    noise = cfg.synth_noise
+    random, normal, poisson = rng.random, rng.normal, rng.poisson
     trips: list[TripRecord] = []
     for day in range(days):
         dow = (cfg.epoch_dow + day) % 7
         for slot in range(48):
-            hour = slot * 0.5
-            counts = rng.poisson(rates[dow, slot] * level[day * 48 + slot])
-            cells = np.argwhere(counts > 0)
-            for r, c in cells:
-                for _ in range(int(counts[r, c])):
-                    minute = day * 1440.0 + slot * SLOT_MINUTES + rng.uniform(0, SLOT_MINUTES)
-                    pickup = Location(
-                        grid.origin.lat + (r + rng.random()) * grid.d_lat,
-                        grid.origin.lon + (c + rng.random()) * grid.d_lon,
-                    )
-                    if rng.random() < 0.45:
-                        dr = rng.uniform(0, grid.rows)
-                        dc = rng.uniform(0, grid.cols)
+            slot_start = day * 1440.0 + slot * SLOT_MINUTES
+            speed, cdf = speeds[slot], dest_cdfs[slot]
+            counts = poisson(rates[dow, slot] * level[day * 48 + slot])
+            cell_r, cell_c = np.nonzero(counts)
+            for r, c, n in zip(cell_r.tolist(), cell_c.tolist(),
+                               counts[cell_r, cell_c].tolist()):
+                for _ in range(n):
+                    minute = slot_start + SLOT_MINUTES * random()
+                    pickup = Location(lat0 + (r + random()) * d_lat,
+                                      lon0 + (c + random()) * d_lon)
+                    if random() < 0.45:
+                        dr = rows * random()
+                        dc = cols * random()
                     else:
-                        k = int(rng.choice(4, p=_dest_weights(hour)))
+                        k = bisect_right(cdf, random())
                         r0, c0 = spot_centers[k]
-                        dr = np.clip(r0 + rng.normal(0, spot_sigma[k]) + rng.random(),
-                                     0.0, grid.rows - 1e-6)
-                        dc = np.clip(c0 + rng.normal(0, spot_sigma[k]) + rng.random(),
-                                     0.0, grid.cols - 1e-6)
-                    dropoff = Location(grid.origin.lat + dr * grid.d_lat,
-                                       grid.origin.lon + dc * grid.d_lon)
+                        dr = min(max(r0 + normal(0, spot_sigma[k]) + random(), 0.0), row_hi)
+                        dc = min(max(c0 + normal(0, spot_sigma[k]) + random(), 0.0), col_hi)
+                    dropoff = Location(lat0 + dr * d_lat, lon0 + dc * d_lon)
                     straight = haversine(pickup, dropoff)
                     if straight < 100.0:
                         continue  # hop too short to be a recorded taxi trip
                     dist_km = straight * 1.25 / 1000.0
-                    speed = _speed_kmh(hour, cfg)
-                    minutes = dist_km / speed * 60.0 * float(np.exp(
-                        rng.normal(0.0, cfg.synth_noise)))
+                    minutes = dist_km / speed * 60.0 * float(np.exp(normal(0.0, noise)))
                     trips.append(TripRecord(minute, pickup, dropoff,
                                             max(1.0, minutes), dist_km))
     trips.sort(key=lambda tr: tr.pickup_minute)

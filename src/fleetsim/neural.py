@@ -93,7 +93,10 @@ def init_params(spec, rng: np.random.Generator) -> list[np.ndarray]:
 def _same_pad(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     top = (kh - 1) // 2
     left = (kw - 1) // 2
-    return np.pad(x, ((0, 0), (top, kh - 1 - top), (left, kw - 1 - left), (0, 0)))
+    b, h, w, c = x.shape
+    out = np.zeros((b, h + kh - 1, w + kw - 1, c), dtype=x.dtype)
+    out[:, top:top + h, left:left + w] = x
+    return out
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int):

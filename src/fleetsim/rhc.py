@@ -110,14 +110,23 @@ def estimate_tables(origin_zone, dest_zone, dow_idx, hour_idx, minutes,
 
 
 def _write_table(path, column: str, table: np.ndarray) -> None:
+    table = np.asarray(table, dtype=np.float64)
+    keys = [f"{h},{i},{j}," for h, i, j in np.ndindex(table.shape[1:])]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dow", "hour", "origin", "dest", column])
-        for key in np.ndindex(table.shape):
-            w.writerow([*key, repr(float(table[key]))])
+        fh.write(f"dow,hour,origin,dest,{column}\r\n")
+        for d, day in enumerate(table.reshape(len(table), len(keys))):
+            fh.write("".join([f"{d},{k}{v!r}\r\n" for k, v in zip(keys, day.tolist())]))
 
 
 def save_tables(tt: TripTimeTable, dd: DestDistribution, tau_path, prob_path) -> None:
+    """Write the trip-time and destination tables as two CSV files.
+
+    Each file has the header ``dow,hour,origin,dest,<column>`` (``minutes``
+    or ``prob``), then one row per entry of the (7, 24, M, M) table in
+    row-major ``(dow, hour, origin, dest)`` order.  Values are
+    ``repr(float)``, which reads back exactly, and every line ends in
+    ``\\r\\n``, as ``csv.writer`` ends them.  :func:`load_tables` reads them.
+    """
     _write_table(tau_path, "minutes", tt.minutes)
     _write_table(prob_path, "prob", dd.prob)
 

@@ -471,8 +471,16 @@ class Simulation:
         )
 
     def apply_dispatch(self, orders: list[DispatchOrder], t: float) -> None:
-        """Execute orders in list order; a list naming a vehicle twice is rejected."""
+        """Execute orders in list order.
+
+        A list naming a vehicle twice, or a vehicle id outside the fleet, is
+        rejected before any order runs.
+        """
         vids = [order.vehicle_id for order in orders]
+        unknown = sorted({vid for vid in vids if not 0 <= vid < len(self.fleet)})
+        if unknown:
+            raise ValueError(f"dispatch orders name vehicles {unknown} outside "
+                             f"the fleet of {len(self.fleet)}")
         if len(set(vids)) != len(vids):
             twice = sorted({vid for vid in vids if vids.count(vid) > 1})
             raise ValueError(f"dispatch orders name vehicles {twice} more than once")

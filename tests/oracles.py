@@ -4,6 +4,7 @@ These stay deliberately naive: enumeration and elementary linear algebra
 only, none of the code paths they are used to check.
 """
 
+import csv
 import heapq
 from collections import defaultdict
 from itertools import combinations
@@ -11,7 +12,11 @@ from itertools import combinations
 import numpy as np
 
 from fleetsim.eta import build_eta_features
-from fleetsim.geo import cell_of, center_of, haversine, haversine_arrays
+from fleetsim.geo import (GridSpec, Location, block_region_map, cell_of, center_of, haversine,
+                          haversine_arrays)
+from fleetsim.harness.synth import (_HOTSPOTS, SLOT_MINUTES, SynthCity, TripRecord,
+                                    _activity_level, _dest_weights, _hotspot_maps,
+                                    _slot_rates, _speed_kmh, build_road_grid)
 from fleetsim.sim import (DISPATCHING, IDLE, OCCUPIED, STATUS_NAMES, TO_PICKUP,
                           SimView, Simulation, idle_set, log)
 
@@ -636,3 +641,66 @@ class ReferenceSimulation(Simulation):
             self._set_route(v, points, t, t + eta, dest)
             self._log("dispatch", vid=v.vid,
                       detail=f"cell={order.target_cell} eta={eta:.2f}")
+
+
+def synth_city_reference(cfg, seed: int, days: int):
+    """``synth.synth_city`` as first written: numpy calls per trip, in draw order."""
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(rows=cfg.fine_rows, cols=cfg.fine_cols, cell_size=cfg.cell_size_m,
+                    origin=Location(cfg.origin_lat, cfg.origin_lon))
+    rates = _slot_rates(grid, cfg)
+    level = _activity_level(rng, days * 48)
+    spots = _hotspot_maps(grid)
+    spot_centers = [((fr * (grid.rows - 1)), (fc * (grid.cols - 1)))
+                    for _, fr, fc, _ in _HOTSPOTS]
+    spot_sigma = [sigma * max(grid.rows, grid.cols) for *_x, sigma in _HOTSPOTS]
+
+    trips: list[TripRecord] = []
+    for day in range(days):
+        dow = (cfg.epoch_dow + day) % 7
+        for slot in range(48):
+            hour = slot * 0.5
+            counts = rng.poisson(rates[dow, slot] * level[day * 48 + slot])
+            cells = np.argwhere(counts > 0)
+            for r, c in cells:
+                for _ in range(int(counts[r, c])):
+                    minute = day * 1440.0 + slot * SLOT_MINUTES + rng.uniform(0, SLOT_MINUTES)
+                    pickup = Location(
+                        grid.origin.lat + (r + rng.random()) * grid.d_lat,
+                        grid.origin.lon + (c + rng.random()) * grid.d_lon,
+                    )
+                    if rng.random() < 0.45:
+                        dr = rng.uniform(0, grid.rows)
+                        dc = rng.uniform(0, grid.cols)
+                    else:
+                        k = int(rng.choice(4, p=_dest_weights(hour)))
+                        r0, c0 = spot_centers[k]
+                        dr = np.clip(r0 + rng.normal(0, spot_sigma[k]) + rng.random(),
+                                     0.0, grid.rows - 1e-6)
+                        dc = np.clip(c0 + rng.normal(0, spot_sigma[k]) + rng.random(),
+                                     0.0, grid.cols - 1e-6)
+                    dropoff = Location(grid.origin.lat + dr * grid.d_lat,
+                                       grid.origin.lon + dc * grid.d_lon)
+                    straight = haversine(pickup, dropoff)
+                    if straight < 100.0:
+                        continue  # hop too short to be a recorded taxi trip
+                    dist_km = straight * 1.25 / 1000.0
+                    speed = _speed_kmh(hour, cfg)
+                    minutes = dist_km / speed * 60.0 * float(np.exp(
+                        rng.normal(0.0, cfg.synth_noise)))
+                    trips.append(TripRecord(minute, pickup, dropoff,
+                                            max(1.0, minutes), dist_km))
+    trips.sort(key=lambda tr: tr.pickup_minute)
+    regions = block_region_map(grid, cfg.region_block, cfg.region_block)
+    zones = block_region_map(grid, cfg.zone_block, cfg.zone_block)
+    return SynthCity(grid=grid, graph=build_road_grid(grid), regions=regions,
+                     zones=zones, trips=trips)
+
+
+def write_table_reference(path, column: str, table: np.ndarray) -> None:
+    """One (7, 24, M, M) table through ``csv.writer``, an entry at a time."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["dow", "hour", "origin", "dest", column])
+        for key in np.ndindex(table.shape):
+            w.writerow([*key, repr(float(table[key]))])

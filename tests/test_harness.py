@@ -11,6 +11,7 @@ from fleetsim.harness.config import ConfigError, ExperimentConfig, parse_config,
 from fleetsim.harness.ingest import TripDataError, ingest_trips
 from fleetsim.harness.synth import build_road_grid, synth_city, write_city
 from fleetsim.harness import experiment as ex
+from oracles import synth_city_reference
 
 
 def small_cfg(tmp_path, **kw):
@@ -51,14 +52,47 @@ class TestConfig:
         cfg = parse_config(text="# hello\n\nseed = 3\n")
         assert cfg.seed == 3
 
+    @pytest.mark.parametrize("key, value", [
+        ("train_days", "0"), ("train_days", "-2"),
+        ("trips_per_day", "-1"), ("trips_per_day", "inf"), ("trips_per_day", "nan"),
+        ("synth_speed_kmh", "0"), ("synth_speed_kmh", "-21"), ("synth_speed_kmh", "inf"),
+        ("synth_speed_kmh", "nan"),
+        ("synth_noise", "-0.1"), ("synth_noise", "nan"),
+    ])
+    def test_workload_values_that_break_synthesis_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text="seed = 1\n", overrides={key: value})
+
+    def test_zero_trip_rate_and_noise_accepted(self):
+        cfg = parse_config(text="seed = 1\ntrips_per_day = 0\nsynth_noise = 0\n")
+        assert cfg.trips_per_day == 0.0 and cfg.synth_noise == 0.0
+
 
 class TestSynth:
     def test_deterministic_given_seed(self, tmp_path):
         cfg = small_cfg(tmp_path)
         a = synth_city(cfg, seed=5, days=1)
         b = synth_city(cfg, seed=5, days=1)
-        assert len(a.trips) == len(b.trips)
-        assert all(x == y for x, y in zip(a.trips[:50], b.trips[:50]))
+        assert len(a.trips) > 50
+        assert a.trips == b.trips
+
+    @pytest.mark.parametrize("overrides, seed, days", [
+        ({}, 777, 3),
+        ({"trips_per_day": 6000.0 * 2.5}, 3, 1),
+        ({"trips_per_day": 2000.0, "epoch_dow": 3}, 5, 7),
+        ({"fine_rows": 6, "fine_cols": 11, "region_block": 1, "zone_block": 1,
+          "trips_per_day": 2000.0}, 4, 2),
+        ({"trips_per_day": 0.0}, 5, 2),
+    ])
+    def test_trips_equal_per_trip_reference(self, overrides, seed, days):
+        # the draw order per trip is part of the output: every model and
+        # benchmark outcome depends on it
+        cfg = ExperimentConfig(seed=seed, **overrides).validate()
+        got = synth_city(cfg, seed=seed, days=days).trips
+        want = synth_city_reference(cfg, seed=seed, days=days).trips
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == w
 
     def test_zero_rate_city_has_no_trips(self, tmp_path):
         cfg = small_cfg(tmp_path, trips_per_day=0.0)
@@ -250,13 +284,37 @@ class TestExperiment:
 
 
 class TestCli:
-    def run_cli(self, *args):
+    def run_cli(self, *args, env=None):
         return subprocess.run(
             [sys.executable, "-m", "fleetsim.harness.cli", *args],
             capture_output=True, text=True,
             env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
-                 "PATH": "/usr/bin:/bin"},
+                 "PATH": "/usr/bin:/bin", **(env or {})},
         )
+
+    def test_negative_speed_is_config_error(self, tmp_path):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"seed = 3\ndata_dir = {tmp_path / 'city'}\n"
+                            "synth_speed_kmh = -21\n")
+        proc = self.run_cli("--config", str(cfg_file), "synth-data")
+        assert proc.returncode == 1, proc.stderr
+        assert "synth_speed_kmh" in proc.stderr
+        assert not (tmp_path / "city").exists()
+
+    def test_synth_data_files_independent_of_hash_seed(self, tmp_path):
+        files = ("trips.csv", "roads.txt", "regions.csv", "zones.csv")
+        written = []
+        for hash_seed in ("0", "12345"):
+            city = tmp_path / f"city_{hash_seed}"
+            proc = self.run_cli("--set", "seed=3", "--set", f"data_dir={city}",
+                                "--set", "fine_rows=10", "--set", "fine_cols=10",
+                                "--set", "region_block=1", "--set", "days=1",
+                                "--set", "trips_per_day=300", "synth-data",
+                                env={"PYTHONHASHSEED": hash_seed})
+            assert proc.returncode == 0, proc.stderr
+            written.append([(city / name).read_bytes() for name in files])
+        assert written[0] == written[1]
+        assert written[0][0].count(b"\n") > 100
 
     def test_missing_seed_is_config_error(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"

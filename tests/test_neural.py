@@ -16,7 +16,7 @@ from fleetsim.neural import (
     save_model,
     walk_param_layers,
 )
-from fleetsim.neural import _im2col
+from fleetsim.neural import _im2col, _same_pad
 from oracles import crop_pad_center
 
 
@@ -127,6 +127,18 @@ class TestForward:
                         ref[n, i, j] = x[n, i:i + kh, j:j + kw, :].ravel()
             assert (oh, ow) == (h - kh + 1, w - kw + 1)
             np.testing.assert_array_equal(cols, ref.reshape(-1, kh * kw * c))
+
+    def test_same_pad_equals_np_pad(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            b, h, w, c = rng.integers(1, [6, 12, 12, 5])
+            kh, kw = rng.choice([1, 2, 3, 4, 5, 7], size=2)
+            x = rng.normal(size=(b, h, w, c))
+            top, left = (kh - 1) // 2, (kw - 1) // 2
+            ref = np.pad(x, ((0, 0), (top, kh - 1 - top), (left, kw - 1 - left), (0, 0)))
+            out = _same_pad(x, kh, kw)
+            assert out.dtype == ref.dtype and out.flags.c_contiguous
+            assert out.tobytes() == ref.tobytes() and out.shape == ref.shape
 
 
 class TestBackward:

@@ -25,7 +25,7 @@ from fleetsim.rhc import (
 from fleetsim import rhc
 from fleetsim.lp import LpSolution, solve
 from oracles import (event_supply_oracle, random_supply_scenario, rhc_lp_reference,
-                     zone_centroid_distances_reference)
+                     write_table_reference, zone_centroid_distances_reference)
 from test_policies import GRID, ZONES, fake_view
 
 DT = 15.0
@@ -325,6 +325,24 @@ class TestTables:
         tt2, dd2 = load_tables(tmp_path / "tau.csv", tmp_path / "prob.csv", 2)
         np.testing.assert_array_equal(tt.minutes, tt2.minutes)
         np.testing.assert_array_equal(dd.prob, dd2.prob)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_csv_bytes_equal_csv_writer_reference(self, tmp_path, m):
+        rng = np.random.default_rng(m)
+        minutes = rng.uniform(0, 60, (7, 24, m, m))
+        minutes[0, 0, 0, 0] = 0.0
+        minutes[1, 2, 0, -1] = 5e-324
+        minutes[6, 23, -1, -1] = 1e300
+        prob = np.full((7, 24, m, m), 1.0 / 3.0)
+        prob[3, 4, 0, 0] = 1e-17
+        save_tables(TripTimeTable(minutes), DestDistribution(prob),
+                    tmp_path / "tau.csv", tmp_path / "prob.csv")
+        write_table_reference(tmp_path / "tau_ref.csv", "minutes", minutes)
+        write_table_reference(tmp_path / "prob_ref.csv", "prob", prob)
+        tau = (tmp_path / "tau.csv").read_bytes()
+        assert tau == (tmp_path / "tau_ref.csv").read_bytes()
+        assert (tmp_path / "prob.csv").read_bytes() == (tmp_path / "prob_ref.csv").read_bytes()
+        assert tau.count(b"\r\n") == 1 + 7 * 24 * m * m
 
     @staticmethod
     def uniform_tables(tmp_path, m):

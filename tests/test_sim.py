@@ -302,6 +302,16 @@ class TestApplyDispatch:
             sim.apply_dispatch(orders, t=0.0)
         assert [(v.status, v.loc) for v in sim.fleet] == before
 
+    @pytest.mark.parametrize("bad", [-1, 3, 7])
+    def test_order_for_a_vehicle_outside_the_fleet_rejected(self, bad):
+        sim = scripted_simulation()
+        assert len(sim.fleet) == 3
+        before = [(v.status, v.loc) for v in sim.fleet]
+        orders = [DispatchOrder(0, (1, 1)), DispatchOrder(bad, (2, 2))]
+        with pytest.raises(ValueError, match=rf"\[{bad}\] outside the fleet of 3"):
+            sim.apply_dispatch(orders, t=0.0)
+        assert [(v.status, v.loc) for v in sim.fleet] == before
+
     def test_longer_detour_weakly_increases_eta(self):
         # same endpoints, direct edge versus forced detour
         a = Location(40.0, -74.0)
