@@ -20,7 +20,7 @@ import numpy as np
 
 from . import neural
 from .clock import Clock, periodic_features
-from .geo import region_cells
+from .geo import aggregate_to_regions, region_cells
 from .neural import Concat, Conv2D
 from .rhc import mismatch
 from .sim import DispatchOrder
@@ -102,12 +102,18 @@ def action_offset(cell: tuple[int, int]) -> tuple[int, int]:
 STAY_CELL = (ACTION_RADIUS, ACTION_RADIUS)
 
 
-def _pooled(maps: np.ndarray, pad: int) -> np.ndarray:
-    """(R + 2 pad, C + 2 pad, 3, n): raw, 15- and 30-pooled (n, R, C) maps on a zero border."""
+def _pooled(maps: np.ndarray, pad: int, bounds: list[tuple[np.ndarray, ...]]) -> np.ndarray:
+    """(R + 2 pad, C + 2 pad, 3, n): raw, 15- and 30-pooled (n, R, C) maps on a zero border.
+
+    ``bounds`` holds the :func:`neural.pool_bounds` of each pool size on the
+    padded canvas; both pools read one integral image, each as
+    :func:`neural.avg_pool` would.
+    """
     n, rows, cols = maps.shape
     padded = np.zeros((n, rows + 2 * pad, cols + 2 * pad))
     padded[:, pad:pad + rows, pad:pad + cols] = maps
-    pools = [padded] + [neural.avg_pool(padded, k) for k in POOL_SIZES]
+    integ = neural.integral_image(padded)
+    pools = [padded] + [neural.window_mean(integ, b, k) for b, k in zip(bounds, POOL_SIZES)]
     return np.stack(pools).transpose(2, 3, 0, 1)
 
 
@@ -125,13 +131,17 @@ class FeatureCanvas:
 
     def __init__(self, demand: np.ndarray, supply: np.ndarray, idle: np.ndarray):
         self.pad = max(MAIN_SIZE // 2, -(-(POOL_SIZES[-1] - min(demand.shape)) // 2))
-        self.planes = _pooled(np.concatenate([demand[None], supply, idle[None]]), self.pad)
+        rows, cols = demand.shape
+        self._bounds = [neural.pool_bounds(rows + 2 * self.pad, cols + 2 * self.pad, k)
+                        for k in POOL_SIZES]
+        self.planes = _pooled(np.concatenate([demand[None], supply, idle[None]]),
+                              self.pad, self._bounds)
         self.supply = supply
 
     def set_supply(self, supply: np.ndarray) -> None:
         """Replace the three supply maps (3, R, C) and their pools."""
         self.supply = supply
-        self.planes[..., 1:4] = _pooled(supply, self.pad)
+        self.planes[..., 1:4] = _pooled(supply, self.pad, self._bounds)
 
     def main(self, region: tuple[int, int]) -> np.ndarray:
         """The (23, 23, 15) main input centred on ``region``, as a new array."""
@@ -182,30 +192,37 @@ def _clock_aux(sin_dow: float, cos_dow: float, sin_hour: float,
     return aux
 
 
-def _set_region_aux(aux: np.ndarray, region: tuple[int, int],
-                    grid_shape: tuple[int, int], legal: np.ndarray) -> np.ndarray:
-    """Overwrite, in place, the five planes that depend on the vehicle's region.
+# the aux planes that depend on the vehicle's region, in :func:`_region_aux` order
+_REGION_PLANES = [5, 6, 7, 8, 10]
 
-    Planes 5-6 are the region's normalized coordinates, 7-8 each move's
-    clipped destination coordinates and 10 the ``legal`` move mask.
+
+def _region_aux(region: tuple[int, int], grid_shape: tuple[int, int]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The legal move mask of ``region`` and its (15, 15, 5) region aux planes.
+
+    The planes are the aux planes ``_REGION_PLANES``: 5-6 the region's
+    normalized coordinates, 7-8 each move's clipped destination
+    coordinates and 10 the legal mask.
     """
     rows, cols = grid_shape
     r, c = region
-    aux[..., 5] = r / (rows - 1) if rows > 1 else 0.0
-    aux[..., 6] = c / (cols - 1) if cols > 1 else 0.0
+    legal = legal_action_mask(region, grid_shape)
+    planes = np.empty((ACTION_SIZE, ACTION_SIZE, len(_REGION_PLANES)))
+    planes[..., 0] = r / (rows - 1) if rows > 1 else 0.0
+    planes[..., 1] = c / (cols - 1) if cols > 1 else 0.0
     dr = np.arange(ACTION_SIZE) - ACTION_RADIUS
     dest_r = (r + dr[:, None]) / (rows - 1) if rows > 1 else np.zeros((ACTION_SIZE, 1))
     dest_c = (c + dr[None, :]) / (cols - 1) if cols > 1 else np.zeros((1, ACTION_SIZE))
-    aux[..., 7] = np.clip(np.broadcast_to(dest_r, (ACTION_SIZE, ACTION_SIZE)), 0.0, 1.0)
-    aux[..., 8] = np.clip(np.broadcast_to(dest_c, (ACTION_SIZE, ACTION_SIZE)), 0.0, 1.0)
-    aux[..., 10] = legal
-    return aux
+    planes[..., 2] = np.clip(np.broadcast_to(dest_r, (ACTION_SIZE, ACTION_SIZE)), 0.0, 1.0)
+    planes[..., 3] = np.clip(np.broadcast_to(dest_c, (ACTION_SIZE, ACTION_SIZE)), 0.0, 1.0)
+    planes[..., 4] = legal
+    return legal, planes
 
 
 def _aux_planes(ctx: VehicleContext) -> np.ndarray:
-    shape = ctx.demand.shape
     aux = _clock_aux(ctx.sin_dow, ctx.cos_dow, ctx.sin_hour, ctx.cos_hour)
-    return _set_region_aux(aux, ctx.region, shape, legal_action_mask(ctx.region, shape))
+    aux[..., _REGION_PLANES] = _region_aux(ctx.region, ctx.demand.shape)[1]
+    return aux
 
 
 class QNetwork:
@@ -527,15 +544,25 @@ class DqnPolicy:
         self.step = 0
         self.training_log: list[tuple] = []
         self._zone_cells = region_cells(region_map)
+        # region -> (legal move mask, region aux planes); see _region_inputs
+        self._regions: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         if self.config.train:
             self.target = net.copy()
             self.buffer = ReplayBuffer(self.config.buffer_capacity)
             self.opt = neural.RmsProp(lr=self.config.lr)
             self.pending: dict[int, _Pending] = {}
 
-    def _region_cell(self, fine_cell) -> tuple[int, int]:
-        rid = int(self.region_map.assignment[fine_cell])
-        return (rid // self.region_shape[1], rid % self.region_shape[1])
+    def _region_ids(self, cells) -> np.ndarray:
+        """Region ids of a sequence of fine-grid (row, col) cells."""
+        rows, cols = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+        return self.region_map.assignment[rows, cols]
+
+    def _region_inputs(self, region: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_region_aux` of ``region``, built on the first decision there."""
+        inputs = self._regions.get(region)
+        if inputs is None:
+            inputs = self._regions[region] = _region_aux(region, self.region_shape)
+        return inputs
 
     def _eligible(self, vid: int, t: float, last_dropoff: float) -> bool:
         last = self.last_decision.get(vid)
@@ -546,23 +573,38 @@ class DqnPolicy:
         return last_dropoff > last
 
     def dispatch(self, view) -> list[DispatchOrder]:
-        from .geo import aggregate_to_regions
+        """Decide, in ascending id order, where each eligible idle vehicle goes.
 
+        Built once per invocation: the region maps of predicted demand, of
+        idle vehicles and of projected supply per minute ahead (each a
+        count summed with one ``np.add.at``), the clock aux planes and, at
+        the first greedy decision, the pooled :class:`FeatureCanvas`.
+        Built once per region, on the first decision there, and kept for
+        the policy's life: the legal move mask and the five aux planes
+        that depend on the region.  Decisions stay sequential: a move takes
+        its vehicle out of the supply at its origin and adds it at its
+        destination, so each vehicle sees the moves before it, and the
+        Q-network runs on one input at a time because another batch shape
+        can change the last bits of Q and with them an argmax.
+        """
         cfg = self.config
         rr, rc = self.region_shape
         horizon = cfg.supply_horizon
 
         heat = self.demand_predictor(view)
         demand_regions = aggregate_to_regions(heat, self.region_map).reshape(rr, rc)
-        idle_regions = np.zeros((rr, rc))
-        for vid in view.idle_ids:
-            idle_regions[self._region_cell(view.vehicle_cells[vid])] += 1
+        idle_rids = self._region_ids([view.vehicle_cells[vid] for vid in view.idle_ids])
+        idle_regions = np.zeros(rr * rc)
+        np.add.at(idle_regions, idle_rids, 1.0)
+        idle_regions = idle_regions.reshape(rr, rc)
+        region_of = {vid: divmod(rid, rc) for vid, rid in zip(view.idle_ids, idle_rids.tolist())}
 
+        _, cells, minutes = zip(*view.supply_events) if view.supply_events else ((), (), ())
+        h = np.ceil(np.array(minutes, dtype=np.float64))
+        soon = h <= horizon
         x = np.zeros((rr, rc, horizon + 1))
-        for vid, cell, minutes in view.supply_events:
-            h = int(np.ceil(minutes))
-            if h <= horizon:
-                x[self._region_cell(cell) + (h,)] += 1
+        event_r, event_c = np.divmod(self._region_ids(cells)[soon], rc)
+        np.add.at(x, (event_r, event_c, h[soon].astype(np.int64)), 1.0)
 
         eta_cells = None  # built lazily; many invocations issue no orders
         supply3 = None    # rebuilt only after an order has changed x
@@ -579,17 +621,14 @@ class DqnPolicy:
             if cfg.train and self.rng.random() >= alpha:
                 continue  # skipped outright; no decision, no transition
 
-            region = self._region_cell(view.vehicle_cells[vid])
+            region = region_of[vid]
             if supply3 is None:
                 supply3 = np.stack([
                     x[..., :1].sum(axis=-1),
                     x[..., :16].sum(axis=-1),
                     x[..., :horizon + 1].sum(axis=-1),
                 ])
-            ctx = VehicleContext(demand=demand_regions, supply=supply3,
-                                 idle=idle_regions, region=region,
-                                 sin_dow=sd, cos_dow=cd, sin_hour=sh, cos_hour=ch)
-            legal = legal_action_mask(region, (rr, rc))
+            legal, region_aux = self._region_inputs(region)
             action = explore_action(legal, eps, self.rng) if cfg.train else None
             if action is None:
                 if canvas is None:
@@ -597,9 +636,12 @@ class DqnPolicy:
                     aux = _clock_aux(sd, cd, sh, ch)
                 elif canvas.supply is not supply3:
                     canvas.set_supply(supply3)
-                qin = QInput(canvas.main(region),
-                             _set_region_aux(aux, region, (rr, rc), legal))
-                action = greedy_action(self.net.q_map(qin, legal))
+                aux[..., _REGION_PLANES] = region_aux
+                action = greedy_action(self.net.q_map(QInput(canvas.main(region), aux), legal))
+            if cfg.train:
+                ctx = VehicleContext(demand=demand_regions, supply=supply3,
+                                     idle=idle_regions, region=region,
+                                     sin_dow=sd, cos_dow=cd, sin_hour=sh, cos_hour=ch)
 
             tau_steps = 0
             if action != STAY_CELL:

@@ -77,6 +77,14 @@ class ExperimentConfig:
             raise ConfigError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if self.vehicles < 1 or self.days < 1:
             raise ConfigError("vehicles and days must be positive")
+        for name in ("fine_rows", "fine_cols", "region_block", "zone_block"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.cell_size_m) and self.cell_size_m > 0):
+            raise ConfigError(f"cell_size_m must be finite and positive, got {self.cell_size_m}")
+        if not (math.isfinite(self.match_radius_m) and self.match_radius_m >= 0):
+            raise ConfigError("match_radius_m must be finite and non-negative, "
+                              f"got {self.match_radius_m}")
         if self.fine_rows % self.region_block or self.fine_cols % self.region_block:
             raise ConfigError("fine grid must divide evenly into regions")
         if self.fine_rows % self.zone_block or self.fine_cols % self.zone_block:
@@ -92,6 +100,9 @@ class ExperimentConfig:
         if not (math.isfinite(self.synth_noise) and self.synth_noise >= 0):
             raise ConfigError("synth_noise must be finite and non-negative, "
                               f"got {self.synth_noise}")
+        for name in ("dqn_sync_period", "dqn_batch", "dqn_buffer"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         return self
 
 

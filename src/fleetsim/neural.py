@@ -326,29 +326,45 @@ class RmsProp:
             p -= self.lr * g / np.sqrt(s + self.eps)
 
 
+def pool_bounds(h: int, w: int, k: int) -> tuple[np.ndarray, ...]:
+    """Integral-image bounds ``(r0, r1, c0, c1)`` of each k x k window on an h x w plane.
+
+    The window for index i covers rows ``[i - (k-1)//2, i + k//2]``, clipped
+    to the plane, which is centered for odd k.
+    """
+    lo = -((k - 1) // 2)
+    hi = k // 2 + 1
+    return (np.clip(np.arange(h) + lo, 0, h), np.clip(np.arange(h) + hi, 0, h),
+            np.clip(np.arange(w) + lo, 0, w), np.clip(np.arange(w) + hi, 0, w))
+
+
+def integral_image(x: np.ndarray) -> np.ndarray:
+    """Cumulative sums over the trailing two axes, with a leading zero row and column."""
+    integ = np.zeros(x.shape[:-2] + (x.shape[-2] + 1, x.shape[-1] + 1))
+    integ[..., 1:, 1:] = x.cumsum(axis=-2).cumsum(axis=-1)
+    return integ
+
+
+def window_mean(integ: np.ndarray, bounds: tuple[np.ndarray, ...], k: int) -> np.ndarray:
+    """Window sums from an :func:`integral_image`, rows first, then columns, over k*k."""
+    r0, r1, c0, c1 = bounds
+    rows = integ[..., r1, :] - integ[..., r0, :]
+    sums = rows[..., :, c1] - rows[..., :, c0]
+    return sums / float(k * k)
+
+
 def avg_pool(plane: np.ndarray, k: int) -> np.ndarray:
     """Same-size k x k mean pooling with stride 1 and zero padding at edges.
 
     Operates on the trailing two axes.  Every output is the window sum
-    divided by k*k, so windows hanging off the plane average in zeros.
-    The window for index i covers rows ``[i - (k-1)//2, i + k//2]``,
-    which is centered for odd k.
+    divided by k*k, so windows hanging off the plane average in zeros
+    (see :func:`pool_bounds` for the window of each index).
     """
     x = np.asarray(plane, dtype=np.float64)
     h, w = x.shape[-2], x.shape[-1]
     if h < k or w < k:
         raise ValueError(f"plane {h}x{w} smaller than {k}x{k} pooling kernel")
-    integ = np.zeros(x.shape[:-2] + (h + 1, w + 1))
-    integ[..., 1:, 1:] = x.cumsum(axis=-2).cumsum(axis=-1)
-    lo = -((k - 1) // 2)
-    hi = k // 2 + 1
-    r0 = np.clip(np.arange(h) + lo, 0, h)
-    r1 = np.clip(np.arange(h) + hi, 0, h)
-    c0 = np.clip(np.arange(w) + lo, 0, w)
-    c1 = np.clip(np.arange(w) + hi, 0, w)
-    rows = integ[..., r1, :] - integ[..., r0, :]
-    sums = rows[..., :, c1] - rows[..., :, c0]
-    return sums / float(k * k)
+    return window_mean(integral_image(x), pool_bounds(h, w, k), k)
 
 
 # --- checkpoint container -------------------------------------------------

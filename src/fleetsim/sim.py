@@ -26,6 +26,7 @@ passenger (en route to pickup, or occupied) are not.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -82,7 +83,7 @@ class VehicleState:
     arrival_time: float | None = None
     depart_time: float | None = None
     path: tuple[Location, ...] = ()
-    path_cumlen: np.ndarray | None = None
+    path_cumlen: list[float] | None = None  # meters from path[0] to each waypoint
     # committed ride, while to_pickup
     ride_trip_minutes: float = 0.0
     ride_dropoff: Location | None = None
@@ -248,19 +249,25 @@ class Simulation:
     # -- vehicle helpers ------------------------------------------------------
 
     def position(self, v: VehicleState, t: float) -> Location:
-        """Current coordinates, interpolated along the route while moving."""
+        """Current coordinates, interpolated along the route while moving.
+
+        The segment is found with ``bisect_left`` on the non-decreasing
+        ``path_cumlen``, which is ``np.searchsorted(side="left")``; the
+        arithmetic is the same IEEE operations on Python floats.
+        """
         if v.status == IDLE or v.arrival_time is None or not v.path:
             return v.loc
         span = v.arrival_time - v.depart_time
         frac = 1.0 if span <= 0 else min(1.0, max(0.0, (t - v.depart_time) / span))
-        target = frac * v.path_cumlen[-1]
-        i = int(np.searchsorted(v.path_cumlen, target))
+        cum = v.path_cumlen
+        target = frac * cum[-1]
+        i = bisect_left(cum, target)
         if i <= 0:
             return v.path[0]
         if i >= len(v.path):
             return v.path[-1]
-        seg = v.path_cumlen[i] - v.path_cumlen[i - 1]
-        w = 0.0 if seg <= 0 else (target - v.path_cumlen[i - 1]) / seg
+        seg = cum[i] - cum[i - 1]
+        w = 0.0 if seg <= 0 else (target - cum[i - 1]) / seg
         a, b = v.path[i - 1], v.path[i]
         return Location(a.lat + w * (b.lat - a.lat), a.lon + w * (b.lon - a.lon))
 
@@ -296,7 +303,7 @@ class Simulation:
         lens = [0.0]
         for a, b in zip(points[:-1], points[1:]):
             lens.append(lens[-1] + haversine(a, b))
-        v.path_cumlen = np.asarray(lens)
+        v.path_cumlen = lens
         v.depart_time = depart
         v.arrival_time = arrival
         v.dest = dest
@@ -421,18 +428,21 @@ class Simulation:
     def build_view(self, t: float) -> SimView:
         idle_ids = idle_set(self.fleet, t, self.idle_window)
         dispatchable = set(idle_ids)
-        pos = [self.position(v, t) for v in self.fleet]
-        # where and in how many minutes each vehicle next stands idle
+        position = self.position
+        # where each vehicle is, and where and in how many minutes it next stands idle
+        pos: list[Location] = []
         nxt: list[Location] = []
         minutes: list[float] = []
-        for v, p in zip(self.fleet, pos):
-            if v.status == IDLE or (v.status == DISPATCHING and v.vid in dispatchable):
+        for v in self.fleet:
+            status = v.status
+            p = v.loc if status == IDLE else position(v, t)
+            pos.append(p)
+            if status == IDLE or (status == DISPATCHING and v.vid in dispatchable):
                 nxt.append(p)
                 minutes.append(0.0)
-            elif v.status == TO_PICKUP:
-                dropoff_t = v.arrival_time + v.ride_trip_minutes
+            elif status == TO_PICKUP:
                 nxt.append(v.ride_dropoff)
-                minutes.append(max(0.0, dropoff_t - t))
+                minutes.append(max(0.0, v.arrival_time + v.ride_trip_minutes - t))
             else:  # OCCUPIED, or DISPATCHING outside the idle set
                 nxt.append(v.dest)
                 minutes.append(max(0.0, v.arrival_time - t))

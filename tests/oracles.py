@@ -11,14 +11,19 @@ from itertools import combinations
 
 import numpy as np
 
+from fleetsim.clock import periodic_features
+from fleetsim.dqn import (STAY_CELL, DqnPolicy, QInput, Transition, VehicleContext, _Pending,
+                          action_offset, explore_action, greedy_action, legal_action_mask,
+                          reward_dqn)
 from fleetsim.eta import build_eta_features
-from fleetsim.geo import (GridSpec, Location, block_region_map, cell_of, center_of, haversine,
-                          haversine_arrays)
+from fleetsim.geo import (GridSpec, Location, aggregate_to_regions, block_region_map, cell_of,
+                          center_of, haversine, haversine_arrays)
 from fleetsim.harness.synth import (_HOTSPOTS, SLOT_MINUTES, SynthCity, TripRecord,
                                     _activity_level, _dest_weights, _hotspot_maps,
                                     _slot_rates, _speed_kmh, build_road_grid)
+from fleetsim.rhc import mismatch
 from fleetsim.sim import (DISPATCHING, IDLE, OCCUPIED, STATUS_NAMES, TO_PICKUP,
-                          SimView, Simulation, idle_set, log)
+                          DispatchOrder, SimView, Simulation, idle_set, log)
 
 
 def vertex_enumeration_optimum(c, a_ub, b_ub):
@@ -502,8 +507,35 @@ class ReferenceSimulation(Simulation):
     Each request scans the free fleet on its own and routes at once,
     each route looks up its two nearest nodes on its own, and the view
     maps every cell with ``cell_of``; paths come from
-    :func:`astar_reference`.
+    :func:`astar_reference`.  Route positions keep ``path_cumlen`` as an
+    array and find their segment with ``np.searchsorted``.
     """
+
+    def position(self, v, t):
+        if v.status == IDLE or v.arrival_time is None or not v.path:
+            return v.loc
+        span = v.arrival_time - v.depart_time
+        frac = 1.0 if span <= 0 else min(1.0, max(0.0, (t - v.depart_time) / span))
+        target = frac * v.path_cumlen[-1]
+        i = int(np.searchsorted(v.path_cumlen, target))
+        if i <= 0:
+            return v.path[0]
+        if i >= len(v.path):
+            return v.path[-1]
+        seg = v.path_cumlen[i] - v.path_cumlen[i - 1]
+        w = 0.0 if seg <= 0 else (target - v.path_cumlen[i - 1]) / seg
+        a, b = v.path[i - 1], v.path[i]
+        return Location(a.lat + w * (b.lat - a.lat), a.lon + w * (b.lon - a.lon))
+
+    def _set_route(self, v, points, depart, arrival, dest):
+        v.path = points
+        lens = [0.0]
+        for a, b in zip(points[:-1], points[1:]):
+            lens.append(lens[-1] + haversine(a, b))
+        v.path_cumlen = np.asarray(lens)
+        v.depart_time = depart
+        v.arrival_time = arrival
+        v.dest = dest
 
     def _route(self, origin, dest):
         o = nearest_node_reference(origin, self.graph)
@@ -641,6 +673,154 @@ class ReferenceSimulation(Simulation):
             self._set_route(v, points, t, t + eta, dest)
             self._log("dispatch", vid=v.vid,
                       detail=f"cell={order.target_cell} eta={eta:.2f}")
+
+
+def avg_pool_reference(plane, k):
+    """Same-size k x k stride-1 mean pooling from one integral image per call."""
+    x = np.asarray(plane, dtype=np.float64)
+    h, w = x.shape[-2], x.shape[-1]
+    if h < k or w < k:
+        raise ValueError(f"plane {h}x{w} smaller than {k}x{k} pooling kernel")
+    integ = np.zeros(x.shape[:-2] + (h + 1, w + 1))
+    integ[..., 1:, 1:] = x.cumsum(axis=-2).cumsum(axis=-1)
+    lo = -((k - 1) // 2)
+    hi = k // 2 + 1
+    r0 = np.clip(np.arange(h) + lo, 0, h)
+    r1 = np.clip(np.arange(h) + hi, 0, h)
+    c0 = np.clip(np.arange(w) + lo, 0, w)
+    c1 = np.clip(np.arange(w) + hi, 0, w)
+    rows = integ[..., r1, :] - integ[..., r0, :]
+    sums = rows[..., :, c1] - rows[..., :, c0]
+    return sums / float(k * k)
+
+
+def pooled_reference(maps, pad):
+    """(R + 2 pad, C + 2 pad, 3, n): raw, 15- and 30-pooled maps, each pool on its own."""
+    n, rows, cols = maps.shape
+    padded = np.zeros((n, rows + 2 * pad, cols + 2 * pad))
+    padded[:, pad:pad + rows, pad:pad + cols] = maps
+    pools = [padded] + [avg_pool_reference(padded, k) for k in (15, 30)]
+    return np.stack(pools).transpose(2, 3, 0, 1)
+
+
+class CanvasReference:
+    """The pooled region canvas, every pool built by :func:`pooled_reference`."""
+
+    def __init__(self, demand, supply, idle):
+        self.pad = max(11, -(-(30 - min(demand.shape)) // 2))
+        self.planes = pooled_reference(np.concatenate([demand[None], supply, idle[None]]),
+                                       self.pad)
+        self.supply = supply
+
+    def set_supply(self, supply):
+        self.supply = supply
+        self.planes[..., 1:4] = pooled_reference(supply, self.pad)
+
+    def main(self, region):
+        r = region[0] + self.pad - 11
+        c = region[1] + self.pad - 11
+        return np.array(self.planes[r:r + 23, c:c + 23]).reshape(23, 23, 15)
+
+
+class DqnPolicyReference(DqnPolicy):
+    """:class:`DqnPolicy` whose dispatch maps each vehicle and event on its own.
+
+    Idle counts and supply projections add one vehicle at a time, and
+    every decision builds its legal mask, :class:`VehicleContext` and all
+    its aux planes afresh.
+    """
+
+    def _region_cell(self, fine_cell):
+        rid = int(self.region_map.assignment[fine_cell])
+        return (rid // self.region_shape[1], rid % self.region_shape[1])
+
+    def dispatch(self, view):
+        cfg = self.config
+        rr, rc = self.region_shape
+        horizon = cfg.supply_horizon
+
+        heat = self.demand_predictor(view)
+        demand_regions = aggregate_to_regions(heat, self.region_map).reshape(rr, rc)
+        idle_regions = np.zeros((rr, rc))
+        for vid in view.idle_ids:
+            idle_regions[self._region_cell(view.vehicle_cells[vid])] += 1
+
+        x = np.zeros((rr, rc, horizon + 1))
+        for vid, cell, minutes in view.supply_events:
+            h = int(np.ceil(minutes))
+            if h <= horizon:
+                x[self._region_cell(cell) + (h,)] += 1
+
+        eta_cells = None
+        supply3 = None
+        canvas = None
+        sd, cd, sh, ch = periodic_features(view.clock)
+        eps = cfg.schedules.epsilon(self.step) if cfg.train else 0.0
+        alpha = cfg.schedules.alpha(self.step) if cfg.train else 1.0
+
+        orders = []
+        for vid in sorted(view.idle_ids):
+            if not self._eligible(vid, view.t, float(view.last_dropoff[vid])):
+                continue
+            if cfg.train and self.rng.random() >= alpha:
+                continue
+
+            region = self._region_cell(view.vehicle_cells[vid])
+            if supply3 is None:
+                supply3 = np.stack([
+                    x[..., :1].sum(axis=-1),
+                    x[..., :16].sum(axis=-1),
+                    x[..., :horizon + 1].sum(axis=-1),
+                ])
+            ctx = VehicleContext(demand=demand_regions, supply=supply3,
+                                 idle=idle_regions, region=region,
+                                 sin_dow=sd, cos_dow=cd, sin_hour=sh, cos_hour=ch)
+            legal = legal_action_mask(region, (rr, rc))
+            action = explore_action(legal, eps, self.rng) if cfg.train else None
+            if action is None:
+                if canvas is None:
+                    canvas = CanvasReference(demand_regions, supply3, idle_regions)
+                elif canvas.supply is not supply3:
+                    canvas.set_supply(supply3)
+                qin = QInput(canvas.main(region), aux_planes_reference(ctx))
+                action = greedy_action(self.net.q_map(qin, legal))
+
+            tau_steps = 0
+            if action != STAY_CELL:
+                dr, dc = action_offset(action)
+                dest_region = (region[0] + dr, region[1] + dc)
+                if eta_cells is None:
+                    eta_cells = mismatch(view.idle_cell_counts, view.trailing_heat)
+                dest_cell = None
+                best = -np.inf
+                rid = dest_region[0] * rc + dest_region[1]
+                for cell in self._zone_cells.get(rid, ()):
+                    if eta_cells[cell] > best:
+                        best = eta_cells[cell]
+                        dest_cell = cell
+                minutes = view.eta_minutes(view.vehicle_cells[vid], dest_cell)
+                tau_steps = max(1, int(np.ceil(minutes)))
+                orders.append(DispatchOrder(vid, dest_cell))
+                x[region + (0,)] -= 1
+                x[dest_region + (min(tau_steps, horizon),)] += 1
+                supply3 = None
+
+            if cfg.train:
+                prev = self.pending.get(vid)
+                if prev is not None:
+                    reward = reward_dqn(
+                        float(view.pickups[vid]) - prev.pickups,
+                        float(view.dispatch_minutes[vid]) - prev.dispatch_minutes,
+                        cfg.reject_weight,
+                    )
+                    self.buffer.push(Transition(prev.ctx, prev.action, reward,
+                                                ctx, tau_steps))
+                self.pending[vid] = _Pending(ctx, action,
+                                             float(view.pickups[vid]),
+                                             float(view.dispatch_minutes[vid]))
+            self.last_decision[vid] = view.t
+        return orders
+
 
 
 def synth_city_reference(cfg, seed: int, days: int):

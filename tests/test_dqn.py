@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
-from oracles import aux_planes_reference, crop_pad_center, q_main_planes_51
+from oracles import (aux_planes_reference, avg_pool_reference, crop_pad_center,
+                     pooled_reference, q_main_planes_51)
 
 from fleetsim import neural
 from fleetsim.dqn import (
     ACTION_RADIUS,
     ACTION_SIZE,
+    POOL_SIZES,
+    FeatureCanvas,
     Q_SPEC,
     QInput,
     QNetwork,
@@ -24,7 +27,8 @@ from fleetsim.dqn import (
     sync_target,
     train_step,
 )
-from fleetsim.dqn import _STATIC_AUX, _aux_planes, _clock_aux, _set_region_aux
+from fleetsim.dqn import (_REGION_PLANES, _STATIC_AUX, _aux_planes, _clock_aux, _pooled,
+                          _region_aux)
 
 
 def make_ctx(region=(5, 5), shape=(10, 10), rng=None, minute=0.0):
@@ -141,6 +145,60 @@ class TestFeaturePlanes:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             QInput(np.zeros((23, 23, 14)), np.zeros((15, 15, 11)))
+
+
+def random_maps(rng, n, shape):
+    """Integer counts or, half the time, non-integer maps with a few -0.0 cells."""
+    if rng.random() < 0.5:
+        return rng.integers(0, 6, size=(n,) + shape).astype(float)
+    maps = rng.uniform(-1.0, 4.0, size=(n,) + shape) * rng.random()
+    maps[rng.random(maps.shape) < 0.1] = -0.0
+    return maps
+
+
+def canvas_pad(shape):
+    return max(11, -(-(30 - min(shape)) // 2))
+
+
+class TestPooling:
+    """The shared-integral-image pools against pooling one size per call."""
+
+    def test_pooled_equals_reference_bytes(self):
+        rng = np.random.default_rng(31)
+        shapes = [(1, 1), (10, 10), (4, 7), (26, 26), (27, 40), (45, 3)]
+        shapes += [(int(rng.integers(1, 50)), int(rng.integers(1, 50))) for _ in range(30)]
+        for shape in shapes:
+            for n in (3, 5):
+                maps = random_maps(rng, n, shape)
+                pad = canvas_pad(shape)
+                padded = (shape[0] + 2 * pad, shape[1] + 2 * pad)
+                bounds = [neural.pool_bounds(*padded, k) for k in POOL_SIZES]
+                got = _pooled(maps, pad, bounds)
+                want = pooled_reference(maps, pad)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_avg_pool_equals_reference_bytes(self):
+        rng = np.random.default_rng(32)
+        for _ in range(40):
+            k = int(rng.integers(1, 9))
+            shape = (int(rng.integers(1, 3)), int(rng.integers(k, 40)), int(rng.integers(k, 40)))
+            x = random_maps(rng, shape[0], shape[1:])
+            assert neural.avg_pool(x, k).tobytes() == avg_pool_reference(x, k).tobytes()
+
+    def test_set_supply_equals_a_fresh_canvas(self):
+        rng = np.random.default_rng(34)
+        for shape in [(1, 1), (10, 10), (4, 7), (33, 27)]:
+            demand, idle = random_maps(rng, 1, shape)[0], random_maps(rng, 1, shape)[0]
+            canvas = FeatureCanvas(demand, random_maps(rng, 3, shape), idle)
+            for _ in range(3):
+                supply = random_maps(rng, 3, shape)
+                canvas.set_supply(supply)
+                fresh = FeatureCanvas(demand, supply, idle)
+                assert canvas.supply is supply
+                assert canvas.planes.tobytes() == fresh.planes.tobytes()
+                region = (int(rng.integers(shape[0])), int(rng.integers(shape[1])))
+                assert canvas.main(region).tobytes() == fresh.main(region).tobytes()
 
 
 class TestQNetwork:
@@ -324,6 +382,13 @@ def crafted_qnet(base: float, dist_coef: float) -> QNetwork:
     return net
 
 
+def sample_qnet(kind: str, seed: int = 21) -> QNetwork:
+    """A ``"move"`` (farthest legal region), ``"stay"`` or ``"random"`` Q-network."""
+    if kind == "random":
+        return QNetwork.create(np.random.default_rng(seed))
+    return crafted_qnet(base=0.0, dist_coef={"move": 5.0, "stay": -5.0}[kind])
+
+
 def interior_ctx():
     """Vehicle centered in a 15x15 region grid: every action is legal."""
     shape = (15, 15)
@@ -479,17 +544,18 @@ class TestAuxPlanes:
                     assert np.array_equal(_aux_planes(ctx), aux_planes_reference(ctx))
 
     def test_dispatch_buffer_matches_reference_on_every_region(self):
-        # DqnPolicy.dispatch fills the clock planes once and rewrites the
-        # region planes of one buffer per decision: no plane may go stale
+        # DqnPolicy.dispatch fills the clock planes once and writes the
+        # region planes into one buffer per decision: no plane may go stale
         for shape in self.SHAPES:
             ctx0 = make_ctx(shape=shape, region=(0, 0), minute=2345.0)
             aux = _clock_aux(ctx0.sin_dow, ctx0.cos_dow, ctx0.sin_hour, ctx0.cos_hour)
             regions = [(r, c) for r in range(shape[0]) for c in range(shape[1])]
             for region in regions + regions[::-1]:
-                legal = legal_action_mask(region, shape)
-                got = _set_region_aux(aux, region, shape, legal)
+                legal, planes = _region_aux(region, shape)
+                aux[..., _REGION_PLANES] = planes
                 ctx = make_ctx(region=region, shape=shape, minute=2345.0)
-                assert np.array_equal(got, aux_planes_reference(ctx))
+                assert np.array_equal(aux, aux_planes_reference(ctx))
+                assert np.array_equal(legal, legal_action_mask(region, shape))
 
     def test_static_planes_are_read_only(self):
         with pytest.raises(ValueError):

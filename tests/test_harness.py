@@ -63,6 +63,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(text="seed = 1\n", overrides={key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("region_block", "0"), ("region_block", "-2"), ("zone_block", "0"),
+        ("fine_rows", "0"), ("fine_cols", "-1"),
+        ("cell_size_m", "0"), ("cell_size_m", "-5"), ("cell_size_m", "inf"),
+        ("cell_size_m", "nan"),
+        ("match_radius_m", "-1"), ("match_radius_m", "inf"), ("match_radius_m", "nan"),
+    ])
+    def test_bad_geometry_and_radius_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text="seed = 1\n", overrides={key: value})
+
+    @pytest.mark.parametrize("key", ["dqn_sync_period", "dqn_batch", "dqn_buffer"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_dqn_training_sizes_below_one_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text="seed = 1\n", overrides={key: value})
+
+    def test_zero_match_radius_and_unit_sizes_accepted(self):
+        cfg = parse_config(text="seed = 1\nmatch_radius_m = 0\nregion_block = 1\n"
+                                "zone_block = 1\ndqn_sync_period = 1\ndqn_batch = 1\n"
+                                "dqn_buffer = 1\n")
+        assert cfg.match_radius_m == 0.0 and cfg.region_block == cfg.zone_block == 1
+
     def test_zero_trip_rate_and_noise_accepted(self):
         cfg = parse_config(text="seed = 1\ntrips_per_day = 0\nsynth_noise = 0\n")
         assert cfg.trips_per_day == 0.0 and cfg.synth_noise == 0.0
@@ -299,6 +322,13 @@ class TestCli:
         proc = self.run_cli("--config", str(cfg_file), "synth-data")
         assert proc.returncode == 1, proc.stderr
         assert "synth_speed_kmh" in proc.stderr
+        assert not (tmp_path / "city").exists()
+
+    def test_zero_region_block_is_config_error(self, tmp_path):
+        proc = self.run_cli("--set", "seed=1", "--set", f"data_dir={tmp_path / 'city'}",
+                            "--set", "region_block=0", "synth-data")
+        assert proc.returncode == 1, proc.stderr
+        assert "region_block" in proc.stderr
         assert not (tmp_path / "city").exists()
 
     def test_synth_data_files_independent_of_hash_seed(self, tmp_path):

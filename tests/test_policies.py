@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import DqnPolicyReference
 
 from fleetsim.clock import Clock
 from fleetsim.dqn import (
@@ -15,7 +16,7 @@ from fleetsim.dqn import (
 from fleetsim.geo import GridSpec, Location, RegionMap, block_region_map
 from fleetsim.rhc import DestDistribution, RhcPolicy, TripTimeTable
 from fleetsim.sim import SimView
-from test_dqn import crafted_qnet
+from test_dqn import crafted_qnet, sample_qnet
 
 
 GRID = GridSpec(rows=10, cols=10, cell_size=500.0, origin=Location(40.0, -74.0))
@@ -186,6 +187,130 @@ class TestDqnPolicy:
     def test_dqn_star_cycle(self):
         policy = self.make_policy(cycle=15)
         assert policy.cycle == 15
+
+
+def random_views(seed: int, grid: GridSpec, n_vehicles: int = 24, n_views: int = 24):
+    """A sequence of random views of one fleet on ``grid``.
+
+    Idle vehicles stand on random cells and the others become idle at a
+    random cell in 0, a whole number of, a fractional number of, or more
+    than 30 minutes.  The pickup and cruise counters only grow, some
+    vehicles drop off after their last decision, and the times mix
+    throttled and re-admitted decisions.
+    """
+    rng = np.random.default_rng(seed)
+    pickups = np.zeros(n_vehicles)
+    cruise = np.zeros(n_vehicles)
+
+    def cell():
+        return (int(rng.integers(grid.rows)), int(rng.integers(grid.cols)))
+
+    def eta_minutes(a, b):
+        return 0.4 + 0.9 * (abs(a[0] - b[0]) + abs(a[1] - b[1]))
+
+    views = []
+    for t in 100.0 + np.cumsum(rng.choice([0, 1, 3, 14, 15, 16], n_views)).astype(float):
+        t = float(t)
+        idle_ids = sorted(rng.choice(n_vehicles, size=int(rng.integers(0, n_vehicles + 1)),
+                                     replace=False).tolist())
+        cells = {vid: cell() for vid in range(n_vehicles)}
+        counts = np.zeros(grid.shape)
+        events = []
+        for vid in range(n_vehicles):
+            if vid in idle_ids:
+                counts[cells[vid]] += 1
+                events.append((vid, cells[vid], 0.0))
+            else:
+                minutes = [0.0, float(rng.integers(1, 31)), float(rng.uniform(0, 30)),
+                           float(rng.uniform(30, 60))][int(rng.integers(4))]
+                events.append((vid, cell(), minutes))
+        pickups += rng.integers(0, 2, n_vehicles)
+        cruise += rng.integers(0, 3, n_vehicles)
+        last_dropoff = np.where(rng.random(n_vehicles) < 0.3,
+                                t - rng.uniform(0, 20, n_vehicles), -np.inf)
+        heat = rng.poisson(1.0, grid.shape).astype(float)
+        views.append(SimView(
+            t=t, clock=Clock(t), grid=grid, idle_ids=idle_ids, vehicle_cells=cells,
+            idle_cell_counts=counts, trailing_heat=heat,
+            heat_prev1=rng.poisson(0.5, grid.shape).astype(float),
+            heat_prev2=np.zeros(grid.shape), supply_events=events,
+            pickups=pickups.copy(), dispatch_minutes=cruise.copy(),
+            last_dropoff=last_dropoff, eta_minutes=eta_minutes))
+    return views
+
+
+class RecordingNet:
+    """A Q-network wrapper that keeps a copy of every input it is given."""
+
+    def __init__(self, net):
+        self.net = net
+        self.inputs = []
+
+    def q_map(self, qin, legal=None):
+        self.inputs.append((qin.main.copy(), qin.aux.copy(), legal.copy()))
+        return self.net.q_map(qin, legal)
+
+
+def context_key(ctx):
+    return (ctx.demand.shape, ctx.demand.tobytes(), ctx.supply.shape, ctx.supply.tobytes(),
+            ctx.idle.shape, ctx.idle.tobytes(), ctx.region,
+            ctx.sin_dow, ctx.cos_dow, ctx.sin_hour, ctx.cos_hour)
+
+
+def array_key(arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestDqnMatchesReference:
+    """:class:`DqnPolicy` against the per-vehicle, per-event dispatch it replaced."""
+
+    @pytest.mark.parametrize("regions, block", [((10, 10), (2, 2)), ((4, 7), (3, 2)),
+                                                ((1, 1), (3, 3))])
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("net", ["move", "stay", "random"])
+    def test_same_orders_decisions_and_transitions(self, regions, block, train, net):
+        grid = GridSpec(rows=regions[0] * block[0], cols=regions[1] * block[1],
+                        cell_size=500.0, origin=Location(40.0, -74.0))
+        region_map = block_region_map(grid, *block)
+        qnet = sample_qnet(net)
+        config = DqnConfig(train=train, seed=7, schedules=Schedules(
+            eps_start=0.3, eps_end=0.3, eps_ramp=1,
+            alpha_start=0.7, alpha_end=0.7, alpha_ramp=1))
+
+        def predictor(view):
+            return 0.37 * view.trailing_heat + view.heat_prev1
+
+        policies = [cls(qnet, region_map, regions, predictor, config)
+                    for cls in (DqnPolicy, DqnPolicyReference)]
+        for policy in policies:
+            policy.net = RecordingNet(qnet)
+        n_orders = 0
+        for view in random_views(sum(regions), grid):
+            orders = [p.dispatch(view) for p in policies]
+            assert orders[0] == orders[1]
+            n_orders += len(orders[0])
+        new, ref = policies
+        assert new.last_decision == ref.last_decision
+        assert new.rng.bit_generator.state == ref.rng.bit_generator.state
+        assert len(new.net.inputs) == len(ref.net.inputs)
+        for got, want in zip(new.net.inputs, ref.net.inputs):
+            assert array_key(got) == array_key(want)
+        if regions != (1, 1) and (net == "move" or train):
+            assert n_orders > 0
+        if not train:
+            return
+        assert new.pending.keys() == ref.pending.keys()
+        for vid, pending in new.pending.items():
+            other = ref.pending[vid]
+            assert context_key(pending.ctx) == context_key(other.ctx)
+            assert (pending.action, pending.pickups, pending.dispatch_minutes) == (
+                other.action, other.pickups, other.dispatch_minutes)
+        assert len(new.buffer) == len(ref.buffer) > 0
+        for got, want in zip(new.buffer._items, ref.buffer._items):
+            assert context_key(got.ctx) == context_key(want.ctx)
+            assert context_key(got.next_ctx) == context_key(want.next_ctx)
+            assert (got.action, got.reward, got.tau_steps) == (
+                want.action, want.reward, want.tau_steps)
 
 
 class TestRhcPolicyOrchestration:

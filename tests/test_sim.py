@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ReferenceSimulation
+from oracles import DqnPolicyReference, ReferenceSimulation
+from test_dqn import sample_qnet
 
 from fleetsim.clock import Clock
-from fleetsim.geo import GridSpec, Location, OutOfBoundsError, center_of, haversine
+from fleetsim.dqn import DqnConfig, DqnPolicy, Schedules
+from fleetsim.geo import (GridSpec, Location, OutOfBoundsError, block_region_map, center_of,
+                          haversine)
 from fleetsim.roadgraph import build_graph
 from fleetsim.sim import (
     DISPATCHING,
@@ -474,7 +477,7 @@ def small_city(seed: int, rows: int, cols: int, n_vehicles: int, n_requests: int
 
 def fleet_state(sim):
     return [(v.vid, v.status, v.loc, v.dest, v.arrival_time, v.depart_time, v.path,
-             None if v.path_cumlen is None else v.path_cumlen.tolist(),
+             None if v.path_cumlen is None else list(v.path_cumlen),
              v.ride_trip_minutes, v.ride_dropoff, v.ride_id, v.last_dropoff_time,
              v.last_ride_time, v.ordered_since_dropoff, v.pickups, v.dispatch_minutes)
             for v in sim.fleet]
@@ -562,3 +565,48 @@ class TestInvariants:
         rerun, rerun_states, _ = run_city(Simulation, *args, minutes=40)
         assert rerun_states == states
         assert rerun.event_log == sim.event_log
+
+
+def dqn_city_simulation(sim_cls, policy_cls, seed, rows, cols, n_vehicles, n_requests,
+                        net, train):
+    """A simulation of :func:`small_city` dispatched every minute by a deep-Q policy.
+
+    Each fine cell is its own region; ``net`` names a :func:`sample_qnet`.
+    """
+    grid, graph, requests = small_city(seed, rows, cols, n_vehicles, n_requests)
+    qnet = sample_qnet(net, seed)
+    config = DqnConfig(train=train, seed=seed, schedules=Schedules(
+        eps_start=0.3, eps_end=0.3, eps_ramp=1, alpha_start=0.7, alpha_end=0.7, alpha_ramp=1))
+    policy = policy_cls(qnet, block_region_map(grid, 1, 1), grid.shape,
+                        lambda view: view.trailing_heat, config)
+    return sim_cls(grid, graph, FeatureEta(), requests, n_vehicles, policy=policy,
+                   clock0=Clock(400.0), warmup=0, event_log=[])
+
+
+class TestDqnInvariants:
+    @settings(max_examples=15)
+    @given(seed=st.integers(0, 2**16), rows=st.integers(2, 6), cols=st.integers(2, 6),
+           n_vehicles=st.integers(1, 8), n_requests=st.integers(0, 40),
+           net=st.sampled_from(["move", "stay", "random"]), train=st.booleans())
+    def test_every_minute(self, seed, rows, cols, n_vehicles, n_requests, net, train):
+        args = (seed, rows, cols, n_vehicles, n_requests, net, train)
+        runs = []
+        for sim_cls, policy_cls in ((Simulation, DqnPolicy), (Simulation, DqnPolicy),
+                                    (ReferenceSimulation, DqnPolicyReference)):
+            sim = dqn_city_simulation(sim_cls, policy_cls, *args)
+            minutes = [r.minute for r in sim.requests]
+            states = []
+            for _ in range(40):
+                t_before = sim.t
+                sim.step_minute()
+                m = sim.metrics
+                assert m.accepted + m.rejects == m.total_requests
+                assert m.total_requests == sum(1 for x in minutes if x < t_before + 1.0)
+                assert [v.vid for v in sim.fleet] == list(range(n_vehicles))
+                assert all(v.status in (IDLE, DISPATCHING, TO_PICKUP, OCCUPIED)
+                           for v in sim.fleet)
+                states.append((fleet_state(sim), metrics_state(m)))
+            runs.append((sim.event_log, states))
+        # a rerun is bit-identical, and so is the per-vehicle reference pipeline
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
