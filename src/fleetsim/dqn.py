@@ -7,7 +7,9 @@ vehicle-centred window of the region-level demand, supply and idle maps
 and of their 15- and 30-cell mean pools, plus auxiliary clock and
 geometry planes.  Training is double Q-learning over an experience
 replay of per-vehicle transitions, with a trip-time-aware discount
-exponent and a periodically synced target network.
+exponent and a periodically synced target network.  A training step
+values each next state as dispatch does a decision: the online network's
+``q_map`` over the vehicle's legal moves picks the greedy action.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import neural
-from .clock import Clock, periodic_features
+from .clock import periodic_features
 from .geo import aggregate_to_regions, region_cells
 from .neural import Concat, Conv2D
 from .rhc import mismatch
@@ -31,6 +33,7 @@ MAIN_SIZE = 23            # spatial side of the main input branch
 MAIN_PLANES = 15          # (raw, 15-pool, 30-pool) x 5 sources
 AUX_PLANES = 11
 POOL_SIZES = (15, 30)     # mean-pool sides of the main branch
+SUPPLY_HORIZONS = (0, 15, 30)  # minutes ahead counted by the three supply maps
 
 Q_SPEC = (
     Conv2D(MAIN_PLANES, 16, 5, 5, "relu", "valid"),
@@ -46,9 +49,6 @@ _DIAGONAL_REACH = ACTION_RADIUS * math.sqrt(2.0)
 # side of one output cell's receptive field in the main input
 # (valid 5x5 + 3x3 + 3x3 convolutions; the 1x1 layers do not widen it)
 _FIELD = 9
-
-# full-size inputs per network call in QNetwork.q_map_batch
-_MAP_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,9 @@ def build_feature_planes(ctx: VehicleContext) -> QInput:
     coordinates, normalized move distance, and the legality plane.
     """
     canvas = FeatureCanvas(ctx.demand, ctx.supply, ctx.idle)
-    return QInput(canvas.main(ctx.region), _aux_planes(ctx))
+    aux = _clock_aux(ctx.sin_dow, ctx.cos_dow, ctx.sin_hour, ctx.cos_hour)
+    aux[..., _REGION_PLANES] = _region_aux(ctx.region, ctx.demand.shape)[1]
+    return QInput(canvas.main(ctx.region), aux)
 
 
 def _static_aux() -> np.ndarray:
@@ -219,12 +221,6 @@ def _region_aux(region: tuple[int, int], grid_shape: tuple[int, int]
     return legal, planes
 
 
-def _aux_planes(ctx: VehicleContext) -> np.ndarray:
-    aux = _clock_aux(ctx.sin_dow, ctx.cos_dow, ctx.sin_hour, ctx.cos_hour)
-    aux[..., _REGION_PLANES] = _region_aux(ctx.region, ctx.demand.shape)[1]
-    return aux
-
-
 class QNetwork:
     """The fixed two-branch convolutional value network."""
 
@@ -265,23 +261,6 @@ class QNetwork:
             qin.main[r0:r1 + _FIELD - 1, c0:c1 + _FIELD - 1],
             aux=qin.aux[r0:r1, c0:c1])[..., 0]
         return masked_q(qmap, legal)
-
-    def q_map_batch(self, mains: np.ndarray, auxs: np.ndarray) -> np.ndarray:
-        """Q-maps of a batch; full-size inputs go ``_MAP_CHUNK`` at a time.
-
-        In one call, a minibatch of 64 full 23x23 inputs builds a 69 MB
-        first-layer patch matrix and 20-30 MB ones after it.  How much of
-        such transients the allocator kept after a train step varied from
-        run to run, and with it the peak RSS of training by 30 MB.  In
-        chunks the largest patch matrix is 9 MB, and the maps are the same
-        bit for bit.  Receptive-field crops (9x9 main inputs) are small
-        and go in one call: split, their last bits would change.
-        """
-        if mains.shape[1] <= _FIELD:
-            return self.net.forward(mains, aux=auxs)[..., 0]
-        return np.concatenate([self.net.forward(mains[i:i + _MAP_CHUNK],
-                                                aux=auxs[i:i + _MAP_CHUNK])[..., 0]
-                               for i in range(0, len(mains), _MAP_CHUNK)])
 
     def save(self, path, optimizer: neural.RmsProp | None = None,
              extra: dict | None = None) -> None:
@@ -404,28 +383,11 @@ class Schedules:
         return self.alpha_start + (self.alpha_end - self.alpha_start) * frac
 
 
-def assemble_batch(contexts: list[VehicleContext]) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`build_feature_planes` stacked: (n, 23, 23, 15) mains, (n, 15, 15, 11) auxs."""
-    qins = [build_feature_planes(ctx) for ctx in contexts]
-    return np.stack([q.main for q in qins]), np.stack([q.aux for q in qins])
-
-
-def _crop_at_cells(mains: np.ndarray, auxs: np.ndarray, rows: np.ndarray,
-                   cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample receptive-field crops so only one output cell is computed.
-
-    The network is fully convolutional, so evaluating it on the 9x9 main
-    window and 1x1 aux window of an action cell reproduces exactly that
-    cell of the full 15x15 map.
-    """
-    n = mains.shape[0]
-    main_c = np.empty((n, _FIELD, _FIELD, MAIN_PLANES))
-    aux_c = np.empty((n, 1, 1, AUX_PLANES))
-    for i in range(n):
-        r, c = rows[i], cols[i]
-        main_c[i] = mains[i, r:r + _FIELD, c:c + _FIELD, :]
-        aux_c[i] = auxs[i, r:r + 1, c:c + 1, :]
-    return main_c, aux_c
+def _fields(qins: list[QInput], cells: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked 9x9 main and 1x1 aux inputs that each ``cells`` action's Q-value reads."""
+    mains = np.stack([q.main[r:r + _FIELD, c:c + _FIELD] for q, (r, c) in zip(qins, cells)])
+    auxs = np.stack([q.aux[r:r + 1, c:c + 1] for q, (r, c) in zip(qins, cells)])
+    return mains, auxs
 
 
 def train_step(online: QNetwork, target: QNetwork, buffer: ReplayBuffer,
@@ -433,36 +395,34 @@ def train_step(online: QNetwork, target: QNetwork, buffer: ReplayBuffer,
                batch_size: int = 64) -> tuple[float, float] | None:
     """One double-Q minibatch update; returns (loss, mean max-Q) or None.
 
-    The online network picks the argmax action at the next state, the
-    target network values it, and the future term is discounted by
-    ``gamma ** (1 + tau)`` where tau is the next decision's dispatch
-    trip time in steps.  Only the taken action's output receives
-    gradient, so the forward/backward passes for the current state and
-    the target valuation run on receptive-field crops.  A buffer below
-    one minibatch is a signalled no-op.
+    Each next state is valued as :meth:`DqnPolicy.dispatch` values a
+    decision: :func:`build_feature_planes`, then the online network's
+    ``q_map`` over the vehicle's legal moves and :func:`greedy_action`.
+    The target network values that action, and the future term is
+    discounted by ``gamma ** (1 + tau)`` where tau is the next decision's
+    dispatch trip time in steps.  The fully convolutional network reads
+    only a 9x9 main and 1x1 aux field for one action's Q-value, so the
+    target valuation and the forward/backward pass at the taken action
+    each run on the minibatch's stacked fields in one call.  A buffer
+    below one minibatch is a signalled no-op.
     """
     if len(buffer) < batch_size:
         return None
     batch = buffer.sample(rng, batch_size)
 
-    next_mains, next_auxs = assemble_batch([t.next_ctx for t in batch])
-    q_next_online = online.q_map_batch(next_mains, next_auxs)
-    legal = next_auxs[..., 10] > 0.5
-    q_next_online = np.where(legal, q_next_online, -np.inf)
-    flat_argmax = q_next_online.reshape(batch_size, -1).argmax(axis=1)
-    amax_r = flat_argmax // ACTION_SIZE
-    amax_c = flat_argmax % ACTION_SIZE
-    tgt_main, tgt_aux = _crop_at_cells(next_mains, next_auxs, amax_r, amax_c)
-    future = target.q_map_batch(tgt_main, tgt_aux).reshape(batch_size)
+    next_qins = [build_feature_planes(t.next_ctx) for t in batch]
+    qmaps = [online.q_map(qin, legal_action_mask(t.next_ctx.region, t.next_ctx.demand.shape))
+             for qin, t in zip(next_qins, batch)]
+    cells = [greedy_action(qmap) for qmap in qmaps]
+    tgt_main, tgt_aux = _fields(next_qins, cells)
+    future = target.net.forward(tgt_main, aux=tgt_aux).reshape(batch_size)
 
     taus = np.array([t.tau_steps for t in batch], dtype=np.float64)
     rewards = np.array([t.reward for t in batch])
     targets = rewards + gamma ** (1.0 + taus) * future
 
-    mains, auxs = assemble_batch([t.ctx for t in batch])
-    rows = np.array([t.action[0] for t in batch])
-    cols = np.array([t.action[1] for t in batch])
-    cur_main, cur_aux = _crop_at_cells(mains, auxs, rows, cols)
+    cur_main, cur_aux = _fields([build_feature_planes(t.ctx) for t in batch],
+                                [t.action for t in batch])
     out, caches = neural.forward_cached(Q_SPEC, online.net.params, cur_main, cur_aux)
     picked = out.reshape(batch_size)
     err = picked - targets
@@ -472,7 +432,7 @@ def train_step(online: QNetwork, target: QNetwork, buffer: ReplayBuffer,
     grads = neural.backward_from_grad(Q_SPEC, online.net.params, caches, d_out)
     opt.step(online.net.params, grads)
 
-    mean_max_q = float(q_next_online.reshape(batch_size, -1).max(axis=1).mean())
+    mean_max_q = float(np.mean([qmap[cell] for qmap, cell in zip(qmaps, cells)]))
     return loss, mean_max_q
 
 
@@ -502,7 +462,6 @@ class DqnConfig:
     reject_weight: float = 10.0
     discount: float = 0.98          # per one-minute simulation step
     decision_interval: float = 15.0 # minimum minutes between a vehicle's decisions
-    supply_horizon: int = 30
     cycle: int = 1                  # policy invocation period; 15 mimics the slot cycle
     train: bool = False
     seed: int = 0
@@ -589,7 +548,7 @@ class DqnPolicy:
         """
         cfg = self.config
         rr, rc = self.region_shape
-        horizon = cfg.supply_horizon
+        horizon = SUPPLY_HORIZONS[-1]
 
         heat = self.demand_predictor(view)
         demand_regions = aggregate_to_regions(heat, self.region_map).reshape(rr, rc)
@@ -623,11 +582,7 @@ class DqnPolicy:
 
             region = region_of[vid]
             if supply3 is None:
-                supply3 = np.stack([
-                    x[..., :1].sum(axis=-1),
-                    x[..., :16].sum(axis=-1),
-                    x[..., :horizon + 1].sum(axis=-1),
-                ])
+                supply3 = np.stack([x[..., :h + 1].sum(axis=-1) for h in SUPPLY_HORIZONS])
             legal, region_aux = self._region_inputs(region)
             action = explore_action(legal, eps, self.rng) if cfg.train else None
             if action is None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from datetime import date
 
 POLICIES = ("none", "rhc", "dqn", "dqn_star")
 
@@ -27,7 +28,6 @@ class ExperimentConfig:
     days: int = 3
     warmup_minutes: int = 30
     day_start_hour: int = 4
-    epoch_dow: int = 0              # weekday of simulation minute zero (0 = Monday)
     epoch_date: str = "2016-05-02"  # calendar date of minute zero (a Monday)
     match_radius_m: float = 5000.0
     idle_window_minutes: float = 15.0
@@ -72,7 +72,17 @@ class ExperimentConfig:
     dqn_buffer: int = 10000
     dqn_batch: int = 64
 
+    @property
+    def epoch_dow(self) -> int:
+        """Weekday of simulation minute zero (0 = Monday), from ``epoch_date``."""
+        return date.fromisoformat(self.epoch_date).weekday()
+
     def validate(self) -> "ExperimentConfig":
+        try:
+            date.fromisoformat(self.epoch_date)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"epoch_date must be an ISO calendar date, "
+                              f"got {self.epoch_date!r}") from exc
         if self.policy not in POLICIES:
             raise ConfigError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if self.vehicles < 1 or self.days < 1:

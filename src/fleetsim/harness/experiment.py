@@ -25,7 +25,7 @@ from ..clock import Clock
 from ..geo import (GridSpec, Location, RegionMap, RegionMapError, block_region_map,
                    cell_arrays)
 from ..roadgraph import load_edge_list
-from ..sim import RideRequest, Simulation
+from ..sim import EpisodeMetrics, RideRequest, Simulation, finalize_metrics
 from .config import ConfigError, ExperimentConfig
 from .ingest import ingest_trips
 from .synth import SynthCity, synth_city, write_city
@@ -89,9 +89,10 @@ def load_city(cfg: ExperimentConfig, data_dir=None) -> City:
 def eta_training_arrays(requests: list[RideRequest], cfg: ExperimentConfig):
     feats = np.empty((len(requests), eta_mod.FEATURE_COUNT))
     target = np.empty(len(requests))
+    epoch_dow = cfg.epoch_dow
     for i, r in enumerate(requests):
         feats[i] = eta_mod.eta_feature_row(r.pickup, r.dropoff,
-                                           Clock(r.minute, cfg.epoch_dow), r.distance_km)
+                                           Clock(r.minute, epoch_dow), r.distance_km)
         target[i] = r.trip_minutes
     return feats, target
 
@@ -352,9 +353,25 @@ def run_episode(cfg: ExperimentConfig, city: City, bundle: ModelBundle,
                      match_radius_m=cfg.match_radius_m,
                      idle_window=cfg.idle_window_minutes)
     metrics = sim.run(1440)
-    from ..sim import finalize_metrics
-
     return metrics, finalize_metrics(metrics)
+
+
+def sum_metrics(days: list[EpisodeMetrics]) -> EpisodeMetrics:
+    """The accumulators of day episodes added in day order; hourly buckets by hour."""
+    total = EpisodeMetrics(n_vehicles=days[0].n_vehicles)
+    for m in days:
+        total.total_requests += m.total_requests
+        total.rejects += m.rejects
+        total.accepted += m.accepted
+        total.wait_sum += m.wait_sum
+        total.cruise_sum += m.cruise_sum
+        total.elapsed_minutes += m.elapsed_minutes
+        total.occupied_minutes += m.occupied_minutes
+        for hour, bucket in m.hourly.items():
+            acc = total.hour_bucket(hour)
+            for key, value in bucket.items():
+                acc[key] += value
+    return total
 
 
 def _fmt(value) -> str:
@@ -410,46 +427,14 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
             raise ConfigError("no trained Q-network found; run train-dqn first")
         qnet, _, _ = dqn_mod.QNetwork.load(qnet_path)
 
-    day_reports = []
-    rows = []
-    agg_requests = agg_rejects = agg_accepted = 0
-    agg_wait = agg_cruise = 0.0
-    agg_occupied = np.zeros(cfg.vehicles)
-    agg_elapsed = 0
+    day_metrics, day_reports, rows = [], [], []
     for day in range(cfg.days):
         metrics, report = run_episode(cfg, city, bundle, cfg.policy, day, qnet)
+        day_metrics.append(metrics)
         day_reports.append(report)
-        rows.append({
-            "policy": cfg.policy, "seed": cfg.seed, "day": day,
-            "total_requests": report["total_requests"],
-            "rejects": report["rejects"],
-            "reject_rate": report["reject_rate"],
-            "accepted": report["accepted"],
-            "mean_wait_minutes": report["mean_wait_minutes"],
-            "idle_cruise_per_accepted": report["idle_cruise_per_accepted"],
-            "utilization_mean": report["utilization_mean"],
-            "utilization_min": report["utilization_min"],
-        })
-        agg_requests += report["total_requests"]
-        agg_rejects += report["rejects"]
-        agg_accepted += report["accepted"]
-        agg_wait += metrics.wait_sum
-        agg_cruise += metrics.cruise_sum
-        agg_occupied += metrics.occupied_minutes
-        agg_elapsed += metrics.elapsed_minutes
-
-    util = agg_occupied / agg_elapsed if agg_elapsed else None
-    aggregate = {
-        "policy": cfg.policy, "seed": cfg.seed, "day": "all",
-        "total_requests": agg_requests,
-        "rejects": agg_rejects,
-        "reject_rate": (agg_rejects / agg_requests) if agg_requests else None,
-        "accepted": agg_accepted,
-        "mean_wait_minutes": (agg_wait / agg_accepted) if agg_accepted else None,
-        "idle_cruise_per_accepted": (agg_cruise / agg_accepted) if agg_accepted else None,
-        "utilization_mean": float(util.mean()) if util is not None else None,
-        "utilization_min": float(util.min()) if util is not None else None,
-    }
+        rows.append({"policy": cfg.policy, "seed": cfg.seed, "day": day, **report})
+    aggregate = {"policy": cfg.policy, "seed": cfg.seed, "day": "all",
+                 **finalize_metrics(sum_metrics(day_metrics))}
     rows.append(aggregate)
 
     summary_path = out / f"summary_{cfg.policy}_{cfg.seed}.csv"

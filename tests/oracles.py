@@ -12,9 +12,11 @@ from itertools import combinations
 import numpy as np
 
 from fleetsim.clock import periodic_features
-from fleetsim.dqn import (STAY_CELL, DqnPolicy, QInput, Transition, VehicleContext, _Pending,
-                          action_offset, explore_action, greedy_action, legal_action_mask,
-                          reward_dqn)
+from fleetsim import neural
+from fleetsim.dqn import (ACTION_SIZE, AUX_PLANES, MAIN_PLANES, Q_SPEC, STAY_CELL,
+                          SUPPLY_HORIZONS, DqnPolicy, QInput, Transition, VehicleContext,
+                          _Pending, action_offset, build_feature_planes, explore_action,
+                          greedy_action, legal_action_mask, reward_dqn)
 from fleetsim.eta import build_eta_features
 from fleetsim.geo import (GridSpec, Location, aggregate_to_regions, block_region_map, cell_of,
                           center_of, haversine, haversine_arrays)
@@ -737,7 +739,7 @@ class DqnPolicyReference(DqnPolicy):
     def dispatch(self, view):
         cfg = self.config
         rr, rc = self.region_shape
-        horizon = cfg.supply_horizon
+        horizon = SUPPLY_HORIZONS[-1]
 
         heat = self.demand_predictor(view)
         demand_regions = aggregate_to_regions(heat, self.region_map).reshape(rr, rc)
@@ -821,6 +823,65 @@ class DqnPolicyReference(DqnPolicy):
             self.last_decision[vid] = view.t
         return orders
 
+
+
+def train_step_reference(online, target, buffer, opt, gamma, rng, batch_size=64):
+    """The double-Q update on stacked full windows and full 15x15 Q-maps.
+
+    Every sample's whole 23x23 main and 15x15 aux input is stacked, the
+    online network maps all 225 actions, eight inputs per call, and the
+    legal mask is read back from aux plane 10; the target valuation and
+    the update then run on per-sample crops of the stacked inputs.
+    """
+    if len(buffer) < batch_size:
+        return None
+    batch = buffer.sample(rng, batch_size)
+
+    def stacked(contexts):
+        qins = [build_feature_planes(ctx) for ctx in contexts]
+        return np.stack([q.main for q in qins]), np.stack([q.aux for q in qins])
+
+    def crops(mains, auxs, rows, cols):
+        n = mains.shape[0]
+        main_c = np.empty((n, 9, 9, MAIN_PLANES))
+        aux_c = np.empty((n, 1, 1, AUX_PLANES))
+        for i in range(n):
+            r, c = rows[i], cols[i]
+            main_c[i] = mains[i, r:r + 9, c:c + 9, :]
+            aux_c[i] = auxs[i, r:r + 1, c:c + 1, :]
+        return main_c, aux_c
+
+    next_mains, next_auxs = stacked([t.next_ctx for t in batch])
+    q_next_online = np.concatenate([
+        online.net.forward(next_mains[i:i + 8], aux=next_auxs[i:i + 8])[..., 0]
+        for i in range(0, batch_size, 8)])
+    legal = next_auxs[..., 10] > 0.5
+    q_next_online = np.where(legal, q_next_online, -np.inf)
+    flat_argmax = q_next_online.reshape(batch_size, -1).argmax(axis=1)
+    amax_r = flat_argmax // ACTION_SIZE
+    amax_c = flat_argmax % ACTION_SIZE
+    tgt_main, tgt_aux = crops(next_mains, next_auxs, amax_r, amax_c)
+    future = target.net.forward(tgt_main, aux=tgt_aux)[..., 0].reshape(batch_size)
+
+    taus = np.array([t.tau_steps for t in batch], dtype=np.float64)
+    rewards = np.array([t.reward for t in batch])
+    targets = rewards + gamma ** (1.0 + taus) * future
+
+    mains, auxs = stacked([t.ctx for t in batch])
+    rows = np.array([t.action[0] for t in batch])
+    cols = np.array([t.action[1] for t in batch])
+    cur_main, cur_aux = crops(mains, auxs, rows, cols)
+    out, caches = neural.forward_cached(Q_SPEC, online.net.params, cur_main, cur_aux)
+    picked = out.reshape(batch_size)
+    err = picked - targets
+    loss = float(np.mean(err ** 2))
+
+    d_out = (2.0 * err / batch_size).reshape(out.shape)
+    grads = neural.backward_from_grad(Q_SPEC, online.net.params, caches, d_out)
+    opt.step(online.net.params, grads)
+
+    mean_max_q = float(q_next_online.reshape(batch_size, -1).max(axis=1).mean())
+    return loss, mean_max_q
 
 
 def synth_city_reference(cfg, seed: int, days: int):

@@ -1,12 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
 from oracles import (aux_planes_reference, avg_pool_reference, crop_pad_center,
-                     pooled_reference, q_main_planes_51)
+                     pooled_reference, q_main_planes_51, train_step_reference)
 
 from fleetsim import neural
 from fleetsim.dqn import (
     ACTION_RADIUS,
-    ACTION_SIZE,
     POOL_SIZES,
     FeatureCanvas,
     Q_SPEC,
@@ -18,7 +19,6 @@ from fleetsim.dqn import (
     Transition,
     VehicleContext,
     action_offset,
-    assemble_batch,
     build_feature_planes,
     legal_action_mask,
     masked_q,
@@ -27,8 +27,7 @@ from fleetsim.dqn import (
     sync_target,
     train_step,
 )
-from fleetsim.dqn import (_REGION_PLANES, _STATIC_AUX, _aux_planes, _clock_aux, _pooled,
-                          _region_aux)
+from fleetsim.dqn import _REGION_PLANES, _STATIC_AUX, _clock_aux, _pooled, _region_aux
 
 
 def make_ctx(region=(5, 5), shape=(10, 10), rng=None, minute=0.0):
@@ -238,21 +237,6 @@ class TestQNetwork:
             np.testing.assert_allclose(windowed[legal], full[legal], rtol=0, atol=1e-12)
             assert np.argmax(windowed) == np.argmax(full)
 
-    def test_batch_maps_match_one_forward_call(self):
-        # 21 full inputs: two full chunks and a short one; and a
-        # batch of receptive-field crops, which goes in one call
-        rng = np.random.default_rng(4)
-        net = QNetwork.create(rng)
-        mains, auxs = assemble_batch([make_ctx(rng=rng, minute=float(m)) for m in range(21)])
-        whole = neural.forward(Q_SPEC, net.net.params, mains, aux=auxs)[..., 0]
-        batch = net.q_map_batch(mains, auxs)
-        assert batch.shape == (21, ACTION_SIZE, ACTION_SIZE)
-        np.testing.assert_allclose(batch, whole, rtol=0, atol=1e-12)
-        crops, crop_auxs = mains[:, 3:12, 4:13], auxs[:, 3:4, 4:5]
-        np.testing.assert_array_equal(
-            net.q_map_batch(crops, crop_auxs),
-            neural.forward(Q_SPEC, net.net.params, crops, aux=crop_auxs)[..., 0])
-
     def test_legal_window_without_legal_cell_raises(self):
         net = QNetwork.create(np.random.default_rng(0))
         with pytest.raises(ValueError):
@@ -460,8 +444,9 @@ class TestTrainStep:
         target = online.copy()
         tr = Transition(interior_ctx(), (2, 11), 5.0, interior_ctx(), 1)
         buf = self.full_buffer(tr)
-        mains, auxs = assemble_batch([tr.ctx])
-        out, caches = neural.forward_cached(Q_SPEC, online.net.params, mains, auxs)
+        qin = build_feature_planes(tr.ctx)
+        out, caches = neural.forward_cached(Q_SPEC, online.net.params, qin.main[None],
+                                            qin.aux[None])
         d_probe = np.zeros_like(out)
         d_probe[0, 2, 11, 0] = 1.0
         grads = neural.backward_from_grad(Q_SPEC, online.net.params, caches, d_probe)
@@ -495,6 +480,50 @@ class TestTrainStep:
         assert last < first
 
 
+class TestTrainStepMatchesReference:
+    """``train_step`` against the old full-map step in ``oracles``, step by step."""
+
+    @staticmethod
+    def random_buffer(rng, shape, n):
+        ctxs = []
+        for _ in range(n):
+            region = (int(rng.integers(shape[0])), int(rng.integers(shape[1])))
+            ctx = make_ctx(region=region, shape=shape, rng=rng,
+                           minute=float(rng.uniform(0, 9000)))
+            ctxs.append(ctx)
+        buf = ReplayBuffer(capacity=n)
+        for ctx in ctxs:
+            cells = np.argwhere(legal_action_mask(ctx.region, shape))
+            action = tuple(int(v) for v in cells[rng.integers(len(cells))])
+            nxt = ctxs[int(rng.integers(n))]
+            buf.push(Transition(ctx, action, float(rng.uniform(-5, 20)), nxt,
+                                int(rng.integers(0, 20))))
+        return buf
+
+    @pytest.mark.parametrize("shape, batch, steps", [((10, 10), 16, 50), ((4, 7), 64, 6)])
+    def test_loss_and_weights_bit_identical(self, shape, batch, steps):
+        rng = np.random.default_rng(61)
+        buf = self.random_buffer(rng, shape, 120)
+        online = QNetwork.create(np.random.default_rng(62))
+        target = QNetwork.create(np.random.default_rng(63))
+        opt = neural.RmsProp(lr=1e-3)
+        ref_online, ref_target, ref_opt = online.copy(), target.copy(), copy.deepcopy(opt)
+        rng_a, rng_b = np.random.default_rng(64), np.random.default_rng(64)
+        for step in range(1, steps + 1):
+            loss, mean_max_q = train_step(online, target, buf, opt, 0.98, rng_a, batch)
+            ref_loss, ref_max_q = train_step_reference(ref_online, ref_target, buf, ref_opt,
+                                                       0.98, rng_b, batch)
+            assert loss == ref_loss
+            assert mean_max_q == pytest.approx(ref_max_q, rel=1e-12, abs=0.0)
+            for a, b in zip(online.net.params, ref_online.net.params):
+                assert a.tobytes() == b.tobytes()
+            for a, b in zip(opt.state, ref_opt.state):
+                assert a.tobytes() == b.tobytes()
+            sync_target(online, target, step, 10)
+            sync_target(ref_online, ref_target, step, 10)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
 class TestSyncTarget:
     def test_period_one_copies_every_step(self):
         online = QNetwork.create(np.random.default_rng(0))
@@ -522,17 +551,6 @@ def test_action_offset_center_is_stay():
     assert action_offset((14, 14)) == (7, 7)
 
 
-def test_assemble_batch_matches_per_context_builder():
-    rng = np.random.default_rng(11)
-    ctxs = [make_ctx(region=(int(rng.integers(0, 10)), int(rng.integers(0, 10))),
-                     rng=rng, minute=float(rng.uniform(0, 9000))) for _ in range(7)]
-    mains, auxs = assemble_batch(ctxs)
-    for i, ctx in enumerate(ctxs):
-        qin = build_feature_planes(ctx)
-        np.testing.assert_allclose(mains[i], qin.main, atol=1e-12)
-        np.testing.assert_array_equal(auxs[i], qin.aux)
-
-
 class TestAuxPlanes:
     SHAPES = [(1, 1), (2, 3), (10, 10)]
 
@@ -541,7 +559,8 @@ class TestAuxPlanes:
             for r in range(shape[0]):
                 for c in range(shape[1]):
                     ctx = make_ctx(region=(r, c), shape=shape, minute=611.0)
-                    assert np.array_equal(_aux_planes(ctx), aux_planes_reference(ctx))
+                    assert np.array_equal(build_feature_planes(ctx).aux,
+                                          aux_planes_reference(ctx))
 
     def test_dispatch_buffer_matches_reference_on_every_region(self):
         # DqnPolicy.dispatch fills the clock planes once and writes the

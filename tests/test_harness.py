@@ -11,6 +11,7 @@ from fleetsim.harness.config import ConfigError, ExperimentConfig, parse_config,
 from fleetsim.harness.ingest import TripDataError, ingest_trips
 from fleetsim.harness.synth import build_road_grid, synth_city, write_city
 from fleetsim.harness import experiment as ex
+from fleetsim.sim import EpisodeMetrics, finalize_metrics
 from oracles import synth_city_reference
 
 
@@ -86,6 +87,26 @@ class TestConfig:
                                 "dqn_buffer = 1\n")
         assert cfg.match_radius_m == 0.0 and cfg.region_block == cfg.zone_block == 1
 
+    @pytest.mark.parametrize("date, dow", [("2016-05-02", 0), ("2016-05-05", 3),
+                                           ("2016-05-08", 6), ("2017-01-01", 6)])
+    def test_epoch_weekday_follows_epoch_date(self, date, dow):
+        cfg = parse_config(text="seed = 1\n", overrides={"epoch_date": date})
+        assert cfg.epoch_dow == dow
+        assert "epoch_dow" not in render_config(cfg)
+
+    def test_epoch_weekday_is_not_a_second_setting(self):
+        # a weekday that contradicts epoch_date would give ingested trips
+        # another day's clock features
+        with pytest.raises(ConfigError, match="epoch_dow"):
+            parse_config(overrides={"seed": "1", "epoch_dow": "3"})
+        with pytest.raises(ConfigError, match="unknown key 'epoch_dow'"):
+            parse_config(text="seed = 1\nepoch_dow = 3\n")
+
+    @pytest.mark.parametrize("value", ["bogus", "2016-02-30", "2016-05-02 03:00", ""])
+    def test_unparseable_epoch_date_rejected(self, value):
+        with pytest.raises(ConfigError, match="epoch_date"):
+            parse_config(text="seed = 1\n", overrides={"epoch_date": value})
+
     def test_zero_trip_rate_and_noise_accepted(self):
         cfg = parse_config(text="seed = 1\ntrips_per_day = 0\nsynth_noise = 0\n")
         assert cfg.trips_per_day == 0.0 and cfg.synth_noise == 0.0
@@ -102,7 +123,7 @@ class TestSynth:
     @pytest.mark.parametrize("overrides, seed, days", [
         ({}, 777, 3),
         ({"trips_per_day": 6000.0 * 2.5}, 3, 1),
-        ({"trips_per_day": 2000.0, "epoch_dow": 3}, 5, 7),
+        ({"trips_per_day": 2000.0, "epoch_date": "2016-05-05"}, 5, 7),
         ({"fine_rows": 6, "fine_cols": 11, "region_block": 1, "zone_block": 1,
           "trips_per_day": 2000.0}, 4, 2),
         ({"trips_per_day": 0.0}, 5, 2),
@@ -277,6 +298,41 @@ class TestExperiment:
                 expect = bucket["rejects"] / bucket["requests"]
                 assert bucket["reject_rate"] == pytest.approx(expect)
 
+    def test_summed_days_give_the_pooled_rates(self):
+        days = []
+        for requests, rejects, wait, cruise, occupied in [(10, 2, 16.0, 4.0, [30.0, 60.0]),
+                                                          (20, 3, 0.1, 0.2, [10.0, 0.0])]:
+            m = EpisodeMetrics(2, total_requests=requests, rejects=rejects,
+                               accepted=requests - rejects, wait_sum=wait, cruise_sum=cruise,
+                               elapsed_minutes=60, occupied_minutes=np.array(occupied))
+            m.hour_bucket(5).update(requests=requests, rejects=rejects, wait_sum=wait)
+            days.append(m)
+        days[1].hour_bucket(6)["requests"] = 4
+        report = finalize_metrics(ex.sum_metrics(days))
+        assert (report["total_requests"], report["rejects"], report["accepted"]) == (30, 5, 25)
+        assert report["reject_rate"] == 5 / 30
+        assert report["mean_wait_minutes"] == (0.0 + 16.0 + 0.1) / 25
+        assert report["idle_cruise_per_accepted"] == (0.0 + 4.0 + 0.2) / 25
+        assert report["utilization_mean"] == float((np.array([40.0, 60.0]) / 120).mean())
+        assert report["utilization_min"] == 40.0 / 120
+        assert [(b["hour"], b["requests"], b["rejects"]) for b in report["hourly"]] == \
+            [(5, 30, 5), (6, 4, 0)]
+        assert days[0].occupied_minutes.tolist() == [30.0, 60.0]
+
+    def test_all_days_row_pools_the_day_rows(self, mini_world):
+        cfg, _, bundle = mini_world
+        import dataclasses
+
+        cfg = dataclasses.replace(cfg, days=2)
+        city = ex.city_from_synth(synth_city(cfg, cfg.seed, cfg.days))
+        result = ex.run_experiment(cfg, city=city, bundle=bundle)
+        *day_rows, agg = result["rows"]
+        assert agg is result["aggregate"] and agg["day"] == "all"
+        assert [r["day"] for r in day_rows] == list(range(cfg.days))
+        for key in ("total_requests", "rejects", "accepted"):
+            assert agg[key] == sum(r[key] for r in day_rows)
+        assert agg["reject_rate"] == agg["rejects"] / agg["total_requests"]
+
     def test_rhc_policy_runs(self, mini_world):
         cfg, city, bundle = mini_world
         import dataclasses
@@ -329,6 +385,13 @@ class TestCli:
                             "--set", "region_block=0", "synth-data")
         assert proc.returncode == 1, proc.stderr
         assert "region_block" in proc.stderr
+        assert not (tmp_path / "city").exists()
+
+    def test_bogus_epoch_date_is_config_error(self, tmp_path):
+        proc = self.run_cli("--set", "seed=1", "--set", f"data_dir={tmp_path / 'city'}",
+                            "--set", "epoch_date=bogus", "synth-data")
+        assert proc.returncode == 1, proc.stderr
+        assert "epoch_date" in proc.stderr
         assert not (tmp_path / "city").exists()
 
     def test_synth_data_files_independent_of_hash_seed(self, tmp_path):

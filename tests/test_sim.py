@@ -539,6 +539,39 @@ class TestMatchesReference:
         assert states == ref_states
         assert views == ref_views
 
+    def test_route_positions_bit_identical(self):
+        # random multi-segment routes, some with zero-length segments or a
+        # zero trip time, at fractional times, at each waypoint's time and
+        # one ulp either side of it, and before departure and after arrival.
+        # The routes run near (0, 0): at city latitudes adding the offset
+        # rounds away a last-bit change of the segment weight
+        rng = np.random.default_rng(91)
+        sims = [city_simulation(cls, 0, 3, 3, 1, 2, False)
+                for cls in (Simulation, ReferenceSimulation)]
+        for _ in range(300):
+            points = [Location(*rng.uniform(-0.02, 0.02, size=2).tolist())
+                      for _ in range(int(rng.integers(2, 9)))]
+            if rng.random() < 0.2:
+                k = int(rng.integers(len(points)))
+                points.insert(k, points[k])
+            depart = float(rng.uniform(0, 300))
+            arrival = depart + (0.0 if rng.random() < 0.05 else float(rng.uniform(0.1, 40)))
+            vehicles = []
+            for sim in sims:
+                v = VehicleState(vid=0, loc=points[0], status=DISPATCHING)
+                sim._set_route(v, tuple(points), depart, arrival, points[-1])
+                vehicles.append(v)
+            cum = vehicles[0].path_cumlen
+            assert cum == list(vehicles[1].path_cumlen)
+            times = list(depart + (arrival - depart) * rng.uniform(-0.1, 1.1, size=20))
+            for length in cum:
+                at = depart + (arrival - depart) * (length / cum[-1] if cum[-1] else 1.0)
+                times += [at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf)]
+            for t in times:
+                got, want = (sim.position(v, float(t)) for sim, v in zip(sims, vehicles))
+                assert (float(got.lat).hex(), float(got.lon).hex()) == \
+                    (float(want.lat).hex(), float(want.lon).hex())
+
 
 class TestInvariants:
     @settings(max_examples=60)
