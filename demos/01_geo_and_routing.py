@@ -11,7 +11,7 @@ from fleetsim.geo import (
     GridSpec, Location, aggregate_to_regions, block_region_map, cell_of,
     center_of, haversine,
 )
-from fleetsim.roadgraph import nearest_node, shortest_path
+from fleetsim.roadgraph import nearest_nodes, shortest_path
 from fleetsim.harness.synth import build_road_grid
 
 grid = GridSpec(rows=8, cols=8, cell_size=500.0, origin=Location(40.0, -74.0))
@@ -30,11 +30,12 @@ heat[6, 6] = 5
 print("per-region totals of a heat map:", aggregate_to_regions(heat, regions))
 
 graph = build_road_grid(grid)
-print(f"\nroad graph: {graph.node_count} nodes, {graph.edge_count} directed edges")
+n_edges = sum(len(out) for out in graph.adjacency.values())
+print(f"\nroad graph: {len(graph.nodes)} nodes, {n_edges} directed edges")
 
 a = Location(40.001, -73.999)
 b = Location(40.03, -73.96)
-na, nb = nearest_node(a, graph), nearest_node(b, graph)
+na, nb = nearest_nodes([a.lat, b.lat], [a.lon, b.lon], graph).tolist()
 path = shortest_path(na, nb, graph)
 print(f"shortest path {na} -> {nb}: {len(path.nodes)} nodes, "
       f"{path.total_length/1000:.2f} km (straight line "

@@ -35,7 +35,8 @@ print(f"loss step 1: {losses[0]:.5f}  step 300: {losses[-1]:.5f}")
 # spot gradient check on one parameter
 x = rng.uniform(0, 1, size=(10, 10, 1))
 y = target_fn(x[None])[0]
-analytic = neural.backward(spec, params, x, y)
+out, caches = neural.forward_cached(spec, params, x[None])
+analytic = neural.backward_from_grad(spec, params, caches, 2.0 * (out - y[None]))
 h = 1e-5
 w = params[0]
 idx = (0, 1, 1, 0)

@@ -9,8 +9,7 @@ import numpy as np
 from fleetsim import neural
 from fleetsim.dqn import (
     QNetwork, ReplayBuffer, Schedules, Transition, VehicleContext,
-    build_feature_planes, legal_action_mask, select_action,
-    train_step,
+    build_feature_planes, greedy_action, legal_action_mask, train_step,
 )
 
 rng = np.random.default_rng(2)
@@ -28,7 +27,7 @@ print(f"legal destination cells: {int(qin.aux[..., 10].sum())} of 225")
 
 net = QNetwork.create(rng)
 qmap = net.q_map(qin, legal_action_mask(ctx.region, shape))  # -inf off the grid
-greedy = select_action(qmap, epsilon=0.0, rng=rng)
+greedy = greedy_action(qmap)
 print(f"greedy action cell {greedy} (offset {greedy[0]-7:+d},{greedy[1]-7:+d})")
 
 # one double-Q training step over a replay buffer of random transitions

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 MINUTES_PER_DAY = 1440.0
-MINUTES_PER_WEEK = 7 * MINUTES_PER_DAY
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ from . import neural
 from .clock import Clock, periodic_features
 
 INPUT_PLANES = 6
+VAL_FRACTION = 0.3   # share of the timeslots, the latest, held out for validation
+BATCH_SIZE = 8       # samples per training minibatch
 
 DEMAND_SPEC = (
     neural.Conv2D(INPUT_PLANES, 16, 5, 5, "relu", "same"),
@@ -56,9 +58,6 @@ class DemandModel:
         mask = (demand_input[..., 0] > 0) | (demand_input[..., 1] > 0)
         return np.where(mask, raw, 0.0)
 
-    def predict_raw(self, demand_input: np.ndarray) -> np.ndarray:
-        return neural.forward(DEMAND_SPEC, self.params, demand_input)[..., 0]
-
     def save(self, path) -> None:
         neural.save_model(path, DEMAND_SPEC, self.params)
 
@@ -78,8 +77,7 @@ def _samples(slots: np.ndarray, clocks: list[Clock]):
 
 
 def train_demand(slots: np.ndarray, clocks: list[Clock], seed: int,
-                 epochs: int = 150, batch_size: int = 8, lr: float = 5e-3,
-                 val_fraction: float = 0.3) -> tuple["DemandModel", float, float]:
+                 epochs: int = 150, lr: float = 5e-3) -> tuple["DemandModel", float, float]:
     """Fit on a chronological split: first 70% of timeslots train, last 30% validate.
 
     RMSE is reported per cell over all cells of the masked prediction,
@@ -93,7 +91,7 @@ def train_demand(slots: np.ndarray, clocks: list[Clock], seed: int,
 
     inputs, targets = _samples(slots, clocks)
     n = inputs.shape[0]
-    n_train = max(1, int(round(n * (1.0 - val_fraction))))
+    n_train = max(1, int(round(n * (1.0 - VAL_FRACTION))))
     xtr, ytr = inputs[:n_train], targets[:n_train]
     xva, yva = inputs[n_train:], targets[n_train:]
 
@@ -107,8 +105,8 @@ def train_demand(slots: np.ndarray, clocks: list[Clock], seed: int,
     opt = neural.RmsProp(lr=lr)
     for _ in range(epochs):
         perm = rng.permutation(n_train)
-        for start in range(0, n_train, batch_size):
-            idx = perm[start:start + batch_size]
+        for start in range(0, n_train, BATCH_SIZE):
+            idx = perm[start:start + BATCH_SIZE]
             xb = xtr[idx]
             yb = ytr[idx][..., None]
             out, caches = neural.forward_cached(DEMAND_SPEC, params, xb)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,7 +103,8 @@ def action_offset(cell: tuple[int, int]) -> tuple[int, int]:
 STAY_CELL = (ACTION_RADIUS, ACTION_RADIUS)
 
 
-def _pooled(maps: np.ndarray, pad: int, bounds: list[tuple[np.ndarray, ...]]) -> np.ndarray:
+def _pooled(maps: np.ndarray, pad: int, bounds: tuple[tuple[np.ndarray, ...], ...]
+            ) -> np.ndarray:
     """(R + 2 pad, C + 2 pad, 3, n): raw, 15- and 30-pooled (n, R, C) maps on a zero border.
 
     ``bounds`` holds the :func:`neural.pool_bounds` of each pool size on the
@@ -117,23 +119,36 @@ def _pooled(maps: np.ndarray, pad: int, bounds: list[tuple[np.ndarray, ...]]) ->
     return np.stack(pools).transpose(2, 3, 0, 1)
 
 
+@lru_cache(maxsize=None)
+def _canvas_geometry(grid_shape: tuple[int, int]
+                     ) -> tuple[int, tuple[tuple[np.ndarray, ...], ...]]:
+    """The canvas border of a region grid and the pool bounds of each pool size on it.
+
+    The border is at least 11 cells, for a window centred on an edge
+    region, and wide enough that each side is at least 30 cells, which
+    the 30-cell pool needs.  Computed once per grid shape; read-only.
+    """
+    rows, cols = grid_shape
+    pad = max(MAIN_SIZE // 2, -(-(POOL_SIZES[-1] - min(rows, cols)) // 2))
+    bounds = tuple(neural.pool_bounds(rows + 2 * pad, cols + 2 * pad, k) for k in POOL_SIZES)
+    for b in bounds:
+        for a in b:
+            a.setflags(write=False)
+    return pad, bounds
+
+
 class FeatureCanvas:
     """The main-branch planes of every region, from which each vehicle slices its window.
 
     The five source maps (demand, supply at the 0/15/30 minute horizons,
     idle) and their 15x15 and 30x30 stride-1 mean pools sit on one
-    zero-padded region canvas.  Pooling the padded canvas once equals
-    pooling each vehicle's zero-padded window, so a vehicle's 23x23 main
-    input is a slice.  The border is at least 11 cells, for a window
-    centred on an edge region, and wide enough that each side is at
-    least 30 cells, which the 30-cell pool needs.
+    zero-padded region canvas (see :func:`_canvas_geometry`).  Pooling
+    the padded canvas once equals pooling each vehicle's zero-padded
+    window, so a vehicle's 23x23 main input is a slice.
     """
 
     def __init__(self, demand: np.ndarray, supply: np.ndarray, idle: np.ndarray):
-        self.pad = max(MAIN_SIZE // 2, -(-(POOL_SIZES[-1] - min(demand.shape)) // 2))
-        rows, cols = demand.shape
-        self._bounds = [neural.pool_bounds(rows + 2 * self.pad, cols + 2 * self.pad, k)
-                        for k in POOL_SIZES]
+        self.pad, self._bounds = _canvas_geometry(demand.shape)
         self.planes = _pooled(np.concatenate([demand[None], supply, idle[None]]),
                               self.pad, self._bounds)
         self.supply = supply
@@ -198,13 +213,15 @@ def _clock_aux(sin_dow: float, cos_dow: float, sin_hour: float,
 _REGION_PLANES = [5, 6, 7, 8, 10]
 
 
+@lru_cache(maxsize=None)
 def _region_aux(region: tuple[int, int], grid_shape: tuple[int, int]
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The legal move mask of ``region`` and its (15, 15, 5) region aux planes.
 
     The planes are the aux planes ``_REGION_PLANES``: 5-6 the region's
     normalized coordinates, 7-8 each move's clipped destination
-    coordinates and 10 the legal mask.
+    coordinates and 10 the legal mask.  Computed once per region and
+    grid shape; both arrays are read-only.
     """
     rows, cols = grid_shape
     r, c = region
@@ -218,6 +235,8 @@ def _region_aux(region: tuple[int, int], grid_shape: tuple[int, int]
     planes[..., 2] = np.clip(np.broadcast_to(dest_r, (ACTION_SIZE, ACTION_SIZE)), 0.0, 1.0)
     planes[..., 3] = np.clip(np.broadcast_to(dest_c, (ACTION_SIZE, ACTION_SIZE)), 0.0, 1.0)
     planes[..., 4] = legal
+    legal.setflags(write=False)
+    planes.setflags(write=False)
     return legal, planes
 
 
@@ -294,20 +313,6 @@ def explore_action(legal: np.ndarray, epsilon: float, rng: np.random.Generator
 def greedy_action(qmap: np.ndarray) -> tuple[int, int]:
     """The highest cell of a masked Q-map, ties to the lowest row-major index."""
     return divmod(int(np.argmax(qmap)), ACTION_SIZE)
-
-
-def select_action(qmap: np.ndarray, epsilon: float, rng: np.random.Generator
-                  ) -> tuple[int, int]:
-    """Epsilon-greedy over the legal (finite) cells of a masked Q-map.
-
-    Greedy ties resolve to the lowest row-major index.  The random
-    branch draws uniformly over legal cells.
-    """
-    legal = np.isfinite(qmap)
-    if not legal.any():
-        raise ValueError("no legal action available")
-    action = explore_action(legal, epsilon, rng)
-    return greedy_action(qmap) if action is None else action
 
 
 def reward_dqn(pickups: float, dispatch_minutes: float, reject_weight: float) -> float:
@@ -411,7 +416,7 @@ def train_step(online: QNetwork, target: QNetwork, buffer: ReplayBuffer,
     batch = buffer.sample(rng, batch_size)
 
     next_qins = [build_feature_planes(t.next_ctx) for t in batch]
-    qmaps = [online.q_map(qin, legal_action_mask(t.next_ctx.region, t.next_ctx.demand.shape))
+    qmaps = [online.q_map(qin, _region_aux(t.next_ctx.region, t.next_ctx.demand.shape)[0])
              for qin, t in zip(next_qins, batch)]
     cells = [greedy_action(qmap) for qmap in qmaps]
     tgt_main, tgt_aux = _fields(next_qins, cells)
@@ -503,8 +508,6 @@ class DqnPolicy:
         self.step = 0
         self.training_log: list[tuple] = []
         self._zone_cells = region_cells(region_map)
-        # region -> (legal move mask, region aux planes); see _region_inputs
-        self._regions: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         if self.config.train:
             self.target = net.copy()
             self.buffer = ReplayBuffer(self.config.buffer_capacity)
@@ -515,13 +518,6 @@ class DqnPolicy:
         """Region ids of a sequence of fine-grid (row, col) cells."""
         rows, cols = np.array(cells, dtype=np.int64).reshape(-1, 2).T
         return self.region_map.assignment[rows, cols]
-
-    def _region_inputs(self, region: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`_region_aux` of ``region``, built on the first decision there."""
-        inputs = self._regions.get(region)
-        if inputs is None:
-            inputs = self._regions[region] = _region_aux(region, self.region_shape)
-        return inputs
 
     def _eligible(self, vid: int, t: float, last_dropoff: float) -> bool:
         last = self.last_decision.get(vid)
@@ -538,13 +534,14 @@ class DqnPolicy:
         idle vehicles and of projected supply per minute ahead (each a
         count summed with one ``np.add.at``), the clock aux planes and, at
         the first greedy decision, the pooled :class:`FeatureCanvas`.
-        Built once per region, on the first decision there, and kept for
-        the policy's life: the legal move mask and the five aux planes
-        that depend on the region.  Decisions stay sequential: a move takes
-        its vehicle out of the supply at its origin and adds it at its
-        destination, so each vehicle sees the moves before it, and the
-        Q-network runs on one input at a time because another batch shape
-        can change the last bits of Q and with them an argmax.
+        Built once per region and grid shape in the process, and shared
+        with training: the legal move mask and the five aux planes that
+        depend on the region (:func:`_region_aux`).  Decisions stay
+        sequential: a move takes its vehicle out of the supply at its
+        origin and adds it at its destination, so each vehicle sees the
+        moves before it, and the Q-network runs on one input at a time
+        because another batch shape can change the last bits of Q and
+        with them an argmax.
         """
         cfg = self.config
         rr, rc = self.region_shape
@@ -556,7 +553,8 @@ class DqnPolicy:
         idle_regions = np.zeros(rr * rc)
         np.add.at(idle_regions, idle_rids, 1.0)
         idle_regions = idle_regions.reshape(rr, rc)
-        region_of = {vid: divmod(rid, rc) for vid, rid in zip(view.idle_ids, idle_rids.tolist())}
+        vehicle_region = {vid: divmod(rid, rc)
+                          for vid, rid in zip(view.idle_ids, idle_rids.tolist())}
 
         _, cells, minutes = zip(*view.supply_events) if view.supply_events else ((), (), ())
         h = np.ceil(np.array(minutes, dtype=np.float64))
@@ -580,10 +578,10 @@ class DqnPolicy:
             if cfg.train and self.rng.random() >= alpha:
                 continue  # skipped outright; no decision, no transition
 
-            region = region_of[vid]
+            region = vehicle_region[vid]
             if supply3 is None:
                 supply3 = np.stack([x[..., :h + 1].sum(axis=-1) for h in SUPPLY_HORIZONS])
-            legal, region_aux = self._region_inputs(region)
+            legal, region_aux = _region_aux(region, self.region_shape)
             action = explore_action(legal, eps, self.rng) if cfg.train else None
             if action is None:
                 if canvas is None:

@@ -17,6 +17,8 @@ from .clock import Clock, periodic_features
 from .geo import Location
 
 FEATURE_COUNT = 9
+VAL_FRACTION = 0.3   # share of the trips held out for validation
+BATCH_SIZE = 128     # trips per training minibatch
 
 ETA_SPEC = (
     neural.Dense(FEATURE_COUNT, 32, "relu"),
@@ -80,11 +82,11 @@ def _rmse(model: "EtaModel", feats, target) -> float:
     return float(np.sqrt(np.mean((model.predict_batch(feats) - target) ** 2)))
 
 
-def split_indices(n: int, seed: int, val_fraction: float = 0.3):
-    """Deterministic shuffled (train, validation) index split."""
+def split_indices(n: int, seed: int):
+    """Deterministic shuffled (train, validation) index split, ``VAL_FRACTION`` held out."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    n_val = max(1, int(round(n * val_fraction)))
+    n_val = max(1, int(round(n * VAL_FRACTION)))
     val_idx, train_idx = order[:n_val], order[n_val:]
     if train_idx.size == 0:
         train_idx = val_idx
@@ -92,8 +94,7 @@ def split_indices(n: int, seed: int, val_fraction: float = 0.3):
 
 
 def train_eta(features: np.ndarray, minutes: np.ndarray, seed: int,
-              val_fraction: float = 0.3, epochs: int = 30, batch_size: int = 128,
-              lr: float = 1e-3) -> tuple[EtaModel, float, float]:
+              epochs: int = 30, lr: float = 1e-3) -> tuple[EtaModel, float, float]:
     """Fit the trip-time perceptron on a shuffled 70/30 split.
 
     Returns (model, train_rmse, val_rmse).  Fully determined by ``seed``.
@@ -106,7 +107,7 @@ def train_eta(features: np.ndarray, minutes: np.ndarray, seed: int,
     if n < 2:
         raise ValueError("need at least two trips to fit the ETA model")
 
-    train_idx, val_idx = split_indices(n, seed, val_fraction)
+    train_idx, val_idx = split_indices(n, seed)
     rng = np.random.default_rng(seed + 1)
     ftr, ttr = feats[train_idx], target[train_idx]
     fva, tva = feats[val_idx], target[val_idx]
@@ -129,8 +130,8 @@ def train_eta(features: np.ndarray, minutes: np.ndarray, seed: int,
     n_train = ztr.shape[0]
     for _ in range(epochs):
         perm = rng.permutation(n_train)
-        for start in range(0, n_train, batch_size):
-            idx = perm[start:start + batch_size]
+        for start in range(0, n_train, BATCH_SIZE):
+            idx = perm[start:start + BATCH_SIZE]
             xb = ztr[idx]
             yb = ytr[idx][:, None]
             out, caches = neural.forward_cached(ETA_SPEC, params, xb)

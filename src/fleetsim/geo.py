@@ -135,8 +135,9 @@ class RegionMap:
     """Total assignment of fine-grid cells to region ids in [0, region_count).
 
     The assignment is data, typically loaded from a partition file; there
-    is no hard-coded zoning.  ``-1`` marks an unmapped cell and trips
-    :class:`RegionMapError` on lookup.
+    is no hard-coded zoning.  ``-1`` marks an unmapped cell:
+    :meth:`from_csv` and :func:`aggregate_to_regions` reject a map that
+    has one with :class:`RegionMapError`.
     """
 
     assignment: np.ndarray  # (rows, cols) int region ids
@@ -159,11 +160,6 @@ class RegionMap:
         return self.assignment.shape
 
     @classmethod
-    def identity(cls, rows: int, cols: int) -> "RegionMap":
-        """Single-region map covering the whole grid."""
-        return cls(np.zeros((rows, cols), dtype=np.int64), 1)
-
-    @classmethod
     def from_csv(cls, path, rows: int, cols: int) -> "RegionMap":
         """Load a ``row,col,region_id`` partition file covering every cell."""
         a = np.full((rows, cols), -1, dtype=np.int64)
@@ -183,18 +179,6 @@ class RegionMap:
             for r in range(self.assignment.shape[0]):
                 for c in range(self.assignment.shape[1]):
                     writer.writerow([r, c, int(self.assignment[r, c])])
-
-
-def region_of(cell: tuple[int, int], rm: RegionMap) -> int:
-    """Region id of a fine-grid cell; unmapped cells are a configuration error."""
-    row, col = cell
-    rows, cols = rm.assignment.shape
-    if not (0 <= row < rows and 0 <= col < cols):
-        raise RegionMapError(f"cell {cell} outside {rows}x{cols} region map")
-    rid = int(rm.assignment[row, col])
-    if rid < 0:
-        raise RegionMapError(f"cell {cell} has no region assigned")
-    return rid
 
 
 def region_cells(rm: RegionMap) -> dict[int, list[tuple[int, int]]]:

@@ -110,9 +110,25 @@ class ExperimentConfig:
         if not (math.isfinite(self.synth_noise) and self.synth_noise >= 0):
             raise ConfigError("synth_noise must be finite and non-negative, "
                               f"got {self.synth_noise}")
-        for name in ("dqn_sync_period", "dqn_batch", "dqn_buffer"):
+        for name in ("dqn_sync_period", "dqn_batch", "dqn_buffer", "rhc_slot_minutes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("eta_lr", "demand_lr", "dqn_lr"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ConfigError(f"{name} must be finite and positive, "
+                                  f"got {getattr(self, name)}")
+        for name in ("rhc_discount", "dqn_discount"):
+            if not 0 < getattr(self, name) <= 1:
+                raise ConfigError(f"{name} must be in (0, 1], got {getattr(self, name)}")
+        for name in ("rhc_horizon", "warmup_minutes", "eta_epochs", "demand_epochs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if not 0 <= self.day_start_hour <= 23:
+            raise ConfigError(f"day_start_hour must be in 0-23, got {self.day_start_hour}")
+        for name in ("idle_window_minutes", "dqn_decision_interval"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, "
+                                  f"got {getattr(self, name)}")
         return self
 
 

@@ -259,6 +259,10 @@ def zone_block_count(cfg: ExperimentConfig) -> int:
 
 # --- demand predictors -----------------------------------------------------
 
+# episode minutes before the two trailing demand slots are complete
+COLD_START_MINUTES = 60.0
+
+
 class ModelDemandPredictor:
     """Next-30-minute fine heat map from the trained network.
 
@@ -272,21 +276,19 @@ class ModelDemandPredictor:
     """
 
     def __init__(self, model: demand_mod.DemandModel,
-                 fallback: demand_mod.HistoricalAverageDemand | None = None,
-                 cold_start_minutes: float = 60.0,
+                 fallback: demand_mod.HistoricalAverageDemand,
                  floor_with_history: bool = False):
         self.model = model
         self.fallback = fallback
-        self.cold_start_minutes = cold_start_minutes
         self.floor_with_history = floor_with_history
 
     def __call__(self, view):
-        if self.fallback is not None and view.t < self.cold_start_minutes:
+        if view.t < COLD_START_MINUTES:
             return self.fallback.predict(view.clock)
         planes = demand_mod.build_demand_input(view.heat_prev1, view.heat_prev2,
                                                view.clock)
         heat = self.model.predict(planes)
-        if self.floor_with_history and self.fallback is not None:
+        if self.floor_with_history:
             heat = np.maximum(heat, self.fallback.predict(view.clock))
         return heat
 
@@ -460,7 +462,8 @@ def train_dqn(cfg: ExperimentConfig, city: City | None = None,
     training step follows every simulated minute after warmup.  Returns
     (QNetwork, training log rows) and persists both.
     """
-    steps = steps or cfg.dqn_train_steps
+    if steps is None:
+        steps = cfg.dqn_train_steps
     if city is None:
         city = training_city(cfg)
     if bundle is None:

@@ -1,7 +1,7 @@
 """Linear programs behind a small, validated contract, solved by HiGHS.
 
 Problems are ``maximize c.x subject to A x <= b, x >= 0`` with optional
-equality rows and upper bounds.  :func:`solve` hands them to
+equality rows.  :func:`solve` hands them to
 ``scipy.optimize.linprog(method="highs")``.  HiGHS is deterministic:
 identical problems give identical solutions.  When the optimum is not
 unique it may return any optimal vertex, so a caller must not rely on
@@ -21,18 +21,16 @@ _STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded",
 
 @dataclass(frozen=True)
 class LpProblem:
-    """maximize ``c . x`` subject to ``a_ub @ x <= b_ub`` and ``0 <= x <= upper``.
+    """maximize ``c . x`` subject to ``a_ub @ x <= b_ub`` and ``x >= 0``.
 
     Optional equality rows ``a_eq @ x == b_eq`` are passed to the solver
-    as equalities; ``inf`` in ``upper`` leaves that variable unbounded
-    above.  Dimensions and finiteness are checked on construction, so a
+    as equalities.  Dimensions and finiteness are checked on construction, so a
     malformed problem raises ``ValueError`` here rather than in the solver.
     """
 
     c: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
-    upper: np.ndarray | None = None
     a_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
 
@@ -52,11 +50,6 @@ class LpProblem:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a_ub", a)
         object.__setattr__(self, "b_ub", b)
-        if self.upper is not None:
-            u = np.atleast_1d(np.asarray(self.upper, dtype=np.float64))
-            if u.shape != c.shape:
-                raise ValueError(f"upper bounds shape {u.shape} != c shape {c.shape}")
-            object.__setattr__(self, "upper", u)
         if (self.a_eq is None) != (self.b_eq is None):
             raise ValueError("a_eq and b_eq must be given together")
         if self.a_eq is not None:
@@ -100,10 +93,8 @@ def solve(problem: LpProblem) -> LpSolution:
     # scipy.optimize raised the day-none benchmark's peak RSS from 117 to 146 MB
     from scipy.optimize import linprog
 
-    upper = problem.upper if problem.upper is not None else np.full(problem.n_vars, np.inf)
     res = linprog(-problem.c, A_ub=problem.a_ub, b_ub=problem.b_ub,
-                  A_eq=problem.a_eq, b_eq=problem.b_eq,
-                  bounds=np.column_stack([np.zeros(problem.n_vars), upper]),
+                  A_eq=problem.a_eq, b_eq=problem.b_eq, bounds=(0, None),
                   method="highs")
     status = _STATUS.get(res.status, f"linprog_status_{res.status}")
     if status != "optimal":

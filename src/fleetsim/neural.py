@@ -49,9 +49,6 @@ class Concat:
     branch: tuple
 
 
-LayerSpec = Dense | Conv2D | Concat
-
-
 def _check_activation(layer) -> None:
     if getattr(layer, "activation", "linear") not in ACTIVATIONS:
         raise ValueError(f"unknown activation in {layer}")
@@ -263,20 +260,6 @@ def backward_from_grad(spec, params, caches, d_out) -> list[np.ndarray]:
     return grads
 
 
-def backward(spec, params, x, target, aux=None) -> list[np.ndarray]:
-    """Gradients of the summed squared error ``sum((y - target)**2)``."""
-    spatial = isinstance(spec[0], Conv2D)
-    xb, squeeze = _normalize_input(x, spatial)
-    auxb = None
-    if aux is not None:
-        auxb = np.asarray(aux, dtype=np.float64)
-        if squeeze:
-            auxb = auxb[None]
-    out, caches = forward_cached(spec, params, xb, auxb)
-    tgt = np.asarray(target, dtype=np.float64).reshape(out.shape)
-    return backward_from_grad(spec, params, caches, 2.0 * (out - tgt))
-
-
 class Network:
     """A (spec, params) pair with convenience methods."""
 
@@ -299,15 +282,11 @@ class Network:
             np.copyto(mine, theirs)
 
 
-def rmsprop_step(param, grad, state, lr=1e-4, rho=0.95, eps=1e-8):
-    """One RMSProp update: s <- rho*s + (1-rho)*g^2; p <- p - lr*g/sqrt(s+eps)."""
-    state = rho * state + (1.0 - rho) * grad * grad
-    param = param - lr * grad / np.sqrt(state + eps)
-    return param, state
-
-
 class RmsProp:
-    """Stateful RMSProp over a parameter list; updates in place."""
+    """Stateful RMSProp over a parameter list; updates in place.
+
+    Per element: ``s <- rho*s + (1-rho)*g^2``, then ``p <- p - lr*g/sqrt(s+eps)``.
+    """
 
     def __init__(self, lr=1e-4, rho=0.95, eps=1e-8):
         if lr <= 0 or not (0 < rho < 1) or eps <= 0:

@@ -22,7 +22,7 @@ import numpy as np
 from .geo import (GridSpec, RegionMap, aggregate_to_regions, haversine_arrays,
                   region_cells)
 from .lp import LpProblem, LpSolution, solve
-from .sim import DispatchOrder
+from .sim import SLOT_MINUTES, DispatchOrder
 
 log = logging.getLogger(__name__)
 
@@ -65,15 +65,15 @@ def zone_centroid_distances(rm: RegionMap, grid: GridSpec) -> np.ndarray:
 
 
 def estimate_tables(origin_zone, dest_zone, dow_idx, hour_idx, minutes,
-                    zone_count: int, centroid_dist_m: np.ndarray | None = None,
-                    fallback_speed_kmh: float = FALLBACK_SPEED_KMH
+                    zone_count: int, centroid_dist_m: np.ndarray | None = None
                     ) -> tuple[TripTimeTable, DestDistribution]:
     """Histogram trip records into travel-time and destination tables.
 
     Trip times are arithmetic means of observed durations per
     (dow, hour, origin, dest); missing entries fall back to centroid
-    distance at a conservative urban speed.  Destination rows fall back
-    to the origin's all-hours marginal, then to uniform.
+    distance at a conservative urban speed, ``FALLBACK_SPEED_KMH``.
+    Destination rows fall back to the origin's all-hours marginal, then
+    to uniform.
     """
     m = zone_count
     origin_zone = np.asarray(origin_zone, dtype=np.int64)
@@ -90,7 +90,7 @@ def estimate_tables(origin_zone, dest_zone, dow_idx, hour_idx, minutes,
     if centroid_dist_m is None:
         default = np.zeros((m, m))
     else:
-        default = (np.asarray(centroid_dist_m) / 1000.0) / fallback_speed_kmh * 60.0
+        default = (np.asarray(centroid_dist_m) / 1000.0) / FALLBACK_SPEED_KMH * 60.0
     tau = np.where(counts > 0, time_sum / np.maximum(counts, 1.0),
                    np.broadcast_to(default, (7, 24, m, m)))
 
@@ -401,18 +401,6 @@ def check_plan_feasibility(plan: RhcPlan, x0: np.ndarray, tau0: np.ndarray,
         raise AssertionError("rounded plan exceeds zone budgets")
 
 
-def reward_rhc(u: np.ndarray, x: np.ndarray, wbar: np.ndarray, tau: np.ndarray,
-               reject_penalty: float) -> float:
-    """Slot reward: minus weighted predicted rejects, minus dispatch travel cost."""
-    u = np.asarray(u, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    wbar = np.asarray(wbar, dtype=np.float64)
-    tau = np.asarray(tau, dtype=np.float64)
-    shortage = np.maximum(wbar - x, 0.0).sum()
-    cruise = float((tau * u).sum())
-    return -reject_penalty * float(shortage) - cruise
-
-
 # --- location-level mismatch and vehicle assignment ------------------------
 
 def mismatch(x_cells: np.ndarray, w_cells: np.ndarray) -> np.ndarray:
@@ -505,8 +493,7 @@ class RhcPolicy:
                  reject_penalty: float = DEFAULT_REJECT_PENALTY,
                  discount: float = DEFAULT_DISCOUNT,
                  slot_minutes: float = DEFAULT_SLOT_MINUTES,
-                 horizon: int = DEFAULT_HORIZON,
-                 prediction_window: float = 30.0):
+                 horizon: int = DEFAULT_HORIZON):
         self.zones = zones
         self.trip_times = trip_times
         self.destinations = destinations
@@ -519,7 +506,6 @@ class RhcPolicy:
         self.discount = discount
         self.slot_minutes = slot_minutes
         self.horizon = horizon
-        self.prediction_window = prediction_window
         self.cycle = int(slot_minutes)
         self.last_plan: RhcPlan | None = None
         self.warnings: list[str] = []
@@ -540,9 +526,10 @@ class RhcPolicy:
                     sched[k, zone] += 1
 
         heat = self.demand_predictor(view)
-        scale = self.slot_minutes / self.prediction_window
+        # the demand model predicts one SLOT_MINUTES window ahead
+        scale = self.slot_minutes / SLOT_MINUTES
         near = aggregate_to_regions(heat, self.zones) * scale
-        n_near = max(1, int(self.prediction_window // self.slot_minutes))
+        n_near = max(1, int(SLOT_MINUTES // self.slot_minutes))
         wbar = np.tile(near, (horizon + 1, 1))
         if self.future_demand is not None:
             for k in range(n_near, horizon + 1):

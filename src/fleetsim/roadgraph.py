@@ -66,14 +66,6 @@ class RoadGraph:
         self._rad_lons = [math.radians(self.nodes[i].lon) for i in ids]
         self._cos_lats = [math.cos(lat) for lat in self._rad_lats]
 
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.adjacency.values())
-
 
 def build_graph(nodes: dict[int, Location], edges: list[tuple[int, int, float]]) -> RoadGraph:
     """Assemble a graph, deduplicating repeated edges by keeping the shorter one."""
@@ -155,11 +147,6 @@ def nearest_nodes(lats, lons, graph: RoadGraph) -> np.ndarray:
     d = haversine_arrays(lats[:, None], lons[:, None], graph._lats, graph._lons)
     # ids are sorted ascending, so argmin's first-hit rule breaks ties by lowest id
     return graph._ids[np.argmin(d, axis=1)]
-
-
-def nearest_node(loc: Location, graph: RoadGraph) -> int:
-    """Node minimizing haversine distance to ``loc``; ties go to the lowest id."""
-    return int(nearest_nodes([loc.lat], [loc.lon], graph)[0])
 
 
 def shortest_path(origin: int, dest: int, graph: RoadGraph) -> Path | None:

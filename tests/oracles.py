@@ -473,7 +473,7 @@ def astar_reference(origin, dest, graph):
 def nearest_node_reference(loc, graph):
     """Node minimizing haversine distance to ``loc``, one point per call."""
     if not graph.nodes:
-        raise ValueError("nearest_node on empty graph")
+        raise ValueError("nearest-node lookup on an empty graph")
     d = haversine_arrays(loc.lat, loc.lon, graph._lats, graph._lons)
     return int(graph._ids[int(np.argmin(d))])
 

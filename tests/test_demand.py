@@ -107,7 +107,7 @@ class TestPredict:
         h1 = np.zeros((6, 6))
         h1[0, 0] = 2.0
         planes = build_demand_input(h1, np.zeros((6, 6)), Clock(300.0))
-        raw = model.predict_raw(planes)
+        raw = neural.forward(DEMAND_SPEC, model.params, planes)[..., 0]
         out = model.predict(planes)
         dark = (h1 == 0)
         assert (out[dark] == 0.0).all()
@@ -120,7 +120,7 @@ class TestPredict:
         h1 = rng.poisson(1.0, size=(6, 6)).astype(float)
         h2 = rng.poisson(1.0, size=(6, 6)).astype(float)
         planes = build_demand_input(h1, h2, Clock(120.0))
-        raw = model.predict_raw(planes)
+        raw = neural.forward(DEMAND_SPEC, model.params, planes)[..., 0]
         out = model.predict(planes)
         lit = (h1 > 0) | (h2 > 0)
         np.testing.assert_array_equal(out[lit], raw[lit])

@@ -20,10 +20,11 @@ from fleetsim.dqn import (
     VehicleContext,
     action_offset,
     build_feature_planes,
+    explore_action,
+    greedy_action,
     legal_action_mask,
     masked_q,
     reward_dqn,
-    select_action,
     sync_target,
     train_step,
 )
@@ -252,37 +253,42 @@ class TestQNetwork:
 
 
 class TestSelectAction:
+    """``DqnPolicy.dispatch`` acts as ``explore_action(...) or greedy_action(q_map)``."""
+
     def test_greedy_takes_argmax(self):
         qmap = np.full((15, 15), -1.0)
         qmap[3, 9] = 2.0
-        assert select_action(qmap, 0.0, np.random.default_rng(0)) == (3, 9)
+        assert greedy_action(qmap) == (3, 9)
+        assert explore_action(np.ones((15, 15), dtype=bool), 0.0,
+                              np.random.default_rng(0)) is None
 
     def test_greedy_tie_breaks_lowest_row_major(self):
         qmap = np.zeros((15, 15))
-        assert select_action(qmap, 0.0, np.random.default_rng(0)) == (0, 0)
+        assert greedy_action(qmap) == (0, 0)
 
     def test_single_legal_cell_wins_at_any_epsilon(self):
         qmap = np.full((15, 15), -np.inf)
         qmap[8, 2] = -3.0
+        legal = np.isfinite(qmap)
         for eps in (0.0, 0.5, 1.0):
-            assert select_action(qmap, eps, np.random.default_rng(1)) == (8, 2)
+            rng = np.random.default_rng(1)
+            assert (explore_action(legal, eps, rng) or greedy_action(qmap)) == (8, 2)
 
     def test_never_selects_illegal(self):
         rng = np.random.default_rng(2)
         legal = legal_action_mask((0, 0), (10, 10))
         for _ in range(200):
             qmap = masked_q(rng.normal(size=(15, 15)), legal)
-            cell = select_action(qmap, float(rng.random()), rng)
+            cell = explore_action(legal, float(rng.random()), rng) or greedy_action(qmap)
             assert legal[cell]
 
     def test_uniform_exploration_frequencies(self):
         legal = legal_action_mask((5, 5), (10, 10))
-        qmap = masked_q(np.zeros((15, 15)), legal)
         rng = np.random.default_rng(3)
         counts = np.zeros((15, 15))
         draws = 10_000
         for _ in range(draws):
-            counts[select_action(qmap, 1.0, rng)] += 1
+            counts[explore_action(legal, 1.0, rng)] += 1
         n_legal = int(legal.sum())
         expected = draws / n_legal
         chi2 = float(((counts[legal] - expected) ** 2 / expected).sum())
@@ -292,7 +298,7 @@ class TestSelectAction:
 
     def test_no_legal_cell_raises(self):
         with pytest.raises(ValueError):
-            select_action(np.full((15, 15), -np.inf), 0.5, np.random.default_rng(0))
+            explore_action(np.zeros((15, 15), dtype=bool), 1.0, np.random.default_rng(0))
 
 
 class TestRewardAndSchedules:

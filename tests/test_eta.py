@@ -106,6 +106,24 @@ class TestTraining:
 
 
 class TestPredict:
+    def test_one_row_predict_agrees_with_batch(self):
+        # the simulator times each trip with predict, while eta_val_rmse is
+        # scored with predict_batch: the two agree to the last few bits
+        # (not bit for bit: a batch GEMM may round differently) and clamp
+        # the same rows at zero
+        rng = np.random.default_rng(8)
+        feats, minutes = synthetic_trips(rng, n=500, noise=1.0)
+        model, _, _ = train_eta(feats, minutes, seed=2, epochs=5)
+        shift = float(np.median(model.predict_batch(feats)))
+        shifted = EtaModel(model.params, model.mean, model.std,
+                           model.y_mean - shift, model.y_std)
+        for m in (model, shifted):
+            batch = m.predict_batch(feats)
+            single = np.array([m.predict(f) for f in feats])
+            np.testing.assert_array_equal(single == 0.0, batch == 0.0)
+            np.testing.assert_allclose(single, batch, rtol=1e-12, atol=0.0)
+        assert 0 < int((batch == 0.0).sum()) < len(feats)
+
     def test_negative_raw_output_clamps_to_zero(self):
         params = neural.init_params(ETA_SPEC, np.random.default_rng(0))
         params[-1] = np.array([-5.0])  # final bias forces negative output

@@ -15,7 +15,6 @@ from fleetsim.geo import (
     center_of,
     haversine,
     haversine_arrays,
-    region_of,
     METERS_PER_DEG_LAT,
 )
 
@@ -69,15 +68,16 @@ class TestCellOf:
 
 class TestRegionMap:
     def test_identity_maps_everything_to_zero(self):
-        rm = RegionMap.identity(3, 4)
+        rm = RegionMap(np.zeros((3, 4)), 1)
+        assert rm.assignment.dtype == np.int64
         for r in range(3):
             for c in range(4):
-                assert region_of((r, c), rm) == 0
+                assert rm.assignment[r, c] == 0
 
     def test_row_regions(self):
         rm = RegionMap(np.array([[0, 0], [1, 1]]), 2)
-        assert region_of((1, 0), rm) == 1
-        assert region_of((0, 1), rm) == 0
+        assert rm.assignment[1, 0] == 1
+        assert rm.assignment[0, 1] == 0
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -89,7 +89,7 @@ class TestRegionMap:
         assert np.array_equal(back.assignment, a)
         for r in range(6):
             for c in range(4):
-                assert region_of((r, c), back) == a[r, c]
+                assert back.assignment[r, c] == a[r, c]
 
     def test_incomplete_file_rejected(self, tmp_path):
         path = tmp_path / "partial.csv"
@@ -97,28 +97,23 @@ class TestRegionMap:
         with pytest.raises(RegionMapError):
             RegionMap.from_csv(path, 2, 2)
 
-    def test_unknown_cell_is_configuration_error(self):
-        rm = RegionMap.identity(2, 2)
-        with pytest.raises(RegionMapError):
-            region_of((5, 0), rm)
-
     def test_block_map_layout(self):
         g = GridSpec(rows=6, cols=6, cell_size=100.0, origin=Location(0.0, 0.0))
         rm = block_region_map(g, 3, 3)
         assert rm.region_count == 4
-        assert region_of((0, 0), rm) == 0
-        assert region_of((0, 3), rm) == 1
-        assert region_of((3, 0), rm) == 2
-        assert region_of((5, 5), rm) == 3
+        assert rm.assignment[0, 0] == 0
+        assert rm.assignment[0, 3] == 1
+        assert rm.assignment[3, 0] == 2
+        assert rm.assignment[5, 5] == 3
 
 
 class TestAggregate:
     def test_zero_heat(self):
-        rm = RegionMap.identity(3, 3)
+        rm = RegionMap(np.zeros((3, 3)), 1)
         assert aggregate_to_regions(np.zeros((3, 3)), rm).tolist() == [0.0]
 
     def test_single_cell_single_region(self):
-        rm = RegionMap.identity(2, 2)
+        rm = RegionMap(np.zeros((2, 2)), 1)
         heat = np.zeros((2, 2))
         heat[1, 0] = 5.0
         assert aggregate_to_regions(heat, rm).tolist() == [5.0]
@@ -144,7 +139,7 @@ class TestAggregate:
             assert aggregate_to_regions(heat, rm).sum() == pytest.approx(heat.sum())
 
     def test_dimension_mismatch(self):
-        rm = RegionMap.identity(2, 2)
+        rm = RegionMap(np.zeros((2, 2)), 1)
         with pytest.raises(ValueError):
             aggregate_to_regions(np.zeros((3, 3)), rm)
 

@@ -81,6 +81,33 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(text="seed = 1\n", overrides={key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("eta_lr", "0"), ("eta_lr", "-1e-3"), ("eta_lr", "inf"),
+        ("demand_lr", "nan"), ("demand_lr", "0"),
+        ("dqn_lr", "-1"), ("dqn_lr", "nan"),
+        ("rhc_slot_minutes", "0"), ("rhc_slot_minutes", "-15"), ("rhc_horizon", "-1"),
+        ("dqn_discount", "1.5"), ("dqn_discount", "0"), ("dqn_discount", "nan"),
+        ("rhc_discount", "-0.5"), ("rhc_discount", "1.01"),
+        ("warmup_minutes", "-5"), ("eta_epochs", "-1"), ("demand_epochs", "-2"),
+        ("day_start_hour", "30"), ("day_start_hour", "24"), ("day_start_hour", "-1"),
+        ("idle_window_minutes", "nan"), ("idle_window_minutes", "-1"),
+        ("idle_window_minutes", "inf"),
+        ("dqn_decision_interval", "-0.5"), ("dqn_decision_interval", "inf"),
+    ])
+    def test_training_and_policy_values_that_fail_late_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text="seed = 1\n", overrides={key: value})
+
+    def test_edge_training_and_policy_values_accepted(self):
+        cfg = parse_config(text="seed = 1\nrhc_slot_minutes = 1\nrhc_horizon = 0\n"
+                                "dqn_discount = 1\nrhc_discount = 1\nwarmup_minutes = 0\n"
+                                "eta_epochs = 0\ndemand_epochs = 0\nday_start_hour = 0\n"
+                                "idle_window_minutes = 0\ndqn_decision_interval = 0\n"
+                                "eta_lr = 1e-12\n")
+        assert (cfg.rhc_slot_minutes, cfg.rhc_horizon, cfg.dqn_discount) == (1, 0, 1.0)
+        assert cfg.idle_window_minutes == cfg.dqn_decision_interval == 0.0
+        assert parse_config(text="seed = 1\nday_start_hour = 23\n").day_start_hour == 23
+
     def test_zero_match_radius_and_unit_sizes_accepted(self):
         cfg = parse_config(text="seed = 1\nmatch_radius_m = 0\nregion_block = 1\n"
                                 "zone_block = 1\ndqn_sync_period = 1\ndqn_batch = 1\n"
@@ -191,7 +218,7 @@ class TestSynth:
         graph = build_road_grid(grid)
         from fleetsim.roadgraph import shortest_path
 
-        assert graph.node_count == 16
+        assert len(graph.nodes) == 16
         p = shortest_path(0, 15, graph)
         assert p is not None
 
@@ -347,6 +374,9 @@ class TestExperiment:
 
         net, log_rows = ex.train_dqn(cfg, city=city, bundle=bundle, steps=10)
         assert len(log_rows) == 10
+        assert cfg.dqn_train_steps > 0
+        _, no_rows = ex.train_dqn(cfg, city=city, bundle=bundle, steps=0)
+        assert no_rows == []
         dqn_cfg = dataclasses.replace(cfg, policy="dqn")
         result = ex.run_experiment(dqn_cfg, city=city, bundle=bundle, qnet=net)
         assert result["aggregate"]["total_requests"] > 0
@@ -386,6 +416,14 @@ class TestCli:
         assert proc.returncode == 1, proc.stderr
         assert "region_block" in proc.stderr
         assert not (tmp_path / "city").exists()
+
+    def test_zero_eta_lr_is_config_error_before_synthesis(self, tmp_path):
+        proc = self.run_cli("--set", "seed=1", "--set", f"data_dir={tmp_path / 'city'}",
+                            "--set", f"out_dir={tmp_path / 'runs'}",
+                            "--set", "eta_lr=0", "train-eta")
+        assert proc.returncode == 1, proc.stderr
+        assert "eta_lr" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_bogus_epoch_date_is_config_error(self, tmp_path):
         proc = self.run_cli("--set", "seed=1", "--set", f"data_dir={tmp_path / 'city'}",

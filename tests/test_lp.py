@@ -41,15 +41,6 @@ class TestBasics:
         assert sol.objective == pytest.approx(-2.0)
         assert sol.x[0] == pytest.approx(2.0)
 
-    def test_upper_bounds(self):
-        sol = solve(LpProblem(c=[1.0, 1.0], a_ub=np.zeros((0, 2)), b_ub=[],
-                              upper=[2.0, np.inf]))
-        assert sol.status == "unbounded"
-        sol = solve(LpProblem(c=[1.0, -1.0], a_ub=np.zeros((0, 2)), b_ub=[],
-                              upper=[2.0, 5.0]))
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(2.0)
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             LpProblem(c=[1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])

@@ -8,11 +8,11 @@ from fleetsim.neural import (
     Network,
     RmsProp,
     avg_pool,
-    backward,
+    backward_from_grad,
     forward,
+    forward_cached,
     init_params,
     load_model,
-    rmsprop_step,
     save_model,
     walk_param_layers,
 )
@@ -146,7 +146,8 @@ class TestBackward:
         # y = w*x with x=1, w=2, target=0 and loss (y-t)^2: dL/dw = 2*2*1 = 4
         spec = (Dense(1, 1, "linear"),)
         params = [np.array([[2.0]]), np.array([0.0])]
-        grads = backward(spec, params, np.array([1.0]), np.array([0.0]))
+        out, caches = forward_cached(spec, params, np.array([[1.0]]))
+        grads = backward_from_grad(spec, params, caches, 2.0 * (out - np.array([[0.0]])))
         assert grads[0][0, 0] == pytest.approx(4.0)
         assert grads[1][0] == pytest.approx(4.0)
 
@@ -156,7 +157,8 @@ class TestBackward:
         params = init_params(spec, rng)
         x = rng.normal(size=4)
         target = forward(spec, params, x)
-        grads = backward(spec, params, x, target)
+        out, caches = forward_cached(spec, params, x[None])
+        grads = backward_from_grad(spec, params, caches, 2.0 * (out - target[None]))
         for g in grads:
             np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
@@ -176,7 +178,8 @@ class TestBackward:
             x = rng.uniform(0.2, 1.0, size=spec[0].n_in)
         probe = forward(spec, params, x)
         target = probe + rng.uniform(0.3, 1.0, size=probe.shape)
-        analytic = backward(spec, params, x, target)
+        out, caches = forward_cached(spec, params, x[None])
+        analytic = backward_from_grad(spec, params, caches, 2.0 * (out - target[None]))
         numeric = numerical_gradients(spec, params, x, target)
         assert max_rel_error(analytic, numeric) < 1e-4
 
@@ -194,7 +197,8 @@ class TestBackward:
         aux = rng.uniform(0.2, 1.0, size=(3, 3, 2))
         probe = forward(spec, params, x, aux)
         target = probe + rng.uniform(0.3, 1.0, size=probe.shape)
-        analytic = backward(spec, params, x, target, aux=aux)
+        out, caches = forward_cached(spec, params, x[None], aux[None])
+        analytic = backward_from_grad(spec, params, caches, 2.0 * (out - target[None]))
         numeric = numerical_gradients(spec, params, x, target, aux=aux)
         assert max_rel_error(analytic, numeric) < 1e-4
 
@@ -213,26 +217,36 @@ class TestBackward:
 class TestRmsProp:
     def test_zero_gradient_is_noop(self):
         p = np.array([1.0, -2.0])
-        s = np.zeros(2)
-        p2, s2 = rmsprop_step(p, np.zeros(2), s, lr=0.01, rho=0.9)
-        np.testing.assert_array_equal(p2, p)
-        np.testing.assert_array_equal(s2, s)
+        opt = RmsProp(lr=0.01, rho=0.9)
+        opt.step([p], [np.zeros(2)])
+        np.testing.assert_array_equal(p, [1.0, -2.0])
+        np.testing.assert_array_equal(opt.state[0], np.zeros(2))
 
     def test_first_step_hand_value(self):
         # s = 0.1*1 = 0.1; dp = -0.01/sqrt(0.1 + 1e-8)
-        p, s = rmsprop_step(np.zeros(1), np.ones(1), np.zeros(1),
-                            lr=0.01, rho=0.9, eps=1e-8)
+        p = np.zeros(1)
+        opt = RmsProp(lr=0.01, rho=0.9, eps=1e-8)
+        opt.step([p], [np.ones(1)])
         assert p[0] == pytest.approx(-0.0316227, abs=1e-6)
-        assert s[0] == pytest.approx(0.1)
+        assert opt.state[0][0] == pytest.approx(0.1)
+
+    def test_eps_sits_inside_the_square_root(self):
+        # s = 0.1; dp = -0.01/sqrt(0.1 + 1) = -0.0095346, where
+        # -0.01/(sqrt(0.1) + 1) would give -0.0075975
+        p = np.zeros(1)
+        opt = RmsProp(lr=0.01, rho=0.9, eps=1.0)
+        opt.step([p], [np.ones(1)])
+        assert p[0] == pytest.approx(-0.01 / np.sqrt(1.1), rel=1e-12)
+        assert opt.state[0][0] == pytest.approx(0.1)
 
     def test_repeated_gradient_step_size_approaches_lr(self):
         p = np.zeros(1)
-        s = np.zeros(1)
+        opt = RmsProp(lr=0.01, rho=0.9)
         g = np.full(1, 3.0)
         lr = 0.01
         for _ in range(400):
             prev = p.copy()
-            p, s = rmsprop_step(p, g, s, lr=lr, rho=0.9)
+            opt.step([p], [g])
         assert abs(prev[0] - p[0]) == pytest.approx(lr, rel=1e-3)
 
     def test_state_stays_nonnegative_and_step_bounded(self):

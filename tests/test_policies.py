@@ -158,10 +158,10 @@ class TestDqnPolicy:
         assert tr.action == STAY_CELL
         assert tr.tau_steps == 0
 
-    def test_exploration_matches_select_action_stream(self):
-        # the policy's inlined epsilon draw consumes the rng exactly like
-        # select_action with a precomputed map
-        from fleetsim.dqn import legal_action_mask, masked_q, select_action
+    def test_exploration_matches_hand_replayed_stream(self):
+        # the policy's epsilon draw consumes the rng exactly like this
+        # replay: one random() to explore, one integers() over legal cells
+        from fleetsim.dqn import legal_action_mask
 
         net = crafted_qnet(base=0.0, dist_coef=5.0)
         policy = self.make_policy(net, train=True)

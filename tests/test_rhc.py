@@ -16,7 +16,6 @@ from fleetsim.rhc import (
     load_tables,
     mismatch,
     predict_supply,
-    reward_rhc,
     round_plan,
     save_tables,
     solve_rhc,
@@ -238,25 +237,6 @@ class TestLpAssembly:
 
 
 class TestRewardAndMismatch:
-    def test_zero_when_balanced_and_parked(self):
-        assert reward_rhc(np.zeros((2, 2)), [1.0, 1.0], [1.0, 0.5],
-                          np.zeros((2, 2)), 10.0) == 0.0
-
-    def test_hand_value(self):
-        u = np.zeros((2, 2))
-        u[0, 1] = 1.0
-        tau = np.array([[0.0, 5.0], [5.0, 0.0]])
-        r = reward_rhc(u, [1.0, 0.0], [0.0, 2.0], tau, 10.0)
-        assert r == pytest.approx(-25.0)
-
-    def test_monotone_in_travel_time(self):
-        u = np.ones((2, 2)) - np.eye(2)
-        base = np.array([[0.0, 5.0], [5.0, 0.0]])
-        worse = base.copy()
-        worse[0, 1] = 9.0
-        x, w = [1.0, 1.0], [0.0, 0.0]
-        assert reward_rhc(u, x, w, worse, 10.0) <= reward_rhc(u, x, w, base, 10.0)
-
     def test_mismatch_zero_when_proportional(self):
         x = np.array([[2.0, 4.0], [6.0, 8.0]])
         eta = mismatch(x, 3.0 * x)

@@ -8,7 +8,6 @@ from fleetsim.roadgraph import (
     Path,
     build_graph,
     load_edge_list,
-    nearest_node,
     nearest_nodes,
     save_edge_list,
     shortest_path,
@@ -43,8 +42,8 @@ class TestLoadEdgeList:
         p = tmp_path / "g.txt"
         p.write_text("#nodes\n1,40.0,-74.0\n2,40.1,-74.1\n#edges\n")
         g = load_edge_list(p)
-        assert g.node_count == 2
-        assert g.edge_count == 0
+        assert len(g.nodes) == 2
+        assert g.adjacency == {1: [], 2: []}
 
     def test_two_nodes_one_edge(self, tmp_path):
         p = tmp_path / "g.txt"
@@ -83,7 +82,7 @@ class TestNearestNode:
     def test_exact_node_location(self):
         g = random_graph(np.random.default_rng(1))
         for nid, loc in list(g.nodes.items())[:5]:
-            assert nearest_node(loc, g) == nid
+            assert nearest_nodes([loc.lat], [loc.lon], g).tolist() == [nid]
         locs = list(g.nodes.values())
         got = nearest_nodes([p.lat for p in locs], [p.lon for p in locs], g)
         assert got.tolist() == list(g.nodes)
@@ -94,7 +93,7 @@ class TestNearestNode:
             9: Location(40.0, -73.999),
         }
         g = build_graph(nodes, [])
-        assert nearest_node(Location(40.0, -74.0), g) == 5
+        assert nearest_nodes([40.0], [-74.0], g).tolist() == [5]
         got = nearest_nodes([40.0, 40.0, 40.0], [-74.0, -74.001, -73.999], g)
         assert got.tolist() == [5, 5, 9]
 
@@ -104,7 +103,7 @@ class TestNearestNode:
         points = []
         for _ in range(20):
             q = Location(40.0 + rng.uniform(0, 0.05), -74.0 + rng.uniform(0, 0.05))
-            got = nearest_node(q, g)
+            got = int(nearest_nodes([q.lat], [q.lon], g)[0])
             best = min(g.nodes, key=lambda nid: (haversine(q, g.nodes[nid]), nid))
             assert got == best
             points.append((q, best))
@@ -128,7 +127,7 @@ class TestNearestNode:
     def test_empty_graph(self):
         g = build_graph({}, [])
         with pytest.raises(ValueError):
-            nearest_node(Location(0, 0), g)
+            nearest_nodes([0.0], [0.0], g)
 
 
 class TestShortestPath:
