@@ -63,10 +63,7 @@ class DemandModel:
 
     @classmethod
     def load(cls, path) -> "DemandModel":
-        spec, params, _, _ = neural.load_model(path)
-        if spec != DEMAND_SPEC:
-            raise ValueError("checkpoint is not a demand model")
-        return cls(params)
+        return cls(neural.load_model(path, DEMAND_SPEC)[0])
 
 
 def _samples(slots: np.ndarray, clocks: list[Clock]):

@@ -240,20 +240,18 @@ def _region_aux(region: tuple[int, int], grid_shape: tuple[int, int]
     return legal, planes
 
 
+@dataclass
 class QNetwork:
-    """The fixed two-branch convolutional value network."""
+    """The parameters of the fixed two-branch convolutional value network, ``Q_SPEC``."""
 
-    def __init__(self, net: neural.Network):
-        if net.spec != Q_SPEC:
-            raise ValueError("network spec does not match the Q architecture")
-        self.net = net
+    params: list[np.ndarray]
 
     @classmethod
     def create(cls, rng: np.random.Generator) -> "QNetwork":
-        return cls(neural.Network.create(Q_SPEC, rng))
+        return cls(neural.init_params(Q_SPEC, rng))
 
     def copy(self) -> "QNetwork":
-        return QNetwork(self.net.copy())
+        return QNetwork([p.copy() for p in self.params])
 
     def q_map(self, qin: QInput, legal: np.ndarray | None = None) -> np.ndarray:
         """The 15x15 action-value map; with ``legal``, only its legal cells.
@@ -268,7 +266,7 @@ class QNetwork:
         rounding in the last bits; a mask without a legal cell raises.
         """
         if legal is None:
-            return self.net.forward(qin.main, aux=qin.aux)[..., 0]
+            return neural.forward(Q_SPEC, self.params, qin.main, qin.aux)[..., 0]
         rows = np.flatnonzero(legal.any(axis=1))
         cols = np.flatnonzero(legal.any(axis=0))
         if rows.size == 0:
@@ -276,21 +274,18 @@ class QNetwork:
         r0, r1 = rows[0], rows[-1] + 1
         c0, c1 = cols[0], cols[-1] + 1
         qmap = np.full((ACTION_SIZE, ACTION_SIZE), -np.inf)
-        qmap[r0:r1, c0:c1] = self.net.forward(
-            qin.main[r0:r1 + _FIELD - 1, c0:c1 + _FIELD - 1],
-            aux=qin.aux[r0:r1, c0:c1])[..., 0]
+        qmap[r0:r1, c0:c1] = neural.forward(
+            Q_SPEC, self.params, qin.main[r0:r1 + _FIELD - 1, c0:c1 + _FIELD - 1],
+            qin.aux[r0:r1, c0:c1])[..., 0]
         return masked_q(qmap, legal)
 
-    def save(self, path, optimizer: neural.RmsProp | None = None,
-             extra: dict | None = None) -> None:
-        neural.save_model(path, Q_SPEC, self.net.params, optimizer, extra)
+    def save(self, path, extra: dict | None = None) -> None:
+        neural.save_model(path, Q_SPEC, self.params, extra)
 
     @classmethod
-    def load(cls, path) -> tuple["QNetwork", neural.RmsProp | None, dict | None]:
-        spec, params, opt, extra = neural.load_model(path)
-        if spec != Q_SPEC:
-            raise ValueError("checkpoint is not a Q-network")
-        return cls(neural.Network(spec, params)), opt, extra
+    def load(cls, path) -> tuple["QNetwork", dict | None]:
+        params, extra = neural.load_model(path, Q_SPEC)
+        return cls(params), extra
 
 
 def masked_q(qmap: np.ndarray, legal: np.ndarray) -> np.ndarray:
@@ -420,7 +415,7 @@ def train_step(online: QNetwork, target: QNetwork, buffer: ReplayBuffer,
              for qin, t in zip(next_qins, batch)]
     cells = [greedy_action(qmap) for qmap in qmaps]
     tgt_main, tgt_aux = _fields(next_qins, cells)
-    future = target.net.forward(tgt_main, aux=tgt_aux).reshape(batch_size)
+    future = neural.forward(Q_SPEC, target.params, tgt_main, tgt_aux).reshape(batch_size)
 
     taus = np.array([t.tau_steps for t in batch], dtype=np.float64)
     rewards = np.array([t.reward for t in batch])
@@ -428,14 +423,14 @@ def train_step(online: QNetwork, target: QNetwork, buffer: ReplayBuffer,
 
     cur_main, cur_aux = _fields([build_feature_planes(t.ctx) for t in batch],
                                 [t.action for t in batch])
-    out, caches = neural.forward_cached(Q_SPEC, online.net.params, cur_main, cur_aux)
+    out, caches = neural.forward_cached(Q_SPEC, online.params, cur_main, cur_aux)
     picked = out.reshape(batch_size)
     err = picked - targets
     loss = float(np.mean(err ** 2))
 
     d_out = (2.0 * err / batch_size).reshape(out.shape)
-    grads = neural.backward_from_grad(Q_SPEC, online.net.params, caches, d_out)
-    opt.step(online.net.params, grads)
+    grads = neural.backward_from_grad(Q_SPEC, online.params, caches, d_out)
+    opt.step(online.params, grads)
 
     mean_max_q = float(np.mean([qmap[cell] for qmap, cell in zip(qmaps, cells)]))
     return loss, mean_max_q
@@ -446,7 +441,8 @@ def sync_target(online: QNetwork, target: QNetwork, step: int, period: int) -> b
     if period < 1:
         raise ValueError("sync period must be at least 1")
     if step % period == 0:
-        target.net.load_params_from(online.net)
+        for mine, theirs in zip(target.params, online.params):
+            np.copyto(mine, theirs)
         return True
     return False
 

@@ -71,9 +71,7 @@ class EtaModel:
 
     @classmethod
     def load(cls, path) -> "EtaModel":
-        spec, params, _, extra = neural.load_model(path)
-        if spec != ETA_SPEC:
-            raise ValueError("checkpoint is not an ETA model")
+        params, extra = neural.load_model(path, ETA_SPEC)
         return cls(params, np.array(extra["mean"]), np.array(extra["std"]),
                    extra["y_mean"], extra["y_std"])
 

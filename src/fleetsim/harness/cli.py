@@ -15,7 +15,7 @@ from pathlib import Path
 from ..geo import RegionMapError
 from ..rhc import ZoneTableError
 from ..roadgraph import EdgeListParseError
-from .config import ConfigError, parse_config, render_config
+from .config import ConfigError, parse_config
 from .ingest import TripDataError
 
 EXIT_OK = 0

@@ -120,12 +120,14 @@ class ExperimentConfig:
         for name in ("rhc_discount", "dqn_discount"):
             if not 0 < getattr(self, name) <= 1:
                 raise ConfigError(f"{name} must be in (0, 1], got {getattr(self, name)}")
-        for name in ("rhc_horizon", "warmup_minutes", "eta_epochs", "demand_epochs"):
+        for name in ("rhc_horizon", "warmup_minutes", "eta_epochs", "demand_epochs",
+                     "dqn_train_steps", "dqn_eps_ramp", "dqn_alpha_ramp"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not 0 <= self.day_start_hour <= 23:
             raise ConfigError(f"day_start_hour must be in 0-23, got {self.day_start_hour}")
-        for name in ("idle_window_minutes", "dqn_decision_interval"):
+        for name in ("idle_window_minutes", "dqn_decision_interval", "rhc_reject_penalty",
+                     "dqn_reject_weight"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
                 raise ConfigError(f"{name} must be finite and non-negative, "
                                   f"got {getattr(self, name)}")

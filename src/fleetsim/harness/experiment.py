@@ -28,7 +28,7 @@ from ..roadgraph import load_edge_list
 from ..sim import EpisodeMetrics, RideRequest, Simulation, finalize_metrics
 from .config import ConfigError, ExperimentConfig
 from .ingest import ingest_trips
-from .synth import SynthCity, synth_city, write_city
+from .synth import SynthCity, synth_city
 
 log = logging.getLogger(__name__)
 
@@ -134,8 +134,8 @@ class ModelBundle:
     eta_model: eta_mod.EtaModel
     demand_model: demand_mod.DemandModel
     historical: demand_mod.HistoricalAverageDemand
-    trip_times: rhc_mod.TripTimeTable
-    destinations: rhc_mod.DestDistribution
+    trip_times: np.ndarray    # (7, 24, M, M) zone trip minutes
+    destinations: np.ndarray  # (7, 24, M, M) zone destination probabilities
     metrics: dict
 
 
@@ -343,18 +343,23 @@ def episode_requests(requests: list[RideRequest], start: float, end: float
     return out
 
 
+def make_simulation(cfg: ExperimentConfig, city: City, bundle: ModelBundle,
+                    requests: list[RideRequest], policy, start: float) -> Simulation:
+    """The configured fleet on ``city``'s roads, serving ``requests`` from minute ``start``."""
+    return Simulation(city.grid, city.graph, bundle.eta_model, requests,
+                      n_vehicles=cfg.vehicles, policy=policy,
+                      clock0=Clock(start, cfg.epoch_dow),
+                      warmup=cfg.warmup_minutes,
+                      match_radius_m=cfg.match_radius_m,
+                      idle_window=cfg.idle_window_minutes)
+
+
 def run_episode(cfg: ExperimentConfig, city: City, bundle: ModelBundle,
                 policy_name: str, day: int, qnet=None):
     start, end = day_window(cfg, day)
     reqs = episode_requests(city.requests, start, end)
     policy = make_policy(cfg, policy_name, city, bundle, qnet)
-    sim = Simulation(city.grid, city.graph, bundle.eta_model, reqs,
-                     n_vehicles=cfg.vehicles, policy=policy,
-                     clock0=Clock(start, cfg.epoch_dow),
-                     warmup=cfg.warmup_minutes,
-                     match_radius_m=cfg.match_radius_m,
-                     idle_window=cfg.idle_window_minutes)
-    metrics = sim.run(1440)
+    metrics = make_simulation(cfg, city, bundle, reqs, policy, start).run(1440)
     return metrics, finalize_metrics(metrics)
 
 
@@ -427,7 +432,7 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
         qnet_path = model_paths(cfg)["qnet"]
         if not qnet_path.exists():
             raise ConfigError("no trained Q-network found; run train-dqn first")
-        qnet, _, _ = dqn_mod.QNetwork.load(qnet_path)
+        qnet, _ = dqn_mod.QNetwork.load(qnet_path)
 
     day_metrics, day_reports, rows = [], [], []
     for day in range(cfg.days):
@@ -488,12 +493,7 @@ def train_dqn(cfg: ExperimentConfig, city: City | None = None,
     reqs = episode_requests(city.requests, start, start + span)
     if len(reqs) < cfg.vehicles:
         raise ConfigError("training city too small for the configured fleet")
-    sim = Simulation(city.grid, city.graph, bundle.eta_model, reqs,
-                     n_vehicles=cfg.vehicles, policy=policy,
-                     clock0=Clock(start, cfg.epoch_dow),
-                     warmup=cfg.warmup_minutes,
-                     match_radius_m=cfg.match_radius_m,
-                     idle_window=cfg.idle_window_minutes)
+    sim = make_simulation(cfg, city, bundle, reqs, policy, start)
     for minute in range(total_minutes):
         sim.step_minute()
         if minute >= cfg.warmup_minutes:

@@ -260,28 +260,6 @@ def backward_from_grad(spec, params, caches, d_out) -> list[np.ndarray]:
     return grads
 
 
-class Network:
-    """A (spec, params) pair with convenience methods."""
-
-    def __init__(self, spec, params):
-        self.spec = tuple(spec)
-        self.params = params
-
-    @classmethod
-    def create(cls, spec, rng: np.random.Generator) -> "Network":
-        return cls(spec, init_params(spec, rng))
-
-    def forward(self, x, aux=None):
-        return forward(self.spec, self.params, x, aux)
-
-    def copy(self) -> "Network":
-        return Network(self.spec, [p.copy() for p in self.params])
-
-    def load_params_from(self, other: "Network") -> None:
-        for mine, theirs in zip(self.params, other.params):
-            np.copyto(mine, theirs)
-
-
 class RmsProp:
     """Stateful RMSProp over a parameter list; updates in place.
 
@@ -361,18 +339,6 @@ def _layer_to_dict(layer) -> dict:
     raise TypeError(f"cannot serialize layer {layer}")
 
 
-def _layer_from_dict(d: dict):
-    kind = d["kind"]
-    if kind == "dense":
-        return Dense(d["n_in"], d["n_out"], d["activation"])
-    if kind == "conv2d":
-        return Conv2D(d["in_planes"], d["filters"], d["kh"], d["kw"],
-                      d["activation"], d["padding"])
-    if kind == "concat":
-        return Concat(tuple(_layer_from_dict(b) for b in d["branch"]))
-    raise ValueError(f"unknown layer kind {kind}")
-
-
 def _encode_array(a: np.ndarray) -> dict:
     a = np.ascontiguousarray(a, dtype="<f8")
     return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
@@ -386,36 +352,28 @@ def _decode_array(d: dict) -> np.ndarray:
 CHECKPOINT_FORMAT = "fleetsim-net-v1"
 
 
-def save_model(path, spec, params, optimizer: RmsProp | None = None, extra: dict | None = None) -> None:
+def save_model(path, spec, params, extra: dict | None = None) -> None:
     """Write a versioned JSON checkpoint; load(save(m)) round-trips bit-exactly."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "layers": [_layer_to_dict(l) for l in spec],
         "params": [_encode_array(p) for p in params],
     }
-    if optimizer is not None:
-        doc["optimizer"] = {
-            "lr": optimizer.lr, "rho": optimizer.rho, "eps": optimizer.eps,
-            "state": [_encode_array(s) for s in optimizer.state] if optimizer.state else None,
-        }
     if extra is not None:
         doc["extra"] = extra
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 
-def load_model(path):
-    """Read a checkpoint back as (spec, params, optimizer or None, extra dict)."""
+def load_model(path, spec):
+    """Read a checkpoint of the network ``spec`` back as (params, extra dict or None).
+
+    Raises ``ValueError`` for another format or a checkpoint of other layers.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format {doc.get('format')!r}")
-    spec = tuple(_layer_from_dict(d) for d in doc["layers"])
-    params = [_decode_array(d) for d in doc["params"]]
-    optimizer = None
-    if "optimizer" in doc:
-        o = doc["optimizer"]
-        optimizer = RmsProp(lr=o["lr"], rho=o["rho"], eps=o["eps"])
-        if o.get("state") is not None:
-            optimizer.state = [_decode_array(s) for s in o["state"]]
-    return spec, params, optimizer, doc.get("extra")
+    if doc["layers"] != [_layer_to_dict(l) for l in spec]:
+        raise ValueError(f"{path} holds other layers than the network it is loaded as")
+    return [_decode_array(d) for d in doc["params"]], doc.get("extra")

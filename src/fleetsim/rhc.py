@@ -35,26 +35,6 @@ FALLBACK_SPEED_KMH = 25.0
 
 # --- historical tables -----------------------------------------------------
 
-@dataclass
-class TripTimeTable:
-    """Expected zone-to-zone minutes per (day-of-week, hour)."""
-
-    minutes: np.ndarray  # (7, 24, M, M)
-
-    def at(self, dow: int, hour: int) -> np.ndarray:
-        return self.minutes[dow, hour]
-
-
-@dataclass
-class DestDistribution:
-    """Row-stochastic destination probabilities per (day-of-week, hour)."""
-
-    prob: np.ndarray  # (7, 24, M, M)
-
-    def at(self, dow: int, hour: int) -> np.ndarray:
-        return self.prob[dow, hour]
-
-
 def zone_centroid_distances(rm: RegionMap, grid: GridSpec) -> np.ndarray:
     """Pairwise great-circle distances between zone centroids, meters."""
     rows, cols = np.indices((grid.rows, grid.cols))
@@ -65,15 +45,16 @@ def zone_centroid_distances(rm: RegionMap, grid: GridSpec) -> np.ndarray:
 
 
 def estimate_tables(origin_zone, dest_zone, dow_idx, hour_idx, minutes,
-                    zone_count: int, centroid_dist_m: np.ndarray | None = None
-                    ) -> tuple[TripTimeTable, DestDistribution]:
-    """Histogram trip records into travel-time and destination tables.
+                    zone_count: int, centroid_dist_m: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram trip records into (7, 24, M, M) travel-time and destination tables.
 
+    Returns ``(minutes, prob)``, indexed ``[dow, hour, origin, dest]``.
     Trip times are arithmetic means of observed durations per
-    (dow, hour, origin, dest); missing entries fall back to centroid
-    distance at a conservative urban speed, ``FALLBACK_SPEED_KMH``.
-    Destination rows fall back to the origin's all-hours marginal, then
-    to uniform.
+    (dow, hour, origin, dest); missing entries fall back to the
+    ``centroid_dist_m`` distance at a conservative urban speed,
+    ``FALLBACK_SPEED_KMH``.  Destination rows are row-stochastic and fall
+    back to the origin's all-hours marginal, then to uniform.
     """
     m = zone_count
     origin_zone = np.asarray(origin_zone, dtype=np.int64)
@@ -87,10 +68,7 @@ def estimate_tables(origin_zone, dest_zone, dow_idx, hour_idx, minutes,
     np.add.at(time_sum, (dow_idx, hour_idx, origin_zone, dest_zone), minutes)
     np.add.at(counts, (dow_idx, hour_idx, origin_zone, dest_zone), 1.0)
 
-    if centroid_dist_m is None:
-        default = np.zeros((m, m))
-    else:
-        default = (np.asarray(centroid_dist_m) / 1000.0) / FALLBACK_SPEED_KMH * 60.0
+    default = (np.asarray(centroid_dist_m) / 1000.0) / FALLBACK_SPEED_KMH * 60.0
     tau = np.where(counts > 0, time_sum / np.maximum(counts, 1.0),
                    np.broadcast_to(default, (7, 24, m, m)))
 
@@ -106,7 +84,7 @@ def estimate_tables(origin_zone, dest_zone, dow_idx, hour_idx, minutes,
             row_sums = rows.sum(axis=1, keepdims=True)
             prob[d, h] = np.where(row_sums > 0, rows / np.maximum(row_sums, 1e-12),
                                   marg_rows)
-    return TripTimeTable(tau), DestDistribution(prob)
+    return tau, prob
 
 
 def _write_table(path, column: str, table: np.ndarray) -> None:
@@ -118,7 +96,7 @@ def _write_table(path, column: str, table: np.ndarray) -> None:
             fh.write("".join([f"{d},{k}{v!r}\r\n" for k, v in zip(keys, day.tolist())]))
 
 
-def save_tables(tt: TripTimeTable, dd: DestDistribution, tau_path, prob_path) -> None:
+def save_tables(minutes: np.ndarray, prob: np.ndarray, tau_path, prob_path) -> None:
     """Write the trip-time and destination tables as two CSV files.
 
     Each file has the header ``dow,hour,origin,dest,<column>`` (``minutes``
@@ -127,8 +105,8 @@ def save_tables(tt: TripTimeTable, dd: DestDistribution, tau_path, prob_path) ->
     ``repr(float)``, which reads back exactly, and every line ends in
     ``\\r\\n``, as ``csv.writer`` ends them.  :func:`load_tables` reads them.
     """
-    _write_table(tau_path, "minutes", tt.minutes)
-    _write_table(prob_path, "prob", dd.prob)
+    _write_table(tau_path, "minutes", minutes)
+    _write_table(prob_path, "prob", prob)
 
 
 class ZoneTableError(ValueError):
@@ -159,8 +137,8 @@ def _read_table(path, column: str, zone_count: int) -> np.ndarray:
     return table
 
 
-def load_tables(tau_path, prob_path, zone_count: int) -> tuple[TripTimeTable, DestDistribution]:
-    """Read the tables written by :func:`save_tables` for ``zone_count`` zones.
+def load_tables(tau_path, prob_path, zone_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read the ``(minutes, prob)`` tables written by :func:`save_tables` for ``zone_count`` zones.
 
     Raises :class:`ZoneTableError` unless each file holds every
     (dow, hour, origin, dest) entry and no other, the minutes are finite
@@ -178,7 +156,7 @@ def load_tables(tau_path, prob_path, zone_count: int) -> tuple[TripTimeTable, De
         row = tuple(int(i) for i in np.argwhere(bad)[0])
         raise ZoneTableError(f"{prob_path}: destination row (dow, hour, origin) = "
                              f"{row} does not sum to 1")
-    return TripTimeTable(tau), DestDistribution(prob)
+    return tau, prob
 
 
 # --- supply dynamics -------------------------------------------------------
@@ -337,7 +315,6 @@ class RhcPlan:
     u_rounded: np.ndarray     # (M, M) integer plan, largest-remainder rounding
     objective: float
     status: str
-    shortage: np.ndarray      # (T+1, M) LP shortage variables
     x_future: np.ndarray      # (T, M) LP supply for slots 1..T
 
 
@@ -377,12 +354,11 @@ def solve_rhc(x0, sched, wbar, tau_slots, p_slots,
     if sol.status != "optimal":
         log.warning("RHC LP not optimal (%s); dispatching nothing", sol.status)
         return RhcPlan(u0, np.zeros((m, m), dtype=np.int64), float("nan"), sol.status,
-                       np.zeros(index.s_cols.shape), np.zeros(index.x_cols.shape))
+                       np.zeros(index.x_cols.shape))
     k, i, j = index.u
     first = k == 0
     u0[i[first], j[first]] = sol.x[:k.size][first]
-    plan = RhcPlan(u0, round_plan(u0), sol.objective, sol.status,
-                   sol.x[index.s_cols], sol.x[index.x_cols])
+    plan = RhcPlan(u0, round_plan(u0), sol.objective, sol.status, sol.x[index.x_cols])
     check_plan_feasibility(plan, np.asarray(x0, dtype=np.float64),
                            np.asarray(tau_slots[0]), slot_minutes)
     return plan
@@ -487,20 +463,19 @@ class RhcPolicy:
     the location-level mismatch.
     """
 
-    def __init__(self, zones: RegionMap, trip_times: TripTimeTable,
-                 destinations: DestDistribution, demand_predictor,
-                 future_demand=None,
+    def __init__(self, zones: RegionMap, trip_times: np.ndarray,
+                 destinations: np.ndarray, demand_predictor, future_demand,
                  reject_penalty: float = DEFAULT_REJECT_PENALTY,
                  discount: float = DEFAULT_DISCOUNT,
                  slot_minutes: float = DEFAULT_SLOT_MINUTES,
                  horizon: int = DEFAULT_HORIZON):
         self.zones = zones
-        self.trip_times = trip_times
-        self.destinations = destinations
+        self.trip_times = trip_times        # (7, 24, M, M) minutes, see estimate_tables
+        self.destinations = destinations    # (7, 24, M, M) probabilities
         self.demand_predictor = demand_predictor  # callable(view) -> fine heat
         # clock-indexed predictor for slots beyond the model's window, so
         # the horizon can anticipate surges instead of persisting the
-        # current level; None falls back to persistence
+        # current level
         self.future_demand = future_demand        # callable(clock) -> fine heat
         self.reject_penalty = reject_penalty
         self.discount = discount
@@ -508,7 +483,6 @@ class RhcPolicy:
         self.horizon = horizon
         self.cycle = int(slot_minutes)
         self.last_plan: RhcPlan | None = None
-        self.warnings: list[str] = []
 
     def dispatch(self, view) -> list[DispatchOrder]:
         m = self.zones.region_count
@@ -531,18 +505,16 @@ class RhcPolicy:
         near = aggregate_to_regions(heat, self.zones) * scale
         n_near = max(1, int(SLOT_MINUTES // self.slot_minutes))
         wbar = np.tile(near, (horizon + 1, 1))
-        if self.future_demand is not None:
-            for k in range(n_near, horizon + 1):
-                clock = view.clock.plus(k * self.slot_minutes)
-                wbar[k] = aggregate_to_regions(self.future_demand(clock),
-                                               self.zones) * scale
+        for k in range(n_near, horizon + 1):
+            clock = view.clock.plus(k * self.slot_minutes)
+            wbar[k] = aggregate_to_regions(self.future_demand(clock), self.zones) * scale
 
         tau_slots = []
         p_slots = []
         for k in range(horizon + 1):
             clock = view.clock.plus(k * self.slot_minutes)
-            tau_slots.append(self.trip_times.at(clock.dow_index, clock.hour_index))
-            p_slots.append(self.destinations.at(clock.dow_index, clock.hour_index))
+            tau_slots.append(self.trip_times[clock.dow_index, clock.hour_index])
+            p_slots.append(self.destinations[clock.dow_index, clock.hour_index])
 
         plan = solve_rhc(x0, sched, wbar, tau_slots, p_slots,
                          self.reject_penalty, self.discount, self.slot_minutes)
@@ -552,8 +524,6 @@ class RhcPolicy:
 
         eta = mismatch(view.idle_cell_counts, view.trailing_heat)
         idle_vehicles = [(vid, view.vehicle_cells[vid]) for vid in sorted(view.idle_ids)]
-        orders, warnings = assign_vehicles(plan.u_rounded, eta,
-                                           view.idle_cell_counts, idle_vehicles,
-                                           self.zones)
-        self.warnings = warnings
+        orders, _ = assign_vehicles(plan.u_rounded, eta, view.idle_cell_counts,
+                                    idle_vehicles, self.zones)
         return orders

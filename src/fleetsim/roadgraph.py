@@ -42,9 +42,9 @@ class RoadGraph:
     # scale applied to the haversine heuristic so A* stays admissible even
     # when data contains edges shorter than the straight-line distance
     heuristic_scale: float = 1.0
-    _ids: np.ndarray = field(default=None, repr=False)
-    _lats: np.ndarray = field(default=None, repr=False)
-    _lons: np.ndarray = field(default=None, repr=False)
+    _ids: np.ndarray = field(init=False, repr=False)
+    _lats: np.ndarray = field(init=False, repr=False)
+    _lons: np.ndarray = field(init=False, repr=False)
     # A* works on indices into the sorted ids, so heap ties still break by id
     _index: dict[int, int] = field(init=False, repr=False)
     _id_list: list[int] = field(init=False, repr=False)

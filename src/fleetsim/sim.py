@@ -122,15 +122,23 @@ class EpisodeMetrics:
         })
 
 
+def _rates(requests: int, rejects: int, accepted: int, wait_sum: float,
+           cruise_sum: float) -> dict:
+    """Reject rate, mean wait and idle cruise per accepted request; None, never 0/0."""
+    return {
+        "reject_rate": (rejects / requests) if requests else None,
+        "mean_wait_minutes": (wait_sum / accepted) if accepted else None,
+        "idle_cruise_per_accepted": (cruise_sum / accepted) if accepted else None,
+    }
+
+
 def finalize_metrics(m: EpisodeMetrics) -> dict:
-    """Summary rates; degenerate denominators yield None, never 0/0."""
+    """Summary rates, in total and per hour; degenerate denominators yield None."""
     report = {
         "total_requests": m.total_requests,
         "rejects": m.rejects,
         "accepted": m.accepted,
-        "reject_rate": (m.rejects / m.total_requests) if m.total_requests else None,
-        "mean_wait_minutes": (m.wait_sum / m.accepted) if m.accepted else None,
-        "idle_cruise_per_accepted": (m.cruise_sum / m.accepted) if m.accepted else None,
+        **_rates(m.total_requests, m.rejects, m.accepted, m.wait_sum, m.cruise_sum),
         "elapsed_minutes": m.elapsed_minutes,
     }
     if m.elapsed_minutes:
@@ -147,9 +155,8 @@ def finalize_metrics(m: EpisodeMetrics) -> dict:
             "hour": hour,
             "requests": b["requests"],
             "rejects": b["rejects"],
-            "reject_rate": (b["rejects"] / b["requests"]) if b["requests"] else None,
-            "mean_wait_minutes": (b["wait_sum"] / b["accepted"]) if b["accepted"] else None,
-            "idle_cruise_per_accepted": (b["cruise_sum"] / b["accepted"]) if b["accepted"] else None,
+            **_rates(b["requests"], b["rejects"], b["accepted"], b["wait_sum"],
+                     b["cruise_sum"]),
         })
     report["hourly"] = hourly
     return report
@@ -208,8 +215,9 @@ class Simulation:
     """Runs one episode over a request series with an optional policy.
 
     ``policy`` (optional) needs ``cycle`` (invocation period, minutes) and
-    ``dispatch(view) -> list[DispatchOrder]``.  ``on_step`` hooks (e.g.,
-    a training loop) run after each simulated minute.
+    ``dispatch(view) -> list[DispatchOrder]``.  A caller that acts between
+    simulated minutes calls :meth:`step_minute` itself, as the DQN training
+    loop does to run a training step after each minute.
     """
 
     def __init__(self, grid: GridSpec, graph: RoadGraph, eta_model,
@@ -312,6 +320,30 @@ class Simulation:
         feats = build_eta_features(origin, dest, self.clock0.plus(t), distance_m / 1000.0)
         return self.eta_model.predict(feats)
 
+    def _stand(self, v: VehicleState, loc: Location) -> None:
+        """Leave ``v`` idle at ``loc``, with no destination or route."""
+        v.loc = loc
+        v.status = IDLE
+        v.dest = None
+        v.arrival_time = None
+        v.path = ()
+
+    def _count_request(self, t: float, eta: float | None) -> None:
+        """Count a measured request of minute ``t``: rejected if ``eta`` is None,
+        else accepted with a pickup wait of ``eta`` minutes."""
+        m = self.metrics
+        bucket = m.hour_bucket(int(t) // 60)
+        m.total_requests += 1
+        bucket["requests"] += 1
+        if eta is None:
+            m.rejects += 1
+            bucket["rejects"] += 1
+        else:
+            m.accepted += 1
+            m.wait_sum += eta
+            bucket["accepted"] += 1
+            bucket["wait_sum"] += eta
+
     # -- per-step phases ------------------------------------------------------
 
     def _complete_arrivals(self, t: float) -> None:
@@ -325,11 +357,7 @@ class Simulation:
             for v in due:
                 when = v.arrival_time
                 if v.status == DISPATCHING:
-                    v.loc = v.dest
-                    v.status = IDLE
-                    v.dest = None
-                    v.arrival_time = None
-                    v.path = ()
+                    self._stand(v, v.dest)
                     self._log("dispatch_arrival", vid=v.vid)
                 elif v.status == TO_PICKUP:
                     v.loc = v.dest
@@ -339,11 +367,7 @@ class Simulation:
                     self._set_route(v, (v.loc, v.ride_dropoff), when,
                                     when + v.ride_trip_minutes, v.ride_dropoff)
                 elif v.status == OCCUPIED:
-                    v.loc = v.dest
-                    v.status = IDLE
-                    v.dest = None
-                    v.arrival_time = None
-                    v.path = ()
+                    self._stand(v, v.dest)
                     v.last_dropoff_time = when
                     v.ordered_since_dropoff = False
                     self._log("dropoff", vid=v.vid, rid=v.ride_id)
@@ -387,11 +411,7 @@ class Simulation:
         for req, row in zip(requests, rows):
             if row is None:
                 if measured:
-                    self.metrics.total_requests += 1
-                    self.metrics.rejects += 1
-                    bucket = self.metrics.hour_bucket(int(t) // 60)
-                    bucket["requests"] += 1
-                    bucket["rejects"] += 1
+                    self._count_request(t, None)
                 self._log("reject", rid=req.rid)
                 continue
 
@@ -405,13 +425,7 @@ class Simulation:
             v.ride_id = req.rid
             self._set_route(v, points, t, t + eta, req.pickup)
             if measured:
-                self.metrics.total_requests += 1
-                self.metrics.accepted += 1
-                self.metrics.wait_sum += eta
-                bucket = self.metrics.hour_bucket(int(t) // 60)
-                bucket["requests"] += 1
-                bucket["accepted"] += 1
-                bucket["wait_sum"] += eta
+                self._count_request(t, eta)
             self._log("assign", vid=v.vid, rid=req.rid, detail=f"eta={eta:.2f}")
 
     def _cells(self, points: list[Location]) -> tuple[np.ndarray, np.ndarray]:
@@ -465,9 +479,7 @@ class Simulation:
         def eta_minutes(from_cell, to_cell):
             a = center_of(from_cell, grid)
             b = center_of(to_cell, grid)
-            dist = haversine(a, b)
-            feats = build_eta_features(a, b, clock, dist / 1000.0)
-            return self.eta_model.predict(feats)
+            return self._eta(a, b, haversine(a, b), t)
 
         slots = list(self._heat_slots)
         return SimView(
@@ -518,11 +530,7 @@ class Simulation:
             points, dist_m = self._route(origin, dest, *next(nodes))
             eta = self._eta(origin, dest, dist_m, t)
             if dist_m <= 0.0 or eta <= 0.0:
-                v.status = IDLE
-                v.loc = dest
-                v.dest = None
-                v.arrival_time = None
-                v.path = ()
+                self._stand(v, dest)
                 self._log("dispatch_noop", vid=v.vid)
                 continue
             v.status = DISPATCHING

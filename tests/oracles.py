@@ -853,7 +853,7 @@ def train_step_reference(online, target, buffer, opt, gamma, rng, batch_size=64)
 
     next_mains, next_auxs = stacked([t.next_ctx for t in batch])
     q_next_online = np.concatenate([
-        online.net.forward(next_mains[i:i + 8], aux=next_auxs[i:i + 8])[..., 0]
+        neural.forward(Q_SPEC, online.params, next_mains[i:i + 8], aux=next_auxs[i:i + 8])[..., 0]
         for i in range(0, batch_size, 8)])
     legal = next_auxs[..., 10] > 0.5
     q_next_online = np.where(legal, q_next_online, -np.inf)
@@ -861,7 +861,8 @@ def train_step_reference(online, target, buffer, opt, gamma, rng, batch_size=64)
     amax_r = flat_argmax // ACTION_SIZE
     amax_c = flat_argmax % ACTION_SIZE
     tgt_main, tgt_aux = crops(next_mains, next_auxs, amax_r, amax_c)
-    future = target.net.forward(tgt_main, aux=tgt_aux)[..., 0].reshape(batch_size)
+    future = neural.forward(Q_SPEC, target.params, tgt_main,
+                            aux=tgt_aux)[..., 0].reshape(batch_size)
 
     taus = np.array([t.tau_steps for t in batch], dtype=np.float64)
     rewards = np.array([t.reward for t in batch])
@@ -871,14 +872,14 @@ def train_step_reference(online, target, buffer, opt, gamma, rng, batch_size=64)
     rows = np.array([t.action[0] for t in batch])
     cols = np.array([t.action[1] for t in batch])
     cur_main, cur_aux = crops(mains, auxs, rows, cols)
-    out, caches = neural.forward_cached(Q_SPEC, online.net.params, cur_main, cur_aux)
+    out, caches = neural.forward_cached(Q_SPEC, online.params, cur_main, cur_aux)
     picked = out.reshape(batch_size)
     err = picked - targets
     loss = float(np.mean(err ** 2))
 
     d_out = (2.0 * err / batch_size).reshape(out.shape)
-    grads = neural.backward_from_grad(Q_SPEC, online.net.params, caches, d_out)
-    opt.step(online.net.params, grads)
+    grads = neural.backward_from_grad(Q_SPEC, online.params, caches, d_out)
+    opt.step(online.params, grads)
 
     mean_max_q = float(q_next_online.reshape(batch_size, -1).max(axis=1).mean())
     return loss, mean_max_q

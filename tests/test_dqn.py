@@ -204,7 +204,7 @@ class TestPooling:
 class TestQNetwork:
     def test_zero_weight_network_outputs_zero_map(self):
         net = QNetwork.create(np.random.default_rng(0))
-        for p in net.net.params:
+        for p in net.params:
             p[:] = 0.0
         qmap = net.q_map(build_feature_planes(make_ctx()))
         np.testing.assert_array_equal(qmap, np.zeros((15, 15)))
@@ -212,7 +212,7 @@ class TestQNetwork:
     def test_map_equals_engine_forward(self):
         net = QNetwork.create(np.random.default_rng(1))
         qin = build_feature_planes(make_ctx())
-        direct = neural.forward(Q_SPEC, net.net.params, qin.main, aux=qin.aux)
+        direct = neural.forward(Q_SPEC, net.params, qin.main, aux=qin.aux)
         np.testing.assert_array_equal(net.q_map(qin), direct[..., 0])
 
     def test_legal_window_matches_masked_full_map(self):
@@ -246,8 +246,8 @@ class TestQNetwork:
     def test_checkpoint_round_trip(self, tmp_path):
         net = QNetwork.create(np.random.default_rng(2))
         net.save(tmp_path / "q.json", extra={"step": 7})
-        back, _, extra = QNetwork.load(tmp_path / "q.json")
-        for a, b in zip(net.net.params, back.net.params):
+        back, extra = QNetwork.load(tmp_path / "q.json")
+        for a, b in zip(net.params, back.params):
             np.testing.assert_array_equal(a, b)
         assert extra == {"step": 7}
 
@@ -359,16 +359,16 @@ def crafted_qnet(base: float, dist_coef: float) -> QNetwork:
     applies the signed coefficient.
     """
     net = QNetwork.create(np.random.default_rng(0))
-    for p in net.net.params:
+    for p in net.params:
         p[:] = 0.0
     # params order: conv1 w/b, conv2 w/b, conv3 w/b, branch w/b, merge w/b, out w/b
-    w_branch = net.net.params[6]
+    w_branch = net.params[6]
     w_branch[0, 0, 0, 9] = 1.0          # branch channel 0 <- distance plane
-    w_merge = net.net.params[8]
+    w_merge = net.params[8]
     w_merge[0, 0, 0, 64] = 1.0          # merge channel 0 <- branch channel 0
-    w_out = net.net.params[10]
+    w_out = net.params[10]
     w_out[0, 0, 0, 0] = dist_coef
-    net.net.params[11][0] = base
+    net.params[11][0] = base
     return net
 
 
@@ -433,16 +433,16 @@ class TestTrainStep:
 
     def test_zero_error_transitions_leave_parameters_unchanged(self):
         online = QNetwork.create(np.random.default_rng(1))
-        for p in online.net.params:
+        for p in online.params:
             p[:] = 0.0
         target = online.copy()
         tr = Transition(interior_ctx(), STAY_CELL, 0.0, interior_ctx(), 0)
         buf = self.full_buffer(tr)
-        before = [p.copy() for p in online.net.params]
+        before = [p.copy() for p in online.params]
         loss, _ = train_step(online, target, buf, neural.RmsProp(lr=1e-3), 0.98,
                              np.random.default_rng(0))
         assert loss == 0.0
-        for a, b in zip(before, online.net.params):
+        for a, b in zip(before, online.params):
             np.testing.assert_array_equal(a, b)
 
     def test_gradient_reaches_only_taken_action(self):
@@ -451,11 +451,11 @@ class TestTrainStep:
         tr = Transition(interior_ctx(), (2, 11), 5.0, interior_ctx(), 1)
         buf = self.full_buffer(tr)
         qin = build_feature_planes(tr.ctx)
-        out, caches = neural.forward_cached(Q_SPEC, online.net.params, qin.main[None],
+        out, caches = neural.forward_cached(Q_SPEC, online.params, qin.main[None],
                                             qin.aux[None])
         d_probe = np.zeros_like(out)
         d_probe[0, 2, 11, 0] = 1.0
-        grads = neural.backward_from_grad(Q_SPEC, online.net.params, caches, d_probe)
+        grads = neural.backward_from_grad(Q_SPEC, online.params, caches, d_probe)
         # the output layer's weight gradient is the merge activation at the
         # taken cell only; a second probe elsewhere must differ
         assert any(np.abs(g).sum() > 0 for g in grads)
@@ -521,7 +521,7 @@ class TestTrainStepMatchesReference:
                                                        0.98, rng_b, batch)
             assert loss == ref_loss
             assert mean_max_q == pytest.approx(ref_max_q, rel=1e-12, abs=0.0)
-            for a, b in zip(online.net.params, ref_online.net.params):
+            for a, b in zip(online.params, ref_online.params):
                 assert a.tobytes() == b.tobytes()
             for a, b in zip(opt.state, ref_opt.state):
                 assert a.tobytes() == b.tobytes()
@@ -535,7 +535,7 @@ class TestSyncTarget:
         online = QNetwork.create(np.random.default_rng(0))
         target = QNetwork.create(np.random.default_rng(1))
         assert sync_target(online, target, step=3, period=1)
-        for a, b in zip(online.net.params, target.net.params):
+        for a, b in zip(online.params, target.params):
             np.testing.assert_array_equal(a, b)
 
     def test_off_period_step_does_not_copy(self):

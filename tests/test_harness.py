@@ -93,6 +93,10 @@ class TestConfig:
         ("idle_window_minutes", "nan"), ("idle_window_minutes", "-1"),
         ("idle_window_minutes", "inf"),
         ("dqn_decision_interval", "-0.5"), ("dqn_decision_interval", "inf"),
+        ("dqn_train_steps", "-1"), ("dqn_eps_ramp", "-3"), ("dqn_alpha_ramp", "-1"),
+        ("rhc_reject_penalty", "-20"), ("rhc_reject_penalty", "inf"),
+        ("rhc_reject_penalty", "nan"), ("dqn_reject_weight", "nan"),
+        ("dqn_reject_weight", "-10"), ("dqn_reject_weight", "inf"),
     ])
     def test_training_and_policy_values_that_fail_late_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -107,6 +111,11 @@ class TestConfig:
         assert (cfg.rhc_slot_minutes, cfg.rhc_horizon, cfg.dqn_discount) == (1, 0, 1.0)
         assert cfg.idle_window_minutes == cfg.dqn_decision_interval == 0.0
         assert parse_config(text="seed = 1\nday_start_hour = 23\n").day_start_hour == 23
+        cfg = parse_config(text="seed = 1\ndqn_train_steps = 0\ndqn_eps_ramp = 0\n"
+                                "dqn_alpha_ramp = 0\nrhc_reject_penalty = 0\n"
+                                "dqn_reject_weight = 0\n")
+        assert (cfg.dqn_train_steps, cfg.dqn_eps_ramp, cfg.dqn_alpha_ramp) == (0, 0, 0)
+        assert cfg.rhc_reject_penalty == cfg.dqn_reject_weight == 0.0
 
     def test_zero_match_radius_and_unit_sizes_accepted(self):
         cfg = parse_config(text="seed = 1\nmatch_radius_m = 0\nregion_block = 1\n"
@@ -423,6 +432,14 @@ class TestCli:
                             "--set", "eta_lr=0", "train-eta")
         assert proc.returncode == 1, proc.stderr
         assert "eta_lr" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_train_steps_is_config_error_before_synthesis(self, tmp_path):
+        proc = self.run_cli("--set", "seed=1", "--set", f"data_dir={tmp_path / 'city'}",
+                            "--set", f"out_dir={tmp_path / 'runs'}",
+                            "--set", "dqn_train_steps=-1", "train-dqn")
+        assert proc.returncode == 1, proc.stderr
+        assert "dqn_train_steps" in proc.stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_bogus_epoch_date_is_config_error(self, tmp_path):

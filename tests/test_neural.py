@@ -5,7 +5,6 @@ from fleetsim.neural import (
     Concat,
     Conv2D,
     Dense,
-    Network,
     RmsProp,
     avg_pool,
     backward_from_grad,
@@ -346,22 +345,41 @@ class TestCheckpoint:
             Concat(branch=(Conv2D(2, 2, 1, 1, "relu"),)),
             Conv2D(6, 1, 1, 1, "linear"),
         )
-        net = Network.create(spec, rng)
-        opt = RmsProp(lr=2e-4, rho=0.9, eps=1e-7)
-        opt.step(net.params, [rng.normal(size=p.shape) for p in net.params])
+        params = init_params(spec, rng)
         path = tmp_path / "model.json"
-        save_model(path, net.spec, net.params, optimizer=opt, extra={"note": "x"})
-        spec2, params2, opt2, extra = load_model(path)
-        assert spec2 == net.spec
-        for a, b in zip(net.params, params2):
-            np.testing.assert_array_equal(a, b)
-        assert opt2.lr == opt.lr and opt2.rho == opt.rho and opt2.eps == opt.eps
-        for a, b in zip(opt.state, opt2.state):
-            np.testing.assert_array_equal(a, b)
+        save_model(path, spec, params, extra={"note": "x"})
+        params2, extra = load_model(path, spec)
+        for a, b in zip(params, params2):
+            assert a.tobytes() == b.tobytes() and a.shape == b.shape
         assert extra == {"note": "x"}
+        save_model(path, spec, params)
+        assert load_model(path, spec)[1] is None
 
     def test_format_version_checked(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
-            load_model(path)
+            load_model(path, (Dense(2, 1, "linear"),))
+
+    @pytest.mark.parametrize("saved", ["eta", "demand", "qnet"])
+    @pytest.mark.parametrize("loaded", ["eta", "demand", "qnet"])
+    def test_each_loader_rejects_another_models_checkpoint(self, tmp_path, saved, loaded):
+        from fleetsim.demand import DEMAND_SPEC, DemandModel
+        from fleetsim.dqn import QNetwork
+        from fleetsim.eta import ETA_SPEC, EtaModel
+
+        rng = np.random.default_rng(7)
+        path = tmp_path / f"{saved}.json"
+        if saved == "eta":
+            EtaModel(init_params(ETA_SPEC, rng), np.zeros(9), np.ones(9)).save(path)
+        elif saved == "demand":
+            DemandModel(init_params(DEMAND_SPEC, rng)).save(path)
+        else:
+            QNetwork.create(rng).save(path)
+        load = {"eta": EtaModel.load, "demand": DemandModel.load,
+                "qnet": QNetwork.load}[loaded]
+        if saved == loaded:
+            load(path)
+        else:
+            with pytest.raises(ValueError, match="other layers"):
+                load(path)

@@ -14,7 +14,7 @@ from fleetsim.dqn import (
     STAY_CELL,
 )
 from fleetsim.geo import GridSpec, Location, RegionMap, block_region_map
-from fleetsim.rhc import DestDistribution, RhcPolicy, TripTimeTable
+from fleetsim.rhc import RhcPolicy
 from fleetsim.sim import SimView
 from test_dqn import crafted_qnet, sample_qnet
 
@@ -320,13 +320,13 @@ class TestRhcPolicyOrchestration:
         for z in range(m):
             tau[:, :, z, z] = 0.0
         prob = np.full((7, 24, m, m), 1.0 / m)
-        policy = RhcPolicy(ZONES, TripTimeTable(tau), DestDistribution(prob),
-                           demand_predictor=lambda view: view.trailing_heat,
-                           reject_penalty=20.0)
         # all supply in one corner zone, demand focused in the opposite one
         idle = {vid: (0, vid % 2) for vid in range(4)}
         trailing = np.zeros(GRID.shape)
         trailing[9, 9] = 8.0
+        policy = RhcPolicy(ZONES, tau, prob,
+                           demand_predictor=lambda view: view.trailing_heat,
+                           future_demand=lambda clock: trailing, reject_penalty=20.0)
         view = fake_view(t=60.0, idle_cells=idle, trailing=trailing)
         orders = policy.dispatch(view)
         assert len(orders) <= 4
@@ -339,7 +339,8 @@ class TestRhcPolicyOrchestration:
         m = ZONES.region_count
         tau = np.full((7, 24, m, m), 5.0)
         prob = np.full((7, 24, m, m), 1.0 / m)
-        policy = RhcPolicy(ZONES, TripTimeTable(tau), DestDistribution(prob),
-                           demand_predictor=lambda view: np.zeros(GRID.shape))
+        policy = RhcPolicy(ZONES, tau, prob,
+                           demand_predictor=lambda view: np.zeros(GRID.shape),
+                           future_demand=lambda clock: np.zeros(GRID.shape))
         view = fake_view(t=60.0, idle_cells={0: (5, 5)})
         assert policy.dispatch(view) == []

@@ -6,8 +6,6 @@ from hypothesis.extra import numpy as hnp
 
 from fleetsim.geo import GridSpec, Location, RegionMap, block_region_map
 from fleetsim.rhc import (
-    DestDistribution,
-    TripTimeTable,
     ZoneTableError,
     assign_vehicles,
     build_rhc_lp,
@@ -265,34 +263,37 @@ class TestRewardAndMismatch:
 class TestTables:
     def test_single_destination_probability_one(self):
         tt, dd = estimate_tables([0, 0, 0], [1, 1, 1], [2, 2, 2], [9, 9, 9],
-                                 [7.0, 9.0, 11.0], zone_count=2)
-        assert dd.at(2, 9)[0, 1] == pytest.approx(1.0)
-        assert tt.at(2, 9)[0, 1] == pytest.approx(9.0)
+                                 [7.0, 9.0, 11.0], zone_count=2,
+                                 centroid_dist_m=np.full((2, 2), 1000.0))
+        assert dd[2, 9, 0, 1] == pytest.approx(1.0)
+        assert tt[2, 9, 0, 1] == pytest.approx(9.0)
 
     def test_two_equal_destinations(self):
         _, dd = estimate_tables([0, 0], [1, 0], [0, 0], [5, 5], [5.0, 5.0],
-                                zone_count=2)
-        np.testing.assert_allclose(dd.at(0, 5)[0], [0.5, 0.5])
+                                zone_count=2, centroid_dist_m=np.full((2, 2), 1000.0))
+        np.testing.assert_allclose(dd[0, 5, 0], [0.5, 0.5])
 
     def test_rows_stochastic_everywhere(self):
         rng = np.random.default_rng(1)
         n = 200
         _, dd = estimate_tables(rng.integers(0, 3, n), rng.integers(0, 3, n),
                                 rng.integers(0, 7, n), rng.integers(0, 24, n),
-                                rng.uniform(2, 30, n), zone_count=3)
-        np.testing.assert_allclose(dd.prob.sum(axis=-1), 1.0, atol=1e-9)
+                                rng.uniform(2, 30, n), zone_count=3,
+                                centroid_dist_m=np.full((3, 3), 1000.0))
+        np.testing.assert_allclose(dd.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_empty_bucket_falls_back_to_marginal_then_uniform(self):
         # origin 0 only ever goes to zone 2, but at a different hour
-        _, dd = estimate_tables([0], [2], [3], [10], [6.0], zone_count=3)
-        np.testing.assert_allclose(dd.at(0, 0)[0], [0.0, 0.0, 1.0])  # marginal
-        np.testing.assert_allclose(dd.at(0, 0)[1], [1 / 3] * 3)      # uniform
+        _, dd = estimate_tables([0], [2], [3], [10], [6.0], zone_count=3,
+                                centroid_dist_m=np.full((3, 3), 1000.0))
+        np.testing.assert_allclose(dd[0, 0, 0], [0.0, 0.0, 1.0])  # marginal
+        np.testing.assert_allclose(dd[0, 0, 1], [1 / 3] * 3)      # uniform
 
     def test_missing_tau_uses_distance_fallback(self):
         dist = np.array([[0.0, 5000.0], [5000.0, 0.0]])
         tt, _ = estimate_tables([], [], [], [], [], zone_count=2,
                                 centroid_dist_m=dist)
-        assert tt.at(0, 0)[0, 1] == pytest.approx(12.0)  # 5 km at 25 km/h
+        assert tt[0, 0, 0, 1] == pytest.approx(12.0)  # 5 km at 25 km/h
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -303,8 +304,8 @@ class TestTables:
                                  centroid_dist_m=np.ones((2, 2)) * 1000)
         save_tables(tt, dd, tmp_path / "tau.csv", tmp_path / "prob.csv")
         tt2, dd2 = load_tables(tmp_path / "tau.csv", tmp_path / "prob.csv", 2)
-        np.testing.assert_array_equal(tt.minutes, tt2.minutes)
-        np.testing.assert_array_equal(dd.prob, dd2.prob)
+        np.testing.assert_array_equal(tt, tt2)
+        np.testing.assert_array_equal(dd, dd2)
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_csv_bytes_equal_csv_writer_reference(self, tmp_path, m):
@@ -315,8 +316,7 @@ class TestTables:
         minutes[6, 23, -1, -1] = 1e300
         prob = np.full((7, 24, m, m), 1.0 / 3.0)
         prob[3, 4, 0, 0] = 1e-17
-        save_tables(TripTimeTable(minutes), DestDistribution(prob),
-                    tmp_path / "tau.csv", tmp_path / "prob.csv")
+        save_tables(minutes, prob, tmp_path / "tau.csv", tmp_path / "prob.csv")
         write_table_reference(tmp_path / "tau_ref.csv", "minutes", minutes)
         write_table_reference(tmp_path / "prob_ref.csv", "prob", prob)
         tau = (tmp_path / "tau.csv").read_bytes()
@@ -326,8 +326,8 @@ class TestTables:
 
     @staticmethod
     def uniform_tables(tmp_path, m):
-        tt = TripTimeTable(np.full((7, 24, m, m), 5.0))
-        dd = DestDistribution(np.full((7, 24, m, m), 1.0 / m))
+        tt = np.full((7, 24, m, m), 5.0)
+        dd = np.full((7, 24, m, m), 1.0 / m)
         save_tables(tt, dd, tmp_path / "tau.csv", tmp_path / "prob.csv")
         return tmp_path / "tau.csv", tmp_path / "prob.csv"
 
@@ -485,11 +485,12 @@ class TestNonOptimalLp:
         m = ZONES.region_count
         tau = np.full((7, 24, m, m), 5.0)
         prob = np.full((7, 24, m, m), 1.0 / m)
-        policy = rhc.RhcPolicy(ZONES, TripTimeTable(tau), DestDistribution(prob),
-                               demand_predictor=lambda view: view.trailing_heat)
         # supply in one corner, demand in the opposite one: an optimal plan dispatches
         trailing = np.zeros(GRID.shape)
         trailing[9, 9] = 8.0
+        policy = rhc.RhcPolicy(ZONES, tau, prob,
+                               demand_predictor=lambda view: view.trailing_heat,
+                               future_demand=lambda clock: trailing)
         view = fake_view(t=60.0, idle_cells={vid: (0, vid % 2) for vid in range(4)},
                          trailing=trailing)
         assert policy.dispatch(view)

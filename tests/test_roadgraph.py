@@ -6,6 +6,7 @@ from fleetsim.harness.synth import build_road_grid
 from fleetsim.roadgraph import (
     EdgeListParseError,
     Path,
+    RoadGraph,
     build_graph,
     load_edge_list,
     nearest_nodes,
@@ -76,6 +77,17 @@ class TestLoadEdgeList:
         assert {k: sorted(v) for k, v in g2.adjacency.items()} == {
             k: sorted(v) for k, v in g.adjacency.items()
         }
+
+
+class TestDerivedArrays:
+    @pytest.mark.parametrize("name", ["_ids", "_lats", "_lons"])
+    def test_derived_array_is_not_a_constructor_argument(self, name):
+        nodes = {1: Location(40.0, -74.0)}
+        with pytest.raises(TypeError, match=name):
+            RoadGraph(nodes, {1: []}, **{name: np.array([99])})
+        graph = RoadGraph(nodes, {1: []})
+        assert graph._ids.tolist() == [1]
+        assert (graph._lats.tolist(), graph._lons.tolist()) == ([40.0], [-74.0])
 
 
 class TestNearestNode:
