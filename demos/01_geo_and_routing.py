@@ -8,7 +8,7 @@ network.
 import numpy as np
 
 from fleetsim.geo import (
-    GridSpec, Location, aggregate_to_regions, block_region_map, cell_of,
+    GridSpec, Location, aggregate_to_regions, block_region_map, cell_arrays,
     center_of, haversine,
 )
 from fleetsim.roadgraph import nearest_nodes, shortest_path
@@ -19,7 +19,8 @@ print(f"grid: {grid.rows}x{grid.cols} cells of {grid.cell_size:.0f} m")
 print(f"angular cell size: {grid.d_lat:.6f} deg lat x {grid.d_lon:.6f} deg lon")
 
 loc = Location(40.012, -73.985)
-cell = cell_of(loc, grid)
+rows, cols = cell_arrays([loc.lat], [loc.lon], grid)
+cell = (int(rows[0]), int(cols[0]))
 print(f"\n{loc} falls in cell {cell}, center {center_of(cell, grid)}")
 
 # a 2x2 block partition: four regions

@@ -20,7 +20,7 @@ for i in range(n):
     rush = np.exp(-0.5 * ((clock.hour - 8.5) / 1.5) ** 2)
     minutes[i] = dist / (21.0 * (1 - 0.3 * rush)) * 60.0 * rng.lognormal(0, 0.08)
 
-model, train_rmse, val_rmse = train_eta(feats, minutes, seed=7)
+model, train_rmse, val_rmse = train_eta(feats, minutes, seed=7, epochs=30)
 tr_idx, va_idx = split_indices(n, 7)
 baseline = mean_predictor_rmse(minutes[tr_idx], minutes[va_idx])
 print(f"train rmse {train_rmse:.2f} min, validation {val_rmse:.2f} min, "

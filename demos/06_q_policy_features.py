@@ -48,6 +48,6 @@ opt = neural.RmsProp(lr=1e-3)
 loss, mean_max_q = train_step(net, target, buf, opt, gamma=0.98, rng=rng)
 print(f"one minibatch: loss {loss:.3f}, mean max-Q {mean_max_q:.3f}")
 
-sched = Schedules()
+sched = Schedules(eps_ramp=5000, alpha_ramp=5000)
 print(f"epsilon ramp: {sched.epsilon(0):.2f} -> {sched.epsilon(2500):.3f} -> "
       f"{sched.epsilon(5000):.2f}; action rate {sched.alpha(0):.2f} -> {sched.alpha(5000):.2f}")

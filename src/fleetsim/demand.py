@@ -73,8 +73,14 @@ def _samples(slots: np.ndarray, clocks: list[Clock]):
     return np.stack(inputs), np.stack(targets)
 
 
+def train_slot_count(n_slots: int) -> int:
+    """Leading slots of a series that the chronological split trains on; the
+    rest validate.  Sample ``i`` predicts slot ``i`` from the two before it."""
+    return 2 + max(1, int(round((n_slots - 2) * (1.0 - VAL_FRACTION))))
+
+
 def train_demand(slots: np.ndarray, clocks: list[Clock], seed: int,
-                 epochs: int = 150, lr: float = 5e-3) -> tuple["DemandModel", float, float]:
+                 epochs: int, lr: float = 5e-3) -> tuple["DemandModel", float, float]:
     """Fit on a chronological split: first 70% of timeslots train, last 30% validate.
 
     RMSE is reported per cell over all cells of the masked prediction,
@@ -87,8 +93,7 @@ def train_demand(slots: np.ndarray, clocks: list[Clock], seed: int,
         raise ValueError("one clock per slot required")
 
     inputs, targets = _samples(slots, clocks)
-    n = inputs.shape[0]
-    n_train = max(1, int(round(n * (1.0 - VAL_FRACTION))))
+    n_train = train_slot_count(slots.shape[0]) - 2
     xtr, ytr = inputs[:n_train], targets[:n_train]
     xva, yva = inputs[n_train:], targets[n_train:]
 

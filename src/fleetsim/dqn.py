@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -358,16 +358,16 @@ class ReplayBuffer:
         return len(self._items)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Schedules:
     """Exploration and action-rate ramps over training steps."""
 
     eps_start: float = 1.0
     eps_end: float = 0.05
-    eps_ramp: int = 5000
+    eps_ramp: int
     alpha_start: float = 0.3
     alpha_end: float = 1.0
-    alpha_ramp: int = 5000
+    alpha_ramp: int
     sync_period: int = 150
 
     def epsilon(self, step: int) -> float:
@@ -469,7 +469,7 @@ class DqnConfig:
     lr: float = 1e-3
     batch_size: int = 64
     buffer_capacity: int = 10_000
-    schedules: Schedules = field(default_factory=Schedules)
+    schedules: Schedules | None = None  # required when training
 
 
 @dataclass
@@ -505,15 +505,12 @@ class DqnPolicy:
         self.training_log: list[tuple] = []
         self._zone_cells = region_cells(region_map)
         if self.config.train:
+            if self.config.schedules is None:
+                raise ValueError("a training DqnPolicy needs schedules")
             self.target = net.copy()
             self.buffer = ReplayBuffer(self.config.buffer_capacity)
             self.opt = neural.RmsProp(lr=self.config.lr)
             self.pending: dict[int, _Pending] = {}
-
-    def _region_ids(self, cells) -> np.ndarray:
-        """Region ids of a sequence of fine-grid (row, col) cells."""
-        rows, cols = np.array(cells, dtype=np.int64).reshape(-1, 2).T
-        return self.region_map.assignment[rows, cols]
 
     def _eligible(self, vid: int, t: float, last_dropoff: float) -> bool:
         last = self.last_decision.get(vid)
@@ -545,18 +542,17 @@ class DqnPolicy:
 
         heat = self.demand_predictor(view)
         demand_regions = aggregate_to_regions(heat, self.region_map).reshape(rr, rc)
-        idle_rids = self._region_ids([view.vehicle_cells[vid] for vid in view.idle_ids])
+        assignment = self.region_map.assignment
+        rids = assignment[view.cells[:, 0], view.cells[:, 1]]  # region id per vehicle
         idle_regions = np.zeros(rr * rc)
-        np.add.at(idle_regions, idle_rids, 1.0)
+        np.add.at(idle_regions, rids[view.idle_ids], 1.0)
         idle_regions = idle_regions.reshape(rr, rc)
-        vehicle_region = {vid: divmod(rid, rc)
-                          for vid, rid in zip(view.idle_ids, idle_rids.tolist())}
 
-        _, cells, minutes = zip(*view.supply_events) if view.supply_events else ((), (), ())
-        h = np.ceil(np.array(minutes, dtype=np.float64))
+        h = np.ceil(view.next_minutes)
         soon = h <= horizon
         x = np.zeros((rr, rc, horizon + 1))
-        event_r, event_c = np.divmod(self._region_ids(cells)[soon], rc)
+        next_cells = view.next_cells[soon]
+        event_r, event_c = np.divmod(assignment[next_cells[:, 0], next_cells[:, 1]], rc)
         np.add.at(x, (event_r, event_c, h[soon].astype(np.int64)), 1.0)
 
         eta_cells = None  # built lazily; many invocations issue no orders
@@ -568,13 +564,13 @@ class DqnPolicy:
         alpha = cfg.schedules.alpha(self.step) if cfg.train else 1.0
 
         orders: list[DispatchOrder] = []
-        for vid in sorted(view.idle_ids):
+        for vid in view.idle_ids.tolist():
             if not self._eligible(vid, view.t, float(view.last_dropoff[vid])):
                 continue
             if cfg.train and self.rng.random() >= alpha:
                 continue  # skipped outright; no decision, no transition
 
-            region = vehicle_region[vid]
+            region = divmod(int(rids[vid]), rc)
             if supply3 is None:
                 supply3 = np.stack([x[..., :h + 1].sum(axis=-1) for h in SUPPLY_HORIZONS])
             legal, region_aux = _region_aux(region, self.region_shape)
@@ -605,7 +601,7 @@ class DqnPolicy:
                     if eta_cells[cell] > best:
                         best = eta_cells[cell]
                         dest_cell = cell
-                minutes = view.eta_minutes(view.vehicle_cells[vid], dest_cell)
+                minutes = view.eta_minutes(tuple(view.cells[vid].tolist()), dest_cell)
                 tau_steps = max(1, int(np.ceil(minutes)))
                 orders.append(DispatchOrder(vid, dest_cell))
                 x[region + (0,)] -= 1

@@ -89,27 +89,6 @@ class GridSpec:
         )
 
 
-def cell_of(loc: Location, grid: GridSpec) -> tuple[int, int]:
-    """Map a location to its (row, col) cell index.
-
-    Floor semantics: the cell owns its south-west edge, so boundary
-    points go to the higher-index cell.  Out-of-bounds locations raise
-    :class:`OutOfBoundsError` rather than clamping.
-    """
-    if not grid.contains(loc):
-        raise OutOfBoundsError(
-            f"location ({loc.lat}, {loc.lon}) outside grid bounds "
-            f"[{grid.origin.lat}, {grid.lat_max}) x [{grid.origin.lon}, {grid.lon_max})"
-        )
-    # the 1e-9-cell snap (sub-micron) keeps points constructed as
-    # origin + k*d_lat on the boundary they name despite rounding
-    row = int(math.floor((loc.lat - grid.origin.lat) / grid.d_lat + _BOUNDARY_SNAP))
-    col = int(math.floor((loc.lon - grid.origin.lon) / grid.d_lon + _BOUNDARY_SNAP))
-    row = min(row, grid.rows - 1)
-    col = min(col, grid.cols - 1)
-    return (row, col)
-
-
 def center_of(cell: tuple[int, int], grid: GridSpec) -> Location:
     """Center coordinates of a grid cell."""
     row, col = cell
@@ -122,11 +101,28 @@ def center_of(cell: tuple[int, int], grid: GridSpec) -> Location:
 
 
 def cell_arrays(lats: np.ndarray, lons: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`cell_of` for coordinate arrays already in bounds."""
-    rows = np.floor((np.asarray(lats) - grid.origin.lat) / grid.d_lat + _BOUNDARY_SNAP).astype(np.int64)
-    cols = np.floor((np.asarray(lons) - grid.origin.lon) / grid.d_lon + _BOUNDARY_SNAP).astype(np.int64)
-    np.clip(rows, 0, grid.rows - 1, out=rows)
-    np.clip(cols, 0, grid.cols - 1, out=cols)
+    """Row and column index arrays of the cells of coordinate arrays.
+
+    Floor semantics: the cell owns its south-west edge, so boundary
+    points go to the higher-index cell.  Out-of-bounds points raise
+    :class:`OutOfBoundsError`, naming the first, rather than clamping.
+    """
+    lats = np.asarray(lats, dtype=np.float64)
+    lons = np.asarray(lons, dtype=np.float64)
+    inside = ((lats >= grid.origin.lat) & (lats < grid.lat_max)
+              & (lons >= grid.origin.lon) & (lons < grid.lon_max))
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise OutOfBoundsError(
+            f"location ({float(lats[i])}, {float(lons[i])}) outside grid bounds "
+            f"[{grid.origin.lat}, {grid.lat_max}) x [{grid.origin.lon}, {grid.lon_max})"
+        )
+    # the 1e-9-cell snap (sub-micron) keeps points constructed as
+    # origin + k*d_lat on the boundary they name despite rounding
+    rows = np.floor((lats - grid.origin.lat) / grid.d_lat + _BOUNDARY_SNAP).astype(np.int64)
+    cols = np.floor((lons - grid.origin.lon) / grid.d_lon + _BOUNDARY_SNAP).astype(np.int64)
+    np.minimum(rows, grid.rows - 1, out=rows)
+    np.minimum(cols, grid.cols - 1, out=cols)
     return rows, cols
 
 

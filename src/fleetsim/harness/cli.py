@@ -23,9 +23,6 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
-COMMANDS = ("synth-data", "train-eta", "train-demand", "build-tables",
-            "train-dqn", "simulate", "report")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

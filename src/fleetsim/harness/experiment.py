@@ -25,7 +25,7 @@ from ..clock import Clock
 from ..geo import (GridSpec, Location, RegionMap, RegionMapError, block_region_map,
                    cell_arrays)
 from ..roadgraph import load_edge_list
-from ..sim import EpisodeMetrics, RideRequest, Simulation, finalize_metrics
+from ..sim import SLOT_MINUTES, EpisodeMetrics, RideRequest, Simulation, finalize_metrics
 from .config import ConfigError, ExperimentConfig
 from .ingest import ingest_trips
 from .synth import SynthCity, synth_city
@@ -99,16 +99,16 @@ def eta_training_arrays(requests: list[RideRequest], cfg: ExperimentConfig):
 
 def demand_slot_series(requests: list[RideRequest], grid: GridSpec,
                        total_minutes: float, epoch_dow: int):
-    n_slots = int(total_minutes // 30)
+    n_slots = int(total_minutes // SLOT_MINUTES)
     slots = np.zeros((n_slots,) + grid.shape)
     lats = np.array([r.pickup.lat for r in requests])
     lons = np.array([r.pickup.lon for r in requests])
     rows, cols = cell_arrays(lats, lons, grid)
     for r, (row, col) in zip(requests, zip(rows, cols)):
-        k = int(r.minute // 30)
+        k = int(r.minute // SLOT_MINUTES)
         if 0 <= k < n_slots:
             slots[k, row, col] += 1
-    clocks = [Clock(k * 30.0, epoch_dow) for k in range(n_slots)]
+    clocks = [Clock(float(k * SLOT_MINUTES), epoch_dow) for k in range(n_slots)]
     return slots, clocks
 
 
@@ -186,8 +186,7 @@ def train_demand_model(cfg: ExperimentConfig, training_city: City):
     model, tr_rmse, va_rmse = demand_mod.train_demand(
         slots, clocks, seed=cfg.train_seed, epochs=cfg.demand_epochs,
         lr=cfg.demand_lr)
-    n = slots.shape[0] - 2
-    split = 2 + max(1, int(round(n * 0.7)))
+    split = demand_mod.train_slot_count(slots.shape[0])
     baseline = demand_mod.HistoricalAverageDemand(training_city.grid.shape)
     baseline.fit(slots[:split], clocks[:split])
     errs = [(baseline.predict(clocks[i]) - slots[i]) ** 2
@@ -260,7 +259,7 @@ def zone_block_count(cfg: ExperimentConfig) -> int:
 # --- demand predictors -----------------------------------------------------
 
 # episode minutes before the two trailing demand slots are complete
-COLD_START_MINUTES = 60.0
+COLD_START_MINUTES = 2.0 * SLOT_MINUTES
 
 
 class ModelDemandPredictor:

@@ -266,7 +266,7 @@ class RmsProp:
     Per element: ``s <- rho*s + (1-rho)*g^2``, then ``p <- p - lr*g/sqrt(s+eps)``.
     """
 
-    def __init__(self, lr=1e-4, rho=0.95, eps=1e-8):
+    def __init__(self, lr, rho=0.95, eps=1e-8):
         if lr <= 0 or not (0 < rho < 1) or eps <= 0:
             raise ValueError("rmsprop hyperparameters must be positive")
         self.lr = lr

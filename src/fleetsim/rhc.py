@@ -488,16 +488,13 @@ class RhcPolicy:
         m = self.zones.region_count
         horizon = self.horizon
 
-        x0 = np.zeros(m)
+        zone = self.zones.assignment[view.next_cells[:, 0], view.next_cells[:, 1]]
+        standing = view.next_minutes <= 0.0
+        x0 = np.bincount(zone[standing], minlength=m).astype(np.float64)
+        k = (view.next_minutes // self.slot_minutes).astype(np.int64)
+        soon = ~standing & (k < horizon)
         sched = np.zeros((horizon, m))
-        for vid, cell, minutes in view.supply_events:
-            zone = int(self.zones.assignment[cell])
-            if minutes <= 0.0:
-                x0[zone] += 1
-            else:
-                k = int(minutes // self.slot_minutes)
-                if k < horizon:
-                    sched[k, zone] += 1
+        np.add.at(sched, (k[soon], zone[soon]), 1.0)
 
         heat = self.demand_predictor(view)
         # the demand model predicts one SLOT_MINUTES window ahead
@@ -523,7 +520,8 @@ class RhcPolicy:
             return []
 
         eta = mismatch(view.idle_cell_counts, view.trailing_heat)
-        idle_vehicles = [(vid, view.vehicle_cells[vid]) for vid in sorted(view.idle_ids)]
+        idle = view.idle_ids
+        idle_vehicles = list(zip(idle.tolist(), map(tuple, view.cells[idle].tolist())))
         orders, _ = assign_vehicles(plan.u_rounded, eta, view.idle_cell_counts,
                                     idle_vehicles, self.zones)
         return orders

@@ -8,7 +8,8 @@ times.  The engine is single-threaded, policy-agnostic and fully
 deterministic: identical data, configuration and seeds reproduce
 bit-identical metrics.
 
-Phase (2) runs in three passes over the minute's requests: every request
+Phase (2) adds the minute's pickups to the demand heat maps with one cell
+lookup, then runs in three passes over its requests: every request
 is matched, in arrival order, against one snapshot of the free vehicles'
 positions; then one nearest-node lookup serves all matched pickups; then,
 again in arrival order, each match is routed, timed by the ETA model and
@@ -34,8 +35,7 @@ import numpy as np
 
 from .clock import Clock
 from .eta import build_eta_features
-from .geo import (GridSpec, Location, cell_arrays, cell_of, center_of, haversine,
-                  haversine_arrays)
+from .geo import GridSpec, Location, cell_arrays, center_of, haversine, haversine_arrays
 from .roadgraph import RoadGraph, nearest_nodes, shortest_path
 
 log = logging.getLogger(__name__)
@@ -189,22 +189,23 @@ def idle_set(fleet: list[VehicleState], t: float,
 class SimView:
     """Read-only snapshot handed to dispatch policies each invocation.
 
-    ``supply_events`` carries one entry per vehicle: standing supply
-    (dispatchable or parked vehicles) at its current cell with zero
-    minutes, and committed movers at the cell where they will next turn
-    idle, with the minutes until then.
+    The per-vehicle arrays are indexed by vehicle id.  ``next_cells`` and
+    ``next_minutes`` put standing supply (dispatchable or parked vehicles)
+    at its current cell with zero minutes, and committed movers at the
+    cell where they will next turn idle, with the minutes until then.
     """
 
     t: float
     clock: Clock
     grid: GridSpec
-    idle_ids: list[int]
-    vehicle_cells: dict
+    idle_ids: np.ndarray              # dispatchable vehicle ids, ascending int64
+    cells: np.ndarray                 # (N, 2) int64 current cell per vehicle
     idle_cell_counts: np.ndarray      # dispatchable vehicles per fine cell
     trailing_heat: np.ndarray         # requests per cell over the last 30 minutes
     heat_prev1: np.ndarray            # last complete 30-minute slot
     heat_prev2: np.ndarray            # the slot before that
-    supply_events: list               # (vid, cell, minutes_until_idle)
+    next_cells: np.ndarray            # (N, 2) int64 cell where each vehicle next turns idle
+    next_minutes: np.ndarray          # (N,) minutes until then
     pickups: np.ndarray               # cumulative per vehicle
     dispatch_minutes: np.ndarray      # cumulative per vehicle
     last_dropoff: np.ndarray          # per vehicle, -inf before the first ride
@@ -380,18 +381,20 @@ class Simulation:
         if not requests:
             return
 
+        lats = np.array([r.pickup.lat for r in requests])
+        lons = np.array([r.pickup.lon for r in requests])
+        cells = cell_arrays(lats, lons, self.grid)
+        np.add.at(self._heat_current, cells, 1.0)
+        np.add.at(self._minute_heat, cells, 1.0)
+
         # 1. match each request, in order, to the closest still-free vehicle
         free = [v for v in self.fleet if v.status in (IDLE, DISPATCHING)]
         pos = [self.position(v, t) for v in free]
         dists = haversine_arrays([[p.lat for p in pos]], [[p.lon for p in pos]],
-                                 [[r.pickup.lat] for r in requests],
-                                 [[r.pickup.lon] for r in requests])
+                                 lats[:, None], lons[:, None])
         free_left = len(free)
         rows: list[int | None] = []
-        for i, req in enumerate(requests):
-            cell = cell_of(req.pickup, self.grid)
-            self._heat_current[cell] += 1
-            self._minute_heat[cell] += 1
+        for i in range(len(requests)):
             row = None
             if free_left:
                 # columns are in ascending vehicle id, so ties go to the lowest id
@@ -428,20 +431,9 @@ class Simulation:
                 self._count_request(t, eta)
             self._log("assign", vid=v.vid, rid=req.rid, detail=f"eta={eta:.2f}")
 
-    def _cells(self, points: list[Location]) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column arrays of each point's cell; out-of-bounds points raise."""
-        g = self.grid
-        lats = np.array([p.lat for p in points])
-        lons = np.array([p.lon for p in points])
-        inside = ((lats >= g.origin.lat) & (lats < g.lat_max)
-                  & (lons >= g.origin.lon) & (lons < g.lon_max))
-        if not inside.all():
-            cell_of(points[int(np.argmin(inside))], g)  # raises OutOfBoundsError
-        return cell_arrays(lats, lons, g)
-
     def build_view(self, t: float) -> SimView:
-        idle_ids = idle_set(self.fleet, t, self.idle_window)
-        dispatchable = set(idle_ids)
+        idle_ids = np.array(idle_set(self.fleet, t, self.idle_window), dtype=np.int64)
+        dispatchable = set(idle_ids.tolist())
         position = self.position
         # where each vehicle is, and where and in how many minutes it next stands idle
         pos: list[Location] = []
@@ -460,15 +452,12 @@ class Simulation:
             else:  # OCCUPIED, or DISPATCHING outside the idle set
                 nxt.append(v.dest)
                 minutes.append(max(0.0, v.arrival_time - t))
-        rows, cols = self._cells(pos + nxt)
-        cells = list(zip(rows.tolist(), cols.tolist()))
+        points = pos + nxt
+        rows, cols = cell_arrays([p.lat for p in points], [p.lon for p in points], self.grid)
+        cells = np.stack([rows, cols], axis=1)
         n = len(self.fleet)
-        vehicle_cells = {v.vid: cell for v, cell in zip(self.fleet, cells[:n])}
-        supply_events = [(v.vid, cell, m)
-                         for v, cell, m in zip(self.fleet, cells[n:], minutes)]
         idle_cells = np.zeros(self.grid.shape)
-        idle = np.asarray(idle_ids, dtype=np.int64)
-        np.add.at(idle_cells, (rows[idle], cols[idle]), 1.0)
+        np.add.at(idle_cells, (rows[idle_ids], cols[idle_ids]), 1.0)
 
         pickups = np.array([v.pickups for v in self.fleet], dtype=np.float64)
         cruise = np.array([v.dispatch_minutes for v in self.fleet])
@@ -484,10 +473,10 @@ class Simulation:
         slots = list(self._heat_slots)
         return SimView(
             t=t, clock=clock, grid=grid, idle_ids=idle_ids,
-            vehicle_cells=vehicle_cells, idle_cell_counts=idle_cells,
+            cells=cells[:n], idle_cell_counts=idle_cells,
             trailing_heat=self._trailing_heat.copy(),
             heat_prev1=slots[-1].copy(), heat_prev2=slots[-2].copy(),
-            supply_events=supply_events, pickups=pickups,
+            next_cells=cells[n:], next_minutes=np.array(minutes), pickups=pickups,
             dispatch_minutes=cruise, last_dropoff=dropoffs,
             eta_minutes=eta_minutes,
         )

@@ -6,6 +6,7 @@ only, none of the code paths they are used to check.
 
 import csv
 import heapq
+import math
 from collections import defaultdict
 from itertools import combinations
 
@@ -18,8 +19,9 @@ from fleetsim.dqn import (ACTION_SIZE, AUX_PLANES, MAIN_PLANES, Q_SPEC, STAY_CEL
                           _Pending, action_offset, build_feature_planes, explore_action,
                           greedy_action, legal_action_mask, reward_dqn)
 from fleetsim.eta import build_eta_features
-from fleetsim.geo import (GridSpec, Location, aggregate_to_regions, block_region_map, cell_of,
-                          center_of, haversine, haversine_arrays)
+from fleetsim.geo import (_BOUNDARY_SNAP, GridSpec, Location, OutOfBoundsError,
+                          aggregate_to_regions, block_region_map, center_of, haversine,
+                          haversine_arrays)
 from fleetsim.harness.synth import (_HOTSPOTS, SLOT_MINUTES, SynthCity, TripRecord,
                                     _activity_level, _dest_weights, _hotspot_maps,
                                     _slot_rates, _speed_kmh, build_road_grid)
@@ -470,6 +472,22 @@ def astar_reference(origin, dest, graph):
     return None
 
 
+def cell_of(loc, grid):
+    """The (row, col) cell of one location; out-of-bounds locations raise.
+
+    The scalar reference for :func:`fleetsim.geo.cell_arrays`: floor of
+    the snapped offset, so boundary points go to the higher-index cell.
+    """
+    if not grid.contains(loc):
+        raise OutOfBoundsError(
+            f"location ({loc.lat}, {loc.lon}) outside grid bounds "
+            f"[{grid.origin.lat}, {grid.lat_max}) x [{grid.origin.lon}, {grid.lon_max})"
+        )
+    row = int(math.floor((loc.lat - grid.origin.lat) / grid.d_lat + _BOUNDARY_SNAP))
+    col = int(math.floor((loc.lon - grid.origin.lon) / grid.d_lon + _BOUNDARY_SNAP))
+    return (min(row, grid.rows - 1), min(col, grid.cols - 1))
+
+
 def nearest_node_reference(loc, graph):
     """Node minimizing haversine distance to ``loc``, one point per call."""
     if not graph.nodes:
@@ -504,13 +522,16 @@ def aux_planes_reference(ctx):
 
 
 class ReferenceSimulation(Simulation):
-    """The simulator that matches, routes and views one vehicle at a time.
+    """The simulator that matches, routes, views and dispatches one at a time.
 
-    Each request scans the free fleet on its own and routes at once,
-    each route looks up its two nearest nodes on its own, and the view
-    maps every cell with ``cell_of``; paths come from
-    :func:`astar_reference`.  Route positions keep ``path_cumlen`` as an
-    array and find their segment with ``np.searchsorted``.
+    Each request is mapped to its cell with the scalar :func:`cell_of`,
+    scans the free fleet on its own and routes at once; each route looks
+    up its two nearest nodes on its own, with paths from
+    :func:`astar_reference`.  The view maps each vehicle's cell and next
+    idle cell with :func:`cell_of` in one loop over the fleet, and only
+    then stacks them into the view's arrays.  Orders execute one by one.
+    Route positions keep ``path_cumlen`` as an array and find their
+    segment with ``np.searchsorted``.
     """
 
     def position(self, v, t):
@@ -623,6 +644,10 @@ class ReferenceSimulation(Simulation):
                 supply_events.append((v.vid, dcell, max(0.0, v.arrival_time - t)))
         for vid in idle_ids:
             idle_cells[vehicle_cells[vid]] += 1
+        # one row per vehicle id, from the per-vehicle entries above
+        cells = np.array([vehicle_cells[v.vid] for v in self.fleet], dtype=np.int64)
+        next_cells = np.array([e[1] for e in supply_events], dtype=np.int64)
+        next_minutes = np.array([e[2] for e in supply_events], dtype=np.float64)
 
         pickups = np.array([v.pickups for v in self.fleet], dtype=np.float64)
         cruise = np.array([v.dispatch_minutes for v in self.fleet])
@@ -639,11 +664,11 @@ class ReferenceSimulation(Simulation):
 
         slots = list(self._heat_slots)
         return SimView(
-            t=t, clock=clock, grid=grid, idle_ids=idle_ids,
-            vehicle_cells=vehicle_cells, idle_cell_counts=idle_cells,
+            t=t, clock=clock, grid=grid, idle_ids=np.array(idle_ids, dtype=np.int64),
+            cells=cells.reshape(-1, 2), idle_cell_counts=idle_cells,
             trailing_heat=self._trailing_heat.copy(),
             heat_prev1=slots[-1].copy(), heat_prev2=slots[-2].copy(),
-            supply_events=supply_events, pickups=pickups,
+            next_cells=next_cells.reshape(-1, 2), next_minutes=next_minutes, pickups=pickups,
             dispatch_minutes=cruise, last_dropoff=dropoffs,
             eta_minutes=eta_minutes,
         )
@@ -675,6 +700,21 @@ class ReferenceSimulation(Simulation):
             self._set_route(v, points, t, t + eta, dest)
             self._log("dispatch", vid=v.vid,
                       detail=f"cell={order.target_cell} eta={eta:.2f}")
+
+
+def rhc_supply_reference(view, zones, slot_minutes, horizon):
+    """RHC's standing supply ``x0`` and arrival schedule ``sched``, one vehicle at a time."""
+    x0 = np.zeros(zones.region_count)
+    sched = np.zeros((horizon, zones.region_count))
+    for cell, minutes in zip(view.next_cells.tolist(), view.next_minutes.tolist()):
+        zone = int(zones.assignment[tuple(cell)])
+        if minutes <= 0.0:
+            x0[zone] += 1
+        else:
+            k = int(minutes // slot_minutes)
+            if k < horizon:
+                sched[k, zone] += 1
+    return x0, sched
 
 
 def avg_pool_reference(plane, k):
@@ -743,15 +783,16 @@ class DqnPolicyReference(DqnPolicy):
 
         heat = self.demand_predictor(view)
         demand_regions = aggregate_to_regions(heat, self.region_map).reshape(rr, rc)
+        vehicle_cells = [tuple(cell) for cell in view.cells.tolist()]
         idle_regions = np.zeros((rr, rc))
-        for vid in view.idle_ids:
-            idle_regions[self._region_cell(view.vehicle_cells[vid])] += 1
+        for vid in view.idle_ids.tolist():
+            idle_regions[self._region_cell(vehicle_cells[vid])] += 1
 
         x = np.zeros((rr, rc, horizon + 1))
-        for vid, cell, minutes in view.supply_events:
+        for cell, minutes in zip(view.next_cells.tolist(), view.next_minutes.tolist()):
             h = int(np.ceil(minutes))
             if h <= horizon:
-                x[self._region_cell(cell) + (h,)] += 1
+                x[self._region_cell(tuple(cell)) + (h,)] += 1
 
         eta_cells = None
         supply3 = None
@@ -761,13 +802,13 @@ class DqnPolicyReference(DqnPolicy):
         alpha = cfg.schedules.alpha(self.step) if cfg.train else 1.0
 
         orders = []
-        for vid in sorted(view.idle_ids):
+        for vid in sorted(view.idle_ids.tolist()):
             if not self._eligible(vid, view.t, float(view.last_dropoff[vid])):
                 continue
             if cfg.train and self.rng.random() >= alpha:
                 continue
 
-            region = self._region_cell(view.vehicle_cells[vid])
+            region = self._region_cell(vehicle_cells[vid])
             if supply3 is None:
                 supply3 = np.stack([
                     x[..., :1].sum(axis=-1),
@@ -800,7 +841,7 @@ class DqnPolicyReference(DqnPolicy):
                     if eta_cells[cell] > best:
                         best = eta_cells[cell]
                         dest_cell = cell
-                minutes = view.eta_minutes(view.vehicle_cells[vid], dest_cell)
+                minutes = view.eta_minutes(vehicle_cells[vid], dest_cell)
                 tau_steps = max(1, int(np.ceil(minutes)))
                 orders.append(DispatchOrder(vid, dest_cell))
                 x[region + (0,)] -= 1

@@ -90,7 +90,7 @@ class TestTraining:
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
-            train_demand(np.zeros((3, 4, 4)), slot_clocks(3), seed=0)
+            train_demand(np.zeros((3, 4, 4)), slot_clocks(3), seed=0, epochs=150)
 
 
 class TestPredict:

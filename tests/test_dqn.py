@@ -318,14 +318,14 @@ class TestRewardAndSchedules:
             reward_dqn(-1, 0, 10.0)
 
     def test_epsilon_schedule_endpoints_and_midpoint(self):
-        s = Schedules()
+        s = Schedules(eps_ramp=5000, alpha_ramp=5000)
         assert s.epsilon(0) == pytest.approx(1.0)
         assert s.epsilon(2500) == pytest.approx(0.525)
         assert s.epsilon(5000) == pytest.approx(0.05)
         assert s.epsilon(20_000) == pytest.approx(0.05)
 
     def test_alpha_schedule_endpoints_and_midpoint(self):
-        s = Schedules()
+        s = Schedules(eps_ramp=5000, alpha_ramp=5000)
         assert s.alpha(0) == pytest.approx(0.3)
         assert s.alpha(2500) == pytest.approx(0.65)
         assert s.alpha(5000) == pytest.approx(1.0)
@@ -401,7 +401,7 @@ class TestTrainStep:
         target = online.copy()
         buf = ReplayBuffer()
         buf.push(Transition(interior_ctx(), STAY_CELL, 0.0, interior_ctx(), 0))
-        assert train_step(online, target, buf, neural.RmsProp(), 0.98,
+        assert train_step(online, target, buf, neural.RmsProp(lr=1e-4), 0.98,
                           np.random.default_rng(0)) is None
 
     def test_double_q_hand_target_value(self):

@@ -102,7 +102,7 @@ class TestTraining:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            train_eta(np.zeros((1, 9)), np.zeros(1), seed=0)
+            train_eta(np.zeros((1, 9)), np.zeros(1), seed=0, epochs=30)
 
 
 class TestPredict:

@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from oracles import cell_of
 
 from fleetsim.geo import (
     GridSpec,
@@ -11,7 +13,7 @@ from fleetsim.geo import (
     RegionMapError,
     aggregate_to_regions,
     block_region_map,
-    cell_of,
+    cell_arrays,
     center_of,
     haversine,
     haversine_arrays,
@@ -23,47 +25,63 @@ def grid_2x2(cell=150.0):
     return GridSpec(rows=2, cols=2, cell_size=cell, origin=Location(40.0, -74.0))
 
 
+def one_cell(loc, grid):
+    """The cell of one location, through the vectorized mapper."""
+    rows, cols = cell_arrays([loc.lat], [loc.lon], grid)
+    return (int(rows[0]), int(cols[0]))
+
+
 class TestCellOf:
     def test_origin_corner_is_cell_zero(self):
         g = grid_2x2()
-        assert cell_of(g.origin, g) == (0, 0)
+        assert one_cell(g.origin, g) == (0, 0)
 
     def test_interior_boundary_goes_to_higher_cell(self):
         g = grid_2x2()
         on_row_boundary = Location(g.origin.lat + g.d_lat, g.origin.lon)
-        assert cell_of(on_row_boundary, g) == (1, 0)
+        assert one_cell(on_row_boundary, g) == (1, 0)
         on_col_boundary = Location(g.origin.lat, g.origin.lon + g.d_lon)
-        assert cell_of(on_col_boundary, g) == (0, 1)
+        assert one_cell(on_col_boundary, g) == (0, 1)
 
     def test_offset_160m_east_in_150m_cells(self):
         # hand computation: 160 m east of origin crosses one 150 m column
         g = grid_2x2(cell=150.0)
         lon = g.origin.lon + g.d_lon * (160.0 / 150.0)
-        assert cell_of(Location(g.origin.lat, lon), g) == (0, 1)
+        assert one_cell(Location(g.origin.lat, lon), g) == (0, 1)
 
     def test_out_of_bounds_raises(self):
         g = grid_2x2()
         with pytest.raises(OutOfBoundsError):
-            cell_of(Location(g.origin.lat - 1e-9, g.origin.lon), g)
+            one_cell(Location(g.origin.lat - 1e-9, g.origin.lon), g)
         with pytest.raises(OutOfBoundsError):
-            cell_of(Location(g.lat_max, g.origin.lon), g)
+            one_cell(Location(g.lat_max, g.origin.lon), g)
 
     def test_round_trip_through_center(self):
         g = GridSpec(rows=7, cols=5, cell_size=320.0, origin=Location(35.2, 139.4))
         for r in range(g.rows):
             for c in range(g.cols):
-                assert cell_of(center_of((r, c), g), g) == (r, c)
+                assert one_cell(center_of((r, c), g), g) == (r, c)
 
     def test_vectorized_matches_scalar(self):
         g = GridSpec(rows=9, cols=11, cell_size=250.0, origin=Location(40.0, -74.0))
         rng = np.random.default_rng(7)
-        lats = rng.uniform(g.origin.lat, g.lat_max - 1e-9, size=50)
-        lons = rng.uniform(g.origin.lon, g.lon_max - 1e-9, size=50)
-        from fleetsim.geo import cell_arrays
-
+        # random points, then the south-west corner of every cell on the diagonal
+        k = np.arange(min(g.rows, g.cols))
+        lats = np.concatenate([rng.uniform(g.origin.lat, g.lat_max - 1e-9, size=50),
+                               g.origin.lat + k * g.d_lat])
+        lons = np.concatenate([rng.uniform(g.origin.lon, g.lon_max - 1e-9, size=50),
+                               g.origin.lon + k * g.d_lon])
         rows, cols = cell_arrays(lats, lons, g)
         for lat, lon, r, c in zip(lats, lons, rows, cols):
             assert cell_of(Location(lat, lon), g) == (r, c)
+
+    def test_vectorized_names_the_outside_point(self):
+        g = grid_2x2()
+        lats = [g.origin.lat, g.origin.lat, g.lat_max + 1e-3, g.origin.lat]
+        lons = [g.origin.lon, g.origin.lon + g.d_lon, g.origin.lon, g.lon_max - 1e-9]
+        with pytest.raises(OutOfBoundsError,
+                           match=re.escape(f"({g.lat_max + 1e-3}, {g.origin.lon})")):
+            cell_arrays(lats, lons, g)
 
 
 class TestRegionMap:

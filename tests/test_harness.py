@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fleetsim import demand as demand_mod
 from fleetsim.geo import GridSpec, Location, RegionMapError, block_region_map
 from fleetsim.harness.config import ConfigError, ExperimentConfig, parse_config, render_config
 from fleetsim.harness.ingest import TripDataError, ingest_trips
@@ -368,6 +369,30 @@ class TestExperiment:
         for key in ("total_requests", "rejects", "accepted"):
             assert agg[key] == sum(r[key] for r in day_rows)
         assert agg["reject_rate"] == agg["rejects"] / agg["total_requests"]
+
+    def test_demand_baseline_fit_on_the_network_training_slots(self, tmp_path, monkeypatch):
+        cfg = small_cfg(tmp_path, demand_epochs=1)
+        seen = {}
+        train_demand = demand_mod.train_demand
+
+        def spy(slots, clocks, **kw):
+            seen.update(slots=slots, clocks=clocks)
+            return train_demand(slots, clocks, **kw)
+
+        monkeypatch.setattr(demand_mod, "train_demand", spy)
+        model, baseline, metrics = ex.train_demand_model(cfg, ex.training_city(cfg))
+        slots = seen["slots"]
+        n_fit = baseline._n
+        assert 2 < n_fit < slots.shape[0]
+        assert np.array_equal(baseline._global, slots[:n_fit].sum(axis=0))
+        # the network's training RMSE covers exactly the samples whose
+        # inputs and targets lie in those slots
+        inputs, targets = demand_mod._samples(slots, seen["clocks"])
+        k = n_fit - 2
+        assert demand_mod._masked_rmse(model, inputs[:k], targets[:k]) == \
+            metrics["demand_train_rmse"]
+        assert demand_mod._masked_rmse(model, inputs[k:], targets[k:]) == \
+            metrics["demand_val_rmse"]
 
     def test_rhc_policy_runs(self, mini_world):
         cfg, city, bundle = mini_world

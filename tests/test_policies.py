@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import DqnPolicyReference
+from oracles import DqnPolicyReference, rhc_supply_reference
 
 from fleetsim.clock import Clock
 from fleetsim.dqn import (
@@ -14,6 +14,7 @@ from fleetsim.dqn import (
     STAY_CELL,
 )
 from fleetsim.geo import GridSpec, Location, RegionMap, block_region_map
+from fleetsim import rhc
 from fleetsim.rhc import RhcPolicy
 from fleetsim.sim import SimView
 from test_dqn import crafted_qnet, sample_qnet
@@ -24,14 +25,22 @@ REGIONS = block_region_map(GRID, 1, 1)        # 10x10 regions, one cell each
 ZONES = block_region_map(GRID, 5, 5)          # 2x2 zones
 
 
-def fake_view(t=100.0, idle_cells=None, events=None, pickups=None,
+# minutes until idle of a vehicle that stays busy beyond every horizon
+NEVER_IDLE_MINUTES = 1e6
+
+
+def fake_view(t=100.0, idle_cells=None, pickups=None,
               dispatch_minutes=None, trailing=None, n_vehicles=4):
+    """A view where the vehicles of ``idle_cells`` stand idle on their
+    cells and the rest of the ``n_vehicles`` never turn idle."""
     idle_cells = idle_cells if idle_cells is not None else {}
-    cells = dict(idle_cells)
-    events = events or [(vid, cell, 0.0) for vid, cell in idle_cells.items()]
+    cells = np.zeros((n_vehicles, 2), dtype=np.int64)
+    minutes = np.full(n_vehicles, NEVER_IDLE_MINUTES)
     heat = np.zeros(GRID.shape)
     counts = np.zeros(GRID.shape)
     for vid, cell in idle_cells.items():
+        cells[vid] = cell
+        minutes[vid] = 0.0
         counts[cell] += 1
 
     def eta_minutes(a, b):
@@ -39,11 +48,11 @@ def fake_view(t=100.0, idle_cells=None, events=None, pickups=None,
 
     return SimView(
         t=t, clock=Clock(t), grid=GRID,
-        idle_ids=sorted(idle_cells), vehicle_cells=cells,
+        idle_ids=np.array(sorted(idle_cells), dtype=np.int64), cells=cells,
         idle_cell_counts=counts,
         trailing_heat=trailing if trailing is not None else heat,
         heat_prev1=heat.copy(), heat_prev2=heat.copy(),
-        supply_events=events,
+        next_cells=cells.copy(), next_minutes=minutes,
         pickups=np.asarray(pickups if pickups is not None else np.zeros(n_vehicles)),
         dispatch_minutes=np.asarray(dispatch_minutes if dispatch_minutes is not None
                                     else np.zeros(n_vehicles)),
@@ -184,6 +193,11 @@ class TestDqnPolicy:
         stored = policy.pending[0].action
         assert stored == expect
 
+    def test_training_without_schedules_rejected(self):
+        with pytest.raises(ValueError, match="schedules"):
+            DqnPolicy(QNetwork.create(np.random.default_rng(0)), REGIONS, (10, 10),
+                      flat_demand_predictor, DqnConfig(train=True))
+
     def test_dqn_star_cycle(self):
         policy = self.make_policy(cycle=15)
         assert policy.cycle == 15
@@ -213,27 +227,31 @@ def random_views(seed: int, grid: GridSpec, n_vehicles: int = 24, n_views: int =
         t = float(t)
         idle_ids = sorted(rng.choice(n_vehicles, size=int(rng.integers(0, n_vehicles + 1)),
                                      replace=False).tolist())
-        cells = {vid: cell() for vid in range(n_vehicles)}
+        cells = [cell() for _ in range(n_vehicles)]
         counts = np.zeros(grid.shape)
-        events = []
+        next_cells, next_minutes = [], []
         for vid in range(n_vehicles):
             if vid in idle_ids:
                 counts[cells[vid]] += 1
-                events.append((vid, cells[vid], 0.0))
+                next_cells.append(cells[vid])
+                next_minutes.append(0.0)
             else:
                 minutes = [0.0, float(rng.integers(1, 31)), float(rng.uniform(0, 30)),
                            float(rng.uniform(30, 60))][int(rng.integers(4))]
-                events.append((vid, cell(), minutes))
+                next_cells.append(cell())
+                next_minutes.append(minutes)
         pickups += rng.integers(0, 2, n_vehicles)
         cruise += rng.integers(0, 3, n_vehicles)
         last_dropoff = np.where(rng.random(n_vehicles) < 0.3,
                                 t - rng.uniform(0, 20, n_vehicles), -np.inf)
         heat = rng.poisson(1.0, grid.shape).astype(float)
         views.append(SimView(
-            t=t, clock=Clock(t), grid=grid, idle_ids=idle_ids, vehicle_cells=cells,
+            t=t, clock=Clock(t), grid=grid, idle_ids=np.array(idle_ids, dtype=np.int64),
+            cells=np.array(cells, dtype=np.int64),
             idle_cell_counts=counts, trailing_heat=heat,
             heat_prev1=rng.poisson(0.5, grid.shape).astype(float),
-            heat_prev2=np.zeros(grid.shape), supply_events=events,
+            heat_prev2=np.zeros(grid.shape), next_cells=np.array(next_cells, dtype=np.int64),
+            next_minutes=np.array(next_minutes),
             pickups=pickups.copy(), dispatch_minutes=cruise.copy(),
             last_dropoff=last_dropoff, eta_minutes=eta_minutes))
     return views
@@ -334,6 +352,31 @@ class TestRhcPolicyOrchestration:
         # orders move vehicles toward the demand zone (zone 3 cells)
         for order in orders:
             assert order.target_cell[0] >= 5 or order.target_cell[1] >= 5
+
+    @pytest.mark.parametrize("slot_minutes, horizon", [(15, 3), (10.0, 4)])
+    def test_supply_matches_per_vehicle_reference(self, monkeypatch, slot_minutes, horizon):
+        m = ZONES.region_count
+        seen = []
+        solve_rhc = rhc.solve_rhc
+
+        def spy(x0, sched, *args, **kw):
+            seen.append((x0, sched))
+            return solve_rhc(x0, sched, *args, **kw)
+
+        monkeypatch.setattr(rhc, "solve_rhc", spy)
+        policy = RhcPolicy(ZONES, np.full((7, 24, m, m), 5.0), np.full((7, 24, m, m), 1.0 / m),
+                           demand_predictor=lambda view: view.trailing_heat,
+                           future_demand=lambda clock: np.zeros(GRID.shape),
+                           slot_minutes=slot_minutes, horizon=horizon)
+        views = random_views(3, GRID)
+        for view in views:
+            policy.dispatch(view)
+        assert len(seen) == len(views)
+        for view, (x0, sched) in zip(views, seen):
+            want_x0, want_sched = rhc_supply_reference(view, ZONES, slot_minutes, horizon)
+            assert x0.dtype == sched.dtype == np.float64
+            assert (x0.tolist(), sched.tolist()) == (want_x0.tolist(), want_sched.tolist())
+        assert sum(s.sum() for _, s in seen) > 0
 
     def test_no_demand_no_orders(self):
         m = ZONES.region_count

@@ -415,6 +415,17 @@ def test_view_of_vehicle_outside_grid_raises():
         sim.build_view(0.0)
 
 
+def test_request_with_pickup_outside_grid_raises():
+    grid = make_grid()
+    p = center_of((1, 1), grid)
+    outside = Location(p.lat, grid.lon_max + 0.01)
+    sim = Simulation(grid, grid_graph(grid), ConstantEta(),
+                     [req(0, 0.0, p, p), req(1, 1.5, outside, p)], n_vehicles=1, warmup=0)
+    sim.step_minute()  # minute 0 holds only the request inside the grid
+    with pytest.raises(OutOfBoundsError, match=str(grid.lon_max + 0.01)):
+        sim.step_minute()
+
+
 # --- the batched simulator against the one-request-at-a-time reference ------
 
 class FeatureEta:
@@ -492,9 +503,10 @@ def metrics_state(m):
 def view_state(view):
     g = view.grid
     cells = [(0, 0), (g.rows - 1, g.cols - 1), (g.rows // 2, 0)]
-    return (view.t, view.clock, view.grid, view.idle_ids, view.vehicle_cells,
+    return (view.t, view.clock, view.grid, view.idle_ids.tolist(), view.cells.tolist(),
             view.idle_cell_counts.tolist(), view.trailing_heat.tolist(),
-            view.heat_prev1.tolist(), view.heat_prev2.tolist(), view.supply_events,
+            view.heat_prev1.tolist(), view.heat_prev2.tolist(), view.next_cells.tolist(),
+            view.next_minutes.tolist(),
             view.pickups.tolist(), view.dispatch_minutes.tolist(),
             view.last_dropoff.tolist(),
             [view.eta_minutes(a, b) for a in cells for b in cells])

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fleetsim"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fleetsim"
 MODULES = sorted(SRC.rglob("*.py"))
+# every tree whose code may read a name the package defines
+READERS = sorted(p for d in ("src", "tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -26,6 +29,34 @@ def unused_imports(source: str) -> list[str]:
     return sorted(set(imported) - used)
 
 
+def defined_names(source: str) -> list[str]:
+    """Functions, classes and variables a module defines at its top level, dunders aside."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def read_names(source: str) -> set[str]:
+    """Every name a module reads: loaded names, attributes, imported names and
+    string constants (``__all__`` entries, names wrapped by their string)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out |= {a.name for a in node.names}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
 def test_finds_the_modules():
     assert SRC / "sim.py" in MODULES and SRC / "harness" / "cli.py" in MODULES
 
@@ -41,3 +72,19 @@ def test_unused_import_detection():
               "__all__ = ['e']\n"
               "def f():\n    from .g import h\n    return np.zeros(d)\n")
     assert unused_imports(source) == ["b", "h", "os"]
+
+
+def test_every_module_level_name_is_read():
+    read = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in READERS))
+    unread = [f"{path.relative_to(SRC)}:{name}" for path in MODULES
+              for name in defined_names(path.read_text(encoding="utf-8")) if name not in read]
+    assert unread == []
+
+
+def test_unread_name_detection():
+    source = ("X = 1\nY: int = 2\n_z, W = 3, 4\n__version__ = '0'\n"
+              "def f():\n    return X + g.W\nclass C:\n    attr = 5\n"
+              "def unused():\n    pass\n__all__ = ['C']\n")
+    assert defined_names(source) == ["X", "Y", "_z", "W", "f", "C", "unused"]
+    read = read_names(source)
+    assert [n for n in defined_names(source) if n not in read] == ["Y", "_z", "f", "unused"]
