@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, fields
 from datetime import date
 
+from ..geo import METERS_PER_DEG_LAT
+
 POLICIES = ("none", "rhc", "dqn", "dqn_star")
 
 
@@ -92,6 +94,13 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not (math.isfinite(self.cell_size_m) and self.cell_size_m > 0):
             raise ConfigError(f"cell_size_m must be finite and positive, got {self.cell_size_m}")
+        for name in ("origin_lat", "origin_lon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        north = self.origin_lat + self.fine_rows * (self.cell_size_m / METERS_PER_DEG_LAT)
+        if not (self.origin_lat >= -90.0 and north <= 90.0):
+            raise ConfigError(f"origin_lat {self.origin_lat} puts the grid between latitudes "
+                              f"{self.origin_lat} and {north}, past -90 to 90")
         if not (math.isfinite(self.match_radius_m) and self.match_radius_m >= 0):
             raise ConfigError("match_radius_m must be finite and non-negative, "
                               f"got {self.match_radius_m}")

@@ -7,9 +7,10 @@ A graph derives its query arrays once, when it is built: the sorted node
 ids with their latitude and longitude arrays (for nearest-node lookups),
 an id -> index map, adjacency lists over those indices, and each node's
 latitude and longitude in radians with the cosine of its latitude (for
-the A* heuristic).  ``nodes`` and ``adjacency`` must therefore not be
-mutated afterwards; build a new graph instead.  Queries are pure
-functions, so concurrent use is safe.
+the A* heuristic), and each directed edge's haversine length (for route
+lengths and the heuristic's scale).  ``nodes`` and ``adjacency`` must
+therefore not be mutated afterwards; build a new graph instead.  Queries
+are pure functions, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class RoadGraph:
     adjacency: dict[int, list[tuple[int, float]]]  # node -> [(neighbor, meters)]
     # scale applied to the haversine heuristic so A* stays admissible even
     # when data contains edges shorter than the straight-line distance
-    heuristic_scale: float = 1.0
+    heuristic_scale: float = field(init=False)
     _ids: np.ndarray = field(init=False, repr=False)
     _lats: np.ndarray = field(init=False, repr=False)
     _lons: np.ndarray = field(init=False, repr=False)
@@ -52,6 +53,8 @@ class RoadGraph:
     _rad_lats: list[float] = field(init=False, repr=False)
     _rad_lons: list[float] = field(init=False, repr=False)
     _cos_lats: list[float] = field(init=False, repr=False)
+    # haversine(nodes[a], nodes[b]) of each directed edge (a, b)
+    _hop_m: dict[tuple[int, int], float] = field(init=False, repr=False)
 
     def __post_init__(self):
         ids = sorted(self.nodes)
@@ -65,6 +68,14 @@ class RoadGraph:
         self._rad_lats = [math.radians(self.nodes[i].lat) for i in ids]
         self._rad_lons = [math.radians(self.nodes[i].lon) for i in ids]
         self._cos_lats = [math.cos(lat) for lat in self._rad_lats]
+        self._hop_m = {(a, b): haversine(self.nodes[a], self.nodes[b])
+                       for a, adj in self.adjacency.items() for b, _ in adj}
+        self.heuristic_scale = 1.0
+        for a, adj in self.adjacency.items():
+            for b, length in adj:
+                straight = self._hop_m[a, b]
+                if straight > 0 and length < straight:
+                    self.heuristic_scale = min(self.heuristic_scale, length / straight)
 
 
 def build_graph(nodes: dict[int, Location], edges: list[tuple[int, int, float]]) -> RoadGraph:
@@ -79,13 +90,9 @@ def build_graph(nodes: dict[int, Location], edges: list[tuple[int, int, float]])
         key = (frm, to)
         if key not in best or length < best[key]:
             best[key] = float(length)
-    scale = 1.0
     for (frm, to), length in sorted(best.items()):
         adjacency[frm].append((to, length))
-        straight = haversine(nodes[frm], nodes[to])
-        if straight > 0 and length < straight:
-            scale = min(scale, length / straight)
-    return RoadGraph(nodes=nodes, adjacency=adjacency, heuristic_scale=scale)
+    return RoadGraph(nodes=nodes, adjacency=adjacency)
 
 
 def load_edge_list(path) -> RoadGraph:
@@ -147,6 +154,12 @@ def nearest_nodes(lats, lons, graph: RoadGraph) -> np.ndarray:
     d = haversine_arrays(lats[:, None], lons[:, None], graph._lats, graph._lons)
     # ids are sorted ascending, so argmin's first-hit rule breaks ties by lowest id
     return graph._ids[np.argmin(d, axis=1)]
+
+
+def hop_lengths(path: Path, graph: RoadGraph) -> list[float]:
+    """Straight-line (haversine) meters of each edge along ``path``."""
+    ids = path.nodes
+    return [graph._hop_m[hop] for hop in zip(ids, ids[1:])]
 
 
 def shortest_path(origin: int, dest: int, graph: RoadGraph) -> Path | None:

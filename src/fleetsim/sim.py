@@ -19,6 +19,22 @@ nothing about which vehicles the later requests of the minute can have.
 Phase (4) likewise looks up the nearest nodes of all orders at once,
 which is why an order list may name a vehicle only once.
 
+The fleet's state is kept in numpy columns indexed by vehicle id: status;
+location; departure and arrival time (arrival is +inf while a vehicle
+stands idle); the committed ride's trip minutes, dropoff, straight-line
+meters and request id; the idle rule's last dropoff, last ride and
+ordered-since-dropoff flag; the cumulative pickup and dispatch-minute
+counters; and the current route as padded ``(N, L)`` arrays of waypoint
+latitude, longitude and cumulative length, with a waypoint count per
+vehicle.  A route's last waypoint is its destination, and its unused
+length slots hold +inf.  So the per-minute work (due arrivals, the
+free-vehicle snapshot, positions, the idle set, the view and the
+minute's accruals) is array operations; Python loops run only over the
+requests, and the matched and ordered vehicles they route, and over the
+due vehicles when an event log is kept.  :attr:`Simulation.fleet` is a
+read-only snapshot of each vehicle's id and status; nothing done to it
+reaches the simulation.
+
 Vehicles executing a dispatch move remain matchable at their
 interpolated position along the planned route; vehicles committed to a
 passenger (en route to pickup, or occupied) are not.
@@ -27,19 +43,21 @@ passenger (en route to pickup, or occupied) are not.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from .clock import Clock
 from .eta import build_eta_features
 from .geo import GridSpec, Location, cell_arrays, center_of, haversine, haversine_arrays
-from .roadgraph import RoadGraph, nearest_nodes, shortest_path
+from .roadgraph import RoadGraph, hop_lengths, nearest_nodes, shortest_path
 
 log = logging.getLogger(__name__)
 
+# the free statuses, in which a vehicle can be matched or ordered, come first
 IDLE = 0
 DISPATCHING = 1
 TO_PICKUP = 2
@@ -74,27 +92,11 @@ class DispatchOrder:
     target_cell: tuple[int, int]
 
 
-@dataclass
-class VehicleState:
+class Vehicle(NamedTuple):
+    """One vehicle of a :attr:`Simulation.fleet` snapshot."""
+
     vid: int
-    loc: Location
-    status: int = IDLE
-    dest: Location | None = None
-    arrival_time: float | None = None
-    depart_time: float | None = None
-    path: tuple[Location, ...] = ()
-    path_cumlen: list[float] | None = None  # meters from path[0] to each waypoint
-    # committed ride, while to_pickup
-    ride_trip_minutes: float = 0.0
-    ride_dropoff: Location | None = None
-    ride_id: int = -1
-    # idle-rule bookkeeping
-    last_dropoff_time: float = -np.inf
-    last_ride_time: float = -np.inf
-    ordered_since_dropoff: bool = False
-    # cumulative counters (never reset; policies take window deltas)
-    pickups: int = 0
-    dispatch_minutes: float = 0.0
+    status: int
 
 
 @dataclass
@@ -162,27 +164,12 @@ def finalize_metrics(m: EpisodeMetrics) -> dict:
     return report
 
 
-def init_fleet(requests: list[RideRequest], n_vehicles: int) -> list[VehicleState]:
-    """Vehicle k starts idle at the pickup location of request k."""
-    if len(requests) < n_vehicles:
-        raise ValueError(
-            f"need at least {n_vehicles} requests to place the fleet, "
-            f"got {len(requests)}"
-        )
-    return [VehicleState(vid=k, loc=requests[k].pickup) for k in range(n_vehicles)]
-
-
-def idle_set(fleet: list[VehicleState], t: float,
-             window: float = DEFAULT_IDLE_WINDOW) -> list[int]:
+def idle_mask(status: np.ndarray, ordered_since_dropoff: np.ndarray,
+              last_ride_time: np.ndarray, t: float,
+              window: float = DEFAULT_IDLE_WINDOW) -> np.ndarray:
     """Dispatchable vehicles: unoccupied and uncommitted, and either not
     ordered since their last dropoff or ride-starved for ``window`` minutes."""
-    out = []
-    for v in fleet:
-        if v.status not in (IDLE, DISPATCHING):
-            continue
-        if not v.ordered_since_dropoff or (t - v.last_ride_time) >= window:
-            out.append(v.vid)
-    return out
+    return (status <= DISPATCHING) & (~ordered_since_dropoff | (t - last_ride_time >= window))
 
 
 @dataclass
@@ -218,7 +205,8 @@ class Simulation:
     ``policy`` (optional) needs ``cycle`` (invocation period, minutes) and
     ``dispatch(view) -> list[DispatchOrder]``.  A caller that acts between
     simulated minutes calls :meth:`step_minute` itself, as the DQN training
-    loop does to run a training step after each minute.
+    loop does to run a training step after each minute.  Vehicle ``k``
+    starts idle at the pickup of the ``k``-th request in time order.
     """
 
     def __init__(self, grid: GridSpec, graph: RoadGraph, eta_model,
@@ -239,8 +227,35 @@ class Simulation:
         self.idle_window = idle_window
         self.event_log = event_log
 
-        self.fleet = init_fleet(self.requests, n_vehicles)
-        self.metrics = EpisodeMetrics(n_vehicles=n_vehicles)
+        if len(self.requests) < n_vehicles:
+            raise ValueError(
+                f"need at least {n_vehicles} requests to place the fleet, "
+                f"got {len(self.requests)}"
+            )
+        n = n_vehicles
+        self.n_vehicles = n
+        # the fleet's columns (module docstring); depart is NaN before the
+        # first route, the dropoff NaN before the first ride
+        self._status = np.full(n, IDLE, dtype=np.int64)
+        self._lat = np.array([r.pickup.lat for r in self.requests[:n]], dtype=np.float64)
+        self._lon = np.array([r.pickup.lon for r in self.requests[:n]], dtype=np.float64)
+        self._depart = np.full(n, np.nan)
+        self._arrival = np.full(n, np.inf)
+        self._ride_trip = np.zeros(n)
+        self._drop_lat = np.full(n, np.nan)
+        self._drop_lon = np.full(n, np.nan)
+        self._ride_m = np.zeros(n)
+        self._ride_id = np.full(n, -1, dtype=np.int64)
+        self._last_dropoff = np.full(n, -np.inf)
+        self._last_ride = np.full(n, -np.inf)
+        self._ordered = np.zeros(n, dtype=bool)
+        self._pickups = np.zeros(n, dtype=np.int64)
+        self._dispatch_minutes = np.zeros(n)
+        self._route_len = np.zeros(n, dtype=np.int64)
+        self._route_lat = np.zeros((n, 2))        # widened by _set_route as needed
+        self._route_lon = np.zeros((n, 2))
+        self._route_cum = np.full((n, 2), np.inf)
+        self.metrics = EpisodeMetrics(n_vehicles=n)
         self.t = 0
 
         self._queue = deque(self.requests)
@@ -248,6 +263,11 @@ class Simulation:
         self._heat_slots = deque([np.zeros(grid.shape), np.zeros(grid.shape)], maxlen=2)
         self._trailing = deque(maxlen=SLOT_MINUTES)
         self._trailing_heat = np.zeros(grid.shape)
+
+    @property
+    def fleet(self) -> list[Vehicle]:
+        """Every vehicle's id and status, in id order, copied from the columns."""
+        return [Vehicle(vid, s) for vid, s in enumerate(self._status.tolist())]
 
     # -- logging ------------------------------------------------------------
 
@@ -257,77 +277,105 @@ class Simulation:
 
     # -- vehicle helpers ------------------------------------------------------
 
-    def position(self, v: VehicleState, t: float) -> Location:
-        """Current coordinates, interpolated along the route while moving.
+    def positions(self, t: float, vids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Latitudes and longitudes of vehicles ``vids`` at minute ``t``.
 
-        The segment is found with ``bisect_left`` on the non-decreasing
-        ``path_cumlen``, which is ``np.searchsorted(side="left")``; the
-        arithmetic is the same IEEE operations on Python floats.
+        An idle vehicle is at its location.  A moving one is interpolated
+        along its route: the elapsed fraction of its trip time, clipped to
+        [0, 1] (1 for a zero-time trip), of the route length falls in the
+        segment that ends at the first cumulative length not below it --
+        the count of lengths below it in the +inf-padded row, which is
+        ``bisect_left`` -- and the point is placed in that segment by the
+        IEEE operations of the scalar formula, one array at a time.
         """
-        if v.status == IDLE or v.arrival_time is None or not v.path:
-            return v.loc
-        span = v.arrival_time - v.depart_time
-        frac = 1.0 if span <= 0 else min(1.0, max(0.0, (t - v.depart_time) / span))
-        cum = v.path_cumlen
-        target = frac * cum[-1]
-        i = bisect_left(cum, target)
-        if i <= 0:
-            return v.path[0]
-        if i >= len(v.path):
-            return v.path[-1]
-        seg = cum[i] - cum[i - 1]
-        w = 0.0 if seg <= 0 else (target - cum[i - 1]) / seg
-        a, b = v.path[i - 1], v.path[i]
-        return Location(a.lat + w * (b.lat - a.lat), a.lon + w * (b.lon - a.lon))
+        lat, lon = self._lat[vids], self._lon[vids]
+        moving = self._status[vids] != IDLE
+        if not moving.any():
+            return lat, lon
+        m = vids[moving]
+        k = np.arange(len(m))
+        depart = self._depart[m]
+        span = self._arrival[m] - depart
+        frac = (t - depart) / np.where(span > 0, span, 1.0)
+        frac = np.where(frac > 0.0, frac, 0.0)    # max(0.0, frac)
+        frac = np.where(frac < 1.0, frac, 1.0)    # min(1.0, frac)
+        frac = np.where(span <= 0, 1.0, frac)
+        cum = self._route_cum[m]
+        last = self._route_len[m] - 1
+        target = frac * cum[k, last]
+        i = np.count_nonzero(cum < target[:, None], axis=1)
+        j = np.clip(i, 1, last)
+        lo = cum[k, j - 1]
+        seg = cum[k, j] - lo
+        # seg > 0 wherever 0 < i <= last; the safe divisor keeps the other rows finite
+        w = (target - lo) / np.where(seg > 0, seg, 1.0)
+        for route, out in ((self._route_lat, lat), (self._route_lon, lon)):
+            points = route[m]
+            a, b = points[k, j - 1], points[k, j]
+            between = a + w * (b - a)
+            out[moving] = np.where(i <= 0, points[:, 0],
+                                   np.where(i > last, points[k, last], between))
+        return lat, lon
 
-    def _route_nodes(self, origins: list[Location], dests: list[Location]
+    def _route_nodes(self, origin_lats, origin_lons, dest_lats, dest_lons
                      ) -> list[tuple[int, int]]:
         """Nearest graph nodes ``(o, d)`` of each origin and destination, in one lookup."""
-        points = origins + dests
-        if not points:
+        k = len(origin_lats)
+        if not k:
             return []
-        nodes = nearest_nodes([p.lat for p in points], [p.lon for p in points],
-                              self.graph).tolist()
-        return list(zip(nodes[:len(origins)], nodes[len(origins):]))
+        nodes = nearest_nodes(np.concatenate([origin_lats, dest_lats]),
+                              np.concatenate([origin_lons, dest_lons]), self.graph).tolist()
+        return list(zip(nodes[:k], nodes[k:]))
 
     def _route(self, origin: Location, dest: Location, o: int, d: int
-               ) -> tuple[tuple[Location, ...], float]:
-        """Waypoints and meters from origin to dest along the road graph.
+               ) -> tuple[list[float], list[float], list[float], float]:
+        """Waypoint latitudes and longitudes, segment lengths and meters from
+        origin to dest along the road graph.
 
         ``o`` and ``d`` are the graph nodes nearest ``origin`` and ``dest``.
         Falls back to the straight line when the graph offers no path.
+        Segment lengths are haversine meters.
         """
         path = shortest_path(o, d, self.graph)
         if path is None or len(path.nodes) < 2:
             dist = haversine(origin, dest)
-            return (origin, dest), dist
-        points = [origin] + [self.graph.nodes[n] for n in path.nodes] + [dest]
-        dist = (haversine(origin, points[1]) + path.total_length
-                + haversine(points[-2], dest))
-        return tuple(points), dist
+            return [origin.lat, dest.lat], [origin.lon, dest.lon], [dist], dist
+        points = [self.graph.nodes[n] for n in path.nodes]
+        head, tail = haversine(origin, points[0]), haversine(points[-1], dest)
+        return ([origin.lat, *[p.lat for p in points], dest.lat],
+                [origin.lon, *[p.lon for p in points], dest.lon],
+                [head, *hop_lengths(path, self.graph), tail],
+                head + path.total_length + tail)
 
-    def _set_route(self, v: VehicleState, points: tuple[Location, ...],
-                   depart: float, arrival: float, dest: Location) -> None:
-        v.path = points
-        lens = [0.0]
-        for a, b in zip(points[:-1], points[1:]):
-            lens.append(lens[-1] + haversine(a, b))
-        v.path_cumlen = lens
-        v.depart_time = depart
-        v.arrival_time = arrival
-        v.dest = dest
+    def _set_route(self, vid: int, lats: list[float], lons: list[float],
+                   segs: list[float], depart: float, arrival: float) -> None:
+        """Put ``vid`` on the route through the waypoints ``lats``/``lons``,
+        whose consecutive segments measure ``segs`` meters."""
+        n = len(lats)
+        width = self._route_cum.shape[1]
+        if n > width:
+            grow = max(n, 2 * width) - width
+            self._route_lat = np.pad(self._route_lat, ((0, 0), (0, grow)))
+            self._route_lon = np.pad(self._route_lon, ((0, 0), (0, grow)))
+            self._route_cum = np.pad(self._route_cum, ((0, 0), (0, grow)),
+                                     constant_values=np.inf)
+        self._route_lat[vid, :n] = lats
+        self._route_lon[vid, :n] = lons
+        self._route_cum[vid, :n] = list(accumulate(segs, initial=0.0))
+        if self._route_len[vid] > n:
+            self._route_cum[vid, n:] = np.inf
+        self._route_len[vid] = n
+        self._depart[vid] = depart
+        self._arrival[vid] = arrival
 
-    def _eta(self, origin: Location, dest: Location, distance_m: float, t: float) -> float:
-        feats = build_eta_features(origin, dest, self.clock0.plus(t), distance_m / 1000.0)
+    def _eta(self, origin: Location, dest: Location, distance_m: float, clock: Clock) -> float:
+        feats = build_eta_features(origin, dest, clock, distance_m / 1000.0)
         return self.eta_model.predict(feats)
 
-    def _stand(self, v: VehicleState, loc: Location) -> None:
-        """Leave ``v`` idle at ``loc``, with no destination or route."""
-        v.loc = loc
-        v.status = IDLE
-        v.dest = None
-        v.arrival_time = None
-        v.path = ()
+    def _stand(self, vids) -> None:
+        """Leave vehicle(s) ``vids`` idle where they are, with no destination or route."""
+        self._status[vids] = IDLE
+        self._arrival[vids] = np.inf
 
     def _count_request(self, t: float, eta: float | None) -> None:
         """Count a measured request of minute ``t``: rejected if ``eta`` is None,
@@ -348,31 +396,52 @@ class Simulation:
     # -- per-step phases ------------------------------------------------------
 
     def _complete_arrivals(self, t: float) -> None:
+        """Complete every arrival due by ``t``.
+
+        Each round takes the vehicles due: all reach their destinations, a
+        dispatch move or a ride ends there, and a pickup starts its ride at
+        once, so a ride that ends by ``t`` too completes in a later round.
+        Vehicles are independent, so a round is array operations; only the
+        event log lists them one by one, by arrival time and then by id.
+        """
+        arrival = self._arrival
         while True:
-            due = [v for v in self.fleet
-                   if v.status != IDLE and v.arrival_time is not None
-                   and v.arrival_time <= t]
-            if not due:
+            due = (arrival <= t).nonzero()[0]   # +inf while idle
+            if not due.size:
                 return
-            due.sort(key=lambda v: (v.arrival_time, v.vid))
-            for v in due:
-                when = v.arrival_time
-                if v.status == DISPATCHING:
-                    self._stand(v, v.dest)
-                    self._log("dispatch_arrival", vid=v.vid)
-                elif v.status == TO_PICKUP:
-                    v.loc = v.dest
-                    v.pickups += 1
-                    v.status = OCCUPIED
-                    self._log("pickup", vid=v.vid, rid=v.ride_id)
-                    self._set_route(v, (v.loc, v.ride_dropoff), when,
-                                    when + v.ride_trip_minutes, v.ride_dropoff)
-                elif v.status == OCCUPIED:
-                    self._stand(v, v.dest)
-                    v.last_dropoff_time = when
-                    v.ordered_since_dropoff = False
-                    self._log("dropoff", vid=v.vid, rid=v.ride_id)
-                    v.ride_id = -1
+            times, status = arrival[due], self._status[due]
+            if self.event_log is not None:
+                # due ids ascend, so the stable sort breaks equal times by id
+                order = times.argsort(kind="stable")
+                for vid, s, rid in zip(due[order].tolist(), status[order].tolist(),
+                                       self._ride_id[due[order]].tolist()):
+                    if s == DISPATCHING:
+                        self._log("dispatch_arrival", vid=vid)
+                    else:
+                        self._log("pickup" if s == TO_PICKUP else "dropoff", vid=vid, rid=rid)
+            end = self._route_len[due] - 1
+            self._lat[due] = self._route_lat[due, end]
+            self._lon[due] = self._route_lon[due, end]
+            ride = status == TO_PICKUP
+            self._stand(due[~ride])
+            dropped = status == OCCUPIED
+            self._last_dropoff[due[dropped]] = times[dropped]
+            self._ordered[due[dropped]] = False
+            self._ride_id[due[dropped]] = -1
+            # a pickup starts the straight two-point ride to the dropoff
+            riders = due[ride]
+            self._status[riders] = OCCUPIED
+            self._pickups[riders] += 1
+            self._route_lat[riders, 0] = self._lat[riders]
+            self._route_lon[riders, 0] = self._lon[riders]
+            self._route_lat[riders, 1] = self._drop_lat[riders]
+            self._route_lon[riders, 1] = self._drop_lon[riders]
+            self._route_cum[riders, 0] = 0.0
+            self._route_cum[riders, 1] = 0.0 + self._ride_m[riders]
+            self._route_cum[riders, 2:] = np.inf
+            self._route_len[riders] = 2
+            self._depart[riders] = times[ride]
+            arrival[riders] = times[ride] + self._ride_trip[riders]
 
     def _match_requests(self, t: float, measured: bool) -> None:
         requests = []
@@ -388,9 +457,9 @@ class Simulation:
         np.add.at(self._minute_heat, cells, 1.0)
 
         # 1. match each request, in order, to the closest still-free vehicle
-        free = [v for v in self.fleet if v.status in (IDLE, DISPATCHING)]
-        pos = [self.position(v, t) for v in free]
-        dists = haversine_arrays([[p.lat for p in pos]], [[p.lon for p in pos]],
+        free = (self._status <= DISPATCHING).nonzero()[0]
+        free_lat, free_lon = self.positions(t, free)
+        dists = haversine_arrays(free_lat[None, :], free_lon[None, :],
                                  lats[:, None], lons[:, None])
         free_left = len(free)
         rows: list[int | None] = []
@@ -398,19 +467,32 @@ class Simulation:
             row = None
             if free_left:
                 # columns are in ascending vehicle id, so ties go to the lowest id
-                best = int(np.argmin(dists[i]))
+                best = int(dists[i].argmin())
                 if dists[i, best] <= self.match_radius_m:
                     row = best
                     dists[:, best] = np.inf  # taken
                     free_left -= 1
             rows.append(row)
 
-        # 2. one nearest-node lookup for every matched origin and pickup
-        nodes = iter(self._route_nodes([pos[r] for r in rows if r is not None],
-                                       [q.pickup for q, r in zip(requests, rows)
-                                        if r is not None]))
+        # 2. the matched vehicles take their riders, and one nearest-node
+        #    lookup serves every matched origin and pickup
+        taken = [r for r in rows if r is not None]
+        riders = [q for q, r in zip(requests, rows) if r is not None]
+        vids = free[taken]
+        self._status[vids] = TO_PICKUP
+        self._last_ride[vids] = t
+        self._ride_trip[vids] = [q.trip_minutes for q in riders]
+        self._drop_lat[vids] = [q.dropoff.lat for q in riders]
+        self._drop_lon[vids] = [q.dropoff.lon for q in riders]
+        self._ride_m[vids] = [haversine(q.pickup, q.dropoff) for q in riders]
+        self._ride_id[vids] = [q.rid for q in riders]
+        nodes = iter(self._route_nodes(free_lat[taken], free_lon[taken],
+                                       [q.pickup.lat for q in riders],
+                                       [q.pickup.lon for q in riders]))
 
         # 3. route, time and record each request in order
+        clock = self.clock0.plus(t)
+        free, free_lat, free_lon = free.tolist(), free_lat.tolist(), free_lon.tolist()
         for req, row in zip(requests, rows):
             if row is None:
                 if measured:
@@ -418,57 +500,45 @@ class Simulation:
                 self._log("reject", rid=req.rid)
                 continue
 
-            v, origin = free[row], pos[row]
-            points, dist_m = self._route(origin, req.pickup, *next(nodes))
-            eta = self._eta(origin, req.pickup, dist_m, t)
-            v.status = TO_PICKUP
-            v.last_ride_time = t
-            v.ride_trip_minutes = req.trip_minutes
-            v.ride_dropoff = req.dropoff
-            v.ride_id = req.rid
-            self._set_route(v, points, t, t + eta, req.pickup)
+            vid, origin = free[row], Location(free_lat[row], free_lon[row])
+            route_lat, route_lon, segs, dist_m = self._route(origin, req.pickup, *next(nodes))
+            eta = self._eta(origin, req.pickup, dist_m, clock)
+            self._set_route(vid, route_lat, route_lon, segs, t, t + eta)
             if measured:
                 self._count_request(t, eta)
-            self._log("assign", vid=v.vid, rid=req.rid, detail=f"eta={eta:.2f}")
+            self._log("assign", vid=vid, rid=req.rid, detail=f"eta={eta:.2f}")
 
     def build_view(self, t: float) -> SimView:
-        idle_ids = np.array(idle_set(self.fleet, t, self.idle_window), dtype=np.int64)
-        dispatchable = set(idle_ids.tolist())
-        position = self.position
-        # where each vehicle is, and where and in how many minutes it next stands idle
-        pos: list[Location] = []
-        nxt: list[Location] = []
-        minutes: list[float] = []
-        for v in self.fleet:
-            status = v.status
-            p = v.loc if status == IDLE else position(v, t)
-            pos.append(p)
-            if status == IDLE or (status == DISPATCHING and v.vid in dispatchable):
-                nxt.append(p)
-                minutes.append(0.0)
-            elif status == TO_PICKUP:
-                nxt.append(v.ride_dropoff)
-                minutes.append(max(0.0, v.arrival_time + v.ride_trip_minutes - t))
-            else:  # OCCUPIED, or DISPATCHING outside the idle set
-                nxt.append(v.dest)
-                minutes.append(max(0.0, v.arrival_time - t))
-        points = pos + nxt
-        rows, cols = cell_arrays([p.lat for p in points], [p.lon for p in points], self.grid)
+        n = self.n_vehicles
+        status = self._status
+        dispatchable = idle_mask(status, self._ordered, self._last_ride, t, self.idle_window)
+        idle_ids = np.flatnonzero(dispatchable)
+        ids = np.arange(n)
+        lat, lon = self.positions(t, ids)
+        # where, and in how many minutes, each vehicle next stands idle:
+        # standing supply where it is now, a passenger's vehicle at the
+        # dropoff, any other mover at its destination
+        standing = (status == IDLE) | dispatchable
+        to_pickup = status == TO_PICKUP
+        end = np.maximum(self._route_len - 1, 0)
+        dest_lat, dest_lon = self._route_lat[ids, end], self._route_lon[ids, end]
+        next_lat = np.where(standing, lat, np.where(to_pickup, self._drop_lat, dest_lat))
+        next_lon = np.where(standing, lon, np.where(to_pickup, self._drop_lon, dest_lon))
+        left = np.where(to_pickup, self._arrival + self._ride_trip - t, self._arrival - t)
+        minutes = np.where(standing, 0.0, np.where(left > 0.0, left, 0.0))
+        rows, cols = cell_arrays(np.concatenate([lat, next_lat]),
+                                 np.concatenate([lon, next_lon]), self.grid)
         cells = np.stack([rows, cols], axis=1)
-        n = len(self.fleet)
         idle_cells = np.zeros(self.grid.shape)
         np.add.at(idle_cells, (rows[idle_ids], cols[idle_ids]), 1.0)
 
-        pickups = np.array([v.pickups for v in self.fleet], dtype=np.float64)
-        cruise = np.array([v.dispatch_minutes for v in self.fleet])
-        dropoffs = np.array([v.last_dropoff_time for v in self.fleet])
         clock = self.clock0.plus(t)
         grid = self.grid
 
         def eta_minutes(from_cell, to_cell):
             a = center_of(from_cell, grid)
             b = center_of(to_cell, grid)
-            return self._eta(a, b, haversine(a, b), t)
+            return self._eta(a, b, haversine(a, b), clock)
 
         slots = list(self._heat_slots)
         return SimView(
@@ -476,8 +546,10 @@ class Simulation:
             cells=cells[:n], idle_cell_counts=idle_cells,
             trailing_heat=self._trailing_heat.copy(),
             heat_prev1=slots[-1].copy(), heat_prev2=slots[-2].copy(),
-            next_cells=cells[n:], next_minutes=np.array(minutes), pickups=pickups,
-            dispatch_minutes=cruise, last_dropoff=dropoffs,
+            next_cells=cells[n:], next_minutes=minutes,
+            pickups=self._pickups.astype(np.float64),
+            dispatch_minutes=self._dispatch_minutes.copy(),
+            last_dropoff=self._last_dropoff.copy(),
             eta_minutes=eta_minutes,
         )
 
@@ -487,58 +559,60 @@ class Simulation:
         A list naming a vehicle twice, or a vehicle id outside the fleet, is
         rejected before any order runs.
         """
+        n = self.n_vehicles
         vids = [order.vehicle_id for order in orders]
-        unknown = sorted({vid for vid in vids if not 0 <= vid < len(self.fleet)})
+        unknown = sorted({vid for vid in vids if not 0 <= vid < n})
         if unknown:
             raise ValueError(f"dispatch orders name vehicles {unknown} outside "
-                             f"the fleet of {len(self.fleet)}")
+                             f"the fleet of {n}")
         if len(set(vids)) != len(vids):
             twice = sorted({vid for vid in vids if vids.count(vid) > 1})
             raise ValueError(f"dispatch orders name vehicles {twice} more than once")
-        # (order, vehicle, origin, destination); origin is None for a skipped order
-        plan = []
-        for order in orders:
-            v = self.fleet[order.vehicle_id]
-            if v.status in (TO_PICKUP, OCCUPIED):
-                plan.append((order, v, None, None))
-            else:
-                plan.append((order, v, self.position(v, t),
-                             center_of(order.target_cell, self.grid)))
-        moves = [p for p in plan if p[2] is not None]
-        nodes = iter(self._route_nodes([p[2] for p in moves], [p[3] for p in moves]))
+        status = self._status[vids].tolist() if vids else []
+        movers = [vid for vid, s in zip(vids, status) if s in (IDLE, DISPATCHING)]
+        origin_lat, origin_lon = self.positions(t, np.array(movers, dtype=np.int64))
+        dests = [center_of(order.target_cell, self.grid)
+                 for order, s in zip(orders, status) if s in (IDLE, DISPATCHING)]
+        nodes = iter(self._route_nodes(origin_lat, origin_lon,
+                                       [d.lat for d in dests], [d.lon for d in dests]))
+        moves = iter(zip(origin_lat.tolist(), origin_lon.tolist(), dests))
+        clock = self.clock0.plus(t)
 
-        for order, v, origin, dest in plan:
-            if origin is None:
+        for order, vid, s in zip(orders, vids, status):
+            if s not in (IDLE, DISPATCHING):
                 log.warning("order for vehicle %d ignored: status %s",
-                            v.vid, STATUS_NAMES[v.status])
-                self._log("order_skipped", vid=v.vid,
-                          detail=STATUS_NAMES[v.status])
+                            vid, STATUS_NAMES[s])
+                self._log("order_skipped", vid=vid, detail=STATUS_NAMES[s])
                 continue
-            v.loc = origin
-            v.ordered_since_dropoff = True
-            points, dist_m = self._route(origin, dest, *next(nodes))
-            eta = self._eta(origin, dest, dist_m, t)
+            lat, lon, dest = next(moves)
+            origin = Location(lat, lon)
+            self._lat[vid], self._lon[vid] = lat, lon
+            self._ordered[vid] = True
+            route_lat, route_lon, segs, dist_m = self._route(origin, dest, *next(nodes))
+            eta = self._eta(origin, dest, dist_m, clock)
             if dist_m <= 0.0 or eta <= 0.0:
-                self._stand(v, dest)
-                self._log("dispatch_noop", vid=v.vid)
+                self._lat[vid], self._lon[vid] = dest.lat, dest.lon
+                self._stand(vid)
+                self._log("dispatch_noop", vid=vid)
                 continue
-            v.status = DISPATCHING
-            self._set_route(v, points, t, t + eta, dest)
-            self._log("dispatch", vid=v.vid,
+            self._status[vid] = DISPATCHING
+            self._set_route(vid, route_lat, route_lon, segs, t, t + eta)
+            self._log("dispatch", vid=vid,
                       detail=f"cell={order.target_cell} eta={eta:.2f}")
 
     def _accrue(self, measured: bool) -> None:
-        for v in self.fleet:
-            if v.status == DISPATCHING:
-                v.dispatch_minutes += 1.0
-            if measured:
-                if v.status in (DISPATCHING, TO_PICKUP):
-                    self.metrics.cruise_sum += 1.0
-                    self.metrics.hour_bucket(int(self.t) // 60)["cruise_sum"] += 1.0
-                elif v.status == OCCUPIED:
-                    self.metrics.occupied_minutes[v.vid] += 1.0
+        status = self._status
+        dispatching = status == DISPATCHING
+        self._dispatch_minutes[dispatching] += 1.0
         if measured:
-            self.metrics.elapsed_minutes += 1
+            m = self.metrics
+            cruising = int(np.count_nonzero(dispatching | (status == TO_PICKUP)))
+            if cruising:
+                # whole minutes: adding the count adds 1.0 that many times, exactly
+                m.cruise_sum += cruising
+                m.hour_bucket(int(self.t) // 60)["cruise_sum"] += cruising
+            m.occupied_minutes[status == OCCUPIED] += 1.0
+            m.elapsed_minutes += 1
 
     def _roll_demand_buffers(self, t: float) -> None:
         if len(self._trailing) == self._trailing.maxlen:

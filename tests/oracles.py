@@ -7,12 +7,13 @@ only, none of the code paths they are used to check.
 import csv
 import heapq
 import math
-from collections import defaultdict
+from collections import defaultdict, deque
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from fleetsim.clock import periodic_features
+from fleetsim.clock import Clock, periodic_features
 from fleetsim import neural
 from fleetsim.dqn import (ACTION_SIZE, AUX_PLANES, MAIN_PLANES, Q_SPEC, STAY_CELL,
                           SUPPLY_HORIZONS, DqnPolicy, QInput, Transition, VehicleContext,
@@ -26,8 +27,10 @@ from fleetsim.harness.synth import (_HOTSPOTS, SLOT_MINUTES, SynthCity, TripReco
                                     _activity_level, _dest_weights, _hotspot_maps,
                                     _slot_rates, _speed_kmh, build_road_grid)
 from fleetsim.rhc import mismatch
-from fleetsim.sim import (DISPATCHING, IDLE, OCCUPIED, STATUS_NAMES, TO_PICKUP,
-                          DispatchOrder, SimView, Simulation, idle_set, log)
+from fleetsim.sim import SLOT_MINUTES as HEAT_SLOT_MINUTES
+from fleetsim.sim import (DEFAULT_IDLE_WINDOW, DISPATCHING, IDLE, MATCH_RADIUS_M, OCCUPIED,
+                          STATUS_NAMES, TO_PICKUP, WARMUP_MINUTES, DispatchOrder,
+                          EpisodeMetrics, SimView, log)
 
 
 def vertex_enumeration_optimum(c, a_ub, b_ub):
@@ -521,18 +524,85 @@ def aux_planes_reference(ctx):
     return aux
 
 
-class ReferenceSimulation(Simulation):
-    """The simulator that matches, routes, views and dispatches one at a time.
+@dataclass
+class VehicleState:
+    """One vehicle of :class:`ReferenceSimulation`, a mutable object per vehicle."""
 
-    Each request is mapped to its cell with the scalar :func:`cell_of`,
-    scans the free fleet on its own and routes at once; each route looks
-    up its two nearest nodes on its own, with paths from
-    :func:`astar_reference`.  The view maps each vehicle's cell and next
-    idle cell with :func:`cell_of` in one loop over the fleet, and only
-    then stacks them into the view's arrays.  Orders execute one by one.
-    Route positions keep ``path_cumlen`` as an array and find their
-    segment with ``np.searchsorted``.
+    vid: int
+    loc: Location
+    status: int = IDLE
+    dest: Location | None = None
+    arrival_time: float | None = None
+    depart_time: float | None = None
+    path: tuple[Location, ...] = ()
+    path_cumlen: np.ndarray | None = None  # meters from path[0] to each waypoint
+    # committed ride, while to_pickup
+    ride_trip_minutes: float = 0.0
+    ride_dropoff: Location | None = None
+    ride_id: int = -1
+    # idle-rule bookkeeping
+    last_dropoff_time: float = -np.inf
+    last_ride_time: float = -np.inf
+    ordered_since_dropoff: bool = False
+    # cumulative counters (never reset; policies take window deltas)
+    pickups: int = 0
+    dispatch_minutes: float = 0.0
+
+
+def idle_set(fleet, t, window=DEFAULT_IDLE_WINDOW):
+    """Ids of the dispatchable vehicles, one vehicle at a time."""
+    out = []
+    for v in fleet:
+        if v.status not in (IDLE, DISPATCHING):
+            continue
+        if not v.ordered_since_dropoff or (t - v.last_ride_time) >= window:
+            out.append(v.vid)
+    return out
+
+
+class ReferenceSimulation:
+    """The simulator one vehicle, request and order at a time, on its own.
+
+    The fleet is a list of mutable :class:`VehicleState` objects, and every
+    phase loops over it.  Each request is mapped to its cell with the
+    scalar :func:`cell_of`, scans the free fleet on its own and routes at
+    once; each route looks up its two nearest nodes on its own, with paths
+    from :func:`astar_reference` (never memoised) and every segment length
+    from :func:`geo.haversine`.  Route positions keep ``path_cumlen`` as an
+    array and find their segment with ``np.searchsorted``.  The view maps
+    each vehicle's cell and next idle cell with :func:`cell_of` in one loop
+    over the fleet, and only then stacks them into the view's arrays.
+    Orders execute one by one.
     """
+
+    def __init__(self, grid, graph, eta_model, requests, n_vehicles, policy=None,
+                 clock0=None, warmup=WARMUP_MINUTES, match_radius_m=MATCH_RADIUS_M,
+                 idle_window=DEFAULT_IDLE_WINDOW, event_log=None):
+        self.grid = grid
+        self.graph = graph
+        self.eta_model = eta_model
+        self.requests = sorted(requests, key=lambda r: (r.minute, r.rid))
+        self.policy = policy
+        self.clock0 = clock0 or Clock(0.0)
+        self.warmup = warmup
+        self.match_radius_m = match_radius_m
+        self.idle_window = idle_window
+        self.event_log = event_log
+        if len(self.requests) < n_vehicles:
+            raise ValueError(f"need at least {n_vehicles} requests to place the fleet")
+        self.fleet = [VehicleState(vid=k, loc=self.requests[k].pickup)
+                      for k in range(n_vehicles)]
+        self.metrics = EpisodeMetrics(n_vehicles=n_vehicles)
+        self.t = 0
+        self._queue = deque(self.requests)
+        self._heat_current = np.zeros(grid.shape)
+        self._heat_slots = deque([np.zeros(grid.shape), np.zeros(grid.shape)], maxlen=2)
+        self._trailing = deque(maxlen=HEAT_SLOT_MINUTES)
+        self._trailing_heat = np.zeros(grid.shape)
+
+    def _log(self, event, vid=-1, rid=-1, detail=""):
+        if self.event_log is not None:
+            self.event_log.append((self.t, event, vid, rid, detail))
 
     def position(self, v, t):
         if v.status == IDLE or v.arrival_time is None or not v.path:
@@ -571,6 +641,44 @@ class ReferenceSimulation(Simulation):
         dist = (haversine(origin, points[1]) + path.total_length
                 + haversine(points[-2], dest))
         return tuple(points), dist
+
+    def _eta(self, origin, dest, distance_m, t):
+        feats = build_eta_features(origin, dest, self.clock0.plus(t), distance_m / 1000.0)
+        return self.eta_model.predict(feats)
+
+    def _stand(self, v, loc):
+        v.loc = loc
+        v.status = IDLE
+        v.dest = None
+        v.arrival_time = None
+        v.path = ()
+
+    def _complete_arrivals(self, t):
+        while True:
+            due = [v for v in self.fleet
+                   if v.status != IDLE and v.arrival_time is not None
+                   and v.arrival_time <= t]
+            if not due:
+                return
+            due.sort(key=lambda v: (v.arrival_time, v.vid))
+            for v in due:
+                when = v.arrival_time
+                if v.status == DISPATCHING:
+                    self._stand(v, v.dest)
+                    self._log("dispatch_arrival", vid=v.vid)
+                elif v.status == TO_PICKUP:
+                    v.loc = v.dest
+                    v.pickups += 1
+                    v.status = OCCUPIED
+                    self._log("pickup", vid=v.vid, rid=v.ride_id)
+                    self._set_route(v, (v.loc, v.ride_dropoff), when,
+                                    when + v.ride_trip_minutes, v.ride_dropoff)
+                elif v.status == OCCUPIED:
+                    self._stand(v, v.dest)
+                    v.last_dropoff_time = when
+                    v.ordered_since_dropoff = False
+                    self._log("dropoff", vid=v.vid, rid=v.ride_id)
+                    v.ride_id = -1
 
     def _match_requests(self, t, measured):
         while self._queue and self._queue[0].minute < t + 1.0:
@@ -700,6 +808,48 @@ class ReferenceSimulation(Simulation):
             self._set_route(v, points, t, t + eta, dest)
             self._log("dispatch", vid=v.vid,
                       detail=f"cell={order.target_cell} eta={eta:.2f}")
+
+    def _accrue(self, measured):
+        for v in self.fleet:
+            if v.status == DISPATCHING:
+                v.dispatch_minutes += 1.0
+            if measured:
+                if v.status in (DISPATCHING, TO_PICKUP):
+                    self.metrics.cruise_sum += 1.0
+                    self.metrics.hour_bucket(int(self.t) // 60)["cruise_sum"] += 1.0
+                elif v.status == OCCUPIED:
+                    self.metrics.occupied_minutes[v.vid] += 1.0
+        if measured:
+            self.metrics.elapsed_minutes += 1
+
+    def _roll_demand_buffers(self, t):
+        if len(self._trailing) == self._trailing.maxlen:
+            self._trailing_heat -= self._trailing[0]
+        self._trailing.append(self._minute_heat)
+        self._trailing_heat += self._minute_heat
+        if (t + 1) % HEAT_SLOT_MINUTES == 0:
+            self._heat_slots.append(self._heat_current)
+            self._heat_current = np.zeros(self.grid.shape)
+
+    def step_minute(self):
+        t = float(self.t)
+        measured = self.t >= self.warmup
+        self._minute_heat = np.zeros(self.grid.shape)
+        self._complete_arrivals(t)
+        self._match_requests(t, measured)
+        if (self.policy is not None and self.t >= self.warmup
+                and self.t % int(getattr(self.policy, "cycle", 1)) == 0):
+            view = self.build_view(t)
+            orders = self.policy.dispatch(view)
+            self.apply_dispatch(orders, t)
+        self._accrue(measured)
+        self._roll_demand_buffers(t)
+        self.t += 1
+
+    def run(self, total_minutes):
+        for _ in range(total_minutes):
+            self.step_minute()
+        return self.metrics
 
 
 def rhc_supply_reference(view, zones, slot_minutes, horizon):

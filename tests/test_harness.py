@@ -76,6 +76,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(text="seed = 1\n", overrides={key: value})
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "95", "-90.5", "89.99"])
+    def test_origin_lat_off_the_globe_rejected(self, value):
+        # 20 rows of 550 m reach about 0.1 degrees north of the origin
+        with pytest.raises(ConfigError, match="origin_lat"):
+            parse_config(text="seed = 1\n", overrides={"origin_lat": value})
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_origin_lon_rejected(self, value):
+        with pytest.raises(ConfigError, match="origin_lon"):
+            parse_config(text="seed = 1\n", overrides={"origin_lon": value})
+
+    def test_grid_reaching_a_pole_accepted(self):
+        cfg = parse_config(text="seed = 1\norigin_lat = -90\n")
+        assert cfg.origin_lat == -90.0
+        assert parse_config(text="seed = 1\norigin_lat = 89.9\n").origin_lat == 89.9
+
     @pytest.mark.parametrize("key", ["dqn_sync_period", "dqn_batch", "dqn_buffer"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_dqn_training_sizes_below_one_rejected(self, key, value):
@@ -466,6 +482,13 @@ class TestCli:
         assert proc.returncode == 1, proc.stderr
         assert "dqn_train_steps" in proc.stderr
         assert list(tmp_path.iterdir()) == []
+
+    def test_nan_origin_is_config_error(self, tmp_path):
+        proc = self.run_cli("--set", "seed=1", "--set", f"data_dir={tmp_path / 'city'}",
+                            "--set", "origin_lat=nan", "synth-data")
+        assert proc.returncode == 1, proc.stderr
+        assert "origin_lat" in proc.stderr
+        assert not (tmp_path / "city").exists()
 
     def test_bogus_epoch_date_is_config_error(self, tmp_path):
         proc = self.run_cli("--set", "seed=1", "--set", f"data_dir={tmp_path / 'city'}",

@@ -8,6 +8,7 @@ from fleetsim.roadgraph import (
     Path,
     RoadGraph,
     build_graph,
+    hop_lengths,
     load_edge_list,
     nearest_nodes,
     save_edge_list,
@@ -80,7 +81,7 @@ class TestLoadEdgeList:
 
 
 class TestDerivedArrays:
-    @pytest.mark.parametrize("name", ["_ids", "_lats", "_lons"])
+    @pytest.mark.parametrize("name", ["_ids", "_lats", "_lons", "_hop_m", "heuristic_scale"])
     def test_derived_array_is_not_a_constructor_argument(self, name):
         nodes = {1: Location(40.0, -74.0)}
         with pytest.raises(TypeError, match=name):
@@ -88,6 +89,20 @@ class TestDerivedArrays:
         graph = RoadGraph(nodes, {1: []})
         assert graph._ids.tolist() == [1]
         assert (graph._lats.tolist(), graph._lons.tolist()) == ([40.0], [-74.0])
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_hop_lengths_and_heuristic_scale(self, noisy):
+        rng = np.random.default_rng(7)
+        g = random_graph(rng, n_nodes=30, extra_edges=60, noisy_lengths=noisy)
+        ratios = [length / haversine(g.nodes[a], g.nodes[b])
+                  for a, adj in g.adjacency.items() for b, length in adj]
+        assert g.heuristic_scale == min([1.0, *ratios])
+        assert (g.heuristic_scale < 1.0) == noisy
+        for d in g.nodes:
+            p = shortest_path(0, d, g)
+            if p is not None:
+                assert hop_lengths(p, g) == [haversine(g.nodes[a], g.nodes[b])
+                                             for a, b in zip(p.nodes, p.nodes[1:])]
 
 
 class TestNearestNode:

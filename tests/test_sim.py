@@ -1,8 +1,11 @@
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import DqnPolicyReference, ReferenceSimulation
+from oracles import DqnPolicyReference, ReferenceSimulation, VehicleState
 from test_dqn import sample_qnet
 
 from fleetsim.clock import Clock
@@ -18,10 +21,8 @@ from fleetsim.sim import (
     DispatchOrder,
     RideRequest,
     Simulation,
-    VehicleState,
     finalize_metrics,
-    idle_set,
-    init_fleet,
+    idle_mask,
 )
 
 
@@ -72,12 +73,52 @@ def req(rid, minute, pickup, dropoff, trip=5.0, dist=2.0):
     return RideRequest(rid, minute, pickup, dropoff, trip, dist)
 
 
+def vehicles(sim):
+    """Every vehicle's full state as the oracle's :class:`VehicleState` records:
+    a :class:`ReferenceSimulation`'s own fleet, or a :class:`Simulation`'s
+    columns read the way the oracle keeps them.
+
+    While a vehicle stands idle ``dest`` and ``arrival_time`` are None and
+    ``path`` is empty; ``depart_time`` and ``path_cumlen`` keep the last
+    route's values, and are None before the first route.
+    """
+    if isinstance(sim, ReferenceSimulation):
+        return sim.fleet
+    rows = zip(range(sim.n_vehicles), sim._status.tolist(), sim._lat.tolist(),
+               sim._lon.tolist(), sim._depart.tolist(), sim._arrival.tolist(),
+               sim._route_len.tolist(), sim._route_lat.tolist(), sim._route_lon.tolist(),
+               sim._route_cum.tolist(), sim._ride_trip.tolist(), sim._drop_lat.tolist(),
+               sim._drop_lon.tolist(), sim._ride_id.tolist(), sim._last_dropoff.tolist(),
+               sim._last_ride.tolist(), sim._ordered.tolist(), sim._pickups.tolist(),
+               sim._dispatch_minutes.tolist())
+    out = []
+    for (vid, status, lat, lon, depart, arrival, n, route_lat, route_lon, cum, trip,
+         drop_lat, drop_lon, rid, dropoff_t, ride_t, ordered, pickups, cruise) in rows:
+        moving = status != IDLE
+        path = tuple(map(Location, route_lat[:n], route_lon[:n])) if moving else ()
+        out.append(VehicleState(
+            vid=vid, loc=Location(lat, lon), status=status,
+            dest=path[-1] if moving else None,
+            arrival_time=arrival if moving else None,
+            depart_time=depart if n else None, path=path,
+            path_cumlen=cum[:n] if n else None, ride_trip_minutes=trip,
+            ride_dropoff=None if np.isnan(drop_lat) else Location(drop_lat, drop_lon),
+            ride_id=rid, last_dropoff_time=dropoff_t, last_ride_time=ride_t,
+            ordered_since_dropoff=ordered, pickups=pickups, dispatch_minutes=cruise))
+    return out
+
+
+def initial_fleet(requests, n_vehicles):
+    grid = make_grid()
+    return vehicles(Simulation(grid, grid_graph(grid), ConstantEta(), requests, n_vehicles))
+
+
 class TestInitFleet:
     def test_vehicles_at_first_pickups(self):
         grid = make_grid()
         a = center_of((0, 0), grid)
         b = center_of((1, 1), grid)
-        fleet = init_fleet([req(0, 0.0, a, b), req(1, 1.0, b, a)], 2)
+        fleet = initial_fleet([req(0, 0.0, a, b), req(1, 1.0, b, a)], 2)
         assert fleet[0].loc == a
         assert fleet[1].loc == b
         assert all(v.status == IDLE for v in fleet)
@@ -86,45 +127,46 @@ class TestInitFleet:
         grid = make_grid()
         a = center_of((0, 0), grid)
         with pytest.raises(ValueError):
-            init_fleet([req(0, 0.0, a, a)], 2)
+            initial_fleet([req(0, 0.0, a, a)], 2)
 
     def test_deterministic(self):
         grid = make_grid()
         a = center_of((0, 0), grid)
         b = center_of((2, 3), grid)
         reqs = [req(0, 0.0, a, b), req(1, 1.0, b, a)]
-        f1 = init_fleet(reqs, 2)
-        f2 = init_fleet(reqs, 2)
+        f1 = initial_fleet(reqs, 2)
+        f2 = initial_fleet(reqs, 2)
         assert [(v.vid, v.loc) for v in f1] == [(v.vid, v.loc) for v in f2]
+
+    def test_fleet_is_a_snapshot(self):
+        grid = make_grid()
+        a = center_of((0, 0), grid)
+        sim = Simulation(grid, grid_graph(grid), ConstantEta(), [req(0, 0.0, a, a)], 1)
+        before = sim.fleet
+        sim.step_minute()
+        assert before == [(0, IDLE)] and sim.fleet == [(0, TO_PICKUP)]
+        with pytest.raises(AttributeError):
+            sim.fleet[0].status = IDLE
 
 
 class TestIdleSet:
-    def vehicle(self, vid, status=IDLE, ordered=False, last_ride=-np.inf):
-        v = VehicleState(vid=vid, loc=Location(40.0, -74.0))
-        v.status = status
-        v.ordered_since_dropoff = ordered
-        v.last_ride_time = last_ride
-        if status != IDLE:
-            v.arrival_time = 1e9
-            v.dest = v.loc
-        return v
+    def dispatchable(self, status, ordered=False, last_ride=-np.inf):
+        return idle_mask(np.array([status]), np.array([ordered]), np.array([last_ride]),
+                         t=100.0).tolist()
 
     def test_fresh_dropoff_without_order_is_in(self):
-        v = self.vehicle(0, IDLE, ordered=False, last_ride=95.0)
-        assert idle_set([v], t=100.0) == [0]
+        assert self.dispatchable(IDLE, ordered=False, last_ride=95.0) == [True]
 
     def test_dispatched_recently_but_ride_starved_is_in(self):
-        v = self.vehicle(0, DISPATCHING, ordered=True, last_ride=80.0)
-        assert idle_set([v], t=100.0) == [0]  # 20 min since last ride
+        # 20 min since last ride
+        assert self.dispatchable(DISPATCHING, ordered=True, last_ride=80.0) == [True]
 
     def test_ordered_and_recent_ride_is_out(self):
-        v = self.vehicle(0, IDLE, ordered=True, last_ride=95.0)
-        assert idle_set([v], t=100.0) == []
+        assert self.dispatchable(IDLE, ordered=True, last_ride=95.0) == [False]
 
     def test_committed_vehicles_never_in(self):
         for status in (TO_PICKUP, OCCUPIED):
-            v = self.vehicle(0, status)
-            assert idle_set([v], t=100.0) == []
+            assert self.dispatchable(status) == [False]
 
 
 def scripted_simulation():
@@ -190,7 +232,7 @@ class TestScriptedScenario:
         for _ in range(20):
             t_before = sim.t
             sim.step_minute()
-            for v in sim.fleet:
+            for v in vehicles(sim):
                 if v.arrival_time is not None:
                     assert v.arrival_time >= t_before
 
@@ -242,10 +284,11 @@ class TestMatching:
                           req(2, 2.0, p, other)],
                          n_vehicles=2, warmup=0)
         sim.step_minute()
-        assert sim.fleet[0].status == TO_PICKUP
-        assert sim.fleet[0].ride_id == 0
-        assert sim.fleet[1].status == TO_PICKUP
-        assert sim.fleet[1].ride_id == 1
+        fleet = vehicles(sim)
+        assert fleet[0].status == TO_PICKUP
+        assert fleet[0].ride_id == 0
+        assert fleet[1].status == TO_PICKUP
+        assert fleet[1].ride_id == 1
 
     def test_dispatching_vehicle_matchable_mid_route(self):
         grid = make_grid(rows=8, cols=8)
@@ -254,27 +297,28 @@ class TestMatching:
                          [req(0, 0.0, start, start, trip=1.0)],
                          n_vehicles=1, warmup=0)
         sim._queue.clear()  # drive manually
-        v = sim.fleet[0]
         sim.apply_dispatch([DispatchOrder(0, (0, 6))], t=0.0)
-        assert v.status == DISPATCHING
+        assert sim.fleet[0].status == DISPATCHING
         # halfway through a 10-minute move it sits ~3 km east, within reach
         sim.t = 5
-        pos = sim.position(v, 5.0)
+        lat, lon = sim.positions(5.0, np.array([0]))
+        pos = Location(float(lat[0]), float(lon[0]))
         assert 2000.0 < haversine(start, pos) < 4500.0
         target = center_of((0, 3), grid)
         sim._queue.append(req(7, 5.0, target, start, trip=2.0))
         sim._minute_heat = np.zeros(grid.shape)
         sim._match_requests(5.0, measured=True)
-        assert v.status == TO_PICKUP
-        assert v.ride_id == 7
+        fleet = vehicles(sim)
+        assert fleet[0].status == TO_PICKUP
+        assert fleet[0].ride_id == 7
 
 
 class TestApplyDispatch:
     def test_empty_plan_changes_nothing(self):
         sim = scripted_simulation()
-        before = [(v.status, v.loc) for v in sim.fleet]
+        before = [(v.status, v.loc) for v in vehicles(sim)]
         sim.apply_dispatch([], t=0.0)
-        assert [(v.status, v.loc) for v in sim.fleet] == before
+        assert [(v.status, v.loc) for v in vehicles(sim)] == before
 
     def test_dispatch_to_current_cell_is_immediate(self):
         grid = make_grid()
@@ -282,38 +326,37 @@ class TestApplyDispatch:
         sim = Simulation(grid, grid_graph(grid), ConstantEta(),
                          [req(0, 0.0, p, p)], n_vehicles=1, warmup=0)
         sim.apply_dispatch([DispatchOrder(0, (1, 1))], t=0.0)
-        v = sim.fleet[0]
+        v = vehicles(sim)[0]
         assert v.status == IDLE
         assert v.loc == p
 
     def test_committed_vehicle_order_skipped_with_warning(self, caplog):
         sim = scripted_simulation()
         sim.step_minute()  # vehicle 0 now to_pickup
-        v = sim.fleet[0]
-        assert v.status == TO_PICKUP
+        assert sim.fleet[0].status == TO_PICKUP
         with caplog.at_level("WARNING"):
             sim.apply_dispatch([DispatchOrder(0, (3, 3))], t=1.0)
-        assert v.status == TO_PICKUP
+        assert sim.fleet[0].status == TO_PICKUP
         assert any("ignored" in r.message for r in caplog.records)
 
     def test_order_list_naming_a_vehicle_twice_rejected(self):
         sim = scripted_simulation()
-        before = [(v.status, v.loc) for v in sim.fleet]
+        before = [(v.status, v.loc) for v in vehicles(sim)]
         orders = [DispatchOrder(1, (2, 2)), DispatchOrder(0, (1, 1)),
                   DispatchOrder(1, (3, 3))]
         with pytest.raises(ValueError, match=r"\[1\]"):
             sim.apply_dispatch(orders, t=0.0)
-        assert [(v.status, v.loc) for v in sim.fleet] == before
+        assert [(v.status, v.loc) for v in vehicles(sim)] == before
 
     @pytest.mark.parametrize("bad", [-1, 3, 7])
     def test_order_for_a_vehicle_outside_the_fleet_rejected(self, bad):
         sim = scripted_simulation()
         assert len(sim.fleet) == 3
-        before = [(v.status, v.loc) for v in sim.fleet]
+        before = [(v.status, v.loc) for v in vehicles(sim)]
         orders = [DispatchOrder(0, (1, 1)), DispatchOrder(bad, (2, 2))]
         with pytest.raises(ValueError, match=rf"\[{bad}\] outside the fleet of 3"):
             sim.apply_dispatch(orders, t=0.0)
-        assert [(v.status, v.loc) for v in sim.fleet] == before
+        assert [(v.status, v.loc) for v in vehicles(sim)] == before
 
     def test_longer_detour_weakly_increases_eta(self):
         # same endpoints, direct edge versus forced detour
@@ -330,11 +373,13 @@ class TestApplyDispatch:
         eta = DistanceEta(2.0)
         sim_direct = Simulation(grid, direct, eta, reqs, 1, warmup=0)
         sim_detour = Simulation(grid, detour, eta, reqs, 1, warmup=0)
-        _, d_direct = sim_direct._route(a, b, *sim_direct._route_nodes([a], [b])[0])
-        _, d_detour = sim_detour._route(a, b, *sim_detour._route_nodes([a], [b])[0])
+        *_, d_direct = sim_direct._route(
+            a, b, *sim_direct._route_nodes([a.lat], [a.lon], [b.lat], [b.lon])[0])
+        *_, d_detour = sim_detour._route(
+            a, b, *sim_detour._route_nodes([a.lat], [a.lon], [b.lat], [b.lon])[0])
         assert d_detour >= d_direct
-        t_direct = sim_direct._eta(a, b, d_direct, 0.0)
-        t_detour = sim_detour._eta(a, b, d_detour, 0.0)
+        t_direct = sim_direct._eta(a, b, d_direct, sim_direct.clock0)
+        t_detour = sim_detour._eta(a, b, d_detour, sim_detour.clock0)
         assert t_detour >= t_direct
 
 
@@ -410,7 +455,7 @@ def test_view_of_vehicle_outside_grid_raises():
     p = center_of((1, 1), grid)
     sim = Simulation(grid, grid_graph(grid), ConstantEta(), [req(0, 0.0, p, p)],
                      n_vehicles=1, warmup=0)
-    sim.fleet[0].loc = Location(grid.lat_max + 0.01, p.lon)
+    sim._lat[0], sim._lon[0] = grid.lat_max + 0.01, p.lon
     with pytest.raises(OutOfBoundsError):
         sim.build_view(0.0)
 
@@ -491,7 +536,7 @@ def fleet_state(sim):
              None if v.path_cumlen is None else list(v.path_cumlen),
              v.ride_trip_minutes, v.ride_dropoff, v.ride_id, v.last_dropoff_time,
              v.last_ride_time, v.ordered_since_dropoff, v.pickups, v.dispatch_minutes)
-            for v in sim.fleet]
+            for v in vehicles(sim)]
 
 
 def metrics_state(m):
@@ -568,19 +613,23 @@ class TestMatchesReference:
                 points.insert(k, points[k])
             depart = float(rng.uniform(0, 300))
             arrival = depart + (0.0 if rng.random() < 0.05 else float(rng.uniform(0.1, 40)))
-            vehicles = []
-            for sim in sims:
-                v = VehicleState(vid=0, loc=points[0], status=DISPATCHING)
-                sim._set_route(v, tuple(points), depart, arrival, points[-1])
-                vehicles.append(v)
-            cum = vehicles[0].path_cumlen
-            assert cum == list(vehicles[1].path_cumlen)
+            sim, ref = sims
+            sim._status[0] = DISPATCHING
+            sim._set_route(0, [p.lat for p in points], [p.lon for p in points],
+                           [haversine(a, b) for a, b in zip(points[:-1], points[1:])],
+                           depart, arrival)
+            v = VehicleState(vid=0, loc=points[0], status=DISPATCHING)
+            ref._set_route(v, tuple(points), depart, arrival, points[-1])
+            cum = vehicles(sim)[0].path_cumlen
+            assert cum == list(v.path_cumlen)
             times = list(depart + (arrival - depart) * rng.uniform(-0.1, 1.1, size=20))
             for length in cum:
                 at = depart + (arrival - depart) * (length / cum[-1] if cum[-1] else 1.0)
                 times += [at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf)]
             for t in times:
-                got, want = (sim.position(v, float(t)) for sim, v in zip(sims, vehicles))
+                lat, lon = sim.positions(float(t), np.array([0]))
+                got = Location(float(lat[0]), float(lon[0]))
+                want = ref.position(v, float(t))
                 assert (float(got.lat).hex(), float(got.lon).hex()) == \
                     (float(want.lat).hex(), float(want.lon).hex())
 
@@ -604,12 +653,15 @@ class TestInvariants:
             assert [v.vid for v in sim.fleet] == list(range(n_vehicles))
             assert all(v.status in (IDLE, DISPATCHING, TO_PICKUP, OCCUPIED)
                        for v in sim.fleet)
-            assert all(v.arrival_time >= t_before for v in sim.fleet
+            assert all(v.arrival_time >= t_before for v in vehicles(sim)
                        if v.arrival_time is not None)
             states.append((fleet_state(sim), metrics_state(m)))
         rerun, rerun_states, _ = run_city(Simulation, *args, minutes=40)
         assert rerun_states == states
         assert rerun.event_log == sim.event_log
+        ref, ref_states, _ = run_city(ReferenceSimulation, *args, minutes=40)
+        assert ref_states == states
+        assert ref.event_log == sim.event_log
 
 
 def dqn_city_simulation(sim_cls, policy_cls, seed, rows, cols, n_vehicles, n_requests,
@@ -655,3 +707,142 @@ class TestDqnInvariants:
         # a rerun is bit-identical, and so is the per-vehicle reference pipeline
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
+
+
+# --- cases the column layout could get wrong, against the per-vehicle oracle --
+
+class NearZeroEta:
+    """Stub ETA model: zero minutes within 1.5 km, else 0.8 minutes per km."""
+
+    def predict(self, features):
+        return 0.0 if features[8] < 1.5 else 0.8 * features[8]
+
+
+class OrderOncePolicy:
+    """Issues ``orders`` at minute ``minute`` and nothing otherwise."""
+
+    cycle = 1
+
+    def __init__(self, minute, orders):
+        self.minute = minute
+        self.orders = orders
+
+    def dispatch(self, view):
+        return self.orders if view.t == self.minute else []
+
+
+def run_against_reference(make, minutes):
+    """Run ``make(Simulation)`` and ``make(ReferenceSimulation)`` side by side and
+    require equal event logs, per-minute states and views; return the former."""
+    runs = []
+    for cls in (Simulation, ReferenceSimulation):
+        sim = make(cls)
+        states = []
+        for _ in range(minutes):
+            sim.step_minute()
+            states.append((fleet_state(sim), metrics_state(sim.metrics)))
+        views = [view_state(v) for v in getattr(sim.policy, "views", [])]
+        runs.append((sim, states, views))
+    (sim, states, views), (ref, ref_states, ref_views) = runs
+    assert sim.event_log == ref.event_log
+    assert states == ref_states
+    assert views == ref_views
+    return sim
+
+
+class TestColumnEdgeCases:
+    def test_pickup_and_dropoff_in_one_minute(self):
+        grid = make_grid()
+        p, q = center_of((1, 1), grid), center_of((1, 2), grid)
+        requests = [req(0, 0.2, p, q, trip=0.3), req(1, 0.5, q, p, trip=4.0)]
+        sim = run_against_reference(
+            lambda cls: cls(grid, grid_graph(grid), ConstantEta(0.25), requests, 2,
+                            warmup=0, event_log=[]), 8)
+        # both pickups are due at 0.25; the ride of vehicle 0 then ends at 0.55,
+        # in a second round of the same minute
+        minute1 = [(e[1], e[2]) for e in sim.event_log if e[0] == 1]
+        assert minute1 == [("pickup", 0), ("pickup", 1), ("dropoff", 0)]
+
+    def test_equal_arrival_times_complete_in_vehicle_order(self):
+        # every vehicle is matched at distance 0, so all pickups are due at 0.0;
+        # the rides then end at 2.5 (odd ids) or 3.0 (even ids)
+        grid = make_grid(rows=6, cols=6)
+        cells = [(r, c) for r in range(6) for c in range(6)][:20]
+        requests = [req(k, 0.0, center_of(cell, grid), center_of((5 - cell[0], 0), grid),
+                        trip=3.0 if k % 2 == 0 else 2.5)
+                    for k, cell in enumerate(cells)]
+        sim = run_against_reference(
+            lambda cls: cls(grid, grid_graph(grid), ConstantEta(0.0), requests, 20,
+                            warmup=0, event_log=[]), 5)
+        done = [(e[0], e[1], e[2]) for e in sim.event_log if e[1] in ("pickup", "dropoff")]
+        assert done[:20] == [(1, "pickup", k) for k in range(20)]
+        assert done[20:] == ([(3, "dropoff", k) for k in range(1, 20, 2)]
+                             + [(3, "dropoff", k) for k in range(0, 20, 2)])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_length_and_zero_time_routes(self, seed):
+        # pickups and dispatch targets sit on graph nodes, so routes start
+        # and end with zero-length segments; trips within 1.5 km take no time
+        grid = make_grid(rows=5, cols=5)
+        rng = np.random.default_rng(seed)
+        nodes = [center_of((int(r), int(c)), grid) for r, c in rng.integers(0, 5, (30, 2))]
+        requests = [req(k, float(k // 3), nodes[k], nodes[-1 - k], trip=1.0 + k % 4)
+                    for k in range(30)]
+        sim = run_against_reference(
+            lambda cls: cls(grid, grid_graph(grid), NearZeroEta(), requests, 6,
+                            policy=RandomOrderPolicy(seed, grid, 6, cycle=1),
+                            clock0=Clock(400.0), warmup=0, event_log=[]), 20)
+        events = [e[1] for e in sim.event_log]
+        assert "dispatch_noop" in events and "dispatch" in events
+        assert any(e[1] == "assign" and e[4] == "eta=0.00" for e in sim.event_log)
+
+    def test_hour_with_cruising_and_no_request_gets_a_bucket(self):
+        grid = make_grid()
+        p00, p33 = center_of((0, 0), grid), center_of((3, 3), grid)
+        requests = [req(0, 0.0, p00, p33, trip=3.0), req(1, 1.0, p33, p00, trip=3.0),
+                    req(2, 200.0, p00, p33, trip=3.0)]
+        orders = [DispatchOrder(0, (0, 0)), DispatchOrder(1, (3, 3))]
+        sim = run_against_reference(
+            lambda cls: cls(grid, grid_graph(grid), ConstantEta(10.0), requests, 2,
+                            policy=OrderOncePolicy(65.0, orders), warmup=0,
+                            event_log=[]), 215)
+        hourly = sim.metrics.hourly
+        assert sorted(hourly) == [0, 1, 3]
+        assert hourly[1]["requests"] == 0
+        assert hourly[1]["cruise_sum"] == 20.0
+
+
+class TestBenchmarkContract:
+    """What ``perfbench/bench.py`` reads from the simulator, run through its own code."""
+
+    @pytest.fixture
+    def bench(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import bench
+        return bench
+
+    def test_fingerprint_and_episode_check(self, bench):
+        sim = scripted_simulation()
+        sim.run(20)
+        assert [(v.vid, v.status in bench.STATUSES) for v in sim.fleet] == \
+            [(0, True), (1, True), (2, True)]
+        m = sim.metrics
+        assert bench.fingerprint(m) == (5, 1, 4, m.wait_sum, 8.0, 20,
+                                        m.occupied_minutes.tobytes())
+        inputs = SimpleNamespace(cfg=SimpleNamespace(vehicles=3, warmup_minutes=0),
+                                 evaluation=SimpleNamespace(requests=sim.requests),
+                                 scale=SimpleNamespace(window_minutes=20))
+        bench.check_episode(sim, inputs)
+
+    def test_step_minute_calls_the_instance_timers(self):
+        # the benchmark times dispatch by replacing these two on the instance
+        grid = make_grid()
+        p = center_of((0, 0), grid)
+        sim = Simulation(grid, grid_graph(grid), ConstantEta(), [req(0, 0.0, p, p)],
+                         n_vehicles=1, policy=RecordingPolicy(), warmup=0)
+        calls = []
+        build_view, apply_dispatch = sim.build_view, sim.apply_dispatch
+        sim.build_view = lambda t: calls.append("view") or build_view(t)
+        sim.apply_dispatch = lambda orders, t: calls.append("apply") or apply_dispatch(orders, t)
+        sim.run(31)
+        assert calls == ["view", "apply"] * 3
