@@ -523,10 +523,12 @@ class DqnPolicy:
     def dispatch(self, view) -> list[DispatchOrder]:
         """Decide, in ascending id order, where each eligible idle vehicle goes.
 
-        Built once per invocation: the region maps of predicted demand, of
-        idle vehicles and of projected supply per minute ahead (each a
-        count summed with one ``np.add.at``), the clock aux planes and, at
-        the first greedy decision, the pooled :class:`FeatureCanvas`.
+        Built once per invocation: the region maps of idle vehicles and of
+        projected supply per minute ahead (each a count summed with one
+        ``np.add.at``), the clock aux planes, at the first decision the
+        region map of predicted demand (so an invocation in which no
+        vehicle decides runs no demand prediction) and, at the first
+        greedy decision, the pooled :class:`FeatureCanvas`.
         Built once per region and grid shape in the process, and shared
         with training: the legal move mask and the five aux planes that
         depend on the region (:func:`_region_aux`).  Decisions stay
@@ -540,8 +542,6 @@ class DqnPolicy:
         rr, rc = self.region_shape
         horizon = SUPPLY_HORIZONS[-1]
 
-        heat = self.demand_predictor(view)
-        demand_regions = aggregate_to_regions(heat, self.region_map).reshape(rr, rc)
         assignment = self.region_map.assignment
         rids = assignment[view.cells[:, 0], view.cells[:, 1]]  # region id per vehicle
         idle_regions = np.zeros(rr * rc)
@@ -555,6 +555,7 @@ class DqnPolicy:
         event_r, event_c = np.divmod(assignment[next_cells[:, 0], next_cells[:, 1]], rc)
         np.add.at(x, (event_r, event_c, h[soon].astype(np.int64)), 1.0)
 
+        demand_regions = None  # built at the first decision
         eta_cells = None  # built lazily; many invocations issue no orders
         supply3 = None    # rebuilt only after an order has changed x
         canvas = None     # built on the first greedy decision
@@ -571,6 +572,9 @@ class DqnPolicy:
                 continue  # skipped outright; no decision, no transition
 
             region = divmod(int(rids[vid]), rc)
+            if demand_regions is None:
+                heat = self.demand_predictor(view)
+                demand_regions = aggregate_to_regions(heat, self.region_map).reshape(rr, rc)
             if supply3 is None:
                 supply3 = np.stack([x[..., :h + 1].sum(axis=-1) for h in SUPPLY_HORIZONS])
             legal, region_aux = _region_aux(region, self.region_shape)

@@ -80,7 +80,7 @@ def _cmd_train_eta(cfg) -> int:
 def _cmd_train_demand(cfg) -> int:
     from .experiment import train_demand_model, training_city
 
-    _, metrics = train_demand_model(cfg, training_city(cfg))
+    _, _, metrics = train_demand_model(cfg, training_city(cfg))
     print(f"demand train rmse {metrics['demand_train_rmse']:.4f} per cell, "
           f"validation {metrics['demand_val_rmse']:.4f} "
           f"(historical baseline {metrics['demand_historical_baseline_rmse']:.4f}); "

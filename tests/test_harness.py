@@ -562,6 +562,17 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1].split() == ["rhc", "3", "-", "-", "-", "-"]
 
+    @pytest.mark.parametrize("command, printed", [("train-eta", "eta train rmse"),
+                                                   ("train-demand", "demand train rmse")])
+    def test_train_model_commands_print_rmse(self, tmp_path, command, printed):
+        proc = self.run_cli("--set", "seed=3", "--set", f"data_dir={tmp_path / 'city'}",
+                            "--set", f"out_dir={tmp_path / 'out'}",
+                            "--set", "fine_rows=10", "--set", "fine_cols=10",
+                            "--set", "trips_per_day=200", "--set", "train_days=2",
+                            "--set", "eta_epochs=1", "--set", "demand_epochs=1", command)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(printed)
+
     def test_stale_zone_tables_are_data_error(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(

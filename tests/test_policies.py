@@ -202,6 +202,36 @@ class TestDqnPolicy:
         policy = self.make_policy(cycle=15)
         assert policy.cycle == 15
 
+    @pytest.mark.parametrize("train", [False, True])
+    def test_demand_predicted_only_when_a_vehicle_decides(self, train):
+        calls = []
+
+        def spy_predictor(view):
+            calls.append(view.t)
+            return view.trailing_heat
+
+        class CountingDict(dict):
+            """``last_decision``, counting the decisions written into it."""
+            writes = 0
+
+            def __setitem__(self, key, value):
+                self.writes += 1
+                super().__setitem__(key, value)
+
+        config = DqnConfig(train=train, seed=3, schedules=Schedules(
+            eps_ramp=1, alpha_start=0.5, alpha_end=0.5, alpha_ramp=1))
+        policy = DqnPolicy(sample_qnet("move"), REGIONS, (10, 10), spy_predictor, config)
+        policy.last_decision = CountingDict()
+        assert policy.dispatch(fake_view(idle_cells={})) == []
+        assert calls == []
+        decided = []
+        for view in random_views(4, GRID):
+            before, n_calls = policy.last_decision.writes, len(calls)
+            policy.dispatch(view)
+            decided.append(policy.last_decision.writes > before)
+            assert len(calls) - n_calls == int(decided[-1])
+        assert any(decided) and not all(decided)
+
 
 def random_views(seed: int, grid: GridSpec, n_vehicles: int = 24, n_views: int = 24):
     """A sequence of random views of one fleet on ``grid``.

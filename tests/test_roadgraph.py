@@ -1,7 +1,13 @@
+import heapq
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fleetsim.geo import GridSpec, Location, haversine
+from fleetsim import roadgraph
 from fleetsim.harness.synth import build_road_grid
 from fleetsim.roadgraph import (
     EdgeListParseError,
@@ -69,6 +75,12 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListParseError, match="line 3"):
             load_edge_list(p)
 
+    def test_non_finite_node_reports_line(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_text("#nodes\n1,40.0,-74.0\n2,nan,-74.0\n")
+        with pytest.raises(EdgeListParseError, match="line 3: non-finite"):
+            load_edge_list(p)
+
     def test_save_load_round_trip(self, tmp_path):
         g = random_graph(np.random.default_rng(0), n_nodes=12)
         p = tmp_path / "g.txt"
@@ -81,7 +93,8 @@ class TestLoadEdgeList:
 
 
 class TestDerivedArrays:
-    @pytest.mark.parametrize("name", ["_ids", "_lats", "_lons", "_hop_m", "heuristic_scale"])
+    @pytest.mark.parametrize("name", ["_ids", "_lats", "_lons", "_hop_m", "heuristic_scale",
+                                      "_buckets"])
     def test_derived_array_is_not_a_constructor_argument(self, name):
         nodes = {1: Location(40.0, -74.0)}
         with pytest.raises(TypeError, match=name):
@@ -156,6 +169,100 @@ class TestNearestNode:
         with pytest.raises(ValueError):
             nearest_nodes([0.0], [0.0], g)
 
+    @pytest.mark.parametrize("lat, lon", [(np.nan, -74.0), (40.0, np.nan),
+                                          (np.inf, -74.0), (40.0, -np.inf)])
+    def test_non_finite_point_rejected(self, lat, lon):
+        g = build_road_grid(GridSpec(rows=3, cols=3, cell_size=500.0,
+                                     origin=Location(40.0, -74.0)))
+        for lats, lons in (([lat], [lon]), ([40.001, lat], [-73.999, lon])):
+            with pytest.raises(ValueError, match=f"non-finite point {len(lats) - 1}"):
+                nearest_nodes(lats, lons, g)
+
+    def test_non_finite_node_rejected(self):
+        nodes = {1: Location(40.0, -74.0), 2: Location(np.nan, -74.0)}
+        with pytest.raises(ValueError, match="node 2"):
+            build_graph(nodes, [])
+
+
+DEFAULT_GRID = GridSpec(rows=20, cols=20, cell_size=550.0, origin=Location(40.0, -74.0))
+
+
+def assert_equals_full_scan(lats, lons, g):
+    """Each point alone, and all of them as one batch, against the scalar oracle."""
+    expect = [nearest_node_reference(Location(a, b), g) for a, b in zip(lats, lons)]
+    assert [int(nearest_nodes([a], [b], g)[0]) for a, b in zip(lats, lons)] == expect
+    assert nearest_nodes(lats, lons, g).tolist() == expect
+
+
+class TestBucketIndex:
+    """The bucket index gives the node a scan of every node gives."""
+
+    def test_default_grid_is_small(self):
+        b = build_road_grid(DEFAULT_GRID)._buckets
+        assert (b.rows, b.cols) == (22, 22)
+        assert b.candidates.shape[1] <= 15
+        assert b.candidates.nbytes < 100_000
+        assert np.all(np.diff(b.candidates, axis=1) >= 0)
+
+    @pytest.mark.parametrize("rows, cols", [(20, 20), (1, 12), (12, 1)])
+    def test_half_cell_points(self, rows, cols):
+        # every half-cell point up to two cells outside the grid: the nodes
+        # (cell centres), two-way ties at edge midpoints and four-way ties
+        # at cell corners
+        grid = GridSpec(rows=rows, cols=cols, cell_size=550.0, origin=Location(40.0, -74.0))
+        r, c = np.stack(np.meshgrid(np.arange(-4, 2 * rows + 5) / 2.0,
+                                    np.arange(-4, 2 * cols + 5) / 2.0,
+                                    indexing="ij")).reshape(2, -1)
+        assert_equals_full_scan(grid.origin.lat + grid.d_lat * r,
+                                grid.origin.lon + grid.d_lon * c, build_road_grid(grid))
+
+    def test_default_grid_random_points(self):
+        g = build_road_grid(DEFAULT_GRID)
+        rng = np.random.default_rng(11)
+        inside = rng.uniform(0, 20, (2, 1500))
+        around = rng.uniform(-2, 22, (2, 1500))  # up to two cells outside
+        for rows, cols in (inside, around):
+            lats = DEFAULT_GRID.origin.lat + DEFAULT_GRID.d_lat * rows
+            lons = DEFAULT_GRID.origin.lon + DEFAULT_GRID.d_lon * cols
+            assert_equals_full_scan(lats, lons, g)
+
+    @given(st.data())
+    def test_random_graphs(self, data):
+        # nodes on a small lattice, so locations repeat and points tie
+        n_rows = data.draw(st.integers(1, 8), label="rows")
+        n_cols = data.draw(st.integers(1, 8), label="cols")
+        cells = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1))
+        jitter = st.floats(-0.5, 0.5)
+        spots = data.draw(st.lists(st.tuples(cells, jitter, jitter), min_size=1, max_size=60),
+                          label="nodes")
+        step = data.draw(st.sampled_from([1e-4, 4e-3, 0.2]), label="step")
+        on_lattice = data.draw(st.booleans(), label="on_lattice")
+        nodes = {}
+        for k, ((r, c), dr, dc) in enumerate(spots):
+            if on_lattice:
+                dr = dc = 0.0
+            nodes[3 * k + 1] = Location(40.0 + step * (r + dr), -74.0 + step * (c + dc))
+        g = build_graph(nodes, [])
+        # lattice points and half-steps tie often; the rest are anywhere
+        # within two steps of the nodes' box
+        ticks = st.integers(-4, 2 * max(n_rows, n_cols) + 4).map(lambda i: i / 2.0 - 0.5)
+        anywhere = st.floats(-2.5, max(n_rows, n_cols) + 1.5)
+        coords = st.one_of(ticks, anywhere)
+        points = data.draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=30),
+                           label="points")
+        lats = [40.0 + step * r for r, _ in points]
+        lons = [-74.0 + step * c for _, c in points]
+        assert_equals_full_scan(lats, lons, g)
+
+    def test_single_node_and_duplicates(self):
+        for nodes in ({7: Location(40.0, -74.0)},
+                      {3: Location(40.0, -74.0), 1: Location(40.0, -74.0)}):
+            g = build_graph(nodes, [])
+            lats = 40.0 + np.array([0.0, 1e-4, -0.2, 5e-4])
+            lons = -74.0 + np.array([0.0, -1e-4, 0.3, 5e-4])
+            assert_equals_full_scan(lats, lons, g)
+            assert nearest_nodes(lats, lons, g).tolist() == [min(nodes)] * 4
+
 
 class TestShortestPath:
     def test_same_origin_destination(self):
@@ -213,11 +320,37 @@ class TestShortestPath:
                 assert shortest_path(o, d2, g) == astar_reference(o, d2, g)
 
     def test_grid_all_pairs_equal_reference(self):
-        grid = GridSpec(rows=10, cols=10, cell_size=500.0, origin=Location(40.0, -74.0))
-        g = build_road_grid(grid)
-        for o in g.nodes:
-            for d in g.nodes:
+        # every pair of a 10x10 grid, and a fixed sample of a 20x20 grid's pairs
+        rng = np.random.default_rng(13)
+        for size, sample in ((10, None), (20, 2500)):
+            grid = GridSpec(rows=size, cols=size, cell_size=500.0, origin=Location(40.0, -74.0))
+            g = build_road_grid(grid)
+            pairs = [(o, d) for o in g.nodes for d in g.nodes]
+            if sample is not None:
+                pairs = [pairs[i] for i in rng.choice(len(pairs), sample, replace=False)]
+            for o, d in pairs:
                 assert shortest_path(o, d, g) == astar_reference(o, d, g)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_heuristic_equals_scaled_haversine(self, noisy, monkeypatch):
+        # every pushed f must be g + scale * geo.haversine(node, dest), bit for bit
+        pushed = []
+
+        def heappush(heap, item):
+            pushed.append(item)
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(roadgraph, "heapq",
+                            SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
+        g = random_graph(np.random.default_rng(21), n_nodes=40, extra_edges=80,
+                         noisy_lengths=noisy)
+        ids = sorted(g.nodes)
+        for dest in g.nodes:
+            pushed.clear()
+            shortest_path(0, dest, g)
+            for f, g_cost, k in pushed:
+                h = g.heuristic_scale * haversine(g.nodes[ids[k]], g.nodes[dest])
+                assert f == g_cost + h
 
     def test_length_monotone_under_edge_deletion(self):
         rng = np.random.default_rng(9)

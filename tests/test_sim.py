@@ -834,6 +834,17 @@ class TestBenchmarkContract:
                                  scale=SimpleNamespace(window_minutes=20))
         bench.check_episode(sim, inputs)
 
+    def test_traced_entry_points_exist(self, bench):
+        # a renamed entry point would silently zero its per-layer span
+        tracer = bench.Tracer()
+        try:
+            bench.trace_full(tracer)
+        finally:
+            tracer.restore()
+        assert sorted(tracer.missing) == ["fleetsim.dqn.QNetwork.q_map_batch",
+                                          "fleetsim.dqn.assemble_batch",
+                                          "fleetsim.roadgraph.nearest_node"]
+
     def test_step_minute_calls_the_instance_timers(self):
         # the benchmark times dispatch by replacing these two on the instance
         grid = make_grid()
