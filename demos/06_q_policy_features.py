@@ -8,7 +8,7 @@ import numpy as np
 
 from fleetsim import neural
 from fleetsim.dqn import (
-    QNetwork, ReplayBuffer, Schedules, Transition, VehicleContext,
+    QNetwork, ReplayBuffer, Training, Transition, VehicleContext,
     build_feature_planes, greedy_action, legal_action_mask, train_step,
 )
 
@@ -19,7 +19,7 @@ ctx = VehicleContext(
     supply=rng.uniform(0, 2, size=(3,) + shape),
     idle=rng.uniform(0, 2, size=shape),
     region=(2, 7),
-    sin_dow=0.0, cos_dow=1.0, sin_hour=1.0, cos_hour=0.0,
+    clock=(0.0, 1.0, 1.0, 0.0),  # sin, cos of the weekday, then of the hour
 )
 qin = build_feature_planes(ctx)
 print(f"main branch {qin.main.shape}, aux branch {qin.aux.shape}")
@@ -37,7 +37,7 @@ for i in range(80):
     c = VehicleContext(demand=rng.uniform(0, 3, size=shape),
                        supply=rng.uniform(0, 2, size=(3,) + shape),
                        idle=rng.uniform(0, 2, size=shape), region=region,
-                       sin_dow=0.0, cos_dow=1.0, sin_hour=0.0, cos_hour=1.0)
+                       clock=(0.0, 1.0, 0.0, 1.0))
     legal = np.argwhere(legal_action_mask(region, shape))
     action = tuple(legal[int(rng.integers(len(legal)))])
     buf.push(Transition(c, action, float(rng.uniform(-5, 15)), c,
@@ -48,6 +48,7 @@ opt = neural.RmsProp(lr=1e-3)
 loss, mean_max_q = train_step(net, target, buf, opt, gamma=0.98, rng=rng)
 print(f"one minibatch: loss {loss:.3f}, mean max-Q {mean_max_q:.3f}")
 
-sched = Schedules(eps_ramp=5000, alpha_ramp=5000)
-print(f"epsilon ramp: {sched.epsilon(0):.2f} -> {sched.epsilon(2500):.3f} -> "
-      f"{sched.epsilon(5000):.2f}; action rate {sched.alpha(0):.2f} -> {sched.alpha(5000):.2f}")
+training = Training(reject_weight=10.0, discount=0.98, seed=0, lr=1e-3, batch_size=64,
+                    buffer_capacity=10_000, eps_ramp=5000, alpha_ramp=5000, sync_period=150)
+print(f"epsilon ramp: {training.epsilon(0):.2f} -> {training.epsilon(2500):.3f} -> "
+      f"{training.epsilon(5000):.2f}; action rate {training.alpha(0):.2f} -> {training.alpha(5000):.2f}")

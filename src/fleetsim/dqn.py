@@ -9,7 +9,9 @@ geometry planes.  Training is double Q-learning over an experience
 replay of per-vehicle transitions, with a trip-time-aware discount
 exponent and a periodically synced target network.  A training step
 values each next state as dispatch does a decision: the online network's
-``q_map`` over the vehicle's legal moves picks the greedy action.
+``q_map`` over the vehicle's legal moves picks the greedy action.  A
+policy trains exactly when it is given a :class:`Training`; without one
+it only evaluates and holds no random stream, replay or optimizer.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ import numpy as np
 
 from . import neural
 from .clock import periodic_features
-from .geo import aggregate_to_regions, region_cells
+from .geo import aggregate_to_regions, mismatch, region_cells
 from .neural import Concat, Conv2D
-from .rhc import mismatch
 from .sim import DispatchOrder
 
 ACTION_SIZE = 15          # side of the action map
@@ -59,17 +60,15 @@ class VehicleContext:
     ``demand``/``idle`` are region-grid maps shared within a simulation
     minute; ``supply`` holds the available-vehicle maps at the 0/15/30
     minute horizons as seen by this vehicle (after earlier vehicles'
-    choices in the same minute).
+    choices in the same minute).  ``clock`` is the minute's
+    :func:`periodic_features`: sin and cos of the weekday, then of the hour.
     """
 
     demand: np.ndarray        # (R, C)
     supply: np.ndarray        # (3, R, C)
     idle: np.ndarray          # (R, C)
     region: tuple[int, int]
-    sin_dow: float
-    cos_dow: float
-    sin_hour: float
-    cos_hour: float
+    clock: tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -179,65 +178,39 @@ def build_feature_planes(ctx: VehicleContext) -> QInput:
     coordinates, normalized move distance, and the legality plane.
     """
     canvas = FeatureCanvas(ctx.demand, ctx.supply, ctx.idle)
-    aux = _clock_aux(ctx.sin_dow, ctx.cos_dow, ctx.sin_hour, ctx.cos_hour)
-    aux[..., _REGION_PLANES] = _region_aux(ctx.region, ctx.demand.shape)[1]
+    aux = _region_aux(ctx.region, ctx.demand.shape)[1].copy()
+    aux[..., :4] = ctx.clock
     return QInput(canvas.main(ctx.region), aux)
-
-
-def _static_aux() -> np.ndarray:
-    aux = np.zeros((ACTION_SIZE, ACTION_SIZE, AUX_PLANES))
-    aux[ACTION_RADIUS, ACTION_RADIUS, 4] = 1.0
-    dr = np.arange(ACTION_SIZE) - ACTION_RADIUS
-    aux[..., 9] = np.sqrt(dr[:, None] ** 2 + dr[None, :] ** 2) / _DIAGONAL_REACH
-    aux.setflags(write=False)
-    return aux
-
-
-# aux planes that depend on neither the clock nor the region: the stay
-# one-hot (plane 4) and the normalized move distance (plane 9)
-_STATIC_AUX = _static_aux()
-
-
-def _clock_aux(sin_dow: float, cos_dow: float, sin_hour: float,
-               cos_hour: float) -> np.ndarray:
-    """New aux planes with the clock (0-3) and static planes set, region planes zero."""
-    aux = _STATIC_AUX.copy()
-    aux[..., 0] = sin_dow
-    aux[..., 1] = cos_dow
-    aux[..., 2] = sin_hour
-    aux[..., 3] = cos_hour
-    return aux
-
-
-# the aux planes that depend on the vehicle's region, in :func:`_region_aux` order
-_REGION_PLANES = [5, 6, 7, 8, 10]
 
 
 @lru_cache(maxsize=None)
 def _region_aux(region: tuple[int, int], grid_shape: tuple[int, int]
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The legal move mask of ``region`` and its (15, 15, 5) region aux planes.
+    """The legal move mask of ``region`` and its (15, 15, 11) aux planes, clock zero.
 
-    The planes are the aux planes ``_REGION_PLANES``: 5-6 the region's
-    normalized coordinates, 7-8 each move's clipped destination
-    coordinates and 10 the legal mask.  Computed once per region and
-    grid shape; both arrays are read-only.
+    Planes 0-3 (the clock) are left zero for each decision's copy to
+    fill; 4 is the stay one-hot, 5-6 the region's normalized
+    coordinates, 7-8 each move's clipped destination coordinates, 9 the
+    normalized move distance and 10 the legal mask.  Computed once per
+    region and grid shape; both arrays are read-only.
     """
     rows, cols = grid_shape
     r, c = region
     legal = legal_action_mask(region, grid_shape)
-    planes = np.empty((ACTION_SIZE, ACTION_SIZE, len(_REGION_PLANES)))
-    planes[..., 0] = r / (rows - 1) if rows > 1 else 0.0
-    planes[..., 1] = c / (cols - 1) if cols > 1 else 0.0
+    aux = np.zeros((ACTION_SIZE, ACTION_SIZE, AUX_PLANES))
+    aux[ACTION_RADIUS, ACTION_RADIUS, 4] = 1.0
+    aux[..., 5] = r / (rows - 1) if rows > 1 else 0.0
+    aux[..., 6] = c / (cols - 1) if cols > 1 else 0.0
     dr = np.arange(ACTION_SIZE) - ACTION_RADIUS
     dest_r = (r + dr[:, None]) / (rows - 1) if rows > 1 else np.zeros((ACTION_SIZE, 1))
     dest_c = (c + dr[None, :]) / (cols - 1) if cols > 1 else np.zeros((1, ACTION_SIZE))
-    planes[..., 2] = np.clip(np.broadcast_to(dest_r, (ACTION_SIZE, ACTION_SIZE)), 0.0, 1.0)
-    planes[..., 3] = np.clip(np.broadcast_to(dest_c, (ACTION_SIZE, ACTION_SIZE)), 0.0, 1.0)
-    planes[..., 4] = legal
+    aux[..., 7] = np.clip(np.broadcast_to(dest_r, (ACTION_SIZE, ACTION_SIZE)), 0.0, 1.0)
+    aux[..., 8] = np.clip(np.broadcast_to(dest_c, (ACTION_SIZE, ACTION_SIZE)), 0.0, 1.0)
+    aux[..., 9] = np.sqrt(dr[:, None] ** 2 + dr[None, :] ** 2) / _DIAGONAL_REACH
+    aux[..., 10] = legal
     legal.setflags(write=False)
-    planes.setflags(write=False)
-    return legal, planes
+    aux.setflags(write=False)
+    return legal, aux
 
 
 @dataclass
@@ -358,31 +331,6 @@ class ReplayBuffer:
         return len(self._items)
 
 
-@dataclass(frozen=True, kw_only=True)
-class Schedules:
-    """Exploration and action-rate ramps over training steps."""
-
-    eps_start: float = 1.0
-    eps_end: float = 0.05
-    eps_ramp: int
-    alpha_start: float = 0.3
-    alpha_end: float = 1.0
-    alpha_ramp: int
-    sync_period: int = 150
-
-    def epsilon(self, step: int) -> float:
-        if step >= self.eps_ramp:
-            return self.eps_end
-        frac = step / self.eps_ramp
-        return self.eps_start + (self.eps_end - self.eps_start) * frac
-
-    def alpha(self, step: int) -> float:
-        if step >= self.alpha_ramp:
-            return self.alpha_end
-        frac = step / self.alpha_ramp
-        return self.alpha_start + (self.alpha_end - self.alpha_start) * frac
-
-
 def _fields(qins: list[QInput], cells: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     """The stacked 9x9 main and 1x1 aux inputs that each ``cells`` action's Q-value reads."""
     mains = np.stack([q.main[r:r + _FIELD, c:c + _FIELD] for q, (r, c) in zip(qins, cells)])
@@ -458,18 +406,41 @@ def write_training_log(path, rows: list[tuple]) -> None:
 
 # --- the policy object wired into the simulator -----------------------------
 
-@dataclass
-class DqnConfig:
-    reject_weight: float = 10.0
-    discount: float = 0.98          # per one-minute simulation step
-    decision_interval: float = 15.0 # minimum minutes between a vehicle's decisions
-    cycle: int = 1                  # policy invocation period; 15 mimics the slot cycle
-    train: bool = False
-    seed: int = 0
-    lr: float = 1e-3
-    batch_size: int = 64
-    buffer_capacity: int = 10_000
-    schedules: Schedules | None = None  # required when training
+def _ramp(start: float, end: float, length: int, step: int) -> float:
+    """``start`` moved linearly to ``end`` over ``length`` steps, then held."""
+    if step >= length:
+        return end
+    return start + (end - start) * (step / length)
+
+
+@dataclass(frozen=True, kw_only=True)
+class Training:
+    """What a training :class:`DqnPolicy` adds: reward, update and exploration ramps.
+
+    ``epsilon`` (the exploration rate) and ``alpha`` (the share of
+    eligible vehicles that decide) ramp linearly over their first
+    ``eps_ramp`` and ``alpha_ramp`` training steps.
+    """
+
+    reject_weight: float
+    discount: float          # per one-minute simulation step
+    seed: int
+    lr: float
+    batch_size: int
+    buffer_capacity: int
+    eps_start: float = 1.0
+    eps_end: float = 0.05
+    eps_ramp: int
+    alpha_start: float = 0.3
+    alpha_end: float = 1.0
+    alpha_ramp: int
+    sync_period: int         # training steps between target-network syncs
+
+    def epsilon(self, step: int) -> float:
+        return _ramp(self.eps_start, self.eps_end, self.eps_ramp, step)
+
+    def alpha(self, step: int) -> float:
+        return _ramp(self.alpha_start, self.alpha_end, self.alpha_ramp, step)
 
 
 @dataclass
@@ -481,42 +452,43 @@ class _Pending:
 
 
 class DqnPolicy:
-    """Per-vehicle greedy dispatch with optional in-simulation training.
+    """Per-vehicle greedy dispatch, trained in the simulation when given a :class:`Training`.
 
     Vehicles decide sequentially in ascending id order; after each move
     the supply projection is decremented at the origin and incremented
     at the destination's arrival horizon, so later vehicles observe
     earlier choices.  A vehicle re-decides at most every
     ``decision_interval`` minutes, except that a fresh dropoff makes it
-    immediately eligible again.
+    immediately eligible again.  The simulator invokes the policy every
+    ``cycle`` minutes; 15 mimics the RHC slot cycle.
     """
 
     def __init__(self, net: QNetwork, region_map, region_shape: tuple[int, int],
-                 demand_predictor, config: DqnConfig | None = None):
+                 demand_predictor, *, decision_interval: float, cycle: int = 1,
+                 training: Training | None = None):
         self.net = net
         self.region_map = region_map
         self.region_shape = region_shape
         self.demand_predictor = demand_predictor  # callable(view) -> fine heat
-        self.config = config or DqnConfig()
-        self.cycle = self.config.cycle
-        self.rng = np.random.default_rng(self.config.seed)
+        self.decision_interval = decision_interval
+        self.cycle = cycle
+        self.training = training
         self.last_decision: dict[int, float] = {}
-        self.step = 0
-        self.training_log: list[tuple] = []
         self._zone_cells = region_cells(region_map)
-        if self.config.train:
-            if self.config.schedules is None:
-                raise ValueError("a training DqnPolicy needs schedules")
+        if training is not None:
+            self.rng = np.random.default_rng(training.seed)
             self.target = net.copy()
-            self.buffer = ReplayBuffer(self.config.buffer_capacity)
-            self.opt = neural.RmsProp(lr=self.config.lr)
+            self.buffer = ReplayBuffer(training.buffer_capacity)
+            self.opt = neural.RmsProp(lr=training.lr)
             self.pending: dict[int, _Pending] = {}
+            self.step = 0
+            self.training_log: list[tuple] = []
 
     def _eligible(self, vid: int, t: float, last_dropoff: float) -> bool:
         last = self.last_decision.get(vid)
         if last is None:
             return True
-        if t - last >= self.config.decision_interval:
+        if t - last >= self.decision_interval:
             return True
         return last_dropoff > last
 
@@ -524,101 +496,96 @@ class DqnPolicy:
         """Decide, in ascending id order, where each eligible idle vehicle goes.
 
         Built once per invocation: the region maps of idle vehicles and of
-        projected supply per minute ahead (each a count summed with one
-        ``np.add.at``), the clock aux planes, at the first decision the
-        region map of predicted demand (so an invocation in which no
-        vehicle decides runs no demand prediction) and, at the first
-        greedy decision, the pooled :class:`FeatureCanvas`.
-        Built once per region and grid shape in the process, and shared
-        with training: the legal move mask and the five aux planes that
-        depend on the region (:func:`_region_aux`).  Decisions stay
-        sequential: a move takes its vehicle out of the supply at its
-        origin and adds it at its destination, so each vehicle sees the
-        moves before it, and the Q-network runs on one input at a time
-        because another batch shape can change the last bits of Q and
-        with them an argmax.
+        the supply projected at each of ``SUPPLY_HORIZONS`` (each a count
+        by ``np.bincount``), at the first decision the region map of
+        predicted demand (so an invocation in which no vehicle decides
+        runs no demand prediction) and, at the first greedy decision, the
+        pooled :class:`FeatureCanvas`.  Built once per region and grid
+        shape in the process, and shared with training: the legal move
+        mask and the aux planes (:func:`_region_aux`), which a greedy
+        decision copies to write the clock planes.
+
+        Decisions stay sequential: a move takes its vehicle out of the
+        supply at its origin at every horizon and adds it at its
+        destination at each horizon from its arrival on, in a new array,
+        so each vehicle sees the moves before it and a stored context
+        keeps the maps it saw.  The counts are whole numbers, so they are
+        exact.  The Q-network runs on one input at a time because another
+        batch shape can change the last bits of Q and with them an argmax.
+
+        A move goes to the fine cell of the chosen region with the highest
+        :func:`geo.mismatch`, the first such cell in the region's cell
+        order.  Mismatch is supply share minus demand share, so that is
+        the region's most over-supplied cell; :func:`rhc.assign_vehicles`
+        targets the lowest.
         """
-        cfg = self.config
+        training = self.training
         rr, rc = self.region_shape
-        horizon = SUPPLY_HORIZONS[-1]
+        horizons = np.array(SUPPLY_HORIZONS)
 
         assignment = self.region_map.assignment
         rids = assignment[view.cells[:, 0], view.cells[:, 1]]  # region id per vehicle
-        idle_regions = np.zeros(rr * rc)
-        np.add.at(idle_regions, rids[view.idle_ids], 1.0)
-        idle_regions = idle_regions.reshape(rr, rc)
-
+        idle_regions = np.bincount(rids[view.idle_ids], minlength=rr * rc
+                                   ).reshape(rr, rc).astype(np.float64)
+        next_rids = assignment[view.next_cells[:, 0], view.next_cells[:, 1]]
         h = np.ceil(view.next_minutes)
-        soon = h <= horizon
-        x = np.zeros((rr, rc, horizon + 1))
-        next_cells = view.next_cells[soon]
-        event_r, event_c = np.divmod(assignment[next_cells[:, 0], next_cells[:, 1]], rc)
-        np.add.at(x, (event_r, event_c, h[soon].astype(np.int64)), 1.0)
+        supply = np.stack([np.bincount(next_rids[h <= k], minlength=rr * rc)
+                           for k in SUPPLY_HORIZONS]).reshape(3, rr, rc).astype(np.float64)
 
         demand_regions = None  # built at the first decision
         eta_cells = None  # built lazily; many invocations issue no orders
-        supply3 = None    # rebuilt only after an order has changed x
         canvas = None     # built on the first greedy decision
-        aux = None        # likewise; its region planes are rewritten per decision
-        sd, cd, sh, ch = periodic_features(view.clock)
-        eps = cfg.schedules.epsilon(self.step) if cfg.train else 0.0
-        alpha = cfg.schedules.alpha(self.step) if cfg.train else 1.0
+        clock = periodic_features(view.clock)
+        if training is not None:
+            eps, alpha = training.epsilon(self.step), training.alpha(self.step)
 
         orders: list[DispatchOrder] = []
         for vid in view.idle_ids.tolist():
             if not self._eligible(vid, view.t, float(view.last_dropoff[vid])):
                 continue
-            if cfg.train and self.rng.random() >= alpha:
+            if training is not None and self.rng.random() >= alpha:
                 continue  # skipped outright; no decision, no transition
 
             region = divmod(int(rids[vid]), rc)
             if demand_regions is None:
                 heat = self.demand_predictor(view)
                 demand_regions = aggregate_to_regions(heat, self.region_map).reshape(rr, rc)
-            if supply3 is None:
-                supply3 = np.stack([x[..., :h + 1].sum(axis=-1) for h in SUPPLY_HORIZONS])
             legal, region_aux = _region_aux(region, self.region_shape)
-            action = explore_action(legal, eps, self.rng) if cfg.train else None
+            action = explore_action(legal, eps, self.rng) if training is not None else None
             if action is None:
                 if canvas is None:
-                    canvas = FeatureCanvas(demand_regions, supply3, idle_regions)
-                    aux = _clock_aux(sd, cd, sh, ch)
-                elif canvas.supply is not supply3:
-                    canvas.set_supply(supply3)
-                aux[..., _REGION_PLANES] = region_aux
+                    canvas = FeatureCanvas(demand_regions, supply, idle_regions)
+                elif canvas.supply is not supply:
+                    canvas.set_supply(supply)
+                aux = region_aux.copy()
+                aux[..., :4] = clock
                 action = greedy_action(self.net.q_map(QInput(canvas.main(region), aux), legal))
-            if cfg.train:
-                ctx = VehicleContext(demand=demand_regions, supply=supply3,
-                                     idle=idle_regions, region=region,
-                                     sin_dow=sd, cos_dow=cd, sin_hour=sh, cos_hour=ch)
+            if training is not None:
+                ctx = VehicleContext(demand=demand_regions, supply=supply,
+                                     idle=idle_regions, region=region, clock=clock)
 
             tau_steps = 0
             if action != STAY_CELL:
                 dr, dc = action_offset(action)
-                dest_region = (region[0] + dr, region[1] + dc)
+                dest_r, dest_c = region[0] + dr, region[1] + dc
                 if eta_cells is None:
                     eta_cells = mismatch(view.idle_cell_counts, view.trailing_heat)
-                dest_cell = None
-                best = -np.inf
-                rid = dest_region[0] * rc + dest_region[1]
-                for cell in self._zone_cells.get(rid, ()):
-                    if eta_cells[cell] > best:
-                        best = eta_cells[cell]
-                        dest_cell = cell
+                dest_cell = max(self._zone_cells[dest_r * rc + dest_c],
+                                key=eta_cells.__getitem__)
                 minutes = view.eta_minutes(tuple(view.cells[vid].tolist()), dest_cell)
                 tau_steps = max(1, int(np.ceil(minutes)))
                 orders.append(DispatchOrder(vid, dest_cell))
-                x[region + (0,)] -= 1
-                x[dest_region + (min(tau_steps, horizon),)] += 1
-                supply3 = None
+                supply = supply.copy()
+                supply[:, region[0], region[1]] -= 1.0
+                supply[horizons >= min(tau_steps, SUPPLY_HORIZONS[-1]), dest_r, dest_c] += 1.0
 
-            if cfg.train:
+            if training is not None:
                 prev = self.pending.get(vid)
                 if prev is not None:
                     reward = reward_dqn(
                         float(view.pickups[vid]) - prev.pickups,
                         float(view.dispatch_minutes[vid]) - prev.dispatch_minutes,
-                        cfg.reject_weight,
+                        training.reject_weight,
                     )
                     self.buffer.push(Transition(prev.ctx, prev.action, reward,
                                                 ctx, tau_steps))
@@ -630,15 +597,14 @@ class DqnPolicy:
 
     def train_tick(self) -> None:
         """One training step after a simulation minute; logs diagnostics."""
-        cfg = self.config
+        training = self.training
         result = train_step(self.net, self.target, self.buffer, self.opt,
-                            cfg.discount, self.rng, cfg.batch_size)
+                            training.discount, self.rng, training.batch_size)
         if result is None:
             loss, mean_max_q = float("nan"), float("nan")
         else:
             loss, mean_max_q = result
         self.training_log.append((self.step, loss, mean_max_q,
-                                  cfg.schedules.epsilon(self.step),
-                                  cfg.schedules.alpha(self.step)))
+                                  training.epsilon(self.step), training.alpha(self.step)))
         self.step += 1
-        sync_target(self.net, self.target, self.step, cfg.schedules.sync_period)
+        sync_target(self.net, self.target, self.step, training.sync_period)

@@ -201,6 +201,19 @@ def aggregate_to_regions(heat: np.ndarray, rm: RegionMap) -> np.ndarray:
     )
 
 
+def mismatch(x_cells: np.ndarray, w_cells: np.ndarray) -> np.ndarray:
+    """Supply share minus demand share per location; zero shares on empty totals."""
+    x = np.asarray(x_cells, dtype=np.float64)
+    w = np.asarray(w_cells, dtype=np.float64)
+    if x.shape != w.shape:
+        raise ValueError(f"shape mismatch {x.shape} vs {w.shape}")
+    xs = x.sum()
+    ws = w.sum()
+    x_share = x / xs if xs > 0 else np.zeros_like(x)
+    w_share = w / ws if ws > 0 else np.zeros_like(w)
+    return x_share - w_share
+
+
 def block_region_map(grid: GridSpec, block_rows: int, block_cols: int) -> RegionMap:
     """Coarsen a grid into rectangular blocks of ``block_rows x block_cols`` cells.
 

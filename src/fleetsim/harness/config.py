@@ -122,6 +122,9 @@ class ExperimentConfig:
         for name in ("dqn_sync_period", "dqn_batch", "dqn_buffer", "rhc_slot_minutes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.dqn_batch > self.dqn_buffer:
+            raise ConfigError(f"dqn_batch {self.dqn_batch} exceeds dqn_buffer "
+                              f"{self.dqn_buffer}: the replay could never fill a minibatch")
         for name in ("eta_lr", "demand_lr", "dqn_lr"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
                 raise ConfigError(f"{name} must be finite and positive, "

@@ -315,13 +315,10 @@ def make_policy(cfg: ExperimentConfig, policy_name: str, city: City,
     if policy_name in ("dqn", "dqn_star"):
         if qnet is None:
             raise ConfigError("a trained Q-network is required for DQN policies")
-        config = dqn_mod.DqnConfig(
-            reject_weight=cfg.dqn_reject_weight, discount=cfg.dqn_discount,
+        return dqn_mod.DqnPolicy(
+            qnet, city.regions, region_shape(cfg), predictor,
             decision_interval=cfg.dqn_decision_interval,
-            cycle=1 if policy_name == "dqn" else cfg.rhc_slot_minutes,
-            train=False, seed=cfg.seed)
-        return dqn_mod.DqnPolicy(qnet, city.regions, region_shape(cfg),
-                                 predictor, config)
+            cycle=1 if policy_name == "dqn" else cfg.rhc_slot_minutes)
     raise ConfigError(f"unknown policy {policy_name!r}")
 
 
@@ -472,17 +469,16 @@ def train_dqn(cfg: ExperimentConfig, city: City | None = None,
         city = training_city(cfg)
     if bundle is None:
         bundle = ensure_models(cfg)
-    schedules = dqn_mod.Schedules(
-        eps_ramp=cfg.dqn_eps_ramp, alpha_ramp=cfg.dqn_alpha_ramp,
-        sync_period=cfg.dqn_sync_period)
-    config = dqn_mod.DqnConfig(
+    training = dqn_mod.Training(
         reject_weight=cfg.dqn_reject_weight, discount=cfg.dqn_discount,
-        decision_interval=cfg.dqn_decision_interval, cycle=1, train=True,
         seed=cfg.train_seed, lr=cfg.dqn_lr, batch_size=cfg.dqn_batch,
-        buffer_capacity=cfg.dqn_buffer, schedules=schedules)
+        buffer_capacity=cfg.dqn_buffer, eps_ramp=cfg.dqn_eps_ramp,
+        alpha_ramp=cfg.dqn_alpha_ramp, sync_period=cfg.dqn_sync_period)
     net = dqn_mod.QNetwork.create(np.random.default_rng(cfg.train_seed))
     predictor = ModelDemandPredictor(bundle.demand_model, bundle.historical)
-    policy = dqn_mod.DqnPolicy(net, city.regions, region_shape(cfg), predictor, config)
+    policy = dqn_mod.DqnPolicy(net, city.regions, region_shape(cfg), predictor,
+                               decision_interval=cfg.dqn_decision_interval,
+                               training=training)
 
     start = cfg.day_start_hour * 60.0
     total_minutes = cfg.warmup_minutes + steps

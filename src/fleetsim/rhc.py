@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import (GridSpec, RegionMap, aggregate_to_regions, haversine_arrays,
+from .geo import (GridSpec, RegionMap, aggregate_to_regions, haversine_arrays, mismatch,
                   region_cells)
 from .lp import LpProblem, LpSolution, solve
 from .sim import SLOT_MINUTES, DispatchOrder
@@ -73,17 +73,12 @@ def estimate_tables(origin_zone, dest_zone, dow_idx, hour_idx, minutes,
                    np.broadcast_to(default, (7, 24, m, m)))
 
     marginal = counts.sum(axis=(0, 1))  # (m, m) over all hours
-    prob = np.empty((7, 24, m, m))
     uniform = np.full(m, 1.0 / m)
     marg_rows = np.where(marginal.sum(axis=1, keepdims=True) > 0,
                          marginal / np.maximum(marginal.sum(axis=1, keepdims=True), 1e-12),
                          uniform)
-    for d in range(7):
-        for h in range(24):
-            rows = counts[d, h]
-            row_sums = rows.sum(axis=1, keepdims=True)
-            prob[d, h] = np.where(row_sums > 0, rows / np.maximum(row_sums, 1e-12),
-                                  marg_rows)
+    row_sums = counts.sum(axis=-1, keepdims=True)
+    prob = np.where(row_sums > 0, counts / np.maximum(row_sums, 1e-12), marg_rows)
     return tau, prob
 
 
@@ -377,20 +372,7 @@ def check_plan_feasibility(plan: RhcPlan, x0: np.ndarray, tau0: np.ndarray,
         raise AssertionError("rounded plan exceeds zone budgets")
 
 
-# --- location-level mismatch and vehicle assignment ------------------------
-
-def mismatch(x_cells: np.ndarray, w_cells: np.ndarray) -> np.ndarray:
-    """Supply share minus demand share per location; zero shares on empty totals."""
-    x = np.asarray(x_cells, dtype=np.float64)
-    w = np.asarray(w_cells, dtype=np.float64)
-    if x.shape != w.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {w.shape}")
-    xs = x.sum()
-    ws = w.sum()
-    x_share = x / xs if xs > 0 else np.zeros_like(x)
-    w_share = w / ws if ws > 0 else np.zeros_like(w)
-    return x_share - w_share
-
+# --- vehicle assignment by location-level mismatch -------------------------
 
 def assign_vehicles(u_rounded: np.ndarray, eta: np.ndarray, x_cells: np.ndarray,
                     idle_vehicles, rm: RegionMap) -> tuple[list[DispatchOrder], list[str]]:

@@ -259,7 +259,6 @@ class Simulation:
         self.t = 0
 
         self._queue = deque(self.requests)
-        self._heat_current = np.zeros(grid.shape)
         self._heat_slots = deque([np.zeros(grid.shape), np.zeros(grid.shape)], maxlen=2)
         self._trailing = deque(maxlen=SLOT_MINUTES)
         self._trailing_heat = np.zeros(grid.shape)
@@ -453,7 +452,6 @@ class Simulation:
         lats = np.array([r.pickup.lat for r in requests])
         lons = np.array([r.pickup.lon for r in requests])
         cells = cell_arrays(lats, lons, self.grid)
-        np.add.at(self._heat_current, cells, 1.0)
         np.add.at(self._minute_heat, cells, 1.0)
 
         # 1. match each request, in order, to the closest still-free vehicle
@@ -620,8 +618,8 @@ class Simulation:
         self._trailing.append(self._minute_heat)
         self._trailing_heat += self._minute_heat
         if (t + 1) % SLOT_MINUTES == 0:
-            self._heat_slots.append(self._heat_current)
-            self._heat_current = np.zeros(self.grid.shape)
+            # the trailing window is exactly this slot; whole counts sum exactly
+            self._heat_slots.append(self._trailing_heat.copy())
 
     def step_minute(self) -> None:
         t = float(self.t)

@@ -22,11 +22,10 @@ from fleetsim.dqn import (ACTION_SIZE, AUX_PLANES, MAIN_PLANES, Q_SPEC, STAY_CEL
 from fleetsim.eta import build_eta_features
 from fleetsim.geo import (_BOUNDARY_SNAP, GridSpec, Location, OutOfBoundsError,
                           aggregate_to_regions, block_region_map, center_of, haversine,
-                          haversine_arrays)
+                          haversine_arrays, mismatch)
 from fleetsim.harness.synth import (_HOTSPOTS, SLOT_MINUTES, SynthCity, TripRecord,
                                     _activity_level, _dest_weights, _hotspot_maps,
                                     _slot_rates, _speed_kmh, build_road_grid)
-from fleetsim.rhc import mismatch
 from fleetsim.sim import SLOT_MINUTES as HEAT_SLOT_MINUTES
 from fleetsim.sim import (DEFAULT_IDLE_WINDOW, DISPATCHING, IDLE, MATCH_RADIUS_M, OCCUPIED,
                           STATUS_NAMES, TO_PICKUP, WARMUP_MINUTES, DispatchOrder,
@@ -506,10 +505,11 @@ def aux_planes_reference(ctx):
 
     rows, cols = ctx.demand.shape
     aux = np.zeros((ACTION_SIZE, ACTION_SIZE, AUX_PLANES))
-    aux[..., 0] = ctx.sin_dow
-    aux[..., 1] = ctx.cos_dow
-    aux[..., 2] = ctx.sin_hour
-    aux[..., 3] = ctx.cos_hour
+    sin_dow, cos_dow, sin_hour, cos_hour = ctx.clock
+    aux[..., 0] = sin_dow
+    aux[..., 1] = cos_dow
+    aux[..., 2] = sin_hour
+    aux[..., 3] = cos_hour
     aux[ACTION_RADIUS, ACTION_RADIUS, 4] = 1.0
     r, c = ctx.region
     aux[..., 5] = r / (rows - 1) if rows > 1 else 0.0
@@ -927,7 +927,8 @@ class DqnPolicyReference(DqnPolicy):
         return (rid // self.region_shape[1], rid % self.region_shape[1])
 
     def dispatch(self, view):
-        cfg = self.config
+        training = self.training
+        train = training is not None
         rr, rc = self.region_shape
         horizon = SUPPLY_HORIZONS[-1]
 
@@ -947,15 +948,15 @@ class DqnPolicyReference(DqnPolicy):
         eta_cells = None
         supply3 = None
         canvas = None
-        sd, cd, sh, ch = periodic_features(view.clock)
-        eps = cfg.schedules.epsilon(self.step) if cfg.train else 0.0
-        alpha = cfg.schedules.alpha(self.step) if cfg.train else 1.0
+        clock = periodic_features(view.clock)
+        eps = training.epsilon(self.step) if train else 0.0
+        alpha = training.alpha(self.step) if train else 1.0
 
         orders = []
         for vid in sorted(view.idle_ids.tolist()):
             if not self._eligible(vid, view.t, float(view.last_dropoff[vid])):
                 continue
-            if cfg.train and self.rng.random() >= alpha:
+            if train and self.rng.random() >= alpha:
                 continue
 
             region = self._region_cell(vehicle_cells[vid])
@@ -966,10 +967,9 @@ class DqnPolicyReference(DqnPolicy):
                     x[..., :horizon + 1].sum(axis=-1),
                 ])
             ctx = VehicleContext(demand=demand_regions, supply=supply3,
-                                 idle=idle_regions, region=region,
-                                 sin_dow=sd, cos_dow=cd, sin_hour=sh, cos_hour=ch)
+                                 idle=idle_regions, region=region, clock=clock)
             legal = legal_action_mask(region, (rr, rc))
-            action = explore_action(legal, eps, self.rng) if cfg.train else None
+            action = explore_action(legal, eps, self.rng) if train else None
             if action is None:
                 if canvas is None:
                     canvas = CanvasReference(demand_regions, supply3, idle_regions)
@@ -998,13 +998,13 @@ class DqnPolicyReference(DqnPolicy):
                 x[dest_region + (min(tau_steps, horizon),)] += 1
                 supply3 = None
 
-            if cfg.train:
+            if train:
                 prev = self.pending.get(vid)
                 if prev is not None:
                     reward = reward_dqn(
                         float(view.pickups[vid]) - prev.pickups,
                         float(view.dispatch_minutes[vid]) - prev.dispatch_minutes,
-                        cfg.reject_weight,
+                        training.reject_weight,
                     )
                     self.buffer.push(Transition(prev.ctx, prev.action, reward,
                                                 ctx, tau_steps))
@@ -1128,6 +1128,35 @@ def synth_city_reference(cfg, seed: int, days: int):
     zones = block_region_map(grid, cfg.zone_block, cfg.zone_block)
     return SynthCity(grid=grid, graph=build_road_grid(grid), regions=regions,
                      zones=zones, trips=trips)
+
+
+def destination_table_reference(origin, dest, dow, hour, zone_count):
+    """The (7, 24, M, M) destination table of ``rhc.estimate_tables``, row by row.
+
+    A (weekday, hour, origin) row with trips holds each destination's
+    share of them; an empty one takes the origin's all-hours shares, or
+    uniform shares when the origin has no trips at all.
+    """
+    m = zone_count
+    counts = np.zeros((7, 24, m, m))
+    for o, d, w, h in zip(origin, dest, dow, hour):
+        counts[w, h, o, d] += 1.0
+    prob = np.empty((7, 24, m, m))
+    for o in range(m):
+        marginal = [float(counts[:, :, o, d].sum()) for d in range(m)]
+        total = sum(marginal)
+        for w in range(7):
+            for h in range(24):
+                row = [float(v) for v in counts[w, h, o]]
+                row_total = sum(row)
+                for d in range(m):
+                    if row_total > 0:
+                        prob[w, h, o, d] = row[d] / row_total
+                    elif total > 0:
+                        prob[w, h, o, d] = marginal[d] / total
+                    else:
+                        prob[w, h, o, d] = 1.0 / m
+    return prob
 
 
 def write_table_reference(path, column: str, table: np.ndarray) -> None:

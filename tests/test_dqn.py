@@ -14,8 +14,8 @@ from fleetsim.dqn import (
     QInput,
     QNetwork,
     ReplayBuffer,
-    Schedules,
     STAY_CELL,
+    Training,
     Transition,
     VehicleContext,
     action_offset,
@@ -28,21 +28,27 @@ from fleetsim.dqn import (
     sync_target,
     train_step,
 )
-from fleetsim.dqn import _REGION_PLANES, _STATIC_AUX, _clock_aux, _pooled, _region_aux
+from fleetsim.dqn import _pooled, _region_aux
 
 
 def make_ctx(region=(5, 5), shape=(10, 10), rng=None, minute=0.0):
     rng = rng or np.random.default_rng(0)
     from fleetsim.clock import Clock, periodic_features
 
-    sd, cd, sh, ch = periodic_features(Clock(minute))
     return VehicleContext(
         demand=rng.uniform(0, 3, size=shape),
         supply=rng.uniform(0, 2, size=(3,) + shape),
         idle=rng.uniform(0, 2, size=shape),
         region=region,
-        sin_dow=sd, cos_dow=cd, sin_hour=sh, cos_hour=ch,
+        clock=periodic_features(Clock(minute)),
     )
+
+
+def make_training(seed, **kw):
+    """A :class:`Training` with the configured defaults and ramps of one step."""
+    return Training(**{**dict(reject_weight=10.0, discount=0.98, seed=seed, lr=1e-3,
+                              batch_size=64, buffer_capacity=10_000, eps_ramp=1,
+                              alpha_ramp=1, sync_period=150), **kw})
 
 
 class TestFeaturePlanes:
@@ -318,14 +324,14 @@ class TestRewardAndSchedules:
             reward_dqn(-1, 0, 10.0)
 
     def test_epsilon_schedule_endpoints_and_midpoint(self):
-        s = Schedules(eps_ramp=5000, alpha_ramp=5000)
+        s = make_training(0, eps_ramp=5000, alpha_ramp=5000)
         assert s.epsilon(0) == pytest.approx(1.0)
         assert s.epsilon(2500) == pytest.approx(0.525)
         assert s.epsilon(5000) == pytest.approx(0.05)
         assert s.epsilon(20_000) == pytest.approx(0.05)
 
     def test_alpha_schedule_endpoints_and_midpoint(self):
-        s = Schedules(eps_ramp=5000, alpha_ramp=5000)
+        s = make_training(0, eps_ramp=5000, alpha_ramp=5000)
         assert s.alpha(0) == pytest.approx(0.3)
         assert s.alpha(2500) == pytest.approx(0.65)
         assert s.alpha(5000) == pytest.approx(1.0)
@@ -385,7 +391,7 @@ def interior_ctx():
     return VehicleContext(
         demand=np.zeros(shape), supply=np.zeros((3,) + shape),
         idle=np.zeros(shape), region=(7, 7),
-        sin_dow=0.0, cos_dow=1.0, sin_hour=0.0, cos_hour=1.0,
+        clock=(0.0, 1.0, 0.0, 1.0),
     )
 
 
@@ -569,19 +575,21 @@ class TestAuxPlanes:
                                           aux_planes_reference(ctx))
 
     def test_dispatch_buffer_matches_reference_on_every_region(self):
-        # DqnPolicy.dispatch fills the clock planes once and writes the
-        # region planes into one buffer per decision: no plane may go stale
+        # DqnPolicy.dispatch copies each region's cached planes and writes
+        # the clock into the copy: the cache keeps its clock planes zero
         for shape in self.SHAPES:
-            ctx0 = make_ctx(shape=shape, region=(0, 0), minute=2345.0)
-            aux = _clock_aux(ctx0.sin_dow, ctx0.cos_dow, ctx0.sin_hour, ctx0.cos_hour)
             regions = [(r, c) for r in range(shape[0]) for c in range(shape[1])]
-            for region in regions + regions[::-1]:
-                legal, planes = _region_aux(region, shape)
-                aux[..., _REGION_PLANES] = planes
-                ctx = make_ctx(region=region, shape=shape, minute=2345.0)
+            for minute, region in enumerate(regions + regions[::-1]):
+                ctx = make_ctx(region=region, shape=shape, minute=2345.0 + 97 * minute)
+                legal, cached = _region_aux(region, shape)
+                aux = cached.copy()
+                aux[..., :4] = ctx.clock
                 assert np.array_equal(aux, aux_planes_reference(ctx))
+                assert not cached[..., :4].any()
                 assert np.array_equal(legal, legal_action_mask(region, shape))
 
     def test_static_planes_are_read_only(self):
-        with pytest.raises(ValueError):
-            _STATIC_AUX[0, 0, 4] = 1.0
+        legal, aux = _region_aux((0, 0), (2, 3))
+        for array in (legal, aux):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1

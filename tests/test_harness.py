@@ -98,6 +98,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(text="seed = 1\n", overrides={key: value})
 
+    def test_minibatch_larger_than_replay_rejected(self):
+        # the replay would never hold a minibatch, so no train step would run
+        with pytest.raises(ConfigError, match="dqn_batch 16 exceeds dqn_buffer 8"):
+            parse_config(text="seed = 1\n", overrides={"dqn_batch": "16", "dqn_buffer": "8"})
+        cfg = parse_config(text="seed = 1\n", overrides={"dqn_batch": "8", "dqn_buffer": "8"})
+        assert cfg.dqn_batch == cfg.dqn_buffer == 8
+
     @pytest.mark.parametrize("key, value", [
         ("eta_lr", "0"), ("eta_lr", "-1e-3"), ("eta_lr", "inf"),
         ("demand_lr", "nan"), ("demand_lr", "0"),

@@ -7,17 +7,15 @@ from oracles import DqnPolicyReference, rhc_supply_reference
 from fleetsim.clock import Clock
 from fleetsim.dqn import (
     ACTION_RADIUS,
-    DqnConfig,
     DqnPolicy,
     QNetwork,
-    Schedules,
     STAY_CELL,
 )
 from fleetsim.geo import GridSpec, Location, RegionMap, block_region_map
 from fleetsim import rhc
 from fleetsim.rhc import RhcPolicy
 from fleetsim.sim import SimView
-from test_dqn import crafted_qnet, sample_qnet
+from test_dqn import crafted_qnet, make_training, sample_qnet
 
 
 GRID = GridSpec(rows=10, cols=10, cell_size=500.0, origin=Location(40.0, -74.0))
@@ -66,11 +64,10 @@ def flat_demand_predictor(view):
 
 
 class TestDqnPolicy:
-    def make_policy(self, net=None, train=False, **kw):
-        config = DqnConfig(train=train, seed=5,
-                           schedules=Schedules(eps_ramp=10, alpha_ramp=10), **kw)
+    def make_policy(self, net=None, training=None, cycle=1):
         return DqnPolicy(net or QNetwork.create(np.random.default_rng(0)),
-                         REGIONS, (10, 10), flat_demand_predictor, config)
+                         REGIONS, (10, 10), flat_demand_predictor,
+                         decision_interval=15.0, cycle=cycle, training=training)
 
     def test_stay_policy_issues_no_orders(self):
         # a net preferring the center cell keeps everyone parked
@@ -150,10 +147,8 @@ class TestDqnPolicy:
 
     def test_training_stores_transitions_with_window_rewards(self):
         net = crafted_qnet(base=0.0, dist_coef=-5.0)
-        policy = self.make_policy(net, train=True, reject_weight=10.0)
-        policy.config.schedules = Schedules(eps_start=0.0, eps_end=0.0,
-                                            alpha_start=1.0, alpha_end=1.0,
-                                            eps_ramp=1, alpha_ramp=1)
+        policy = self.make_policy(net, make_training(5, eps_start=0.0, eps_end=0.0,
+                                                     alpha_start=1.0, alpha_end=1.0))
         v1 = fake_view(t=100.0, idle_cells={0: (5, 5)},
                        pickups=[0, 0, 0, 0], dispatch_minutes=[0.0, 0, 0, 0])
         policy.dispatch(v1)
@@ -173,11 +168,8 @@ class TestDqnPolicy:
         from fleetsim.dqn import legal_action_mask
 
         net = crafted_qnet(base=0.0, dist_coef=5.0)
-        policy = self.make_policy(net, train=True)
-        policy.config.schedules = Schedules(eps_start=0.7, eps_end=0.7,
-                                            alpha_start=1.0, alpha_end=1.0,
-                                            eps_ramp=1, alpha_ramp=1)
-        policy.rng = np.random.default_rng(99)
+        policy = self.make_policy(net, make_training(99, eps_start=0.7, eps_end=0.7,
+                                                     alpha_start=1.0, alpha_end=1.0))
         view = fake_view(idle_cells={0: (5, 5)})
         orders = policy.dispatch(view)
 
@@ -192,11 +184,6 @@ class TestDqnPolicy:
         expect = (flat // 15, flat % 15)
         stored = policy.pending[0].action
         assert stored == expect
-
-    def test_training_without_schedules_rejected(self):
-        with pytest.raises(ValueError, match="schedules"):
-            DqnPolicy(QNetwork.create(np.random.default_rng(0)), REGIONS, (10, 10),
-                      flat_demand_predictor, DqnConfig(train=True))
 
     def test_dqn_star_cycle(self):
         policy = self.make_policy(cycle=15)
@@ -218,9 +205,10 @@ class TestDqnPolicy:
                 self.writes += 1
                 super().__setitem__(key, value)
 
-        config = DqnConfig(train=train, seed=3, schedules=Schedules(
-            eps_ramp=1, alpha_start=0.5, alpha_end=0.5, alpha_ramp=1))
-        policy = DqnPolicy(sample_qnet("move"), REGIONS, (10, 10), spy_predictor, config)
+        policy = DqnPolicy(sample_qnet("move"), REGIONS, (10, 10), spy_predictor,
+                           decision_interval=15.0,
+                           training=make_training(3, alpha_start=0.5, alpha_end=0.5)
+                           if train else None)
         policy.last_decision = CountingDict()
         assert policy.dispatch(fake_view(idle_cells={})) == []
         assert calls == []
@@ -301,8 +289,7 @@ class RecordingNet:
 
 def context_key(ctx):
     return (ctx.demand.shape, ctx.demand.tobytes(), ctx.supply.shape, ctx.supply.tobytes(),
-            ctx.idle.shape, ctx.idle.tobytes(), ctx.region,
-            ctx.sin_dow, ctx.cos_dow, ctx.sin_hour, ctx.cos_hour)
+            ctx.idle.shape, ctx.idle.tobytes(), ctx.region, ctx.clock)
 
 
 def array_key(arrays):
@@ -321,14 +308,13 @@ class TestDqnMatchesReference:
                         cell_size=500.0, origin=Location(40.0, -74.0))
         region_map = block_region_map(grid, *block)
         qnet = sample_qnet(net)
-        config = DqnConfig(train=train, seed=7, schedules=Schedules(
-            eps_start=0.3, eps_end=0.3, eps_ramp=1,
-            alpha_start=0.7, alpha_end=0.7, alpha_ramp=1))
+        config = make_training(7, eps_start=0.3, eps_end=0.3, alpha_start=0.7, alpha_end=0.7)
 
         def predictor(view):
             return 0.37 * view.trailing_heat + view.heat_prev1
 
-        policies = [cls(qnet, region_map, regions, predictor, config)
+        policies = [cls(qnet, region_map, regions, predictor, decision_interval=15.0,
+                        training=config if train else None)
                     for cls in (DqnPolicy, DqnPolicyReference)]
         for policy in policies:
             policy.net = RecordingNet(qnet)
@@ -339,14 +325,16 @@ class TestDqnMatchesReference:
             n_orders += len(orders[0])
         new, ref = policies
         assert new.last_decision == ref.last_decision
-        assert new.rng.bit_generator.state == ref.rng.bit_generator.state
         assert len(new.net.inputs) == len(ref.net.inputs)
         for got, want in zip(new.net.inputs, ref.net.inputs):
             assert array_key(got) == array_key(want)
         if regions != (1, 1) and (net == "move" or train):
             assert n_orders > 0
         if not train:
+            for policy in policies:
+                assert not any(hasattr(policy, name) for name in ("rng", "buffer", "pending"))
             return
+        assert new.rng.bit_generator.state == ref.rng.bit_generator.state
         assert new.pending.keys() == ref.pending.keys()
         for vid, pending in new.pending.items():
             other = ref.pending[vid]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fleetsim.geo import GridSpec, Location, RegionMap, block_region_map
+from fleetsim.geo import GridSpec, Location, RegionMap, block_region_map, mismatch
 from fleetsim.rhc import (
     ZoneTableError,
     assign_vehicles,
@@ -12,7 +12,6 @@ from fleetsim.rhc import (
     check_plan_feasibility,
     estimate_tables,
     load_tables,
-    mismatch,
     predict_supply,
     round_plan,
     save_tables,
@@ -21,8 +20,9 @@ from fleetsim.rhc import (
 )
 from fleetsim import rhc
 from fleetsim.lp import LpSolution, solve
-from oracles import (event_supply_oracle, random_supply_scenario, rhc_lp_reference,
-                     write_table_reference, zone_centroid_distances_reference)
+from oracles import (destination_table_reference, event_supply_oracle, random_supply_scenario,
+                     rhc_lp_reference, write_table_reference,
+                     zone_centroid_distances_reference)
 from test_policies import GRID, ZONES, fake_view
 
 DT = 15.0
@@ -281,6 +281,17 @@ class TestTables:
                                 rng.uniform(2, 30, n), zone_count=3,
                                 centroid_dist_m=np.full((3, 3), 1000.0))
         np.testing.assert_allclose(dd.sum(axis=-1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("n, zone_count", [(0, 2), (1, 3), (40, 4), (3000, 3)])
+    def test_destinations_equal_row_by_row_reference(self, n, zone_count):
+        # few trips leave single-trip and empty rows and trip-less origins
+        rng = np.random.default_rng(n)
+        records = (rng.integers(0, zone_count, n), rng.integers(0, zone_count, n),
+                   rng.integers(0, 7, n), rng.integers(0, 24, n))
+        _, dd = estimate_tables(*records, rng.uniform(2, 30, n), zone_count=zone_count,
+                                centroid_dist_m=np.full((zone_count,) * 2, 1000.0))
+        want = destination_table_reference(*records, zone_count)
+        assert dd.tobytes() == want.tobytes()
 
     def test_empty_bucket_falls_back_to_marginal_then_uniform(self):
         # origin 0 only ever goes to zone 2, but at a different hour

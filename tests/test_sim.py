@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import DqnPolicyReference, ReferenceSimulation, VehicleState
-from test_dqn import sample_qnet
+from test_dqn import make_training, sample_qnet
 
 from fleetsim.clock import Clock
-from fleetsim.dqn import DqnConfig, DqnPolicy, Schedules
+from fleetsim.dqn import DqnPolicy
 from fleetsim.geo import (GridSpec, Location, OutOfBoundsError, block_region_map, center_of,
                           haversine)
 from fleetsim.roadgraph import build_graph
@@ -672,10 +672,10 @@ def dqn_city_simulation(sim_cls, policy_cls, seed, rows, cols, n_vehicles, n_req
     """
     grid, graph, requests = small_city(seed, rows, cols, n_vehicles, n_requests)
     qnet = sample_qnet(net, seed)
-    config = DqnConfig(train=train, seed=seed, schedules=Schedules(
-        eps_start=0.3, eps_end=0.3, eps_ramp=1, alpha_start=0.7, alpha_end=0.7, alpha_ramp=1))
+    training = make_training(seed, eps_start=0.3, eps_end=0.3, alpha_start=0.7, alpha_end=0.7)
     policy = policy_cls(qnet, block_region_map(grid, 1, 1), grid.shape,
-                        lambda view: view.trailing_heat, config)
+                        lambda view: view.trailing_heat, decision_interval=15.0,
+                        training=training if train else None)
     return sim_cls(grid, graph, FeatureEta(), requests, n_vehicles, policy=policy,
                    clock0=Clock(400.0), warmup=0, event_log=[])
 

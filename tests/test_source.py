@@ -57,6 +57,21 @@ def read_names(source: str) -> set[str]:
     return out
 
 
+def imported_modules(path: Path) -> set[str]:
+    """The absolute names of the ``fleetsim`` modules that a package module imports."""
+    package = ["fleetsim", *path.relative_to(SRC).parent.parts]
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            out.add(module)
+            out |= {f"{module}.{a.name}" for a in node.names}
+    return {m for m in out if m == "fleetsim" or m.startswith("fleetsim.")}
+
+
 def test_finds_the_modules():
     assert SRC / "sim.py" in MODULES and SRC / "harness" / "cli.py" in MODULES
 
@@ -64,6 +79,23 @@ def test_finds_the_modules():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_layering():
+    """The library does not import the harness, and the two policies do not import each other."""
+    imports = {".".join(p.relative_to(SRC).with_suffix("").parts): imported_modules(p)
+               for p in MODULES}
+    assert [m for m, names in imports.items() if not m.startswith("harness")
+            and any(n.startswith("fleetsim.harness") for n in names)] == []
+    assert not any(n.startswith("fleetsim.rhc") for n in imports["dqn"])
+    assert not any(n.startswith("fleetsim.dqn") for n in imports["rhc"])
+
+
+def test_import_resolution():
+    assert imported_modules(SRC / "dqn.py") >= {"fleetsim.geo", "fleetsim.geo.mismatch",
+                                                 "fleetsim.sim.DispatchOrder"}
+    assert "fleetsim.rhc.ZoneTableError" in imported_modules(SRC / "harness" / "cli.py")
+    assert "fleetsim.dqn" in imported_modules(SRC / "harness" / "experiment.py")
 
 
 def test_unused_import_detection():
