@@ -375,7 +375,8 @@ def check_plan_feasibility(plan: RhcPlan, x0: np.ndarray, tau0: np.ndarray,
 # --- vehicle assignment by location-level mismatch -------------------------
 
 def assign_vehicles(u_rounded: np.ndarray, eta: np.ndarray, x_cells: np.ndarray,
-                    idle_vehicles, rm: RegionMap) -> tuple[list[DispatchOrder], list[str]]:
+                    idle_vehicles, zone_cells: dict[int, list[tuple[int, int]]]
+                    ) -> tuple[list[DispatchOrder], list[str]]:
     """Map integer zone dispatch counts onto concrete vehicles and cells.
 
     For each dispatch unit from zone i to zone j the source is the
@@ -384,7 +385,9 @@ def assign_vehicles(u_rounded: np.ndarray, eta: np.ndarray, x_cells: np.ndarray,
     is updated by one vehicle share after every assignment.  Ties break
     to the lowest row-major cell index, then the lowest vehicle id.
 
-    ``idle_vehicles`` is an iterable of (vehicle_id, (row, col)).
+    ``idle_vehicles`` is an iterable of (vehicle_id, (row, col)) and
+    ``zone_cells`` maps each zone to its cells in row-major order, as
+    :func:`geo.region_cells` returns them.
     Returns (orders, warnings); a shortage of idle vehicles truncates the
     plan with a warning rather than failing.
     """
@@ -398,8 +401,6 @@ def assign_vehicles(u_rounded: np.ndarray, eta: np.ndarray, x_cells: np.ndarray,
         by_cell.setdefault(tuple(cell), []).append(vid)
     for vids in by_cell.values():
         vids.sort(reverse=True)  # pop() yields the lowest id
-
-    zone_cells = region_cells(rm)
 
     orders: list[DispatchOrder] = []
     warnings: list[str] = []
@@ -465,6 +466,7 @@ class RhcPolicy:
         self.horizon = horizon
         self.cycle = int(slot_minutes)
         self.last_plan: RhcPlan | None = None
+        self._zone_cells = region_cells(zones)
 
     def dispatch(self, view) -> list[DispatchOrder]:
         m = self.zones.region_count
@@ -505,5 +507,5 @@ class RhcPolicy:
         idle = view.idle_ids
         idle_vehicles = list(zip(idle.tolist(), map(tuple, view.cells[idle].tolist())))
         orders, _ = assign_vehicles(plan.u_rounded, eta, view.idle_cell_counts,
-                                    idle_vehicles, self.zones)
+                                    idle_vehicles, self._zone_cells)
         return orders

@@ -189,6 +189,50 @@ def random_bounded_lp(rng, max_vars=6, max_rows=6):
     return c, a, b
 
 
+# linprog status codes; 1 and 4 are the solver giving up, not a verdict
+_LINPROG_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded",
+                   4: "numerical_difficulties"}
+
+
+def linprog_solve_reference(problem):
+    """``lp.solve`` as a ``scipy.optimize.linprog(method="highs")`` adapter."""
+    from scipy.optimize import linprog
+
+    from fleetsim.lp import LpSolution
+
+    res = linprog(-problem.c, A_ub=problem.a_ub, b_ub=problem.b_ub,
+                  A_eq=problem.a_eq, b_eq=problem.b_eq, bounds=(0, None),
+                  method="highs")
+    status = _LINPROG_STATUS.get(res.status, f"linprog_status_{res.status}")
+    if status != "optimal":
+        return LpSolution(status, None, None)
+    x = res.x + 0.0  # HiGHS can return -0.0, which prints as a negative value
+    return LpSolution(status, x, float(problem.c @ x))
+
+
+def random_sparse_lp(rng, max_vars=12, max_rows=10):
+    """Random sparse LP that may be infeasible or unbounded: ``(c, a_ub, b_ub, a_eq, b_eq)``.
+
+    Rows may be all zero, right-hand sides negative and costs of either
+    sign; a third of the draws add equality rows, and about half append a
+    ``sum(x) <= cap`` row that bounds the program.
+    """
+    n = int(rng.integers(1, max_vars + 1))
+    m = int(rng.integers(0, max_rows + 1))
+    density = float(rng.uniform(0.1, 0.6))
+    a = np.where(rng.random((m, n)) < density, rng.integers(-3, 4, (m, n)), 0).astype(float)
+    b = np.where(rng.random(m) < 0.7, rng.integers(-2, 6, m), 0).astype(float)
+    if rng.random() < 0.5:
+        a = np.vstack([a, np.ones((1, n))])
+        b = np.concatenate([b, [float(rng.integers(0, 8))]])
+    c = rng.integers(-3, 4, n).astype(float)
+    if rng.random() < 1 / 3:
+        k = int(rng.integers(1, 4))
+        a_eq = np.where(rng.random((k, n)) < density, rng.uniform(-1, 2, (k, n)), 0.0)
+        return c, a, b, a_eq, rng.uniform(0.0, 3.0, k)
+    return c, a, b, None, None
+
+
 def crop_pad_center(plane, center, out_h, out_w):
     """Crop an ``out_h x out_w`` window centered at ``center``, zero-padding outside.
 
@@ -258,6 +302,28 @@ def zone_centroid_distances_reference(rm, grid):
     for i in range(m):
         out[i] = haversine_arrays(lats[i], lons[i], lats, lons)
     return out
+
+
+def seeded_rhc_lp_inputs(seed: int, slot_minutes: float) -> dict:
+    """``build_rhc_lp`` keyword arguments of a small program drawn from ``seed``.
+
+    Up to 6 zones and a horizon of 0 to 4 slots; trip times sit on, just
+    past and well past slot boundaries, and the penalty may be zero.
+    """
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 7))
+    horizon = int(rng.integers(0, 5))
+    minutes = slot_minutes * np.array([0.0, 1.0, 0.5, 1.01, 2.0, 3.3])
+    return dict(
+        x0=rng.integers(0, 4, m).astype(float),
+        sched=rng.integers(0, 3, (horizon, m)).astype(float),
+        wbar=rng.integers(0, 4, (horizon + 1, m)).astype(float),
+        tau_slots=[rng.choice(minutes, (m, m)) for _ in range(horizon + 1)],
+        p_slots=[rng.choice([0.0, 0.25, 0.5, 1.0], (m, m)) for _ in range(horizon + 1)],
+        reject_penalty=float(rng.choice([0.0, 20.0])),
+        discount=float(rng.choice([0.99, 1.0])),
+        slot_minutes=slot_minutes,
+    )
 
 
 def rhc_lp_reference(x0: np.ndarray, sched: np.ndarray, wbar: np.ndarray,

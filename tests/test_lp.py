@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fleetsim.lp import LpProblem, LpSolution, solve
+from fleetsim.lp import LpProblem, LpSolution, accepted_status, solve
 from fleetsim.rhc import build_rhc_lp
-from oracles import random_bounded_lp, vertex_enumeration_optimum
+from oracles import (linprog_solve_reference, random_bounded_lp, random_sparse_lp,
+                     seeded_rhc_lp_inputs, vertex_enumeration_optimum)
 
 
 class TestBasics:
@@ -137,13 +138,93 @@ class TestDeterminismAndCycling:
                 assert expect == pytest.approx(sol.objective, abs=1e-7)
 
 
+class TestMatchesLinprog:
+    """``solve`` returns what ``linprog(method="highs")`` returns, bit for bit."""
+
+    @staticmethod
+    def assert_same(problem):
+        got, want = solve(problem), linprog_solve_reference(problem)
+        assert got.status == want.status
+        if want.x is None:
+            assert got.x is None and got.objective is None
+        else:
+            assert got.x.tobytes() == want.x.tobytes()  # signed zeros too
+            assert not np.signbit(got.x).any()
+            assert got.objective == want.objective
+        return got.status
+
+    def test_random_bounded_programs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            c, a, b = random_bounded_lp(rng)
+            assert self.assert_same(LpProblem(c=c, a_ub=a, b_ub=b)) == "optimal"
+
+    def test_sparse_programs_of_every_outcome(self):
+        rng = np.random.default_rng(29)
+        statuses = [self.assert_same(LpProblem(*random_sparse_lp(rng))) for _ in range(300)]
+        assert {"optimal", "infeasible", "unbounded"} <= set(statuses)
+
+    @pytest.mark.parametrize("problem, status", [
+        (LpProblem(c=[1.0, 2.0], a_ub=np.zeros((0, 2)), b_ub=[]), "unbounded"),
+        (LpProblem(c=[-1.0, -2.0], a_ub=np.zeros((0, 2)), b_ub=[]), "optimal"),
+        (LpProblem(c=[1.0, -1.0], a_ub=np.zeros((0, 2)), b_ub=[],
+                   a_eq=[[1.0, 1.0]], b_eq=[2.0]), "optimal"),
+        (LpProblem(c=[1.0, 1.0], a_ub=np.zeros((0, 2)), b_ub=[],
+                   a_eq=[[1.0, -1.0], [1.0, 0.0]], b_eq=[0.0, -1.0]), "infeasible"),
+        (LpProblem(c=[0.0, 1.0], a_ub=[[0.0, 0.0], [1.0, 1.0]], b_ub=[0.0, 3.0],
+                   a_eq=np.zeros((0, 2)), b_eq=[]), "optimal"),
+        # HiGHS refuses a coefficient this large when the model is passed
+        (LpProblem(c=[1.0], a_ub=[[1e16]], b_ub=[1.0]), "infeasible"),
+        # and ends the run on a cost this large in an unknown model status
+        (LpProblem(c=[1e300], a_ub=[[1.0]], b_ub=[1.0]), "numerical_difficulties"),
+    ], ids=["no-rows-unbounded", "no-rows-optimal", "equality-only",
+            "equality-only-infeasible", "zero-row-no-equalities", "model-error",
+            "run-error"])
+    def test_edge_cases(self, problem, status):
+        assert self.assert_same(problem) == status
+
+    def test_horizon_programs(self):
+        for seed in range(400):
+            problem, _ = build_rhc_lp(**seeded_rhc_lp_inputs(seed, 15.0))
+            assert self.assert_same(problem) == "optimal"
+
+
+class TestAcceptance:
+    """``accepted_status`` refuses an optimum that misses by more than ACCEPT_TOL."""
+
+    # max x0 + x1 s.t. x0 + x1 <= 1, x0 - x1 == 0: optimum (0.5, 0.5)
+    PROBLEM = LpProblem(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0],
+                        a_eq=[[1.0, -1.0]], b_eq=[0.0])
+
+    def test_exact_optimum_accepted(self):
+        assert accepted_status(self.PROBLEM, np.array([0.5, 0.5])) == "optimal"
+
+    # each way moves x off one kind of constraint only: the bounds x >= 0
+    # (both entries, so the equality still holds), the inequality, the equality
+    @pytest.mark.parametrize("x_of", [
+        lambda d: np.array([-d, -d]),
+        lambda d: np.array([0.5 + d / 2, 0.5 + d / 2]),
+        lambda d: np.array([0.5 - d, 0.5]),
+    ], ids=["bound", "inequality", "equality"])
+    def test_outside_by_1e_3_refused_by_1e_5_accepted(self, x_of):
+        assert accepted_status(self.PROBLEM, x_of(1e-3)) == "numerical_difficulties"
+        assert accepted_status(self.PROBLEM, x_of(1e-5)) == "optimal"
+
+    def test_nan_refused(self):
+        assert accepted_status(self.PROBLEM, np.array([np.nan, 0.5])) == "numerical_difficulties"
+        no_rows = LpProblem(c=[1.0], a_ub=np.zeros((0, 1)), b_ub=[])
+        assert accepted_status(no_rows, np.array([np.nan])) == "numerical_difficulties"
+
+
 def test_scipy_optimize_loaded_only_by_solve():
-    # policies other than RHC never solve an LP and must not pay for scipy's memory
-    code = ("import sys, fleetsim.sim, fleetsim.dqn, fleetsim.rhc, fleetsim.harness.experiment; "
-            "print('scipy.optimize' in sys.modules)")
+    # policies other than RHC never solve an LP and must not pay for scipy's
+    # memory; importing any of these modules loads no scipy module at all
+    code = ("import sys, fleetsim.lp, fleetsim.sim, fleetsim.dqn, fleetsim.rhc, "
+            "fleetsim.harness.experiment, fleetsim.harness.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
              "PATH": "/usr/bin:/bin"},
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

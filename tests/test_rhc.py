@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fleetsim.geo import GridSpec, Location, RegionMap, block_region_map, mismatch
+from fleetsim.geo import (GridSpec, Location, RegionMap, block_region_map, mismatch,
+                          region_cells)
 from fleetsim.rhc import (
     ZoneTableError,
     assign_vehicles,
@@ -21,7 +22,7 @@ from fleetsim.rhc import (
 from fleetsim import rhc
 from fleetsim.lp import LpSolution, solve
 from oracles import (destination_table_reference, event_supply_oracle, random_supply_scenario,
-                     rhc_lp_reference, write_table_reference,
+                     rhc_lp_reference, seeded_rhc_lp_inputs, write_table_reference,
                      zone_centroid_distances_reference)
 from test_policies import GRID, ZONES, fake_view
 
@@ -202,21 +203,7 @@ class TestLpAssembly:
 
     def test_equals_reference_builder_on_seeded_programs(self):
         for seed in range(400):
-            rng = np.random.default_rng(seed)
-            m = int(rng.integers(1, 7))
-            horizon = int(rng.integers(0, 5))
-            minutes = DT * np.array([0.0, 1.0, 0.5, 1.01, 2.0, 3.3])
-            kw = dict(
-                x0=rng.integers(0, 4, m).astype(float),
-                sched=rng.integers(0, 3, (horizon, m)).astype(float),
-                wbar=rng.integers(0, 4, (horizon + 1, m)).astype(float),
-                tau_slots=[rng.choice(minutes, (m, m)) for _ in range(horizon + 1)],
-                p_slots=[rng.choice([0.0, 0.25, 0.5, 1.0], (m, m))
-                         for _ in range(horizon + 1)],
-                reject_penalty=float(rng.choice([0.0, 20.0])),
-                discount=float(rng.choice([0.99, 1.0])),
-                slot_minutes=DT,
-            )
+            kw = seeded_rhc_lp_inputs(seed, DT)
             problem, _ = build_rhc_lp(**kw)
             assert_same_program(problem, rhc_lp_reference(**kw))
 
@@ -433,7 +420,7 @@ class TestAssignVehicles:
         _, rm = self.grid()
         orders, warnings = assign_vehicles(np.zeros((2, 2), dtype=int),
                                            np.zeros((2, 2)), np.zeros((2, 2)),
-                                           [], rm)
+                                           [], region_cells(rm))
         assert orders == [] and warnings == []
 
     def test_highest_mismatch_source_selected(self):
@@ -442,7 +429,7 @@ class TestAssignVehicles:
         eta = np.array([[0.3, 0.1], [-0.2, -0.2]])
         x = np.array([[1.0, 1.0], [0.0, 0.0]])
         idle = [(7, (0, 0)), (3, (0, 1))]
-        orders, warnings = assign_vehicles(u, eta, x, idle, rm)
+        orders, warnings = assign_vehicles(u, eta, x, idle, region_cells(rm))
         assert not warnings
         assert len(orders) == 1
         assert orders[0].vehicle_id == 7  # vehicle at the eta=0.3 cell
@@ -452,7 +439,7 @@ class TestAssignVehicles:
         u = np.array([[0, 1], [0, 0]])
         eta = np.array([[0.4, 0.0], [0.2, -0.5]])
         x = np.array([[1.0, 0.0], [0.0, 0.0]])
-        orders, _ = assign_vehicles(u, eta, x, [(1, (0, 0))], rm)
+        orders, _ = assign_vehicles(u, eta, x, [(1, (0, 0))], region_cells(rm))
         assert orders[0].target_cell == (1, 1)
 
     def test_tie_breaks_lowest_cell_then_lowest_vehicle(self):
@@ -461,7 +448,7 @@ class TestAssignVehicles:
         eta = np.zeros((2, 2))
         x = np.array([[1.0, 1.0], [0.0, 0.0]])
         idle = [(9, (0, 0)), (2, (0, 0)), (5, (0, 1))]
-        orders, _ = assign_vehicles(u, eta, x, idle, rm)
+        orders, _ = assign_vehicles(u, eta, x, idle, region_cells(rm))
         assert orders[0].vehicle_id == 2          # lowest id in lowest tied cell
         assert orders[0].target_cell == (1, 0)    # lowest row-major cell of zone 1
 
@@ -470,7 +457,7 @@ class TestAssignVehicles:
         u = np.array([[0, 3], [0, 0]])
         eta = np.zeros((2, 2))
         x = np.array([[1.0, 0.0], [0.0, 0.0]])
-        orders, warnings = assign_vehicles(u, eta, x, [(1, (0, 0))], rm)
+        orders, warnings = assign_vehicles(u, eta, x, [(1, (0, 0))], region_cells(rm))
         assert len(orders) == 1
         assert len(warnings) == 2
 
@@ -482,7 +469,7 @@ class TestAssignVehicles:
         eta = np.array([[0.30, 0.29], [-0.3, -0.29]])
         x = np.array([[2.0, 2.0], [0.0, 0.0]])
         idle = [(1, (0, 0)), (2, (0, 0)), (3, (0, 1)), (4, (0, 1))]
-        orders, _ = assign_vehicles(u, eta, x, idle, rm)
+        orders, _ = assign_vehicles(u, eta, x, idle, region_cells(rm))
         # total supply 4 so each assignment moves 0.25 of share
         assert orders[0].vehicle_id == 1
         assert orders[1].vehicle_id == 3
