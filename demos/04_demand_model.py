@@ -3,9 +3,7 @@
 import numpy as np
 
 from fleetsim.clock import Clock
-from fleetsim.demand import (
-    HistoricalAverageDemand, build_demand_input, train_demand,
-)
+from fleetsim.demand import build_demand_input, historical_average, train_demand
 
 rng = np.random.default_rng(5)
 h = w = 10
@@ -29,8 +27,9 @@ slots = np.array(slots, dtype=float)
 model, train_rmse, val_rmse = train_demand(slots, clocks, seed=11, epochs=60)
 n = slots.shape[0] - 2
 split = 2 + int(round(n * 0.7))
-hist = HistoricalAverageDemand((h, w)).fit(slots[:split], clocks[:split])
-errs = [(hist.predict(clocks[i]) - slots[i]) ** 2 for i in range(split, len(slots))]
+hist = historical_average(slots[:split], clocks[:split])
+errs = [(hist[c.dow_index, c.hour_index] - slot) ** 2
+        for slot, c in zip(slots[split:], clocks[split:])]
 print(f"cnn validation rmse {val_rmse:.4f} per cell "
       f"(historical-average baseline {np.sqrt(np.mean(errs)):.4f})")
 

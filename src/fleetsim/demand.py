@@ -134,46 +134,20 @@ def _masked_rmse(model: DemandModel, inputs: np.ndarray, targets: np.ndarray) ->
     return float(np.sqrt(np.mean(errs)))
 
 
-class HistoricalAverageDemand:
-    """Per-cell mean demand by (day-of-week, hour) bucket.
+def historical_average(slots: np.ndarray, clocks: list[Clock]) -> np.ndarray:
+    """Per-cell mean demand by (day-of-week, hour), indexed ``[dow_index, hour_index]``.
 
-    Always-available fallback predictor used for cold starts and as the
-    baseline the trained network must beat.
+    The always-available fallback for cold starts and the baseline the
+    trained network must beat.  A bucket without slots holds the mean of
+    all slots, or zeros when there are none.  Sums add slots in series order.
     """
-
-    def __init__(self, shape: tuple[int, int]):
-        self.shape = tuple(shape)
-        self._sums = np.zeros((7, 24) + self.shape)
-        self._counts = np.zeros((7, 24))
-        self._global = np.zeros(self.shape)
-        self._n = 0
-
-    def fit(self, slots: np.ndarray, clocks: list[Clock]) -> "HistoricalAverageDemand":
-        for heat, clock in zip(slots, clocks):
-            self._sums[clock.dow_index, clock.hour_index] += heat
-            self._counts[clock.dow_index, clock.hour_index] += 1
-            self._global += heat
-            self._n += 1
-        return self
-
-    def predict(self, clock: Clock) -> np.ndarray:
-        d, h = clock.dow_index, clock.hour_index
-        if self._counts[d, h] > 0:
-            return self._sums[d, h] / self._counts[d, h]
-        if self._n:
-            return self._global / self._n
-        return np.zeros(self.shape)
-
-    def save(self, path) -> None:
-        np.savez(path, sums=self._sums, counts=self._counts,
-                 global_sum=self._global, n=self._n)
-
-    @classmethod
-    def load(cls, path) -> "HistoricalAverageDemand":
-        data = np.load(path)
-        out = cls(tuple(data["sums"].shape[2:]))
-        out._sums = data["sums"]
-        out._counts = data["counts"]
-        out._global = data["global_sum"]
-        out._n = int(data["n"])
-        return out
+    slots = np.asarray(slots, dtype=np.float64)
+    buckets = (np.array([c.dow_index for c in clocks], dtype=np.intp),
+               np.array([c.hour_index for c in clocks], dtype=np.intp))
+    sums = np.zeros((7, 24) + slots.shape[1:])
+    counts = np.zeros((7, 24, 1, 1))
+    np.add.at(sums, buckets, slots)
+    np.add.at(counts, buckets, 1.0)
+    total = np.zeros((1,) + slots.shape[1:])
+    np.add.at(total, np.zeros(len(slots), dtype=np.intp), slots)
+    return np.where(counts > 0, sums / np.maximum(counts, 1.0), total[0] / max(len(slots), 1))

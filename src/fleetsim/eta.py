@@ -104,6 +104,8 @@ def train_eta(features: np.ndarray, minutes: np.ndarray, seed: int,
     n = feats.shape[0]
     if n < 2:
         raise ValueError("need at least two trips to fit the ETA model")
+    if not (np.isfinite(feats).all() and np.isfinite(target).all()):
+        raise ValueError("ETA features and trip minutes must be finite")
 
     train_idx, val_idx = split_indices(n, seed)
     rng = np.random.default_rng(seed + 1)

@@ -157,12 +157,27 @@ class RegionMap:
 
     @classmethod
     def from_csv(cls, path, rows: int, cols: int) -> "RegionMap":
-        """Load a ``row,col,region_id`` partition file covering every cell."""
+        """Load a ``row,col,region_id`` partition file covering every cell once.
+
+        A malformed row, a cell outside the grid, a cell listed twice or a
+        negative region id raises :class:`RegionMapError` naming the line.
+        """
         a = np.full((rows, cols), -1, dtype=np.int64)
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for rec in reader:
-                a[int(rec["row"]), int(rec["col"])] = int(rec["region_id"])
+            for line, rec in enumerate(csv.DictReader(fh), start=2):
+                try:
+                    row, col, region = (int(rec[k]) for k in ("row", "col", "region_id"))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise RegionMapError(f"{path}: line {line}: malformed row ({exc})") from None
+                if not (0 <= row < rows and 0 <= col < cols):
+                    raise RegionMapError(f"{path}: line {line}: cell ({row}, {col}) is outside "
+                                         f"the {rows}x{cols} grid")
+                if region < 0:
+                    raise RegionMapError(f"{path}: line {line}: negative region id {region}")
+                if a[row, col] >= 0:
+                    raise RegionMapError(f"{path}: line {line}: cell ({row}, {col}) "
+                                         "is listed twice")
+                a[row, col] = region
         if (a < 0).any():
             missing = int((a < 0).sum())
             raise RegionMapError(f"partition file leaves {missing} cells unmapped")

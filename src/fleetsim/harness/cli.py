@@ -93,7 +93,7 @@ def _cmd_build_tables(cfg) -> int:
 
     build_zone_tables(cfg, training_city(cfg))
     paths = model_paths(cfg)
-    print(f"wrote {paths['tau']} and {paths['prob']}")
+    print(f"wrote {paths['tables']}")
     return EXIT_OK
 
 

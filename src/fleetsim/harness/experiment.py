@@ -133,7 +133,7 @@ def zone_trip_arrays(requests: list[RideRequest], zones: RegionMap,
 class ModelBundle:
     eta_model: eta_mod.EtaModel
     demand_model: demand_mod.DemandModel
-    historical: demand_mod.HistoricalAverageDemand
+    historical: np.ndarray    # (7, 24, rows, cols) demand history, see historical_average
     trip_times: np.ndarray    # (7, 24, M, M) zone trip minutes
     destinations: np.ndarray  # (7, 24, M, M) zone destination probabilities
     metrics: dict
@@ -144,10 +144,9 @@ def model_paths(cfg: ExperimentConfig) -> dict:
     return {
         "eta": base / "eta.json",
         "demand": base / "demand.json",
-        "tau": base / "tau.csv",
-        "prob": base / "prob.csv",
+        "tables": base / "zone_tables.npz",
         "metrics": base / "metrics.json",
-        "historical": base / "historical.npz",
+        "historical": base / "historical.npy",
         "qnet": base / "qnet.json",
         "dqn_log": base / "dqn_training_log.csv",
     }
@@ -187,31 +186,30 @@ def train_demand_model(cfg: ExperimentConfig, training_city: City):
         slots, clocks, seed=cfg.train_seed, epochs=cfg.demand_epochs,
         lr=cfg.demand_lr)
     split = demand_mod.train_slot_count(slots.shape[0])
-    baseline = demand_mod.HistoricalAverageDemand(training_city.grid.shape)
-    baseline.fit(slots[:split], clocks[:split])
-    errs = [(baseline.predict(clocks[i]) - slots[i]) ** 2
-            for i in range(split, slots.shape[0])]
+    historical = demand_mod.historical_average(slots[:split], clocks[:split])
+    errs = [(historical[c.dow_index, c.hour_index] - slot) ** 2
+            for slot, c in zip(slots[split:], clocks[split:])]
     metrics = {
         "demand_train_rmse": tr_rmse,
         "demand_val_rmse": va_rmse,
         "demand_historical_baseline_rmse": float(np.sqrt(np.mean(errs))),
     }
     model.save(paths["demand"])
-    baseline.save(paths["historical"])
-    return model, baseline, metrics
+    np.save(paths["historical"], historical)
+    return model, historical, metrics
 
 
 def build_zone_tables(cfg: ExperimentConfig, training_city: City):
     """Estimate and persist the trip-time and destination tables."""
     paths = model_paths(cfg)
-    paths["tau"].parent.mkdir(parents=True, exist_ok=True)
+    paths["tables"].parent.mkdir(parents=True, exist_ok=True)
     origin, dest, dow, hour, minutes = zone_trip_arrays(
         training_city.requests, training_city.zones, training_city.grid, cfg.epoch_dow)
     dist = rhc_mod.zone_centroid_distances(training_city.zones, training_city.grid)
     trip_times, destinations = rhc_mod.estimate_tables(
         origin, dest, dow, hour, minutes, training_city.zones.region_count,
         centroid_dist_m=dist)
-    rhc_mod.save_tables(trip_times, destinations, paths["tau"], paths["prob"])
+    rhc_mod.save_tables(paths["tables"], trip_times, destinations)
     return trip_times, destinations
 
 
@@ -232,8 +230,9 @@ def load_models(cfg: ExperimentConfig, zone_count: int) -> ModelBundle:
     paths = model_paths(cfg)
     eta_model = eta_mod.EtaModel.load(paths["eta"])
     demand_model = demand_mod.DemandModel.load(paths["demand"])
-    historical = demand_mod.HistoricalAverageDemand.load(paths["historical"])
-    trip_times, destinations = rhc_mod.load_tables(paths["tau"], paths["prob"], zone_count)
+    historical = rhc_mod.load_table(paths["historical"],
+                                    (7, 24, cfg.fine_rows, cfg.fine_cols))
+    trip_times, destinations = rhc_mod.load_tables(paths["tables"], zone_count)
     metrics = {}
     if paths["metrics"].exists():
         metrics = json.loads(paths["metrics"].read_text())
@@ -247,7 +246,7 @@ def training_city(cfg: ExperimentConfig) -> City:
 
 def ensure_models(cfg: ExperimentConfig) -> ModelBundle:
     paths = model_paths(cfg)
-    if all(paths[k].exists() for k in ("eta", "demand", "tau", "prob", "historical")):
+    if all(paths[k].exists() for k in ("eta", "demand", "tables", "historical")):
         return load_models(cfg, zone_block_count(cfg))
     return train_models(cfg, training_city(cfg))
 
@@ -267,28 +266,28 @@ class ModelDemandPredictor:
 
     For the first hour of an episode the two trailing demand slots are
     not yet complete and the masking rule would blank the map, so a
-    historical-average fallback covers the cold start.  With
-    ``floor_with_history`` the map is elementwise floored at the
-    historical average: the masking rule predicts exactly zero in cells
+    historical-average fallback, the table of :func:`demand.historical_average`,
+    covers the cold start.  With ``floor_with_history`` the map is
+    elementwise floored at the historical average: the masking rule predicts exactly zero in cells
     without recent pickups, a known underestimate that would otherwise
     hide sparse-area shortages from the zone optimizer.
     """
 
-    def __init__(self, model: demand_mod.DemandModel,
-                 fallback: demand_mod.HistoricalAverageDemand,
+    def __init__(self, model: demand_mod.DemandModel, fallback: np.ndarray,
                  floor_with_history: bool = False):
         self.model = model
         self.fallback = fallback
         self.floor_with_history = floor_with_history
 
     def __call__(self, view):
+        history = self.fallback[view.clock.dow_index, view.clock.hour_index]
         if view.t < COLD_START_MINUTES:
-            return self.fallback.predict(view.clock)
+            return history
         planes = demand_mod.build_demand_input(view.heat_prev1, view.heat_prev2,
                                                view.clock)
         heat = self.model.predict(planes)
         if self.floor_with_history:
-            heat = np.maximum(heat, self.fallback.predict(view.clock))
+            heat = np.maximum(heat, history)
         return heat
 
 
@@ -309,7 +308,7 @@ def make_policy(cfg: ExperimentConfig, policy_name: str, city: City,
         return rhc_mod.RhcPolicy(
             zones=city.zones, trip_times=bundle.trip_times,
             destinations=bundle.destinations, demand_predictor=rhc_predictor,
-            future_demand=bundle.historical.predict,
+            future_demand=bundle.historical,
             reject_penalty=cfg.rhc_reject_penalty, discount=cfg.rhc_discount,
             slot_minutes=cfg.rhc_slot_minutes, horizon=cfg.rhc_horizon)
     if policy_name in ("dqn", "dqn_star"):

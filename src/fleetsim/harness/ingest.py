@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from datetime import datetime
 from dataclasses import dataclass
 
@@ -26,8 +27,10 @@ def ingest_trips(path, grid: GridSpec, epoch: datetime) -> tuple[list[RideReques
     """Read a trip CSV, filter outliers, and return time-sorted requests.
 
     Rows with coordinates outside the grid bounds or non-positive
-    durations are dropped and counted in the report.  Request ids are
-    assigned after sorting by pickup time.
+    durations are dropped and counted in the report.  A row that does not
+    parse, has a distance that is not finite and non-negative, or has a
+    timestamp with a time zone raises :class:`TripDataError`.  Request
+    ids are assigned after sorting by pickup time.
     """
     report = IngestReport()
     rows = []
@@ -48,6 +51,11 @@ def ingest_trips(path, grid: GridSpec, epoch: datetime) -> tuple[list[RideReques
                     pickup = Location(float(rec["pickup_lat"]), float(rec["pickup_lon"]))
                     dropoff = Location(float(rec["dropoff_lat"]), float(rec["dropoff_lon"]))
                     dist = float(rec["trip_distance_km"])
+                    if not (math.isfinite(dist) and dist >= 0):
+                        raise ValueError(f"trip_distance_km {dist} is not finite "
+                                         "and non-negative")
+                    if pickup_dt.tzinfo is not None or dropoff_dt.tzinfo is not None:
+                        raise ValueError("timestamps must not carry a time zone")
                 except (ValueError, KeyError) as exc:
                     raise TripDataError(f"{path}: bad row {report.total}: {exc}") from exc
                 duration = (dropoff_dt - pickup_dt).total_seconds() / 60.0

@@ -13,8 +13,8 @@ off during slot k join the idle pool at slot k+1.
 
 from __future__ import annotations
 
-import csv
 import logging
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,74 +82,52 @@ def estimate_tables(origin_zone, dest_zone, dow_idx, hour_idx, minutes,
     return tau, prob
 
 
-def _write_table(path, column: str, table: np.ndarray) -> None:
-    table = np.asarray(table, dtype=np.float64)
-    keys = [f"{h},{i},{j}," for h, i, j in np.ndindex(table.shape[1:])]
-    with open(path, "w", newline="") as fh:
-        fh.write(f"dow,hour,origin,dest,{column}\r\n")
-        for d, day in enumerate(table.reshape(len(table), len(keys))):
-            fh.write("".join([f"{d},{k}{v!r}\r\n" for k, v in zip(keys, day.tolist())]))
-
-
-def save_tables(minutes: np.ndarray, prob: np.ndarray, tau_path, prob_path) -> None:
-    """Write the trip-time and destination tables as two CSV files.
-
-    Each file has the header ``dow,hour,origin,dest,<column>`` (``minutes``
-    or ``prob``), then one row per entry of the (7, 24, M, M) table in
-    row-major ``(dow, hour, origin, dest)`` order.  Values are
-    ``repr(float)``, which reads back exactly, and every line ends in
-    ``\\r\\n``, as ``csv.writer`` ends them.  :func:`load_tables` reads them.
-    """
-    _write_table(tau_path, "minutes", minutes)
-    _write_table(prob_path, "prob", prob)
+def save_tables(path, minutes: np.ndarray, prob: np.ndarray) -> None:
+    """Write the (7, 24, M, M) tables of :func:`estimate_tables` to one ``.npz`` file
+    as the arrays ``minutes`` and ``prob``, which :func:`load_tables` reads back."""
+    np.savez(path, minutes=minutes, prob=prob)
 
 
 class ZoneTableError(ValueError):
-    """A trip-time or destination table file does not fit the zone layout."""
+    """A zone table or demand history file is unreadable or does not fit the zones or grid."""
 
 
-def _read_table(path, column: str, zone_count: int) -> np.ndarray:
-    """One (7, 24, M, M) table from CSV; every entry must appear and be in range."""
-    shape = (7, 24, zone_count, zone_count)
-    table = np.zeros(shape)
-    seen = np.zeros(shape, dtype=bool)
-    with open(path, newline="") as fh:
-        for line, rec in enumerate(csv.DictReader(fh), start=2):
-            try:
-                key = tuple(int(rec[k]) for k in ("dow", "hour", "origin", "dest"))
-                value = float(rec[column])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ZoneTableError(f"{path}:{line}: malformed row ({exc})") from None
-            if not all(0 <= k < n for k, n in zip(key, shape)):
-                raise ZoneTableError(f"{path}:{line}: entry {key} is outside "
-                                     f"7 days x 24 hours x {zone_count} zones")
-            table[key] = value
-            seen[key] = True
-    if not seen.all():
-        missing = tuple(int(i) for i in np.argwhere(~seen)[0])
-        raise ZoneTableError(f"{path}: {int((~seen).sum())} entries missing for "
-                             f"{zone_count} zones, first {missing}")
+def load_table(path, shape: tuple[int, ...], name: str | None = None) -> np.ndarray:
+    """The float64 array of ``shape`` in an ``.npy`` file, or array ``name`` of an ``.npz``.
+
+    A file that does not read as such an array raises :class:`ZoneTableError`.
+    """
+    try:
+        if name is None:
+            table = np.load(path)
+        else:
+            with np.load(path) as data:
+                table = data[name]
+    except (OSError, ValueError, KeyError, EOFError, TypeError, zipfile.BadZipFile) as exc:
+        raise ZoneTableError(f"{path}: unreadable ({exc!r})") from None
+    is_array = isinstance(table, np.ndarray)
+    if not (is_array and table.dtype == np.float64 and table.shape == shape):
+        found = f"{table.dtype} {table.shape}" if is_array else "an .npz archive"
+        raise ZoneTableError(f"{path}: {name or 'the array'} is {found}, not float64 {shape}")
     return table
 
 
-def load_tables(tau_path, prob_path, zone_count: int) -> tuple[np.ndarray, np.ndarray]:
+def load_tables(path, zone_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Read the ``(minutes, prob)`` tables written by :func:`save_tables` for ``zone_count`` zones.
 
-    Raises :class:`ZoneTableError` unless each file holds every
-    (dow, hour, origin, dest) entry and no other, the minutes are finite
-    and non-negative, and each destination row is a probability vector
-    summing to 1 within 1e-9.
+    Raises :class:`ZoneTableError` unless :func:`load_table` reads both,
+    the minutes are finite and non-negative, and each destination row is
+    a probability vector summing to 1 within 1e-9.
     """
-    tau = _read_table(tau_path, "minutes", zone_count)
-    if not (np.isfinite(tau).all() and (tau >= 0).all()):
-        raise ZoneTableError(f"{tau_path}: trip minutes must be finite and non-negative")
-    prob = _read_table(prob_path, "prob", zone_count)
-    if not (np.isfinite(prob).all() and (prob >= 0).all()):
-        raise ZoneTableError(f"{prob_path}: probabilities must be finite and non-negative")
+    shape = (7, 24, zone_count, zone_count)
+    tau, prob = load_table(path, shape, "minutes"), load_table(path, shape, "prob")
+    for what, table in (("trip minutes", tau), ("probabilities", prob)):
+        if not (np.isfinite(table).all() and (table >= 0).all()):
+            raise ZoneTableError(f"{path}: {what} must be finite and non-negative")
     bad = np.abs(prob.sum(axis=-1) - 1.0) > 1e-9
     if bad.any():
         row = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise ZoneTableError(f"{prob_path}: destination row (dow, hour, origin) = "
+        raise ZoneTableError(f"{path}: destination row (dow, hour, origin) = "
                              f"{row} does not sum to 1")
     return tau, prob
 
@@ -456,10 +434,10 @@ class RhcPolicy:
         self.trip_times = trip_times        # (7, 24, M, M) minutes, see estimate_tables
         self.destinations = destinations    # (7, 24, M, M) probabilities
         self.demand_predictor = demand_predictor  # callable(view) -> fine heat
-        # clock-indexed predictor for slots beyond the model's window, so
-        # the horizon can anticipate surges instead of persisting the
-        # current level
-        self.future_demand = future_demand        # callable(clock) -> fine heat
+        # (7, 24, rows, cols) demand history for slots beyond the model's
+        # window, so the horizon can anticipate surges instead of
+        # persisting the current level; see demand.historical_average
+        self.future_demand = future_demand
         self.reject_penalty = reject_penalty
         self.discount = discount
         self.slot_minutes = slot_minutes
@@ -480,6 +458,10 @@ class RhcPolicy:
         sched = np.zeros((horizon, m))
         np.add.at(sched, (k[soon], zone[soon]), 1.0)
 
+        # the (dow, hour) table index of each slot's clock
+        clocks = [view.clock.plus(k * self.slot_minutes) for k in range(horizon + 1)]
+        dow, hour = [c.dow_index for c in clocks], [c.hour_index for c in clocks]
+
         heat = self.demand_predictor(view)
         # the demand model predicts one SLOT_MINUTES window ahead
         scale = self.slot_minutes / SLOT_MINUTES
@@ -487,17 +469,11 @@ class RhcPolicy:
         n_near = max(1, int(SLOT_MINUTES // self.slot_minutes))
         wbar = np.tile(near, (horizon + 1, 1))
         for k in range(n_near, horizon + 1):
-            clock = view.clock.plus(k * self.slot_minutes)
-            wbar[k] = aggregate_to_regions(self.future_demand(clock), self.zones) * scale
+            future = self.future_demand[dow[k], hour[k]]
+            wbar[k] = aggregate_to_regions(future, self.zones) * scale
 
-        tau_slots = []
-        p_slots = []
-        for k in range(horizon + 1):
-            clock = view.clock.plus(k * self.slot_minutes)
-            tau_slots.append(self.trip_times[clock.dow_index, clock.hour_index])
-            p_slots.append(self.destinations[clock.dow_index, clock.hour_index])
-
-        plan = solve_rhc(x0, sched, wbar, tau_slots, p_slots,
+        plan = solve_rhc(x0, sched, wbar, self.trip_times[dow, hour],
+                         self.destinations[dow, hour],
                          self.reject_penalty, self.discount, self.slot_minutes)
         self.last_plan = plan
         if plan.status != "optimal":

@@ -172,8 +172,9 @@ def build_graph(nodes: dict[int, Location], edges: list[tuple[int, int, float]])
     for frm, to, length in edges:
         if frm not in nodes or to not in nodes:
             raise EdgeListParseError(f"edge {frm}->{to} references unknown node")
-        if length <= 0:
-            raise EdgeListParseError(f"edge {frm}->{to} has non-positive length {length}")
+        if not (math.isfinite(length) and length > 0):
+            raise EdgeListParseError(f"edge {frm}->{to} has length {length}, "
+                                     "which is not finite and positive")
         key = (frm, to)
         if key not in best or length < best[key]:
             best[key] = float(length)

@@ -184,7 +184,6 @@ class SimView:
 
     t: float
     clock: Clock
-    grid: GridSpec
     idle_ids: np.ndarray              # dispatchable vehicle ids, ascending int64
     cells: np.ndarray                 # (N, 2) int64 current cell per vehicle
     idle_cell_counts: np.ndarray      # dispatchable vehicles per fine cell
@@ -540,7 +539,7 @@ class Simulation:
 
         slots = list(self._heat_slots)
         return SimView(
-            t=t, clock=clock, grid=grid, idle_ids=idle_ids,
+            t=t, clock=clock, idle_ids=idle_ids,
             cells=cells[:n], idle_cell_counts=idle_cells,
             trailing_heat=self._trailing_heat.copy(),
             heat_prev1=slots[-1].copy(), heat_prev2=slots[-2].copy(),

@@ -4,7 +4,6 @@ These stay deliberately naive: enumeration and elementary linear algebra
 only, none of the code paths they are used to check.
 """
 
-import csv
 import heapq
 import math
 from collections import defaultdict, deque
@@ -838,7 +837,7 @@ class ReferenceSimulation:
 
         slots = list(self._heat_slots)
         return SimView(
-            t=t, clock=clock, grid=grid, idle_ids=np.array(idle_ids, dtype=np.int64),
+            t=t, clock=clock, idle_ids=np.array(idle_ids, dtype=np.int64),
             cells=cells.reshape(-1, 2), idle_cell_counts=idle_cells,
             trailing_heat=self._trailing_heat.copy(),
             heat_prev1=slots[-1].copy(), heat_prev2=slots[-2].copy(),
@@ -1225,10 +1224,30 @@ def destination_table_reference(origin, dest, dow, hour, zone_count):
     return prob
 
 
-def write_table_reference(path, column: str, table: np.ndarray) -> None:
-    """One (7, 24, M, M) table through ``csv.writer``, an entry at a time."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dow", "hour", "origin", "dest", column])
-        for key in np.ndindex(table.shape):
-            w.writerow([*key, repr(float(table[key]))])
+def historical_average_reference(slots, clocks, shape):
+    """The (7, 24, rows, cols) table of ``demand.historical_average``, slot by slot.
+
+    Each slot is added to its (weekday, hour) bucket and to the all-slot
+    sum in turn; a bucket with slots reads its sum over its count, an
+    empty one the all-slot sum over the slot count, or zeros when there
+    are no slots.
+    """
+    sums = np.zeros((7, 24) + tuple(shape))
+    counts = np.zeros((7, 24))
+    total = np.zeros(shape)
+    n = 0
+    for heat, clock in zip(slots, clocks):
+        sums[clock.dow_index, clock.hour_index] += heat
+        counts[clock.dow_index, clock.hour_index] += 1
+        total += heat
+        n += 1
+    out = np.empty((7, 24) + tuple(shape))
+    for d in range(7):
+        for h in range(24):
+            if counts[d, h] > 0:
+                out[d, h] = sums[d, h] / counts[d, h]
+            elif n:
+                out[d, h] = total / n
+            else:
+                out[d, h] = np.zeros(shape)
+    return out

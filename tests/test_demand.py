@@ -6,10 +6,11 @@ from fleetsim.clock import Clock
 from fleetsim.demand import (
     DEMAND_SPEC,
     DemandModel,
-    HistoricalAverageDemand,
     build_demand_input,
+    historical_average,
     train_demand,
 )
+from oracles import historical_average_reference
 
 
 def slot_clocks(n, minutes_per_slot=30.0, start=0.0):
@@ -144,20 +145,43 @@ class TestPredict:
 
 
 class TestHistoricalAverage:
+    @staticmethod
+    def at(table, clock):
+        return table[clock.dow_index, clock.hour_index]
+
     def test_bucket_means(self):
         slots = np.stack([np.full((2, 2), 2.0), np.full((2, 2), 4.0),
                           np.full((2, 2), 6.0)])
         # two slots in hour 0, one in hour 1
         clocks = [Clock(0.0), Clock(30.0), Clock(60.0)]
-        ha = HistoricalAverageDemand((2, 2)).fit(slots, clocks)
-        np.testing.assert_allclose(ha.predict(Clock(0.0)), 3.0)
-        np.testing.assert_allclose(ha.predict(Clock(75.0)), 6.0)
+        table = historical_average(slots, clocks)
+        assert table.shape == (7, 24, 2, 2) and table.dtype == np.float64
+        np.testing.assert_allclose(self.at(table, Clock(0.0)), 3.0)
+        np.testing.assert_allclose(self.at(table, Clock(75.0)), 6.0)
 
     def test_unseen_bucket_falls_back_to_global_mean(self):
         slots = np.stack([np.full((2, 2), 2.0), np.full((2, 2), 4.0)])
-        ha = HistoricalAverageDemand((2, 2)).fit(slots, [Clock(0.0), Clock(30.0)])
-        np.testing.assert_allclose(ha.predict(Clock(5 * 1440.0)), 3.0)
+        table = historical_average(slots, [Clock(0.0), Clock(30.0)])
+        np.testing.assert_allclose(self.at(table, Clock(5 * 1440.0)), 3.0)
 
     def test_empty_predicts_zero(self):
-        ha = HistoricalAverageDemand((3, 3))
-        np.testing.assert_array_equal(ha.predict(Clock(0.0)), np.zeros((3, 3)))
+        table = historical_average(np.zeros((0, 3, 3)), [])
+        np.testing.assert_array_equal(table, np.zeros((7, 24, 3, 3)))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_slot_by_slot_reference(self, seed):
+        # real-valued slots of either sign, some buckets hit many times in
+        # shuffled order and most never, so both branches and the summation
+        # order show in the bytes
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60)) if seed else 0
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        slots = rng.normal(0.0, rng.choice([1e-3, 1.0, 1e6]), (n,) + shape)
+        slots[rng.random(slots.shape) < 0.2] = 0.0
+        slots[rng.random(slots.shape) < 0.05] = -0.0
+        minutes = np.where(rng.random(n) < 0.6,
+                           rng.choice([0.0, 30.0, 95.0, 1440.0 * 3 + 600.0], n),
+                           rng.uniform(0, 20000, n))
+        clocks = [Clock(float(m), int(rng.integers(0, 7))) for m in minutes]
+        table = historical_average(slots, clocks)
+        assert table.tobytes() == historical_average_reference(slots, clocks, shape).tobytes()

@@ -100,6 +100,15 @@ class TestTraining:
         baseline = mean_predictor_rmse(minutes[train_idx], minutes[val_idx])
         assert val_rmse < baseline
 
+    @pytest.mark.parametrize("where, value", [("feature", np.nan), ("feature", np.inf),
+                                              ("target", np.nan), ("target", -np.inf)])
+    def test_non_finite_input_rejected(self, where, value):
+        # one nan distance used to train a model whose every prediction is 0.0
+        feats, minutes = synthetic_trips(np.random.default_rng(5), n=50)
+        (feats[7] if where == "feature" else minutes[7:8])[-1] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            train_eta(feats, minutes, seed=0, epochs=1)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train_eta(np.zeros((1, 9)), np.zeros(1), seed=0, epochs=30)

@@ -115,6 +115,29 @@ class TestRegionMap:
         with pytest.raises(RegionMapError):
             RegionMap.from_csv(path, 2, 2)
 
+    @pytest.mark.parametrize("extra, match", [
+        ("0,0,x\n", "line 6: malformed row"),
+        ("0,0\n", "line 6: malformed row"),
+        ("-1,0,3\n", r"line 6: cell \(-1, 0\) is outside the 2x2 grid"),
+        ("0,-1,3\n", r"line 6: cell \(0, -1\) is outside the 2x2 grid"),
+        ("5,0,0\n", r"line 6: cell \(5, 0\) is outside the 2x2 grid"),
+        ("0,2,0\n", r"line 6: cell \(0, 2\) is outside the 2x2 grid"),
+        ("1,0,3\n", r"line 6: cell \(1, 0\) is listed twice"),
+    ])
+    def test_bad_row_after_a_full_map_rejected(self, tmp_path, extra, match):
+        # the four cells first: before, -1,0,3 silently moved cell (1, 0)
+        # to region 3, and the other rows crashed outside RegionMapError
+        path = tmp_path / "regions.csv"
+        path.write_text("row,col,region_id\n0,0,0\n0,1,0\n1,0,1\n1,1,1\n" + extra)
+        with pytest.raises(RegionMapError, match=match):
+            RegionMap.from_csv(path, 2, 2)
+
+    def test_negative_region_id_rejected(self, tmp_path):
+        path = tmp_path / "regions.csv"
+        path.write_text("row,col,region_id\n0,0,0\n0,1,-2\n1,0,1\n1,1,1\n")
+        with pytest.raises(RegionMapError, match="line 3: negative region id -2"):
+            RegionMap.from_csv(path, 2, 2)
+
     def test_block_map_layout(self):
         g = GridSpec(rows=6, cols=6, cell_size=100.0, origin=Location(0.0, 0.0))
         rm = block_region_map(g, 3, 3)

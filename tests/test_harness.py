@@ -1,3 +1,5 @@
+import dataclasses
+import shutil
 import subprocess
 import sys
 from datetime import datetime
@@ -12,6 +14,7 @@ from fleetsim.harness.config import ConfigError, ExperimentConfig, parse_config,
 from fleetsim.harness.ingest import TripDataError, ingest_trips
 from fleetsim.harness.synth import build_road_grid, synth_city, write_city
 from fleetsim.harness import experiment as ex
+from fleetsim.rhc import ZoneTableError
 from fleetsim.sim import EpisodeMetrics, finalize_metrics
 from oracles import synth_city_reference
 
@@ -299,6 +302,27 @@ class TestIngest:
         assert [r.minute for r in requests] == [5.0, 20.0, 30.0]
         assert [r.rid for r in requests] == [0, 1, 2]
 
+    ROW = "2016-05-02 00:10:00,2016-05-02 00:20:00,40.01,-73.995,40.02,-73.99,{}\n"
+
+    @pytest.mark.parametrize("distance", ["nan", "inf", "-inf", "-3"])
+    def test_bad_distance_is_data_error(self, tmp_path, distance):
+        p = tmp_path / "trips.csv"
+        p.write_text(self.HEADER + self.ROW.format("0.0") + self.ROW.format(distance))
+        with pytest.raises(TripDataError, match="bad row 2: trip_distance_km"):
+            ingest_trips(p, self.grid(), datetime(2016, 5, 2))
+        p.write_text(self.HEADER + self.ROW.format("0.0"))
+        assert ingest_trips(p, self.grid(), datetime(2016, 5, 2))[1].kept == 1
+
+    @pytest.mark.parametrize("pickup, dropoff", [
+        ("2016-05-02 00:10:00+00:00", "2016-05-02 00:20:00+00:00"),
+        ("2016-05-02 00:10:00", "2016-05-02T00:20:00-04:00"),
+    ])
+    def test_time_zone_is_data_error(self, tmp_path, pickup, dropoff):
+        p = tmp_path / "trips.csv"
+        p.write_text(self.HEADER + f"{pickup},{dropoff},40.01,-73.995,40.02,-73.99,2.0\n")
+        with pytest.raises(TripDataError, match="bad row 1: timestamps must not carry"):
+            ingest_trips(p, self.grid(), datetime(2016, 5, 2))
+
     def test_missing_columns_is_data_error(self, tmp_path):
         p = tmp_path / "trips.csv"
         p.write_text("a,b\n1,2\n")
@@ -403,11 +427,13 @@ class TestExperiment:
             return train_demand(slots, clocks, **kw)
 
         monkeypatch.setattr(demand_mod, "train_demand", spy)
-        model, baseline, metrics = ex.train_demand_model(cfg, ex.training_city(cfg))
-        slots = seen["slots"]
-        n_fit = baseline._n
+        model, historical, metrics = ex.train_demand_model(cfg, ex.training_city(cfg))
+        slots, clocks = seen["slots"], seen["clocks"]
+        n_fit = demand_mod.train_slot_count(slots.shape[0])
         assert 2 < n_fit < slots.shape[0]
-        assert np.array_equal(baseline._global, slots[:n_fit].sum(axis=0))
+        assert historical.tobytes() == \
+            demand_mod.historical_average(slots[:n_fit], clocks[:n_fit]).tobytes()
+        assert historical.tobytes() == np.load(ex.model_paths(cfg)["historical"]).tobytes()
         # the network's training RMSE covers exactly the samples whose
         # inputs and targets lie in those slots
         inputs, targets = demand_mod._samples(slots, seen["clocks"])
@@ -416,6 +442,37 @@ class TestExperiment:
             metrics["demand_train_rmse"]
         assert demand_mod._masked_rmse(model, inputs[k:], targets[k:]) == \
             metrics["demand_val_rmse"]
+
+    def test_models_reload_with_equal_bytes(self, mini_world):
+        cfg, _, bundle = mini_world
+        back = ex.load_models(cfg, ex.zone_block_count(cfg))
+        assert back.historical.shape == (7, 24, cfg.fine_rows, cfg.fine_cols)
+        for name in ("historical", "trip_times", "destinations"):
+            saved, loaded = getattr(bundle, name), getattr(back, name)
+            assert loaded.dtype == saved.dtype == np.float64
+            assert loaded.tobytes() == saved.tobytes()
+
+    @pytest.mark.parametrize("damage, match", [
+        ("other-grid", r"historical.npy: the array is float64 \(7, 24, 5, 5\), "
+                       r"not float64 \(7, 24, 10, 10\)"),
+        ("truncated", "historical.npy: unreadable"),
+        ("npz", r"historical.npy: the array is an .npz archive, not float64"),
+    ])
+    def test_stale_or_broken_history_rejected(self, mini_world, tmp_path, damage, match):
+        trained, _, _ = mini_world
+        cfg = dataclasses.replace(trained, out_dir=str(tmp_path / "runs"))
+        shutil.copytree(Path(trained.out_dir) / "models", tmp_path / "runs" / "models")
+        path = ex.model_paths(cfg)["historical"]
+        if damage == "other-grid":
+            np.save(path, np.zeros((7, 24, 5, 5)))
+        elif damage == "truncated":
+            path.write_bytes(path.read_bytes()[:1000])
+        else:
+            table = np.load(path)
+            with open(path, "wb") as fh:
+                np.savez(fh, historical=table)
+        with pytest.raises(ZoneTableError, match=match):
+            ex.load_models(cfg, ex.zone_block_count(cfg))
 
     def test_rhc_policy_runs(self, mini_world):
         cfg, city, bundle = mini_world
@@ -449,14 +506,84 @@ class TestExperiment:
         assert policy.cycle == cfg.rhc_slot_minutes
 
 
+def run_cli(*args, env=None):
+    return subprocess.run(
+        [sys.executable, "-m", "fleetsim.harness.cli", *args],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+             "PATH": "/usr/bin:/bin", **(env or {})},
+    )
+
+
+TINY_CLI = ("--set", "seed=3", "--set", "fine_rows=10", "--set", "fine_cols=10",
+            "--set", "region_block=1", "--set", "zone_block=5", "--set", "vehicles=5",
+            "--set", "days=1", "--set", "trips_per_day=200", "--set", "train_days=2",
+            "--set", "eta_epochs=1", "--set", "demand_epochs=1")
+
+
+def dirs(base):
+    return ("--set", f"data_dir={base / 'city'}", "--set", f"out_dir={base / 'out'}")
+
+
+@pytest.fixture(scope="module")
+def written_city(tmp_path_factory):
+    """A tiny city on disk under ``city`` and its trained models under ``out``."""
+    base = tmp_path_factory.mktemp("written")
+    for command in ("synth-data", "simulate"):
+        proc = run_cli(*TINY_CLI, *dirs(base), command)
+        assert proc.returncode == 0, proc.stderr
+    return base
+
+
+def trip_row(distance="2.0", pickup="2016-05-02 00:10:00", dropoff="2016-05-02 00:20:00"):
+    return f"{pickup},{dropoff},40.01,-73.995,40.02,-73.99,{distance}\n".encode()
+
+
+# (file, edit of its bytes, what stderr names): each makes ``simulate`` fail on bad data
+BAD_INPUTS = {
+    "trip-distance-nan": ("city/trips.csv", lambda b: b + trip_row("nan"),
+                          "trip_distance_km nan"),
+    "trip-distance-inf": ("city/trips.csv", lambda b: b + trip_row("inf"),
+                          "trip_distance_km inf"),
+    "trip-distance-negative": ("city/trips.csv", lambda b: b + trip_row("-3"),
+                               "trip_distance_km -3.0"),
+    "trip-time-zone": ("city/trips.csv",
+                       lambda b: b + trip_row(pickup="2016-05-02 00:10:00+00:00",
+                                              dropoff="2016-05-02 00:20:00+00:00"),
+                       "time zone"),
+    "region-malformed": ("city/regions.csv", lambda b: b + b"0,0,x\n",
+                         "line 102: malformed row"),
+    "region-negative-row": ("city/regions.csv", lambda b: b + b"-1,0,3\n",
+                            "line 102: cell (-1, 0) is outside the 10x10 grid"),
+    "region-row-beyond-grid": ("city/regions.csv", lambda b: b + b"10,0,0\n",
+                               "line 102: cell (10, 0) is outside the 10x10 grid"),
+    "region-cell-twice": ("city/regions.csv", lambda b: b + b"0,0,0\n",
+                          "line 102: cell (0, 0) is listed twice"),
+    "region-negative-id": ("city/regions.csv",
+                           lambda b: b.replace(b"\n0,0,0\r\n", b"\n0,0,-2\r\n", 1),
+                           "line 2: negative region id -2"),
+    "road-length-nan": ("city/roads.txt", lambda b: b + b"0,1,nan\n", "edge 0->1 has length nan"),
+    "road-length-inf": ("city/roads.txt", lambda b: b + b"0,1,inf\n", "edge 0->1 has length inf"),
+    "zone-tables-truncated": ("out/models/zone_tables.npz", lambda b: b[:len(b) // 2],
+                              "zone_tables.npz: unreadable"),
+}
+
+
 class TestCli:
-    def run_cli(self, *args, env=None):
-        return subprocess.run(
-            [sys.executable, "-m", "fleetsim.harness.cli", *args],
-            capture_output=True, text=True,
-            env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
-                 "PATH": "/usr/bin:/bin", **(env or {})},
-        )
+    run_cli = staticmethod(run_cli)
+
+    @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+    def test_bad_input_is_data_error(self, written_city, tmp_path, name):
+        for sub in ("city", "out"):
+            shutil.copytree(written_city / sub, tmp_path / sub)
+        relpath, edit, message = BAD_INPUTS[name]
+        path = tmp_path / relpath
+        edited = edit(path.read_bytes())
+        assert edited != path.read_bytes()
+        path.write_bytes(edited)
+        proc = self.run_cli(*TINY_CLI, *dirs(tmp_path), "simulate")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("data error: ") and message in proc.stderr, proc.stderr
 
     def test_negative_speed_is_config_error(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
@@ -597,7 +724,7 @@ class TestCli:
         # the cached tables hold 4 zones; 2x2 zone blocks make 25
         proc = self.run_cli("--config", str(cfg_file), "--set", "zone_block=2", "simulate")
         assert proc.returncode == 2, proc.stderr
-        assert "entries missing for 25 zones" in proc.stderr
+        assert "not float64 (7, 24, 25, 25)" in proc.stderr
 
     def test_non_block_regions_are_data_error(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"

@@ -11,7 +11,7 @@ from fleetsim.dqn import (
     QNetwork,
     STAY_CELL,
 )
-from fleetsim.geo import GridSpec, Location, RegionMap, block_region_map
+from fleetsim.geo import GridSpec, Location, RegionMap, aggregate_to_regions, block_region_map
 from fleetsim import rhc
 from fleetsim.rhc import RhcPolicy
 from fleetsim.sim import SimView
@@ -45,7 +45,7 @@ def fake_view(t=100.0, idle_cells=None, pickups=None,
         return 4.0  # flat estimate keeps the arithmetic easy
 
     return SimView(
-        t=t, clock=Clock(t), grid=GRID,
+        t=t, clock=Clock(t),
         idle_ids=np.array(sorted(idle_cells), dtype=np.int64), cells=cells,
         idle_cell_counts=counts,
         trailing_heat=trailing if trailing is not None else heat,
@@ -264,7 +264,7 @@ def random_views(seed: int, grid: GridSpec, n_vehicles: int = 24, n_views: int =
                                 t - rng.uniform(0, 20, n_vehicles), -np.inf)
         heat = rng.poisson(1.0, grid.shape).astype(float)
         views.append(SimView(
-            t=t, clock=Clock(t), grid=grid, idle_ids=np.array(idle_ids, dtype=np.int64),
+            t=t, clock=Clock(t), idle_ids=np.array(idle_ids, dtype=np.int64),
             cells=np.array(cells, dtype=np.int64),
             idle_cell_counts=counts, trailing_heat=heat,
             heat_prev1=rng.poisson(0.5, grid.shape).astype(float),
@@ -362,7 +362,8 @@ class TestRhcPolicyOrchestration:
         trailing[9, 9] = 8.0
         policy = RhcPolicy(ZONES, tau, prob,
                            demand_predictor=lambda view: view.trailing_heat,
-                           future_demand=lambda clock: trailing, reject_penalty=20.0)
+                           future_demand=np.broadcast_to(trailing, (7, 24) + GRID.shape),
+                           reject_penalty=20.0)
         view = fake_view(t=60.0, idle_cells=idle, trailing=trailing)
         orders = policy.dispatch(view)
         assert len(orders) <= 4
@@ -384,7 +385,7 @@ class TestRhcPolicyOrchestration:
         monkeypatch.setattr(rhc, "solve_rhc", spy)
         policy = RhcPolicy(ZONES, np.full((7, 24, m, m), 5.0), np.full((7, 24, m, m), 1.0 / m),
                            demand_predictor=lambda view: view.trailing_heat,
-                           future_demand=lambda clock: np.zeros(GRID.shape),
+                           future_demand=np.zeros((7, 24) + GRID.shape),
                            slot_minutes=slot_minutes, horizon=horizon)
         views = random_views(3, GRID)
         for view in views:
@@ -396,12 +397,41 @@ class TestRhcPolicyOrchestration:
             assert (x0.tolist(), sched.tolist()) == (want_x0.tolist(), want_sched.tolist())
         assert sum(s.sum() for _, s in seen) > 0
 
+    def test_tables_read_at_each_slot_clock(self, monkeypatch):
+        # the horizon crosses midnight, so its slots read two days' tables
+        m = ZONES.region_count
+        rng = np.random.default_rng(8)
+        tau = rng.uniform(1.0, 30.0, (7, 24, m, m))
+        prob = rng.dirichlet(np.ones(m), (7, 24, m))
+        future = rng.uniform(0.0, 3.0, (7, 24) + GRID.shape)
+        seen = []
+        solve_rhc = rhc.solve_rhc
+
+        def spy(x0, sched, wbar, tau_slots, p_slots, *args):
+            seen.append((wbar, tau_slots, p_slots))
+            return solve_rhc(x0, sched, wbar, tau_slots, p_slots, *args)
+
+        monkeypatch.setattr(rhc, "solve_rhc", spy)
+        policy = RhcPolicy(ZONES, tau, prob, demand_predictor=lambda view: view.trailing_heat,
+                           future_demand=future)
+        t = 2 * 1440.0 + 23 * 60.0 + 40.0
+        policy.dispatch(fake_view(t=t, idle_cells={0: (5, 5)}))
+        (wbar, tau_slots, p_slots), = seen
+        clocks = [Clock(t).plus(15.0 * k) for k in range(4)]
+        assert [(c.dow_index, c.hour_index) for c in clocks] == [(2, 23), (2, 23), (3, 0), (3, 0)]
+        for k, c in enumerate(clocks):
+            assert tau_slots[k].tobytes() == tau[c.dow_index, c.hour_index].tobytes()
+            assert p_slots[k].tobytes() == prob[c.dow_index, c.hour_index].tobytes()
+        for k in (2, 3):  # beyond the demand model's 30-minute window
+            want = aggregate_to_regions(future[clocks[k].dow_index, clocks[k].hour_index], ZONES)
+            assert wbar[k].tobytes() == (want * 0.5).tobytes()
+
     def test_no_demand_no_orders(self):
         m = ZONES.region_count
         tau = np.full((7, 24, m, m), 5.0)
         prob = np.full((7, 24, m, m), 1.0 / m)
         policy = RhcPolicy(ZONES, tau, prob,
                            demand_predictor=lambda view: np.zeros(GRID.shape),
-                           future_demand=lambda clock: np.zeros(GRID.shape))
+                           future_demand=np.zeros((7, 24) + GRID.shape))
         view = fake_view(t=60.0, idle_cells={0: (5, 5)})
         assert policy.dispatch(view) == []

@@ -22,7 +22,7 @@ from fleetsim.rhc import (
 from fleetsim import rhc
 from fleetsim.lp import LpSolution, solve
 from oracles import (destination_table_reference, event_supply_oracle, random_supply_scenario,
-                     rhc_lp_reference, seeded_rhc_lp_inputs, write_table_reference,
+                     rhc_lp_reference, seeded_rhc_lp_inputs,
                      zone_centroid_distances_reference)
 from test_policies import GRID, ZONES, fake_view
 
@@ -293,77 +293,88 @@ class TestTables:
                                 centroid_dist_m=dist)
         assert tt[0, 0, 0, 1] == pytest.approx(12.0)  # 5 km at 25 km/h
 
-    def test_csv_round_trip(self, tmp_path):
+    def test_npz_round_trip_keeps_bytes_and_dtype(self, tmp_path):
         rng = np.random.default_rng(2)
         n = 60
         tt, dd = estimate_tables(rng.integers(0, 2, n), rng.integers(0, 2, n),
                                  rng.integers(0, 7, n), rng.integers(0, 24, n),
                                  rng.uniform(2, 30, n), zone_count=2,
                                  centroid_dist_m=np.ones((2, 2)) * 1000)
-        save_tables(tt, dd, tmp_path / "tau.csv", tmp_path / "prob.csv")
-        tt2, dd2 = load_tables(tmp_path / "tau.csv", tmp_path / "prob.csv", 2)
-        np.testing.assert_array_equal(tt, tt2)
-        np.testing.assert_array_equal(dd, dd2)
-
-    @pytest.mark.parametrize("m", [1, 2, 5])
-    def test_csv_bytes_equal_csv_writer_reference(self, tmp_path, m):
-        rng = np.random.default_rng(m)
-        minutes = rng.uniform(0, 60, (7, 24, m, m))
-        minutes[0, 0, 0, 0] = 0.0
-        minutes[1, 2, 0, -1] = 5e-324
-        minutes[6, 23, -1, -1] = 1e300
-        prob = np.full((7, 24, m, m), 1.0 / 3.0)
-        prob[3, 4, 0, 0] = 1e-17
-        save_tables(minutes, prob, tmp_path / "tau.csv", tmp_path / "prob.csv")
-        write_table_reference(tmp_path / "tau_ref.csv", "minutes", minutes)
-        write_table_reference(tmp_path / "prob_ref.csv", "prob", prob)
-        tau = (tmp_path / "tau.csv").read_bytes()
-        assert tau == (tmp_path / "tau_ref.csv").read_bytes()
-        assert (tmp_path / "prob.csv").read_bytes() == (tmp_path / "prob_ref.csv").read_bytes()
-        assert tau.count(b"\r\n") == 1 + 7 * 24 * m * m
+        tt[0, 0, 0, 0] = 0.0
+        tt[1, 2, 0, 1] = 5e-324
+        tt[6, 23, 1, 1] = 1e300
+        save_tables(tmp_path / "t.npz", tt, dd)
+        tt2, dd2 = load_tables(tmp_path / "t.npz", 2)
+        assert tt2.dtype == dd2.dtype == np.float64
+        assert (tt2.tobytes(), dd2.tobytes()) == (tt.tobytes(), dd.tobytes())
 
     @staticmethod
     def uniform_tables(tmp_path, m):
         tt = np.full((7, 24, m, m), 5.0)
         dd = np.full((7, 24, m, m), 1.0 / m)
-        save_tables(tt, dd, tmp_path / "tau.csv", tmp_path / "prob.csv")
-        return tmp_path / "tau.csv", tmp_path / "prob.csv"
+        save_tables(tmp_path / "t.npz", tt, dd)
+        return tmp_path / "t.npz"
 
     def test_16_zone_tables_loaded_as_100_zones_rejected(self, tmp_path):
-        tau_path, prob_path = self.uniform_tables(tmp_path, 16)
-        load_tables(tau_path, prob_path, 16)
-        with pytest.raises(ZoneTableError, match="missing"):
-            load_tables(tau_path, prob_path, 100)
+        path = self.uniform_tables(tmp_path, 16)
+        load_tables(path, 16)
+        stale = r"minutes is float64 \(7, 24, 16, 16\), not float64 \(7, 24, 100, 100\)"
+        with pytest.raises(ZoneTableError, match=stale):
+            load_tables(path, 100)
 
     def test_100_zone_tables_loaded_as_16_zones_rejected(self, tmp_path):
-        # the (dow 0, hour 0) head of 100-zone files: the whole files take
-        # seconds to write, and row 17 already names dest zone 16
-        for name, col, value in [("tau.csv", "minutes", 5.0), ("prob.csv", "prob", 0.01)]:
-            with open(tmp_path / name, "w") as fh:
-                fh.write(f"dow,hour,origin,dest,{col}\n")
-                for i in range(100):
-                    for j in range(100):
-                        fh.write(f"0,0,{i},{j},{value!r}\n")
-        with pytest.raises(ZoneTableError, match="outside"):
-            load_tables(tmp_path / "tau.csv", tmp_path / "prob.csv", 16)
+        path = self.uniform_tables(tmp_path, 100)
+        stale = r"minutes is float64 \(7, 24, 100, 100\), not float64 \(7, 24, 16, 16\)"
+        with pytest.raises(ZoneTableError, match=stale):
+            load_tables(path, 16)
 
-    @pytest.mark.parametrize("column,row,value,match", [
-        ("minutes", 5, "nan", "finite"),
-        ("minutes", 5, "-1.0", "non-negative"),
-        ("prob", 5, "0.6", "sum to 1"),
-        ("prob", 5, "-0.5", "non-negative"),
-        ("prob", 5, "abc", "malformed"),
+    @pytest.mark.parametrize("column,value,match", [
+        ("minutes", np.nan, "finite"),
+        ("minutes", np.inf, "finite"),
+        ("minutes", -1.0, "non-negative"),
+        ("prob", 0.6, "sum to 1"),
+        ("prob", -0.5, "non-negative"),
+        ("prob", np.nan, "finite"),
     ])
-    def test_bad_table_values_rejected(self, tmp_path, column, row, value, match):
-        tau_path, prob_path = self.uniform_tables(tmp_path, 2)
-        path = tau_path if column == "minutes" else prob_path
-        lines = path.read_text().splitlines()
-        fields = lines[row].split(",")
-        fields[-1] = value
-        lines[row] = ",".join(fields)
-        path.write_text("\n".join(lines) + "\n")
+    def test_bad_table_values_rejected(self, tmp_path, column, value, match):
+        tables = {"minutes": np.full((7, 24, 2, 2), 5.0), "prob": np.full((7, 24, 2, 2), 0.5)}
+        tables[column][3, 4, 1, 0] = value
+        save_tables(tmp_path / "t.npz", tables["minutes"], tables["prob"])
         with pytest.raises(ZoneTableError, match=match):
-            load_tables(tau_path, prob_path, 2)
+            load_tables(tmp_path / "t.npz", 2)
+
+    @pytest.mark.parametrize("arrays,match", [
+        ({"minutes": np.full((7, 24, 2, 2), 5.0)}, "unreadable .*KeyError.*prob"),
+        ({"minutes": np.full((7, 24, 2, 2), 5), "prob": np.full((7, 24, 2, 2), 0.5)},
+         r"minutes is int64 \(7, 24, 2, 2\), not float64"),
+        ({"minutes": np.full((7, 24, 2, 2), 5.0), "prob": np.full((7, 24, 2, 2), "0.5")},
+         "prob is <U3"),
+        ({"minutes": np.full((7, 24, 2, 2), 5.0), "prob": np.full((7, 24, 2), 0.5)},
+         r"prob is float64 \(7, 24, 2\), not float64 \(7, 24, 2, 2\)"),
+    ], ids=["missing-array", "integer", "text", "wrong-shape"])
+    def test_arrays_other_than_two_float64_tables_rejected(self, tmp_path, arrays, match):
+        np.savez(tmp_path / "t.npz", **arrays)
+        with pytest.raises(ZoneTableError, match=match):
+            load_tables(tmp_path / "t.npz", 2)
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip-byte", "empty", "pickle", "npy"])
+    def test_unreadable_file_rejected(self, tmp_path, damage):
+        path = self.uniform_tables(tmp_path, 2)
+        data = path.read_bytes()
+        if damage == "truncate":
+            path.write_bytes(data[:len(data) // 2])
+        elif damage == "flip-byte":
+            path.write_bytes(data[:200] + bytes([data[200] ^ 0xFF]) + data[201:])
+        elif damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "pickle":
+            np.savez(path, minutes=np.array([{"zones": 2}], dtype=object),
+                     prob=np.full((7, 24, 2, 2), 0.5))
+        else:
+            with open(path, "wb") as fh:
+                np.save(fh, np.full((7, 24, 2, 2), 5.0))
+        with pytest.raises(ZoneTableError, match="unreadable"):
+            load_tables(path, 2)
 
     def test_zone_centroid_distances_symmetric(self):
         g = GridSpec(rows=4, cols=4, cell_size=500.0, origin=Location(40.0, -74.0))
@@ -488,7 +499,7 @@ class TestNonOptimalLp:
         trailing[9, 9] = 8.0
         policy = rhc.RhcPolicy(ZONES, tau, prob,
                                demand_predictor=lambda view: view.trailing_heat,
-                               future_demand=lambda clock: trailing)
+                               future_demand=np.broadcast_to(trailing, (7, 24) + GRID.shape))
         view = fake_view(t=60.0, idle_cells={vid: (0, vid % 2) for vid in range(4)},
                          trailing=trailing)
         assert policy.dispatch(view)

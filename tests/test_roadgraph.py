@@ -81,6 +81,15 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListParseError, match="line 3: non-finite"):
             load_edge_list(p)
 
+    @pytest.mark.parametrize("length", ["nan", "inf", "-inf", "0", "-5.0"])
+    def test_length_not_finite_and_positive_rejected(self, tmp_path, length):
+        # a nan or inf edge used to load, and A* never relaxed it
+        p = tmp_path / "g.txt"
+        p.write_text("#nodes\n0,40.0,-74.0\n1,40.001,-74.0\n2,40.002,-74.0\n"
+                     f"#edges\n0,1,500.0\n1,2,{length}\n")
+        with pytest.raises(EdgeListParseError, match=f"edge 1->2 has length {float(length)}"):
+            load_edge_list(p)
+
     def test_save_load_round_trip(self, tmp_path):
         g = random_graph(np.random.default_rng(0), n_nodes=12)
         p = tmp_path / "g.txt"

@@ -546,9 +546,9 @@ def metrics_state(m):
 
 
 def view_state(view):
-    g = view.grid
-    cells = [(0, 0), (g.rows - 1, g.cols - 1), (g.rows // 2, 0)]
-    return (view.t, view.clock, view.grid, view.idle_ids.tolist(), view.cells.tolist(),
+    rows, cols = view.idle_cell_counts.shape
+    cells = [(0, 0), (rows - 1, cols - 1), (rows // 2, 0)]
+    return (view.t, view.clock, view.idle_ids.tolist(), view.cells.tolist(),
             view.idle_cell_counts.tolist(), view.trailing_heat.tolist(),
             view.heat_prev1.tolist(), view.heat_prev2.tolist(), view.next_cells.tolist(),
             view.next_minutes.tolist(),
