@@ -42,9 +42,9 @@ w = params[0]
 idx = (0, 1, 1, 0)
 orig = w[idx]
 w[idx] = orig + h
-up = float(((neural.forward(spec, params, x) - y) ** 2).sum())
+up = float(((neural.forward(spec, params, x[None]) - y[None]) ** 2).sum())
 w[idx] = orig - h
-down = float(((neural.forward(spec, params, x) - y) ** 2).sum())
+down = float(((neural.forward(spec, params, x[None]) - y[None]) ** 2).sum())
 w[idx] = orig
 numeric = (up - down) / (2 * h)
 print(f"gradient check: analytic {analytic[0][idx]:+.6f} vs numeric {numeric:+.6f}")

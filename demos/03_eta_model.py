@@ -3,7 +3,7 @@
 import numpy as np
 
 from fleetsim.clock import Clock
-from fleetsim.eta import build_eta_features, mean_predictor_rmse, split_indices, train_eta
+from fleetsim.eta import eta_feature_row, mean_predictor_rmse, split_indices, train_eta
 from fleetsim.geo import Location
 
 rng = np.random.default_rng(3)
@@ -15,7 +15,7 @@ for i in range(n):
     dest = Location(40.0 + rng.uniform(0, 0.1), -74.0 + rng.uniform(0, 0.1))
     clock = Clock(float(rng.uniform(0, 7 * 1440)))
     dist = float(rng.uniform(0.5, 12.0))
-    feats[i] = build_eta_features(origin, dest, clock, dist)
+    feats[i] = eta_feature_row(origin, dest, clock, dist)
     # ground truth: slower at rush hours, plus noise
     rush = np.exp(-0.5 * ((clock.hour - 8.5) / 1.5) ** 2)
     minutes[i] = dist / (21.0 * (1 - 0.3 * rush)) * 60.0 * rng.lognormal(0, 0.08)
@@ -26,9 +26,7 @@ baseline = mean_predictor_rmse(minutes[tr_idx], minutes[va_idx])
 print(f"train rmse {train_rmse:.2f} min, validation {val_rmse:.2f} min, "
       f"constant-mean baseline {baseline:.2f} min")
 
-probe = build_eta_features(Location(40.02, -74.0), Location(40.05, -73.95),
-                           Clock(8.5 * 60), 6.0)
-off_peak = build_eta_features(Location(40.02, -74.0), Location(40.05, -73.95),
-                              Clock(14.0 * 60), 6.0)
-print(f"6 km trip at 08:30 -> {model.predict(probe):.1f} min, "
-      f"at 14:00 -> {model.predict(off_peak):.1f} min")
+peak, off_peak = model.predict(np.array([
+    eta_feature_row(Location(40.02, -74.0), Location(40.05, -73.95), Clock(hour * 60), 6.0)
+    for hour in (8.5, 14.0)]))
+print(f"6 km trip at 08:30 -> {peak:.1f} min, at 14:00 -> {off_peak:.1f} min")

@@ -30,7 +30,7 @@ bundle = ex.train_models(cfg, ex.training_city(cfg))
 print(f"  eta validation rmse: {bundle.metrics['eta_val_rmse']:.2f} min")
 print(f"  demand validation rmse: {bundle.metrics['demand_val_rmse']:.3f} per cell")
 
-city = ex.city_from_synth(synth_city(cfg, cfg.seed, cfg.days))
+city = ex.city_from_synth(synth_city(cfg, cfg.seed, ex.city_days(cfg)))
 print(f"evaluation city: {len(city.requests)} requests over {cfg.days} day(s)")
 
 for policy in ("none", "rhc"):

@@ -53,8 +53,9 @@ class DemandModel:
     params: list[np.ndarray]
 
     def predict(self, demand_input: np.ndarray) -> np.ndarray:
-        """Masked heat map: cells dark in both input heats predict exactly zero."""
-        raw = neural.forward(DEMAND_SPEC, self.params, demand_input)[..., 0]
+        """Masked heat map of one ``(h, w, 6)`` input, run as a batch of one:
+        cells dark in both input heats predict exactly zero."""
+        raw = neural.forward(DEMAND_SPEC, self.params, demand_input[None])[0, ..., 0]
         mask = (demand_input[..., 0] > 0) | (demand_input[..., 1] > 0)
         return np.where(mask, raw, 0.0)
 
@@ -84,7 +85,8 @@ def train_demand(slots: np.ndarray, clocks: list[Clock], seed: int,
     """Fit on a chronological split: first 70% of timeslots train, last 30% validate.
 
     RMSE is reported per cell over all cells of the masked prediction,
-    which is what policy consumers observe.
+    which is what policy consumers observe.  Raises ``ValueError`` when
+    the fit diverges to non-finite weights.
     """
     slots = np.asarray(slots, dtype=np.float64)
     if slots.ndim != 3 or slots.shape[0] < 4:
@@ -120,6 +122,8 @@ def train_demand(slots: np.ndarray, clocks: list[Clock], seed: int,
             d_out = np.where(lit, 2.0 * (out - yb) / n_lit, 0.0)
             grads = neural.backward_from_grad(DEMAND_SPEC, params, caches, d_out)
             opt.step(params, grads)
+    if not neural.all_finite(params):
+        raise ValueError(f"the demand fit diverged to non-finite weights (lr {lr})")
 
     model = DemandModel(params)
     return model, _masked_rmse(model, xtr, ytr), _masked_rmse(model, xva, yva)

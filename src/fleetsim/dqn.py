@@ -226,20 +226,18 @@ class QNetwork:
     def copy(self) -> "QNetwork":
         return QNetwork([p.copy() for p in self.params])
 
-    def q_map(self, qin: QInput, legal: np.ndarray | None = None) -> np.ndarray:
-        """The 15x15 action-value map; with ``legal``, only its legal cells.
+    def q_map(self, qin: QInput, legal: np.ndarray) -> np.ndarray:
+        """The 15x15 action-value map over the legal cells of ``legal``.
 
-        Without ``legal`` every cell is evaluated and none is masked.  With
-        a (15, 15) boolean ``legal`` mask, the network runs only on the
-        bounding rectangle of the legal cells, rows ``r0..r1`` by columns
-        ``c0..c1``: main input rows ``r0..r1+8`` and columns ``c0..c1+8``
-        (each output cell sees a 9x9 main window) and the same rows and
-        columns of the aux input.  Every cell outside ``legal`` is -inf.
-        The result equals ``masked_q(q_map(qin), legal)`` up to float
-        rounding in the last bits; a mask without a legal cell raises.
+        ``legal`` is a (15, 15) boolean mask.  The network runs, as a batch
+        of one, only on the bounding rectangle of the legal cells, rows
+        ``r0..r1`` by columns ``c0..c1``: main input rows ``r0..r1+8`` and
+        columns ``c0..c1+8`` (each output cell sees a 9x9 main window) and
+        the same rows and columns of the aux input.  Every cell outside
+        ``legal`` is -inf.  The legal cells equal the network's full map on
+        ``qin`` up to float rounding in the last bits; a mask without a
+        legal cell raises.
         """
-        if legal is None:
-            return neural.forward(Q_SPEC, self.params, qin.main, qin.aux)[..., 0]
         rows = np.flatnonzero(legal.any(axis=1))
         cols = np.flatnonzero(legal.any(axis=0))
         if rows.size == 0:
@@ -248,8 +246,8 @@ class QNetwork:
         c0, c1 = cols[0], cols[-1] + 1
         qmap = np.full((ACTION_SIZE, ACTION_SIZE), -np.inf)
         qmap[r0:r1, c0:c1] = neural.forward(
-            Q_SPEC, self.params, qin.main[r0:r1 + _FIELD - 1, c0:c1 + _FIELD - 1],
-            qin.aux[r0:r1, c0:c1])[..., 0]
+            Q_SPEC, self.params, qin.main[None, r0:r1 + _FIELD - 1, c0:c1 + _FIELD - 1],
+            qin.aux[None, r0:r1, c0:c1])[0, ..., 0]
         return masked_q(qmap, legal)
 
     def save(self, path, extra: dict | None = None) -> None:

@@ -3,7 +3,8 @@
 A small perceptron (two rectifier layers of 32 units, linear scalar
 output) maps trip features to minutes.  Inputs are z-scored with
 statistics from the training split only; predictions clamp at zero
-since negative travel times are meaningless downstream.
+since negative travel times are meaningless downstream.  The model
+runs on batches of feature rows only; one trip is a batch of one row.
 """
 
 from __future__ import annotations
@@ -34,12 +35,6 @@ def eta_feature_row(origin: Location, dest: Location, clock: Clock,
     return (sd, cd, sh, ch, origin.lat, origin.lon, dest.lat, dest.lon, float(distance_km))
 
 
-def build_eta_features(origin: Location, dest: Location, clock: Clock,
-                       distance_km: float) -> np.ndarray:
-    """Feature vector of :func:`eta_feature_row`."""
-    return np.array(eta_feature_row(origin, dest, clock, distance_km))
-
-
 @dataclass
 class EtaModel:
     """Trained regression plus the train-split normalization statistics.
@@ -54,12 +49,8 @@ class EtaModel:
     y_mean: float = 0.0
     y_std: float = 1.0
 
-    def predict(self, features: np.ndarray) -> float:
-        z = (np.asarray(features, dtype=np.float64) - self.mean) / self.std
-        raw = neural.forward(ETA_SPEC, self.params, z)
-        return float(max(0.0, raw[0] * self.y_std + self.y_mean))
-
-    def predict_batch(self, features: np.ndarray) -> np.ndarray:
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        """Trip minutes of each row of ``(n, 9)`` features, clamped at zero."""
         z = (np.asarray(features, dtype=np.float64) - self.mean) / self.std
         raw = neural.forward(ETA_SPEC, self.params, z)[:, 0]
         return np.maximum(raw * self.y_std + self.y_mean, 0.0)
@@ -71,13 +62,31 @@ class EtaModel:
 
     @classmethod
     def load(cls, path) -> "EtaModel":
+        """Read a :meth:`save` checkpoint.
+
+        Raises :class:`neural.CheckpointError`, naming ``path``, when the
+        network does not load or a normalization statistic is missing, is
+        not a ``(9,)`` array (``mean``, ``std``) or a scalar (``y_mean``,
+        ``y_std``), or is not finite.
+        """
         params, extra = neural.load_model(path, ETA_SPEC)
-        return cls(params, np.array(extra["mean"]), np.array(extra["std"]),
-                   extra["y_mean"], extra["y_std"])
+        stats = []
+        for key, shape in (("mean", (FEATURE_COUNT,)), ("std", (FEATURE_COUNT,)),
+                           ("y_mean", ()), ("y_std", ())):
+            try:
+                value = np.array(extra[key], dtype=np.float64)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise neural.CheckpointError(f"{path}: no usable {key} ({exc!r})") from exc
+            if value.shape != shape or not np.isfinite(value).all():
+                raise neural.CheckpointError(f"{path}: {key} is not a finite array "
+                                             f"of shape {shape}")
+            stats.append(value)
+        mean, std, y_mean, y_std = stats
+        return cls(params, mean, std, float(y_mean), float(y_std))
 
 
 def _rmse(model: "EtaModel", feats, target) -> float:
-    return float(np.sqrt(np.mean((model.predict_batch(feats) - target) ** 2)))
+    return float(np.sqrt(np.mean((model.predict(feats) - target) ** 2)))
 
 
 def split_indices(n: int, seed: int):
@@ -96,6 +105,8 @@ def train_eta(features: np.ndarray, minutes: np.ndarray, seed: int,
     """Fit the trip-time perceptron on a shuffled 70/30 split.
 
     Returns (model, train_rmse, val_rmse).  Fully determined by ``seed``.
+    Raises ``ValueError`` on non-finite inputs, or when the fit diverges
+    to non-finite weights.
     """
     feats = np.asarray(features, dtype=np.float64)
     target = np.asarray(minutes, dtype=np.float64)
@@ -138,6 +149,8 @@ def train_eta(features: np.ndarray, minutes: np.ndarray, seed: int,
             d_out = 2.0 * (out - yb) / idx.size
             grads = neural.backward_from_grad(ETA_SPEC, params, caches, d_out)
             opt.step(params, grads)
+    if not neural.all_finite(params):
+        raise ValueError(f"the ETA fit diverged to non-finite weights (lr {lr})")
 
     model = EtaModel(params, mean, std, y_mean, y_std)
     return model, _rmse(model, ftr, ttr), _rmse(model, fva, tva)

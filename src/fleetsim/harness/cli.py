@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from ..geo import RegionMapError
+from ..neural import CheckpointError
 from ..rhc import ZoneTableError
 from ..roadgraph import EdgeListParseError
 from .config import ConfigError, parse_config
@@ -59,9 +60,10 @@ def _num(value, spec: str) -> str:
 
 
 def _cmd_synth_data(cfg) -> int:
+    from .experiment import city_days
     from .synth import synth_city, write_city
 
-    city = synth_city(cfg, cfg.seed, cfg.days)
+    city = synth_city(cfg, cfg.seed, city_days(cfg))
     info = write_city(city, cfg, cfg.data_dir)
     print(f"wrote {info['n_trips']} trips and city files to {cfg.data_dir}")
     return EXIT_OK
@@ -169,7 +171,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TripDataError, EdgeListParseError, RegionMapError, ZoneTableError,
-            FileNotFoundError, OSError) as exc:
+            CheckpointError, FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -152,8 +153,17 @@ def model_paths(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _merge_metrics(path: Path, metrics: dict) -> None:
+    """Add ``metrics`` to the JSON object at ``path``, keeping the keys it holds."""
+    merged = json.loads(path.read_text()) if path.exists() else {}
+    merged.update(metrics)
+    with open(path, "w") as fh:
+        json.dump(merged, fh, indent=2)
+
+
 def train_eta_model(cfg: ExperimentConfig, training_city: City):
-    """Fit and persist the ETA perceptron; returns (model, metrics)."""
+    """Fit and persist the ETA perceptron and merge its RMSEs into
+    ``metrics.json``; returns (model, metrics)."""
     paths = model_paths(cfg)
     paths["eta"].parent.mkdir(parents=True, exist_ok=True)
     feats, target = eta_training_arrays(training_city.requests, cfg)
@@ -167,11 +177,13 @@ def train_eta_model(cfg: ExperimentConfig, training_city: City):
             target[tr_idx], target[va_idx]),
     }
     model.save(paths["eta"])
+    _merge_metrics(paths["metrics"], metrics)
     return model, metrics
 
 
 def train_demand_model(cfg: ExperimentConfig, training_city: City):
-    """Fit and persist the demand network plus the historical fallback.
+    """Fit and persist the demand network plus the historical fallback,
+    and merge their RMSEs into ``metrics.json``.
 
     Returns (model, historical, metrics); the fallback is fit on the
     training split only, making it a fair baseline and a cold-start
@@ -196,6 +208,7 @@ def train_demand_model(cfg: ExperimentConfig, training_city: City):
     }
     model.save(paths["demand"])
     np.save(paths["historical"], historical)
+    _merge_metrics(paths["metrics"], metrics)
     return model, historical, metrics
 
 
@@ -215,13 +228,12 @@ def build_zone_tables(cfg: ExperimentConfig, training_city: City):
 
 def train_models(cfg: ExperimentConfig, training_city: City) -> ModelBundle:
     """Fit ETA, demand and zone tables on the training city and persist them."""
-    paths = model_paths(cfg)
+    # a fresh record: no key, nor an unreadable file, survives from an older one
+    model_paths(cfg)["metrics"].unlink(missing_ok=True)
     eta_model, eta_metrics = train_eta_model(cfg, training_city)
     demand_model, historical, demand_metrics = train_demand_model(cfg, training_city)
     trip_times, destinations = build_zone_tables(cfg, training_city)
     metrics = {**eta_metrics, **demand_metrics}
-    with open(paths["metrics"], "w") as fh:
-        json.dump(metrics, fh, indent=2)
     return ModelBundle(eta_model, demand_model, historical, trip_times,
                        destinations, metrics)
 
@@ -326,6 +338,12 @@ def day_window(cfg: ExperimentConfig, day: int) -> tuple[float, float]:
     return start, start + 1440.0
 
 
+def city_days(cfg: ExperimentConfig) -> int:
+    """Calendar days of trips the ``cfg.days`` day windows cover, the last
+    window's hours after midnight included."""
+    return math.ceil(day_window(cfg, cfg.days - 1)[1] / 1440.0)
+
+
 def episode_requests(requests: list[RideRequest], start: float, end: float
                      ) -> list[RideRequest]:
     out = []
@@ -422,7 +440,7 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
         if (Path(cfg.data_dir) / "trips.csv").exists():
             city = load_city(cfg)
         else:
-            city = city_from_synth(synth_city(cfg, cfg.seed, cfg.days))
+            city = city_from_synth(synth_city(cfg, cfg.seed, city_days(cfg)))
     if cfg.policy in ("dqn", "dqn_star") and qnet is None:
         qnet_path = model_paths(cfg)["qnet"]
         if not qnet_path.exists():
@@ -460,10 +478,18 @@ def train_dqn(cfg: ExperimentConfig, city: City | None = None,
 
     One continuous run starting at the configured day-start hour; a
     training step follows every simulated minute after warmup.  Returns
-    (QNetwork, training log rows) and persists both.
+    (QNetwork, training log rows) and persists both.  A run that would
+    outlast the ``train_days`` of the training city raises
+    :class:`ConfigError` before anything is trained or written.
     """
     if steps is None:
         steps = cfg.dqn_train_steps
+    end = cfg.day_start_hour * 60 + cfg.warmup_minutes + steps
+    if end > cfg.train_days * 1440:
+        raise ConfigError(
+            f"DQN training of {steps} steps runs to minute {end}, past the "
+            f"{cfg.train_days * 1440} minutes of the train_days = {cfg.train_days} "
+            "training city; lower dqn_train_steps or raise train_days")
     if city is None:
         city = training_city(cfg)
     if bundle is None:

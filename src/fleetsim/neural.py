@@ -5,9 +5,9 @@ or linear activations, plus a two-branch concatenation for networks
 that merge a spatial main input with an auxiliary input.  Everything
 runs in float64 numpy; convolutions go through batched im2col GEMMs.
 
-Conventions: plane stacks are stored row-major as ``(h, w, planes)``,
-or batched ``(batch, h, w, planes)``; vectors are ``(n,)`` or
-``(batch, n)``.  Convolution weights are ``(filters, kh, kw, planes)``.
+Conventions: every input is a batch, of row-major plane stacks
+``(batch, h, w, planes)`` or of vectors ``(batch, n)``; a single input
+is a batch of one.  Convolution weights are ``(filters, kh, kw, planes)``.
 Networks are fully convolutional: any spatial input size at least as
 large as the kernels is accepted.  Forward passes are pure functions of
 (spec, params, input) and repeated calls give bit-identical outputs.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,26 +66,32 @@ def walk_param_layers(spec) -> list:
     return out
 
 
+def _layer_shapes(layer) -> tuple[tuple, tuple]:
+    """(weight shape, bias shape) of a parameterized layer."""
+    if isinstance(layer, Dense):
+        return (layer.n_out, layer.n_in), (layer.n_out,)
+    if isinstance(layer, Conv2D):
+        return (layer.filters, layer.kh, layer.kw, layer.in_planes), (layer.filters,)
+    raise TypeError(f"unsupported layer {layer}")
+
+
 def init_params(spec, rng: np.random.Generator) -> list[np.ndarray]:
     """Scaled-uniform weights in +-sqrt(6/(fan_in+fan_out)), zero biases."""
     params: list[np.ndarray] = []
     for layer in walk_param_layers(spec):
         _check_activation(layer)
-        if isinstance(layer, Dense):
-            fan_in, fan_out = layer.n_in, layer.n_out
-            shape = (layer.n_out, layer.n_in)
-            bias = np.zeros(layer.n_out)
-        elif isinstance(layer, Conv2D):
-            fan_in = layer.in_planes * layer.kh * layer.kw
-            fan_out = layer.filters * layer.kh * layer.kw
-            shape = (layer.filters, layer.kh, layer.kw, layer.in_planes)
-            bias = np.zeros(layer.filters)
-        else:
-            raise TypeError(f"unsupported layer {layer}")
+        shape, bias_shape = _layer_shapes(layer)
+        # fan_in: inputs per output (kh*kw*planes); fan_out: outputs per input (filters*kh*kw)
+        fan_in, fan_out = math.prod(shape[1:]), math.prod(shape[:-1])
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         params.append(rng.uniform(-limit, limit, size=shape))
-        params.append(bias)
+        params.append(np.zeros(bias_shape))
     return params
+
+
+def all_finite(params: list[np.ndarray]) -> bool:
+    """Whether every entry of every array in ``params`` is finite."""
+    return all(np.isfinite(p).all() for p in params)
 
 
 def _same_pad(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -109,8 +116,8 @@ def _im2col(x: np.ndarray, kh: int, kw: int):
 
 
 def _conv_forward(layer: Conv2D, w, bias, x, want_cache: bool):
-    if x.shape[-1] != layer.in_planes:
-        raise ValueError(f"conv expected {layer.in_planes} planes, got {x.shape[-1]}")
+    if x.ndim != 4 or x.shape[-1] != layer.in_planes:
+        raise ValueError(f"conv expected (batch, h, w, {layer.in_planes}) input, got {x.shape}")
     xp = _same_pad(x, layer.kh, layer.kw) if layer.padding == "same" else x
     if xp.shape[1] < layer.kh or xp.shape[2] < layer.kw:
         raise ValueError(f"input {x.shape} smaller than {layer.kh}x{layer.kw} kernel")
@@ -159,8 +166,8 @@ def _conv_backward(layer: Conv2D, w, cache, d_out, need_dx: bool):
 
 
 def _dense_forward(layer: Dense, w, bias, x, want_cache: bool):
-    if x.shape[1] != layer.n_in:
-        raise ValueError(f"dense expected {layer.n_in} inputs, got {x.shape[1]}")
+    if x.ndim != 2 or x.shape[1] != layer.n_in:
+        raise ValueError(f"dense expected (batch, {layer.n_in}) input, got {x.shape}")
     out = x @ w.T + bias
     if layer.activation == "relu":
         np.maximum(out, 0.0, out=out)
@@ -201,31 +208,14 @@ def _forward(spec, params, x, aux, want_cache: bool):
     return value, caches, idx
 
 
-def _normalize_input(x, spatial: bool):
-    x = np.asarray(x, dtype=np.float64)
-    want = 4 if spatial else 2
-    if x.ndim == want - 1:
-        return x[None], True
-    if x.ndim != want:
-        raise ValueError(f"bad input rank {x.ndim}")
-    return x, False
-
-
 def forward(spec, params, x, aux=None) -> np.ndarray:
-    """Evaluate the network; accepts single or batched inputs."""
-    spatial = isinstance(spec[0], Conv2D)
-    xb, squeeze = _normalize_input(x, spatial)
-    auxb = None
-    if aux is not None:
-        auxb = np.asarray(aux, dtype=np.float64)
-        if squeeze:
-            auxb = auxb[None]
-    out, _, _ = _forward(spec, params, xb, auxb, want_cache=False)
-    return out[0] if squeeze else out
+    """Evaluate the network on a batch: ``x`` is ``(batch, h, w, planes)`` or
+    ``(batch, n)``, and ``aux`` is batched the same way."""
+    return _forward(spec, params, x, aux, want_cache=False)[0]
 
 
 def forward_cached(spec, params, x, aux=None):
-    """Like :func:`forward` but batched only; returns (output, cache) for backward."""
+    """Like :func:`forward`, but returns (output, cache) for backward."""
     out, caches, _ = _forward(spec, params, x, aux, want_cache=True)
     return out, caches
 
@@ -345,11 +335,15 @@ def _encode_array(a: np.ndarray) -> dict:
 
 
 def _decode_array(d: dict) -> np.ndarray:
-    raw = base64.b64decode(d["data"])
+    raw = base64.b64decode(d["data"], validate=True)
     return np.frombuffer(raw, dtype="<f8").reshape(d["shape"]).copy()
 
 
 CHECKPOINT_FORMAT = "fleetsim-net-v1"
+
+
+class CheckpointError(ValueError):
+    """A network checkpoint that does not load as the network it is read as."""
 
 
 def save_model(path, spec, params, extra: dict | None = None) -> None:
@@ -368,12 +362,28 @@ def save_model(path, spec, params, extra: dict | None = None) -> None:
 def load_model(path, spec):
     """Read a checkpoint of the network ``spec`` back as (params, extra dict or None).
 
-    Raises ``ValueError`` for another format or a checkpoint of other layers.
+    Raises :class:`CheckpointError`, naming ``path``, for unreadable JSON, a
+    missing key or bad base64 data, another format, a checkpoint of other
+    layers, or params of another count or shape than ``spec``'s or not finite.
     """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format {doc.get('format')!r}")
-    if doc["layers"] != [_layer_to_dict(l) for l in spec]:
-        raise ValueError(f"{path} holds other layers than the network it is loaded as")
-    return [_decode_array(d) for d in doc["params"]], doc.get("extra")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if doc.get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointError(f"{path}: unsupported checkpoint format "
+                                  f"{doc.get('format')!r}")
+        if doc["layers"] != [_layer_to_dict(l) for l in spec]:
+            raise CheckpointError(f"{path} holds other layers than the network it is loaded as")
+        params = [_decode_array(d) for d in doc["params"]]
+        extra = doc.get("extra")
+    except CheckpointError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: unreadable checkpoint ({exc!r})") from exc
+    want = [shape for layer in walk_param_layers(spec) for shape in _layer_shapes(layer)]
+    got = [p.shape for p in params]
+    if got != want:
+        raise CheckpointError(f"{path}: params of shapes {got}, the network needs {want}")
+    if not all_finite(params):
+        raise CheckpointError(f"{path}: params not all finite")
+    return params, extra

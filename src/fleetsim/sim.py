@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clock import Clock
-from .eta import build_eta_features
+from .eta import eta_feature_row
 from .geo import GridSpec, Location, cell_arrays, center_of, haversine, haversine_arrays
 from .roadgraph import RoadGraph, hop_lengths, nearest_nodes, shortest_path
 
@@ -367,8 +367,9 @@ class Simulation:
         self._arrival[vid] = arrival
 
     def _eta(self, origin: Location, dest: Location, distance_m: float, clock: Clock) -> float:
-        feats = build_eta_features(origin, dest, clock, distance_m / 1000.0)
-        return self.eta_model.predict(feats)
+        """Minutes of one trip: the ETA model on a batch of one feature row."""
+        row = eta_feature_row(origin, dest, clock, distance_m / 1000.0)
+        return float(self.eta_model.predict(np.array([row]))[0])
 
     def _stand(self, vids) -> None:
         """Leave vehicle(s) ``vids`` idle where they are, with no destination or route."""

@@ -18,7 +18,7 @@ from fleetsim.dqn import (ACTION_SIZE, AUX_PLANES, MAIN_PLANES, Q_SPEC, STAY_CEL
                           SUPPLY_HORIZONS, DqnPolicy, QInput, Transition, VehicleContext,
                           _Pending, action_offset, build_feature_planes, explore_action,
                           greedy_action, legal_action_mask, reward_dqn)
-from fleetsim.eta import build_eta_features
+from fleetsim.eta import ETA_SPEC, eta_feature_row
 from fleetsim.geo import (_BOUNDARY_SNAP, GridSpec, Location, OutOfBoundsError,
                           aggregate_to_regions, block_region_map, center_of, haversine,
                           haversine_arrays, mismatch)
@@ -29,6 +29,20 @@ from fleetsim.sim import SLOT_MINUTES as HEAT_SLOT_MINUTES
 from fleetsim.sim import (DEFAULT_IDLE_WINDOW, DISPATCHING, IDLE, MATCH_RADIUS_M, OCCUPIED,
                           STATUS_NAMES, TO_PICKUP, WARMUP_MINUTES, DispatchOrder,
                           EpisodeMetrics, SimView, log)
+
+
+def eta_one_row(eta_model, origin, dest, clock, distance_km) -> float:
+    """Minutes of one trip: the model's ``predict`` on a one-row batch."""
+    row = eta_feature_row(origin, dest, clock, distance_km)
+    return float(eta_model.predict(np.array([row]))[0])
+
+
+def eta_single_row_reference(model, features) -> float:
+    """Minutes of one ``(9,)`` feature row by the single-row formula: the
+    network on the z-scored row alone, clamped with Python's ``max``."""
+    z = (np.asarray(features, dtype=np.float64) - model.mean) / model.std
+    raw = neural.forward(ETA_SPEC, model.params, z[None])[0]
+    return float(max(0.0, raw[0] * model.y_std + model.y_mean))
 
 
 def vertex_enumeration_optimum(c, a_ub, b_ub):
@@ -708,8 +722,8 @@ class ReferenceSimulation:
         return tuple(points), dist
 
     def _eta(self, origin, dest, distance_m, t):
-        feats = build_eta_features(origin, dest, self.clock0.plus(t), distance_m / 1000.0)
-        return self.eta_model.predict(feats)
+        return eta_one_row(self.eta_model, origin, dest, self.clock0.plus(t),
+                           distance_m / 1000.0)
 
     def _stand(self, v, loc):
         v.loc = loc
@@ -831,9 +845,7 @@ class ReferenceSimulation:
         def eta_minutes(from_cell, to_cell):
             a = center_of(from_cell, grid)
             b = center_of(to_cell, grid)
-            dist = haversine(a, b)
-            feats = build_eta_features(a, b, clock, dist / 1000.0)
-            return self.eta_model.predict(feats)
+            return eta_one_row(self.eta_model, a, b, clock, haversine(a, b) / 1000.0)
 
         slots = list(self._heat_slots)
         return SimView(

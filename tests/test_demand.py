@@ -89,6 +89,14 @@ class TestTraining:
         for a, b in zip(m1.params, m2.params):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_diverged_fit_rejected(self):
+        # the first RMSProp step of a learning rate this large overflows
+        slots = periodic_series(np.random.default_rng(2), 12)
+        with pytest.raises(ValueError, match="diverged to non-finite weights"):
+            train_demand(slots, slot_clocks(12), seed=3, epochs=1, lr=1e308)
+
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             train_demand(np.zeros((3, 4, 4)), slot_clocks(3), seed=0, epochs=150)
@@ -108,7 +116,7 @@ class TestPredict:
         h1 = np.zeros((6, 6))
         h1[0, 0] = 2.0
         planes = build_demand_input(h1, np.zeros((6, 6)), Clock(300.0))
-        raw = neural.forward(DEMAND_SPEC, model.params, planes)[..., 0]
+        raw = neural.forward(DEMAND_SPEC, model.params, planes[None])[0, ..., 0]
         out = model.predict(planes)
         dark = (h1 == 0)
         assert (out[dark] == 0.0).all()
@@ -121,7 +129,7 @@ class TestPredict:
         h1 = rng.poisson(1.0, size=(6, 6)).astype(float)
         h2 = rng.poisson(1.0, size=(6, 6)).astype(float)
         planes = build_demand_input(h1, h2, Clock(120.0))
-        raw = neural.forward(DEMAND_SPEC, model.params, planes)[..., 0]
+        raw = neural.forward(DEMAND_SPEC, model.params, planes[None])[0, ..., 0]
         out = model.predict(planes)
         lit = (h1 > 0) | (h2 > 0)
         np.testing.assert_array_equal(out[lit], raw[lit])

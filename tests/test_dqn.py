@@ -207,19 +207,22 @@ class TestPooling:
                 assert canvas.main(region).tobytes() == fresh.main(region).tobytes()
 
 
+ALL_LEGAL = np.ones((15, 15), dtype=bool)  # a mask under which q_map evaluates every cell
+
+
 class TestQNetwork:
     def test_zero_weight_network_outputs_zero_map(self):
         net = QNetwork.create(np.random.default_rng(0))
         for p in net.params:
             p[:] = 0.0
-        qmap = net.q_map(build_feature_planes(make_ctx()))
+        qmap = net.q_map(build_feature_planes(make_ctx()), ALL_LEGAL)
         np.testing.assert_array_equal(qmap, np.zeros((15, 15)))
 
     def test_map_equals_engine_forward(self):
         net = QNetwork.create(np.random.default_rng(1))
         qin = build_feature_planes(make_ctx())
-        direct = neural.forward(Q_SPEC, net.params, qin.main, aux=qin.aux)
-        np.testing.assert_array_equal(net.q_map(qin), direct[..., 0])
+        direct = neural.forward(Q_SPEC, net.params, qin.main[None], aux=qin.aux[None])
+        np.testing.assert_array_equal(net.q_map(qin, ALL_LEGAL), direct[0, ..., 0])
 
     def test_legal_window_matches_masked_full_map(self):
         # 520 contexts on varied grids, each grid's four corners and four
@@ -239,7 +242,8 @@ class TestQNetwork:
             qin = build_feature_planes(make_ctx(region=region, shape=shape, rng=rng))
             legal = legal_action_mask(region, shape)
             windowed = net.q_map(qin, legal)
-            full = masked_q(net.q_map(qin), legal)
+            full = masked_q(neural.forward(Q_SPEC, net.params, qin.main[None],
+                                           aux=qin.aux[None])[0, ..., 0], legal)
             assert np.isneginf(windowed[~legal]).all()
             np.testing.assert_allclose(windowed[legal], full[legal], rtol=0, atol=1e-12)
             assert np.argmax(windowed) == np.argmax(full)
@@ -554,7 +558,7 @@ class TestSyncTarget:
         target = QNetwork.create(np.random.default_rng(3))
         sync_target(online, target, step=300, period=150)
         qin = build_feature_planes(make_ctx())
-        np.testing.assert_array_equal(online.q_map(qin), target.q_map(qin))
+        np.testing.assert_array_equal(online.q_map(qin, ALL_LEGAL), target.q_map(qin, ALL_LEGAL))
 
 
 def test_action_offset_center_is_stay():

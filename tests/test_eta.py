@@ -8,36 +8,41 @@ from fleetsim.clock import Clock
 from fleetsim.eta import (
     ETA_SPEC,
     EtaModel,
-    build_eta_features,
+    eta_feature_row,
     mean_predictor_rmse,
     split_indices,
     train_eta,
 )
 from fleetsim.geo import Location
+from oracles import eta_single_row_reference
 
 
 ORIGIN = Location(40.0, -74.0)
 DEST = Location(40.05, -74.05)
 
 
+def feature_vector(origin, dest, clock, distance_km):
+    return np.array(eta_feature_row(origin, dest, clock, distance_km))
+
+
 class TestFeatures:
     def test_monday_midnight_zero_angles(self):
-        f = build_eta_features(ORIGIN, DEST, Clock(0.0, epoch_dow=0), 3.0)
+        f = feature_vector(ORIGIN, DEST, Clock(0.0, epoch_dow=0), 3.0)
         assert f[0] == pytest.approx(0.0)  # sin dow
         assert f[1] == pytest.approx(1.0)  # cos dow
         assert f[2] == pytest.approx(0.0)  # sin hour
         assert f[3] == pytest.approx(1.0)  # cos hour
 
     def test_hour_six_is_quarter_turn(self):
-        f = build_eta_features(ORIGIN, DEST, Clock(6 * 60.0), 3.0)
+        f = feature_vector(ORIGIN, DEST, Clock(6 * 60.0), 3.0)
         assert f[2] == pytest.approx(1.0)
         assert f[3] == pytest.approx(0.0, abs=1e-12)
 
     def test_half_week_advances_dow_angle_by_pi(self):
         c0 = Clock(0.0)
         c1 = Clock(3.5 * 1440.0)
-        f0 = build_eta_features(ORIGIN, DEST, c0, 1.0)
-        f1 = build_eta_features(ORIGIN, DEST, c1, 1.0)
+        f0 = feature_vector(ORIGIN, DEST, c0, 1.0)
+        f1 = feature_vector(ORIGIN, DEST, c1, 1.0)
         a0 = math.atan2(f0[0], f0[1])
         a1 = math.atan2(f1[0], f1[1])
         assert abs(abs(a1 - a0) - math.pi) < 1e-9
@@ -46,12 +51,12 @@ class TestFeatures:
         rng = np.random.default_rng(0)
         for _ in range(20):
             c = Clock(float(rng.uniform(0, 7 * 1440)))
-            f = build_eta_features(ORIGIN, DEST, c, 2.0)
+            f = feature_vector(ORIGIN, DEST, c, 2.0)
             assert f[0] ** 2 + f[1] ** 2 == pytest.approx(1.0, abs=1e-9)
             assert f[2] ** 2 + f[3] ** 2 == pytest.approx(1.0, abs=1e-9)
 
     def test_coordinates_and_distance_passed_through(self):
-        f = build_eta_features(ORIGIN, DEST, Clock(0.0), 7.5)
+        f = feature_vector(ORIGIN, DEST, Clock(0.0), 7.5)
         assert tuple(f[4:8]) == (ORIGIN.lat, ORIGIN.lon, DEST.lat, DEST.lon)
         assert f[8] == 7.5
 
@@ -63,7 +68,7 @@ def synthetic_trips(rng, n=2000, slope=3.0, intercept=4.0, noise=0.0):
     for i in range(n):
         origin = Location(40.0 + rng.uniform(0, 0.1), -74.0 + rng.uniform(0, 0.1))
         dest = Location(40.0 + rng.uniform(0, 0.1), -74.0 + rng.uniform(0, 0.1))
-        feats[i] = build_eta_features(origin, dest, Clock(clocks[i]), dists[i])
+        feats[i] = feature_vector(origin, dest, Clock(clocks[i]), dists[i])
     minutes = slope * dists + intercept + rng.normal(0, noise, size=n)
     return feats, np.maximum(minutes, 0.1)
 
@@ -109,6 +114,14 @@ class TestTraining:
         with pytest.raises(ValueError, match="must be finite"):
             train_eta(feats, minutes, seed=0, epochs=1)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_diverged_fit_rejected(self):
+        # an overflowing fit must not reach the simulator, which would time trips 0.0 or nan
+        feats, minutes = synthetic_trips(np.random.default_rng(5), n=50)
+        with pytest.raises(ValueError, match="diverged to non-finite weights"):
+            train_eta(feats, minutes, seed=0, epochs=2, lr=1e150)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train_eta(np.zeros((1, 9)), np.zeros(1), seed=0, epochs=30)
@@ -116,19 +129,19 @@ class TestTraining:
 
 class TestPredict:
     def test_one_row_predict_agrees_with_batch(self):
-        # the simulator times each trip with predict, while eta_val_rmse is
-        # scored with predict_batch: the two agree to the last few bits
-        # (not bit for bit: a batch GEMM may round differently) and clamp
-        # the same rows at zero
+        # the simulator times each trip as a one-row batch, while
+        # eta_val_rmse is scored on the whole split: the two agree to the
+        # last few bits (not bit for bit: a batch GEMM may round
+        # differently) and clamp the same rows at zero
         rng = np.random.default_rng(8)
         feats, minutes = synthetic_trips(rng, n=500, noise=1.0)
         model, _, _ = train_eta(feats, minutes, seed=2, epochs=5)
-        shift = float(np.median(model.predict_batch(feats)))
+        shift = float(np.median(model.predict(feats)))
         shifted = EtaModel(model.params, model.mean, model.std,
                            model.y_mean - shift, model.y_std)
         for m in (model, shifted):
-            batch = m.predict_batch(feats)
-            single = np.array([m.predict(f) for f in feats])
+            batch = m.predict(feats)
+            single = np.array([m.predict(f[None])[0] for f in feats])
             np.testing.assert_array_equal(single == 0.0, batch == 0.0)
             np.testing.assert_allclose(single, batch, rtol=1e-12, atol=0.0)
         assert 0 < int((batch == 0.0).sum()) < len(feats)
@@ -138,23 +151,40 @@ class TestPredict:
         params[-1] = np.array([-5.0])  # final bias forces negative output
         params[-2] = np.zeros_like(params[-2])
         model = EtaModel(params, mean=np.zeros(9), std=np.ones(9))
-        assert model.predict(np.zeros(9)) == 0.0
+        assert model.predict(np.zeros((1, 9)))[0] == 0.0
 
     def test_identical_features_identical_prediction(self):
         rng = np.random.default_rng(5)
         feats, minutes = synthetic_trips(rng, n=300, noise=1.0)
         model, _, _ = train_eta(feats, minutes, seed=3, epochs=5)
-        f = feats[17]
-        assert model.predict(f) == model.predict(f.copy())
+        f = feats[17:18]
+        assert model.predict(f)[0] == model.predict(f.copy())[0]
 
     def test_prediction_matches_engine_forward(self):
         rng = np.random.default_rng(6)
         feats, minutes = synthetic_trips(rng, n=300, noise=1.0)
         model, _, _ = train_eta(feats, minutes, seed=3, epochs=5)
-        f = feats[42]
+        f = feats[42:43]
         z = (f - model.mean) / model.std
         raw = neural.forward(ETA_SPEC, model.params, z)[0]
-        assert model.predict(f) == max(0.0, raw * model.y_std + model.y_mean)
+        assert model.predict(f)[0] == max(0.0, raw * model.y_std + model.y_mean)
+
+    def test_one_row_batch_equals_single_row_reference(self):
+        # the one-row batch the simulator runs gives the bytes of the
+        # single-row formula it replaced, clamped rows included
+        rng = np.random.default_rng(23)
+        clamped = 0
+        for _ in range(40):
+            params = neural.init_params(ETA_SPEC, rng)
+            params[-1] = rng.normal(size=1)
+            model = EtaModel(params, rng.normal(size=9), rng.uniform(0.1, 3.0, size=9),
+                             float(rng.uniform(-2.0, 20.0)), float(rng.uniform(0.1, 8.0)))
+            for row in rng.normal(scale=3.0, size=(25, 9)):
+                got = model.predict(row[None])[0]
+                want = eta_single_row_reference(model, row)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                clamped += want == 0.0
+        assert 0 < clamped < 1000
 
     def test_checkpoint_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -163,5 +193,5 @@ class TestPredict:
         p = tmp_path / "eta.json"
         model.save(p)
         back = EtaModel.load(p)
-        f = feats[0]
-        assert back.predict(f) == model.predict(f)
+        f = feats[:1]
+        assert back.predict(f)[0] == model.predict(f)[0]

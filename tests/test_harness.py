@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import shutil
 import subprocess
 import sys
@@ -9,10 +10,13 @@ import numpy as np
 import pytest
 
 from fleetsim import demand as demand_mod
+from fleetsim import neural
+from fleetsim.dqn import QNetwork
 from fleetsim.geo import GridSpec, Location, RegionMapError, block_region_map
 from fleetsim.harness.config import ConfigError, ExperimentConfig, parse_config, render_config
 from fleetsim.harness.ingest import TripDataError, ingest_trips
 from fleetsim.harness.synth import build_road_grid, synth_city, write_city
+from fleetsim.harness import cli
 from fleetsim.harness import experiment as ex
 from fleetsim.rhc import ZoneTableError
 from fleetsim.sim import EpisodeMetrics, finalize_metrics
@@ -474,6 +478,14 @@ class TestExperiment:
         with pytest.raises(ZoneTableError, match=match):
             ex.load_models(cfg, ex.zone_block_count(cfg))
 
+    def test_every_hour_of_every_day_has_requests(self, mini_world, tmp_path):
+        # the synthesised city runs on past midnight to the end of the last window
+        trained, _, bundle = mini_world
+        cfg = dataclasses.replace(trained, days=2, out_dir=str(tmp_path))
+        result = ex.run_experiment(cfg, bundle=bundle)
+        for report in result["day_reports"]:
+            assert [b["hour"] for b in report["hourly"] if b["requests"]] == list(range(24))
+
     def test_rhc_policy_runs(self, mini_world):
         cfg, city, bundle = mini_world
         import dataclasses
@@ -525,6 +537,12 @@ def dirs(base):
     return ("--set", f"data_dir={base / 'city'}", "--set", f"out_dir={base / 'out'}")
 
 
+def tiny_cfg(base, *sets):
+    """The config the CLI reads from ``TINY_CLI``, ``dirs(base)`` and ``sets``."""
+    args = (*TINY_CLI, *dirs(base), *sets)
+    return parse_config(overrides=dict(arg.split("=", 1) for arg in args[1::2]))
+
+
 @pytest.fixture(scope="module")
 def written_city(tmp_path_factory):
     """A tiny city on disk under ``city`` and its trained models under ``out``."""
@@ -569,8 +587,97 @@ BAD_INPUTS = {
 }
 
 
+def edit_doc(change):
+    """An edit of a checkpoint's bytes that applies ``change`` to its JSON document."""
+    def edit(raw):
+        doc = json.loads(raw)
+        change(doc)
+        return json.dumps(doc).encode()
+    return edit
+
+
+def set_param(i, make):
+    """A ``change`` that puts ``make(stored shape)`` in place of stored param ``i``."""
+    def change(doc):
+        doc["params"][i] = neural._encode_array(make(doc["params"][i]["shape"]))
+    return change
+
+
+# (edit of a checkpoint's bytes, what stderr names): each breaks eta.json,
+# demand.json and qnet.json; the last four break only the ETA statistics
+BAD_CHECKPOINTS = {
+    "truncated": (lambda b: b[:len(b) // 2], "unreadable checkpoint"),
+    "no-params-key": (edit_doc(lambda d: d.pop("params")), "unreadable checkpoint"),
+    "bad-base64": (edit_doc(lambda d: d["params"][0].update(data="not base64!")),
+                   "unreadable checkpoint"),
+    "other-format": (edit_doc(lambda d: d.update(format="fleetsim-net-v0")),
+                     "unsupported checkpoint format 'fleetsim-net-v0'"),
+    "other-layers": (edit_doc(lambda d: d["layers"].pop()), "holds other layers"),
+    "one-param-short": (edit_doc(lambda d: d["params"].pop()), "params of shapes"),
+    "bias-of-one": (edit_doc(set_param(1, lambda shape: np.zeros(1))), "params of shapes"),
+    "nan-weight": (edit_doc(set_param(0, lambda shape: np.full(shape, np.nan))),
+                   "params not all finite"),
+    "eta-no-extra": (edit_doc(lambda d: d.pop("extra")), "no usable mean"),
+    "eta-no-y-std": (edit_doc(lambda d: d["extra"].pop("y_std")), "no usable y_std"),
+    "eta-short-std": (edit_doc(lambda d: d["extra"].update(std=d["extra"]["std"][:8])),
+                      "std is not a finite array of shape (9,)"),
+    "eta-nan-y-mean": (edit_doc(lambda d: d["extra"].update(y_mean=float("nan"))),
+                       "y_mean is not a finite array of shape ()"),
+}
+CHECKPOINT_CASES = [(name, damage) for damage in sorted(BAD_CHECKPOINTS)
+                    for name in (("eta",) if damage.startswith("eta-")
+                                 else ("eta", "demand", "qnet"))]
+
+
 class TestCli:
     run_cli = staticmethod(run_cli)
+
+    @pytest.mark.parametrize("name, damage", CHECKPOINT_CASES,
+                             ids=[f"{n}-{d}" for n, d in CHECKPOINT_CASES])
+    def test_broken_checkpoint_is_data_error(self, written_city, tmp_path, capsys,
+                                             name, damage):
+        for sub in ("city", "out"):
+            shutil.copytree(written_city / sub, tmp_path / sub)
+        models = tmp_path / "out" / "models"
+        QNetwork.create(np.random.default_rng(0)).save(models / "qnet.json")
+        path = models / f"{name}.json"
+        edit, message = BAD_CHECKPOINTS[damage]
+        path.write_bytes(edit(path.read_bytes()))
+        code = cli.main([*TINY_CLI, *dirs(tmp_path), "--set", "policy=dqn", "simulate"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"data error: {path}") and message in err, err
+
+    def test_dqn_training_past_the_training_city_is_config_error(self, tmp_path):
+        # 23:00 plus 60 warmup minutes plus one step ends at minute 1441 of a
+        # one-day training city
+        proc = self.run_cli(*TINY_CLI, *dirs(tmp_path), "--set", "train_days=1",
+                            "--set", "day_start_hour=23", "--set", "warmup_minutes=60",
+                            "--set", "dqn_train_steps=1", "train-dqn")
+        assert proc.returncode == 1, proc.stderr
+        assert "minute 1441" in proc.stderr and "train_days = 1" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_split_commands_write_the_metrics_of_train_models(self, tmp_path):
+        for command in ("train-eta", "train-demand", "build-tables"):
+            assert cli.main([*TINY_CLI, *dirs(tmp_path / "split"), command]) == 0
+        cfg = tiny_cfg(tmp_path / "whole")
+        # train_models starts a fresh record over a stale, unreadable one
+        ex.model_paths(cfg)["metrics"].parent.mkdir(parents=True)
+        ex.model_paths(cfg)["metrics"].write_text('{"stale": ')
+        ex.train_models(cfg, ex.training_city(cfg))
+        split = ex.model_paths(tiny_cfg(tmp_path / "split"))["metrics"].read_bytes()
+        assert split == ex.model_paths(cfg)["metrics"].read_bytes()
+        assert list(json.loads(split))[0] == "eta_train_rmse"
+
+    def test_synth_data_covers_every_hour_of_every_day(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, "--set", "days=2", "--set", "trips_per_day=1200")
+        assert cli.main([*TINY_CLI, *dirs(tmp_path), "--set", "days=2",
+                         "--set", "trips_per_day=1200", "synth-data"]) == 0
+        requests = ex.load_city(cfg).requests
+        for day in range(cfg.days):
+            reqs = ex.episode_requests(requests, *ex.day_window(cfg, day))
+            assert {int(r.minute // 60) for r in reqs} == set(range(24)), day
 
     @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
     def test_bad_input_is_data_error(self, written_city, tmp_path, name):

@@ -23,7 +23,7 @@ def numerical_gradients(spec, params, x, target, aux=None, h=1e-4):
     """Central finite differences of the summed squared error, per parameter."""
 
     def loss():
-        y = forward(spec, params, x, aux)
+        y = forward(spec, params, x, aux)  # x, aux and target are batches
         return float(((y - target) ** 2).sum())
 
     grads = []
@@ -56,42 +56,42 @@ class TestForward:
     def test_identity_dense(self):
         spec = (Dense(3, 3, "linear"),)
         params = [np.eye(3), np.zeros(3)]
-        x = np.array([0.5, -1.0, 2.0])
+        x = np.array([[0.5, -1.0, 2.0]])
         np.testing.assert_array_equal(forward(spec, params, x), x)
 
     def test_one_by_one_conv_doubles_constant(self):
         spec = (Conv2D(1, 1, 1, 1, "linear"),)
         params = [np.full((1, 1, 1, 1), 2.0), np.zeros(1)]
-        plane = np.full((4, 4, 1), 3.0)
+        plane = np.full((1, 4, 4, 1), 3.0)
         out = forward(spec, params, plane)
         np.testing.assert_allclose(out, 6.0)
 
     def test_rectifier_clamps(self):
         spec = (Dense(3, 3, "relu"),)
         params = [np.eye(3), np.zeros(3)]
-        out = forward(spec, params, np.array([-1.0, 0.0, 3.0]))
-        np.testing.assert_array_equal(out, [0.0, 0.0, 3.0])
+        out = forward(spec, params, np.array([[-1.0, 0.0, 3.0]]))
+        np.testing.assert_array_equal(out, [[0.0, 0.0, 3.0]])
 
     def test_valid_conv_shrinks_by_kernel_minus_one(self):
         rng = np.random.default_rng(0)
         for kh, kw in [(1, 1), (3, 3), (5, 3), (2, 4)]:
             spec = (Conv2D(2, 3, kh, kw, "relu", "valid"),)
             params = init_params(spec, rng)
-            out = forward(spec, params, rng.normal(size=(9, 9, 2)))
-            assert out.shape == (9 - kh + 1, 9 - kw + 1, 3)
+            out = forward(spec, params, rng.normal(size=(1, 9, 9, 2)))
+            assert out.shape == (1, 9 - kh + 1, 9 - kw + 1, 3)
 
     def test_same_conv_preserves_dims(self):
         rng = np.random.default_rng(1)
         spec = (Conv2D(2, 3, 5, 5, "relu", "same"),)
         params = init_params(spec, rng)
-        out = forward(spec, params, rng.normal(size=(8, 8, 2)))
-        assert out.shape == (8, 8, 3)
+        out = forward(spec, params, rng.normal(size=(1, 8, 8, 2)))
+        assert out.shape == (1, 8, 8, 3)
 
     def test_forward_is_pure(self):
         rng = np.random.default_rng(2)
         spec = (Conv2D(2, 4, 3, 3), Conv2D(4, 2, 1, 1, "linear"))
         params = init_params(spec, rng)
-        x = rng.normal(size=(6, 6, 2))
+        x = rng.normal(size=(1, 6, 6, 2))
         a = forward(spec, params, x)
         b = forward(spec, params, x)
         np.testing.assert_array_equal(a, b)
@@ -100,7 +100,17 @@ class TestForward:
         spec = (Dense(3, 2),)
         params = init_params(spec, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            forward(spec, params, np.zeros(4))
+            forward(spec, params, np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("spec, x", [
+        ((Dense(3, 2),), np.zeros(3)),
+        ((Conv2D(2, 1, 1, 1),), np.zeros((4, 4, 2))),
+        ((Conv2D(2, 1, 3, 3, "relu", "same"),), np.zeros((4, 4, 2))),
+    ], ids=["vector", "planes", "planes-same"])
+    def test_unbatched_input_raises(self, spec, x):
+        params = init_params(spec, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="expected \\(batch, "):
+            forward(spec, params, x)
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(5)
@@ -109,7 +119,7 @@ class TestForward:
         xs = rng.normal(size=(6, 7, 7, 2))
         batch_out = forward(spec, params, xs)
         for i in range(6):
-            np.testing.assert_allclose(batch_out[i], forward(spec, params, xs[i]),
+            np.testing.assert_allclose(batch_out[i], forward(spec, params, xs[i:i + 1])[0],
                                        rtol=0, atol=1e-12)
 
     def test_im2col_equals_loop_reference(self):
@@ -154,10 +164,10 @@ class TestBackward:
         rng = np.random.default_rng(3)
         spec = (Dense(4, 2, "linear"),)
         params = init_params(spec, rng)
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         target = forward(spec, params, x)
-        out, caches = forward_cached(spec, params, x[None])
-        grads = backward_from_grad(spec, params, caches, 2.0 * (out - target[None]))
+        out, caches = forward_cached(spec, params, x)
+        grads = backward_from_grad(spec, params, caches, 2.0 * (out - target))
         for g in grads:
             np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
@@ -172,13 +182,13 @@ class TestBackward:
         rng = np.random.default_rng(12)
         params = init_params(spec, rng)
         if isinstance(spec[0], Conv2D):
-            x = rng.uniform(0.2, 1.0, size=(7, 7, spec[0].in_planes))
+            x = rng.uniform(0.2, 1.0, size=(1, 7, 7, spec[0].in_planes))
         else:
-            x = rng.uniform(0.2, 1.0, size=spec[0].n_in)
+            x = rng.uniform(0.2, 1.0, size=(1, spec[0].n_in))
         probe = forward(spec, params, x)
         target = probe + rng.uniform(0.3, 1.0, size=probe.shape)
-        out, caches = forward_cached(spec, params, x[None])
-        analytic = backward_from_grad(spec, params, caches, 2.0 * (out - target[None]))
+        out, caches = forward_cached(spec, params, x)
+        analytic = backward_from_grad(spec, params, caches, 2.0 * (out - target))
         numeric = numerical_gradients(spec, params, x, target)
         assert max_rel_error(analytic, numeric) < 1e-4
 
@@ -192,12 +202,12 @@ class TestBackward:
             Conv2D(5, 1, 1, 1, "linear"),
         )
         params = init_params(spec, rng)
-        x = rng.uniform(0.2, 1.0, size=(9, 9, 3))
-        aux = rng.uniform(0.2, 1.0, size=(3, 3, 2))
+        x = rng.uniform(0.2, 1.0, size=(1, 9, 9, 3))
+        aux = rng.uniform(0.2, 1.0, size=(1, 3, 3, 2))
         probe = forward(spec, params, x, aux)
         target = probe + rng.uniform(0.3, 1.0, size=probe.shape)
-        out, caches = forward_cached(spec, params, x[None], aux[None])
-        analytic = backward_from_grad(spec, params, caches, 2.0 * (out - target[None]))
+        out, caches = forward_cached(spec, params, x, aux)
+        analytic = backward_from_grad(spec, params, caches, 2.0 * (out - target))
         numeric = numerical_gradients(spec, params, x, target, aux=aux)
         assert max_rel_error(analytic, numeric) < 1e-4
 

@@ -93,7 +93,7 @@ class TestDqnPolicy:
         totals = []
 
         class SpyNet:
-            def q_map(self, qin, legal=None):
+            def q_map(self, qin, legal):
                 # records the supply planes each vehicle observed
                 totals.append(qin.main.sum())
                 return net.q_map(qin, legal)
@@ -111,7 +111,7 @@ class TestDqnPolicy:
         real_q_map = net.q_map
 
         class Recorder:
-            def q_map(self, qin, legal=None):
+            def q_map(self, qin, legal):
                 seen.append(qin)
                 return real_q_map(qin, legal)
 
@@ -282,7 +282,7 @@ class RecordingNet:
         self.net = net
         self.inputs = []
 
-    def q_map(self, qin, legal=None):
+    def q_map(self, qin, legal):
         self.inputs.append((qin.main.copy(), qin.aux.copy(), legal.copy()))
         return self.net.q_map(qin, legal)
 

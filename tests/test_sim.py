@@ -33,7 +33,7 @@ class ConstantEta:
         self.minutes = minutes
 
     def predict(self, features):
-        return self.minutes
+        return np.full(len(features), self.minutes)
 
 
 class DistanceEta:
@@ -43,7 +43,7 @@ class DistanceEta:
         self.k = minutes_per_km
 
     def predict(self, features):
-        return self.k * features[8]
+        return self.k * features[:, 8]
 
 
 def make_grid(rows=4, cols=4, cell=1000.0):
@@ -477,7 +477,7 @@ class FeatureEta:
     """Stub ETA model: positive minutes from distance and hour of day."""
 
     def predict(self, features):
-        return 0.5 + 2.0 * features[8] + 0.25 * (features[2] + 1.0)
+        return 0.5 + 2.0 * features[:, 8] + 0.25 * (features[:, 2] + 1.0)
 
 
 class RandomOrderPolicy:
@@ -715,7 +715,7 @@ class NearZeroEta:
     """Stub ETA model: zero minutes within 1.5 km, else 0.8 minutes per km."""
 
     def predict(self, features):
-        return 0.0 if features[8] < 1.5 else 0.8 * features[8]
+        return np.where(features[:, 8] < 1.5, 0.0, 0.8 * features[:, 8])
 
 
 class OrderOncePolicy:
@@ -843,6 +843,7 @@ class TestBenchmarkContract:
             tracer.restore()
         assert sorted(tracer.missing) == ["fleetsim.dqn.QNetwork.q_map_batch",
                                           "fleetsim.dqn.assemble_batch",
+                                          "fleetsim.eta.EtaModel.predict_batch",
                                           "fleetsim.roadgraph.nearest_node"]
 
     def test_step_minute_calls_the_instance_timers(self):
