@@ -10,7 +10,7 @@ import numpy as np
 from fleetsim.lp import LpProblem, solve
 from fleetsim.rhc import predict_supply, solve_rhc
 
-sol = solve(LpProblem(c=[3.0, 2.0], a_ub=[[1.0, 1.0], [2.0, 0.5]], b_ub=[4.0, 5.0]))
+sol = solve(LpProblem.from_dense(c=[3.0, 2.0], a_ub=[[1.0, 1.0], [2.0, 0.5]], b_ub=[4.0, 5.0]))
 print(f"toy LP: status {sol.status}, x = {np.round(sol.x, 3)}, objective {sol.objective:.2f}")
 
 # two zones: one idle vehicle in zone 0, a request expected next slot in zone 1

@@ -25,6 +25,7 @@ from .. import rhc as rhc_mod
 from ..clock import Clock
 from ..geo import (GridSpec, Location, RegionMap, RegionMapError, block_region_map,
                    cell_arrays)
+from ..neural import CheckpointError
 from ..roadgraph import load_edge_list
 from ..sim import SLOT_MINUTES, EpisodeMetrics, RideRequest, Simulation, finalize_metrics
 from .config import ConfigError, ExperimentConfig
@@ -153,18 +154,35 @@ def model_paths(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _merge_metrics(path: Path, metrics: dict) -> None:
-    """Add ``metrics`` to the JSON object at ``path``, keeping the keys it holds."""
-    merged = json.loads(path.read_text()) if path.exists() else {}
-    merged.update(metrics)
+def _read_metrics(path: Path) -> dict:
+    """The JSON object in the metrics file at ``path``; ``{}`` when there is no file.
+
+    Raises :class:`neural.CheckpointError`, naming ``path``, for a file
+    that is not JSON or holds another value than an object.
+    """
+    if not path.exists():
+        return {}
+    try:
+        metrics = json.loads(path.read_bytes())
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: unreadable metrics ({exc!r})") from None
+    if not isinstance(metrics, dict):
+        raise CheckpointError(f"{path}: metrics are a JSON {type(metrics).__name__}, "
+                              "not an object")
+    return metrics
+
+
+def _write_metrics(path: Path, metrics: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(merged, fh, indent=2)
+        json.dump(metrics, fh, indent=2)
 
 
 def train_eta_model(cfg: ExperimentConfig, training_city: City):
     """Fit and persist the ETA perceptron and merge its RMSEs into
     ``metrics.json``; returns (model, metrics)."""
     paths = model_paths(cfg)
+    # read first: a broken record fails before a model is trained and saved
+    recorded = _read_metrics(paths["metrics"])
     paths["eta"].parent.mkdir(parents=True, exist_ok=True)
     feats, target = eta_training_arrays(training_city.requests, cfg)
     model, tr_rmse, va_rmse = eta_mod.train_eta(
@@ -177,7 +195,7 @@ def train_eta_model(cfg: ExperimentConfig, training_city: City):
             target[tr_idx], target[va_idx]),
     }
     model.save(paths["eta"])
-    _merge_metrics(paths["metrics"], metrics)
+    _write_metrics(paths["metrics"], {**recorded, **metrics})
     return model, metrics
 
 
@@ -190,6 +208,7 @@ def train_demand_model(cfg: ExperimentConfig, training_city: City):
     predictor.
     """
     paths = model_paths(cfg)
+    recorded = _read_metrics(paths["metrics"])
     paths["demand"].parent.mkdir(parents=True, exist_ok=True)
     total_minutes = cfg.train_days * 1440.0
     slots, clocks = demand_slot_series(training_city.requests, training_city.grid,
@@ -208,7 +227,7 @@ def train_demand_model(cfg: ExperimentConfig, training_city: City):
     }
     model.save(paths["demand"])
     np.save(paths["historical"], historical)
-    _merge_metrics(paths["metrics"], metrics)
+    _write_metrics(paths["metrics"], {**recorded, **metrics})
     return model, historical, metrics
 
 
@@ -245,11 +264,8 @@ def load_models(cfg: ExperimentConfig, zone_count: int) -> ModelBundle:
     historical = rhc_mod.load_table(paths["historical"],
                                     (7, 24, cfg.fine_rows, cfg.fine_cols))
     trip_times, destinations = rhc_mod.load_tables(paths["tables"], zone_count)
-    metrics = {}
-    if paths["metrics"].exists():
-        metrics = json.loads(paths["metrics"].read_text())
     return ModelBundle(eta_model, demand_model, historical, trip_times,
-                       destinations, metrics)
+                       destinations, _read_metrics(paths["metrics"]))
 
 
 def training_city(cfg: ExperimentConfig) -> City:

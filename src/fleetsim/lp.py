@@ -1,16 +1,23 @@
 """Linear programs behind a small, validated contract, solved by HiGHS.
 
 Problems are ``maximize c.x subject to A x <= b, x >= 0`` with optional
-equality rows.  :func:`solve` passes them to HiGHS through its own
-Python bindings, the ones ``scipy.optimize.linprog(method="highs")``
-calls, with the options that ``linprog`` sets, so it returns what
-``linprog`` would.  HiGHS is deterministic: identical problems give
-identical solutions.  When the optimum is not unique it may return any
-optimal vertex, so a caller must not rely on which one.
+equality rows.  The constraint blocks are :class:`SparseRows`: row-wise
+sparse matrices, held as row starts, ascending column indices within
+each row and nonzero values, the three arrays HiGHS reads.  No dense
+``(rows, n_vars)`` array is built, checked or multiplied on the way in or
+out; :meth:`LpProblem.from_dense` builds a program from dense blocks.
+
+:func:`solve` passes a program to HiGHS through its own Python bindings,
+the ones ``scipy.optimize.linprog(method="highs")`` calls, with the
+options that ``linprog`` sets, so it returns what ``linprog`` would.
+HiGHS is deterministic: identical problems give identical solutions.
+When the optimum is not unique it may return any optimal vertex, so a
+caller must not rely on which one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,54 +27,148 @@ import numpy as np
 ACCEPT_TOL = np.sqrt(1e-9) * 10
 
 
+@functools.cache
+def highs_bindings():
+    """HiGHS's Python bindings, ``scipy.optimize._highspy._core``, loaded on first call.
+
+    Loading them imports ``scipy.optimize`` (about 0.27 s), which raised
+    the day-none benchmark's peak RSS from 117 to 146 MB, so no module
+    loads it at import; :class:`rhc.RhcPolicy` calls this when it is built,
+    so that its first plan does not pay for the import.
+    """
+    from scipy.optimize._highspy import _core
+
+    return _core
+
+
+@dataclass(frozen=True)
+class SparseRows:
+    """A ``(rows, n_cols)`` matrix held row by row.
+
+    Row ``r`` holds the values ``value[start[r]:start[r + 1]]`` in the
+    columns ``index[start[r]:start[r + 1]]``, ascending; every other entry
+    is zero.  Construction raises ``ValueError`` unless ``start`` begins
+    at 0, never falls and ends at the nonzero count, every column is in
+    ``[0, n_cols)`` and rises strictly within its row, and every value is
+    finite and nonzero.
+    """
+
+    start: np.ndarray  # (rows + 1,) int64
+    index: np.ndarray  # (nnz,) int64
+    value: np.ndarray  # (nnz,) float64
+    n_cols: int
+
+    def __post_init__(self):
+        start = np.asarray(self.start, dtype=np.int64)
+        index = np.asarray(self.index, dtype=np.int64)
+        value = np.asarray(self.value, dtype=np.float64)
+        if not (start.ndim == index.ndim == value.ndim == 1 and start.size >= 1
+                and index.size == value.size):
+            raise ValueError(f"sparse rows need 1-D starts and equal-sized indices and "
+                             f"values, got {start.shape}, {index.shape}, {value.shape}")
+        counts = np.diff(start)
+        if start[0] != 0 or start[-1] != index.size or (counts < 0).any():
+            raise ValueError(f"row starts must rise from 0 to the {index.size} nonzeros")
+        if index.size and (index.min() < 0 or index.max() >= self.n_cols):
+            raise ValueError(f"column index outside [0, {self.n_cols})")
+        # row-major positions rise strictly exactly when each row's columns do
+        flat = np.repeat(np.arange(counts.size), counts) * self.n_cols + index
+        if (np.diff(flat) <= 0).any():
+            raise ValueError("column indices must rise strictly within each row")
+        if not (np.isfinite(value).all() and (value != 0.0).all()):
+            raise ValueError("sparse values must be finite and nonzero")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "value", value)
+
+    @classmethod
+    def from_triplets(cls, shape: tuple[int, int], triplets) -> SparseRows:
+        """The matrix of ``shape`` with the entries of ``(rows, columns, values)`` arrays.
+
+        A scalar value applies to each entry of its triplet.  The entries
+        come in any order, but no (row, column) pair may repeat.
+        """
+        rows = np.concatenate([t[0] for t in triplets])
+        cols = np.concatenate([t[1] for t in triplets])
+        values = np.concatenate([np.full(len(t[0]), t[2]) for t in triplets])
+        order = np.argsort(rows * shape[1] + cols)
+        start = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
+        return cls(start, cols[order], values[order], shape[1])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.start.size - 1, self.n_cols)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with the vector ``x``; each row sums its terms in column order."""
+        counts = np.diff(self.start)
+        rows = np.repeat(np.arange(counts.size), counts)
+        return np.bincount(rows, weights=self.value * x[self.index], minlength=counts.size)
+
+
 @dataclass(frozen=True)
 class LpProblem:
     """maximize ``c . x`` subject to ``a_ub @ x <= b_ub`` and ``x >= 0``.
 
     Optional equality rows ``a_eq @ x == b_eq`` are passed to the solver
-    as equalities.  Dimensions and finiteness are checked on construction, so a
-    malformed problem raises ``ValueError`` here rather than in the solver.
+    as equalities.  The blocks are :class:`SparseRows` of shape
+    ``(b.size, c.size)``; :meth:`from_dense` takes dense ones.  Shapes
+    and finiteness are checked on construction, so a malformed problem
+    raises ``ValueError`` here rather than in the solver.
     """
 
     c: np.ndarray
-    a_ub: np.ndarray
+    a_ub: SparseRows
     b_ub: np.ndarray
-    a_eq: np.ndarray | None = None
+    a_eq: SparseRows | None = None
     b_eq: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=np.float64))
-        a = np.asarray(self.a_ub, dtype=np.float64)
-        if a.size == 0:
-            a = a.reshape(0, c.size)
-        b = np.atleast_1d(np.asarray(self.b_ub, dtype=np.float64))
-        if a.ndim != 2 or a.shape != (b.size, c.size):
-            raise ValueError(
-                f"inconsistent LP dims: c {c.shape}, A {a.shape}, b {b.shape}"
-            )
-        for name, arr in (("c", c), ("a_ub", a), ("b_ub", b)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"non-finite coefficients in {name}")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "a_ub", a)
-        object.__setattr__(self, "b_ub", b)
         if (self.a_eq is None) != (self.b_eq is None):
             raise ValueError("a_eq and b_eq must be given together")
-        if self.a_eq is not None:
-            ae = np.asarray(self.a_eq, dtype=np.float64)
-            if ae.size == 0:
-                ae = ae.reshape(0, c.size)
-            be = np.atleast_1d(np.asarray(self.b_eq, dtype=np.float64))
-            if ae.ndim != 2 or ae.shape != (be.size, c.size):
-                raise ValueError(f"inconsistent equality dims {ae.shape} vs {be.shape}")
-            if not (np.isfinite(ae).all() and np.isfinite(be).all()):
-                raise ValueError("non-finite equality coefficients")
-            object.__setattr__(self, "a_eq", ae)
-            object.__setattr__(self, "b_eq", be)
+        for a_name, b_name in (("a_ub", "b_ub"), ("a_eq", "b_eq")):
+            a, b = getattr(self, a_name), getattr(self, b_name)
+            if a is None and a_name == "a_eq":
+                continue
+            if not isinstance(a, SparseRows):
+                raise ValueError(f"{a_name} must be SparseRows; "
+                                 "build dense blocks with LpProblem.from_dense")
+            b = np.atleast_1d(np.asarray(b, dtype=np.float64))
+            if c.ndim != 1 or b.ndim != 1 or a.shape != (b.size, c.size):
+                raise ValueError(f"inconsistent LP dims: c {c.shape}, "
+                                 f"{a_name} {a.shape}, {b_name} {b.shape}")
+            if not np.isfinite(b).all():
+                raise ValueError(f"non-finite coefficients in {b_name}")
+            object.__setattr__(self, b_name, b)
+        if not np.isfinite(c).all():
+            raise ValueError("non-finite coefficients in c")
+        object.__setattr__(self, "c", c)
+
+    @classmethod
+    def from_dense(cls, c, a_ub, b_ub, a_eq=None, b_eq=None) -> LpProblem:
+        """The program of 2-D dense blocks; an empty block reads as having no rows.
+
+        Exact zeros of either sign are dropped and NaNs kept, so that a
+        non-finite entry raises ``ValueError`` as in a sparse block.
+        """
+        n = np.atleast_1d(np.asarray(c)).size
+        return cls(c, _dense_rows(a_ub, n), b_ub,
+                   None if a_eq is None else _dense_rows(a_eq, n), b_eq)
 
     @property
     def n_vars(self) -> int:
         return self.c.size
+
+
+def _dense_rows(a, n_cols: int) -> SparseRows:
+    a = np.asarray(a, dtype=np.float64)
+    if a.size == 0:
+        a = a.reshape(0, n_cols)
+    if a.ndim != 2:
+        raise ValueError(f"a dense block must be 2-D, got shape {a.shape}")
+    rows, cols = np.nonzero(a != 0.0)
+    return SparseRows.from_triplets(a.shape, [(rows, cols, a[rows, cols])])
 
 
 @dataclass(frozen=True)
@@ -99,32 +200,26 @@ def solve(problem: LpProblem) -> LpSolution:
     failure: every outcome but an accepted optimum comes back as a
     non-"optimal" status.
     """
-    # imported on first use: only the RHC policy solves LPs, and loading
-    # scipy.optimize raised the day-none benchmark's peak RSS from 117 to 146 MB
-    from scipy.optimize._highspy import _core as hc
-
+    hc = highs_bindings()
     n = problem.n_vars
     blocks = [problem.a_ub] if problem.a_eq is None else [problem.a_ub, problem.a_eq]
     b_eq = np.zeros(0) if problem.b_eq is None else problem.b_eq
-    lp = hc.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = problem.b_ub.size + b_eq.size
-    lp.col_cost_ = -problem.c
-    lp.col_lower_ = np.zeros(n)
-    lp.col_upper_ = np.full(n, hc.kHighsInf)
-    lp.row_lower_ = np.concatenate([np.full(problem.b_ub.size, -hc.kHighsInf), b_eq])
-    lp.row_upper_ = np.concatenate([problem.b_ub, b_eq])
-    lp.a_matrix_.format_ = hc.MatrixFormat.kRowwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = _rowwise(blocks, n)
-
+    start, index, value = _rowwise(blocks)
     highs = hc._Highs()
-    for name, value in (
+    for name, option in (
             ("presolve", "on"),
             ("simplex_strategy", hc.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
             ("output_flag", False), ("log_to_console", False),
             ("highs_debug_level", hc.HighsDebugLevel.kHighsDebugLevelNone)):
-        highs.setOptionValue(name, value)
-    if highs.passModel(lp) == hc.HighsStatus.kError:
+        highs.setOptionValue(name, option)
+    # the overload for arrays takes their buffers, where a HighsLp's fields
+    # convert element by element; every column is continuous
+    passed = highs.passModel(
+        n, problem.b_ub.size + b_eq.size, value.size, int(hc.MatrixFormat.kRowwise),
+        int(hc.ObjSense.kMinimize), 0.0, -problem.c, np.zeros(n), np.full(n, hc.kHighsInf),
+        np.concatenate([np.full(problem.b_ub.size, -hc.kHighsInf), b_eq]),
+        np.concatenate([problem.b_ub, b_eq]), start, index, value, np.zeros(n, dtype=np.int32))
+    if passed == hc.HighsStatus.kError:
         return LpSolution("infeasible", None, None)
     highs.run()
     ms = hc.HighsModelStatus
@@ -141,19 +236,13 @@ def solve(problem: LpProblem) -> LpSolution:
     return LpSolution(status, x, float(problem.c @ x))
 
 
-def _rowwise(blocks: list[np.ndarray], n: int) -> tuple[list, list, list]:
-    """Row starts, column indices and values of the nonzeros of the stacked blocks."""
-    start, index, value = [np.zeros(1, dtype=np.int64)], [], []
-    nnz = 0
-    for a in blocks:
-        # a bool mask scans many times faster than np.nonzero of the floats
-        flat = np.flatnonzero(a != 0.0)
-        start.append(np.searchsorted(flat, np.arange(1, a.shape[0] + 1) * n) + nnz)
-        index.append(flat % n)
-        value.append(a.ravel()[flat])
-        nnz += flat.size
-    # the bindings copy a list into HiGHS faster than an array
-    return tuple(np.concatenate(part).tolist() for part in (start, index, value))
+def _rowwise(blocks: list[SparseRows]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row starts, column indices and values of the blocks stacked in order,
+    in the dtypes HiGHS reads: int32, int32 and float64."""
+    offsets = np.cumsum([0] + [a.index.size for a in blocks])
+    start = np.concatenate([[0]] + [a.start[1:] + nnz for a, nnz in zip(blocks, offsets)])
+    return (start.astype(np.int32), np.concatenate([a.index for a in blocks]).astype(np.int32),
+            np.concatenate([a.value for a in blocks]))
 
 
 def accepted_status(problem: LpProblem, x: np.ndarray) -> str:
@@ -162,8 +251,11 @@ def accepted_status(problem: LpProblem, x: np.ndarray) -> str:
     "numerical_difficulties" when ``x``, the slacks ``b_ub - a_ub @ x`` or
     the residuals ``b_eq - a_eq @ x`` hold a NaN, or some ``x``, some slack
     or the size of some residual misses by more than ``ACCEPT_TOL``;
-    "optimal" otherwise.  ``linprog`` takes the row activities from HiGHS
-    rather than from ``a @ x``; the two differ in the last bits at most.
+    "optimal" otherwise.  The products sum each row's terms in column
+    order; ``linprog`` takes the row activities from HiGHS instead, and a
+    dense ``a @ x`` sums in another order, so the three can differ in the
+    last bits, which moves only an optimum within a rounding of
+    ``ACCEPT_TOL`` across it.
     """
     slack = problem.b_ub - problem.a_ub @ x
     resid = np.zeros(0) if problem.a_eq is None else problem.b_eq - problem.a_eq @ x

@@ -343,7 +343,8 @@ CHECKPOINT_FORMAT = "fleetsim-net-v1"
 
 
 class CheckpointError(ValueError):
-    """A network checkpoint that does not load as the network it is read as."""
+    """A network checkpoint that does not load as the network it is read as,
+    or a models' metrics record that does not load as a JSON object."""
 
 
 def save_model(path, spec, params, extra: dict | None = None) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .geo import (GridSpec, RegionMap, aggregate_to_regions, haversine_arrays, mismatch,
                   region_cells)
-from .lp import LpProblem, LpSolution, solve
+from .lp import LpProblem, LpSolution, SparseRows, highs_bindings, solve
 from .sim import SLOT_MINUTES, DispatchOrder
 
 log = logging.getLogger(__name__)
@@ -233,33 +233,39 @@ def build_rhc_lp(x0: np.ndarray, sched: np.ndarray, wbar: np.ndarray,
     n = nu + blocks.size
     r = np.arange(horizon * m)          # a row per (k, i), k < T
     rs = np.arange((horizon + 1) * m)   # a row per (k, i), k <= T
+    x, s, mc, lc = (b.ravel() for b in (x_cols, s_cols, m_cols, l_cols))
 
     budget = np.unique(uk * m + ui)  # flat k * M + i of each budget row
-    a_budget = np.zeros((budget.size, n))
-    a_budget[np.searchsorted(budget, uk * m + ui), np.arange(nu)] = 1.0
     later = np.flatnonzero(budget >= m)
-    a_budget[later, x_cols.ravel()[budget[later] - m]] = -1.0
-    a_short = np.zeros((rs.size, n))
-    a_short[rs, s_cols.ravel()] = -1.0
-    a_short[rs[m:], x_cols.ravel()] = -1.0
-    a_cap = np.zeros((r.size, n))
-    a_cap[r, m_cols.ravel()] = 1.0
-
-    a_split = np.zeros((r.size, n))
-    a_split[r, m_cols.ravel()] = 1.0
-    a_split[r, l_cols.ravel()] = 1.0
-    a_split[r[m:], x_cols[:-1].ravel()] = -1.0
-    a_dyn = np.zeros((r.size, n))
-    a_dyn[r, x_cols.ravel()] = 1.0
-    a_dyn[r, l_cols.ravel()] = -1.0
-    now = np.flatnonzero(uk < horizon)
-    a_dyn[uk[now] * m + ui[now], now] = 1.0
-    a_dyn[uk[now] * m + uj[now], now] = -1.0
-    lag = np.floor(tau[:horizon] / slot_minutes).astype(int)
-    for k in range(horizon):
-        for kp in range(k + 1):
-            j, i = np.nonzero((lag[kp] == k - kp) & (p[kp] > 0))
-            a_dyn[k * m + i, m_cols[kp, j]] = -p[kp, j, i]
+    nb, ns = budget.size, rs.size
+    a_ub = SparseRows.from_triplets((nb + ns + r.size, n), [
+        # budgets: sum_j u[k, i, j] - x[k, i] <= x0[i] or 0
+        (np.searchsorted(budget, uk * m + ui), np.arange(nu), 1.0),
+        (later, x[budget[later] - m], -1.0),
+        # shortages: -s[k, i] - x[k, i] <= -wbar[k, i]
+        (nb + rs, s, -1.0),
+        (nb + rs[m:], x, -1.0),
+        # caps: m[k, i] <= wbar[k + 1, i]
+        (nb + ns + r, mc, 1.0),
+    ])
+    a_eq = None
+    if horizon:
+        now = np.flatnonzero(uk < horizon)
+        # served trips j -> i of slot kp land in slot kp + lag
+        kp, j, i = np.nonzero(p > 0)
+        lag = np.floor(tau[kp, j, i] / slot_minutes).astype(int)
+        lands = (lag >= 0) & (kp + lag < horizon)
+        kp, j, i, k = kp[lands], j[lands], i[lands], kp[lands] + lag[lands]
+        dyn = r.size
+        a_eq = SparseRows.from_triplets((2 * r.size, n), [
+            # splits: m[k, i] + L[k, i] - x[k, i] == x0[i] or 0
+            (r, mc, 1.0), (r, lc, 1.0), (r[m:], x_cols[:-1].ravel(), -1.0),
+            # dynamics: x[k + 1, i] - L[k, i] + out - in - arrivals == sched[k, i]
+            (dyn + r, x, 1.0), (dyn + r, lc, -1.0),
+            (dyn + uk[now] * m + ui[now], now, 1.0),
+            (dyn + uk[now] * m + uj[now], now, -1.0),
+            (dyn + k * m + i, m_cols[kp, j], -p[kp, j, i]),
+        ])
 
     g = np.array([discount ** k for k in range(horizon + 1)])
     c = np.zeros(n)
@@ -269,11 +275,11 @@ def build_rhc_lp(x0: np.ndarray, sched: np.ndarray, wbar: np.ndarray,
 
     problem = LpProblem(
         c=c,
-        a_ub=np.vstack([a_budget, a_short, a_cap]),
+        a_ub=a_ub,
         # -(wbar - x0), not x0 - wbar: an equal pair gives -0.0, as it always has
         b_ub=np.concatenate([np.where(budget < m, x0[budget % m], 0.0),
                              -(wbar[0] - x0), -wbar[1:].ravel(), wbar[1:].ravel()]),
-        a_eq=np.vstack([a_split, a_dyn]) if horizon else None,
+        a_eq=a_eq,
         b_eq=np.concatenate([np.where(r < m, x0[r % m], 0.0), sched.ravel()])
         if horizon else None,
     )
@@ -445,6 +451,7 @@ class RhcPolicy:
         self.cycle = int(slot_minutes)
         self.last_plan: RhcPlan | None = None
         self._zone_cells = region_cells(zones)
+        highs_bindings()  # import the solver now, not inside the first plan
 
     def dispatch(self, view) -> list[DispatchOrder]:
         m = self.zones.region_count

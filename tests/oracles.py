@@ -207,15 +207,42 @@ _LINPROG_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbo
                    4: "numerical_difficulties"}
 
 
+def dense(block):
+    """The dense ``(rows, n_cols)`` array of an ``lp.SparseRows`` block."""
+    out = np.zeros(block.shape)
+    for r in range(block.shape[0]):
+        cols = slice(block.start[r], block.start[r + 1])
+        out[r, block.index[cols]] = block.value[cols]
+    return out
+
+
+def rowwise_reference(blocks, n):
+    """Row starts, column indices and values of the nonzeros of the stacked dense blocks.
+
+    The lists that ``lp.solve`` passed to HiGHS when programs held dense
+    blocks: each block's ``a != 0.0`` mask is scanned row-major, so zeros
+    of either sign are dropped.
+    """
+    start, index, value = [0], [], []
+    for a in blocks:
+        for row in np.asarray(a, dtype=np.float64).reshape(-1, n):
+            cols = np.flatnonzero(row != 0.0)
+            index += cols.tolist()
+            value += row[cols].tolist()
+            start.append(len(index))
+    return start, index, value
+
+
 def linprog_solve_reference(problem):
-    """``lp.solve`` as a ``scipy.optimize.linprog(method="highs")`` adapter."""
+    """``lp.solve`` as a ``scipy.optimize.linprog(method="highs")`` adapter,
+    given the program's blocks as dense arrays."""
     from scipy.optimize import linprog
 
     from fleetsim.lp import LpSolution
 
-    res = linprog(-problem.c, A_ub=problem.a_ub, b_ub=problem.b_ub,
-                  A_eq=problem.a_eq, b_eq=problem.b_eq, bounds=(0, None),
-                  method="highs")
+    a_eq = None if problem.a_eq is None else dense(problem.a_eq)
+    res = linprog(-problem.c, A_ub=dense(problem.a_ub), b_ub=problem.b_ub,
+                  A_eq=a_eq, b_eq=problem.b_eq, bounds=(0, None), method="highs")
     status = _LINPROG_STATUS.get(res.status, f"linprog_status_{res.status}")
     if status != "optimal":
         return LpSolution(status, None, None)
@@ -346,7 +373,8 @@ def rhc_lp_reference(x0: np.ndarray, sched: np.ndarray, wbar: np.ndarray,
 
     Registers every column in a dict keyed by ``(k, i, j)`` or ``(k, i)``
     and adds the rows one by one, in the order the library builds them
-    in blocks; returns the ``LpProblem`` only.
+    in blocks; returns the ``LpProblem`` that ``LpProblem.from_dense`` makes
+    of the dense rows.
 
     Decision variables are zone-to-zone dispatch counts per slot
     (restricted to pairs reachable within one slot), future supply
@@ -476,7 +504,7 @@ def rhc_lp_reference(x0: np.ndarray, sched: np.ndarray, wbar: np.ndarray,
 
     from fleetsim.lp import LpProblem
 
-    problem = LpProblem(
+    problem = LpProblem.from_dense(
         c=objective,
         a_ub=np.asarray(rows) if rows else np.zeros((0, n)),
         b_ub=np.asarray(rhs),

@@ -648,6 +648,25 @@ class TestCli:
         assert code == 2, err
         assert err.startswith(f"data error: {path}") and message in err, err
 
+    @pytest.mark.parametrize("command", ["simulate", "train-eta", "train-demand"])
+    @pytest.mark.parametrize("damage", ["truncated", "list"])
+    def test_broken_metrics_is_data_error(self, written_city, tmp_path, capsys, command,
+                                          damage):
+        # simulate reads the metrics record, and the two training commands
+        # merge into it: they must fail before they train and save a model
+        for sub in ("city", "out"):
+            shutil.copytree(written_city / sub, tmp_path / sub)
+        models = tmp_path / "out" / "models"
+        path = models / "metrics.json"
+        path.write_bytes(path.read_bytes()[:40] if damage == "truncated" else b"[1, 2]")
+        saved = {p.name: p.read_bytes() for p in models.iterdir()}
+        # another training city, so that a model trained anyway would differ
+        code = cli.main([*TINY_CLI, *dirs(tmp_path), "--set", "train_seed=5", command])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"data error: {path}: "), err
+        assert {p.name: p.read_bytes() for p in models.iterdir()} == saved
+
     def test_dqn_training_past_the_training_city_is_config_error(self, tmp_path):
         # 23:00 plus 60 warmup minutes plus one step ends at minute 1441 of a
         # one-day training city

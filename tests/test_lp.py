@@ -4,49 +4,53 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from fleetsim.lp import LpProblem, LpSolution, accepted_status, solve
+from fleetsim import lp
+from fleetsim.lp import LpProblem, LpSolution, SparseRows, accepted_status, solve
 from fleetsim.rhc import build_rhc_lp
 from oracles import (linprog_solve_reference, random_bounded_lp, random_sparse_lp,
-                     seeded_rhc_lp_inputs, vertex_enumeration_optimum)
+                     rowwise_reference, seeded_rhc_lp_inputs, vertex_enumeration_optimum)
 
 
 class TestBasics:
     def test_single_variable(self):
-        sol = solve(LpProblem(c=[1.0], a_ub=[[1.0]], b_ub=[3.0]))
+        sol = solve(LpProblem.from_dense(c=[1.0], a_ub=[[1.0]], b_ub=[3.0]))
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(3.0)
         assert sol.objective == pytest.approx(3.0)
 
     def test_degenerate_optimum_face(self):
-        sol = solve(LpProblem(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0]))
+        sol = solve(LpProblem.from_dense(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0]))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(1.0)
         # deterministic vertex: run twice, same point
-        again = solve(LpProblem(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0]))
+        again = solve(LpProblem.from_dense(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0]))
         np.testing.assert_array_equal(sol.x, again.x)
 
     def test_unbounded(self):
-        sol = solve(LpProblem(c=[1.0], a_ub=[[-1.0]], b_ub=[0.0]))
+        sol = solve(LpProblem.from_dense(c=[1.0], a_ub=[[-1.0]], b_ub=[0.0]))
         assert sol.status == "unbounded"
 
     def test_infeasible(self):
         # x <= -1 with x >= 0
-        sol = solve(LpProblem(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0]))
+        sol = solve(LpProblem.from_dense(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0]))
         assert sol.status == "infeasible"
 
     def test_negative_rhs_feasible(self):
         # x1 + x2 >= 2expressed as -(x1+x2) <= -2, minimize x1+2x2
-        sol = solve(LpProblem(c=[-1.0, -2.0], a_ub=[[-1.0, -1.0]], b_ub=[-2.0]))
+        sol = solve(LpProblem.from_dense(c=[-1.0, -2.0], a_ub=[[-1.0, -1.0]], b_ub=[-2.0]))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-2.0)
         assert sol.x[0] == pytest.approx(2.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            LpProblem(c=[1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
+            LpProblem.from_dense(c=[1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
         with pytest.raises(ValueError):
-            LpProblem(c=[np.nan], a_ub=[[1.0]], b_ub=[1.0])
+            LpProblem.from_dense(c=[np.nan], a_ub=[[1.0]], b_ub=[1.0])
 
 
     def test_no_negative_zero_in_solution(self):
@@ -62,12 +66,71 @@ class TestBasics:
         assert not np.signbit(sol.x).any()
 
 
+@st.composite
+def dense_blocks(draw):
+    """A column count and one or two dense blocks of it, some with no rows."""
+    n = draw(st.integers(1, 6))
+    values = st.sampled_from([0.0, -0.0, 0.0, 1.0, -2.5, 1e-300, 7.0])
+    return n, draw(st.lists(hnp.arrays(np.float64, st.tuples(st.integers(0, 5), st.just(n)),
+                                       elements=values), min_size=1, max_size=2))
+
+
+class TestSparseRows:
+    @given(dense_blocks())
+    def test_from_dense_gives_the_dense_scan(self, drawn):
+        n, blocks = drawn
+        a_eq, b_eq = (blocks[1], np.ones(len(blocks[1]))) if len(blocks) == 2 else (None, None)
+        problem = LpProblem.from_dense(np.ones(n), blocks[0], np.ones(len(blocks[0])),
+                                       a_eq, b_eq)
+        sparse = [problem.a_ub] + ([] if a_eq is None else [problem.a_eq])
+        assert [a.shape for a in sparse] == [a.shape for a in blocks]
+        # the lists solve passes to HiGHS, as the dense scan made them
+        assert tuple(a.tolist() for a in lp._rowwise(sparse)) == rowwise_reference(blocks, n)
+
+    @given(dense_blocks(), st.integers(0, 2**32 - 1))
+    def test_product_equals_the_dense_product(self, drawn, seed):
+        n, blocks = drawn
+        x = np.random.default_rng(seed).uniform(-3.0, 3.0, n)
+        for a in blocks:
+            sparse = LpProblem.from_dense(np.ones(n), a, np.ones(len(a))).a_ub
+            np.testing.assert_allclose(sparse @ x, a @ x, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda: LpProblem([1.0, 1.0], SparseRows([0, 2, 1, 2], [0, 1, 0, 1], np.ones(4), 2),
+                          np.ones(3)),
+        lambda: LpProblem([1.0, 1.0], SparseRows([1, 2], [0, 1], np.ones(2), 2), [1.0]),
+        lambda: LpProblem([1.0, 1.0], SparseRows([0, 1], [0, 1], np.ones(2), 2), [1.0]),
+        lambda: LpProblem([1.0, 1.0], SparseRows([0, 2], [0, 2], np.ones(2), 2), [1.0]),
+        lambda: LpProblem([1.0, 1.0], SparseRows([0, 1], [-1], np.ones(1), 2), [1.0]),
+        lambda: LpProblem([1.0, 1.0], SparseRows([0, 2], [1, 1], np.ones(2), 2), [1.0]),
+        lambda: LpProblem([1.0, 1.0], SparseRows([0, 2], [1, 0], np.ones(2), 2), [1.0]),
+        lambda: LpProblem([1.0, 1.0], SparseRows([0, 2], [0, 1], [1.0, 0.0], 2), [1.0]),
+        lambda: LpProblem([1.0, 1.0], SparseRows([0, 2], [0, 1], [1.0, -0.0], 2), [1.0]),
+        lambda: LpProblem([1.0, 1.0], SparseRows([0, 2], [0, 1], [1.0, np.nan], 2), [1.0]),
+        lambda: LpProblem([1.0, 1.0], SparseRows([0, 2], [0, 1], [np.inf, 1.0], 2), [1.0]),
+        lambda: LpProblem([1.0, 1.0], SparseRows([0, 1], [0], [1.0], 3), [1.0]),
+        lambda: LpProblem([1.0, 1.0], SparseRows([0, 1, 2], [0, 1], np.ones(2), 2), [1.0]),
+        lambda: LpProblem([1.0, 1.0], SparseRows([0, 1], [0], [1.0], 2), [1.0],
+                          SparseRows([0, 1], [2], [1.0], 3), [1.0]),
+        lambda: LpProblem([1.0, 1.0], SparseRows([0, 1], [0], [1.0], 2), [1.0],
+                          SparseRows([0, 1], [1], [1.0], 2), [1.0, 2.0]),
+        lambda: LpProblem([1.0, 1.0], [[1.0, 1.0]], [1.0]),
+    ], ids=["starts-fall", "starts-not-from-0", "starts-miss-the-end", "column-too-large",
+            "column-negative", "column-repeated", "columns-unsorted", "explicit-zero",
+            "explicit-negative-zero", "nan-value", "inf-value", "more-columns-than-c",
+            "more-rows-than-b", "equality-columns-other-than-c",
+            "equality-rows-other-than-b", "dense-block"])
+    def test_malformed_block_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+
 class TestOracleEquivalence:
     def test_matches_vertex_enumeration(self):
         rng = np.random.default_rng(2024)
         for trial in range(200):
             c, a, b = random_bounded_lp(rng)
-            sol = solve(LpProblem(c=c, a_ub=a, b_ub=b))
+            sol = solve(LpProblem.from_dense(c=c, a_ub=a, b_ub=b))
             expect, _ = vertex_enumeration_optimum(c, a, b)
             assert sol.status == "optimal", f"trial {trial}"
             assert expect is not None
@@ -80,7 +143,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(7)
         for _ in range(50):
             c, a, b = random_bounded_lp(rng)
-            sol = solve(LpProblem(c=c, a_ub=a, b_ub=b))
+            sol = solve(LpProblem.from_dense(c=c, a_ub=a, b_ub=b))
             assert sol.status == "optimal"
             assert (a @ sol.x <= b + 1e-9).all()
             assert (sol.x >= -1e-9).all()
@@ -95,7 +158,7 @@ class TestOracleEquivalence:
             if not (a.T @ y >= c - 1e-12).all():
                 continue
             checked += 1
-            sol = solve(LpProblem(c=c, a_ub=a, b_ub=b))
+            sol = solve(LpProblem.from_dense(c=c, a_ub=a, b_ub=b))
             assert sol.objective <= float(b @ y) + 1e-7
 
 
@@ -103,8 +166,8 @@ class TestDeterminismAndCycling:
     def test_identical_problems_identical_solutions(self):
         rng = np.random.default_rng(3)
         c, a, b = random_bounded_lp(rng)
-        s1 = solve(LpProblem(c=c, a_ub=a, b_ub=b))
-        s2 = solve(LpProblem(c=c, a_ub=a, b_ub=b))
+        s1 = solve(LpProblem.from_dense(c=c, a_ub=a, b_ub=b))
+        s2 = solve(LpProblem.from_dense(c=c, a_ub=a, b_ub=b))
         assert s1.objective == s2.objective
         np.testing.assert_array_equal(s1.x, s2.x)
 
@@ -117,7 +180,7 @@ class TestDeterminismAndCycling:
             [0.0, 0.0, 1.0, 0.0],
         ]
         b = [0.0, 0.0, 1.0]
-        sol = solve(LpProblem(c=c, a_ub=a, b_ub=b))
+        sol = solve(LpProblem.from_dense(c=c, a_ub=a, b_ub=b))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(0.05, abs=1e-9)
 
@@ -132,7 +195,7 @@ class TestDeterminismAndCycling:
             a = np.vstack([a, np.ones((1, n))])
             b = np.concatenate([b, [5.0]])
             c = rng.uniform(-1, 2, size=n)
-            sol = solve(LpProblem(c=c, a_ub=a, b_ub=b))
+            sol = solve(LpProblem.from_dense(c=c, a_ub=a, b_ub=b))
             expect, _ = vertex_enumeration_optimum(c, a, b)
             if sol.status == "optimal":
                 assert expect == pytest.approx(sol.objective, abs=1e-7)
@@ -157,26 +220,26 @@ class TestMatchesLinprog:
         rng = np.random.default_rng(11)
         for _ in range(150):
             c, a, b = random_bounded_lp(rng)
-            assert self.assert_same(LpProblem(c=c, a_ub=a, b_ub=b)) == "optimal"
+            assert self.assert_same(LpProblem.from_dense(c=c, a_ub=a, b_ub=b)) == "optimal"
 
     def test_sparse_programs_of_every_outcome(self):
         rng = np.random.default_rng(29)
-        statuses = [self.assert_same(LpProblem(*random_sparse_lp(rng))) for _ in range(300)]
+        statuses = [self.assert_same(LpProblem.from_dense(*random_sparse_lp(rng))) for _ in range(300)]
         assert {"optimal", "infeasible", "unbounded"} <= set(statuses)
 
     @pytest.mark.parametrize("problem, status", [
-        (LpProblem(c=[1.0, 2.0], a_ub=np.zeros((0, 2)), b_ub=[]), "unbounded"),
-        (LpProblem(c=[-1.0, -2.0], a_ub=np.zeros((0, 2)), b_ub=[]), "optimal"),
-        (LpProblem(c=[1.0, -1.0], a_ub=np.zeros((0, 2)), b_ub=[],
+        (LpProblem.from_dense(c=[1.0, 2.0], a_ub=np.zeros((0, 2)), b_ub=[]), "unbounded"),
+        (LpProblem.from_dense(c=[-1.0, -2.0], a_ub=np.zeros((0, 2)), b_ub=[]), "optimal"),
+        (LpProblem.from_dense(c=[1.0, -1.0], a_ub=np.zeros((0, 2)), b_ub=[],
                    a_eq=[[1.0, 1.0]], b_eq=[2.0]), "optimal"),
-        (LpProblem(c=[1.0, 1.0], a_ub=np.zeros((0, 2)), b_ub=[],
+        (LpProblem.from_dense(c=[1.0, 1.0], a_ub=np.zeros((0, 2)), b_ub=[],
                    a_eq=[[1.0, -1.0], [1.0, 0.0]], b_eq=[0.0, -1.0]), "infeasible"),
-        (LpProblem(c=[0.0, 1.0], a_ub=[[0.0, 0.0], [1.0, 1.0]], b_ub=[0.0, 3.0],
+        (LpProblem.from_dense(c=[0.0, 1.0], a_ub=[[0.0, 0.0], [1.0, 1.0]], b_ub=[0.0, 3.0],
                    a_eq=np.zeros((0, 2)), b_eq=[]), "optimal"),
         # HiGHS refuses a coefficient this large when the model is passed
-        (LpProblem(c=[1.0], a_ub=[[1e16]], b_ub=[1.0]), "infeasible"),
+        (LpProblem.from_dense(c=[1.0], a_ub=[[1e16]], b_ub=[1.0]), "infeasible"),
         # and ends the run on a cost this large in an unknown model status
-        (LpProblem(c=[1e300], a_ub=[[1.0]], b_ub=[1.0]), "numerical_difficulties"),
+        (LpProblem.from_dense(c=[1e300], a_ub=[[1.0]], b_ub=[1.0]), "numerical_difficulties"),
     ], ids=["no-rows-unbounded", "no-rows-optimal", "equality-only",
             "equality-only-infeasible", "zero-row-no-equalities", "model-error",
             "run-error"])
@@ -193,7 +256,7 @@ class TestAcceptance:
     """``accepted_status`` refuses an optimum that misses by more than ACCEPT_TOL."""
 
     # max x0 + x1 s.t. x0 + x1 <= 1, x0 - x1 == 0: optimum (0.5, 0.5)
-    PROBLEM = LpProblem(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0],
+    PROBLEM = LpProblem.from_dense(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0],
                         a_eq=[[1.0, -1.0]], b_eq=[0.0])
 
     def test_exact_optimum_accepted(self):
@@ -212,7 +275,7 @@ class TestAcceptance:
 
     def test_nan_refused(self):
         assert accepted_status(self.PROBLEM, np.array([np.nan, 0.5])) == "numerical_difficulties"
-        no_rows = LpProblem(c=[1.0], a_ub=np.zeros((0, 1)), b_ub=[])
+        no_rows = LpProblem.from_dense(c=[1.0], a_ub=np.zeros((0, 1)), b_ub=[])
         assert accepted_status(no_rows, np.array([np.nan])) == "numerical_difficulties"
 
 
@@ -228,3 +291,38 @@ def test_scipy_optimize_loaded_only_by_solve():
              "PATH": "/usr/bin:/bin"},
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_highs_bindings_loaded_by_building_the_rhc_policy_only():
+    # the RHC policy loads the solver when it is built, so that its first
+    # plan does not pay for the import; the other policies never load it
+    code = """
+import sys
+from types import SimpleNamespace
+import numpy as np
+from fleetsim.dqn import QNetwork
+from fleetsim.geo import GridSpec, Location, block_region_map
+from fleetsim.harness import experiment as ex
+from fleetsim.harness.config import parse_config
+cfg = parse_config(overrides={"seed": "3"})
+grid = GridSpec(rows=cfg.fine_rows, cols=cfg.fine_cols, cell_size=500.0,
+                origin=Location(40.0, -74.0))
+zones = block_region_map(grid, cfg.zone_block, cfg.zone_block)
+m = zones.region_count
+city = SimpleNamespace(zones=zones,
+                       regions=block_region_map(grid, cfg.region_block, cfg.region_block))
+bundle = SimpleNamespace(demand_model=None, historical=np.zeros((7, 24) + grid.shape),
+                         trip_times=np.ones((7, 24, m, m)),
+                         destinations=np.full((7, 24, m, m), 1.0 / m))
+qnet = QNetwork.create(np.random.default_rng(0))
+for name in ("none", "dqn", "rhc"):
+    policy = ex.make_policy(cfg, name, city, bundle, qnet=qnet)
+    print(type(policy).__name__, "scipy.optimize._highspy._core" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+             "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.stdout.split("\n")[:3] == ["NoneType False", "DqnPolicy False",
+                                           "RhcPolicy True"]

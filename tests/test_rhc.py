@@ -163,7 +163,7 @@ class TestRhcLp:
 
 def assert_same_program(problem, reference):
     """Equal coefficients, signed zeros included, in every array of the LP."""
-    for name in ("c", "a_ub", "b_ub", "a_eq", "b_eq"):
+    for name in ("c", "b_ub", "b_eq"):
         got, want = getattr(problem, name), getattr(reference, name)
         if want is None:
             assert got is None, name
@@ -171,6 +171,14 @@ def assert_same_program(problem, reference):
         assert got.shape == want.shape, name
         assert np.array_equal(got, want), name
         assert np.array_equal(np.signbit(got), np.signbit(want)), name
+    for name in ("a_ub", "a_eq"):
+        got, want = getattr(problem, name), getattr(reference, name)
+        if want is None:
+            assert got is None, name
+            continue
+        assert got.shape == want.shape, name
+        for part in ("start", "index", "value"):
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), (name, part)
 
 
 @st.composite

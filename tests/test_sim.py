@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import DqnPolicyReference, ReferenceSimulation, VehicleState
+from oracles import (DqnPolicyReference, ReferenceSimulation, VehicleState,
+                     seeded_rhc_lp_inputs)
 from test_dqn import make_training, sample_qnet
 
 from fleetsim.clock import Clock
 from fleetsim.dqn import DqnPolicy
 from fleetsim.geo import (GridSpec, Location, OutOfBoundsError, block_region_map, center_of,
                           haversine)
+from fleetsim.lp import solve
+from fleetsim.rhc import RhcPolicy, build_rhc_lp
 from fleetsim.roadgraph import build_graph
 from fleetsim.sim import (
     DISPATCHING,
@@ -709,6 +712,79 @@ class TestDqnInvariants:
         assert runs[2] == runs[0]
 
 
+class ZoneBudgetCheck:
+    """Wraps an ``RhcPolicy``: checks each invocation's orders against its view."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.cycle = policy.cycle
+        self.orders = 0
+
+    def dispatch(self, view):
+        orders = self.policy.dispatch(view)
+        assert self.policy.last_plan.status == "optimal"
+        vids = [o.vehicle_id for o in orders]
+        assert len(set(vids)) == len(vids)
+        assert set(vids) <= set(view.idle_ids.tolist())
+        zone = self.policy.zones.assignment
+        m = self.policy.zones.region_count
+        idle = view.cells[view.idle_ids]
+        moved = view.cells[np.array(vids, dtype=np.int64)]
+        assert (np.bincount(zone[moved[:, 0], moved[:, 1]], minlength=m)
+                <= np.bincount(zone[idle[:, 0], idle[:, 1]], minlength=m)).all()
+        self.orders += len(orders)
+        return orders
+
+
+def rhc_city_simulation(sim_cls, seed, rows, cols, n_vehicles, n_requests, slot, horizon):
+    """A simulation of :func:`small_city` dispatched by a receding-horizon policy.
+
+    A zone spans 2 rows where the grid has an even row count, else 1, and
+    likewise 2 or 1 columns; the zone tables and the demand history are
+    drawn from ``seed``, with trip times on both sides of the one-slot limit.
+    """
+    grid, graph, requests = small_city(seed, rows, cols, n_vehicles, n_requests)
+    zones = block_region_map(grid, 2 - rows % 2, 2 - cols % 2)
+    m = zones.region_count
+    rng = np.random.default_rng(seed)
+    trip_times = rng.uniform(0.0, 2.5 * slot, (7, 24, m, m))
+    destinations = rng.dirichlet(np.ones(m), (7, 24, m))
+    future = rng.uniform(0.0, 2.0, (7, 24, rows, cols))
+    policy = RhcPolicy(zones, trip_times, destinations, lambda view: view.trailing_heat,
+                       future, slot_minutes=slot, horizon=horizon)
+    return sim_cls(grid, graph, FeatureEta(), requests, n_vehicles,
+                   policy=ZoneBudgetCheck(policy), clock0=Clock(400.0), warmup=0,
+                   event_log=[])
+
+
+class TestRhcInvariants:
+    @settings(max_examples=12)
+    @given(seed=st.integers(0, 2**16), rows=st.integers(2, 6), cols=st.integers(2, 6),
+           n_vehicles=st.integers(1, 8), n_requests=st.integers(0, 40),
+           slot=st.sampled_from([5.0, 10.0]), horizon=st.integers(1, 3))
+    def test_every_minute(self, seed, rows, cols, n_vehicles, n_requests, slot, horizon):
+        args = (seed, rows, cols, n_vehicles, n_requests, slot, horizon)
+        runs = []
+        for sim_cls in (Simulation, Simulation, ReferenceSimulation):
+            sim = rhc_city_simulation(sim_cls, *args)
+            minutes = [r.minute for r in sim.requests]
+            states = []
+            for _ in range(40):
+                t_before = sim.t
+                sim.step_minute()
+                m = sim.metrics
+                assert m.accepted + m.rejects == m.total_requests
+                assert m.total_requests == sum(1 for x in minutes if x < t_before + 1.0)
+                assert [v.vid for v in sim.fleet] == list(range(n_vehicles))
+                assert all(v.status in (IDLE, DISPATCHING, TO_PICKUP, OCCUPIED)
+                           for v in sim.fleet)
+                states.append((fleet_state(sim), metrics_state(m)))
+            runs.append((sim.event_log, states, sim.policy.orders))
+        # a rerun is bit-identical, and so is the per-vehicle reference simulator
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+
 # --- cases the column layout could get wrong, against the per-vehicle oracle --
 
 class NearZeroEta:
@@ -845,6 +921,19 @@ class TestBenchmarkContract:
                                           "fleetsim.dqn.assemble_batch",
                                           "fleetsim.eta.EtaModel.predict_batch",
                                           "fleetsim.roadgraph.nearest_node"]
+
+    def test_lp_info_counts_the_program_and_reads_the_status(self, bench):
+        # every benchmark run, traced or not, wraps lp.solve with _lp_info
+        without_equalities = set()
+        for seed in range(12):
+            problem, _ = build_rhc_lp(**seeded_rhc_lp_inputs(seed, 15.0))
+            sol = solve(problem)
+            rows = problem.b_ub.size + (0 if problem.b_eq is None else problem.b_eq.size)
+            want = (problem.c.size, rows, sol.status)
+            assert bench._lp_info((problem,), {}, sol) == want
+            assert bench._lp_info((), {"problem": problem}, sol) == want
+            without_equalities.add(problem.a_eq is None)
+        assert without_equalities == {True, False}
 
     def test_step_minute_calls_the_instance_timers(self):
         # the benchmark times dispatch by replacing these two on the instance
