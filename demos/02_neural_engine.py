@@ -18,7 +18,10 @@ params = neural.init_params(spec, rng)
 opt = neural.RmsProp(lr=2e-3)
 
 def target_fn(x):
-    return neural.avg_pool(x[..., 0], 3)[..., None]
+    # 3x3 stride-1 mean pool with zero padding, from one integral image
+    plane = x[..., 0]
+    bounds = neural.pool_bounds(plane.shape[-2], plane.shape[-1], 3)
+    return neural.window_mean(neural.integral_image(plane), bounds, 3)[..., None]
 
 losses = []
 for step in range(300):

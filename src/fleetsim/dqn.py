@@ -107,8 +107,7 @@ def _pooled(maps: np.ndarray, pad: int, bounds: tuple[tuple[np.ndarray, ...], ..
     """(R + 2 pad, C + 2 pad, 3, n): raw, 15- and 30-pooled (n, R, C) maps on a zero border.
 
     ``bounds`` holds the :func:`neural.pool_bounds` of each pool size on the
-    padded canvas; both pools read one integral image, each as
-    :func:`neural.avg_pool` would.
+    padded canvas; both pools read one integral image.
     """
     n, rows, cols = maps.shape
     padded = np.zeros((n, rows + 2 * pad, cols + 2 * pad))
@@ -147,6 +146,7 @@ class FeatureCanvas:
     """
 
     def __init__(self, demand: np.ndarray, supply: np.ndarray, idle: np.ndarray):
+        self.grid_shape = demand.shape
         self.pad, self._bounds = _canvas_geometry(demand.shape)
         self.planes = _pooled(np.concatenate([demand[None], supply, idle[None]]),
                               self.pad, self._bounds)
@@ -157,12 +157,16 @@ class FeatureCanvas:
         self.supply = supply
         self.planes[..., 1:4] = _pooled(supply, self.pad, self._bounds)
 
-    def main(self, region: tuple[int, int]) -> np.ndarray:
-        """The (23, 23, 15) main input centred on ``region``, as a new array."""
+    def q_input(self, region: tuple[int, int], clock: tuple[float, float, float, float]
+                ) -> QInput:
+        """A vehicle's input in new arrays: the (23, 23, 15) main window centred on
+        ``region`` and the region's :func:`_region_aux` planes with ``clock`` in 0-3."""
         r = region[0] + self.pad - MAIN_SIZE // 2
         c = region[1] + self.pad - MAIN_SIZE // 2
         window = np.array(self.planes[r:r + MAIN_SIZE, c:c + MAIN_SIZE])
-        return window.reshape(MAIN_SIZE, MAIN_SIZE, MAIN_PLANES)
+        aux = _region_aux(region, self.grid_shape)[1].copy()
+        aux[..., :4] = clock
+        return QInput(window.reshape(MAIN_SIZE, MAIN_SIZE, MAIN_PLANES), aux)
 
 
 def build_feature_planes(ctx: VehicleContext) -> QInput:
@@ -177,10 +181,7 @@ def build_feature_planes(ctx: VehicleContext) -> QInput:
     plane, the vehicle's normalized coordinates, per-action destination
     coordinates, normalized move distance, and the legality plane.
     """
-    canvas = FeatureCanvas(ctx.demand, ctx.supply, ctx.idle)
-    aux = _region_aux(ctx.region, ctx.demand.shape)[1].copy()
-    aux[..., :4] = ctx.clock
-    return QInput(canvas.main(ctx.region), aux)
+    return FeatureCanvas(ctx.demand, ctx.supply, ctx.idle).q_input(ctx.region, ctx.clock)
 
 
 @lru_cache(maxsize=None)
@@ -501,7 +502,7 @@ class DqnPolicy:
         pooled :class:`FeatureCanvas`.  Built once per region and grid
         shape in the process, and shared with training: the legal move
         mask and the aux planes (:func:`_region_aux`), which a greedy
-        decision copies to write the clock planes.
+        decision's :meth:`FeatureCanvas.q_input` copies to write the clock planes.
 
         Decisions stay sequential: a move takes its vehicle out of the
         supply at its origin at every horizon and adds it at its
@@ -548,16 +549,14 @@ class DqnPolicy:
             if demand_regions is None:
                 heat = self.demand_predictor(view)
                 demand_regions = aggregate_to_regions(heat, self.region_map).reshape(rr, rc)
-            legal, region_aux = _region_aux(region, self.region_shape)
+            legal = _region_aux(region, self.region_shape)[0]
             action = explore_action(legal, eps, self.rng) if training is not None else None
             if action is None:
                 if canvas is None:
                     canvas = FeatureCanvas(demand_regions, supply, idle_regions)
                 elif canvas.supply is not supply:
                     canvas.set_supply(supply)
-                aux = region_aux.copy()
-                aux[..., :4] = clock
-                action = greedy_action(self.net.q_map(QInput(canvas.main(region), aux), legal))
+                action = greedy_action(self.net.q_map(canvas.q_input(region, clock), legal))
             if training is not None:
                 ctx = VehicleContext(demand=demand_regions, supply=supply,
                                      idle=idle_regions, region=region, clock=clock)

@@ -1,10 +1,1 @@
 """Data ingestion, synthetic workloads, experiment orchestration and the CLI."""
-
-from .config import ConfigError, ExperimentConfig, parse_config, render_config
-from .synth import synth_city
-from .ingest import ingest_trips
-
-__all__ = [
-    "ConfigError", "ExperimentConfig", "parse_config", "render_config",
-    "synth_city", "ingest_trips",
-]

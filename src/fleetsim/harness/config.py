@@ -1,8 +1,8 @@
 """Experiment configuration: a flat key=value file plus overrides.
 
 Every field of :class:`ExperimentConfig` is a key; types come from the
-dataclass declaration.  ``seed`` is mandatory.  ``parse`` and ``render``
-round-trip exactly.
+dataclass declaration.  ``seed`` is mandatory.  A file of one ``key = value``
+line per field, each value as ``str`` prints it, parses back to an equal config.
 """
 
 from __future__ import annotations
@@ -190,10 +190,3 @@ def parse_config(path=None, overrides: dict | None = None, text: str | None = No
     if "seed" not in values:
         raise ConfigError("config must set a seed")
     return ExperimentConfig(**values).validate()
-
-
-def render_config(cfg: ExperimentConfig) -> str:
-    lines = []
-    for f in fields(ExperimentConfig):
-        lines.append(f"{f.name} = {getattr(cfg, f.name)}")
-    return "\n".join(lines) + "\n"

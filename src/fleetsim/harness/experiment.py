@@ -52,11 +52,8 @@ class City:
 
 
 def city_from_synth(sc: SynthCity) -> City:
-    requests = [RideRequest(rid=i, minute=tr.pickup_minute, pickup=tr.pickup,
-                            dropoff=tr.dropoff, trip_minutes=tr.duration_minutes,
-                            distance_km=tr.distance_km)
-                for i, tr in enumerate(sc.trips)]
-    return City(sc.grid, sc.graph, sc.regions, sc.zones, requests)
+    """The synthetic city as a :class:`City`; its requests are ``sc.trips``, not a copy."""
+    return City(sc.grid, sc.graph, sc.regions, sc.zones, sc.trips)
 
 
 def load_city(cfg: ExperimentConfig, data_dir=None) -> City:
@@ -329,19 +326,19 @@ def make_policy(cfg: ExperimentConfig, policy_name: str, city: City,
                 bundle: ModelBundle, qnet: dqn_mod.QNetwork | None = None):
     if policy_name == "none":
         return None
-    predictor = ModelDemandPredictor(bundle.demand_model, bundle.historical)
     if policy_name == "rhc":
-        rhc_predictor = ModelDemandPredictor(bundle.demand_model, bundle.historical,
-                                             floor_with_history=True)
+        predictor = ModelDemandPredictor(bundle.demand_model, bundle.historical,
+                                         floor_with_history=True)
         return rhc_mod.RhcPolicy(
             zones=city.zones, trip_times=bundle.trip_times,
-            destinations=bundle.destinations, demand_predictor=rhc_predictor,
+            destinations=bundle.destinations, demand_predictor=predictor,
             future_demand=bundle.historical,
             reject_penalty=cfg.rhc_reject_penalty, discount=cfg.rhc_discount,
             slot_minutes=cfg.rhc_slot_minutes, horizon=cfg.rhc_horizon)
     if policy_name in ("dqn", "dqn_star"):
         if qnet is None:
             raise ConfigError("a trained Q-network is required for DQN policies")
+        predictor = ModelDemandPredictor(bundle.demand_model, bundle.historical)
         return dqn_mod.DqnPolicy(
             qnet, city.regions, region_shape(cfg), predictor,
             decision_interval=cfg.dqn_decision_interval,

@@ -21,24 +21,19 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from ..geo import GridSpec, Location, RegionMap, block_region_map, center_of, haversine
 from ..roadgraph import RoadGraph, build_graph, save_edge_list
+from ..sim import RideRequest
 from .config import ExperimentConfig
 
+# the generator's rate slot, 48 a day: a decision apart from the heat-map slot
+# sim.SLOT_MINUTES of equal length, kept because perfbench/bench.py reads it
 SLOT_MINUTES = 30
-
-
-@dataclass(frozen=True)
-class TripRecord:
-    pickup_minute: float
-    pickup: Location
-    dropoff: Location
-    duration_minutes: float
-    distance_km: float
 
 
 @dataclass
@@ -47,7 +42,7 @@ class SynthCity:
     graph: RoadGraph
     regions: RegionMap
     zones: RegionMap
-    trips: list[TripRecord]
+    trips: list[RideRequest]  # ids ascending in pickup order
 
 
 def _hour_bump(hour: float, center: float, width: float) -> float:
@@ -87,16 +82,17 @@ def _dest_weights(hour: float) -> np.ndarray:
     return np.array([0.14, 0.38, 0.40, 0.08])
 
 
+def _hotspot_geometry(grid: GridSpec) -> list[tuple[float, float, float]]:
+    """Each hotspot's centre row and column and its sigma, in grid cells."""
+    return [(fr * (grid.rows - 1), fc * (grid.cols - 1), sigma * max(grid.rows, grid.cols))
+            for _, fr, fc, sigma in _HOTSPOTS]
+
+
 def _hotspot_maps(grid: GridSpec) -> np.ndarray:
     rows = np.arange(grid.rows)[:, None]
     cols = np.arange(grid.cols)[None, :]
-    maps = []
-    for _, fr, fc, sigma in _HOTSPOTS:
-        r0 = fr * (grid.rows - 1)
-        c0 = fc * (grid.cols - 1)
-        s = sigma * max(grid.rows, grid.cols)
-        maps.append(np.exp(-0.5 * (((rows - r0) / s) ** 2 + ((cols - c0) / s) ** 2)))
-    return np.stack(maps)
+    return np.stack([np.exp(-0.5 * (((rows - r0) / s) ** 2 + ((cols - c0) / s) ** 2))
+                     for r0, c0, s in _hotspot_geometry(grid)])
 
 
 def _slot_rates(grid: GridSpec, cfg: ExperimentConfig) -> np.ndarray:
@@ -173,9 +169,7 @@ def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
                     origin=Location(cfg.origin_lat, cfg.origin_lon))
     rates = _slot_rates(grid, cfg)
     level = _activity_level(rng, days * 48)
-    spot_centers = [((fr * (grid.rows - 1)), (fc * (grid.cols - 1)))
-                    for _, fr, fc, _ in _HOTSPOTS]
-    spot_sigma = [sigma * max(grid.rows, grid.cols) for *_x, sigma in _HOTSPOTS]
+    spots = _hotspot_geometry(grid)
     speeds, dest_cdfs = [], []
     for slot in range(48):
         speeds.append(_speed_kmh(slot * 0.5, cfg))
@@ -188,7 +182,7 @@ def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
     row_hi, col_hi = rows - 1e-6, cols - 1e-6
     noise = cfg.synth_noise
     random, normal, poisson = rng.random, rng.normal, rng.poisson
-    trips: list[TripRecord] = []
+    draws = []
     for day in range(days):
         dow = (cfg.epoch_dow + day) % 7
         for slot in range(48):
@@ -206,19 +200,18 @@ def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
                         dr = rows * random()
                         dc = cols * random()
                     else:
-                        k = bisect_right(cdf, random())
-                        r0, c0 = spot_centers[k]
-                        dr = min(max(r0 + normal(0, spot_sigma[k]) + random(), 0.0), row_hi)
-                        dc = min(max(c0 + normal(0, spot_sigma[k]) + random(), 0.0), col_hi)
+                        r0, c0, sigma = spots[bisect_right(cdf, random())]
+                        dr = min(max(r0 + normal(0, sigma) + random(), 0.0), row_hi)
+                        dc = min(max(c0 + normal(0, sigma) + random(), 0.0), col_hi)
                     dropoff = Location(lat0 + dr * d_lat, lon0 + dc * d_lon)
                     straight = haversine(pickup, dropoff)
                     if straight < 100.0:
                         continue  # hop too short to be a recorded taxi trip
                     dist_km = straight * 1.25 / 1000.0
                     minutes = dist_km / speed * 60.0 * float(np.exp(normal(0.0, noise)))
-                    trips.append(TripRecord(minute, pickup, dropoff,
-                                            max(1.0, minutes), dist_km))
-    trips.sort(key=lambda tr: tr.pickup_minute)
+                    draws.append((minute, pickup, dropoff, max(1.0, minutes), dist_km))
+    draws.sort(key=itemgetter(0))  # stable: equal minutes keep their draw order
+    trips = [RideRequest(i, *draw) for i, draw in enumerate(draws)]
     regions = block_region_map(grid, cfg.region_block, cfg.region_block)
     zones = block_region_map(grid, cfg.zone_block, cfg.zone_block)
     return SynthCity(grid=grid, graph=build_road_grid(grid), regions=regions,
@@ -240,8 +233,8 @@ def write_city(city: SynthCity, cfg: ExperimentConfig, out_dir) -> dict:
                  "dropoff_lat,dropoff_lon,trip_distance_km\n")
         for tr in city.trips:
             fh.write(",".join([
-                _iso(epoch, tr.pickup_minute),
-                _iso(epoch, tr.pickup_minute + tr.duration_minutes),
+                _iso(epoch, tr.minute),
+                _iso(epoch, tr.minute + tr.trip_minutes),
                 repr(float(tr.pickup.lat)), repr(float(tr.pickup.lon)),
                 repr(float(tr.dropoff.lat)), repr(float(tr.dropoff.lon)),
                 repr(float(tr.distance_km)),

@@ -300,20 +300,6 @@ def window_mean(integ: np.ndarray, bounds: tuple[np.ndarray, ...], k: int) -> np
     return sums / float(k * k)
 
 
-def avg_pool(plane: np.ndarray, k: int) -> np.ndarray:
-    """Same-size k x k mean pooling with stride 1 and zero padding at edges.
-
-    Operates on the trailing two axes.  Every output is the window sum
-    divided by k*k, so windows hanging off the plane average in zeros
-    (see :func:`pool_bounds` for the window of each index).
-    """
-    x = np.asarray(plane, dtype=np.float64)
-    h, w = x.shape[-2], x.shape[-1]
-    if h < k or w < k:
-        raise ValueError(f"plane {h}x{w} smaller than {k}x{k} pooling kernel")
-    return window_mean(integral_image(x), pool_bounds(h, w, k), k)
-
-
 # --- checkpoint container -------------------------------------------------
 
 def _layer_to_dict(layer) -> dict:

@@ -5,8 +5,8 @@ solves a linear program for fractional zone-to-zone dispatch counts,
 rounds the first slot's plan, and greedily maps dispatch units onto
 concrete vehicles and fine-grid cells using the demand-supply mismatch.
 
-The supply recursion keeps the printed index conventions of the source
-dynamics: demand in slot k+1 is served from supply standing at slot k,
+The LP's supply dynamics keep the printed index conventions of the source
+paper: demand in slot k+1 is served from supply standing at slot k,
 dispatch moves decided in slot k land in slot k+1, and vehicles dropping
 off during slot k join the idle pool at slot k+1.
 """
@@ -130,48 +130,6 @@ def load_tables(path, zone_count: int) -> tuple[np.ndarray, np.ndarray]:
         raise ZoneTableError(f"{path}: destination row (dow, hour, origin) = "
                              f"{row} does not sum to 1")
     return tau, prob
-
-
-# --- supply dynamics -------------------------------------------------------
-
-def predict_supply(x0: np.ndarray, sched: np.ndarray, wbar: np.ndarray,
-                   tau_slots, p_slots, u_slots=None,
-                   slot_minutes: float = DEFAULT_SLOT_MINUTES) -> np.ndarray:
-    """Roll the supply recursion forward for slots 1..T with fixed dispatches.
-
-    ``x0`` is the standing idle count, ``sched[k]`` the occupied-now
-    vehicles dropping off during relative slot k, ``wbar[k]`` predicted
-    demand, ``tau_slots[k]``/``p_slots[k]`` the per-slot travel-time and
-    destination matrices, and ``u_slots[k]`` an optional fixed dispatch
-    matrix per slot.  Returns an array of shape (T, M).
-    """
-    x0 = np.asarray(x0, dtype=np.float64)
-    wbar = np.asarray(wbar, dtype=np.float64)
-    sched = np.asarray(sched, dtype=np.float64)
-    horizon = wbar.shape[0] - 1
-    m = x0.shape[0]
-    if (x0 < 0).any() or (wbar < 0).any() or (sched < 0).any():
-        raise ValueError("supply inputs must be non-negative")
-
-    xs = np.zeros((horizon + 1, m))
-    xs[0] = x0
-    served = np.zeros((horizon, m))
-    for k in range(horizon):
-        leftover = np.maximum(xs[k] - wbar[k + 1], 0.0)
-        served[k] = np.minimum(wbar[k + 1], xs[k])
-        net_u = np.zeros(m)
-        if u_slots is not None:
-            u = np.asarray(u_slots[k], dtype=np.float64)
-            net_u = u.sum(axis=1) - u.sum(axis=0)
-        arrivals = np.zeros(m)
-        for kp in range(k + 1):
-            lag = np.floor(np.asarray(tau_slots[kp]) / slot_minutes).astype(int)
-            mask = (lag.T == (k - kp))  # mask[i, j]: trips j -> i landing in slot k
-            if mask.any():
-                p = np.asarray(p_slots[kp])
-                arrivals += ((p.T * mask) * served[kp][None, :]).sum(axis=1)
-        xs[k + 1] = leftover - net_u + sched[k] + arrivals
-    return xs[1:]
 
 
 # --- the receding-horizon linear program -----------------------------------
@@ -358,27 +316,26 @@ def check_plan_feasibility(plan: RhcPlan, x0: np.ndarray, tau0: np.ndarray,
 
 # --- vehicle assignment by location-level mismatch -------------------------
 
-def assign_vehicles(u_rounded: np.ndarray, eta: np.ndarray, x_cells: np.ndarray,
-                    idle_vehicles, zone_cells: dict[int, list[tuple[int, int]]]
+def assign_vehicles(u_rounded: np.ndarray, eta: np.ndarray,
+                    idle_vehicles: list[tuple[int, tuple[int, int]]],
+                    zone_cells: dict[int, list[tuple[int, int]]]
                     ) -> tuple[list[DispatchOrder], list[str]]:
     """Map integer zone dispatch counts onto concrete vehicles and cells.
 
     For each dispatch unit from zone i to zone j the source is the
     highest-mismatch cell of zone i that still holds an idle vehicle, and
     the target is the lowest-mismatch cell of zone j.  The mismatch map
-    is updated by one vehicle share after every assignment.  Ties break
-    to the lowest row-major cell index, then the lowest vehicle id.
+    moves by one over the idle vehicle count after every assignment.  Ties
+    break to the lowest row-major cell index, then the lowest vehicle id.
 
-    ``idle_vehicles`` is an iterable of (vehicle_id, (row, col)) and
+    ``idle_vehicles`` lists each idle vehicle as (vehicle_id, (row, col)), and
     ``zone_cells`` maps each zone to its cells in row-major order, as
     :func:`geo.region_cells` returns them.
     Returns (orders, warnings); a shortage of idle vehicles truncates the
     plan with a warning rather than failing.
     """
     eta = np.asarray(eta, dtype=np.float64).copy()
-    x = np.asarray(x_cells, dtype=np.float64).copy()
-    total_supply = x.sum()
-    share = 1.0 / total_supply if total_supply > 0 else 0.0
+    share = 1.0 / len(idle_vehicles) if idle_vehicles else 0.0
 
     by_cell: dict[tuple[int, int], list[int]] = {}
     for vid, cell in idle_vehicles:
@@ -395,7 +352,7 @@ def assign_vehicles(u_rounded: np.ndarray, eta: np.ndarray, x_cells: np.ndarray,
                 best_src = None
                 best_val = -np.inf
                 for cell in zone_cells.get(i, ()):
-                    if x[cell] > 0 and by_cell.get(cell):
+                    if by_cell.get(cell):
                         v = eta[cell]
                         if v > best_val:
                             best_val = v
@@ -413,7 +370,6 @@ def assign_vehicles(u_rounded: np.ndarray, eta: np.ndarray, x_cells: np.ndarray,
                         best_dst = cell
                 vid = by_cell[best_src].pop()
                 orders.append(DispatchOrder(vid, best_dst))
-                x[best_src] -= 1
                 eta[best_src] -= share
                 eta[best_dst] += share
     return orders, warnings
@@ -489,6 +445,5 @@ class RhcPolicy:
         eta = mismatch(view.idle_cell_counts, view.trailing_heat)
         idle = view.idle_ids
         idle_vehicles = list(zip(idle.tolist(), map(tuple, view.cells[idle].tolist())))
-        orders, _ = assign_vehicles(plan.u_rounded, eta, view.idle_cell_counts,
-                                    idle_vehicles, self._zone_cells)
+        orders, _ = assign_vehicles(plan.u_rounded, eta, idle_vehicles, self._zone_cells)
         return orders

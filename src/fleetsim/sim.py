@@ -11,13 +11,13 @@ bit-identical metrics.
 Phase (2) adds the minute's pickups to the demand heat maps with one cell
 lookup, then runs in three passes over its requests: every request
 is matched, in arrival order, against one snapshot of the free vehicles'
-positions; then one nearest-node lookup serves all matched pickups; then,
-again in arrival order, each match is routed, timed by the ETA model and
-recorded.  Matching everything first is exact: a match only takes its
-vehicle out of the free set, and the route and ETA it gets decide
-nothing about which vehicles the later requests of the minute can have.
-Phase (4) likewise looks up the nearest nodes of all orders at once,
-which is why an order list may name a vehicle only once.
+positions; then one :meth:`Simulation._plan_moves` call routes and times
+the matched vehicles' moves to their pickups; then, again in arrival
+order, each match is recorded.  Matching everything first is exact: a
+match only takes its vehicle out of the free set, and the route and ETA
+it gets decide nothing about which vehicles the later requests of the
+minute can have.  Phase (4) likewise plans all orders' moves in one
+``_plan_moves`` call, which is why an order list may name a vehicle once.
 
 The fleet's state is kept in numpy columns indexed by vehicle id: status;
 location; departure and arrival time (arrival is +inf while a vehicle
@@ -315,35 +315,38 @@ class Simulation:
                                    np.where(i > last, points[k, last], between))
         return lat, lon
 
-    def _route_nodes(self, origin_lats, origin_lons, dest_lats, dest_lons
-                     ) -> list[tuple[int, int]]:
-        """Nearest graph nodes ``(o, d)`` of each origin and destination, in one lookup."""
-        k = len(origin_lats)
+    def _plan_moves(self, lats: np.ndarray, lons: np.ndarray, dests: list[Location],
+                    clock: Clock) -> list[tuple]:
+        """Each move from ``(lats[k], lons[k])`` to ``dests[k]``: its origin, waypoint
+        latitudes and longitudes (ending at the destination), segment and total
+        meters, and the ETA model's minutes for those meters at ``clock``.
+
+        One nearest-node lookup serves all moves.  A move follows A* between
+        its nearest nodes, or the straight line where the graph has no path.
+        """
+        k = len(dests)
         if not k:
             return []
-        nodes = nearest_nodes(np.concatenate([origin_lats, dest_lats]),
-                              np.concatenate([origin_lons, dest_lons]), self.graph).tolist()
-        return list(zip(nodes[:k], nodes[k:]))
-
-    def _route(self, origin: Location, dest: Location, o: int, d: int
-               ) -> tuple[list[float], list[float], list[float], float]:
-        """Waypoint latitudes and longitudes, segment lengths and meters from
-        origin to dest along the road graph.
-
-        ``o`` and ``d`` are the graph nodes nearest ``origin`` and ``dest``.
-        Falls back to the straight line when the graph offers no path.
-        Segment lengths are haversine meters.
-        """
-        path = shortest_path(o, d, self.graph)
-        if path is None or len(path.nodes) < 2:
-            dist = haversine(origin, dest)
-            return [origin.lat, dest.lat], [origin.lon, dest.lon], [dist], dist
-        points = [self.graph.nodes[n] for n in path.nodes]
-        head, tail = haversine(origin, points[0]), haversine(points[-1], dest)
-        return ([origin.lat, *[p.lat for p in points], dest.lat],
-                [origin.lon, *[p.lon for p in points], dest.lon],
-                [head, *hop_lengths(path, self.graph), tail],
-                head + path.total_length + tail)
+        nodes = nearest_nodes(np.concatenate([lats, [d.lat for d in dests]]),
+                              np.concatenate([lons, [d.lon for d in dests]]),
+                              self.graph).tolist()
+        moves = []
+        for lat, lon, dest, o, d in zip(lats.tolist(), lons.tolist(), dests,
+                                        nodes[:k], nodes[k:]):
+            origin = Location(lat, lon)
+            path = shortest_path(o, d, self.graph)
+            if path is None or len(path.nodes) < 2:
+                meters = haversine(origin, dest)
+                route = [lat, dest.lat], [lon, dest.lon], [meters]
+            else:
+                points = [self.graph.nodes[n] for n in path.nodes]
+                head, tail = haversine(origin, points[0]), haversine(points[-1], dest)
+                meters = head + path.total_length + tail
+                route = ([lat, *[p.lat for p in points], dest.lat],
+                         [lon, *[p.lon for p in points], dest.lon],
+                         [head, *hop_lengths(path, self.graph), tail])
+            moves.append((origin, *route, meters, self._eta(origin, dest, meters, clock)))
+        return moves
 
     def _set_route(self, vid: int, lats: list[float], lons: list[float],
                    segs: list[float], depart: float, arrival: float) -> None:
@@ -472,8 +475,8 @@ class Simulation:
                     free_left -= 1
             rows.append(row)
 
-        # 2. the matched vehicles take their riders, and one nearest-node
-        #    lookup serves every matched origin and pickup
+        # 2. the matched vehicles take their riders, and their moves to the
+        #    pickups are routed and timed
         taken = [r for r in rows if r is not None]
         riders = [q for q, r in zip(requests, rows) if r is not None]
         vids = free[taken]
@@ -484,13 +487,11 @@ class Simulation:
         self._drop_lon[vids] = [q.dropoff.lon for q in riders]
         self._ride_m[vids] = [haversine(q.pickup, q.dropoff) for q in riders]
         self._ride_id[vids] = [q.rid for q in riders]
-        nodes = iter(self._route_nodes(free_lat[taken], free_lon[taken],
-                                       [q.pickup.lat for q in riders],
-                                       [q.pickup.lon for q in riders]))
+        moves = iter(self._plan_moves(free_lat[taken], free_lon[taken],
+                                      [q.pickup for q in riders], self.clock0.plus(t)))
 
-        # 3. route, time and record each request in order
-        clock = self.clock0.plus(t)
-        free, free_lat, free_lon = free.tolist(), free_lat.tolist(), free_lon.tolist()
+        # 3. record each request in order
+        free = free.tolist()
         for req, row in zip(requests, rows):
             if row is None:
                 if measured:
@@ -498,9 +499,8 @@ class Simulation:
                 self._log("reject", rid=req.rid)
                 continue
 
-            vid, origin = free[row], Location(free_lat[row], free_lon[row])
-            route_lat, route_lon, segs, dist_m = self._route(origin, req.pickup, *next(nodes))
-            eta = self._eta(origin, req.pickup, dist_m, clock)
+            vid = free[row]
+            _, route_lat, route_lon, segs, _, eta = next(moves)
             self._set_route(vid, route_lat, route_lon, segs, t, t + eta)
             if measured:
                 self._count_request(t, eta)
@@ -571,10 +571,7 @@ class Simulation:
         origin_lat, origin_lon = self.positions(t, np.array(movers, dtype=np.int64))
         dests = [center_of(order.target_cell, self.grid)
                  for order, s in zip(orders, status) if s in (IDLE, DISPATCHING)]
-        nodes = iter(self._route_nodes(origin_lat, origin_lon,
-                                       [d.lat for d in dests], [d.lon for d in dests]))
-        moves = iter(zip(origin_lat.tolist(), origin_lon.tolist(), dests))
-        clock = self.clock0.plus(t)
+        moves = iter(self._plan_moves(origin_lat, origin_lon, dests, self.clock0.plus(t)))
 
         for order, vid, s in zip(orders, vids, status):
             if s not in (IDLE, DISPATCHING):
@@ -582,14 +579,11 @@ class Simulation:
                             vid, STATUS_NAMES[s])
                 self._log("order_skipped", vid=vid, detail=STATUS_NAMES[s])
                 continue
-            lat, lon, dest = next(moves)
-            origin = Location(lat, lon)
-            self._lat[vid], self._lon[vid] = lat, lon
+            origin, route_lat, route_lon, segs, meters, eta = next(moves)
+            self._lat[vid], self._lon[vid] = origin.lat, origin.lon
             self._ordered[vid] = True
-            route_lat, route_lon, segs, dist_m = self._route(origin, dest, *next(nodes))
-            eta = self._eta(origin, dest, dist_m, clock)
-            if dist_m <= 0.0 or eta <= 0.0:
-                self._lat[vid], self._lon[vid] = dest.lat, dest.lon
+            if meters <= 0.0 or eta <= 0.0:
+                self._lat[vid], self._lon[vid] = route_lat[-1], route_lon[-1]
                 self._stand(vid)
                 self._log("dispatch_noop", vid=vid)
                 continue

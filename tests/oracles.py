@@ -1,13 +1,15 @@
 """Independent brute-force oracles shared by the unit and acceptance suites.
 
 These stay deliberately naive: enumeration and elementary linear algebra
-only, none of the code paths they are used to check.
+only, none of the code paths they are used to check.  A few helpers that
+only the tests call live here too: ``predict_supply``, ``avg_pool`` (built
+from the library's pooling pieces) and ``render_config``.
 """
 
 import heapq
 import math
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -22,13 +24,15 @@ from fleetsim.eta import ETA_SPEC, eta_feature_row
 from fleetsim.geo import (_BOUNDARY_SNAP, GridSpec, Location, OutOfBoundsError,
                           aggregate_to_regions, block_region_map, center_of, haversine,
                           haversine_arrays, mismatch)
-from fleetsim.harness.synth import (_HOTSPOTS, SLOT_MINUTES, SynthCity, TripRecord,
-                                    _activity_level, _dest_weights, _hotspot_maps,
+from fleetsim.harness.config import ExperimentConfig
+from fleetsim.harness.synth import (_HOTSPOTS, SLOT_MINUTES, SynthCity,
+                                    _activity_level, _dest_weights,
                                     _slot_rates, _speed_kmh, build_road_grid)
+from fleetsim.rhc import DEFAULT_SLOT_MINUTES
 from fleetsim.sim import SLOT_MINUTES as HEAT_SLOT_MINUTES
 from fleetsim.sim import (DEFAULT_IDLE_WINDOW, DISPATCHING, IDLE, MATCH_RADIUS_M, OCCUPIED,
                           STATUS_NAMES, TO_PICKUP, WARMUP_MINUTES, DispatchOrder,
-                          EpisodeMetrics, SimView, log)
+                          EpisodeMetrics, RideRequest, SimView, log)
 
 
 def eta_one_row(eta_model, origin, dest, clock, distance_km) -> float:
@@ -113,6 +117,50 @@ def event_supply_oracle(x0, sched, wbar, tau_slots, dest_idx, u_slots, dt):
         idle = idle + arrivals
         xs.append(idle.copy())
     return np.array(xs, dtype=np.float64)
+
+
+def predict_supply(x0: np.ndarray, sched: np.ndarray, wbar: np.ndarray,
+                   tau_slots, p_slots, u_slots=None,
+                   slot_minutes: float = DEFAULT_SLOT_MINUTES) -> np.ndarray:
+    """Roll the supply recursion forward for slots 1..T with fixed dispatches.
+
+    The recursion behind ``rhc.build_rhc_lp``'s dynamics rows, with each
+    slot's served trips fixed at ``min(demand, supply)`` where the LP
+    chooses the split itself.
+
+    ``x0`` is the standing idle count, ``sched[k]`` the occupied-now
+    vehicles dropping off during relative slot k, ``wbar[k]`` predicted
+    demand, ``tau_slots[k]``/``p_slots[k]`` the per-slot travel-time and
+    destination matrices, and ``u_slots[k]`` an optional fixed dispatch
+    matrix per slot.  Returns an array of shape (T, M).
+    """
+    x0 = np.asarray(x0, dtype=np.float64)
+    wbar = np.asarray(wbar, dtype=np.float64)
+    sched = np.asarray(sched, dtype=np.float64)
+    horizon = wbar.shape[0] - 1
+    m = x0.shape[0]
+    if (x0 < 0).any() or (wbar < 0).any() or (sched < 0).any():
+        raise ValueError("supply inputs must be non-negative")
+
+    xs = np.zeros((horizon + 1, m))
+    xs[0] = x0
+    served = np.zeros((horizon, m))
+    for k in range(horizon):
+        leftover = np.maximum(xs[k] - wbar[k + 1], 0.0)
+        served[k] = np.minimum(wbar[k + 1], xs[k])
+        net_u = np.zeros(m)
+        if u_slots is not None:
+            u = np.asarray(u_slots[k], dtype=np.float64)
+            net_u = u.sum(axis=1) - u.sum(axis=0)
+        arrivals = np.zeros(m)
+        for kp in range(k + 1):
+            lag = np.floor(np.asarray(tau_slots[kp]) / slot_minutes).astype(int)
+            mask = (lag.T == (k - kp))  # mask[i, j]: trips j -> i landing in slot k
+            if mask.any():
+                p = np.asarray(p_slots[kp])
+                arrivals += ((p.T * mask) * served[kp][None, :]).sum(axis=1)
+        xs[k + 1] = leftover - net_u + sched[k] + arrivals
+    return xs[1:]
 
 
 def random_supply_scenario(rng, dt=15.0):
@@ -306,8 +354,6 @@ def q_main_planes_51(demand, supply, idle, region):
     outside the 51x51 window, so for region grids wider than 26 cells this
     reference drops the last row and column of that window.
     """
-    from fleetsim.neural import avg_pool
-
     rows, cols = demand.shape
     sources = np.empty((5, rows, cols))
     sources[0] = demand
@@ -991,6 +1037,21 @@ def avg_pool_reference(plane, k):
     return sums / float(k * k)
 
 
+def avg_pool(plane: np.ndarray, k: int) -> np.ndarray:
+    """Same-size k x k mean pooling with stride 1 and zero padding at edges, from
+    the library's pooling pieces, as ``dqn.FeatureCanvas`` calls them.
+
+    Operates on the trailing two axes.  Every output is the window sum
+    divided by k*k, so windows hanging off the plane average in zeros
+    (see :func:`neural.pool_bounds` for the window of each index).
+    """
+    x = np.asarray(plane, dtype=np.float64)
+    h, w = x.shape[-2], x.shape[-1]
+    if h < k or w < k:
+        raise ValueError(f"plane {h}x{w} smaller than {k}x{k} pooling kernel")
+    return neural.window_mean(neural.integral_image(x), neural.pool_bounds(h, w, k), k)
+
+
 def pooled_reference(maps, pad):
     """(R + 2 pad, C + 2 pad, 3, n): raw, 15- and 30-pooled maps, each pool on its own."""
     n, rows, cols = maps.shape
@@ -1188,12 +1249,11 @@ def synth_city_reference(cfg, seed: int, days: int):
                     origin=Location(cfg.origin_lat, cfg.origin_lon))
     rates = _slot_rates(grid, cfg)
     level = _activity_level(rng, days * 48)
-    spots = _hotspot_maps(grid)
     spot_centers = [((fr * (grid.rows - 1)), (fc * (grid.cols - 1)))
                     for _, fr, fc, _ in _HOTSPOTS]
     spot_sigma = [sigma * max(grid.rows, grid.cols) for *_x, sigma in _HOTSPOTS]
 
-    trips: list[TripRecord] = []
+    draws = []
     for day in range(days):
         dow = (cfg.epoch_dow + day) % 7
         for slot in range(48):
@@ -1226,9 +1286,9 @@ def synth_city_reference(cfg, seed: int, days: int):
                     speed = _speed_kmh(hour, cfg)
                     minutes = dist_km / speed * 60.0 * float(np.exp(
                         rng.normal(0.0, cfg.synth_noise)))
-                    trips.append(TripRecord(minute, pickup, dropoff,
-                                            max(1.0, minutes), dist_km))
-    trips.sort(key=lambda tr: tr.pickup_minute)
+                    draws.append((minute, pickup, dropoff, max(1.0, minutes), dist_km))
+    draws.sort(key=lambda draw: draw[0])
+    trips = [RideRequest(i, *draw) for i, draw in enumerate(draws)]
     regions = block_region_map(grid, cfg.region_block, cfg.region_block)
     zones = block_region_map(grid, cfg.zone_block, cfg.zone_block)
     return SynthCity(grid=grid, graph=build_road_grid(grid), regions=regions,
@@ -1291,3 +1351,12 @@ def historical_average_reference(slots, clocks, shape):
             else:
                 out[d, h] = np.zeros(shape)
     return out
+
+
+def render_config(cfg):
+    """A config file that ``parse_config`` reads back as ``cfg``: one ``key = value``
+    line per field of :class:`ExperimentConfig`."""
+    lines = []
+    for f in fields(ExperimentConfig):
+        lines.append(f"{f.name} = {getattr(cfg, f.name)}")
+    return "\n".join(lines) + "\n"

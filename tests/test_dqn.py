@@ -2,7 +2,7 @@ import copy
 
 import numpy as np
 import pytest
-from oracles import (aux_planes_reference, avg_pool_reference, crop_pad_center,
+from oracles import (aux_planes_reference, avg_pool, avg_pool_reference, crop_pad_center,
                      pooled_reference, q_main_planes_51, train_step_reference)
 
 from fleetsim import neural
@@ -190,10 +190,11 @@ class TestPooling:
             k = int(rng.integers(1, 9))
             shape = (int(rng.integers(1, 3)), int(rng.integers(k, 40)), int(rng.integers(k, 40)))
             x = random_maps(rng, shape[0], shape[1:])
-            assert neural.avg_pool(x, k).tobytes() == avg_pool_reference(x, k).tobytes()
+            assert avg_pool(x, k).tobytes() == avg_pool_reference(x, k).tobytes()
 
     def test_set_supply_equals_a_fresh_canvas(self):
         rng = np.random.default_rng(34)
+        clock = (0.0, 1.0, 0.0, 1.0)  # Monday midnight
         for shape in [(1, 1), (10, 10), (4, 7), (33, 27)]:
             demand, idle = random_maps(rng, 1, shape)[0], random_maps(rng, 1, shape)[0]
             canvas = FeatureCanvas(demand, random_maps(rng, 3, shape), idle)
@@ -204,7 +205,8 @@ class TestPooling:
                 assert canvas.supply is supply
                 assert canvas.planes.tobytes() == fresh.planes.tobytes()
                 region = (int(rng.integers(shape[0])), int(rng.integers(shape[1])))
-                assert canvas.main(region).tobytes() == fresh.main(region).tobytes()
+                assert (canvas.q_input(region, clock).main.tobytes()
+                        == fresh.q_input(region, clock).main.tobytes())
 
 
 ALL_LEGAL = np.ones((15, 15), dtype=bool)  # a mask under which q_map evaluates every cell

@@ -13,14 +13,14 @@ from fleetsim import demand as demand_mod
 from fleetsim import neural
 from fleetsim.dqn import QNetwork
 from fleetsim.geo import GridSpec, Location, RegionMapError, block_region_map
-from fleetsim.harness.config import ConfigError, ExperimentConfig, parse_config, render_config
+from fleetsim.harness.config import ConfigError, ExperimentConfig, parse_config
 from fleetsim.harness.ingest import TripDataError, ingest_trips
 from fleetsim.harness.synth import build_road_grid, synth_city, write_city
 from fleetsim.harness import cli
 from fleetsim.harness import experiment as ex
 from fleetsim.rhc import ZoneTableError
 from fleetsim.sim import EpisodeMetrics, finalize_metrics
-from oracles import synth_city_reference
+from oracles import render_config, synth_city_reference
 
 
 def small_cfg(tmp_path, **kw):
@@ -216,7 +216,7 @@ class TestSynth:
         city = synth_city(cfg, seed=9, days=7)
         weekday_counts = {}
         for tr in city.trips:
-            day = int(tr.pickup_minute // 1440)
+            day = int(tr.minute // 1440)
             weekday_counts.setdefault(day, 0)
             weekday_counts[day] += 1
         weekdays = [weekday_counts.get(d, 0) for d in range(5)]
@@ -240,8 +240,8 @@ class TestSynth:
         assert minutes == sorted(minutes)
         # round trip preserves timing to the written one-second precision
         for r, tr in zip(requests[:30], city.trips[:30]):
-            assert r.minute == pytest.approx(tr.pickup_minute, abs=1 / 60 + 1e-9)
-            assert r.trip_minutes == pytest.approx(tr.duration_minutes, abs=2 / 60)
+            assert r.minute == pytest.approx(tr.minute, abs=1 / 60 + 1e-9)
+            assert r.trip_minutes == pytest.approx(tr.trip_minutes, abs=2 / 60)
 
     def test_load_city_rejects_partitions_other_than_the_config(self, tmp_path):
         cfg = small_cfg(tmp_path)

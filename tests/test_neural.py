@@ -6,7 +6,6 @@ from fleetsim.neural import (
     Conv2D,
     Dense,
     RmsProp,
-    avg_pool,
     backward_from_grad,
     forward,
     forward_cached,
@@ -16,7 +15,7 @@ from fleetsim.neural import (
     walk_param_layers,
 )
 from fleetsim.neural import _im2col, _same_pad
-from oracles import crop_pad_center
+from oracles import avg_pool, crop_pad_center
 
 
 def numerical_gradients(spec, params, x, target, aux=None, h=1e-4):

@@ -13,7 +13,6 @@ from fleetsim.rhc import (
     check_plan_feasibility,
     estimate_tables,
     load_tables,
-    predict_supply,
     round_plan,
     save_tables,
     solve_rhc,
@@ -21,8 +20,8 @@ from fleetsim.rhc import (
 )
 from fleetsim import rhc
 from fleetsim.lp import LpSolution, solve
-from oracles import (destination_table_reference, event_supply_oracle, random_supply_scenario,
-                     rhc_lp_reference, seeded_rhc_lp_inputs,
+from oracles import (destination_table_reference, event_supply_oracle, predict_supply,
+                     random_supply_scenario, rhc_lp_reference, seeded_rhc_lp_inputs,
                      zone_centroid_distances_reference)
 from test_policies import GRID, ZONES, fake_view
 
@@ -438,17 +437,15 @@ class TestAssignVehicles:
     def test_empty_plan(self):
         _, rm = self.grid()
         orders, warnings = assign_vehicles(np.zeros((2, 2), dtype=int),
-                                           np.zeros((2, 2)), np.zeros((2, 2)),
-                                           [], region_cells(rm))
+                                           np.zeros((2, 2)), [], region_cells(rm))
         assert orders == [] and warnings == []
 
     def test_highest_mismatch_source_selected(self):
         _, rm = self.grid()
         u = np.array([[0, 1], [0, 0]])
         eta = np.array([[0.3, 0.1], [-0.2, -0.2]])
-        x = np.array([[1.0, 1.0], [0.0, 0.0]])
         idle = [(7, (0, 0)), (3, (0, 1))]
-        orders, warnings = assign_vehicles(u, eta, x, idle, region_cells(rm))
+        orders, warnings = assign_vehicles(u, eta, idle, region_cells(rm))
         assert not warnings
         assert len(orders) == 1
         assert orders[0].vehicle_id == 7  # vehicle at the eta=0.3 cell
@@ -457,17 +454,15 @@ class TestAssignVehicles:
         _, rm = self.grid()
         u = np.array([[0, 1], [0, 0]])
         eta = np.array([[0.4, 0.0], [0.2, -0.5]])
-        x = np.array([[1.0, 0.0], [0.0, 0.0]])
-        orders, _ = assign_vehicles(u, eta, x, [(1, (0, 0))], region_cells(rm))
+        orders, _ = assign_vehicles(u, eta, [(1, (0, 0))], region_cells(rm))
         assert orders[0].target_cell == (1, 1)
 
     def test_tie_breaks_lowest_cell_then_lowest_vehicle(self):
         _, rm = self.grid()
         u = np.array([[0, 1], [0, 0]])
         eta = np.zeros((2, 2))
-        x = np.array([[1.0, 1.0], [0.0, 0.0]])
         idle = [(9, (0, 0)), (2, (0, 0)), (5, (0, 1))]
-        orders, _ = assign_vehicles(u, eta, x, idle, region_cells(rm))
+        orders, _ = assign_vehicles(u, eta, idle, region_cells(rm))
         assert orders[0].vehicle_id == 2          # lowest id in lowest tied cell
         assert orders[0].target_cell == (1, 0)    # lowest row-major cell of zone 1
 
@@ -475,8 +470,7 @@ class TestAssignVehicles:
         _, rm = self.grid()
         u = np.array([[0, 3], [0, 0]])
         eta = np.zeros((2, 2))
-        x = np.array([[1.0, 0.0], [0.0, 0.0]])
-        orders, warnings = assign_vehicles(u, eta, x, [(1, (0, 0))], region_cells(rm))
+        orders, warnings = assign_vehicles(u, eta, [(1, (0, 0))], region_cells(rm))
         assert len(orders) == 1
         assert len(warnings) == 2
 
@@ -486,10 +480,9 @@ class TestAssignVehicles:
         _, rm = self.grid()
         u = np.array([[0, 2], [0, 0]])
         eta = np.array([[0.30, 0.29], [-0.3, -0.29]])
-        x = np.array([[2.0, 2.0], [0.0, 0.0]])
         idle = [(1, (0, 0)), (2, (0, 0)), (3, (0, 1)), (4, (0, 1))]
-        orders, _ = assign_vehicles(u, eta, x, idle, region_cells(rm))
-        # total supply 4 so each assignment moves 0.25 of share
+        orders, _ = assign_vehicles(u, eta, idle, region_cells(rm))
+        # four idle vehicles, so each assignment moves 0.25 of share
         assert orders[0].vehicle_id == 1
         assert orders[1].vehicle_id == 3
         # first target was the -0.3 cell, whose share then rose by 0.25

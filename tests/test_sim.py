@@ -376,14 +376,23 @@ class TestApplyDispatch:
         eta = DistanceEta(2.0)
         sim_direct = Simulation(grid, direct, eta, reqs, 1, warmup=0)
         sim_detour = Simulation(grid, detour, eta, reqs, 1, warmup=0)
-        *_, d_direct = sim_direct._route(
-            a, b, *sim_direct._route_nodes([a.lat], [a.lon], [b.lat], [b.lon])[0])
-        *_, d_detour = sim_detour._route(
-            a, b, *sim_detour._route_nodes([a.lat], [a.lon], [b.lat], [b.lon])[0])
+        [(*_, d_direct, t_direct)] = sim_direct._plan_moves(
+            np.array([a.lat]), np.array([a.lon]), [b], sim_direct.clock0)
+        [(*_, d_detour, t_detour)] = sim_detour._plan_moves(
+            np.array([a.lat]), np.array([a.lon]), [b], sim_detour.clock0)
         assert d_detour >= d_direct
-        t_direct = sim_direct._eta(a, b, d_direct, sim_direct.clock0)
-        t_detour = sim_detour._eta(a, b, d_detour, sim_detour.clock0)
         assert t_detour >= t_direct
+
+    def test_unreachable_pair_moves_in_a_straight_line(self):
+        a = Location(40.0, -74.0)
+        b = Location(40.0, -73.988)
+        one_way = build_graph({0: a, 1: b}, [(1, 0, haversine(a, b))])  # no path a -> b
+        sim = Simulation(make_grid(), one_way, DistanceEta(2.0), [req(0, 0.0, a, b)], 1,
+                         warmup=0)
+        [move] = sim._plan_moves(np.array([a.lat]), np.array([a.lon]), [b], sim.clock0)
+        meters = haversine(a, b)
+        assert move == (a, [a.lat, b.lat], [a.lon, b.lon], [meters], meters,
+                        sim._eta(a, b, meters, sim.clock0))
 
 
 class RecordingPolicy:
@@ -934,6 +943,21 @@ class TestBenchmarkContract:
             assert bench._lp_info((), {"problem": problem}, sol) == want
             without_equalities.add(problem.a_eq is None)
         assert without_equalities == {True, False}
+
+    def test_evaluation_city_offers_requests_in_pickup_order(self, bench, tmp_path):
+        # every benchmark run builds its window from synth.synth_city,
+        # synth._slot_rates, synth.SLOT_MINUTES, ex.city_from_synth,
+        # ex.episode_requests and ex.City; a rename of one fails them all
+        scale = bench.Scale(overrides={"fine_rows": 10, "fine_cols": 10,
+                                       "trips_per_day": 2000.0},
+                            window_minutes=60, offered_requests=40)
+        city = bench.evaluation_city(bench.make_config(scale, 3, tmp_path), scale)
+        assert len(city.requests) == 40
+        assert all(isinstance(r, RideRequest) for r in city.requests)
+        ids = [r.rid for r in city.requests]
+        minutes = [r.minute for r in city.requests]
+        assert ids == sorted(set(ids))
+        assert minutes == sorted(minutes) and 0.0 <= minutes[0] and minutes[-1] < 60.0
 
     def test_step_minute_calls_the_instance_timers(self):
         # the benchmark times dispatch by replacing these two on the instance

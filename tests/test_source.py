@@ -10,6 +10,8 @@ SRC = ROOT / "src" / "fleetsim"
 MODULES = sorted(SRC.rglob("*.py"))
 # every tree whose code may read a name the package defines
 READERS = sorted(p for d in ("src", "tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py"))
+# the trees that make up the program: the package and the benchmark that drives it
+PROGRAM = sorted(p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -106,11 +108,22 @@ def test_unused_import_detection():
     assert unused_imports(source) == ["b", "h", "os"]
 
 
+def unread_names(readers: list[Path]) -> list[str]:
+    """``module:name`` of each module-level name in the package that no file in
+    ``readers`` reads."""
+    read = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in readers))
+    return [f"{path.relative_to(SRC)}:{name}" for path in MODULES
+            for name in defined_names(path.read_text(encoding="utf-8")) if name not in read]
+
+
 def test_every_module_level_name_is_read():
-    read = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in READERS))
-    unread = [f"{path.relative_to(SRC)}:{name}" for path in MODULES
-              for name in defined_names(path.read_text(encoding="utf-8")) if name not in read]
-    assert unread == []
+    assert unread_names(READERS) == []
+
+
+def test_no_module_level_name_is_read_only_by_tests_or_demos():
+    """Code that only tests and demos run belongs with them: a test's
+    reference implementation in ``tests/oracles.py``, a demo's helper in the demo."""
+    assert unread_names(PROGRAM) == []
 
 
 def test_unread_name_detection():
