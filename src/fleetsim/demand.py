@@ -9,12 +9,15 @@ pickup in either input heat map are masked to zero at prediction time.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import neural
 from .clock import Clock, periodic_features
+
+log = logging.getLogger(__name__)
 
 INPUT_PLANES = 6
 VAL_FRACTION = 0.3   # share of the timeslots, the latest, held out for validation
@@ -126,16 +129,19 @@ def train_demand(slots: np.ndarray, clocks: list[Clock], seed: int,
         raise ValueError(f"the demand fit diverged to non-finite weights (lr {lr})")
 
     model = DemandModel(params)
-    return model, _masked_rmse(model, xtr, ytr), _masked_rmse(model, xva, yva)
+    train_pred = [model.predict(x) for x in xtr]
+    lit = (xtr[..., 0] > 0) | (xtr[..., 1] > 0)
+    if lit.any() and not np.stack(train_pred)[lit].any():
+        log.warning("the demand fit predicts 0 on all %d lit cells of its training split "
+                    "(lr %g): the policies will see no demand", int(lit.sum()), lr)
+    return (model, _masked_rmse(train_pred, ytr),
+            _masked_rmse([model.predict(x) for x in xva], yva))
 
 
-def _masked_rmse(model: DemandModel, inputs: np.ndarray, targets: np.ndarray) -> float:
-    if inputs.shape[0] == 0:
+def _masked_rmse(predictions: list[np.ndarray], targets: np.ndarray) -> float:
+    if not predictions:
         return float("nan")
-    errs = []
-    for x, y in zip(inputs, targets):
-        errs.append((model.predict(x) - y) ** 2)
-    return float(np.sqrt(np.mean(errs)))
+    return float(np.sqrt(np.mean([(p - y) ** 2 for p, y in zip(predictions, targets)])))
 
 
 def historical_average(slots: np.ndarray, clocks: list[Clock]) -> np.ndarray:

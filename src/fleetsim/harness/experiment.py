@@ -4,6 +4,17 @@ A run consumes one city directory (trips, roads, partitions), trains or
 loads the shared models (ETA, demand, zone tables, optionally the
 Q-network), then simulates independent day episodes (4 a.m. to 4 a.m.)
 for the configured policy and writes machine-readable summaries.
+
+Set-up (:func:`train_models`) is the one place the program uses a second
+process: the demand fit runs in a forked worker while this process fits
+the ETA model and the zone tables.  The worker is a copy of this
+process, BLAS thread setting included, and each fit runs start to end
+in one process, so every model file is byte for byte the one the serial
+``train-eta``, ``train-demand`` and ``build-tables`` commands write.
+When the demand fit fails, ``eta.json``, ``zone_tables.npz`` and a
+``metrics.json`` with the ETA's RMSEs alone may be on disk without
+``demand.json``; :func:`ensure_models` then refits all the models.  The
+simulator and the policies run in one process.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ import csv
 import json
 import logging
 import math
+import multiprocessing
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -196,23 +208,31 @@ def train_eta_model(cfg: ExperimentConfig, training_city: City):
     return model, metrics
 
 
-def train_demand_model(cfg: ExperimentConfig, training_city: City):
+def _demand_series(cfg: ExperimentConfig, training_city: City):
+    return demand_slot_series(training_city.requests, training_city.grid,
+                              cfg.train_days * 1440.0, cfg.epoch_dow)
+
+
+def _fit_demand(cfg: ExperimentConfig, slots: np.ndarray, clocks: list[Clock]):
+    return demand_mod.train_demand(slots, clocks, seed=cfg.train_seed,
+                                   epochs=cfg.demand_epochs, lr=cfg.demand_lr)
+
+
+def train_demand_model(cfg: ExperimentConfig, training_city: City, fitted=None):
     """Fit and persist the demand network plus the historical fallback,
     and merge their RMSEs into ``metrics.json``.
 
     Returns (model, historical, metrics); the fallback is fit on the
     training split only, making it a fair baseline and a cold-start
-    predictor.
+    predictor.  ``fitted``, when given, is called instead of the fit and
+    returns what :func:`demand.train_demand` returns for this city:
+    :func:`train_models` passes the result of its worker.
     """
     paths = model_paths(cfg)
     recorded = _read_metrics(paths["metrics"])
     paths["demand"].parent.mkdir(parents=True, exist_ok=True)
-    total_minutes = cfg.train_days * 1440.0
-    slots, clocks = demand_slot_series(training_city.requests, training_city.grid,
-                                       total_minutes, cfg.epoch_dow)
-    model, tr_rmse, va_rmse = demand_mod.train_demand(
-        slots, clocks, seed=cfg.train_seed, epochs=cfg.demand_epochs,
-        lr=cfg.demand_lr)
+    slots, clocks = _demand_series(cfg, training_city)
+    model, tr_rmse, va_rmse = fitted() if fitted else _fit_demand(cfg, slots, clocks)
     split = demand_mod.train_slot_count(slots.shape[0])
     historical = demand_mod.historical_average(slots[:split], clocks[:split])
     errs = [(historical[c.dow_index, c.hour_index] - slot) ** 2
@@ -242,13 +262,88 @@ def build_zone_tables(cfg: ExperimentConfig, training_city: City):
     return trip_times, destinations
 
 
+def _send_outcome(conn, fn) -> None:
+    """The worker's body: send ``(True, fn())``, or ``(False, exception)``."""
+    try:
+        outcome = (True, fn())
+    except Exception as exc:  # noqa: BLE001 - the parent re-raises it
+        outcome = (False, exc)
+    conn.send(outcome)
+
+
+class _ForkedCall:
+    """``fn()`` running in a forked worker process, for one ``with`` block.
+
+    :meth:`result` waits for the value ``fn`` returns, or raises the
+    exception it raised.  Leaving the block reaps the worker, killing it
+    first if its result was never taken.  A worker that cannot start
+    raises :class:`RuntimeError`, not the ``OSError`` of ``fork``.
+    ``fork``, not ``spawn``: the worker reads the training city as this
+    process holds it, instead of being sent a copy, and the program
+    starts no threads of its own that a fork could break.
+    """
+
+    def __init__(self, fn):
+        ctx = multiprocessing.get_context("fork")
+        try:
+            self._conn, sender = ctx.Pipe(duplex=False)
+        except OSError as exc:
+            raise RuntimeError(f"cannot start a worker process: {exc}") from exc
+        self._proc = ctx.Process(target=_send_outcome, args=(sender, fn), daemon=True)
+        self._taken = False
+        try:
+            self._proc.start()
+        except OSError as exc:
+            self._conn.close()
+            raise RuntimeError(f"cannot start a worker process: {exc}") from exc
+        finally:
+            sender.close()
+
+    def result(self):
+        try:
+            ok, value = self._conn.recv()
+        except EOFError:
+            self._proc.join()
+            raise RuntimeError(f"the worker process exited with code "
+                               f"{self._proc.exitcode} before sending a result") from None
+        self._taken = True
+        if not ok:
+            raise value
+        return value
+
+    def __enter__(self) -> "_ForkedCall":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if not self._taken:
+            self._proc.kill()
+        self._proc.join()
+        self._conn.close()
+
+
 def train_models(cfg: ExperimentConfig, training_city: City) -> ModelBundle:
-    """Fit ETA, demand and zone tables on the training city and persist them."""
+    """Fit ETA, demand and zone tables on the training city and persist them.
+
+    The demand fit (:func:`demand_slot_series`, then
+    :func:`demand.train_demand`) runs in a forked worker while this
+    process fits the ETA model and builds the zone tables; the worker
+    inherits this process's BLAS thread setting.  Each fit runs whole in
+    one process, so every file, ``metrics.json`` and its key order
+    included, is byte for byte what the serial ``train-eta``,
+    ``train-demand`` and ``build-tables`` commands write.  The worker is
+    reaped on every path, and its exception is raised here with its type
+    and message.  After a failed demand fit ``eta.json``,
+    ``zone_tables.npz`` and a ``metrics.json`` with the ETA's RMSEs
+    alone may exist without ``demand.json`` and ``historical.npy``, and
+    :func:`ensure_models` refits all of them.
+    """
     # a fresh record: no key, nor an unreadable file, survives from an older one
     model_paths(cfg)["metrics"].unlink(missing_ok=True)
-    eta_model, eta_metrics = train_eta_model(cfg, training_city)
-    demand_model, historical, demand_metrics = train_demand_model(cfg, training_city)
-    trip_times, destinations = build_zone_tables(cfg, training_city)
+    with _ForkedCall(lambda: _fit_demand(cfg, *_demand_series(cfg, training_city))) as fit:
+        eta_model, eta_metrics = train_eta_model(cfg, training_city)
+        trip_times, destinations = build_zone_tables(cfg, training_city)
+        demand_model, historical, demand_metrics = train_demand_model(
+            cfg, training_city, fitted=fit.result)
     metrics = {**eta_metrics, **demand_metrics}
     return ModelBundle(eta_model, demand_model, historical, trip_times,
                        destinations, metrics)

@@ -1,5 +1,9 @@
 import dataclasses
+import errno
 import json
+import multiprocessing
+import os
+import re
 import shutil
 import subprocess
 import sys
@@ -442,10 +446,33 @@ class TestExperiment:
         # inputs and targets lie in those slots
         inputs, targets = demand_mod._samples(slots, seen["clocks"])
         k = n_fit - 2
-        assert demand_mod._masked_rmse(model, inputs[:k], targets[:k]) == \
+        predictions = [model.predict(x) for x in inputs]
+        assert demand_mod._masked_rmse(predictions[:k], targets[:k]) == \
             metrics["demand_train_rmse"]
-        assert demand_mod._masked_rmse(model, inputs[k:], targets[k:]) == \
+        assert demand_mod._masked_rmse(predictions[k:], targets[k:]) == \
             metrics["demand_val_rmse"]
+
+    @pytest.mark.parametrize("trips_per_day, dead", [(200, True), (2000, False)])
+    def test_a_dead_demand_fit_is_logged(self, tmp_path, caplog, trips_per_day, dead):
+        cfg = tiny_cfg(tmp_path, "--set", f"trips_per_day={trips_per_day}")
+        city = ex.training_city(cfg)
+        slots, clocks = ex.demand_slot_series(city.requests, city.grid,
+                                              cfg.train_days * 1440.0, cfg.epoch_dow)
+        with caplog.at_level("WARNING", logger="fleetsim.demand"):
+            model, _, _ = demand_mod.train_demand(slots, clocks, seed=cfg.train_seed,
+                                                  epochs=cfg.demand_epochs, lr=cfg.demand_lr)
+        inputs, _ = demand_mod._samples(slots, clocks)
+        inputs = inputs[:demand_mod.train_slot_count(len(slots)) - 2]
+        lit = (inputs[..., 0] > 0) | (inputs[..., 1] > 0)
+        predicted = np.stack([model.predict(x) for x in inputs])[lit]
+        assert lit.any() and (predicted == 0).all() == dead
+        warned = [r.getMessage() for r in caplog.records]
+        if dead:
+            assert len(warned) == 1
+            assert f"all {lit.sum()} lit cells" in warned[0], warned
+            assert f"lr {cfg.demand_lr:g}" in warned[0], warned
+        else:
+            assert warned == []
 
     def test_models_reload_with_equal_bytes(self, mini_world):
         cfg, _, bundle = mini_world
@@ -678,16 +705,66 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []
 
     def test_split_commands_write_the_metrics_of_train_models(self, tmp_path):
+        """Every file of train_models, whose demand fit runs in a worker, is the
+        serial commands' byte for byte, and no worker outlives it."""
+        # at TINY_CLI's 200 trips a day the demand fit stops changing after its
+        # first epoch (see test_a_dead_demand_fit_is_logged)
+        alive = ("--set", "trips_per_day=2000", "--set", "demand_epochs=2")
         for command in ("train-eta", "train-demand", "build-tables"):
-            assert cli.main([*TINY_CLI, *dirs(tmp_path / "split"), command]) == 0
-        cfg = tiny_cfg(tmp_path / "whole")
+            assert cli.main([*TINY_CLI, *dirs(tmp_path / "split"), *alive, command]) == 0
+        cfg = tiny_cfg(tmp_path / "whole", *alive)
         # train_models starts a fresh record over a stale, unreadable one
         ex.model_paths(cfg)["metrics"].parent.mkdir(parents=True)
         ex.model_paths(cfg)["metrics"].write_text('{"stale": ')
         ex.train_models(cfg, ex.training_city(cfg))
-        split = ex.model_paths(tiny_cfg(tmp_path / "split"))["metrics"].read_bytes()
-        assert split == ex.model_paths(cfg)["metrics"].read_bytes()
-        assert list(json.loads(split))[0] == "eta_train_rmse"
+        assert multiprocessing.active_children() == []
+        whole, split = ex.model_paths(cfg), ex.model_paths(tiny_cfg(tmp_path / "split", *alive))
+        for name in ("eta", "demand", "historical", "tables", "metrics"):
+            assert whole[name].read_bytes() == split[name].read_bytes(), name
+        assert list(json.loads(split["metrics"].read_bytes()))[0] == "eta_train_rmse"
+
+    def test_a_failed_demand_fit_raises_its_error_and_leaves_no_process(self, tmp_path,
+                                                                       monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError(f"no fit in process {os.getpid()}")
+
+        # the forked worker inherits the patch
+        monkeypatch.setattr(demand_mod, "train_demand", fail)
+        cfg = tiny_cfg(tmp_path)
+        with pytest.raises(ValueError) as raised:
+            ex.train_models(cfg, ex.training_city(cfg))
+        assert multiprocessing.active_children() == []
+        worker = re.fullmatch(r"no fit in process (\d+)", str(raised.value))
+        assert worker and int(worker[1]) != os.getpid()
+        paths = ex.model_paths(cfg)
+        assert [n for n in ("eta", "tables", "demand", "historical") if paths[n].exists()] \
+            == ["eta", "tables"]
+        assert list(json.loads(paths["metrics"].read_bytes())) == \
+            ["eta_train_rmse", "eta_val_rmse", "eta_mean_baseline_rmse"]
+        # a demand model is missing, so the next run refits all of them
+        monkeypatch.undo()
+        ex.ensure_models(cfg)
+        assert all(paths[n].exists() for n in ("eta", "tables", "demand", "historical"))
+
+    def test_a_failure_beside_the_demand_fit_leaves_no_process(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("no ETA fit")
+
+        monkeypatch.setattr(ex, "train_eta_model", fail)
+        cfg = tiny_cfg(tmp_path)
+        with pytest.raises(ValueError, match="^no ETA fit$"):
+            ex.train_models(cfg, ex.training_city(cfg))
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_cannot_start_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        def no_fork():
+            raise OSError(errno.EAGAIN, "no process for the demand fit")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert cli.main([*TINY_CLI, *dirs(tmp_path), "simulate"]) == 3
+        err = capsys.readouterr().err
+        assert "runtime error: cannot start a worker process: " in err, err
+        assert "no process for the demand fit" in err, err
 
     def test_synth_data_covers_every_hour_of_every_day(self, tmp_path):
         cfg = tiny_cfg(tmp_path, "--set", "days=2", "--set", "trips_per_day=1200")

@@ -74,6 +74,26 @@ def imported_modules(path: Path) -> set[str]:
     return {m for m in out if m == "fleetsim" or m.startswith("fleetsim.")}
 
 
+# what runs code beside the program's one thread: modules, and functions of ``os``
+CONCURRENCY = ("multiprocessing", "concurrent.futures", "threading", "_thread",
+               "os.fork", "os.forkpty")
+
+
+def concurrency_uses(source: str) -> list[str]:
+    """The names in ``CONCURRENCY`` that a module imports, or reads as ``os.<name>``."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names += [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "os"):
+            names.append(f"os.{node.attr}")
+    return sorted({c for c in CONCURRENCY for n in names
+                   if n == c or n.startswith(c + ".")})
+
+
 def test_finds_the_modules():
     assert SRC / "sim.py" in MODULES and SRC / "harness" / "cli.py" in MODULES
 
@@ -106,6 +126,23 @@ def test_unused_import_detection():
               "__all__ = ['e']\n"
               "def f():\n    from .g import h\n    return np.zeros(d)\n")
     assert unused_imports(source) == ["b", "h", "os"]
+
+
+def test_only_set_up_runs_a_second_process():
+    """The simulator and the policies run in one thread of one process, which the
+    benchmark's timings assume; only set-up forks its demand-fit worker."""
+    uses = {str(p.relative_to(SRC)): concurrency_uses(p.read_text(encoding="utf-8"))
+            for p in MODULES}
+    assert {m: u for m, u in uses.items() if u} == {"harness/experiment.py": ["multiprocessing"]}
+
+
+def test_concurrency_detection():
+    source = ("import os, threading\nimport multiprocessing.pool as mp\n"
+              "from concurrent import futures\nfrom os import forkpty\n"
+              "from .threading import x\nimport concurrent\n"
+              "def f():\n    return os.fork(), os.getpid()\n")
+    assert concurrency_uses(source) == ["concurrent.futures", "multiprocessing", "os.fork",
+                                        "os.forkpty", "threading"]
 
 
 def unread_names(readers: list[Path]) -> list[str]:
