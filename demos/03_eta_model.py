@@ -5,6 +5,9 @@ import numpy as np
 from fleetsim.clock import Clock
 from fleetsim.eta import eta_feature_row, mean_predictor_rmse, split_indices, train_eta
 from fleetsim.geo import Location
+from fleetsim.harness.config import ExperimentConfig
+
+cfg = ExperimentConfig(seed=0)  # the experiment's settings: the learning rate
 
 rng = np.random.default_rng(3)
 n = 4000
@@ -20,7 +23,7 @@ for i in range(n):
     rush = np.exp(-0.5 * ((clock.hour - 8.5) / 1.5) ** 2)
     minutes[i] = dist / (21.0 * (1 - 0.3 * rush)) * 60.0 * rng.lognormal(0, 0.08)
 
-model, train_rmse, val_rmse = train_eta(feats, minutes, seed=7, epochs=30)
+model, train_rmse, val_rmse = train_eta(feats, minutes, seed=7, epochs=30, lr=cfg.eta_lr)
 tr_idx, va_idx = split_indices(n, 7)
 baseline = mean_predictor_rmse(minutes[tr_idx], minutes[va_idx])
 print(f"train rmse {train_rmse:.2f} min, validation {val_rmse:.2f} min, "

@@ -4,6 +4,9 @@ import numpy as np
 
 from fleetsim.clock import Clock
 from fleetsim.demand import build_demand_input, historical_average, train_demand
+from fleetsim.harness.config import ExperimentConfig
+
+cfg = ExperimentConfig(seed=0)  # the experiment's settings: the learning rate
 
 rng = np.random.default_rng(5)
 h = w = 10
@@ -24,7 +27,8 @@ for k in range(days * 48):
     clocks.append(Clock(k * 30.0))
 slots = np.array(slots, dtype=float)
 
-model, train_rmse, val_rmse = train_demand(slots, clocks, seed=11, epochs=60)
+model, train_rmse, val_rmse = train_demand(slots, clocks, seed=11, epochs=60,
+                                           lr=cfg.demand_lr)
 n = slots.shape[0] - 2
 split = 2 + int(round(n * 0.7))
 hist = historical_average(slots[:split], clocks[:split])

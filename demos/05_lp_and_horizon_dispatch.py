@@ -7,10 +7,12 @@ dispatch decision and, with it, the supply the LP projects for the next slot.
 
 import numpy as np
 
-from fleetsim.lp import LpProblem, solve
+from fleetsim.lp import LpProblem, SparseRows, solve
 from fleetsim.rhc import solve_rhc
 
-sol = solve(LpProblem.from_dense(c=[3.0, 2.0], a_ub=[[1.0, 1.0], [2.0, 0.5]], b_ub=[4.0, 5.0]))
+# maximize 3 x0 + 2 x1 subject to x0 + x1 <= 4 and 2 x0 + 0.5 x1 <= 5, x >= 0
+a_ub = SparseRows.from_triplets((2, 2), [([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1.0, 2.0, 0.5])])
+sol = solve(LpProblem(c=[3.0, 2.0], a_ub=a_ub, b_ub=[4.0, 5.0]))
 print(f"toy LP: status {sol.status}, x = {np.round(sol.x, 3)}, objective {sol.objective:.2f}")
 
 # two zones: one idle vehicle in zone 0, a request expected next slot in zone 1

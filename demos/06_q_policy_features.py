@@ -11,6 +11,9 @@ from fleetsim.dqn import (
     QNetwork, ReplayBuffer, Training, Transition, VehicleContext,
     build_feature_planes, greedy_action, legal_action_mask, train_step,
 )
+from fleetsim.harness.config import ExperimentConfig
+
+cfg = ExperimentConfig(seed=0)  # the experiment's replay, minibatch and training settings
 
 rng = np.random.default_rng(2)
 shape = (10, 10)
@@ -31,7 +34,7 @@ greedy = greedy_action(qmap)
 print(f"greedy action cell {greedy} (offset {greedy[0]-7:+d},{greedy[1]-7:+d})")
 
 # one double-Q training step over a replay buffer of random transitions
-buf = ReplayBuffer()
+buf = ReplayBuffer(cfg.dqn_buffer)
 for i in range(80):
     region = (int(rng.integers(0, 10)), int(rng.integers(0, 10)))
     c = VehicleContext(demand=rng.uniform(0, 3, size=shape),
@@ -44,11 +47,13 @@ for i in range(80):
                         int(rng.integers(0, 5))))
 
 target = net.copy()
-opt = neural.RmsProp(lr=1e-3)
-loss, mean_max_q = train_step(net, target, buf, opt, gamma=0.98, rng=rng)
+opt = neural.RmsProp(lr=cfg.dqn_lr)
+loss, mean_max_q = train_step(net, target, buf, opt, gamma=cfg.dqn_discount, rng=rng,
+                              batch_size=cfg.dqn_batch)
 print(f"one minibatch: loss {loss:.3f}, mean max-Q {mean_max_q:.3f}")
 
-training = Training(reject_weight=10.0, discount=0.98, seed=0, lr=1e-3, batch_size=64,
-                    buffer_capacity=10_000, eps_ramp=5000, alpha_ramp=5000, sync_period=150)
+training = Training(reject_weight=cfg.dqn_reject_weight, discount=cfg.dqn_discount, seed=0,
+                    lr=cfg.dqn_lr, batch_size=cfg.dqn_batch, buffer_capacity=cfg.dqn_buffer,
+                    eps_ramp=5000, alpha_ramp=5000, sync_period=cfg.dqn_sync_period)
 print(f"epsilon ramp: {training.epsilon(0):.2f} -> {training.epsilon(2500):.3f} -> "
       f"{training.epsilon(5000):.2f}; action rate {training.alpha(0):.2f} -> {training.alpha(5000):.2f}")

@@ -2,12 +2,16 @@
 
 A miniature city (10x10 cells, 30 vehicles, one day) keeps this demo in
 the tens of seconds.  The chapter-scale comparison lives in the
-acceptance suite; the command-line equivalent of this script is:
+acceptance suite.  The nearest command-line runs are:
 
     fleetsim --config city.cfg synth-data
     fleetsim --config city.cfg simulate
     fleetsim --config city.cfg --set policy=rhc simulate
     fleetsim --config city.cfg report
+
+They print other numbers than this script: ``simulate`` reads the city
+files that ``synth-data`` wrote, whose trip times are rounded to the
+second, while this script simulates the synthesised city in memory.
 """
 
 import dataclasses

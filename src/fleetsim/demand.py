@@ -84,7 +84,7 @@ def train_slot_count(n_slots: int) -> int:
 
 
 def train_demand(slots: np.ndarray, clocks: list[Clock], seed: int,
-                 epochs: int, lr: float = 5e-3) -> tuple["DemandModel", float, float]:
+                 epochs: int, lr: float) -> tuple["DemandModel", float, float]:
     """Fit on a chronological split: first 70% of timeslots train, last 30% validate.
 
     RMSE is reported per cell over all cells of the masked prediction,

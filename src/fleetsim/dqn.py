@@ -36,6 +36,9 @@ MAIN_PLANES = 15          # (raw, 15-pool, 30-pool) x 5 sources
 AUX_PLANES = 11
 POOL_SIZES = (15, 30)     # mean-pool sides of the main branch
 SUPPLY_HORIZONS = (0, 15, 30)  # minutes ahead counted by the three supply maps
+# a training policy's exploration rate and deciding share ramp between these
+EPS_START, EPS_END = 1.0, 0.05
+ALPHA_START, ALPHA_END = 0.3, 1.0
 
 Q_SPEC = (
     Conv2D(MAIN_PLANES, 16, 5, 5, "relu", "valid"),
@@ -308,7 +311,7 @@ class Transition:
 class ReplayBuffer:
     """Ring buffer of the most recent transitions."""
 
-    def __init__(self, capacity: int = 10_000):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
@@ -339,7 +342,7 @@ def _fields(qins: list[QInput], cells: list[tuple[int, int]]) -> tuple[np.ndarra
 
 def train_step(online: QNetwork, target: QNetwork, buffer: ReplayBuffer,
                opt: neural.RmsProp, gamma: float, rng: np.random.Generator,
-               batch_size: int = 64) -> tuple[float, float] | None:
+               batch_size: int) -> tuple[float, float] | None:
     """One double-Q minibatch update; returns (loss, mean max-Q) or None.
 
     Each next state is valued as :meth:`DqnPolicy.dispatch` values a
@@ -416,9 +419,10 @@ def _ramp(start: float, end: float, length: int, step: int) -> float:
 class Training:
     """What a training :class:`DqnPolicy` adds: reward, update and exploration ramps.
 
-    ``epsilon`` (the exploration rate) and ``alpha`` (the share of
-    eligible vehicles that decide) ramp linearly over their first
-    ``eps_ramp`` and ``alpha_ramp`` training steps.
+    ``epsilon`` (the exploration rate) ramps linearly from ``EPS_START``
+    to ``EPS_END`` over the first ``eps_ramp`` training steps, and
+    ``alpha`` (the share of eligible vehicles that decide) from
+    ``ALPHA_START`` to ``ALPHA_END`` over the first ``alpha_ramp``.
     """
 
     reject_weight: float
@@ -427,19 +431,15 @@ class Training:
     lr: float
     batch_size: int
     buffer_capacity: int
-    eps_start: float = 1.0
-    eps_end: float = 0.05
     eps_ramp: int
-    alpha_start: float = 0.3
-    alpha_end: float = 1.0
     alpha_ramp: int
     sync_period: int         # training steps between target-network syncs
 
     def epsilon(self, step: int) -> float:
-        return _ramp(self.eps_start, self.eps_end, self.eps_ramp, step)
+        return _ramp(EPS_START, EPS_END, self.eps_ramp, step)
 
     def alpha(self, step: int) -> float:
-        return _ramp(self.alpha_start, self.alpha_end, self.alpha_ramp, step)
+        return _ramp(ALPHA_START, ALPHA_END, self.alpha_ramp, step)
 
 
 @dataclass

@@ -101,7 +101,7 @@ def split_indices(n: int, seed: int):
 
 
 def train_eta(features: np.ndarray, minutes: np.ndarray, seed: int,
-              epochs: int, lr: float = 1e-3) -> tuple[EtaModel, float, float]:
+              epochs: int, lr: float) -> tuple[EtaModel, float, float]:
     """Fit the trip-time perceptron on a shuffled 70/30 split.
 
     Returns (model, train_rmse, val_rmse).  Fully determined by ``seed``.

@@ -131,9 +131,8 @@ class RegionMap:
     """Total assignment of fine-grid cells to region ids in [0, region_count).
 
     The assignment is data, typically loaded from a partition file; there
-    is no hard-coded zoning.  ``-1`` marks an unmapped cell:
-    :meth:`from_csv` and :func:`aggregate_to_regions` reject a map that
-    has one with :class:`RegionMapError`.
+    is no hard-coded zoning.  Construction raises :class:`RegionMapError`
+    unless the assignment is 2-D and every cell holds an id in range.
     """
 
     assignment: np.ndarray  # (rows, cols) int region ids
@@ -145,10 +144,12 @@ class RegionMap:
         a.setflags(write=False)
         if a.ndim != 2:
             raise RegionMapError(f"assignment must be 2-D, got shape {a.shape}")
-        valid = a[a >= 0]
-        if valid.size and valid.max() >= self.region_count:
+        unmapped = int((a < 0).sum())
+        if unmapped:
+            raise RegionMapError(f"region map leaves {unmapped} cells unmapped (negative ids)")
+        if a.size and a.max() >= self.region_count:
             raise RegionMapError(
-                f"region id {valid.max()} out of range for {self.region_count} regions"
+                f"region id {a.max()} out of range for {self.region_count} regions"
             )
 
     @property
@@ -178,9 +179,6 @@ class RegionMap:
                     raise RegionMapError(f"{path}: line {line}: cell ({row}, {col}) "
                                          "is listed twice")
                 a[row, col] = region
-        if (a < 0).any():
-            missing = int((a < 0).sum())
-            raise RegionMapError(f"partition file leaves {missing} cells unmapped")
         return cls(a, int(a.max()) + 1)
 
     def to_csv(self, path) -> None:
@@ -209,8 +207,6 @@ def aggregate_to_regions(heat: np.ndarray, rm: RegionMap) -> np.ndarray:
         raise ValueError(
             f"heat shape {heat.shape} does not match region map {rm.assignment.shape}"
         )
-    if (rm.assignment < 0).any():
-        raise RegionMapError("region map has unmapped cells")
     return np.bincount(
         rm.assignment.ravel(), weights=heat.ravel(), minlength=rm.region_count
     )

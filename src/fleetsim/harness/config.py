@@ -32,7 +32,7 @@ class ExperimentConfig:
     day_start_hour: int = 4
     epoch_date: str = "2016-05-02"  # calendar date of minute zero (a Monday)
     match_radius_m: float = 5000.0
-    idle_window_minutes: float = 15.0
+    idle_window_minutes: float = 15.0  # ride-starvation window of the idle rule
 
     # geometry: fine grid, dispatch-region blocks, RHC zone blocks
     fine_rows: int = 20

@@ -1,6 +1,6 @@
 """End-to-end experiment orchestration: models, policies, episodes, reports.
 
-A run consumes one city directory (trips, roads, partitions), trains or
+A run consumes one city directory (trips, roads, zones), trains or
 loads the shared models (ETA, demand, zone tables, optionally the
 Q-network), then simulates independent day episodes (4 a.m. to 4 a.m.)
 for the configured policy and writes machine-readable summaries.
@@ -68,14 +68,16 @@ def city_from_synth(sc: SynthCity) -> City:
     return City(sc.grid, sc.graph, sc.regions, sc.zones, sc.trips)
 
 
-def load_city(cfg: ExperimentConfig, data_dir=None) -> City:
-    """Read a city directory; its partitions must be the ones the config implies.
+def load_city(cfg: ExperimentConfig) -> City:
+    """Read the city directory ``cfg.data_dir``: ``trips.csv``, ``roads.txt``
+    and ``zones.csv``.
 
-    The Q-policy decodes region ids as the ``region_block`` block layout
-    and the zone tables hold ``zone_block`` zones, so any other
-    ``regions.csv`` or zone count raises :class:`RegionMapError`.
+    The dispatch regions are the ``region_block`` block layout, which the
+    Q-policy decodes region ids as; a ``regions.csv`` in the directory is
+    not read.  The zone tables hold ``zone_block`` zones, so another zone
+    count raises :class:`RegionMapError`.
     """
-    base = Path(data_dir or cfg.data_dir)
+    base = Path(cfg.data_dir)
     grid = GridSpec(rows=cfg.fine_rows, cols=cfg.fine_cols, cell_size=cfg.cell_size_m,
                     origin=Location(cfg.origin_lat, cfg.origin_lon))
     epoch = datetime.fromisoformat(cfg.epoch_date)
@@ -83,15 +85,11 @@ def load_city(cfg: ExperimentConfig, data_dir=None) -> City:
     log.info("ingested %d trips (%d dropped out-of-bounds, %d non-positive)",
              report.kept, report.dropped_bounds, report.dropped_duration)
     graph = load_edge_list(base / "roads.txt")
-    regions = RegionMap.from_csv(base / "regions.csv", grid.rows, grid.cols)
     zones = RegionMap.from_csv(base / "zones.csv", grid.rows, grid.cols)
-    blocks = block_region_map(grid, cfg.region_block, cfg.region_block)
-    if not np.array_equal(regions.assignment, blocks.assignment):
-        raise RegionMapError(f"{base / 'regions.csv'} is not the {cfg.region_block}x"
-                             f"{cfg.region_block} block layout set by region_block")
     if zones.region_count != zone_block_count(cfg):
         raise RegionMapError(f"{base / 'zones.csv'} has {zones.region_count} zones, "
                              f"zone_block = {cfg.zone_block} makes {zone_block_count(cfg)}")
+    regions = block_region_map(grid, cfg.region_block, cfg.region_block)
     return City(grid, graph, regions, zones, requests)
 
 
@@ -466,7 +464,15 @@ def episode_requests(requests: list[RideRequest], start: float, end: float
 
 def make_simulation(cfg: ExperimentConfig, city: City, bundle: ModelBundle,
                     requests: list[RideRequest], policy, start: float) -> Simulation:
-    """The configured fleet on ``city``'s roads, serving ``requests`` from minute ``start``."""
+    """The configured fleet on ``city``'s roads, serving ``requests`` from minute ``start``.
+
+    Vehicle ``k`` starts at the ``k``-th request's pickup, so fewer
+    requests than vehicles raise :class:`ConfigError`.
+    """
+    if len(requests) < cfg.vehicles:
+        raise ConfigError(f"the window from minute {start:g} has {len(requests)} requests, "
+                          f"fewer than the {cfg.vehicles} vehicles it places at their "
+                          "pickups; lower vehicles or raise trips_per_day")
     return Simulation(city.grid, city.graph, bundle.eta_model, requests,
                       n_vehicles=cfg.vehicles, policy=policy,
                       clock0=Clock(start, cfg.epoch_dow),
@@ -536,7 +542,12 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
 
     Returns a dict with per-day reports, the aggregate report, and file
     paths.  Identical configurations and seeds produce byte-identical
-    output files.
+    output files.  The city is ``city``, else the directory
+    ``cfg.data_dir`` when it holds a ``trips.csv``, else the city of
+    ``cfg.seed`` synthesised in memory.  A directory that ``synth-data``
+    wrote for the same seed does not give the same outcomes as the
+    synthesised city: :func:`synth.write_city` rounds every trip time to
+    the second.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -619,8 +630,6 @@ def train_dqn(cfg: ExperimentConfig, city: City | None = None,
     # for very short training runs
     span = max(total_minutes + 1.0, 1440.0)
     reqs = episode_requests(city.requests, start, start + span)
-    if len(reqs) < cfg.vehicles:
-        raise ConfigError("training city too small for the configured fleet")
     sim = make_simulation(cfg, city, bundle, reqs, policy, start)
     for minute in range(total_minutes):
         sim.step_minute()

@@ -34,6 +34,9 @@ from .config import ExperimentConfig
 # the generator's rate slot, 48 a day: a decision apart from the heat-map slot
 # sim.SLOT_MINUTES of equal length, kept because perfbench/bench.py reads it
 SLOT_MINUTES = 30
+# the demand level's log-normal spread and its correlation time, in rate slots
+_LEVEL_SIGMA = 0.22
+_LEVEL_CORR_SLOTS = 6.0
 
 
 @dataclass
@@ -137,18 +140,17 @@ def build_road_grid(grid: GridSpec) -> RoadGraph:
     return build_graph(nodes, edges)
 
 
-def _activity_level(rng, n_slots: int, sigma: float = 0.22,
-                    corr_slots: float = 6.0) -> np.ndarray:
+def _activity_level(rng, n_slots: int) -> np.ndarray:
     """Smooth day-to-day demand-level swings (AR(1) over 30-minute slots).
 
     Real workloads fluctuate around their weekly profile with a level
     that persists for hours; the trailing heat maps reveal it while
     per-(dow, hour) averages cannot.
     """
-    rho = math.exp(-1.0 / corr_slots)
+    rho = math.exp(-1.0 / _LEVEL_CORR_SLOTS)
     g = np.empty(n_slots)
-    g[0] = rng.normal(0.0, sigma)
-    innovation = sigma * math.sqrt(1.0 - rho * rho)
+    g[0] = rng.normal(0.0, _LEVEL_SIGMA)
+    innovation = _LEVEL_SIGMA * math.sqrt(1.0 - rho * rho)
     for k in range(1, n_slots):
         g[k] = rho * g[k - 1] + rng.normal(0.0, innovation)
     return np.exp(g)
@@ -223,7 +225,13 @@ def _iso(epoch: datetime, minute: float) -> str:
 
 
 def write_city(city: SynthCity, cfg: ExperimentConfig, out_dir) -> dict:
-    """Write trips.csv, roads.txt and the two partition files."""
+    """Write trips.csv, roads.txt and the zone partition, zones.csv.
+
+    The dispatch regions are not written: they are the ``region_block``
+    block layout, which :func:`experiment.load_city` builds from the config.
+    Pickup and dropoff times are rounded to the second, so a city read back
+    from these files is not bit for bit the one synthesised.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     epoch = datetime.fromisoformat(cfg.epoch_date)
@@ -240,12 +248,10 @@ def write_city(city: SynthCity, cfg: ExperimentConfig, out_dir) -> dict:
                 repr(float(tr.distance_km)),
             ]) + "\n")
     save_edge_list(city.graph, out / "roads.txt")
-    city.regions.to_csv(out / "regions.csv")
     city.zones.to_csv(out / "zones.csv")
     return {
         "trips": str(trips_path),
         "roads": str(out / "roads.txt"),
-        "regions": str(out / "regions.csv"),
         "zones": str(out / "zones.csv"),
         "n_trips": len(city.trips),
     }

@@ -5,7 +5,7 @@ equality rows.  The constraint blocks are :class:`SparseRows`: row-wise
 sparse matrices, held as row starts, ascending column indices within
 each row and nonzero values, the three arrays HiGHS reads.  No dense
 ``(rows, n_vars)`` array is built, checked or multiplied on the way in or
-out; :meth:`LpProblem.from_dense` builds a program from dense blocks.
+out; :meth:`SparseRows.from_triplets` builds a block from its entries.
 
 :func:`solve` passes a program to HiGHS through its own Python bindings,
 the ones ``scipy.optimize.linprog(method="highs")`` calls, with the
@@ -112,7 +112,7 @@ class LpProblem:
 
     Optional equality rows ``a_eq @ x == b_eq`` are passed to the solver
     as equalities.  The blocks are :class:`SparseRows` of shape
-    ``(b.size, c.size)``; :meth:`from_dense` takes dense ones.  Shapes
+    ``(b.size, c.size)``.  Shapes
     and finiteness are checked on construction, so a malformed problem
     raises ``ValueError`` here rather than in the solver.
     """
@@ -132,8 +132,7 @@ class LpProblem:
             if a is None and a_name == "a_eq":
                 continue
             if not isinstance(a, SparseRows):
-                raise ValueError(f"{a_name} must be SparseRows; "
-                                 "build dense blocks with LpProblem.from_dense")
+                raise ValueError(f"{a_name} must be SparseRows, got {type(a).__name__}")
             b = np.atleast_1d(np.asarray(b, dtype=np.float64))
             if c.ndim != 1 or b.ndim != 1 or a.shape != (b.size, c.size):
                 raise ValueError(f"inconsistent LP dims: c {c.shape}, "
@@ -145,30 +144,9 @@ class LpProblem:
             raise ValueError("non-finite coefficients in c")
         object.__setattr__(self, "c", c)
 
-    @classmethod
-    def from_dense(cls, c, a_ub, b_ub, a_eq=None, b_eq=None) -> LpProblem:
-        """The program of 2-D dense blocks; an empty block reads as having no rows.
-
-        Exact zeros of either sign are dropped and NaNs kept, so that a
-        non-finite entry raises ``ValueError`` as in a sparse block.
-        """
-        n = np.atleast_1d(np.asarray(c)).size
-        return cls(c, _dense_rows(a_ub, n), b_ub,
-                   None if a_eq is None else _dense_rows(a_eq, n), b_eq)
-
     @property
     def n_vars(self) -> int:
         return self.c.size
-
-
-def _dense_rows(a, n_cols: int) -> SparseRows:
-    a = np.asarray(a, dtype=np.float64)
-    if a.size == 0:
-        a = a.reshape(0, n_cols)
-    if a.ndim != 2:
-        raise ValueError(f"a dense block must be 2-D, got shape {a.shape}")
-    rows, cols = np.nonzero(a != 0.0)
-    return SparseRows.from_triplets(a.shape, [(rows, cols, a[rows, cols])])
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,9 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 ACTIVATIONS = ("relu", "linear")
+# RMSProp's squared-gradient decay and the term that keeps its divisor positive
+RMSPROP_RHO = 0.95
+RMSPROP_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -253,24 +256,23 @@ def backward_from_grad(spec, params, caches, d_out) -> list[np.ndarray]:
 class RmsProp:
     """Stateful RMSProp over a parameter list; updates in place.
 
-    Per element: ``s <- rho*s + (1-rho)*g^2``, then ``p <- p - lr*g/sqrt(s+eps)``.
+    Per element: ``s <- rho*s + (1-rho)*g^2``, then ``p <- p - lr*g/sqrt(s+eps)``,
+    with ``rho`` and ``eps`` the module's ``RMSPROP_RHO`` and ``RMSPROP_EPS``.
     """
 
-    def __init__(self, lr, rho=0.95, eps=1e-8):
-        if lr <= 0 or not (0 < rho < 1) or eps <= 0:
-            raise ValueError("rmsprop hyperparameters must be positive")
+    def __init__(self, lr):
+        if lr <= 0:
+            raise ValueError(f"rmsprop learning rate must be positive, got {lr}")
         self.lr = lr
-        self.rho = rho
-        self.eps = eps
         self.state: list[np.ndarray] | None = None
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         if self.state is None:
             self.state = [np.zeros_like(p) for p in params]
         for p, g, s in zip(params, grads, self.state):
-            s *= self.rho
-            s += (1.0 - self.rho) * g * g
-            p -= self.lr * g / np.sqrt(s + self.eps)
+            s *= RMSPROP_RHO
+            s += (1.0 - RMSPROP_RHO) * g * g
+            p -= self.lr * g / np.sqrt(s + RMSPROP_EPS)
 
 
 def pool_bounds(h: int, w: int, k: int) -> tuple[np.ndarray, ...]:

@@ -26,10 +26,6 @@ from .sim import SLOT_MINUTES, DispatchOrder
 
 log = logging.getLogger(__name__)
 
-DEFAULT_SLOT_MINUTES = 15.0
-DEFAULT_HORIZON = 3
-DEFAULT_REJECT_PENALTY = 20.0
-DEFAULT_DISCOUNT = 0.99
 FALLBACK_SPEED_KMH = 25.0
 
 
@@ -138,7 +134,6 @@ def load_tables(path, zone_count: int) -> tuple[np.ndarray, np.ndarray]:
 class RhcLpIndex:
     """Where each variable block of the assembled LP sits among its columns."""
 
-    n_vars: int
     u: tuple[np.ndarray, np.ndarray, np.ndarray]  # (k, i, j) of dispatch columns 0, 1, ...
     x_cols: np.ndarray  # (T, M): [k - 1, i] -> column of x[k, i], k = 1..T
     s_cols: np.ndarray  # (T + 1, M)
@@ -147,9 +142,8 @@ class RhcLpIndex:
 
 
 def build_rhc_lp(x0: np.ndarray, sched: np.ndarray, wbar: np.ndarray,
-                 tau_slots, p_slots, reject_penalty: float = DEFAULT_REJECT_PENALTY,
-                 discount: float = DEFAULT_DISCOUNT,
-                 slot_minutes: float = DEFAULT_SLOT_MINUTES) -> tuple[LpProblem, RhcLpIndex]:
+                 tau_slots, p_slots, reject_penalty: float, discount: float,
+                 slot_minutes: float) -> tuple[LpProblem, RhcLpIndex]:
     """Assemble the horizon dispatch LP.
 
     Decision variables are zone-to-zone dispatch counts per slot
@@ -241,7 +235,7 @@ def build_rhc_lp(x0: np.ndarray, sched: np.ndarray, wbar: np.ndarray,
         b_eq=np.concatenate([np.where(r < m, x0[r % m], 0.0), sched.ravel()])
         if horizon else None,
     )
-    return problem, RhcLpIndex(n, u, x_cols, s_cols, m_cols, l_cols)
+    return problem, RhcLpIndex(u, x_cols, s_cols, m_cols, l_cols)
 
 
 @dataclass
@@ -278,10 +272,8 @@ def round_plan(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_rhc(x0, sched, wbar, tau_slots, p_slots,
-              reject_penalty: float = DEFAULT_REJECT_PENALTY,
-              discount: float = DEFAULT_DISCOUNT,
-              slot_minutes: float = DEFAULT_SLOT_MINUTES) -> RhcPlan:
+def solve_rhc(x0, sched, wbar, tau_slots, p_slots, reject_penalty: float,
+              discount: float, slot_minutes: float) -> RhcPlan:
     """Build and solve the horizon LP, returning the executed-slot plan."""
     problem, index = build_rhc_lp(x0, sched, wbar, tau_slots, p_slots,
                                   reject_penalty, discount, slot_minutes)
@@ -388,10 +380,8 @@ class RhcPolicy:
 
     def __init__(self, zones: RegionMap, trip_times: np.ndarray,
                  destinations: np.ndarray, demand_predictor, future_demand,
-                 reject_penalty: float = DEFAULT_REJECT_PENALTY,
-                 discount: float = DEFAULT_DISCOUNT,
-                 slot_minutes: float = DEFAULT_SLOT_MINUTES,
-                 horizon: int = DEFAULT_HORIZON):
+                 reject_penalty: float, discount: float, slot_minutes: float,
+                 horizon: int):
         self.zones = zones
         self.trip_times = trip_times        # (7, 24, M, M) minutes, see estimate_tables
         self.destinations = destinations    # (7, 24, M, M) probabilities

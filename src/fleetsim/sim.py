@@ -66,10 +66,7 @@ OCCUPIED = 3
 STATUS_NAMES = {IDLE: "idle", DISPATCHING: "dispatching",
                 TO_PICKUP: "to_pickup", OCCUPIED: "occupied"}
 
-MATCH_RADIUS_M = 5000.0
-WARMUP_MINUTES = 30
 SLOT_MINUTES = 30          # demand heat-map slot length
-DEFAULT_IDLE_WINDOW = 15.0 # ride-starvation window of the idle rule
 
 
 @dataclass(frozen=True)
@@ -165,8 +162,7 @@ def finalize_metrics(m: EpisodeMetrics) -> dict:
 
 
 def idle_mask(status: np.ndarray, ordered_since_dropoff: np.ndarray,
-              last_ride_time: np.ndarray, t: float,
-              window: float = DEFAULT_IDLE_WINDOW) -> np.ndarray:
+              last_ride_time: np.ndarray, t: float, window: float) -> np.ndarray:
     """Dispatchable vehicles: unoccupied and uncommitted, and either not
     ordered since their last dropoff or ride-starved for ``window`` minutes."""
     return (status <= DISPATCHING) & (~ordered_since_dropoff | (t - last_ride_time >= window))
@@ -201,7 +197,7 @@ class SimView:
 class Simulation:
     """Runs one episode over a request series with an optional policy.
 
-    ``policy`` (optional) needs ``cycle`` (invocation period, minutes) and
+    ``policy`` (optional) needs an int ``cycle`` (invocation period, minutes) and
     ``dispatch(view) -> list[DispatchOrder]``.  A caller that acts between
     simulated minutes calls :meth:`step_minute` itself, as the DQN training
     loop does to run a training step after each minute.  Vehicle ``k``
@@ -210,10 +206,8 @@ class Simulation:
 
     def __init__(self, grid: GridSpec, graph: RoadGraph, eta_model,
                  requests: list[RideRequest], n_vehicles: int,
-                 policy=None, clock0: Clock | None = None,
-                 warmup: int = WARMUP_MINUTES,
-                 match_radius_m: float = MATCH_RADIUS_M,
-                 idle_window: float = DEFAULT_IDLE_WINDOW,
+                 policy=None, clock0: Clock | None = None, *, warmup: int,
+                 match_radius_m: float, idle_window: float,
                  event_log: list | None = None):
         self.grid = grid
         self.graph = graph
@@ -622,7 +616,7 @@ class Simulation:
         self._complete_arrivals(t)
         self._match_requests(t, measured)
         if (self.policy is not None and self.t >= self.warmup
-                and self.t % int(getattr(self.policy, "cycle", 1)) == 0):
+                and self.t % self.policy.cycle == 0):
             view = self.build_view(t)
             orders = self.policy.dispatch(view)
             self.apply_dispatch(orders, t)

@@ -3,7 +3,11 @@
 These stay deliberately naive: enumeration and elementary linear algebra
 only, none of the code paths they are used to check.  A few helpers that
 only the tests call live here too: ``predict_supply``, ``avg_pool`` (built
-from the library's pooling pieces) and ``render_config``.
+from the library's pooling pieces), ``render_config`` and ``lp_from_dense``.
+
+``CFG`` holds the program's settings: a test that needs a value the program
+takes from its config reads it there, so a change to a config default
+reaches the tests.
 """
 
 import heapq
@@ -28,11 +32,48 @@ from fleetsim.harness.config import ExperimentConfig
 from fleetsim.harness.synth import (_HOTSPOTS, SLOT_MINUTES, SynthCity,
                                     _activity_level, _dest_weights,
                                     _slot_rates, _speed_kmh, build_road_grid)
-from fleetsim.rhc import DEFAULT_SLOT_MINUTES
+from fleetsim.lp import LpProblem, SparseRows
 from fleetsim.sim import SLOT_MINUTES as HEAT_SLOT_MINUTES
-from fleetsim.sim import (DEFAULT_IDLE_WINDOW, DISPATCHING, IDLE, MATCH_RADIUS_M, OCCUPIED,
-                          STATUS_NAMES, TO_PICKUP, WARMUP_MINUTES, DispatchOrder,
+from fleetsim.sim import (DISPATCHING, IDLE, OCCUPIED, STATUS_NAMES, TO_PICKUP, DispatchOrder,
                           EpisodeMetrics, RideRequest, SimView, log)
+
+CFG = ExperimentConfig(seed=0)
+
+
+def sim_settings(**overrides) -> dict:
+    """The settings ``experiment.make_simulation`` passes a ``Simulation`` from
+    ``CFG``, with ``overrides``."""
+    return {"warmup": CFG.warmup_minutes, "match_radius_m": CFG.match_radius_m,
+            "idle_window": CFG.idle_window_minutes, **overrides}
+
+
+def rhc_settings(**overrides) -> dict:
+    """The settings ``experiment.make_policy`` passes an ``RhcPolicy`` from ``CFG``,
+    with ``overrides``."""
+    return {"reject_penalty": CFG.rhc_reject_penalty, "discount": CFG.rhc_discount,
+            "slot_minutes": CFG.rhc_slot_minutes, "horizon": CFG.rhc_horizon, **overrides}
+
+
+def lp_from_dense(c, a_ub, b_ub, a_eq=None, b_eq=None) -> LpProblem:
+    """The ``LpProblem`` of 2-D dense blocks; an empty block reads as having no rows.
+
+    Exact zeros of either sign are dropped and NaNs kept, so that a
+    non-finite entry raises ``ValueError`` as in a sparse block.
+    """
+    n = np.atleast_1d(np.asarray(c)).size
+    return LpProblem(c, dense_rows(a_ub, n), b_ub,
+                     None if a_eq is None else dense_rows(a_eq, n), b_eq)
+
+
+def dense_rows(a, n_cols: int) -> SparseRows:
+    """The ``SparseRows`` of the dense block ``a`` with ``n_cols`` columns."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.size == 0:
+        a = a.reshape(0, n_cols)
+    if a.ndim != 2:
+        raise ValueError(f"a dense block must be 2-D, got shape {a.shape}")
+    rows, cols = np.nonzero(a != 0.0)
+    return SparseRows.from_triplets(a.shape, [(rows, cols, a[rows, cols])])
 
 
 def eta_one_row(eta_model, origin, dest, clock, distance_km) -> float:
@@ -120,8 +161,7 @@ def event_supply_oracle(x0, sched, wbar, tau_slots, dest_idx, u_slots, dt):
 
 
 def predict_supply(x0: np.ndarray, sched: np.ndarray, wbar: np.ndarray,
-                   tau_slots, p_slots, u_slots=None,
-                   slot_minutes: float = DEFAULT_SLOT_MINUTES) -> np.ndarray:
+                   tau_slots, p_slots, u_slots, slot_minutes: float) -> np.ndarray:
     """Roll the supply recursion forward for slots 1..T with fixed dispatches.
 
     The recursion behind ``rhc.build_rhc_lp``'s dynamics rows, with each
@@ -131,8 +171,8 @@ def predict_supply(x0: np.ndarray, sched: np.ndarray, wbar: np.ndarray,
     ``x0`` is the standing idle count, ``sched[k]`` the occupied-now
     vehicles dropping off during relative slot k, ``wbar[k]`` predicted
     demand, ``tau_slots[k]``/``p_slots[k]`` the per-slot travel-time and
-    destination matrices, and ``u_slots[k]`` an optional fixed dispatch
-    matrix per slot.  Returns an array of shape (T, M).
+    destination matrices, and ``u_slots[k]`` a fixed dispatch matrix per
+    slot, or ``u_slots`` None for none.  Returns an array of shape (T, M).
     """
     x0 = np.asarray(x0, dtype=np.float64)
     wbar = np.asarray(wbar, dtype=np.float64)
@@ -413,13 +453,13 @@ def seeded_rhc_lp_inputs(seed: int, slot_minutes: float) -> dict:
 
 
 def rhc_lp_reference(x0: np.ndarray, sched: np.ndarray, wbar: np.ndarray,
-                     tau_slots, p_slots, reject_penalty: float = 20.0,
-                     discount: float = 0.99, slot_minutes: float = 15.0):
+                     tau_slots, p_slots, reject_penalty: float, discount: float,
+                     slot_minutes: float):
     """The horizon dispatch LP of ``rhc.build_rhc_lp``, one coefficient at a time.
 
     Registers every column in a dict keyed by ``(k, i, j)`` or ``(k, i)``
     and adds the rows one by one, in the order the library builds them
-    in blocks; returns the ``LpProblem`` that ``LpProblem.from_dense`` makes
+    in blocks; returns the ``LpProblem`` that :func:`lp_from_dense` makes
     of the dense rows.
 
     Decision variables are zone-to-zone dispatch counts per slot
@@ -548,9 +588,7 @@ def rhc_lp_reference(x0: np.ndarray, sched: np.ndarray, wbar: np.ndarray,
                 if (k, i, j) in u_cols:
                     objective[u_cols[(k, i, j)]] -= g * float(tau[i, j])
 
-    from fleetsim.lp import LpProblem
-
-    problem = LpProblem.from_dense(
+    problem = lp_from_dense(
         c=objective,
         a_ub=np.asarray(rows) if rows else np.zeros((0, n)),
         b_ub=np.asarray(rhs),
@@ -702,7 +740,7 @@ class VehicleState:
     dispatch_minutes: float = 0.0
 
 
-def idle_set(fleet, t, window=DEFAULT_IDLE_WINDOW):
+def idle_set(fleet, t, window):
     """Ids of the dispatchable vehicles, one vehicle at a time."""
     out = []
     for v in fleet:
@@ -729,8 +767,7 @@ class ReferenceSimulation:
     """
 
     def __init__(self, grid, graph, eta_model, requests, n_vehicles, policy=None,
-                 clock0=None, warmup=WARMUP_MINUTES, match_radius_m=MATCH_RADIUS_M,
-                 idle_window=DEFAULT_IDLE_WINDOW, event_log=None):
+                 clock0=None, *, warmup, match_radius_m, idle_window, event_log=None):
         self.grid = grid
         self.graph = graph
         self.eta_model = eta_model
@@ -989,7 +1026,7 @@ class ReferenceSimulation:
         self._complete_arrivals(t)
         self._match_requests(t, measured)
         if (self.policy is not None and self.t >= self.warmup
-                and self.t % int(getattr(self.policy, "cycle", 1)) == 0):
+                and self.t % self.policy.cycle == 0):
             view = self.build_view(t)
             orders = self.policy.dispatch(view)
             self.apply_dispatch(orders, t)
@@ -1182,7 +1219,7 @@ class DqnPolicyReference(DqnPolicy):
 
 
 
-def train_step_reference(online, target, buffer, opt, gamma, rng, batch_size=64):
+def train_step_reference(online, target, buffer, opt, gamma, rng, batch_size):
     """The double-Q update on stacked full windows and full 15x15 Q-maps.
 
     Every sample's whole 23x23 main and 15x15 aux input is stacked, the

@@ -10,7 +10,7 @@ from fleetsim.demand import (
     historical_average,
     train_demand,
 )
-from oracles import historical_average_reference
+from oracles import CFG, historical_average_reference
 
 
 def slot_clocks(n, minutes_per_slot=30.0, start=0.0):
@@ -63,13 +63,14 @@ class TestTraining:
         pattern[3, 3] = 3.0
         pattern[6, 1] = 1.0
         slots = np.tile(pattern, (40, 1, 1))
-        _, _, val_rmse = train_demand(slots, slot_clocks(40), seed=1, epochs=120)
+        _, _, val_rmse = train_demand(slots, slot_clocks(40), seed=1, epochs=120, lr=CFG.demand_lr)
         assert val_rmse < 0.05
 
     def test_beats_last_value_persistence_on_periodic_demand(self):
         rng = np.random.default_rng(1)
         slots = periodic_series(rng, 48 * 3)
-        model, _, val_rmse = train_demand(slots, slot_clocks(48 * 3), seed=2, epochs=60)
+        model, _, val_rmse = train_demand(slots, slot_clocks(48 * 3), seed=2, epochs=60,
+                                          lr=CFG.demand_lr)
         # persistence predicts slot i as slot i-1 on the same validation span
         n = slots.shape[0] - 2
         n_train = int(round(n * 0.7))
@@ -83,8 +84,8 @@ class TestTraining:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         slots = periodic_series(rng, 60)
-        m1, tr1, va1 = train_demand(slots, slot_clocks(60), seed=3, epochs=5)
-        m2, tr2, va2 = train_demand(slots, slot_clocks(60), seed=3, epochs=5)
+        m1, tr1, va1 = train_demand(slots, slot_clocks(60), seed=3, epochs=5, lr=CFG.demand_lr)
+        m2, tr2, va2 = train_demand(slots, slot_clocks(60), seed=3, epochs=5, lr=CFG.demand_lr)
         assert (tr1, va1) == (tr2, va2)
         for a, b in zip(m1.params, m2.params):
             np.testing.assert_array_equal(a, b)
@@ -99,7 +100,7 @@ class TestTraining:
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
-            train_demand(np.zeros((3, 4, 4)), slot_clocks(3), seed=0, epochs=150)
+            train_demand(np.zeros((3, 4, 4)), slot_clocks(3), seed=0, epochs=150, lr=CFG.demand_lr)
 
 
 class TestPredict:

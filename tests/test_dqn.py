@@ -1,9 +1,11 @@
 import copy
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from oracles import (aux_planes_reference, avg_pool, avg_pool_reference, crop_pad_center,
-                     pooled_reference, q_main_planes_51, train_step_reference)
+from oracles import (CFG, aux_planes_reference, avg_pool, avg_pool_reference,
+                     crop_pad_center, pooled_reference, q_main_planes_51,
+                     train_step_reference)
 
 from fleetsim import neural
 from fleetsim.dqn import (
@@ -44,11 +46,28 @@ def make_ctx(region=(5, 5), shape=(10, 10), rng=None, minute=0.0):
     )
 
 
+@dataclass(frozen=True, kw_only=True)
+class PinnedTraining(Training):
+    """A :class:`Training` whose epsilon, and whose alpha, holds one value at
+    every step where it is pinned, and follows the program's ramp where not."""
+
+    pinned_epsilon: float | None = None
+    pinned_alpha: float | None = None
+
+    def epsilon(self, step: int) -> float:
+        return super().epsilon(step) if self.pinned_epsilon is None else self.pinned_epsilon
+
+    def alpha(self, step: int) -> float:
+        return super().alpha(step) if self.pinned_alpha is None else self.pinned_alpha
+
+
 def make_training(seed, **kw):
-    """A :class:`Training` with the configured defaults and ramps of one step."""
-    return Training(**{**dict(reject_weight=10.0, discount=0.98, seed=seed, lr=1e-3,
-                              batch_size=64, buffer_capacity=10_000, eps_ramp=1,
-                              alpha_ramp=1, sync_period=150), **kw})
+    """A :class:`PinnedTraining` with the configured settings and ramps of one step."""
+    return PinnedTraining(**{**dict(reject_weight=CFG.dqn_reject_weight,
+                                    discount=CFG.dqn_discount, seed=seed, lr=CFG.dqn_lr,
+                                    batch_size=CFG.dqn_batch, buffer_capacity=CFG.dqn_buffer,
+                                    eps_ramp=1, alpha_ramp=1,
+                                    sync_period=CFG.dqn_sync_period), **kw})
 
 
 class TestFeaturePlanes:
@@ -411,10 +430,10 @@ class TestTrainStep:
     def test_underfull_buffer_is_signalled_noop(self):
         online = QNetwork.create(np.random.default_rng(0))
         target = online.copy()
-        buf = ReplayBuffer()
+        buf = ReplayBuffer(CFG.dqn_buffer)
         buf.push(Transition(interior_ctx(), STAY_CELL, 0.0, interior_ctx(), 0))
         assert train_step(online, target, buf, neural.RmsProp(lr=1e-4), 0.98,
-                          np.random.default_rng(0)) is None
+                          np.random.default_rng(0), CFG.dqn_batch) is None
 
     def test_double_q_hand_target_value(self):
         # online argmax over the next state lands on the distance-max cell
@@ -427,7 +446,7 @@ class TestTrainStep:
         buf = self.full_buffer(tr)
         opt = neural.RmsProp(lr=1e-12)
         loss, mean_max_q = train_step(online, target, buf, opt, 0.98,
-                                      np.random.default_rng(0))
+                                      np.random.default_rng(0), CFG.dqn_batch)
         y = 7.0 + 0.98 ** 3 * 50.0
         # picked Q(phi, stay) = 0 for the crafted online net
         assert loss == pytest.approx(y ** 2, abs=1e-9)
@@ -439,7 +458,7 @@ class TestTrainStep:
         tr = Transition(interior_ctx(), STAY_CELL, 7.0, interior_ctx(), 0)
         buf = self.full_buffer(tr)
         loss, _ = train_step(online, target, buf, neural.RmsProp(lr=1e-12), 0.98,
-                             np.random.default_rng(0))
+                             np.random.default_rng(0), CFG.dqn_batch)
         y = 7.0 + 0.98 * 50.0
         assert loss == pytest.approx(y ** 2, abs=1e-9)
 
@@ -452,7 +471,7 @@ class TestTrainStep:
         buf = self.full_buffer(tr)
         before = [p.copy() for p in online.params]
         loss, _ = train_step(online, target, buf, neural.RmsProp(lr=1e-3), 0.98,
-                             np.random.default_rng(0))
+                             np.random.default_rng(0), CFG.dqn_batch)
         assert loss == 0.0
         for a, b in zip(before, online.params):
             np.testing.assert_array_equal(a, b)
@@ -478,7 +497,7 @@ class TestTrainStep:
         target = QNetwork.create(np.random.default_rng(5))
         ctxs = [make_ctx(region=(int(rng.integers(0, 10)), int(rng.integers(0, 10))),
                          rng=rng) for _ in range(80)]
-        buf = ReplayBuffer()
+        buf = ReplayBuffer(CFG.dqn_buffer)
         for i, ctx in enumerate(ctxs):
             nxt = ctxs[(i + 1) % len(ctxs)]
             legal = legal_action_mask(ctx.region, ctx.demand.shape)
@@ -491,7 +510,7 @@ class TestTrainStep:
         last = None
         for step in range(30):
             loss, _ = train_step(online, target, buf, opt, 0.98,
-                                 np.random.default_rng(step))
+                                 np.random.default_rng(step), CFG.dqn_batch)
             if first is None:
                 first = loss
             last = loss

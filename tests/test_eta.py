@@ -14,7 +14,7 @@ from fleetsim.eta import (
     train_eta,
 )
 from fleetsim.geo import Location
-from oracles import eta_single_row_reference
+from oracles import CFG, eta_single_row_reference
 
 
 ORIGIN = Location(40.0, -74.0)
@@ -78,21 +78,21 @@ class TestTraining:
         rng = np.random.default_rng(1)
         feats, _ = synthetic_trips(rng, n=600)
         minutes = np.full(600, 9.0)
-        _, train_rmse, val_rmse = train_eta(feats, minutes, seed=5, epochs=40)
+        _, train_rmse, val_rmse = train_eta(feats, minutes, seed=5, epochs=40, lr=CFG.eta_lr)
         assert train_rmse < 1e-2
         assert val_rmse < 1e-2
 
     def test_linear_synthetic_beats_ten_percent_of_std(self):
         rng = np.random.default_rng(2)
         feats, minutes = synthetic_trips(rng, n=3000, noise=0.0)
-        _, _, val_rmse = train_eta(feats, minutes, seed=9, epochs=40)
+        _, _, val_rmse = train_eta(feats, minutes, seed=9, epochs=40, lr=CFG.eta_lr)
         assert val_rmse < 0.1 * np.std(minutes)
 
     def test_seeded_training_reproducible(self):
         rng = np.random.default_rng(3)
         feats, minutes = synthetic_trips(rng, n=500, noise=1.0)
-        m1, tr1, va1 = train_eta(feats, minutes, seed=11, epochs=10)
-        m2, tr2, va2 = train_eta(feats, minutes, seed=11, epochs=10)
+        m1, tr1, va1 = train_eta(feats, minutes, seed=11, epochs=10, lr=CFG.eta_lr)
+        m2, tr2, va2 = train_eta(feats, minutes, seed=11, epochs=10, lr=CFG.eta_lr)
         assert (tr1, va1) == (tr2, va2)
         for a, b in zip(m1.params, m2.params):
             np.testing.assert_array_equal(a, b)
@@ -100,7 +100,7 @@ class TestTraining:
     def test_beats_mean_predictor(self):
         rng = np.random.default_rng(4)
         feats, minutes = synthetic_trips(rng, n=2500, noise=0.5)
-        _, _, val_rmse = train_eta(feats, minutes, seed=13, epochs=40)
+        _, _, val_rmse = train_eta(feats, minutes, seed=13, epochs=40, lr=CFG.eta_lr)
         train_idx, val_idx = split_indices(len(minutes), 13)
         baseline = mean_predictor_rmse(minutes[train_idx], minutes[val_idx])
         assert val_rmse < baseline
@@ -112,7 +112,7 @@ class TestTraining:
         feats, minutes = synthetic_trips(np.random.default_rng(5), n=50)
         (feats[7] if where == "feature" else minutes[7:8])[-1] = value
         with pytest.raises(ValueError, match="must be finite"):
-            train_eta(feats, minutes, seed=0, epochs=1)
+            train_eta(feats, minutes, seed=0, epochs=1, lr=CFG.eta_lr)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
@@ -124,7 +124,7 @@ class TestTraining:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            train_eta(np.zeros((1, 9)), np.zeros(1), seed=0, epochs=30)
+            train_eta(np.zeros((1, 9)), np.zeros(1), seed=0, epochs=30, lr=CFG.eta_lr)
 
 
 class TestPredict:
@@ -135,7 +135,7 @@ class TestPredict:
         # differently) and clamp the same rows at zero
         rng = np.random.default_rng(8)
         feats, minutes = synthetic_trips(rng, n=500, noise=1.0)
-        model, _, _ = train_eta(feats, minutes, seed=2, epochs=5)
+        model, _, _ = train_eta(feats, minutes, seed=2, epochs=5, lr=CFG.eta_lr)
         shift = float(np.median(model.predict(feats)))
         shifted = EtaModel(model.params, model.mean, model.std,
                            model.y_mean - shift, model.y_std)
@@ -156,14 +156,14 @@ class TestPredict:
     def test_identical_features_identical_prediction(self):
         rng = np.random.default_rng(5)
         feats, minutes = synthetic_trips(rng, n=300, noise=1.0)
-        model, _, _ = train_eta(feats, minutes, seed=3, epochs=5)
+        model, _, _ = train_eta(feats, minutes, seed=3, epochs=5, lr=CFG.eta_lr)
         f = feats[17:18]
         assert model.predict(f)[0] == model.predict(f.copy())[0]
 
     def test_prediction_matches_engine_forward(self):
         rng = np.random.default_rng(6)
         feats, minutes = synthetic_trips(rng, n=300, noise=1.0)
-        model, _, _ = train_eta(feats, minutes, seed=3, epochs=5)
+        model, _, _ = train_eta(feats, minutes, seed=3, epochs=5, lr=CFG.eta_lr)
         f = feats[42:43]
         z = (f - model.mean) / model.std
         raw = neural.forward(ETA_SPEC, model.params, z)[0]
@@ -189,7 +189,7 @@ class TestPredict:
     def test_checkpoint_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         feats, minutes = synthetic_trips(rng, n=200, noise=0.5)
-        model, _, _ = train_eta(feats, minutes, seed=1, epochs=3)
+        model, _, _ = train_eta(feats, minutes, seed=1, epochs=3, lr=CFG.eta_lr)
         p = tmp_path / "eta.json"
         model.save(p)
         back = EtaModel.load(p)

@@ -115,6 +115,12 @@ class TestRegionMap:
         with pytest.raises(RegionMapError):
             RegionMap.from_csv(path, 2, 2)
 
+    def test_unmapped_cells_rejected_on_construction(self):
+        with pytest.raises(RegionMapError, match="leaves 4 cells unmapped"):
+            RegionMap(np.full((2, 2), -1), 1)
+        with pytest.raises(RegionMapError, match="leaves 1 cells unmapped"):
+            RegionMap(np.array([[0, -3], [0, 0]]), 1)
+
     @pytest.mark.parametrize("extra, match", [
         ("0,0,x\n", "line 6: malformed row"),
         ("0,0\n", "line 6: malformed row"),

@@ -234,6 +234,8 @@ class TestSynth:
         city = synth_city(cfg, seed=5, days=1)
         info = write_city(city, cfg, cfg.data_dir)
         assert info["n_trips"] == len(city.trips)
+        assert sorted(p.name for p in Path(cfg.data_dir).iterdir()) == \
+            ["roads.txt", "trips.csv", "zones.csv"]
         epoch = datetime.fromisoformat(cfg.epoch_date)
         requests, report = ingest_trips(Path(cfg.data_dir) / "trips.csv",
                                         city.grid, epoch)
@@ -251,8 +253,10 @@ class TestSynth:
         cfg = small_cfg(tmp_path)
         write_city(synth_city(cfg, seed=5, days=1), cfg, cfg.data_dir)
         assert ex.load_city(cfg).regions.region_count == 100
-        with pytest.raises(RegionMapError, match="block layout"):
-            ex.load_city(small_cfg(tmp_path, region_block=2))
+        # the regions are the config's block layout, which no file can contradict
+        city = ex.load_city(small_cfg(tmp_path, region_block=2))
+        assert np.array_equal(city.regions.assignment,
+                              block_region_map(city.grid, 2, 2).assignment)
         with pytest.raises(RegionMapError, match="has 4 zones"):
             ex.load_city(small_cfg(tmp_path, zone_block=2))
 
@@ -596,15 +600,16 @@ BAD_INPUTS = {
                        lambda b: b + trip_row(pickup="2016-05-02 00:10:00+00:00",
                                               dropoff="2016-05-02 00:20:00+00:00"),
                        "time zone"),
-    "region-malformed": ("city/regions.csv", lambda b: b + b"0,0,x\n",
+    # bad rows of zones.csv, the one partition file left, which RegionMap.from_csv reads
+    "region-malformed": ("city/zones.csv", lambda b: b + b"0,0,x\n",
                          "line 102: malformed row"),
-    "region-negative-row": ("city/regions.csv", lambda b: b + b"-1,0,3\n",
+    "region-negative-row": ("city/zones.csv", lambda b: b + b"-1,0,3\n",
                             "line 102: cell (-1, 0) is outside the 10x10 grid"),
-    "region-row-beyond-grid": ("city/regions.csv", lambda b: b + b"10,0,0\n",
+    "region-row-beyond-grid": ("city/zones.csv", lambda b: b + b"10,0,0\n",
                                "line 102: cell (10, 0) is outside the 10x10 grid"),
-    "region-cell-twice": ("city/regions.csv", lambda b: b + b"0,0,0\n",
+    "region-cell-twice": ("city/zones.csv", lambda b: b + b"0,0,0\n",
                           "line 102: cell (0, 0) is listed twice"),
-    "region-negative-id": ("city/regions.csv",
+    "region-negative-id": ("city/zones.csv",
                            lambda b: b.replace(b"\n0,0,0\r\n", b"\n0,0,-2\r\n", 1),
                            "line 2: negative region id -2"),
     "road-length-nan": ("city/roads.txt", lambda b: b + b"0,1,nan\n", "edge 0->1 has length nan"),
@@ -835,7 +840,7 @@ class TestCli:
         assert not (tmp_path / "city").exists()
 
     def test_synth_data_files_independent_of_hash_seed(self, tmp_path):
-        files = ("trips.csv", "roads.txt", "regions.csv", "zones.csv")
+        files = ("trips.csv", "roads.txt", "zones.csv")
         written = []
         for hash_seed in ("0", "12345"):
             city = tmp_path / f"city_{hash_seed}"
@@ -929,24 +934,42 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "not float64 (7, 24, 25, 25)" in proc.stderr
 
-    def test_non_block_regions_are_data_error(self, tmp_path):
-        cfg_file = tmp_path / "c.cfg"
-        cfg_file.write_text(
-            "seed = 3\n"
-            f"data_dir = {tmp_path / 'city'}\n"
-            f"out_dir = {tmp_path / 'out'}\n"
-            "fine_rows = 10\nfine_cols = 10\nregion_block = 1\nzone_block = 5\n"
-            "vehicles = 5\ndays = 1\ntrips_per_day = 200.0\ntrain_days = 2\n"
-            "eta_epochs = 1\ndemand_epochs = 1\n"
-        )
-        proc = self.run_cli("--config", str(cfg_file), "synth-data")
+    @pytest.mark.parametrize("regions", ["non-block", "malformed"])
+    def test_regions_csv_is_ignored(self, written_city, tmp_path, regions):
+        # region_block = 1 means 100 one-cell regions; a file of 4 blocks of
+        # 5x5, or one that does not parse, changes no byte of the run
+        for sub in ("city", "out"):
+            shutil.copytree(written_city / sub, tmp_path / sub)
+        path = tmp_path / "city" / "regions.csv"
+        if regions == "non-block":
+            grid = GridSpec(rows=10, cols=10, cell_size=600.0, origin=Location(0.0, 0.0))
+            block_region_map(grid, 5, 5).to_csv(path)
+        else:
+            path.write_text("row,col,region_id\n0,0,x\n")
+        summary = tmp_path / "out" / "summary_none_3.csv"
+        summary.unlink()
+        proc = self.run_cli(*TINY_CLI, *dirs(tmp_path), "simulate")
         assert proc.returncode == 0, proc.stderr
-        # region_block = 1 means 100 one-cell regions; write 4 blocks of 5x5
-        grid = GridSpec(rows=10, cols=10, cell_size=600.0, origin=Location(0.0, 0.0))
-        block_region_map(grid, 5, 5).to_csv(tmp_path / "city" / "regions.csv")
-        proc = self.run_cli("--config", str(cfg_file), "simulate")
-        assert proc.returncode == 2, proc.stderr
-        assert "block layout" in proc.stderr
+        assert summary.read_bytes() == (written_city / "out" / "summary_none_3.csv").read_bytes()
+
+    def test_fewer_requests_than_vehicles_is_config_error(self, tmp_path):
+        proc = self.run_cli("--set", "seed=3", *dirs(tmp_path), "--set", "fine_rows=10",
+                            "--set", "fine_cols=10", "--set", "region_block=1",
+                            "--set", "vehicles=50", "--set", "days=1",
+                            "--set", "trips_per_day=30", "--set", "train_days=2",
+                            "--set", "eta_epochs=1", "--set", "demand_epochs=1", "simulate")
+        assert proc.returncode == 1, proc.stderr
+        assert "config error: the window from minute 240 has " in proc.stderr, proc.stderr
+        assert "requests, fewer than the 50 vehicles" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list((tmp_path / "out").glob("summary_*")) == []
+
+    def test_training_city_smaller_than_the_fleet_is_config_error(self, tmp_path):
+        proc = self.run_cli(*TINY_CLI, *dirs(tmp_path), "--set", "vehicles=500",
+                            "--set", "dqn_train_steps=1", "train-dqn")
+        assert proc.returncode == 1, proc.stderr
+        assert "fewer than the 500 vehicles" in proc.stderr
+        assert not (tmp_path / "out" / "models" / "qnet.json").exists()
 
     def test_simulate_prints_dash_without_accepted_requests(self, monkeypatch, capsys):
         from fleetsim.harness import cli

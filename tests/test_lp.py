@@ -11,46 +11,47 @@ from hypothesis.extra import numpy as hnp
 from fleetsim import lp
 from fleetsim.lp import LpProblem, LpSolution, SparseRows, accepted_status, solve
 from fleetsim.rhc import build_rhc_lp
-from oracles import (linprog_solve_reference, random_bounded_lp, random_sparse_lp,
-                     rowwise_reference, seeded_rhc_lp_inputs, vertex_enumeration_optimum)
+from oracles import (linprog_solve_reference, lp_from_dense, random_bounded_lp,
+                     random_sparse_lp, rowwise_reference, seeded_rhc_lp_inputs,
+                     vertex_enumeration_optimum)
 
 
 class TestBasics:
     def test_single_variable(self):
-        sol = solve(LpProblem.from_dense(c=[1.0], a_ub=[[1.0]], b_ub=[3.0]))
+        sol = solve(lp_from_dense(c=[1.0], a_ub=[[1.0]], b_ub=[3.0]))
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(3.0)
         assert sol.objective == pytest.approx(3.0)
 
     def test_degenerate_optimum_face(self):
-        sol = solve(LpProblem.from_dense(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0]))
+        sol = solve(lp_from_dense(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0]))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(1.0)
         # deterministic vertex: run twice, same point
-        again = solve(LpProblem.from_dense(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0]))
+        again = solve(lp_from_dense(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0]))
         np.testing.assert_array_equal(sol.x, again.x)
 
     def test_unbounded(self):
-        sol = solve(LpProblem.from_dense(c=[1.0], a_ub=[[-1.0]], b_ub=[0.0]))
+        sol = solve(lp_from_dense(c=[1.0], a_ub=[[-1.0]], b_ub=[0.0]))
         assert sol.status == "unbounded"
 
     def test_infeasible(self):
         # x <= -1 with x >= 0
-        sol = solve(LpProblem.from_dense(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0]))
+        sol = solve(lp_from_dense(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0]))
         assert sol.status == "infeasible"
 
     def test_negative_rhs_feasible(self):
         # x1 + x2 >= 2expressed as -(x1+x2) <= -2, minimize x1+2x2
-        sol = solve(LpProblem.from_dense(c=[-1.0, -2.0], a_ub=[[-1.0, -1.0]], b_ub=[-2.0]))
+        sol = solve(lp_from_dense(c=[-1.0, -2.0], a_ub=[[-1.0, -1.0]], b_ub=[-2.0]))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-2.0)
         assert sol.x[0] == pytest.approx(2.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            LpProblem.from_dense(c=[1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
+            lp_from_dense(c=[1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
         with pytest.raises(ValueError):
-            LpProblem.from_dense(c=[np.nan], a_ub=[[1.0]], b_ub=[1.0])
+            lp_from_dense(c=[np.nan], a_ub=[[1.0]], b_ub=[1.0])
 
 
     def test_no_negative_zero_in_solution(self):
@@ -80,8 +81,7 @@ class TestSparseRows:
     def test_from_dense_gives_the_dense_scan(self, drawn):
         n, blocks = drawn
         a_eq, b_eq = (blocks[1], np.ones(len(blocks[1]))) if len(blocks) == 2 else (None, None)
-        problem = LpProblem.from_dense(np.ones(n), blocks[0], np.ones(len(blocks[0])),
-                                       a_eq, b_eq)
+        problem = lp_from_dense(np.ones(n), blocks[0], np.ones(len(blocks[0])), a_eq, b_eq)
         sparse = [problem.a_ub] + ([] if a_eq is None else [problem.a_eq])
         assert [a.shape for a in sparse] == [a.shape for a in blocks]
         # the lists solve passes to HiGHS, as the dense scan made them
@@ -92,7 +92,7 @@ class TestSparseRows:
         n, blocks = drawn
         x = np.random.default_rng(seed).uniform(-3.0, 3.0, n)
         for a in blocks:
-            sparse = LpProblem.from_dense(np.ones(n), a, np.ones(len(a))).a_ub
+            sparse = lp_from_dense(np.ones(n), a, np.ones(len(a))).a_ub
             np.testing.assert_allclose(sparse @ x, a @ x, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("make", [
@@ -130,7 +130,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(2024)
         for trial in range(200):
             c, a, b = random_bounded_lp(rng)
-            sol = solve(LpProblem.from_dense(c=c, a_ub=a, b_ub=b))
+            sol = solve(lp_from_dense(c=c, a_ub=a, b_ub=b))
             expect, _ = vertex_enumeration_optimum(c, a, b)
             assert sol.status == "optimal", f"trial {trial}"
             assert expect is not None
@@ -143,7 +143,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(7)
         for _ in range(50):
             c, a, b = random_bounded_lp(rng)
-            sol = solve(LpProblem.from_dense(c=c, a_ub=a, b_ub=b))
+            sol = solve(lp_from_dense(c=c, a_ub=a, b_ub=b))
             assert sol.status == "optimal"
             assert (a @ sol.x <= b + 1e-9).all()
             assert (sol.x >= -1e-9).all()
@@ -158,7 +158,7 @@ class TestOracleEquivalence:
             if not (a.T @ y >= c - 1e-12).all():
                 continue
             checked += 1
-            sol = solve(LpProblem.from_dense(c=c, a_ub=a, b_ub=b))
+            sol = solve(lp_from_dense(c=c, a_ub=a, b_ub=b))
             assert sol.objective <= float(b @ y) + 1e-7
 
 
@@ -166,8 +166,8 @@ class TestDeterminismAndCycling:
     def test_identical_problems_identical_solutions(self):
         rng = np.random.default_rng(3)
         c, a, b = random_bounded_lp(rng)
-        s1 = solve(LpProblem.from_dense(c=c, a_ub=a, b_ub=b))
-        s2 = solve(LpProblem.from_dense(c=c, a_ub=a, b_ub=b))
+        s1 = solve(lp_from_dense(c=c, a_ub=a, b_ub=b))
+        s2 = solve(lp_from_dense(c=c, a_ub=a, b_ub=b))
         assert s1.objective == s2.objective
         np.testing.assert_array_equal(s1.x, s2.x)
 
@@ -180,7 +180,7 @@ class TestDeterminismAndCycling:
             [0.0, 0.0, 1.0, 0.0],
         ]
         b = [0.0, 0.0, 1.0]
-        sol = solve(LpProblem.from_dense(c=c, a_ub=a, b_ub=b))
+        sol = solve(lp_from_dense(c=c, a_ub=a, b_ub=b))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(0.05, abs=1e-9)
 
@@ -195,7 +195,7 @@ class TestDeterminismAndCycling:
             a = np.vstack([a, np.ones((1, n))])
             b = np.concatenate([b, [5.0]])
             c = rng.uniform(-1, 2, size=n)
-            sol = solve(LpProblem.from_dense(c=c, a_ub=a, b_ub=b))
+            sol = solve(lp_from_dense(c=c, a_ub=a, b_ub=b))
             expect, _ = vertex_enumeration_optimum(c, a, b)
             if sol.status == "optimal":
                 assert expect == pytest.approx(sol.objective, abs=1e-7)
@@ -220,26 +220,26 @@ class TestMatchesLinprog:
         rng = np.random.default_rng(11)
         for _ in range(150):
             c, a, b = random_bounded_lp(rng)
-            assert self.assert_same(LpProblem.from_dense(c=c, a_ub=a, b_ub=b)) == "optimal"
+            assert self.assert_same(lp_from_dense(c=c, a_ub=a, b_ub=b)) == "optimal"
 
     def test_sparse_programs_of_every_outcome(self):
         rng = np.random.default_rng(29)
-        statuses = [self.assert_same(LpProblem.from_dense(*random_sparse_lp(rng))) for _ in range(300)]
+        statuses = [self.assert_same(lp_from_dense(*random_sparse_lp(rng))) for _ in range(300)]
         assert {"optimal", "infeasible", "unbounded"} <= set(statuses)
 
     @pytest.mark.parametrize("problem, status", [
-        (LpProblem.from_dense(c=[1.0, 2.0], a_ub=np.zeros((0, 2)), b_ub=[]), "unbounded"),
-        (LpProblem.from_dense(c=[-1.0, -2.0], a_ub=np.zeros((0, 2)), b_ub=[]), "optimal"),
-        (LpProblem.from_dense(c=[1.0, -1.0], a_ub=np.zeros((0, 2)), b_ub=[],
-                   a_eq=[[1.0, 1.0]], b_eq=[2.0]), "optimal"),
-        (LpProblem.from_dense(c=[1.0, 1.0], a_ub=np.zeros((0, 2)), b_ub=[],
-                   a_eq=[[1.0, -1.0], [1.0, 0.0]], b_eq=[0.0, -1.0]), "infeasible"),
-        (LpProblem.from_dense(c=[0.0, 1.0], a_ub=[[0.0, 0.0], [1.0, 1.0]], b_ub=[0.0, 3.0],
-                   a_eq=np.zeros((0, 2)), b_eq=[]), "optimal"),
+        (lp_from_dense(c=[1.0, 2.0], a_ub=np.zeros((0, 2)), b_ub=[]), "unbounded"),
+        (lp_from_dense(c=[-1.0, -2.0], a_ub=np.zeros((0, 2)), b_ub=[]), "optimal"),
+        (lp_from_dense(c=[1.0, -1.0], a_ub=np.zeros((0, 2)), b_ub=[],
+                       a_eq=[[1.0, 1.0]], b_eq=[2.0]), "optimal"),
+        (lp_from_dense(c=[1.0, 1.0], a_ub=np.zeros((0, 2)), b_ub=[],
+                       a_eq=[[1.0, -1.0], [1.0, 0.0]], b_eq=[0.0, -1.0]), "infeasible"),
+        (lp_from_dense(c=[0.0, 1.0], a_ub=[[0.0, 0.0], [1.0, 1.0]], b_ub=[0.0, 3.0],
+                       a_eq=np.zeros((0, 2)), b_eq=[]), "optimal"),
         # HiGHS refuses a coefficient this large when the model is passed
-        (LpProblem.from_dense(c=[1.0], a_ub=[[1e16]], b_ub=[1.0]), "infeasible"),
+        (lp_from_dense(c=[1.0], a_ub=[[1e16]], b_ub=[1.0]), "infeasible"),
         # and ends the run on a cost this large in an unknown model status
-        (LpProblem.from_dense(c=[1e300], a_ub=[[1.0]], b_ub=[1.0]), "numerical_difficulties"),
+        (lp_from_dense(c=[1e300], a_ub=[[1.0]], b_ub=[1.0]), "numerical_difficulties"),
     ], ids=["no-rows-unbounded", "no-rows-optimal", "equality-only",
             "equality-only-infeasible", "zero-row-no-equalities", "model-error",
             "run-error"])
@@ -256,8 +256,8 @@ class TestAcceptance:
     """``accepted_status`` refuses an optimum that misses by more than ACCEPT_TOL."""
 
     # max x0 + x1 s.t. x0 + x1 <= 1, x0 - x1 == 0: optimum (0.5, 0.5)
-    PROBLEM = LpProblem.from_dense(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0],
-                        a_eq=[[1.0, -1.0]], b_eq=[0.0])
+    PROBLEM = lp_from_dense(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0],
+                            a_eq=[[1.0, -1.0]], b_eq=[0.0])
 
     def test_exact_optimum_accepted(self):
         assert accepted_status(self.PROBLEM, np.array([0.5, 0.5])) == "optimal"
@@ -275,7 +275,7 @@ class TestAcceptance:
 
     def test_nan_refused(self):
         assert accepted_status(self.PROBLEM, np.array([np.nan, 0.5])) == "numerical_difficulties"
-        no_rows = LpProblem.from_dense(c=[1.0], a_ub=np.zeros((0, 1)), b_ub=[])
+        no_rows = lp_from_dense(c=[1.0], a_ub=np.zeros((0, 1)), b_ub=[])
         assert accepted_status(no_rows, np.array([np.nan])) == "numerical_difficulties"
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fleetsim import neural
 from fleetsim.neural import (
     Concat,
     Conv2D,
@@ -223,9 +224,14 @@ class TestBackward:
 
 
 class TestRmsProp:
+    @pytest.fixture(autouse=True)
+    def rho(self, monkeypatch):
+        # the hand values below are worked with rho = 0.9
+        monkeypatch.setattr(neural, "RMSPROP_RHO", 0.9)
+
     def test_zero_gradient_is_noop(self):
         p = np.array([1.0, -2.0])
-        opt = RmsProp(lr=0.01, rho=0.9)
+        opt = RmsProp(lr=0.01)
         opt.step([p], [np.zeros(2)])
         np.testing.assert_array_equal(p, [1.0, -2.0])
         np.testing.assert_array_equal(opt.state[0], np.zeros(2))
@@ -233,23 +239,24 @@ class TestRmsProp:
     def test_first_step_hand_value(self):
         # s = 0.1*1 = 0.1; dp = -0.01/sqrt(0.1 + 1e-8)
         p = np.zeros(1)
-        opt = RmsProp(lr=0.01, rho=0.9, eps=1e-8)
+        opt = RmsProp(lr=0.01)
         opt.step([p], [np.ones(1)])
         assert p[0] == pytest.approx(-0.0316227, abs=1e-6)
         assert opt.state[0][0] == pytest.approx(0.1)
 
-    def test_eps_sits_inside_the_square_root(self):
+    def test_eps_sits_inside_the_square_root(self, monkeypatch):
         # s = 0.1; dp = -0.01/sqrt(0.1 + 1) = -0.0095346, where
         # -0.01/(sqrt(0.1) + 1) would give -0.0075975
+        monkeypatch.setattr(neural, "RMSPROP_EPS", 1.0)
         p = np.zeros(1)
-        opt = RmsProp(lr=0.01, rho=0.9, eps=1.0)
+        opt = RmsProp(lr=0.01)
         opt.step([p], [np.ones(1)])
         assert p[0] == pytest.approx(-0.01 / np.sqrt(1.1), rel=1e-12)
         assert opt.state[0][0] == pytest.approx(0.1)
 
     def test_repeated_gradient_step_size_approaches_lr(self):
         p = np.zeros(1)
-        opt = RmsProp(lr=0.01, rho=0.9)
+        opt = RmsProp(lr=0.01)
         g = np.full(1, 3.0)
         lr = 0.01
         for _ in range(400):
@@ -259,9 +266,9 @@ class TestRmsProp:
 
     def test_state_stays_nonnegative_and_step_bounded(self):
         rng = np.random.default_rng(6)
-        opt = RmsProp(lr=0.01, rho=0.9, eps=1e-8)
+        opt = RmsProp(lr=0.01)
         params = [rng.normal(size=(3, 3))]
-        bound = 0.01 / np.sqrt(1e-8)
+        bound = 0.01 / np.sqrt(neural.RMSPROP_EPS)
         for _ in range(50):
             before = params[0].copy()
             opt.step(params, [rng.normal(size=(3, 3))])
@@ -269,8 +276,9 @@ class TestRmsProp:
             assert (np.abs(params[0] - before) <= bound + 1e-12).all()
 
     def test_bad_hyperparameters(self):
-        with pytest.raises(ValueError):
-            RmsProp(lr=-1.0)
+        for lr in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="learning rate"):
+                RmsProp(lr=lr)
 
 
 class TestPooling:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import DqnPolicyReference, rhc_supply_reference
+from oracles import DqnPolicyReference, rhc_settings, rhc_supply_reference
 
 from fleetsim.clock import Clock
 from fleetsim.dqn import (
@@ -147,8 +147,7 @@ class TestDqnPolicy:
 
     def test_training_stores_transitions_with_window_rewards(self):
         net = crafted_qnet(base=0.0, dist_coef=-5.0)
-        policy = self.make_policy(net, make_training(5, eps_start=0.0, eps_end=0.0,
-                                                     alpha_start=1.0, alpha_end=1.0))
+        policy = self.make_policy(net, make_training(5, pinned_epsilon=0.0, pinned_alpha=1.0))
         v1 = fake_view(t=100.0, idle_cells={0: (5, 5)},
                        pickups=[0, 0, 0, 0], dispatch_minutes=[0.0, 0, 0, 0])
         policy.dispatch(v1)
@@ -168,8 +167,7 @@ class TestDqnPolicy:
         from fleetsim.dqn import legal_action_mask
 
         net = crafted_qnet(base=0.0, dist_coef=5.0)
-        policy = self.make_policy(net, make_training(99, eps_start=0.7, eps_end=0.7,
-                                                     alpha_start=1.0, alpha_end=1.0))
+        policy = self.make_policy(net, make_training(99, pinned_epsilon=0.7, pinned_alpha=1.0))
         view = fake_view(idle_cells={0: (5, 5)})
         orders = policy.dispatch(view)
 
@@ -207,7 +205,7 @@ class TestDqnPolicy:
 
         policy = DqnPolicy(sample_qnet("move"), REGIONS, (10, 10), spy_predictor,
                            decision_interval=15.0,
-                           training=make_training(3, alpha_start=0.5, alpha_end=0.5)
+                           training=make_training(3, pinned_alpha=0.5)
                            if train else None)
         policy.last_decision = CountingDict()
         assert policy.dispatch(fake_view(idle_cells={})) == []
@@ -308,7 +306,7 @@ class TestDqnMatchesReference:
                         cell_size=500.0, origin=Location(40.0, -74.0))
         region_map = block_region_map(grid, *block)
         qnet = sample_qnet(net)
-        config = make_training(7, eps_start=0.3, eps_end=0.3, alpha_start=0.7, alpha_end=0.7)
+        config = make_training(7, pinned_epsilon=0.3, pinned_alpha=0.7)
 
         def predictor(view):
             return 0.37 * view.trailing_heat + view.heat_prev1
@@ -363,7 +361,7 @@ class TestRhcPolicyOrchestration:
         policy = RhcPolicy(ZONES, tau, prob,
                            demand_predictor=lambda view: view.trailing_heat,
                            future_demand=np.broadcast_to(trailing, (7, 24) + GRID.shape),
-                           reject_penalty=20.0)
+                           **rhc_settings(reject_penalty=20.0))
         view = fake_view(t=60.0, idle_cells=idle, trailing=trailing)
         orders = policy.dispatch(view)
         assert len(orders) <= 4
@@ -386,7 +384,7 @@ class TestRhcPolicyOrchestration:
         policy = RhcPolicy(ZONES, np.full((7, 24, m, m), 5.0), np.full((7, 24, m, m), 1.0 / m),
                            demand_predictor=lambda view: view.trailing_heat,
                            future_demand=np.zeros((7, 24) + GRID.shape),
-                           slot_minutes=slot_minutes, horizon=horizon)
+                           **rhc_settings(slot_minutes=slot_minutes, horizon=horizon))
         views = random_views(3, GRID)
         for view in views:
             policy.dispatch(view)
@@ -413,7 +411,7 @@ class TestRhcPolicyOrchestration:
 
         monkeypatch.setattr(rhc, "solve_rhc", spy)
         policy = RhcPolicy(ZONES, tau, prob, demand_predictor=lambda view: view.trailing_heat,
-                           future_demand=future)
+                           future_demand=future, **rhc_settings())
         t = 2 * 1440.0 + 23 * 60.0 + 40.0
         policy.dispatch(fake_view(t=t, idle_cells={0: (5, 5)}))
         (wbar, tau_slots, p_slots), = seen
@@ -432,6 +430,6 @@ class TestRhcPolicyOrchestration:
         prob = np.full((7, 24, m, m), 1.0 / m)
         policy = RhcPolicy(ZONES, tau, prob,
                            demand_predictor=lambda view: np.zeros(GRID.shape),
-                           future_demand=np.zeros((7, 24) + GRID.shape))
+                           future_demand=np.zeros((7, 24) + GRID.shape), **rhc_settings())
         view = fake_view(t=60.0, idle_cells={0: (5, 5)})
         assert policy.dispatch(view) == []

@@ -21,8 +21,8 @@ from fleetsim.rhc import (
 from fleetsim import rhc
 from fleetsim.lp import LpSolution, solve
 from oracles import (destination_table_reference, event_supply_oracle, predict_supply,
-                     random_supply_scenario, rhc_lp_reference, seeded_rhc_lp_inputs,
-                     zone_centroid_distances_reference)
+                     random_supply_scenario, rhc_lp_reference, rhc_settings,
+                     seeded_rhc_lp_inputs, zone_centroid_distances_reference)
 from test_policies import GRID, ZONES, fake_view
 
 DT = 15.0
@@ -57,7 +57,7 @@ class TestPredictSupply:
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             predict_supply(np.array([-1.0]), np.zeros((1, 1)), np.zeros((2, 1)),
-                           [np.zeros((1, 1))] * 2, [np.ones((1, 1))] * 2)
+                           [np.zeros((1, 1))] * 2, [np.ones((1, 1))] * 2, None, DT)
 
     def test_matches_event_oracle_on_random_scenarios(self):
         rng = np.random.default_rng(123)
@@ -221,7 +221,6 @@ class TestLpAssembly:
         nu = index.u[0].size
         cols = np.concatenate([np.arange(nu)] + [b.ravel() for b in (
             index.x_cols, index.s_cols, index.m_cols, index.l_cols)])
-        assert index.n_vars == problem.n_vars
         assert np.array_equal(cols, np.arange(problem.n_vars))
         tau = np.asarray(sc["tau_slots"])
         reach = (tau <= sc["dt"]) & ~np.eye(tau.shape[1], dtype=bool)
@@ -500,7 +499,8 @@ class TestNonOptimalLp:
         trailing[9, 9] = 8.0
         policy = rhc.RhcPolicy(ZONES, tau, prob,
                                demand_predictor=lambda view: view.trailing_heat,
-                               future_demand=np.broadcast_to(trailing, (7, 24) + GRID.shape))
+                               future_demand=np.broadcast_to(trailing, (7, 24) + GRID.shape),
+                               **rhc_settings())
         view = fake_view(t=60.0, idle_cells={vid: (0, vid % 2) for vid in range(4)},
                          trailing=trailing)
         assert policy.dispatch(view)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (DqnPolicyReference, ReferenceSimulation, VehicleState,
-                     seeded_rhc_lp_inputs)
+from oracles import (CFG, DqnPolicyReference, ReferenceSimulation, VehicleState,
+                     rhc_settings, seeded_rhc_lp_inputs, sim_settings)
 from test_dqn import make_training, sample_qnet
 
 from fleetsim.clock import Clock
@@ -113,7 +113,8 @@ def vehicles(sim):
 
 def initial_fleet(requests, n_vehicles):
     grid = make_grid()
-    return vehicles(Simulation(grid, grid_graph(grid), ConstantEta(), requests, n_vehicles))
+    return vehicles(Simulation(grid, grid_graph(grid), ConstantEta(), requests, n_vehicles,
+                               **sim_settings()))
 
 
 class TestInitFleet:
@@ -144,7 +145,8 @@ class TestInitFleet:
     def test_fleet_is_a_snapshot(self):
         grid = make_grid()
         a = center_of((0, 0), grid)
-        sim = Simulation(grid, grid_graph(grid), ConstantEta(), [req(0, 0.0, a, a)], 1)
+        sim = Simulation(grid, grid_graph(grid), ConstantEta(), [req(0, 0.0, a, a)], 1,
+                         **sim_settings())
         before = sim.fleet
         sim.step_minute()
         assert before == [(0, IDLE)] and sim.fleet == [(0, TO_PICKUP)]
@@ -155,7 +157,7 @@ class TestInitFleet:
 class TestIdleSet:
     def dispatchable(self, status, ordered=False, last_ride=-np.inf):
         return idle_mask(np.array([status]), np.array([ordered]), np.array([last_ride]),
-                         t=100.0).tolist()
+                         t=100.0, window=CFG.idle_window_minutes).tolist()
 
     def test_fresh_dropoff_without_order_is_in(self):
         assert self.dispatchable(IDLE, ordered=False, last_ride=95.0) == [True]
@@ -187,7 +189,7 @@ def scripted_simulation():
         req(4, 8.0, p33, p00, trip=5.0),   # served by vehicle 0 after dropoff
     ]
     return Simulation(grid, graph, ConstantEta(2.0), requests, n_vehicles=3,
-                      policy=None, warmup=0, event_log=[])
+                      policy=None, **sim_settings(warmup=0), event_log=[])
 
 
 class TestScriptedScenario:
@@ -246,7 +248,7 @@ class TestMatching:
         p = center_of((1, 1), grid)
         sim = Simulation(grid, grid_graph(grid), ConstantEta(3.5),
                          [req(0, 0.0, p, center_of((0, 0), grid))],
-                         n_vehicles=1, warmup=0)
+                         n_vehicles=1, **sim_settings(warmup=0))
         m = sim.run(2)
         assert m.accepted == 1
         assert m.wait_sum == pytest.approx(3.5)
@@ -259,7 +261,7 @@ class TestMatching:
         assert haversine(near, far) > 5000.0
         sim = Simulation(grid, grid_graph(grid), ConstantEta(),
                          [req(0, 0.0, near, near), req(1, 1.0, far, near)],
-                         n_vehicles=1, warmup=0)
+                         n_vehicles=1, **sim_settings(warmup=0))
         m = sim.run(3)
         assert m.rejects == 1
         assert m.accepted == 1
@@ -272,7 +274,7 @@ class TestMatching:
         # vehicle serves a trivial ride at base first, then the 4 km request
         sim = Simulation(grid, grid_graph(grid), ConstantEta(),
                          [req(0, 0.0, base, base, trip=1.0), req(1, 5.0, near, base)],
-                         n_vehicles=1, warmup=0)
+                         n_vehicles=1, **sim_settings(warmup=0))
         m = sim.run(8)
         assert m.rejects == 0
         assert m.accepted == 2
@@ -285,7 +287,7 @@ class TestMatching:
         sim = Simulation(grid, grid_graph(grid), ConstantEta(),
                          [req(0, 0.0, p, other), req(1, 0.0, p, other),
                           req(2, 2.0, p, other)],
-                         n_vehicles=2, warmup=0)
+                         n_vehicles=2, **sim_settings(warmup=0))
         sim.step_minute()
         fleet = vehicles(sim)
         assert fleet[0].status == TO_PICKUP
@@ -298,7 +300,7 @@ class TestMatching:
         start = center_of((0, 0), grid)
         sim = Simulation(grid, grid_graph(grid), ConstantEta(10.0),
                          [req(0, 0.0, start, start, trip=1.0)],
-                         n_vehicles=1, warmup=0)
+                         n_vehicles=1, **sim_settings(warmup=0))
         sim._queue.clear()  # drive manually
         sim.apply_dispatch([DispatchOrder(0, (0, 6))], t=0.0)
         assert sim.fleet[0].status == DISPATCHING
@@ -327,7 +329,7 @@ class TestApplyDispatch:
         grid = make_grid()
         p = center_of((1, 1), grid)
         sim = Simulation(grid, grid_graph(grid), ConstantEta(),
-                         [req(0, 0.0, p, p)], n_vehicles=1, warmup=0)
+                         [req(0, 0.0, p, p)], n_vehicles=1, **sim_settings(warmup=0))
         sim.apply_dispatch([DispatchOrder(0, (1, 1))], t=0.0)
         v = vehicles(sim)[0]
         assert v.status == IDLE
@@ -374,8 +376,8 @@ class TestApplyDispatch:
         grid = make_grid()
         reqs = [req(0, 0.0, a, b)]
         eta = DistanceEta(2.0)
-        sim_direct = Simulation(grid, direct, eta, reqs, 1, warmup=0)
-        sim_detour = Simulation(grid, detour, eta, reqs, 1, warmup=0)
+        sim_direct = Simulation(grid, direct, eta, reqs, 1, **sim_settings(warmup=0))
+        sim_detour = Simulation(grid, detour, eta, reqs, 1, **sim_settings(warmup=0))
         [(*_, d_direct, t_direct)] = sim_direct._plan_moves(
             np.array([a.lat]), np.array([a.lon]), [b], sim_direct.clock0)
         [(*_, d_detour, t_detour)] = sim_detour._plan_moves(
@@ -388,7 +390,7 @@ class TestApplyDispatch:
         b = Location(40.0, -73.988)
         one_way = build_graph({0: a, 1: b}, [(1, 0, haversine(a, b))])  # no path a -> b
         sim = Simulation(make_grid(), one_way, DistanceEta(2.0), [req(0, 0.0, a, b)], 1,
-                         warmup=0)
+                         **sim_settings(warmup=0))
         [move] = sim._plan_moves(np.array([a.lat]), np.array([a.lon]), [b], sim.clock0)
         meters = haversine(a, b)
         assert move == (a, [a.lat, b.lat], [a.lon, b.lon], [meters], meters,
@@ -413,7 +415,7 @@ class TestPolicyInvocation:
         reqs = [req(i, float(i), p, p) for i in range(3)]
         policy = RecordingPolicy()
         sim = Simulation(grid, grid_graph(grid), ConstantEta(), reqs,
-                         n_vehicles=1, policy=policy, warmup=30)
+                         n_vehicles=1, policy=policy, **sim_settings(warmup=30))
         sim.run(91)
         assert policy.calls == [30.0, 45.0, 60.0, 75.0, 90.0]
 
@@ -422,7 +424,7 @@ class TestPolicyInvocation:
         p = center_of((0, 0), grid)
         reqs = [req(0, 5.0, p, p, trip=2.0), req(1, 40.0, p, p, trip=2.0)]
         sim = Simulation(grid, grid_graph(grid), ConstantEta(), reqs,
-                         n_vehicles=1, warmup=30)
+                         n_vehicles=1, **sim_settings(warmup=30))
         m = sim.run(60)
         assert m.total_requests == 1  # only the post-warmup request counts
 
@@ -466,7 +468,7 @@ def test_view_of_vehicle_outside_grid_raises():
     grid = make_grid()
     p = center_of((1, 1), grid)
     sim = Simulation(grid, grid_graph(grid), ConstantEta(), [req(0, 0.0, p, p)],
-                     n_vehicles=1, warmup=0)
+                     n_vehicles=1, **sim_settings(warmup=0))
     sim._lat[0], sim._lon[0] = grid.lat_max + 0.01, p.lon
     with pytest.raises(OutOfBoundsError):
         sim.build_view(0.0)
@@ -477,7 +479,8 @@ def test_request_with_pickup_outside_grid_raises():
     p = center_of((1, 1), grid)
     outside = Location(p.lat, grid.lon_max + 0.01)
     sim = Simulation(grid, grid_graph(grid), ConstantEta(),
-                     [req(0, 0.0, p, p), req(1, 1.5, outside, p)], n_vehicles=1, warmup=0)
+                     [req(0, 0.0, p, p), req(1, 1.5, outside, p)], n_vehicles=1,
+                     **sim_settings(warmup=0))
     sim.step_minute()  # minute 0 holds only the request inside the grid
     with pytest.raises(OutOfBoundsError, match=str(grid.lon_max + 0.01)):
         sim.step_minute()
@@ -574,7 +577,7 @@ def city_simulation(sim_cls, seed, rows, cols, n_vehicles, n_requests, policy):
     grid, graph, requests = small_city(seed, rows, cols, n_vehicles, n_requests)
     pol = RandomOrderPolicy(seed, grid, n_vehicles) if policy else None
     return sim_cls(grid, graph, FeatureEta(), requests, n_vehicles, policy=pol,
-                   clock0=Clock(400.0), warmup=0, event_log=[])
+                   clock0=Clock(400.0), **sim_settings(warmup=0), event_log=[])
 
 
 def run_city(sim_cls, *args, minutes=45):
@@ -684,12 +687,12 @@ def dqn_city_simulation(sim_cls, policy_cls, seed, rows, cols, n_vehicles, n_req
     """
     grid, graph, requests = small_city(seed, rows, cols, n_vehicles, n_requests)
     qnet = sample_qnet(net, seed)
-    training = make_training(seed, eps_start=0.3, eps_end=0.3, alpha_start=0.7, alpha_end=0.7)
+    training = make_training(seed, pinned_epsilon=0.3, pinned_alpha=0.7)
     policy = policy_cls(qnet, block_region_map(grid, 1, 1), grid.shape,
                         lambda view: view.trailing_heat, decision_interval=15.0,
                         training=training if train else None)
     return sim_cls(grid, graph, FeatureEta(), requests, n_vehicles, policy=policy,
-                   clock0=Clock(400.0), warmup=0, event_log=[])
+                   clock0=Clock(400.0), **sim_settings(warmup=0), event_log=[])
 
 
 class TestDqnInvariants:
@@ -760,9 +763,9 @@ def rhc_city_simulation(sim_cls, seed, rows, cols, n_vehicles, n_requests, slot,
     destinations = rng.dirichlet(np.ones(m), (7, 24, m))
     future = rng.uniform(0.0, 2.0, (7, 24, rows, cols))
     policy = RhcPolicy(zones, trip_times, destinations, lambda view: view.trailing_heat,
-                       future, slot_minutes=slot, horizon=horizon)
+                       future, **rhc_settings(slot_minutes=slot, horizon=horizon))
     return sim_cls(grid, graph, FeatureEta(), requests, n_vehicles,
-                   policy=ZoneBudgetCheck(policy), clock0=Clock(400.0), warmup=0,
+                   policy=ZoneBudgetCheck(policy), clock0=Clock(400.0), **sim_settings(warmup=0),
                    event_log=[])
 
 
@@ -842,7 +845,7 @@ class TestColumnEdgeCases:
         requests = [req(0, 0.2, p, q, trip=0.3), req(1, 0.5, q, p, trip=4.0)]
         sim = run_against_reference(
             lambda cls: cls(grid, grid_graph(grid), ConstantEta(0.25), requests, 2,
-                            warmup=0, event_log=[]), 8)
+                            **sim_settings(warmup=0), event_log=[]), 8)
         # both pickups are due at 0.25; the ride of vehicle 0 then ends at 0.55,
         # in a second round of the same minute
         minute1 = [(e[1], e[2]) for e in sim.event_log if e[0] == 1]
@@ -858,7 +861,7 @@ class TestColumnEdgeCases:
                     for k, cell in enumerate(cells)]
         sim = run_against_reference(
             lambda cls: cls(grid, grid_graph(grid), ConstantEta(0.0), requests, 20,
-                            warmup=0, event_log=[]), 5)
+                            **sim_settings(warmup=0), event_log=[]), 5)
         done = [(e[0], e[1], e[2]) for e in sim.event_log if e[1] in ("pickup", "dropoff")]
         assert done[:20] == [(1, "pickup", k) for k in range(20)]
         assert done[20:] == ([(3, "dropoff", k) for k in range(1, 20, 2)]
@@ -876,7 +879,7 @@ class TestColumnEdgeCases:
         sim = run_against_reference(
             lambda cls: cls(grid, grid_graph(grid), NearZeroEta(), requests, 6,
                             policy=RandomOrderPolicy(seed, grid, 6, cycle=1),
-                            clock0=Clock(400.0), warmup=0, event_log=[]), 20)
+                            clock0=Clock(400.0), **sim_settings(warmup=0), event_log=[]), 20)
         events = [e[1] for e in sim.event_log]
         assert "dispatch_noop" in events and "dispatch" in events
         assert any(e[1] == "assign" and e[4] == "eta=0.00" for e in sim.event_log)
@@ -889,7 +892,7 @@ class TestColumnEdgeCases:
         orders = [DispatchOrder(0, (0, 0)), DispatchOrder(1, (3, 3))]
         sim = run_against_reference(
             lambda cls: cls(grid, grid_graph(grid), ConstantEta(10.0), requests, 2,
-                            policy=OrderOncePolicy(65.0, orders), warmup=0,
+                            policy=OrderOncePolicy(65.0, orders), **sim_settings(warmup=0),
                             event_log=[]), 215)
         hourly = sim.metrics.hourly
         assert sorted(hourly) == [0, 1, 3]
@@ -964,7 +967,7 @@ class TestBenchmarkContract:
         grid = make_grid()
         p = center_of((0, 0), grid)
         sim = Simulation(grid, grid_graph(grid), ConstantEta(), [req(0, 0.0, p, p)],
-                         n_vehicles=1, policy=RecordingPolicy(), warmup=0)
+                         n_vehicles=1, policy=RecordingPolicy(), **sim_settings(warmup=0))
         calls = []
         build_view, apply_dispatch = sim.build_view, sim.apply_dispatch
         sim.build_view = lambda t: calls.append("view") or build_view(t)

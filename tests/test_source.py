@@ -74,6 +74,72 @@ def imported_modules(path: Path) -> set[str]:
     return {m for m in out if m == "fleetsim" or m.startswith("fleetsim.")}
 
 
+def defaulted_parameters(source: str) -> dict[str, set[str]]:
+    """The parameters with a default of each function and class a module defines at
+    its top level: a class's are its ``__init__``'s or, without one, the fields its
+    body gives a value, as a dataclass's."""
+    def defaulted(args: ast.arguments) -> set[str]:
+        positional = args.posonlyargs + args.args
+        names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+        return set(names) | {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                             if d is not None}
+
+    out = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out[node.name] = defaulted(node.args)
+        elif isinstance(node, ast.ClassDef):
+            init = [n for n in node.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+            out[node.name] = defaulted(init[0].args) if init else {
+                n.target.id for n in node.body if isinstance(n, ast.AnnAssign)
+                and isinstance(n.target, ast.Name) and n.value is not None}
+    return out
+
+
+def config_fed_defaults(path: Path, source: str | None = None) -> list[str]:
+    """``callee:parameter`` of each keyword argument that the package module at ``path``
+    (or ``source``, read as that module) passes as exactly ``cfg.<field>`` to a
+    parameter with a default.
+
+    The callee is a function or class that the module defines, or imports from the
+    package by name or through an imported package module; other calls are skipped.
+    """
+    source = path.read_text(encoding="utf-8") if source is None else source
+    tree = ast.parse(source)
+    package = path.relative_to(SRC).parent.parts
+    modules, names = {}, {}  # local name -> module file, or -> (module file, name)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = (path, node.name)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            parts = [*package[:len(package) - node.level + 1],
+                     *(node.module.split(".") if node.module else [])]
+            for a in node.names:
+                module = SRC.joinpath(*parts, a.name + ".py")
+                if module.exists():
+                    modules[a.asname or a.name] = module
+                else:
+                    names[a.asname or a.name] = (SRC.joinpath(*parts).with_suffix(".py"), a.name)
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            module, name = names[func.id]
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in modules):
+            module, name = modules[func.value.id], func.attr
+        else:
+            continue
+        callee = source if module == path else module.read_text(encoding="utf-8")
+        defaults = defaulted_parameters(callee).get(name, set())
+        found |= {f"{name}:{k.arg}" for k in node.keywords
+                  if isinstance(k.value, ast.Attribute) and isinstance(k.value.value, ast.Name)
+                  and k.value.value.id == "cfg" and k.arg in defaults}
+    return sorted(found)
+
+
 # what runs code beside the program's one thread: modules, and functions of ``os``
 CONCURRENCY = ("multiprocessing", "concurrent.futures", "threading", "_thread",
                "os.fork", "os.forkpty")
@@ -170,3 +236,29 @@ def test_unread_name_detection():
     assert defined_names(source) == ["X", "Y", "_z", "W", "f", "C", "unused"]
     read = read_names(source)
     assert [n for n in defined_names(source) if n not in read] == ["Y", "_z", "f", "unused"]
+
+
+def test_config_fed_parameters_have_no_default():
+    """``ExperimentConfig`` owns every experiment setting: a parameter that the
+    experiment feeds from the config keeps no default that could drift from it."""
+    assert config_fed_defaults(SRC / "harness" / "experiment.py") == []
+
+
+def test_config_fed_default_detection():
+    source = ("from .. import sim as sim_mod\nfrom ..sim import Simulation\n"
+              "def f(a, b=1, *, c, d=2):\n    pass\n"
+              "class K:\n    x: int\n    y: int = 3\n"
+              "class M:\n    def __init__(self, p, q=None):\n        pass\n"
+              "def run(cfg, other):\n"
+              "    f(cfg.a, b=cfg.b, c=cfg.c, d=cfg.d)\n"
+              "    f(1, b=cfg.b + 1, c=2, d=other.d)\n"
+              "    K(x=cfg.x, y=cfg.y)\n"
+              "    M(p=cfg.p, q=cfg.q)\n"
+              "    other.f(b=cfg.b)\n"
+              "    sim_mod.idle_mask(window=cfg.w, t=cfg.t)\n"
+              "    Simulation(policy=cfg.p, warmup=cfg.w)\n")
+    assert defaulted_parameters(source) == {"f": {"b", "d"}, "K": {"y"}, "M": {"q"},
+                                            "run": set()}
+    # the package's sim.idle_mask has no defaults, and sim.Simulation one for policy
+    assert config_fed_defaults(SRC / "harness" / "experiment.py", source) == \
+        ["K:y", "M:q", "Simulation:policy", "f:b", "f:d"]
