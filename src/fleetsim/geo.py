@@ -161,7 +161,8 @@ class RegionMap:
         """Load a ``row,col,region_id`` partition file covering every cell once.
 
         A malformed row, a cell outside the grid, a cell listed twice or a
-        negative region id raises :class:`RegionMapError` naming the line.
+        negative region id raises :class:`RegionMapError` naming the line;
+        a file that leaves a cell unmapped raises one naming the file.
         """
         a = np.full((rows, cols), -1, dtype=np.int64)
         with open(path, newline="") as fh:
@@ -179,7 +180,10 @@ class RegionMap:
                     raise RegionMapError(f"{path}: line {line}: cell ({row}, {col}) "
                                          "is listed twice")
                 a[row, col] = region
-        return cls(a, int(a.max()) + 1)
+        try:
+            return cls(a, int(a.max()) + 1)
+        except RegionMapError as exc:
+            raise RegionMapError(f"{path}: {exc}") from None
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

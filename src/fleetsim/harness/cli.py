@@ -24,6 +24,16 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
+# the summary columns ``report`` prints after policy and seed: (column, format, width)
+REPORTED = (("reject_rate", ".4f", 14), ("mean_wait_minutes", ".2f", 12),
+            ("idle_cruise_per_accepted", ".2f", 13), ("utilization_min", ".3f", 10))
+
+
+class SummaryError(ValueError):
+    """A summary CSV that ``report`` cannot read: a header other than
+    ``experiment.SUMMARY_COLUMNS``, a row of another length, or a printed
+    metric that is neither blank nor a number."""
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -35,9 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("synth-data", help="generate the synthetic city files")
-    sub.add_parser("train-eta", help="fit the trip-time model")
-    sub.add_parser("train-demand", help="fit the demand prediction model")
-    sub.add_parser("build-tables", help="estimate zone trip-time/destination tables")
+    sub.add_parser("train-models", help="fit the trip-time and demand models and "
+                                        "estimate the zone trip-time/destination tables")
     sub.add_parser("train-dqn", help="train the Q-network in the simulator")
     sub.add_parser("simulate", help="run the configured experiment")
     sub.add_parser("report", help="summarize finished runs in out_dir")
@@ -69,33 +78,18 @@ def _cmd_synth_data(cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_train_eta(cfg) -> int:
-    from .experiment import train_eta_model, training_city
+def _cmd_train_models(cfg) -> int:
+    from .experiment import model_paths, train_models, training_city
 
-    _, metrics = train_eta_model(cfg, training_city(cfg))
+    metrics = train_models(cfg, training_city(cfg)).metrics
     print(f"eta train rmse {metrics['eta_train_rmse']:.3f} min, "
           f"validation {metrics['eta_val_rmse']:.3f} min "
           f"(mean baseline {metrics['eta_mean_baseline_rmse']:.3f})")
-    return EXIT_OK
-
-
-def _cmd_train_demand(cfg) -> int:
-    from .experiment import train_demand_model, training_city
-
-    _, _, metrics = train_demand_model(cfg, training_city(cfg))
     print(f"demand train rmse {metrics['demand_train_rmse']:.4f} per cell, "
           f"validation {metrics['demand_val_rmse']:.4f} "
           f"(historical baseline {metrics['demand_historical_baseline_rmse']:.4f}); "
           "rmse averages over all cells")
-    return EXIT_OK
-
-
-def _cmd_build_tables(cfg) -> int:
-    from .experiment import build_zone_tables, training_city, model_paths
-
-    build_zone_tables(cfg, training_city(cfg))
-    paths = model_paths(cfg)
-    print(f"wrote {paths['tables']}")
+    print(f"wrote {model_paths(cfg)['tables']}")
     return EXIT_OK
 
 
@@ -130,31 +124,45 @@ def _cmd_simulate(cfg) -> int:
 def _cmd_report(cfg) -> int:
     import csv
 
+    from .experiment import SUMMARY_COLUMNS
+
     out = Path(cfg.out_dir)
     files = sorted(out.glob("summary_*.csv"))
     if not files:
         print(f"no summaries found under {out}")
         return EXIT_DATA
-    print(f"{'policy':<10}{'seed':>6}{'reject_rate':>14}{'mean_wait':>12}"
-          f"{'idle_cruise':>13}{'util_min':>10}")
+    lines = []  # every file is read first: a bad one prints no table
     for path in files:
         with open(path, newline="") as fh:
-            for rec in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            if tuple(reader.fieldnames or ()) != SUMMARY_COLUMNS:
+                raise SummaryError(f"{path}: line 1: the header is not "
+                                   f"{','.join(SUMMARY_COLUMNS)}")
+            for rec in reader:
+                where = f"{path}: line {reader.line_num}"
+                if None in rec or None in rec.values():
+                    raise SummaryError(f"{where}: the row does not have "
+                                       f"{len(SUMMARY_COLUMNS)} cells")
                 if rec["day"] != "all":
                     continue
-                print(f"{rec['policy']:<10}{rec['seed']:>6}"
-                      f"{_num(rec['reject_rate'], '.4f'):>14}"
-                      f"{_num(rec['mean_wait_minutes'], '.2f'):>12}"
-                      f"{_num(rec['idle_cruise_per_accepted'], '.2f'):>13}"
-                      f"{_num(rec['utilization_min'], '.3f'):>10}")
+                cells = [f"{rec['policy']:<10}{rec['seed']:>6}"]
+                for column, spec, width in REPORTED:
+                    try:
+                        cells.append(f"{_num(rec[column], spec):>{width}}")
+                    except ValueError:
+                        raise SummaryError(f"{where}: {column} {rec[column]!r} "
+                                           "is not a number") from None
+                lines.append("".join(cells))
+    print(f"{'policy':<10}{'seed':>6}{'reject_rate':>14}{'mean_wait':>12}"
+          f"{'idle_cruise':>13}{'util_min':>10}")
+    for line in lines:
+        print(line)
     return EXIT_OK
 
 
 _HANDLERS = {
     "synth-data": _cmd_synth_data,
-    "train-eta": _cmd_train_eta,
-    "train-demand": _cmd_train_demand,
-    "build-tables": _cmd_build_tables,
+    "train-models": _cmd_train_models,
     "train-dqn": _cmd_train_dqn,
     "simulate": _cmd_simulate,
     "report": _cmd_report,
@@ -171,7 +179,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TripDataError, EdgeListParseError, RegionMapError, ZoneTableError,
-            CheckpointError, FileNotFoundError, OSError) as exc:
+            CheckpointError, SummaryError, FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

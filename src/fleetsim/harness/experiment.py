@@ -5,16 +5,16 @@ loads the shared models (ETA, demand, zone tables, optionally the
 Q-network), then simulates independent day episodes (4 a.m. to 4 a.m.)
 for the configured policy and writes machine-readable summaries.
 
-Set-up (:func:`train_models`) is the one place the program uses a second
+Set-up (:func:`train_models`, the ``train-models`` command) is the one
+way the models are built, and the one place the program uses a second
 process: the demand fit runs in a forked worker while this process fits
 the ETA model and the zone tables.  The worker is a copy of this
 process, BLAS thread setting included, and each fit runs start to end
-in one process, so every model file is byte for byte the one the serial
-``train-eta``, ``train-demand`` and ``build-tables`` commands write.
-When the demand fit fails, ``eta.json``, ``zone_tables.npz`` and a
-``metrics.json`` with the ETA's RMSEs alone may be on disk without
-``demand.json``; :func:`ensure_models` then refits all the models.  The
-simulator and the policies run in one process.
+in one process, so every model file is byte for byte the one the same
+fits give in one process.  When the demand fit fails, ``eta.json`` and
+``zone_tables.npz`` may be on disk without ``demand.json`` and
+``metrics.json``; :func:`ensure_models` then refits all the models.
+The simulator and the policies run in one process.
 """
 
 from __future__ import annotations
@@ -179,18 +179,8 @@ def _read_metrics(path: Path) -> dict:
     return metrics
 
 
-def _write_metrics(path: Path, metrics: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(metrics, fh, indent=2)
-
-
 def train_eta_model(cfg: ExperimentConfig, training_city: City):
-    """Fit and persist the ETA perceptron and merge its RMSEs into
-    ``metrics.json``; returns (model, metrics)."""
-    paths = model_paths(cfg)
-    # read first: a broken record fails before a model is trained and saved
-    recorded = _read_metrics(paths["metrics"])
-    paths["eta"].parent.mkdir(parents=True, exist_ok=True)
+    """Fit the ETA perceptron and save ``eta.json``; returns (model, metrics)."""
     feats, target = eta_training_arrays(training_city.requests, cfg)
     model, tr_rmse, va_rmse = eta_mod.train_eta(
         feats, target, seed=cfg.train_seed, epochs=cfg.eta_epochs, lr=cfg.eta_lr)
@@ -201,36 +191,23 @@ def train_eta_model(cfg: ExperimentConfig, training_city: City):
         "eta_mean_baseline_rmse": eta_mod.mean_predictor_rmse(
             target[tr_idx], target[va_idx]),
     }
-    model.save(paths["eta"])
-    _write_metrics(paths["metrics"], {**recorded, **metrics})
+    model.save(model_paths(cfg)["eta"])
     return model, metrics
 
 
-def _demand_series(cfg: ExperimentConfig, training_city: City):
-    return demand_slot_series(training_city.requests, training_city.grid,
-                              cfg.train_days * 1440.0, cfg.epoch_dow)
+def train_demand_model(cfg: ExperimentConfig, slots: np.ndarray, clocks: list[Clock],
+                       fitted):
+    """Save the demand network that ``fitted()`` returns, fit on the slot
+    series ``slots`` and ``clocks``, and the historical fallback.
 
-
-def _fit_demand(cfg: ExperimentConfig, slots: np.ndarray, clocks: list[Clock]):
-    return demand_mod.train_demand(slots, clocks, seed=cfg.train_seed,
-                                   epochs=cfg.demand_epochs, lr=cfg.demand_lr)
-
-
-def train_demand_model(cfg: ExperimentConfig, training_city: City, fitted=None):
-    """Fit and persist the demand network plus the historical fallback,
-    and merge their RMSEs into ``metrics.json``.
-
+    ``fitted`` returns what :func:`demand.train_demand` returns for the
+    series; :func:`train_models` passes the result of its worker.
     Returns (model, historical, metrics); the fallback is fit on the
     training split only, making it a fair baseline and a cold-start
-    predictor.  ``fitted``, when given, is called instead of the fit and
-    returns what :func:`demand.train_demand` returns for this city:
-    :func:`train_models` passes the result of its worker.
+    predictor.
     """
     paths = model_paths(cfg)
-    recorded = _read_metrics(paths["metrics"])
-    paths["demand"].parent.mkdir(parents=True, exist_ok=True)
-    slots, clocks = _demand_series(cfg, training_city)
-    model, tr_rmse, va_rmse = fitted() if fitted else _fit_demand(cfg, slots, clocks)
+    model, tr_rmse, va_rmse = fitted()
     split = demand_mod.train_slot_count(slots.shape[0])
     historical = demand_mod.historical_average(slots[:split], clocks[:split])
     errs = [(historical[c.dow_index, c.hour_index] - slot) ** 2
@@ -242,21 +219,18 @@ def train_demand_model(cfg: ExperimentConfig, training_city: City, fitted=None):
     }
     model.save(paths["demand"])
     np.save(paths["historical"], historical)
-    _write_metrics(paths["metrics"], {**recorded, **metrics})
     return model, historical, metrics
 
 
 def build_zone_tables(cfg: ExperimentConfig, training_city: City):
-    """Estimate and persist the trip-time and destination tables."""
-    paths = model_paths(cfg)
-    paths["tables"].parent.mkdir(parents=True, exist_ok=True)
+    """Estimate the trip-time and destination tables and save ``zone_tables.npz``."""
     origin, dest, dow, hour, minutes = zone_trip_arrays(
         training_city.requests, training_city.zones, training_city.grid, cfg.epoch_dow)
     dist = rhc_mod.zone_centroid_distances(training_city.zones, training_city.grid)
     trip_times, destinations = rhc_mod.estimate_tables(
         origin, dest, dow, hour, minutes, training_city.zones.region_count,
         centroid_dist_m=dist)
-    rhc_mod.save_tables(paths["tables"], trip_times, destinations)
+    rhc_mod.save_tables(model_paths(cfg)["tables"], trip_times, destinations)
     return trip_times, destinations
 
 
@@ -322,27 +296,34 @@ class _ForkedCall:
 def train_models(cfg: ExperimentConfig, training_city: City) -> ModelBundle:
     """Fit ETA, demand and zone tables on the training city and persist them.
 
-    The demand fit (:func:`demand_slot_series`, then
-    :func:`demand.train_demand`) runs in a forked worker while this
-    process fits the ETA model and builds the zone tables; the worker
-    inherits this process's BLAS thread setting.  Each fit runs whole in
-    one process, so every file, ``metrics.json`` and its key order
-    included, is byte for byte what the serial ``train-eta``,
-    ``train-demand`` and ``build-tables`` commands write.  The worker is
-    reaped on every path, and its exception is raised here with its type
-    and message.  After a failed demand fit ``eta.json``,
-    ``zone_tables.npz`` and a ``metrics.json`` with the ETA's RMSEs
-    alone may exist without ``demand.json`` and ``historical.npy``, and
+    The demand slot series is built once, here.  The demand fit
+    (:func:`demand.train_demand` on that series) runs in a forked worker
+    while this process fits the ETA model and builds the zone tables;
+    the worker inherits the series and this process's BLAS thread
+    setting, and each fit runs whole in one process.  ``metrics.json``
+    is written once, after every fit: the ETA's RMSEs, then the
+    demand's.  The worker is reaped on every path, and its exception is
+    raised here with its type and message.  After a failed demand fit
+    ``eta.json`` and ``zone_tables.npz`` may exist without
+    ``demand.json``, ``historical.npy`` and ``metrics.json``, and
     :func:`ensure_models` refits all of them.
     """
+    paths = model_paths(cfg)
     # a fresh record: no key, nor an unreadable file, survives from an older one
-    model_paths(cfg)["metrics"].unlink(missing_ok=True)
-    with _ForkedCall(lambda: _fit_demand(cfg, *_demand_series(cfg, training_city))) as fit:
+    paths["metrics"].unlink(missing_ok=True)
+    paths["metrics"].parent.mkdir(parents=True, exist_ok=True)
+    slots, clocks = demand_slot_series(training_city.requests, training_city.grid,
+                                       cfg.train_days * 1440.0, cfg.epoch_dow)
+    with _ForkedCall(lambda: demand_mod.train_demand(
+            slots, clocks, seed=cfg.train_seed, epochs=cfg.demand_epochs,
+            lr=cfg.demand_lr)) as fit:
         eta_model, eta_metrics = train_eta_model(cfg, training_city)
         trip_times, destinations = build_zone_tables(cfg, training_city)
         demand_model, historical, demand_metrics = train_demand_model(
-            cfg, training_city, fitted=fit.result)
+            cfg, slots, clocks, fit.result)
     metrics = {**eta_metrics, **demand_metrics}
+    with open(paths["metrics"], "w") as fh:
+        json.dump(metrics, fh, indent=2)
     return ModelBundle(eta_model, demand_model, historical, trip_times,
                        destinations, metrics)
 
@@ -362,11 +343,13 @@ def training_city(cfg: ExperimentConfig) -> City:
     return city_from_synth(synth_city(cfg, cfg.train_seed, cfg.train_days))
 
 
-def ensure_models(cfg: ExperimentConfig) -> ModelBundle:
+def ensure_models(cfg: ExperimentConfig, city: City | None = None) -> ModelBundle:
+    """The saved models, or, when one is missing, the models trained on
+    ``city``, the training city of ``cfg``, synthesised when not given."""
     paths = model_paths(cfg)
     if all(paths[k].exists() for k in ("eta", "demand", "tables", "historical")):
         return load_models(cfg, zone_block_count(cfg))
-    return train_models(cfg, training_city(cfg))
+    return train_models(cfg, training_city(cfg) if city is None else city)
 
 
 def zone_block_count(cfg: ExperimentConfig) -> int:
@@ -547,11 +530,18 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
     ``cfg.seed`` synthesised in memory.  A directory that ``synth-data``
     wrote for the same seed does not give the same outcomes as the
     synthesised city: :func:`synth.write_city` rounds every trip time to
-    the second.
+    the second.  A DQN policy without a saved Q-network raises
+    :class:`ConfigError` before any model is trained.
     """
+    # the Q-network first: a run that cannot use the models trains none
+    if cfg.policy in ("dqn", "dqn_star") and qnet is None:
+        qnet_path = model_paths(cfg)["qnet"]
+        if not qnet_path.exists():
+            raise ConfigError("no trained Q-network found; run train-dqn first")
+        qnet, _ = dqn_mod.QNetwork.load(qnet_path)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # models first: stale cached tables report their own error, not the
+    # models next: stale cached tables report their own error, not the
     # zone-count check in load_city
     if bundle is None:
         bundle = ensure_models(cfg)
@@ -560,11 +550,6 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
             city = load_city(cfg)
         else:
             city = city_from_synth(synth_city(cfg, cfg.seed, city_days(cfg)))
-    if cfg.policy in ("dqn", "dqn_star") and qnet is None:
-        qnet_path = model_paths(cfg)["qnet"]
-        if not qnet_path.exists():
-            raise ConfigError("no trained Q-network found; run train-dqn first")
-        qnet, _ = dqn_mod.QNetwork.load(qnet_path)
 
     day_metrics, day_reports, rows = [], [], []
     for day in range(cfg.days):
@@ -599,7 +584,9 @@ def train_dqn(cfg: ExperimentConfig, city: City | None = None,
     training step follows every simulated minute after warmup.  Returns
     (QNetwork, training log rows) and persists both.  A run that would
     outlast the ``train_days`` of the training city raises
-    :class:`ConfigError` before anything is trained or written.
+    :class:`ConfigError` before anything is trained or written.  Missing
+    models are trained on ``city``, the training city, so a fresh run
+    synthesises it once.
     """
     if steps is None:
         steps = cfg.dqn_train_steps
@@ -612,7 +599,7 @@ def train_dqn(cfg: ExperimentConfig, city: City | None = None,
     if city is None:
         city = training_city(cfg)
     if bundle is None:
-        bundle = ensure_models(cfg)
+        bundle = ensure_models(cfg, city)
     training = dqn_mod.Training(
         reject_weight=cfg.dqn_reject_weight, discount=cfg.dqn_discount,
         seed=cfg.train_seed, lr=cfg.dqn_lr, batch_size=cfg.dqn_batch,

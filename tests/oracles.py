@@ -11,6 +11,7 @@ reaches the tests.
 """
 
 import heapq
+import json
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, fields
@@ -19,6 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from fleetsim.clock import Clock, periodic_features
+from fleetsim import demand as demand_mod
 from fleetsim import neural
 from fleetsim.dqn import (ACTION_SIZE, AUX_PLANES, MAIN_PLANES, Q_SPEC, STAY_CELL,
                           SUPPLY_HORIZONS, DqnPolicy, QInput, Transition, VehicleContext,
@@ -28,6 +30,7 @@ from fleetsim.eta import ETA_SPEC, eta_feature_row
 from fleetsim.geo import (_BOUNDARY_SNAP, GridSpec, Location, OutOfBoundsError,
                           aggregate_to_regions, block_region_map, center_of, haversine,
                           haversine_arrays, mismatch)
+from fleetsim.harness import experiment as ex
 from fleetsim.harness.config import ExperimentConfig
 from fleetsim.harness.synth import (_HOTSPOTS, SLOT_MINUTES, SynthCity,
                                     _activity_level, _dest_weights,
@@ -1397,3 +1400,23 @@ def render_config(cfg):
     for f in fields(ExperimentConfig):
         lines.append(f"{f.name} = {getattr(cfg, f.name)}")
     return "\n".join(lines) + "\n"
+
+
+def serial_models_reference(cfg, city) -> None:
+    """The model files of ``experiment.train_models`` written by its fits one
+    after another in this process, as the per-model set-up commands did before
+    ``train-models``: the ETA fit writes ``metrics.json`` with its RMSEs, the
+    demand fit merges its own into the record read back, and the zone tables
+    come last."""
+    paths = ex.model_paths(cfg)
+    paths["metrics"].parent.mkdir(parents=True, exist_ok=True)
+    _, eta_metrics = ex.train_eta_model(cfg, city)
+    paths["metrics"].write_text(json.dumps(eta_metrics, indent=2))
+    slots, clocks = ex.demand_slot_series(city.requests, city.grid,
+                                          cfg.train_days * 1440.0, cfg.epoch_dow)
+    fit = demand_mod.train_demand(slots, clocks, seed=cfg.train_seed,
+                                  epochs=cfg.demand_epochs, lr=cfg.demand_lr)
+    _, _, demand_metrics = ex.train_demand_model(cfg, slots, clocks, lambda: fit)
+    recorded = json.loads(paths["metrics"].read_bytes())
+    paths["metrics"].write_text(json.dumps({**recorded, **demand_metrics}, indent=2))
+    ex.build_zone_tables(cfg, city)

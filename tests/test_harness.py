@@ -24,7 +24,7 @@ from fleetsim.harness import cli
 from fleetsim.harness import experiment as ex
 from fleetsim.rhc import ZoneTableError
 from fleetsim.sim import EpisodeMetrics, finalize_metrics
-from oracles import render_config, synth_city_reference
+from oracles import render_config, serial_models_reference, synth_city_reference
 
 
 def small_cfg(tmp_path, **kw):
@@ -429,18 +429,15 @@ class TestExperiment:
             assert agg[key] == sum(r[key] for r in day_rows)
         assert agg["reject_rate"] == agg["rejects"] / agg["total_requests"]
 
-    def test_demand_baseline_fit_on_the_network_training_slots(self, tmp_path, monkeypatch):
+    def test_demand_baseline_fit_on_the_network_training_slots(self, tmp_path):
         cfg = small_cfg(tmp_path, demand_epochs=1)
-        seen = {}
-        train_demand = demand_mod.train_demand
-
-        def spy(slots, clocks, **kw):
-            seen.update(slots=slots, clocks=clocks)
-            return train_demand(slots, clocks, **kw)
-
-        monkeypatch.setattr(demand_mod, "train_demand", spy)
-        model, historical, metrics = ex.train_demand_model(cfg, ex.training_city(cfg))
-        slots, clocks = seen["slots"], seen["clocks"]
+        city = ex.training_city(cfg)
+        slots, clocks = ex.demand_slot_series(city.requests, city.grid,
+                                              cfg.train_days * 1440.0, cfg.epoch_dow)
+        fit = demand_mod.train_demand(slots, clocks, seed=cfg.train_seed,
+                                      epochs=cfg.demand_epochs, lr=cfg.demand_lr)
+        ex.model_paths(cfg)["demand"].parent.mkdir(parents=True)
+        model, historical, metrics = ex.train_demand_model(cfg, slots, clocks, lambda: fit)
         n_fit = demand_mod.train_slot_count(slots.shape[0])
         assert 2 < n_fit < slots.shape[0]
         assert historical.tobytes() == \
@@ -448,7 +445,7 @@ class TestExperiment:
         assert historical.tobytes() == np.load(ex.model_paths(cfg)["historical"]).tobytes()
         # the network's training RMSE covers exactly the samples whose
         # inputs and targets lie in those slots
-        inputs, targets = demand_mod._samples(slots, seen["clocks"])
+        inputs, targets = demand_mod._samples(slots, clocks)
         k = n_fit - 2
         predictions = [model.predict(x) for x in inputs]
         assert demand_mod._masked_rmse(predictions[:k], targets[:k]) == \
@@ -616,6 +613,9 @@ BAD_INPUTS = {
     "road-length-inf": ("city/roads.txt", lambda b: b + b"0,1,inf\n", "edge 0->1 has length inf"),
     "zone-tables-truncated": ("out/models/zone_tables.npz", lambda b: b[:len(b) // 2],
                               "zone_tables.npz: unreadable"),
+    # the header and the first 50 of 100 cells
+    "region-truncated": ("city/zones.csv", lambda b: b"".join(b.splitlines(True)[:51]),
+                         "zones.csv: region map leaves 50 cells unmapped"),
 }
 
 
@@ -680,12 +680,12 @@ class TestCli:
         assert code == 2, err
         assert err.startswith(f"data error: {path}") and message in err, err
 
-    @pytest.mark.parametrize("command", ["simulate", "train-eta", "train-demand"])
+    @pytest.mark.parametrize("command", ["simulate", "train-models"])
     @pytest.mark.parametrize("damage", ["truncated", "list"])
     def test_broken_metrics_is_data_error(self, written_city, tmp_path, capsys, command,
                                           damage):
-        # simulate reads the metrics record, and the two training commands
-        # merge into it: they must fail before they train and save a model
+        # simulate reads the metrics record and must fail before it runs;
+        # train-models writes a fresh record in place of the broken one
         for sub in ("city", "out"):
             shutil.copytree(written_city / sub, tmp_path / sub)
         models = tmp_path / "out" / "models"
@@ -695,9 +695,15 @@ class TestCli:
         # another training city, so that a model trained anyway would differ
         code = cli.main([*TINY_CLI, *dirs(tmp_path), "--set", "train_seed=5", command])
         err = capsys.readouterr().err
-        assert code == 2, err
-        assert err.startswith(f"data error: {path}: "), err
-        assert {p.name: p.read_bytes() for p in models.iterdir()} == saved
+        if command == "simulate":
+            assert code == 2, err
+            assert err.startswith(f"data error: {path}: "), err
+            assert {p.name: p.read_bytes() for p in models.iterdir()} == saved
+        else:
+            assert code == 0, err
+            assert list(json.loads(path.read_bytes())) == [
+                "eta_train_rmse", "eta_val_rmse", "eta_mean_baseline_rmse",
+                "demand_train_rmse", "demand_val_rmse", "demand_historical_baseline_rmse"]
 
     def test_dqn_training_past_the_training_city_is_config_error(self, tmp_path):
         # 23:00 plus 60 warmup minutes plus one step ends at minute 1441 of a
@@ -709,24 +715,44 @@ class TestCli:
         assert "minute 1441" in proc.stderr and "train_days = 1" in proc.stderr
         assert list(tmp_path.iterdir()) == []
 
-    def test_split_commands_write_the_metrics_of_train_models(self, tmp_path):
+    def test_train_models_writes_the_files_of_the_serial_fits(self, tmp_path):
         """Every file of train_models, whose demand fit runs in a worker, is the
-        serial commands' byte for byte, and no worker outlives it."""
+        in-process fits' byte for byte, and no worker outlives it."""
         # at TINY_CLI's 200 trips a day the demand fit stops changing after its
         # first epoch (see test_a_dead_demand_fit_is_logged)
         alive = ("--set", "trips_per_day=2000", "--set", "demand_epochs=2")
-        for command in ("train-eta", "train-demand", "build-tables"):
-            assert cli.main([*TINY_CLI, *dirs(tmp_path / "split"), *alive, command]) == 0
+        serial = tiny_cfg(tmp_path / "serial", *alive)
+        serial_models_reference(serial, ex.training_city(serial))
         cfg = tiny_cfg(tmp_path / "whole", *alive)
         # train_models starts a fresh record over a stale, unreadable one
         ex.model_paths(cfg)["metrics"].parent.mkdir(parents=True)
         ex.model_paths(cfg)["metrics"].write_text('{"stale": ')
         ex.train_models(cfg, ex.training_city(cfg))
         assert multiprocessing.active_children() == []
-        whole, split = ex.model_paths(cfg), ex.model_paths(tiny_cfg(tmp_path / "split", *alive))
+        whole, split = ex.model_paths(cfg), ex.model_paths(serial)
         for name in ("eta", "demand", "historical", "tables", "metrics"):
             assert whole[name].read_bytes() == split[name].read_bytes(), name
         assert list(json.loads(split["metrics"].read_bytes()))[0] == "eta_train_rmse"
+
+    def test_a_fresh_train_dqn_synthesises_its_training_city_once(self, tmp_path,
+                                                                  monkeypatch):
+        calls = []
+
+        def spy(cfg, seed, days):
+            calls.append((seed, days))
+            return synth_city(cfg, seed, days)
+
+        monkeypatch.setattr(ex, "synth_city", spy)
+        cfg = tiny_cfg(tmp_path, "--set", "dqn_train_steps=1")
+        ex.train_dqn(cfg)
+        assert calls == [(cfg.train_seed, cfg.train_days)]
+        assert all(p.exists() for p in ex.model_paths(cfg).values())
+
+    def test_dqn_without_a_q_network_trains_no_model(self, tmp_path, capsys):
+        assert cli.main([*TINY_CLI, *dirs(tmp_path), "--set", "policy=dqn", "simulate"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: no trained Q-network found" in err, err
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_failed_demand_fit_raises_its_error_and_leaves_no_process(self, tmp_path,
                                                                        monkeypatch):
@@ -744,8 +770,7 @@ class TestCli:
         paths = ex.model_paths(cfg)
         assert [n for n in ("eta", "tables", "demand", "historical") if paths[n].exists()] \
             == ["eta", "tables"]
-        assert list(json.loads(paths["metrics"].read_bytes())) == \
-            ["eta_train_rmse", "eta_val_rmse", "eta_mean_baseline_rmse"]
+        assert not paths["metrics"].exists()
         # a demand model is missing, so the next run refits all of them
         monkeypatch.undo()
         ex.ensure_models(cfg)
@@ -812,7 +837,7 @@ class TestCli:
     def test_zero_eta_lr_is_config_error_before_synthesis(self, tmp_path):
         proc = self.run_cli("--set", "seed=1", "--set", f"data_dir={tmp_path / 'city'}",
                             "--set", f"out_dir={tmp_path / 'runs'}",
-                            "--set", "eta_lr=0", "train-eta")
+                            "--set", "eta_lr=0", "train-models")
         assert proc.returncode == 1, proc.stderr
         assert "eta_lr" in proc.stderr
         assert list(tmp_path.iterdir()) == []
@@ -904,16 +929,39 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1].split() == ["rhc", "3", "-", "-", "-", "-"]
 
-    @pytest.mark.parametrize("command, printed", [("train-eta", "eta train rmse"),
-                                                   ("train-demand", "demand train rmse")])
-    def test_train_model_commands_print_rmse(self, tmp_path, command, printed):
+    def test_train_model_commands_print_rmse(self, tmp_path):
         proc = self.run_cli("--set", "seed=3", "--set", f"data_dir={tmp_path / 'city'}",
                             "--set", f"out_dir={tmp_path / 'out'}",
                             "--set", "fine_rows=10", "--set", "fine_cols=10",
                             "--set", "trips_per_day=200", "--set", "train_days=2",
-                            "--set", "eta_epochs=1", "--set", "demand_epochs=1", command)
+                            "--set", "eta_epochs=1", "--set", "demand_epochs=1",
+                            "train-models")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith(printed)
+        eta, demand, tables = proc.stdout.splitlines()
+        assert eta.startswith("eta train rmse ") and " min (mean baseline " in eta, eta
+        assert demand.startswith("demand train rmse ") and "(historical baseline " in demand
+        assert tables == f"wrote {tmp_path / 'out' / 'models' / 'zone_tables.npz'}"
+
+    SUMMARY_HEADER = ",".join(ex.SUMMARY_COLUMNS)
+
+    @pytest.mark.parametrize("text, message", [
+        (",".join(c for c in ex.SUMMARY_COLUMNS if c != "day") + "\nnone,3,10,1\n",
+         f"line 1: the header is not {SUMMARY_HEADER}"),
+        (f"{SUMMARY_HEADER}\nnone,3,all,10,1,abc,9,1.0,2.0,0.5,0.4\n",
+         "line 2: reject_rate 'abc' is not a number"),
+        (f"{SUMMARY_HEADER}\nnone,3,0,10,1,0.1,9,1.0,2.0,0.5,0.4\nnone,3,all,10,1\n",
+         "line 3: the row does not have 11 cells"),
+    ], ids=["no-day-column", "metric-not-a-number", "short-row"])
+    def test_malformed_summary_is_data_error(self, tmp_path, capsys, text, message):
+        # a readable summary sorts first: the report prints nothing of it
+        (tmp_path / "summary_a_3.csv").write_text(
+            f"{self.SUMMARY_HEADER}\nnone,3,all,10,1,0.1,9,1.0,2.0,0.5,0.4\n")
+        path = tmp_path / "summary_b_3.csv"
+        path.write_text(text)
+        assert cli.main(["--set", "seed=3", "--set", f"out_dir={tmp_path}", "report"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"data error: {path}: {message}\n"
 
     def test_stale_zone_tables_are_data_error(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
