@@ -15,7 +15,6 @@ spec = (
     neural.Conv2D(8, 1, 1, 1, "linear", "same"),
 )
 params = neural.init_params(spec, rng)
-opt = neural.RmsProp(lr=2e-3)
 
 def target_fn(x):
     # 3x3 stride-1 mean pool with zero padding, from one integral image
@@ -23,17 +22,14 @@ def target_fn(x):
     bounds = neural.pool_bounds(plane.shape[-2], plane.shape[-1], 3)
     return neural.window_mean(neural.integral_image(plane), bounds, 3)[..., None]
 
-losses = []
-for step in range(300):
-    xb = rng.uniform(0, 1, size=(8, 10, 10, 1))
-    yb = target_fn(xb)
-    out, caches = neural.forward_cached(spec, params, xb)
-    d = 2.0 * (out - yb) / out.size
-    grads = neural.backward_from_grad(spec, params, caches, d)
-    opt.step(params, grads)
-    losses.append(float(((out - yb) ** 2).mean()))
-
-print(f"loss step 1: {losses[0]:.5f}  step 300: {losses[-1]:.5f}")
+# a fixed training set, seen in shuffled minibatches of 8 each epoch
+xs = rng.uniform(0, 1, size=(800, 10, 10, 1))
+ys = target_fn(xs)
+before = float(((neural.forward(spec, params, xs) - ys) ** 2).mean())
+neural.fit(spec, params, xs, lambda idx, out: 2.0 * (out - ys[idx]) / out.size,
+           rng, epochs=3, batch_size=8, lr=2e-3)
+after = float(((neural.forward(spec, params, xs) - ys) ** 2).mean())
+print(f"loss before training: {before:.5f}  after 3 epochs: {after:.5f}")
 
 # spot gradient check on one parameter
 x = rng.uniform(0, 1, size=(10, 10, 1))

@@ -3,7 +3,7 @@
 import numpy as np
 
 from fleetsim.clock import Clock
-from fleetsim.eta import eta_feature_row, mean_predictor_rmse, split_indices, train_eta
+from fleetsim.eta import eta_feature_row, train_eta
 from fleetsim.geo import Location
 from fleetsim.harness.config import ExperimentConfig
 
@@ -23,11 +23,10 @@ for i in range(n):
     rush = np.exp(-0.5 * ((clock.hour - 8.5) / 1.5) ** 2)
     minutes[i] = dist / (21.0 * (1 - 0.3 * rush)) * 60.0 * rng.lognormal(0, 0.08)
 
-model, train_rmse, val_rmse = train_eta(feats, minutes, seed=7, epochs=30, lr=cfg.eta_lr)
-tr_idx, va_idx = split_indices(n, 7)
-baseline = mean_predictor_rmse(minutes[tr_idx], minutes[va_idx])
-print(f"train rmse {train_rmse:.2f} min, validation {val_rmse:.2f} min, "
-      f"constant-mean baseline {baseline:.2f} min")
+model, metrics = train_eta(feats, minutes, seed=7, epochs=30, lr=cfg.eta_lr)
+print(f"train rmse {metrics['eta_train_rmse']:.2f} min, "
+      f"validation {metrics['eta_val_rmse']:.2f} min, "
+      f"constant-mean baseline {metrics['eta_mean_baseline_rmse']:.2f} min")
 
 peak, off_peak = model.predict(np.array([
     eta_feature_row(Location(40.02, -74.0), Location(40.05, -73.95), Clock(hour * 60), 6.0)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from fleetsim.clock import Clock
-from fleetsim.demand import build_demand_input, historical_average, train_demand
+from fleetsim.demand import build_demand_input, train_demand
 from fleetsim.harness.config import ExperimentConfig
 
 cfg = ExperimentConfig(seed=0)  # the experiment's settings: the learning rate
@@ -27,18 +27,14 @@ for k in range(days * 48):
     clocks.append(Clock(k * 30.0))
 slots = np.array(slots, dtype=float)
 
-model, train_rmse, val_rmse = train_demand(slots, clocks, seed=11, epochs=60,
-                                           lr=cfg.demand_lr)
-n = slots.shape[0] - 2
-split = 2 + int(round(n * 0.7))
-hist = historical_average(slots[:split], clocks[:split])
-errs = [(hist[c.dow_index, c.hour_index] - slot) ** 2
-        for slot, c in zip(slots[split:], clocks[split:])]
-print(f"cnn validation rmse {val_rmse:.4f} per cell "
-      f"(historical-average baseline {np.sqrt(np.mean(errs)):.4f})")
+model, historical, metrics = train_demand(slots, clocks, seed=11, epochs=60,
+                                          lr=cfg.demand_lr)
+print(f"cnn validation rmse {metrics['demand_val_rmse']:.4f} per cell "
+      f"(historical-average baseline {metrics['demand_historical_baseline_rmse']:.4f})")
 
 planes = build_demand_input(slots[-1], slots[-2], clocks[-1])
 pred = model.predict(planes)
-print(f"hot cell (3,3): predicted {pred[3, 3]:.2f}, trailing actuals "
-      f"{slots[-1][3, 3]:.0f} and {slots[-2][3, 3]:.0f}")
+usual = historical[clocks[-1].dow_index, clocks[-1].hour_index]
+print(f"hot cell (3,3): predicted {pred[3, 3]:.2f}, historical average {usual[3, 3]:.2f}, "
+      f"trailing actuals {slots[-1][3, 3]:.0f} and {slots[-2][3, 3]:.0f}")
 print(f"cells masked to zero: {int((pred == 0).sum())} of {h * w}")

@@ -84,12 +84,15 @@ def train_slot_count(n_slots: int) -> int:
 
 
 def train_demand(slots: np.ndarray, clocks: list[Clock], seed: int,
-                 epochs: int, lr: float) -> tuple["DemandModel", float, float]:
-    """Fit on a chronological split: first 70% of timeslots train, last 30% validate.
+                 epochs: int, lr: float) -> tuple["DemandModel", np.ndarray, dict]:
+    """Fit on a chronological split: the first :func:`train_slot_count` slots
+    train, the rest validate.  Returns (model, historical, metrics).
 
-    RMSE is reported per cell over all cells of the masked prediction,
-    which is what policy consumers observe.  Raises ``ValueError`` when
-    the fit diverges to non-finite weights.
+    ``historical``, the cold-start fallback and the baseline, is the
+    :func:`historical_average` of the training slots.  The RMSEs are per
+    cell over all cells of the masked prediction, which is what policy
+    consumers observe.  Raises ``ValueError`` when the fit diverges to
+    non-finite weights.
     """
     slots = np.asarray(slots, dtype=np.float64)
     if slots.ndim != 3 or slots.shape[0] < 4:
@@ -98,9 +101,18 @@ def train_demand(slots: np.ndarray, clocks: list[Clock], seed: int,
         raise ValueError("one clock per slot required")
 
     inputs, targets = _samples(slots, clocks)
-    n_train = train_slot_count(slots.shape[0]) - 2
-    xtr, ytr = inputs[:n_train], targets[:n_train]
-    xva, yva = inputs[n_train:], targets[n_train:]
+    split = train_slot_count(slots.shape[0])
+    xtr, ytr = inputs[:split - 2], targets[:split - 2]
+    xva, yva = inputs[split - 2:], targets[split - 2:]
+    lit = (xtr[..., 0] > 0) | (xtr[..., 1] > 0)
+
+    def d_loss(idx, out):
+        # only mask-lit cells reach consumers, so only they are trained;
+        # a loss over the mostly-zero dark cells kills the rectified
+        # output layer outright
+        lit_b = lit[idx][..., None]
+        n_lit = max(1, int(lit_b.sum()))
+        return np.where(lit_b, 2.0 * (out - ytr[idx][..., None]) / n_lit, 0.0)
 
     rng = np.random.default_rng(seed)
     params = neural.init_params(DEMAND_SPEC, rng)
@@ -109,39 +121,22 @@ def train_demand(slots: np.ndarray, clocks: list[Clock], seed: int,
     # of the whole map dying at initialization
     params[-2] = np.zeros_like(params[-2])
     params[-1] = np.ones_like(params[-1])
-    opt = neural.RmsProp(lr=lr)
-    for _ in range(epochs):
-        perm = rng.permutation(n_train)
-        for start in range(0, n_train, BATCH_SIZE):
-            idx = perm[start:start + BATCH_SIZE]
-            xb = xtr[idx]
-            yb = ytr[idx][..., None]
-            out, caches = neural.forward_cached(DEMAND_SPEC, params, xb)
-            # only mask-lit cells reach consumers, so only they are trained;
-            # a loss over the mostly-zero dark cells kills the rectified
-            # output layer outright
-            lit = ((xb[..., 0] > 0) | (xb[..., 1] > 0))[..., None]
-            n_lit = max(1, int(lit.sum()))
-            d_out = np.where(lit, 2.0 * (out - yb) / n_lit, 0.0)
-            grads = neural.backward_from_grad(DEMAND_SPEC, params, caches, d_out)
-            opt.step(params, grads)
+    neural.fit(DEMAND_SPEC, params, xtr, d_loss, rng, epochs, BATCH_SIZE, lr)
     if not neural.all_finite(params):
         raise ValueError(f"the demand fit diverged to non-finite weights (lr {lr})")
 
     model = DemandModel(params)
-    train_pred = [model.predict(x) for x in xtr]
-    lit = (xtr[..., 0] > 0) | (xtr[..., 1] > 0)
-    if lit.any() and not np.stack(train_pred)[lit].any():
+    train_pred = np.stack([model.predict(x) for x in xtr])
+    if lit.any() and not train_pred[lit].any():
         log.warning("the demand fit predicts 0 on all %d lit cells of its training split "
                     "(lr %g): the policies will see no demand", int(lit.sum()), lr)
-    return (model, _masked_rmse(train_pred, ytr),
-            _masked_rmse([model.predict(x) for x in xva], yva))
-
-
-def _masked_rmse(predictions: list[np.ndarray], targets: np.ndarray) -> float:
-    if not predictions:
-        return float("nan")
-    return float(np.sqrt(np.mean([(p - y) ** 2 for p, y in zip(predictions, targets)])))
+    historical = historical_average(slots[:split], clocks[:split])
+    usual = np.stack([historical[c.dow_index, c.hour_index] for c in clocks[split:]])
+    return model, historical, {
+        "demand_train_rmse": neural.rmse(train_pred, ytr),
+        "demand_val_rmse": neural.rmse(np.stack([model.predict(x) for x in xva]), yva),
+        "demand_historical_baseline_rmse": neural.rmse(usual, slots[split:]),
+    }
 
 
 def historical_average(slots: np.ndarray, clocks: list[Clock]) -> np.ndarray:

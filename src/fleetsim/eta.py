@@ -85,10 +85,6 @@ class EtaModel:
         return cls(params, mean, std, float(y_mean), float(y_std))
 
 
-def _rmse(model: "EtaModel", feats, target) -> float:
-    return float(np.sqrt(np.mean((model.predict(feats) - target) ** 2)))
-
-
 def split_indices(n: int, seed: int):
     """Deterministic shuffled (train, validation) index split, ``VAL_FRACTION`` held out."""
     rng = np.random.default_rng(seed)
@@ -101,12 +97,12 @@ def split_indices(n: int, seed: int):
 
 
 def train_eta(features: np.ndarray, minutes: np.ndarray, seed: int,
-              epochs: int, lr: float) -> tuple[EtaModel, float, float]:
+              epochs: int, lr: float) -> tuple[EtaModel, dict]:
     """Fit the trip-time perceptron on a shuffled 70/30 split.
 
-    Returns (model, train_rmse, val_rmse).  Fully determined by ``seed``.
-    Raises ``ValueError`` on non-finite inputs, or when the fit diverges
-    to non-finite weights.
+    Returns (model, metrics); the baseline predicts the training split's
+    mean.  Fully determined by ``seed``.  Raises ``ValueError`` on
+    non-finite inputs, or when the fit diverges to non-finite weights.
     """
     feats = np.asarray(features, dtype=np.float64)
     target = np.asarray(minutes, dtype=np.float64)
@@ -137,26 +133,15 @@ def train_eta(features: np.ndarray, minutes: np.ndarray, seed: int,
     # zero head: the standardized-target fit starts at the train mean,
     # which is exact for degenerate (constant) workloads
     params[-2] = np.zeros_like(params[-2])
-    opt = neural.RmsProp(lr=lr)
-    n_train = ztr.shape[0]
-    for _ in range(epochs):
-        perm = rng.permutation(n_train)
-        for start in range(0, n_train, BATCH_SIZE):
-            idx = perm[start:start + BATCH_SIZE]
-            xb = ztr[idx]
-            yb = ytr[idx][:, None]
-            out, caches = neural.forward_cached(ETA_SPEC, params, xb)
-            d_out = 2.0 * (out - yb) / idx.size
-            grads = neural.backward_from_grad(ETA_SPEC, params, caches, d_out)
-            opt.step(params, grads)
+    neural.fit(ETA_SPEC, params, ztr,
+               lambda idx, out: 2.0 * (out - ytr[idx][:, None]) / idx.size,
+               rng, epochs, BATCH_SIZE, lr)
     if not neural.all_finite(params):
         raise ValueError(f"the ETA fit diverged to non-finite weights (lr {lr})")
 
     model = EtaModel(params, mean, std, y_mean, y_std)
-    return model, _rmse(model, ftr, ttr), _rmse(model, fva, tva)
-
-
-def mean_predictor_rmse(minutes_train: np.ndarray, minutes_val: np.ndarray) -> float:
-    """Baseline: constant mean of the training targets."""
-    mu = float(np.mean(minutes_train))
-    return float(np.sqrt(np.mean((np.asarray(minutes_val) - mu) ** 2)))
+    return model, {
+        "eta_train_rmse": neural.rmse(model.predict(ftr), ttr),
+        "eta_val_rmse": neural.rmse(model.predict(fva), tva),
+        "eta_mean_baseline_rmse": neural.rmse(y_mean, tva),
+    }

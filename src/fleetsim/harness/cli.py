@@ -94,15 +94,21 @@ def _cmd_train_models(cfg) -> int:
 
 
 def _cmd_train_dqn(cfg) -> int:
-    from .experiment import train_dqn
+    from .experiment import model_paths, train_dqn
 
     _, log_rows = train_dqn(cfg)
-    losses = [row[1] for row in log_rows if row[1] == row[1]]  # drop warmup NaNs
+    # a NaN loss marks a step taken before the replay held one minibatch
+    losses = [row[1] for row in log_rows if row[1] == row[1]]
     if losses:
-        head = sum(losses[: max(1, len(losses) // 10)]) / max(1, len(losses) // 10)
-        tail = sum(losses[-max(1, len(losses) // 10):]) / max(1, len(losses) // 10)
-        print(f"trained {len(log_rows)} steps; mean loss first 10% {head:.3f}, "
-              f"final 10% {tail:.3f}")
+        tenth = max(1, len(losses) // 10)
+        print(f"trained {len(log_rows)} steps; mean loss first 10% "
+              f"{sum(losses[:tenth]) / tenth:.3f}, final 10% {sum(losses[-tenth:]) / tenth:.3f}")
+    elif log_rows:
+        print(f"trained {len(log_rows)} steps; no minibatch: the replay never held "
+              f"dqn_batch = {cfg.dqn_batch} transitions")
+    else:
+        print("trained 0 steps")
+    print(f"wrote {model_paths(cfg)['qnet']}")
     return EXIT_OK
 
 

@@ -7,13 +7,14 @@ for the configured policy and writes machine-readable summaries.
 
 Set-up (:func:`train_models`, the ``train-models`` command) is the one
 way the models are built, and the one place the program uses a second
-process: the demand fit runs in a forked worker while this process fits
-the ETA model and the zone tables.  The worker is a copy of this
-process, BLAS thread setting included, and each fit runs start to end
-in one process, so every model file is byte for byte the one the same
-fits give in one process.  When the demand fit fails, ``eta.json`` and
-``zone_tables.npz`` may be on disk without ``demand.json`` and
-``metrics.json``; :func:`ensure_models` then refits all the models.
+process: the demand fit, with its historical table, runs in a forked
+worker while this process fits the ETA model and the zone tables.  The
+worker is a copy of this process, BLAS thread setting included, and
+each fit runs start to end in one process, so every model file is byte
+for byte the one the same fits give in one process.  When the demand
+fit fails, ``eta.json`` and ``zone_tables.npz`` may be on disk without
+``demand.json`` and ``metrics.json``; :func:`ensure_models` then refits
+all the models.
 The simulator and the policies run in one process.
 """
 
@@ -113,10 +114,9 @@ def demand_slot_series(requests: list[RideRequest], grid: GridSpec,
     lats = np.array([r.pickup.lat for r in requests])
     lons = np.array([r.pickup.lon for r in requests])
     rows, cols = cell_arrays(lats, lons, grid)
-    for r, (row, col) in zip(requests, zip(rows, cols)):
-        k = int(r.minute // SLOT_MINUTES)
-        if 0 <= k < n_slots:
-            slots[k, row, col] += 1
+    k = np.array([r.minute for r in requests]) // SLOT_MINUTES
+    inside = (0 <= k) & (k < n_slots)
+    np.add.at(slots, (k[inside].astype(np.intp), rows[inside], cols[inside]), 1.0)
     clocks = [Clock(float(k * SLOT_MINUTES), epoch_dow) for k in range(n_slots)]
     return slots, clocks
 
@@ -182,41 +182,18 @@ def _read_metrics(path: Path) -> dict:
 def train_eta_model(cfg: ExperimentConfig, training_city: City):
     """Fit the ETA perceptron and save ``eta.json``; returns (model, metrics)."""
     feats, target = eta_training_arrays(training_city.requests, cfg)
-    model, tr_rmse, va_rmse = eta_mod.train_eta(
+    model, metrics = eta_mod.train_eta(
         feats, target, seed=cfg.train_seed, epochs=cfg.eta_epochs, lr=cfg.eta_lr)
-    tr_idx, va_idx = eta_mod.split_indices(len(target), cfg.train_seed)
-    metrics = {
-        "eta_train_rmse": tr_rmse,
-        "eta_val_rmse": va_rmse,
-        "eta_mean_baseline_rmse": eta_mod.mean_predictor_rmse(
-            target[tr_idx], target[va_idx]),
-    }
     model.save(model_paths(cfg)["eta"])
     return model, metrics
 
 
-def train_demand_model(cfg: ExperimentConfig, slots: np.ndarray, clocks: list[Clock],
-                       fitted):
-    """Save the demand network that ``fitted()`` returns, fit on the slot
-    series ``slots`` and ``clocks``, and the historical fallback.
-
-    ``fitted`` returns what :func:`demand.train_demand` returns for the
-    series; :func:`train_models` passes the result of its worker.
-    Returns (model, historical, metrics); the fallback is fit on the
-    training split only, making it a fair baseline and a cold-start
-    predictor.
-    """
+def train_demand_model(cfg: ExperimentConfig, fitted):
+    """Save what ``fitted()`` returns, (model, historical, metrics) as
+    :func:`demand.train_demand` returns them, and return it;
+    :func:`train_models` passes the result of its worker."""
     paths = model_paths(cfg)
-    model, tr_rmse, va_rmse = fitted()
-    split = demand_mod.train_slot_count(slots.shape[0])
-    historical = demand_mod.historical_average(slots[:split], clocks[:split])
-    errs = [(historical[c.dow_index, c.hour_index] - slot) ** 2
-            for slot, c in zip(slots[split:], clocks[split:])]
-    metrics = {
-        "demand_train_rmse": tr_rmse,
-        "demand_val_rmse": va_rmse,
-        "demand_historical_baseline_rmse": float(np.sqrt(np.mean(errs))),
-    }
+    model, historical, metrics = fitted()
     model.save(paths["demand"])
     np.save(paths["historical"], historical)
     return model, historical, metrics
@@ -297,13 +274,14 @@ def train_models(cfg: ExperimentConfig, training_city: City) -> ModelBundle:
     """Fit ETA, demand and zone tables on the training city and persist them.
 
     The demand slot series is built once, here.  The demand fit
-    (:func:`demand.train_demand` on that series) runs in a forked worker
-    while this process fits the ETA model and builds the zone tables;
-    the worker inherits the series and this process's BLAS thread
-    setting, and each fit runs whole in one process.  ``metrics.json``
-    is written once, after every fit: the ETA's RMSEs, then the
-    demand's.  The worker is reaped on every path, and its exception is
-    raised here with its type and message.  After a failed demand fit
+    (:func:`demand.train_demand` on that series, the historical table
+    included) runs in a forked worker while this process fits the ETA
+    model and builds the zone tables; the worker inherits the series and
+    this process's BLAS thread setting, and each fit runs whole in one
+    process.  Each fit scores itself and its baseline on its own split,
+    and ``metrics.json`` is written once, after every fit: the ETA's
+    RMSEs, then the demand's.  The worker is reaped on every path, and
+    its exception is raised here with its type and message.  After a failed demand fit
     ``eta.json`` and ``zone_tables.npz`` may exist without
     ``demand.json``, ``historical.npy`` and ``metrics.json``, and
     :func:`ensure_models` refits all of them.
@@ -319,8 +297,7 @@ def train_models(cfg: ExperimentConfig, training_city: City) -> ModelBundle:
             lr=cfg.demand_lr)) as fit:
         eta_model, eta_metrics = train_eta_model(cfg, training_city)
         trip_times, destinations = build_zone_tables(cfg, training_city)
-        demand_model, historical, demand_metrics = train_demand_model(
-            cfg, slots, clocks, fit.result)
+        demand_model, historical, demand_metrics = train_demand_model(cfg, fit.result)
     metrics = {**eta_metrics, **demand_metrics}
     with open(paths["metrics"], "w") as fh:
         json.dump(metrics, fh, indent=2)

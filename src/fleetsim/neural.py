@@ -275,6 +275,34 @@ class RmsProp:
             p -= self.lr * g / np.sqrt(s + RMSPROP_EPS)
 
 
+def fit(spec, params, x, d_loss, rng: np.random.Generator, epochs: int,
+        batch_size: int, lr: float) -> None:
+    """Train ``params`` in place on the samples ``x`` by minibatch RMSProp.
+
+    Each epoch draws one ``rng.permutation`` of the samples and steps once
+    per ``batch_size`` of them, the last minibatch short when they do not
+    divide.  ``d_loss(idx, out)`` is d(loss)/d(output) on the samples
+    ``idx``, whose output is ``out``.
+    """
+    opt = RmsProp(lr)
+    for _ in range(epochs):
+        perm = rng.permutation(x.shape[0])
+        for start in range(0, perm.size, batch_size):
+            # every array of a minibatch lives until the next one replaces
+            # it: freeing them at once lets the heap shrink and fault back
+            idx = perm[start:start + batch_size]
+            xb = x[idx]
+            out, caches = forward_cached(spec, params, xb)
+            d_out = d_loss(idx, out)
+            grads = backward_from_grad(spec, params, caches, d_out)
+            opt.step(params, grads)
+
+
+def rmse(predicted, target) -> float:
+    """Root of the mean squared difference over every element."""
+    return float(np.sqrt(np.mean((predicted - target) ** 2)))
+
+
 def pool_bounds(h: int, w: int, k: int) -> tuple[np.ndarray, ...]:
     """Integral-image bounds ``(r0, r1, c0, c1)`` of each k x k window on an h x w plane.
 

@@ -684,6 +684,19 @@ def cell_of(loc, grid):
     return (min(row, grid.rows - 1), min(col, grid.cols - 1))
 
 
+def demand_slot_counts_reference(requests, grid, total_minutes):
+    """The pickups of each heat-map slot of ``experiment.demand_slot_series``,
+    counted one request at a time; pickups outside the series are dropped."""
+    n_slots = int(total_minutes // HEAT_SLOT_MINUTES)
+    slots = np.zeros((n_slots,) + grid.shape)
+    for r in requests:
+        k = int(r.minute // HEAT_SLOT_MINUTES)
+        if 0 <= k < n_slots:
+            row, col = cell_of(r.pickup, grid)
+            slots[k, row, col] += 1
+    return slots
+
+
 def nearest_node_reference(loc, graph):
     """Node minimizing haversine distance to ``loc``, one point per call."""
     if not graph.nodes:
@@ -1416,7 +1429,7 @@ def serial_models_reference(cfg, city) -> None:
                                           cfg.train_days * 1440.0, cfg.epoch_dow)
     fit = demand_mod.train_demand(slots, clocks, seed=cfg.train_seed,
                                   epochs=cfg.demand_epochs, lr=cfg.demand_lr)
-    _, _, demand_metrics = ex.train_demand_model(cfg, slots, clocks, lambda: fit)
+    _, _, demand_metrics = ex.train_demand_model(cfg, lambda: fit)
     recorded = json.loads(paths["metrics"].read_bytes())
     paths["metrics"].write_text(json.dumps({**recorded, **demand_metrics}, indent=2))
     ex.build_zone_tables(cfg, city)

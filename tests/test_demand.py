@@ -63,14 +63,15 @@ class TestTraining:
         pattern[3, 3] = 3.0
         pattern[6, 1] = 1.0
         slots = np.tile(pattern, (40, 1, 1))
-        _, _, val_rmse = train_demand(slots, slot_clocks(40), seed=1, epochs=120, lr=CFG.demand_lr)
-        assert val_rmse < 0.05
+        _, _, metrics = train_demand(slots, slot_clocks(40), seed=1, epochs=120,
+                                     lr=CFG.demand_lr)
+        assert metrics["demand_val_rmse"] < 0.05
 
     def test_beats_last_value_persistence_on_periodic_demand(self):
         rng = np.random.default_rng(1)
         slots = periodic_series(rng, 48 * 3)
-        model, _, val_rmse = train_demand(slots, slot_clocks(48 * 3), seed=2, epochs=60,
-                                          lr=CFG.demand_lr)
+        _, _, metrics = train_demand(slots, slot_clocks(48 * 3), seed=2, epochs=60,
+                                     lr=CFG.demand_lr)
         # persistence predicts slot i as slot i-1 on the same validation span
         n = slots.shape[0] - 2
         n_train = int(round(n * 0.7))
@@ -79,14 +80,17 @@ class TestTraining:
             for i in range(2 + n_train, slots.shape[0])
         ]
         persistence_rmse = float(np.sqrt(np.mean(errs)))
-        assert val_rmse < persistence_rmse
+        assert metrics["demand_val_rmse"] < persistence_rmse
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         slots = periodic_series(rng, 60)
-        m1, tr1, va1 = train_demand(slots, slot_clocks(60), seed=3, epochs=5, lr=CFG.demand_lr)
-        m2, tr2, va2 = train_demand(slots, slot_clocks(60), seed=3, epochs=5, lr=CFG.demand_lr)
-        assert (tr1, va1) == (tr2, va2)
+        m1, h1, metrics1 = train_demand(slots, slot_clocks(60), seed=3, epochs=5,
+                                        lr=CFG.demand_lr)
+        m2, h2, metrics2 = train_demand(slots, slot_clocks(60), seed=3, epochs=5,
+                                        lr=CFG.demand_lr)
+        assert metrics1 == metrics2
+        assert h1.tobytes() == h2.tobytes()
         for a, b in zip(m1.params, m2.params):
             np.testing.assert_array_equal(a, b)
 
@@ -95,7 +99,7 @@ class TestTraining:
     def test_diverged_fit_rejected(self):
         # the first RMSProp step of a learning rate this large overflows
         slots = periodic_series(np.random.default_rng(2), 12)
-        with pytest.raises(ValueError, match="diverged to non-finite weights"):
+        with pytest.raises(ValueError, match="^the demand fit diverged to non-finite weights"):
             train_demand(slots, slot_clocks(12), seed=3, epochs=1, lr=1e308)
 
     def test_short_series_rejected(self):

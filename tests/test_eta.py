@@ -9,7 +9,6 @@ from fleetsim.eta import (
     ETA_SPEC,
     EtaModel,
     eta_feature_row,
-    mean_predictor_rmse,
     split_indices,
     train_eta,
 )
@@ -78,32 +77,33 @@ class TestTraining:
         rng = np.random.default_rng(1)
         feats, _ = synthetic_trips(rng, n=600)
         minutes = np.full(600, 9.0)
-        _, train_rmse, val_rmse = train_eta(feats, minutes, seed=5, epochs=40, lr=CFG.eta_lr)
-        assert train_rmse < 1e-2
-        assert val_rmse < 1e-2
+        _, metrics = train_eta(feats, minutes, seed=5, epochs=40, lr=CFG.eta_lr)
+        assert metrics["eta_train_rmse"] < 1e-2
+        assert metrics["eta_val_rmse"] < 1e-2
 
     def test_linear_synthetic_beats_ten_percent_of_std(self):
         rng = np.random.default_rng(2)
         feats, minutes = synthetic_trips(rng, n=3000, noise=0.0)
-        _, _, val_rmse = train_eta(feats, minutes, seed=9, epochs=40, lr=CFG.eta_lr)
-        assert val_rmse < 0.1 * np.std(minutes)
+        _, metrics = train_eta(feats, minutes, seed=9, epochs=40, lr=CFG.eta_lr)
+        assert metrics["eta_val_rmse"] < 0.1 * np.std(minutes)
 
     def test_seeded_training_reproducible(self):
         rng = np.random.default_rng(3)
         feats, minutes = synthetic_trips(rng, n=500, noise=1.0)
-        m1, tr1, va1 = train_eta(feats, minutes, seed=11, epochs=10, lr=CFG.eta_lr)
-        m2, tr2, va2 = train_eta(feats, minutes, seed=11, epochs=10, lr=CFG.eta_lr)
-        assert (tr1, va1) == (tr2, va2)
+        m1, metrics1 = train_eta(feats, minutes, seed=11, epochs=10, lr=CFG.eta_lr)
+        m2, metrics2 = train_eta(feats, minutes, seed=11, epochs=10, lr=CFG.eta_lr)
+        assert metrics1 == metrics2
         for a, b in zip(m1.params, m2.params):
             np.testing.assert_array_equal(a, b)
 
     def test_beats_mean_predictor(self):
         rng = np.random.default_rng(4)
         feats, minutes = synthetic_trips(rng, n=2500, noise=0.5)
-        _, _, val_rmse = train_eta(feats, minutes, seed=13, epochs=40, lr=CFG.eta_lr)
+        _, metrics = train_eta(feats, minutes, seed=13, epochs=40, lr=CFG.eta_lr)
         train_idx, val_idx = split_indices(len(minutes), 13)
-        baseline = mean_predictor_rmse(minutes[train_idx], minutes[val_idx])
-        assert val_rmse < baseline
+        baseline = np.sqrt(np.mean((minutes[val_idx] - np.mean(minutes[train_idx])) ** 2))
+        assert metrics["eta_mean_baseline_rmse"] == baseline
+        assert metrics["eta_val_rmse"] < baseline
 
     @pytest.mark.parametrize("where, value", [("feature", np.nan), ("feature", np.inf),
                                               ("target", np.nan), ("target", -np.inf)])
@@ -119,7 +119,7 @@ class TestTraining:
     def test_diverged_fit_rejected(self):
         # an overflowing fit must not reach the simulator, which would time trips 0.0 or nan
         feats, minutes = synthetic_trips(np.random.default_rng(5), n=50)
-        with pytest.raises(ValueError, match="diverged to non-finite weights"):
+        with pytest.raises(ValueError, match="^the ETA fit diverged to non-finite weights"):
             train_eta(feats, minutes, seed=0, epochs=2, lr=1e150)
 
     def test_empty_dataset_rejected(self):
@@ -135,7 +135,7 @@ class TestPredict:
         # differently) and clamp the same rows at zero
         rng = np.random.default_rng(8)
         feats, minutes = synthetic_trips(rng, n=500, noise=1.0)
-        model, _, _ = train_eta(feats, minutes, seed=2, epochs=5, lr=CFG.eta_lr)
+        model, _ = train_eta(feats, minutes, seed=2, epochs=5, lr=CFG.eta_lr)
         shift = float(np.median(model.predict(feats)))
         shifted = EtaModel(model.params, model.mean, model.std,
                            model.y_mean - shift, model.y_std)
@@ -156,14 +156,14 @@ class TestPredict:
     def test_identical_features_identical_prediction(self):
         rng = np.random.default_rng(5)
         feats, minutes = synthetic_trips(rng, n=300, noise=1.0)
-        model, _, _ = train_eta(feats, minutes, seed=3, epochs=5, lr=CFG.eta_lr)
+        model, _ = train_eta(feats, minutes, seed=3, epochs=5, lr=CFG.eta_lr)
         f = feats[17:18]
         assert model.predict(f)[0] == model.predict(f.copy())[0]
 
     def test_prediction_matches_engine_forward(self):
         rng = np.random.default_rng(6)
         feats, minutes = synthetic_trips(rng, n=300, noise=1.0)
-        model, _, _ = train_eta(feats, minutes, seed=3, epochs=5, lr=CFG.eta_lr)
+        model, _ = train_eta(feats, minutes, seed=3, epochs=5, lr=CFG.eta_lr)
         f = feats[42:43]
         z = (f - model.mean) / model.std
         raw = neural.forward(ETA_SPEC, model.params, z)[0]
@@ -189,7 +189,7 @@ class TestPredict:
     def test_checkpoint_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         feats, minutes = synthetic_trips(rng, n=200, noise=0.5)
-        model, _, _ = train_eta(feats, minutes, seed=1, epochs=3, lr=CFG.eta_lr)
+        model, _ = train_eta(feats, minutes, seed=1, epochs=3, lr=CFG.eta_lr)
         p = tmp_path / "eta.json"
         model.save(p)
         back = EtaModel.load(p)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from fleetsim import demand as demand_mod
+from fleetsim import eta as eta_mod
 from fleetsim import neural
 from fleetsim.dqn import QNetwork
 from fleetsim.geo import GridSpec, Location, RegionMapError, block_region_map
@@ -24,7 +25,8 @@ from fleetsim.harness import cli
 from fleetsim.harness import experiment as ex
 from fleetsim.rhc import ZoneTableError
 from fleetsim.sim import EpisodeMetrics, finalize_metrics
-from oracles import render_config, serial_models_reference, synth_city_reference
+from oracles import (demand_slot_counts_reference, render_config, serial_models_reference,
+                     synth_city_reference)
 
 
 def small_cfg(tmp_path, **kw):
@@ -437,7 +439,7 @@ class TestExperiment:
         fit = demand_mod.train_demand(slots, clocks, seed=cfg.train_seed,
                                       epochs=cfg.demand_epochs, lr=cfg.demand_lr)
         ex.model_paths(cfg)["demand"].parent.mkdir(parents=True)
-        model, historical, metrics = ex.train_demand_model(cfg, slots, clocks, lambda: fit)
+        model, historical, metrics = ex.train_demand_model(cfg, lambda: fit)
         n_fit = demand_mod.train_slot_count(slots.shape[0])
         assert 2 < n_fit < slots.shape[0]
         assert historical.tobytes() == \
@@ -447,11 +449,43 @@ class TestExperiment:
         # inputs and targets lie in those slots
         inputs, targets = demand_mod._samples(slots, clocks)
         k = n_fit - 2
-        predictions = [model.predict(x) for x in inputs]
-        assert demand_mod._masked_rmse(predictions[:k], targets[:k]) == \
-            metrics["demand_train_rmse"]
-        assert demand_mod._masked_rmse(predictions[k:], targets[k:]) == \
-            metrics["demand_val_rmse"]
+        errs = [(model.predict(x) - y) ** 2 for x, y in zip(inputs, targets)]
+        assert float(np.sqrt(np.mean(errs[:k]))) == metrics["demand_train_rmse"]
+        assert float(np.sqrt(np.mean(errs[k:]))) == metrics["demand_val_rmse"]
+
+    def test_demand_slot_series_counts_each_pickup_once(self, tmp_path):
+        cfg = small_cfg(tmp_path)
+        city = ex.training_city(cfg)
+        # pickups on slot edges, before the series and past the shorter one's end
+        edges = [dataclasses.replace(r, minute=m) for r, m in
+                 zip(city.requests, (-0.5, -30.0, 0.0, 29.999999, 30.0, 1439.5, 2000.0))]
+        requests = city.requests + edges
+        for total in (cfg.train_days * 1440.0, 1000.0):
+            slots, clocks = ex.demand_slot_series(requests, city.grid, total, cfg.epoch_dow)
+            want = demand_slot_counts_reference(requests, city.grid, total)
+            assert slots.tobytes() == want.tobytes()
+            assert [c.minutes for c in clocks] == [30.0 * k for k in range(len(want))]
+
+    def test_metrics_score_both_baselines_on_their_fits_splits(self, tmp_path):
+        cfg = small_cfg(tmp_path, eta_epochs=1, demand_epochs=1)
+        city = ex.training_city(cfg)
+        ex.train_models(cfg, city)
+        metrics = json.loads(ex.model_paths(cfg)["metrics"].read_bytes())
+        # the ETA baseline predicts the mean trip of the shuffled training split
+        _, minutes = ex.eta_training_arrays(city.requests, cfg)
+        tr_idx, va_idx = eta_mod.split_indices(len(minutes), cfg.train_seed)
+        mean = np.mean(minutes[tr_idx])
+        assert metrics["eta_mean_baseline_rmse"] == \
+            float(np.sqrt(np.mean((minutes[va_idx] - mean) ** 2)))
+        # the demand baseline is the history of the leading training slots,
+        # scored on the slots after them
+        slots, clocks = ex.demand_slot_series(city.requests, city.grid,
+                                              cfg.train_days * 1440.0, cfg.epoch_dow)
+        n_fit = demand_mod.train_slot_count(len(slots))
+        history = demand_mod.historical_average(slots[:n_fit], clocks[:n_fit])
+        errs = [(history[c.dow_index, c.hour_index] - slot) ** 2
+                for slot, c in zip(slots[n_fit:], clocks[n_fit:])]
+        assert metrics["demand_historical_baseline_rmse"] == float(np.sqrt(np.mean(errs)))
 
     @pytest.mark.parametrize("trips_per_day, dead", [(200, True), (2000, False)])
     def test_a_dead_demand_fit_is_logged(self, tmp_path, caplog, trips_per_day, dead):
@@ -941,6 +975,19 @@ class TestCli:
         assert eta.startswith("eta train rmse ") and " min (mean baseline " in eta, eta
         assert demand.startswith("demand train rmse ") and "(historical baseline " in demand
         assert tables == f"wrote {tmp_path / 'out' / 'models' / 'zone_tables.npz'}"
+
+    @pytest.mark.parametrize("steps, first", [
+        (0, "trained 0 steps"),
+        (3, "trained 3 steps; no minibatch: the replay never held dqn_batch = 8 transitions"),
+    ])
+    def test_train_dqn_without_a_minibatch_says_so(self, tmp_path, capsys, steps, first):
+        code = cli.main([*TINY_CLI, *dirs(tmp_path), "--set", f"dqn_train_steps={steps}",
+                         "--set", "dqn_batch=8", "train-dqn"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        qnet = tmp_path / "out" / "models" / "qnet.json"
+        assert out.splitlines() == [first, f"wrote {qnet}"]
+        assert qnet.exists()
 
     SUMMARY_HEADER = ",".join(ex.SUMMARY_COLUMNS)
 

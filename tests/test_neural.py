@@ -281,6 +281,61 @@ class TestRmsProp:
                 RmsProp(lr=lr)
 
 
+class TestFit:
+    SPEC = (Dense(3, 4, "relu"), Dense(4, 1, "linear"))
+
+    @staticmethod
+    def regression(n):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(n, 3))
+        return x, x @ np.array([[1.0], [-2.0], [0.5]]) + 0.25
+
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_generator_advances_one_permutation_per_epoch(self, epochs):
+        x, y = self.regression(10)
+        params = init_params(self.SPEC, np.random.default_rng(0))
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        neural.fit(self.SPEC, params, x, lambda idx, out: 2.0 * (out - y[idx]) / idx.size,
+                   rng, epochs, 4, 0.01)
+        for _ in range(epochs):
+            twin.permutation(10)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("n, batch_size, sizes", [(5, 2, [2, 2, 1]), (1, 8, [1])])
+    def test_short_last_minibatch_is_trained(self, n, batch_size, sizes):
+        x, y = self.regression(n)
+        params = init_params(self.SPEC, np.random.default_rng(0))
+        want = [p.copy() for p in params]
+        seen = []
+
+        def d_loss(idx, out):
+            seen.append(idx.tolist())
+            return 2.0 * (out - y[idx]) / idx.size
+
+        neural.fit(self.SPEC, params, x, d_loss, np.random.default_rng(4), 2, batch_size, 0.01)
+        # the loop written out by hand, the short minibatch last in each epoch
+        twin, opt, batches = np.random.default_rng(4), RmsProp(lr=0.01), []
+        for _ in range(2):
+            for idx in np.split(twin.permutation(n), np.cumsum(sizes)[:-1]):
+                batches.append(idx.tolist())
+                out, caches = forward_cached(self.SPEC, want, x[idx])
+                opt.step(want, backward_from_grad(self.SPEC, want, caches,
+                                                  2.0 * (out - y[idx]) / idx.size))
+        assert [len(b) for b in seen] == sizes * 2
+        assert seen == batches
+        assert [p.tobytes() for p in params] == [p.tobytes() for p in want]
+
+
+class TestRmse:
+    def test_hand_value(self):
+        # squared errors 9, 16, 0, 0 average 6.25
+        assert neural.rmse(np.array([[3.0, 0.0], [1.0, 2.0]]),
+                           np.array([[0.0, 4.0], [1.0, 2.0]])) == 2.5
+
+    def test_scalar_prediction_broadcasts(self):
+        assert neural.rmse(2.0, np.array([1.0, 3.0])) == 1.0
+
+
 class TestPooling:
     def brute_force_pool(self, x, k):
         h, w = x.shape
