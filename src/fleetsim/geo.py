@@ -10,7 +10,6 @@ and safe to share between threads.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -130,8 +129,8 @@ def cell_arrays(lats: np.ndarray, lons: np.ndarray, grid: GridSpec) -> tuple[np.
 class RegionMap:
     """Total assignment of fine-grid cells to region ids in [0, region_count).
 
-    The assignment is data, typically loaded from a partition file; there
-    is no hard-coded zoning.  Construction raises :class:`RegionMapError`
+    The program builds every map with :func:`block_region_map`, from the
+    config's block sizes.  Construction raises :class:`RegionMapError`
     unless the assignment is 2-D and every cell holds an id in range.
     """
 
@@ -155,43 +154,6 @@ class RegionMap:
     @property
     def shape(self) -> tuple[int, int]:
         return self.assignment.shape
-
-    @classmethod
-    def from_csv(cls, path, rows: int, cols: int) -> "RegionMap":
-        """Load a ``row,col,region_id`` partition file covering every cell once.
-
-        A malformed row, a cell outside the grid, a cell listed twice or a
-        negative region id raises :class:`RegionMapError` naming the line;
-        a file that leaves a cell unmapped raises one naming the file.
-        """
-        a = np.full((rows, cols), -1, dtype=np.int64)
-        with open(path, newline="") as fh:
-            for line, rec in enumerate(csv.DictReader(fh), start=2):
-                try:
-                    row, col, region = (int(rec[k]) for k in ("row", "col", "region_id"))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise RegionMapError(f"{path}: line {line}: malformed row ({exc})") from None
-                if not (0 <= row < rows and 0 <= col < cols):
-                    raise RegionMapError(f"{path}: line {line}: cell ({row}, {col}) is outside "
-                                         f"the {rows}x{cols} grid")
-                if region < 0:
-                    raise RegionMapError(f"{path}: line {line}: negative region id {region}")
-                if a[row, col] >= 0:
-                    raise RegionMapError(f"{path}: line {line}: cell ({row}, {col}) "
-                                         "is listed twice")
-                a[row, col] = region
-        try:
-            return cls(a, int(a.max()) + 1)
-        except RegionMapError as exc:
-            raise RegionMapError(f"{path}: {exc}") from None
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", "col", "region_id"])
-            for r in range(self.assignment.shape[0]):
-                for c in range(self.assignment.shape[1]):
-                    writer.writerow([r, c, int(self.assignment[r, c])])
 
 
 def region_cells(rm: RegionMap) -> dict[int, list[tuple[int, int]]]:

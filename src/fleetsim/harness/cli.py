@@ -12,7 +12,6 @@ import logging
 import sys
 from pathlib import Path
 
-from ..geo import RegionMapError
 from ..neural import CheckpointError
 from ..rhc import ZoneTableError
 from ..roadgraph import EdgeListParseError
@@ -184,8 +183,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TripDataError, EdgeListParseError, RegionMapError, ZoneTableError,
-            CheckpointError, SummaryError, FileNotFoundError, OSError) as exc:
+    except (TripDataError, EdgeListParseError, ZoneTableError, CheckpointError,
+            SummaryError, FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

@@ -1,6 +1,6 @@
 """End-to-end experiment orchestration: models, policies, episodes, reports.
 
-A run consumes one city directory (trips, roads, zones), trains or
+A run consumes one city directory (trips and roads), trains or
 loads the shared models (ETA, demand, zone tables, optionally the
 Q-network), then simulates independent day episodes (4 a.m. to 4 a.m.)
 for the configured policy and writes machine-readable summaries.
@@ -36,14 +36,13 @@ from .. import dqn as dqn_mod
 from .. import eta as eta_mod
 from .. import rhc as rhc_mod
 from ..clock import Clock
-from ..geo import (GridSpec, Location, RegionMap, RegionMapError, block_region_map,
-                   cell_arrays)
+from ..geo import GridSpec, RegionMap, cell_arrays
 from ..neural import CheckpointError
 from ..roadgraph import load_edge_list
 from ..sim import SLOT_MINUTES, EpisodeMetrics, RideRequest, Simulation, finalize_metrics
 from .config import ConfigError, ExperimentConfig
 from .ingest import ingest_trips
-from .synth import SynthCity, synth_city
+from .synth import SynthCity, city_layout, synth_city
 
 log = logging.getLogger(__name__)
 
@@ -70,27 +69,21 @@ def city_from_synth(sc: SynthCity) -> City:
 
 
 def load_city(cfg: ExperimentConfig) -> City:
-    """Read the city directory ``cfg.data_dir``: ``trips.csv``, ``roads.txt``
-    and ``zones.csv``.
+    """Read the city directory ``cfg.data_dir``: ``trips.csv`` and ``roads.txt``.
 
-    The dispatch regions are the ``region_block`` block layout, which the
-    Q-policy decodes region ids as; a ``regions.csv`` in the directory is
-    not read.  The zone tables hold ``zone_block`` zones, so another zone
-    count raises :class:`RegionMapError`.
+    The grid, the dispatch regions and the zones are the config's, as
+    :func:`synth.city_layout` builds them: the Q-policy decodes region ids
+    as the ``region_block`` layout, and the zone tables were estimated on
+    the ``zone_block`` layout.  A ``regions.csv`` or ``zones.csv`` in the
+    directory is not read.
     """
     base = Path(cfg.data_dir)
-    grid = GridSpec(rows=cfg.fine_rows, cols=cfg.fine_cols, cell_size=cfg.cell_size_m,
-                    origin=Location(cfg.origin_lat, cfg.origin_lon))
+    grid, regions, zones = city_layout(cfg)
     epoch = datetime.fromisoformat(cfg.epoch_date)
     requests, report = ingest_trips(base / "trips.csv", grid, epoch)
     log.info("ingested %d trips (%d dropped out-of-bounds, %d non-positive)",
              report.kept, report.dropped_bounds, report.dropped_duration)
     graph = load_edge_list(base / "roads.txt")
-    zones = RegionMap.from_csv(base / "zones.csv", grid.rows, grid.cols)
-    if zones.region_count != zone_block_count(cfg):
-        raise RegionMapError(f"{base / 'zones.csv'} has {zones.region_count} zones, "
-                             f"zone_block = {cfg.zone_block} makes {zone_block_count(cfg)}")
-    regions = block_region_map(grid, cfg.region_block, cfg.region_block)
     return City(grid, graph, regions, zones, requests)
 
 
@@ -507,8 +500,8 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
     ``cfg.seed`` synthesised in memory.  A directory that ``synth-data``
     wrote for the same seed does not give the same outcomes as the
     synthesised city: :func:`synth.write_city` rounds every trip time to
-    the second.  A DQN policy without a saved Q-network raises
-    :class:`ConfigError` before any model is trained.
+    the second.  A DQN policy without a saved Q-network, or a bad city
+    file, raises its error before any model is trained.
     """
     # the Q-network first: a run that cannot use the models trains none
     if cfg.policy in ("dqn", "dqn_star") and qnet is None:
@@ -518,15 +511,14 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
         qnet, _ = dqn_mod.QNetwork.load(qnet_path)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # models next: stale cached tables report their own error, not the
-    # zone-count check in load_city
-    if bundle is None:
-        bundle = ensure_models(cfg)
+    # the city next: a bad city file fails before any model is trained
     if city is None:
         if (Path(cfg.data_dir) / "trips.csv").exists():
             city = load_city(cfg)
         else:
             city = city_from_synth(synth_city(cfg, cfg.seed, city_days(cfg)))
+    if bundle is None:
+        bundle = ensure_models(cfg)
 
     day_metrics, day_reports, rows = [], [], []
     for day in range(cfg.days):

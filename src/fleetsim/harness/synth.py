@@ -1,4 +1,4 @@
-"""Synthetic desk-scale city: trips, road network and partitions.
+"""Synthetic desk-scale city: its trips and road network, on the config's layout.
 
 Demand is a Poisson process over fine-grid cells whose intensity mixes a
 uniform floor with a handful of hotspots on daily commute, business and
@@ -156,6 +156,18 @@ def _activity_level(rng, n_slots: int) -> np.ndarray:
     return np.exp(g)
 
 
+def city_layout(cfg: ExperimentConfig) -> tuple[GridSpec, RegionMap, RegionMap]:
+    """The config's grid and its two partitions: the ``region_block`` dispatch
+    regions and the ``zone_block`` zones of the RHC tables, both block layouts.
+
+    Every city, synthesised or read from a directory, has this layout.
+    """
+    grid = GridSpec(rows=cfg.fine_rows, cols=cfg.fine_cols, cell_size=cfg.cell_size_m,
+                    origin=Location(cfg.origin_lat, cfg.origin_lon))
+    return (grid, block_region_map(grid, cfg.region_block, cfg.region_block),
+            block_region_map(grid, cfg.zone_block, cfg.zone_block))
+
+
 def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
     """Generate a fully deterministic city and trip workload.
 
@@ -167,8 +179,7 @@ def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
     the duration noise.
     """
     rng = np.random.default_rng(seed)
-    grid = GridSpec(rows=cfg.fine_rows, cols=cfg.fine_cols, cell_size=cfg.cell_size_m,
-                    origin=Location(cfg.origin_lat, cfg.origin_lon))
+    grid, regions, zones = city_layout(cfg)
     rates = _slot_rates(grid, cfg)
     level = _activity_level(rng, days * 48)
     spots = _hotspot_geometry(grid)
@@ -214,8 +225,6 @@ def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
                     draws.append((minute, pickup, dropoff, max(1.0, minutes), dist_km))
     draws.sort(key=itemgetter(0))  # stable: equal minutes keep their draw order
     trips = [RideRequest(i, *draw) for i, draw in enumerate(draws)]
-    regions = block_region_map(grid, cfg.region_block, cfg.region_block)
-    zones = block_region_map(grid, cfg.zone_block, cfg.zone_block)
     return SynthCity(grid=grid, graph=build_road_grid(grid), regions=regions,
                      zones=zones, trips=trips)
 
@@ -225,10 +234,10 @@ def _iso(epoch: datetime, minute: float) -> str:
 
 
 def write_city(city: SynthCity, cfg: ExperimentConfig, out_dir) -> dict:
-    """Write trips.csv, roads.txt and the zone partition, zones.csv.
+    """Write the city directory: ``trips.csv`` and ``roads.txt``.
 
-    The dispatch regions are not written: they are the ``region_block``
-    block layout, which :func:`experiment.load_city` builds from the config.
+    The regions and zones are not written: they are the config's block
+    layout, which :func:`experiment.load_city` builds with :func:`city_layout`.
     Pickup and dropoff times are rounded to the second, so a city read back
     from these files is not bit for bit the one synthesised.
     """
@@ -248,10 +257,8 @@ def write_city(city: SynthCity, cfg: ExperimentConfig, out_dir) -> dict:
                 repr(float(tr.distance_km)),
             ]) + "\n")
     save_edge_list(city.graph, out / "roads.txt")
-    city.zones.to_csv(out / "zones.csv")
     return {
         "trips": str(trips_path),
         "roads": str(out / "roads.txt"),
-        "zones": str(out / "zones.csv"),
         "n_trips": len(city.trips),
     }

@@ -187,8 +187,9 @@ def load_edge_list(path) -> RoadGraph:
     """Parse a ``#nodes`` / ``#edges`` sectioned edge-list file.
 
     Node lines are ``node_id,lat,lon``; edge lines are
-    ``from_id,to_id,length_m``.  Parse failures raise
-    :class:`EdgeListParseError` with the line number.
+    ``from_id,to_id,length_m``.  A malformed line, a bad edge or a file
+    without nodes raises :class:`EdgeListParseError` naming ``path``, and
+    the line number where there is one.
     """
     nodes: dict[int, Location] = {}
     edges: list[tuple[int, int, float]] = []
@@ -201,7 +202,7 @@ def load_edge_list(path) -> RoadGraph:
             if line.startswith("#"):
                 name = line.lstrip("#").strip().lower()
                 if name not in ("nodes", "edges"):
-                    raise EdgeListParseError(f"line {lineno}: unknown section '{line}'")
+                    raise EdgeListParseError(f"{path}: line {lineno}: unknown section '{line}'")
                 section = name
                 continue
             parts = line.split(",")
@@ -220,8 +221,13 @@ def load_edge_list(path) -> RoadGraph:
                 else:
                     raise ValueError("data before any section header")
             except ValueError as exc:
-                raise EdgeListParseError(f"line {lineno}: {exc}") from exc
-    return build_graph(nodes, edges)
+                raise EdgeListParseError(f"{path}: line {lineno}: {exc}") from exc
+    if not nodes:
+        raise EdgeListParseError(f"{path}: no nodes")
+    try:
+        return build_graph(nodes, edges)
+    except EdgeListParseError as exc:
+        raise EdgeListParseError(f"{path}: {exc}") from None
 
 
 def save_edge_list(graph: RoadGraph, path) -> None:

@@ -97,52 +97,46 @@ class TestRegionMap:
         assert rm.assignment[1, 0] == 1
         assert rm.assignment[0, 1] == 0
 
-    def test_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        a = rng.integers(0, 5, size=(6, 4))
-        rm = RegionMap(a, 5)
-        path = tmp_path / "regions.csv"
-        rm.to_csv(path)
-        back = RegionMap.from_csv(path, 6, 4)
-        assert np.array_equal(back.assignment, a)
-        for r in range(6):
-            for c in range(4):
-                assert back.assignment[r, c] == a[r, c]
-
-    def test_incomplete_file_rejected(self, tmp_path):
-        path = tmp_path / "partial.csv"
-        path.write_text("row,col,region_id\n0,0,0\n")
-        with pytest.raises(RegionMapError):
-            RegionMap.from_csv(path, 2, 2)
-
     def test_unmapped_cells_rejected_on_construction(self):
         with pytest.raises(RegionMapError, match="leaves 4 cells unmapped"):
             RegionMap(np.full((2, 2), -1), 1)
         with pytest.raises(RegionMapError, match="leaves 1 cells unmapped"):
             RegionMap(np.array([[0, -3], [0, 0]]), 1)
 
-    @pytest.mark.parametrize("extra, match", [
-        ("0,0,x\n", "line 6: malformed row"),
-        ("0,0\n", "line 6: malformed row"),
-        ("-1,0,3\n", r"line 6: cell \(-1, 0\) is outside the 2x2 grid"),
-        ("0,-1,3\n", r"line 6: cell \(0, -1\) is outside the 2x2 grid"),
-        ("5,0,0\n", r"line 6: cell \(5, 0\) is outside the 2x2 grid"),
-        ("0,2,0\n", r"line 6: cell \(0, 2\) is outside the 2x2 grid"),
-        ("1,0,3\n", r"line 6: cell \(1, 0\) is listed twice"),
+    @pytest.mark.parametrize("assignment, count, match", [
+        (np.zeros(4), 1, r"must be 2-D, got shape \(4,\)"),
+        (np.zeros((2, 2, 2)), 1, r"must be 2-D, got shape \(2, 2, 2\)"),
+        (np.array([[0, 1], [2, 1]]), 2, "region id 2 out of range for 2 regions"),
+        (np.array([[0, 0], [0, -2]]), 1, "leaves 1 cells unmapped"),
     ])
-    def test_bad_row_after_a_full_map_rejected(self, tmp_path, extra, match):
-        # the four cells first: before, -1,0,3 silently moved cell (1, 0)
-        # to region 3, and the other rows crashed outside RegionMapError
-        path = tmp_path / "regions.csv"
-        path.write_text("row,col,region_id\n0,0,0\n0,1,0\n1,0,1\n1,1,1\n" + extra)
+    def test_bad_assignment_rejected_on_construction(self, assignment, count, match):
         with pytest.raises(RegionMapError, match=match):
-            RegionMap.from_csv(path, 2, 2)
+            RegionMap(assignment, count)
 
-    def test_negative_region_id_rejected(self, tmp_path):
-        path = tmp_path / "regions.csv"
-        path.write_text("row,col,region_id\n0,0,0\n0,1,-2\n1,0,1\n1,1,1\n")
-        with pytest.raises(RegionMapError, match="line 3: negative region id -2"):
-            RegionMap.from_csv(path, 2, 2)
+    def test_assignment_is_read_only(self):
+        rm = RegionMap(np.array([[0, 1], [1, 0]]), 2)
+        with pytest.raises(ValueError, match="read-only"):
+            rm.assignment[0, 0] = 1
+        assert rm.assignment[0, 0] == 0
+
+    @pytest.mark.parametrize("rows, cols, block_rows, block_cols", [
+        (6, 6, 1, 1), (6, 4, 3, 2), (4, 9, 4, 3),
+    ])
+    def test_block_map_matches_brute_force(self, rows, cols, block_rows, block_cols):
+        g = GridSpec(rows=rows, cols=cols, cell_size=100.0, origin=Location(0.0, 0.0))
+        rm = block_region_map(g, block_rows, block_cols)
+        per_row = cols // block_cols
+        assert rm.region_count == (rows // block_rows) * per_row
+        for r in range(rows):
+            for c in range(cols):
+                assert rm.assignment[r, c] == (r // block_rows) * per_row + c // block_cols
+
+    @pytest.mark.parametrize("block_rows, block_cols", [(4, 3), (3, 4)])
+    def test_block_map_rejects_an_indivisible_grid(self, block_rows, block_cols):
+        g = GridSpec(rows=6, cols=6, cell_size=100.0, origin=Location(0.0, 0.0))
+        with pytest.raises(ValueError, match=f"6x6 grid not divisible into "
+                                             f"{block_rows}x{block_cols} blocks"):
+            block_region_map(g, block_rows, block_cols)
 
     def test_block_map_layout(self):
         g = GridSpec(rows=6, cols=6, cell_size=100.0, origin=Location(0.0, 0.0))

@@ -17,10 +17,10 @@ from fleetsim import demand as demand_mod
 from fleetsim import eta as eta_mod
 from fleetsim import neural
 from fleetsim.dqn import QNetwork
-from fleetsim.geo import GridSpec, Location, RegionMapError, block_region_map
+from fleetsim.geo import GridSpec, Location, block_region_map
 from fleetsim.harness.config import ConfigError, ExperimentConfig, parse_config
 from fleetsim.harness.ingest import TripDataError, ingest_trips
-from fleetsim.harness.synth import build_road_grid, synth_city, write_city
+from fleetsim.harness.synth import build_road_grid, city_layout, synth_city, write_city
 from fleetsim.harness import cli
 from fleetsim.harness import experiment as ex
 from fleetsim.rhc import ZoneTableError
@@ -236,8 +236,7 @@ class TestSynth:
         city = synth_city(cfg, seed=5, days=1)
         info = write_city(city, cfg, cfg.data_dir)
         assert info["n_trips"] == len(city.trips)
-        assert sorted(p.name for p in Path(cfg.data_dir).iterdir()) == \
-            ["roads.txt", "trips.csv", "zones.csv"]
+        assert sorted(p.name for p in Path(cfg.data_dir).iterdir()) == ["roads.txt", "trips.csv"]
         epoch = datetime.fromisoformat(cfg.epoch_date)
         requests, report = ingest_trips(Path(cfg.data_dir) / "trips.csv",
                                         city.grid, epoch)
@@ -251,16 +250,18 @@ class TestSynth:
             assert r.minute == pytest.approx(tr.minute, abs=1 / 60 + 1e-9)
             assert r.trip_minutes == pytest.approx(tr.trip_minutes, abs=2 / 60)
 
-    def test_load_city_rejects_partitions_other_than_the_config(self, tmp_path):
+    def test_load_city_builds_the_config_partitions(self, tmp_path):
         cfg = small_cfg(tmp_path)
         write_city(synth_city(cfg, seed=5, days=1), cfg, cfg.data_dir)
-        assert ex.load_city(cfg).regions.region_count == 100
-        # the regions are the config's block layout, which no file can contradict
-        city = ex.load_city(small_cfg(tmp_path, region_block=2))
+        city = ex.load_city(cfg)
+        assert (city.regions.region_count, city.zones.region_count) == (100, 4)
+        # the regions and zones are the config's block layouts, which no file
+        # can contradict
+        city = ex.load_city(small_cfg(tmp_path, region_block=2, zone_block=2))
         assert np.array_equal(city.regions.assignment,
                               block_region_map(city.grid, 2, 2).assignment)
-        with pytest.raises(RegionMapError, match="has 4 zones"):
-            ex.load_city(small_cfg(tmp_path, zone_block=2))
+        assert np.array_equal(city.zones.assignment,
+                              block_region_map(city.grid, 2, 2).assignment)
 
     def test_road_grid_connected(self, tmp_path):
         cfg = small_cfg(tmp_path)
@@ -615,6 +616,12 @@ def written_city(tmp_path_factory):
     return base
 
 
+def partition_csv(assignment) -> str:
+    """A ``row,col,region_id`` partition file of a cell-to-region array."""
+    return "row,col,region_id\n" + "".join(f"{r},{c},{k}\n"
+                                            for (r, c), k in np.ndenumerate(assignment))
+
+
 def trip_row(distance="2.0", pickup="2016-05-02 00:10:00", dropoff="2016-05-02 00:20:00"):
     return f"{pickup},{dropoff},40.01,-73.995,40.02,-73.99,{distance}\n".encode()
 
@@ -631,25 +638,13 @@ BAD_INPUTS = {
                        lambda b: b + trip_row(pickup="2016-05-02 00:10:00+00:00",
                                               dropoff="2016-05-02 00:20:00+00:00"),
                        "time zone"),
-    # bad rows of zones.csv, the one partition file left, which RegionMap.from_csv reads
-    "region-malformed": ("city/zones.csv", lambda b: b + b"0,0,x\n",
-                         "line 102: malformed row"),
-    "region-negative-row": ("city/zones.csv", lambda b: b + b"-1,0,3\n",
-                            "line 102: cell (-1, 0) is outside the 10x10 grid"),
-    "region-row-beyond-grid": ("city/zones.csv", lambda b: b + b"10,0,0\n",
-                               "line 102: cell (10, 0) is outside the 10x10 grid"),
-    "region-cell-twice": ("city/zones.csv", lambda b: b + b"0,0,0\n",
-                          "line 102: cell (0, 0) is listed twice"),
-    "region-negative-id": ("city/zones.csv",
-                           lambda b: b.replace(b"\n0,0,0\r\n", b"\n0,0,-2\r\n", 1),
-                           "line 2: negative region id -2"),
-    "road-length-nan": ("city/roads.txt", lambda b: b + b"0,1,nan\n", "edge 0->1 has length nan"),
-    "road-length-inf": ("city/roads.txt", lambda b: b + b"0,1,inf\n", "edge 0->1 has length inf"),
+    "road-length-nan": ("city/roads.txt", lambda b: b + b"0,1,nan\n",
+                        "roads.txt: edge 0->1 has length nan"),
+    "road-length-inf": ("city/roads.txt", lambda b: b + b"0,1,inf\n",
+                        "roads.txt: edge 0->1 has length inf"),
+    "road-no-nodes": ("city/roads.txt", lambda b: b"#nodes\n#edges\n", "roads.txt: no nodes"),
     "zone-tables-truncated": ("out/models/zone_tables.npz", lambda b: b[:len(b) // 2],
                               "zone_tables.npz: unreadable"),
-    # the header and the first 50 of 100 cells
-    "region-truncated": ("city/zones.csv", lambda b: b"".join(b.splitlines(True)[:51]),
-                         "zones.csv: region map leaves 50 cells unmapped"),
 }
 
 
@@ -852,6 +847,18 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("data error: ") and message in proc.stderr, proc.stderr
 
+    def test_bad_city_file_fails_before_set_up(self, written_city, tmp_path, capsys):
+        # a roads.txt without nodes used to load, and the run failed with exit 3
+        # at its first nearest-node lookup, after the models were trained
+        shutil.copytree(written_city / "city", tmp_path / "city")
+        roads = tmp_path / "city" / "roads.txt"
+        roads.write_text("")
+        code = cli.main([*TINY_CLI, *dirs(tmp_path), "simulate"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == f"data error: {roads}: no nodes\n"
+        assert not (tmp_path / "out" / "models").exists()
+
     def test_negative_speed_is_config_error(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(f"seed = 3\ndata_dir = {tmp_path / 'city'}\n"
@@ -899,7 +906,7 @@ class TestCli:
         assert not (tmp_path / "city").exists()
 
     def test_synth_data_files_independent_of_hash_seed(self, tmp_path):
-        files = ("trips.csv", "roads.txt", "zones.csv")
+        files = ("roads.txt", "trips.csv")
         written = []
         for hash_seed in ("0", "12345"):
             city = tmp_path / f"city_{hash_seed}"
@@ -909,9 +916,10 @@ class TestCli:
                                 "--set", "trips_per_day=300", "synth-data",
                                 env={"PYTHONHASHSEED": hash_seed})
             assert proc.returncode == 0, proc.stderr
+            assert sorted(p.name for p in city.iterdir()) == list(files)
             written.append([(city / name).read_bytes() for name in files])
         assert written[0] == written[1]
-        assert written[0][0].count(b"\n") > 100
+        assert written[0][1].count(b"\n") > 100
 
     def test_missing_seed_is_config_error(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
@@ -1037,8 +1045,8 @@ class TestCli:
             shutil.copytree(written_city / sub, tmp_path / sub)
         path = tmp_path / "city" / "regions.csv"
         if regions == "non-block":
-            grid = GridSpec(rows=10, cols=10, cell_size=600.0, origin=Location(0.0, 0.0))
-            block_region_map(grid, 5, 5).to_csv(path)
+            # TINY_CLI's zones, 5x5 blocks
+            path.write_text(partition_csv(city_layout(tiny_cfg(tmp_path))[2].assignment))
         else:
             path.write_text("row,col,region_id\n0,0,x\n")
         summary = tmp_path / "out" / "summary_none_3.csv"
@@ -1046,6 +1054,27 @@ class TestCli:
         proc = self.run_cli(*TINY_CLI, *dirs(tmp_path), "simulate")
         assert proc.returncode == 0, proc.stderr
         assert summary.read_bytes() == (written_city / "out" / "summary_none_3.csv").read_bytes()
+
+    @pytest.mark.parametrize("zones", ["swapped", "malformed"])
+    def test_zones_csv_is_ignored(self, written_city, tmp_path, zones):
+        # zone_block = 5 makes the 4 zones of 5x5 blocks on which the zone
+        # tables are estimated; a file that swaps zones 0 and 3 used to run
+        # RHC on the wrong table rows, and one that does not parse exited 2
+        runs = {}
+        for case in ("without", zones):
+            base = tmp_path / case
+            for sub in ("city", "out"):
+                shutil.copytree(written_city / sub, base / sub)
+            path = base / "city" / "zones.csv"
+            if case == "swapped":
+                blocks = city_layout(tiny_cfg(base))[2].assignment
+                path.write_text(partition_csv(np.choose(blocks, [3, 1, 2, 0])))
+            elif case == "malformed":
+                path.write_text("row,col,region_id\n0,0,x\n")
+            proc = self.run_cli(*TINY_CLI, *dirs(base), "--set", "policy=rhc", "simulate")
+            assert proc.returncode == 0, proc.stderr
+            runs[case] = (base / "out" / "summary_rhc_3.csv").read_bytes()
+        assert runs[zones] == runs["without"]
 
     def test_fewer_requests_than_vehicles_is_config_error(self, tmp_path):
         proc = self.run_cli("--set", "seed=3", *dirs(tmp_path), "--set", "fine_rows=10",

@@ -72,14 +72,26 @@ class TestLoadEdgeList:
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("#nodes\n1,40.0,-74.0\nbogus line\n")
-        with pytest.raises(EdgeListParseError, match="line 3"):
+        with pytest.raises(EdgeListParseError, match="line 3") as exc:
             load_edge_list(p)
+        assert str(exc.value).startswith(f"{p}: line 3: ")
 
     def test_non_finite_node_reports_line(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("#nodes\n1,40.0,-74.0\n2,nan,-74.0\n")
-        with pytest.raises(EdgeListParseError, match="line 3: non-finite"):
+        with pytest.raises(EdgeListParseError, match="line 3: non-finite") as exc:
             load_edge_list(p)
+        assert str(exc.value).startswith(f"{p}: line 3: ")
+
+    @pytest.mark.parametrize("text", ["", "#nodes\n#edges\n"], ids=["empty", "headers-only"])
+    def test_file_without_nodes_rejected(self, tmp_path, text):
+        # it used to load as an empty graph, which failed at the first
+        # nearest-node lookup, after the models were set up
+        p = tmp_path / "g.txt"
+        p.write_text(text)
+        with pytest.raises(EdgeListParseError) as exc:
+            load_edge_list(p)
+        assert str(exc.value) == f"{p}: no nodes"
 
     @pytest.mark.parametrize("length", ["nan", "inf", "-inf", "0", "-5.0"])
     def test_length_not_finite_and_positive_rejected(self, tmp_path, length):
@@ -87,8 +99,9 @@ class TestLoadEdgeList:
         p = tmp_path / "g.txt"
         p.write_text("#nodes\n0,40.0,-74.0\n1,40.001,-74.0\n2,40.002,-74.0\n"
                      f"#edges\n0,1,500.0\n1,2,{length}\n")
-        with pytest.raises(EdgeListParseError, match=f"edge 1->2 has length {float(length)}"):
+        with pytest.raises(EdgeListParseError) as exc:
             load_edge_list(p)
+        assert str(exc.value).startswith(f"{p}: edge 1->2 has length {float(length)}")
 
     def test_save_load_round_trip(self, tmp_path):
         g = random_graph(np.random.default_rng(0), n_nodes=12)

@@ -211,6 +211,48 @@ def test_concurrency_detection():
                                         "os.forkpty", "threading"]
 
 
+def region_map_constructions(source: str) -> list[str]:
+    """The dotted scope of each call that constructs a ``RegionMap``: a call of
+    ``RegionMap`` by name or attribute, or of ``cls`` inside ``class RegionMap``."""
+    found = []
+
+    def visit(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name], in_class or (
+                    isinstance(child, ast.ClassDef) and child.name == "RegionMap"))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if ((isinstance(func, ast.Name) and (func.id == "RegionMap"
+                                                     or func.id == "cls" and in_class))
+                        or (isinstance(func, ast.Attribute) and func.attr == "RegionMap")):
+                    found.append(".".join(scope) or "<module>")
+            visit(child, scope, in_class)
+
+    visit(ast.parse(source), [], False)
+    return found
+
+
+def test_one_builder_of_the_partitions():
+    """Every region and zone map is a block layout of the config: nothing in the
+    package constructs a ``RegionMap`` but ``geo.block_region_map``."""
+    found = [f"{p.relative_to(SRC)}:{scope}" for p in MODULES
+             for scope in region_map_constructions(p.read_text(encoding="utf-8"))]
+    assert found == ["geo.py:block_region_map"]
+
+
+def test_region_map_construction_detection():
+    source = ("from . import geo\nfrom .geo import RegionMap\n"
+              "IDENTITY = RegionMap(a, 1)\n"
+              "class RegionMap:\n"
+              "    @classmethod\n    def load(cls, path):\n        return cls(read(path), 2)\n"
+              "class Other:\n    def make(cls):\n        return cls(1)\n"
+              "def f(a):\n    def g():\n        return geo.RegionMap(a, 3)\n"
+              "    return g(), region_map(a), RegionMap.identity(a)\n")
+    assert region_map_constructions(source) == ["<module>", "RegionMap.load", "f.g"]
+
+
 def unread_names(readers: list[Path]) -> list[str]:
     """``module:name`` of each module-level name in the package that no file in
     ``readers`` reads."""
