@@ -4,7 +4,8 @@ A small perceptron (two rectifier layers of 32 units, linear scalar
 output) maps trip features to minutes.  Inputs are z-scored with
 statistics from the training split only; predictions clamp at zero
 since negative travel times are meaningless downstream.  The model
-runs on batches of feature rows only; one trip is a batch of one row.
+runs on batches of feature rows only, and evaluates each row as its own
+batch of one: a trip's minutes do not depend on the batch it is timed in.
 """
 
 from __future__ import annotations
@@ -35,6 +36,17 @@ def eta_feature_row(origin: Location, dest: Location, clock: Clock,
     return (sd, cd, sh, ch, origin.lat, origin.lon, dest.lat, dest.lon, float(distance_km))
 
 
+def eta_features(clock: Clock, origin_lats, origin_lons, dest_lats, dest_lons,
+                 distance_km) -> np.ndarray:
+    """The :func:`eta_feature_row` of each of k trips at one ``clock``, as ``(k, 9)``."""
+    feats = np.empty((len(distance_km), FEATURE_COUNT))
+    feats[:, :4] = periodic_features(clock)
+    feats[:, 4], feats[:, 5] = origin_lats, origin_lons
+    feats[:, 6], feats[:, 7] = dest_lats, dest_lons
+    feats[:, 8] = distance_km
+    return feats
+
+
 @dataclass
 class EtaModel:
     """Trained regression plus the train-split normalization statistics.
@@ -50,9 +62,17 @@ class EtaModel:
     y_std: float = 1.0
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """Trip minutes of each row of ``(n, 9)`` features, clamped at zero."""
-        z = (np.asarray(features, dtype=np.float64) - self.mean) / self.std
-        raw = neural.forward(ETA_SPEC, self.params, z)[:, 0]
+        """Trip minutes of each row of ``(n, 9)`` features, clamped at zero.
+
+        The network runs on the stack ``(n, 1, 9)`` of one-row batches, so
+        each row gets the bytes that a batch of that row alone gives.
+        Raises ``ValueError`` on any other shape.
+        """
+        feats = np.asarray(features, dtype=np.float64)
+        if feats.ndim != 2 or feats.shape[1] != FEATURE_COUNT:
+            raise ValueError(f"expected (n, {FEATURE_COUNT}) features, got {feats.shape}")
+        z = (feats - self.mean) / self.std
+        raw = neural.forward(ETA_SPEC, self.params, z[:, None, :])[:, 0, 0]
         return np.maximum(raw * self.y_std + self.y_mean, 0.0)
 
     def save(self, path) -> None:

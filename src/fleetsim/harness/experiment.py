@@ -38,10 +38,10 @@ from .. import rhc as rhc_mod
 from ..clock import Clock
 from ..geo import GridSpec, RegionMap, cell_arrays
 from ..neural import CheckpointError
-from ..roadgraph import load_edge_list
+from ..roadgraph import EdgeListParseError, load_edge_list
 from ..sim import SLOT_MINUTES, EpisodeMetrics, RideRequest, Simulation, finalize_metrics
 from .config import ConfigError, ExperimentConfig
-from .ingest import ingest_trips
+from .ingest import TripDataError, ingest_trips
 from .synth import SynthCity, city_layout, synth_city
 
 log = logging.getLogger(__name__)
@@ -75,7 +75,9 @@ def load_city(cfg: ExperimentConfig) -> City:
     :func:`synth.city_layout` builds them: the Q-policy decodes region ids
     as the ``region_block`` layout, and the zone tables were estimated on
     the ``zone_block`` layout.  A ``regions.csv`` or ``zones.csv`` in the
-    directory is not read.
+    directory is not read.  A road network with no node inside the grid
+    raises :class:`EdgeListParseError` naming ``roads.txt``: every move
+    would start and end off the map.
     """
     base = Path(cfg.data_dir)
     grid, regions, zones = city_layout(cfg)
@@ -83,8 +85,26 @@ def load_city(cfg: ExperimentConfig) -> City:
     requests, report = ingest_trips(base / "trips.csv", grid, epoch)
     log.info("ingested %d trips (%d dropped out-of-bounds, %d non-positive)",
              report.kept, report.dropped_bounds, report.dropped_duration)
-    graph = load_edge_list(base / "roads.txt")
+    roads = base / "roads.txt"
+    graph = load_edge_list(roads)
+    if not any(grid.contains(loc) for loc in graph.nodes.values()):
+        raise EdgeListParseError(f"{roads}: none of its {len(graph.nodes)} nodes "
+                                 "lies inside the grid")
     return City(grid, graph, regions, zones, requests)
+
+
+def _check_day_windows(cfg: ExperimentConfig, city: City) -> None:
+    """Raise :class:`TripDataError`, naming ``trips.csv``, when a configured
+    day window of the city directory holds fewer requests than vehicles:
+    the simulator places vehicle ``k`` at the ``k``-th request's pickup."""
+    for day in range(cfg.days):
+        start, end = day_window(cfg, day)
+        count = sum(start <= r.minute < end for r in city.requests)
+        if count < cfg.vehicles:
+            raise TripDataError(
+                f"{Path(cfg.data_dir) / 'trips.csv'}: day {day} (minutes {start:g} to "
+                f"{end:g}) has {count} requests, fewer than the {cfg.vehicles} "
+                "vehicles placed at their pickups")
 
 
 # --- model training --------------------------------------------------------
@@ -515,6 +535,7 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
     if city is None:
         if (Path(cfg.data_dir) / "trips.csv").exists():
             city = load_city(cfg)
+            _check_day_windows(cfg, city)
         else:
             city = city_from_synth(synth_city(cfg, cfg.seed, city_days(cfg)))
     if bundle is None:

@@ -7,7 +7,13 @@ runs in float64 numpy; convolutions go through batched im2col GEMMs.
 
 Conventions: every input is a batch, of row-major plane stacks
 ``(batch, h, w, planes)`` or of vectors ``(batch, n)``; a single input
-is a batch of one.  Convolution weights are ``(filters, kh, kw, planes)``.
+is a batch of one.  A dense network also takes a stack of one-row
+batches ``(batch, 1, n)``: numpy's ``matmul`` multiplies each one-row
+matrix of the stack on its own, so a row's output has the bytes that a
+batch of that row alone gives, whatever batch it is in.  A 2-D batch is
+one matrix product, whose blocking may round a row differently.
+Training takes 2-D minibatches only.
+Convolution weights are ``(filters, kh, kw, planes)``.
 Networks are fully convolutional: any spatial input size at least as
 large as the kernels is accepted.  Forward passes are pure functions of
 (spec, params, input) and repeated calls give bit-identical outputs.
@@ -169,8 +175,11 @@ def _conv_backward(layer: Conv2D, w, cache, d_out, need_dx: bool):
 
 
 def _dense_forward(layer: Dense, w, bias, x, want_cache: bool):
-    if x.ndim != 2 or x.shape[1] != layer.n_in:
-        raise ValueError(f"dense expected (batch, {layer.n_in}) input, got {x.shape}")
+    # the backward pass takes 2-D batches only, so a stack is not cached
+    stack = x.ndim == 3 and x.shape[1] == 1 and not want_cache
+    if not (x.ndim == 2 or stack) or x.shape[-1] != layer.n_in:
+        raise ValueError(f"dense expected (batch, {layer.n_in}) input, or (batch, 1, "
+                         f"{layer.n_in}) outside training, got {x.shape}")
     out = x @ w.T + bias
     if layer.activation == "relu":
         np.maximum(out, 0.0, out=out)
@@ -212,8 +221,9 @@ def _forward(spec, params, x, aux, want_cache: bool):
 
 
 def forward(spec, params, x, aux=None) -> np.ndarray:
-    """Evaluate the network on a batch: ``x`` is ``(batch, h, w, planes)`` or
-    ``(batch, n)``, and ``aux`` is batched the same way."""
+    """Evaluate the network on a batch: ``x`` is ``(batch, h, w, planes)``,
+    ``(batch, n)`` or, for a dense network, ``(batch, 1, n)``, and ``aux`` is
+    batched the same way."""
     return _forward(spec, params, x, aux, want_cache=False)[0]
 
 

@@ -11,13 +11,16 @@ bit-identical metrics.
 Phase (2) adds the minute's pickups to the demand heat maps with one cell
 lookup, then runs in three passes over its requests: every request
 is matched, in arrival order, against one snapshot of the free vehicles'
-positions; then one :meth:`Simulation._plan_moves` call routes and times
-the matched vehicles' moves to their pickups; then, again in arrival
-order, each match is recorded.  Matching everything first is exact: a
-match only takes its vehicle out of the free set, and the route and ETA
-it gets decide nothing about which vehicles the later requests of the
-minute can have.  Phase (4) likewise plans all orders' moves in one
-``_plan_moves`` call, which is why an order list may name a vehicle once.
+positions; then one :meth:`Simulation._plan_moves` call routes the
+matched vehicles' moves to their pickups and times them all in one ETA
+batch; then, again in arrival order, each match is recorded.  Matching
+everything first is exact: a match only takes its vehicle out of the
+free set, and the route and ETA it gets decide nothing about which
+vehicles the later requests of the minute can have.  Phase (4) likewise
+plans all orders' moves in one ``_plan_moves`` call, with one ETA batch,
+which is why an order list may name a vehicle once.  The ETA model gives
+each row of a batch the minutes a batch of that row alone gives, so
+batching a phase changes no move's time.
 
 The fleet's state is kept in numpy columns indexed by vehicle id: status;
 location; departure and arrival time (arrival is +inf while a vehicle
@@ -51,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clock import Clock
-from .eta import eta_feature_row
+from .eta import eta_feature_row, eta_features
 from .geo import GridSpec, Location, cell_arrays, center_of, haversine, haversine_arrays
 from .roadgraph import RoadGraph, hop_lengths, nearest_nodes, shortest_path
 
@@ -317,13 +320,18 @@ class Simulation:
 
         One nearest-node lookup serves all moves.  A move follows A* between
         its nearest nodes, or the straight line where the graph has no path.
+        Then one ETA ``predict`` times all moves, on their
+        :func:`eta.eta_features` at the phase's one clock.  The model
+        evaluates each row as its own batch of one, so a move's minutes do
+        not depend on the other moves of the phase.
         """
         k = len(dests)
         if not k:
             return []
-        nodes = nearest_nodes(np.concatenate([lats, [d.lat for d in dests]]),
-                              np.concatenate([lons, [d.lon for d in dests]]),
-                              self.graph).tolist()
+        dest_lats = [d.lat for d in dests]
+        dest_lons = [d.lon for d in dests]
+        nodes = nearest_nodes(np.concatenate([lats, dest_lats]),
+                              np.concatenate([lons, dest_lons]), self.graph).tolist()
         moves = []
         for lat, lon, dest, o, d in zip(lats.tolist(), lons.tolist(), dests,
                                         nodes[:k], nodes[k:]):
@@ -339,8 +347,11 @@ class Simulation:
                 route = ([lat, *[p.lat for p in points], dest.lat],
                          [lon, *[p.lon for p in points], dest.lon],
                          [head, *hop_lengths(path, self.graph), tail])
-            moves.append((origin, *route, meters, self._eta(origin, dest, meters, clock)))
-        return moves
+            moves.append((origin, *route, meters))
+        feats = eta_features(clock, lats, lons, dest_lats, dest_lons,
+                             [move[-1] / 1000.0 for move in moves])
+        etas = self.eta_model.predict(feats).tolist()
+        return [(*move, eta) for move, eta in zip(moves, etas)]
 
     def _set_route(self, vid: int, lats: list[float], lons: list[float],
                    segs: list[float], depart: float, arrival: float) -> None:
@@ -362,11 +373,6 @@ class Simulation:
         self._route_len[vid] = n
         self._depart[vid] = depart
         self._arrival[vid] = arrival
-
-    def _eta(self, origin: Location, dest: Location, distance_m: float, clock: Clock) -> float:
-        """Minutes of one trip: the ETA model on a batch of one feature row."""
-        row = eta_feature_row(origin, dest, clock, distance_m / 1000.0)
-        return float(self.eta_model.predict(np.array([row]))[0])
 
     def _stand(self, vids) -> None:
         """Leave vehicle(s) ``vids`` idle where they are, with no destination or route."""
@@ -528,9 +534,11 @@ class Simulation:
         grid = self.grid
 
         def eta_minutes(from_cell, to_cell):
+            # one row per call: the DQN's orders are made one after another
             a = center_of(from_cell, grid)
             b = center_of(to_cell, grid)
-            return self._eta(a, b, haversine(a, b), clock)
+            row = eta_feature_row(a, b, clock, haversine(a, b) / 1000.0)
+            return float(self.eta_model.predict(np.array([row]))[0])
 
         slots = list(self._heat_slots)
         return SimView(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetsim import neural
 from fleetsim.clock import Clock
@@ -9,6 +11,7 @@ from fleetsim.eta import (
     ETA_SPEC,
     EtaModel,
     eta_feature_row,
+    eta_features,
     split_indices,
     train_eta,
 )
@@ -53,6 +56,16 @@ class TestFeatures:
             f = feature_vector(ORIGIN, DEST, c, 2.0)
             assert f[0] ** 2 + f[1] ** 2 == pytest.approx(1.0, abs=1e-9)
             assert f[2] ** 2 + f[3] ** 2 == pytest.approx(1.0, abs=1e-9)
+
+    def test_batched_rows_equal_the_row_builder(self):
+        rng = np.random.default_rng(4)
+        clock = Clock(float(rng.uniform(0, 7 * 1440)), epoch_dow=3)
+        trips = rng.uniform([40.0, -74.0, 40.0, -74.0, 0.0], [40.1, -73.9, 40.1, -73.9, 9.0],
+                            size=(7, 5))
+        feats = eta_features(clock, *trips.T)
+        rows = [eta_feature_row(Location(a, b), Location(c, d), clock, km)
+                for a, b, c, d, km in trips.tolist()]
+        assert feats.tobytes() == np.array(rows).tobytes()
 
     def test_coordinates_and_distance_passed_through(self):
         f = feature_vector(ORIGIN, DEST, Clock(0.0), 7.5)
@@ -129,10 +142,9 @@ class TestTraining:
 
 class TestPredict:
     def test_one_row_predict_agrees_with_batch(self):
-        # the simulator times each trip as a one-row batch, while
-        # eta_val_rmse is scored on the whole split: the two agree to the
-        # last few bits (not bit for bit: a batch GEMM may round
-        # differently) and clamp the same rows at zero
+        # the simulator times a phase's moves in one batch, and
+        # eta_val_rmse is scored on the whole split: each row gets the
+        # bytes of its one-row batch, clamped rows included
         rng = np.random.default_rng(8)
         feats, minutes = synthetic_trips(rng, n=500, noise=1.0)
         model, _ = train_eta(feats, minutes, seed=2, epochs=5, lr=CFG.eta_lr)
@@ -142,9 +154,29 @@ class TestPredict:
         for m in (model, shifted):
             batch = m.predict(feats)
             single = np.array([m.predict(f[None])[0] for f in feats])
-            np.testing.assert_array_equal(single == 0.0, batch == 0.0)
-            np.testing.assert_allclose(single, batch, rtol=1e-12, atol=0.0)
+            assert batch.tobytes() == single.tobytes()
         assert 0 < int((batch == 0.0).sum()) < len(feats)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64))
+    def test_a_row_does_not_depend_on_its_batch(self, seed, n):
+        rng = np.random.default_rng(seed)
+        params = [p + rng.normal(scale=0.2, size=p.shape)
+                  for p in neural.init_params(ETA_SPEC, rng)]
+        model = EtaModel(params, rng.normal(size=9), rng.uniform(0.1, 3.0, size=9),
+                         float(rng.uniform(-2.0, 20.0)), float(rng.uniform(0.1, 8.0)))
+        rows = rng.normal(scale=3.0, size=(n, 9))
+        batch = model.predict(rows)
+        assert batch.shape == (n,)
+        for i in range(n):
+            assert batch[i].tobytes() == model.predict(rows[i:i + 1])[0].tobytes()
+
+    @pytest.mark.parametrize("shape", [(9,), (4, 8), (4, 10), (4, 1, 9), (1, 9, 1)])
+    def test_other_shapes_raise(self, shape):
+        model = EtaModel(neural.init_params(ETA_SPEC, np.random.default_rng(0)),
+                         mean=np.zeros(9), std=np.ones(9))
+        with pytest.raises(ValueError, match=r"expected \(n, 9\) features"):
+            model.predict(np.zeros(shape))
 
     def test_negative_raw_output_clamps_to_zero(self):
         params = neural.init_params(ETA_SPEC, np.random.default_rng(0))

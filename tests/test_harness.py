@@ -643,6 +643,8 @@ BAD_INPUTS = {
     "road-length-inf": ("city/roads.txt", lambda b: b + b"0,1,inf\n",
                         "roads.txt: edge 0->1 has length inf"),
     "road-no-nodes": ("city/roads.txt", lambda b: b"#nodes\n#edges\n", "roads.txt: no nodes"),
+    "road-off-grid": ("city/roads.txt", lambda b: b"#nodes\n0,10.0,10.0\n#edges\n",
+                      "roads.txt: none of its 1 nodes lies inside the grid"),
     "zone-tables-truncated": ("out/models/zone_tables.npz", lambda b: b[:len(b) // 2],
                               "zone_tables.npz: unreadable"),
 }
@@ -857,6 +859,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2, err
         assert err == f"data error: {roads}: no nodes\n"
+        assert not (tmp_path / "out" / "models").exists()
+
+    def test_short_trips_file_is_data_error_before_set_up(self, written_city, tmp_path,
+                                                          capsys):
+        # a day window with fewer requests than vehicles used to exit 1,
+        # telling the user to raise trips_per_day, which a directory ignores
+        shutil.copytree(written_city / "city", tmp_path / "city")
+        trips = tmp_path / "city" / "trips.csv"
+        trips.write_text(trips.read_text().splitlines()[0] + "\n")
+        code = cli.main([*TINY_CLI, *dirs(tmp_path), "simulate"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == (f"data error: {trips}: day 0 (minutes 240 to 1680) has 0 requests, "
+                       "fewer than the 5 vehicles placed at their pickups\n")
         assert not (tmp_path / "out" / "models").exists()
 
     def test_negative_speed_is_config_error(self, tmp_path):

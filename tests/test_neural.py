@@ -112,6 +112,35 @@ class TestForward:
         with pytest.raises(ValueError, match="expected \\(batch, "):
             forward(spec, params, x)
 
+    @pytest.mark.parametrize("shape", [(4, 2, 3), (4, 3, 1), (2, 1, 1, 3), (4, 1, 4)],
+                             ids=["two-rows", "transposed", "four-d", "wide"])
+    def test_dense_rejects_other_shapes(self, shape):
+        spec = (Dense(3, 2),)
+        params = init_params(spec, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"\(batch, 3\) input, or \(batch, 1, 3\)"):
+            forward(spec, params, np.zeros(shape))
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_training_rejects_a_dense_stack(self, n):
+        # the backward pass would give a one-row stack gradients of the wrong shape
+        spec = (Dense(3, 2),)
+        params = init_params(spec, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="outside training"):
+            forward_cached(spec, params, np.zeros((n, 1, 3)))
+
+    def test_dense_stack_equals_one_row_calls(self):
+        # a (n, 1, k) stack runs each row as its own BLAS call, so it gives
+        # the bytes of n one-row batches; a 2-D batch need not
+        rng = np.random.default_rng(11)
+        spec = (Dense(9, 32), Dense(32, 32), Dense(32, 1, "linear"))
+        params = [p + rng.normal(scale=0.1, size=p.shape) for p in init_params(spec, rng)]
+        for n in (1, 2, 3, 5, 8, 17, 64, 300):
+            x = rng.normal(size=(n, 9))
+            stacked = forward(spec, params, x[:, None, :])
+            assert stacked.shape == (n, 1, 1)
+            one_rows = np.stack([forward(spec, params, x[i:i + 1]) for i in range(n)])
+            assert stacked.tobytes() == one_rows.tobytes()
+
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(5)
         spec = (Conv2D(2, 4, 3, 3), Conv2D(4, 1, 1, 1, "linear"))

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (CFG, DqnPolicyReference, ReferenceSimulation, VehicleState,
+from oracles import (CFG, DqnPolicyReference, ReferenceSimulation, VehicleState, eta_one_row,
                      rhc_settings, seeded_rhc_lp_inputs, sim_settings)
 from test_dqn import make_training, sample_qnet
 
+from fleetsim import neural
 from fleetsim.clock import Clock
 from fleetsim.dqn import DqnPolicy
+from fleetsim.eta import ETA_SPEC, EtaModel
 from fleetsim.geo import (GridSpec, Location, OutOfBoundsError, block_region_map, center_of,
                           haversine)
 from fleetsim.lp import solve
@@ -394,7 +396,7 @@ class TestApplyDispatch:
         [move] = sim._plan_moves(np.array([a.lat]), np.array([a.lon]), [b], sim.clock0)
         meters = haversine(a, b)
         assert move == (a, [a.lat, b.lat], [a.lon, b.lon], [meters], meters,
-                        sim._eta(a, b, meters, sim.clock0))
+                        eta_one_row(sim.eta_model, a, b, sim.clock0, meters / 1000.0))
 
 
 class RecordingPolicy:
@@ -572,22 +574,72 @@ def view_state(view):
             [view.eta_minutes(a, b) for a in cells for b in cells])
 
 
-def city_simulation(sim_cls, seed, rows, cols, n_vehicles, n_requests, policy):
-    """A simulation of :func:`small_city`, measured from minute 0."""
+def city_simulation(sim_cls, seed, rows, cols, n_vehicles, n_requests, policy,
+                    eta_model=None):
+    """A simulation of :func:`small_city`, measured from minute 0; the ETA
+    model is ``eta_model``, else a :class:`FeatureEta`."""
     grid, graph, requests = small_city(seed, rows, cols, n_vehicles, n_requests)
     pol = RandomOrderPolicy(seed, grid, n_vehicles) if policy else None
-    return sim_cls(grid, graph, FeatureEta(), requests, n_vehicles, policy=pol,
+    return sim_cls(grid, graph, eta_model or FeatureEta(), requests, n_vehicles, policy=pol,
                    clock0=Clock(400.0), **sim_settings(warmup=0), event_log=[])
 
 
-def run_city(sim_cls, *args, minutes=45):
-    sim = city_simulation(sim_cls, *args)
+def city_eta_model(seed: int) -> EtaModel:
+    """An ETA network with random weights, normalized for :func:`small_city`'s
+    features."""
+    rng = np.random.default_rng(seed)
+    params = [p + rng.normal(scale=0.2, size=p.shape)
+              for p in neural.init_params(ETA_SPEC, rng)]
+    grid = make_grid()
+    mean = np.array([0.0, 0.0, 0.0, 0.0, grid.origin.lat, grid.origin.lon,
+                     grid.origin.lat, grid.origin.lon, 2.0])
+    std = np.array([1.0, 1.0, 1.0, 1.0, 0.02, 0.02, 0.02, 0.02, 2.0])
+    return EtaModel(params, mean, std, y_mean=6.0, y_std=4.0)
+
+
+def run_city(sim_cls, *args, minutes=45, eta_model=None):
+    sim = city_simulation(sim_cls, *args, eta_model=eta_model)
     states = []
     for _ in range(minutes):
         sim.step_minute()
         states.append((fleet_state(sim), metrics_state(sim.metrics)))
     views = [view_state(v) for v in sim.policy.views] if sim.policy else []
     return sim, states, views
+
+
+class SpyEta(FeatureEta):
+    """A :class:`FeatureEta` that keeps the row count of every ``predict``."""
+
+    def __init__(self):
+        self.calls = []
+
+    def predict(self, features):
+        self.calls.append(len(features))
+        return super().predict(features)
+
+
+class TestOneEtaBatchPerPhase:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_predict_per_phase_with_a_move(self, seed):
+        # each minute times its pickups in one call, then its orders'
+        # moves (skipped orders excluded) in one more, and a phase without
+        # a move makes no call
+        spy = SpyEta()
+        sim = city_simulation(Simulation, seed, 5, 5, 10, 60, True, eta_model=spy)
+        want, pickup_phases, order_phases = [], 0, 0
+        for _ in range(45):
+            before = len(sim.event_log)
+            sim.step_minute()
+            kinds = [e[1] for e in sim.event_log[before:]]
+            for phase in (("assign",), ("dispatch", "dispatch_noop")):
+                k = sum(kind in phase for kind in kinds)
+                if k:
+                    want.append(k)
+                    pickup_phases += phase == ("assign",)
+                    order_phases += phase != ("assign",)
+        assert spy.calls == want
+        assert pickup_phases > 5 and order_phases > 5
+        assert max(want) > 1
 
 
 class TestMatchesReference:
@@ -602,6 +654,20 @@ class TestMatchesReference:
         assert states == ref_states
         assert len(views) == len(ref_views) > 0
         assert views == ref_views
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_eta_network_gives_the_one_row_bytes(self, seed):
+        # the simulator times a phase's moves in one batch, the reference
+        # one move at a time: the network must give each the same bytes
+        args = (seed, 5, 5, 12, 40, True)
+        model = city_eta_model(seed)
+        sim, states, views = run_city(Simulation, *args, eta_model=model)
+        ref, ref_states, ref_views = run_city(ReferenceSimulation, *args, eta_model=model)
+        assert sim.event_log == ref.event_log
+        assert states == ref_states
+        assert views == ref_views
+        etas = [float(e[4].removeprefix("eta=")) for e in sim.event_log if e[1] == "assign"]
+        assert len(set(etas)) > 10
 
     def test_default_sized_fleet(self):
         args = (7, 8, 8, 40, 300, True)
