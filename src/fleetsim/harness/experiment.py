@@ -25,7 +25,7 @@ import json
 import logging
 import math
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path
 
@@ -425,14 +425,8 @@ def city_days(cfg: ExperimentConfig) -> int:
 
 def episode_requests(requests: list[RideRequest], start: float, end: float
                      ) -> list[RideRequest]:
-    out = []
-    for r in requests:
-        if start <= r.minute < end:
-            out.append(RideRequest(rid=r.rid, minute=r.minute - start,
-                                   pickup=r.pickup, dropoff=r.dropoff,
-                                   trip_minutes=r.trip_minutes,
-                                   distance_km=r.distance_km))
-    return out
+    """The requests of minutes ``[start, end)``, their minutes counted from ``start``."""
+    return [replace(r, minute=r.minute - start) for r in requests if start <= r.minute < end]
 
 
 def make_simulation(cfg: ExperimentConfig, city: City, bundle: ModelBundle,

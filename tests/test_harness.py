@@ -24,7 +24,7 @@ from fleetsim.harness.synth import build_road_grid, city_layout, synth_city, wri
 from fleetsim.harness import cli
 from fleetsim.harness import experiment as ex
 from fleetsim.rhc import ZoneTableError
-from fleetsim.sim import EpisodeMetrics, finalize_metrics
+from fleetsim.sim import EpisodeMetrics, RideRequest, finalize_metrics
 from oracles import (demand_slot_counts_reference, render_config, serial_models_reference,
                      synth_city_reference)
 
@@ -359,6 +359,15 @@ def mini_world(tmp_path_factory):
 
 
 class TestExperiment:
+    def test_episode_requests_shift_the_window_and_keep_the_rest(self):
+        reqs = [RideRequest(k, minute, Location(40.0, -74.0 + k / 1000), Location(40.01, -74.0),
+                            5.0 + k / 3, 1.25 * k + 0.1)
+                for k, minute in enumerate([3.0, 10.0, 10.5, 25.0 / 3, 39.999, 40.0])]
+        got = ex.episode_requests(reqs, 10.0 / 3, 40.0)
+        assert got == [RideRequest(r.rid, r.minute - 10.0 / 3, r.pickup, r.dropoff,
+                                   r.trip_minutes, r.distance_km) for r in reqs[1:5]]
+        assert ex.episode_requests(reqs, 40.5, 60.0) == []
+
     def test_baseline_run_and_summary(self, mini_world, tmp_path):
         cfg, city, bundle = mini_world
         result = ex.run_experiment(cfg, city=city, bundle=bundle)
