@@ -24,14 +24,18 @@ ctx = VehicleContext(
     region=(2, 7),
     clock=(0.0, 1.0, 1.0, 0.0),  # sin, cos of the weekday, then of the hour
 )
+# the legal window: the input of the moves that stay on the region grid
 qin = build_feature_planes(ctx)
-print(f"main branch {qin.main.shape}, aux branch {qin.aux.shape}")
-print(f"legal destination cells: {int(qin.aux[..., 10].sum())} of 225")
+print(f"legal window from action cell {qin.origin}: main branch {qin.main.shape}, "
+      f"aux branch {qin.aux.shape}")
+print(f"legal destination cells: {int(legal_action_mask(ctx.region, shape).sum())} of 225")
 
 net = QNetwork.create(rng)
-qmap = net.q_map(qin, legal_action_mask(ctx.region, shape))  # -inf off the grid
+qmap = net.q_map(qin)  # -inf off the grid
 greedy = greedy_action(qmap)
 print(f"greedy action cell {greedy} (offset {greedy[0]-7:+d},{greedy[1]-7:+d})")
+field = qin.field(greedy)  # all that the greedy cell's Q-value reads
+print(f"its field: main {field.main.shape}, aux {field.aux.shape}")
 
 # one double-Q training step over a replay buffer of random transitions
 buf = ReplayBuffer(cfg.dqn_buffer)

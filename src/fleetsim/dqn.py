@@ -76,14 +76,32 @@ class VehicleContext:
 
 @dataclass(frozen=True)
 class QInput:
-    main: np.ndarray  # (23, 23, 15) row-major plane stack
-    aux: np.ndarray   # (15, 15, 11)
+    """The network's input over a rectangle of the 15x15 action map.
+
+    The rectangle is action rows ``origin[0]`` on by columns ``origin[1]``
+    on, ``h`` by ``w`` cells: ``aux`` holds their (h, w, 11) aux planes
+    and ``main`` the (h + 8, w + 8, 15) main planes that their Q-values
+    read, since each output cell sees a 9x9 main field.  A decision's
+    legal window covers its legal moves; a field covers one cell.
+    """
+
+    main: np.ndarray
+    aux: np.ndarray
+    origin: tuple[int, int]
 
     def __post_init__(self):
-        if self.main.shape != (MAIN_SIZE, MAIN_SIZE, MAIN_PLANES):
-            raise ValueError(f"main planes must be (23, 23, 15), got {self.main.shape}")
-        if self.aux.shape != (ACTION_SIZE, ACTION_SIZE, AUX_PLANES):
-            raise ValueError(f"aux planes must be (15, 15, 11), got {self.aux.shape}")
+        h, w = self.aux.shape[:2]
+        if self.aux.shape[2:] != (AUX_PLANES,) or h < 1 or w < 1:
+            raise ValueError(f"aux planes must be (h, w, 11) with h, w >= 1, got {self.aux.shape}")
+        if self.main.shape != (h + _FIELD - 1, w + _FIELD - 1, MAIN_PLANES):
+            raise ValueError(f"main planes must be ({h + _FIELD - 1}, {w + _FIELD - 1}, 15) "
+                             f"for {h}x{w} aux cells, got {self.main.shape}")
+
+    def field(self, cell: tuple[int, int]) -> "QInput":
+        """The 9x9 main and 1x1 aux field that action ``cell``'s Q-value reads, in new arrays."""
+        r, c = cell[0] - self.origin[0], cell[1] - self.origin[1]
+        return QInput(np.array(self.main[r:r + _FIELD, c:c + _FIELD]),
+                      np.array(self.aux[r:r + 1, c:c + 1]), cell)
 
 
 def legal_action_mask(region: tuple[int, int], grid_shape: tuple[int, int]) -> np.ndarray:
@@ -105,18 +123,34 @@ def action_offset(cell: tuple[int, int]) -> tuple[int, int]:
 STAY_CELL = (ACTION_RADIUS, ACTION_RADIUS)
 
 
-def _pooled(maps: np.ndarray, pad: int, bounds: tuple[tuple[np.ndarray, ...], ...]
-            ) -> np.ndarray:
-    """(R + 2 pad, C + 2 pad, 3, n): raw, 15- and 30-pooled (n, R, C) maps on a zero border.
+def _legal_rect(region: tuple[int, int], grid_shape: tuple[int, int]
+               ) -> tuple[int, int, int, int]:
+    """The action rows ``r0..r1-1`` and columns ``c0..c1-1`` of the legal moves.
 
-    ``bounds`` holds the :func:`neural.pool_bounds` of each pool size on the
-    padded canvas; both pools read one integral image.
+    A move is legal when it lands on the region grid, so the legal cells
+    of :func:`legal_action_mask` fill this rectangle exactly.
     """
-    n, rows, cols = maps.shape
-    padded = np.zeros((n, rows + 2 * pad, cols + 2 * pad))
-    padded[:, pad:pad + rows, pad:pad + cols] = maps
-    integ = neural.integral_image(padded)
-    pools = [padded] + [neural.window_mean(integ, b, k) for b, k in zip(bounds, POOL_SIZES)]
+    (r, c), (rows, cols) = region, grid_shape
+    return (max(0, ACTION_RADIUS - r), min(ACTION_SIZE, ACTION_RADIUS + rows - r),
+            max(0, ACTION_RADIUS - c), min(ACTION_SIZE, ACTION_RADIUS + cols - c))
+
+
+def _pooled(maps: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """(h, w, 3, n): canvas rows ``rows`` and columns ``cols`` of the raw, 15- and
+    30-pooled (n, R, C) maps on their zero-bordered canvas (see :func:`_canvas_geometry`).
+
+    Both pools read one integral image of the whole canvas, and each
+    value is a window sum of it, so pooling a block of the canvas gives
+    the bytes that pooling the whole canvas gives there.
+    """
+    n, grid_rows, grid_cols = maps.shape
+    pad, bounds = _canvas_geometry((grid_rows, grid_cols))
+    padded = np.zeros((n, grid_rows + 2 * pad, grid_cols + 2 * pad))
+    padded[:, pad:pad + grid_rows, pad:pad + grid_cols] = maps
+    integ = neural.integral_image(maps, pad)
+    pools = [padded[:, rows, cols]] + [
+        neural.window_mean(integ, (r0[rows], r1[rows], c0[cols], c1[cols]), k)
+        for (r0, r1, c0, c1), k in zip(bounds, POOL_SIZES)]
     return np.stack(pools).transpose(2, 3, 0, 1)
 
 
@@ -138,53 +172,84 @@ def _canvas_geometry(grid_shape: tuple[int, int]
     return pad, bounds
 
 
+def _input_block(region: tuple[int, int], grid_shape: tuple[int, int],
+                 rect: tuple[int, int, int, int]) -> tuple[slice, slice]:
+    """The canvas rows and columns of the main planes that action cells ``rect``
+    (rows ``r0..r1-1``, columns ``c0..c1-1``) of a vehicle at ``region`` read."""
+    pad = _canvas_geometry(grid_shape)[0]
+    r0, r1, c0, c1 = rect
+    top = region[0] + pad - MAIN_SIZE // 2 + r0
+    left = region[1] + pad - MAIN_SIZE // 2 + c0
+    return slice(top, top + r1 - r0 + _FIELD - 1), slice(left, left + c1 - c0 + _FIELD - 1)
+
+
 class FeatureCanvas:
-    """The main-branch planes of every region, from which each vehicle slices its window.
+    """The pooled main-branch planes of a region grid, from which each decision cuts its input.
 
     The five source maps (demand, supply at the 0/15/30 minute horizons,
     idle) and their 15x15 and 30x30 stride-1 mean pools sit on one
     zero-padded region canvas (see :func:`_canvas_geometry`).  Pooling
     the padded canvas once equals pooling each vehicle's zero-padded
-    window, so a vehicle's 23x23 main input is a slice.
+    23x23 window, so a vehicle's main input is a slice of the canvas.
+    Given ``rows`` and ``cols``, the canvas holds and pools only that
+    block of canvas rows and columns, with the same bytes.
     """
 
-    def __init__(self, demand: np.ndarray, supply: np.ndarray, idle: np.ndarray):
+    def __init__(self, demand: np.ndarray, supply: np.ndarray, idle: np.ndarray,
+                 rows: slice = slice(0, None), cols: slice = slice(0, None)):
         self.grid_shape = demand.shape
-        self.pad, self._bounds = _canvas_geometry(demand.shape)
-        self.planes = _pooled(np.concatenate([demand[None], supply, idle[None]]),
-                              self.pad, self._bounds)
+        self._block = (rows, cols)
+        self.planes = _pooled(np.concatenate([demand[None], supply, idle[None]]), rows, cols)
         self.supply = supply
 
     def set_supply(self, supply: np.ndarray) -> None:
         """Replace the three supply maps (3, R, C) and their pools."""
         self.supply = supply
-        self.planes[..., 1:4] = _pooled(supply, self.pad, self._bounds)
+        self.planes[..., 1:4] = _pooled(supply, *self._block)
 
-    def q_input(self, region: tuple[int, int], clock: tuple[float, float, float, float]
-                ) -> QInput:
-        """A vehicle's input in new arrays: the (23, 23, 15) main window centred on
-        ``region`` and the region's :func:`_region_aux` planes with ``clock`` in 0-3."""
-        r = region[0] + self.pad - MAIN_SIZE // 2
-        c = region[1] + self.pad - MAIN_SIZE // 2
-        window = np.array(self.planes[r:r + MAIN_SIZE, c:c + MAIN_SIZE])
-        aux = _region_aux(region, self.grid_shape)[1].copy()
+    def q_input(self, region: tuple[int, int], clock: tuple[float, float, float, float],
+                rect: tuple[int, int, int, int] | None = None) -> QInput:
+        """The input of action cells ``rect`` of a vehicle at ``region``, in new arrays.
+
+        ``rect`` is ``(r0, r1, c0, c1)``, action rows ``r0..r1-1`` by
+        columns ``c0..c1-1``, and defaults to the :func:`_legal_rect`: the
+        decision's legal window.  The main planes are canvas rows and
+        columns of the region's 23x23 window, its rows ``r0..r1+7`` by
+        columns ``c0..c1+7``, and the aux planes are the region's
+        :func:`_region_aux` planes at the same cells with ``clock`` in 0-3.
+        """
+        rect = rect or _legal_rect(region, self.grid_shape)
+        rows, cols = _input_block(region, self.grid_shape, rect)
+        top, left = rows.start - self._block[0].start, cols.start - self._block[1].start
+        h, w = rows.stop - rows.start, cols.stop - cols.start
+        main = np.array(self.planes[top:top + h, left:left + w]).reshape(h, w, MAIN_PLANES)
+        r0, r1, c0, c1 = rect
+        aux = _region_aux(region, self.grid_shape)[1][r0:r1, c0:c1].copy()
         aux[..., :4] = clock
-        return QInput(window.reshape(MAIN_SIZE, MAIN_SIZE, MAIN_PLANES), aux)
+        return QInput(main, aux, (r0, c0))
 
 
-def build_feature_planes(ctx: VehicleContext) -> QInput:
-    """Assemble the two-branch network input for one vehicle.
+def build_feature_planes(ctx: VehicleContext, cell: tuple[int, int] | None = None) -> QInput:
+    """A decision's network input, pooling only the canvas rows and columns it reads.
 
-    Main branch: a 23x23 window centred on the vehicle's region of each
-    of the five source maps (demand, supply at three horizons, idle),
-    then of their 15x15 and of their 30x30 stride-1 mean pools, with the
-    maps zero outside the region grid (see :class:`FeatureCanvas`).
+    The legal window, or with ``cell`` the field of that one action
+    cell: the :meth:`FeatureCanvas.q_input` that a canvas of the whole
+    grid gives, bit for bit.
 
-    Auxiliary branch: constant clock trig planes, the one-hot position
-    plane, the vehicle's normalized coordinates, per-action destination
-    coordinates, normalized move distance, and the legality plane.
+    Main branch: each source map (demand, supply at three horizons,
+    idle), then its 15x15 and its 30x30 stride-1 mean pool, in the
+    vehicle's 23x23 region window, with the maps zero outside the region
+    grid (see :class:`FeatureCanvas`).  Auxiliary branch: constant clock
+    trig planes, the one-hot position plane, the vehicle's normalized
+    coordinates, per-action destination coordinates, normalized move
+    distance, and the legality plane.
     """
-    return FeatureCanvas(ctx.demand, ctx.supply, ctx.idle).q_input(ctx.region, ctx.clock)
+    shape = ctx.demand.shape
+    rect = _legal_rect(ctx.region, shape) if cell is None else (
+        cell[0], cell[0] + 1, cell[1], cell[1] + 1)
+    canvas = FeatureCanvas(ctx.demand, ctx.supply, ctx.idle,
+                           *_input_block(ctx.region, shape, rect))
+    return canvas.q_input(ctx.region, ctx.clock, rect)
 
 
 @lru_cache(maxsize=None)
@@ -230,29 +295,19 @@ class QNetwork:
     def copy(self) -> "QNetwork":
         return QNetwork([p.copy() for p in self.params])
 
-    def q_map(self, qin: QInput, legal: np.ndarray) -> np.ndarray:
-        """The 15x15 action-value map over the legal cells of ``legal``.
+    def q_map(self, qin: QInput) -> np.ndarray:
+        """The 15x15 action-value map of the cells of ``qin``, -inf elsewhere.
 
-        ``legal`` is a (15, 15) boolean mask.  The network runs, as a batch
-        of one, only on the bounding rectangle of the legal cells, rows
-        ``r0..r1`` by columns ``c0..c1``: main input rows ``r0..r1+8`` and
-        columns ``c0..c1+8`` (each output cell sees a 9x9 main window) and
-        the same rows and columns of the aux input.  Every cell outside
-        ``legal`` is -inf.  The legal cells equal the network's full map on
-        ``qin`` up to float rounding in the last bits; a mask without a
-        legal cell raises.
+        The network runs on ``qin`` as a batch of one.  On a decision's
+        legal window (:meth:`FeatureCanvas.q_input`) that values exactly
+        the legal moves, and their values equal the network's full map on
+        the whole 23x23 window up to float rounding in the last bits.
         """
-        rows = np.flatnonzero(legal.any(axis=1))
-        cols = np.flatnonzero(legal.any(axis=0))
-        if rows.size == 0:
-            raise ValueError("no legal action available")
-        r0, r1 = rows[0], rows[-1] + 1
-        c0, c1 = cols[0], cols[-1] + 1
+        (r0, c0), (h, w) = qin.origin, qin.aux.shape[:2]
         qmap = np.full((ACTION_SIZE, ACTION_SIZE), -np.inf)
-        qmap[r0:r1, c0:c1] = neural.forward(
-            Q_SPEC, self.params, qin.main[None, r0:r1 + _FIELD - 1, c0:c1 + _FIELD - 1],
-            qin.aux[None, r0:r1, c0:c1])[0, ..., 0]
-        return masked_q(qmap, legal)
+        qmap[r0:r0 + h, c0:c0 + w] = neural.forward(
+            Q_SPEC, self.params, qin.main[None], qin.aux[None])[0, ..., 0]
+        return qmap
 
     def save(self, path, extra: dict | None = None) -> None:
         neural.save_model(path, Q_SPEC, self.params, extra)
@@ -261,11 +316,6 @@ class QNetwork:
     def load(cls, path) -> tuple["QNetwork", dict | None]:
         params, extra = neural.load_model(path, Q_SPEC)
         return cls(params), extra
-
-
-def masked_q(qmap: np.ndarray, legal: np.ndarray) -> np.ndarray:
-    """Illegal cells forced to -inf so they can never be selected."""
-    return np.where(legal, qmap, -np.inf)
 
 
 def explore_action(legal: np.ndarray, epsilon: float, rng: np.random.Generator
@@ -333,11 +383,9 @@ class ReplayBuffer:
         return len(self._items)
 
 
-def _fields(qins: list[QInput], cells: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked 9x9 main and 1x1 aux inputs that each ``cells`` action's Q-value reads."""
-    mains = np.stack([q.main[r:r + _FIELD, c:c + _FIELD] for q, (r, c) in zip(qins, cells)])
-    auxs = np.stack([q.aux[r:r + 1, c:c + 1] for q, (r, c) in zip(qins, cells)])
-    return mains, auxs
+def _stacked(fields: list[QInput]) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked 9x9 main and 1x1 aux planes of one-cell inputs."""
+    return np.stack([f.main for f in fields]), np.stack([f.aux for f in fields])
 
 
 def train_step(online: QNetwork, target: QNetwork, buffer: ReplayBuffer,
@@ -346,33 +394,37 @@ def train_step(online: QNetwork, target: QNetwork, buffer: ReplayBuffer,
     """One double-Q minibatch update; returns (loss, mean max-Q) or None.
 
     Each next state is valued as :meth:`DqnPolicy.dispatch` values a
-    decision: :func:`build_feature_planes`, then the online network's
-    ``q_map`` over the vehicle's legal moves and :func:`greedy_action`.
-    The target network values that action, and the future term is
-    discounted by ``gamma ** (1 + tau)`` where tau is the next decision's
-    dispatch trip time in steps.  The fully convolutional network reads
-    only a 9x9 main and 1x1 aux field for one action's Q-value, so the
-    target valuation and the forward/backward pass at the taken action
-    each run on the minibatch's stacked fields in one call.  A buffer
-    below one minibatch is a signalled no-op.
+    decision: the online network's ``q_map`` over the legal window from
+    :func:`build_feature_planes`, then :func:`greedy_action`.  The target
+    network values that action, and the future term is discounted by
+    ``gamma ** (1 + tau)`` where tau is the next decision's dispatch trip
+    time in steps.  The fully convolutional network reads only a 9x9 main
+    and 1x1 aux field for one action's Q-value, so the step keeps only
+    fields: each next state's greedy field is cut from its window, and
+    each current state's field at the taken action is built on its own.
+    The target valuation and the forward/backward pass at the taken
+    action each run on the minibatch's stacked fields in one call.  A
+    buffer below one minibatch is a signalled no-op.
     """
     if len(buffer) < batch_size:
         return None
     batch = buffer.sample(rng, batch_size)
 
-    next_qins = [build_feature_planes(t.next_ctx) for t in batch]
-    qmaps = [online.q_map(qin, _region_aux(t.next_ctx.region, t.next_ctx.demand.shape)[0])
-             for qin, t in zip(next_qins, batch)]
-    cells = [greedy_action(qmap) for qmap in qmaps]
-    tgt_main, tgt_aux = _fields(next_qins, cells)
+    fields, max_qs = [], []
+    for t in batch:
+        window = build_feature_planes(t.next_ctx)
+        qmap = online.q_map(window)
+        cell = greedy_action(qmap)
+        fields.append(window.field(cell))  # a copy, so the window is dropped here
+        max_qs.append(qmap[cell])
+    tgt_main, tgt_aux = _stacked(fields)
     future = neural.forward(Q_SPEC, target.params, tgt_main, tgt_aux).reshape(batch_size)
 
     taus = np.array([t.tau_steps for t in batch], dtype=np.float64)
     rewards = np.array([t.reward for t in batch])
     targets = rewards + gamma ** (1.0 + taus) * future
 
-    cur_main, cur_aux = _fields([build_feature_planes(t.ctx) for t in batch],
-                                [t.action for t in batch])
+    cur_main, cur_aux = _stacked([build_feature_planes(t.ctx, t.action) for t in batch])
     out, caches = neural.forward_cached(Q_SPEC, online.params, cur_main, cur_aux)
     picked = out.reshape(batch_size)
     err = picked - targets
@@ -382,8 +434,7 @@ def train_step(online: QNetwork, target: QNetwork, buffer: ReplayBuffer,
     grads = neural.backward_from_grad(Q_SPEC, online.params, caches, d_out)
     opt.step(online.params, grads)
 
-    mean_max_q = float(np.mean([qmap[cell] for qmap, cell in zip(qmaps, cells)]))
-    return loss, mean_max_q
+    return loss, float(np.mean(max_qs))
 
 
 def sync_target(online: QNetwork, target: QNetwork, step: int, period: int) -> bool:
@@ -501,8 +552,10 @@ class DqnPolicy:
         runs no demand prediction) and, at the first greedy decision, the
         pooled :class:`FeatureCanvas`.  Built once per region and grid
         shape in the process, and shared with training: the legal move
-        mask and the aux planes (:func:`_region_aux`), which a greedy
-        decision's :meth:`FeatureCanvas.q_input` copies to write the clock planes.
+        mask and the aux planes (:func:`_region_aux`).  A greedy decision
+        runs ``q_map`` on its legal window, which
+        :meth:`FeatureCanvas.q_input` cuts from the canvas and the aux
+        planes, with the clock written into its copy.
 
         Decisions stay sequential: a move takes its vehicle out of the
         supply at its origin at every horizon and adds it at its
@@ -556,7 +609,7 @@ class DqnPolicy:
                     canvas = FeatureCanvas(demand_regions, supply, idle_regions)
                 elif canvas.supply is not supply:
                     canvas.set_supply(supply)
-                action = greedy_action(self.net.q_map(canvas.q_input(region, clock), legal))
+                action = greedy_action(self.net.q_map(canvas.q_input(region, clock)))
             if training is not None:
                 ctx = VehicleContext(demand=demand_regions, supply=supply,
                                      idle=idle_regions, region=region, clock=clock)

@@ -325,10 +325,25 @@ def pool_bounds(h: int, w: int, k: int) -> tuple[np.ndarray, ...]:
             np.clip(np.arange(w) + lo, 0, w), np.clip(np.arange(w) + hi, 0, w))
 
 
-def integral_image(x: np.ndarray) -> np.ndarray:
-    """Cumulative sums over the trailing two axes, with a leading zero row and column."""
-    integ = np.zeros(x.shape[:-2] + (x.shape[-2] + 1, x.shape[-1] + 1))
-    integ[..., 1:, 1:] = x.cumsum(axis=-2).cumsum(axis=-1)
+def integral_image(x: np.ndarray, pad: int = 0) -> np.ndarray:
+    """Cumulative sums over the trailing two axes of ``x`` on a zero border of
+    ``pad`` cells, with a leading zero row and column.
+
+    Only ``x`` is summed; the border's sums are filled in, with the bytes
+    of summing the zero-padded array.  Its sums down a column start from
+    the border's +0.0: that adds +0.0 to every sum of ``x`` alone, which
+    turns a -0.0 into 0.0 and changes nothing else.  No sum is -0.0 after
+    that, so the border's +0.0 changes no sum across a row or past ``x``.
+    """
+    h, w = x.shape[-2:]
+    integ = np.zeros(x.shape[:-2] + (h + 2 * pad + 1, w + 2 * pad + 1))
+    down = x.cumsum(axis=-2)
+    if pad:
+        down += 0.0
+    lo = pad + 1
+    integ[..., lo:lo + h, lo:lo + w] = down.cumsum(axis=-1)
+    integ[..., lo + h:, lo:lo + w] = integ[..., lo + h - 1:lo + h, lo:lo + w]
+    integ[..., lo:, lo + w:] = integ[..., lo:, lo + w - 1:lo + w]
     return integ
 
 

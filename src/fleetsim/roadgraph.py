@@ -18,11 +18,18 @@ the nodes' bounding box plus one ring of buckets.  For each bucket it
 holds the ascending indices of the only nodes that can be nearest to a
 point inside it.  Let ``c`` be a bucket's centre and ``d_min(c)`` the
 distance from ``c`` to its nearest node.  No point of the bucket is
-farther from ``c`` than ``r = 2R asin(sqrt(sin^2(hp/2) + sin^2(hl/2)))``,
-where ``hp`` and ``hl`` are the bucket's half extents in radians, since
-the haversine's cosine factor is at most 1.  The node ``n`` nearest a
-point ``q`` of the bucket is no farther from ``q`` than ``c``'s nearest
-node, so ``d(q, n) <= r + d_min(c)`` and, by the triangle inequality,
+farther from ``c`` than ``r = 2R asin(sqrt(sin^2(hp/2) + k sin^2(hl/2)))``,
+where ``hp`` and ``hl`` are the bucket's half extents in radians and
+``k`` bounds the haversine's cosine factor ``cos(phi_c) cos(phi)`` over
+the bucket's latitude band ``phi_c +- hp``, taken as 0 where the factor
+is never positive.  The factor is linear in ``cos(phi)``, so its largest
+value in the band is at an end of the band or where ``cos(phi)`` is 1
+or -1 inside it.  For a bucket a fraction of a degree tall ``k`` is
+about ``cos^2(phi_c)``: 0.59 at 40 degrees, 0.19 at 64.  (A centre of
+the outer ring past a pole is measured by the same formula as its mirror
+point across the pole, so it too is a point of the sphere.)  The node
+``n`` nearest a point ``q`` of the bucket is no farther from ``q`` than
+``c``'s nearest node, so ``d(q, n) <= r + d_min(c)`` and, by the triangle inequality,
 ``d(c, n) <= d(c, q) + d(q, n) <= d_min(c) + 2r``.  Every node within
 that distance of ``c`` is kept, so a node tying with the nearest is kept
 too.  A margin of 1e-9 relative plus 1e-6 m covers the rounding of the
@@ -79,6 +86,15 @@ _CANDIDATE_REL = 1e-9
 _CANDIDATE_ABS_M = 1e-6
 
 
+def _cos_factor_bound(phi_c: float, half: float) -> float:
+    """The largest ``cos(phi_c) * cos(phi)`` over ``phi`` within ``half`` of ``phi_c``, radians."""
+    lo, hi = phi_c - half, phi_c + half
+    # cos(phi) is extreme at the band's ends and at each multiple of pi inside it
+    turns = range(math.ceil(lo / math.pi), math.floor(hi / math.pi) + 1)
+    return max(math.cos(phi_c) * x
+               for x in [math.cos(lo), math.cos(hi)] + [(-1.0) ** k for k in turns])
+
+
 def _build_buckets(lats: np.ndarray, lons: np.ndarray) -> Buckets:
     """Bucket index over nodes at ``lats``, ``lons``; see the module docstring."""
     n = len(lats)
@@ -97,12 +113,14 @@ def _build_buckets(lats: np.ndarray, lons: np.ndarray) -> Buckets:
     # half extents in radians, capped where sin^2(h/2) stops growing
     half_lat = min(math.radians(dlat) / 2.0, math.pi)
     half_lon = min(math.radians(dlon) / 2.0, math.pi)
-    reach = 2.0 * EARTH_RADIUS_M * math.asin(
-        min(1.0, math.sqrt(math.sin(half_lat / 2.0) ** 2 + math.sin(half_lon / 2.0) ** 2)))
     centre_lons = lon0 + (np.arange(cols) + 0.5) * dlon
     counts, kept = [], []
     for i in range(rows):  # one row of buckets at a time keeps memory at cols x n
-        d = haversine_arrays(lat0 + (i + 0.5) * dlat, centre_lons[:, None], lats, lons)
+        centre_lat = lat0 + (i + 0.5) * dlat
+        factor = max(0.0, _cos_factor_bound(math.radians(centre_lat), half_lat))
+        reach = 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(
+            math.sin(half_lat / 2.0) ** 2 + factor * math.sin(half_lon / 2.0) ** 2)))
+        d = haversine_arrays(centre_lat, centre_lons[:, None], lats, lons)
         bound = (d.min(axis=1) + 2.0 * reach) * (1.0 + _CANDIDATE_REL) + _CANDIDATE_ABS_M
         bucket, node = np.nonzero(d <= bound[:, None])  # by bucket, then ascending node
         counts.append(np.bincount(bucket, minlength=cols))

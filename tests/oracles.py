@@ -3,7 +3,8 @@
 These stay deliberately naive: enumeration and elementary linear algebra
 only, none of the code paths they are used to check.  A few helpers that
 only the tests call live here too: ``predict_supply``, ``avg_pool`` (built
-from the library's pooling pieces), ``render_config`` and ``lp_from_dense``.
+from the library's pooling pieces), ``masked_q``, ``render_config`` and
+``lp_from_dense``.
 
 ``CFG`` holds the program's settings: a test that needs a value the program
 takes from its config reads it there, so a change to a config default
@@ -24,8 +25,8 @@ from fleetsim import demand as demand_mod
 from fleetsim import neural
 from fleetsim.dqn import (ACTION_SIZE, AUX_PLANES, MAIN_PLANES, Q_SPEC, STAY_CELL,
                           SUPPLY_HORIZONS, DqnPolicy, QInput, Transition, VehicleContext,
-                          _Pending, action_offset, build_feature_planes, explore_action,
-                          greedy_action, legal_action_mask, reward_dqn)
+                          _Pending, action_offset, explore_action, greedy_action,
+                          legal_action_mask, reward_dqn)
 from fleetsim.eta import ETA_SPEC, eta_feature_row
 from fleetsim.geo import (_BOUNDARY_SNAP, GridSpec, Location, OutOfBoundsError,
                           aggregate_to_regions, block_region_map, center_of, haversine,
@@ -1133,6 +1134,27 @@ class CanvasReference:
         return np.array(self.planes[r:r + 23, c:c + 23]).reshape(23, 23, 15)
 
 
+def full_window_reference(ctx):
+    """A decision's whole (23, 23, 15) main and (15, 15, 11) aux input, from
+    :class:`CanvasReference` and :func:`aux_planes_reference`."""
+    return (CanvasReference(ctx.demand, ctx.supply, ctx.idle).main(ctx.region),
+            aux_planes_reference(ctx))
+
+
+def legal_window_reference(main, aux, legal):
+    """The :class:`QInput` over the bounding rectangle of ``legal``'s cells, cut
+    from a whole (23, 23, 15) main and (15, 15, 11) aux input."""
+    rows = np.flatnonzero(legal.any(axis=1))
+    cols = np.flatnonzero(legal.any(axis=0))
+    r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+    return QInput(main[r0:r1 + 8, c0:c1 + 8], aux[r0:r1, c0:c1], (int(r0), int(c0)))
+
+
+def masked_q(qmap, legal):
+    """Illegal cells forced to -inf so they can never be selected."""
+    return np.where(legal, qmap, -np.inf)
+
+
 class DqnPolicyReference(DqnPolicy):
     """:class:`DqnPolicy` whose dispatch maps each vehicle and event on its own.
 
@@ -1194,8 +1216,9 @@ class DqnPolicyReference(DqnPolicy):
                     canvas = CanvasReference(demand_regions, supply3, idle_regions)
                 elif canvas.supply is not supply3:
                     canvas.set_supply(supply3)
-                qin = QInput(canvas.main(region), aux_planes_reference(ctx))
-                action = greedy_action(self.net.q_map(qin, legal))
+                qin = legal_window_reference(canvas.main(region), aux_planes_reference(ctx),
+                                             legal)
+                action = greedy_action(self.net.q_map(qin))
 
             tau_steps = 0
             if action != STAY_CELL:
@@ -1238,7 +1261,8 @@ class DqnPolicyReference(DqnPolicy):
 def train_step_reference(online, target, buffer, opt, gamma, rng, batch_size):
     """The double-Q update on stacked full windows and full 15x15 Q-maps.
 
-    Every sample's whole 23x23 main and 15x15 aux input is stacked, the
+    Every sample's whole 23x23 main and 15x15 aux input, from
+    :func:`full_window_reference`, is stacked, the
     online network maps all 225 actions, eight inputs per call, and the
     legal mask is read back from aux plane 10; the target valuation and
     the update then run on per-sample crops of the stacked inputs.
@@ -1248,8 +1272,8 @@ def train_step_reference(online, target, buffer, opt, gamma, rng, batch_size):
     batch = buffer.sample(rng, batch_size)
 
     def stacked(contexts):
-        qins = [build_feature_planes(ctx) for ctx in contexts]
-        return np.stack([q.main for q in qins]), np.stack([q.aux for q in qins])
+        windows = [full_window_reference(ctx) for ctx in contexts]
+        return np.stack([main for main, _ in windows]), np.stack([aux for _, aux in windows])
 
     def crops(mains, auxs, rows, cols):
         n = mains.shape[0]

@@ -3,14 +3,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from oracles import (CFG, aux_planes_reference, avg_pool, avg_pool_reference,
-                     crop_pad_center, pooled_reference, q_main_planes_51,
-                     train_step_reference)
+                     crop_pad_center, full_window_reference, legal_window_reference,
+                     masked_q, pooled_reference, q_main_planes_51, train_step_reference)
 
 from fleetsim import neural
 from fleetsim.dqn import (
     ACTION_RADIUS,
-    POOL_SIZES,
     FeatureCanvas,
     Q_SPEC,
     QInput,
@@ -25,12 +25,11 @@ from fleetsim.dqn import (
     explore_action,
     greedy_action,
     legal_action_mask,
-    masked_q,
     reward_dqn,
     sync_target,
     train_step,
 )
-from fleetsim.dqn import _pooled, _region_aux
+from fleetsim.dqn import _canvas_geometry, _input_block, _legal_rect, _pooled, _region_aux
 
 
 def make_ctx(region=(5, 5), shape=(10, 10), rng=None, minute=0.0):
@@ -70,16 +69,34 @@ def make_training(seed, **kw):
                                     sync_period=CFG.dqn_sync_period), **kw})
 
 
+def legal_window_51(ctx):
+    """The legal window cut from :func:`q_main_planes_51` and the reference aux planes."""
+    return legal_window_reference(
+        q_main_planes_51(ctx.demand, ctx.supply, ctx.idle, ctx.region),
+        aux_planes_reference(ctx), legal_action_mask(ctx.region, ctx.demand.shape))
+
+
 class TestFeaturePlanes:
     def test_plane_counts_and_shapes(self):
+        # region (5, 5) of a 10x10 grid: the legal moves are action rows
+        # and columns 2..11
         qin = build_feature_planes(make_ctx())
-        assert qin.main.shape == (23, 23, 15)
-        assert qin.aux.shape == (15, 15, 11)
+        assert qin.origin == (2, 2)
+        assert qin.main.shape == (18, 18, 15)
+        assert qin.aux.shape == (10, 10, 11)
+        field = build_feature_planes(make_ctx(), (4, 9))
+        assert field.origin == (4, 9)
+        assert field.main.shape == (9, 9, 15)
+        assert field.aux.shape == (1, 1, 11)
 
     def test_corner_vehicle_masks_off_grid_moves(self):
         qin = build_feature_planes(make_ctx(region=(0, 0)))
-        legal = qin.aux[..., 10]
-        # moves north or west of the corner are illegal
+        # moves north or west of the corner are illegal, so the legal
+        # window starts at the stay cell and holds legal cells only
+        assert qin.origin == STAY_CELL
+        assert qin.aux.shape[:2] == (8, 8)
+        assert (qin.aux[..., 10] == 1.0).all()
+        legal = _region_aux((0, 0), (10, 10))[1][..., 10]
         assert legal[ACTION_RADIUS - 1, ACTION_RADIUS] == 0.0
         assert legal[ACTION_RADIUS, ACTION_RADIUS - 1] == 0.0
         assert legal[ACTION_RADIUS, ACTION_RADIUS] == 1.0
@@ -88,28 +105,33 @@ class TestFeaturePlanes:
     def test_move_coordinate_center_is_own_position(self):
         ctx = make_ctx(region=(3, 7), shape=(10, 10))
         qin = build_feature_planes(ctx)
-        assert qin.aux[ACTION_RADIUS, ACTION_RADIUS, 7] == pytest.approx(3 / 9)
-        assert qin.aux[ACTION_RADIUS, ACTION_RADIUS, 8] == pytest.approx(7 / 9)
+        stay = qin.field(STAY_CELL).aux[0, 0]
+        assert stay[7] == pytest.approx(3 / 9)
+        assert stay[8] == pytest.approx(7 / 9)
         np.testing.assert_allclose(qin.aux[..., 5], 3 / 9)
         np.testing.assert_allclose(qin.aux[..., 6], 7 / 9)
 
     def test_position_plane_one_hot_center(self):
         qin = build_feature_planes(make_ctx())
         pos = qin.aux[..., 4]
-        assert pos[ACTION_RADIUS, ACTION_RADIUS] == 1.0
+        assert qin.field(STAY_CELL).aux[0, 0, 4] == 1.0
         assert pos.sum() == 1.0
 
     def test_distance_plane_normalized(self):
-        qin = build_feature_planes(make_ctx())
+        # the middle of a 15x15 grid: every move is legal
+        qin = build_feature_planes(make_ctx(region=(7, 7), shape=(15, 15)))
         d = qin.aux[..., 9]
+        assert qin.origin == (0, 0)
         assert d[ACTION_RADIUS, ACTION_RADIUS] == 0.0
         assert d[0, 0] == pytest.approx(1.0)
         assert d[0, ACTION_RADIUS] == pytest.approx(7 / (7 * np.sqrt(2)))
 
     def test_pooled_plane_matches_brute_force_window_mean(self):
+        # the middle of a 20x20 grid: the legal window is the whole 23x23 window
         rng = np.random.default_rng(1)
-        ctx = make_ctx(region=(4, 6), rng=rng)
+        ctx = make_ctx(region=(10, 10), shape=(20, 20), rng=rng)
         qin = build_feature_planes(ctx)
+        assert qin.origin == (0, 0)
         big = crop_pad_center(ctx.demand, ctx.region, 51, 51)
         # main[5] is the 15x15-pooled demand plane cropped to 23x23; check
         # a few positions against a direct window sum over the crop
@@ -129,9 +151,8 @@ class TestFeaturePlanes:
         for r in range(10):
             for c in range(10):
                 ctx = make_ctx(region=(r, c), rng=rng)
-                np.testing.assert_array_equal(
-                    build_feature_planes(ctx).main,
-                    q_main_planes_51(ctx.demand, ctx.supply, ctx.idle, ctx.region))
+                np.testing.assert_array_equal(build_feature_planes(ctx).main,
+                                              legal_window_51(ctx).main)
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (7, 12), (26, 26)])
     def test_main_planes_equal_51_window_reference_on_grid_shapes(self, shape):
@@ -140,14 +161,12 @@ class TestFeaturePlanes:
             region = (int(rng.integers(shape[0])), int(rng.integers(shape[1])))
             ctx = make_ctx(region=region, shape=shape, rng=rng,
                            minute=float(rng.uniform(0, 9000)))
-            np.testing.assert_array_equal(
-                build_feature_planes(ctx).main,
-                q_main_planes_51(ctx.demand, ctx.supply, ctx.idle, ctx.region))
+            np.testing.assert_array_equal(build_feature_planes(ctx).main,
+                                          legal_window_51(ctx).main)
         for region in [(0, 0), (shape[0] - 1, shape[1] - 1)]:
             ctx = make_ctx(region=region, shape=shape, rng=rng)
-            np.testing.assert_array_equal(
-                build_feature_planes(ctx).main,
-                q_main_planes_51(ctx.demand, ctx.supply, ctx.idle, ctx.region))
+            np.testing.assert_array_equal(build_feature_planes(ctx).main,
+                                          legal_window_51(ctx).main)
 
     def test_wide_grid_30_pool_covers_the_whole_window(self):
         # on a grid wider than 26 regions the 30-cell window at crop offset
@@ -155,21 +174,89 @@ class TestFeaturePlanes:
         rng = np.random.default_rng(14)
         ctx = make_ctx(region=(3, 4), shape=(40, 33), rng=rng)
         qin = build_feature_planes(ctx)
-        for out_r, out_c in [(22, 22), (0, 0), (11, 11), (22, 5)]:
+        r0, c0 = qin.origin
+        for out_r, out_c in [(22, 22), (r0, c0), (11, 11), (22, 5)]:
             r, c = 3 + out_r - 11, 4 + out_c - 11
             rows = slice(max(0, r - 14), r + 16)
             cols = slice(max(0, c - 14), c + 16)
             expect = ctx.demand[rows, cols].sum() / 900
-            assert qin.main[out_r, out_c, 10] == pytest.approx(expect, abs=1e-12)
+            assert qin.main[out_r - r0, out_c - c0, 10] == pytest.approx(expect, abs=1e-12)
 
     def test_demand_crop_is_vehicle_centered(self):
         ctx = make_ctx(region=(2, 9))
-        qin = build_feature_planes(ctx)
-        assert qin.main[11, 11, 0] == ctx.demand[2, 9]
+        field = build_feature_planes(ctx).field(STAY_CELL)
+        assert field.main[4, 4, 0] == ctx.demand[2, 9]
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            QInput(np.zeros((23, 23, 14)), np.zeros((15, 15, 11)))
+            QInput(np.zeros((23, 23, 14)), np.zeros((15, 15, 11)), (0, 0))
+        with pytest.raises(ValueError):
+            QInput(np.zeros((18, 18, 15)), np.zeros((10, 11, 11)), (2, 2))
+        with pytest.raises(ValueError):
+            QInput(np.zeros((8, 9, 15)), np.zeros((0, 1, 11)), (2, 2))
+
+
+def same_bytes(a, b):
+    """Whether two float64 arrays have one shape and equal bytes, compared as integers."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestLegalWindowAndFields:
+    """The program's inputs against slices of the reference window, byte for byte."""
+
+    @staticmethod
+    def built_field_regions(shape):
+        """Where every legal cell's field is also built on its own: every region of
+        the 10x10 and 7x13 grids, and the corners, edge midpoints and middle of
+        the 20x20 grid, whose 59,536 legal cells would take about 9 s to build."""
+        if shape != (20, 20):
+            return set(np.ndindex(shape))
+        rows, cols = (0, shape[0] // 2, shape[0] - 1), (0, shape[1] // 2, shape[1] - 1)
+        return {(r, c) for r in rows for c in cols}
+
+    @pytest.mark.parametrize("shape", [(10, 10), (7, 13), (20, 20)])
+    def test_every_region_and_legal_cell(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        demand, idle = (rng.uniform(0.0, 4.0, shape) * rng.random() for _ in range(2))
+        supply = rng.uniform(0.0, 3.0, (3,) + shape) * rng.random()
+        demand[rng.random(shape) < 0.1] = -0.0
+        clock = (0.25, -0.5, 0.75, 1.0)
+        canvas = FeatureCanvas(demand, supply, idle)
+        built = self.built_field_regions(shape)
+        for region in np.ndindex(shape):
+            ctx = VehicleContext(demand, supply, idle, region, clock)
+            main, aux = full_window_reference(ctx)
+            legal = legal_action_mask(region, shape)
+            want = legal_window_reference(main, aux, legal)
+            window = build_feature_planes(ctx)
+            for got in (window, canvas.q_input(region, clock)):
+                assert got.origin == want.origin
+                assert got.main.tobytes() == want.main.tobytes()
+                assert got.aux.tobytes() == want.aux.tobytes()
+            rows, cols = np.nonzero(legal)
+            cells = list(zip(rows.tolist(), cols.tolist()))
+            # (n, 9, 9, 15) and (n, 1, 1, 11) slices of the reference window
+            want_main = sliding_window_view(main, (9, 9), (0, 1)).transpose(0, 1, 3, 4, 2)
+            want_main = want_main[rows, cols]
+            want_aux = aux[rows, cols][:, None, None]
+            # the target's field, cut from the window, and the current
+            # state's, built on its own
+            field_sets = [[window.field(cell) for cell in cells]]
+            if region in built:
+                field_sets.append([build_feature_planes(ctx, cell) for cell in cells])
+            for fields in field_sets:
+                assert [f.origin for f in fields] == cells
+                assert same_bytes(np.stack([f.main for f in fields]), want_main)
+                assert same_bytes(np.stack([f.aux for f in fields]), want_aux)
+
+    def test_legal_rect_is_the_legal_mask(self):
+        for shape in [(1, 1), (3, 2), (10, 10), (7, 13), (20, 20)]:
+            for region in np.ndindex(shape):
+                r0, r1, c0, c1 = _legal_rect(region, shape)
+                rect = np.zeros((15, 15), dtype=bool)
+                rect[r0:r1, c0:c1] = True
+                assert np.array_equal(rect, legal_action_mask(region, shape))
 
 
 def random_maps(rng, n, shape):
@@ -193,15 +280,20 @@ class TestPooling:
         shapes = [(1, 1), (10, 10), (4, 7), (26, 26), (27, 40), (45, 3)]
         shapes += [(int(rng.integers(1, 50)), int(rng.integers(1, 50))) for _ in range(30)]
         for shape in shapes:
+            pad = canvas_pad(shape)
+            assert _canvas_geometry(shape)[0] == pad
+            padded = (shape[0] + 2 * pad, shape[1] + 2 * pad)
             for n in (3, 5):
                 maps = random_maps(rng, n, shape)
-                pad = canvas_pad(shape)
-                padded = (shape[0] + 2 * pad, shape[1] + 2 * pad)
-                bounds = [neural.pool_bounds(*padded, k) for k in POOL_SIZES]
-                got = _pooled(maps, pad, bounds)
+                got = _pooled(maps, slice(0, None), slice(0, None))
                 want = pooled_reference(maps, pad)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+                # a block of the canvas pools to the whole canvas's bytes there
+                r0, r1 = sorted(int(v) for v in rng.integers(0, padded[0] + 1, 2))
+                c0, c1 = sorted(int(v) for v in rng.integers(0, padded[1] + 1, 2))
+                rows, cols = slice(r0, r1), slice(c0, c1)
+                assert _pooled(maps, rows, cols).tobytes() == want[rows, cols].tobytes()
 
     def test_avg_pool_equals_reference_bytes(self):
         rng = np.random.default_rng(32)
@@ -226,9 +318,19 @@ class TestPooling:
                 region = (int(rng.integers(shape[0])), int(rng.integers(shape[1])))
                 assert (canvas.q_input(region, clock).main.tobytes()
                         == fresh.q_input(region, clock).main.tobytes())
+                # a canvas of one input's block replaces its supply the same way
+                rows, cols = _input_block(region, shape, _legal_rect(region, shape))
+                block = FeatureCanvas(demand, random_maps(rng, 3, shape), idle, rows, cols)
+                block.set_supply(supply)
+                assert block.planes.tobytes() == fresh.planes[rows, cols].tobytes()
+                assert (block.q_input(region, clock).main.tobytes()
+                        == fresh.q_input(region, clock).main.tobytes())
 
 
-ALL_LEGAL = np.ones((15, 15), dtype=bool)  # a mask under which q_map evaluates every cell
+def whole_window_ctx(rng=None):
+    """A vehicle in the middle of a 15x15 region grid: every move is legal, so its
+    legal window is the whole 23x23 window."""
+    return make_ctx(region=(7, 7), shape=(15, 15), rng=rng)
 
 
 class TestQNetwork:
@@ -236,14 +338,17 @@ class TestQNetwork:
         net = QNetwork.create(np.random.default_rng(0))
         for p in net.params:
             p[:] = 0.0
-        qmap = net.q_map(build_feature_planes(make_ctx()), ALL_LEGAL)
-        np.testing.assert_array_equal(qmap, np.zeros((15, 15)))
+        ctx = make_ctx()
+        qmap = net.q_map(build_feature_planes(ctx))
+        legal = legal_action_mask(ctx.region, ctx.demand.shape)
+        np.testing.assert_array_equal(qmap, masked_q(np.zeros((15, 15)), legal))
 
     def test_map_equals_engine_forward(self):
         net = QNetwork.create(np.random.default_rng(1))
-        qin = build_feature_planes(make_ctx())
-        direct = neural.forward(Q_SPEC, net.params, qin.main[None], aux=qin.aux[None])
-        np.testing.assert_array_equal(net.q_map(qin, ALL_LEGAL), direct[0, ..., 0])
+        ctx = whole_window_ctx()
+        main, aux = full_window_reference(ctx)
+        direct = neural.forward(Q_SPEC, net.params, main[None], aux=aux[None])
+        np.testing.assert_array_equal(net.q_map(build_feature_planes(ctx)), direct[0, ..., 0])
 
     def test_legal_window_matches_masked_full_map(self):
         # 520 contexts on varied grids, each grid's four corners and four
@@ -260,19 +365,19 @@ class TestQNetwork:
             cases.append((shape, (int(rng.integers(shape[0])),
                                   int(rng.integers(shape[1])))))
         for shape, region in cases:
-            qin = build_feature_planes(make_ctx(region=region, shape=shape, rng=rng))
+            ctx = make_ctx(region=region, shape=shape, rng=rng)
             legal = legal_action_mask(region, shape)
-            windowed = net.q_map(qin, legal)
-            full = masked_q(neural.forward(Q_SPEC, net.params, qin.main[None],
-                                           aux=qin.aux[None])[0, ..., 0], legal)
+            windowed = net.q_map(build_feature_planes(ctx))
+            main, aux = full_window_reference(ctx)
+            full = masked_q(neural.forward(Q_SPEC, net.params, main[None],
+                                           aux=aux[None])[0, ..., 0], legal)
             assert np.isneginf(windowed[~legal]).all()
             np.testing.assert_allclose(windowed[legal], full[legal], rtol=0, atol=1e-12)
             assert np.argmax(windowed) == np.argmax(full)
 
     def test_legal_window_without_legal_cell_raises(self):
-        net = QNetwork.create(np.random.default_rng(0))
         with pytest.raises(ValueError):
-            net.q_map(build_feature_planes(make_ctx()), np.zeros((15, 15), dtype=bool))
+            QInput(np.zeros((8, 8, 15)), np.zeros((0, 0, 11)), STAY_CELL)
 
     def test_checkpoint_round_trip(self, tmp_path):
         net = QNetwork.create(np.random.default_rng(2))
@@ -481,9 +586,8 @@ class TestTrainStep:
         target = online.copy()
         tr = Transition(interior_ctx(), (2, 11), 5.0, interior_ctx(), 1)
         buf = self.full_buffer(tr)
-        qin = build_feature_planes(tr.ctx)
-        out, caches = neural.forward_cached(Q_SPEC, online.params, qin.main[None],
-                                            qin.aux[None])
+        main, aux = full_window_reference(tr.ctx)
+        out, caches = neural.forward_cached(Q_SPEC, online.params, main[None], aux[None])
         d_probe = np.zeros_like(out)
         d_probe[0, 2, 11, 0] = 1.0
         grads = neural.backward_from_grad(Q_SPEC, online.params, caches, d_probe)
@@ -578,8 +682,8 @@ class TestSyncTarget:
         online = QNetwork.create(np.random.default_rng(2))
         target = QNetwork.create(np.random.default_rng(3))
         sync_target(online, target, step=300, period=150)
-        qin = build_feature_planes(make_ctx())
-        np.testing.assert_array_equal(online.q_map(qin, ALL_LEGAL), target.q_map(qin, ALL_LEGAL))
+        qin = build_feature_planes(whole_window_ctx())
+        np.testing.assert_array_equal(online.q_map(qin), target.q_map(qin))
 
 
 def test_action_offset_center_is_stay():
@@ -596,8 +700,9 @@ class TestAuxPlanes:
             for r in range(shape[0]):
                 for c in range(shape[1]):
                     ctx = make_ctx(region=(r, c), shape=shape, minute=611.0)
+                    r0, r1, c0, c1 = _legal_rect((r, c), shape)
                     assert np.array_equal(build_feature_planes(ctx).aux,
-                                          aux_planes_reference(ctx))
+                                          aux_planes_reference(ctx)[r0:r1, c0:c1])
 
     def test_dispatch_buffer_matches_reference_on_every_region(self):
         # DqnPolicy.dispatch copies each region's cached planes and writes

@@ -404,6 +404,23 @@ class TestPooling:
         with pytest.raises(ValueError):
             avg_pool(np.zeros((3, 3)), 4)
 
+    def test_integral_image_on_a_border_equals_summing_the_padded_array(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n, h, w = (int(v) for v in rng.integers(1, 30, 3))
+            pad = int(rng.integers(0, 15))
+            x = rng.uniform(-1.0, 4.0, (n, h, w)) * rng.random()
+            if rng.random() < 0.5:
+                x = np.round(x)
+            x[rng.random(x.shape) < 0.3] = -0.0
+            if rng.random() < 0.1:
+                x[:] = -0.0
+            padded = np.zeros((n, h + 2 * pad, w + 2 * pad))
+            padded[:, pad:pad + h, pad:pad + w] = x
+            want = np.zeros((n, h + 2 * pad + 1, w + 2 * pad + 1))
+            want[:, 1:, 1:] = padded.cumsum(axis=-2).cumsum(axis=-1)
+            assert neural.integral_image(x, pad).tobytes() == want.tobytes()
+
 
 class TestCropPadCenter:
     def test_pure_crop_in_interior(self):

@@ -93,10 +93,10 @@ class TestDqnPolicy:
         totals = []
 
         class SpyNet:
-            def q_map(self, qin, legal):
+            def q_map(self, qin):
                 # records the supply planes each vehicle observed
                 totals.append(qin.main.sum())
-                return net.q_map(qin, legal)
+                return net.q_map(qin)
 
         policy.net = SpyNet()
         view = fake_view(idle_cells={0: (5, 5), 1: (5, 6)})
@@ -111,9 +111,9 @@ class TestDqnPolicy:
         real_q_map = net.q_map
 
         class Recorder:
-            def q_map(self, qin, legal):
+            def q_map(self, qin):
                 seen.append(qin)
-                return real_q_map(qin, legal)
+                return real_q_map(qin)
 
         policy.net = Recorder()
         view = fake_view(idle_cells={0: (5, 5), 1: (5, 5)})
@@ -121,8 +121,9 @@ class TestDqnPolicy:
         assert len(seen) == 2
         # vehicle 0 moved away, so vehicle 1's now-horizon supply at the
         # shared cell dropped by one
-        first_center = seen[0].main[11, 11, 1]   # supply-now plane at center
-        second_center = seen[1].main[11, 11, 1]
+        # supply-now plane at the centre of the stay cell's field
+        first_center = seen[0].field(STAY_CELL).main[4, 4, 1]
+        second_center = seen[1].field(STAY_CELL).main[4, 4, 1]
         assert second_center == first_center - 1.0
 
     def test_decision_throttle_and_fresh_dropoff_override(self):
@@ -280,9 +281,9 @@ class RecordingNet:
         self.net = net
         self.inputs = []
 
-    def q_map(self, qin, legal):
-        self.inputs.append((qin.main.copy(), qin.aux.copy(), legal.copy()))
-        return self.net.q_map(qin, legal)
+    def q_map(self, qin):
+        self.inputs.append((qin.main.copy(), qin.aux.copy(), np.array(qin.origin)))
+        return self.net.q_map(qin)
 
 
 def context_key(ctx):

@@ -248,6 +248,28 @@ class TestBucketIndex:
             lons = DEFAULT_GRID.origin.lon + DEFAULT_GRID.d_lon * cols
             assert_equals_full_scan(lats, lons, g)
 
+    def test_high_latitude_table_is_no_wider(self):
+        # bounding the cosine factor by 1 made the table 15 wide at 40
+        # degrees, 28 at 64 degrees and all 400 nodes near the pole
+        def width(lat):
+            grid = GridSpec(rows=20, cols=20, cell_size=550.0, origin=Location(lat, -74.0))
+            return build_road_grid(grid)._buckets.candidates.shape[1]
+
+        assert width(64.0) <= width(40.0) < 15
+        assert width(-64.0) <= width(40.0)
+        assert width(89.85) < 15
+
+    @pytest.mark.parametrize("lat", [40.0, 64.0, -64.0, 89.85, -89.95])
+    def test_random_points_at_latitude(self, lat):
+        grid = GridSpec(rows=20, cols=20, cell_size=550.0, origin=Location(lat, -74.0))
+        g = build_road_grid(grid)
+        rng = np.random.default_rng(12)
+        inside = rng.uniform(0, 20, (2, 600))
+        around = rng.uniform(-2, 22, (2, 600))  # up to two cells outside
+        for rows, cols in (inside, around):
+            assert_equals_full_scan(grid.origin.lat + grid.d_lat * rows,
+                                    grid.origin.lon + grid.d_lon * cols, g)
+
     @given(st.data())
     def test_random_graphs(self, data):
         # nodes on a small lattice, so locations repeat and points tie
