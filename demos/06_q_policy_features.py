@@ -9,8 +9,9 @@ import numpy as np
 from fleetsim import neural
 from fleetsim.dqn import (
     QNetwork, ReplayBuffer, Training, Transition, VehicleContext,
-    build_feature_planes, greedy_action, legal_action_mask, train_step,
+    build_feature_planes, explore_action, greedy_action, train_step,
 )
+from fleetsim.dqn import _legal_rect
 from fleetsim.harness.config import ExperimentConfig
 
 cfg = ExperimentConfig(seed=0)  # the experiment's replay, minibatch and training settings
@@ -28,7 +29,10 @@ ctx = VehicleContext(
 qin = build_feature_planes(ctx)
 print(f"legal window from action cell {qin.origin}: main branch {qin.main.shape}, "
       f"aux branch {qin.aux.shape}")
-print(f"legal destination cells: {int(legal_action_mask(ctx.region, shape).sum())} of 225")
+# the legal moves fill one rectangle of the 15x15 action map
+r0, r1, c0, c1 = _legal_rect(ctx.region, shape)
+print(f"legal destination cells: action rows {r0}..{r1 - 1} by columns {c0}..{c1 - 1}, "
+      f"{(r1 - r0) * (c1 - c0)} of 225")
 
 net = QNetwork.create(rng)
 qmap = net.q_map(qin)  # -inf off the grid
@@ -45,8 +49,7 @@ for i in range(80):
                        supply=rng.uniform(0, 2, size=(3,) + shape),
                        idle=rng.uniform(0, 2, size=shape), region=region,
                        clock=(0.0, 1.0, 0.0, 1.0))
-    legal = np.argwhere(legal_action_mask(region, shape))
-    action = tuple(legal[int(rng.integers(len(legal)))])
+    action = explore_action(_legal_rect(region, shape), 1.0, rng)  # a uniform legal move
     buf.push(Transition(c, action, float(rng.uniform(-5, 15)), c,
                         int(rng.integers(0, 5))))
 

@@ -2,7 +2,9 @@
 
 Each idle vehicle independently evaluates a 15x15 map of Q-values over
 destination regions at most 7 region steps away; only the moves that
-stay on the region grid are evaluated.  The network sees a 23x23
+stay on the region grid are evaluated: one rectangle of the map,
+:func:`_legal_rect`, which input, legality plane and exploration all
+read.  The network sees a 23x23
 vehicle-centred window of the region-level demand, supply and idle maps
 and of their 15- and 30-cell mean pools, plus auxiliary clock and
 geometry planes.  Training is double Q-learning over an experience
@@ -104,17 +106,6 @@ class QInput:
                       np.array(self.aux[r:r + 1, c:c + 1]), cell)
 
 
-def legal_action_mask(region: tuple[int, int], grid_shape: tuple[int, int]) -> np.ndarray:
-    """True where the move lands inside the region grid (the center always does)."""
-    r, c = region
-    rows, cols = grid_shape
-    dr = np.arange(ACTION_SIZE) - ACTION_RADIUS
-    dc = np.arange(ACTION_SIZE) - ACTION_RADIUS
-    ok_r = (r + dr >= 0) & (r + dr < rows)
-    ok_c = (c + dc >= 0) & (c + dc < cols)
-    return ok_r[:, None] & ok_c[None, :]
-
-
 def action_offset(cell: tuple[int, int]) -> tuple[int, int]:
     """Region offset encoded by an action cell; (0, 0) is the stay action."""
     return (cell[0] - ACTION_RADIUS, cell[1] - ACTION_RADIUS)
@@ -127,8 +118,8 @@ def _legal_rect(region: tuple[int, int], grid_shape: tuple[int, int]
                ) -> tuple[int, int, int, int]:
     """The action rows ``r0..r1-1`` and columns ``c0..c1-1`` of the legal moves.
 
-    A move is legal when it lands on the region grid, so the legal cells
-    of :func:`legal_action_mask` fill this rectangle exactly.
+    A move is legal when it lands on the region grid: a run of row
+    offsets by a run of column offsets, always holding the stay cell.
     """
     (r, c), (rows, cols) = region, grid_shape
     return (max(0, ACTION_RADIUS - r), min(ACTION_SIZE, ACTION_RADIUS + rows - r),
@@ -224,7 +215,7 @@ class FeatureCanvas:
         h, w = rows.stop - rows.start, cols.stop - cols.start
         main = np.array(self.planes[top:top + h, left:left + w]).reshape(h, w, MAIN_PLANES)
         r0, r1, c0, c1 = rect
-        aux = _region_aux(region, self.grid_shape)[1][r0:r1, c0:c1].copy()
+        aux = _region_aux(region, self.grid_shape)[r0:r1, c0:c1].copy()
         aux[..., :4] = clock
         return QInput(main, aux, (r0, c0))
 
@@ -253,19 +244,19 @@ def build_feature_planes(ctx: VehicleContext, cell: tuple[int, int] | None = Non
 
 
 @lru_cache(maxsize=None)
-def _region_aux(region: tuple[int, int], grid_shape: tuple[int, int]
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The legal move mask of ``region`` and its (15, 15, 11) aux planes, clock zero.
+def _region_aux(region: tuple[int, int], grid_shape: tuple[int, int]) -> np.ndarray:
+    """The (15, 15, 11) aux planes of ``region``, clock zero.
 
     Planes 0-3 (the clock) are left zero for each decision's copy to
     fill; 4 is the stay one-hot, 5-6 the region's normalized
     coordinates, 7-8 each move's clipped destination coordinates, 9 the
-    normalized move distance and 10 the legal mask.  Computed once per
-    region and grid shape; both arrays are read-only.
+    normalized move distance and 10 the legality plane, one on the
+    :func:`_legal_rect` and zero off it.  Computed once per region and
+    grid shape; read-only.
     """
     rows, cols = grid_shape
     r, c = region
-    legal = legal_action_mask(region, grid_shape)
+    r0, r1, c0, c1 = _legal_rect(region, grid_shape)
     aux = np.zeros((ACTION_SIZE, ACTION_SIZE, AUX_PLANES))
     aux[ACTION_RADIUS, ACTION_RADIUS, 4] = 1.0
     aux[..., 5] = r / (rows - 1) if rows > 1 else 0.0
@@ -276,10 +267,9 @@ def _region_aux(region: tuple[int, int], grid_shape: tuple[int, int]
     aux[..., 7] = np.clip(np.broadcast_to(dest_r, (ACTION_SIZE, ACTION_SIZE)), 0.0, 1.0)
     aux[..., 8] = np.clip(np.broadcast_to(dest_c, (ACTION_SIZE, ACTION_SIZE)), 0.0, 1.0)
     aux[..., 9] = np.sqrt(dr[:, None] ** 2 + dr[None, :] ** 2) / _DIAGONAL_REACH
-    aux[..., 10] = legal
-    legal.setflags(write=False)
+    aux[r0:r1, c0:c1, 10] = 1.0
     aux.setflags(write=False)
-    return legal, aux
+    return aux
 
 
 @dataclass
@@ -318,16 +308,18 @@ class QNetwork:
         return cls(params), extra
 
 
-def explore_action(legal: np.ndarray, epsilon: float, rng: np.random.Generator
-                   ) -> tuple[int, int] | None:
-    """With probability ``epsilon`` a uniform legal cell, else None (act greedily).
+def explore_action(rect: tuple[int, int, int, int], epsilon: float,
+                   rng: np.random.Generator) -> tuple[int, int] | None:
+    """With probability ``epsilon`` a uniform cell of the legal ``rect``, else None.
 
-    Draws one ``random()``, then one ``integers`` only when it explores.
+    Draws one ``random()``, then, only to explore, one ``integers`` over
+    the rectangle's cells in row-major order; an empty one raises ``ValueError``.
     """
     if rng.random() >= epsilon:
         return None
-    legal_flat = np.flatnonzero(legal)
-    return divmod(int(legal_flat[rng.integers(legal_flat.size)]), ACTION_SIZE)
+    r0, r1, c0, c1 = rect
+    r, c = divmod(int(rng.integers((r1 - r0) * (c1 - c0))), c1 - c0)
+    return r0 + r, c0 + c
 
 
 def greedy_action(qmap: np.ndarray) -> tuple[int, int]:
@@ -551,11 +543,11 @@ class DqnPolicy:
         predicted demand (so an invocation in which no vehicle decides
         runs no demand prediction) and, at the first greedy decision, the
         pooled :class:`FeatureCanvas`.  Built once per region and grid
-        shape in the process, and shared with training: the legal move
-        mask and the aux planes (:func:`_region_aux`).  A greedy decision
-        runs ``q_map`` on its legal window, which
-        :meth:`FeatureCanvas.q_input` cuts from the canvas and the aux
-        planes, with the clock written into its copy.
+        shape in the process, and shared with training: the aux planes
+        (:func:`_region_aux`).  Exploration draws from the decision's
+        :func:`_legal_rect`, and a greedy decision runs ``q_map`` on the
+        legal window that :meth:`FeatureCanvas.q_input` cuts over it from
+        the canvas and the aux planes, with the clock written into its copy.
 
         Decisions stay sequential: a move takes its vehicle out of the
         supply at its origin at every horizon and adds it at its
@@ -565,11 +557,14 @@ class DqnPolicy:
         exact.  The Q-network runs on one input at a time because another
         batch shape can change the last bits of Q and with them an argmax.
 
-        A move goes to the fine cell of the chosen region with the highest
-        :func:`geo.mismatch`, the first such cell in the region's cell
-        order.  Mismatch is supply share minus demand share, so that is
-        the region's most over-supplied cell; :func:`rhc.assign_vehicles`
-        targets the lowest.
+        A move goes to the chosen region's first cell of highest surplus
+        in row-major order, as ``max`` picks it.  The surplus map is
+        :func:`geo.mismatch`, the paper's eta (supply share minus demand
+        share, not a travel time); :func:`rhc.assign_vehicles` picks its
+        targets by the same map and rule, lowest first.  The move's
+        ``tau_steps`` comes from ``view.eta_minutes`` to that cell: the
+        simulator's one ETA call, over the straight line between cell
+        centres, where the simulator times the move itself over its route.
         """
         training = self.training
         rr, rc = self.region_shape
@@ -585,7 +580,7 @@ class DqnPolicy:
                            for k in SUPPLY_HORIZONS]).reshape(3, rr, rc).astype(np.float64)
 
         demand_regions = None  # built at the first decision
-        eta_cells = None  # built lazily; many invocations issue no orders
+        surplus = None    # built lazily; many invocations issue no orders
         canvas = None     # built on the first greedy decision
         clock = periodic_features(view.clock)
         if training is not None:
@@ -602,14 +597,14 @@ class DqnPolicy:
             if demand_regions is None:
                 heat = self.demand_predictor(view)
                 demand_regions = aggregate_to_regions(heat, self.region_map).reshape(rr, rc)
-            legal = _region_aux(region, self.region_shape)[0]
-            action = explore_action(legal, eps, self.rng) if training is not None else None
+            rect = _legal_rect(region, self.region_shape)
+            action = explore_action(rect, eps, self.rng) if training is not None else None
             if action is None:
                 if canvas is None:
                     canvas = FeatureCanvas(demand_regions, supply, idle_regions)
                 elif canvas.supply is not supply:
                     canvas.set_supply(supply)
-                action = greedy_action(self.net.q_map(canvas.q_input(region, clock)))
+                action = greedy_action(self.net.q_map(canvas.q_input(region, clock, rect)))
             if training is not None:
                 ctx = VehicleContext(demand=demand_regions, supply=supply,
                                      idle=idle_regions, region=region, clock=clock)
@@ -618,10 +613,10 @@ class DqnPolicy:
             if action != STAY_CELL:
                 dr, dc = action_offset(action)
                 dest_r, dest_c = region[0] + dr, region[1] + dc
-                if eta_cells is None:
-                    eta_cells = mismatch(view.idle_cell_counts, view.trailing_heat)
+                if surplus is None:
+                    surplus = mismatch(view.idle_cell_counts, view.trailing_heat)
                 dest_cell = max(self._zone_cells[dest_r * rc + dest_c],
-                                key=eta_cells.__getitem__)
+                                key=surplus.__getitem__)
                 minutes = view.eta_minutes(tuple(view.cells[vid].tolist()), dest_cell)
                 tau_steps = max(1, int(np.ceil(minutes)))
                 orders.append(DispatchOrder(vid, dest_cell))

@@ -1,11 +1,13 @@
 """Trip-time regression used for every dispatch and pickup movement.
 
 A small perceptron (two rectifier layers of 32 units, linear scalar
-output) maps trip features to minutes.  Inputs are z-scored with
-statistics from the training split only; predictions clamp at zero
-since negative travel times are meaningless downstream.  The model
-runs on batches of feature rows only, and evaluates each row as its own
-batch of one: a trip's minutes do not depend on the batch it is timed in.
+output) maps trip features to minutes.  :func:`eta_features` is the one
+builder of those features, for the training trips and for every move
+the simulator times.  Inputs are z-scored with statistics from the
+training split only; predictions clamp at zero since negative travel
+times are meaningless downstream.  The model runs on batches of feature
+rows only, and evaluates each row as its own batch of one: a trip's
+minutes do not depend on the batch it is timed in.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neural
-from .clock import Clock, periodic_features
-from .geo import Location
 
 FEATURE_COUNT = 9
 VAL_FRACTION = 0.3   # share of the trips held out for validation
@@ -29,18 +29,17 @@ ETA_SPEC = (
 )
 
 
-def eta_feature_row(origin: Location, dest: Location, clock: Clock,
-                    distance_km: float) -> tuple:
-    """Feature values: dow/hour trig pair, endpoint coordinates, distance."""
-    sd, cd, sh, ch = periodic_features(clock)
-    return (sd, cd, sh, ch, origin.lat, origin.lon, dest.lat, dest.lon, float(distance_km))
-
-
-def eta_features(clock: Clock, origin_lats, origin_lons, dest_lats, dest_lons,
+def eta_features(periodic, origin_lats, origin_lons, dest_lats, dest_lons,
                  distance_km) -> np.ndarray:
-    """The :func:`eta_feature_row` of each of k trips at one ``clock``, as ``(k, 9)``."""
+    """The ``(k, 9)`` features of k trips: weekday and hour trig pairs, endpoint
+    coordinates, distance in km.
+
+    ``periodic`` is one :func:`clock.periodic_features` 4-tuple for all k
+    trips or a ``(k, 4)`` array of one per trip: scalar ``math`` values
+    either way, since numpy's ``sin`` and ``cos`` can differ in the last bit.
+    """
     feats = np.empty((len(distance_km), FEATURE_COUNT))
-    feats[:, :4] = periodic_features(clock)
+    feats[:, :4] = periodic
     feats[:, 4], feats[:, 5] = origin_lats, origin_lons
     feats[:, 6], feats[:, 7] = dest_lats, dest_lons
     feats[:, 8] = distance_km

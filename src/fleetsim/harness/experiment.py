@@ -27,6 +27,7 @@ import math
 import multiprocessing
 from dataclasses import dataclass, replace
 from datetime import datetime
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from .. import demand as demand_mod
 from .. import dqn as dqn_mod
 from .. import eta as eta_mod
 from .. import rhc as rhc_mod
-from ..clock import Clock
+from ..clock import Clock, periodic_features
 from ..geo import GridSpec, RegionMap, cell_arrays
 from ..neural import CheckpointError
 from ..roadgraph import EdgeListParseError, load_edge_list
@@ -110,14 +111,16 @@ def _check_day_windows(cfg: ExperimentConfig, city: City) -> None:
 # --- model training --------------------------------------------------------
 
 def eta_training_arrays(requests: list[RideRequest], cfg: ExperimentConfig):
-    feats = np.empty((len(requests), eta_mod.FEATURE_COUNT))
-    target = np.empty(len(requests))
+    """The :func:`eta.eta_features` of the requests, each at its own clock, and
+    their trip minutes."""
     epoch_dow = cfg.epoch_dow
-    for i, r in enumerate(requests):
-        feats[i] = eta_mod.eta_feature_row(r.pickup, r.dropoff,
-                                           Clock(r.minute, epoch_dow), r.distance_km)
-        target[i] = r.trip_minutes
-    return feats, target
+    # one pass, straight into one array: no per-request tuples are kept, and
+    # the copied target keeps none of it alive
+    cols = np.fromiter(chain.from_iterable(
+        (*periodic_features(Clock(r.minute, epoch_dow)), r.pickup.lat, r.pickup.lon,
+         r.dropoff.lat, r.dropoff.lon, r.distance_km, r.trip_minutes) for r in requests),
+        dtype=np.float64, count=10 * len(requests)).reshape(-1, 10)
+    return eta_mod.eta_features(cols[:, :4], *cols[:, 4:9].T), cols[:, 9].copy()
 
 
 def demand_slot_series(requests: list[RideRequest], grid: GridSpec,

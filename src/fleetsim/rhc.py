@@ -308,17 +308,21 @@ def check_plan_feasibility(plan: RhcPlan, x0: np.ndarray, tau0: np.ndarray,
 
 # --- vehicle assignment by location-level mismatch -------------------------
 
-def assign_vehicles(u_rounded: np.ndarray, eta: np.ndarray,
+def assign_vehicles(u_rounded: np.ndarray, surplus: np.ndarray,
                     idle_vehicles: list[tuple[int, tuple[int, int]]],
                     zone_cells: dict[int, list[tuple[int, int]]]
                     ) -> tuple[list[DispatchOrder], list[str]]:
     """Map integer zone dispatch counts onto concrete vehicles and cells.
 
-    For each dispatch unit from zone i to zone j the source is the
-    highest-mismatch cell of zone i that still holds an idle vehicle, and
-    the target is the lowest-mismatch cell of zone j.  The mismatch map
-    moves by one over the idle vehicle count after every assignment.  Ties
-    break to the lowest row-major cell index, then the lowest vehicle id.
+    ``surplus`` is the per-cell :func:`geo.mismatch`, the paper's eta:
+    idle supply share minus demand share, not a travel time.  For each
+    dispatch unit from zone i to zone j, in row-major order of (i, j),
+    the source is the highest-surplus cell of zone i that still holds an
+    idle vehicle, and the target is the lowest-surplus cell of zone j.
+    The map moves by one over the idle vehicle count after every
+    assignment.  Ties break to the first cell in the zone's row-major
+    cell order (``max`` and ``min`` keep the first of equal keys, as
+    :meth:`dqn.DqnPolicy.dispatch` does), then to the lowest vehicle id.
 
     ``idle_vehicles`` lists each idle vehicle as (vehicle_id, (row, col)), and
     ``zone_cells`` maps each zone to its cells in row-major order, as
@@ -326,7 +330,7 @@ def assign_vehicles(u_rounded: np.ndarray, eta: np.ndarray,
     Returns (orders, warnings); a shortage of idle vehicles truncates the
     plan with a warning rather than failing.
     """
-    eta = np.asarray(eta, dtype=np.float64).copy()
+    surplus = np.asarray(surplus, dtype=np.float64).copy()
     share = 1.0 / len(idle_vehicles) if idle_vehicles else 0.0
 
     by_cell: dict[tuple[int, int], list[int]] = {}
@@ -337,33 +341,20 @@ def assign_vehicles(u_rounded: np.ndarray, eta: np.ndarray,
 
     orders: list[DispatchOrder] = []
     warnings: list[str] = []
-    m = u_rounded.shape[0]
-    for i in range(m):
-        for j in range(m):
-            for _ in range(int(u_rounded[i, j])):
-                best_src = None
-                best_val = -np.inf
-                for cell in zone_cells.get(i, ()):
-                    if by_cell.get(cell):
-                        v = eta[cell]
-                        if v > best_val:
-                            best_val = v
-                            best_src = cell
-                if best_src is None:
-                    msg = f"zone {i}: no idle vehicle left for dispatch to zone {j}"
-                    warnings.append(msg)
-                    log.warning("%s", msg)
-                    continue
-                best_dst = None
-                best_dst_val = np.inf
-                for cell in zone_cells.get(j, ()):
-                    if eta[cell] < best_dst_val:
-                        best_dst_val = eta[cell]
-                        best_dst = cell
-                vid = by_cell[best_src].pop()
-                orders.append(DispatchOrder(vid, best_dst))
-                eta[best_src] -= share
-                eta[best_dst] += share
+    src_zones, dst_zones = np.nonzero(u_rounded > 0)
+    for i, j in zip(src_zones.tolist(), dst_zones.tolist()):
+        for _ in range(int(u_rounded[i, j])):
+            src = max((cell for cell in zone_cells.get(i, ()) if by_cell.get(cell)),
+                      key=surplus.__getitem__, default=None)
+            if src is None:
+                msg = f"zone {i}: no idle vehicle left for dispatch to zone {j}"
+                warnings.append(msg)
+                log.warning("%s", msg)
+                continue
+            dst = min(zone_cells[j], key=surplus.__getitem__)
+            orders.append(DispatchOrder(by_cell[src].pop(), dst))
+            surplus[src] -= share
+            surplus[dst] += share
     return orders, warnings
 
 
@@ -432,8 +423,8 @@ class RhcPolicy:
         if plan.status != "optimal":
             return []
 
-        eta = mismatch(view.idle_cell_counts, view.trailing_heat)
+        surplus = mismatch(view.idle_cell_counts, view.trailing_heat)
         idle = view.idle_ids
         idle_vehicles = list(zip(idle.tolist(), map(tuple, view.cells[idle].tolist())))
-        orders, _ = assign_vehicles(plan.u_rounded, eta, idle_vehicles, self._zone_cells)
+        orders, _ = assign_vehicles(plan.u_rounded, surplus, idle_vehicles, self._zone_cells)
         return orders

@@ -53,8 +53,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clock import Clock
-from .eta import eta_feature_row, eta_features
+from .clock import Clock, periodic_features
+from .eta import eta_features
 from .geo import GridSpec, Location, cell_arrays, center_of, haversine, haversine_arrays
 from .roadgraph import RoadGraph, hop_lengths, nearest_nodes, shortest_path
 
@@ -320,10 +320,10 @@ class Simulation:
 
         One nearest-node lookup serves all moves.  A move follows A* between
         its nearest nodes, or the straight line where the graph has no path.
-        Then one ETA ``predict`` times all moves, on their
-        :func:`eta.eta_features` at the phase's one clock.  The model
-        evaluates each row as its own batch of one, so a move's minutes do
-        not depend on the other moves of the phase.
+        Then one :meth:`_trip_minutes` call times all moves over their
+        route meters at the phase's one clock.  The model evaluates each
+        row as its own batch of one, so a move's minutes do not depend on
+        the other moves of the phase.
         """
         k = len(dests)
         if not k:
@@ -348,10 +348,16 @@ class Simulation:
                          [lon, *[p.lon for p in points], dest.lon],
                          [head, *hop_lengths(path, self.graph), tail])
             moves.append((origin, *route, meters))
-        feats = eta_features(clock, lats, lons, dest_lats, dest_lons,
-                             [move[-1] / 1000.0 for move in moves])
-        etas = self.eta_model.predict(feats).tolist()
+        etas = self._trip_minutes(clock, lats, lons, dest_lats, dest_lons,
+                                  [move[-1] / 1000.0 for move in moves]).tolist()
         return [(*move, eta) for move, eta in zip(moves, etas)]
+
+    def _trip_minutes(self, clock: Clock, lats, lons, dest_lats, dest_lons,
+                      distance_km) -> np.ndarray:
+        """The ETA model's minutes of k trips at ``clock`` (see :func:`eta.eta_features`):
+        the one ``predict`` call that times both the moves and ``SimView.eta_minutes``."""
+        return self.eta_model.predict(eta_features(
+            periodic_features(clock), lats, lons, dest_lats, dest_lons, distance_km))
 
     def _set_route(self, vid: int, lats: list[float], lons: list[float],
                    segs: list[float], depart: float, arrival: float) -> None:
@@ -534,11 +540,11 @@ class Simulation:
         grid = self.grid
 
         def eta_minutes(from_cell, to_cell):
-            # one row per call: the DQN's orders are made one after another
-            a = center_of(from_cell, grid)
-            b = center_of(to_cell, grid)
-            row = eta_feature_row(a, b, clock, haversine(a, b) / 1000.0)
-            return float(self.eta_model.predict(np.array([row]))[0])
+            # one trip per call, straight between the cell centres: the
+            # DQN's orders are made one after another
+            a, b = center_of(from_cell, grid), center_of(to_cell, grid)
+            return float(self._trip_minutes(clock, [a.lat], [a.lon], [b.lat], [b.lon],
+                                            [haversine(a, b) / 1000.0])[0])
 
         slots = list(self._heat_slots)
         return SimView(

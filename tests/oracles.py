@@ -1,10 +1,16 @@
 """Independent brute-force oracles shared by the unit and acceptance suites.
 
 These stay deliberately naive: enumeration and elementary linear algebra
-only, none of the code paths they are used to check.  A few helpers that
-only the tests call live here too: ``predict_supply``, ``avg_pool`` (built
-from the library's pooling pieces), ``masked_q``, ``render_config`` and
-``lp_from_dense``.
+only, none of the code paths they are used to check.  Some restate, as a
+second statement, a rule the program states once: ``eta_feature_row``
+builds one trip's ETA features in scalar code, as ``eta.eta_features``
+does for k trips; ``legal_action_mask`` and ``explore_action_reference``
+state the DQN's legal moves as a boolean 15x15 mask, where the program
+reads the ``dqn._legal_rect`` rectangle; and ``assign_vehicles_reference``
+is ``rhc.assign_vehicles`` with its zone-cell picks as hand-written
+argmax and argmin loops.  A few helpers that only the tests call live
+here too: ``predict_supply``, ``avg_pool`` (built from the library's
+pooling pieces), ``masked_q``, ``render_config`` and ``lp_from_dense``.
 
 ``CFG`` holds the program's settings: a test that needs a value the program
 takes from its config reads it there, so a change to a config default
@@ -23,11 +29,10 @@ import numpy as np
 from fleetsim.clock import Clock, periodic_features
 from fleetsim import demand as demand_mod
 from fleetsim import neural
-from fleetsim.dqn import (ACTION_SIZE, AUX_PLANES, MAIN_PLANES, Q_SPEC, STAY_CELL,
-                          SUPPLY_HORIZONS, DqnPolicy, QInput, Transition, VehicleContext,
-                          _Pending, action_offset, explore_action, greedy_action,
-                          legal_action_mask, reward_dqn)
-from fleetsim.eta import ETA_SPEC, eta_feature_row
+from fleetsim.dqn import (ACTION_RADIUS, ACTION_SIZE, AUX_PLANES, MAIN_PLANES, Q_SPEC,
+                          STAY_CELL, SUPPLY_HORIZONS, DqnPolicy, QInput, Transition,
+                          VehicleContext, _Pending, action_offset, greedy_action, reward_dqn)
+from fleetsim.eta import ETA_SPEC
 from fleetsim.geo import (_BOUNDARY_SNAP, GridSpec, Location, OutOfBoundsError,
                           aggregate_to_regions, block_region_map, center_of, haversine,
                           haversine_arrays, mismatch)
@@ -78,6 +83,13 @@ def dense_rows(a, n_cols: int) -> SparseRows:
         raise ValueError(f"a dense block must be 2-D, got shape {a.shape}")
     rows, cols = np.nonzero(a != 0.0)
     return SparseRows.from_triplets(a.shape, [(rows, cols, a[rows, cols])])
+
+
+def eta_feature_row(origin, dest, clock, distance_km) -> tuple:
+    """One trip's nine ETA features, scalar: the clock's weekday and hour trig
+    pairs, the endpoint coordinates and the distance in km."""
+    sd, cd, sh, ch = periodic_features(clock)
+    return (sd, cd, sh, ch, origin.lat, origin.lon, dest.lat, dest.lon, float(distance_km))
 
 
 def eta_one_row(eta_model, origin, dest, clock, distance_km) -> float:
@@ -706,10 +718,73 @@ def nearest_node_reference(loc, graph):
     return int(graph._ids[int(np.argmin(d))])
 
 
+def legal_action_mask(region, grid_shape) -> np.ndarray:
+    """True where the move lands inside the region grid (the center always does)."""
+    r, c = region
+    rows, cols = grid_shape
+    dr = np.arange(ACTION_SIZE) - ACTION_RADIUS
+    dc = np.arange(ACTION_SIZE) - ACTION_RADIUS
+    ok_r = (r + dr >= 0) & (r + dr < rows)
+    ok_c = (c + dc >= 0) & (c + dc < cols)
+    return ok_r[:, None] & ok_c[None, :]
+
+
+def explore_action_reference(legal, epsilon, rng):
+    """With probability ``epsilon`` a uniform cell of the boolean mask ``legal``,
+    else None: one ``random()``, then one ``integers`` over the mask's
+    ``flatnonzero`` cells only when it explores."""
+    if rng.random() >= epsilon:
+        return None
+    legal_flat = np.flatnonzero(legal)
+    return divmod(int(legal_flat[rng.integers(legal_flat.size)]), ACTION_SIZE)
+
+
+def assign_vehicles_reference(u_rounded, eta, idle_vehicles, zone_cells):
+    """``rhc.assign_vehicles`` with its source and target picks as loops that keep
+    the first strictly greater (argmax) and strictly smaller (argmin) cell."""
+    eta = np.asarray(eta, dtype=np.float64).copy()
+    share = 1.0 / len(idle_vehicles) if idle_vehicles else 0.0
+
+    by_cell = {}
+    for vid, cell in idle_vehicles:
+        by_cell.setdefault(tuple(cell), []).append(vid)
+    for vids in by_cell.values():
+        vids.sort(reverse=True)  # pop() yields the lowest id
+
+    orders = []
+    warnings = []
+    m = u_rounded.shape[0]
+    for i in range(m):
+        for j in range(m):
+            for _ in range(int(u_rounded[i, j])):
+                best_src = None
+                best_val = -np.inf
+                for cell in zone_cells.get(i, ()):
+                    if by_cell.get(cell):
+                        v = eta[cell]
+                        if v > best_val:
+                            best_val = v
+                            best_src = cell
+                if best_src is None:
+                    msg = f"zone {i}: no idle vehicle left for dispatch to zone {j}"
+                    warnings.append(msg)
+                    continue
+                best_dst = None
+                best_dst_val = np.inf
+                for cell in zone_cells.get(j, ()):
+                    if eta[cell] < best_dst_val:
+                        best_dst_val = eta[cell]
+                        best_dst = cell
+                vid = by_cell[best_src].pop()
+                orders.append(DispatchOrder(vid, best_dst))
+                eta[best_src] -= share
+                eta[best_dst] += share
+    return orders, warnings
+
+
 def aux_planes_reference(ctx):
     """The Q-network's (15, 15, 11) aux planes, every plane built per call."""
-    from fleetsim.dqn import (ACTION_RADIUS, ACTION_SIZE, AUX_PLANES,
-                              _DIAGONAL_REACH, legal_action_mask)
+    from fleetsim.dqn import _DIAGONAL_REACH
 
     rows, cols = ctx.demand.shape
     aux = np.zeros((ACTION_SIZE, ACTION_SIZE, AUX_PLANES))
@@ -1210,7 +1285,7 @@ class DqnPolicyReference(DqnPolicy):
             ctx = VehicleContext(demand=demand_regions, supply=supply3,
                                  idle=idle_regions, region=region, clock=clock)
             legal = legal_action_mask(region, (rr, rc))
-            action = explore_action(legal, eps, self.rng) if train else None
+            action = explore_action_reference(legal, eps, self.rng) if train else None
             if action is None:
                 if canvas is None:
                     canvas = CanvasReference(demand_regions, supply3, idle_regions)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from oracles import (CFG, aux_planes_reference, avg_pool, avg_pool_reference,
-                     crop_pad_center, full_window_reference, legal_window_reference,
-                     masked_q, pooled_reference, q_main_planes_51, train_step_reference)
+                     crop_pad_center, explore_action_reference, full_window_reference,
+                     legal_action_mask, legal_window_reference, masked_q, pooled_reference,
+                     q_main_planes_51, train_step_reference)
 
 from fleetsim import neural
 from fleetsim.dqn import (
@@ -24,7 +25,6 @@ from fleetsim.dqn import (
     build_feature_planes,
     explore_action,
     greedy_action,
-    legal_action_mask,
     reward_dqn,
     sync_target,
     train_step,
@@ -96,7 +96,7 @@ class TestFeaturePlanes:
         assert qin.origin == STAY_CELL
         assert qin.aux.shape[:2] == (8, 8)
         assert (qin.aux[..., 10] == 1.0).all()
-        legal = _region_aux((0, 0), (10, 10))[1][..., 10]
+        legal = _region_aux((0, 0), (10, 10))[..., 10]
         assert legal[ACTION_RADIUS - 1, ACTION_RADIUS] == 0.0
         assert legal[ACTION_RADIUS, ACTION_RADIUS - 1] == 0.0
         assert legal[ACTION_RADIUS, ACTION_RADIUS] == 1.0
@@ -395,8 +395,7 @@ class TestSelectAction:
         qmap = np.full((15, 15), -1.0)
         qmap[3, 9] = 2.0
         assert greedy_action(qmap) == (3, 9)
-        assert explore_action(np.ones((15, 15), dtype=bool), 0.0,
-                              np.random.default_rng(0)) is None
+        assert explore_action((0, 15, 0, 15), 0.0, np.random.default_rng(0)) is None
 
     def test_greedy_tie_breaks_lowest_row_major(self):
         qmap = np.zeros((15, 15))
@@ -405,26 +404,28 @@ class TestSelectAction:
     def test_single_legal_cell_wins_at_any_epsilon(self):
         qmap = np.full((15, 15), -np.inf)
         qmap[8, 2] = -3.0
-        legal = np.isfinite(qmap)
+        rect = (8, 9, 2, 3)
         for eps in (0.0, 0.5, 1.0):
             rng = np.random.default_rng(1)
-            assert (explore_action(legal, eps, rng) or greedy_action(qmap)) == (8, 2)
+            assert (explore_action(rect, eps, rng) or greedy_action(qmap)) == (8, 2)
 
     def test_never_selects_illegal(self):
         rng = np.random.default_rng(2)
         legal = legal_action_mask((0, 0), (10, 10))
+        rect = _legal_rect((0, 0), (10, 10))
         for _ in range(200):
             qmap = masked_q(rng.normal(size=(15, 15)), legal)
-            cell = explore_action(legal, float(rng.random()), rng) or greedy_action(qmap)
+            cell = explore_action(rect, float(rng.random()), rng) or greedy_action(qmap)
             assert legal[cell]
 
     def test_uniform_exploration_frequencies(self):
         legal = legal_action_mask((5, 5), (10, 10))
+        rect = _legal_rect((5, 5), (10, 10))
         rng = np.random.default_rng(3)
         counts = np.zeros((15, 15))
         draws = 10_000
         for _ in range(draws):
-            counts[explore_action(legal, 1.0, rng)] += 1
+            counts[explore_action(rect, 1.0, rng)] += 1
         n_legal = int(legal.sum())
         expected = draws / n_legal
         chi2 = float(((counts[legal] - expected) ** 2 / expected).sum())
@@ -432,9 +433,21 @@ class TestSelectAction:
         assert chi2 < 160.0
         assert counts[~legal].sum() == 0
 
+    @pytest.mark.parametrize("shape", [(10, 10), (7, 13), (20, 20)])
+    def test_rectangle_draw_equals_mask_draw(self, shape):
+        # every region at each epsilon, from one stream: the same cell or
+        # None, and the same draws
+        rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        for region in np.ndindex(shape):
+            rect, legal = _legal_rect(region, shape), legal_action_mask(region, shape)
+            for eps in (0.0, 0.3, 1.0):
+                got = explore_action(rect, eps, rng)
+                assert got == explore_action_reference(legal, eps, ref_rng)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_no_legal_cell_raises(self):
         with pytest.raises(ValueError):
-            explore_action(np.zeros((15, 15), dtype=bool), 1.0, np.random.default_rng(0))
+            explore_action((0, 0, 0, 0), 1.0, np.random.default_rng(0))
 
 
 class TestRewardAndSchedules:
@@ -711,7 +724,8 @@ class TestAuxPlanes:
             regions = [(r, c) for r in range(shape[0]) for c in range(shape[1])]
             for minute, region in enumerate(regions + regions[::-1]):
                 ctx = make_ctx(region=region, shape=shape, minute=2345.0 + 97 * minute)
-                legal, cached = _region_aux(region, shape)
+                cached = _region_aux(region, shape)
+                legal = cached[..., 10] == 1.0
                 aux = cached.copy()
                 aux[..., :4] = ctx.clock
                 assert np.array_equal(aux, aux_planes_reference(ctx))
@@ -719,7 +733,6 @@ class TestAuxPlanes:
                 assert np.array_equal(legal, legal_action_mask(region, shape))
 
     def test_static_planes_are_read_only(self):
-        legal, aux = _region_aux((0, 0), (2, 3))
-        for array in (legal, aux):
-            with pytest.raises(ValueError):
-                array[0, 0] = 1
+        aux = _region_aux((0, 0), (2, 3))
+        with pytest.raises(ValueError):
+            aux[0, 0] = 1

@@ -6,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetsim import neural
-from fleetsim.clock import Clock
+from fleetsim.clock import Clock, periodic_features
 from fleetsim.eta import (
     ETA_SPEC,
     EtaModel,
-    eta_feature_row,
     eta_features,
     split_indices,
     train_eta,
 )
 from fleetsim.geo import Location
-from oracles import CFG, eta_single_row_reference
+from oracles import CFG, eta_feature_row, eta_single_row_reference
 
 
 ORIGIN = Location(40.0, -74.0)
@@ -62,9 +61,19 @@ class TestFeatures:
         clock = Clock(float(rng.uniform(0, 7 * 1440)), epoch_dow=3)
         trips = rng.uniform([40.0, -74.0, 40.0, -74.0, 0.0], [40.1, -73.9, 40.1, -73.9, 9.0],
                             size=(7, 5))
-        feats = eta_features(clock, *trips.T)
+        feats = eta_features(periodic_features(clock), *trips.T)
         rows = [eta_feature_row(Location(a, b), Location(c, d), clock, km)
                 for a, b, c, d, km in trips.tolist()]
+        assert feats.tobytes() == np.array(rows).tobytes()
+
+    def test_a_clock_per_row_equals_the_row_builder(self):
+        rng = np.random.default_rng(5)
+        clocks = [Clock(float(m), epoch_dow=2) for m in rng.uniform(0, 7 * 1440, size=9)]
+        trips = rng.uniform([40.0, -74.0, 40.0, -74.0, 0.0], [40.1, -73.9, 40.1, -73.9, 9.0],
+                            size=(9, 5))
+        feats = eta_features(np.array([periodic_features(c) for c in clocks]), *trips.T)
+        rows = [eta_feature_row(Location(a, b), Location(c, d), clock, km)
+                for clock, (a, b, c, d, km) in zip(clocks, trips.tolist())]
         assert feats.tobytes() == np.array(rows).tobytes()
 
     def test_coordinates_and_distance_passed_through(self):

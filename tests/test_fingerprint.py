@@ -1,19 +1,22 @@
 """The tiny CLI pipeline of ``fingerprint.py`` writes the files it recorded, bit for bit."""
 
 import json
-import subprocess
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 
 
-def test_pipeline_writes_the_recorded_files(tmp_path):
+def submit_runs(runs, tmp_path_factory) -> None:
+    runs.submit("fingerprint",
+                [sys.executable, str(HERE / "fingerprint.py"),
+                 str(tmp_path_factory.mktemp("fingerprint"))],
+                timeout=600, env={"PYTHONPATH": str(HERE.parent / "src"), "PATH": "/usr/bin:/bin"})
+
+
+def test_pipeline_writes_the_recorded_files(subprocess_runs):
     recorded = json.loads((HERE / "fingerprint.json").read_text(encoding="utf-8"))
-    proc = subprocess.run(
-        [sys.executable, str(HERE / "fingerprint.py"), str(tmp_path)],
-        capture_output=True, text=True, timeout=600,
-        env={"PYTHONPATH": str(HERE.parent / "src"), "PATH": "/usr/bin:/bin"})
+    proc = subprocess_runs.result("fingerprint")
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     # the recorded bits hold for one numpy, OpenBLAS core and thread count only

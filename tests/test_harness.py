@@ -16,6 +16,7 @@ import pytest
 from fleetsim import demand as demand_mod
 from fleetsim import eta as eta_mod
 from fleetsim import neural
+from fleetsim.clock import Clock
 from fleetsim.dqn import QNetwork
 from fleetsim.geo import GridSpec, Location, block_region_map
 from fleetsim.harness.config import ConfigError, ExperimentConfig, parse_config
@@ -25,8 +26,8 @@ from fleetsim.harness import cli
 from fleetsim.harness import experiment as ex
 from fleetsim.rhc import ZoneTableError
 from fleetsim.sim import EpisodeMetrics, RideRequest, finalize_metrics
-from oracles import (demand_slot_counts_reference, render_config, serial_models_reference,
-                     synth_city_reference)
+from oracles import (demand_slot_counts_reference, eta_feature_row, render_config,
+                     serial_models_reference, synth_city_reference)
 
 
 def small_cfg(tmp_path, **kw):
@@ -475,6 +476,19 @@ class TestExperiment:
             want = demand_slot_counts_reference(requests, city.grid, total)
             assert slots.tobytes() == want.tobytes()
             assert [c.minutes for c in clocks] == [30.0 * k for k in range(len(want))]
+
+    def test_eta_training_arrays_stack_the_scalar_rows(self, tmp_path):
+        # a 2-day city whose epoch falls on a Thursday, so the rows' clocks
+        # also carry the epoch's weekday
+        cfg = small_cfg(tmp_path, epoch_date="2024-01-04")
+        assert cfg.epoch_dow == 3
+        requests = ex.city_from_synth(synth_city(cfg, cfg.seed, days=2)).requests
+        feats, minutes = ex.eta_training_arrays(requests, cfg)
+        rows = [eta_feature_row(r.pickup, r.dropoff, Clock(r.minute, cfg.epoch_dow),
+                                r.distance_km) for r in requests]
+        assert feats.shape == (len(requests), eta_mod.FEATURE_COUNT)
+        assert feats.tobytes() == np.array(rows).tobytes()
+        assert minutes.tobytes() == np.array([r.trip_minutes for r in requests]).tobytes()
 
     def test_metrics_score_both_baselines_on_their_fits_splits(self, tmp_path):
         cfg = small_cfg(tmp_path, eta_epochs=1, demand_epochs=1)

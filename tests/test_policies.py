@@ -165,7 +165,7 @@ class TestDqnPolicy:
     def test_exploration_matches_hand_replayed_stream(self):
         # the policy's epsilon draw consumes the rng exactly like this
         # replay: one random() to explore, one integers() over legal cells
-        from fleetsim.dqn import legal_action_mask
+        from oracles import legal_action_mask
 
         net = crafted_qnet(base=0.0, dist_coef=5.0)
         policy = self.make_policy(net, make_training(99, pinned_epsilon=0.7, pinned_alpha=1.0))

@@ -20,9 +20,10 @@ from fleetsim.rhc import (
 )
 from fleetsim import rhc
 from fleetsim.lp import LpSolution, solve
-from oracles import (destination_table_reference, event_supply_oracle, predict_supply,
-                     random_supply_scenario, rhc_lp_reference, rhc_settings,
-                     seeded_rhc_lp_inputs, zone_centroid_distances_reference)
+from oracles import (assign_vehicles_reference, destination_table_reference,
+                     event_supply_oracle, predict_supply, random_supply_scenario,
+                     rhc_lp_reference, rhc_settings, seeded_rhc_lp_inputs,
+                     zone_centroid_distances_reference)
 from test_policies import GRID, ZONES, fake_view
 
 DT = 15.0
@@ -487,6 +488,29 @@ class TestAssignVehicles:
         # first target was the -0.3 cell, whose share then rose by 0.25
         assert orders[0].target_cell == (1, 0)
         assert orders[1].target_cell == (1, 1)
+
+    def test_equals_reference_loops(self):
+        # seeded plans over 9 zones of a 6x6 grid: surplus values drawn from
+        # five levels, so cells tie; zones left without an idle vehicle; and
+        # units of up to 3 per zone pair
+        grid = GridSpec(rows=6, cols=6, cell_size=500.0, origin=Location(40.0, -74.0))
+        zone_cells = region_cells(block_region_map(grid, 2, 2))
+        rng = np.random.default_rng(23)
+        seen = {"warnings": 0, "ties": 0, "multi_units": 0}
+        for _ in range(300):
+            surplus = rng.choice([-0.2, -0.1, 0.0, 0.1, 0.2], size=grid.shape)
+            n_idle = int(rng.integers(0, 15))
+            cells = rng.integers(0, 6, size=(n_idle, 2)).tolist()
+            idle = [(int(vid), tuple(cell))
+                    for vid, cell in zip(rng.permutation(40)[:n_idle], cells)]
+            u = rng.integers(0, 4, size=(9, 9)) * (rng.random((9, 9)) < 0.15)
+            orders, warnings = assign_vehicles(u, surplus, idle, zone_cells)
+            assert (orders, warnings) == assign_vehicles_reference(u, surplus, idle, zone_cells)
+            seen["warnings"] += len(warnings)
+            seen["ties"] += sum(len(set(surplus[c] for c in zc)) < len(zc)
+                                for zc in zone_cells.values())
+            seen["multi_units"] += int((u > 1).sum())
+        assert all(seen.values()), seen
 
 
 class TestNonOptimalLp:
