@@ -46,7 +46,7 @@ Q_SPEC = (
     Conv2D(MAIN_PLANES, 16, 5, 5, "relu", "valid"),
     Conv2D(16, 32, 3, 3, "relu", "valid"),
     Conv2D(32, 64, 3, 3, "relu", "valid"),
-    Concat(branch=(Conv2D(AUX_PLANES, 32, 1, 1, "relu", "valid"),)),
+    Concat(Conv2D(AUX_PLANES, 32, 1, 1, "relu", "valid")),
     Conv2D(96, 128, 1, 1, "relu", "valid"),
     Conv2D(128, 1, 1, 1, "linear", "valid"),
 )

@@ -2,7 +2,8 @@
 
 Subcommands share one flat config file plus ``--set key=value``
 overrides.  Exit codes: 0 success, 1 configuration error, 2 data error,
-3 runtime error.
+3 runtime error.  Every bad setting, from the file or from ``--set``, exits 1:
+an unknown key, a value that does not convert, or one out of its range.
 """
 
 from __future__ import annotations

@@ -3,6 +3,11 @@
 Every field of :class:`ExperimentConfig` is a key; types come from the
 dataclass declaration.  ``seed`` is mandatory.  A file of one ``key = value``
 line per field, each value as ``str`` prints it, parses back to an equal config.
+File lines and overrides take one value path, ``_assign``: an unknown key or
+a value that does not convert is a :class:`ConfigError` naming its source.
+Each numeric field's range is one row of ``_RULES``, which
+:meth:`ExperimentConfig.validate` checks before the rules that tie fields
+together.
 """
 
 from __future__ import annotations
@@ -80,6 +85,11 @@ class ExperimentConfig:
         return date.fromisoformat(self.epoch_date).weekday()
 
     def validate(self) -> "ExperimentConfig":
+        for rule, test, names in _RULES:
+            for name in names:
+                value = getattr(self, name)
+                if not test(value):
+                    raise ConfigError(f"{name} must be {rule}, got {value}")
         try:
             date.fromisoformat(self.epoch_date)
         except (TypeError, ValueError) as exc:
@@ -87,76 +97,55 @@ class ExperimentConfig:
                               f"got {self.epoch_date!r}") from exc
         if self.policy not in POLICIES:
             raise ConfigError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        if self.vehicles < 1 or self.days < 1:
-            raise ConfigError("vehicles and days must be positive")
-        for name in ("fine_rows", "fine_cols", "region_block", "zone_block"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not (math.isfinite(self.cell_size_m) and self.cell_size_m > 0):
-            raise ConfigError(f"cell_size_m must be finite and positive, got {self.cell_size_m}")
-        for name in ("origin_lat", "origin_lon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         north = self.origin_lat + self.fine_rows * (self.cell_size_m / METERS_PER_DEG_LAT)
         if not (self.origin_lat >= -90.0 and north <= 90.0):
             raise ConfigError(f"origin_lat {self.origin_lat} puts the grid between latitudes "
                               f"{self.origin_lat} and {north}, past -90 to 90")
-        if not (math.isfinite(self.match_radius_m) and self.match_radius_m >= 0):
-            raise ConfigError("match_radius_m must be finite and non-negative, "
-                              f"got {self.match_radius_m}")
         if self.fine_rows % self.region_block or self.fine_cols % self.region_block:
             raise ConfigError("fine grid must divide evenly into regions")
         if self.fine_rows % self.zone_block or self.fine_cols % self.zone_block:
             raise ConfigError("fine grid must divide evenly into zones")
-        if self.train_days < 1:
-            raise ConfigError(f"train_days must be at least 1, got {self.train_days}")
-        if not (math.isfinite(self.trips_per_day) and self.trips_per_day >= 0):
-            raise ConfigError("trips_per_day must be finite and non-negative, "
-                              f"got {self.trips_per_day}")
-        if not (math.isfinite(self.synth_speed_kmh) and self.synth_speed_kmh > 0):
-            raise ConfigError("synth_speed_kmh must be finite and positive, "
-                              f"got {self.synth_speed_kmh}")
-        if not (math.isfinite(self.synth_noise) and self.synth_noise >= 0):
-            raise ConfigError("synth_noise must be finite and non-negative, "
-                              f"got {self.synth_noise}")
-        for name in ("dqn_sync_period", "dqn_batch", "dqn_buffer", "rhc_slot_minutes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.dqn_batch > self.dqn_buffer:
             raise ConfigError(f"dqn_batch {self.dqn_batch} exceeds dqn_buffer "
                               f"{self.dqn_buffer}: the replay could never fill a minibatch")
-        for name in ("eta_lr", "demand_lr", "dqn_lr"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ConfigError(f"{name} must be finite and positive, "
-                                  f"got {getattr(self, name)}")
-        for name in ("rhc_discount", "dqn_discount"):
-            if not 0 < getattr(self, name) <= 1:
-                raise ConfigError(f"{name} must be in (0, 1], got {getattr(self, name)}")
-        for name in ("rhc_horizon", "warmup_minutes", "eta_epochs", "demand_epochs",
-                     "dqn_train_steps", "dqn_eps_ramp", "dqn_alpha_ramp"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if not 0 <= self.day_start_hour <= 23:
-            raise ConfigError(f"day_start_hour must be in 0-23, got {self.day_start_hour}")
-        for name in ("idle_window_minutes", "dqn_decision_interval", "rhc_reject_penalty",
-                     "dqn_reject_weight"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ConfigError(f"{name} must be finite and non-negative, "
-                                  f"got {getattr(self, name)}")
         return self
+
+
+# (what the value must be, its test, the fields it holds for): each numeric
+# field is in one row, and the non-numeric ones are in none
+_RULES = (
+    ("at least 1", lambda v: v >= 1,
+     ("vehicles", "days", "fine_rows", "fine_cols", "region_block", "zone_block",
+      "train_days", "rhc_slot_minutes", "dqn_sync_period", "dqn_buffer", "dqn_batch")),
+    ("non-negative", lambda v: v >= 0,
+     ("seed", "train_seed", "warmup_minutes", "eta_epochs", "demand_epochs", "rhc_horizon",
+      "dqn_train_steps", "dqn_eps_ramp", "dqn_alpha_ramp")),
+    ("in 0-23", lambda v: 0 <= v <= 23, ("day_start_hour",)),
+    ("finite", math.isfinite, ("origin_lat", "origin_lon")),
+    ("finite and positive", lambda v: math.isfinite(v) and v > 0,
+     ("cell_size_m", "synth_speed_kmh", "eta_lr", "demand_lr", "dqn_lr")),
+    ("finite and non-negative", lambda v: math.isfinite(v) and v >= 0,
+     ("match_radius_m", "idle_window_minutes", "trips_per_day", "synth_noise",
+      "rhc_reject_penalty", "dqn_reject_weight", "dqn_decision_interval")),
+    ("in (0, 1]", lambda v: 0 < v <= 1, ("rhc_discount", "dqn_discount")),
+)
 
 
 _FIELDS = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
-def _convert(name: str, raw: str):
-    kind = _FIELDS[name]
+def _assign(values: dict, key: str, raw: str, where: str) -> None:
+    """Set ``values[key]`` to ``raw`` converted to the field's type; an unknown
+    key or a value that does not convert raises :class:`ConfigError` naming
+    ``where``, the value's source."""
+    kind = _FIELDS.get(key)
+    if kind is None:
+        raise ConfigError(f"{where}: unknown key {key!r}")
     raw = raw.strip()
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
+    try:
+        values[key] = int(raw) if kind == "int" else float(raw) if kind == "float" else raw
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
 
 
 def parse_config(path=None, overrides: dict | None = None, text: str | None = None) -> ExperimentConfig:
@@ -176,17 +165,9 @@ def parse_config(path=None, overrides: dict | None = None, text: str | None = No
             if "=" not in line:
                 raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
             key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _FIELDS:
-                raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-            try:
-                values[key] = _convert(key, val)
-            except ValueError as exc:
-                raise ConfigError(f"config line {lineno}: bad value for {key}: {exc}") from exc
+            _assign(values, key.strip(), val, f"config line {lineno}")
     for key, val in (overrides or {}).items():
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _convert(key, str(val))
+        _assign(values, key, str(val), "--set")
     if "seed" not in values:
         raise ConfigError("config must set a seed")
     return ExperimentConfig(**values).validate()

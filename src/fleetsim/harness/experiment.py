@@ -94,18 +94,22 @@ def load_city(cfg: ExperimentConfig) -> City:
     return City(grid, graph, regions, zones, requests)
 
 
-def _check_day_windows(cfg: ExperimentConfig, city: City) -> None:
-    """Raise :class:`TripDataError`, naming ``trips.csv``, when a configured
-    day window of the city directory holds fewer requests than vehicles:
-    the simulator places vehicle ``k`` at the ``k``-th request's pickup."""
-    for day in range(cfg.days):
-        start, end = day_window(cfg, day)
-        count = sum(start <= r.minute < end for r in city.requests)
-        if count < cfg.vehicles:
+def _check_fleet_windows(cfg: ExperimentConfig, requests: list[RideRequest],
+                         windows: list[tuple[float, float]], trips_file=None) -> None:
+    """Raise when a window ``[start, end)`` holds fewer requests than the vehicles
+    placed at their pickups: a :class:`TripDataError` naming ``trips_file`` for
+    requests read from one, else a :class:`ConfigError`."""
+    for day, (start, end) in enumerate(windows):
+        count = sum(start <= r.minute < end for r in requests)
+        if count >= cfg.vehicles:
+            continue
+        if trips_file is not None:
             raise TripDataError(
-                f"{Path(cfg.data_dir) / 'trips.csv'}: day {day} (minutes {start:g} to "
-                f"{end:g}) has {count} requests, fewer than the {cfg.vehicles} "
-                "vehicles placed at their pickups")
+                f"{trips_file}: day {day} (minutes {start:g} to {end:g}) has {count} "
+                f"requests, fewer than the {cfg.vehicles} vehicles placed at their pickups")
+        raise ConfigError(f"the window from minute {start:g} has {count} requests, "
+                          f"fewer than the {cfg.vehicles} vehicles it places at their "
+                          "pickups; lower vehicles or raise trips_per_day")
 
 
 # --- model training --------------------------------------------------------
@@ -436,13 +440,9 @@ def make_simulation(cfg: ExperimentConfig, city: City, bundle: ModelBundle,
                     requests: list[RideRequest], policy, start: float) -> Simulation:
     """The configured fleet on ``city``'s roads, serving ``requests`` from minute ``start``.
 
-    Vehicle ``k`` starts at the ``k``-th request's pickup, so fewer
-    requests than vehicles raise :class:`ConfigError`.
+    Vehicle ``k`` starts at the ``k``-th request's pickup; the callers check
+    the window with :func:`_check_fleet_windows` before any model is trained.
     """
-    if len(requests) < cfg.vehicles:
-        raise ConfigError(f"the window from minute {start:g} has {len(requests)} requests, "
-                          f"fewer than the {cfg.vehicles} vehicles it places at their "
-                          "pickups; lower vehicles or raise trips_per_day")
     return Simulation(city.grid, city.graph, bundle.eta_model, requests,
                       n_vehicles=cfg.vehicles, policy=policy,
                       clock0=Clock(start, cfg.epoch_dow),
@@ -517,8 +517,9 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
     ``cfg.seed`` synthesised in memory.  A directory that ``synth-data``
     wrote for the same seed does not give the same outcomes as the
     synthesised city: :func:`synth.write_city` rounds every trip time to
-    the second.  A DQN policy without a saved Q-network, or a bad city
-    file, raises its error before any model is trained.
+    the second.  A DQN policy without a saved Q-network, a bad city file,
+    or a day window with fewer requests than vehicles raises its error
+    before any model is trained.
     """
     # the Q-network first: a run that cannot use the models trains none
     if cfg.policy in ("dqn", "dqn_star") and qnet is None:
@@ -528,13 +529,17 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
         qnet, _ = dqn_mod.QNetwork.load(qnet_path)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # the city next: a bad city file fails before any model is trained
-    if city is None:
-        if (Path(cfg.data_dir) / "trips.csv").exists():
-            city = load_city(cfg)
-            _check_day_windows(cfg, city)
-        else:
+    # the city next: a bad city file, or a day window shorter than the
+    # fleet, fails before any model is trained
+    trips_file = Path(cfg.data_dir) / "trips.csv"
+    if city is None and trips_file.exists():
+        city = load_city(cfg)
+    else:
+        trips_file = None
+        if city is None:
             city = city_from_synth(synth_city(cfg, cfg.seed, city_days(cfg)))
+    _check_fleet_windows(cfg, city.requests, [day_window(cfg, day) for day in range(cfg.days)],
+                         trips_file)
     if bundle is None:
         bundle = ensure_models(cfg)
 
@@ -570,8 +575,9 @@ def train_dqn(cfg: ExperimentConfig, city: City | None = None,
     One continuous run starting at the configured day-start hour; a
     training step follows every simulated minute after warmup.  Returns
     (QNetwork, training log rows) and persists both.  A run that would
-    outlast the ``train_days`` of the training city raises
-    :class:`ConfigError` before anything is trained or written.  Missing
+    outlast the ``train_days`` of the training city, or whose window holds
+    fewer requests than vehicles, raises :class:`ConfigError` before
+    anything is trained or written.  Missing
     models are trained on ``city``, the training city, so a fresh run
     synthesises it once.
     """
@@ -583,8 +589,14 @@ def train_dqn(cfg: ExperimentConfig, city: City | None = None,
             f"DQN training of {steps} steps runs to minute {end}, past the "
             f"{cfg.train_days * 1440} minutes of the train_days = {cfg.train_days} "
             "training city; lower dqn_train_steps or raise train_days")
+    start = cfg.day_start_hour * 60.0
+    total_minutes = cfg.warmup_minutes + steps
+    # slice generously so fleet placement always has enough requests even
+    # for very short training runs
+    span = max(total_minutes + 1.0, 1440.0)
     if city is None:
         city = training_city(cfg)
+    _check_fleet_windows(cfg, city.requests, [(start, start + span)])
     if bundle is None:
         bundle = ensure_models(cfg, city)
     training = dqn_mod.Training(
@@ -598,11 +610,6 @@ def train_dqn(cfg: ExperimentConfig, city: City | None = None,
                                decision_interval=cfg.dqn_decision_interval,
                                training=training)
 
-    start = cfg.day_start_hour * 60.0
-    total_minutes = cfg.warmup_minutes + steps
-    # slice generously so fleet placement always has enough requests even
-    # for very short training runs
-    span = max(total_minutes + 1.0, 1440.0)
     reqs = episode_requests(city.requests, start, start + span)
     sim = make_simulation(cfg, city, bundle, reqs, policy, start)
     for minute in range(total_minutes):

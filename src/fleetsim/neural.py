@@ -1,8 +1,8 @@
 """Minimal neural-network engine backing the ETA, demand and Q models.
 
 Layers are dense and 2-D convolution (valid or same padding) with relu
-or linear activations, plus a two-branch concatenation for networks
-that merge a spatial main input with an auxiliary input.  Everything
+or linear activations, plus a concatenation for networks that merge a
+spatial main input with one convolution of an auxiliary input.  Everything
 runs in float64 numpy; convolutions go through batched im2col GEMMs.
 
 Conventions: every input is a batch, of row-major plane stacks
@@ -54,9 +54,9 @@ class Conv2D:
 
 @dataclass(frozen=True)
 class Concat:
-    """Concatenate the output of ``branch`` (run on the aux input) onto the main path."""
+    """Concatenate the output of ``layer`` (run on the aux input) onto the main path."""
 
-    branch: tuple
+    layer: Conv2D
 
 
 def _check_activation(layer) -> None:
@@ -65,14 +65,9 @@ def _check_activation(layer) -> None:
 
 
 def walk_param_layers(spec) -> list:
-    """Parameterized layers in deterministic order (branch layers precede the merge)."""
-    out = []
-    for layer in spec:
-        if isinstance(layer, Concat):
-            out.extend(walk_param_layers(layer.branch))
-        else:
-            out.append(layer)
-    return out
+    """The parameterized layer of each spec entry, in order: entry ``k`` owns
+    ``params[2k:2k + 2]``, and a :class:`Concat` owns its layer's."""
+    return [layer.layer if isinstance(layer, Concat) else layer for layer in spec]
 
 
 def _layer_shapes(layer) -> tuple[tuple, tuple]:
@@ -199,25 +194,19 @@ def _dense_backward(layer: Dense, w, cache, d_out, need_dx: bool):
 def _forward(spec, params, x, aux, want_cache: bool):
     caches = []
     value = x
-    idx = 0
-    for layer in spec:
+    for k, layer in enumerate(spec):
+        w, bias = params[2 * k], params[2 * k + 1]
         if isinstance(layer, Concat):
             if aux is None:
                 raise ValueError("network has a Concat layer but no aux input given")
-            n_branch = 2 * len(walk_param_layers(layer.branch))
-            branch_out, branch_caches, _ = _forward(
-                layer.branch, params[idx:idx + n_branch], aux, None, want_cache
-            )
-            idx += n_branch
-            caches.append({"branch": branch_caches, "main_planes": value.shape[-1]})
-            value = np.concatenate([value, branch_out], axis=-1)
+            aux_out, cache = _conv_forward(layer.layer, w, bias, aux, want_cache)
+            caches.append((cache, value.shape[-1]))
+            value = np.concatenate([value, aux_out], axis=-1)
         else:
-            w, bias = params[idx], params[idx + 1]
-            idx += 2
             fwd = _conv_forward if isinstance(layer, Conv2D) else _dense_forward
             value, cache = fwd(layer, w, bias, value, want_cache)
             caches.append(cache)
-    return value, caches, idx
+    return value, caches
 
 
 def forward(spec, params, x, aux=None) -> np.ndarray:
@@ -229,37 +218,23 @@ def forward(spec, params, x, aux=None) -> np.ndarray:
 
 def forward_cached(spec, params, x, aux=None):
     """Like :func:`forward`, but returns (output, cache) for backward."""
-    out, caches, _ = _forward(spec, params, x, aux, want_cache=True)
-    return out, caches
+    return _forward(spec, params, x, aux, want_cache=True)
 
 
 def backward_from_grad(spec, params, caches, d_out) -> list[np.ndarray]:
     """Gradients of a scalar loss given d(loss)/d(output), matching param order."""
     grads: list[np.ndarray | None] = [None] * len(params)
-
-    def run(spec_, caches_, d, base: int, need_dx_level: bool):
-        idx = base + 2 * len(walk_param_layers(spec_))
-        for pos in range(len(spec_) - 1, -1, -1):
-            layer = spec_[pos]
-            cache = caches_[pos]
-            if isinstance(layer, Concat):
-                n_branch = 2 * len(walk_param_layers(layer.branch))
-                idx -= n_branch
-                main_planes = cache["main_planes"]
-                run(layer.branch, cache["branch"], d[..., main_planes:], idx, False)
-                d = d[..., :main_planes]
-            else:
-                idx -= 2
-                w = params[idx]
-                need_dx = pos > 0 or need_dx_level
-                bwd = _conv_backward if isinstance(layer, Conv2D) else _dense_backward
-                dw, db, dx = bwd(layer, w, cache, d, need_dx)
-                grads[idx] = dw
-                grads[idx + 1] = db
-                d = dx
-        return d
-
-    run(spec, caches, d_out, 0, False)
+    d = d_out
+    for k in range(len(spec) - 1, -1, -1):
+        layer, w = spec[k], params[2 * k]
+        if isinstance(layer, Concat):
+            cache, main_planes = caches[k]
+            grads[2 * k], grads[2 * k + 1], _ = _conv_backward(
+                layer.layer, w, cache, d[..., main_planes:], False)
+            d = d[..., :main_planes]
+        else:
+            bwd = _conv_backward if isinstance(layer, Conv2D) else _dense_backward
+            grads[2 * k], grads[2 * k + 1], d = bwd(layer, w, caches[k], d, k > 0)
     return grads
 
 
@@ -366,7 +341,8 @@ def _layer_to_dict(layer) -> dict:
                 "kh": layer.kh, "kw": layer.kw, "activation": layer.activation,
                 "padding": layer.padding}
     if isinstance(layer, Concat):
-        return {"kind": "concat", "branch": [_layer_to_dict(l) for l in layer.branch]}
+        # a one-entry "branch" list, the format of the checkpoints on disk
+        return {"kind": "concat", "branch": [_layer_to_dict(layer.layer)]}
     raise TypeError(f"cannot serialize layer {layer}")
 
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetsim import demand as demand_mod
 from fleetsim import eta as eta_mod
@@ -19,7 +21,7 @@ from fleetsim import neural
 from fleetsim.clock import Clock
 from fleetsim.dqn import QNetwork
 from fleetsim.geo import GridSpec, Location, block_region_map
-from fleetsim.harness.config import ConfigError, ExperimentConfig, parse_config
+from fleetsim.harness.config import _RULES, ConfigError, ExperimentConfig, parse_config
 from fleetsim.harness.ingest import TripDataError, ingest_trips
 from fleetsim.harness.synth import build_road_grid, city_layout, synth_city, write_city
 from fleetsim.harness import cli
@@ -39,6 +41,23 @@ def small_cfg(tmp_path, **kw):
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults).validate()
+
+
+# the fields that no range applies to
+NON_NUMERIC = {"data_dir", "out_dir", "policy", "epoch_date"}
+# per rule of a _RULES row: a field of the row, a value on the rule's edge, one just past it
+RULE_EDGES = {
+    "at least 1": ("vehicles", "1", "0"),
+    "non-negative": ("seed", "0", "-1"),
+    "in 0-23": ("day_start_hour", "23", "24"),
+    "finite": ("origin_lon", "1.7976931348623157e308", "inf"),
+    "finite and positive": ("dqn_lr", "5e-324", "0"),
+    "finite and non-negative": ("synth_noise", "0", "-5e-324"),
+    "in (0, 1]": ("dqn_discount", "1", "1.0000000000000002"),
+}
+# raw values at the edges of what a field's type converts and its range admits
+EDGE_STRINGS = ("", "abc", "1.5", "1e3", "0", "-0", "-1", "nan", "inf", "-inf",
+                "1e308", "1e-308")
 
 
 class TestConfig:
@@ -67,6 +86,33 @@ class TestConfig:
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config(text="# hello\n\nseed = 3\n")
         assert cfg.seed == 3
+
+    def test_each_numeric_field_has_one_range_rule(self):
+        # a new numeric setting fails here until a _RULES row names it
+        named = [name for _, _, names in _RULES for name in names]
+        assert len(named) == len(set(named))
+        assert not set(named) & NON_NUMERIC
+        assert set(named) | NON_NUMERIC == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert [rule for rule, _, _ in _RULES] == list(RULE_EDGES)
+
+    @pytest.mark.parametrize("rule", list(RULE_EDGES))
+    def test_each_range_rule_holds_to_its_edge(self, rule):
+        key, edge, past = RULE_EDGES[rule]
+        cfg = parse_config(text="seed = 1\n", overrides={key: edge})
+        assert getattr(cfg, key) == float(edge)
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be {rule}, got ")):
+            parse_config(text="seed = 1\n", overrides={key: past})
+
+    @settings(max_examples=150)
+    @given(key=st.sampled_from(sorted(f.name for f in dataclasses.fields(ExperimentConfig))),
+           raw=st.sampled_from(EDGE_STRINGS))
+    def test_any_field_at_an_edge_string_is_a_config_error_or_valid(self, key, raw):
+        # "abc" for an int override used to escape as a bare ValueError
+        try:
+            cfg = parse_config(text="seed = 1\n", overrides={key: raw})
+        except ConfigError:
+            return
+        assert cfg.validate() is cfg
 
     @pytest.mark.parametrize("key, value", [
         ("train_days", "0"), ("train_days", "-2"),
@@ -135,6 +181,7 @@ class TestConfig:
         ("rhc_reject_penalty", "-20"), ("rhc_reject_penalty", "inf"),
         ("rhc_reject_penalty", "nan"), ("dqn_reject_weight", "nan"),
         ("dqn_reject_weight", "-10"), ("dqn_reject_weight", "inf"),
+        ("seed", "-1"), ("train_seed", "-1"),
     ])
     def test_training_and_policy_values_that_fail_late_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -898,6 +945,28 @@ class TestCli:
                        "fewer than the 5 vehicles placed at their pickups\n")
         assert not (tmp_path / "out" / "models").exists()
 
+    @pytest.mark.parametrize("key, value", [("vehicles", "abc"), ("seed", "1.5"),
+                                            ("dqn_batch", "1e3")])
+    def test_bad_set_value_is_config_error(self, tmp_path, capsys, key, value):
+        # a --set value that did not convert exited 3 with a traceback, where
+        # the same value in a config file exited 1
+        code = cli.main([*TINY_CLI, *dirs(tmp_path), "--set", f"{key}={value}", "simulate"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith(f"config error: --set: bad value for {key}: "), err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["seed", "train_seed"])
+    def test_negative_seed_is_config_error_before_any_file(self, tmp_path, capsys, key):
+        # no rule covered the seeds: the run made its output directory, then
+        # exited 3 when the random generator refused the seed
+        code = cli.main([*TINY_CLI, *dirs(tmp_path), "--set", f"{key}=-1", "simulate"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err == f"config error: {key} must be non-negative, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_speed_is_config_error(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(f"seed = 3\ndata_dir = {tmp_path / 'city'}\n"
@@ -1126,6 +1195,7 @@ class TestCli:
         assert "requests, fewer than the 50 vehicles" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert list((tmp_path / "out").glob("summary_*")) == []
+        assert not (tmp_path / "out" / "models").exists()
 
     def test_training_city_smaller_than_the_fleet_is_config_error(self, tmp_path):
         proc = self.run_cli(*TINY_CLI, *dirs(tmp_path), "--set", "vehicles=500",
@@ -1133,6 +1203,7 @@ class TestCli:
         assert proc.returncode == 1, proc.stderr
         assert "fewer than the 500 vehicles" in proc.stderr
         assert not (tmp_path / "out" / "models" / "qnet.json").exists()
+        assert not (tmp_path / "out" / "models").exists()
 
     def test_simulate_prints_dash_without_accepted_requests(self, monkeypatch, capsys):
         from fleetsim.harness import cli

@@ -226,7 +226,7 @@ class TestBackward:
         spec = (
             Conv2D(3, 4, 5, 5, "relu"),
             Conv2D(4, 4, 3, 3, "relu"),
-            Concat(branch=(Conv2D(2, 3, 1, 1, "relu"),)),
+            Concat(Conv2D(2, 3, 1, 1, "relu")),
             Conv2D(7, 5, 1, 1, "relu"),
             Conv2D(5, 1, 1, 1, "linear"),
         )
@@ -243,7 +243,7 @@ class TestBackward:
     def test_param_order_covers_branch(self):
         spec = (
             Conv2D(3, 4, 3, 3),
-            Concat(branch=(Conv2D(2, 3, 1, 1),)),
+            Concat(Conv2D(2, 3, 1, 1)),
             Conv2D(7, 1, 1, 1, "linear"),
         )
         layers = walk_param_layers(spec)
@@ -460,7 +460,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(33)
         spec = (
             Conv2D(3, 4, 3, 3, "relu"),
-            Concat(branch=(Conv2D(2, 2, 1, 1, "relu"),)),
+            Concat(Conv2D(2, 2, 1, 1, "relu")),
             Conv2D(6, 1, 1, 1, "linear"),
         )
         params = init_params(spec, rng)
