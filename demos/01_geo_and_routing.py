@@ -8,7 +8,7 @@ network.
 import numpy as np
 
 from fleetsim.geo import (
-    GridSpec, Location, aggregate_to_regions, block_region_map, cell_arrays,
+    GridSpec, Location, RegionMap, aggregate_to_regions, cell_arrays,
     center_of, haversine,
 )
 from fleetsim.roadgraph import nearest_nodes, shortest_path
@@ -23,8 +23,8 @@ rows, cols = cell_arrays([loc.lat], [loc.lon], grid)
 cell = (int(rows[0]), int(cols[0]))
 print(f"\n{loc} falls in cell {cell}, center {center_of(cell, grid)}")
 
-# a 2x2 block partition: four regions
-regions = block_region_map(grid, 4, 4)
+# blocks of 4x4 cells: four regions, ids row-major over the 2x2 blocks
+regions = RegionMap(grid, 4)
 heat = np.zeros(grid.shape)
 heat[1, 1] = 3
 heat[6, 6] = 5

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import neural
 from .clock import periodic_features
-from .geo import aggregate_to_regions, mismatch, region_cells
+from .geo import RegionMap, aggregate_to_regions, mismatch, region_cells
 from .neural import Concat, Conv2D
 from .sim import DispatchOrder
 
@@ -505,12 +505,10 @@ class DqnPolicy:
     ``cycle`` minutes; 15 mimics the RHC slot cycle.
     """
 
-    def __init__(self, net: QNetwork, region_map, region_shape: tuple[int, int],
-                 demand_predictor, *, decision_interval: float, cycle: int = 1,
-                 training: Training | None = None):
+    def __init__(self, net: QNetwork, region_map: RegionMap, demand_predictor, *,
+                 decision_interval: float, cycle: int = 1, training: Training | None = None):
         self.net = net
         self.region_map = region_map
-        self.region_shape = region_shape
         self.demand_predictor = demand_predictor  # callable(view) -> fine heat
         self.decision_interval = decision_interval
         self.cycle = cycle
@@ -567,7 +565,7 @@ class DqnPolicy:
         centres, where the simulator times the move itself over its route.
         """
         training = self.training
-        rr, rc = self.region_shape
+        rr, rc = self.region_map.shape
         horizons = np.array(SUPPLY_HORIZONS)
 
         assignment = self.region_map.assignment
@@ -597,7 +595,7 @@ class DqnPolicy:
             if demand_regions is None:
                 heat = self.demand_predictor(view)
                 demand_regions = aggregate_to_regions(heat, self.region_map).reshape(rr, rc)
-            rect = _legal_rect(region, self.region_shape)
+            rect = _legal_rect(region, (rr, rc))
             action = explore_action(rect, eps, self.rng) if training is not None else None
             if action is None:
                 if canvas is None:

@@ -4,8 +4,9 @@ The service area is discretized into an equal-angle grid of cells whose
 metric extent at the grid's mid latitude equals ``cell_size`` meters.
 Cells follow a half-open convention: a cell owns its south and west
 edges, so a point exactly on an interior boundary belongs to the
-higher-index cell.  All values here are immutable after construction
-and safe to share between threads.
+higher-index cell.  A :class:`RegionMap` partitions the grid into square
+blocks of cells, its region ids row-major over the blocks.  All values
+here are immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ _BOUNDARY_SNAP = 1e-9
 
 class OutOfBoundsError(ValueError):
     """A coordinate fell outside the grid's bounds."""
-
-
-class RegionMapError(ValueError):
-    """A region assignment is missing, inconsistent or malformed."""
 
 
 @dataclass(frozen=True)
@@ -127,33 +124,38 @@ def cell_arrays(lats: np.ndarray, lons: np.ndarray, grid: GridSpec) -> tuple[np.
 
 @dataclass(frozen=True)
 class RegionMap:
-    """Total assignment of fine-grid cells to region ids in [0, region_count).
+    """The partition of ``grid`` into square blocks of ``block x block`` cells.
 
-    The program builds every map with :func:`block_region_map`, from the
-    config's block sizes.  Construction raises :class:`RegionMapError`
-    unless the assignment is 2-D and every cell holds an id in range.
+    Region ids are row-major over the block grid: the block in block row
+    ``i`` and block column ``j`` has id ``i * shape[1] + j``, which
+    :meth:`dqn.DqnPolicy.dispatch` decodes with ``divmod``.  So a ``30x30``
+    grid with 3x3 blocks has 100 regions arranged 10x10.  ``assignment``
+    holds each fine cell's region id, read-only.  Construction raises
+    ``ValueError`` when ``block`` does not divide the grid.
     """
 
-    assignment: np.ndarray  # (rows, cols) int region ids
-    region_count: int
+    grid: GridSpec
+    block: int
+    assignment: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=np.int64)
-        object.__setattr__(self, "assignment", a)
-        a.setflags(write=False)
-        if a.ndim != 2:
-            raise RegionMapError(f"assignment must be 2-D, got shape {a.shape}")
-        unmapped = int((a < 0).sum())
-        if unmapped:
-            raise RegionMapError(f"region map leaves {unmapped} cells unmapped (negative ids)")
-        if a.size and a.max() >= self.region_count:
-            raise RegionMapError(
-                f"region id {a.max()} out of range for {self.region_count} regions"
-            )
+        rows, cols, block = self.grid.rows, self.grid.cols, self.block
+        if block < 1 or rows % block or cols % block:
+            raise ValueError(f"{rows}x{cols} grid not divisible into {block}x{block} blocks")
+        r = np.arange(rows, dtype=np.int64) // block
+        c = np.arange(cols, dtype=np.int64) // block
+        assignment = r[:, None] * (cols // block) + c[None, :]
+        assignment.setflags(write=False)
+        object.__setattr__(self, "assignment", assignment)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.assignment.shape
+        """The block grid, rows and columns of regions."""
+        return (self.grid.rows // self.block, self.grid.cols // self.block)
+
+    @property
+    def region_count(self) -> int:
+        return math.prod(self.shape)
 
 
 def region_cells(rm: RegionMap) -> dict[int, list[tuple[int, int]]]:
@@ -189,24 +191,6 @@ def mismatch(x_cells: np.ndarray, w_cells: np.ndarray) -> np.ndarray:
     x_share = x / xs if xs > 0 else np.zeros_like(x)
     w_share = w / ws if ws > 0 else np.zeros_like(w)
     return x_share - w_share
-
-
-def block_region_map(grid: GridSpec, block_rows: int, block_cols: int) -> RegionMap:
-    """Coarsen a grid into rectangular blocks of ``block_rows x block_cols`` cells.
-
-    Region ids are row-major over the block grid, so a ``30x30`` grid with
-    3x3 blocks yields 100 regions arranged 10x10.
-    """
-    if grid.rows % block_rows or grid.cols % block_cols:
-        raise ValueError(
-            f"{grid.rows}x{grid.cols} grid not divisible into "
-            f"{block_rows}x{block_cols} blocks"
-        )
-    n_block_cols = grid.cols // block_cols
-    r = np.arange(grid.rows) // block_rows
-    c = np.arange(grid.cols) // block_cols
-    assignment = r[:, None] * n_block_cols + c[None, :]
-    return RegionMap(assignment.astype(np.int64), (grid.rows // block_rows) * n_block_cols)
 
 
 def haversine(a: Location, b: Location) -> float:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, fields
 from datetime import date
 
-from ..geo import METERS_PER_DEG_LAT
+from ..geo import GridSpec, Location
 
 POLICIES = ("none", "rhc", "dqn", "dqn_star")
 
@@ -97,10 +97,14 @@ class ExperimentConfig:
                               f"got {self.epoch_date!r}") from exc
         if self.policy not in POLICIES:
             raise ConfigError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        north = self.origin_lat + self.fine_rows * (self.cell_size_m / METERS_PER_DEG_LAT)
-        if not (self.origin_lat >= -90.0 and north <= 90.0):
+        grid = GridSpec(self.fine_rows, self.fine_cols, self.cell_size_m,
+                        Location(self.origin_lat, self.origin_lon))
+        if grid.lat_max > 90.0:
             raise ConfigError(f"origin_lat {self.origin_lat} puts the grid between latitudes "
-                              f"{self.origin_lat} and {north}, past -90 to 90")
+                              f"{self.origin_lat} and {grid.lat_max}, past -90 to 90")
+        if grid.lon_max > 180.0:
+            raise ConfigError(f"origin_lon {self.origin_lon} puts the grid between longitudes "
+                              f"{self.origin_lon} and {grid.lon_max}, past -180 to 180")
         if self.fine_rows % self.region_block or self.fine_cols % self.region_block:
             raise ConfigError("fine grid must divide evenly into regions")
         if self.fine_rows % self.zone_block or self.fine_cols % self.zone_block:
@@ -121,7 +125,8 @@ _RULES = (
      ("seed", "train_seed", "warmup_minutes", "eta_epochs", "demand_epochs", "rhc_horizon",
       "dqn_train_steps", "dqn_eps_ramp", "dqn_alpha_ramp")),
     ("in 0-23", lambda v: 0 <= v <= 23, ("day_start_hour",)),
-    ("finite", math.isfinite, ("origin_lat", "origin_lon")),
+    ("in -90 to 90", lambda v: -90 <= v <= 90, ("origin_lat",)),
+    ("in -180 to 180", lambda v: -180 <= v <= 180, ("origin_lon",)),
     ("finite and positive", lambda v: math.isfinite(v) and v > 0,
      ("cell_size_m", "synth_speed_kmh", "eta_lr", "demand_lr", "dqn_lr")),
     ("finite and non-negative", lambda v: math.isfinite(v) and v >= 0,

@@ -73,12 +73,12 @@ def load_city(cfg: ExperimentConfig) -> City:
     """Read the city directory ``cfg.data_dir``: ``trips.csv`` and ``roads.txt``.
 
     The grid, the dispatch regions and the zones are the config's, as
-    :func:`synth.city_layout` builds them: the Q-policy decodes region ids
-    as the ``region_block`` layout, and the zone tables were estimated on
-    the ``zone_block`` layout.  A ``regions.csv`` or ``zones.csv`` in the
-    directory is not read.  A road network with no node inside the grid
-    raises :class:`EdgeListParseError` naming ``roads.txt``: every move
-    would start and end off the map.
+    :func:`synth.city_layout` builds them: the Q-policy decodes a region id
+    as its row-major block of ``region_block`` cells a side, and the zone
+    tables were estimated on the ``zone_block`` blocks.  A ``regions.csv``
+    or ``zones.csv`` in the directory is not read.  A road network with no
+    node inside the grid raises :class:`EdgeListParseError` naming
+    ``roads.txt``: every move would start and end off the map.
     """
     base = Path(cfg.data_dir)
     grid, regions, zones = city_layout(cfg)
@@ -141,14 +141,13 @@ def demand_slot_series(requests: list[RideRequest], grid: GridSpec,
     return slots, clocks
 
 
-def zone_trip_arrays(requests: list[RideRequest], zones: RegionMap,
-                     grid: GridSpec, epoch_dow: int):
+def zone_trip_arrays(requests: list[RideRequest], zones: RegionMap, epoch_dow: int):
     lats_o = np.array([r.pickup.lat for r in requests])
     lons_o = np.array([r.pickup.lon for r in requests])
     lats_d = np.array([r.dropoff.lat for r in requests])
     lons_d = np.array([r.dropoff.lon for r in requests])
-    ro, co = cell_arrays(lats_o, lons_o, grid)
-    rd, cd = cell_arrays(lats_d, lons_d, grid)
+    ro, co = cell_arrays(lats_o, lons_o, zones.grid)
+    rd, cd = cell_arrays(lats_d, lons_d, zones.grid)
     origin = zones.assignment[ro, co]
     dest = zones.assignment[rd, cd]
     clocks = [Clock(r.minute, epoch_dow) for r in requests]
@@ -222,8 +221,8 @@ def train_demand_model(cfg: ExperimentConfig, fitted):
 def build_zone_tables(cfg: ExperimentConfig, training_city: City):
     """Estimate the trip-time and destination tables and save ``zone_tables.npz``."""
     origin, dest, dow, hour, minutes = zone_trip_arrays(
-        training_city.requests, training_city.zones, training_city.grid, cfg.epoch_dow)
-    dist = rhc_mod.zone_centroid_distances(training_city.zones, training_city.grid)
+        training_city.requests, training_city.zones, cfg.epoch_dow)
+    dist = rhc_mod.zone_centroid_distances(training_city.zones)
     trip_times, destinations = rhc_mod.estimate_tables(
         origin, dest, dow, hour, minutes, training_city.zones.region_count,
         centroid_dist_m=dist)
@@ -325,13 +324,15 @@ def train_models(cfg: ExperimentConfig, training_city: City) -> ModelBundle:
                        destinations, metrics)
 
 
-def load_models(cfg: ExperimentConfig, zone_count: int) -> ModelBundle:
+def load_models(cfg: ExperimentConfig) -> ModelBundle:
+    """The saved models of ``cfg``, each table checked against the grid and the
+    zones of :func:`synth.city_layout`."""
     paths = model_paths(cfg)
+    grid, _, zones = city_layout(cfg)
     eta_model = eta_mod.EtaModel.load(paths["eta"])
     demand_model = demand_mod.DemandModel.load(paths["demand"])
-    historical = rhc_mod.load_table(paths["historical"],
-                                    (7, 24, cfg.fine_rows, cfg.fine_cols))
-    trip_times, destinations = rhc_mod.load_tables(paths["tables"], zone_count)
+    historical = rhc_mod.load_table(paths["historical"], (7, 24) + grid.shape)
+    trip_times, destinations = rhc_mod.load_tables(paths["tables"], zones.region_count)
     return ModelBundle(eta_model, demand_model, historical, trip_times,
                        destinations, _read_metrics(paths["metrics"]))
 
@@ -345,12 +346,8 @@ def ensure_models(cfg: ExperimentConfig, city: City | None = None) -> ModelBundl
     ``city``, the training city of ``cfg``, synthesised when not given."""
     paths = model_paths(cfg)
     if all(paths[k].exists() for k in ("eta", "demand", "tables", "historical")):
-        return load_models(cfg, zone_block_count(cfg))
+        return load_models(cfg)
     return train_models(cfg, training_city(cfg) if city is None else city)
-
-
-def zone_block_count(cfg: ExperimentConfig) -> int:
-    return (cfg.fine_rows // cfg.zone_block) * (cfg.fine_cols // cfg.zone_block)
 
 
 # --- demand predictors -----------------------------------------------------
@@ -391,10 +388,6 @@ class ModelDemandPredictor:
 
 # --- policies and episodes ---------------------------------------------------
 
-def region_shape(cfg: ExperimentConfig) -> tuple[int, int]:
-    return (cfg.fine_rows // cfg.region_block, cfg.fine_cols // cfg.region_block)
-
-
 def make_policy(cfg: ExperimentConfig, policy_name: str, city: City,
                 bundle: ModelBundle, qnet: dqn_mod.QNetwork | None = None):
     if policy_name == "none":
@@ -413,7 +406,7 @@ def make_policy(cfg: ExperimentConfig, policy_name: str, city: City,
             raise ConfigError("a trained Q-network is required for DQN policies")
         predictor = ModelDemandPredictor(bundle.demand_model, bundle.historical)
         return dqn_mod.DqnPolicy(
-            qnet, city.regions, region_shape(cfg), predictor,
+            qnet, city.regions, predictor,
             decision_interval=cfg.dqn_decision_interval,
             cycle=1 if policy_name == "dqn" else cfg.rhc_slot_minutes)
     raise ConfigError(f"unknown policy {policy_name!r}")
@@ -606,7 +599,7 @@ def train_dqn(cfg: ExperimentConfig, city: City | None = None,
         alpha_ramp=cfg.dqn_alpha_ramp, sync_period=cfg.dqn_sync_period)
     net = dqn_mod.QNetwork.create(np.random.default_rng(cfg.train_seed))
     predictor = ModelDemandPredictor(bundle.demand_model, bundle.historical)
-    policy = dqn_mod.DqnPolicy(net, city.regions, region_shape(cfg), predictor,
+    policy = dqn_mod.DqnPolicy(net, city.regions, predictor,
                                decision_interval=cfg.dqn_decision_interval,
                                training=training)
 

@@ -26,10 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ..geo import GridSpec, Location, RegionMap, block_region_map, center_of, haversine
+from ..geo import GridSpec, Location, RegionMap, center_of, haversine
 from ..roadgraph import RoadGraph, build_graph, save_edge_list
 from ..sim import RideRequest
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 
 # the generator's rate slot, 48 a day: a decision apart from the heat-map slot
 # sim.SLOT_MINUTES of equal length, kept because perfbench/bench.py reads it
@@ -157,15 +157,16 @@ def _activity_level(rng, n_slots: int) -> np.ndarray:
 
 
 def city_layout(cfg: ExperimentConfig) -> tuple[GridSpec, RegionMap, RegionMap]:
-    """The config's grid and its two partitions: the ``region_block`` dispatch
-    regions and the ``zone_block`` zones of the RHC tables, both block layouts.
+    """The config's grid and its two partitions: the dispatch regions, blocks of
+    ``region_block`` cells a side, and the zones of the RHC tables, blocks of
+    ``zone_block``; each map numbers its blocks row-major.
 
-    Every city, synthesised or read from a directory, has this layout.
+    Every city, synthesised or read from a directory, has this layout, and
+    this is the one place the program builds a :class:`RegionMap`.
     """
     grid = GridSpec(rows=cfg.fine_rows, cols=cfg.fine_cols, cell_size=cfg.cell_size_m,
                     origin=Location(cfg.origin_lat, cfg.origin_lon))
-    return (grid, block_region_map(grid, cfg.region_block, cfg.region_block),
-            block_region_map(grid, cfg.zone_block, cfg.zone_block))
+    return grid, RegionMap(grid, cfg.region_block), RegionMap(grid, cfg.zone_block)
 
 
 def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
@@ -176,7 +177,8 @@ def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
     scatter coordinates or a hotspot (one uniform against the hour's
     destination CDF, as ``Generator.choice`` draws it) with a normal and
     a uniform per coordinate, and last, unless the hop is under 100 m,
-    the duration noise.
+    the duration noise.  A trip time that is not finite raises
+    :class:`ConfigError` naming ``synth_noise`` and ``synth_speed_kmh``.
     """
     rng = np.random.default_rng(seed)
     grid, regions, zones = city_layout(cfg)
@@ -222,6 +224,10 @@ def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
                         continue  # hop too short to be a recorded taxi trip
                     dist_km = straight * 1.25 / 1000.0
                     minutes = dist_km / speed * 60.0 * float(np.exp(normal(0.0, noise)))
+                    if not math.isfinite(minutes):
+                        raise ConfigError(f"a synthesised trip time is {minutes} minutes: lower "
+                                          f"synth_noise ({noise}) or raise synth_speed_kmh "
+                                          f"({cfg.synth_speed_kmh})")
                     draws.append((minute, pickup, dropoff, max(1.0, minutes), dist_km))
     draws.sort(key=itemgetter(0))  # stable: equal minutes keep their draw order
     trips = [RideRequest(i, *draw) for i, draw in enumerate(draws)]

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import (GridSpec, RegionMap, aggregate_to_regions, haversine_arrays, mismatch,
-                  region_cells)
+from .geo import RegionMap, aggregate_to_regions, haversine_arrays, mismatch, region_cells
 from .lp import LpProblem, LpSolution, SparseRows, highs_bindings, solve
 from .sim import SLOT_MINUTES, DispatchOrder
 
@@ -31,8 +30,9 @@ FALLBACK_SPEED_KMH = 25.0
 
 # --- historical tables -----------------------------------------------------
 
-def zone_centroid_distances(rm: RegionMap, grid: GridSpec) -> np.ndarray:
+def zone_centroid_distances(rm: RegionMap) -> np.ndarray:
     """Pairwise great-circle distances between zone centroids, meters."""
+    grid = rm.grid
     rows, cols = np.indices((grid.rows, grid.cols))
     count = np.maximum(aggregate_to_regions(np.ones(rows.shape), rm), 1)
     lats = aggregate_to_regions(grid.origin.lat + (rows + 0.5) * grid.d_lat, rm) / count

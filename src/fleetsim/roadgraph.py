@@ -205,11 +205,12 @@ def load_edge_list(path) -> RoadGraph:
     """Parse a ``#nodes`` / ``#edges`` sectioned edge-list file.
 
     Node lines are ``node_id,lat,lon``; edge lines are
-    ``from_id,to_id,length_m``.  A malformed line, a bad edge or a file
-    without nodes raises :class:`EdgeListParseError` naming ``path``, and
-    the line number where there is one.
+    ``from_id,to_id,length_m``.  A malformed line, a node id given twice, a
+    bad edge or a file without nodes raises :class:`EdgeListParseError`
+    naming ``path``, and the line number where there is one.
     """
     nodes: dict[int, Location] = {}
+    node_lines: dict[int, int] = {}
     edges: list[tuple[int, int, float]] = []
     section = None
     with open(path, encoding="utf-8") as fh:
@@ -231,7 +232,11 @@ def load_edge_list(path) -> RoadGraph:
                     lat, lon = float(parts[1]), float(parts[2])
                     if not (math.isfinite(lat) and math.isfinite(lon)):
                         raise ValueError(f"non-finite location {lat},{lon}")
-                    nodes[int(parts[0])] = Location(lat, lon)
+                    nid = int(parts[0])
+                    first = node_lines.setdefault(nid, lineno)
+                    if first != lineno:
+                        raise ValueError(f"node {nid} is already given on line {first}")
+                    nodes[nid] = Location(lat, lon)
                 elif section == "edges":
                     if len(parts) != 3:
                         raise ValueError("expected from_id,to_id,length_m")

@@ -34,7 +34,7 @@ from fleetsim.dqn import (ACTION_RADIUS, ACTION_SIZE, AUX_PLANES, MAIN_PLANES, Q
                           VehicleContext, _Pending, action_offset, greedy_action, reward_dqn)
 from fleetsim.eta import ETA_SPEC
 from fleetsim.geo import (_BOUNDARY_SNAP, GridSpec, Location, OutOfBoundsError,
-                          aggregate_to_regions, block_region_map, center_of, haversine,
+                          RegionMap, aggregate_to_regions, center_of, haversine,
                           haversine_arrays, mismatch)
 from fleetsim.harness import experiment as ex
 from fleetsim.harness.config import ExperimentConfig
@@ -423,10 +423,9 @@ def q_main_planes_51(demand, supply, idle, region):
     return main.transpose(1, 2, 0)
 
 
-def zone_centroid_distances_reference(rm, grid):
+def zone_centroid_distances_reference(rm):
     """Pairwise zone-centroid distances, meters, summing cell centres one by one."""
-    from fleetsim.geo import center_of, haversine_arrays
-
+    grid = rm.grid
     m = rm.region_count
     lat_sum = np.zeros(m)
     lon_sum = np.zeros(m)
@@ -1240,12 +1239,12 @@ class DqnPolicyReference(DqnPolicy):
 
     def _region_cell(self, fine_cell):
         rid = int(self.region_map.assignment[fine_cell])
-        return (rid // self.region_shape[1], rid % self.region_shape[1])
+        return (rid // self.region_map.shape[1], rid % self.region_map.shape[1])
 
     def dispatch(self, view):
         training = self.training
         train = training is not None
-        rr, rc = self.region_shape
+        rr, rc = self.region_map.shape
         horizon = SUPPLY_HORIZONS[-1]
 
         heat = self.demand_predictor(view)
@@ -1441,10 +1440,9 @@ def synth_city_reference(cfg, seed: int, days: int):
                     draws.append((minute, pickup, dropoff, max(1.0, minutes), dist_km))
     draws.sort(key=lambda draw: draw[0])
     trips = [RideRequest(i, *draw) for i, draw in enumerate(draws)]
-    regions = block_region_map(grid, cfg.region_block, cfg.region_block)
-    zones = block_region_map(grid, cfg.zone_block, cfg.zone_block)
-    return SynthCity(grid=grid, graph=build_road_grid(grid), regions=regions,
-                     zones=zones, trips=trips)
+    return SynthCity(grid=grid, graph=build_road_grid(grid),
+                     regions=RegionMap(grid, cfg.region_block),
+                     zones=RegionMap(grid, cfg.zone_block), trips=trips)
 
 
 def destination_table_reference(origin, dest, dow, hour, zone_count):

@@ -10,9 +10,7 @@ from fleetsim.geo import (
     Location,
     OutOfBoundsError,
     RegionMap,
-    RegionMapError,
     aggregate_to_regions,
-    block_region_map,
     cell_arrays,
     center_of,
     haversine,
@@ -84,63 +82,58 @@ class TestCellOf:
             cell_arrays(lats, lons, g)
 
 
+def block_grid(rows, cols):
+    return GridSpec(rows=rows, cols=cols, cell_size=100.0, origin=Location(0.0, 0.0))
+
+
+def random_block_map(rng):
+    """A block map of a random block size over a random number of blocks a side."""
+    block, rows, cols = (int(v) for v in rng.integers(1, 5, size=3))
+    return RegionMap(block_grid(rows * block, cols * block), block)
+
+
 class TestRegionMap:
-    def test_identity_maps_everything_to_zero(self):
-        rm = RegionMap(np.zeros((3, 4)), 1)
+    def test_one_block_maps_everything_to_zero(self):
+        rm = RegionMap(block_grid(3, 3), 3)
         assert rm.assignment.dtype == np.int64
+        assert (rm.shape, rm.region_count) == ((1, 1), 1)
         for r in range(3):
-            for c in range(4):
+            for c in range(3):
                 assert rm.assignment[r, c] == 0
 
     def test_row_regions(self):
-        rm = RegionMap(np.array([[0, 0], [1, 1]]), 2)
-        assert rm.assignment[1, 0] == 1
-        assert rm.assignment[0, 1] == 0
-
-    def test_unmapped_cells_rejected_on_construction(self):
-        with pytest.raises(RegionMapError, match="leaves 4 cells unmapped"):
-            RegionMap(np.full((2, 2), -1), 1)
-        with pytest.raises(RegionMapError, match="leaves 1 cells unmapped"):
-            RegionMap(np.array([[0, -3], [0, 0]]), 1)
-
-    @pytest.mark.parametrize("assignment, count, match", [
-        (np.zeros(4), 1, r"must be 2-D, got shape \(4,\)"),
-        (np.zeros((2, 2, 2)), 1, r"must be 2-D, got shape \(2, 2, 2\)"),
-        (np.array([[0, 1], [2, 1]]), 2, "region id 2 out of range for 2 regions"),
-        (np.array([[0, 0], [0, -2]]), 1, "leaves 1 cells unmapped"),
-    ])
-    def test_bad_assignment_rejected_on_construction(self, assignment, count, match):
-        with pytest.raises(RegionMapError, match=match):
-            RegionMap(assignment, count)
+        rm = RegionMap(block_grid(2, 4), 2)
+        assert (rm.shape, rm.region_count) == ((1, 2), 2)
+        assert rm.assignment[1, 0] == 0
+        assert rm.assignment[0, 2] == 1
 
     def test_assignment_is_read_only(self):
-        rm = RegionMap(np.array([[0, 1], [1, 0]]), 2)
+        rm = RegionMap(block_grid(2, 2), 1)
         with pytest.raises(ValueError, match="read-only"):
             rm.assignment[0, 0] = 1
         assert rm.assignment[0, 0] == 0
 
-    @pytest.mark.parametrize("rows, cols, block_rows, block_cols", [
-        (6, 6, 1, 1), (6, 4, 3, 2), (4, 9, 4, 3),
+    @pytest.mark.parametrize("rows, cols, block", [
+        (6, 6, 1), (6, 4, 2), (9, 12, 3), (4, 8, 4),
     ])
-    def test_block_map_matches_brute_force(self, rows, cols, block_rows, block_cols):
-        g = GridSpec(rows=rows, cols=cols, cell_size=100.0, origin=Location(0.0, 0.0))
-        rm = block_region_map(g, block_rows, block_cols)
-        per_row = cols // block_cols
-        assert rm.region_count == (rows // block_rows) * per_row
+    def test_block_map_matches_brute_force(self, rows, cols, block):
+        rm = RegionMap(block_grid(rows, cols), block)
+        per_row = cols // block
+        assert rm.shape == (rows // block, per_row)
+        assert rm.region_count == (rows // block) * per_row
         for r in range(rows):
             for c in range(cols):
-                assert rm.assignment[r, c] == (r // block_rows) * per_row + c // block_cols
+                assert rm.assignment[r, c] == (r // block) * per_row + c // block
 
-    @pytest.mark.parametrize("block_rows, block_cols", [(4, 3), (3, 4)])
-    def test_block_map_rejects_an_indivisible_grid(self, block_rows, block_cols):
-        g = GridSpec(rows=6, cols=6, cell_size=100.0, origin=Location(0.0, 0.0))
-        with pytest.raises(ValueError, match=f"6x6 grid not divisible into "
-                                             f"{block_rows}x{block_cols} blocks"):
-            block_region_map(g, block_rows, block_cols)
+    @pytest.mark.parametrize("rows, cols, block", [(6, 6, 4), (6, 4, 3), (4, 6, 3),
+                                                   (6, 6, 0), (6, 6, -2)])
+    def test_block_map_rejects_an_indivisible_grid(self, rows, cols, block):
+        with pytest.raises(ValueError, match=f"{rows}x{cols} grid not divisible into "
+                                             f"{block}x{block} blocks"):
+            RegionMap(block_grid(rows, cols), block)
 
     def test_block_map_layout(self):
-        g = GridSpec(rows=6, cols=6, cell_size=100.0, origin=Location(0.0, 0.0))
-        rm = block_region_map(g, 3, 3)
+        rm = RegionMap(block_grid(6, 6), 3)
         assert rm.region_count == 4
         assert rm.assignment[0, 0] == 0
         assert rm.assignment[0, 3] == 1
@@ -150,37 +143,35 @@ class TestRegionMap:
 
 class TestAggregate:
     def test_zero_heat(self):
-        rm = RegionMap(np.zeros((3, 3)), 1)
+        rm = RegionMap(block_grid(3, 3), 3)
         assert aggregate_to_regions(np.zeros((3, 3)), rm).tolist() == [0.0]
 
     def test_single_cell_single_region(self):
-        rm = RegionMap(np.zeros((2, 2)), 1)
+        rm = RegionMap(block_grid(2, 2), 2)
         heat = np.zeros((2, 2))
         heat[1, 0] = 5.0
         assert aggregate_to_regions(heat, rm).tolist() == [5.0]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
-        assignment = rng.integers(0, 2, size=(4, 4))
-        rm = RegionMap(assignment, 2)
-        heat = rng.integers(0, 9, size=(4, 4)).astype(float)
-        got = aggregate_to_regions(heat, rm)
-        expect = np.zeros(2)
-        for r in range(4):
-            for c in range(4):
-                expect[assignment[r, c]] += heat[r, c]
-        np.testing.assert_array_equal(got, expect)
+        for _ in range(20):
+            rm = random_block_map(rng)
+            heat = rng.integers(0, 9, size=rm.assignment.shape).astype(float)
+            got = aggregate_to_regions(heat, rm)
+            expect = np.zeros(rm.region_count)
+            for (r, c), value in np.ndenumerate(heat):
+                expect[rm.assignment[r, c]] += value
+            np.testing.assert_array_equal(got, expect)
 
     def test_conserves_total_count(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            rows, cols, m = rng.integers(1, 8, size=3)
-            rm = RegionMap(rng.integers(0, m, size=(rows, cols)), int(m))
-            heat = rng.uniform(0, 10, size=(rows, cols))
+            rm = random_block_map(rng)
+            heat = rng.uniform(0, 10, size=rm.assignment.shape)
             assert aggregate_to_regions(heat, rm).sum() == pytest.approx(heat.sum())
 
     def test_dimension_mismatch(self):
-        rm = RegionMap(np.zeros((2, 2)), 1)
+        rm = RegionMap(block_grid(2, 2), 1)
         with pytest.raises(ValueError):
             aggregate_to_regions(np.zeros((3, 3)), rm)
 

@@ -20,7 +20,7 @@ from fleetsim import eta as eta_mod
 from fleetsim import neural
 from fleetsim.clock import Clock
 from fleetsim.dqn import QNetwork
-from fleetsim.geo import GridSpec, Location, block_region_map
+from fleetsim.geo import GridSpec, Location, RegionMap
 from fleetsim.harness.config import _RULES, ConfigError, ExperimentConfig, parse_config
 from fleetsim.harness.ingest import TripDataError, ingest_trips
 from fleetsim.harness.synth import build_road_grid, city_layout, synth_city, write_city
@@ -50,7 +50,8 @@ RULE_EDGES = {
     "at least 1": ("vehicles", "1", "0"),
     "non-negative": ("seed", "0", "-1"),
     "in 0-23": ("day_start_hour", "23", "24"),
-    "finite": ("origin_lon", "1.7976931348623157e308", "inf"),
+    "in -90 to 90": ("origin_lat", "-90", "-90.00000000000001"),
+    "in -180 to 180": ("origin_lon", "-180", "-180.00000000000003"),
     "finite and positive": ("dqn_lr", "5e-324", "0"),
     "finite and non-negative": ("synth_noise", "0", "-5e-324"),
     "in (0, 1]": ("dqn_discount", "1", "1.0000000000000002"),
@@ -142,10 +143,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="origin_lat"):
             parse_config(text="seed = 1\n", overrides={"origin_lat": value})
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_origin_lon_rejected(self, value):
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308", "500", "-200",
+                                       "179.99"])
+    def test_origin_lon_off_the_globe_rejected(self, value):
+        # 20 columns of 550 m reach about 0.13 degrees east of the origin, so
+        # a grid from 179.99 would cross the antimeridian
         with pytest.raises(ConfigError, match="origin_lon"):
             parse_config(text="seed = 1\n", overrides={"origin_lon": value})
+
+    def test_grid_reaching_the_antimeridian_accepted(self):
+        assert parse_config(text="seed = 1\norigin_lon = 179.8\n").origin_lon == 179.8
 
     def test_grid_reaching_a_pole_accepted(self):
         cfg = parse_config(text="seed = 1\norigin_lat = -90\n")
@@ -306,10 +313,7 @@ class TestSynth:
         # the regions and zones are the config's block layouts, which no file
         # can contradict
         city = ex.load_city(small_cfg(tmp_path, region_block=2, zone_block=2))
-        assert np.array_equal(city.regions.assignment,
-                              block_region_map(city.grid, 2, 2).assignment)
-        assert np.array_equal(city.zones.assignment,
-                              block_region_map(city.grid, 2, 2).assignment)
+        assert city.regions == city.zones == RegionMap(city.grid, 2)
 
     def test_road_grid_connected(self, tmp_path):
         cfg = small_cfg(tmp_path)
@@ -582,7 +586,7 @@ class TestExperiment:
 
     def test_models_reload_with_equal_bytes(self, mini_world):
         cfg, _, bundle = mini_world
-        back = ex.load_models(cfg, ex.zone_block_count(cfg))
+        back = ex.load_models(cfg)
         assert back.historical.shape == (7, 24, cfg.fine_rows, cfg.fine_cols)
         for name in ("historical", "trip_times", "destinations"):
             saved, loaded = getattr(bundle, name), getattr(back, name)
@@ -609,7 +613,7 @@ class TestExperiment:
             with open(path, "wb") as fh:
                 np.savez(fh, historical=table)
         with pytest.raises(ZoneTableError, match=match):
-            ex.load_models(cfg, ex.zone_block_count(cfg))
+            ex.load_models(cfg)
 
     def test_every_hour_of_every_day_has_requests(self, mini_world, tmp_path):
         # the synthesised city runs on past midnight to the end of the last window
@@ -715,6 +719,10 @@ BAD_INPUTS = {
     "road-no-nodes": ("city/roads.txt", lambda b: b"#nodes\n#edges\n", "roads.txt: no nodes"),
     "road-off-grid": ("city/roads.txt", lambda b: b"#nodes\n0,10.0,10.0\n#edges\n",
                       "roads.txt: none of its 1 nodes lies inside the grid"),
+    # node 0 is on line 2 and node 1 on line 3, the 100 nodes end on line 101
+    "road-node-repeated": ("city/roads.txt",
+                           lambda b: b.replace(b"#edges\n", b"1,40.5,-73.0\n#edges\n"),
+                           "roads.txt: line 102: node 1 is already given on line 3"),
     "zone-tables-truncated": ("out/models/zone_tables.npz", lambda b: b[:len(b) // 2],
                               "zone_tables.npz: unreadable"),
 }
@@ -966,6 +974,33 @@ class TestCli:
         assert code == 1, err
         assert err == f"config error: {key} must be non-negative, got -1\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value, message", [
+        ("1e308", "origin_lon must be in -180 to 180, got 1e+308"),
+        ("500", "origin_lon must be in -180 to 180, got 500.0"),
+        ("-200", "origin_lon must be in -180 to 180, got -200.0"),
+        ("179.99", "origin_lon 179.99 puts the grid between longitudes 179.99 and 180.05"),
+    ])
+    def test_longitude_off_the_globe_is_config_error(self, tmp_path, capsys, value,
+                                                     message):
+        # 1e308 exited 2 on road edges of length 0, and 500 and -200 ran
+        code = cli.main([*TINY_CLI, *dirs(tmp_path), "--set", f"origin_lon={value}",
+                         "simulate"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith(f"config error: {message}"), err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trip_time_that_is_not_finite_is_config_error(self, tmp_path, capsys):
+        # a noise of 1e300 overflowed the trip times to inf, which the ETA fit
+        # refused as a runtime error (exit 3)
+        code = cli.main([*TINY_CLI, *dirs(tmp_path), "--set", "synth_noise=1e300",
+                         "simulate"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err == ("config error: a synthesised trip time is inf minutes: lower "
+                       "synth_noise (1e+300) or raise synth_speed_kmh (21.0)\n"), err
+        assert not (tmp_path / "out" / "models").exists()
 
     def test_negative_speed_is_config_error(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"

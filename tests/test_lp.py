@@ -301,16 +301,16 @@ import sys
 from types import SimpleNamespace
 import numpy as np
 from fleetsim.dqn import QNetwork
-from fleetsim.geo import GridSpec, Location, block_region_map
+from fleetsim.geo import GridSpec, Location, RegionMap
 from fleetsim.harness import experiment as ex
 from fleetsim.harness.config import parse_config
 cfg = parse_config(overrides={"seed": "3"})
 grid = GridSpec(rows=cfg.fine_rows, cols=cfg.fine_cols, cell_size=500.0,
                 origin=Location(40.0, -74.0))
-zones = block_region_map(grid, cfg.zone_block, cfg.zone_block)
+zones = RegionMap(grid, cfg.zone_block)
 m = zones.region_count
 city = SimpleNamespace(zones=zones,
-                       regions=block_region_map(grid, cfg.region_block, cfg.region_block))
+                       regions=RegionMap(grid, cfg.region_block))
 bundle = SimpleNamespace(demand_model=None, historical=np.zeros((7, 24) + grid.shape),
                          trip_times=np.ones((7, 24, m, m)),
                          destinations=np.full((7, 24, m, m), 1.0 / m))

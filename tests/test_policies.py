@@ -11,7 +11,7 @@ from fleetsim.dqn import (
     QNetwork,
     STAY_CELL,
 )
-from fleetsim.geo import GridSpec, Location, RegionMap, aggregate_to_regions, block_region_map
+from fleetsim.geo import GridSpec, Location, RegionMap, aggregate_to_regions
 from fleetsim import rhc
 from fleetsim.rhc import RhcPolicy
 from fleetsim.sim import SimView
@@ -19,8 +19,8 @@ from test_dqn import crafted_qnet, make_training, sample_qnet
 
 
 GRID = GridSpec(rows=10, cols=10, cell_size=500.0, origin=Location(40.0, -74.0))
-REGIONS = block_region_map(GRID, 1, 1)        # 10x10 regions, one cell each
-ZONES = block_region_map(GRID, 5, 5)          # 2x2 zones
+REGIONS = RegionMap(GRID, 1)        # 10x10 regions, one cell each
+ZONES = RegionMap(GRID, 5)          # 2x2 zones
 
 
 # minutes until idle of a vehicle that stays busy beyond every horizon
@@ -66,7 +66,7 @@ def flat_demand_predictor(view):
 class TestDqnPolicy:
     def make_policy(self, net=None, training=None, cycle=1):
         return DqnPolicy(net or QNetwork.create(np.random.default_rng(0)),
-                         REGIONS, (10, 10), flat_demand_predictor,
+                         REGIONS, flat_demand_predictor,
                          decision_interval=15.0, cycle=cycle, training=training)
 
     def test_stay_policy_issues_no_orders(self):
@@ -204,7 +204,7 @@ class TestDqnPolicy:
                 self.writes += 1
                 super().__setitem__(key, value)
 
-        policy = DqnPolicy(sample_qnet("move"), REGIONS, (10, 10), spy_predictor,
+        policy = DqnPolicy(sample_qnet("move"), REGIONS, spy_predictor,
                            decision_interval=15.0,
                            training=make_training(3, pinned_alpha=0.5)
                            if train else None)
@@ -298,21 +298,20 @@ def array_key(arrays):
 class TestDqnMatchesReference:
     """:class:`DqnPolicy` against the per-vehicle, per-event dispatch it replaced."""
 
-    @pytest.mark.parametrize("regions, block", [((10, 10), (2, 2)), ((4, 7), (3, 2)),
-                                                ((1, 1), (3, 3))])
+    @pytest.mark.parametrize("regions, block", [((10, 10), 2), ((4, 7), 3), ((1, 1), 3)])
     @pytest.mark.parametrize("train", [False, True])
     @pytest.mark.parametrize("net", ["move", "stay", "random"])
     def test_same_orders_decisions_and_transitions(self, regions, block, train, net):
-        grid = GridSpec(rows=regions[0] * block[0], cols=regions[1] * block[1],
+        grid = GridSpec(rows=regions[0] * block, cols=regions[1] * block,
                         cell_size=500.0, origin=Location(40.0, -74.0))
-        region_map = block_region_map(grid, *block)
+        region_map = RegionMap(grid, block)
         qnet = sample_qnet(net)
         config = make_training(7, pinned_epsilon=0.3, pinned_alpha=0.7)
 
         def predictor(view):
             return 0.37 * view.trailing_heat + view.heat_prev1
 
-        policies = [cls(qnet, region_map, regions, predictor, decision_interval=15.0,
+        policies = [cls(qnet, region_map, predictor, decision_interval=15.0,
                         training=config if train else None)
                     for cls in (DqnPolicy, DqnPolicyReference)]
         for policy in policies:

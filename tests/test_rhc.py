@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fleetsim.geo import (GridSpec, Location, RegionMap, block_region_map, mismatch,
-                          region_cells)
+from fleetsim.geo import GridSpec, Location, RegionMap, mismatch, region_cells
 from fleetsim.rhc import (
     ZoneTableError,
     assign_vehicles,
@@ -385,18 +384,20 @@ class TestTables:
 
     def test_zone_centroid_distances_symmetric(self):
         g = GridSpec(rows=4, cols=4, cell_size=500.0, origin=Location(40.0, -74.0))
-        rm = block_region_map(g, 2, 2)
-        d = zone_centroid_distances(rm, g)
+        d = zone_centroid_distances(RegionMap(g, 2))
         np.testing.assert_allclose(d, d.T, atol=1e-6)
         assert d[0, 0] == 0.0
         assert d[0, 1] > 0
 
     def test_zone_centroid_distances_equal_cell_by_cell_reference(self):
         rng = np.random.default_rng(4)
-        g = GridSpec(rows=12, cols=9, cell_size=450.0, origin=Location(40.7, -74.0))
-        for rm in (block_region_map(g, 3, 3), RegionMap(rng.integers(0, 7, g.shape), 7)):
-            np.testing.assert_array_equal(zone_centroid_distances(rm, g),
-                                          zone_centroid_distances_reference(rm, g))
+        for _ in range(10):
+            block, rows, cols = (int(v) for v in rng.integers(1, 5, size=3))
+            g = GridSpec(rows=rows * block, cols=cols * block, cell_size=450.0,
+                         origin=Location(40.7, -74.0))
+            rm = RegionMap(g, block)
+            np.testing.assert_array_equal(zone_centroid_distances(rm),
+                                          zone_centroid_distances_reference(rm))
 
 
 class TestRounding:
@@ -429,72 +430,65 @@ class TestRounding:
 
 
 class TestAssignVehicles:
-    def grid(self):
-        g = GridSpec(rows=2, cols=2, cell_size=500.0, origin=Location(40.0, -74.0))
-        rm = RegionMap(np.array([[0, 0], [1, 1]]), 2)  # zone 0 top row
-        return g, rm
+    # zone 0 is the top 2x2 block of a 4x2 grid, zone 1 the bottom one
+    ZONE_CELLS = region_cells(RegionMap(
+        GridSpec(rows=4, cols=2, cell_size=500.0, origin=Location(40.0, -74.0)), 2))
 
     def test_empty_plan(self):
-        _, rm = self.grid()
         orders, warnings = assign_vehicles(np.zeros((2, 2), dtype=int),
-                                           np.zeros((2, 2)), [], region_cells(rm))
+                                           np.zeros((4, 2)), [], self.ZONE_CELLS)
         assert orders == [] and warnings == []
 
     def test_highest_mismatch_source_selected(self):
-        _, rm = self.grid()
         u = np.array([[0, 1], [0, 0]])
-        eta = np.array([[0.3, 0.1], [-0.2, -0.2]])
+        eta = np.array([[0.3, 0.1], [0.0, 0.0], [-0.2, -0.2], [-0.2, -0.2]])
         idle = [(7, (0, 0)), (3, (0, 1))]
-        orders, warnings = assign_vehicles(u, eta, idle, region_cells(rm))
+        orders, warnings = assign_vehicles(u, eta, idle, self.ZONE_CELLS)
         assert not warnings
         assert len(orders) == 1
         assert orders[0].vehicle_id == 7  # vehicle at the eta=0.3 cell
 
     def test_lowest_mismatch_target_cell(self):
-        _, rm = self.grid()
         u = np.array([[0, 1], [0, 0]])
-        eta = np.array([[0.4, 0.0], [0.2, -0.5]])
-        orders, _ = assign_vehicles(u, eta, [(1, (0, 0))], region_cells(rm))
-        assert orders[0].target_cell == (1, 1)
+        eta = np.array([[0.4, 0.0], [0.0, 0.0], [0.2, -0.5], [0.0, 0.1]])
+        orders, _ = assign_vehicles(u, eta, [(1, (0, 0))], self.ZONE_CELLS)
+        assert orders[0].target_cell == (2, 1)
 
     def test_tie_breaks_lowest_cell_then_lowest_vehicle(self):
-        _, rm = self.grid()
         u = np.array([[0, 1], [0, 0]])
-        eta = np.zeros((2, 2))
+        eta = np.zeros((4, 2))
         idle = [(9, (0, 0)), (2, (0, 0)), (5, (0, 1))]
-        orders, _ = assign_vehicles(u, eta, idle, region_cells(rm))
+        orders, _ = assign_vehicles(u, eta, idle, self.ZONE_CELLS)
         assert orders[0].vehicle_id == 2          # lowest id in lowest tied cell
-        assert orders[0].target_cell == (1, 0)    # lowest row-major cell of zone 1
+        assert orders[0].target_cell == (2, 0)    # lowest row-major cell of zone 1
 
     def test_truncates_with_warning_when_out_of_vehicles(self):
-        _, rm = self.grid()
         u = np.array([[0, 3], [0, 0]])
-        eta = np.zeros((2, 2))
-        orders, warnings = assign_vehicles(u, eta, [(1, (0, 0))], region_cells(rm))
+        eta = np.zeros((4, 2))
+        orders, warnings = assign_vehicles(u, eta, [(1, (0, 0))], self.ZONE_CELLS)
         assert len(orders) == 1
         assert len(warnings) == 2
 
     def test_mismatch_updates_steer_later_units(self):
         # two units from zone 0: after the first assignment the source cell's
         # share drops, so the second unit comes from the other cell
-        _, rm = self.grid()
         u = np.array([[0, 2], [0, 0]])
-        eta = np.array([[0.30, 0.29], [-0.3, -0.29]])
+        eta = np.array([[0.30, 0.29], [0.0, 0.0], [-0.3, -0.29], [0.0, 0.0]])
         idle = [(1, (0, 0)), (2, (0, 0)), (3, (0, 1)), (4, (0, 1))]
-        orders, _ = assign_vehicles(u, eta, idle, region_cells(rm))
+        orders, _ = assign_vehicles(u, eta, idle, self.ZONE_CELLS)
         # four idle vehicles, so each assignment moves 0.25 of share
         assert orders[0].vehicle_id == 1
         assert orders[1].vehicle_id == 3
         # first target was the -0.3 cell, whose share then rose by 0.25
-        assert orders[0].target_cell == (1, 0)
-        assert orders[1].target_cell == (1, 1)
+        assert orders[0].target_cell == (2, 0)
+        assert orders[1].target_cell == (2, 1)
 
     def test_equals_reference_loops(self):
         # seeded plans over 9 zones of a 6x6 grid: surplus values drawn from
         # five levels, so cells tie; zones left without an idle vehicle; and
         # units of up to 3 per zone pair
         grid = GridSpec(rows=6, cols=6, cell_size=500.0, origin=Location(40.0, -74.0))
-        zone_cells = region_cells(block_region_map(grid, 2, 2))
+        zone_cells = region_cells(RegionMap(grid, 2))
         rng = np.random.default_rng(23)
         seen = {"warnings": 0, "ties": 0, "multi_units": 0}
         for _ in range(300):

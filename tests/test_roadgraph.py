@@ -83,6 +83,16 @@ class TestLoadEdgeList:
             load_edge_list(p)
         assert str(exc.value).startswith(f"{p}: line 3: ")
 
+    def test_repeated_node_id_rejected(self, tmp_path):
+        # the last line used to win: node 1 moved about 100 km while its edge
+        # kept its 1100 m
+        p = tmp_path / "g.txt"
+        p.write_text("#nodes\n1,40.0,-74.0\n2,40.01,-74.0\n1,40.5,-73.0\n"
+                     "#edges\n1,2,1100.0\n")
+        with pytest.raises(EdgeListParseError) as exc:
+            load_edge_list(p)
+        assert str(exc.value) == f"{p}: line 4: node 1 is already given on line 2"
+
     @pytest.mark.parametrize("text", ["", "#nodes\n#edges\n"], ids=["empty", "headers-only"])
     def test_file_without_nodes_rejected(self, tmp_path, text):
         # it used to load as an empty graph, which failed at the first

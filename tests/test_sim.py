@@ -13,7 +13,7 @@ from fleetsim import neural
 from fleetsim.clock import Clock
 from fleetsim.dqn import DqnPolicy
 from fleetsim.eta import ETA_SPEC, EtaModel
-from fleetsim.geo import (GridSpec, Location, OutOfBoundsError, block_region_map, center_of,
+from fleetsim.geo import (GridSpec, Location, OutOfBoundsError, RegionMap, center_of,
                           haversine)
 from fleetsim.lp import solve
 from fleetsim.rhc import RhcPolicy, build_rhc_lp
@@ -754,8 +754,8 @@ def dqn_city_simulation(sim_cls, policy_cls, seed, rows, cols, n_vehicles, n_req
     grid, graph, requests = small_city(seed, rows, cols, n_vehicles, n_requests)
     qnet = sample_qnet(net, seed)
     training = make_training(seed, pinned_epsilon=0.3, pinned_alpha=0.7)
-    policy = policy_cls(qnet, block_region_map(grid, 1, 1), grid.shape,
-                        lambda view: view.trailing_heat, decision_interval=15.0,
+    policy = policy_cls(qnet, RegionMap(grid, 1), lambda view: view.trailing_heat,
+                        decision_interval=15.0,
                         training=training if train else None)
     return sim_cls(grid, graph, FeatureEta(), requests, n_vehicles, policy=policy,
                    clock0=Clock(400.0), **sim_settings(warmup=0), event_log=[])
@@ -817,12 +817,12 @@ class ZoneBudgetCheck:
 def rhc_city_simulation(sim_cls, seed, rows, cols, n_vehicles, n_requests, slot, horizon):
     """A simulation of :func:`small_city` dispatched by a receding-horizon policy.
 
-    A zone spans 2 rows where the grid has an even row count, else 1, and
-    likewise 2 or 1 columns; the zone tables and the demand history are
+    A zone is a block of 2x2 cells where both the row and the column count
+    are even, else one cell; the zone tables and the demand history are
     drawn from ``seed``, with trip times on both sides of the one-slot limit.
     """
     grid, graph, requests = small_city(seed, rows, cols, n_vehicles, n_requests)
-    zones = block_region_map(grid, 2 - rows % 2, 2 - cols % 2)
+    zones = RegionMap(grid, 2 if rows % 2 == cols % 2 == 0 else 1)
     m = zones.region_count
     rng = np.random.default_rng(seed)
     trip_times = rng.uniform(0.0, 2.5 * slot, (7, 24, m, m))

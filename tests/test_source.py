@@ -235,11 +235,12 @@ def region_map_constructions(source: str) -> list[str]:
 
 
 def test_one_builder_of_the_partitions():
-    """Every region and zone map is a block layout of the config: nothing in the
-    package constructs a ``RegionMap`` but ``geo.block_region_map``."""
+    """Every region and zone map is the config's block layout: nothing in the
+    package constructs a ``RegionMap`` but ``synth.city_layout``, once for the
+    regions and once for the zones."""
     found = [f"{p.relative_to(SRC)}:{scope}" for p in MODULES
              for scope in region_map_constructions(p.read_text(encoding="utf-8"))]
-    assert found == ["geo.py:block_region_map"]
+    assert found == ["harness/synth.py:city_layout"] * 2
 
 
 def test_region_map_construction_detection():
