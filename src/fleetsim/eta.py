@@ -7,7 +7,9 @@ the simulator times.  Inputs are z-scored with statistics from the
 training split only; predictions clamp at zero since negative travel
 times are meaningless downstream.  The model runs on batches of feature
 rows only, and evaluates each row as its own batch of one: a trip's
-minutes do not depend on the batch it is timed in.
+minutes do not depend on the batch it is timed in.  A long batch, such
+as the training trips the fit scores, runs in blocks of
+``PREDICT_BLOCK`` rows, so its activations take a fixed amount of memory.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from . import neural
 FEATURE_COUNT = 9
 VAL_FRACTION = 0.3   # share of the trips held out for validation
 BATCH_SIZE = 128     # trips per training minibatch
+PREDICT_BLOCK = 1024  # rows per forward pass of EtaModel.predict
 
 ETA_SPEC = (
     neural.Dense(FEATURE_COUNT, 32, "relu"),
@@ -63,13 +66,17 @@ class EtaModel:
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Trip minutes of each row of ``(n, 9)`` features, clamped at zero.
 
-        The network runs on the stack ``(n, 1, 9)`` of one-row batches, so
-        each row gets the bytes that a batch of that row alone gives.
-        Raises ``ValueError`` on any other shape.
+        The network runs on stacks ``(k, 1, 9)`` of one-row batches, of
+        ``PREDICT_BLOCK`` rows at most, so each row gets the bytes that a
+        batch of that row alone gives.  Raises ``ValueError`` on any other
+        shape.
         """
         feats = np.asarray(features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[1] != FEATURE_COUNT:
             raise ValueError(f"expected (n, {FEATURE_COUNT}) features, got {feats.shape}")
+        if len(feats) > PREDICT_BLOCK:
+            return np.concatenate([self.predict(feats[lo:lo + PREDICT_BLOCK])
+                                   for lo in range(0, len(feats), PREDICT_BLOCK)])
         z = (feats - self.mean) / self.std
         raw = neural.forward(ETA_SPEC, self.params, z[:, None, :])[:, 0, 0]
         return np.maximum(raw * self.y_std + self.y_mean, 0.0)

@@ -25,9 +25,8 @@ import json
 import logging
 import math
 import multiprocessing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,7 @@ from ..clock import Clock, periodic_features
 from ..geo import GridSpec, RegionMap, cell_arrays
 from ..neural import CheckpointError
 from ..roadgraph import EdgeListParseError, load_edge_list
-from ..sim import SLOT_MINUTES, EpisodeMetrics, RideRequest, Simulation, finalize_metrics
+from ..sim import SLOT_MINUTES, EpisodeMetrics, Simulation, Trips, finalize_metrics
 from .config import ConfigError, ExperimentConfig
 from .ingest import TripDataError, ingest_trips
 from .synth import SynthCity, city_layout, synth_city
@@ -57,11 +56,21 @@ SUMMARY_COLUMNS = (
 
 @dataclass
 class City:
+    """A city's layout, roads and requests.
+
+    ``requests`` is always a :class:`sim.Trips`: a sequence of requests
+    given in its place, such as a list of :class:`sim.RideRequest`, is
+    stored as the columns of its rows, in the given order.
+    """
+
     grid: GridSpec
     graph: object
     regions: RegionMap
     zones: RegionMap
-    requests: list[RideRequest]
+    requests: Trips
+
+    def __post_init__(self):
+        self.requests = Trips.of(self.requests)
 
 
 def city_from_synth(sc: SynthCity) -> City:
@@ -94,13 +103,14 @@ def load_city(cfg: ExperimentConfig) -> City:
     return City(grid, graph, regions, zones, requests)
 
 
-def _check_fleet_windows(cfg: ExperimentConfig, requests: list[RideRequest],
+def _check_fleet_windows(cfg: ExperimentConfig, requests,
                          windows: list[tuple[float, float]], trips_file=None) -> None:
     """Raise when a window ``[start, end)`` holds fewer requests than the vehicles
     placed at their pickups: a :class:`TripDataError` naming ``trips_file`` for
     requests read from one, else a :class:`ConfigError`."""
+    minute = Trips.of(requests).minute
     for day, (start, end) in enumerate(windows):
-        count = sum(start <= r.minute < end for r in requests)
+        count = int(np.count_nonzero((start <= minute) & (minute < end)))
         if count >= cfg.vehicles:
             continue
         if trips_file is not None:
@@ -113,48 +123,47 @@ def _check_fleet_windows(cfg: ExperimentConfig, requests: list[RideRequest],
 
 
 # --- model training --------------------------------------------------------
+# The set-up arrays read the columns of a :class:`sim.Trips`, or of the rows of
+# any other sequence of requests; only the clock features are per request,
+# in scalar ``math``.
 
-def eta_training_arrays(requests: list[RideRequest], cfg: ExperimentConfig):
+def eta_training_arrays(requests, cfg: ExperimentConfig):
     """The :func:`eta.eta_features` of the requests, each at its own clock, and
     their trip minutes."""
-    epoch_dow = cfg.epoch_dow
-    # one pass, straight into one array: no per-request tuples are kept, and
-    # the copied target keeps none of it alive
-    cols = np.fromiter(chain.from_iterable(
-        (*periodic_features(Clock(r.minute, epoch_dow)), r.pickup.lat, r.pickup.lon,
-         r.dropoff.lat, r.dropoff.lon, r.distance_km, r.trip_minutes) for r in requests),
-        dtype=np.float64, count=10 * len(requests)).reshape(-1, 10)
-    return eta_mod.eta_features(cols[:, :4], *cols[:, 4:9].T), cols[:, 9].copy()
+    requests = Trips.of(requests)
+    periodic = np.array([periodic_features(Clock(m, cfg.epoch_dow))
+                         for m in requests.minute.tolist()]).reshape(-1, 4)
+    return (eta_mod.eta_features(periodic, requests.pickup_lat, requests.pickup_lon,
+                                 requests.dropoff_lat, requests.dropoff_lon,
+                                 requests.distance_km),
+            requests.trip_minutes)
 
 
-def demand_slot_series(requests: list[RideRequest], grid: GridSpec,
-                       total_minutes: float, epoch_dow: int):
+def demand_slot_series(requests, grid: GridSpec, total_minutes: float, epoch_dow: int):
+    """Pickups per heat-map slot and cell over ``[0, total_minutes)``, and each
+    slot's clock."""
+    requests = Trips.of(requests)
     n_slots = int(total_minutes // SLOT_MINUTES)
     slots = np.zeros((n_slots,) + grid.shape)
-    lats = np.array([r.pickup.lat for r in requests])
-    lons = np.array([r.pickup.lon for r in requests])
-    rows, cols = cell_arrays(lats, lons, grid)
-    k = np.array([r.minute for r in requests]) // SLOT_MINUTES
+    rows, cols = cell_arrays(requests.pickup_lat, requests.pickup_lon, grid)
+    k = requests.minute // SLOT_MINUTES
     inside = (0 <= k) & (k < n_slots)
     np.add.at(slots, (k[inside].astype(np.intp), rows[inside], cols[inside]), 1.0)
     clocks = [Clock(float(k * SLOT_MINUTES), epoch_dow) for k in range(n_slots)]
     return slots, clocks
 
 
-def zone_trip_arrays(requests: list[RideRequest], zones: RegionMap, epoch_dow: int):
-    lats_o = np.array([r.pickup.lat for r in requests])
-    lons_o = np.array([r.pickup.lon for r in requests])
-    lats_d = np.array([r.dropoff.lat for r in requests])
-    lons_d = np.array([r.dropoff.lon for r in requests])
-    ro, co = cell_arrays(lats_o, lons_o, zones.grid)
-    rd, cd = cell_arrays(lats_d, lons_d, zones.grid)
-    origin = zones.assignment[ro, co]
-    dest = zones.assignment[rd, cd]
-    clocks = [Clock(r.minute, epoch_dow) for r in requests]
+def zone_trip_arrays(requests, zones: RegionMap, epoch_dow: int):
+    """Each request's origin and destination zone, weekday and hour index, and
+    trip minutes."""
+    requests = Trips.of(requests)
+    ro, co = cell_arrays(requests.pickup_lat, requests.pickup_lon, zones.grid)
+    rd, cd = cell_arrays(requests.dropoff_lat, requests.dropoff_lon, zones.grid)
+    clocks = [Clock(m, epoch_dow) for m in requests.minute.tolist()]
     dow = np.array([c.dow_index for c in clocks])
     hour = np.array([c.hour_index for c in clocks])
-    minutes = np.array([r.trip_minutes for r in requests])
-    return origin, dest, dow, hour, minutes
+    return (zones.assignment[ro, co], zones.assignment[rd, cd], dow, hour,
+            requests.trip_minutes)
 
 
 @dataclass
@@ -423,14 +432,14 @@ def city_days(cfg: ExperimentConfig) -> int:
     return math.ceil(day_window(cfg, cfg.days - 1)[1] / 1440.0)
 
 
-def episode_requests(requests: list[RideRequest], start: float, end: float
-                     ) -> list[RideRequest]:
-    """The requests of minutes ``[start, end)``, their minutes counted from ``start``."""
-    return [replace(r, minute=r.minute - start) for r in requests if start <= r.minute < end]
+def episode_requests(requests, start: float, end: float) -> Trips:
+    """The requests of minutes ``[start, end)``, their minutes counted from
+    ``start``: :meth:`sim.Trips.window` of ``requests`` or of its rows."""
+    return Trips.of(requests).window(start, end)
 
 
 def make_simulation(cfg: ExperimentConfig, city: City, bundle: ModelBundle,
-                    requests: list[RideRequest], policy, start: float) -> Simulation:
+                    requests: Trips, policy, start: float) -> Simulation:
     """The configured fleet on ``city``'s roads, serving ``requests`` from minute ``start``.
 
     Vehicle ``k`` starts at the ``k``-th request's pickup; the callers check

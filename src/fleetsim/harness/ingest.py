@@ -1,14 +1,23 @@
-"""Trip-record ingestion: CSV to validated, sorted ride requests."""
+"""Trip-record ingestion: CSV to validated ride requests, sorted by pickup time.
+
+The rows are parsed one at a time, their values kept in one flat buffer;
+the filters and the sort then run on its columns, and the kept rows
+become the :class:`sim.Trips` columns.  No per-trip object outlives its
+row's parse.
+"""
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from datetime import datetime
 from dataclasses import dataclass
 
-from ..geo import GridSpec, Location
-from ..sim import RideRequest
+import numpy as np
+
+from ..geo import GridSpec
+from ..sim import Trips
 
 
 class TripDataError(ValueError):
@@ -23,17 +32,19 @@ class IngestReport:
     dropped_duration: int = 0
 
 
-def ingest_trips(path, grid: GridSpec, epoch: datetime) -> tuple[list[RideRequest], IngestReport]:
+def ingest_trips(path, grid: GridSpec, epoch: datetime) -> tuple[Trips, IngestReport]:
     """Read a trip CSV, filter outliers, and return time-sorted requests.
 
-    Rows with coordinates outside the grid bounds or non-positive
-    durations are dropped and counted in the report.  A row that does not
-    parse, has a distance that is not finite and non-negative, or has a
-    timestamp with a time zone raises :class:`TripDataError`.  Request
-    ids are assigned after sorting by pickup time.
+    Rows with non-positive durations, and then rows with coordinates
+    outside the grid bounds, are dropped and counted in the report.  A row
+    that does not parse, has a distance that is not finite and
+    non-negative, or has a timestamp with a time zone raises
+    :class:`TripDataError`.  Request ids are assigned after a stable sort
+    by pickup time.
     """
     report = IngestReport()
-    rows = []
+    # each row's pickup minute, pickup and dropoff coordinates, duration and km
+    table = array("d")
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -48,8 +59,8 @@ def ingest_trips(path, grid: GridSpec, epoch: datetime) -> tuple[list[RideReques
                 try:
                     pickup_dt = datetime.fromisoformat(rec["pickup_datetime"])
                     dropoff_dt = datetime.fromisoformat(rec["dropoff_datetime"])
-                    pickup = Location(float(rec["pickup_lat"]), float(rec["pickup_lon"]))
-                    dropoff = Location(float(rec["dropoff_lat"]), float(rec["dropoff_lon"]))
+                    coords = (float(rec["pickup_lat"]), float(rec["pickup_lon"]),
+                              float(rec["dropoff_lat"]), float(rec["dropoff_lon"]))
                     dist = float(rec["trip_distance_km"])
                     if not (math.isfinite(dist) and dist >= 0):
                         raise ValueError(f"trip_distance_km {dist} is not finite "
@@ -58,21 +69,20 @@ def ingest_trips(path, grid: GridSpec, epoch: datetime) -> tuple[list[RideReques
                         raise ValueError("timestamps must not carry a time zone")
                 except (ValueError, KeyError) as exc:
                     raise TripDataError(f"{path}: bad row {report.total}: {exc}") from exc
-                duration = (dropoff_dt - pickup_dt).total_seconds() / 60.0
-                if duration <= 0:
-                    report.dropped_duration += 1
-                    continue
-                if not (grid.contains(pickup) and grid.contains(dropoff)):
-                    report.dropped_bounds += 1
-                    continue
-                minute = (pickup_dt - epoch).total_seconds() / 60.0
-                rows.append((minute, pickup, dropoff, duration, dist))
+                table.extend(((pickup_dt - epoch).total_seconds() / 60.0, *coords,
+                              (dropoff_dt - pickup_dt).total_seconds() / 60.0, dist))
     except OSError as exc:
         raise TripDataError(f"cannot read {path}: {exc}") from exc
 
-    rows.sort(key=lambda r: r[0])
-    requests = [RideRequest(rid=i, minute=r[0], pickup=r[1], dropoff=r[2],
-                            trip_minutes=r[3], distance_km=r[4])
-                for i, r in enumerate(rows)]
-    report.kept = len(requests)
-    return requests, report
+    table = np.frombuffer(table).reshape(-1, 7)
+    timed = table[:, 5] > 0
+    lats, lons = table[:, [1, 3]], table[:, [2, 4]]
+    # GridSpec.contains of both ends; a NaN coordinate is outside
+    inside = ((grid.origin.lat <= lats) & (lats < grid.lat_max)
+              & (grid.origin.lon <= lons) & (lons < grid.lon_max)).all(axis=1)
+    report.dropped_duration = int(np.count_nonzero(~timed))
+    report.dropped_bounds = int(np.count_nonzero(timed & ~inside))
+    table = table[timed & inside]
+    table = table[np.argsort(table[:, 0], kind="stable")]
+    report.kept = len(table)
+    return Trips(np.arange(len(table)), *table.T), report

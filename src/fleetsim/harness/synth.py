@@ -11,24 +11,27 @@ the seed.
 The order of the random draws per trip is part of the output: every
 city, trained model and benchmark outcome depends on it, so a rewrite of
 :func:`synth_city` must make the same generator calls in the same order.
-``tests/oracles.py::synth_city_reference`` keeps the per-trip numpy form
-as an equality oracle.
+``tests/oracles.py::synth_city_reference`` keeps the per-trip numpy form,
+with a :class:`sim.RideRequest` per trip, as an equality oracle.
+:func:`synth_city` itself keeps no per-trip object: each kept trip's
+values go straight into one flat buffer, whose rows become the city's
+:class:`sim.Trips` columns, sorted by pickup minute.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from ..geo import GridSpec, Location, RegionMap, center_of, haversine
 from ..roadgraph import RoadGraph, build_graph, save_edge_list
-from ..sim import RideRequest
+from ..sim import Trips
 from .config import ConfigError, ExperimentConfig
 
 # the generator's rate slot, 48 a day: a decision apart from the heat-map slot
@@ -45,7 +48,7 @@ class SynthCity:
     graph: RoadGraph
     regions: RegionMap
     zones: RegionMap
-    trips: list[RideRequest]  # ids ascending in pickup order
+    trips: Trips  # ids ascending in pickup order
 
 
 def _hour_bump(hour: float, center: float, width: float) -> float:
@@ -178,7 +181,8 @@ def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
     destination CDF, as ``Generator.choice`` draws it) with a normal and
     a uniform per coordinate, and last, unless the hop is under 100 m,
     the duration noise.  A trip time that is not finite raises
-    :class:`ConfigError` naming ``synth_noise`` and ``synth_speed_kmh``.
+    :class:`ConfigError` naming ``synth_noise`` and ``synth_speed_kmh``,
+    with no numpy overflow warning before it.
     """
     rng = np.random.default_rng(seed)
     grid, regions, zones = city_layout(cfg)
@@ -197,40 +201,49 @@ def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
     row_hi, col_hi = rows - 1e-6, cols - 1e-6
     noise = cfg.synth_noise
     random, normal, poisson = rng.random, rng.normal, rng.poisson
-    draws = []
-    for day in range(days):
-        dow = (cfg.epoch_dow + day) % 7
-        for slot in range(48):
-            slot_start = day * 1440.0 + slot * SLOT_MINUTES
-            speed, cdf = speeds[slot], dest_cdfs[slot]
-            counts = poisson(rates[dow, slot] * level[day * 48 + slot])
-            cell_r, cell_c = np.nonzero(counts)
-            for r, c, n in zip(cell_r.tolist(), cell_c.tolist(),
-                               counts[cell_r, cell_c].tolist()):
-                for _ in range(n):
-                    minute = slot_start + SLOT_MINUTES * random()
-                    pickup = Location(lat0 + (r + random()) * d_lat,
-                                      lon0 + (c + random()) * d_lon)
-                    if random() < 0.45:
-                        dr = rows * random()
-                        dc = cols * random()
-                    else:
-                        r0, c0, sigma = spots[bisect_right(cdf, random())]
-                        dr = min(max(r0 + normal(0, sigma) + random(), 0.0), row_hi)
-                        dc = min(max(c0 + normal(0, sigma) + random(), 0.0), col_hi)
-                    dropoff = Location(lat0 + dr * d_lat, lon0 + dc * d_lon)
-                    straight = haversine(pickup, dropoff)
-                    if straight < 100.0:
-                        continue  # hop too short to be a recorded taxi trip
-                    dist_km = straight * 1.25 / 1000.0
-                    minutes = dist_km / speed * 60.0 * float(np.exp(normal(0.0, noise)))
-                    if not math.isfinite(minutes):
-                        raise ConfigError(f"a synthesised trip time is {minutes} minutes: lower "
-                                          f"synth_noise ({noise}) or raise synth_speed_kmh "
-                                          f"({cfg.synth_speed_kmh})")
-                    draws.append((minute, pickup, dropoff, max(1.0, minutes), dist_km))
-    draws.sort(key=itemgetter(0))  # stable: equal minutes keep their draw order
-    trips = [RideRequest(i, *draw) for i, draw in enumerate(draws)]
+    # each kept trip's minute, pickup and dropoff coordinates, trip minutes
+    # and km, in draw order; its two Locations die with the iteration
+    table = array("d")
+    keep = table.extend
+    # a trip time that overflows is refused below, so its exp need not warn
+    with np.errstate(over="ignore"):
+        for day in range(days):
+            dow = (cfg.epoch_dow + day) % 7
+            for slot in range(48):
+                slot_start = day * 1440.0 + slot * SLOT_MINUTES
+                speed, cdf = speeds[slot], dest_cdfs[slot]
+                counts = poisson(rates[dow, slot] * level[day * 48 + slot])
+                cell_r, cell_c = np.nonzero(counts)
+                for r, c, n in zip(cell_r.tolist(), cell_c.tolist(),
+                                   counts[cell_r, cell_c].tolist()):
+                    for _ in range(n):
+                        minute = slot_start + SLOT_MINUTES * random()
+                        pickup = Location(lat0 + (r + random()) * d_lat,
+                                          lon0 + (c + random()) * d_lon)
+                        if random() < 0.45:
+                            dr = rows * random()
+                            dc = cols * random()
+                        else:
+                            r0, c0, sigma = spots[bisect_right(cdf, random())]
+                            dr = min(max(r0 + normal(0, sigma) + random(), 0.0), row_hi)
+                            dc = min(max(c0 + normal(0, sigma) + random(), 0.0), col_hi)
+                        dropoff = Location(lat0 + dr * d_lat, lon0 + dc * d_lon)
+                        straight = haversine(pickup, dropoff)
+                        if straight < 100.0:
+                            continue  # hop too short to be a recorded taxi trip
+                        dist_km = straight * 1.25 / 1000.0
+                        minutes = dist_km / speed * 60.0 * float(np.exp(normal(0.0, noise)))
+                        if not math.isfinite(minutes):
+                            raise ConfigError(
+                                f"a synthesised trip time is {minutes} minutes: lower "
+                                f"synth_noise ({noise}) or raise synth_speed_kmh "
+                                f"({cfg.synth_speed_kmh})")
+                        keep((minute, pickup.lat, pickup.lon, dropoff.lat, dropoff.lon,
+                              max(1.0, minutes), dist_km))
+    table = np.frombuffer(table).reshape(-1, 7)
+    # stable: equal minutes keep their draw order
+    table = table[np.argsort(table[:, 0], kind="stable")]
+    trips = Trips(np.arange(len(table)), *table.T)
     return SynthCity(grid=grid, graph=build_road_grid(grid), regions=regions,
                      zones=zones, trips=trips)
 

@@ -41,12 +41,21 @@ reaches the simulation.
 Vehicles executing a dispatch move remain matchable at their
 interpolated position along the planned route; vehicles committed to a
 passenger (en route to pickup, or occupied) are not.
+
+A city's requests are a :class:`Trips`: one read-only numpy column per
+:class:`RideRequest` field, which the set-up reads as arrays and which
+is also a sequence of requests, each built from the columns when it is
+read.  So a city holds no per-trip objects; the simulator reads an
+episode's requests as rows.  This module is the one place a
+:class:`RideRequest` is constructed.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
@@ -84,6 +93,93 @@ class RideRequest:
     def __post_init__(self):
         if self.trip_minutes <= 0:
             raise ValueError(f"request {self.rid}: trip must take positive time")
+
+
+class Trips(Sequence):
+    """Ride requests as one read-only numpy column per :class:`RideRequest` field:
+    ``rid`` (int64), ``minute``, ``pickup_lat``, ``pickup_lon``, ``dropoff_lat``,
+    ``dropoff_lon``, ``trip_minutes`` and ``distance_km`` (float64).
+
+    It is also a read-only sequence of requests: ``len``, indexing (numpy
+    integers included) and iteration give :class:`RideRequest` rows built
+    from the columns, a slice gives the :class:`Trips` of its rows, and
+    ``==`` compares row by row with any sequence of requests.
+    Construction raises ``ValueError`` unless the columns are 1-D and of
+    one length, every value is finite and every trip time is positive.
+    """
+
+    FIELDS = ("rid", "minute", "pickup_lat", "pickup_lon", "dropoff_lat",
+              "dropoff_lon", "trip_minutes", "distance_km")
+    __slots__ = FIELDS
+
+    def __init__(self, rid, minute, pickup_lat, pickup_lon, dropoff_lat, dropoff_lon,
+                 trip_minutes, distance_km):
+        cols = [np.asarray(rid, dtype=np.int64)] + [
+            np.asarray(c, dtype=np.float64) for c in (minute, pickup_lat, pickup_lon,
+                                                      dropoff_lat, dropoff_lon,
+                                                      trip_minutes, distance_km)]
+        if any(c.ndim != 1 for c in cols) or len({len(c) for c in cols}) != 1:
+            raise ValueError("trip columns must be 1-D and of one length, got shapes "
+                             f"{[c.shape for c in cols]}")
+        for name, c in zip(self.FIELDS[1:], cols[1:]):
+            if not np.isfinite(c).all():
+                raise ValueError(f"trip column {name} holds a value that is not finite")
+        short = np.flatnonzero(cols[6] <= 0)  # trip_minutes
+        if short.size:
+            raise ValueError(f"request {cols[0][short[0]]}: trip must take positive time")
+        for name, c in zip(self.FIELDS, cols):
+            c = c.view()  # read-only here, whatever the caller does with its array
+            c.flags.writeable = False
+            setattr(self, name, c)
+
+    @classmethod
+    def of(cls, requests) -> "Trips":
+        """``requests`` itself when it is a :class:`Trips`, else the columns of its
+        rows, in the given order."""
+        if isinstance(requests, Trips):
+            return requests
+        rows = list(requests)
+        return cls([r.rid for r in rows], [r.minute for r in rows],
+                   [r.pickup.lat for r in rows], [r.pickup.lon for r in rows],
+                   [r.dropoff.lat for r in rows], [r.dropoff.lon for r in rows],
+                   [r.trip_minutes for r in rows], [r.distance_km for r in rows])
+
+    def window(self, start: float, end: float) -> "Trips":
+        """The requests of minutes ``[start, end)``, in order, their minutes counted
+        from ``start``."""
+        keep = (start <= self.minute) & (self.minute < end)
+        cols = [getattr(self, name)[keep] for name in self.FIELDS]
+        cols[1] = cols[1] - start
+        return Trips(*cols)
+
+    def __len__(self) -> int:
+        return len(self.rid)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trips(*(getattr(self, name)[index] for name in self.FIELDS))
+        i = operator.index(index)
+        return self._row(*(getattr(self, name)[i].item() for name in self.FIELDS))
+
+    def __iter__(self):
+        for row in zip(*(getattr(self, name).tolist() for name in self.FIELDS)):
+            yield self._row(*row)
+
+    @staticmethod
+    def _row(rid, minute, pickup_lat, pickup_lon, dropoff_lat, dropoff_lon, trip_minutes,
+             distance_km) -> RideRequest:
+        return RideRequest(rid, minute, Location(pickup_lat, pickup_lon),
+                           Location(dropoff_lat, dropoff_lon), trip_minutes, distance_km)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Trips({len(self)} requests)"
 
 
 @dataclass(frozen=True)
@@ -208,7 +304,7 @@ class Simulation:
     """
 
     def __init__(self, grid: GridSpec, graph: RoadGraph, eta_model,
-                 requests: list[RideRequest], n_vehicles: int,
+                 requests: Sequence[RideRequest], n_vehicles: int,
                  policy=None, clock0: Clock | None = None, *, warmup: int,
                  match_radius_m: float, idle_window: float,
                  event_log: list | None = None):

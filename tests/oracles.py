@@ -6,9 +6,14 @@ second statement, a rule the program states once: ``eta_feature_row``
 builds one trip's ETA features in scalar code, as ``eta.eta_features``
 does for k trips; ``legal_action_mask`` and ``explore_action_reference``
 state the DQN's legal moves as a boolean 15x15 mask, where the program
-reads the ``dqn._legal_rect`` rectangle; and ``assign_vehicles_reference``
+reads the ``dqn._legal_rect`` rectangle; ``assign_vehicles_reference``
 is ``rhc.assign_vehicles`` with its zone-cell picks as hand-written
-argmax and argmin loops.  A few helpers that only the tests call live
+argmax and argmin loops; and ``episode_requests_reference``,
+``eta_training_arrays_reference``, ``zone_trip_arrays_reference``,
+``demand_slot_series_reference`` and ``fleet_window_count_reference``
+build the set-up's arrays one request at a time from
+``sim.RideRequest`` rows, as the harness did before it read the
+``sim.Trips`` columns.  A few helpers that only the tests call live
 here too: ``predict_supply``, ``avg_pool`` (built from the library's
 pooling pieces), ``masked_q``, ``render_config`` and ``lp_from_dense``.
 
@@ -21,8 +26,8 @@ import heapq
 import json
 import math
 from collections import defaultdict, deque
-from dataclasses import dataclass, fields
-from itertools import combinations
+from dataclasses import dataclass, fields, replace
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -32,9 +37,9 @@ from fleetsim import neural
 from fleetsim.dqn import (ACTION_RADIUS, ACTION_SIZE, AUX_PLANES, MAIN_PLANES, Q_SPEC,
                           STAY_CELL, SUPPLY_HORIZONS, DqnPolicy, QInput, Transition,
                           VehicleContext, _Pending, action_offset, greedy_action, reward_dqn)
-from fleetsim.eta import ETA_SPEC
+from fleetsim.eta import ETA_SPEC, eta_features
 from fleetsim.geo import (_BOUNDARY_SNAP, GridSpec, Location, OutOfBoundsError,
-                          RegionMap, aggregate_to_regions, center_of, haversine,
+                          RegionMap, aggregate_to_regions, cell_arrays, center_of, haversine,
                           haversine_arrays, mismatch)
 from fleetsim.harness import experiment as ex
 from fleetsim.harness.config import ExperimentConfig
@@ -707,6 +712,58 @@ def demand_slot_counts_reference(requests, grid, total_minutes):
             row, col = cell_of(r.pickup, grid)
             slots[k, row, col] += 1
     return slots
+
+
+def demand_slot_series_reference(requests, grid, total_minutes, epoch_dow):
+    """``experiment.demand_slot_series`` on per-request lists of the pickups and
+    their minutes."""
+    n_slots = int(total_minutes // HEAT_SLOT_MINUTES)
+    slots = np.zeros((n_slots,) + grid.shape)
+    lats = np.array([r.pickup.lat for r in requests])
+    lons = np.array([r.pickup.lon for r in requests])
+    rows, cols = cell_arrays(lats, lons, grid)
+    k = np.array([r.minute for r in requests]) // HEAT_SLOT_MINUTES
+    inside = (0 <= k) & (k < n_slots)
+    np.add.at(slots, (k[inside].astype(np.intp), rows[inside], cols[inside]), 1.0)
+    clocks = [Clock(float(k * HEAT_SLOT_MINUTES), epoch_dow) for k in range(n_slots)]
+    return slots, clocks
+
+
+def episode_requests_reference(requests, start, end):
+    """``experiment.episode_requests`` as a row comprehension: a copy of each
+    request of minutes ``[start, end)`` with its minute counted from ``start``."""
+    return [replace(r, minute=r.minute - start) for r in requests if start <= r.minute < end]
+
+
+def eta_training_arrays_reference(requests, cfg):
+    """``experiment.eta_training_arrays`` as one ``fromiter`` pass over the rows:
+    each request's clock features, endpoints, km and trip minutes."""
+    cols = np.fromiter(chain.from_iterable(
+        (*periodic_features(Clock(r.minute, cfg.epoch_dow)), r.pickup.lat, r.pickup.lon,
+         r.dropoff.lat, r.dropoff.lon, r.distance_km, r.trip_minutes) for r in requests),
+        dtype=np.float64, count=10 * len(requests)).reshape(-1, 10)
+    return eta_features(cols[:, :4], *cols[:, 4:9].T), cols[:, 9].copy()
+
+
+def zone_trip_arrays_reference(requests, zones, epoch_dow):
+    """``experiment.zone_trip_arrays`` on per-request lists of the endpoints, the
+    clocks and the trip minutes."""
+    lats_o = np.array([r.pickup.lat for r in requests])
+    lons_o = np.array([r.pickup.lon for r in requests])
+    lats_d = np.array([r.dropoff.lat for r in requests])
+    lons_d = np.array([r.dropoff.lon for r in requests])
+    ro, co = cell_arrays(lats_o, lons_o, zones.grid)
+    rd, cd = cell_arrays(lats_d, lons_d, zones.grid)
+    clocks = [Clock(r.minute, epoch_dow) for r in requests]
+    return (zones.assignment[ro, co], zones.assignment[rd, cd],
+            np.array([c.dow_index for c in clocks]), np.array([c.hour_index for c in clocks]),
+            np.array([r.trip_minutes for r in requests]))
+
+
+def fleet_window_count_reference(requests, start, end) -> int:
+    """The requests of minutes ``[start, end)`` that ``experiment._check_fleet_windows``
+    counts, one at a time."""
+    return sum(start <= r.minute < end for r in requests)
 
 
 def nearest_node_reference(loc, graph):

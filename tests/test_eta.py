@@ -9,6 +9,7 @@ from fleetsim import neural
 from fleetsim.clock import Clock, periodic_features
 from fleetsim.eta import (
     ETA_SPEC,
+    PREDICT_BLOCK,
     EtaModel,
     eta_features,
     split_indices,
@@ -179,6 +180,22 @@ class TestPredict:
         assert batch.shape == (n,)
         for i in range(n):
             assert batch[i].tobytes() == model.predict(rows[i:i + 1])[0].tobytes()
+
+    def test_rows_across_block_boundaries_keep_their_one_row_bytes(self):
+        # a batch longer than a block, as when the fit scores its training
+        # split, runs in blocks; each row still gets its one-row bytes
+        rng = np.random.default_rng(31)
+        params = neural.init_params(ETA_SPEC, rng)
+        params[-1] = rng.normal(size=1)
+        model = EtaModel(params, rng.normal(size=9), rng.uniform(0.1, 3.0, size=9), 4.0, 2.5)
+        n = 2 * PREDICT_BLOCK + 3
+        rows = rng.normal(scale=3.0, size=(n, 9))
+        single = np.concatenate([model.predict(rows[i:i + 1]) for i in range(n)])
+        assert 0 < int((single == 0.0).sum()) < n
+        for lo in (0, PREDICT_BLOCK - 2, PREDICT_BLOCK, n - 1, n):
+            got = model.predict(rows[lo:])
+            assert got.shape == (n - lo,)
+            assert got.tobytes() == single[lo:].tobytes()
 
     @pytest.mark.parametrize("shape", [(9,), (4, 8), (4, 10), (4, 1, 9), (1, 9, 1)])
     def test_other_shapes_raise(self, shape):

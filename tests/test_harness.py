@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import gc
 import json
 import multiprocessing
 import os
@@ -7,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from datetime import datetime
 from pathlib import Path
 
@@ -27,9 +29,12 @@ from fleetsim.harness.synth import build_road_grid, city_layout, synth_city, wri
 from fleetsim.harness import cli
 from fleetsim.harness import experiment as ex
 from fleetsim.rhc import ZoneTableError
-from fleetsim.sim import EpisodeMetrics, RideRequest, finalize_metrics
-from oracles import (demand_slot_counts_reference, eta_feature_row, render_config,
-                     serial_models_reference, synth_city_reference)
+from fleetsim.sim import EpisodeMetrics, RideRequest, Trips, finalize_metrics
+from oracles import (demand_slot_counts_reference, demand_slot_series_reference,
+                     episode_requests_reference, eta_feature_row,
+                     eta_training_arrays_reference, fleet_window_count_reference,
+                     render_config, serial_models_reference, synth_city_reference,
+                     zone_trip_arrays_reference)
 
 
 def small_cfg(tmp_path, **kw):
@@ -266,6 +271,23 @@ class TestSynth:
         for g, w in zip(got, want):
             assert g == w
 
+    def test_trips_retain_at_most_96_bytes_each(self, tmp_path):
+        # a city's trips are eight 8-byte columns, with no object per trip
+        cfg = tiny_cfg(tmp_path)
+        tracemalloc.start()
+        try:
+            city = synth_city(cfg, cfg.train_seed, cfg.train_days)
+            n = len(city.trips)
+            gc.collect()
+            with_trips = tracemalloc.get_traced_memory()[0]
+            city.trips = None
+            gc.collect()
+            without = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert n > 200
+        assert (with_trips - without) / n <= 96
+
     def test_zero_rate_city_has_no_trips(self, tmp_path):
         cfg = small_cfg(tmp_path, trips_per_day=0.0)
         city = synth_city(cfg, seed=5, days=1)
@@ -396,6 +418,113 @@ class TestIngest:
         with pytest.raises(TripDataError):
             ingest_trips(p, self.grid(), datetime(2016, 5, 2))
 
+    def test_duration_is_checked_before_bounds_and_nan_is_outside(self, tmp_path):
+        rows = [
+            "2016-05-02 00:10:00,2016-05-02 00:10:00,55.0,-74.0,40.01,-73.99,2.0",
+            "2016-05-02 00:11:00,2016-05-02 00:21:00,nan,-73.995,40.02,-73.99,2.0",
+            "2016-05-02 00:12:00,2016-05-02 00:22:00,40.01,-73.995,40.02,inf,2.0",
+            "2016-05-02 00:13:00,2016-05-02 00:23:00,40.01,-73.995,40.02,-73.99,2.0",
+        ]
+        p = tmp_path / "trips.csv"
+        p.write_text(self.HEADER + "\n".join(rows) + "\n")
+        requests, report = ingest_trips(p, self.grid(), datetime(2016, 5, 2))
+        assert (report.total, report.kept, report.dropped_duration,
+                report.dropped_bounds) == (4, 1, 1, 2)
+        assert requests == [RideRequest(0, 13.0, Location(40.01, -73.995),
+                                        Location(40.02, -73.99), 10.0, 2.0)]
+
+    def test_equal_pickup_times_keep_their_file_order(self, tmp_path):
+        rows = [f"2016-05-02 00:{m:02d}:00,2016-05-02 00:40:00,40.01,-73.995,40.02,-73.99,{d}"
+                for m, d in ((20, 1.0), (10, 2.0), (20, 3.0), (10, 4.0))]
+        p = tmp_path / "trips.csv"
+        p.write_text(self.HEADER + "\n".join(rows) + "\n")
+        requests, _ = ingest_trips(p, self.grid(), datetime(2016, 5, 2))
+        assert isinstance(requests, Trips)
+        assert requests.distance_km.tolist() == [2.0, 4.0, 1.0, 3.0]
+        assert requests.rid.tolist() == [0, 1, 2, 3]
+
+
+# pickups on slot and day edges, before the series and past its end
+EDGE_MINUTES = (-0.5, -30.0, 0.0, 29.999999, 30.0, 1439.5, 1440.0, 2000.0, 2879.999)
+
+
+@pytest.fixture(scope="module", params=[("2016-05-02", 0), ("2024-01-04", 3)],
+                ids=["monday", "thursday"])
+def city_rows(request, tmp_path_factory):
+    """A 2-day training city, its epoch on a Monday or a Thursday, and its requests
+    as a list of rows with copies of its first requests moved to ``EDGE_MINUTES``."""
+    epoch_date, epoch_dow = request.param
+    cfg = small_cfg(tmp_path_factory.mktemp("rows"), epoch_date=epoch_date)
+    assert cfg.epoch_dow == epoch_dow
+    city = ex.training_city(cfg)
+    edges = [dataclasses.replace(r, minute=m) for r, m in zip(city.requests, EDGE_MINUTES)]
+    return cfg, city, list(city.requests) + edges
+
+
+def given_requests(city, rows):
+    """Each form the set-up arrays take requests in, with the rows the oracle
+    reads: the city's columns, a list of rows, and the columns of that list."""
+    return [(city.requests, list(city.requests)), (rows, rows), (Trips.of(rows), rows)]
+
+
+def assert_same_arrays(got, want):
+    assert [(a.dtype, a.shape) for a in got] == [(a.dtype, a.shape) for a in want]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+WINDOWS = [(0.0, 30.0), (29.999999, 1440.0), (-30.0, 0.0), (240.0, 1680.0),
+           (1440.0, 2880.0), (2000.0, 2000.0), (3000.0, 4000.0)]
+
+
+class TestSetUpArraysEqualTheRowBuilders:
+    """The set-up's arrays, read from the :class:`Trips` columns, byte for byte
+    equal the per-request builders they replaced (``tests/oracles.py``)."""
+
+    def test_eta_training_arrays(self, city_rows):
+        cfg, city, rows = city_rows
+        for given, want in given_requests(city, rows):
+            assert_same_arrays(ex.eta_training_arrays(given, cfg),
+                               eta_training_arrays_reference(want, cfg))
+
+    def test_zone_trip_arrays(self, city_rows):
+        cfg, city, rows = city_rows
+        for given, want in given_requests(city, rows):
+            assert_same_arrays(ex.zone_trip_arrays(given, city.zones, cfg.epoch_dow),
+                               zone_trip_arrays_reference(want, city.zones, cfg.epoch_dow))
+
+    def test_demand_slot_series(self, city_rows):
+        cfg, city, rows = city_rows
+        for given, want in given_requests(city, rows):
+            for total in (cfg.train_days * 1440.0, 1000.0, 30.0):
+                slots, clocks = ex.demand_slot_series(given, city.grid, total, cfg.epoch_dow)
+                want_slots, want_clocks = demand_slot_series_reference(
+                    want, city.grid, total, cfg.epoch_dow)
+                assert_same_arrays([slots], [want_slots])
+                assert clocks == want_clocks
+
+    def test_episode_requests(self, city_rows):
+        cfg, city, rows = city_rows
+        for given, want in given_requests(city, rows):
+            for start, end in WINDOWS + [ex.day_window(cfg, 0)]:
+                got = ex.episode_requests(given, start, end)
+                ref = episode_requests_reference(want, start, end)
+                assert got == ref
+                assert_same_arrays([got.rid, got.minute, got.trip_minutes],
+                                   [np.array([r.rid for r in ref], dtype=np.int64),
+                                    np.array([r.minute for r in ref], dtype=np.float64),
+                                    np.array([r.trip_minutes for r in ref], dtype=np.float64)])
+
+    def test_fleet_window_count(self, city_rows):
+        cfg, city, rows = city_rows
+        for given, want in given_requests(city, rows):
+            for start, end in WINDOWS:
+                count = fleet_window_count_reference(want, start, end)
+                ex._check_fleet_windows(dataclasses.replace(cfg, vehicles=count), given,
+                                        [(start, end)])
+                with pytest.raises(ConfigError, match=f" has {count} requests, fewer than"):
+                    ex._check_fleet_windows(dataclasses.replace(cfg, vehicles=count + 1),
+                                            given, [(start, end)])
+
 
 @pytest.fixture(scope="module")
 def mini_world(tmp_path_factory):
@@ -521,7 +650,7 @@ class TestExperiment:
         # pickups on slot edges, before the series and past the shorter one's end
         edges = [dataclasses.replace(r, minute=m) for r, m in
                  zip(city.requests, (-0.5, -30.0, 0.0, 29.999999, 30.0, 1439.5, 2000.0))]
-        requests = city.requests + edges
+        requests = list(city.requests) + edges
         for total in (cfg.train_days * 1440.0, 1000.0):
             slots, clocks = ex.demand_slot_series(requests, city.grid, total, cfg.epoch_dow)
             want = demand_slot_counts_reference(requests, city.grid, total)
@@ -991,9 +1120,11 @@ class TestCli:
         assert err.startswith(f"config error: {message}"), err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("error")
     def test_trip_time_that_is_not_finite_is_config_error(self, tmp_path, capsys):
         # a noise of 1e300 overflowed the trip times to inf, which the ETA fit
-        # refused as a runtime error (exit 3)
+        # refused as a runtime error (exit 3); the overflow raises the config
+        # error alone, with no numpy warning before it
         code = cli.main([*TINY_CLI, *dirs(tmp_path), "--set", "synth_noise=1e300",
                          "simulate"])
         err = capsys.readouterr().err

@@ -26,6 +26,7 @@ from fleetsim.sim import (
     DispatchOrder,
     RideRequest,
     Simulation,
+    Trips,
     finalize_metrics,
     idle_mask,
 )
@@ -76,6 +77,100 @@ def grid_graph(grid):
 
 def req(rid, minute, pickup, dropoff, trip=5.0, dist=2.0):
     return RideRequest(rid, minute, pickup, dropoff, trip, dist)
+
+
+def unsorted_requests():
+    """Five requests, neither their ids nor their minutes in order, one minute
+    repeated."""
+    return [req(rid, minute, Location(40.0 + rid / 100, -74.0),
+                Location(40.01, -74.0 - minute / 100), trip=1.5 + rid, dist=0.25 * rid)
+            for rid, minute in ((7, 30.0), (2, 5.5), (9, 30.0), (0, 12.25), (4, -3.0))]
+
+
+def trip_columns(n=3):
+    """Valid columns of ``n`` trips, by ``Trips.FIELDS`` name."""
+    return {"rid": np.arange(n), "minute": np.arange(n) * 2.0,
+            "pickup_lat": np.full(n, 40.0), "pickup_lon": np.full(n, -74.0),
+            "dropoff_lat": np.full(n, 40.01), "dropoff_lon": np.full(n, -74.01),
+            "trip_minutes": np.arange(1, n + 1) * 3.0, "distance_km": np.full(n, 1.5)}
+
+
+class TestTrips:
+    def test_rows_come_back_in_the_given_order(self):
+        reqs = unsorted_requests()
+        trips = Trips.of(reqs)
+        assert list(trips) == reqs
+        assert trips == reqs and reqs == trips and trips == tuple(reqs)
+        assert trips != reqs[::-1] and trips != reqs[:-1] and trips != 3
+        assert Trips.of(trips) is trips
+        assert Trips.of([]) == [] and len(Trips.of([])) == 0
+
+    def test_columns_hold_the_fields(self):
+        reqs = unsorted_requests()
+        trips = Trips.of(reqs)
+        assert trips.rid.dtype == np.int64 and trips.rid.tolist() == [r.rid for r in reqs]
+        assert trips.minute.tolist() == [r.minute for r in reqs]
+        assert trips.pickup_lat.tolist() == [r.pickup.lat for r in reqs]
+        assert trips.dropoff_lon.tolist() == [r.dropoff.lon for r in reqs]
+        assert trips.trip_minutes.tolist() == [r.trip_minutes for r in reqs]
+        assert trips.distance_km.tolist() == [r.distance_km for r in reqs]
+        assert Trips(**trip_columns()) == Trips(**trip_columns())
+
+    def test_indexing_takes_numpy_integers_and_slices(self):
+        reqs = unsorted_requests()
+        trips = Trips.of(reqs)
+        for i in (np.int64(3), np.int32(1), np.intp(0), -1, 4):
+            assert trips[i] == reqs[i]
+            assert type(trips[i].rid) is int and type(trips[i].minute) is float
+        assert [trips[i] for i in np.array([4, 0, 2])] == [reqs[4], reqs[0], reqs[2]]
+        for part in (slice(1, 4), slice(None, None, -2), slice(3, 1), slice(-2, None)):
+            assert isinstance(trips[part], Trips)
+            assert list(trips[part]) == reqs[part]
+        with pytest.raises(IndexError):
+            trips[5]
+        with pytest.raises(TypeError):
+            trips[1.0]
+
+    def test_columns_are_read_only_and_leave_the_callers_arrays_alone(self):
+        cols = trip_columns()
+        trips = Trips(**cols)
+        with pytest.raises(ValueError, match="read-only"):
+            trips.minute[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            trips[1:].trip_minutes[0] = 5.0
+        cols["minute"][0] = 5.0
+        assert cols["minute"].flags.writeable
+
+    @pytest.mark.parametrize("name", Trips.FIELDS)
+    def test_columns_of_another_length_or_shape_are_refused(self, name):
+        for bad in (np.zeros(2), np.zeros(4), np.ones((3, 1)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="1-D and of one length"):
+                Trips(**{**trip_columns(), name: bad})
+
+    @pytest.mark.parametrize("name", Trips.FIELDS[1:])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_value_that_is_not_finite_is_refused(self, name, value):
+        cols = trip_columns()
+        cols[name] = cols[name].copy()
+        cols[name][1] = value
+        with pytest.raises(ValueError, match=f"trip column {name} holds a value that is not"):
+            Trips(**cols)
+
+    @pytest.mark.parametrize("minutes", [0.0, -1.0, -1e-300])
+    def test_a_trip_time_that_is_not_positive_is_refused(self, minutes):
+        cols = trip_columns()
+        cols["trip_minutes"] = np.array([3.0, minutes, 9.0])
+        with pytest.raises(ValueError, match="request 1: trip must take positive time"):
+            Trips(**cols)
+        with pytest.raises(ValueError, match="trip must take positive time"):
+            req(1, 0.0, Location(40.0, -74.0), Location(40.0, -74.0), trip=minutes)
+
+    def test_window_shifts_the_minutes_in_the_given_order(self):
+        reqs = unsorted_requests()
+        assert Trips.of(reqs).window(5.5, 30.0) == [
+            RideRequest(r.rid, r.minute - 5.5, r.pickup, r.dropoff, r.trip_minutes, r.distance_km)
+            for r in reqs if 5.5 <= r.minute < 30.0]
+        assert Trips.of(reqs).window(31.0, 40.0) == []
 
 
 def vehicles(sim):

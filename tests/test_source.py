@@ -254,6 +254,43 @@ def test_region_map_construction_detection():
     assert region_map_constructions(source) == ["<module>", "RegionMap.load", "f.g"]
 
 
+def request_constructions(source: str) -> list[str]:
+    """The dotted scope of each call of ``RideRequest``, by name or attribute."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if ((isinstance(func, ast.Name) and func.id == "RideRequest")
+                        or (isinstance(func, ast.Attribute) and func.attr == "RideRequest")):
+                    found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_only_the_simulator_builds_requests():
+    """A city's trips are ``sim.Trips`` columns: no module but ``sim.py``, where
+    ``Trips`` reads its rows, constructs a ``RideRequest``."""
+    found = [f"{p.relative_to(SRC)}:{scope}" for p in MODULES
+             for scope in request_constructions(p.read_text(encoding="utf-8"))]
+    assert found == ["sim.py:Trips._row"]
+
+
+def test_request_construction_detection():
+    source = ("from . import sim\nfrom .sim import RideRequest\n"
+              "FIRST = RideRequest(0, 0.0, a, b, 1.0, 1.0)\n"
+              "class Reader:\n    def row(self, i):\n        return sim.RideRequest(i)\n"
+              "def f(rows):\n    def g(r):\n        return RideRequest(*r)\n"
+              "    return [g(r) for r in rows], RideRequest.__name__, ride_request(rows)\n")
+    assert request_constructions(source) == ["<module>", "Reader.row", "f.g"]
+
+
 def unread_names(readers: list[Path]) -> list[str]:
     """``module:name`` of each module-level name in the package that no file in
     ``readers`` reads."""
