@@ -195,7 +195,12 @@ def mismatch(x_cells: np.ndarray, w_cells: np.ndarray) -> np.ndarray:
 
 def haversine(a: Location, b: Location) -> float:
     """Great-circle distance in meters (spherical earth, R = 6,371 km)."""
-    lat1, lon1, lat2, lon2 = map(math.radians, (a.lat, a.lon, b.lat, b.lon))
+    return haversine_coords(a.lat, a.lon, b.lat, b.lon)
+
+
+def haversine_coords(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """:func:`haversine` between two points given by their coordinates."""
+    lat1, lon1, lat2, lon2 = map(math.radians, (lat1, lon1, lat2, lon2))
     dlat = lat2 - lat1
     dlon = lon2 - lon1
     h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2

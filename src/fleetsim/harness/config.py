@@ -130,8 +130,9 @@ _RULES = (
     ("finite and positive", lambda v: math.isfinite(v) and v > 0,
      ("cell_size_m", "synth_speed_kmh", "eta_lr", "demand_lr", "dqn_lr")),
     ("finite and non-negative", lambda v: math.isfinite(v) and v >= 0,
-     ("match_radius_m", "idle_window_minutes", "trips_per_day", "synth_noise",
-      "rhc_reject_penalty", "dqn_reject_weight", "dqn_decision_interval")),
+     ("match_radius_m", "idle_window_minutes", "trips_per_day", "rhc_reject_penalty",
+      "dqn_reject_weight", "dqn_decision_interval")),
+    ("in 0 to 1", lambda v: 0 <= v <= 1, ("synth_noise",)),
     ("in (0, 1]", lambda v: 0 < v <= 1, ("rhc_discount", "dqn_discount")),
 )
 

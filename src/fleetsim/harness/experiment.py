@@ -60,7 +60,8 @@ class City:
 
     ``requests`` is always a :class:`sim.Trips`: a sequence of requests
     given in its place, such as a list of :class:`sim.RideRequest`, is
-    stored as the columns of its rows, in the given order.
+    stored as the columns of its rows, in the given order; the set-up
+    and the episodes read only these columns.
     """
 
     grid: GridSpec
@@ -103,12 +104,12 @@ def load_city(cfg: ExperimentConfig) -> City:
     return City(grid, graph, regions, zones, requests)
 
 
-def _check_fleet_windows(cfg: ExperimentConfig, requests,
+def _check_fleet_windows(cfg: ExperimentConfig, requests: Trips,
                          windows: list[tuple[float, float]], trips_file=None) -> None:
     """Raise when a window ``[start, end)`` holds fewer requests than the vehicles
     placed at their pickups: a :class:`TripDataError` naming ``trips_file`` for
     requests read from one, else a :class:`ConfigError`."""
-    minute = Trips.of(requests).minute
+    minute = requests.minute
     for day, (start, end) in enumerate(windows):
         count = int(np.count_nonzero((start <= minute) & (minute < end)))
         if count >= cfg.vehicles:
@@ -123,14 +124,12 @@ def _check_fleet_windows(cfg: ExperimentConfig, requests,
 
 
 # --- model training --------------------------------------------------------
-# The set-up arrays read the columns of a :class:`sim.Trips`, or of the rows of
-# any other sequence of requests; only the clock features are per request,
-# in scalar ``math``.
+# The set-up arrays read the columns of a :class:`sim.Trips`; only the clock
+# features are per request, in scalar ``math``.
 
-def eta_training_arrays(requests, cfg: ExperimentConfig):
+def eta_training_arrays(requests: Trips, cfg: ExperimentConfig):
     """The :func:`eta.eta_features` of the requests, each at its own clock, and
     their trip minutes."""
-    requests = Trips.of(requests)
     periodic = np.array([periodic_features(Clock(m, cfg.epoch_dow))
                          for m in requests.minute.tolist()]).reshape(-1, 4)
     return (eta_mod.eta_features(periodic, requests.pickup_lat, requests.pickup_lon,
@@ -139,10 +138,9 @@ def eta_training_arrays(requests, cfg: ExperimentConfig):
             requests.trip_minutes)
 
 
-def demand_slot_series(requests, grid: GridSpec, total_minutes: float, epoch_dow: int):
+def demand_slot_series(requests: Trips, grid: GridSpec, total_minutes: float, epoch_dow: int):
     """Pickups per heat-map slot and cell over ``[0, total_minutes)``, and each
     slot's clock."""
-    requests = Trips.of(requests)
     n_slots = int(total_minutes // SLOT_MINUTES)
     slots = np.zeros((n_slots,) + grid.shape)
     rows, cols = cell_arrays(requests.pickup_lat, requests.pickup_lon, grid)
@@ -153,10 +151,9 @@ def demand_slot_series(requests, grid: GridSpec, total_minutes: float, epoch_dow
     return slots, clocks
 
 
-def zone_trip_arrays(requests, zones: RegionMap, epoch_dow: int):
+def zone_trip_arrays(requests: Trips, zones: RegionMap, epoch_dow: int):
     """Each request's origin and destination zone, weekday and hour index, and
     trip minutes."""
-    requests = Trips.of(requests)
     ro, co = cell_arrays(requests.pickup_lat, requests.pickup_lon, zones.grid)
     rd, cd = cell_arrays(requests.dropoff_lat, requests.dropoff_lon, zones.grid)
     clocks = [Clock(m, epoch_dow) for m in requests.minute.tolist()]
@@ -432,10 +429,10 @@ def city_days(cfg: ExperimentConfig) -> int:
     return math.ceil(day_window(cfg, cfg.days - 1)[1] / 1440.0)
 
 
-def episode_requests(requests, start: float, end: float) -> Trips:
+def episode_requests(requests: Trips, start: float, end: float) -> Trips:
     """The requests of minutes ``[start, end)``, their minutes counted from
-    ``start``: :meth:`sim.Trips.window` of ``requests`` or of its rows."""
-    return Trips.of(requests).window(start, end)
+    ``start``: :meth:`sim.Trips.window`."""
+    return requests.window(start, end)
 
 
 def make_simulation(cfg: ExperimentConfig, city: City, bundle: ModelBundle,

@@ -15,7 +15,8 @@ city, trained model and benchmark outcome depends on it, so a rewrite of
 with a :class:`sim.RideRequest` per trip, as an equality oracle.
 :func:`synth_city` itself keeps no per-trip object: each kept trip's
 values go straight into one flat buffer, whose rows become the city's
-:class:`sim.Trips` columns, sorted by pickup minute.
+:class:`sim.Trips` columns, sorted by pickup minute.  :func:`write_city`
+writes ``trips.csv`` from those columns.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..geo import GridSpec, Location, RegionMap, center_of, haversine
+from ..geo import GridSpec, Location, RegionMap, center_of, haversine, haversine_coords
 from ..roadgraph import RoadGraph, build_graph, save_edge_list
 from ..sim import Trips
 from .config import ConfigError, ExperimentConfig
@@ -202,7 +203,7 @@ def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
     noise = cfg.synth_noise
     random, normal, poisson = rng.random, rng.normal, rng.poisson
     # each kept trip's minute, pickup and dropoff coordinates, trip minutes
-    # and km, in draw order; its two Locations die with the iteration
+    # and km, in draw order
     table = array("d")
     keep = table.extend
     # a trip time that overflows is refused below, so its exp need not warn
@@ -218,8 +219,7 @@ def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
                                    counts[cell_r, cell_c].tolist()):
                     for _ in range(n):
                         minute = slot_start + SLOT_MINUTES * random()
-                        pickup = Location(lat0 + (r + random()) * d_lat,
-                                          lon0 + (c + random()) * d_lon)
+                        pickup = (lat0 + (r + random()) * d_lat, lon0 + (c + random()) * d_lon)
                         if random() < 0.45:
                             dr = rows * random()
                             dc = cols * random()
@@ -227,8 +227,8 @@ def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
                             r0, c0, sigma = spots[bisect_right(cdf, random())]
                             dr = min(max(r0 + normal(0, sigma) + random(), 0.0), row_hi)
                             dc = min(max(c0 + normal(0, sigma) + random(), 0.0), col_hi)
-                        dropoff = Location(lat0 + dr * d_lat, lon0 + dc * d_lon)
-                        straight = haversine(pickup, dropoff)
+                        dropoff = (lat0 + dr * d_lat, lon0 + dc * d_lon)
+                        straight = haversine_coords(*pickup, *dropoff)
                         if straight < 100.0:
                             continue  # hop too short to be a recorded taxi trip
                         dist_km = straight * 1.25 / 1000.0
@@ -238,8 +238,7 @@ def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
                                 f"a synthesised trip time is {minutes} minutes: lower "
                                 f"synth_noise ({noise}) or raise synth_speed_kmh "
                                 f"({cfg.synth_speed_kmh})")
-                        keep((minute, pickup.lat, pickup.lon, dropoff.lat, dropoff.lon,
-                              max(1.0, minutes), dist_km))
+                        keep((minute, *pickup, *dropoff, max(1.0, minutes), dist_km))
     table = np.frombuffer(table).reshape(-1, 7)
     # stable: equal minutes keep their draw order
     table = table[np.argsort(table[:, 0], kind="stable")]
@@ -267,14 +266,13 @@ def write_city(city: SynthCity, cfg: ExperimentConfig, out_dir) -> dict:
     with open(trips_path, "w", newline="") as fh:
         fh.write("pickup_datetime,dropoff_datetime,pickup_lat,pickup_lon,"
                  "dropoff_lat,dropoff_lon,trip_distance_km\n")
-        for tr in city.trips:
-            fh.write(",".join([
-                _iso(epoch, tr.minute),
-                _iso(epoch, tr.minute + tr.trip_minutes),
-                repr(float(tr.pickup.lat)), repr(float(tr.pickup.lon)),
-                repr(float(tr.dropoff.lat)), repr(float(tr.dropoff.lon)),
-                repr(float(tr.distance_km)),
-            ]) + "\n")
+        t = city.trips
+        rows = zip(t.minute.tolist(), t.trip_minutes.tolist(), t.pickup_lat.tolist(),
+                   t.pickup_lon.tolist(), t.dropoff_lat.tolist(), t.dropoff_lon.tolist(),
+                   t.distance_km.tolist())
+        for minute, trip, *values in rows:
+            fh.write(",".join([_iso(epoch, minute), _iso(epoch, minute + trip),
+                               *map(repr, values)]) + "\n")
     save_edge_list(city.graph, out / "roads.txt")
     return {
         "trips": str(trips_path),

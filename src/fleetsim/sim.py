@@ -8,19 +8,19 @@ times.  The engine is single-threaded, policy-agnostic and fully
 deterministic: identical data, configuration and seeds reproduce
 bit-identical metrics.
 
-Phase (2) adds the minute's pickups to the demand heat maps with one cell
-lookup, then runs in three passes over its requests: every request
-is matched, in arrival order, against one snapshot of the free vehicles'
-positions; then one :meth:`Simulation._plan_moves` call routes the
-matched vehicles' moves to their pickups and times them all in one ETA
-batch; then, again in arrival order, each match is recorded.  Matching
-everything first is exact: a match only takes its vehicle out of the
-free set, and the route and ETA it gets decide nothing about which
-vehicles the later requests of the minute can have.  Phase (4) likewise
-plans all orders' moves in one ``_plan_moves`` call, with one ETA batch,
-which is why an order list may name a vehicle once.  The ETA model gives
-each row of a batch the minutes a batch of that row alone gives, so
-batching a phase changes no move's time.
+Phase (2) reads the minute's arrivals as a slice of the request columns,
+adds their pickups to the demand heat maps with one cell lookup, then
+runs in three passes: every request is matched, in arrival order, against
+one snapshot of the free vehicles' positions; then one
+:meth:`Simulation._plan_moves` call routes the matched vehicles' moves to
+their pickups and times them all in one ETA batch; then each match is
+recorded in order.  Matching everything first is exact: a match only
+takes its vehicle out of the free set, and the route and ETA it gets
+decide nothing about which vehicles the later requests of the minute can
+have.  Phase (4) likewise plans all orders' moves in one ``_plan_moves``
+call, with one ETA batch, which is why an order list may name a vehicle
+once.  The ETA model gives each row of a batch the minutes a batch of
+that row alone gives, so batching a phase changes no move's time.
 
 The fleet's state is kept in numpy columns indexed by vehicle id: status;
 location; departure and arrival time (arrival is +inf while a vehicle
@@ -43,11 +43,11 @@ interpolated position along the planned route; vehicles committed to a
 passenger (en route to pickup, or occupied) are not.
 
 A city's requests are a :class:`Trips`: one read-only numpy column per
-:class:`RideRequest` field, which the set-up reads as arrays and which
-is also a sequence of requests, each built from the columns when it is
-read.  So a city holds no per-trip objects; the simulator reads an
-episode's requests as rows.  This module is the one place a
-:class:`RideRequest` is constructed.
+:class:`RideRequest` field.  The set-up reads them as arrays, and the
+simulator sorts an episode's columns once and matches each minute's
+arrivals as a slice, so nothing holds an object per request.  A
+:class:`Trips` is also a sequence of rows, each built when it is read;
+this module is the one place a :class:`RideRequest` is constructed.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ import numpy as np
 
 from .clock import Clock, periodic_features
 from .eta import eta_features
-from .geo import GridSpec, Location, cell_arrays, center_of, haversine, haversine_arrays
+from .geo import GridSpec, Location, cell_arrays, center_of, haversine_arrays, haversine_coords
 from .roadgraph import RoadGraph, hop_lengths, nearest_nodes, shortest_path
 
 log = logging.getLogger(__name__)
@@ -90,10 +90,6 @@ class RideRequest:
     trip_minutes: float
     distance_km: float
 
-    def __post_init__(self):
-        if self.trip_minutes <= 0:
-            raise ValueError(f"request {self.rid}: trip must take positive time")
-
 
 class Trips(Sequence):
     """Ride requests as one read-only numpy column per :class:`RideRequest` field:
@@ -102,10 +98,11 @@ class Trips(Sequence):
 
     It is also a read-only sequence of requests: ``len``, indexing (numpy
     integers included) and iteration give :class:`RideRequest` rows built
-    from the columns, a slice gives the :class:`Trips` of its rows, and
-    ``==`` compares row by row with any sequence of requests.
-    Construction raises ``ValueError`` unless the columns are 1-D and of
-    one length, every value is finite and every trip time is positive.
+    from the columns, a slice or a numpy index array gives the :class:`Trips` of
+    its rows, and ``==`` compares row by row with any sequence of requests.
+    Construction, the one check of a request, raises ``ValueError`` unless the
+    columns are 1-D and of one length, every value is finite and every trip time
+    is positive.
     """
 
     FIELDS = ("rid", "minute", "pickup_lat", "pickup_lon", "dropoff_lat",
@@ -156,7 +153,7 @@ class Trips(Sequence):
         return len(self.rid)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
+        if isinstance(index, (slice, np.ndarray)):
             return Trips(*(getattr(self, name)[index] for name in self.FIELDS))
         i = operator.index(index)
         return self._row(*(getattr(self, name)[i].item() for name in self.FIELDS))
@@ -299,8 +296,9 @@ class Simulation:
     ``policy`` (optional) needs an int ``cycle`` (invocation period, minutes) and
     ``dispatch(view) -> list[DispatchOrder]``.  A caller that acts between
     simulated minutes calls :meth:`step_minute` itself, as the DQN training
-    loop does to run a training step after each minute.  Vehicle ``k``
-    starts idle at the pickup of the ``k``-th request in time order.
+    loop does to run a training step after each minute.  :attr:`requests` is
+    ``requests`` as one :class:`Trips`, sorted by minute and id, and each minute
+    matches its arrivals as a slice; vehicle ``k`` starts idle at the ``k``-th pickup.
     """
 
     def __init__(self, grid: GridSpec, graph: RoadGraph, eta_model,
@@ -311,7 +309,8 @@ class Simulation:
         self.grid = grid
         self.graph = graph
         self.eta_model = eta_model
-        self.requests = sorted(requests, key=lambda r: (r.minute, r.rid))
+        trips = Trips.of(requests)
+        self.requests = trips[np.lexsort((trips.rid, trips.minute))]
         self.policy = policy
         self.clock0 = clock0 or Clock(0.0)
         self.warmup = warmup
@@ -329,8 +328,8 @@ class Simulation:
         # the fleet's columns (module docstring); depart is NaN before the
         # first route, the dropoff NaN before the first ride
         self._status = np.full(n, IDLE, dtype=np.int64)
-        self._lat = np.array([r.pickup.lat for r in self.requests[:n]], dtype=np.float64)
-        self._lon = np.array([r.pickup.lon for r in self.requests[:n]], dtype=np.float64)
+        self._lat = self.requests.pickup_lat[:n].copy()
+        self._lon = self.requests.pickup_lon[:n].copy()
         self._depart = np.full(n, np.nan)
         self._arrival = np.full(n, np.inf)
         self._ride_trip = np.zeros(n)
@@ -350,7 +349,7 @@ class Simulation:
         self.metrics = EpisodeMetrics(n_vehicles=n)
         self.t = 0
 
-        self._queue = deque(self.requests)
+        self._next = 0  # the first request not yet matched
         self._heat_slots = deque([np.zeros(grid.shape), np.zeros(grid.shape)], maxlen=2)
         self._trailing = deque(maxlen=SLOT_MINUTES)
         self._trailing_heat = np.zeros(grid.shape)
@@ -408,11 +407,11 @@ class Simulation:
                                    np.where(i > last, points[k, last], between))
         return lat, lon
 
-    def _plan_moves(self, lats: np.ndarray, lons: np.ndarray, dests: list[Location],
-                    clock: Clock) -> list[tuple]:
-        """Each move from ``(lats[k], lons[k])`` to ``dests[k]``: its origin, waypoint
-        latitudes and longitudes (ending at the destination), segment and total
-        meters, and the ETA model's minutes for those meters at ``clock``.
+    def _plan_moves(self, lats: np.ndarray, lons: np.ndarray, dest_lats: np.ndarray,
+                    dest_lons: np.ndarray, clock: Clock) -> list[tuple]:
+        """Each move from ``(lats[k], lons[k])`` to ``(dest_lats[k], dest_lons[k])``:
+        its waypoints' latitudes and longitudes, from origin to destination, segment and
+        total meters, and the ETA model's minutes for those meters at ``clock``.
 
         One nearest-node lookup serves all moves.  A move follows A* between
         its nearest nodes, or the straight line where the graph has no path.
@@ -421,29 +420,28 @@ class Simulation:
         row as its own batch of one, so a move's minutes do not depend on
         the other moves of the phase.
         """
-        k = len(dests)
+        k = len(lats)
         if not k:
             return []
-        dest_lats = [d.lat for d in dests]
-        dest_lons = [d.lon for d in dests]
         nodes = nearest_nodes(np.concatenate([lats, dest_lats]),
                               np.concatenate([lons, dest_lons]), self.graph).tolist()
         moves = []
-        for lat, lon, dest, o, d in zip(lats.tolist(), lons.tolist(), dests,
-                                        nodes[:k], nodes[k:]):
-            origin = Location(lat, lon)
+        for lat, lon, dest_lat, dest_lon, o, d in zip(lats.tolist(), lons.tolist(),
+                                                      dest_lats.tolist(), dest_lons.tolist(),
+                                                      nodes[:k], nodes[k:]):
             path = shortest_path(o, d, self.graph)
             if path is None or len(path.nodes) < 2:
-                meters = haversine(origin, dest)
-                route = [lat, dest.lat], [lon, dest.lon], [meters]
+                meters = haversine_coords(lat, lon, dest_lat, dest_lon)
+                route = [lat, dest_lat], [lon, dest_lon], [meters]
             else:
                 points = [self.graph.nodes[n] for n in path.nodes]
-                head, tail = haversine(origin, points[0]), haversine(points[-1], dest)
+                head = haversine_coords(lat, lon, points[0].lat, points[0].lon)
+                tail = haversine_coords(points[-1].lat, points[-1].lon, dest_lat, dest_lon)
                 meters = head + path.total_length + tail
-                route = ([lat, *[p.lat for p in points], dest.lat],
-                         [lon, *[p.lon for p in points], dest.lon],
+                route = ([lat, *[p.lat for p in points], dest_lat],
+                         [lon, *[p.lon for p in points], dest_lon],
                          [head, *hop_lengths(path, self.graph), tail])
-            moves.append((origin, *route, meters))
+            moves.append((*route, meters))
         etas = self._trip_minutes(clock, lats, lons, dest_lats, dest_lons,
                                   [move[-1] / 1000.0 for move in moves]).tolist()
         return [(*move, eta) for move, eta in zip(moves, etas)]
@@ -548,14 +546,13 @@ class Simulation:
             arrival[riders] = times[ride] + self._ride_trip[riders]
 
     def _match_requests(self, t: float, measured: bool) -> None:
-        requests = []
-        while self._queue and self._queue[0].minute < t + 1.0:
-            requests.append(self._queue.popleft())
-        if not requests:
+        q = self.requests
+        now = slice(self._next, int(np.searchsorted(q.minute, t + 1.0)))
+        self._next = now.stop
+        if now.start == now.stop:
             return
 
-        lats = np.array([r.pickup.lat for r in requests])
-        lons = np.array([r.pickup.lon for r in requests])
+        lats, lons = q.pickup_lat[now], q.pickup_lon[now]
         cells = cell_arrays(lats, lons, self.grid)
         np.add.at(self._minute_heat, cells, 1.0)
 
@@ -564,49 +561,47 @@ class Simulation:
         free_lat, free_lon = self.positions(t, free)
         dists = haversine_arrays(free_lat[None, :], free_lon[None, :],
                                  lats[:, None], lons[:, None])
-        free_left = len(free)
-        rows: list[int | None] = []
-        for i in range(len(requests)):
-            row = None
-            if free_left:
+        matched, taken = [], []  # the matched requests, and their free-vehicle columns
+        for i in range(len(lats)):
+            if len(taken) < len(free):
                 # columns are in ascending vehicle id, so ties go to the lowest id
                 best = int(dists[i].argmin())
                 if dists[i, best] <= self.match_radius_m:
-                    row = best
+                    matched.append(i)
+                    taken.append(best)
                     dists[:, best] = np.inf  # taken
-                    free_left -= 1
-            rows.append(row)
 
         # 2. the matched vehicles take their riders, and their moves to the
         #    pickups are routed and timed
-        taken = [r for r in rows if r is not None]
-        riders = [q for q, r in zip(requests, rows) if r is not None]
+        riders = now.start + np.array(matched, dtype=np.intp)
         vids = free[taken]
         self._status[vids] = TO_PICKUP
         self._last_ride[vids] = t
-        self._ride_trip[vids] = [q.trip_minutes for q in riders]
-        self._drop_lat[vids] = [q.dropoff.lat for q in riders]
-        self._drop_lon[vids] = [q.dropoff.lon for q in riders]
-        self._ride_m[vids] = [haversine(q.pickup, q.dropoff) for q in riders]
-        self._ride_id[vids] = [q.rid for q in riders]
-        moves = iter(self._plan_moves(free_lat[taken], free_lon[taken],
-                                      [q.pickup for q in riders], self.clock0.plus(t)))
+        self._ride_trip[vids] = q.trip_minutes[riders]
+        self._drop_lat[vids] = q.dropoff_lat[riders]
+        self._drop_lon[vids] = q.dropoff_lon[riders]
+        ends = zip(lats[matched].tolist(), lons[matched].tolist(),
+                   self._drop_lat[vids].tolist(), self._drop_lon[vids].tolist())
+        self._ride_m[vids] = [haversine_coords(*end) for end in ends]
+        self._ride_id[vids] = q.rid[riders]
+        moves = iter(self._plan_moves(free_lat[taken], free_lon[taken], lats[matched],
+                                      lons[matched], self.clock0.plus(t)))
 
         # 3. record each request in order
-        free = free.tolist()
-        for req, row in zip(requests, rows):
-            if row is None:
+        vid_of = dict(zip(matched, vids.tolist()))
+        for i, rid in enumerate(q.rid[now].tolist()):
+            vid = vid_of.get(i)
+            if vid is None:
                 if measured:
                     self._count_request(t, None)
-                self._log("reject", rid=req.rid)
+                self._log("reject", rid=rid)
                 continue
 
-            vid = free[row]
-            _, route_lat, route_lon, segs, _, eta = next(moves)
+            route_lat, route_lon, segs, _, eta = next(moves)
             self._set_route(vid, route_lat, route_lon, segs, t, t + eta)
             if measured:
                 self._count_request(t, eta)
-            self._log("assign", vid=vid, rid=req.rid, detail=f"eta={eta:.2f}")
+            self._log("assign", vid=vid, rid=rid, detail=f"eta={eta:.2f}")
 
     def build_view(self, t: float) -> SimView:
         n = self.n_vehicles
@@ -639,8 +634,8 @@ class Simulation:
             # one trip per call, straight between the cell centres: the
             # DQN's orders are made one after another
             a, b = center_of(from_cell, grid), center_of(to_cell, grid)
-            return float(self._trip_minutes(clock, [a.lat], [a.lon], [b.lat], [b.lon],
-                                            [haversine(a, b) / 1000.0])[0])
+            km = haversine_coords(a.lat, a.lon, b.lat, b.lon) / 1000.0
+            return float(self._trip_minutes(clock, [a.lat], [a.lon], [b.lat], [b.lon], [km])[0])
 
         slots = list(self._heat_slots)
         return SimView(
@@ -673,9 +668,11 @@ class Simulation:
         status = self._status[vids].tolist() if vids else []
         movers = [vid for vid, s in zip(vids, status) if s in (IDLE, DISPATCHING)]
         origin_lat, origin_lon = self.positions(t, np.array(movers, dtype=np.int64))
-        dests = [center_of(order.target_cell, self.grid)
-                 for order, s in zip(orders, status) if s in (IDLE, DISPATCHING)]
-        moves = iter(self._plan_moves(origin_lat, origin_lon, dests, self.clock0.plus(t)))
+        centers = (center_of(order.target_cell, self.grid)
+                   for order, s in zip(orders, status) if s in (IDLE, DISPATCHING))
+        dests = np.array([(c.lat, c.lon) for c in centers]).reshape(-1, 2)
+        moves = iter(self._plan_moves(origin_lat, origin_lon, dests[:, 0], dests[:, 1],
+                                      self.clock0.plus(t)))
 
         for order, vid, s in zip(orders, vids, status):
             if s not in (IDLE, DISPATCHING):
@@ -683,8 +680,8 @@ class Simulation:
                             vid, STATUS_NAMES[s])
                 self._log("order_skipped", vid=vid, detail=STATUS_NAMES[s])
                 continue
-            origin, route_lat, route_lon, segs, meters, eta = next(moves)
-            self._lat[vid], self._lon[vid] = origin.lat, origin.lon
+            route_lat, route_lon, segs, meters, eta = next(moves)
+            self._lat[vid], self._lon[vid] = route_lat[0], route_lon[0]
             self._ordered[vid] = True
             if meters <= 0.0 or eta <= 0.0:
                 self._lat[vid], self._lon[vid] = route_lat[-1], route_lon[-1]

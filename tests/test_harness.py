@@ -58,7 +58,8 @@ RULE_EDGES = {
     "in -90 to 90": ("origin_lat", "-90", "-90.00000000000001"),
     "in -180 to 180": ("origin_lon", "-180", "-180.00000000000003"),
     "finite and positive": ("dqn_lr", "5e-324", "0"),
-    "finite and non-negative": ("synth_noise", "0", "-5e-324"),
+    "finite and non-negative": ("match_radius_m", "0", "-5e-324"),
+    "in 0 to 1": ("synth_noise", "1", "1.0000000000000002"),
     "in (0, 1]": ("dqn_discount", "1", "1.0000000000000002"),
 }
 # raw values at the edges of what a field's type converts and its range admits
@@ -462,9 +463,9 @@ def city_rows(request, tmp_path_factory):
 
 
 def given_requests(city, rows):
-    """Each form the set-up arrays take requests in, with the rows the oracle
-    reads: the city's columns, a list of rows, and the columns of that list."""
-    return [(city.requests, list(city.requests)), (rows, rows), (Trips.of(rows), rows)]
+    """The requests the set-up arrays take, with the rows the oracle reads: the
+    city's columns, and the columns of ``rows``."""
+    return [(city.requests, list(city.requests)), (Trips.of(rows), rows)]
 
 
 def assert_same_arrays(got, want):
@@ -544,10 +545,10 @@ class TestExperiment:
         reqs = [RideRequest(k, minute, Location(40.0, -74.0 + k / 1000), Location(40.01, -74.0),
                             5.0 + k / 3, 1.25 * k + 0.1)
                 for k, minute in enumerate([3.0, 10.0, 10.5, 25.0 / 3, 39.999, 40.0])]
-        got = ex.episode_requests(reqs, 10.0 / 3, 40.0)
+        got = ex.episode_requests(Trips.of(reqs), 10.0 / 3, 40.0)
         assert got == [RideRequest(r.rid, r.minute - 10.0 / 3, r.pickup, r.dropoff,
                                    r.trip_minutes, r.distance_km) for r in reqs[1:5]]
-        assert ex.episode_requests(reqs, 40.5, 60.0) == []
+        assert ex.episode_requests(Trips.of(reqs), 40.5, 60.0) == []
 
     def test_baseline_run_and_summary(self, mini_world, tmp_path):
         cfg, city, bundle = mini_world
@@ -652,7 +653,8 @@ class TestExperiment:
                  zip(city.requests, (-0.5, -30.0, 0.0, 29.999999, 30.0, 1439.5, 2000.0))]
         requests = list(city.requests) + edges
         for total in (cfg.train_days * 1440.0, 1000.0):
-            slots, clocks = ex.demand_slot_series(requests, city.grid, total, cfg.epoch_dow)
+            slots, clocks = ex.demand_slot_series(Trips.of(requests), city.grid, total,
+                                                  cfg.epoch_dow)
             want = demand_slot_counts_reference(requests, city.grid, total)
             assert slots.tobytes() == want.tobytes()
             assert [c.minutes for c in clocks] == [30.0 * k for k in range(len(want))]
@@ -1123,15 +1125,24 @@ class TestCli:
     @pytest.mark.filterwarnings("error")
     def test_trip_time_that_is_not_finite_is_config_error(self, tmp_path, capsys):
         # a noise of 1e300 overflowed the trip times to inf, which the ETA fit
-        # refused as a runtime error (exit 3); the overflow raises the config
-        # error alone, with no numpy warning before it
-        code = cli.main([*TINY_CLI, *dirs(tmp_path), "--set", "synth_noise=1e300",
+        # refused as a runtime error (exit 3); the least positive speed
+        # overflows them too, and raises the config error alone, with no
+        # numpy warning before it
+        code = cli.main([*TINY_CLI, *dirs(tmp_path), "--set", "synth_speed_kmh=5e-324",
                          "simulate"])
         err = capsys.readouterr().err
         assert code == 1, err
         assert err == ("config error: a synthesised trip time is inf minutes: lower "
-                       "synth_noise (1e+300) or raise synth_speed_kmh (21.0)\n"), err
+                       "synth_noise (0.12) or raise synth_speed_kmh (5e-324)\n"), err
         assert not (tmp_path / "out" / "models").exists()
+
+    def test_noise_above_one_is_config_error_before_any_file(self, tmp_path, capsys):
+        # a noise of 50 ran to exit 0 with a mean wait of 1.5e54 minutes
+        code = cli.main([*TINY_CLI, *dirs(tmp_path), "--set", "synth_noise=50", "simulate"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err == "config error: synth_noise must be in 0 to 1, got 50.0\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_speed_is_config_error(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"

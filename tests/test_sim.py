@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -123,6 +125,8 @@ class TestTrips:
             assert trips[i] == reqs[i]
             assert type(trips[i].rid) is int and type(trips[i].minute) is float
         assert [trips[i] for i in np.array([4, 0, 2])] == [reqs[4], reqs[0], reqs[2]]
+        assert trips[np.array([4, 0, 2])] == [reqs[4], reqs[0], reqs[2]]
+        assert trips[np.array([True, False, False, True, False])] == [reqs[0], reqs[3]]
         for part in (slice(1, 4), slice(None, None, -2), slice(3, 1), slice(-2, None)):
             assert isinstance(trips[part], Trips)
             assert list(trips[part]) == reqs[part]
@@ -162,8 +166,8 @@ class TestTrips:
         cols["trip_minutes"] = np.array([3.0, minutes, 9.0])
         with pytest.raises(ValueError, match="request 1: trip must take positive time"):
             Trips(**cols)
-        with pytest.raises(ValueError, match="trip must take positive time"):
-            req(1, 0.0, Location(40.0, -74.0), Location(40.0, -74.0), trip=minutes)
+        with pytest.raises(ValueError, match="request 1: trip must take positive time"):
+            Trips.of([req(1, 0.0, Location(40.0, -74.0), Location(40.0, -74.0), trip=minutes)])
 
     def test_window_shifts_the_minutes_in_the_given_order(self):
         reqs = unsorted_requests()
@@ -249,6 +253,29 @@ class TestInitFleet:
         assert before == [(0, IDLE)] and sim.fleet == [(0, TO_PICKUP)]
         with pytest.raises(AttributeError):
             sim.fleet[0].status = IDLE
+
+    def test_requests_retain_at_most_96_bytes_each(self):
+        # an episode's requests stay eight 8-byte columns, sorted once, with
+        # no object per request (a sorted list of rows held ~500 B each)
+        grid = make_grid()
+        graph = grid_graph(grid)
+        n = 10_000
+        rng = np.random.default_rng(5)
+        lats = grid.origin.lat + rng.uniform(0.0, grid.rows * grid.d_lat, (2, n))
+        lons = grid.origin.lon + rng.uniform(0.0, grid.cols * grid.d_lon, (2, n))
+        trips = Trips(rng.permutation(n), rng.uniform(0.0, 1440.0, n), lats[0], lons[0],
+                      lats[1], lons[1], np.full(n, 5.0), np.full(n, 2.0))
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            sim = Simulation(grid, graph, ConstantEta(), trips, 10, **sim_settings())
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(sim.requests) == n
+        assert (after - before) / n <= 96
 
 
 class TestIdleSet:
@@ -395,10 +422,12 @@ class TestMatching:
     def test_dispatching_vehicle_matchable_mid_route(self):
         grid = make_grid(rows=8, cols=8)
         start = center_of((0, 0), grid)
+        target = center_of((0, 3), grid)
         sim = Simulation(grid, grid_graph(grid), ConstantEta(10.0),
-                         [req(0, 0.0, start, start, trip=1.0)],
+                         [req(0, 0.0, start, start, trip=1.0),
+                          req(7, 5.0, target, start, trip=2.0)],
                          n_vehicles=1, **sim_settings(warmup=0))
-        sim._queue.clear()  # drive manually
+        sim._next = 1  # drive manually: request 0 only places the vehicle
         sim.apply_dispatch([DispatchOrder(0, (0, 6))], t=0.0)
         assert sim.fleet[0].status == DISPATCHING
         # halfway through a 10-minute move it sits ~3 km east, within reach
@@ -406,8 +435,6 @@ class TestMatching:
         lat, lon = sim.positions(5.0, np.array([0]))
         pos = Location(float(lat[0]), float(lon[0]))
         assert 2000.0 < haversine(start, pos) < 4500.0
-        target = center_of((0, 3), grid)
-        sim._queue.append(req(7, 5.0, target, start, trip=2.0))
         sim._minute_heat = np.zeros(grid.shape)
         sim._match_requests(5.0, measured=True)
         fleet = vehicles(sim)
@@ -475,10 +502,9 @@ class TestApplyDispatch:
         eta = DistanceEta(2.0)
         sim_direct = Simulation(grid, direct, eta, reqs, 1, **sim_settings(warmup=0))
         sim_detour = Simulation(grid, detour, eta, reqs, 1, **sim_settings(warmup=0))
-        [(*_, d_direct, t_direct)] = sim_direct._plan_moves(
-            np.array([a.lat]), np.array([a.lon]), [b], sim_direct.clock0)
-        [(*_, d_detour, t_detour)] = sim_detour._plan_moves(
-            np.array([a.lat]), np.array([a.lon]), [b], sim_detour.clock0)
+        ends = [np.array([x]) for x in (a.lat, a.lon, b.lat, b.lon)]
+        [(*_, d_direct, t_direct)] = sim_direct._plan_moves(*ends, sim_direct.clock0)
+        [(*_, d_detour, t_detour)] = sim_detour._plan_moves(*ends, sim_detour.clock0)
         assert d_detour >= d_direct
         assert t_detour >= t_direct
 
@@ -488,9 +514,10 @@ class TestApplyDispatch:
         one_way = build_graph({0: a, 1: b}, [(1, 0, haversine(a, b))])  # no path a -> b
         sim = Simulation(make_grid(), one_way, DistanceEta(2.0), [req(0, 0.0, a, b)], 1,
                          **sim_settings(warmup=0))
-        [move] = sim._plan_moves(np.array([a.lat]), np.array([a.lon]), [b], sim.clock0)
+        [move] = sim._plan_moves(np.array([a.lat]), np.array([a.lon]), np.array([b.lat]),
+                                 np.array([b.lon]), sim.clock0)
         meters = haversine(a, b)
-        assert move == (a, [a.lat, b.lat], [a.lon, b.lon], [meters], meters,
+        assert move == ([a.lat, b.lat], [a.lon, b.lon], [meters], meters,
                         eta_one_row(sim.eta_model, a, b, sim.clock0, meters / 1000.0))
 
 

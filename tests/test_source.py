@@ -211,27 +211,37 @@ def test_concurrency_detection():
                                         "os.forkpty", "threading"]
 
 
+def scopes_where(source: str, hit) -> list[str]:
+    """The dotted scope of each node of ``source`` for which ``hit(node, scope)``
+    holds, ``scope`` being the names of the classes and functions around it."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if hit(child, scope):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def calls(node, name: str) -> bool:
+    """Whether ``node`` is a call of ``name``, by name or attribute."""
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == name
+        or isinstance(node.func, ast.Attribute) and node.func.attr == name)
+
+
 def region_map_constructions(source: str) -> list[str]:
     """The dotted scope of each call that constructs a ``RegionMap``: a call of
     ``RegionMap`` by name or attribute, or of ``cls`` inside ``class RegionMap``."""
-    found = []
-
-    def visit(node, scope, in_class):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, [*scope, child.name], in_class or (
-                    isinstance(child, ast.ClassDef) and child.name == "RegionMap"))
-                continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if ((isinstance(func, ast.Name) and (func.id == "RegionMap"
-                                                     or func.id == "cls" and in_class))
-                        or (isinstance(func, ast.Attribute) and func.attr == "RegionMap")):
-                    found.append(".".join(scope) or "<module>")
-            visit(child, scope, in_class)
-
-    visit(ast.parse(source), [], False)
-    return found
+    return scopes_where(source, lambda node, scope: calls(node, "RegionMap")
+                        or calls(node, "cls") and isinstance(node.func, ast.Name)
+                        and "RegionMap" in scope)
 
 
 def test_one_builder_of_the_partitions():
@@ -256,22 +266,7 @@ def test_region_map_construction_detection():
 
 def request_constructions(source: str) -> list[str]:
     """The dotted scope of each call of ``RideRequest``, by name or attribute."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, [*scope, child.name])
-                continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if ((isinstance(func, ast.Name) and func.id == "RideRequest")
-                        or (isinstance(func, ast.Attribute) and func.attr == "RideRequest")):
-                    found.append(".".join(scope) or "<module>")
-            visit(child, scope)
-
-    visit(ast.parse(source), [])
-    return found
+    return scopes_where(source, lambda node, scope: calls(node, "RideRequest"))
 
 
 def test_only_the_simulator_builds_requests():
@@ -289,6 +284,29 @@ def test_request_construction_detection():
               "def f(rows):\n    def g(r):\n        return RideRequest(*r)\n"
               "    return [g(r) for r in rows], RideRequest.__name__, ride_request(rows)\n")
     assert request_constructions(source) == ["<module>", "Reader.row", "f.g"]
+
+
+def request_end_uses(source: str) -> list[str]:
+    """The dotted scope of each use of an attribute ``pickup`` or ``dropoff``."""
+    return scopes_where(source, lambda node, scope: isinstance(node, ast.Attribute)
+                        and node.attr in ("pickup", "dropoff"))
+
+
+def test_no_module_reads_a_request_row():
+    """A request stays ``sim.Trips`` columns from synthesis or ingestion to the
+    simulator's matching: only ``Trips.of``, which turns rows into columns,
+    reads a row's pickup or dropoff."""
+    found = [f"{p.relative_to(SRC)}:{scope}" for p in MODULES
+             for scope in request_end_uses(p.read_text(encoding="utf-8"))]
+    assert found == ["sim.py:Trips.of"] * 4
+
+
+def test_request_end_use_detection():
+    source = ("FIRST = trips[0].pickup.lat\n"
+              "class Reader:\n    def ends(self, r):\n        return r.dropoff, r.pickup_lat\n"
+              "def f(rows):\n    def g(r):\n        return r.pickup\n"
+              "    pickup = rows[0]\n    return pickup.lat, [g(r) for r in rows]\n")
+    assert request_end_uses(source) == ["<module>", "Reader.ends", "f.g"]
 
 
 def unread_names(readers: list[Path]) -> list[str]:
