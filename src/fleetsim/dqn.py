@@ -27,7 +27,7 @@ import numpy as np
 
 from . import neural
 from .clock import periodic_features
-from .geo import RegionMap, aggregate_to_regions, mismatch, region_cells
+from .geo import RegionMap, aggregate_to_regions, mismatch
 from .neural import Concat, Conv2D
 from .sim import DispatchOrder
 
@@ -514,7 +514,6 @@ class DqnPolicy:
         self.cycle = cycle
         self.training = training
         self.last_decision: dict[int, float] = {}
-        self._zone_cells = region_cells(region_map)
         if training is not None:
             self.rng = np.random.default_rng(training.seed)
             self.target = net.copy()
@@ -613,7 +612,7 @@ class DqnPolicy:
                 dest_r, dest_c = region[0] + dr, region[1] + dc
                 if surplus is None:
                     surplus = mismatch(view.idle_cell_counts, view.trailing_heat)
-                dest_cell = max(self._zone_cells[dest_r * rc + dest_c],
+                dest_cell = max(self.region_map.cells[dest_r * rc + dest_c],
                                 key=surplus.__getitem__)
                 minutes = view.eta_minutes(tuple(view.cells[vid].tolist()), dest_cell)
                 tau_steps = max(1, int(np.ceil(minutes)))

@@ -5,8 +5,9 @@ metric extent at the grid's mid latitude equals ``cell_size`` meters.
 Cells follow a half-open convention: a cell owns its south and west
 edges, so a point exactly on an interior boundary belongs to the
 higher-index cell.  A :class:`RegionMap` partitions the grid into square
-blocks of cells, its region ids row-major over the blocks.  All values
-here are immutable after construction and safe to share between threads.
+blocks of cells, its region ids row-major over the blocks, and lists each
+region's cells.  All values here are immutable after construction and
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ class GridSpec:
 
     ``d_lat``/``d_lon`` are the angular cell extents derived from
     ``cell_size`` so that a cell measures ``cell_size`` meters at the
-    grid's mid latitude.
+    grid's mid latitude.  :meth:`contains` is the grid's one bounds test and
+    :meth:`center` its one cell-centre formula, for scalars and arrays alike.
     """
 
     rows: int
@@ -77,23 +79,25 @@ class GridSpec:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def contains(self, loc: Location) -> bool:
-        """True when ``loc`` is inside the half-open bounds rectangle."""
-        return (
-            self.origin.lat <= loc.lat < self.lat_max
-            and self.origin.lon <= loc.lon < self.lon_max
-        )
+    def contains(self, lats, lons):
+        """Whether each point ``(lats, lons)`` is inside the half-open bounds
+        rectangle, elementwise over scalars or arrays; a NaN is outside."""
+        return ((self.origin.lat <= lats) & (lats < self.lat_max)
+                & (self.origin.lon <= lons) & (lons < self.lon_max))
+
+    def center(self, rows, cols):
+        """Latitudes and longitudes of the centres of cells ``(rows, cols)``,
+        elementwise over scalars or arrays, with no bounds check."""
+        return (self.origin.lat + (rows + 0.5) * self.d_lat,
+                self.origin.lon + (cols + 0.5) * self.d_lon)
 
 
 def center_of(cell: tuple[int, int], grid: GridSpec) -> Location:
-    """Center coordinates of a grid cell."""
+    """Center coordinates of a grid cell; a cell off the grid raises."""
     row, col = cell
     if not (0 <= row < grid.rows and 0 <= col < grid.cols):
         raise OutOfBoundsError(f"cell {cell} outside {grid.rows}x{grid.cols} grid")
-    return Location(
-        grid.origin.lat + (row + 0.5) * grid.d_lat,
-        grid.origin.lon + (col + 0.5) * grid.d_lon,
-    )
+    return Location(*grid.center(row, col))
 
 
 def cell_arrays(lats: np.ndarray, lons: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -105,8 +109,7 @@ def cell_arrays(lats: np.ndarray, lons: np.ndarray, grid: GridSpec) -> tuple[np.
     """
     lats = np.asarray(lats, dtype=np.float64)
     lons = np.asarray(lons, dtype=np.float64)
-    inside = ((lats >= grid.origin.lat) & (lats < grid.lat_max)
-              & (lons >= grid.origin.lon) & (lons < grid.lon_max))
+    inside = grid.contains(lats, lons)
     if not inside.all():
         i = int(np.argmin(inside))
         raise OutOfBoundsError(
@@ -130,13 +133,15 @@ class RegionMap:
     ``i`` and block column ``j`` has id ``i * shape[1] + j``, which
     :meth:`dqn.DqnPolicy.dispatch` decodes with ``divmod``.  So a ``30x30``
     grid with 3x3 blocks has 100 regions arranged 10x10.  ``assignment``
-    holds each fine cell's region id, read-only.  Construction raises
-    ``ValueError`` when ``block`` does not divide the grid.
+    holds each fine cell's region id, read-only, and the tuple ``cells[k]``
+    region ``k``'s ``(row, col)`` cells in row-major order.  Construction
+    raises ``ValueError`` when ``block`` does not divide the grid.
     """
 
     grid: GridSpec
     block: int
     assignment: np.ndarray = field(init=False, repr=False, compare=False)
+    cells: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows, cols, block = self.grid.rows, self.grid.cols, self.block
@@ -147,6 +152,9 @@ class RegionMap:
         assignment = r[:, None] * (cols // block) + c[None, :]
         assignment.setflags(write=False)
         object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "cells", tuple(
+            tuple((row, col) for row in range(i, i + block) for col in range(j, j + block))
+            for i in range(0, rows, block) for j in range(0, cols, block)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -156,16 +164,6 @@ class RegionMap:
     @property
     def region_count(self) -> int:
         return math.prod(self.shape)
-
-
-def region_cells(rm: RegionMap) -> dict[int, list[tuple[int, int]]]:
-    """Cells of each region id, in row-major order."""
-    cells: dict[int, list[tuple[int, int]]] = {}
-    rows, cols = rm.assignment.shape
-    for r in range(rows):
-        for c in range(cols):
-            cells.setdefault(int(rm.assignment[r, c]), []).append((r, c))
-    return cells
 
 
 def aggregate_to_regions(heat: np.ndarray, rm: RegionMap) -> np.ndarray:

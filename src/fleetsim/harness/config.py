@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, fields
 from datetime import date
 
-from ..geo import GridSpec, Location
+from ..geo import GridSpec, Location, RegionMap
 
 POLICIES = ("none", "rhc", "dqn", "dqn_star")
 
@@ -84,6 +84,24 @@ class ExperimentConfig:
         """Weekday of simulation minute zero (0 = Monday), from ``epoch_date``."""
         return date.fromisoformat(self.epoch_date).weekday()
 
+    def layout(self) -> tuple[GridSpec, RegionMap, RegionMap]:
+        """The grid and its two partitions, each numbering its blocks row-major:
+        the dispatch regions, blocks of ``region_block`` cells a side, and the
+        zones of the RHC tables, blocks of ``zone_block``.  Every city has this
+        layout, and nothing else in the program builds a :class:`GridSpec` or a
+        :class:`RegionMap`.  A block that does not divide the grid raises
+        :class:`ConfigError` naming its field.
+        """
+        grid = GridSpec(rows=self.fine_rows, cols=self.fine_cols, cell_size=self.cell_size_m,
+                        origin=Location(self.origin_lat, self.origin_lon))
+        maps = []
+        for name in ("region_block", "zone_block"):
+            try:
+                maps.append(RegionMap(grid, getattr(self, name)))
+            except ValueError as exc:
+                raise ConfigError(f"{name} {getattr(self, name)}: {exc}") from exc
+        return grid, *maps
+
     def validate(self) -> "ExperimentConfig":
         for rule, test, names in _RULES:
             for name in names:
@@ -97,18 +115,13 @@ class ExperimentConfig:
                               f"got {self.epoch_date!r}") from exc
         if self.policy not in POLICIES:
             raise ConfigError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        grid = GridSpec(self.fine_rows, self.fine_cols, self.cell_size_m,
-                        Location(self.origin_lat, self.origin_lon))
+        grid, _, _ = self.layout()
         if grid.lat_max > 90.0:
             raise ConfigError(f"origin_lat {self.origin_lat} puts the grid between latitudes "
                               f"{self.origin_lat} and {grid.lat_max}, past -90 to 90")
         if grid.lon_max > 180.0:
             raise ConfigError(f"origin_lon {self.origin_lon} puts the grid between longitudes "
                               f"{self.origin_lon} and {grid.lon_max}, past -180 to 180")
-        if self.fine_rows % self.region_block or self.fine_cols % self.region_block:
-            raise ConfigError("fine grid must divide evenly into regions")
-        if self.fine_rows % self.zone_block or self.fine_cols % self.zone_block:
-            raise ConfigError("fine grid must divide evenly into zones")
         if self.dqn_batch > self.dqn_buffer:
             raise ConfigError(f"dqn_batch {self.dqn_batch} exceeds dqn_buffer "
                               f"{self.dqn_buffer}: the replay could never fill a minibatch")

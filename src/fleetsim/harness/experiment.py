@@ -42,7 +42,7 @@ from ..roadgraph import EdgeListParseError, load_edge_list
 from ..sim import SLOT_MINUTES, EpisodeMetrics, Simulation, Trips, finalize_metrics
 from .config import ConfigError, ExperimentConfig
 from .ingest import TripDataError, ingest_trips
-from .synth import SynthCity, city_layout, synth_city
+from .synth import SynthCity, synth_city
 
 log = logging.getLogger(__name__)
 
@@ -83,24 +83,25 @@ def load_city(cfg: ExperimentConfig) -> City:
     """Read the city directory ``cfg.data_dir``: ``trips.csv`` and ``roads.txt``.
 
     The grid, the dispatch regions and the zones are the config's, as
-    :func:`synth.city_layout` builds them: the Q-policy decodes a region id
+    :meth:`ExperimentConfig.layout` builds them: the Q-policy decodes a region id
     as its row-major block of ``region_block`` cells a side, and the zone
     tables were estimated on the ``zone_block`` blocks.  A ``regions.csv``
-    or ``zones.csv`` in the directory is not read.  A road network with no
-    node inside the grid raises :class:`EdgeListParseError` naming
-    ``roads.txt``: every move would start and end off the map.
+    or ``zones.csv`` in the directory is not read.  A road node outside the
+    grid raises :class:`EdgeListParseError` naming ``roads.txt``, the node
+    and its location: a route through it would take a vehicle off the map.
     """
     base = Path(cfg.data_dir)
-    grid, regions, zones = city_layout(cfg)
+    grid, regions, zones = cfg.layout()
     epoch = datetime.fromisoformat(cfg.epoch_date)
     requests, report = ingest_trips(base / "trips.csv", grid, epoch)
     log.info("ingested %d trips (%d dropped out-of-bounds, %d non-positive)",
              report.kept, report.dropped_bounds, report.dropped_duration)
     roads = base / "roads.txt"
     graph = load_edge_list(roads)
-    if not any(grid.contains(loc) for loc in graph.nodes.values()):
-        raise EdgeListParseError(f"{roads}: none of its {len(graph.nodes)} nodes "
-                                 "lies inside the grid")
+    for nid, loc in graph.nodes.items():
+        if not grid.contains(loc.lat, loc.lon):
+            raise EdgeListParseError(f"{roads}: node {nid} at ({loc.lat}, {loc.lon}) "
+                                     "lies outside the grid")
     return City(grid, graph, regions, zones, requests)
 
 
@@ -109,9 +110,8 @@ def _check_fleet_windows(cfg: ExperimentConfig, requests: Trips,
     """Raise when a window ``[start, end)`` holds fewer requests than the vehicles
     placed at their pickups: a :class:`TripDataError` naming ``trips_file`` for
     requests read from one, else a :class:`ConfigError`."""
-    minute = requests.minute
     for day, (start, end) in enumerate(windows):
-        count = int(np.count_nonzero((start <= minute) & (minute < end)))
+        count = len(requests.window(start, end))
         if count >= cfg.vehicles:
             continue
         if trips_file is not None:
@@ -332,9 +332,9 @@ def train_models(cfg: ExperimentConfig, training_city: City) -> ModelBundle:
 
 def load_models(cfg: ExperimentConfig) -> ModelBundle:
     """The saved models of ``cfg``, each table checked against the grid and the
-    zones of :func:`synth.city_layout`."""
+    zones of :meth:`ExperimentConfig.layout`."""
     paths = model_paths(cfg)
-    grid, _, zones = city_layout(cfg)
+    grid, _, zones = cfg.layout()
     eta_model = eta_mod.EtaModel.load(paths["eta"])
     demand_model = demand_mod.DemandModel.load(paths["demand"])
     historical = rhc_mod.load_table(paths["historical"], (7, 24) + grid.shape)

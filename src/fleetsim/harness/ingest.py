@@ -77,9 +77,7 @@ def ingest_trips(path, grid: GridSpec, epoch: datetime) -> tuple[Trips, IngestRe
     table = np.frombuffer(table).reshape(-1, 7)
     timed = table[:, 5] > 0
     lats, lons = table[:, [1, 3]], table[:, [2, 4]]
-    # GridSpec.contains of both ends; a NaN coordinate is outside
-    inside = ((grid.origin.lat <= lats) & (lats < grid.lat_max)
-              & (grid.origin.lon <= lons) & (lons < grid.lon_max)).all(axis=1)
+    inside = grid.contains(lats, lons).all(axis=1)  # both ends; a NaN is outside
     report.dropped_duration = int(np.count_nonzero(~timed))
     report.dropped_bounds = int(np.count_nonzero(timed & ~inside))
     table = table[timed & inside]

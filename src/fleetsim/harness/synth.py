@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..geo import GridSpec, Location, RegionMap, center_of, haversine, haversine_coords
+from ..geo import GridSpec, RegionMap, center_of, haversine, haversine_coords
 from ..roadgraph import RoadGraph, build_graph, save_edge_list
 from ..sim import Trips
 from .config import ConfigError, ExperimentConfig
@@ -160,19 +160,6 @@ def _activity_level(rng, n_slots: int) -> np.ndarray:
     return np.exp(g)
 
 
-def city_layout(cfg: ExperimentConfig) -> tuple[GridSpec, RegionMap, RegionMap]:
-    """The config's grid and its two partitions: the dispatch regions, blocks of
-    ``region_block`` cells a side, and the zones of the RHC tables, blocks of
-    ``zone_block``; each map numbers its blocks row-major.
-
-    Every city, synthesised or read from a directory, has this layout, and
-    this is the one place the program builds a :class:`RegionMap`.
-    """
-    grid = GridSpec(rows=cfg.fine_rows, cols=cfg.fine_cols, cell_size=cfg.cell_size_m,
-                    origin=Location(cfg.origin_lat, cfg.origin_lon))
-    return grid, RegionMap(grid, cfg.region_block), RegionMap(grid, cfg.zone_block)
-
-
 def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
     """Generate a fully deterministic city and trip workload.
 
@@ -186,7 +173,7 @@ def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
     with no numpy overflow warning before it.
     """
     rng = np.random.default_rng(seed)
-    grid, regions, zones = city_layout(cfg)
+    grid, regions, zones = cfg.layout()
     rates = _slot_rates(grid, cfg)
     level = _activity_level(rng, days * 48)
     spots = _hotspot_geometry(grid)
@@ -254,8 +241,9 @@ def _iso(epoch: datetime, minute: float) -> str:
 def write_city(city: SynthCity, cfg: ExperimentConfig, out_dir) -> dict:
     """Write the city directory: ``trips.csv`` and ``roads.txt``.
 
-    The regions and zones are not written: they are the config's block
-    layout, which :func:`experiment.load_city` builds with :func:`city_layout`.
+    The grid, the regions and the zones are not written: they are the
+    config's layout, which :func:`experiment.load_city` builds with
+    :meth:`ExperimentConfig.layout`, as :func:`synth_city` does.
     Pickup and dropoff times are rounded to the second, so a city read back
     from these files is not bit for bit the one synthesised.
     """

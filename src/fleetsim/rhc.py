@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import RegionMap, aggregate_to_regions, haversine_arrays, mismatch, region_cells
+from .geo import RegionMap, aggregate_to_regions, haversine_arrays, mismatch
 from .lp import LpProblem, LpSolution, SparseRows, highs_bindings, solve
 from .sim import SLOT_MINUTES, DispatchOrder
 
@@ -32,11 +32,10 @@ FALLBACK_SPEED_KMH = 25.0
 
 def zone_centroid_distances(rm: RegionMap) -> np.ndarray:
     """Pairwise great-circle distances between zone centroids, meters."""
-    grid = rm.grid
-    rows, cols = np.indices((grid.rows, grid.cols))
-    count = np.maximum(aggregate_to_regions(np.ones(rows.shape), rm), 1)
-    lats = aggregate_to_regions(grid.origin.lat + (rows + 0.5) * grid.d_lat, rm) / count
-    lons = aggregate_to_regions(grid.origin.lon + (cols + 0.5) * grid.d_lon, rm) / count
+    centre_lats, centre_lons = rm.grid.center(*np.indices(rm.grid.shape))
+    count = np.maximum(aggregate_to_regions(np.ones(rm.grid.shape), rm), 1)
+    lats = aggregate_to_regions(centre_lats, rm) / count
+    lons = aggregate_to_regions(centre_lons, rm) / count
     return np.array([haversine_arrays(lat, lon, lats, lons) for lat, lon in zip(lats, lons)])
 
 
@@ -310,7 +309,7 @@ def check_plan_feasibility(plan: RhcPlan, x0: np.ndarray, tau0: np.ndarray,
 
 def assign_vehicles(u_rounded: np.ndarray, surplus: np.ndarray,
                     idle_vehicles: list[tuple[int, tuple[int, int]]],
-                    zone_cells: dict[int, list[tuple[int, int]]]
+                    zone_cells: tuple[tuple[tuple[int, int], ...], ...]
                     ) -> tuple[list[DispatchOrder], list[str]]:
     """Map integer zone dispatch counts onto concrete vehicles and cells.
 
@@ -325,8 +324,8 @@ def assign_vehicles(u_rounded: np.ndarray, surplus: np.ndarray,
     :meth:`dqn.DqnPolicy.dispatch` does), then to the lowest vehicle id.
 
     ``idle_vehicles`` lists each idle vehicle as (vehicle_id, (row, col)), and
-    ``zone_cells`` maps each zone to its cells in row-major order, as
-    :func:`geo.region_cells` returns them.
+    ``zone_cells[i]`` holds zone ``i``'s cells in row-major order, as
+    :attr:`geo.RegionMap.cells` does.
     Returns (orders, warnings); a shortage of idle vehicles truncates the
     plan with a warning rather than failing.
     """
@@ -344,7 +343,7 @@ def assign_vehicles(u_rounded: np.ndarray, surplus: np.ndarray,
     src_zones, dst_zones = np.nonzero(u_rounded > 0)
     for i, j in zip(src_zones.tolist(), dst_zones.tolist()):
         for _ in range(int(u_rounded[i, j])):
-            src = max((cell for cell in zone_cells.get(i, ()) if by_cell.get(cell)),
+            src = max((cell for cell in zone_cells[i] if by_cell.get(cell)),
                       key=surplus.__getitem__, default=None)
             if src is None:
                 msg = f"zone {i}: no idle vehicle left for dispatch to zone {j}"
@@ -387,7 +386,6 @@ class RhcPolicy:
         self.horizon = horizon
         self.cycle = int(slot_minutes)
         self.last_plan: RhcPlan | None = None
-        self._zone_cells = region_cells(zones)
         highs_bindings()  # import the solver now, not inside the first plan
 
     def dispatch(self, view) -> list[DispatchOrder]:
@@ -426,5 +424,6 @@ class RhcPolicy:
         surplus = mismatch(view.idle_cell_counts, view.trailing_heat)
         idle = view.idle_ids
         idle_vehicles = list(zip(idle.tolist(), map(tuple, view.cells[idle].tolist())))
-        orders, _ = assign_vehicles(plan.u_rounded, surplus, idle_vehicles, self._zone_cells)
+        orders, _ = assign_vehicles(plan.u_rounded, surplus, idle_vehicles,
+                                     self.zones.cells)
         return orders

@@ -666,16 +666,17 @@ class Simulation:
             twice = sorted({vid for vid in vids if vids.count(vid) > 1})
             raise ValueError(f"dispatch orders name vehicles {twice} more than once")
         status = self._status[vids].tolist() if vids else []
-        movers = [vid for vid, s in zip(vids, status) if s in (IDLE, DISPATCHING)]
+        free = [s <= DISPATCHING for s in status]
+        movers = [vid for vid, f in zip(vids, free) if f]
         origin_lat, origin_lon = self.positions(t, np.array(movers, dtype=np.int64))
         centers = (center_of(order.target_cell, self.grid)
-                   for order, s in zip(orders, status) if s in (IDLE, DISPATCHING))
+                   for order, f in zip(orders, free) if f)
         dests = np.array([(c.lat, c.lon) for c in centers]).reshape(-1, 2)
         moves = iter(self._plan_moves(origin_lat, origin_lon, dests[:, 0], dests[:, 1],
                                       self.clock0.plus(t)))
 
-        for order, vid, s in zip(orders, vids, status):
-            if s not in (IDLE, DISPATCHING):
+        for order, vid, s, f in zip(orders, vids, status, free):
+            if not f:
                 log.warning("order for vehicle %d ignored: status %s",
                             vid, STATUS_NAMES[s])
                 self._log("order_skipped", vid=vid, detail=STATUS_NAMES[s])

@@ -8,7 +8,10 @@ does for k trips; ``legal_action_mask`` and ``explore_action_reference``
 state the DQN's legal moves as a boolean 15x15 mask, where the program
 reads the ``dqn._legal_rect`` rectangle; ``assign_vehicles_reference``
 is ``rhc.assign_vehicles`` with its zone-cell picks as hand-written
-argmax and argmin loops; and ``episode_requests_reference``,
+argmax and argmin loops; ``contains_reference`` and ``region_cells``
+state the grid's bounds test as a chained scalar comparison and a
+region's cells as a walk over the assignment, where the program reads
+``GridSpec.contains`` and ``RegionMap.cells``; and ``episode_requests_reference``,
 ``eta_training_arrays_reference``, ``zone_trip_arrays_reference``,
 ``demand_slot_series_reference`` and ``fleet_window_count_reference``
 build the set-up's arrays one request at a time from
@@ -685,13 +688,30 @@ def astar_reference(origin, dest, graph):
     return None
 
 
+def contains_reference(grid, lat, lon) -> bool:
+    """Whether one point is inside the grid's half-open bounds, as the chained
+    scalar comparison that :meth:`fleetsim.geo.GridSpec.contains` replaced."""
+    return grid.origin.lat <= lat < grid.lat_max and grid.origin.lon <= lon < grid.lon_max
+
+
+def region_cells(rm):
+    """Cells of each region id of ``rm``, in row-major order, by a walk over
+    its assignment: the reference for :attr:`fleetsim.geo.RegionMap.cells`."""
+    cells = {}
+    rows, cols = rm.assignment.shape
+    for r in range(rows):
+        for c in range(cols):
+            cells.setdefault(int(rm.assignment[r, c]), []).append((r, c))
+    return cells
+
+
 def cell_of(loc, grid):
     """The (row, col) cell of one location; out-of-bounds locations raise.
 
     The scalar reference for :func:`fleetsim.geo.cell_arrays`: floor of
     the snapped offset, so boundary points go to the higher-index cell.
     """
-    if not grid.contains(loc):
+    if not contains_reference(grid, loc.lat, loc.lon):
         raise OutOfBoundsError(
             f"location ({loc.lat}, {loc.lon}) outside grid bounds "
             f"[{grid.origin.lat}, {grid.lat_max}) x [{grid.origin.lon}, {grid.lon_max})"
@@ -1360,7 +1380,7 @@ class DqnPolicyReference(DqnPolicy):
                 dest_cell = None
                 best = -np.inf
                 rid = dest_region[0] * rc + dest_region[1]
-                for cell in self._zone_cells.get(rid, ()):
+                for cell in region_cells(self.region_map)[rid]:
                     if eta_cells[cell] > best:
                         best = eta_cells[cell]
                         dest_cell = cell

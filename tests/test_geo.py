@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from oracles import cell_of
+from oracles import cell_of, contains_reference, region_cells
 
 from fleetsim.geo import (
     GridSpec,
@@ -82,6 +82,34 @@ class TestCellOf:
             cell_arrays(lats, lons, g)
 
 
+class TestGridRules:
+    def test_contains_equals_the_scalar_chain(self):
+        # each edge exactly, one ulp either side, NaN and both infinities
+        g = GridSpec(rows=9, cols=11, cell_size=250.0, origin=Location(40.0, -74.0))
+
+        def probes(lo, hi):
+            edges = [lo, hi, (lo + hi) / 2]
+            near = [np.nextafter(e, sign * np.inf) for e in (lo, hi) for sign in (-1, 1)]
+            return np.array(edges + near + [np.nan, np.inf, -np.inf])
+
+        lats, lons = np.meshgrid(probes(g.origin.lat, g.lat_max),
+                                 probes(g.origin.lon, g.lon_max))
+        got = g.contains(lats, lons)
+        assert got.dtype == bool and got.shape == lats.shape
+        want = [contains_reference(g, lat, lon) for lat, lon in zip(lats.flat, lons.flat)]
+        assert got.ravel().tolist() == want
+        assert 0 < sum(want) < len(want)
+        for lat, lon, inside in zip(lats.flat, lons.flat, want):
+            assert g.contains(float(lat), float(lon)) == inside
+
+    def test_center_equals_center_of_byte_for_byte(self):
+        g = GridSpec(rows=7, cols=5, cell_size=320.0, origin=Location(35.2, 139.4))
+        lats, lons = g.center(*np.indices(g.shape))
+        want = [center_of((r, c), g) for r in range(g.rows) for c in range(g.cols)]
+        assert lats.ravel().tobytes() == np.array([w.lat for w in want]).tobytes()
+        assert lons.ravel().tobytes() == np.array([w.lon for w in want]).tobytes()
+
+
 def block_grid(rows, cols):
     return GridSpec(rows=rows, cols=cols, cell_size=100.0, origin=Location(0.0, 0.0))
 
@@ -131,6 +159,14 @@ class TestRegionMap:
         with pytest.raises(ValueError, match=f"{rows}x{cols} grid not divisible into "
                                              f"{block}x{block} blocks"):
             RegionMap(block_grid(rows, cols), block)
+
+    def test_cells_equal_the_walk_over_the_assignment(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            rm = random_block_map(rng)
+            assert isinstance(rm.cells, tuple) and all(isinstance(c, tuple) for c in rm.cells)
+            assert dict(enumerate(map(list, rm.cells))) == region_cells(rm)
+            assert all(type(v) is int for cells in rm.cells for cell in cells for v in cell)
 
     def test_block_map_layout(self):
         rm = RegionMap(block_grid(6, 6), 3)

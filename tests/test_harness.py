@@ -25,7 +25,7 @@ from fleetsim.dqn import QNetwork
 from fleetsim.geo import GridSpec, Location, RegionMap
 from fleetsim.harness.config import _RULES, ConfigError, ExperimentConfig, parse_config
 from fleetsim.harness.ingest import TripDataError, ingest_trips
-from fleetsim.harness.synth import build_road_grid, city_layout, synth_city, write_city
+from fleetsim.harness.synth import build_road_grid, synth_city, write_city
 from fleetsim.harness import cli
 from fleetsim.harness import experiment as ex
 from fleetsim.rhc import ZoneTableError
@@ -214,6 +214,14 @@ class TestConfig:
                                 "dqn_reject_weight = 0\n")
         assert (cfg.dqn_train_steps, cfg.dqn_eps_ramp, cfg.dqn_alpha_ramp) == (0, 0, 0)
         assert cfg.rhc_reject_penalty == cfg.dqn_reject_weight == 0.0
+
+    @pytest.mark.parametrize("key, value", [("region_block", "3"), ("zone_block", "3"),
+                                            ("zone_block", "40")])
+    def test_block_that_does_not_divide_the_grid_names_its_field(self, key, value):
+        # the default grid is 20x20, and each other block divides it
+        with pytest.raises(ConfigError, match=f"^{key} {value}: 20x20 grid not divisible "
+                                              f"into {value}x{value} blocks$"):
+            parse_config(text="seed = 1\n", overrides={key: value})
 
     def test_zero_match_radius_and_unit_sizes_accepted(self):
         cfg = parse_config(text="seed = 1\nmatch_radius_m = 0\nregion_block = 1\n"
@@ -849,7 +857,11 @@ BAD_INPUTS = {
                         "roads.txt: edge 0->1 has length inf"),
     "road-no-nodes": ("city/roads.txt", lambda b: b"#nodes\n#edges\n", "roads.txt: no nodes"),
     "road-off-grid": ("city/roads.txt", lambda b: b"#nodes\n0,10.0,10.0\n#edges\n",
-                      "roads.txt: none of its 1 nodes lies inside the grid"),
+                      "roads.txt: node 0 at (10.0, 10.0) lies outside the grid"),
+    # one node tens of kilometres off the grid, beside the 100 on it
+    "road-node-off-grid": ("city/roads.txt",
+                           lambda b: b.replace(b"#edges\n", b"100,40.5,-73.0\n#edges\n"),
+                           "roads.txt: node 100 at (40.5, -73.0) lies outside the grid"),
     # node 0 is on line 2 and node 1 on line 3, the 100 nodes end on line 101
     "road-node-repeated": ("city/roads.txt",
                            lambda b: b.replace(b"#edges\n", b"1,40.5,-73.0\n#edges\n"),
@@ -1331,7 +1343,7 @@ class TestCli:
         path = tmp_path / "city" / "regions.csv"
         if regions == "non-block":
             # TINY_CLI's zones, 5x5 blocks
-            path.write_text(partition_csv(city_layout(tiny_cfg(tmp_path))[2].assignment))
+            path.write_text(partition_csv(tiny_cfg(tmp_path).layout()[2].assignment))
         else:
             path.write_text("row,col,region_id\n0,0,x\n")
         summary = tmp_path / "out" / "summary_none_3.csv"
@@ -1352,7 +1364,7 @@ class TestCli:
                 shutil.copytree(written_city / sub, base / sub)
             path = base / "city" / "zones.csv"
             if case == "swapped":
-                blocks = city_layout(tiny_cfg(base))[2].assignment
+                blocks = tiny_cfg(base).layout()[2].assignment
                 path.write_text(partition_csv(np.choose(blocks, [3, 1, 2, 0])))
             elif case == "malformed":
                 path.write_text("row,col,region_id\n0,0,x\n")

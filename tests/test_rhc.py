@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fleetsim.geo import GridSpec, Location, RegionMap, mismatch, region_cells
+from fleetsim.geo import GridSpec, Location, RegionMap, mismatch
 from fleetsim.rhc import (
     ZoneTableError,
     assign_vehicles,
@@ -21,7 +21,7 @@ from fleetsim import rhc
 from fleetsim.lp import LpSolution, solve
 from oracles import (assign_vehicles_reference, destination_table_reference,
                      event_supply_oracle, predict_supply, random_supply_scenario,
-                     rhc_lp_reference, rhc_settings, seeded_rhc_lp_inputs,
+                     region_cells, rhc_lp_reference, rhc_settings, seeded_rhc_lp_inputs,
                      zone_centroid_distances_reference)
 from test_policies import GRID, ZONES, fake_view
 
@@ -431,8 +431,8 @@ class TestRounding:
 
 class TestAssignVehicles:
     # zone 0 is the top 2x2 block of a 4x2 grid, zone 1 the bottom one
-    ZONE_CELLS = region_cells(RegionMap(
-        GridSpec(rows=4, cols=2, cell_size=500.0, origin=Location(40.0, -74.0)), 2))
+    ZONE_CELLS = RegionMap(
+        GridSpec(rows=4, cols=2, cell_size=500.0, origin=Location(40.0, -74.0)), 2).cells
 
     def test_empty_plan(self):
         orders, warnings = assign_vehicles(np.zeros((2, 2), dtype=int),
@@ -488,7 +488,8 @@ class TestAssignVehicles:
         # five levels, so cells tie; zones left without an idle vehicle; and
         # units of up to 3 per zone pair
         grid = GridSpec(rows=6, cols=6, cell_size=500.0, origin=Location(40.0, -74.0))
-        zone_cells = region_cells(RegionMap(grid, 2))
+        zones = RegionMap(grid, 2)
+        zone_cells = zones.cells
         rng = np.random.default_rng(23)
         seen = {"warnings": 0, "ties": 0, "multi_units": 0}
         for _ in range(300):
@@ -499,10 +500,11 @@ class TestAssignVehicles:
                     for vid, cell in zip(rng.permutation(40)[:n_idle], cells)]
             u = rng.integers(0, 4, size=(9, 9)) * (rng.random((9, 9)) < 0.15)
             orders, warnings = assign_vehicles(u, surplus, idle, zone_cells)
-            assert (orders, warnings) == assign_vehicles_reference(u, surplus, idle, zone_cells)
+            assert (orders, warnings) == assign_vehicles_reference(u, surplus, idle,
+                                                                   region_cells(zones))
             seen["warnings"] += len(warnings)
             seen["ties"] += sum(len(set(surplus[c] for c in zc)) < len(zc)
-                                for zc in zone_cells.values())
+                                for zc in zone_cells)
             seen["multi_units"] += int((u > 1).sum())
         assert all(seen.values()), seen
 

@@ -236,32 +236,37 @@ def calls(node, name: str) -> bool:
         or isinstance(node.func, ast.Attribute) and node.func.attr == name)
 
 
-def region_map_constructions(source: str) -> list[str]:
-    """The dotted scope of each call that constructs a ``RegionMap``: a call of
-    ``RegionMap`` by name or attribute, or of ``cls`` inside ``class RegionMap``."""
-    return scopes_where(source, lambda node, scope: calls(node, "RegionMap")
-                        or calls(node, "cls") and isinstance(node.func, ast.Name)
-                        and "RegionMap" in scope)
+def layout_constructions(source: str) -> list[str]:
+    """The dotted scope of each call that constructs a ``GridSpec`` or a
+    ``RegionMap``: a call of either by name or attribute, or of ``cls`` inside
+    either class."""
+    return scopes_where(source, lambda node, scope: any(
+        calls(node, name) or calls(node, "cls") and isinstance(node.func, ast.Name)
+        and name in scope for name in ("GridSpec", "RegionMap")))
 
 
-def test_one_builder_of_the_partitions():
-    """Every region and zone map is the config's block layout: nothing in the
-    package constructs a ``RegionMap`` but ``synth.city_layout``, once for the
-    regions and once for the zones."""
+def test_one_builder_of_the_layout():
+    """Every city has the config's layout: nothing in the package constructs a
+    ``GridSpec`` or a ``RegionMap`` but ``ExperimentConfig.layout``, once for the
+    grid and once, in a loop, for the regions and the zones."""
     found = [f"{p.relative_to(SRC)}:{scope}" for p in MODULES
-             for scope in region_map_constructions(p.read_text(encoding="utf-8"))]
-    assert found == ["harness/synth.py:city_layout"] * 2
+             for scope in layout_constructions(p.read_text(encoding="utf-8"))]
+    assert found == ["harness/config.py:ExperimentConfig.layout"] * 2
 
 
-def test_region_map_construction_detection():
-    source = ("from . import geo\nfrom .geo import RegionMap\n"
+def test_layout_construction_detection():
+    source = ("from . import geo\nfrom .geo import GridSpec, RegionMap\n"
               "IDENTITY = RegionMap(a, 1)\n"
               "class RegionMap:\n"
               "    @classmethod\n    def load(cls, path):\n        return cls(read(path), 2)\n"
+              "class GridSpec:\n"
+              "    @classmethod\n    def square(cls, n):\n        return cls(n, n)\n"
               "class Other:\n    def make(cls):\n        return cls(1)\n"
               "def f(a):\n    def g():\n        return geo.RegionMap(a, 3)\n"
-              "    return g(), region_map(a), RegionMap.identity(a)\n")
-    assert region_map_constructions(source) == ["<module>", "RegionMap.load", "f.g"]
+              "    return g(), region_map(a), RegionMap.identity(a), a.grid.shape\n"
+              "def h(cfg):\n    return geo.GridSpec(cfg.rows, 1, 2.0, o), GridSpec.__name__\n")
+    assert layout_constructions(source) == ["<module>", "RegionMap.load", "GridSpec.square",
+                                            "f.g", "h"]
 
 
 def request_constructions(source: str) -> list[str]:
