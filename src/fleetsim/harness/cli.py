@@ -13,6 +13,7 @@ import logging
 import sys
 from pathlib import Path
 
+from ..blas import pin_one_thread
 from ..neural import CheckpointError
 from ..rhc import ZoneTableError
 from ..roadgraph import EdgeListParseError
@@ -176,8 +177,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    blas = pin_one_thread()  # before any fit: the outputs' bits hold at one thread
     args = _build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
+    logging.info("numpy %(numpy)s, OpenBLAS core %(openblas_core)s, "
+                 "%(blas_threads)s BLAS thread(s)", blas)
     try:
         cfg = parse_config(args.config, _overrides(args.set))
         return _HANDLERS[args.command](cfg)

@@ -511,7 +511,12 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
 
     Returns a dict with per-day reports, the aggregate report, and file
     paths.  Identical configurations and seeds produce byte-identical
-    output files.  The city is ``city``, else the directory
+    output files at one BLAS thread count.  The command line pins numpy's
+    OpenBLAS to one thread (:func:`blas.pin_one_thread`); another caller
+    fixes the count itself.  Where numpy ships no OpenBLAS, nothing is
+    pinned, and outputs are byte-identical only between runs on the same
+    BLAS at the same thread count, which that BLAS's own settings fix.
+    The city is ``city``, else the directory
     ``cfg.data_dir`` when it holds a ``trips.csv``, else the city of
     ``cfg.seed`` synthesised in memory.  A directory that ``synth-data``
     wrote for the same seed does not give the same outcomes as the

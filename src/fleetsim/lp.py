@@ -8,8 +8,10 @@ each row and nonzero values, the three arrays HiGHS reads.  No dense
 out; :meth:`SparseRows.from_triplets` builds a block from its entries.
 
 :func:`solve` passes a program to HiGHS through its own Python bindings,
-the ones ``scipy.optimize.linprog(method="highs")`` calls, with the
-options that ``linprog`` sets, so it returns what ``linprog`` would.
+the extension that ``scipy.optimize.linprog(method="highs")`` calls, with
+the options that ``linprog`` sets, so it returns what ``linprog`` would.
+The extension is loaded from its file alone, without importing the
+``scipy`` or ``scipy.optimize`` packages (:func:`highs_bindings`).
 HiGHS is deterministic: identical problems give identical solutions.
 When the optimum is not unique it may return any optimal vertex, so a
 caller must not rely on which one.
@@ -18,6 +20,10 @@ caller must not rely on which one.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,16 +35,43 @@ ACCEPT_TOL = np.sqrt(1e-9) * 10
 
 @functools.cache
 def highs_bindings():
-    """HiGHS's Python bindings, ``scipy.optimize._highspy._core``, loaded on first call.
+    """HiGHS's Python bindings, the extension ``scipy.optimize._highspy._core``,
+    loaded on first call.
 
-    Loading them imports ``scipy.optimize`` (about 0.27 s), which raised
-    the day-none benchmark's peak RSS from 117 to 146 MB, so no module
-    loads it at import; :class:`rhc.RhcPolicy` calls this when it is built,
-    so that its first plan does not pay for the import.
+    Only the extension is loaded, from its file under scipy's directory.
+    Importing it by name would first run the ``scipy`` and
+    ``scipy.optimize`` packages, which load the optimize package's sparse,
+    linalg and Fortran extensions that nothing here calls.  In a fresh
+    process that had imported ``fleetsim.rhc``, that import added 46 MB
+    of peak RSS and took 0.33-0.36 s; the extension alone adds 3.5 MB and
+    takes 5 ms (2-core x86-64 host, scipy 1.17).  The extension is loaded
+    under its package name and put in ``sys.modules`` before it runs, and
+    a module already there under that name is returned as it is: its
+    types can be registered only once in a process, so an import of
+    ``scipy.optimize`` before or after this call shares the one copy.
+    :class:`rhc.RhcPolicy` calls this when it is built, so that its first
+    plan does not pay for the load.  Raises ``ImportError``, naming the
+    directory searched, when the extension is not there.
     """
-    from scipy.optimize._highspy import _core
-
-    return _core
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("no scipy package, whose HiGHS extension solves the programs")
+    where = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy")
+    found = importlib.machinery.PathFinder.find_spec("_core", [where])
+    if found is None:
+        raise ImportError(f"no HiGHS extension _core in {where}")
+    spec = importlib.util.spec_from_file_location(name, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]  # as the import system does: no half-made module stays
+        raise
+    return module
 
 
 @dataclass(frozen=True)

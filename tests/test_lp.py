@@ -1,6 +1,10 @@
+import importlib.util
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from fleetsim.rhc import build_rhc_lp
 from oracles import (linprog_solve_reference, lp_from_dense, random_bounded_lp,
                      random_sparse_lp, rowwise_reference, seeded_rhc_lp_inputs,
                      vertex_enumeration_optimum)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestBasics:
@@ -279,27 +285,35 @@ class TestAcceptance:
         assert accepted_status(no_rows, np.array([np.nan])) == "numerical_difficulties"
 
 
-def test_scipy_optimize_loaded_only_by_solve():
+SUBPROCESS_ENV = {"PYTHONPATH": os.pathsep.join(str(ROOT / d) for d in ("src", "tests")),
+                  "PATH": "/usr/bin:/bin"}
+
+
+def run_python(code: str) -> str:
+    """The standard output of ``code`` run by a fresh interpreter on the package and
+    the tests' helpers."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=SUBPROCESS_ENV).stdout
+
+
+def test_no_scipy_module_loaded_at_import():
     # policies other than RHC never solve an LP and must not pay for scipy's
     # memory; importing any of these modules loads no scipy module at all
     code = ("import sys, fleetsim.lp, fleetsim.sim, fleetsim.dqn, fleetsim.rhc, "
             "fleetsim.harness.experiment, fleetsim.harness.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
-             "PATH": "/usr/bin:/bin"},
-    )
-    assert proc.stdout.strip() == "[]"
+    assert run_python(code).strip() == "[]"
 
 
 def test_highs_bindings_loaded_by_building_the_rhc_policy_only():
     # the RHC policy loads the solver when it is built, so that its first
-    # plan does not pay for the import; the other policies never load it
+    # plan does not pay for the load; the other policies never load it, and
+    # neither the load nor a solve imports the scipy or scipy.optimize package
     code = """
 import sys
 from types import SimpleNamespace
 import numpy as np
+from fleetsim import lp
 from fleetsim.dqn import QNetwork
 from fleetsim.geo import GridSpec, Location, RegionMap
 from fleetsim.harness import experiment as ex
@@ -318,11 +332,48 @@ qnet = QNetwork.create(np.random.default_rng(0))
 for name in ("none", "dqn", "rhc"):
     policy = ex.make_policy(cfg, name, city, bundle, qnet=qnet)
     print(type(policy).__name__, "scipy.optimize._highspy._core" in sys.modules)
+one = lp.SparseRows.from_triplets((1, 2), [(np.array([0, 0]), np.array([0, 1]), 1.0)])
+print(lp.solve(lp.LpProblem(np.array([1.0, 2.0]), one, np.array([3.0]))).objective)
+print(sorted({"scipy", "scipy.optimize", "scipy.optimize._highspy._core"} & set(sys.modules)))
 """
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
-             "PATH": "/usr/bin:/bin"},
-    )
-    assert proc.stdout.split("\n")[:3] == ["NoneType False", "DqnPolicy False",
-                                           "RhcPolicy True"]
+    assert run_python(code).split("\n")[:5] == [
+        "NoneType False", "DqnPolicy False", "RhcPolicy True", "6.0",
+        "['scipy.optimize._highspy._core']"]
+
+
+@pytest.mark.parametrize("first", ["solve", "linprog"])
+def test_solve_and_linprog_share_one_extension_in_either_order(first):
+    # the extension's types are registered once per process: loading it by its
+    # path and importing scipy.optimize, in either order, share one module
+    code = f"""
+import sys
+from fleetsim import lp
+from fleetsim.rhc import build_rhc_lp
+import oracles
+problem, _ = build_rhc_lp(**oracles.seeded_rhc_lp_inputs(5, 15.0))
+if {first!r} == "solve":
+    got = lp.solve(problem)
+    want = oracles.linprog_solve_reference(problem)
+else:
+    want = oracles.linprog_solve_reference(problem)
+    got = lp.solve(problem)
+print(got.status, got.x.tobytes() == want.x.tobytes(), got.objective == want.objective,
+      lp.highs_bindings() is sys.modules["scipy.optimize._highspy._core"])
+"""
+    assert run_python(code).strip() == "optimal True True True"
+
+
+def test_missing_extension_names_the_directory_searched(monkeypatch, tmp_path):
+    # an empty scipy directory: no _core under its optimize/_highspy
+    (tmp_path / "optimize" / "_highspy").mkdir(parents=True)
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: (
+        SimpleNamespace(submodule_search_locations=[str(tmp_path)]) if name == "scipy"
+        else find_spec(name, *args)))
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core", raising=False)
+    lp.highs_bindings.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "optimize" / "_highspy"))):
+            lp.highs_bindings()
+    finally:
+        lp.highs_bindings.cache_clear()

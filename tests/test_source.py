@@ -211,6 +211,35 @@ def test_concurrency_detection():
                                         "os.forkpty", "threading"]
 
 
+def scipy_imports(source: str) -> list[str]:
+    """The module named by each ``import`` or absolute ``from ... import`` statement of
+    a module, at any depth, that is ``scipy`` or a module under it."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module)
+    return [n for n in names if n.split(".")[0] == "scipy"]
+
+
+def test_no_module_imports_scipy():
+    """The LP solver loads HiGHS's extension by its path (``lp.highs_bindings``):
+    an import of any scipy module runs the ``scipy`` package first, and one under
+    ``scipy.optimize`` runs that whole package, which costs the RHC policy 46 MB."""
+    found = {str(p.relative_to(SRC)): scipy_imports(p.read_text(encoding="utf-8"))
+             for p in MODULES}
+    assert {m: names for m, names in found.items() if names} == {}
+
+
+def test_scipy_import_detection():
+    source = ("import os, scipy.optimize._highspy._core\nfrom scipy.optimize import linprog\n"
+              "from .scipy import x\nimport scipyx\nfrom importlib import util\n"
+              "def f():\n    from scipy import sparse\n    return sparse\n")
+    assert scipy_imports(source) == ["scipy.optimize._highspy._core", "scipy.optimize",
+                                     "scipy"]
+
+
 def scopes_where(source: str, hit) -> list[str]:
     """The dotted scope of each node of ``source`` for which ``hit(node, scope)``
     holds, ``scope`` being the names of the classes and functions around it."""
