@@ -3,7 +3,7 @@
 The fits' bits depend on the BLAS thread count: at two threads the
 first conv layer's ``dW`` product of a training batch is split across
 threads, which reorders its sums, so ``train-dqn`` writes another
-``qnet.json``.  A second thread does not pay here either: the
+``qnet.npz``.  A second thread does not pay here either: the
 simulator's network calls are batches of one, and a 600-step
 ``train_dqn`` took 35.7-35.9 s at one thread and 36.3-38.3 s at two
 on a 2-core host.

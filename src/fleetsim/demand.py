@@ -62,13 +62,6 @@ class DemandModel:
         mask = (demand_input[..., 0] > 0) | (demand_input[..., 1] > 0)
         return np.where(mask, raw, 0.0)
 
-    def save(self, path) -> None:
-        neural.save_model(path, DEMAND_SPEC, self.params)
-
-    @classmethod
-    def load(cls, path) -> "DemandModel":
-        return cls(neural.load_model(path, DEMAND_SPEC)[0])
-
 
 def _samples(slots: np.ndarray, clocks: list[Clock]):
     inputs = [build_demand_input(slots[i - 1], slots[i - 2], clocks[i])

@@ -299,14 +299,6 @@ class QNetwork:
             Q_SPEC, self.params, qin.main[None], qin.aux[None])[0, ..., 0]
         return qmap
 
-    def save(self, path, extra: dict | None = None) -> None:
-        neural.save_model(path, Q_SPEC, self.params, extra)
-
-    @classmethod
-    def load(cls, path) -> tuple["QNetwork", dict | None]:
-        params, extra = neural.load_model(path, Q_SPEC)
-        return cls(params), extra
-
 
 def explore_action(rect: tuple[int, int, int, int], epsilon: float,
                    rng: np.random.Generator) -> tuple[int, int] | None:

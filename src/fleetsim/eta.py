@@ -81,35 +81,6 @@ class EtaModel:
         raw = neural.forward(ETA_SPEC, self.params, z[:, None, :])[:, 0, 0]
         return np.maximum(raw * self.y_std + self.y_mean, 0.0)
 
-    def save(self, path) -> None:
-        neural.save_model(path, ETA_SPEC, self.params,
-                          extra={"mean": self.mean.tolist(), "std": self.std.tolist(),
-                                 "y_mean": self.y_mean, "y_std": self.y_std})
-
-    @classmethod
-    def load(cls, path) -> "EtaModel":
-        """Read a :meth:`save` checkpoint.
-
-        Raises :class:`neural.CheckpointError`, naming ``path``, when the
-        network does not load or a normalization statistic is missing, is
-        not a ``(9,)`` array (``mean``, ``std``) or a scalar (``y_mean``,
-        ``y_std``), or is not finite.
-        """
-        params, extra = neural.load_model(path, ETA_SPEC)
-        stats = []
-        for key, shape in (("mean", (FEATURE_COUNT,)), ("std", (FEATURE_COUNT,)),
-                           ("y_mean", ()), ("y_std", ())):
-            try:
-                value = np.array(extra[key], dtype=np.float64)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise neural.CheckpointError(f"{path}: no usable {key} ({exc!r})") from exc
-            if value.shape != shape or not np.isfinite(value).all():
-                raise neural.CheckpointError(f"{path}: {key} is not a finite array "
-                                             f"of shape {shape}")
-            stats.append(value)
-        mean, std, y_mean, y_std = stats
-        return cls(params, mean, std, float(y_mean), float(y_std))
-
 
 def split_indices(n: int, seed: int):
     """Deterministic shuffled (train, validation) index split, ``VAL_FRACTION`` held out."""

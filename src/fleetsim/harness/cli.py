@@ -15,7 +15,6 @@ from pathlib import Path
 
 from ..blas import pin_one_thread
 from ..neural import CheckpointError
-from ..rhc import ZoneTableError
 from ..roadgraph import EdgeListParseError
 from .config import ConfigError, parse_config
 from .ingest import TripDataError
@@ -90,7 +89,7 @@ def _cmd_train_models(cfg) -> int:
           f"validation {metrics['demand_val_rmse']:.4f} "
           f"(historical baseline {metrics['demand_historical_baseline_rmse']:.4f}); "
           "rmse averages over all cells")
-    print(f"wrote {model_paths(cfg)['tables']}")
+    print(f"wrote {model_paths(cfg)['models']}")
     return EXIT_OK
 
 
@@ -188,7 +187,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TripDataError, EdgeListParseError, ZoneTableError, CheckpointError,
+    except (TripDataError, EdgeListParseError, CheckpointError,
             SummaryError, FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

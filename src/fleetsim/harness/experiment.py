@@ -10,11 +10,8 @@ way the models are built, and the one place the program uses a second
 process: the demand fit, with its historical table, runs in a forked
 worker while this process fits the ETA model and the zone tables.  The
 worker is a copy of this process, BLAS thread setting included, and
-each fit runs start to end in one process, so every model file is byte
-for byte the one the same fits give in one process.  When the demand
-fit fails, ``eta.json`` and ``zone_tables.npz`` may be on disk without
-``demand.json`` and ``metrics.json``; :func:`ensure_models` then refits
-all the models.
+each fit runs start to end in one process, so ``models.npz`` is byte
+for byte the file the same fits give in one process.
 The simulator and the policies run in one process.
 """
 
@@ -34,10 +31,10 @@ import numpy as np
 from .. import demand as demand_mod
 from .. import dqn as dqn_mod
 from .. import eta as eta_mod
+from .. import neural
 from .. import rhc as rhc_mod
 from ..clock import Clock, periodic_features
 from ..geo import GridSpec, RegionMap, cell_arrays
-from ..neural import CheckpointError
 from ..roadgraph import EdgeListParseError, load_edge_list
 from ..sim import SLOT_MINUTES, EpisodeMetrics, Simulation, Trips, finalize_metrics
 from .config import ConfigError, ExperimentConfig
@@ -176,12 +173,9 @@ class ModelBundle:
 def model_paths(cfg: ExperimentConfig) -> dict:
     base = Path(cfg.out_dir) / "models"
     return {
-        "eta": base / "eta.json",
-        "demand": base / "demand.json",
-        "tables": base / "zone_tables.npz",
+        "models": base / "models.npz",
         "metrics": base / "metrics.json",
-        "historical": base / "historical.npy",
-        "qnet": base / "qnet.json",
+        "qnet": base / "qnet.npz",
         "dqn_log": base / "dqn_training_log.csv",
     }
 
@@ -197,43 +191,35 @@ def _read_metrics(path: Path) -> dict:
     try:
         metrics = json.loads(path.read_bytes())
     except ValueError as exc:
-        raise CheckpointError(f"{path}: unreadable metrics ({exc!r})") from None
+        raise neural.CheckpointError(f"{path}: unreadable metrics ({exc!r})") from None
     if not isinstance(metrics, dict):
-        raise CheckpointError(f"{path}: metrics are a JSON {type(metrics).__name__}, "
-                              "not an object")
+        raise neural.CheckpointError(f"{path}: metrics are a JSON "
+                                     f"{type(metrics).__name__}, not an object")
     return metrics
 
 
 def train_eta_model(cfg: ExperimentConfig, training_city: City):
-    """Fit the ETA perceptron and save ``eta.json``; returns (model, metrics)."""
+    """Fit the ETA perceptron; returns (model, metrics)."""
     feats, target = eta_training_arrays(training_city.requests, cfg)
-    model, metrics = eta_mod.train_eta(
-        feats, target, seed=cfg.train_seed, epochs=cfg.eta_epochs, lr=cfg.eta_lr)
-    model.save(model_paths(cfg)["eta"])
-    return model, metrics
+    return eta_mod.train_eta(feats, target, seed=cfg.train_seed, epochs=cfg.eta_epochs,
+                             lr=cfg.eta_lr)
 
 
-def train_demand_model(cfg: ExperimentConfig, fitted):
-    """Save what ``fitted()`` returns, (model, historical, metrics) as
-    :func:`demand.train_demand` returns them, and return it;
-    :func:`train_models` passes the result of its worker."""
-    paths = model_paths(cfg)
-    model, historical, metrics = fitted()
-    model.save(paths["demand"])
-    np.save(paths["historical"], historical)
-    return model, historical, metrics
+def train_demand_model(fitted):
+    """Wait for the demand fit: ``fitted()`` returns (model, historical, metrics)
+    as :func:`demand.train_demand` does; :func:`train_models` passes the
+    result of its worker.  A function of its own, so that the wait can be
+    timed by name."""
+    return fitted()
 
 
 def build_zone_tables(cfg: ExperimentConfig, training_city: City):
-    """Estimate the trip-time and destination tables and save ``zone_tables.npz``."""
+    """Estimate the trip-time and destination tables; returns (minutes, prob)."""
     origin, dest, dow, hour, minutes = zone_trip_arrays(
         training_city.requests, training_city.zones, cfg.epoch_dow)
     dist = rhc_mod.zone_centroid_distances(training_city.zones)
-    trip_times, destinations = rhc_mod.estimate_tables(
-        origin, dest, dow, hour, minutes, training_city.zones.region_count,
-        centroid_dist_m=dist)
-    rhc_mod.save_tables(model_paths(cfg)["tables"], trip_times, destinations)
-    return trip_times, destinations
+    return rhc_mod.estimate_tables(origin, dest, dow, hour, minutes,
+                                   training_city.zones.region_count, centroid_dist_m=dist)
 
 
 def _send_outcome(conn, fn) -> None:
@@ -295,26 +281,37 @@ class _ForkedCall:
         self._conn.close()
 
 
+def save_models(cfg: ExperimentConfig, bundle: ModelBundle) -> None:
+    """Write ``bundle`` to ``models.npz``, and its metrics to ``metrics.json``:
+    :func:`load_models` reads both back bit for bit."""
+    paths = model_paths(cfg)
+    paths["models"].parent.mkdir(parents=True, exist_ok=True)
+    eta = bundle.eta_model
+    neural.write_model_file(
+        paths["models"],
+        {"eta": (eta_mod.ETA_SPEC, eta.params),
+         "demand": (demand_mod.DEMAND_SPEC, bundle.demand_model.params)},
+        {"eta_mean": eta.mean, "eta_std": eta.std, "eta_y_mean": eta.y_mean,
+         "eta_y_std": eta.y_std, "historical": bundle.historical,
+         "minutes": bundle.trip_times, "prob": bundle.destinations})
+    with open(paths["metrics"], "w") as fh:
+        json.dump(bundle.metrics, fh, indent=2)
+
+
 def train_models(cfg: ExperimentConfig, training_city: City) -> ModelBundle:
-    """Fit ETA, demand and zone tables on the training city and persist them.
+    """Fit ETA, demand and zone tables on the training city and save them.
 
     The demand slot series is built once, here.  The demand fit
     (:func:`demand.train_demand` on that series, the historical table
     included) runs in a forked worker while this process fits the ETA
     model and builds the zone tables; the worker inherits the series and
     this process's BLAS thread setting, and each fit runs whole in one
-    process.  Each fit scores itself and its baseline on its own split,
-    and ``metrics.json`` is written once, after every fit: the ETA's
-    RMSEs, then the demand's.  The worker is reaped on every path, and
-    its exception is raised here with its type and message.  After a failed demand fit
-    ``eta.json`` and ``zone_tables.npz`` may exist without
-    ``demand.json``, ``historical.npy`` and ``metrics.json``, and
-    :func:`ensure_models` refits all of them.
+    process.  Each fit scores itself and its baseline on its own split.
+    The worker is reaped on every path, and its exception is raised here
+    with its type and message.  Only after every fit does
+    :func:`save_models` write the models and their metrics, the ETA's
+    RMSEs, then the demand's; a failed fit writes no file.
     """
-    paths = model_paths(cfg)
-    # a fresh record: no key, nor an unreadable file, survives from an older one
-    paths["metrics"].unlink(missing_ok=True)
-    paths["metrics"].parent.mkdir(parents=True, exist_ok=True)
     slots, clocks = demand_slot_series(training_city.requests, training_city.grid,
                                        cfg.train_days * 1440.0, cfg.epoch_dow)
     with _ForkedCall(lambda: demand_mod.train_demand(
@@ -322,25 +319,30 @@ def train_models(cfg: ExperimentConfig, training_city: City) -> ModelBundle:
             lr=cfg.demand_lr)) as fit:
         eta_model, eta_metrics = train_eta_model(cfg, training_city)
         trip_times, destinations = build_zone_tables(cfg, training_city)
-        demand_model, historical, demand_metrics = train_demand_model(cfg, fit.result)
-    metrics = {**eta_metrics, **demand_metrics}
-    with open(paths["metrics"], "w") as fh:
-        json.dump(metrics, fh, indent=2)
-    return ModelBundle(eta_model, demand_model, historical, trip_times,
-                       destinations, metrics)
+        demand_model, historical, demand_metrics = train_demand_model(fit.result)
+    bundle = ModelBundle(eta_model, demand_model, historical, trip_times, destinations,
+                         {**eta_metrics, **demand_metrics})
+    save_models(cfg, bundle)
+    return bundle
 
 
 def load_models(cfg: ExperimentConfig) -> ModelBundle:
-    """The saved models of ``cfg``, each table checked against the grid and the
-    zones of :meth:`ExperimentConfig.layout`."""
+    """The models that :func:`save_models` wrote for ``cfg``, the history and the
+    zone tables checked against the grid and the zones of
+    :meth:`ExperimentConfig.layout`."""
     paths = model_paths(cfg)
     grid, _, zones = cfg.layout()
-    eta_model = eta_mod.EtaModel.load(paths["eta"])
-    demand_model = demand_mod.DemandModel.load(paths["demand"])
-    historical = rhc_mod.load_table(paths["historical"], (7, 24) + grid.shape)
-    trip_times, destinations = rhc_mod.load_tables(paths["tables"], zones.region_count)
-    return ModelBundle(eta_model, demand_model, historical, trip_times,
-                       destinations, _read_metrics(paths["metrics"]))
+    m = zones.region_count
+    nets, a = neural.read_model_file(
+        paths["models"], {"eta": eta_mod.ETA_SPEC, "demand": demand_mod.DEMAND_SPEC},
+        {"eta_mean": (eta_mod.FEATURE_COUNT,), "eta_std": (eta_mod.FEATURE_COUNT,),
+         "eta_y_mean": (), "eta_y_std": (), "historical": (7, 24) + grid.shape,
+         "minutes": (7, 24, m, m), "prob": (7, 24, m, m)})
+    rhc_mod.check_tables(paths["models"], a["minutes"], a["prob"])
+    eta_model = eta_mod.EtaModel(nets["eta"], a["eta_mean"], a["eta_std"],
+                                 float(a["eta_y_mean"]), float(a["eta_y_std"]))
+    return ModelBundle(eta_model, demand_mod.DemandModel(nets["demand"]), a["historical"],
+                       a["minutes"], a["prob"], _read_metrics(paths["metrics"]))
 
 
 def training_city(cfg: ExperimentConfig) -> City:
@@ -348,10 +350,9 @@ def training_city(cfg: ExperimentConfig) -> City:
 
 
 def ensure_models(cfg: ExperimentConfig, city: City | None = None) -> ModelBundle:
-    """The saved models, or, when one is missing, the models trained on
+    """The saved models, or, without a ``models.npz``, the models trained on
     ``city``, the training city of ``cfg``, synthesised when not given."""
-    paths = model_paths(cfg)
-    if all(paths[k].exists() for k in ("eta", "demand", "tables", "historical")):
+    if model_paths(cfg)["models"].exists():
         return load_models(cfg)
     return train_models(cfg, training_city(cfg) if city is None else city)
 
@@ -521,16 +522,16 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
     ``cfg.seed`` synthesised in memory.  A directory that ``synth-data``
     wrote for the same seed does not give the same outcomes as the
     synthesised city: :func:`synth.write_city` rounds every trip time to
-    the second.  A DQN policy without a saved Q-network, a bad city file,
-    or a day window with fewer requests than vehicles raises its error
-    before any model is trained.
+    the second.  A DQN policy without a saved Q-network or with one that
+    :func:`load_qnet` refuses, a bad city file, or a day window with fewer
+    requests than vehicles raises its error before any model is trained.
     """
     # the Q-network first: a run that cannot use the models trains none
     if cfg.policy in ("dqn", "dqn_star") and qnet is None:
         qnet_path = model_paths(cfg)["qnet"]
         if not qnet_path.exists():
             raise ConfigError("no trained Q-network found; run train-dqn first")
-        qnet, _ = dqn_mod.QNetwork.load(qnet_path)
+        qnet = load_qnet(qnet_path)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # the city next: a bad city file, or a day window shorter than the
@@ -572,18 +573,36 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
 
 # --- DQN training ------------------------------------------------------------
 
+def load_qnet(path) -> dqn_mod.QNetwork:
+    """The Q-network that :func:`train_dqn` saved at ``path``.
+
+    Raises :class:`neural.CheckpointError`, naming ``path``, when the file
+    does not read as the network of ``dqn.Q_SPEC`` with its ``steps`` and
+    ``minibatches`` counts, or when the network trained no minibatch.
+    """
+    nets, counts = neural.read_model_file(path, {"qnet": dqn_mod.Q_SPEC},
+                                          {"steps": (), "minibatches": ()})
+    if counts["minibatches"] == 0:
+        raise neural.CheckpointError(
+            f"{path}: minibatches is 0: the Q-network trained no minibatch, since its "
+            "replay never held dqn_batch transitions; rerun train-dqn with more "
+            "dqn_train_steps or a smaller dqn_batch")
+    return dqn_mod.QNetwork(nets["qnet"])
+
+
 def train_dqn(cfg: ExperimentConfig, city: City | None = None,
               bundle: ModelBundle | None = None, steps: int | None = None):
     """Train the Q-network inside the simulator on the training city.
 
     One continuous run starting at the configured day-start hour; a
     training step follows every simulated minute after warmup.  Returns
-    (QNetwork, training log rows) and persists both.  A run that would
-    outlast the ``train_days`` of the training city, or whose window holds
-    fewer requests than vehicles, raises :class:`ConfigError` before
-    anything is trained or written.  Missing
-    models are trained on ``city``, the training city, so a fresh run
-    synthesises it once.
+    (QNetwork, training log rows) and saves both: ``qnet.npz`` holds the
+    network, the ``steps`` run and the ``minibatches`` trained, the log's
+    rows with a finite loss.  A run that would outlast the ``train_days``
+    of the training city, or whose window holds fewer requests than
+    vehicles, raises :class:`ConfigError` before anything is trained or
+    written.  Missing models are trained on ``city``, the training city,
+    so a fresh run synthesises it once.
     """
     if steps is None:
         steps = cfg.dqn_train_steps
@@ -623,6 +642,8 @@ def train_dqn(cfg: ExperimentConfig, city: City | None = None,
 
     paths = model_paths(cfg)
     paths["qnet"].parent.mkdir(parents=True, exist_ok=True)
-    net.save(paths["qnet"], extra={"steps": steps})
+    minibatches = sum(1 for row in policy.training_log if math.isfinite(row[1]))
+    neural.write_model_file(paths["qnet"], {"qnet": (dqn_mod.Q_SPEC, net.params)},
+                            {"steps": steps, "minibatches": minibatches})
     dqn_mod.write_training_log(paths["dqn_log"], policy.training_log)
     return net, policy.training_log

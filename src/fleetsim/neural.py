@@ -21,9 +21,8 @@ large as the kernels is accepted.  Forward passes are pure functions of
 
 from __future__ import annotations
 
-import base64
-import json
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,78 +329,64 @@ def window_mean(integ: np.ndarray, bounds: tuple[np.ndarray, ...], k: int) -> np
     return sums / float(k * k)
 
 
-# --- checkpoint container -------------------------------------------------
-
-def _layer_to_dict(layer) -> dict:
-    if isinstance(layer, Dense):
-        return {"kind": "dense", "n_in": layer.n_in, "n_out": layer.n_out,
-                "activation": layer.activation}
-    if isinstance(layer, Conv2D):
-        return {"kind": "conv2d", "in_planes": layer.in_planes, "filters": layer.filters,
-                "kh": layer.kh, "kw": layer.kw, "activation": layer.activation,
-                "padding": layer.padding}
-    if isinstance(layer, Concat):
-        # a one-entry "branch" list, the format of the checkpoints on disk
-        return {"kind": "concat", "branch": [_layer_to_dict(layer.layer)]}
-    raise TypeError(f"cannot serialize layer {layer}")
-
-
-def _encode_array(a: np.ndarray) -> dict:
-    a = np.ascontiguousarray(a, dtype="<f8")
-    return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
-
-
-def _decode_array(d: dict) -> np.ndarray:
-    raw = base64.b64decode(d["data"], validate=True)
-    return np.frombuffer(raw, dtype="<f8").reshape(d["shape"]).copy()
-
-
-CHECKPOINT_FORMAT = "fleetsim-net-v1"
-
+# --- model files -------------------------------------------------------------
 
 class CheckpointError(ValueError):
-    """A network checkpoint that does not load as the network it is read as,
-    or a models' metrics record that does not load as a JSON object."""
+    """A model file that does not load as the models it is read as, or a models'
+    metrics record that does not load as a JSON object."""
 
 
-def save_model(path, spec, params, extra: dict | None = None) -> None:
-    """Write a versioned JSON checkpoint; load(save(m)) round-trips bit-exactly."""
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "layers": [_layer_to_dict(l) for l in spec],
-        "params": [_encode_array(p) for p in params],
-    }
-    if extra is not None:
-        doc["extra"] = extra
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+def write_model_file(path, nets: dict, arrays: dict) -> None:
+    """Write the uncompressed ``.npz`` model file that :func:`read_model_file`
+    reads back bit for bit.
+
+    Each network ``name: (spec, params)`` of ``nets`` is stored as the
+    string ``{name}_spec``, the repr of ``spec``, and its params as
+    ``{name}_0``, ``{name}_1``, ...; each of ``arrays`` is stored as float64.
+    """
+    out = {}
+    for name, (spec, params) in nets.items():
+        out[f"{name}_spec"] = np.array(repr(spec))
+        out.update((f"{name}_{k}", p) for k, p in enumerate(params))
+    out.update((name, np.asarray(a, dtype=np.float64)) for name, a in arrays.items())
+    np.savez(path, **out)
 
 
-def load_model(path, spec):
-    """Read a checkpoint of the network ``spec`` back as (params, extra dict or None).
+def read_model_file(path, nets: dict, shapes: dict) -> tuple[dict, dict]:
+    """The params of each network ``name: spec`` of ``nets``, and each array
+    ``name: shape`` of ``shapes``, in the model file at ``path``.
 
-    Raises :class:`CheckpointError`, naming ``path``, for unreadable JSON, a
-    missing key or bad base64 data, another format, a checkpoint of other
-    layers, or params of another count or shape than ``spec``'s or not finite.
+    Raises :class:`CheckpointError`, naming ``path`` and the array, for a
+    file that does not read as an ``.npz`` archive of plain arrays, a
+    missing array, a network stored with another layer spec, or an array
+    that is not finite float64 of its shape.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointError(f"{path}: unsupported checkpoint format "
-                                  f"{doc.get('format')!r}")
-        if doc["layers"] != [_layer_to_dict(l) for l in spec]:
-            raise CheckpointError(f"{path} holds other layers than the network it is loaded as")
-        params = [_decode_array(d) for d in doc["params"]]
-        extra = doc.get("extra")
-    except CheckpointError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: unreadable checkpoint ({exc!r})") from exc
-    want = [shape for layer in walk_param_layers(spec) for shape in _layer_shapes(layer)]
-    got = [p.shape for p in params]
-    if got != want:
-        raise CheckpointError(f"{path}: params of shapes {got}, the network needs {want}")
-    if not all_finite(params):
-        raise CheckpointError(f"{path}: params not all finite")
-    return params, extra
+        with np.load(path) as data:
+            stored = {name: data[name] for name in data.files}
+    except (OSError, ValueError, EOFError, TypeError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"{path}: unreadable ({exc!r})") from None
+
+    def array(name: str) -> np.ndarray:
+        if name not in stored:
+            raise CheckpointError(f"{path}: no array {name}")
+        return stored[name]
+
+    want = {}
+    for name, spec in nets.items():
+        text = array(f"{name}_spec")
+        if not (text.shape == () and text.dtype.kind == "U" and text.item() == repr(spec)):
+            raise CheckpointError(f"{path}: {name}_spec holds other layers than the "
+                                  f"network {name} is read as")
+        want.update((f"{name}_{k}", shape) for k, shape in enumerate(
+            s for layer in walk_param_layers(spec) for s in _layer_shapes(layer)))
+    want.update(shapes)
+    for name, shape in want.items():
+        a = array(name)
+        if a.dtype != np.float64 or a.shape != shape:
+            raise CheckpointError(f"{path}: {name} is {a.dtype} {a.shape}, not float64 {shape}")
+        if not np.isfinite(a).all():
+            raise CheckpointError(f"{path}: {name} is not finite")
+    params = {name: [stored[f"{name}_{k}"] for k in range(2 * len(spec))]
+              for name, spec in nets.items()}
+    return params, {name: stored[name] for name in shapes}

@@ -14,13 +14,13 @@ off during slot k join the idle pool at slot k+1.
 from __future__ import annotations
 
 import logging
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geo import RegionMap, aggregate_to_regions, haversine_arrays, mismatch
 from .lp import LpProblem, LpSolution, SparseRows, highs_bindings, solve
+from .neural import CheckpointError
 from .sim import SLOT_MINUTES, DispatchOrder
 
 log = logging.getLogger(__name__)
@@ -77,54 +77,17 @@ def estimate_tables(origin_zone, dest_zone, dow_idx, hour_idx, minutes,
     return tau, prob
 
 
-def save_tables(path, minutes: np.ndarray, prob: np.ndarray) -> None:
-    """Write the (7, 24, M, M) tables of :func:`estimate_tables` to one ``.npz`` file
-    as the arrays ``minutes`` and ``prob``, which :func:`load_tables` reads back."""
-    np.savez(path, minutes=minutes, prob=prob)
-
-
-class ZoneTableError(ValueError):
-    """A zone table or demand history file is unreadable or does not fit the zones or grid."""
-
-
-def load_table(path, shape: tuple[int, ...], name: str | None = None) -> np.ndarray:
-    """The float64 array of ``shape`` in an ``.npy`` file, or array ``name`` of an ``.npz``.
-
-    A file that does not read as such an array raises :class:`ZoneTableError`.
-    """
-    try:
-        if name is None:
-            table = np.load(path)
-        else:
-            with np.load(path) as data:
-                table = data[name]
-    except (OSError, ValueError, KeyError, EOFError, TypeError, zipfile.BadZipFile) as exc:
-        raise ZoneTableError(f"{path}: unreadable ({exc!r})") from None
-    is_array = isinstance(table, np.ndarray)
-    if not (is_array and table.dtype == np.float64 and table.shape == shape):
-        found = f"{table.dtype} {table.shape}" if is_array else "an .npz archive"
-        raise ZoneTableError(f"{path}: {name or 'the array'} is {found}, not float64 {shape}")
-    return table
-
-
-def load_tables(path, zone_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read the ``(minutes, prob)`` tables written by :func:`save_tables` for ``zone_count`` zones.
-
-    Raises :class:`ZoneTableError` unless :func:`load_table` reads both,
-    the minutes are finite and non-negative, and each destination row is
-    a probability vector summing to 1 within 1e-9.
-    """
-    shape = (7, 24, zone_count, zone_count)
-    tau, prob = load_table(path, shape, "minutes"), load_table(path, shape, "prob")
-    for what, table in (("trip minutes", tau), ("probabilities", prob)):
-        if not (np.isfinite(table).all() and (table >= 0).all()):
-            raise ZoneTableError(f"{path}: {what} must be finite and non-negative")
+def check_tables(path, minutes: np.ndarray, prob: np.ndarray) -> None:
+    """Raise :class:`neural.CheckpointError`, naming ``path`` and the table, unless
+    the finite ``(minutes, prob)`` tables read from the model file at ``path``
+    are non-negative and each destination row of ``prob`` sums to 1 within 1e-9."""
+    for name, table in (("minutes", minutes), ("prob", prob)):
+        if (table < 0).any():
+            raise CheckpointError(f"{path}: {name} must be non-negative")
     bad = np.abs(prob.sum(axis=-1) - 1.0) > 1e-9
     if bad.any():
         row = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise ZoneTableError(f"{path}: destination row (dow, hour, origin) = "
-                             f"{row} does not sum to 1")
-    return tau, prob
+        raise CheckpointError(f"{path}: prob row (dow, hour, origin) = {row} does not sum to 1")
 
 
 # --- the receding-horizon linear program -----------------------------------

@@ -26,7 +26,6 @@ reaches the tests.
 """
 
 import heapq
-import json
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, fields, replace
@@ -1590,20 +1589,14 @@ def render_config(cfg):
 
 
 def serial_models_reference(cfg, city) -> None:
-    """The model files of ``experiment.train_models`` written by its fits one
-    after another in this process, as the per-model set-up commands did before
-    ``train-models``: the ETA fit writes ``metrics.json`` with its RMSEs, the
-    demand fit merges its own into the record read back, and the zone tables
-    come last."""
-    paths = ex.model_paths(cfg)
-    paths["metrics"].parent.mkdir(parents=True, exist_ok=True)
-    _, eta_metrics = ex.train_eta_model(cfg, city)
-    paths["metrics"].write_text(json.dumps(eta_metrics, indent=2))
+    """The model files of ``experiment.train_models`` written from its fits run
+    one after another in this process, the ETA fit, the demand fit and the
+    zone tables, by ``save_models`` on the bundle they make."""
+    eta_model, eta_metrics = ex.train_eta_model(cfg, city)
     slots, clocks = ex.demand_slot_series(city.requests, city.grid,
                                           cfg.train_days * 1440.0, cfg.epoch_dow)
-    fit = demand_mod.train_demand(slots, clocks, seed=cfg.train_seed,
-                                  epochs=cfg.demand_epochs, lr=cfg.demand_lr)
-    _, _, demand_metrics = ex.train_demand_model(cfg, lambda: fit)
-    recorded = json.loads(paths["metrics"].read_bytes())
-    paths["metrics"].write_text(json.dumps({**recorded, **demand_metrics}, indent=2))
-    ex.build_zone_tables(cfg, city)
+    demand_model, historical, demand_metrics = demand_mod.train_demand(
+        slots, clocks, seed=cfg.train_seed, epochs=cfg.demand_epochs, lr=cfg.demand_lr)
+    trip_times, destinations = ex.build_zone_tables(cfg, city)
+    ex.save_models(cfg, ex.ModelBundle(eta_model, demand_model, historical, trip_times,
+                                       destinations, {**eta_metrics, **demand_metrics}))

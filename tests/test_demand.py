@@ -150,11 +150,14 @@ class TestPredict:
 
     def test_checkpoint_round_trip(self, tmp_path):
         model = self.make_model()
-        p = tmp_path / "demand.json"
-        model.save(p)
-        back = DemandModel.load(p)
+        p = tmp_path / "models.npz"
+        neural.write_model_file(p, {"demand": (DEMAND_SPEC, model.params)}, {})
+        nets, _ = neural.read_model_file(p, {"demand": DEMAND_SPEC}, {})
+        back = DemandModel(nets["demand"])
         for a, b in zip(model.params, back.params):
             np.testing.assert_array_equal(a, b)
+        planes = build_demand_input(np.ones((6, 6)), np.zeros((6, 6)), Clock(300.0))
+        assert back.predict(planes).tobytes() == model.predict(planes).tobytes()
 
 
 class TestHistoricalAverage:

@@ -381,11 +381,15 @@ class TestQNetwork:
 
     def test_checkpoint_round_trip(self, tmp_path):
         net = QNetwork.create(np.random.default_rng(2))
-        net.save(tmp_path / "q.json", extra={"step": 7})
-        back, extra = QNetwork.load(tmp_path / "q.json")
+        p = tmp_path / "qnet.npz"
+        neural.write_model_file(p, {"qnet": (Q_SPEC, net.params)}, {"steps": 7})
+        nets, counts = neural.read_model_file(p, {"qnet": Q_SPEC}, {"steps": ()})
+        back = QNetwork(nets["qnet"])
         for a, b in zip(net.params, back.params):
             np.testing.assert_array_equal(a, b)
-        assert extra == {"step": 7}
+        assert counts["steps"] == 7
+        planes = build_feature_planes(make_ctx())
+        assert back.q_map(planes).tobytes() == net.q_map(planes).tobytes()
 
 
 class TestSelectAction:

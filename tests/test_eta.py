@@ -9,6 +9,7 @@ from fleetsim import neural
 from fleetsim.clock import Clock, periodic_features
 from fleetsim.eta import (
     ETA_SPEC,
+    FEATURE_COUNT,
     PREDICT_BLOCK,
     EtaModel,
     eta_features,
@@ -167,6 +168,22 @@ class TestPredict:
             assert batch.tobytes() == single.tobytes()
         assert 0 < int((batch == 0.0).sum()) < len(feats)
 
+    def test_checkpoint_round_trip(self, tmp_path):
+        rng = np.random.default_rng(7)
+        feats, minutes = synthetic_trips(rng, n=200, noise=0.5)
+        model, _ = train_eta(feats, minutes, seed=1, epochs=3, lr=CFG.eta_lr)
+        p = tmp_path / "models.npz"
+        neural.write_model_file(
+            p, {"eta": (ETA_SPEC, model.params)},
+            {"eta_mean": model.mean, "eta_std": model.std,
+             "eta_y_mean": model.y_mean, "eta_y_std": model.y_std})
+        nets, a = neural.read_model_file(
+            p, {"eta": ETA_SPEC}, {"eta_mean": (FEATURE_COUNT,), "eta_std": (FEATURE_COUNT,),
+                                   "eta_y_mean": (), "eta_y_std": ()})
+        back = EtaModel(nets["eta"], a["eta_mean"], a["eta_std"],
+                        float(a["eta_y_mean"]), float(a["eta_y_std"]))
+        assert back.predict(feats).tobytes() == model.predict(feats).tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 64))
     def test_a_row_does_not_depend_on_its_batch(self, seed, n):
@@ -243,13 +260,3 @@ class TestPredict:
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
                 clamped += want == 0.0
         assert 0 < clamped < 1000
-
-    def test_checkpoint_round_trip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        feats, minutes = synthetic_trips(rng, n=200, noise=0.5)
-        model, _ = train_eta(feats, minutes, seed=1, epochs=3, lr=CFG.eta_lr)
-        p = tmp_path / "eta.json"
-        model.save(p)
-        back = EtaModel.load(p)
-        f = feats[:1]
-        assert back.predict(f)[0] == model.predict(f)[0]

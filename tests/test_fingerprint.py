@@ -52,5 +52,5 @@ def test_two_blas_threads_train_the_recorded_q_network(subprocess_runs):
     proc = subprocess_runs.result("set-up-two-threads")
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert {"out/models/qnet.json", "out/models/dqn_training_log.csv"} <= got["files"].keys()
+    assert {"out/models/qnet.npz", "out/models/dqn_training_log.csv"} <= got["files"].keys()
     assert_recorded(got)

@@ -21,14 +21,14 @@ from fleetsim import demand as demand_mod
 from fleetsim import eta as eta_mod
 from fleetsim import neural
 from fleetsim.clock import Clock
-from fleetsim.dqn import QNetwork
+from fleetsim.dqn import Q_SPEC, QNetwork
+from fleetsim.eta import ETA_SPEC
 from fleetsim.geo import GridSpec, Location, RegionMap
 from fleetsim.harness.config import _RULES, ConfigError, ExperimentConfig, parse_config
 from fleetsim.harness.ingest import TripDataError, ingest_trips
 from fleetsim.harness.synth import build_road_grid, synth_city, write_city
 from fleetsim.harness import cli
 from fleetsim.harness import experiment as ex
-from fleetsim.rhc import ZoneTableError
 from fleetsim.sim import EpisodeMetrics, RideRequest, Trips, finalize_metrics
 from oracles import (demand_slot_counts_reference, demand_slot_series_reference,
                      episode_requests_reference, eta_feature_row,
@@ -638,13 +638,11 @@ class TestExperiment:
                                               cfg.train_days * 1440.0, cfg.epoch_dow)
         fit = demand_mod.train_demand(slots, clocks, seed=cfg.train_seed,
                                       epochs=cfg.demand_epochs, lr=cfg.demand_lr)
-        ex.model_paths(cfg)["demand"].parent.mkdir(parents=True)
-        model, historical, metrics = ex.train_demand_model(cfg, lambda: fit)
+        model, historical, metrics = ex.train_demand_model(lambda: fit)
         n_fit = demand_mod.train_slot_count(slots.shape[0])
         assert 2 < n_fit < slots.shape[0]
         assert historical.tobytes() == \
             demand_mod.historical_average(slots[:n_fit], clocks[:n_fit]).tobytes()
-        assert historical.tobytes() == np.load(ex.model_paths(cfg)["historical"]).tobytes()
         # the network's training RMSE covers exactly the samples whose
         # inputs and targets lie in those slots
         inputs, targets = demand_mod._samples(slots, clocks)
@@ -727,32 +725,33 @@ class TestExperiment:
         cfg, _, bundle = mini_world
         back = ex.load_models(cfg)
         assert back.historical.shape == (7, 24, cfg.fine_rows, cfg.fine_cols)
-        for name in ("historical", "trip_times", "destinations"):
-            saved, loaded = getattr(bundle, name), getattr(back, name)
-            assert loaded.dtype == saved.dtype == np.float64
-            assert loaded.tobytes() == saved.tobytes()
+        assert back.metrics == bundle.metrics
 
-    @pytest.mark.parametrize("damage, match", [
-        ("other-grid", r"historical.npy: the array is float64 \(7, 24, 5, 5\), "
-                       r"not float64 \(7, 24, 10, 10\)"),
-        ("truncated", "historical.npy: unreadable"),
-        ("npz", r"historical.npy: the array is an .npz archive, not float64"),
-    ])
-    def test_stale_or_broken_history_rejected(self, mini_world, tmp_path, damage, match):
-        trained, _, _ = mini_world
-        cfg = dataclasses.replace(trained, out_dir=str(tmp_path / "runs"))
-        shutil.copytree(Path(trained.out_dir) / "models", tmp_path / "runs" / "models")
-        path = ex.model_paths(cfg)["historical"]
-        if damage == "other-grid":
-            np.save(path, np.zeros((7, 24, 5, 5)))
-        elif damage == "truncated":
-            path.write_bytes(path.read_bytes()[:1000])
-        else:
-            table = np.load(path)
-            with open(path, "wb") as fh:
-                np.savez(fh, historical=table)
-        with pytest.raises(ZoneTableError, match=match):
-            ex.load_models(cfg)
+        def arrays(b):
+            eta = b.eta_model
+            return {"eta_params": eta.params, "eta_stats": [eta.mean, eta.std],
+                    "eta_y": [np.float64(eta.y_mean), np.float64(eta.y_std)],
+                    "demand_params": b.demand_model.params,
+                    "tables": [b.historical, b.trip_times, b.destinations]}
+
+        saved, loaded = arrays(bundle), arrays(back)
+        for name in saved:
+            assert [(a.dtype, a.shape, a.tobytes()) for a in loaded[name]] == \
+                [(a.dtype, a.shape, a.tobytes()) for a in saved[name]], name
+        assert type(back.eta_model.y_mean) is type(back.eta_model.y_std) is float
+
+    def test_q_network_reloads_with_equal_bytes(self, mini_world, tmp_path):
+        trained, city, bundle = mini_world
+        cfg = dataclasses.replace(trained, out_dir=str(tmp_path), dqn_batch=4)
+        net, log_rows = ex.train_dqn(cfg, city=city, bundle=bundle, steps=20)
+        path = ex.model_paths(cfg)["qnet"]
+        back = ex.load_qnet(path)
+        assert [p.tobytes() for p in back.params] == [p.tobytes() for p in net.params]
+        _, counts = neural.read_model_file(path, {"qnet": Q_SPEC},
+                                           {"steps": (), "minibatches": ()})
+        trained_rows = sum(1 for row in log_rows if np.isfinite(row[1]))
+        assert 0 < trained_rows < len(log_rows) == 20
+        assert (counts["steps"], counts["minibatches"]) == (20, trained_rows)
 
     def test_every_hour_of_every_day_has_requests(self, mini_world, tmp_path):
         # the synthesised city runs on past midnight to the end of the last window
@@ -866,71 +865,96 @@ BAD_INPUTS = {
     "road-node-repeated": ("city/roads.txt",
                            lambda b: b.replace(b"#edges\n", b"1,40.5,-73.0\n#edges\n"),
                            "roads.txt: line 102: node 1 is already given on line 3"),
-    "zone-tables-truncated": ("out/models/zone_tables.npz", lambda b: b[:len(b) // 2],
-                              "zone_tables.npz: unreadable"),
 }
 
 
-def edit_doc(change):
-    """An edit of a checkpoint's bytes that applies ``change`` to its JSON document."""
-    def edit(raw):
-        doc = json.loads(raw)
-        change(doc)
-        return json.dumps(doc).encode()
-    return edit
+def write_qnet(path) -> None:
+    """A ``qnet.npz`` of an untrained network that counts one trained minibatch."""
+    params = QNetwork.create(np.random.default_rng(0)).params
+    neural.write_model_file(path, {"qnet": (Q_SPEC, params)}, {"steps": 1, "minibatches": 1})
 
 
-def set_param(i, make):
-    """A ``change`` that puts ``make(stored shape)`` in place of stored param ``i``."""
-    def change(doc):
-        doc["params"][i] = neural._encode_array(make(doc["params"][i]["shape"]))
-    return change
+def rewrite(change):
+    """A damage of a model file that applies ``change`` to its dict of arrays."""
+    def damage(path):
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        change(arrays)
+        np.savez(path, **arrays)
+    return damage
 
 
-# (edit of a checkpoint's bytes, what stderr names): each breaks eta.json,
-# demand.json and qnet.json; the last four break only the ETA statistics
-BAD_CHECKPOINTS = {
-    "truncated": (lambda b: b[:len(b) // 2], "unreadable checkpoint"),
-    "no-params-key": (edit_doc(lambda d: d.pop("params")), "unreadable checkpoint"),
-    "bad-base64": (edit_doc(lambda d: d["params"][0].update(data="not base64!")),
-                   "unreadable checkpoint"),
-    "other-format": (edit_doc(lambda d: d.update(format="fleetsim-net-v0")),
-                     "unsupported checkpoint format 'fleetsim-net-v0'"),
-    "other-layers": (edit_doc(lambda d: d["layers"].pop()), "holds other layers"),
-    "one-param-short": (edit_doc(lambda d: d["params"].pop()), "params of shapes"),
-    "bias-of-one": (edit_doc(set_param(1, lambda shape: np.zeros(1))), "params of shapes"),
-    "nan-weight": (edit_doc(set_param(0, lambda shape: np.full(shape, np.nan))),
-                   "params not all finite"),
-    "eta-no-extra": (edit_doc(lambda d: d.pop("extra")), "no usable mean"),
-    "eta-no-y-std": (edit_doc(lambda d: d["extra"].pop("y_std")), "no usable y_std"),
-    "eta-short-std": (edit_doc(lambda d: d["extra"].update(std=d["extra"]["std"][:8])),
-                      "std is not a finite array of shape (9,)"),
-    "eta-nan-y-mean": (edit_doc(lambda d: d["extra"].update(y_mean=float("nan"))),
-                       "y_mean is not a finite array of shape ()"),
+def put(**arrays):
+    """A damage that stores ``arrays`` in place of the model file's arrays of their names."""
+    return rewrite(lambda stored: stored.update(arrays))
+
+
+def set_entry(name, index, value):
+    """A damage that sets entry ``index`` of the model file's array ``name`` to ``value``."""
+    return rewrite(lambda stored: stored[name].__setitem__(index, value))
+
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+
+
+def the_other_file(path):
+    """A damage that writes the other model file's bytes at ``path``."""
+    other = {"models.npz": "qnet.npz", "qnet.npz": "models.npz"}[path.name]
+    path.write_bytes((path.parent / other).read_bytes())
+
+
+# per damage, (damage, model file, what stderr says after the file's path):
+# each makes ``simulate --set policy=dqn`` exit 2
+BAD_MODEL_FILES = {
+    "truncated": [(truncate, "models.npz", "unreadable"),
+                  (truncate, "qnet.npz", "unreadable")],
+    "array-missing": [(rewrite(lambda a: a.pop("eta_y_std")), "models.npz",
+                       "no array eta_y_std"),
+                      (rewrite(lambda a: a.pop("minibatches")), "qnet.npz",
+                       "no array minibatches")],
+    "param-shape": [(put(demand_1=np.zeros(1)), "models.npz",
+                     "demand_1 is float64 (1,), not float64 (16,)"),
+                    (put(qnet_3=np.zeros(1)), "qnet.npz", "qnet_3 is float64 (1,), not float64")],
+    "nan-weight": [(set_entry("eta_0", (0, 0), np.nan), "models.npz", "eta_0 is not finite"),
+                   (set_entry("qnet_0", (0, 0, 0, 0), np.nan), "qnet.npz",
+                    "qnet_0 is not finite")],
+    "layer-spec": [(put(demand_spec=np.array(repr(ETA_SPEC))), "models.npz",
+                    "demand_spec holds other layers"),
+                   (put(qnet_spec=np.array(repr(Q_SPEC[:-1]))), "qnet.npz",
+                    "qnet_spec holds other layers")],
+    "history-grid": [(put(historical=np.zeros((7, 24, 5, 5))), "models.npz",
+                      "historical is float64 (7, 24, 5, 5), not float64 (7, 24, 10, 10)")],
+    "zone-count": [(put(minutes=np.full((7, 24, 25, 25), 5.0),
+                        prob=np.full((7, 24, 25, 25), 0.04)), "models.npz",
+                    "minutes is float64 (7, 24, 25, 25), not float64 (7, 24, 4, 4)")],
+    "row-sum": [(set_entry("prob", (3, 4, 1, 0), 2.0), "models.npz",
+                 "prob row (dow, hour, origin) = (3, 4, 1) does not sum to 1")],
+    "negative-minute": [(set_entry("minutes", (0, 0, 0, 0), -1.0), "models.npz",
+                         "minutes must be non-negative")],
+    "other-file": [(the_other_file, "models.npz", "no array eta_spec"),
+                   (the_other_file, "qnet.npz", "no array qnet_spec")],
 }
-CHECKPOINT_CASES = [(name, damage) for damage in sorted(BAD_CHECKPOINTS)
-                    for name in (("eta",) if damage.startswith("eta-")
-                                 else ("eta", "demand", "qnet"))]
+MODEL_FILE_CASES = [(case, *bad) for case, bads in BAD_MODEL_FILES.items() for bad in bads]
 
 
 class TestCli:
     run_cli = staticmethod(run_cli)
 
-    @pytest.mark.parametrize("name, damage", CHECKPOINT_CASES,
-                             ids=[f"{n}-{d}" for n, d in CHECKPOINT_CASES])
-    def test_broken_checkpoint_is_data_error(self, written_city, tmp_path, capsys,
-                                             name, damage):
+    @pytest.mark.parametrize("case, damage, name, message", MODEL_FILE_CASES,
+                             ids=[f"{c[0]}-{c[2].split('.')[0]}" for c in MODEL_FILE_CASES])
+    def test_damaged_model_file_is_data_error(self, written_city, tmp_path, capsys,
+                                              case, damage, name, message):
         for sub in ("city", "out"):
             shutil.copytree(written_city / sub, tmp_path / sub)
         models = tmp_path / "out" / "models"
-        QNetwork.create(np.random.default_rng(0)).save(models / "qnet.json")
-        path = models / f"{name}.json"
-        edit, message = BAD_CHECKPOINTS[damage]
-        path.write_bytes(edit(path.read_bytes()))
+        write_qnet(models / "qnet.npz")
+        path = models / name
+        damage(path)
         code = cli.main([*TINY_CLI, *dirs(tmp_path), "--set", "policy=dqn", "simulate"])
         err = capsys.readouterr().err
         assert code == 2, err
-        assert err.startswith(f"data error: {path}") and message in err, err
+        assert err.startswith(f"data error: {path}: {message}"), err
 
     @pytest.mark.parametrize("command", ["simulate", "train-models"])
     @pytest.mark.parametrize("damage", ["truncated", "list"])
@@ -982,7 +1006,7 @@ class TestCli:
         ex.train_models(cfg, ex.training_city(cfg))
         assert multiprocessing.active_children() == []
         whole, split = ex.model_paths(cfg), ex.model_paths(serial)
-        for name in ("eta", "demand", "historical", "tables", "metrics"):
+        for name in ("models", "metrics"):
             assert whole[name].read_bytes() == split[name].read_bytes(), name
         assert list(json.loads(split["metrics"].read_bytes()))[0] == "eta_train_rmse"
 
@@ -1019,14 +1043,12 @@ class TestCli:
         assert multiprocessing.active_children() == []
         worker = re.fullmatch(r"no fit in process (\d+)", str(raised.value))
         assert worker and int(worker[1]) != os.getpid()
+        # no model file is written, so the next run fits all the models
         paths = ex.model_paths(cfg)
-        assert [n for n in ("eta", "tables", "demand", "historical") if paths[n].exists()] \
-            == ["eta", "tables"]
-        assert not paths["metrics"].exists()
-        # a demand model is missing, so the next run refits all of them
+        assert not paths["models"].parent.exists()
         monkeypatch.undo()
         ex.ensure_models(cfg)
-        assert all(paths[n].exists() for n in ("eta", "tables", "demand", "historical"))
+        assert paths["models"].exists() and paths["metrics"].exists()
 
     def test_a_failure_beside_the_demand_fit_leaves_no_process(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
@@ -1279,7 +1301,7 @@ class TestCli:
         eta, demand, tables = proc.stdout.splitlines()
         assert eta.startswith("eta train rmse ") and " min (mean baseline " in eta, eta
         assert demand.startswith("demand train rmse ") and "(historical baseline " in demand
-        assert tables == f"wrote {tmp_path / 'out' / 'models' / 'zone_tables.npz'}"
+        assert tables == f"wrote {tmp_path / 'out' / 'models' / 'models.npz'}"
 
     @pytest.mark.parametrize("steps, first", [
         (0, "trained 0 steps"),
@@ -1290,9 +1312,14 @@ class TestCli:
                          "--set", "dqn_batch=8", "train-dqn"])
         out, err = capsys.readouterr()
         assert code == 0, err
-        qnet = tmp_path / "out" / "models" / "qnet.json"
+        qnet = tmp_path / "out" / "models" / "qnet.npz"
         assert out.splitlines() == [first, f"wrote {qnet}"]
-        assert qnet.exists()
+        # the untrained net is saved, and refused where it is loaded
+        code = cli.main([*TINY_CLI, *dirs(tmp_path), "--set", "policy=dqn", "simulate"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"data error: {qnet}: minibatches is 0") and "dqn_batch" in err
+        assert list((tmp_path / "out").glob("summary_*")) == []
 
     SUMMARY_HEADER = ",".join(ex.SUMMARY_COLUMNS)
 
@@ -1391,7 +1418,7 @@ class TestCli:
                             "--set", "dqn_train_steps=1", "train-dqn")
         assert proc.returncode == 1, proc.stderr
         assert "fewer than the 500 vehicles" in proc.stderr
-        assert not (tmp_path / "out" / "models" / "qnet.json").exists()
+        assert not (tmp_path / "out" / "models" / "qnet.npz").exists()
         assert not (tmp_path / "out" / "models").exists()
 
     def test_simulate_prints_dash_without_accepted_requests(self, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,11 @@ from fleetsim.neural import (
     backward_from_grad,
     forward,
     forward_cached,
+    CheckpointError,
     init_params,
-    load_model,
-    save_model,
+    read_model_file,
     walk_param_layers,
+    write_model_file,
 )
 from fleetsim.neural import _im2col, _same_pad
 from oracles import avg_pool, crop_pad_center
@@ -455,49 +458,102 @@ class TestCropPadCenter:
             crop_pad_center(np.zeros((5, 5)), (2, 2), 4, 5)
 
 
-class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(33)
-        spec = (
-            Conv2D(3, 4, 3, 3, "relu"),
-            Concat(Conv2D(2, 2, 1, 1, "relu")),
-            Conv2D(6, 1, 1, 1, "linear"),
-        )
-        params = init_params(spec, rng)
-        path = tmp_path / "model.json"
-        save_model(path, spec, params, extra={"note": "x"})
-        params2, extra = load_model(path, spec)
-        for a, b in zip(params, params2):
-            assert a.tobytes() == b.tobytes() and a.shape == b.shape
-        assert extra == {"note": "x"}
-        save_model(path, spec, params)
-        assert load_model(path, spec)[1] is None
+CONCAT_SPEC = (
+    Conv2D(3, 4, 3, 3, "relu"),
+    Concat(Conv2D(2, 2, 1, 1, "relu")),
+    Conv2D(6, 1, 1, 1, "linear"),
+)
 
-    def test_format_version_checked(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError):
-            load_model(path, (Dense(2, 1, "linear"),))
+
+class TestModelFile:
+    @staticmethod
+    def write(path, **arrays):
+        """A model file of one network ``net`` of ``CONCAT_SPEC`` and ``arrays``."""
+        params = init_params(CONCAT_SPEC, np.random.default_rng(33))
+        write_model_file(path, {"net": (CONCAT_SPEC, params)}, arrays)
+        return params
+
+    def test_round_trip_bit_exact(self, tmp_path):
+        path = tmp_path / "model.npz"
+        extremes = np.array([0.0, -0.0, 5e-324, 1e300, -1e-300])
+        params = self.write(path, scale=2.5, steps=40, extremes=extremes)
+        nets, arrays = read_model_file(path, {"net": CONCAT_SPEC},
+                                       {"scale": (), "steps": (), "extremes": (5,)})
+        assert [(p.shape, p.tobytes()) for p in nets["net"]] == \
+            [(p.shape, p.tobytes()) for p in params]
+        assert arrays["scale"].tobytes() == np.float64(2.5).tobytes()
+        assert arrays["steps"].dtype == np.float64 and arrays["steps"] == 40
+        assert arrays["extremes"].tobytes() == extremes.tobytes()
+        # the same models make the same file, byte for byte
+        self.write(tmp_path / "again.npz", scale=2.5, steps=40, extremes=extremes)
+        assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
+
+    def test_layer_spec_is_stored_as_its_repr(self, tmp_path):
+        path = tmp_path / "model.npz"
+        self.write(path)
+        with np.load(path) as data:
+            assert sorted(data.files) == ["net_0", "net_1", "net_2", "net_3", "net_4",
+                                          "net_5", "net_spec"]
+            assert data["net_spec"].item() == repr(CONCAT_SPEC)
 
     @pytest.mark.parametrize("saved", ["eta", "demand", "qnet"])
     @pytest.mark.parametrize("loaded", ["eta", "demand", "qnet"])
-    def test_each_loader_rejects_another_models_checkpoint(self, tmp_path, saved, loaded):
-        from fleetsim.demand import DEMAND_SPEC, DemandModel
-        from fleetsim.dqn import QNetwork
-        from fleetsim.eta import ETA_SPEC, EtaModel
+    def test_a_network_reads_only_as_its_own_spec(self, tmp_path, saved, loaded):
+        from fleetsim.demand import DEMAND_SPEC
+        from fleetsim.dqn import Q_SPEC
+        from fleetsim.eta import ETA_SPEC
 
-        rng = np.random.default_rng(7)
-        path = tmp_path / f"{saved}.json"
-        if saved == "eta":
-            EtaModel(init_params(ETA_SPEC, rng), np.zeros(9), np.ones(9)).save(path)
-        elif saved == "demand":
-            DemandModel(init_params(DEMAND_SPEC, rng)).save(path)
-        else:
-            QNetwork.create(rng).save(path)
-        load = {"eta": EtaModel.load, "demand": DemandModel.load,
-                "qnet": QNetwork.load}[loaded]
+        specs = {"eta": ETA_SPEC, "demand": DEMAND_SPEC, "qnet": Q_SPEC}
+        path = tmp_path / f"{saved}.npz"
+        spec = specs[saved]
+        write_model_file(path, {"net": (spec, init_params(spec, np.random.default_rng(7)))}, {})
         if saved == loaded:
-            load(path)
+            read_model_file(path, {"net": specs[loaded]}, {})
         else:
-            with pytest.raises(ValueError, match="other layers"):
-                load(path)
+            with pytest.raises(CheckpointError, match="net_spec holds other layers"):
+                read_model_file(path, {"net": specs[loaded]}, {})
+
+    @pytest.mark.parametrize("stored, match", [
+        ({}, "no array table"),
+        ({"table": np.full((2, 3), 5)}, r"table is int64 \(2, 3\), not float64 \(2, 3\)"),
+        ({"table": np.full((2, 3), "0.5")}, r"table is <U3 \(2, 3\), not float64"),
+        ({"table": np.zeros((3, 2))}, r"table is float64 \(3, 2\), not float64 \(2, 3\)"),
+        ({"table": np.full((2, 3), np.nan)}, "table is not finite"),
+        ({"table": np.full((2, 3), -np.inf)}, "table is not finite"),
+        ({"net_spec": np.array(repr(CONCAT_SPEC[:2]))}, "net_spec holds other layers"),
+        ({"net_spec": np.array([repr(CONCAT_SPEC)])}, "net_spec holds other layers"),
+        ({"net_spec": np.float64(1.0)}, "net_spec holds other layers"),
+        ({"net_1": np.zeros(1)}, r"net_1 is float64 \(1,\), not float64 \(4,\)"),
+        ({"net_0": np.full((4, 3, 3, 3), np.nan)}, "net_0 is not finite"),
+    ], ids=["missing", "integer", "text", "wrong-shape", "nan", "inf", "short-spec",
+            "spec-list", "spec-number", "bias-of-one", "nan-weight"])
+    def test_bad_arrays_rejected(self, tmp_path, stored, match):
+        path = tmp_path / "model.npz"
+        params = init_params(CONCAT_SPEC, np.random.default_rng(33))
+        arrays = {"net_spec": np.array(repr(CONCAT_SPEC)),
+                  **{f"net_{k}": p for k, p in enumerate(params)}}
+        np.savez(path, **{**arrays, **stored})
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: {match}"):
+            read_model_file(path, {"net": CONCAT_SPEC}, {"table": (2, 3)})
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip-byte", "empty", "pickle", "npy",
+                                        "missing"])
+    def test_unreadable_file_rejected(self, tmp_path, damage):
+        path = tmp_path / "model.npz"
+        self.write(path, table=np.full((2, 3), 5.0))
+        data = path.read_bytes()
+        if damage == "truncate":
+            path.write_bytes(data[:len(data) // 2])
+        elif damage == "flip-byte":
+            path.write_bytes(data[:200] + bytes([data[200] ^ 0xFF]) + data[201:])
+        elif damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "pickle":
+            np.savez(path, table=np.array([{"zones": 2}], dtype=object))
+        elif damage == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.full((2, 3), 5.0))
+        else:
+            path.unlink()
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: unreadable"):
+            read_model_file(path, {"net": CONCAT_SPEC}, {"table": (2, 3)})

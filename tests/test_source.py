@@ -182,7 +182,7 @@ def test_layering():
 def test_import_resolution():
     assert imported_modules(SRC / "dqn.py") >= {"fleetsim.geo", "fleetsim.geo.mismatch",
                                                  "fleetsim.sim.DispatchOrder"}
-    assert "fleetsim.rhc.ZoneTableError" in imported_modules(SRC / "harness" / "cli.py")
+    assert "fleetsim.neural.CheckpointError" in imported_modules(SRC / "harness" / "cli.py")
     assert "fleetsim.dqn" in imported_modules(SRC / "harness" / "experiment.py")
 
 
@@ -238,6 +238,45 @@ def test_scipy_import_detection():
               "def f():\n    from scipy import sparse\n    return sparse\n")
     assert scipy_imports(source) == ["scipy.optimize._highspy._core", "scipy.optimize",
                                      "scipy"]
+
+
+# what reads or writes a file of numpy arrays, and what encodes bytes as text
+MODEL_FILE_IO = ("np.load", "np.save", "np.savez", "np.savez_compressed", "base64")
+
+
+def model_file_io(source: str) -> list[str]:
+    """The names in ``MODEL_FILE_IO`` that a module calls as ``np.<name>``, or
+    imports by ``import`` or ``from ... import``."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names += [node.module] + [f"np.{a.name}" for a in node.names
+                                      if node.module in ("numpy", "numpy.lib.npyio")]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")):
+            names.append(f"np.{node.func.attr}")
+    return sorted({n.split(".")[0] if n.startswith("base64") else n for n in names}
+                  & set(MODEL_FILE_IO))
+
+
+def test_only_neural_reads_or_writes_model_files():
+    """Every trained model is float64 arrays in an ``.npz`` file that
+    ``neural.write_model_file`` writes and ``neural.read_model_file`` checks:
+    no other module loads or saves numpy files, or encodes arrays as text."""
+    found = {str(p.relative_to(SRC)): model_file_io(p.read_text(encoding="utf-8"))
+             for p in MODULES}
+    assert {m: names for m, names in found.items() if names} == \
+        {"neural.py": ["np.load", "np.savez"]}
+
+
+def test_model_file_io_detection():
+    source = ("import base64.binascii\nimport numpy as np\nfrom numpy import savez_compressed\n"
+              "from .base64 import x\n"
+              "def f(path, a):\n    np.save(path, a)\n    return np.loadtxt(path), np.load\n"
+              "def g(path):\n    with numpy.load(path) as data:\n        return data\n")
+    assert model_file_io(source) == ["base64", "np.load", "np.save", "np.savez_compressed"]
 
 
 def scopes_where(source: str, hit) -> list[str]:
