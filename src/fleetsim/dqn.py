@@ -4,16 +4,18 @@ Each idle vehicle independently evaluates a 15x15 map of Q-values over
 destination regions at most 7 region steps away; only the moves that
 stay on the region grid are evaluated: one rectangle of the map,
 :func:`_legal_rect`, which input, legality plane and exploration all
-read.  The network sees a 23x23
-vehicle-centred window of the region-level demand, supply and idle maps
-and of their 15- and 30-cell mean pools, plus auxiliary clock and
-geometry planes.  Training is double Q-learning over an experience
-replay of per-vehicle transitions, with a trip-time-aware discount
-exponent and a periodically synced target network.  A training step
-values each next state as dispatch does a decision: the online network's
-``q_map`` over the vehicle's legal moves picks the greedy action.  A
-policy trains exactly when it is given a :class:`Training`; without one
-it only evaluates and holds no random stream, replay or optimizer.
+read.  The network sees a 23x23 vehicle-centred window of the
+region-level demand, supply and idle maps and of their 15- and 30-cell
+mean pools, plus auxiliary clock and geometry planes.  Each decision's
+input has one builder, :func:`build_feature_planes`, which reads the
+decision's :class:`VehicleContext` alone.  Training is double Q-learning
+over an experience replay of per-vehicle transitions, with a
+trip-time-aware discount exponent and a periodically synced target
+network.  A training step values each next state as dispatch does a
+decision: the online network's ``q_map`` over the input of the vehicle's
+legal moves picks the greedy action.  A policy trains exactly when it is
+given a :class:`Training`; without one it only evaluates and holds no
+random stream, replay or optimizer.
 """
 
 from __future__ import annotations
@@ -133,6 +135,8 @@ def _pooled(maps: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
     Both pools read one integral image of the whole canvas, and each
     value is a window sum of it, so pooling a block of the canvas gives
     the bytes that pooling the whole canvas gives there.
+    :func:`build_feature_planes` pools only the block that one input
+    reads, at dispatch and in a training step alike.
     """
     n, grid_rows, grid_cols = maps.shape
     pad, bounds = _canvas_geometry((grid_rows, grid_cols))
@@ -163,84 +167,31 @@ def _canvas_geometry(grid_shape: tuple[int, int]
     return pad, bounds
 
 
-def _input_block(region: tuple[int, int], grid_shape: tuple[int, int],
-                 rect: tuple[int, int, int, int]) -> tuple[slice, slice]:
-    """The canvas rows and columns of the main planes that action cells ``rect``
-    (rows ``r0..r1-1``, columns ``c0..c1-1``) of a vehicle at ``region`` read."""
-    pad = _canvas_geometry(grid_shape)[0]
-    r0, r1, c0, c1 = rect
-    top = region[0] + pad - MAIN_SIZE // 2 + r0
-    left = region[1] + pad - MAIN_SIZE // 2 + c0
-    return slice(top, top + r1 - r0 + _FIELD - 1), slice(left, left + c1 - c0 + _FIELD - 1)
-
-
-class FeatureCanvas:
-    """The pooled main-branch planes of a region grid, from which each decision cuts its input.
-
-    The five source maps (demand, supply at the 0/15/30 minute horizons,
-    idle) and their 15x15 and 30x30 stride-1 mean pools sit on one
-    zero-padded region canvas (see :func:`_canvas_geometry`).  Pooling
-    the padded canvas once equals pooling each vehicle's zero-padded
-    23x23 window, so a vehicle's main input is a slice of the canvas.
-    Given ``rows`` and ``cols``, the canvas holds and pools only that
-    block of canvas rows and columns, with the same bytes.
-    """
-
-    def __init__(self, demand: np.ndarray, supply: np.ndarray, idle: np.ndarray,
-                 rows: slice = slice(0, None), cols: slice = slice(0, None)):
-        self.grid_shape = demand.shape
-        self._block = (rows, cols)
-        self.planes = _pooled(np.concatenate([demand[None], supply, idle[None]]), rows, cols)
-        self.supply = supply
-
-    def set_supply(self, supply: np.ndarray) -> None:
-        """Replace the three supply maps (3, R, C) and their pools."""
-        self.supply = supply
-        self.planes[..., 1:4] = _pooled(supply, *self._block)
-
-    def q_input(self, region: tuple[int, int], clock: tuple[float, float, float, float],
-                rect: tuple[int, int, int, int] | None = None) -> QInput:
-        """The input of action cells ``rect`` of a vehicle at ``region``, in new arrays.
-
-        ``rect`` is ``(r0, r1, c0, c1)``, action rows ``r0..r1-1`` by
-        columns ``c0..c1-1``, and defaults to the :func:`_legal_rect`: the
-        decision's legal window.  The main planes are canvas rows and
-        columns of the region's 23x23 window, its rows ``r0..r1+7`` by
-        columns ``c0..c1+7``, and the aux planes are the region's
-        :func:`_region_aux` planes at the same cells with ``clock`` in 0-3.
-        """
-        rect = rect or _legal_rect(region, self.grid_shape)
-        rows, cols = _input_block(region, self.grid_shape, rect)
-        top, left = rows.start - self._block[0].start, cols.start - self._block[1].start
-        h, w = rows.stop - rows.start, cols.stop - cols.start
-        main = np.array(self.planes[top:top + h, left:left + w]).reshape(h, w, MAIN_PLANES)
-        r0, r1, c0, c1 = rect
-        aux = _region_aux(region, self.grid_shape)[r0:r1, c0:c1].copy()
-        aux[..., :4] = clock
-        return QInput(main, aux, (r0, c0))
-
-
 def build_feature_planes(ctx: VehicleContext, cell: tuple[int, int] | None = None) -> QInput:
-    """A decision's network input, pooling only the canvas rows and columns it reads.
+    """A decision's network input, in new arrays: the legal window, or with
+    ``cell`` the field of that one action cell.
 
-    The legal window, or with ``cell`` the field of that one action
-    cell: the :meth:`FeatureCanvas.q_input` that a canvas of the whole
-    grid gives, bit for bit.
-
-    Main branch: each source map (demand, supply at three horizons,
-    idle), then its 15x15 and its 30x30 stride-1 mean pool, in the
-    vehicle's 23x23 region window, with the maps zero outside the region
-    grid (see :class:`FeatureCanvas`).  Auxiliary branch: constant clock
-    trig planes, the one-hot position plane, the vehicle's normalized
-    coordinates, per-action destination coordinates, normalized move
-    distance, and the legality plane.
+    The input covers action rows ``r0..r1-1`` by columns ``c0..c1-1`` (the
+    :func:`_legal_rect`, or the one cell).  Main branch: each source map
+    (demand, supply at the three horizons, idle), then its 15x15 and its
+    30x30 stride-1 mean pool, on the zero-bordered region canvas (see
+    :func:`_canvas_geometry`), over rows ``r0..r1+7`` by columns
+    ``c0..c1+7`` of the vehicle's 23x23 region window; only that block is
+    pooled.  Auxiliary branch: the region's :func:`_region_aux` planes at
+    the same cells, with ``ctx.clock`` written into planes 0-3.
     """
     shape = ctx.demand.shape
-    rect = _legal_rect(ctx.region, shape) if cell is None else (
+    r0, r1, c0, c1 = _legal_rect(ctx.region, shape) if cell is None else (
         cell[0], cell[0] + 1, cell[1], cell[1] + 1)
-    canvas = FeatureCanvas(ctx.demand, ctx.supply, ctx.idle,
-                           *_input_block(ctx.region, shape, rect))
-    return canvas.q_input(ctx.region, ctx.clock, rect)
+    pad = _canvas_geometry(shape)[0]
+    top = ctx.region[0] + pad - MAIN_SIZE // 2 + r0
+    left = ctx.region[1] + pad - MAIN_SIZE // 2 + c0
+    h, w = r1 - r0 + _FIELD - 1, c1 - c0 + _FIELD - 1
+    maps = np.concatenate([ctx.demand[None], ctx.supply, ctx.idle[None]])
+    main = _pooled(maps, slice(top, top + h), slice(left, left + w)).reshape(h, w, MAIN_PLANES)
+    aux = _region_aux(ctx.region, shape)[r0:r1, c0:c1].copy()
+    aux[..., :4] = ctx.clock
+    return QInput(main, aux, (r0, c0))
 
 
 @lru_cache(maxsize=None)
@@ -289,7 +240,7 @@ class QNetwork:
         """The 15x15 action-value map of the cells of ``qin``, -inf elsewhere.
 
         The network runs on ``qin`` as a batch of one.  On a decision's
-        legal window (:meth:`FeatureCanvas.q_input`) that values exactly
+        legal window (:func:`build_feature_planes`) that values exactly
         the legal moves, and their values equal the network's full map on
         the whole 23x23 window up to float rounding in the last bits.
         """
@@ -528,15 +479,14 @@ class DqnPolicy:
 
         Built once per invocation: the region maps of idle vehicles and of
         the supply projected at each of ``SUPPLY_HORIZONS`` (each a count
-        by ``np.bincount``), at the first decision the region map of
+        by ``np.bincount``) and, at the first decision, the region map of
         predicted demand (so an invocation in which no vehicle decides
-        runs no demand prediction) and, at the first greedy decision, the
-        pooled :class:`FeatureCanvas`.  Built once per region and grid
-        shape in the process, and shared with training: the aux planes
-        (:func:`_region_aux`).  Exploration draws from the decision's
-        :func:`_legal_rect`, and a greedy decision runs ``q_map`` on the
-        legal window that :meth:`FeatureCanvas.q_input` cuts over it from
-        the canvas and the aux planes, with the clock written into its copy.
+        runs no demand prediction).  Each decision's
+        :class:`VehicleContext` holds these maps as it sees them.
+        Exploration draws from the decision's :func:`_legal_rect`, and a
+        greedy decision runs ``q_map`` on the legal window that
+        :func:`build_feature_planes` builds from the context, as a
+        training step values a next state.
 
         Decisions stay sequential: a move takes its vehicle out of the
         supply at its origin at every horizon and adds it at its
@@ -570,7 +520,6 @@ class DqnPolicy:
 
         demand_regions = None  # built at the first decision
         surplus = None    # built lazily; many invocations issue no orders
-        canvas = None     # built on the first greedy decision
         clock = periodic_features(view.clock)
         if training is not None:
             eps, alpha = training.epsilon(self.step), training.alpha(self.step)
@@ -586,17 +535,12 @@ class DqnPolicy:
             if demand_regions is None:
                 heat = self.demand_predictor(view)
                 demand_regions = aggregate_to_regions(heat, self.region_map).reshape(rr, rc)
-            rect = _legal_rect(region, (rr, rc))
-            action = explore_action(rect, eps, self.rng) if training is not None else None
+            ctx = VehicleContext(demand=demand_regions, supply=supply,
+                                 idle=idle_regions, region=region, clock=clock)
+            action = (explore_action(_legal_rect(region, (rr, rc)), eps, self.rng)
+                      if training is not None else None)
             if action is None:
-                if canvas is None:
-                    canvas = FeatureCanvas(demand_regions, supply, idle_regions)
-                elif canvas.supply is not supply:
-                    canvas.set_supply(supply)
-                action = greedy_action(self.net.q_map(canvas.q_input(region, clock, rect)))
-            if training is not None:
-                ctx = VehicleContext(demand=demand_regions, supply=supply,
-                                     idle=idle_regions, region=region, clock=clock)
+                action = greedy_action(self.net.q_map(build_feature_planes(ctx)))
 
             tau_steps = 0
             if action != STAY_CELL:

@@ -83,14 +83,14 @@ class EtaModel:
 
 
 def split_indices(n: int, seed: int):
-    """Deterministic shuffled (train, validation) index split, ``VAL_FRACTION`` held out."""
+    """Deterministic shuffled (train, validation) index split, ``VAL_FRACTION`` held out.
+
+    At least one index is held out, and for ``n >= 2`` at least one is kept.
+    """
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     n_val = max(1, int(round(n * VAL_FRACTION)))
-    val_idx, train_idx = order[:n_val], order[n_val:]
-    if train_idx.size == 0:
-        train_idx = val_idx
-    return train_idx, val_idx
+    return order[n_val:], order[:n_val]
 
 
 def train_eta(features: np.ndarray, minutes: np.ndarray, seed: int,

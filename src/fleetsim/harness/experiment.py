@@ -1,9 +1,10 @@
 """End-to-end experiment orchestration: models, policies, episodes, reports.
 
-A run consumes one city directory (trips and roads), trains or
-loads the shared models (ETA, demand, zone tables, optionally the
-Q-network), then simulates independent day episodes (4 a.m. to 4 a.m.)
-for the configured policy and writes machine-readable summaries.
+A run takes one city, read from a directory (trips and roads) or
+synthesised in memory, trains or loads the shared models (ETA, demand,
+zone tables, optionally the Q-network), then simulates independent day
+episodes (4 a.m. to 4 a.m.) for the configured policy and writes
+machine-readable summaries.
 
 Set-up (:func:`train_models`, the ``train-models`` command) is the one
 way the models are built, and the one place the program uses a second

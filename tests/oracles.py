@@ -1243,7 +1243,7 @@ def avg_pool_reference(plane, k):
 
 def avg_pool(plane: np.ndarray, k: int) -> np.ndarray:
     """Same-size k x k mean pooling with stride 1 and zero padding at edges, from
-    the library's pooling pieces, as ``dqn.FeatureCanvas`` calls them.
+    the library's pooling pieces, as ``dqn._pooled`` calls them.
 
     Operates on the trailing two axes.  Every output is the window sum
     divided by k*k, so windows hanging off the plane average in zeros
@@ -1266,7 +1266,14 @@ def pooled_reference(maps, pad):
 
 
 class CanvasReference:
-    """The pooled region canvas, every pool built by :func:`pooled_reference`."""
+    """The pooled region canvas, every pool built by :func:`pooled_reference`.
+
+    The program pools each decision's input block on its own
+    (``dqn.build_feature_planes``); this oracle keeps the other design,
+    one canvas per dispatch invocation, whose supply pools
+    :meth:`set_supply` replaces after each order, so
+    :class:`DqnPolicyReference` checks that both give the same bytes.
+    """
 
     def __init__(self, demand, supply, idle):
         self.pad = max(11, -(-(30 - min(demand.shape)) // 2))

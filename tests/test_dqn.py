@@ -12,7 +12,6 @@ from oracles import (CFG, aux_planes_reference, avg_pool, avg_pool_reference,
 from fleetsim import neural
 from fleetsim.dqn import (
     ACTION_RADIUS,
-    FeatureCanvas,
     Q_SPEC,
     QInput,
     QNetwork,
@@ -29,7 +28,7 @@ from fleetsim.dqn import (
     sync_target,
     train_step,
 )
-from fleetsim.dqn import _canvas_geometry, _input_block, _legal_rect, _pooled, _region_aux
+from fleetsim.dqn import _canvas_geometry, _legal_rect, _pooled, _region_aux
 
 
 def make_ctx(region=(5, 5), shape=(10, 10), rng=None, minute=0.0):
@@ -222,7 +221,6 @@ class TestLegalWindowAndFields:
         supply = rng.uniform(0.0, 3.0, (3,) + shape) * rng.random()
         demand[rng.random(shape) < 0.1] = -0.0
         clock = (0.25, -0.5, 0.75, 1.0)
-        canvas = FeatureCanvas(demand, supply, idle)
         built = self.built_field_regions(shape)
         for region in np.ndindex(shape):
             ctx = VehicleContext(demand, supply, idle, region, clock)
@@ -230,10 +228,9 @@ class TestLegalWindowAndFields:
             legal = legal_action_mask(region, shape)
             want = legal_window_reference(main, aux, legal)
             window = build_feature_planes(ctx)
-            for got in (window, canvas.q_input(region, clock)):
-                assert got.origin == want.origin
-                assert got.main.tobytes() == want.main.tobytes()
-                assert got.aux.tobytes() == want.aux.tobytes()
+            assert window.origin == want.origin
+            assert window.main.tobytes() == want.main.tobytes()
+            assert window.aux.tobytes() == want.aux.tobytes()
             rows, cols = np.nonzero(legal)
             cells = list(zip(rows.tolist(), cols.tolist()))
             # (n, 9, 9, 15) and (n, 1, 1, 11) slices of the reference window
@@ -302,29 +299,6 @@ class TestPooling:
             shape = (int(rng.integers(1, 3)), int(rng.integers(k, 40)), int(rng.integers(k, 40)))
             x = random_maps(rng, shape[0], shape[1:])
             assert avg_pool(x, k).tobytes() == avg_pool_reference(x, k).tobytes()
-
-    def test_set_supply_equals_a_fresh_canvas(self):
-        rng = np.random.default_rng(34)
-        clock = (0.0, 1.0, 0.0, 1.0)  # Monday midnight
-        for shape in [(1, 1), (10, 10), (4, 7), (33, 27)]:
-            demand, idle = random_maps(rng, 1, shape)[0], random_maps(rng, 1, shape)[0]
-            canvas = FeatureCanvas(demand, random_maps(rng, 3, shape), idle)
-            for _ in range(3):
-                supply = random_maps(rng, 3, shape)
-                canvas.set_supply(supply)
-                fresh = FeatureCanvas(demand, supply, idle)
-                assert canvas.supply is supply
-                assert canvas.planes.tobytes() == fresh.planes.tobytes()
-                region = (int(rng.integers(shape[0])), int(rng.integers(shape[1])))
-                assert (canvas.q_input(region, clock).main.tobytes()
-                        == fresh.q_input(region, clock).main.tobytes())
-                # a canvas of one input's block replaces its supply the same way
-                rows, cols = _input_block(region, shape, _legal_rect(region, shape))
-                block = FeatureCanvas(demand, random_maps(rng, 3, shape), idle, rows, cols)
-                block.set_supply(supply)
-                assert block.planes.tobytes() == fresh.planes[rows, cols].tobytes()
-                assert (block.q_input(region, clock).main.tobytes()
-                        == fresh.q_input(region, clock).main.tobytes())
 
 
 def whole_window_ctx(rng=None):

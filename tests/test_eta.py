@@ -129,6 +129,12 @@ class TestTraining:
         assert metrics["eta_mean_baseline_rmse"] == baseline
         assert metrics["eta_val_rmse"] < baseline
 
+    def test_split_keeps_and_holds_out_at_least_one(self):
+        for n in range(2, 60):
+            train_idx, val_idx = split_indices(n, n)
+            assert train_idx.size >= 1 and val_idx.size >= 1
+            assert sorted(np.concatenate([train_idx, val_idx]).tolist()) == list(range(n))
+
     @pytest.mark.parametrize("where, value", [("feature", np.nan), ("feature", np.inf),
                                               ("target", np.nan), ("target", -np.inf)])
     def test_non_finite_input_rejected(self, where, value):

@@ -337,6 +337,31 @@ def test_layout_construction_detection():
                                             "f.g", "h"]
 
 
+def q_input_builds(source: str) -> list[str]:
+    """The dotted scope of each call of ``_pooled`` or ``_region_aux``, by name or attribute."""
+    return scopes_where(source, lambda node, scope: calls(node, "_pooled")
+                        or calls(node, "_region_aux"))
+
+
+def test_one_builder_of_the_q_input():
+    """Dispatch and training value a decision on the same bytes: nothing in the
+    package pools the main planes or cuts the aux planes but
+    ``dqn.build_feature_planes``, once each."""
+    found = [f"{p.relative_to(SRC)}:{scope}" for p in MODULES
+             for scope in q_input_builds(p.read_text(encoding="utf-8"))]
+    assert found == ["dqn.py:build_feature_planes"] * 2
+
+
+def test_q_input_build_detection():
+    source = ("from . import dqn\nfrom .dqn import _pooled\n"
+              "PLANES = _pooled(maps, rows, cols)\n"
+              "class Canvas:\n    def set_supply(self, s):\n"
+              "        self.planes = dqn._pooled(s, *self.block)\n"
+              "def f(region, shape):\n    def g():\n        return _region_aux(region, shape)\n"
+              "    return g(), pooled(region), _region_aux.cache_info(), _pooled\n")
+    assert q_input_builds(source) == ["<module>", "Canvas.set_supply", "f.g"]
+
+
 def request_constructions(source: str) -> list[str]:
     """The dotted scope of each call of ``RideRequest``, by name or attribute."""
     return scopes_where(source, lambda node, scope: calls(node, "RideRequest"))
