@@ -362,7 +362,8 @@ def read_model_file(path, nets: dict, shapes: dict) -> tuple[dict, dict]:
     that is not finite float64 of its shape.
     """
     try:
-        with np.load(path) as data:
+        # np.load leaves a path it opened open when the archive is damaged
+        with open(path, "rb") as f, np.load(f) as data:
             stored = {name: data[name] for name in data.files}
     except (OSError, ValueError, EOFError, TypeError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"{path}: unreadable ({exc!r})") from None

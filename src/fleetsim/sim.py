@@ -9,9 +9,8 @@ deterministic: identical data, configuration and seeds reproduce
 bit-identical metrics.
 
 Phase (2) reads the minute's arrivals as a slice of the request columns,
-adds their pickups to the demand heat maps with one cell lookup, then
-runs in three passes: every request is matched, in arrival order, against
-one snapshot of the free vehicles' positions; then one
+then runs in three passes: every request is matched, in arrival order,
+against one snapshot of the free vehicles' positions; then one
 :meth:`Simulation._plan_moves` call routes the matched vehicles' moves to
 their pickups and times them all in one ETA batch; then each match is
 recorded in order.  Matching everything first is exact: a match only
@@ -22,21 +21,26 @@ call, with one ETA batch, which is why an order list may name a vehicle
 once.  The ETA model gives each row of a batch the minutes a batch of
 that row alone gives, so batching a phase changes no move's time.
 
-The fleet's state is kept in numpy columns indexed by vehicle id: status;
-location; departure and arrival time (arrival is +inf while a vehicle
-stands idle); the committed ride's trip minutes, dropoff, straight-line
-meters and request id; the idle rule's last dropoff, last ride and
-ordered-since-dropoff flag; the cumulative pickup and dispatch-minute
-counters; and the current route as padded ``(N, L)`` arrays of waypoint
-latitude, longitude and cumulative length, with a waypoint count per
-vehicle.  A route's last waypoint is its destination, and its unused
-length slots hold +inf.  So the per-minute work (due arrivals, the
-free-vehicle snapshot, positions, the idle set, the view and the
-minute's accruals) is array operations; Python loops run only over the
-requests, and the matched and ordered vehicles they route, and over the
-due vehicles when an event log is kept.  :attr:`Simulation.fleet` is a
-read-only snapshot of each vehicle's id and status; nothing done to it
-reaches the simulation.
+A simulation's state is its fleet and its sorted requests.  The fleet is
+kept in numpy columns indexed by vehicle id: status; location; departure
+and arrival time (arrival is +inf while a vehicle stands idle); the
+committed ride's trip minutes, dropoff, straight-line meters and request
+id; the idle rule's last dropoff, last ride and ordered-since-dropoff
+flag; the cumulative pickup and dispatch-minute counters; and the current
+route as padded ``(N, L)`` arrays of waypoint latitude, longitude and
+cumulative length, with a waypoint count per vehicle.  A route's last
+waypoint is its destination, and its unused length slots hold +inf.  So
+the per-minute work (due arrivals, the free-vehicle snapshot, positions,
+the idle set, the view and the minute's accruals) is array operations;
+Python loops run only over the requests, and the matched and ordered
+vehicles they route.  :attr:`Simulation.fleet` is a read-only snapshot of
+each vehicle's id and status; nothing done to it reaches the simulation.
+The requests are their columns, sorted by minute and id, and each one's
+pickup cell, mapped once when the simulation is built.  The trip records
+react the same way whatever the policy does, so the demand heat maps of a
+view are a function of the requests and the minute:
+:meth:`Simulation.build_view` counts each from the pickup cells of a
+window of minutes.
 
 Vehicles executing a dispatch move remain matchable at their
 interpolated position along the planned route; vehicles committed to a
@@ -54,7 +58,6 @@ from __future__ import annotations
 
 import logging
 import operator
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -279,7 +282,7 @@ class SimView:
     idle_ids: np.ndarray              # dispatchable vehicle ids, ascending int64
     cells: np.ndarray                 # (N, 2) int64 current cell per vehicle
     idle_cell_counts: np.ndarray      # dispatchable vehicles per fine cell
-    trailing_heat: np.ndarray         # requests per cell over the last 30 minutes
+    trailing_heat: np.ndarray         # requests per cell of minutes [t - 30, t), not minute t's
     heat_prev1: np.ndarray            # last complete 30-minute slot
     heat_prev2: np.ndarray            # the slot before that
     next_cells: np.ndarray            # (N, 2) int64 cell where each vehicle next turns idle
@@ -299,13 +302,14 @@ class Simulation:
     loop does to run a training step after each minute.  :attr:`requests` is
     ``requests`` as one :class:`Trips`, sorted by minute and id, and each minute
     matches its arrivals as a slice; vehicle ``k`` starts idle at the ``k``-th pickup.
+    A request before minute 0 raises ``ValueError``, and a pickup off the grid
+    raises :class:`OutOfBoundsError`, when the simulation is built.
     """
 
     def __init__(self, grid: GridSpec, graph: RoadGraph, eta_model,
                  requests: Sequence[RideRequest], n_vehicles: int,
                  policy=None, clock0: Clock | None = None, *, warmup: int,
-                 match_radius_m: float, idle_window: float,
-                 event_log: list | None = None):
+                 match_radius_m: float, idle_window: float):
         self.grid = grid
         self.graph = graph
         self.eta_model = eta_model
@@ -316,8 +320,10 @@ class Simulation:
         self.warmup = warmup
         self.match_radius_m = match_radius_m
         self.idle_window = idle_window
-        self.event_log = event_log
 
+        if len(self.requests) and self.requests.minute[0] < 0:
+            raise ValueError(f"request {self.requests.rid[0]} at minute "
+                             f"{self.requests.minute[0]}, before the episode's minute 0")
         if len(self.requests) < n_vehicles:
             raise ValueError(
                 f"need at least {n_vehicles} requests to place the fleet, "
@@ -348,22 +354,14 @@ class Simulation:
         self._route_cum = np.full((n, 2), np.inf)
         self.metrics = EpisodeMetrics(n_vehicles=n)
         self.t = 0
-
-        self._next = 0  # the first request not yet matched
-        self._heat_slots = deque([np.zeros(grid.shape), np.zeros(grid.shape)], maxlen=2)
-        self._trailing = deque(maxlen=SLOT_MINUTES)
-        self._trailing_heat = np.zeros(grid.shape)
+        # each request's pickup cell, row-major; an off-grid pickup raises here
+        rows, cols = cell_arrays(self.requests.pickup_lat, self.requests.pickup_lon, grid)
+        self._pickup_cells = rows * grid.cols + cols
 
     @property
     def fleet(self) -> list[Vehicle]:
         """Every vehicle's id and status, in id order, copied from the columns."""
         return [Vehicle(vid, s) for vid, s in enumerate(self._status.tolist())]
-
-    # -- logging ------------------------------------------------------------
-
-    def _log(self, event: str, vid: int = -1, rid: int = -1, detail: str = "") -> None:
-        if self.event_log is not None:
-            self.event_log.append((self.t, event, vid, rid, detail))
 
     # -- vehicle helpers ------------------------------------------------------
 
@@ -503,8 +501,7 @@ class Simulation:
         Each round takes the vehicles due: all reach their destinations, a
         dispatch move or a ride ends there, and a pickup starts its ride at
         once, so a ride that ends by ``t`` too completes in a later round.
-        Vehicles are independent, so a round is array operations; only the
-        event log lists them one by one, by arrival time and then by id.
+        Vehicles are independent, so a round is array operations.
         """
         arrival = self._arrival
         while True:
@@ -512,15 +509,6 @@ class Simulation:
             if not due.size:
                 return
             times, status = arrival[due], self._status[due]
-            if self.event_log is not None:
-                # due ids ascend, so the stable sort breaks equal times by id
-                order = times.argsort(kind="stable")
-                for vid, s, rid in zip(due[order].tolist(), status[order].tolist(),
-                                       self._ride_id[due[order]].tolist()):
-                    if s == DISPATCHING:
-                        self._log("dispatch_arrival", vid=vid)
-                    else:
-                        self._log("pickup" if s == TO_PICKUP else "dropoff", vid=vid, rid=rid)
             end = self._route_len[due] - 1
             self._lat[due] = self._route_lat[due, end]
             self._lon[due] = self._route_lon[due, end]
@@ -547,14 +535,11 @@ class Simulation:
 
     def _match_requests(self, t: float, measured: bool) -> None:
         q = self.requests
-        now = slice(self._next, int(np.searchsorted(q.minute, t + 1.0)))
-        self._next = now.stop
+        now = slice(*np.searchsorted(q.minute, [t, t + 1.0]).tolist())
         if now.start == now.stop:
             return
 
         lats, lons = q.pickup_lat[now], q.pickup_lon[now]
-        cells = cell_arrays(lats, lons, self.grid)
-        np.add.at(self._minute_heat, cells, 1.0)
 
         # 1. match each request, in order, to the closest still-free vehicle
         free = (self._status <= DISPATCHING).nonzero()[0]
@@ -589,19 +574,17 @@ class Simulation:
 
         # 3. record each request in order
         vid_of = dict(zip(matched, vids.tolist()))
-        for i, rid in enumerate(q.rid[now].tolist()):
+        for i in range(len(lats)):
             vid = vid_of.get(i)
             if vid is None:
                 if measured:
                     self._count_request(t, None)
-                self._log("reject", rid=rid)
                 continue
 
             route_lat, route_lon, segs, _, eta = next(moves)
             self._set_route(vid, route_lat, route_lon, segs, t, t + eta)
             if measured:
                 self._count_request(t, eta)
-            self._log("assign", vid=vid, rid=rid, detail=f"eta={eta:.2f}")
 
     def build_view(self, t: float) -> SimView:
         n = self.n_vehicles
@@ -637,12 +620,20 @@ class Simulation:
             km = haversine_coords(a.lat, a.lon, b.lat, b.lon) / 1000.0
             return float(self._trip_minutes(clock, [a.lat], [a.lon], [b.lat], [b.lon], [km])[0])
 
-        slots = list(self._heat_slots)
+        # pickups of minutes [t - 30, t), then of the last two complete slots,
+        # [s - 60, s - 30) and [s - 30, s); no request is before minute 0, so a
+        # window reaching before it holds only its minutes from 0 on
+        s = t // SLOT_MINUTES * SLOT_MINUTES
+        edges = np.searchsorted(self.requests.minute, [
+            t - SLOT_MINUTES, t, s - 2 * SLOT_MINUTES, s - SLOT_MINUTES, s - SLOT_MINUTES, s])
+        trailing, prev2, prev1 = (
+            np.bincount(self._pickup_cells[lo:hi], minlength=grid.rows * grid.cols)
+            .astype(np.float64).reshape(grid.shape)
+            for lo, hi in edges.reshape(3, 2).tolist())
         return SimView(
             t=t, clock=clock, idle_ids=idle_ids,
             cells=cells[:n], idle_cell_counts=idle_cells,
-            trailing_heat=self._trailing_heat.copy(),
-            heat_prev1=slots[-1].copy(), heat_prev2=slots[-2].copy(),
+            trailing_heat=trailing, heat_prev1=prev1, heat_prev2=prev2,
             next_cells=cells[n:], next_minutes=minutes,
             pickups=self._pickups.astype(np.float64),
             dispatch_minutes=self._dispatch_minutes.copy(),
@@ -675,11 +666,10 @@ class Simulation:
         moves = iter(self._plan_moves(origin_lat, origin_lon, dests[:, 0], dests[:, 1],
                                       self.clock0.plus(t)))
 
-        for order, vid, s, f in zip(orders, vids, status, free):
+        for vid, s, f in zip(vids, status, free):
             if not f:
                 log.warning("order for vehicle %d ignored: status %s",
                             vid, STATUS_NAMES[s])
-                self._log("order_skipped", vid=vid, detail=STATUS_NAMES[s])
                 continue
             route_lat, route_lon, segs, meters, eta = next(moves)
             self._lat[vid], self._lon[vid] = route_lat[0], route_lon[0]
@@ -687,12 +677,9 @@ class Simulation:
             if meters <= 0.0 or eta <= 0.0:
                 self._lat[vid], self._lon[vid] = route_lat[-1], route_lon[-1]
                 self._stand(vid)
-                self._log("dispatch_noop", vid=vid)
                 continue
             self._status[vid] = DISPATCHING
             self._set_route(vid, route_lat, route_lon, segs, t, t + eta)
-            self._log("dispatch", vid=vid,
-                      detail=f"cell={order.target_cell} eta={eta:.2f}")
 
     def _accrue(self, measured: bool) -> None:
         status = self._status
@@ -708,19 +695,9 @@ class Simulation:
             m.occupied_minutes[status == OCCUPIED] += 1.0
             m.elapsed_minutes += 1
 
-    def _roll_demand_buffers(self, t: float) -> None:
-        if len(self._trailing) == self._trailing.maxlen:
-            self._trailing_heat -= self._trailing[0]
-        self._trailing.append(self._minute_heat)
-        self._trailing_heat += self._minute_heat
-        if (t + 1) % SLOT_MINUTES == 0:
-            # the trailing window is exactly this slot; whole counts sum exactly
-            self._heat_slots.append(self._trailing_heat.copy())
-
     def step_minute(self) -> None:
         t = float(self.t)
         measured = self.t >= self.warmup
-        self._minute_heat = np.zeros(self.grid.shape)
         self._complete_arrivals(t)
         self._match_requests(t, measured)
         if (self.policy is not None and self.t >= self.warmup
@@ -729,7 +706,6 @@ class Simulation:
             orders = self.policy.dispatch(view)
             self.apply_dispatch(orders, t)
         self._accrue(measured)
-        self._roll_demand_buffers(t)
         self.t += 1
 
     def run(self, total_minutes: int) -> EpisodeMetrics:

@@ -934,7 +934,7 @@ class ReferenceSimulation:
     """
 
     def __init__(self, grid, graph, eta_model, requests, n_vehicles, policy=None,
-                 clock0=None, *, warmup, match_radius_m, idle_window, event_log=None):
+                 clock0=None, *, warmup, match_radius_m, idle_window):
         self.grid = grid
         self.graph = graph
         self.eta_model = eta_model
@@ -944,7 +944,6 @@ class ReferenceSimulation:
         self.warmup = warmup
         self.match_radius_m = match_radius_m
         self.idle_window = idle_window
-        self.event_log = event_log
         if len(self.requests) < n_vehicles:
             raise ValueError(f"need at least {n_vehicles} requests to place the fleet")
         self.fleet = [VehicleState(vid=k, loc=self.requests[k].pickup)
@@ -956,10 +955,6 @@ class ReferenceSimulation:
         self._heat_slots = deque([np.zeros(grid.shape), np.zeros(grid.shape)], maxlen=2)
         self._trailing = deque(maxlen=HEAT_SLOT_MINUTES)
         self._trailing_heat = np.zeros(grid.shape)
-
-    def _log(self, event, vid=-1, rid=-1, detail=""):
-        if self.event_log is not None:
-            self.event_log.append((self.t, event, vid, rid, detail))
 
     def position(self, v, t):
         if v.status == IDLE or v.arrival_time is None or not v.path:
@@ -1022,19 +1017,16 @@ class ReferenceSimulation:
                 when = v.arrival_time
                 if v.status == DISPATCHING:
                     self._stand(v, v.dest)
-                    self._log("dispatch_arrival", vid=v.vid)
                 elif v.status == TO_PICKUP:
                     v.loc = v.dest
                     v.pickups += 1
                     v.status = OCCUPIED
-                    self._log("pickup", vid=v.vid, rid=v.ride_id)
                     self._set_route(v, (v.loc, v.ride_dropoff), when,
                                     when + v.ride_trip_minutes, v.ride_dropoff)
                 elif v.status == OCCUPIED:
                     self._stand(v, v.dest)
                     v.last_dropoff_time = when
                     v.ordered_since_dropoff = False
-                    self._log("dropoff", vid=v.vid, rid=v.ride_id)
                     v.ride_id = -1
 
     def _match_requests(self, t, measured):
@@ -1063,7 +1055,6 @@ class ReferenceSimulation:
                     bucket = self.metrics.hour_bucket(int(t) // 60)
                     bucket["requests"] += 1
                     bucket["rejects"] += 1
-                self._log("reject", rid=req.rid)
                 continue
 
             points, dist_m = self._route(origin, req.pickup)
@@ -1083,7 +1074,6 @@ class ReferenceSimulation:
                 bucket["requests"] += 1
                 bucket["accepted"] += 1
                 bucket["wait_sum"] += eta
-            self._log("assign", vid=v.vid, rid=req.rid, detail=f"eta={eta:.2f}")
 
     def build_view(self, t):
         idle_ids = idle_set(self.fleet, t, self.idle_window)
@@ -1142,8 +1132,6 @@ class ReferenceSimulation:
             if v.status in (TO_PICKUP, OCCUPIED):
                 log.warning("order for vehicle %d ignored: status %s",
                             v.vid, STATUS_NAMES[v.status])
-                self._log("order_skipped", vid=v.vid,
-                          detail=STATUS_NAMES[v.status])
                 continue
             origin = self.position(v, t)
             dest = center_of(order.target_cell, self.grid)
@@ -1157,12 +1145,9 @@ class ReferenceSimulation:
                 v.dest = None
                 v.arrival_time = None
                 v.path = ()
-                self._log("dispatch_noop", vid=v.vid)
                 continue
             v.status = DISPATCHING
             self._set_route(v, points, t, t + eta, dest)
-            self._log("dispatch", vid=v.vid,
-                      detail=f"cell={order.target_cell} eta={eta:.2f}")
 
     def _accrue(self, measured):
         for v in self.fleet:

@@ -17,6 +17,9 @@ from fleetsim.dqn import DqnPolicy
 from fleetsim.eta import ETA_SPEC, EtaModel
 from fleetsim.geo import (GridSpec, Location, OutOfBoundsError, RegionMap, center_of,
                           haversine)
+from fleetsim.harness import experiment as ex
+from fleetsim.harness.config import ExperimentConfig
+from fleetsim.harness.synth import synth_city
 from fleetsim.lp import solve
 from fleetsim.rhc import RhcPolicy, build_rhc_lp
 from fleetsim.roadgraph import build_graph
@@ -313,7 +316,7 @@ def scripted_simulation():
         req(4, 8.0, p33, p00, trip=5.0),   # served by vehicle 0 after dropoff
     ]
     return Simulation(grid, graph, ConstantEta(2.0), requests, n_vehicles=3,
-                      policy=None, **sim_settings(warmup=0), event_log=[])
+                      policy=None, **sim_settings(warmup=0))
 
 
 class TestScriptedScenario:
@@ -334,14 +337,14 @@ class TestScriptedScenario:
         assert report["utilization_mean"] == pytest.approx((0.5 + 0.35 + 0.3) / 3)
         assert report["utilization_min"] == pytest.approx(0.3)
 
-    def test_event_log_records_lifecycle(self):
+    def test_lifecycle_counts(self):
+        # four requests assigned and one rejected; four pickups, and all four
+        # rides dropped off, as every vehicle stands idle with no ride
         sim = scripted_simulation()
         sim.run(20)
-        events = [e[1] for e in sim.event_log]
-        assert events.count("assign") == 4
-        assert events.count("reject") == 1
-        assert events.count("pickup") == 4
-        assert events.count("dropoff") == 4
+        assert (sim.metrics.accepted, sim.metrics.rejects) == (4, 1)
+        assert sim._pickups.sum() == 4
+        assert [(v.status, v.ride_id) for v in vehicles(sim)] == [(IDLE, -1)] * 3
 
     def test_bit_identical_reruns(self):
         r1 = finalize_metrics(scripted_simulation().run(20))
@@ -427,7 +430,7 @@ class TestMatching:
                          [req(0, 0.0, start, start, trip=1.0),
                           req(7, 5.0, target, start, trip=2.0)],
                          n_vehicles=1, **sim_settings(warmup=0))
-        sim._next = 1  # drive manually: request 0 only places the vehicle
+        # drive manually: minute 0, whose request only places the vehicle, never runs
         sim.apply_dispatch([DispatchOrder(0, (0, 6))], t=0.0)
         assert sim.fleet[0].status == DISPATCHING
         # halfway through a 10-minute move it sits ~3 km east, within reach
@@ -435,7 +438,6 @@ class TestMatching:
         lat, lon = sim.positions(5.0, np.array([0]))
         pos = Location(float(lat[0]), float(lon[0]))
         assert 2000.0 < haversine(start, pos) < 4500.0
-        sim._minute_heat = np.zeros(grid.shape)
         sim._match_requests(5.0, measured=True)
         fleet = vehicles(sim)
         assert fleet[0].status == TO_PICKUP
@@ -522,13 +524,14 @@ class TestApplyDispatch:
 
 
 class RecordingPolicy:
-    cycle = 15
+    """Orders nothing; keeps every view."""
 
-    def __init__(self):
-        self.calls = []
+    def __init__(self, cycle=15):
+        self.cycle = cycle
+        self.views = []
 
     def dispatch(self, view):
-        self.calls.append(view.t)
+        self.views.append(view)
         return []
 
 
@@ -541,7 +544,7 @@ class TestPolicyInvocation:
         sim = Simulation(grid, grid_graph(grid), ConstantEta(), reqs,
                          n_vehicles=1, policy=policy, **sim_settings(warmup=30))
         sim.run(91)
-        assert policy.calls == [30.0, 45.0, 60.0, 75.0, 90.0]
+        assert [view.t for view in policy.views] == [30.0, 45.0, 60.0, 75.0, 90.0]
 
     def test_warmup_excluded_from_metrics(self):
         grid = make_grid()
@@ -602,12 +605,11 @@ def test_request_with_pickup_outside_grid_raises():
     grid = make_grid()
     p = center_of((1, 1), grid)
     outside = Location(p.lat, grid.lon_max + 0.01)
-    sim = Simulation(grid, grid_graph(grid), ConstantEta(),
-                     [req(0, 0.0, p, p), req(1, 1.5, outside, p)], n_vehicles=1,
-                     **sim_settings(warmup=0))
-    sim.step_minute()  # minute 0 holds only the request inside the grid
+    # refused when built, though the request's minute 1 is not yet run
     with pytest.raises(OutOfBoundsError, match=str(grid.lon_max + 0.01)):
-        sim.step_minute()
+        Simulation(grid, grid_graph(grid), ConstantEta(),
+                   [req(0, 0.0, p, p), req(1, 1.5, outside, p)], n_vehicles=1,
+                   **sim_settings(warmup=0))
 
 
 # --- the batched simulator against the one-request-at-a-time reference ------
@@ -703,7 +705,7 @@ def city_simulation(sim_cls, seed, rows, cols, n_vehicles, n_requests, policy,
     grid, graph, requests = small_city(seed, rows, cols, n_vehicles, n_requests)
     pol = RandomOrderPolicy(seed, grid, n_vehicles) if policy else None
     return sim_cls(grid, graph, eta_model or FeatureEta(), requests, n_vehicles, policy=pol,
-                   clock0=Clock(400.0), **sim_settings(warmup=0), event_log=[])
+                   clock0=Clock(400.0), **sim_settings(warmup=0))
 
 
 def city_eta_model(seed: int) -> EtaModel:
@@ -740,6 +742,22 @@ class SpyEta(FeatureEta):
         return super().predict(features)
 
 
+def order_outcomes(sim):
+    """Wrap ``sim.apply_dispatch`` on the instance, and return the list it
+    fills: per invocation, the status that each order to a free vehicle left
+    it in, IDLE for a move of no length or time, else DISPATCHING."""
+    outcomes = []
+    apply_dispatch = sim.apply_dispatch
+
+    def recorded(orders, t):
+        movers = [o.vehicle_id for o in orders if sim._status[o.vehicle_id] <= DISPATCHING]
+        apply_dispatch(orders, t)
+        outcomes.append(sim._status[movers].tolist())
+
+    sim.apply_dispatch = recorded
+    return outcomes
+
+
 class TestOneEtaBatchPerPhase:
     @pytest.mark.parametrize("seed", range(4))
     def test_one_predict_per_phase_with_a_move(self, seed):
@@ -748,17 +766,16 @@ class TestOneEtaBatchPerPhase:
         # a move makes no call
         spy = SpyEta()
         sim = city_simulation(Simulation, seed, 5, 5, 10, 60, True, eta_model=spy)
+        outcomes = order_outcomes(sim)
         want, pickup_phases, order_phases = [], 0, 0
         for _ in range(45):
-            before = len(sim.event_log)
+            accepted, invocations = sim.metrics.accepted, len(outcomes)
             sim.step_minute()
-            kinds = [e[1] for e in sim.event_log[before:]]
-            for phase in (("assign",), ("dispatch", "dispatch_noop")):
-                k = sum(kind in phase for kind in kinds)
-                if k:
-                    want.append(k)
-                    pickup_phases += phase == ("assign",)
-                    order_phases += phase != ("assign",)
+            pickups = sim.metrics.accepted - accepted
+            moves = sum(len(moved) for moved in outcomes[invocations:])
+            pickup_phases += pickups > 0
+            order_phases += moves > 0
+            want += [k for k in (pickups, moves) if k]
         assert spy.calls == want
         assert pickup_phases > 5 and order_phases > 5
         assert max(want) > 1
@@ -766,13 +783,12 @@ class TestOneEtaBatchPerPhase:
 
 class TestMatchesReference:
     @pytest.mark.parametrize("seed", range(12))
-    def test_same_logs_metrics_and_views(self, seed):
+    def test_same_states_metrics_and_views(self, seed):
         rng = np.random.default_rng(1000 + seed)
         args = (seed, int(rng.integers(2, 7)), int(rng.integers(2, 7)),
                 int(rng.integers(1, 9)), int(rng.integers(0, 41)), True)
-        sim, states, views = run_city(Simulation, *args)
-        ref, ref_states, ref_views = run_city(ReferenceSimulation, *args)
-        assert sim.event_log == ref.event_log
+        _, states, views = run_city(Simulation, *args)
+        _, ref_states, ref_views = run_city(ReferenceSimulation, *args)
         assert states == ref_states
         assert len(views) == len(ref_views) > 0
         assert views == ref_views
@@ -783,19 +799,20 @@ class TestMatchesReference:
         # one move at a time: the network must give each the same bytes
         args = (seed, 5, 5, 12, 40, True)
         model = city_eta_model(seed)
-        sim, states, views = run_city(Simulation, *args, eta_model=model)
-        ref, ref_states, ref_views = run_city(ReferenceSimulation, *args, eta_model=model)
-        assert sim.event_log == ref.event_log
+        _, states, views = run_city(Simulation, *args, eta_model=model)
+        _, ref_states, ref_views = run_city(ReferenceSimulation, *args, eta_model=model)
         assert states == ref_states
         assert views == ref_views
-        etas = [float(e[4].removeprefix("eta=")) for e in sim.event_log if e[1] == "assign"]
-        assert len(set(etas)) > 10
+        # every assigned vehicle is on its way to the pickup after the minute
+        # of its assignment, which is its departure, and arrives after its wait
+        etas = {round(arrival - depart, 2) for fleet, _ in states
+                for _, status, _, _, arrival, depart, *_ in fleet if status == TO_PICKUP}
+        assert len(etas) > 10
 
     def test_default_sized_fleet(self):
         args = (7, 8, 8, 40, 300, True)
-        sim, states, views = run_city(Simulation, *args)
-        ref, ref_states, ref_views = run_city(ReferenceSimulation, *args)
-        assert sim.event_log == ref.event_log
+        _, states, views = run_city(Simulation, *args)
+        _, ref_states, ref_views = run_city(ReferenceSimulation, *args)
         assert states == ref_states
         assert views == ref_views
 
@@ -859,12 +876,10 @@ class TestInvariants:
             assert all(v.arrival_time >= t_before for v in vehicles(sim)
                        if v.arrival_time is not None)
             states.append((fleet_state(sim), metrics_state(m)))
-        rerun, rerun_states, _ = run_city(Simulation, *args, minutes=40)
+        _, rerun_states, _ = run_city(Simulation, *args, minutes=40)
         assert rerun_states == states
-        assert rerun.event_log == sim.event_log
-        ref, ref_states, _ = run_city(ReferenceSimulation, *args, minutes=40)
+        _, ref_states, _ = run_city(ReferenceSimulation, *args, minutes=40)
         assert ref_states == states
-        assert ref.event_log == sim.event_log
 
 
 def dqn_city_simulation(sim_cls, policy_cls, seed, rows, cols, n_vehicles, n_requests,
@@ -880,7 +895,7 @@ def dqn_city_simulation(sim_cls, policy_cls, seed, rows, cols, n_vehicles, n_req
                         decision_interval=15.0,
                         training=training if train else None)
     return sim_cls(grid, graph, FeatureEta(), requests, n_vehicles, policy=policy,
-                   clock0=Clock(400.0), **sim_settings(warmup=0), event_log=[])
+                   clock0=Clock(400.0), **sim_settings(warmup=0))
 
 
 class TestDqnInvariants:
@@ -906,7 +921,7 @@ class TestDqnInvariants:
                 assert all(v.status in (IDLE, DISPATCHING, TO_PICKUP, OCCUPIED)
                            for v in sim.fleet)
                 states.append((fleet_state(sim), metrics_state(m)))
-            runs.append((sim.event_log, states))
+            runs.append(states)
         # a rerun is bit-identical, and so is the per-vehicle reference pipeline
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
@@ -953,8 +968,7 @@ def rhc_city_simulation(sim_cls, seed, rows, cols, n_vehicles, n_requests, slot,
     policy = RhcPolicy(zones, trip_times, destinations, lambda view: view.trailing_heat,
                        future, **rhc_settings(slot_minutes=slot, horizon=horizon))
     return sim_cls(grid, graph, FeatureEta(), requests, n_vehicles,
-                   policy=ZoneBudgetCheck(policy), clock0=Clock(400.0), **sim_settings(warmup=0),
-                   event_log=[])
+                   policy=ZoneBudgetCheck(policy), clock0=Clock(400.0), **sim_settings(warmup=0))
 
 
 class TestRhcInvariants:
@@ -979,7 +993,7 @@ class TestRhcInvariants:
                 assert all(v.status in (IDLE, DISPATCHING, TO_PICKUP, OCCUPIED)
                            for v in sim.fleet)
                 states.append((fleet_state(sim), metrics_state(m)))
-            runs.append((sim.event_log, states, sim.policy.orders))
+            runs.append((states, sim.policy.orders))
         # a rerun is bit-identical, and so is the per-vehicle reference simulator
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
@@ -1009,21 +1023,22 @@ class OrderOncePolicy:
 
 def run_against_reference(make, minutes):
     """Run ``make(Simulation)`` and ``make(ReferenceSimulation)`` side by side and
-    require equal event logs, per-minute states and views; return the former."""
+    require equal per-minute states and views; return the former, and its
+    :func:`vehicles` after each minute."""
     runs = []
     for cls in (Simulation, ReferenceSimulation):
         sim = make(cls)
-        states = []
+        fleets, states = [], []
         for _ in range(minutes):
             sim.step_minute()
+            fleets.append(vehicles(sim))  # fresh records for a Simulation
             states.append((fleet_state(sim), metrics_state(sim.metrics)))
         views = [view_state(v) for v in getattr(sim.policy, "views", [])]
-        runs.append((sim, states, views))
-    (sim, states, views), (ref, ref_states, ref_views) = runs
-    assert sim.event_log == ref.event_log
+        runs.append((sim, fleets, states, views))
+    (sim, fleets, states, views), (_, _, ref_states, ref_views) = runs
     assert states == ref_states
     assert views == ref_views
-    return sim
+    return sim, fleets
 
 
 class TestColumnEdgeCases:
@@ -1031,29 +1046,33 @@ class TestColumnEdgeCases:
         grid = make_grid()
         p, q = center_of((1, 1), grid), center_of((1, 2), grid)
         requests = [req(0, 0.2, p, q, trip=0.3), req(1, 0.5, q, p, trip=4.0)]
-        sim = run_against_reference(
+        _, fleets = run_against_reference(
             lambda cls: cls(grid, grid_graph(grid), ConstantEta(0.25), requests, 2,
-                            **sim_settings(warmup=0), event_log=[]), 8)
-        # both pickups are due at 0.25; the ride of vehicle 0 then ends at 0.55,
-        # in a second round of the same minute
-        minute1 = [(e[1], e[2]) for e in sim.event_log if e[0] == 1]
-        assert minute1 == [("pickup", 0), ("pickup", 1), ("dropoff", 0)]
+                            **sim_settings(warmup=0)), 8)
+        # both pickups are due at 0.25, so both complete at minute 1; the ride
+        # of vehicle 0 then ends at 0.55, in a second round of the same minute
+        assert [(v.status, v.pickups) for v in fleets[0]] == [(TO_PICKUP, 0)] * 2
+        v0, v1 = fleets[1]
+        assert (v0.status, v0.pickups, v0.last_dropoff_time) == (IDLE, 1, 0.25 + 0.3)
+        assert (v1.status, v1.pickups) == (OCCUPIED, 1)
 
-    def test_equal_arrival_times_complete_in_vehicle_order(self):
-        # every vehicle is matched at distance 0, so all pickups are due at 0.0;
-        # the rides then end at 2.5 (odd ids) or 3.0 (even ids)
+    def test_equal_arrival_times_complete_in_one_minute(self):
+        # every vehicle is matched at distance 0, so all pickups are due at 0.0
+        # and complete at minute 1; the rides then end at 2.5 (odd ids) or 3.0
+        # (even ids), and all complete at minute 3
         grid = make_grid(rows=6, cols=6)
         cells = [(r, c) for r in range(6) for c in range(6)][:20]
         requests = [req(k, 0.0, center_of(cell, grid), center_of((5 - cell[0], 0), grid),
                         trip=3.0 if k % 2 == 0 else 2.5)
                     for k, cell in enumerate(cells)]
-        sim = run_against_reference(
+        _, fleets = run_against_reference(
             lambda cls: cls(grid, grid_graph(grid), ConstantEta(0.0), requests, 20,
-                            **sim_settings(warmup=0), event_log=[]), 5)
-        done = [(e[0], e[1], e[2]) for e in sim.event_log if e[1] in ("pickup", "dropoff")]
-        assert done[:20] == [(1, "pickup", k) for k in range(20)]
-        assert done[20:] == ([(3, "dropoff", k) for k in range(1, 20, 2)]
-                             + [(3, "dropoff", k) for k in range(0, 20, 2)])
+                            **sim_settings(warmup=0)), 5)
+        assert [(v.status, v.pickups) for v in fleets[0]] == [(TO_PICKUP, 0)] * 20
+        for minute in (1, 2):
+            assert [(v.status, v.pickups) for v in fleets[minute]] == [(OCCUPIED, 1)] * 20
+        assert [(v.status, v.last_dropoff_time) for v in fleets[3]] == \
+            [(IDLE, 3.0 if k % 2 == 0 else 2.5) for k in range(20)]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_zero_length_and_zero_time_routes(self, seed):
@@ -1064,13 +1083,23 @@ class TestColumnEdgeCases:
         nodes = [center_of((int(r), int(c)), grid) for r, c in rng.integers(0, 5, (30, 2))]
         requests = [req(k, float(k // 3), nodes[k], nodes[-1 - k], trip=1.0 + k % 4)
                     for k in range(30)]
-        sim = run_against_reference(
-            lambda cls: cls(grid, grid_graph(grid), NearZeroEta(), requests, 6,
-                            policy=RandomOrderPolicy(seed, grid, 6, cycle=1),
-                            clock0=Clock(400.0), **sim_settings(warmup=0), event_log=[]), 20)
-        events = [e[1] for e in sim.event_log]
-        assert "dispatch_noop" in events and "dispatch" in events
-        assert any(e[1] == "assign" and e[4] == "eta=0.00" for e in sim.event_log)
+        recorded = []
+
+        def make(cls):
+            sim = cls(grid, grid_graph(grid), NearZeroEta(), requests, 6,
+                      policy=RandomOrderPolicy(seed, grid, 6, cycle=1),
+                      clock0=Clock(400.0), **sim_settings(warmup=0))
+            if cls is Simulation:
+                recorded.append(order_outcomes(sim))
+            return sim
+
+        _, fleets = run_against_reference(make, 20)
+        [outcomes] = recorded
+        # orders both stood vehicles where they were and moved them
+        assert {IDLE, DISPATCHING} <= {s for statuses in outcomes for s in statuses}
+        # and a pickup was assigned with no wait
+        assert any(v.status == TO_PICKUP and v.arrival_time == v.depart_time
+                   for fleet in fleets for v in fleet)
 
     def test_hour_with_cruising_and_no_request_gets_a_bucket(self):
         grid = make_grid()
@@ -1078,14 +1107,70 @@ class TestColumnEdgeCases:
         requests = [req(0, 0.0, p00, p33, trip=3.0), req(1, 1.0, p33, p00, trip=3.0),
                     req(2, 200.0, p00, p33, trip=3.0)]
         orders = [DispatchOrder(0, (0, 0)), DispatchOrder(1, (3, 3))]
-        sim = run_against_reference(
+        sim, _ = run_against_reference(
             lambda cls: cls(grid, grid_graph(grid), ConstantEta(10.0), requests, 2,
-                            policy=OrderOncePolicy(65.0, orders), **sim_settings(warmup=0),
-                            event_log=[]), 215)
+                            policy=OrderOncePolicy(65.0, orders), **sim_settings(warmup=0)),
+            215)
         hourly = sim.metrics.hourly
         assert sorted(hourly) == [0, 1, 3]
         assert hourly[1]["requests"] == 0
         assert hourly[1]["cruise_sum"] == 20.0
+
+
+def heat_bytes(view):
+    return [m.tobytes() for m in (view.trailing_heat, view.heat_prev1, view.heat_prev2)]
+
+
+class TestDemandMaps:
+    def test_window_edges_against_the_reference(self):
+        # requests on the slot edges, just before them and between them; every
+        # minute's view counts its three maps from its windows alone
+        grid = make_grid()
+        minutes = (0.0, 28.999, 29.0, 29.5, 30.0, 59.999, 60.0, 89.0, 90.0)
+        requests = [req(k, m, center_of((k % 4, k // 4), grid), center_of((0, 0), grid),
+                        trip=1.0) for k, m in enumerate(minutes)]
+        runs = []
+        for cls in (Simulation, ReferenceSimulation):
+            policy = RecordingPolicy(cycle=1)
+            cls(grid, grid_graph(grid), ConstantEta(), requests, 1, policy=policy,
+                **sim_settings(warmup=0)).run(125)
+            runs.append(policy.views)
+        views, ref_views = runs
+        assert len(views) == len(ref_views) == 125
+        assert [heat_bytes(v) for v in views] == [heat_bytes(v) for v in ref_views]
+        assert all(m.dtype == np.float64 and m.shape == grid.shape
+                   for v in views for m in (v.trailing_heat, v.heat_prev1, v.heat_prev2))
+        # slots [0, 30), [30, 60), [60, 90) and [90, 120) hold 4, 2, 2 and 1
+        assert [views[t].heat_prev1.sum() for t in (30, 60, 90, 120)] == [4, 2, 2, 1]
+        assert [views[t].trailing_heat.sum() for t in (29, 30, 31)] == [2, 4, 4]
+
+    def test_request_before_minute_zero_refused(self):
+        grid = make_grid()
+        p = center_of((1, 1), grid)
+        with pytest.raises(ValueError, match="request 1 at minute -0.5, before"):
+            Simulation(grid, grid_graph(grid), ConstantEta(),
+                       [req(0, 0.0, p, p), req(1, -0.5, p, p)], n_vehicles=1,
+                       **sim_settings(warmup=0))
+
+    def test_slots_equal_the_demand_models_training_series(self):
+        # the demand model is trained on experiment.demand_slot_series and
+        # reads heat_prev1 and heat_prev2 at run time: slot k - 1 and k - 2
+        # at minute 30 k, and zeros before the first slot
+        cfg = ExperimentConfig(seed=3, fine_rows=10, fine_cols=10, region_block=2,
+                               zone_block=5, vehicles=20, days=1,
+                               trips_per_day=2000.0).validate()
+        city = ex.city_from_synth(synth_city(cfg, seed=3, days=ex.city_days(cfg)))
+        requests = ex.episode_requests(city.requests, *ex.day_window(cfg, 0))
+        policy = RecordingPolicy(cycle=30)
+        Simulation(city.grid, city.graph, ConstantEta(), requests, cfg.vehicles,
+                   policy=policy, **sim_settings(warmup=0)).run(150)
+        slots, _ = ex.demand_slot_series(requests, city.grid, 150, cfg.epoch_dow)
+        slots = np.concatenate([np.zeros((2,) + city.grid.shape), slots])
+        assert [view.t for view in policy.views] == [0.0, 30.0, 60.0, 90.0, 120.0]
+        assert slots[2:].sum() > 100
+        for k, view in enumerate(policy.views):
+            assert view.heat_prev1.tobytes() == slots[k + 1].tobytes()
+            assert view.heat_prev2.tobytes() == slots[k].tobytes()
 
 
 class TestBenchmarkContract:
