@@ -109,7 +109,7 @@ def _check_fleet_windows(cfg: ExperimentConfig, requests: Trips,
     placed at their pickups: a :class:`TripDataError` naming ``trips_file`` for
     requests read from one, else a :class:`ConfigError`."""
     for day, (start, end) in enumerate(windows):
-        count = len(requests.window(start, end))
+        count = int(np.count_nonzero((start <= requests.minute) & (requests.minute < end)))
         if count >= cfg.vehicles:
             continue
         if trips_file is not None:
@@ -432,9 +432,12 @@ def city_days(cfg: ExperimentConfig) -> int:
 
 
 def episode_requests(requests: Trips, start: float, end: float) -> Trips:
-    """The requests of minutes ``[start, end)``, their minutes counted from
-    ``start``: :meth:`sim.Trips.window`."""
-    return requests.window(start, end)
+    """The requests of minutes ``[start, end)``, in order, their minutes counted
+    from ``start``."""
+    keep = (start <= requests.minute) & (requests.minute < end)
+    cols = [getattr(requests, name)[keep] for name in Trips.FIELDS]
+    cols[1] = cols[1] - start
+    return Trips(*cols)
 
 
 def make_simulation(cfg: ExperimentConfig, city: City, bundle: ModelBundle,
@@ -461,24 +464,6 @@ def run_episode(cfg: ExperimentConfig, city: City, bundle: ModelBundle,
     return metrics, finalize_metrics(metrics)
 
 
-def sum_metrics(days: list[EpisodeMetrics]) -> EpisodeMetrics:
-    """The accumulators of day episodes added in day order; hourly buckets by hour."""
-    total = EpisodeMetrics(n_vehicles=days[0].n_vehicles)
-    for m in days:
-        total.total_requests += m.total_requests
-        total.rejects += m.rejects
-        total.accepted += m.accepted
-        total.wait_sum += m.wait_sum
-        total.cruise_sum += m.cruise_sum
-        total.elapsed_minutes += m.elapsed_minutes
-        total.occupied_minutes += m.occupied_minutes
-        for hour, bucket in m.hourly.items():
-            acc = total.hour_bucket(hour)
-            for key, value in bucket.items():
-                acc[key] += value
-    return total
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -496,7 +481,15 @@ def write_summary_csv(path, rows: list[dict]) -> None:
 
 
 def emit_plot_data(path, policy: str, seed: int, day_reports: list[dict]) -> None:
-    """Hourly time series: one row per simulated hour per metric."""
+    """Hourly time series: one row per simulated hour per metric.
+
+    An hour is counted from the episode's start, ``day_start_hour`` (4 a.m. by
+    default), not on the clock: hour ``h`` holds the requests and the cruising
+    of episode minutes ``[60h, 60h + 60)``, the minutes that
+    :func:`episode_requests` counts from the window's start.  Only minutes after
+    the warm-up are measured, so with the default 30-minute warm-up hour 0
+    holds only its last 30 minutes.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["policy", "seed", "day", "hour", "metric", "value"])
@@ -549,14 +542,15 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
     if bundle is None:
         bundle = ensure_models(cfg)
 
-    day_metrics, day_reports, rows = [], [], []
+    total = EpisodeMetrics(occupied_minutes=np.zeros(cfg.vehicles))
+    day_reports, rows = [], []
     for day in range(cfg.days):
         metrics, report = run_episode(cfg, city, bundle, cfg.policy, day, qnet)
-        day_metrics.append(metrics)
+        total.add(metrics)
         day_reports.append(report)
         rows.append({"policy": cfg.policy, "seed": cfg.seed, "day": day, **report})
     aggregate = {"policy": cfg.policy, "seed": cfg.seed, "day": "all",
-                 **finalize_metrics(sum_metrics(day_metrics))}
+                 **finalize_metrics(total)}
     rows.append(aggregate)
 
     summary_path = out / f"summary_{cfg.policy}_{cfg.seed}.csv"

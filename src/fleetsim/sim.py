@@ -52,6 +52,17 @@ simulator sorts an episode's columns once and matches each minute's
 arrivals as a slice, so nothing holds an object per request.  A
 :class:`Trips` is also a sequence of rows, each built when it is read;
 this module is the one place a :class:`RideRequest` is constructed.
+
+An episode's outcome record is an :class:`EpisodeMetrics`, an
+:class:`Outcomes` that also holds each vehicle's occupied minutes, the
+measured minutes and one :class:`Outcomes` per hour of the episode.  An
+:class:`Outcomes` counts the measured requests, the rejected and the
+accepted ones, the accepted ones' pickup minutes and the vehicle minutes
+spent cruising; it counts a request with :meth:`Outcomes.count`, adds
+another record field by field with :meth:`Outcomes.add` and gives its
+counts and rates with :meth:`Outcomes.report`.  Every sum adds in one
+order, episode by episode and hour by hour, so a total has the same bytes
+on every run.
 """
 
 from __future__ import annotations
@@ -59,7 +70,7 @@ from __future__ import annotations
 import logging
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -144,14 +155,6 @@ class Trips(Sequence):
                    [r.dropoff.lat for r in rows], [r.dropoff.lon for r in rows],
                    [r.trip_minutes for r in rows], [r.distance_km for r in rows])
 
-    def window(self, start: float, end: float) -> "Trips":
-        """The requests of minutes ``[start, end)``, in order, their minutes counted
-        from ``start``."""
-        keep = (start <= self.minute) & (self.minute < end)
-        cols = [getattr(self, name)[keep] for name in self.FIELDS]
-        cols[1] = cols[1] - start
-        return Trips(*cols)
-
     def __len__(self) -> int:
         return len(self.rid)
 
@@ -196,68 +199,79 @@ class Vehicle(NamedTuple):
 
 
 @dataclass
-class EpisodeMetrics:
-    """Raw metric accumulators for the measured portion of an episode."""
+class Outcomes:
+    """The measured requests of an episode, or of one of its hours: how many
+    came, were rejected and were accepted, the accepted ones' pickup minutes,
+    and the vehicle minutes spent cruising (dispatched or on the way to a pickup)."""
 
-    n_vehicles: int
     total_requests: int = 0
     rejects: int = 0
     accepted: int = 0
     wait_sum: float = 0.0
     cruise_sum: float = 0.0
+
+    def count(self, eta: float | None) -> None:
+        """Count one request: rejected if ``eta`` is None, else accepted with a
+        pickup wait of ``eta`` minutes."""
+        self.total_requests += 1
+        if eta is None:
+            self.rejects += 1
+        else:
+            self.accepted += 1
+            self.wait_sum += eta
+
+    def add(self, other: Outcomes) -> None:
+        """Add ``other``'s counts to these, field by field."""
+        for f in fields(Outcomes):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+    def report(self) -> dict:
+        """The three counts, then the reject rate, mean wait and idle cruise per
+        accepted request; None, never 0/0."""
+        return {
+            "total_requests": self.total_requests,
+            "rejects": self.rejects,
+            "accepted": self.accepted,
+            "reject_rate": self.rejects / self.total_requests if self.total_requests else None,
+            "mean_wait_minutes": self.wait_sum / self.accepted if self.accepted else None,
+            "idle_cruise_per_accepted": (self.cruise_sum / self.accepted
+                                         if self.accepted else None),
+        }
+
+
+@dataclass(kw_only=True)
+class EpisodeMetrics(Outcomes):
+    """The :class:`Outcomes` of an episode's measured minutes, with each
+    vehicle's occupied minutes and the outcomes of each hour of the episode."""
+
+    occupied_minutes: np.ndarray
     elapsed_minutes: int = 0
-    occupied_minutes: np.ndarray = None
-    hourly: dict = field(default_factory=dict)
+    hourly: dict[int, Outcomes] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.occupied_minutes is None:
-            self.occupied_minutes = np.zeros(self.n_vehicles)
+    def hour(self, h: int) -> Outcomes:
+        """The outcomes of episode minutes ``[60h, 60h + 60)``, zero until first
+        counted."""
+        return self.hourly.setdefault(h, Outcomes())
 
-    def hour_bucket(self, hour: int) -> dict:
-        return self.hourly.setdefault(hour, {
-            "requests": 0, "rejects": 0, "accepted": 0,
-            "wait_sum": 0.0, "cruise_sum": 0.0,
-        })
-
-
-def _rates(requests: int, rejects: int, accepted: int, wait_sum: float,
-           cruise_sum: float) -> dict:
-    """Reject rate, mean wait and idle cruise per accepted request; None, never 0/0."""
-    return {
-        "reject_rate": (rejects / requests) if requests else None,
-        "mean_wait_minutes": (wait_sum / accepted) if accepted else None,
-        "idle_cruise_per_accepted": (cruise_sum / accepted) if accepted else None,
-    }
+    def add(self, other: EpisodeMetrics) -> None:
+        """Add ``other``'s counts, minutes and hours to these."""
+        super().add(other)
+        self.occupied_minutes += other.occupied_minutes
+        self.elapsed_minutes += other.elapsed_minutes
+        for h, outcomes in other.hourly.items():
+            self.hour(h).add(outcomes)
 
 
 def finalize_metrics(m: EpisodeMetrics) -> dict:
-    """Summary rates, in total and per hour; degenerate denominators yield None."""
-    report = {
-        "total_requests": m.total_requests,
-        "rejects": m.rejects,
-        "accepted": m.accepted,
-        **_rates(m.total_requests, m.rejects, m.accepted, m.wait_sum, m.cruise_sum),
+    """Summary counts and rates, in total and per hour; degenerate denominators yield None."""
+    util = m.occupied_minutes / m.elapsed_minutes if m.elapsed_minutes else None
+    return {
+        **m.report(),
         "elapsed_minutes": m.elapsed_minutes,
+        "utilization_mean": None if util is None else float(util.mean()),
+        "utilization_min": None if util is None else float(util.min()),
+        "hourly": [{"hour": h, **m.hourly[h].report()} for h in sorted(m.hourly)],
     }
-    if m.elapsed_minutes:
-        util = m.occupied_minutes / m.elapsed_minutes
-        report["utilization_mean"] = float(util.mean())
-        report["utilization_min"] = float(util.min())
-    else:
-        report["utilization_mean"] = None
-        report["utilization_min"] = None
-    hourly = []
-    for hour in sorted(m.hourly):
-        b = m.hourly[hour]
-        hourly.append({
-            "hour": hour,
-            "requests": b["requests"],
-            "rejects": b["rejects"],
-            **_rates(b["requests"], b["rejects"], b["accepted"], b["wait_sum"],
-                     b["cruise_sum"]),
-        })
-    report["hourly"] = hourly
-    return report
 
 
 def idle_mask(status: np.ndarray, ordered_since_dropoff: np.ndarray,
@@ -352,7 +366,7 @@ class Simulation:
         self._route_lat = np.zeros((n, 2))        # widened by _set_route as needed
         self._route_lon = np.zeros((n, 2))
         self._route_cum = np.full((n, 2), np.inf)
-        self.metrics = EpisodeMetrics(n_vehicles=n)
+        self.metrics = EpisodeMetrics(occupied_minutes=np.zeros(n))
         self.t = 0
         # each request's pickup cell, row-major; an off-grid pickup raises here
         rows, cols = cell_arrays(self.requests.pickup_lat, self.requests.pickup_lon, grid)
@@ -477,22 +491,6 @@ class Simulation:
         self._status[vids] = IDLE
         self._arrival[vids] = np.inf
 
-    def _count_request(self, t: float, eta: float | None) -> None:
-        """Count a measured request of minute ``t``: rejected if ``eta`` is None,
-        else accepted with a pickup wait of ``eta`` minutes."""
-        m = self.metrics
-        bucket = m.hour_bucket(int(t) // 60)
-        m.total_requests += 1
-        bucket["requests"] += 1
-        if eta is None:
-            m.rejects += 1
-            bucket["rejects"] += 1
-        else:
-            m.accepted += 1
-            m.wait_sum += eta
-            bucket["accepted"] += 1
-            bucket["wait_sum"] += eta
-
     # -- per-step phases ------------------------------------------------------
 
     def _complete_arrivals(self, t: float) -> None:
@@ -572,19 +570,17 @@ class Simulation:
         moves = iter(self._plan_moves(free_lat[taken], free_lon[taken], lats[matched],
                                       lons[matched], self.clock0.plus(t)))
 
-        # 3. record each request in order
+        # 3. record each request in order: a match's route, then a measured
+        #    request's count in the episode and in its hour
+        counts = [self.metrics, self.metrics.hour(int(t) // 60)] if measured else []
         vid_of = dict(zip(matched, vids.tolist()))
         for i in range(len(lats)):
-            vid = vid_of.get(i)
-            if vid is None:
-                if measured:
-                    self._count_request(t, None)
-                continue
-
-            route_lat, route_lon, segs, _, eta = next(moves)
-            self._set_route(vid, route_lat, route_lon, segs, t, t + eta)
-            if measured:
-                self._count_request(t, eta)
+            vid, eta = vid_of.get(i), None
+            if vid is not None:
+                route_lat, route_lon, segs, _, eta = next(moves)
+                self._set_route(vid, route_lat, route_lon, segs, t, t + eta)
+            for outcomes in counts:
+                outcomes.count(eta)
 
     def build_view(self, t: float) -> SimView:
         n = self.n_vehicles
@@ -691,7 +687,7 @@ class Simulation:
             if cruising:
                 # whole minutes: adding the count adds 1.0 that many times, exactly
                 m.cruise_sum += cruising
-                m.hour_bucket(int(self.t) // 60)["cruise_sum"] += cruising
+                m.hour(int(self.t) // 60).cruise_sum += cruising
             m.occupied_minutes[status == OCCUPIED] += 1.0
             m.elapsed_minutes += 1
 

@@ -948,7 +948,7 @@ class ReferenceSimulation:
             raise ValueError(f"need at least {n_vehicles} requests to place the fleet")
         self.fleet = [VehicleState(vid=k, loc=self.requests[k].pickup)
                       for k in range(n_vehicles)]
-        self.metrics = EpisodeMetrics(n_vehicles=n_vehicles)
+        self.metrics = EpisodeMetrics(occupied_minutes=np.zeros(n_vehicles))
         self.t = 0
         self._queue = deque(self.requests)
         self._heat_current = np.zeros(grid.shape)
@@ -1052,9 +1052,9 @@ class ReferenceSimulation:
                 if measured:
                     self.metrics.total_requests += 1
                     self.metrics.rejects += 1
-                    bucket = self.metrics.hour_bucket(int(t) // 60)
-                    bucket["requests"] += 1
-                    bucket["rejects"] += 1
+                    hour = self.metrics.hour(int(t) // 60)
+                    hour.total_requests += 1
+                    hour.rejects += 1
                 continue
 
             points, dist_m = self._route(origin, req.pickup)
@@ -1070,10 +1070,10 @@ class ReferenceSimulation:
                 self.metrics.total_requests += 1
                 self.metrics.accepted += 1
                 self.metrics.wait_sum += eta
-                bucket = self.metrics.hour_bucket(int(t) // 60)
-                bucket["requests"] += 1
-                bucket["accepted"] += 1
-                bucket["wait_sum"] += eta
+                hour = self.metrics.hour(int(t) // 60)
+                hour.total_requests += 1
+                hour.accepted += 1
+                hour.wait_sum += eta
 
     def build_view(self, t):
         idle_ids = idle_set(self.fleet, t, self.idle_window)
@@ -1156,7 +1156,7 @@ class ReferenceSimulation:
             if measured:
                 if v.status in (DISPATCHING, TO_PICKUP):
                     self.metrics.cruise_sum += 1.0
-                    self.metrics.hour_bucket(int(self.t) // 60)["cruise_sum"] += 1.0
+                    self.metrics.hour(int(self.t) // 60).cruise_sum += 1.0
                 elif v.status == OCCUPIED:
                     self.metrics.occupied_minutes[v.vid] += 1.0
         if measured:

@@ -29,7 +29,7 @@ from fleetsim.harness.ingest import TripDataError, ingest_trips
 from fleetsim.harness.synth import build_road_grid, synth_city, write_city
 from fleetsim.harness import cli
 from fleetsim.harness import experiment as ex
-from fleetsim.sim import EpisodeMetrics, RideRequest, Trips, finalize_metrics
+from fleetsim.sim import EpisodeMetrics, Outcomes, RideRequest, Trips, finalize_metrics
 from oracles import (demand_slot_counts_reference, demand_slot_series_reference,
                      episode_requests_reference, eta_feature_row,
                      eta_training_arrays_reference, fleet_window_count_reference,
@@ -592,28 +592,31 @@ class TestExperiment:
         result = ex.run_experiment(cfg, city=city, bundle=bundle)
         report = result["day_reports"][0]
         for bucket in report["hourly"]:
-            if bucket["requests"]:
-                expect = bucket["rejects"] / bucket["requests"]
+            if bucket["total_requests"]:
+                expect = bucket["rejects"] / bucket["total_requests"]
                 assert bucket["reject_rate"] == pytest.approx(expect)
 
     def test_summed_days_give_the_pooled_rates(self):
         days = []
         for requests, rejects, wait, cruise, occupied in [(10, 2, 16.0, 4.0, [30.0, 60.0]),
                                                           (20, 3, 0.1, 0.2, [10.0, 0.0])]:
-            m = EpisodeMetrics(2, total_requests=requests, rejects=rejects,
+            m = EpisodeMetrics(total_requests=requests, rejects=rejects,
                                accepted=requests - rejects, wait_sum=wait, cruise_sum=cruise,
                                elapsed_minutes=60, occupied_minutes=np.array(occupied))
-            m.hour_bucket(5).update(requests=requests, rejects=rejects, wait_sum=wait)
+            m.hourly[5] = Outcomes(total_requests=requests, rejects=rejects, wait_sum=wait)
             days.append(m)
-        days[1].hour_bucket(6)["requests"] = 4
-        report = finalize_metrics(ex.sum_metrics(days))
+        days[1].hour(6).total_requests = 4
+        total = EpisodeMetrics(occupied_minutes=np.zeros(2))
+        for m in days:
+            total.add(m)
+        report = finalize_metrics(total)
         assert (report["total_requests"], report["rejects"], report["accepted"]) == (30, 5, 25)
         assert report["reject_rate"] == 5 / 30
         assert report["mean_wait_minutes"] == (0.0 + 16.0 + 0.1) / 25
         assert report["idle_cruise_per_accepted"] == (0.0 + 4.0 + 0.2) / 25
         assert report["utilization_mean"] == float((np.array([40.0, 60.0]) / 120).mean())
         assert report["utilization_min"] == 40.0 / 120
-        assert [(b["hour"], b["requests"], b["rejects"]) for b in report["hourly"]] == \
+        assert [(b["hour"], b["total_requests"], b["rejects"]) for b in report["hourly"]] == \
             [(5, 30, 5), (6, 4, 0)]
         assert days[0].occupied_minutes.tolist() == [30.0, 60.0]
 
@@ -759,7 +762,7 @@ class TestExperiment:
         cfg = dataclasses.replace(trained, days=2, out_dir=str(tmp_path))
         result = ex.run_experiment(cfg, bundle=bundle)
         for report in result["day_reports"]:
-            assert [b["hour"] for b in report["hourly"] if b["requests"]] == list(range(24))
+            assert [b["hour"] for b in report["hourly"] if b["total_requests"]] == list(range(24))
 
     def test_rhc_policy_runs(self, mini_world):
         cfg, city, bundle = mini_world

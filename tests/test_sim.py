@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 from pathlib import Path
@@ -174,10 +175,10 @@ class TestTrips:
 
     def test_window_shifts_the_minutes_in_the_given_order(self):
         reqs = unsorted_requests()
-        assert Trips.of(reqs).window(5.5, 30.0) == [
+        assert ex.episode_requests(Trips.of(reqs), 5.5, 30.0) == [
             RideRequest(r.rid, r.minute - 5.5, r.pickup, r.dropoff, r.trip_minutes, r.distance_km)
             for r in reqs if 5.5 <= r.minute < 30.0]
-        assert Trips.of(reqs).window(31.0, 40.0) == []
+        assert ex.episode_requests(Trips.of(reqs), 31.0, 40.0) == []
 
 
 def vehicles(sim):
@@ -560,7 +561,7 @@ class TestFinalize:
     def test_five_percent_reject_rate(self):
         from fleetsim.sim import EpisodeMetrics
 
-        m = EpisodeMetrics(n_vehicles=2)
+        m = EpisodeMetrics(occupied_minutes=np.zeros(2))
         m.total_requests = 100
         m.rejects = 5
         m.accepted = 95
@@ -573,7 +574,7 @@ class TestFinalize:
     def test_zero_accepted_yields_none_sentinels(self):
         from fleetsim.sim import EpisodeMetrics
 
-        m = EpisodeMetrics(n_vehicles=1)
+        m = EpisodeMetrics(occupied_minutes=np.zeros(1))
         m.total_requests = 3
         m.rejects = 3
         m.elapsed_minutes = 10
@@ -584,11 +585,37 @@ class TestFinalize:
     def test_always_occupied_vehicle_utilization_one(self):
         from fleetsim.sim import EpisodeMetrics
 
-        m = EpisodeMetrics(n_vehicles=1)
+        m = EpisodeMetrics(occupied_minutes=np.zeros(1))
         m.elapsed_minutes = 50
         m.occupied_minutes[0] = 50.0
         report = finalize_metrics(m)
         assert report["utilization_mean"] == pytest.approx(1.0)
+
+    def test_add_sums_every_field_the_minutes_and_each_hour(self):
+        """Every outcome field of two episodes, and of an hour of each, holds a
+        distinct value, so ``add`` cannot skip or cross a field, one added later
+        included, without a wrong sum."""
+        from fleetsim.sim import EpisodeMetrics, Outcomes
+
+        names = [f.name for f in dataclasses.fields(Outcomes)]
+        days = []
+        for day in range(2):
+            m = EpisodeMetrics(occupied_minutes=np.array([1.0 + day, 3.0 * day]),
+                               elapsed_minutes=60 + day)
+            for k, name in enumerate(names):
+                setattr(m, name, 10 * day + k + 1)
+                setattr(m.hour(7), name, 100 + 10 * day + k + 1)
+            days.append(m)
+        total = EpisodeMetrics(occupied_minutes=np.zeros(2))
+        for m in days:
+            total.add(m)
+        for name in names:
+            assert getattr(total, name) == getattr(days[0], name) + getattr(days[1], name)
+            assert getattr(total.hourly[7], name) == \
+                getattr(days[0].hourly[7], name) + getattr(days[1].hourly[7], name)
+        assert total.occupied_minutes.tolist() == [3.0, 3.0]
+        assert total.elapsed_minutes == 121
+        assert list(total.hourly) == [7]
 
 
 def test_view_of_vehicle_outside_grid_raises():
@@ -683,7 +710,7 @@ def fleet_state(sim):
 def metrics_state(m):
     return (m.total_requests, m.rejects, m.accepted, m.wait_sum, m.cruise_sum,
             m.elapsed_minutes, m.occupied_minutes.tolist(),
-            {hour: dict(bucket) for hour, bucket in m.hourly.items()})
+            {hour: dataclasses.astuple(outcomes) for hour, outcomes in m.hourly.items()})
 
 
 def view_state(view):
@@ -1113,8 +1140,8 @@ class TestColumnEdgeCases:
             215)
         hourly = sim.metrics.hourly
         assert sorted(hourly) == [0, 1, 3]
-        assert hourly[1]["requests"] == 0
-        assert hourly[1]["cruise_sum"] == 20.0
+        assert hourly[1].total_requests == 0
+        assert hourly[1].cruise_sum == 20.0
 
 
 def heat_bytes(view):

@@ -407,6 +407,51 @@ def test_request_end_use_detection():
     assert request_end_uses(source) == ["<module>", "Reader.ends", "f.g"]
 
 
+# the fields of ``sim.Outcomes`` and ``sim.EpisodeMetrics`` that count an episode
+OUTCOME_FIELDS = ("total_requests", "rejects", "accepted", "wait_sum", "cruise_sum",
+                  "elapsed_minutes", "occupied_minutes")
+
+
+def outcome_writes(source: str) -> list[str]:
+    """The dotted scope of each statement that assigns, or adds to, an attribute
+    named in ``OUTCOME_FIELDS`` or an item of one."""
+    def written(target) -> bool:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(written(t) for t in target.elts)
+        if isinstance(target, ast.Subscript):
+            target = target.value
+        return isinstance(target, ast.Attribute) and target.attr in OUTCOME_FIELDS
+
+    def hit(node, scope) -> bool:
+        if isinstance(node, ast.Assign):
+            return any(written(t) for t in node.targets)
+        return isinstance(node, (ast.AugAssign, ast.AnnAssign)) and written(node.target)
+
+    return scopes_where(source, hit)
+
+
+def test_only_the_simulator_counts_outcomes():
+    """Every outcome is counted, and every sum of them made, in ``sim.py``:
+    ``Outcomes.count`` and ``add``, ``EpisodeMetrics.add`` and
+    ``Simulation._accrue``.  Other modules read the record, so a counter added
+    to it is summed over days and hours with no edit outside ``sim.py``."""
+    found = {str(p.relative_to(SRC)): outcome_writes(p.read_text(encoding="utf-8"))
+             for p in MODULES}
+    assert {m: scopes for m, scopes in found.items() if scopes and m != "sim.py"} == {}
+    assert "Simulation._accrue" in found["sim.py"]
+
+
+def test_outcome_write_detection():
+    source = ("TOTAL.rejects = 0\n"
+              "class Day:\n    def add(self, m):\n        self.wait_sum += m.wait_sum\n"
+              "        self.occupied_minutes[m.busy] += 1.0\n"
+              "def f(m, h):\n    def g():\n        m.hourly[h].accepted, n = 1, 2\n"
+              "    m.cruise_sum: float = 0.0\n"
+              "    x: float = m.elapsed_minutes\n    m.total = m.total_requests + 1\n"
+              "    m.report()['rejects'] = 0\n    rejects = 3\n    return g\n")
+    assert outcome_writes(source) == ["<module>", "Day.add", "Day.add", "f.g", "f"]
+
+
 def unread_names(readers: list[Path]) -> list[str]:
     """``module:name`` of each module-level name in the package that no file in
     ``readers`` reads."""
