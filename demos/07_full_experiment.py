@@ -1,8 +1,8 @@
 """End to end at pocket scale: synthesize, train, simulate, compare.
 
 A miniature city (10x10 cells, 30 vehicles, one day) keeps this demo in
-the tens of seconds.  The chapter-scale comparison lives in the
-acceptance suite.  The nearest command-line runs are:
+the tens of seconds.  Nothing runs the chapter-scale comparison yet; the
+nearest command-line runs are:
 
     fleetsim --config city.cfg synth-data
     fleetsim --config city.cfg simulate

@@ -133,9 +133,10 @@ class ExperimentConfig:
 _RULES = (
     ("at least 1", lambda v: v >= 1,
      ("vehicles", "days", "fine_rows", "fine_cols", "region_block", "zone_block",
-      "train_days", "rhc_slot_minutes", "dqn_sync_period", "dqn_buffer", "dqn_batch")),
+      "train_days", "rhc_slot_minutes", "rhc_horizon", "dqn_sync_period", "dqn_buffer",
+      "dqn_batch")),
     ("non-negative", lambda v: v >= 0,
-     ("seed", "train_seed", "warmup_minutes", "eta_epochs", "demand_epochs", "rhc_horizon",
+     ("seed", "train_seed", "warmup_minutes", "eta_epochs", "demand_epochs",
       "dqn_train_steps", "dqn_eps_ramp", "dqn_alpha_ramp")),
     ("in 0-23", lambda v: 0 <= v <= 23, ("day_start_hour",)),
     ("in -90 to 90", lambda v: -90 <= v <= 90, ("origin_lat",)),

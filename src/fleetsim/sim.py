@@ -24,15 +24,16 @@ that row alone gives, so batching a phase changes no move's time.
 A simulation's state is its fleet and its sorted requests.  The fleet is
 kept in numpy columns indexed by vehicle id: status; location; departure
 and arrival time (arrival is +inf while a vehicle stands idle); the
-committed ride's trip minutes, dropoff, straight-line meters and request
-id; the idle rule's last dropoff, last ride and ordered-since-dropoff
-flag; the cumulative pickup and dispatch-minute counters; and the current
+committed ride's row of the sorted requests (-1 before the first match);
+the idle rule's last dropoff, last ride and ordered-since-dropoff flag;
+the cumulative pickup and dispatch-minute counters; and the current
 route as padded ``(N, L)`` arrays of waypoint latitude, longitude and
 cumulative length, with a waypoint count per vehicle.  A route's last
-waypoint is its destination, and its unused length slots hold +inf.  So
-the per-minute work (due arrivals, the free-vehicle snapshot, positions,
-the idle set, the view and the minute's accruals) is array operations;
-Python loops run only over the requests, and the matched and ordered
+waypoint is its destination, and its unused length slots hold +inf;
+:meth:`Simulation._set_route` writes every route.  So the per-minute work
+(due arrivals, the free-vehicle snapshot, positions, the idle set, the
+view and the minute's accruals) is array operations; Python loops run
+only over the requests, and the matched, picked-up and ordered
 vehicles they route.  :attr:`Simulation.fleet` is a read-only snapshot of
 each vehicle's id and status; nothing done to it reaches the simulation.
 The requests are their columns, sorted by minute and id, and each one's
@@ -345,18 +346,13 @@ class Simulation:
             )
         n = n_vehicles
         self.n_vehicles = n
-        # the fleet's columns (module docstring); depart is NaN before the
-        # first route, the dropoff NaN before the first ride
+        # the fleet's columns (module docstring); depart is NaN before the first route
         self._status = np.full(n, IDLE, dtype=np.int64)
         self._lat = self.requests.pickup_lat[:n].copy()
         self._lon = self.requests.pickup_lon[:n].copy()
         self._depart = np.full(n, np.nan)
         self._arrival = np.full(n, np.inf)
-        self._ride_trip = np.zeros(n)
-        self._drop_lat = np.full(n, np.nan)
-        self._drop_lon = np.full(n, np.nan)
-        self._ride_m = np.zeros(n)
-        self._ride_id = np.full(n, -1, dtype=np.int64)
+        self._ride_row = np.full(n, -1, dtype=np.int64)
         self._last_dropoff = np.full(n, -np.inf)
         self._last_ride = np.full(n, -np.inf)
         self._ordered = np.zeros(n, dtype=bool)
@@ -499,7 +495,8 @@ class Simulation:
         Each round takes the vehicles due: all reach their destinations, a
         dispatch move or a ride ends there, and a pickup starts its ride at
         once, so a ride that ends by ``t`` too completes in a later round.
-        Vehicles are independent, so a round is array operations.
+        Vehicles are independent, so a round is array operations, but for
+        each pickup's :meth:`_set_route` call.
         """
         arrival = self._arrival
         while True:
@@ -510,26 +507,23 @@ class Simulation:
             end = self._route_len[due] - 1
             self._lat[due] = self._route_lat[due, end]
             self._lon[due] = self._route_lon[due, end]
-            ride = status == TO_PICKUP
-            self._stand(due[~ride])
+            picked_up = status == TO_PICKUP
+            self._stand(due[~picked_up])
             dropped = status == OCCUPIED
             self._last_dropoff[due[dropped]] = times[dropped]
             self._ordered[due[dropped]] = False
-            self._ride_id[due[dropped]] = -1
             # a pickup starts the straight two-point ride to the dropoff
-            riders = due[ride]
+            riders = due[picked_up]
             self._status[riders] = OCCUPIED
             self._pickups[riders] += 1
-            self._route_lat[riders, 0] = self._lat[riders]
-            self._route_lon[riders, 0] = self._lon[riders]
-            self._route_lat[riders, 1] = self._drop_lat[riders]
-            self._route_lon[riders, 1] = self._drop_lon[riders]
-            self._route_cum[riders, 0] = 0.0
-            self._route_cum[riders, 1] = 0.0 + self._ride_m[riders]
-            self._route_cum[riders, 2:] = np.inf
-            self._route_len[riders] = 2
-            self._depart[riders] = times[ride]
-            arrival[riders] = times[ride] + self._ride_trip[riders]
+            q, rows = self.requests, self._ride_row[riders]
+            rides = zip(riders.tolist(), self._lat[riders].tolist(), self._lon[riders].tolist(),
+                        q.pickup_lat[rows].tolist(), q.pickup_lon[rows].tolist(),
+                        q.dropoff_lat[rows].tolist(), q.dropoff_lon[rows].tolist(),
+                        times[picked_up].tolist(), q.trip_minutes[rows].tolist())
+            for vid, lat, lon, p_lat, p_lon, d_lat, d_lon, when, trip in rides:
+                meters = haversine_coords(p_lat, p_lon, d_lat, d_lon)
+                self._set_route(vid, [lat, d_lat], [lon, d_lon], [meters], when, when + trip)
 
     def _match_requests(self, t: float, measured: bool) -> None:
         q = self.requests
@@ -560,13 +554,7 @@ class Simulation:
         vids = free[taken]
         self._status[vids] = TO_PICKUP
         self._last_ride[vids] = t
-        self._ride_trip[vids] = q.trip_minutes[riders]
-        self._drop_lat[vids] = q.dropoff_lat[riders]
-        self._drop_lon[vids] = q.dropoff_lon[riders]
-        ends = zip(lats[matched].tolist(), lons[matched].tolist(),
-                   self._drop_lat[vids].tolist(), self._drop_lon[vids].tolist())
-        self._ride_m[vids] = [haversine_coords(*end) for end in ends]
-        self._ride_id[vids] = q.rid[riders]
+        self._ride_row[vids] = riders
         moves = iter(self._plan_moves(free_lat[taken], free_lon[taken], lats[matched],
                                       lons[matched], self.clock0.plus(t)))
 
@@ -596,9 +584,11 @@ class Simulation:
         to_pickup = status == TO_PICKUP
         end = np.maximum(self._route_len - 1, 0)
         dest_lat, dest_lon = self._route_lat[ids, end], self._route_lon[ids, end]
-        next_lat = np.where(standing, lat, np.where(to_pickup, self._drop_lat, dest_lat))
-        next_lon = np.where(standing, lon, np.where(to_pickup, self._drop_lon, dest_lon))
-        left = np.where(to_pickup, self._arrival + self._ride_trip - t, self._arrival - t)
+        # the committed ride's row; -1 before a first match, read only where to_pickup
+        q, row = self.requests, self._ride_row
+        next_lat = np.where(standing, lat, np.where(to_pickup, q.dropoff_lat[row], dest_lat))
+        next_lon = np.where(standing, lon, np.where(to_pickup, q.dropoff_lon[row], dest_lon))
+        left = np.where(to_pickup, self._arrival + q.trip_minutes[row] - t, self._arrival - t)
         minutes = np.where(standing, 0.0, np.where(left > 0.0, left, 0.0))
         rows, cols = cell_arrays(np.concatenate([lat, next_lat]),
                                  np.concatenate([lon, next_lon]), self.grid)

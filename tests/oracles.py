@@ -1,4 +1,4 @@
-"""Independent brute-force oracles shared by the unit and acceptance suites.
+"""Independent brute-force oracles shared by the test modules.
 
 These stay deliberately naive: enumeration and elementary linear algebra
 only, none of the code paths they are used to check.  Some restate, as a

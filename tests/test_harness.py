@@ -183,6 +183,7 @@ class TestConfig:
         ("demand_lr", "nan"), ("demand_lr", "0"),
         ("dqn_lr", "-1"), ("dqn_lr", "nan"),
         ("rhc_slot_minutes", "0"), ("rhc_slot_minutes", "-15"), ("rhc_horizon", "-1"),
+        ("rhc_horizon", "0"),
         ("dqn_discount", "1.5"), ("dqn_discount", "0"), ("dqn_discount", "nan"),
         ("rhc_discount", "-0.5"), ("rhc_discount", "1.01"),
         ("warmup_minutes", "-5"), ("eta_epochs", "-1"), ("demand_epochs", "-2"),
@@ -201,12 +202,12 @@ class TestConfig:
             parse_config(text="seed = 1\n", overrides={key: value})
 
     def test_edge_training_and_policy_values_accepted(self):
-        cfg = parse_config(text="seed = 1\nrhc_slot_minutes = 1\nrhc_horizon = 0\n"
+        cfg = parse_config(text="seed = 1\nrhc_slot_minutes = 1\nrhc_horizon = 1\n"
                                 "dqn_discount = 1\nrhc_discount = 1\nwarmup_minutes = 0\n"
                                 "eta_epochs = 0\ndemand_epochs = 0\nday_start_hour = 0\n"
                                 "idle_window_minutes = 0\ndqn_decision_interval = 0\n"
                                 "eta_lr = 1e-12\n")
-        assert (cfg.rhc_slot_minutes, cfg.rhc_horizon, cfg.dqn_discount) == (1, 0, 1.0)
+        assert (cfg.rhc_slot_minutes, cfg.rhc_horizon, cfg.dqn_discount) == (1, 1, 1.0)
         assert cfg.idle_window_minutes == cfg.dqn_decision_interval == 0.0
         assert parse_config(text="seed = 1\nday_start_hour = 23\n").day_start_hour == 23
         cfg = parse_config(text="seed = 1\ndqn_train_steps = 0\ndqn_eps_ramp = 0\n"
@@ -771,6 +772,39 @@ class TestExperiment:
         rhc_cfg = dataclasses.replace(cfg, policy="rhc")
         result = ex.run_experiment(rhc_cfg, city=city, bundle=bundle)
         assert result["aggregate"]["total_requests"] > 0
+
+    def test_a_view_is_a_snapshot(self, mini_world):
+        """A policy that writes over every array of its view after dispatching
+        changes nothing in the simulation: the episode's outcomes and every
+        fleet column equal those of the run that leaves its views alone."""
+        cfg, city, bundle = mini_world
+
+        class Scribbler:
+            def __init__(self, policy):
+                self.policy, self.cycle, self.arrays = policy, policy.cycle, 0
+
+            def dispatch(self, view):
+                orders = self.policy.dispatch(view)
+                for f in dataclasses.fields(view):
+                    value = getattr(view, f.name)
+                    if isinstance(value, np.ndarray):
+                        value[...] = np.nan if value.dtype.kind == "f" else -1
+                        self.arrays += 1
+                return orders
+
+        runs = []
+        for wrap in (lambda policy: policy, Scribbler):
+            policy = wrap(ex.make_policy(cfg, "rhc", city, bundle))
+            start, _ = ex.day_window(cfg, 0)
+            sim = ex.make_simulation(cfg, city, bundle,
+                                     ex.episode_requests(city.requests, start, start + 600),
+                                     policy, start)
+            metrics = sim.run(600)
+            runs.append((finalize_metrics(metrics), metrics.occupied_minutes.tobytes(),
+                         {name: value.tobytes() for name, value in vars(sim).items()
+                          if isinstance(value, np.ndarray)}))
+        assert policy.arrays > 0 and sim._dispatch_minutes.any()  # it wrote, and rhc moved
+        assert runs[1] == runs[0]
 
     def test_dqn_smoke_train_and_run(self, mini_world):
         cfg, city, bundle = mini_world

@@ -195,23 +195,27 @@ def vehicles(sim):
     rows = zip(range(sim.n_vehicles), sim._status.tolist(), sim._lat.tolist(),
                sim._lon.tolist(), sim._depart.tolist(), sim._arrival.tolist(),
                sim._route_len.tolist(), sim._route_lat.tolist(), sim._route_lon.tolist(),
-               sim._route_cum.tolist(), sim._ride_trip.tolist(), sim._drop_lat.tolist(),
-               sim._drop_lon.tolist(), sim._ride_id.tolist(), sim._last_dropoff.tolist(),
+               sim._route_cum.tolist(), sim._ride_row.tolist(), sim._last_dropoff.tolist(),
                sim._last_ride.tolist(), sim._ordered.tolist(), sim._pickups.tolist(),
                sim._dispatch_minutes.tolist())
     out = []
-    for (vid, status, lat, lon, depart, arrival, n, route_lat, route_lon, cum, trip,
-         drop_lat, drop_lon, rid, dropoff_t, ride_t, ordered, pickups, cruise) in rows:
+    for (vid, status, lat, lon, depart, arrival, n, route_lat, route_lon, cum, row,
+         dropoff_t, ride_t, ordered, pickups, cruise) in rows:
         moving = status != IDLE
         path = tuple(map(Location, route_lat[:n], route_lon[:n])) if moving else ()
+        # the last matched request: its trip and dropoff stay with the vehicle,
+        # its id only while the vehicle is committed to it
+        ride = sim.requests[row] if row >= 0 else None
         out.append(VehicleState(
             vid=vid, loc=Location(lat, lon), status=status,
             dest=path[-1] if moving else None,
             arrival_time=arrival if moving else None,
             depart_time=depart if n else None, path=path,
-            path_cumlen=cum[:n] if n else None, ride_trip_minutes=trip,
-            ride_dropoff=None if np.isnan(drop_lat) else Location(drop_lat, drop_lon),
-            ride_id=rid, last_dropoff_time=dropoff_t, last_ride_time=ride_t,
+            path_cumlen=cum[:n] if n else None,
+            ride_trip_minutes=ride.trip_minutes if ride is not None else 0.0,
+            ride_dropoff=ride.dropoff if ride is not None else None,
+            ride_id=ride.rid if status in (TO_PICKUP, OCCUPIED) else -1,
+            last_dropoff_time=dropoff_t, last_ride_time=ride_t,
             ordered_since_dropoff=ordered, pickups=pickups, dispatch_minutes=cruise))
     return out
 

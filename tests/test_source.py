@@ -452,6 +452,63 @@ def test_outcome_write_detection():
     assert outcome_writes(source) == ["<module>", "Day.add", "Day.add", "f.g", "f"]
 
 
+def write_only_attributes(source: str, cls: str) -> list[str]:
+    """The ``self._name`` attributes that class ``cls`` of ``source`` assigns and
+    never reads.  Plain, annotated, tuple and augmented assignments write, and
+    so does a store into an item of one (``self._x[i] = v``), which reads the
+    index but not ``self._x``."""
+    body = next(n for n in ast.parse(source).body
+                if isinstance(n, ast.ClassDef) and n.name == cls)
+
+    def private(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+    stores = []
+
+    def store(target) -> None:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for t in target.elts:
+                store(t)
+        elif isinstance(target, ast.Starred):
+            store(target.value)
+        elif isinstance(target, ast.Subscript):
+            store(target.value)
+        elif private(target):
+            stores.append(target)
+
+    for node in ast.walk(body):
+        if isinstance(node, ast.Assign):
+            for t in node.targets:
+                store(t)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            store(node.target)
+    written = {n.attr for n in stores}
+    read = {n.attr for n in ast.walk(body)
+            if private(n) and not any(n is s for s in stores)}
+    return sorted(written - read)
+
+
+def test_the_simulator_reads_every_column_it_writes():
+    """A column of ``Simulation`` that nothing in it reads is a copy kept for
+    its own sake; what a test needs of it, it derives from the columns that
+    the simulator reads."""
+    source = (SRC / "sim.py").read_text(encoding="utf-8")
+    assert write_only_attributes(source, "Simulation") == []
+
+
+def test_write_only_attribute_detection():
+    source = ("class Sim:\n    def __init__(self):\n"
+              "        self._a, self._b = 0, [0]\n"
+              "        self._c, (self._d, *self._e) = 1, (2, 3)\n"
+              "        self._f = 0\n        self._f += 1\n        self.public = 1\n"
+              "    def step(self, i):\n        self._b[self._a][i] = 1\n"
+              "        self._g: int = 3\n        self._h = self._h + 1\n"
+              "        return self._d + self._step()\n"
+              "class Other:\n    def read(self):\n        return self._c, self._e\n")
+    assert write_only_attributes(source, "Sim") == ["_b", "_c", "_e", "_f", "_g"]
+
+
 def unread_names(readers: list[Path]) -> list[str]:
     """``module:name`` of each module-level name in the package that no file in
     ``readers`` reads."""
