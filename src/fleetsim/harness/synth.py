@@ -10,7 +10,11 @@ the seed.
 
 The order of the random draws per trip is part of the output: every
 city, trained model and benchmark outcome depends on it, so a rewrite of
-:func:`synth_city` must make the same generator calls in the same order.
+:func:`synth_city` must draw the same numbers in the same order.  It may
+draw them in fewer calls, by three identities: ``Generator.random(k)``
+returns the doubles of ``k`` scalar ``random()`` calls; ``normal(loc,
+scale)`` is ``loc + scale * standard_normal()``; and on this numpy, an
+array ``np.exp`` equals the scalar ``np.exp`` element for element.
 ``tests/oracles.py::synth_city_reference`` keeps the per-trip numpy form,
 with a :class:`sim.RideRequest` per trip, as an equality oracle.
 :func:`synth_city` itself keeps no per-trip object: each kept trip's
@@ -30,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..geo import GridSpec, RegionMap, center_of, haversine, haversine_coords
+from ..geo import EARTH_RADIUS_M, GridSpec, RegionMap, center_of, haversine
 from ..roadgraph import RoadGraph, build_graph, save_edge_list
 from ..sim import Trips
 from .config import ConfigError, ExperimentConfig
@@ -41,6 +45,8 @@ SLOT_MINUTES = 30
 # the demand level's log-normal spread and its correlation time, in rate slots
 _LEVEL_SIGMA = 0.22
 _LEVEL_CORR_SLOTS = 6.0
+# the factor by which math.radians multiplies
+_RADIANS_PER_DEGREE = math.radians(1.0)
 
 
 @dataclass
@@ -168,9 +174,12 @@ def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
     scatter coordinates or a hotspot (one uniform against the hour's
     destination CDF, as ``Generator.choice`` draws it) with a normal and
     a uniform per coordinate, and last, unless the hop is under 100 m,
-    the duration noise.  A trip time that is not finite raises
-    :class:`ConfigError` naming ``synth_noise`` and ``synth_speed_kmh``,
-    with no numpy overflow warning before it.
+    the duration noise.  The first five uniforms come from one
+    ``random(5)``, and each normal is ``scale * standard_normal()``.  The
+    noise scales the trip times after the loop, by one array ``np.exp``.
+    A trip time that is not finite raises :class:`ConfigError` naming
+    ``synth_noise`` and ``synth_speed_kmh`` and the first such time in
+    draw order, with no numpy overflow warning before it.
     """
     rng = np.random.default_rng(seed)
     grid, regions, zones = cfg.layout()
@@ -187,46 +196,59 @@ def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
     lat0, lon0, d_lat, d_lon = grid.origin.lat, grid.origin.lon, grid.d_lat, grid.d_lon
     rows, cols = grid.rows, grid.cols
     row_hi, col_hi = rows - 1e-6, cols - 1e-6
-    noise = cfg.synth_noise
-    random, normal, poisson = rng.random, rng.normal, rng.poisson
+    random, standard_normal, poisson = rng.random, rng.standard_normal, rng.poisson
+    sin, cos, asin, sqrt = math.sin, math.cos, math.asin, math.sqrt
+    rad, diameter = _RADIANS_PER_DEGREE, 2.0 * EARTH_RADIUS_M
     # each kept trip's minute, pickup and dropoff coordinates, trip minutes
-    # and km, in draw order
-    table = array("d")
-    keep = table.extend
-    # a trip time that overflows is refused below, so its exp need not warn
-    with np.errstate(over="ignore"):
-        for day in range(days):
-            dow = (cfg.epoch_dow + day) % 7
-            for slot in range(48):
-                slot_start = day * 1440.0 + slot * SLOT_MINUTES
-                speed, cdf = speeds[slot], dest_cdfs[slot]
-                counts = poisson(rates[dow, slot] * level[day * 48 + slot])
-                cell_r, cell_c = np.nonzero(counts)
-                for r, c, n in zip(cell_r.tolist(), cell_c.tolist(),
-                                   counts[cell_r, cell_c].tolist()):
-                    for _ in range(n):
-                        minute = slot_start + SLOT_MINUTES * random()
-                        pickup = (lat0 + (r + random()) * d_lat, lon0 + (c + random()) * d_lon)
-                        if random() < 0.45:
-                            dr = rows * random()
-                            dc = cols * random()
-                        else:
-                            r0, c0, sigma = spots[bisect_right(cdf, random())]
-                            dr = min(max(r0 + normal(0, sigma) + random(), 0.0), row_hi)
-                            dc = min(max(c0 + normal(0, sigma) + random(), 0.0), col_hi)
-                        dropoff = (lat0 + dr * d_lat, lon0 + dc * d_lon)
-                        straight = haversine_coords(*pickup, *dropoff)
-                        if straight < 100.0:
-                            continue  # hop too short to be a recorded taxi trip
-                        dist_km = straight * 1.25 / 1000.0
-                        minutes = dist_km / speed * 60.0 * float(np.exp(normal(0.0, noise)))
-                        if not math.isfinite(minutes):
-                            raise ConfigError(
-                                f"a synthesised trip time is {minutes} minutes: lower "
-                                f"synth_noise ({noise}) or raise synth_speed_kmh "
-                                f"({cfg.synth_speed_kmh})")
-                        keep((minute, *pickup, *dropoff, max(1.0, minutes), dist_km))
+    # before noise and km, in draw order; and its standard-normal noise draw
+    table, draws = array("d"), array("d")
+    keep, keep_draw = table.extend, draws.append
+    for day in range(days):
+        dow = (cfg.epoch_dow + day) % 7
+        for slot in range(48):
+            slot_start = day * 1440.0 + slot * SLOT_MINUTES
+            speed, cdf = speeds[slot], dest_cdfs[slot]
+            counts = poisson(rates[dow, slot] * level[day * 48 + slot])
+            cell_r, cell_c = np.nonzero(counts)
+            for r, c, n in zip(cell_r.tolist(), cell_c.tolist(),
+                               counts[cell_r, cell_c].tolist()):
+                for _ in range(n):
+                    # the fifth uniform is the scatter row, or the hotspot's draw
+                    u_minute, u_row, u_col, coin, u_dest = random(5).tolist()
+                    pick_lat = lat0 + (r + u_row) * d_lat
+                    pick_lon = lon0 + (c + u_col) * d_lon
+                    if coin < 0.45:
+                        dr = rows * u_dest
+                        dc = cols * random()
+                    else:
+                        r0, c0, sigma = spots[bisect_right(cdf, u_dest)]
+                        dr = min(max(r0 + sigma * standard_normal() + random(), 0.0), row_hi)
+                        dc = min(max(c0 + sigma * standard_normal() + random(), 0.0), col_hi)
+                    drop_lat, drop_lon = lat0 + dr * d_lat, lon0 + dc * d_lon
+                    # geo.haversine_coords, operation for operation
+                    lat1, lat2 = pick_lat * rad, drop_lat * rad
+                    h = (sin((lat2 - lat1) / 2.0) ** 2 + cos(lat1) * cos(lat2)
+                         * sin((drop_lon * rad - pick_lon * rad) / 2.0) ** 2)
+                    straight = diameter * asin(min(1.0, sqrt(h)))
+                    if straight < 100.0:
+                        continue  # hop too short to be a recorded taxi trip
+                    dist_km = straight * 1.25 / 1000.0
+                    keep((slot_start + SLOT_MINUTES * u_minute, pick_lat, pick_lon,
+                          drop_lat, drop_lon, dist_km / speed * 60.0, dist_km))
+                    keep_draw(standard_normal())
     table = np.frombuffer(table).reshape(-1, 7)
+    minutes, noise = table[:, 5], np.frombuffer(draws)
+    # normal(0, s) is 0.0 + s * standard_normal(), and its exp is the same
+    # without the 0.0: exp(-0.0) is 1.0
+    noise *= cfg.synth_noise
+    minutes *= np.exp(noise, out=noise)
+    bad = np.flatnonzero(~np.isfinite(minutes))
+    if bad.size:
+        raise ConfigError(
+            f"a synthesised trip time is {minutes[bad[0]]} minutes: lower "
+            f"synth_noise ({cfg.synth_noise}) or raise synth_speed_kmh "
+            f"({cfg.synth_speed_kmh})")
+    np.maximum(minutes, 1.0, out=minutes)
     # stable: equal minutes keep their draw order
     table = table[np.argsort(table[:, 0], kind="stable")]
     trips = Trips(np.arange(len(table)), *table.T)

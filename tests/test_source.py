@@ -211,23 +211,23 @@ def test_concurrency_detection():
                                         "os.forkpty", "threading"]
 
 
-def scipy_imports(source: str) -> list[str]:
+def package_imports(source: str, package: str) -> list[str]:
     """The module named by each ``import`` or absolute ``from ... import`` statement of
-    a module, at any depth, that is ``scipy`` or a module under it."""
+    a module, at any depth, that is ``package`` or a module under it."""
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names += [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
             names.append(node.module)
-    return [n for n in names if n.split(".")[0] == "scipy"]
+    return [n for n in names if n.split(".")[0] == package]
 
 
 def test_no_module_imports_scipy():
     """The LP solver loads HiGHS's extension by its path (``lp.highs_bindings``):
     an import of any scipy module runs the ``scipy`` package first, and one under
     ``scipy.optimize`` runs that whole package, which costs the RHC policy 46 MB."""
-    found = {str(p.relative_to(SRC)): scipy_imports(p.read_text(encoding="utf-8"))
+    found = {str(p.relative_to(SRC)): package_imports(p.read_text(encoding="utf-8"), "scipy")
              for p in MODULES}
     assert {m: names for m, names in found.items() if names} == {}
 
@@ -236,8 +236,24 @@ def test_scipy_import_detection():
     source = ("import os, scipy.optimize._highspy._core\nfrom scipy.optimize import linprog\n"
               "from .scipy import x\nimport scipyx\nfrom importlib import util\n"
               "def f():\n    from scipy import sparse\n    return sparse\n")
-    assert scipy_imports(source) == ["scipy.optimize._highspy._core", "scipy.optimize",
-                                     "scipy"]
+    assert package_imports(source, "scipy") == ["scipy.optimize._highspy._core",
+                                                "scipy.optimize", "scipy"]
+
+
+def test_only_blas_and_set_up_reach_into_native_libraries():
+    """``ctypes`` calls C with no check of its arguments: only :mod:`blas`, which pins
+    numpy's OpenBLAS to one thread, and the set-up's demand-fit worker, which sets
+    its own allocator with libc's ``mallopt``, use it."""
+    found = {str(p.relative_to(SRC)): package_imports(p.read_text(encoding="utf-8"), "ctypes")
+             for p in MODULES}
+    assert {m: names for m, names in found.items() if names} == {
+        "blas.py": ["ctypes"], "harness/experiment.py": ["ctypes"]}
+
+
+def test_ctypes_import_detection():
+    source = ("import os, ctypes.util\nfrom ctypes import CDLL\nfrom .ctypes import x\n"
+              "import ctypesx\ndef f():\n    import ctypes as c\n    return c\n")
+    assert package_imports(source, "ctypes") == ["ctypes.util", "ctypes", "ctypes"]
 
 
 # what reads or writes a file of numpy arrays, and what encodes bytes as text
