@@ -4,14 +4,13 @@ A miniature city (10x10 cells, 30 vehicles, one day) keeps this demo in
 the tens of seconds.  Nothing runs the chapter-scale comparison yet; the
 nearest command-line runs are:
 
-    fleetsim --config city.cfg synth-data
     fleetsim --config city.cfg simulate
     fleetsim --config city.cfg --set policy=rhc simulate
     fleetsim --config city.cfg report
 
-They print other numbers than this script: ``simulate`` reads the city
-files that ``synth-data`` wrote, whose trip times are rounded to the
-second, while this script simulates the synthesised city in memory.
+With this script's settings in ``city.cfg``, they print this script's
+numbers: ``simulate`` synthesises the same city from the same config and
+seed.
 """
 
 import dataclasses
@@ -23,7 +22,7 @@ from fleetsim.harness.synth import synth_city
 
 tmp = tempfile.mkdtemp(prefix="fleetsim-demo-")
 cfg = ExperimentConfig(
-    seed=21, data_dir=f"{tmp}/city", out_dir=f"{tmp}/runs",
+    seed=21, out_dir=f"{tmp}/runs",
     fine_rows=10, fine_cols=10, cell_size_m=600.0, region_block=1, zone_block=5,
     vehicles=30, days=1, trips_per_day=1200.0, train_days=3,
     eta_epochs=8, demand_epochs=20,

@@ -1,1 +1,1 @@
-"""Data ingestion, synthetic workloads, experiment orchestration and the CLI."""
+"""Synthetic cities, experiment orchestration and the CLI."""

@@ -15,9 +15,7 @@ from pathlib import Path
 
 from ..blas import pin_one_thread
 from ..neural import CheckpointError
-from ..roadgraph import EdgeListParseError
 from .config import ConfigError, parse_config
-from .ingest import TripDataError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -44,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override a config key (repeatable)")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("synth-data", help="generate the synthetic city files")
     sub.add_parser("train-models", help="fit the trip-time and demand models and "
                                         "estimate the zone trip-time/destination tables")
     sub.add_parser("train-dqn", help="train the Q-network in the simulator")
@@ -66,16 +63,6 @@ def _overrides(pairs: list[str]) -> dict:
 def _num(value, spec: str) -> str:
     """Format a metric; a run without one (None, or a blank summary cell) shows "-"."""
     return "-" if value is None or value == "" else format(float(value), spec)
-
-
-def _cmd_synth_data(cfg) -> int:
-    from .experiment import city_days
-    from .synth import synth_city, write_city
-
-    city = synth_city(cfg, cfg.seed, city_days(cfg))
-    info = write_city(city, cfg, cfg.data_dir)
-    print(f"wrote {info['n_trips']} trips and city files to {cfg.data_dir}")
-    return EXIT_OK
 
 
 def _cmd_train_models(cfg) -> int:
@@ -167,7 +154,6 @@ def _cmd_report(cfg) -> int:
 
 
 _HANDLERS = {
-    "synth-data": _cmd_synth_data,
     "train-models": _cmd_train_models,
     "train-dqn": _cmd_train_dqn,
     "simulate": _cmd_simulate,
@@ -187,8 +173,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TripDataError, EdgeListParseError, CheckpointError,
-            SummaryError, FileNotFoundError, OSError) as exc:
+    except (CheckpointError, SummaryError, FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

@@ -13,7 +13,7 @@ together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 from datetime import date
 
 from ..geo import GridSpec, Location, RegionMap
@@ -28,7 +28,8 @@ class ConfigError(ValueError):
 @dataclass
 class ExperimentConfig:
     seed: int
-    data_dir: str = "city"
+    # taken and dropped, not a key: perfbench/bench.py::make_config still passes it
+    data_dir: InitVar[str | None] = None
     out_dir: str = "runs"
     policy: str = "none"
     vehicles: int = 200

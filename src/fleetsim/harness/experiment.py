@@ -1,10 +1,9 @@
 """End-to-end experiment orchestration: models, policies, episodes, reports.
 
-A run takes one city, read from a directory (trips and roads) or
-synthesised in memory, trains or loads the shared models (ETA, demand,
-zone tables, optionally the Q-network), then simulates independent day
-episodes (4 a.m. to 4 a.m.) for the configured policy and writes
-machine-readable summaries.
+A run takes one city, synthesised in memory from the config and its seed,
+trains or loads the shared models (ETA, demand, zone tables, optionally
+the Q-network), then simulates independent day episodes (4 a.m. to
+4 a.m.) for the configured policy and writes machine-readable summaries.
 
 Set-up (:func:`train_models`, the ``train-models`` command) is the one
 way the models are built, and the one place the program uses a second
@@ -21,11 +20,9 @@ from __future__ import annotations
 import csv
 import ctypes
 import json
-import logging
 import math
 import multiprocessing
 from dataclasses import dataclass
-from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +34,10 @@ from .. import neural
 from .. import rhc as rhc_mod
 from ..clock import Clock, periodic_features
 from ..geo import GridSpec, RegionMap, cell_arrays
-from ..roadgraph import EdgeListParseError, load_edge_list
+from ..roadgraph import RoadGraph
 from ..sim import SLOT_MINUTES, EpisodeMetrics, Simulation, Trips, finalize_metrics
 from .config import ConfigError, ExperimentConfig
-from .ingest import TripDataError, ingest_trips
 from .synth import SynthCity, synth_city
-
-log = logging.getLogger(__name__)
 
 METRIC_NAMES = ("reject_rate", "mean_wait_minutes", "idle_cruise_per_accepted")
 SUMMARY_COLUMNS = (
@@ -64,7 +58,7 @@ class City:
     """
 
     grid: GridSpec
-    graph: object
+    graph: RoadGraph
     regions: RegionMap
     zones: RegionMap
     requests: Trips
@@ -78,48 +72,16 @@ def city_from_synth(sc: SynthCity) -> City:
     return City(sc.grid, sc.graph, sc.regions, sc.zones, sc.trips)
 
 
-def load_city(cfg: ExperimentConfig) -> City:
-    """Read the city directory ``cfg.data_dir``: ``trips.csv`` and ``roads.txt``.
-
-    The grid, the dispatch regions and the zones are the config's, as
-    :meth:`ExperimentConfig.layout` builds them: the Q-policy decodes a region id
-    as its row-major block of ``region_block`` cells a side, and the zone
-    tables were estimated on the ``zone_block`` blocks.  A ``regions.csv``
-    or ``zones.csv`` in the directory is not read.  A road node outside the
-    grid raises :class:`EdgeListParseError` naming ``roads.txt``, the node
-    and its location: a route through it would take a vehicle off the map.
-    """
-    base = Path(cfg.data_dir)
-    grid, regions, zones = cfg.layout()
-    epoch = datetime.fromisoformat(cfg.epoch_date)
-    requests, report = ingest_trips(base / "trips.csv", grid, epoch)
-    log.info("ingested %d trips (%d dropped out-of-bounds, %d non-positive)",
-             report.kept, report.dropped_bounds, report.dropped_duration)
-    roads = base / "roads.txt"
-    graph = load_edge_list(roads)
-    for nid, loc in graph.nodes.items():
-        if not grid.contains(loc.lat, loc.lon):
-            raise EdgeListParseError(f"{roads}: node {nid} at ({loc.lat}, {loc.lon}) "
-                                     "lies outside the grid")
-    return City(grid, graph, regions, zones, requests)
-
-
 def _check_fleet_windows(cfg: ExperimentConfig, requests: Trips,
-                         windows: list[tuple[float, float]], trips_file=None) -> None:
-    """Raise when a window ``[start, end)`` holds fewer requests than the vehicles
-    placed at their pickups: a :class:`TripDataError` naming ``trips_file`` for
-    requests read from one, else a :class:`ConfigError`."""
-    for day, (start, end) in enumerate(windows):
+                         windows: list[tuple[float, float]]) -> None:
+    """Raise :class:`ConfigError` when a window ``[start, end)`` holds fewer
+    requests than the vehicles placed at their pickups."""
+    for start, end in windows:
         count = int(np.count_nonzero((start <= requests.minute) & (requests.minute < end)))
-        if count >= cfg.vehicles:
-            continue
-        if trips_file is not None:
-            raise TripDataError(
-                f"{trips_file}: day {day} (minutes {start:g} to {end:g}) has {count} "
-                f"requests, fewer than the {cfg.vehicles} vehicles placed at their pickups")
-        raise ConfigError(f"the window from minute {start:g} has {count} requests, "
-                          f"fewer than the {cfg.vehicles} vehicles it places at their "
-                          "pickups; lower vehicles or raise trips_per_day")
+        if count < cfg.vehicles:
+            raise ConfigError(f"the window from minute {start:g} has {count} requests, "
+                              f"fewer than the {cfg.vehicles} vehicles it places at their "
+                              "pickups; lower vehicles or raise trips_per_day")
 
 
 # --- model training --------------------------------------------------------
@@ -544,14 +506,10 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
     fixes the count itself.  Where numpy ships no OpenBLAS, nothing is
     pinned, and outputs are byte-identical only between runs on the same
     BLAS at the same thread count, which that BLAS's own settings fix.
-    The city is ``city``, else the directory
-    ``cfg.data_dir`` when it holds a ``trips.csv``, else the city of
-    ``cfg.seed`` synthesised in memory.  A directory that ``synth-data``
-    wrote for the same seed does not give the same outcomes as the
-    synthesised city: :func:`synth.write_city` rounds every trip time to
-    the second.  A DQN policy without a saved Q-network or with one that
-    :func:`load_qnet` refuses, a bad city file, or a day window with fewer
-    requests than vehicles raises its error before any model is trained.
+    The city is ``city``, else the city of ``cfg.seed`` synthesised in
+    memory.  A DQN policy without a saved Q-network or with one that
+    :func:`load_qnet` refuses, or a day window with fewer requests than
+    vehicles, raises its error before any model is trained.
     """
     # the Q-network first: a run that cannot use the models trains none
     if cfg.policy in ("dqn", "dqn_star") and qnet is None:
@@ -561,17 +519,11 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
         qnet = load_qnet(qnet_path)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # the city next: a bad city file, or a day window shorter than the
-    # fleet, fails before any model is trained
-    trips_file = Path(cfg.data_dir) / "trips.csv"
-    if city is None and trips_file.exists():
-        city = load_city(cfg)
-    else:
-        trips_file = None
-        if city is None:
-            city = city_from_synth(synth_city(cfg, cfg.seed, city_days(cfg)))
-    _check_fleet_windows(cfg, city.requests, [day_window(cfg, day) for day in range(cfg.days)],
-                         trips_file)
+    # the city next: a day window shorter than the fleet fails before any
+    # model is trained
+    if city is None:
+        city = city_from_synth(synth_city(cfg, cfg.seed, city_days(cfg)))
+    _check_fleet_windows(cfg, city.requests, [day_window(cfg, day) for day in range(cfg.days)])
     if bundle is None:
         bundle = ensure_models(cfg)
 

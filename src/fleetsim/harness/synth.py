@@ -1,5 +1,8 @@
 """Synthetic desk-scale city: its trips and road network, on the config's layout.
 
+Every city the program runs is synthesised here, from the config and a
+seed; no city is read from or written to disk.
+
 Demand is a Poisson process over fine-grid cells whose intensity mixes a
 uniform floor with a handful of hotspots on daily commute, business and
 nightlife profiles (weekends damp the commute peaks and boost
@@ -19,8 +22,7 @@ array ``np.exp`` equals the scalar ``np.exp`` element for element.
 with a :class:`sim.RideRequest` per trip, as an equality oracle.
 :func:`synth_city` itself keeps no per-trip object: each kept trip's
 values go straight into one flat buffer, whose rows become the city's
-:class:`sim.Trips` columns, sorted by pickup minute.  :func:`write_city`
-writes ``trips.csv`` from those columns.
+:class:`sim.Trips` columns, sorted by pickup minute.
 """
 
 from __future__ import annotations
@@ -29,13 +31,11 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from datetime import datetime, timedelta
-from pathlib import Path
 
 import numpy as np
 
 from ..geo import EARTH_RADIUS_M, GridSpec, RegionMap, center_of, haversine
-from ..roadgraph import RoadGraph, build_graph, save_edge_list
+from ..roadgraph import RoadGraph, build_graph
 from ..sim import Trips
 from .config import ConfigError, ExperimentConfig
 
@@ -254,38 +254,3 @@ def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
     trips = Trips(np.arange(len(table)), *table.T)
     return SynthCity(grid=grid, graph=build_road_grid(grid), regions=regions,
                      zones=zones, trips=trips)
-
-
-def _iso(epoch: datetime, minute: float) -> str:
-    return (epoch + timedelta(seconds=round(minute * 60.0))).isoformat(sep=" ")
-
-
-def write_city(city: SynthCity, cfg: ExperimentConfig, out_dir) -> dict:
-    """Write the city directory: ``trips.csv`` and ``roads.txt``.
-
-    The grid, the regions and the zones are not written: they are the
-    config's layout, which :func:`experiment.load_city` builds with
-    :meth:`ExperimentConfig.layout`, as :func:`synth_city` does.
-    Pickup and dropoff times are rounded to the second, so a city read back
-    from these files is not bit for bit the one synthesised.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    epoch = datetime.fromisoformat(cfg.epoch_date)
-    trips_path = out / "trips.csv"
-    with open(trips_path, "w", newline="") as fh:
-        fh.write("pickup_datetime,dropoff_datetime,pickup_lat,pickup_lon,"
-                 "dropoff_lat,dropoff_lon,trip_distance_km\n")
-        t = city.trips
-        rows = zip(t.minute.tolist(), t.trip_minutes.tolist(), t.pickup_lat.tolist(),
-                   t.pickup_lon.tolist(), t.dropoff_lat.tolist(), t.dropoff_lon.tolist(),
-                   t.distance_km.tolist())
-        for minute, trip, *values in rows:
-            fh.write(",".join([_iso(epoch, minute), _iso(epoch, minute + trip),
-                               *map(repr, values)]) + "\n")
-    save_edge_list(city.graph, out / "roads.txt")
-    return {
-        "trips": str(trips_path),
-        "roads": str(out / "roads.txt"),
-        "n_trips": len(city.trips),
-    }

@@ -51,10 +51,6 @@ import numpy as np
 from .geo import EARTH_RADIUS_M, Location, haversine, haversine_arrays
 
 
-class EdgeListParseError(ValueError):
-    """Malformed edge-list file; carries the offending line number."""
-
-
 @dataclass(frozen=True)
 class Path:
     """Node sequence joined by graph edges. Empty when origin equals destination."""
@@ -184,85 +180,25 @@ class RoadGraph:
 
 
 def build_graph(nodes: dict[int, Location], edges: list[tuple[int, int, float]]) -> RoadGraph:
-    """Assemble a graph, deduplicating repeated edges by keeping the shorter one."""
+    """Assemble a graph, deduplicating repeated edges by keeping the shorter one.
+
+    An edge from or to a node not in ``nodes``, or of a length that is not
+    finite and positive, raises ``ValueError``.
+    """
     adjacency: dict[int, list[tuple[int, float]]] = {i: [] for i in nodes}
     best: dict[tuple[int, int], float] = {}
     for frm, to, length in edges:
         if frm not in nodes or to not in nodes:
-            raise EdgeListParseError(f"edge {frm}->{to} references unknown node")
+            raise ValueError(f"edge {frm}->{to} references unknown node")
         if not (math.isfinite(length) and length > 0):
-            raise EdgeListParseError(f"edge {frm}->{to} has length {length}, "
-                                     "which is not finite and positive")
+            raise ValueError(f"edge {frm}->{to} has length {length}, "
+                             "which is not finite and positive")
         key = (frm, to)
         if key not in best or length < best[key]:
             best[key] = float(length)
     for (frm, to), length in sorted(best.items()):
         adjacency[frm].append((to, length))
     return RoadGraph(nodes=nodes, adjacency=adjacency)
-
-
-def load_edge_list(path) -> RoadGraph:
-    """Parse a ``#nodes`` / ``#edges`` sectioned edge-list file.
-
-    Node lines are ``node_id,lat,lon``; edge lines are
-    ``from_id,to_id,length_m``.  A malformed line, a node id given twice, a
-    bad edge or a file without nodes raises :class:`EdgeListParseError`
-    naming ``path``, and the line number where there is one.
-    """
-    nodes: dict[int, Location] = {}
-    node_lines: dict[int, int] = {}
-    edges: list[tuple[int, int, float]] = []
-    section = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                name = line.lstrip("#").strip().lower()
-                if name not in ("nodes", "edges"):
-                    raise EdgeListParseError(f"{path}: line {lineno}: unknown section '{line}'")
-                section = name
-                continue
-            parts = line.split(",")
-            try:
-                if section == "nodes":
-                    if len(parts) != 3:
-                        raise ValueError("expected node_id,lat,lon")
-                    lat, lon = float(parts[1]), float(parts[2])
-                    if not (math.isfinite(lat) and math.isfinite(lon)):
-                        raise ValueError(f"non-finite location {lat},{lon}")
-                    nid = int(parts[0])
-                    first = node_lines.setdefault(nid, lineno)
-                    if first != lineno:
-                        raise ValueError(f"node {nid} is already given on line {first}")
-                    nodes[nid] = Location(lat, lon)
-                elif section == "edges":
-                    if len(parts) != 3:
-                        raise ValueError("expected from_id,to_id,length_m")
-                    edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-                else:
-                    raise ValueError("data before any section header")
-            except ValueError as exc:
-                raise EdgeListParseError(f"{path}: line {lineno}: {exc}") from exc
-    if not nodes:
-        raise EdgeListParseError(f"{path}: no nodes")
-    try:
-        return build_graph(nodes, edges)
-    except EdgeListParseError as exc:
-        raise EdgeListParseError(f"{path}: {exc}") from None
-
-
-def save_edge_list(graph: RoadGraph, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#nodes\n")
-        for nid in sorted(graph.nodes):
-            loc = graph.nodes[nid]
-            fh.write(f"{nid},{float(loc.lat)!r},{float(loc.lon)!r}\n")
-        fh.write("#edges\n")
-        for frm in sorted(graph.adjacency):
-            for to, length in graph.adjacency[frm]:
-                fh.write(f"{frm},{to},{float(length)!r}\n")
 
 
 def nearest_nodes(lats, lons, graph: RoadGraph) -> np.ndarray:

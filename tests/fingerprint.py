@@ -1,8 +1,8 @@
 """Behaviour fingerprint: a tiny CLI pipeline and the sha256 of each file it writes.
 
-``python tests/fingerprint.py DIR`` runs ``synth-data``, ``train-models``,
-``train-dqn`` and ``simulate`` for each of the four policies, with every
-file under ``DIR``; the command line pins numpy's OpenBLAS to one thread
+``python tests/fingerprint.py DIR`` runs ``train-models``, ``train-dqn``
+and ``simulate`` for each of the four policies, with every file under
+``DIR``; the command line pins numpy's OpenBLAS to one thread
 whatever ``OPENBLAS_NUM_THREADS`` says.  It prints a JSON record: the
 environment stamp of ``blas.pin_one_thread`` (numpy version, OpenBLAS
 core, BLAS thread count) and each file's sha256, keyed by its path under
@@ -38,13 +38,13 @@ def _cli(args: list[str]) -> int:
 
 
 def _args(base: Path) -> list[str]:
-    sets = {**SETTINGS, "data_dir": base / "city", "out_dir": base / "out"}
+    sets = {**SETTINGS, "out_dir": base / "out"}
     return [arg for key, value in sets.items() for arg in ("--set", f"{key}={value}")]
 
 
 def set_up(base: Path) -> None:
-    """Run the pipeline's ``synth-data``, ``train-models`` and ``train-dqn`` under ``base``."""
-    for command in ("synth-data", "train-models", "train-dqn"):
+    """Run the pipeline's ``train-models`` and ``train-dqn`` under ``base``."""
+    for command in ("train-models", "train-dqn"):
         if _cli(_args(base) + [command]) != 0:
             raise SystemExit(f"fingerprint: {command} failed")
 

@@ -9,7 +9,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ENV = {"PYTHONPATH": os.pathsep.join([str(HERE.parent / "src"), str(HERE)]),
        "PATH": "/usr/bin:/bin"}
-# the pipeline's first three commands, then the record of what they wrote
+# the pipeline's first two commands, then the record of what they wrote
 SET_UP = ("import json, sys; from pathlib import Path; import fingerprint; "
           "base = Path(sys.argv[1]); fingerprint.set_up(base); "
           "print(json.dumps(fingerprint.record(base)))")

@@ -10,7 +10,6 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
-from datetime import datetime
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,10 +24,9 @@ from fleetsim import neural
 from fleetsim.clock import Clock
 from fleetsim.dqn import Q_SPEC, QNetwork
 from fleetsim.eta import ETA_SPEC
-from fleetsim.geo import GridSpec, Location, RegionMap
+from fleetsim.geo import GridSpec, Location, haversine, haversine_arrays
 from fleetsim.harness.config import _RULES, ConfigError, ExperimentConfig, parse_config
-from fleetsim.harness.ingest import TripDataError, ingest_trips
-from fleetsim.harness.synth import build_road_grid, synth_city, write_city
+from fleetsim.harness.synth import build_road_grid, synth_city
 from fleetsim.harness import cli
 from fleetsim.harness import experiment as ex
 from fleetsim.sim import EpisodeMetrics, Outcomes, RideRequest, Trips, finalize_metrics
@@ -41,7 +39,7 @@ from oracles import (demand_slot_counts_reference, demand_slot_series_reference,
 
 def small_cfg(tmp_path, **kw):
     defaults = dict(
-        seed=11, data_dir=str(tmp_path / "city"), out_dir=str(tmp_path / "runs"),
+        seed=11, out_dir=str(tmp_path / "runs"),
         fine_rows=10, fine_cols=10, cell_size_m=600.0, region_block=1,
         zone_block=5, vehicles=30, days=1, trips_per_day=1200.0,
         train_days=2, eta_epochs=4, demand_epochs=5, dqn_train_steps=10,
@@ -51,7 +49,7 @@ def small_cfg(tmp_path, **kw):
 
 
 # the fields that no range applies to
-NON_NUMERIC = {"data_dir", "out_dir", "policy", "epoch_date"}
+NON_NUMERIC = {"out_dir", "policy", "epoch_date"}
 # per rule of a _RULES row: a field of the row, a value on the rule's edge, one just past it
 RULE_EDGES = {
     "at least 1": ("vehicles", "1", "0"),
@@ -239,9 +237,16 @@ class TestConfig:
         assert cfg.epoch_dow == dow
         assert "epoch_dow" not in render_config(cfg)
 
+    def test_data_dir_argument_is_dropped(self):
+        # perfbench's config maker still passes one; it names nothing a run reads
+        cfg = ExperimentConfig(seed=1, data_dir="anywhere")
+        assert cfg == ExperimentConfig(seed=1)
+        assert "data_dir" not in {f.name for f in dataclasses.fields(cfg)}
+        assert "data_dir" not in render_config(cfg)
+
     def test_epoch_weekday_is_not_a_second_setting(self):
-        # a weekday that contradicts epoch_date would give ingested trips
-        # another day's clock features
+        # a weekday that contradicts epoch_date would give the synthesised
+        # trips another day's clock features
         with pytest.raises(ConfigError, match="epoch_dow"):
             parse_config(overrides={"seed": "1", "epoch_dow": "3"})
         with pytest.raises(ConfigError, match="unknown key 'epoch_dow'"):
@@ -257,6 +262,21 @@ class TestConfig:
         assert cfg.trips_per_day == 0.0 and cfg.synth_noise == 0.0
 
 
+# (config overrides, seed, days) of synthesised cities
+SYNTH_CASES = [
+    ({}, 777, 3),
+    ({"trips_per_day": 6000.0 * 2.5}, 3, 1),
+    ({"trips_per_day": 2000.0, "epoch_date": "2016-05-05"}, 5, 7),
+    ({"fine_rows": 6, "fine_cols": 11, "region_block": 1, "zone_block": 1,
+      "trips_per_day": 2000.0}, 4, 2),
+    ({"trips_per_day": 0.0}, 5, 2),
+    # the ends of synth_noise's range: the noise's standard normal and its
+    # exp, taken after the loop for every trip at once
+    ({"synth_noise": 0.0}, 6, 1),
+    ({"synth_noise": 1.0}, 7, 1),
+]
+
+
 class TestSynth:
     def test_deterministic_given_seed(self, tmp_path):
         cfg = small_cfg(tmp_path)
@@ -265,18 +285,7 @@ class TestSynth:
         assert len(a.trips) > 50
         assert a.trips == b.trips
 
-    @pytest.mark.parametrize("overrides, seed, days", [
-        ({}, 777, 3),
-        ({"trips_per_day": 6000.0 * 2.5}, 3, 1),
-        ({"trips_per_day": 2000.0, "epoch_date": "2016-05-05"}, 5, 7),
-        ({"fine_rows": 6, "fine_cols": 11, "region_block": 1, "zone_block": 1,
-          "trips_per_day": 2000.0}, 4, 2),
-        ({"trips_per_day": 0.0}, 5, 2),
-        # the ends of synth_noise's range: the noise's standard normal and its
-        # exp, taken after the loop for every trip at once
-        ({"synth_noise": 0.0}, 6, 1),
-        ({"synth_noise": 1.0}, 7, 1),
-    ])
+    @pytest.mark.parametrize("overrides, seed, days", SYNTH_CASES)
     def test_trips_equal_per_trip_reference(self, overrides, seed, days):
         # the draw order per trip is part of the output: every model and
         # benchmark outcome depends on it
@@ -286,6 +295,26 @@ class TestSynth:
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g == w
+
+    @pytest.mark.parametrize("overrides, seed, days", SYNTH_CASES)
+    def test_trips_are_what_a_trip_record_may_be(self, overrides, seed, days):
+        # no reader filters a synthesised city: its trips are sorted by pickup
+        # minute and numbered in that order, start and end on the grid, take a
+        # minute or more, and cover a road distance of 1.25 times a hop of at
+        # least 100 m
+        cfg = ExperimentConfig(seed=seed, **overrides).validate()
+        trips = synth_city(cfg, seed=seed, days=days).trips
+        grid = cfg.layout()[0]
+        assert trips.rid.tolist() == list(range(len(trips)))
+        assert (np.diff(trips.minute) >= 0).all()
+        assert ((0 <= trips.minute) & (trips.minute < days * 1440)).all()
+        assert grid.contains(trips.pickup_lat, trips.pickup_lon).all()
+        assert grid.contains(trips.dropoff_lat, trips.dropoff_lon).all()
+        assert (trips.trip_minutes >= 1.0).all()
+        hop_km = haversine_arrays(trips.pickup_lat, trips.pickup_lon,
+                                  trips.dropoff_lat, trips.dropoff_lon) / 1000.0
+        assert (hop_km >= 0.1).all()
+        np.testing.assert_allclose(trips.distance_km, 1.25 * hop_km, rtol=1e-12)
 
     def test_trips_retain_at_most_96_bytes_each(self, tmp_path):
         # a city's trips are eight 8-byte columns, with no object per trip
@@ -335,35 +364,6 @@ class TestSynth:
             assert 700 < count < 3000
         assert 1000 < np.mean(weekdays) < 2200
 
-    def test_files_round_trip_through_ingest(self, tmp_path):
-        cfg = small_cfg(tmp_path)
-        city = synth_city(cfg, seed=5, days=1)
-        info = write_city(city, cfg, cfg.data_dir)
-        assert info["n_trips"] == len(city.trips)
-        assert sorted(p.name for p in Path(cfg.data_dir).iterdir()) == ["roads.txt", "trips.csv"]
-        epoch = datetime.fromisoformat(cfg.epoch_date)
-        requests, report = ingest_trips(Path(cfg.data_dir) / "trips.csv",
-                                        city.grid, epoch)
-        assert report.kept == len(city.trips)
-        assert report.dropped_bounds == 0
-        # sorted by pickup time
-        minutes = [r.minute for r in requests]
-        assert minutes == sorted(minutes)
-        # round trip preserves timing to the written one-second precision
-        for r, tr in zip(requests[:30], city.trips[:30]):
-            assert r.minute == pytest.approx(tr.minute, abs=1 / 60 + 1e-9)
-            assert r.trip_minutes == pytest.approx(tr.trip_minutes, abs=2 / 60)
-
-    def test_load_city_builds_the_config_partitions(self, tmp_path):
-        cfg = small_cfg(tmp_path)
-        write_city(synth_city(cfg, seed=5, days=1), cfg, cfg.data_dir)
-        city = ex.load_city(cfg)
-        assert (city.regions.region_count, city.zones.region_count) == (100, 4)
-        # the regions and zones are the config's block layouts, which no file
-        # can contradict
-        city = ex.load_city(small_cfg(tmp_path, region_block=2, zone_block=2))
-        assert city.regions == city.zones == RegionMap(city.grid, 2)
-
     def test_road_grid_connected(self, tmp_path):
         cfg = small_cfg(tmp_path)
         grid = GridSpec(rows=4, cols=4, cell_size=500.0, origin=Location(40.0, -74.0))
@@ -374,101 +374,21 @@ class TestSynth:
         p = shortest_path(0, 15, graph)
         assert p is not None
 
-
-class TestIngest:
-    HEADER = ("pickup_datetime,dropoff_datetime,pickup_lat,pickup_lon,"
-              "dropoff_lat,dropoff_lon,trip_distance_km\n")
-
-    def grid(self):
-        return GridSpec(rows=10, cols=10, cell_size=600.0, origin=Location(40.0, -74.0))
-
-    def test_empty_file(self, tmp_path):
-        p = tmp_path / "trips.csv"
-        p.write_text(self.HEADER)
-        requests, report = ingest_trips(p, self.grid(), datetime(2016, 5, 2))
-        assert requests == []
-        assert report.total == 0 and report.kept == 0
-
-    def test_out_of_bounds_row_dropped_and_counted(self, tmp_path):
-        p = tmp_path / "trips.csv"
-        p.write_text(self.HEADER +
-                     "2016-05-02 00:10:00,2016-05-02 00:20:00,55.0,-74.0,40.01,-73.99,2.0\n" +
-                     "2016-05-02 00:11:00,2016-05-02 00:21:00,40.01,-73.995,40.02,-73.99,2.0\n")
-        requests, report = ingest_trips(p, self.grid(), datetime(2016, 5, 2))
-        assert report.dropped_bounds == 1
-        assert report.kept == 1
-        assert requests[0].minute == pytest.approx(11.0)
-
-    def test_non_positive_duration_dropped(self, tmp_path):
-        p = tmp_path / "trips.csv"
-        p.write_text(self.HEADER +
-                     "2016-05-02 00:10:00,2016-05-02 00:10:00,40.01,-73.995,40.02,-73.99,2.0\n")
-        _, report = ingest_trips(p, self.grid(), datetime(2016, 5, 2))
-        assert report.dropped_duration == 1
-
-    def test_shuffled_input_comes_out_sorted(self, tmp_path):
-        rows = [
-            "2016-05-02 00:30:00,2016-05-02 00:40:00,40.01,-73.995,40.02,-73.99,2.0",
-            "2016-05-02 00:05:00,2016-05-02 00:15:00,40.02,-73.99,40.01,-73.995,2.0",
-            "2016-05-02 00:20:00,2016-05-02 00:25:00,40.015,-73.99,40.01,-73.995,1.0",
-        ]
-        p = tmp_path / "trips.csv"
-        p.write_text(self.HEADER + "\n".join(rows) + "\n")
-        requests, _ = ingest_trips(p, self.grid(), datetime(2016, 5, 2))
-        assert [r.minute for r in requests] == [5.0, 20.0, 30.0]
-        assert [r.rid for r in requests] == [0, 1, 2]
-
-    ROW = "2016-05-02 00:10:00,2016-05-02 00:20:00,40.01,-73.995,40.02,-73.99,{}\n"
-
-    @pytest.mark.parametrize("distance", ["nan", "inf", "-inf", "-3"])
-    def test_bad_distance_is_data_error(self, tmp_path, distance):
-        p = tmp_path / "trips.csv"
-        p.write_text(self.HEADER + self.ROW.format("0.0") + self.ROW.format(distance))
-        with pytest.raises(TripDataError, match="bad row 2: trip_distance_km"):
-            ingest_trips(p, self.grid(), datetime(2016, 5, 2))
-        p.write_text(self.HEADER + self.ROW.format("0.0"))
-        assert ingest_trips(p, self.grid(), datetime(2016, 5, 2))[1].kept == 1
-
-    @pytest.mark.parametrize("pickup, dropoff", [
-        ("2016-05-02 00:10:00+00:00", "2016-05-02 00:20:00+00:00"),
-        ("2016-05-02 00:10:00", "2016-05-02T00:20:00-04:00"),
-    ])
-    def test_time_zone_is_data_error(self, tmp_path, pickup, dropoff):
-        p = tmp_path / "trips.csv"
-        p.write_text(self.HEADER + f"{pickup},{dropoff},40.01,-73.995,40.02,-73.99,2.0\n")
-        with pytest.raises(TripDataError, match="bad row 1: timestamps must not carry"):
-            ingest_trips(p, self.grid(), datetime(2016, 5, 2))
-
-    def test_missing_columns_is_data_error(self, tmp_path):
-        p = tmp_path / "trips.csv"
-        p.write_text("a,b\n1,2\n")
-        with pytest.raises(TripDataError):
-            ingest_trips(p, self.grid(), datetime(2016, 5, 2))
-
-    def test_duration_is_checked_before_bounds_and_nan_is_outside(self, tmp_path):
-        rows = [
-            "2016-05-02 00:10:00,2016-05-02 00:10:00,55.0,-74.0,40.01,-73.99,2.0",
-            "2016-05-02 00:11:00,2016-05-02 00:21:00,nan,-73.995,40.02,-73.99,2.0",
-            "2016-05-02 00:12:00,2016-05-02 00:22:00,40.01,-73.995,40.02,inf,2.0",
-            "2016-05-02 00:13:00,2016-05-02 00:23:00,40.01,-73.995,40.02,-73.99,2.0",
-        ]
-        p = tmp_path / "trips.csv"
-        p.write_text(self.HEADER + "\n".join(rows) + "\n")
-        requests, report = ingest_trips(p, self.grid(), datetime(2016, 5, 2))
-        assert (report.total, report.kept, report.dropped_duration,
-                report.dropped_bounds) == (4, 1, 1, 2)
-        assert requests == [RideRequest(0, 13.0, Location(40.01, -73.995),
-                                        Location(40.02, -73.99), 10.0, 2.0)]
-
-    def test_equal_pickup_times_keep_their_file_order(self, tmp_path):
-        rows = [f"2016-05-02 00:{m:02d}:00,2016-05-02 00:40:00,40.01,-73.995,40.02,-73.99,{d}"
-                for m, d in ((20, 1.0), (10, 2.0), (20, 3.0), (10, 4.0))]
-        p = tmp_path / "trips.csv"
-        p.write_text(self.HEADER + "\n".join(rows) + "\n")
-        requests, _ = ingest_trips(p, self.grid(), datetime(2016, 5, 2))
-        assert isinstance(requests, Trips)
-        assert requests.distance_km.tolist() == [2.0, 4.0, 1.0, 3.0]
-        assert requests.rid.tolist() == [0, 1, 2, 3]
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 7), (7, 1), (4, 4), (6, 11), (20, 20)])
+    def test_road_grid_is_the_cell_centres_and_their_neighbours(self, rows, cols):
+        # no road file is read: every node is its cell's centre, inside the
+        # grid, and every edge joins two neighbours both ways at their distance
+        grid = GridSpec(rows=rows, cols=cols, cell_size=550.0, origin=Location(40.0, -74.0))
+        graph = build_road_grid(grid)
+        assert sorted(graph.nodes) == list(range(rows * cols))
+        for nid, loc in graph.nodes.items():
+            assert loc == Location(*grid.center(nid // cols, nid % cols))
+            assert grid.contains(loc.lat, loc.lon)
+        edges = {(frm, to): length for frm, out in graph.adjacency.items() for to, length in out}
+        assert len(edges) == 2 * (rows * (cols - 1) + cols * (rows - 1))
+        for (frm, to), length in edges.items():
+            assert abs(frm // cols - to // cols) + abs(frm % cols - to % cols) == 1
+            assert length == edges[to, frm] == haversine(graph.nodes[frm], graph.nodes[to])
 
 
 # pickups on slot and day edges, before the series and past its end
@@ -774,6 +694,39 @@ class TestExperiment:
         assert 0 < trained_rows < len(log_rows) == 20
         assert (counts["steps"], counts["minibatches"]) == (20, trained_rows)
 
+    @pytest.mark.parametrize("policy", ["none", "rhc", "dqn", "dqn_star"])
+    def test_a_run_without_a_city_runs_the_city_of_its_seed(self, mini_world, tmp_path,
+                                                            policy):
+        trained, _, bundle = mini_world
+        qnet = QNetwork.create(np.random.default_rng(0)) if policy.startswith("dqn") else None
+        files = []
+        for given in (False, True):
+            cfg = dataclasses.replace(trained, policy=policy, out_dir=str(tmp_path / str(given)))
+            city = ex.city_from_synth(synth_city(cfg, cfg.seed, ex.city_days(cfg)))
+            result = ex.run_experiment(cfg, city=city if given else None, bundle=bundle,
+                                       qnet=qnet)
+            files.append([Path(result[key]).read_bytes() for key in ("summary_path", "plot_path")])
+        assert files[0] == files[1]
+        assert files[0][0].count(b"\n") == cfg.days + 2
+
+    def test_another_seed_runs_another_city(self, mini_world, tmp_path):
+        trained, _, bundle = mini_world
+        runs = []
+        for seed in (trained.seed, trained.seed + 1):
+            cfg = dataclasses.replace(trained, seed=seed, out_dir=str(tmp_path / str(seed)))
+            result = ex.run_experiment(cfg, bundle=bundle)
+            runs.append((result["aggregate"]["total_requests"],
+                         Path(result["plot_path"]).read_bytes()))
+        assert runs[0][0] != runs[1][0]
+        assert runs[0][1] != runs[1][1]
+
+    def test_training_city_is_the_city_of_train_seed(self, tmp_path):
+        cfg = small_cfg(tmp_path)
+        city = ex.training_city(cfg)
+        assert city.requests == synth_city(cfg, cfg.train_seed, cfg.train_days).trips
+        assert city.requests != synth_city(cfg, cfg.seed, cfg.train_days).trips
+        assert (city.regions, city.zones) == cfg.layout()[1:]
+
     def test_every_hour_of_every_day_has_requests(self, mini_world, tmp_path):
         # the synthesised city runs on past midnight to the end of the last window
         trained, _, bundle = mini_world
@@ -863,7 +816,7 @@ TINY_CLI = ("--set", "seed=3", "--set", "fine_rows=10", "--set", "fine_cols=10",
 
 
 def dirs(base):
-    return ("--set", f"data_dir={base / 'city'}", "--set", f"out_dir={base / 'out'}")
+    return ("--set", f"out_dir={base / 'out'}")
 
 
 def tiny_cfg(base, *sets):
@@ -873,53 +826,12 @@ def tiny_cfg(base, *sets):
 
 
 @pytest.fixture(scope="module")
-def written_city(tmp_path_factory):
-    """A tiny city on disk under ``city`` and its trained models under ``out``."""
-    base = tmp_path_factory.mktemp("written")
-    for command in ("synth-data", "simulate"):
-        proc = run_cli(*TINY_CLI, *dirs(base), command)
-        assert proc.returncode == 0, proc.stderr
-    return base
-
-
-def partition_csv(assignment) -> str:
-    """A ``row,col,region_id`` partition file of a cell-to-region array."""
-    return "row,col,region_id\n" + "".join(f"{r},{c},{k}\n"
-                                            for (r, c), k in np.ndenumerate(assignment))
-
-
-def trip_row(distance="2.0", pickup="2016-05-02 00:10:00", dropoff="2016-05-02 00:20:00"):
-    return f"{pickup},{dropoff},40.01,-73.995,40.02,-73.99,{distance}\n".encode()
-
-
-# (file, edit of its bytes, what stderr names): each makes ``simulate`` fail on bad data
-BAD_INPUTS = {
-    "trip-distance-nan": ("city/trips.csv", lambda b: b + trip_row("nan"),
-                          "trip_distance_km nan"),
-    "trip-distance-inf": ("city/trips.csv", lambda b: b + trip_row("inf"),
-                          "trip_distance_km inf"),
-    "trip-distance-negative": ("city/trips.csv", lambda b: b + trip_row("-3"),
-                               "trip_distance_km -3.0"),
-    "trip-time-zone": ("city/trips.csv",
-                       lambda b: b + trip_row(pickup="2016-05-02 00:10:00+00:00",
-                                              dropoff="2016-05-02 00:20:00+00:00"),
-                       "time zone"),
-    "road-length-nan": ("city/roads.txt", lambda b: b + b"0,1,nan\n",
-                        "roads.txt: edge 0->1 has length nan"),
-    "road-length-inf": ("city/roads.txt", lambda b: b + b"0,1,inf\n",
-                        "roads.txt: edge 0->1 has length inf"),
-    "road-no-nodes": ("city/roads.txt", lambda b: b"#nodes\n#edges\n", "roads.txt: no nodes"),
-    "road-off-grid": ("city/roads.txt", lambda b: b"#nodes\n0,10.0,10.0\n#edges\n",
-                      "roads.txt: node 0 at (10.0, 10.0) lies outside the grid"),
-    # one node tens of kilometres off the grid, beside the 100 on it
-    "road-node-off-grid": ("city/roads.txt",
-                           lambda b: b.replace(b"#edges\n", b"100,40.5,-73.0\n#edges\n"),
-                           "roads.txt: node 100 at (40.5, -73.0) lies outside the grid"),
-    # node 0 is on line 2 and node 1 on line 3, the 100 nodes end on line 101
-    "road-node-repeated": ("city/roads.txt",
-                           lambda b: b.replace(b"#edges\n", b"1,40.5,-73.0\n#edges\n"),
-                           "roads.txt: line 102: node 1 is already given on line 3"),
-}
+def trained_out(tmp_path_factory):
+    """The ``out`` directory of a tiny run: its trained models and its summary."""
+    base = tmp_path_factory.mktemp("trained")
+    proc = run_cli(*TINY_CLI, *dirs(base), "simulate")
+    assert proc.returncode == 0, proc.stderr
+    return base / "out"
 
 
 def write_qnet(path) -> None:
@@ -997,10 +909,9 @@ class TestCli:
 
     @pytest.mark.parametrize("case, damage, name, message", MODEL_FILE_CASES,
                              ids=[f"{c[0]}-{c[2].split('.')[0]}" for c in MODEL_FILE_CASES])
-    def test_damaged_model_file_is_data_error(self, written_city, tmp_path, capsys,
+    def test_damaged_model_file_is_data_error(self, trained_out, tmp_path, capsys,
                                               case, damage, name, message):
-        for sub in ("city", "out"):
-            shutil.copytree(written_city / sub, tmp_path / sub)
+        shutil.copytree(trained_out, tmp_path / "out")
         models = tmp_path / "out" / "models"
         write_qnet(models / "qnet.npz")
         path = models / name
@@ -1012,12 +923,11 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["simulate", "train-models"])
     @pytest.mark.parametrize("damage", ["truncated", "list"])
-    def test_broken_metrics_is_data_error(self, written_city, tmp_path, capsys, command,
+    def test_broken_metrics_is_data_error(self, trained_out, tmp_path, capsys, command,
                                           damage):
         # simulate reads the metrics record and must fail before it runs;
         # train-models writes a fresh record in place of the broken one
-        for sub in ("city", "out"):
-            shutil.copytree(written_city / sub, tmp_path / sub)
+        shutil.copytree(trained_out, tmp_path / "out")
         models = tmp_path / "out" / "models"
         path = models / "metrics.json"
         path.write_bytes(path.read_bytes()[:40] if damage == "truncated" else b"[1, 2]")
@@ -1164,54 +1074,6 @@ class TestCli:
         assert "runtime error: cannot start a worker process: " in err, err
         assert "no process for the demand fit" in err, err
 
-    def test_synth_data_covers_every_hour_of_every_day(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, "--set", "days=2", "--set", "trips_per_day=1200")
-        assert cli.main([*TINY_CLI, *dirs(tmp_path), "--set", "days=2",
-                         "--set", "trips_per_day=1200", "synth-data"]) == 0
-        requests = ex.load_city(cfg).requests
-        for day in range(cfg.days):
-            reqs = ex.episode_requests(requests, *ex.day_window(cfg, day))
-            assert {int(r.minute // 60) for r in reqs} == set(range(24)), day
-
-    @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
-    def test_bad_input_is_data_error(self, written_city, tmp_path, name):
-        for sub in ("city", "out"):
-            shutil.copytree(written_city / sub, tmp_path / sub)
-        relpath, edit, message = BAD_INPUTS[name]
-        path = tmp_path / relpath
-        edited = edit(path.read_bytes())
-        assert edited != path.read_bytes()
-        path.write_bytes(edited)
-        proc = self.run_cli(*TINY_CLI, *dirs(tmp_path), "simulate")
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("data error: ") and message in proc.stderr, proc.stderr
-
-    def test_bad_city_file_fails_before_set_up(self, written_city, tmp_path, capsys):
-        # a roads.txt without nodes used to load, and the run failed with exit 3
-        # at its first nearest-node lookup, after the models were trained
-        shutil.copytree(written_city / "city", tmp_path / "city")
-        roads = tmp_path / "city" / "roads.txt"
-        roads.write_text("")
-        code = cli.main([*TINY_CLI, *dirs(tmp_path), "simulate"])
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert err == f"data error: {roads}: no nodes\n"
-        assert not (tmp_path / "out" / "models").exists()
-
-    def test_short_trips_file_is_data_error_before_set_up(self, written_city, tmp_path,
-                                                          capsys):
-        # a day window with fewer requests than vehicles used to exit 1,
-        # telling the user to raise trips_per_day, which a directory ignores
-        shutil.copytree(written_city / "city", tmp_path / "city")
-        trips = tmp_path / "city" / "trips.csv"
-        trips.write_text(trips.read_text().splitlines()[0] + "\n")
-        code = cli.main([*TINY_CLI, *dirs(tmp_path), "simulate"])
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert err == (f"data error: {trips}: day 0 (minutes 240 to 1680) has 0 requests, "
-                       "fewer than the 5 vehicles placed at their pickups\n")
-        assert not (tmp_path / "out" / "models").exists()
-
     @pytest.mark.parametrize("key, value", [("vehicles", "abc"), ("seed", "1.5"),
                                             ("dqn_batch", "1e3")])
     def test_bad_set_value_is_config_error(self, tmp_path, capsys, key, value):
@@ -1274,65 +1136,122 @@ class TestCli:
 
     def test_negative_speed_is_config_error(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
-        cfg_file.write_text(f"seed = 3\ndata_dir = {tmp_path / 'city'}\n"
+        cfg_file.write_text(f"seed = 3\nout_dir = {tmp_path / 'out'}\n"
                             "synth_speed_kmh = -21\n")
-        proc = self.run_cli("--config", str(cfg_file), "synth-data")
+        proc = self.run_cli("--config", str(cfg_file), "train-models")
         assert proc.returncode == 1, proc.stderr
         assert "synth_speed_kmh" in proc.stderr
-        assert not (tmp_path / "city").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_zero_region_block_is_config_error(self, tmp_path):
-        proc = self.run_cli("--set", "seed=1", "--set", f"data_dir={tmp_path / 'city'}",
-                            "--set", "region_block=0", "synth-data")
+        proc = self.run_cli("--set", "seed=1", *dirs(tmp_path),
+                            "--set", "region_block=0", "simulate")
         assert proc.returncode == 1, proc.stderr
         assert "region_block" in proc.stderr
-        assert not (tmp_path / "city").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_zero_eta_lr_is_config_error_before_synthesis(self, tmp_path):
-        proc = self.run_cli("--set", "seed=1", "--set", f"data_dir={tmp_path / 'city'}",
-                            "--set", f"out_dir={tmp_path / 'runs'}",
+        proc = self.run_cli("--set", "seed=1", *dirs(tmp_path),
                             "--set", "eta_lr=0", "train-models")
         assert proc.returncode == 1, proc.stderr
         assert "eta_lr" in proc.stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_negative_train_steps_is_config_error_before_synthesis(self, tmp_path):
-        proc = self.run_cli("--set", "seed=1", "--set", f"data_dir={tmp_path / 'city'}",
-                            "--set", f"out_dir={tmp_path / 'runs'}",
+        proc = self.run_cli("--set", "seed=1", *dirs(tmp_path),
                             "--set", "dqn_train_steps=-1", "train-dqn")
         assert proc.returncode == 1, proc.stderr
         assert "dqn_train_steps" in proc.stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_nan_origin_is_config_error(self, tmp_path):
-        proc = self.run_cli("--set", "seed=1", "--set", f"data_dir={tmp_path / 'city'}",
-                            "--set", "origin_lat=nan", "synth-data")
+        proc = self.run_cli("--set", "seed=1", *dirs(tmp_path),
+                            "--set", "origin_lat=nan", "simulate")
         assert proc.returncode == 1, proc.stderr
         assert "origin_lat" in proc.stderr
-        assert not (tmp_path / "city").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_bogus_epoch_date_is_config_error(self, tmp_path):
-        proc = self.run_cli("--set", "seed=1", "--set", f"data_dir={tmp_path / 'city'}",
-                            "--set", "epoch_date=bogus", "synth-data")
+        proc = self.run_cli("--set", "seed=1", *dirs(tmp_path),
+                            "--set", "epoch_date=bogus", "simulate")
         assert proc.returncode == 1, proc.stderr
         assert "epoch_date" in proc.stderr
-        assert not (tmp_path / "city").exists()
+        assert not (tmp_path / "out").exists()
 
-    def test_synth_data_files_independent_of_hash_seed(self, tmp_path):
-        files = ("roads.txt", "trips.csv")
+    @pytest.mark.parametrize("command", ["train-models", "train-dqn", "simulate", "report"])
+    @pytest.mark.parametrize("given", ["file", "set"])
+    def test_data_dir_is_an_unknown_key(self, tmp_path, capsys, given, command):
+        # a run's city is its config: no setting names a city directory, so a
+        # config that still names one cannot give another run than it says
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"seed = 3\nout_dir = {tmp_path / 'out'}\n"
+                            + (f"data_dir = {tmp_path / 'city'}\n" if given == "file" else ""))
+        sets = ("--set", f"data_dir={tmp_path / 'city'}") if given == "set" else ()
+        code = cli.main(["--config", str(cfg_file), *sets, command])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        where = "config line 3" if given == "file" else "--set"
+        assert err == f"config error: {where}: unknown key 'data_dir'\n"
+        assert list(tmp_path.iterdir()) == [cfg_file]
+
+    def test_synth_data_is_not_a_command(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*TINY_CLI, *dirs(tmp_path), "synth-data"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'synth-data'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    # a file of the city directory that the default data_dir, ./city, named,
+    # as a stale or broken copy might hold it
+    STALE_CITY_FILES = {
+        "trips.csv": "pickup_datetime,dropoff_datetime\nbroken\n",
+        "roads.txt": "",
+        "regions.csv": "row,col,region_id\n0,0,x\n",
+        "zones.csv": "row,col,region_id\n0,0,3\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(STALE_CITY_FILES))
+    def test_a_city_directory_is_not_read(self, trained_out, tmp_path, monkeypatch, capsys,
+                                          name):
+        # a stale directory from another seed used to be read silently, and a
+        # broken one exited 2; now the run is the same with it as without it
+        (tmp_path / "city").mkdir()
+        (tmp_path / "city" / name).write_text(self.STALE_CITY_FILES[name])
+        shutil.copytree(trained_out, tmp_path / "out")
+        summary = tmp_path / "out" / "summary_none_3.csv"
+        summary.unlink()
+        monkeypatch.chdir(tmp_path)
+        code = cli.main([*TINY_CLI, "--set", "out_dir=out", "simulate"])
+        assert code == 0, capsys.readouterr().err
+        assert summary.read_bytes() == (trained_out / "summary_none_3.csv").read_bytes()
+
+    @pytest.mark.parametrize("policy", ["none", "rhc"])
+    def test_simulate_runs_the_city_of_its_seed(self, trained_out, tmp_path, capsys, policy):
+        # a city the caller synthesises and passes in gives the command's bytes:
+        # no trip time is rounded on the way
+        shutil.copytree(trained_out, tmp_path / "out")
+        cfg = dataclasses.replace(tiny_cfg(tmp_path), policy=policy)
+        summary = tmp_path / "out" / f"summary_{policy}_3.csv"
+        summary.unlink(missing_ok=True)
+        assert cli.main([*TINY_CLI, *dirs(tmp_path), "--set", f"policy={policy}",
+                         "simulate"]) == 0, capsys.readouterr().err
+        city = ex.city_from_synth(synth_city(cfg, cfg.seed, ex.city_days(cfg)))
+        given = ex.run_experiment(dataclasses.replace(cfg, out_dir=str(tmp_path / "given")),
+                                  city=city, bundle=ex.load_models(cfg))
+        assert Path(given["summary_path"]).read_bytes() == summary.read_bytes()
+
+    @pytest.mark.parametrize("policy", ["none", "rhc"])
+    def test_simulate_files_independent_of_hash_seed(self, tmp_path, policy):
+        files = (f"plot_{policy}_3.csv", f"summary_{policy}_3.csv")
         written = []
         for hash_seed in ("0", "12345"):
-            city = tmp_path / f"city_{hash_seed}"
-            proc = self.run_cli("--set", "seed=3", "--set", f"data_dir={city}",
-                                "--set", "fine_rows=10", "--set", "fine_cols=10",
-                                "--set", "region_block=1", "--set", "days=1",
-                                "--set", "trips_per_day=300", "synth-data",
+            base = tmp_path / f"hash_{hash_seed}"
+            proc = self.run_cli(*TINY_CLI, *dirs(base), "--set", f"policy={policy}", "simulate",
                                 env={"PYTHONHASHSEED": hash_seed})
             assert proc.returncode == 0, proc.stderr
-            assert sorted(p.name for p in city.iterdir()) == list(files)
-            written.append([(city / name).read_bytes() for name in files])
+            written.append([(base / "out" / name).read_bytes() for name in files])
         assert written[0] == written[1]
-        assert written[0][1].count(b"\n") > 100
+        assert written[0][0].count(b"\n") > 70
 
     def test_missing_seed_is_config_error(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
@@ -1340,35 +1259,15 @@ class TestCli:
         proc = self.run_cli("--config", str(cfg_file), "simulate")
         assert proc.returncode == 1
 
-    def test_unreadable_trips_is_data_error(self, tmp_path):
+    def test_simulate_then_report_ok(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(
             "seed = 3\n"
-            f"data_dir = {tmp_path / 'nope'}\n"
             f"out_dir = {tmp_path / 'out'}\n"
             "fine_rows = 10\nfine_cols = 10\nregion_block = 1\nzone_block = 5\n"
             "vehicles = 5\ndays = 1\ntrips_per_day = 200.0\ntrain_days = 2\n"
             "eta_epochs = 1\ndemand_epochs = 1\n"
         )
-        # synth-data writes the city; corrupt the trips file, then simulate
-        proc = self.run_cli("--config", str(cfg_file), "synth-data")
-        assert proc.returncode == 0, proc.stderr
-        (tmp_path / "nope" / "trips.csv").write_text("broken\n")
-        proc = self.run_cli("--config", str(cfg_file), "simulate")
-        assert proc.returncode == 2, proc.stderr
-
-    def test_synth_then_simulate_ok(self, tmp_path):
-        cfg_file = tmp_path / "c.cfg"
-        cfg_file.write_text(
-            "seed = 3\n"
-            f"data_dir = {tmp_path / 'city'}\n"
-            f"out_dir = {tmp_path / 'out'}\n"
-            "fine_rows = 10\nfine_cols = 10\nregion_block = 1\nzone_block = 5\n"
-            "vehicles = 5\ndays = 1\ntrips_per_day = 200.0\ntrain_days = 2\n"
-            "eta_epochs = 1\ndemand_epochs = 1\n"
-        )
-        proc = self.run_cli("--config", str(cfg_file), "synth-data")
-        assert proc.returncode == 0, proc.stderr
         proc = self.run_cli("--config", str(cfg_file), "simulate")
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "summary_none_3.csv").exists()
@@ -1385,8 +1284,7 @@ class TestCli:
         assert proc.stdout.splitlines()[-1].split() == ["rhc", "3", "-", "-", "-", "-"]
 
     def test_train_model_commands_print_rmse(self, tmp_path):
-        proc = self.run_cli("--set", "seed=3", "--set", f"data_dir={tmp_path / 'city'}",
-                            "--set", f"out_dir={tmp_path / 'out'}",
+        proc = self.run_cli("--set", "seed=3", *dirs(tmp_path),
                             "--set", "fine_rows=10", "--set", "fine_cols=10",
                             "--set", "trips_per_day=200", "--set", "train_days=2",
                             "--set", "eta_epochs=1", "--set", "demand_epochs=1",
@@ -1440,59 +1338,17 @@ class TestCli:
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(
             "seed = 3\n"
-            f"data_dir = {tmp_path / 'city'}\n"
             f"out_dir = {tmp_path / 'out'}\n"
             "fine_rows = 10\nfine_cols = 10\nregion_block = 1\nzone_block = 5\n"
             "vehicles = 5\ndays = 1\ntrips_per_day = 200.0\ntrain_days = 2\n"
             "eta_epochs = 1\ndemand_epochs = 1\n"
         )
-        proc = self.run_cli("--config", str(cfg_file), "synth-data")
-        assert proc.returncode == 0, proc.stderr
         proc = self.run_cli("--config", str(cfg_file), "simulate")
         assert proc.returncode == 0, proc.stderr
         # the cached tables hold 4 zones; 2x2 zone blocks make 25
         proc = self.run_cli("--config", str(cfg_file), "--set", "zone_block=2", "simulate")
         assert proc.returncode == 2, proc.stderr
         assert "not float64 (7, 24, 25, 25)" in proc.stderr
-
-    @pytest.mark.parametrize("regions", ["non-block", "malformed"])
-    def test_regions_csv_is_ignored(self, written_city, tmp_path, regions):
-        # region_block = 1 means 100 one-cell regions; a file of 4 blocks of
-        # 5x5, or one that does not parse, changes no byte of the run
-        for sub in ("city", "out"):
-            shutil.copytree(written_city / sub, tmp_path / sub)
-        path = tmp_path / "city" / "regions.csv"
-        if regions == "non-block":
-            # TINY_CLI's zones, 5x5 blocks
-            path.write_text(partition_csv(tiny_cfg(tmp_path).layout()[2].assignment))
-        else:
-            path.write_text("row,col,region_id\n0,0,x\n")
-        summary = tmp_path / "out" / "summary_none_3.csv"
-        summary.unlink()
-        proc = self.run_cli(*TINY_CLI, *dirs(tmp_path), "simulate")
-        assert proc.returncode == 0, proc.stderr
-        assert summary.read_bytes() == (written_city / "out" / "summary_none_3.csv").read_bytes()
-
-    @pytest.mark.parametrize("zones", ["swapped", "malformed"])
-    def test_zones_csv_is_ignored(self, written_city, tmp_path, zones):
-        # zone_block = 5 makes the 4 zones of 5x5 blocks on which the zone
-        # tables are estimated; a file that swaps zones 0 and 3 used to run
-        # RHC on the wrong table rows, and one that does not parse exited 2
-        runs = {}
-        for case in ("without", zones):
-            base = tmp_path / case
-            for sub in ("city", "out"):
-                shutil.copytree(written_city / sub, base / sub)
-            path = base / "city" / "zones.csv"
-            if case == "swapped":
-                blocks = tiny_cfg(base).layout()[2].assignment
-                path.write_text(partition_csv(np.choose(blocks, [3, 1, 2, 0])))
-            elif case == "malformed":
-                path.write_text("row,col,region_id\n0,0,x\n")
-            proc = self.run_cli(*TINY_CLI, *dirs(base), "--set", "policy=rhc", "simulate")
-            assert proc.returncode == 0, proc.stderr
-            runs[case] = (base / "out" / "summary_rhc_3.csv").read_bytes()
-        assert runs[zones] == runs["without"]
 
     def test_fewer_requests_than_vehicles_is_config_error(self, tmp_path):
         proc = self.run_cli("--set", "seed=3", *dirs(tmp_path), "--set", "fine_rows=10",

@@ -10,14 +10,11 @@ from fleetsim.geo import GridSpec, Location, haversine
 from fleetsim import roadgraph
 from fleetsim.harness.synth import build_road_grid
 from fleetsim.roadgraph import (
-    EdgeListParseError,
     Path,
     RoadGraph,
     build_graph,
     hop_lengths,
-    load_edge_list,
     nearest_nodes,
-    save_edge_list,
     shortest_path,
 )
 from oracles import astar_reference, dijkstra_length, nearest_node_reference
@@ -45,83 +42,37 @@ def random_graph(rng, n_nodes=20, extra_edges=30, noisy_lengths=False):
     return build_graph(nodes, edges)
 
 
-class TestLoadEdgeList:
-    def test_nodes_only(self, tmp_path):
-        p = tmp_path / "g.txt"
-        p.write_text("#nodes\n1,40.0,-74.0\n2,40.1,-74.1\n#edges\n")
-        g = load_edge_list(p)
+class TestBuildGraph:
+    def test_nodes_only(self):
+        g = build_graph({1: Location(40.0, -74.0), 2: Location(40.1, -74.1)}, [])
         assert len(g.nodes) == 2
         assert g.adjacency == {1: [], 2: []}
 
-    def test_two_nodes_one_edge(self, tmp_path):
-        p = tmp_path / "g.txt"
-        p.write_text("#nodes\n1,40.0,-74.0\n2,40.1,-74.1\n#edges\n1,2,500.0\n")
-        g = load_edge_list(p)
+    def test_two_nodes_one_edge(self):
+        g = build_graph({1: Location(40.0, -74.0), 2: Location(40.1, -74.1)},
+                        [(1, 2, 500.0)])
         assert g.adjacency[1] == [(2, 500.0)]
         assert g.adjacency[2] == []
 
-    def test_duplicate_edge_keeps_shorter(self, tmp_path):
-        p = tmp_path / "g.txt"
-        p.write_text(
-            "#nodes\n1,40.0,-74.0\n2,40.001,-74.0\n"
-            "#edges\n1,2,900.0\n1,2,700.0\n"
-        )
-        g = load_edge_list(p)
+    def test_duplicate_edge_keeps_shorter(self):
+        g = build_graph({1: Location(40.0, -74.0), 2: Location(40.001, -74.0)},
+                        [(1, 2, 900.0), (1, 2, 700.0)])
         assert g.adjacency[1] == [(2, 700.0)]
 
-    def test_malformed_line_reports_number(self, tmp_path):
-        p = tmp_path / "g.txt"
-        p.write_text("#nodes\n1,40.0,-74.0\nbogus line\n")
-        with pytest.raises(EdgeListParseError, match="line 3") as exc:
-            load_edge_list(p)
-        assert str(exc.value).startswith(f"{p}: line 3: ")
-
-    def test_non_finite_node_reports_line(self, tmp_path):
-        p = tmp_path / "g.txt"
-        p.write_text("#nodes\n1,40.0,-74.0\n2,nan,-74.0\n")
-        with pytest.raises(EdgeListParseError, match="line 3: non-finite") as exc:
-            load_edge_list(p)
-        assert str(exc.value).startswith(f"{p}: line 3: ")
-
-    def test_repeated_node_id_rejected(self, tmp_path):
-        # the last line used to win: node 1 moved about 100 km while its edge
-        # kept its 1100 m
-        p = tmp_path / "g.txt"
-        p.write_text("#nodes\n1,40.0,-74.0\n2,40.01,-74.0\n1,40.5,-73.0\n"
-                     "#edges\n1,2,1100.0\n")
-        with pytest.raises(EdgeListParseError) as exc:
-            load_edge_list(p)
-        assert str(exc.value) == f"{p}: line 4: node 1 is already given on line 2"
-
-    @pytest.mark.parametrize("text", ["", "#nodes\n#edges\n"], ids=["empty", "headers-only"])
-    def test_file_without_nodes_rejected(self, tmp_path, text):
-        # it used to load as an empty graph, which failed at the first
-        # nearest-node lookup, after the models were set up
-        p = tmp_path / "g.txt"
-        p.write_text(text)
-        with pytest.raises(EdgeListParseError) as exc:
-            load_edge_list(p)
-        assert str(exc.value) == f"{p}: no nodes"
+    @pytest.mark.parametrize("frm, to", [(0, 3), (3, 0)])
+    def test_edge_to_an_unknown_node_rejected(self, frm, to):
+        with pytest.raises(ValueError) as exc:
+            build_graph({0: Location(40.0, -74.0)}, [(frm, to, 500.0)])
+        assert str(exc.value) == f"edge {frm}->{to} references unknown node"
 
     @pytest.mark.parametrize("length", ["nan", "inf", "-inf", "0", "-5.0"])
-    def test_length_not_finite_and_positive_rejected(self, tmp_path, length):
+    def test_length_not_finite_and_positive_rejected(self, length):
         # a nan or inf edge used to load, and A* never relaxed it
-        p = tmp_path / "g.txt"
-        p.write_text("#nodes\n0,40.0,-74.0\n1,40.001,-74.0\n2,40.002,-74.0\n"
-                     f"#edges\n0,1,500.0\n1,2,{length}\n")
-        with pytest.raises(EdgeListParseError) as exc:
-            load_edge_list(p)
-        assert str(exc.value).startswith(f"{p}: edge 1->2 has length {float(length)}")
-
-    def test_save_load_round_trip(self, tmp_path):
-        g = random_graph(np.random.default_rng(0), n_nodes=12)
-        p = tmp_path / "g.txt"
-        save_edge_list(g, p)
-        g2 = load_edge_list(p)
-        assert g2.nodes == g.nodes
-        assert {k: sorted(v) for k, v in g2.adjacency.items()} == {
-            k: sorted(v) for k, v in g.adjacency.items()
-        }
+        nodes = {0: Location(40.0, -74.0), 1: Location(40.001, -74.0),
+                 2: Location(40.002, -74.0)}
+        with pytest.raises(ValueError) as exc:
+            build_graph(nodes, [(0, 1, 500.0), (1, 2, float(length))])
+        assert str(exc.value).startswith(f"edge 1->2 has length {float(length)}")
 
 
 class TestDerivedArrays:

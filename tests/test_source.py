@@ -295,6 +295,85 @@ def test_model_file_io_detection():
     assert model_file_io(source) == ["base64", "np.load", "np.save", "np.savez_compressed"]
 
 
+def file_reads(source: str) -> list[str]:
+    """The dotted scope of each call that reads a file: ``read_text`` or
+    ``read_bytes``, or ``open``, by name or attribute, with no mode, a mode
+    that is not a constant, or a constant mode that reads (``r`` or ``+``)."""
+    def reads(node) -> bool:
+        if calls(node, "read_text") or calls(node, "read_bytes"):
+            return True
+        if not calls(node, "open"):
+            return False
+        modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[1:2]
+        if isinstance(node.func, ast.Attribute) and not modes:
+            modes = node.args[:1]  # Path.open(mode)
+        return not (modes and isinstance(modes[0], ast.Constant)
+                    and not set(modes[0].value) & set("r+"))
+
+    return scopes_where(source, lambda node, scope: reads(node))
+
+
+def test_no_module_reads_a_city_from_disk():
+    """A run's city is its config: the program reads only the config file, the
+    model files and their metrics, and the summaries that ``report`` prints."""
+    found = [f"{p.relative_to(SRC)}:{scope}" for p in MODULES
+             for scope in file_reads(p.read_text(encoding="utf-8"))]
+    assert found == ["harness/cli.py:_cmd_report", "harness/config.py:parse_config",
+                     "harness/experiment.py:_read_metrics", "neural.py:read_model_file"]
+
+
+def test_file_read_detection():
+    source = ("import csv\nTEXT = open('a').read()\n"
+              "def write(path):\n    with open(path, 'w') as fh, open(path, mode='ab') as g:\n"
+              "        path.open('w'), path.open(), fh.write(path.read_bytes())\n"
+              "class Reader:\n    def rows(self, path, mode):\n"
+              "        return csv.reader(open(path, mode)), open(path, 'r+b'), open(path, 'x')\n"
+              "def g(p):\n    return p.read_text(), io.open(p, 'rb'), p.write_text('x'), opener(p)\n")
+    assert file_reads(source) == ["<module>", "write", "write", "Reader.rows", "Reader.rows",
+                                  "g", "g"]
+
+
+def file_writes(source: str) -> list[str]:
+    """The dotted scope of each call that writes a file: ``write_text``,
+    ``write_bytes``, ``save``, ``savez`` or ``savez_compressed``, or ``open``,
+    by name or attribute, with a mode that is not a constant or a constant
+    mode that writes (``w``, ``a``, ``x`` or ``+``)."""
+    def writes(node) -> bool:
+        if any(calls(node, name) for name in ("write_text", "write_bytes", "save", "savez",
+                                              "savez_compressed")):
+            return True
+        if not calls(node, "open"):
+            return False
+        modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[1:2]
+        if isinstance(node.func, ast.Attribute) and not modes:
+            modes = node.args[:1]  # Path.open(mode)
+        return bool(modes) and not (isinstance(modes[0], ast.Constant)
+                                    and not set(modes[0].value) & set("wax+"))
+
+    return scopes_where(source, lambda node, scope: writes(node))
+
+
+def test_no_module_writes_a_city_to_disk():
+    """A run's city is its config: the program writes only the models and their
+    metrics, the DQN training log, and each run's summary and plot data."""
+    found = [f"{p.relative_to(SRC)}:{scope}" for p in MODULES
+             for scope in file_writes(p.read_text(encoding="utf-8"))]
+    assert found == ["dqn.py:write_training_log", "harness/experiment.py:save_models",
+                     "harness/experiment.py:write_summary_csv",
+                     "harness/experiment.py:emit_plot_data", "neural.py:write_model_file"]
+
+
+def test_file_write_detection():
+    source = ("import numpy as np\nLOG = open('a', 'a')\n"
+              "def read(path):\n    with open(path) as fh, open(path, mode='rb') as g:\n"
+              "        path.open(), path.open('r'), path.read_bytes(), np.load(path)\n"
+              "class Writer:\n    def rows(self, path, mode):\n"
+              "        return open(path, mode), open(path, 'r+b'), path.open('x'), opener(path)\n"
+              "def g(p):\n    return p.write_text('x'), np.savez(p), io.open(p, 'wb')\n")
+    assert file_writes(source) == ["<module>", "Writer.rows", "Writer.rows", "Writer.rows",
+                                   "g", "g", "g"]
+
+
 def scopes_where(source: str, hit) -> list[str]:
     """The dotted scope of each node of ``source`` for which ``hit(node, scope)``
     holds, ``scope`` being the names of the classes and functions around it."""
@@ -407,8 +486,8 @@ def request_end_uses(source: str) -> list[str]:
 
 
 def test_no_module_reads_a_request_row():
-    """A request stays ``sim.Trips`` columns from synthesis or ingestion to the
-    simulator's matching: only ``Trips.of``, which turns rows into columns,
+    """A request stays ``sim.Trips`` columns from synthesis to the simulator's
+    matching: only ``Trips.of``, which turns rows into columns,
     reads a row's pickup or dropoff."""
     found = [f"{p.relative_to(SRC)}:{scope}" for p in MODULES
              for scope in request_end_uses(p.read_text(encoding="utf-8"))]
