@@ -27,14 +27,13 @@ for k in range(days * 48):
     clocks.append(Clock(k * 30.0))
 slots = np.array(slots, dtype=float)
 
-model, historical, metrics = train_demand(slots, clocks, seed=11, epochs=60,
-                                          lr=cfg.demand_lr)
+model, metrics = train_demand(slots, clocks, seed=11, epochs=60, lr=cfg.demand_lr)
 print(f"cnn validation rmse {metrics['demand_val_rmse']:.4f} per cell "
       f"(historical-average baseline {metrics['demand_historical_baseline_rmse']:.4f})")
 
 planes = build_demand_input(slots[-1], slots[-2], clocks[-1])
 pred = model.predict(planes)
-usual = historical[clocks[-1].dow_index, clocks[-1].hour_index]
+usual = model.history(clocks[-1])
 print(f"hot cell (3,3): predicted {pred[3, 3]:.2f}, historical average {usual[3, 3]:.2f}, "
       f"trailing actuals {slots[-1][3, 3]:.0f} and {slots[-2][3, 3]:.0f}")
 print(f"cells masked to zero: {int((pred == 0).sum())} of {h * w}")

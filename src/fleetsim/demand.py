@@ -5,6 +5,8 @@ rectified) maps the last two observed demand heat maps plus four
 constant clock planes to a same-sized prediction.  Same padding keeps a
 1:1 correspondence between output pixels and grid cells.  Cells with no
 pickup in either input heat map are masked to zero at prediction time.
+A :class:`DemandModel` is the network and the history table fit with
+it; both policies read their demand from it.
 """
 
 from __future__ import annotations
@@ -16,12 +18,15 @@ import numpy as np
 
 from . import neural
 from .clock import Clock, periodic_features
+from .sim import SLOT_MINUTES
 
 log = logging.getLogger(__name__)
 
 INPUT_PLANES = 6
 VAL_FRACTION = 0.3   # share of the timeslots, the latest, held out for validation
 BATCH_SIZE = 8       # samples per training minibatch
+# episode minutes before the two trailing demand slots are complete
+COLD_START_MINUTES = 2.0 * SLOT_MINUTES
 
 DEMAND_SPEC = (
     neural.Conv2D(INPUT_PLANES, 16, 5, 5, "relu", "same"),
@@ -53,7 +58,10 @@ def build_demand_input(heat_prev1: np.ndarray, heat_prev2: np.ndarray,
 
 @dataclass
 class DemandModel:
+    """The network and the history table that :func:`train_demand` fits together."""
+
     params: list[np.ndarray]
+    historical: np.ndarray  # (7, 24, rows, cols), see historical_average
 
     def predict(self, demand_input: np.ndarray) -> np.ndarray:
         """Masked heat map of one ``(h, w, 6)`` input, run as a batch of one:
@@ -61,6 +69,18 @@ class DemandModel:
         raw = neural.forward(DEMAND_SPEC, self.params, demand_input[None])[0, ..., 0]
         mask = (demand_input[..., 0] > 0) | (demand_input[..., 1] > 0)
         return np.where(mask, raw, 0.0)
+
+    def history(self, clock: Clock) -> np.ndarray:
+        """The history's heat map at ``clock``'s weekday and hour."""
+        return self.historical[clock.dow_index, clock.hour_index]
+
+    def forecast(self, view) -> np.ndarray:
+        """The next-30-minute heat map of a simulator view: the :meth:`history`
+        until the two trailing demand slots are complete, since the mask would
+        blank the map, and the masked :meth:`predict` after."""
+        if view.t < COLD_START_MINUTES:
+            return self.history(view.clock)
+        return self.predict(build_demand_input(view.heat_prev1, view.heat_prev2, view.clock))
 
 
 def _samples(slots: np.ndarray, clocks: list[Clock]):
@@ -77,12 +97,12 @@ def train_slot_count(n_slots: int) -> int:
 
 
 def train_demand(slots: np.ndarray, clocks: list[Clock], seed: int,
-                 epochs: int, lr: float) -> tuple["DemandModel", np.ndarray, dict]:
+                 epochs: int, lr: float) -> tuple["DemandModel", dict]:
     """Fit on a chronological split: the first :func:`train_slot_count` slots
-    train, the rest validate.  Returns (model, historical, metrics).
+    train, the rest validate.  Returns (model, metrics).
 
-    ``historical``, the cold-start fallback and the baseline, is the
-    :func:`historical_average` of the training slots.  The RMSEs are per
+    The model's ``historical``, the cold-start fallback and the baseline,
+    is the :func:`historical_average` of the training slots.  The RMSEs are per
     cell over all cells of the masked prediction, which is what policy
     consumers observe.  Raises ``ValueError`` when the fit diverges to
     non-finite weights.
@@ -118,14 +138,13 @@ def train_demand(slots: np.ndarray, clocks: list[Clock], seed: int,
     if not neural.all_finite(params):
         raise ValueError(f"the demand fit diverged to non-finite weights (lr {lr})")
 
-    model = DemandModel(params)
+    model = DemandModel(params, historical_average(slots[:split], clocks[:split]))
     train_pred = np.stack([model.predict(x) for x in xtr])
     if lit.any() and not train_pred[lit].any():
         log.warning("the demand fit predicts 0 on all %d lit cells of its training split "
                     "(lr %g): the policies will see no demand", int(lit.sum()), lr)
-    historical = historical_average(slots[:split], clocks[:split])
-    usual = np.stack([historical[c.dow_index, c.hour_index] for c in clocks[split:]])
-    return model, historical, {
+    usual = np.stack([model.history(c) for c in clocks[split:]])
+    return model, {
         "demand_train_rmse": neural.rmse(train_pred, ytr),
         "demand_val_rmse": neural.rmse(np.stack([model.predict(x) for x in xva]), yva),
         "demand_historical_baseline_rmse": neural.rmse(usual, slots[split:]),

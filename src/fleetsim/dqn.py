@@ -448,11 +448,11 @@ class DqnPolicy:
     ``cycle`` minutes; 15 mimics the RHC slot cycle.
     """
 
-    def __init__(self, net: QNetwork, region_map: RegionMap, demand_predictor, *,
+    def __init__(self, net: QNetwork, region_map: RegionMap, demand, *,
                  decision_interval: float, cycle: int = 1, training: Training | None = None):
         self.net = net
         self.region_map = region_map
-        self.demand_predictor = demand_predictor  # callable(view) -> fine heat
+        self.demand = demand  # forecast(view) -> fine heat: demand.DemandModel
         self.decision_interval = decision_interval
         self.cycle = cycle
         self.training = training
@@ -533,7 +533,7 @@ class DqnPolicy:
 
             region = divmod(int(rids[vid]), rc)
             if demand_regions is None:
-                heat = self.demand_predictor(view)
+                heat = self.demand.forecast(view)
                 demand_regions = aggregate_to_regions(heat, self.region_map).reshape(rr, rc)
             ctx = VehicleContext(demand=demand_regions, supply=supply,
                                  idle=idle_regions, region=region, clock=clock)

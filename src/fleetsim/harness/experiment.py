@@ -127,8 +127,7 @@ def zone_trip_arrays(requests: Trips, zones: RegionMap, epoch_dow: int):
 @dataclass
 class ModelBundle:
     eta_model: eta_mod.EtaModel
-    demand_model: demand_mod.DemandModel
-    historical: np.ndarray    # (7, 24, rows, cols) demand history, see historical_average
+    demand_model: demand_mod.DemandModel  # the network and its demand history
     trip_times: np.ndarray    # (7, 24, M, M) zone trip minutes
     destinations: np.ndarray  # (7, 24, M, M) zone destination probabilities
     metrics: dict
@@ -170,7 +169,7 @@ def train_eta_model(cfg: ExperimentConfig, training_city: City):
 
 
 def train_demand_model(fitted):
-    """Wait for the demand fit: ``fitted()`` returns (model, historical, metrics)
+    """Wait for the demand fit: ``fitted()`` returns (model, metrics)
     as :func:`demand.train_demand` does; :func:`train_models` passes the
     result of its worker.  A function of its own, so that the wait can be
     timed by name."""
@@ -285,7 +284,7 @@ def save_models(cfg: ExperimentConfig, bundle: ModelBundle) -> None:
         {"eta": (eta_mod.ETA_SPEC, eta.params),
          "demand": (demand_mod.DEMAND_SPEC, bundle.demand_model.params)},
         {"eta_mean": eta.mean, "eta_std": eta.std, "eta_y_mean": eta.y_mean,
-         "eta_y_std": eta.y_std, "historical": bundle.historical,
+         "eta_y_std": eta.y_std, "historical": bundle.demand_model.historical,
          "minutes": bundle.trip_times, "prob": bundle.destinations})
     with open(paths["metrics"], "w") as fh:
         json.dump(bundle.metrics, fh, indent=2)
@@ -315,8 +314,8 @@ def train_models(cfg: ExperimentConfig, training_city: City) -> ModelBundle:
             lr=cfg.demand_lr)) as fit:
         eta_model, eta_metrics = train_eta_model(cfg, training_city)
         trip_times, destinations = build_zone_tables(cfg, training_city)
-        demand_model, historical, demand_metrics = train_demand_model(fit.result)
-    bundle = ModelBundle(eta_model, demand_model, historical, trip_times, destinations,
+        demand_model, demand_metrics = train_demand_model(fit.result)
+    bundle = ModelBundle(eta_model, demand_model, trip_times, destinations,
                          {**eta_metrics, **demand_metrics})
     save_models(cfg, bundle)
     return bundle
@@ -337,7 +336,7 @@ def load_models(cfg: ExperimentConfig) -> ModelBundle:
     rhc_mod.check_tables(paths["models"], a["minutes"], a["prob"])
     eta_model = eta_mod.EtaModel(nets["eta"], a["eta_mean"], a["eta_std"],
                                  float(a["eta_y_mean"]), float(a["eta_y_std"]))
-    return ModelBundle(eta_model, demand_mod.DemandModel(nets["demand"]), a["historical"],
+    return ModelBundle(eta_model, demand_mod.DemandModel(nets["demand"], a["historical"]),
                        a["minutes"], a["prob"], _read_metrics(paths["metrics"]))
 
 
@@ -353,42 +352,6 @@ def ensure_models(cfg: ExperimentConfig, city: City | None = None) -> ModelBundl
     return train_models(cfg, training_city(cfg) if city is None else city)
 
 
-# --- demand predictors -----------------------------------------------------
-
-# episode minutes before the two trailing demand slots are complete
-COLD_START_MINUTES = 2.0 * SLOT_MINUTES
-
-
-class ModelDemandPredictor:
-    """Next-30-minute fine heat map from the trained network.
-
-    For the first hour of an episode the two trailing demand slots are
-    not yet complete and the masking rule would blank the map, so a
-    historical-average fallback, the table of :func:`demand.historical_average`,
-    covers the cold start.  With ``floor_with_history`` the map is
-    elementwise floored at the historical average: the masking rule predicts exactly zero in cells
-    without recent pickups, a known underestimate that would otherwise
-    hide sparse-area shortages from the zone optimizer.
-    """
-
-    def __init__(self, model: demand_mod.DemandModel, fallback: np.ndarray,
-                 floor_with_history: bool = False):
-        self.model = model
-        self.fallback = fallback
-        self.floor_with_history = floor_with_history
-
-    def __call__(self, view):
-        history = self.fallback[view.clock.dow_index, view.clock.hour_index]
-        if view.t < COLD_START_MINUTES:
-            return history
-        planes = demand_mod.build_demand_input(view.heat_prev1, view.heat_prev2,
-                                               view.clock)
-        heat = self.model.predict(planes)
-        if self.floor_with_history:
-            heat = np.maximum(heat, history)
-        return heat
-
-
 # --- policies and episodes ---------------------------------------------------
 
 def make_policy(cfg: ExperimentConfig, policy_name: str, city: City,
@@ -396,20 +359,16 @@ def make_policy(cfg: ExperimentConfig, policy_name: str, city: City,
     if policy_name == "none":
         return None
     if policy_name == "rhc":
-        predictor = ModelDemandPredictor(bundle.demand_model, bundle.historical,
-                                         floor_with_history=True)
         return rhc_mod.RhcPolicy(
             zones=city.zones, trip_times=bundle.trip_times,
-            destinations=bundle.destinations, demand_predictor=predictor,
-            future_demand=bundle.historical,
+            destinations=bundle.destinations, demand=bundle.demand_model,
             reject_penalty=cfg.rhc_reject_penalty, discount=cfg.rhc_discount,
             slot_minutes=cfg.rhc_slot_minutes, horizon=cfg.rhc_horizon)
     if policy_name in ("dqn", "dqn_star"):
         if qnet is None:
             raise ConfigError("a trained Q-network is required for DQN policies")
-        predictor = ModelDemandPredictor(bundle.demand_model, bundle.historical)
         return dqn_mod.DqnPolicy(
-            qnet, city.regions, predictor,
+            qnet, city.regions, bundle.demand_model,
             decision_interval=cfg.dqn_decision_interval,
             cycle=1 if policy_name == "dqn" else cfg.rhc_slot_minutes)
     raise ConfigError(f"unknown policy {policy_name!r}")
@@ -509,7 +468,8 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
     The city is ``city``, else the city of ``cfg.seed`` synthesised in
     memory.  A DQN policy without a saved Q-network or with one that
     :func:`load_qnet` refuses, or a day window with fewer requests than
-    vehicles, raises its error before any model is trained.
+    vehicles, raises its error before any model is trained or ``out_dir``
+    is made.
     """
     # the Q-network first: a run that cannot use the models trains none
     if cfg.policy in ("dqn", "dqn_star") and qnet is None:
@@ -517,13 +477,13 @@ def run_experiment(cfg: ExperimentConfig, city: City | None = None,
         if not qnet_path.exists():
             raise ConfigError("no trained Q-network found; run train-dqn first")
         qnet = load_qnet(qnet_path)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     # the city next: a day window shorter than the fleet fails before any
-    # model is trained
+    # model is trained or directory made
     if city is None:
         city = city_from_synth(synth_city(cfg, cfg.seed, city_days(cfg)))
     _check_fleet_windows(cfg, city.requests, [day_window(cfg, day) for day in range(cfg.days)])
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     if bundle is None:
         bundle = ensure_models(cfg)
 
@@ -608,8 +568,7 @@ def train_dqn(cfg: ExperimentConfig, city: City | None = None,
         buffer_capacity=cfg.dqn_buffer, eps_ramp=cfg.dqn_eps_ramp,
         alpha_ramp=cfg.dqn_alpha_ramp, sync_period=cfg.dqn_sync_period)
     net = dqn_mod.QNetwork.create(np.random.default_rng(cfg.train_seed))
-    predictor = ModelDemandPredictor(bundle.demand_model, bundle.historical)
-    policy = dqn_mod.DqnPolicy(net, city.regions, predictor,
+    policy = dqn_mod.DqnPolicy(net, city.regions, bundle.demand_model,
                                decision_interval=cfg.dqn_decision_interval,
                                training=training)
 

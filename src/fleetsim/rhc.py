@@ -325,24 +325,19 @@ def assign_vehicles(u_rounded: np.ndarray, surplus: np.ndarray,
 class RhcPolicy:
     """Receding-horizon dispatch policy bound to tables and a zone partition.
 
-    Invoked once per slot: predicts zone demand from the demand model,
-    assembles the horizon LP from the simulator's supply snapshot, and
-    turns the executed slot's rounded plan into per-vehicle orders via
-    the location-level mismatch.
+    Invoked once per slot: predicts zone demand from the demand model
+    (:meth:`zone_demand`), assembles the horizon LP from the simulator's
+    supply snapshot, and turns the executed slot's rounded plan into
+    per-vehicle orders via the location-level mismatch.
     """
 
     def __init__(self, zones: RegionMap, trip_times: np.ndarray,
-                 destinations: np.ndarray, demand_predictor, future_demand,
-                 reject_penalty: float, discount: float, slot_minutes: float,
-                 horizon: int):
+                 destinations: np.ndarray, demand, reject_penalty: float,
+                 discount: float, slot_minutes: float, horizon: int):
         self.zones = zones
         self.trip_times = trip_times        # (7, 24, M, M) minutes, see estimate_tables
         self.destinations = destinations    # (7, 24, M, M) probabilities
-        self.demand_predictor = demand_predictor  # callable(view) -> fine heat
-        # (7, 24, rows, cols) demand history for slots beyond the model's
-        # window, so the horizon can anticipate surges instead of
-        # persisting the current level; see demand.historical_average
-        self.future_demand = future_demand
+        self.demand = demand                # forecast(view), history(clock): demand.DemandModel
         self.reject_penalty = reject_penalty
         self.discount = discount
         self.slot_minutes = slot_minutes
@@ -350,6 +345,26 @@ class RhcPolicy:
         self.cycle = int(slot_minutes)
         self.last_plan: RhcPlan | None = None
         highs_bindings()  # import the solver now, not inside the first plan
+
+    def zone_demand(self, view) -> np.ndarray:
+        """Predicted requests per slot and zone, ``(horizon + 1, M)``.
+
+        The slots within the demand model's 30-minute window read its
+        forecast, floored at the history: the masking rule predicts exactly
+        zero in cells without recent pickups, a known underestimate that
+        would otherwise hide sparse-area shortages from the LP.  Later
+        slots read the history at their own clock, so the horizon can
+        anticipate surges instead of persisting the current level.
+        """
+        # the demand model predicts one SLOT_MINUTES window ahead
+        scale = self.slot_minutes / SLOT_MINUTES
+        n_near = max(1, int(SLOT_MINUTES // self.slot_minutes))
+        heat = np.maximum(self.demand.forecast(view), self.demand.history(view.clock))
+        wbar = np.tile(aggregate_to_regions(heat, self.zones) * scale, (self.horizon + 1, 1))
+        for k in range(n_near, self.horizon + 1):
+            future = self.demand.history(view.clock.plus(k * self.slot_minutes))
+            wbar[k] = aggregate_to_regions(future, self.zones) * scale
+        return wbar
 
     def dispatch(self, view) -> list[DispatchOrder]:
         m = self.zones.region_count
@@ -366,18 +381,7 @@ class RhcPolicy:
         # the (dow, hour) table index of each slot's clock
         clocks = [view.clock.plus(k * self.slot_minutes) for k in range(horizon + 1)]
         dow, hour = [c.dow_index for c in clocks], [c.hour_index for c in clocks]
-
-        heat = self.demand_predictor(view)
-        # the demand model predicts one SLOT_MINUTES window ahead
-        scale = self.slot_minutes / SLOT_MINUTES
-        near = aggregate_to_regions(heat, self.zones) * scale
-        n_near = max(1, int(SLOT_MINUTES // self.slot_minutes))
-        wbar = np.tile(near, (horizon + 1, 1))
-        for k in range(n_near, horizon + 1):
-            future = self.future_demand[dow[k], hour[k]]
-            wbar[k] = aggregate_to_regions(future, self.zones) * scale
-
-        plan = solve_rhc(x0, sched, wbar, self.trip_times[dow, hour],
+        plan = solve_rhc(x0, sched, self.zone_demand(view), self.trip_times[dow, hour],
                          self.destinations[dow, hour],
                          self.reject_penalty, self.discount, self.slot_minutes)
         self.last_plan = plan

@@ -16,9 +16,12 @@ region's cells as a walk over the assignment, where the program reads
 ``demand_slot_series_reference`` and ``fleet_window_count_reference``
 build the set-up's arrays one request at a time from
 ``sim.RideRequest`` rows, as the harness did before it read the
-``sim.Trips`` columns.  A few helpers that only the tests call live
+``sim.Trips`` columns; ``rhc_zone_demand_reference`` builds RHC's zone
+demand from the two sources it read before ``RhcPolicy.zone_demand``.
+A few helpers that only the tests call live
 here too: ``predict_supply``, ``avg_pool`` (built from the library's
-pooling pieces), ``masked_q``, ``render_config`` and ``lp_from_dense``.
+pooling pieces), ``masked_q``, ``render_config``, ``lp_from_dense`` and
+``fake_demand``.
 
 ``CFG`` holds the program's settings: a test that needs a value the program
 takes from its config reads it there, so a change to a config default
@@ -1207,6 +1210,39 @@ def rhc_supply_reference(view, zones, slot_minutes, horizon):
     return x0, sched
 
 
+def fake_demand(forecast, historical) -> demand_mod.DemandModel:
+    """A ``demand.DemandModel`` without a network whose ``forecast`` is
+    ``forecast(view)``; its ``history`` reads the ``(7, 24, rows, cols)``
+    table ``historical`` as the model's does."""
+    model = demand_mod.DemandModel([], historical)
+    model.forecast = forecast
+    return model
+
+
+def rhc_zone_demand_reference(model, view, zones, slot_minutes, horizon):
+    """RHC's ``(horizon + 1, M)`` zone demand from two sources, as the policy read
+    it before it read one ``DemandModel``: the model's network floored at its
+    history (the history alone in an episode's first hour) for the
+    ``max(1, 30 // slot)`` slots of the network's window, then the history table
+    indexed at each later slot's weekday and hour, both scaled from 30 minutes
+    to a slot."""
+    table = model.historical
+    history = table[view.clock.dow_index, view.clock.hour_index]
+    if view.t < 2.0 * HEAT_SLOT_MINUTES:
+        heat = history
+    else:
+        planes = demand_mod.build_demand_input(view.heat_prev1, view.heat_prev2, view.clock)
+        heat = np.maximum(model.predict(planes), history)
+    scale = slot_minutes / HEAT_SLOT_MINUTES
+    near = aggregate_to_regions(heat, zones) * scale
+    n_near = max(1, int(HEAT_SLOT_MINUTES // slot_minutes))
+    wbar = np.tile(near, (horizon + 1, 1))
+    for k in range(n_near, horizon + 1):
+        clock = view.clock.plus(k * slot_minutes)
+        wbar[k] = aggregate_to_regions(table[clock.dow_index, clock.hour_index], zones) * scale
+    return wbar
+
+
 def avg_pool_reference(plane, k):
     """Same-size k x k stride-1 mean pooling from one integral image per call."""
     x = np.asarray(plane, dtype=np.float64)
@@ -1315,7 +1351,7 @@ class DqnPolicyReference(DqnPolicy):
         rr, rc = self.region_map.shape
         horizon = SUPPLY_HORIZONS[-1]
 
-        heat = self.demand_predictor(view)
+        heat = self.demand.forecast(view)
         demand_regions = aggregate_to_regions(heat, self.region_map).reshape(rr, rc)
         vehicle_cells = [tuple(cell) for cell in view.cells.tolist()]
         idle_regions = np.zeros((rr, rc))
@@ -1587,8 +1623,8 @@ def serial_models_reference(cfg, city) -> None:
     eta_model, eta_metrics = ex.train_eta_model(cfg, city)
     slots, clocks = ex.demand_slot_series(city.requests, city.grid,
                                           cfg.train_days * 1440.0, cfg.epoch_dow)
-    demand_model, historical, demand_metrics = demand_mod.train_demand(
+    demand_model, demand_metrics = demand_mod.train_demand(
         slots, clocks, seed=cfg.train_seed, epochs=cfg.demand_epochs, lr=cfg.demand_lr)
     trip_times, destinations = ex.build_zone_tables(cfg, city)
-    ex.save_models(cfg, ex.ModelBundle(eta_model, demand_model, historical, trip_times,
-                                       destinations, {**eta_metrics, **demand_metrics}))
+    ex.save_models(cfg, ex.ModelBundle(eta_model, demand_model, trip_times, destinations,
+                                       {**eta_metrics, **demand_metrics}))

@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from fleetsim import neural
 from fleetsim.clock import Clock
 from fleetsim.demand import (
+    COLD_START_MINUTES,
     DEMAND_SPEC,
     DemandModel,
     build_demand_input,
@@ -63,15 +66,15 @@ class TestTraining:
         pattern[3, 3] = 3.0
         pattern[6, 1] = 1.0
         slots = np.tile(pattern, (40, 1, 1))
-        _, _, metrics = train_demand(slots, slot_clocks(40), seed=1, epochs=120,
-                                     lr=CFG.demand_lr)
+        _, metrics = train_demand(slots, slot_clocks(40), seed=1, epochs=120,
+                                  lr=CFG.demand_lr)
         assert metrics["demand_val_rmse"] < 0.05
 
     def test_beats_last_value_persistence_on_periodic_demand(self):
         rng = np.random.default_rng(1)
         slots = periodic_series(rng, 48 * 3)
-        _, _, metrics = train_demand(slots, slot_clocks(48 * 3), seed=2, epochs=60,
-                                     lr=CFG.demand_lr)
+        _, metrics = train_demand(slots, slot_clocks(48 * 3), seed=2, epochs=60,
+                                  lr=CFG.demand_lr)
         # persistence predicts slot i as slot i-1 on the same validation span
         n = slots.shape[0] - 2
         n_train = int(round(n * 0.7))
@@ -85,12 +88,12 @@ class TestTraining:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         slots = periodic_series(rng, 60)
-        m1, h1, metrics1 = train_demand(slots, slot_clocks(60), seed=3, epochs=5,
-                                        lr=CFG.demand_lr)
-        m2, h2, metrics2 = train_demand(slots, slot_clocks(60), seed=3, epochs=5,
-                                        lr=CFG.demand_lr)
+        m1, metrics1 = train_demand(slots, slot_clocks(60), seed=3, epochs=5,
+                                    lr=CFG.demand_lr)
+        m2, metrics2 = train_demand(slots, slot_clocks(60), seed=3, epochs=5,
+                                    lr=CFG.demand_lr)
         assert metrics1 == metrics2
-        assert h1.tobytes() == h2.tobytes()
+        assert m1.historical.tobytes() == m2.historical.tobytes()
         for a, b in zip(m1.params, m2.params):
             np.testing.assert_array_equal(a, b)
 
@@ -107,17 +110,21 @@ class TestTraining:
             train_demand(np.zeros((3, 4, 4)), slot_clocks(3), seed=0, epochs=150, lr=CFG.demand_lr)
 
 
-class TestPredict:
-    def make_model(self, seed=4):
-        return DemandModel(neural.init_params(DEMAND_SPEC, np.random.default_rng(seed)))
+def seeded_model(seed=4, shape=(6, 6)) -> DemandModel:
+    """A network of seeded initial weights and a seeded history table."""
+    rng = np.random.default_rng(seed)
+    return DemandModel(neural.init_params(DEMAND_SPEC, rng),
+                       rng.uniform(0.0, 2.0, (7, 24) + shape))
 
+
+class TestPredict:
     def test_all_zero_recent_demand_predicts_zero(self):
-        model = self.make_model()
+        model = seeded_model()
         planes = build_demand_input(np.zeros((6, 6)), np.zeros((6, 6)), Clock(300.0))
         np.testing.assert_array_equal(model.predict(planes), np.zeros((6, 6)))
 
     def test_masked_cell_with_nonzero_raw_output_is_zeroed(self):
-        model = self.make_model()
+        model = seeded_model()
         h1 = np.zeros((6, 6))
         h1[0, 0] = 2.0
         planes = build_demand_input(h1, np.zeros((6, 6)), Clock(300.0))
@@ -129,7 +136,7 @@ class TestPredict:
         assert (raw[dark] != 0.0).any()
 
     def test_unmasked_cells_equal_raw_forward(self):
-        model = self.make_model()
+        model = seeded_model()
         rng = np.random.default_rng(5)
         h1 = rng.poisson(1.0, size=(6, 6)).astype(float)
         h2 = rng.poisson(1.0, size=(6, 6)).astype(float)
@@ -140,7 +147,7 @@ class TestPredict:
         np.testing.assert_array_equal(out[lit], raw[lit])
 
     def test_outputs_nonnegative(self):
-        model = self.make_model()
+        model = seeded_model()
         rng = np.random.default_rng(6)
         for _ in range(5):
             h1 = rng.poisson(2.0, size=(5, 5)).astype(float)
@@ -149,15 +156,41 @@ class TestPredict:
             assert (model.predict(planes) >= 0.0).all()
 
     def test_checkpoint_round_trip(self, tmp_path):
-        model = self.make_model()
+        model = seeded_model()
         p = tmp_path / "models.npz"
         neural.write_model_file(p, {"demand": (DEMAND_SPEC, model.params)}, {})
         nets, _ = neural.read_model_file(p, {"demand": DEMAND_SPEC}, {})
-        back = DemandModel(nets["demand"])
+        back = DemandModel(nets["demand"], model.historical)
         for a, b in zip(model.params, back.params):
             np.testing.assert_array_equal(a, b)
         planes = build_demand_input(np.ones((6, 6)), np.zeros((6, 6)), Clock(300.0))
         assert back.predict(planes).tobytes() == model.predict(planes).tobytes()
+
+
+class TestForecast:
+    def view(self, t, rng):
+        heat = rng.poisson(0.6, size=(6, 6)).astype(float)
+        return SimpleNamespace(t=t, clock=Clock(t), heat_prev1=heat,
+                               heat_prev2=rng.poisson(0.6, size=(6, 6)).astype(float))
+
+    def test_history_reads_the_table_at_the_clock(self):
+        model = seeded_model()
+        clock = Clock(2 * 1440.0 + 23 * 60.0 + 59.0)
+        assert (clock.dow_index, clock.hour_index) == (2, 23)
+        assert model.history(clock).tobytes() == model.historical[2, 23].tobytes()
+
+    @pytest.mark.parametrize("t", [0.0, 30.0, COLD_START_MINUTES - 0.5])
+    def test_cold_start_forecasts_the_history(self, t):
+        model = seeded_model()
+        view = self.view(t, np.random.default_rng(int(t)))
+        assert model.forecast(view).tobytes() == model.history(view.clock).tobytes()
+
+    @pytest.mark.parametrize("t", [COLD_START_MINUTES, 61.0, 2000.0])
+    def test_warm_forecast_is_the_masked_prediction(self, t):
+        model = seeded_model()
+        view = self.view(t, np.random.default_rng(int(t)))
+        planes = build_demand_input(view.heat_prev1, view.heat_prev2, view.clock)
+        assert model.forecast(view).tobytes() == model.predict(planes).tobytes()
 
 
 class TestHistoricalAverage:

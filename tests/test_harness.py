@@ -579,10 +579,10 @@ class TestExperiment:
                                               cfg.train_days * 1440.0, cfg.epoch_dow)
         fit = demand_mod.train_demand(slots, clocks, seed=cfg.train_seed,
                                       epochs=cfg.demand_epochs, lr=cfg.demand_lr)
-        model, historical, metrics = ex.train_demand_model(lambda: fit)
+        model, metrics = ex.train_demand_model(lambda: fit)
         n_fit = demand_mod.train_slot_count(slots.shape[0])
         assert 2 < n_fit < slots.shape[0]
-        assert historical.tobytes() == \
+        assert model.historical.tobytes() == \
             demand_mod.historical_average(slots[:n_fit], clocks[:n_fit]).tobytes()
         # the network's training RMSE covers exactly the samples whose
         # inputs and targets lie in those slots
@@ -647,8 +647,8 @@ class TestExperiment:
         slots, clocks = ex.demand_slot_series(city.requests, city.grid,
                                               cfg.train_days * 1440.0, cfg.epoch_dow)
         with caplog.at_level("WARNING", logger="fleetsim.demand"):
-            model, _, _ = demand_mod.train_demand(slots, clocks, seed=cfg.train_seed,
-                                                  epochs=cfg.demand_epochs, lr=cfg.demand_lr)
+            model, _ = demand_mod.train_demand(slots, clocks, seed=cfg.train_seed,
+                                               epochs=cfg.demand_epochs, lr=cfg.demand_lr)
         inputs, _ = demand_mod._samples(slots, clocks)
         inputs = inputs[:demand_mod.train_slot_count(len(slots)) - 2]
         lit = (inputs[..., 0] > 0) | (inputs[..., 1] > 0)
@@ -665,7 +665,7 @@ class TestExperiment:
     def test_models_reload_with_equal_bytes(self, mini_world):
         cfg, _, bundle = mini_world
         back = ex.load_models(cfg)
-        assert back.historical.shape == (7, 24, cfg.fine_rows, cfg.fine_cols)
+        assert back.demand_model.historical.shape == (7, 24, cfg.fine_rows, cfg.fine_cols)
         assert back.metrics == bundle.metrics
 
         def arrays(b):
@@ -673,7 +673,7 @@ class TestExperiment:
             return {"eta_params": eta.params, "eta_stats": [eta.mean, eta.std],
                     "eta_y": [np.float64(eta.y_mean), np.float64(eta.y_std)],
                     "demand_params": b.demand_model.params,
-                    "tables": [b.historical, b.trip_times, b.destinations]}
+                    "tables": [b.demand_model.historical, b.trip_times, b.destinations]}
 
         saved, loaded = arrays(bundle), arrays(back)
         for name in saved:
@@ -1360,8 +1360,7 @@ class TestCli:
         assert "config error: the window from minute 240 has " in proc.stderr, proc.stderr
         assert "requests, fewer than the 50 vehicles" in proc.stderr
         assert "Traceback" not in proc.stderr
-        assert list((tmp_path / "out").glob("summary_*")) == []
-        assert not (tmp_path / "out" / "models").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_training_city_smaller_than_the_fleet_is_config_error(self, tmp_path):
         proc = self.run_cli(*TINY_CLI, *dirs(tmp_path), "--set", "vehicles=500",

@@ -325,8 +325,7 @@ zones = RegionMap(grid, cfg.zone_block)
 m = zones.region_count
 city = SimpleNamespace(zones=zones,
                        regions=RegionMap(grid, cfg.region_block))
-bundle = SimpleNamespace(demand_model=None, historical=np.zeros((7, 24) + grid.shape),
-                         trip_times=np.ones((7, 24, m, m)),
+bundle = SimpleNamespace(demand_model=None, trip_times=np.ones((7, 24, m, m)),
                          destinations=np.full((7, 24, m, m), 1.0 / m))
 qnet = QNetwork.create(np.random.default_rng(0))
 for name in ("none", "dqn", "rhc"):

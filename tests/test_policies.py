@@ -1,10 +1,15 @@
 """Orchestration-level tests for the two dispatch policies."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from oracles import DqnPolicyReference, rhc_settings, rhc_supply_reference
+from oracles import (DqnPolicyReference, fake_demand, rhc_settings, rhc_supply_reference,
+                     rhc_zone_demand_reference)
 
+from fleetsim import neural
 from fleetsim.clock import Clock
+from fleetsim.demand import DEMAND_SPEC, DemandModel
 from fleetsim.dqn import (
     ACTION_RADIUS,
     DqnPolicy,
@@ -59,14 +64,14 @@ def fake_view(t=100.0, idle_cells=None, pickups=None,
     )
 
 
-def flat_demand_predictor(view):
-    return np.zeros(GRID.shape)
+NO_HISTORY = np.zeros((7, 24) + GRID.shape)
+FLAT_DEMAND = fake_demand(lambda view: np.zeros(GRID.shape), NO_HISTORY)
 
 
 class TestDqnPolicy:
     def make_policy(self, net=None, training=None, cycle=1):
         return DqnPolicy(net or QNetwork.create(np.random.default_rng(0)),
-                         REGIONS, flat_demand_predictor,
+                         REGIONS, FLAT_DEMAND,
                          decision_interval=15.0, cycle=cycle, training=training)
 
     def test_stay_policy_issues_no_orders(self):
@@ -204,7 +209,7 @@ class TestDqnPolicy:
                 self.writes += 1
                 super().__setitem__(key, value)
 
-        policy = DqnPolicy(sample_qnet("move"), REGIONS, spy_predictor,
+        policy = DqnPolicy(sample_qnet("move"), REGIONS, fake_demand(spy_predictor, NO_HISTORY),
                            decision_interval=15.0,
                            training=make_training(3, pinned_alpha=0.5)
                            if train else None)
@@ -311,7 +316,8 @@ class TestDqnMatchesReference:
         def predictor(view):
             return 0.37 * view.trailing_heat + view.heat_prev1
 
-        policies = [cls(qnet, region_map, predictor, decision_interval=15.0,
+        demand = fake_demand(predictor, np.zeros((7, 24) + grid.shape))
+        policies = [cls(qnet, region_map, demand, decision_interval=15.0,
                         training=config if train else None)
                     for cls in (DqnPolicy, DqnPolicyReference)]
         for policy in policies:
@@ -358,10 +364,9 @@ class TestRhcPolicyOrchestration:
         idle = {vid: (0, vid % 2) for vid in range(4)}
         trailing = np.zeros(GRID.shape)
         trailing[9, 9] = 8.0
-        policy = RhcPolicy(ZONES, tau, prob,
-                           demand_predictor=lambda view: view.trailing_heat,
-                           future_demand=np.broadcast_to(trailing, (7, 24) + GRID.shape),
-                           **rhc_settings(reject_penalty=20.0))
+        demand = fake_demand(lambda view: view.trailing_heat,
+                             np.broadcast_to(trailing, (7, 24) + GRID.shape))
+        policy = RhcPolicy(ZONES, tau, prob, demand, **rhc_settings(reject_penalty=20.0))
         view = fake_view(t=60.0, idle_cells=idle, trailing=trailing)
         orders = policy.dispatch(view)
         assert len(orders) <= 4
@@ -382,8 +387,7 @@ class TestRhcPolicyOrchestration:
 
         monkeypatch.setattr(rhc, "solve_rhc", spy)
         policy = RhcPolicy(ZONES, np.full((7, 24, m, m), 5.0), np.full((7, 24, m, m), 1.0 / m),
-                           demand_predictor=lambda view: view.trailing_heat,
-                           future_demand=np.zeros((7, 24) + GRID.shape),
+                           fake_demand(lambda view: view.trailing_heat, NO_HISTORY),
                            **rhc_settings(slot_minutes=slot_minutes, horizon=horizon))
         views = random_views(3, GRID)
         for view in views:
@@ -410,8 +414,8 @@ class TestRhcPolicyOrchestration:
             return solve_rhc(x0, sched, wbar, tau_slots, p_slots, *args)
 
         monkeypatch.setattr(rhc, "solve_rhc", spy)
-        policy = RhcPolicy(ZONES, tau, prob, demand_predictor=lambda view: view.trailing_heat,
-                           future_demand=future, **rhc_settings())
+        policy = RhcPolicy(ZONES, tau, prob, fake_demand(lambda view: view.trailing_heat, future),
+                           **rhc_settings())
         t = 2 * 1440.0 + 23 * 60.0 + 40.0
         policy.dispatch(fake_view(t=t, idle_cells={0: (5, 5)}))
         (wbar, tau_slots, p_slots), = seen
@@ -424,12 +428,34 @@ class TestRhcPolicyOrchestration:
             want = aggregate_to_regions(future[clocks[k].dow_index, clocks[k].hour_index], ZONES)
             assert wbar[k].tobytes() == (want * 0.5).tobytes()
 
+    @pytest.mark.parametrize("horizon", [1, 3, 6])
+    @pytest.mark.parametrize("slot_minutes", [7, 10, 15, 30, 45])
+    def test_zone_demand_matches_the_two_source_reference(self, slot_minutes, horizon):
+        m = ZONES.region_count
+        rng = np.random.default_rng(slot_minutes * 10 + horizon)
+        params = neural.init_params(DEMAND_SPEC, rng)
+        params[-1] = np.full_like(params[-1], 0.3)  # a network that predicts more than nothing
+        model = DemandModel(params, rng.uniform(0.0, 0.8, (7, 24) + GRID.shape))
+        policy = RhcPolicy(ZONES, np.full((7, 24, m, m), 5.0), np.full((7, 24, m, m), 1.0 / m),
+                           model, **rhc_settings(slot_minutes=slot_minutes, horizon=horizon))
+        view = random_views(9, GRID)[0]
+        heat = rng.poisson(0.8, (2,) + GRID.shape).astype(float)
+        # a cold start, and a warm view whose horizon crosses hours and midnight
+        for t in (20.0, 2 * 1440.0 + 23 * 60.0 + 40.0):
+            view = dataclasses.replace(view, t=t, clock=Clock(t),
+                                       heat_prev1=heat[0], heat_prev2=heat[1])
+            want = rhc_zone_demand_reference(model, view, ZONES, slot_minutes, horizon)
+            got = policy.zone_demand(view)
+            assert got.shape == (horizon + 1, m)
+            assert got.tobytes() == want.tobytes()
+        # the warm forecast beats its floor in some cells and not in others
+        forecast, floor = model.forecast(view), model.history(view.clock)
+        assert (forecast > floor).any() and (forecast < floor).any()
+
     def test_no_demand_no_orders(self):
         m = ZONES.region_count
         tau = np.full((7, 24, m, m), 5.0)
         prob = np.full((7, 24, m, m), 1.0 / m)
-        policy = RhcPolicy(ZONES, tau, prob,
-                           demand_predictor=lambda view: np.zeros(GRID.shape),
-                           future_demand=np.zeros((7, 24) + GRID.shape), **rhc_settings())
+        policy = RhcPolicy(ZONES, tau, prob, FLAT_DEMAND, **rhc_settings())
         view = fake_view(t=60.0, idle_cells={0: (5, 5)})
         assert policy.dispatch(view) == []

@@ -21,7 +21,7 @@ from fleetsim.rhc import (
 from fleetsim import rhc
 from fleetsim.lp import LpSolution, solve
 from oracles import (assign_vehicles_reference, destination_table_reference,
-                     event_supply_oracle, predict_supply, random_supply_scenario,
+                     event_supply_oracle, fake_demand, predict_supply, random_supply_scenario,
                      region_cells, rhc_lp_reference, rhc_settings, seeded_rhc_lp_inputs,
                      zone_centroid_distances_reference)
 from test_policies import GRID, ZONES, fake_view
@@ -515,10 +515,9 @@ class TestNonOptimalLp:
         # supply in one corner, demand in the opposite one: an optimal plan dispatches
         trailing = np.zeros(GRID.shape)
         trailing[9, 9] = 8.0
-        policy = rhc.RhcPolicy(ZONES, tau, prob,
-                               demand_predictor=lambda view: view.trailing_heat,
-                               future_demand=np.broadcast_to(trailing, (7, 24) + GRID.shape),
-                               **rhc_settings())
+        demand = fake_demand(lambda view: view.trailing_heat,
+                             np.broadcast_to(trailing, (7, 24) + GRID.shape))
+        policy = rhc.RhcPolicy(ZONES, tau, prob, demand, **rhc_settings())
         view = fake_view(t=60.0, idle_cells={vid: (0, vid % 2) for vid in range(4)},
                          trailing=trailing)
         assert policy.dispatch(view)

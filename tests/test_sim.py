@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (CFG, DqnPolicyReference, ReferenceSimulation, VehicleState, eta_one_row,
-                     rhc_settings, seeded_rhc_lp_inputs, sim_settings)
+                     fake_demand, rhc_settings, seeded_rhc_lp_inputs, sim_settings)
 from test_dqn import make_training, sample_qnet
 
 from fleetsim import neural
@@ -922,7 +922,8 @@ def dqn_city_simulation(sim_cls, policy_cls, seed, rows, cols, n_vehicles, n_req
     grid, graph, requests = small_city(seed, rows, cols, n_vehicles, n_requests)
     qnet = sample_qnet(net, seed)
     training = make_training(seed, pinned_epsilon=0.3, pinned_alpha=0.7)
-    policy = policy_cls(qnet, RegionMap(grid, 1), lambda view: view.trailing_heat,
+    demand = fake_demand(lambda view: view.trailing_heat, np.zeros((7, 24) + grid.shape))
+    policy = policy_cls(qnet, RegionMap(grid, 1), demand,
                         decision_interval=15.0,
                         training=training if train else None)
     return sim_cls(grid, graph, FeatureEta(), requests, n_vehicles, policy=policy,
@@ -996,8 +997,9 @@ def rhc_city_simulation(sim_cls, seed, rows, cols, n_vehicles, n_requests, slot,
     trip_times = rng.uniform(0.0, 2.5 * slot, (7, 24, m, m))
     destinations = rng.dirichlet(np.ones(m), (7, 24, m))
     future = rng.uniform(0.0, 2.0, (7, 24, rows, cols))
-    policy = RhcPolicy(zones, trip_times, destinations, lambda view: view.trailing_heat,
-                       future, **rhc_settings(slot_minutes=slot, horizon=horizon))
+    policy = RhcPolicy(zones, trip_times, destinations,
+                       fake_demand(lambda view: view.trailing_heat, future),
+                       **rhc_settings(slot_minutes=slot, horizon=horizon))
     return sim_cls(grid, graph, FeatureEta(), requests, n_vehicles,
                    policy=ZoneBudgetCheck(policy), clock0=Clock(400.0), **sim_settings(warmup=0))
 
