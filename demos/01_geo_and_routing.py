@@ -1,8 +1,7 @@
 """Grid geometry and road-network routing in a nutshell.
 
 Builds a small city grid, shows how coordinates map to cells and
-regions, and runs a few shortest-path queries over a synthetic road
-network.
+regions, and runs a shortest-path query over the grid's road lattice.
 """
 
 import numpy as np
@@ -11,8 +10,7 @@ from fleetsim.geo import (
     GridSpec, Location, RegionMap, aggregate_to_regions, cell_arrays,
     center_of, haversine,
 )
-from fleetsim.roadgraph import nearest_nodes, shortest_path
-from fleetsim.harness.synth import build_road_grid
+from fleetsim.roadgraph import RoadGraph, nearest_nodes, shortest_path
 
 grid = GridSpec(rows=8, cols=8, cell_size=500.0, origin=Location(40.0, -74.0))
 print(f"grid: {grid.rows}x{grid.cols} cells of {grid.cell_size:.0f} m")
@@ -30,9 +28,10 @@ heat[1, 1] = 3
 heat[6, 6] = 5
 print("per-region totals of a heat map:", aggregate_to_regions(heat, regions))
 
-graph = build_road_grid(grid)
-n_edges = sum(len(out) for out in graph.adjacency.values())
-print(f"\nroad graph: {len(graph.nodes)} nodes, {n_edges} directed edges")
+# every cell centre is a node, joined both ways to its four neighbours
+graph = RoadGraph(grid)
+n_roads = sum(len(out) for out in graph.adjacency)
+print(f"\nroad lattice: {len(graph.nodes)} nodes, {n_roads} one-way roads")
 
 a = Location(40.001, -73.999)
 b = Location(40.03, -73.96)

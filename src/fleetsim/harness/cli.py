@@ -173,7 +173,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CheckpointError, SummaryError, FileNotFoundError, OSError) as exc:
+    except (CheckpointError, SummaryError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

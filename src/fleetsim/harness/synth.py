@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geo import EARTH_RADIUS_M, GridSpec, RegionMap, center_of, haversine
-from ..roadgraph import RoadGraph, build_graph
+from ..geo import EARTH_RADIUS_M, GridSpec, RegionMap
+from ..roadgraph import RoadGraph
 from ..sim import Trips
 from .config import ConfigError, ExperimentConfig
 
@@ -129,25 +129,6 @@ def _slot_rates(grid: GridSpec, cfg: ExperimentConfig) -> np.ndarray:
 def _speed_kmh(hour: float, cfg: ExperimentConfig) -> float:
     slow = _hour_bump(hour, 8.5, 1.5) + _hour_bump(hour, 17.5, 2.0)
     return cfg.synth_speed_kmh * (1.0 - 0.25 * min(1.0, slow))
-
-
-def build_road_grid(grid: GridSpec) -> RoadGraph:
-    """4-connected bidirectional road graph over the fine cell centers."""
-    nodes = {}
-    for r in range(grid.rows):
-        for c in range(grid.cols):
-            nodes[r * grid.cols + c] = center_of((r, c), grid)
-    edges = []
-    for r in range(grid.rows):
-        for c in range(grid.cols):
-            nid = r * grid.cols + c
-            for r2, c2 in ((r + 1, c), (r, c + 1)):
-                if r2 < grid.rows and c2 < grid.cols:
-                    nid2 = r2 * grid.cols + c2
-                    d = haversine(nodes[nid], nodes[nid2])
-                    edges.append((nid, nid2, d))
-                    edges.append((nid2, nid, d))
-    return build_graph(nodes, edges)
 
 
 def _activity_level(rng, n_slots: int) -> np.ndarray:
@@ -252,5 +233,5 @@ def synth_city(cfg: ExperimentConfig, seed: int, days: int) -> SynthCity:
     # stable: equal minutes keep their draw order
     table = table[np.argsort(table[:, 0], kind="stable")]
     trips = Trips(np.arange(len(table)), *table.T)
-    return SynthCity(grid=grid, graph=build_road_grid(grid), regions=regions,
+    return SynthCity(grid=grid, graph=RoadGraph(grid), regions=regions,
                      zones=zones, trips=trips)

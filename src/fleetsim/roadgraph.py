@@ -1,17 +1,22 @@
-"""Directed road network with A* shortest-path search.
+"""A city's road lattice with A* shortest-path search.
 
 Dispatch trajectories run along this graph; travel *time* comes from the
 ETA model, the graph only supplies distances and waypoints.
 
-A graph derives its query arrays once, when it is built: the sorted node
-ids with their latitude and longitude arrays and a bucket index (for
-nearest-node lookups), an id -> index map, adjacency lists over those
-indices, each node's latitude and longitude in radians, halved, with the
-cosine of its latitude (for the A* heuristic), and each directed edge's
-haversine length (for route lengths and the heuristic's scale).
-``nodes`` and ``adjacency`` must therefore not be mutated afterwards;
-build a new graph instead.  Queries are pure functions, so concurrent use
-is safe.
+A city's roads join the centre of each cell of its grid to the centres of
+its four neighbours, both ways, at their haversine distance.
+:class:`RoadGraph` builds that lattice from the grid: node ``r * cols + c``
+is the centre of cell ``(r, c)``, so a node's id is its index.  A graph
+derives its query arrays once, when it is built: the nodes' latitude and
+longitude arrays and a bucket index (for nearest-node lookups), and each
+node's latitude and longitude in radians, halved, with the cosine of its
+latitude (for the A* heuristic).  A graph must therefore not be mutated
+afterwards; build a new one instead.  Queries are pure functions, so
+concurrent use is safe.
+
+Every road is as long as the straight line between its ends, so A*
+takes the haversine to the destination as its heuristic, unscaled; and
+the lattice is connected, so every destination has a path.
 
 The bucket index is an equal-angle grid of about one bucket per node over
 the nodes' bounding box plus one ring of buckets.  For each bucket it
@@ -43,17 +48,17 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .geo import EARTH_RADIUS_M, Location, haversine, haversine_arrays
+from .geo import EARTH_RADIUS_M, GridSpec, center_of, haversine, haversine_arrays
 
 
 @dataclass(frozen=True)
 class Path:
-    """Node sequence joined by graph edges. Empty when origin equals destination."""
+    """Node sequence joined by roads. Empty when origin equals destination."""
 
     nodes: tuple[int, ...]
     total_length: float
@@ -128,77 +133,30 @@ def _build_buckets(lats: np.ndarray, lons: np.ndarray) -> Buckets:
     return Buckets(lat0, lon0, dlat, dlon, rows, cols, candidates)
 
 
-@dataclass
 class RoadGraph:
-    nodes: dict[int, Location]
-    adjacency: dict[int, list[tuple[int, float]]]  # node -> [(neighbor, meters)]
-    # scale applied to the haversine heuristic so A* stays admissible even
-    # when data contains edges shorter than the straight-line distance
-    heuristic_scale: float = field(init=False)
-    _ids: np.ndarray = field(init=False, repr=False)
-    _lats: np.ndarray = field(init=False, repr=False)
-    _lons: np.ndarray = field(init=False, repr=False)
-    # A* works on indices into the sorted ids, so heap ties still break by id
-    _index: dict[int, int] = field(init=False, repr=False)
-    _id_list: list[int] = field(init=False, repr=False)
-    _adj: list[list[tuple[int, float]]] = field(init=False, repr=False)
-    # half the radians: a / 2 - b / 2 equals (a - b) / 2 bit for bit
-    _half_lats: list[float] = field(init=False, repr=False)
-    _half_lons: list[float] = field(init=False, repr=False)
-    _cos_lats: list[float] = field(init=False, repr=False)
-    # haversine(nodes[a], nodes[b]) of each directed edge (a, b)
-    _hop_m: dict[tuple[int, int], float] = field(init=False, repr=False)
-    # candidate nodes per bucket for nearest-node lookups; None without nodes
-    _buckets: Buckets | None = field(init=False, repr=False)
+    """The road lattice over ``grid``'s cell centres; see the module docstring."""
 
-    def __post_init__(self):
-        ids = sorted(self.nodes)
-        self._ids = np.asarray(ids, dtype=np.int64)
-        self._lats = np.asarray([self.nodes[i].lat for i in ids], dtype=np.float64)
-        self._lons = np.asarray([self.nodes[i].lon for i in ids], dtype=np.float64)
-        finite = np.isfinite(self._lats) & np.isfinite(self._lons)
-        if not finite.all():
-            nid = ids[int(np.argmin(finite))]
-            raise ValueError(f"node {nid} has a non-finite location {self.nodes[nid]}")
-        self._buckets = _build_buckets(self._lats, self._lons) if ids else None
-        self._index = {nid: k for k, nid in enumerate(ids)}
-        self._id_list = ids
-        self._adj = [[(self._index[to], length) for to, length in self.adjacency[nid]]
-                     for nid in ids]
-        rad_lats = [math.radians(self.nodes[i].lat) for i in ids]
+    def __init__(self, grid: GridSpec):
+        rows, cols = grid.rows, grid.cols
+        cells = [(r, c) for r in range(rows) for c in range(cols)]
+        self.nodes = tuple(center_of(cell, grid) for cell in cells)
+        # each node's roads, (neighbour, meters) by ascending neighbour; a
+        # road measures from its lower id, both ways
+        self.adjacency = tuple(
+            tuple((b, haversine(self.nodes[min(a, b)], self.nodes[max(a, b)]))
+                  for b, on_grid in ((a - cols, r > 0), (a - 1, c > 0),
+                                     (a + 1, c + 1 < cols), (a + cols, r + 1 < rows))
+                  if on_grid)
+            for a, (r, c) in enumerate(cells))
+        self._lats = np.array([p.lat for p in self.nodes], dtype=np.float64)
+        self._lons = np.array([p.lon for p in self.nodes], dtype=np.float64)
+        # candidate nodes per bucket for nearest-node lookups
+        self._buckets = _build_buckets(self._lats, self._lons)
+        rad_lats = [math.radians(p.lat) for p in self.nodes]
+        # half the radians: a / 2 - b / 2 equals (a - b) / 2 bit for bit
         self._half_lats = [lat / 2.0 for lat in rad_lats]
-        self._half_lons = [math.radians(self.nodes[i].lon) / 2.0 for i in ids]
+        self._half_lons = [math.radians(p.lon) / 2.0 for p in self.nodes]
         self._cos_lats = [math.cos(lat) for lat in rad_lats]
-        self._hop_m = {(a, b): haversine(self.nodes[a], self.nodes[b])
-                       for a, adj in self.adjacency.items() for b, _ in adj}
-        self.heuristic_scale = 1.0
-        for a, adj in self.adjacency.items():
-            for b, length in adj:
-                straight = self._hop_m[a, b]
-                if straight > 0 and length < straight:
-                    self.heuristic_scale = min(self.heuristic_scale, length / straight)
-
-
-def build_graph(nodes: dict[int, Location], edges: list[tuple[int, int, float]]) -> RoadGraph:
-    """Assemble a graph, deduplicating repeated edges by keeping the shorter one.
-
-    An edge from or to a node not in ``nodes``, or of a length that is not
-    finite and positive, raises ``ValueError``.
-    """
-    adjacency: dict[int, list[tuple[int, float]]] = {i: [] for i in nodes}
-    best: dict[tuple[int, int], float] = {}
-    for frm, to, length in edges:
-        if frm not in nodes or to not in nodes:
-            raise ValueError(f"edge {frm}->{to} references unknown node")
-        if not (math.isfinite(length) and length > 0):
-            raise ValueError(f"edge {frm}->{to} has length {length}, "
-                             "which is not finite and positive")
-        key = (frm, to)
-        if key not in best or length < best[key]:
-            best[key] = float(length)
-    for (frm, to), length in sorted(best.items()):
-        adjacency[frm].append((to, length))
-    return RoadGraph(nodes=nodes, adjacency=adjacency)
 
 
 def nearest_nodes(lats, lons, graph: RoadGraph) -> np.ndarray:
@@ -209,13 +167,10 @@ def nearest_nodes(lats, lons, graph: RoadGraph) -> np.ndarray:
     the nearest node and every node tying with it are among them.
     Otherwise the whole batch is measured against every node.  Both use
     ``haversine_arrays`` on the same operands, and the candidates are
-    ascending indices padded with the last one, so ``argmin``'s first hit
+    ascending ids padded with the last one, so ``argmin``'s first hit
     picks the lowest id among ties either way, and the two give the same
-    node bit for bit.  Raises ``ValueError`` on an empty graph or a
-    non-finite point.
+    node bit for bit.  Raises ``ValueError`` on a non-finite point.
     """
-    if not graph.nodes:
-        raise ValueError("nearest-node lookup on an empty graph")
     lats = np.asarray(lats, dtype=np.float64)
     lons = np.asarray(lons, dtype=np.float64)
     b = graph._buckets
@@ -226,66 +181,61 @@ def nearest_nodes(lats, lons, graph: RoadGraph) -> np.ndarray:
     if inside.all():
         cand = b.candidates[(rows * b.cols + cols).astype(np.intp)]
         d = haversine_arrays(lats[:, None], lons[:, None], graph._lats[cand], graph._lons[cand])
-        return graph._ids[cand[np.arange(len(cand)), np.argmin(d, axis=1)]]
+        # the table's int32 ids, widened to the scan's intp
+        return cand[np.arange(len(cand)), np.argmin(d, axis=1)].astype(np.intp)
     finite = np.isfinite(lats) & np.isfinite(lons)
     if not finite.all():
         k = int(np.argmin(finite))
         raise ValueError(f"nearest-node lookup of a non-finite point {k}: "
                          f"({lats[k]}, {lons[k]})")
     d = haversine_arrays(lats[:, None], lons[:, None], graph._lats, graph._lons)
-    # ids are sorted ascending, so argmin's first hit breaks ties by lowest id
-    return graph._ids[np.argmin(d, axis=1)]
+    # argmin's first hit breaks ties by lowest id
+    return np.argmin(d, axis=1)
 
 
 def hop_lengths(path: Path, graph: RoadGraph) -> list[float]:
-    """Straight-line (haversine) meters of each edge along ``path``."""
-    ids = path.nodes
-    return [graph._hop_m[hop] for hop in zip(ids, ids[1:])]
+    """Meters of each road along ``path``."""
+    ids, adjacency = path.nodes, graph.adjacency
+    return [next(m for n, m in adjacency[a] if n == b) for a, b in zip(ids, ids[1:])]
 
 
-def shortest_path(origin: int, dest: int, graph: RoadGraph) -> Path | None:
-    """Length-optimal path via A* with a scaled-haversine heuristic.
+def shortest_path(origin: int, dest: int, graph: RoadGraph) -> Path:
+    """Length-optimal path via A* with a haversine heuristic.
 
-    Returns ``None`` when ``dest`` is unreachable from ``origin``.  The
-    heuristic scale keeps the estimate admissible, so results match
-    Dijkstra exactly.  The search runs over node indices; the heuristic
-    is :func:`geo.haversine` from a node to ``dest``, evaluated inline
-    from the precomputed half radians and cosines, once per node per
-    search.  Halving is exact (short of subnormal angles) and
-    ``min(1.0, x)`` is ``x`` below 1 and ``1.0`` otherwise, so every value
-    equals ``geo.haversine``'s bit for bit.  The origin's entry is the
-    heap's only one when it is popped, so it needs no heuristic.
+    No road is shorter than the straight line, so the heuristic is
+    admissible and results match Dijkstra.  The heuristic is
+    :func:`geo.haversine` from a node to ``dest``, evaluated inline from
+    the precomputed half radians and cosines, once per node per search.
+    Halving is exact (short of subnormal angles) and ``min(1.0, x)`` is
+    ``x`` below 1 and ``1.0`` otherwise, so every value equals
+    ``geo.haversine``'s bit for bit.  The origin's entry is the heap's
+    only one when it is popped, so it needs no heuristic.
     """
-    if origin not in graph.nodes or dest not in graph.nodes:
-        raise KeyError(f"endpoint missing from graph: {origin} or {dest}")
     if origin == dest:
         return Path(nodes=(), total_length=0.0)
 
     lats, lons, coss = graph._half_lats, graph._half_lons, graph._cos_lats
-    src, goal = graph._index[origin], graph._index[dest]
-    glat, glon, gcos = lats[goal], lons[goal], coss[goal]
-    scale = graph.heuristic_scale
+    glat, glon, gcos = lats[dest], lons[dest], coss[dest]
     sin, sqrt, asin = math.sin, math.sqrt, math.asin
     push, pop = heapq.heappush, heapq.heappop
     diameter = 2.0 * EARTH_RADIUS_M
 
-    adj = graph._adj
+    adj = graph.adjacency
     dist = [math.inf] * len(adj)
-    dist[src] = 0.0
+    dist[origin] = 0.0
     parent = [-1] * len(adj)
     done = [False] * len(adj)
     heur = [-1.0] * len(adj)  # heuristic memo; negative until computed
-    frontier: list[tuple[float, float, int]] = [(0.0, 0.0, src)]
-    while frontier:
+    frontier: list[tuple[float, float, int]] = [(0.0, 0.0, origin)]
+    while True:  # the lattice is connected, so the destination is popped
         f, g, k = pop(frontier)
         if done[k]:
             continue
-        if k == goal:
+        if k == dest:
             seq = [k]
-            while seq[-1] != src:
+            while seq[-1] != origin:
                 seq.append(parent[seq[-1]])
-            ids = graph._id_list
-            return Path(nodes=tuple(ids[j] for j in reversed(seq)), total_length=g)
+            return Path(nodes=tuple(reversed(seq)), total_length=g)
         done[k] = True
         for nbr, length in adj[k]:
             if done[nbr]:
@@ -298,6 +248,5 @@ def shortest_path(origin: int, dest: int, graph: RoadGraph) -> Path | None:
                 if h < 0.0:
                     root = sqrt(sin(glat - lats[nbr]) ** 2
                                 + coss[nbr] * gcos * sin(glon - lons[nbr]) ** 2)
-                    h = heur[nbr] = scale * (diameter * asin(root if root < 1.0 else 1.0))
+                    h = heur[nbr] = diameter * asin(root if root < 1.0 else 1.0)
                 push(frontier, (g2 + h, g2, nbr))
-    return None

@@ -3,8 +3,8 @@
 One-minute steps with a fixed phase order: (1) arrivals complete,
 (2) requests match to the closest available vehicle or reject beyond the
 matching radius, (3) the state is exposed to the dispatch policy,
-(4) dispatch orders execute over the road graph with ETA-model travel
-times.  The engine is single-threaded, policy-agnostic and fully
+(4) dispatch orders execute over the grid's road lattice with ETA-model
+travel times.  The engine is single-threaded, policy-agnostic and fully
 deterministic: identical data, configuration and seeds reproduce
 bit-identical metrics.
 
@@ -422,7 +422,8 @@ class Simulation:
         total meters, and the ETA model's minutes for those meters at ``clock``.
 
         One nearest-node lookup serves all moves.  A move follows A* between
-        its nearest nodes, or the straight line where the graph has no path.
+        its nearest nodes, or the straight line where both ends have the same
+        nearest node.
         Then one :meth:`_trip_minutes` call times all moves over their
         route meters at the phase's one clock.  The model evaluates each
         row as its own batch of one, so a move's minutes do not depend on
@@ -438,7 +439,7 @@ class Simulation:
                                                       dest_lats.tolist(), dest_lons.tolist(),
                                                       nodes[:k], nodes[k:]):
             path = shortest_path(o, d, self.graph)
-            if path is None or len(path.nodes) < 2:
+            if not path.nodes:
                 meters = haversine_coords(lat, lon, dest_lat, dest_lon)
                 route = [lat, dest_lat], [lon, dest_lon], [meters]
             else:

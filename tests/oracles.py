@@ -50,8 +50,9 @@ from fleetsim.harness import experiment as ex
 from fleetsim.harness.config import ExperimentConfig
 from fleetsim.harness.synth import (_HOTSPOTS, SLOT_MINUTES, SynthCity,
                                     _activity_level, _dest_weights,
-                                    _slot_rates, _speed_kmh, build_road_grid)
+                                    _slot_rates, _speed_kmh)
 from fleetsim.lp import LpProblem, SparseRows
+from fleetsim.roadgraph import Path, RoadGraph
 from fleetsim.sim import SLOT_MINUTES as HEAT_SLOT_MINUTES
 from fleetsim.sim import (DISPATCHING, IDLE, OCCUPIED, STATUS_NAMES, TO_PICKUP, DispatchOrder,
                           EpisodeMetrics, RideRequest, SimView, log)
@@ -646,23 +647,18 @@ def dijkstra_length(origin, dest, graph):
 
 
 def astar_reference(origin, dest, graph):
-    """A* over node ids with the heuristic ``scale * haversine(node, dest)``.
+    """A* over node ids with the heuristic ``haversine(node, dest)``.
 
     The id-keyed search ``roadgraph.shortest_path`` replaced; it must return
     the same node tuple and the same ``total_length``, bit for bit.
     """
-    from fleetsim.roadgraph import Path
-
-    if origin not in graph.nodes or dest not in graph.nodes:
-        raise KeyError(f"endpoint missing from graph: {origin} or {dest}")
     if origin == dest:
         return Path(nodes=(), total_length=0.0)
 
     goal = graph.nodes[dest]
-    scale = graph.heuristic_scale
 
     def h(node: int) -> float:
-        return scale * haversine(graph.nodes[node], goal)
+        return haversine(graph.nodes[node], goal)
 
     dist: dict[int, float] = {origin: 0.0}
     parent: dict[int, int] = {}
@@ -789,11 +785,10 @@ def fleet_window_count_reference(requests, start, end) -> int:
 
 
 def nearest_node_reference(loc, graph):
-    """Node minimizing haversine distance to ``loc``, one point per call."""
-    if not graph.nodes:
-        raise ValueError("nearest-node lookup on an empty graph")
+    """Id of the node minimizing haversine distance to ``loc``, one point per
+    call; ids are indices, so the first minimum is the lowest id."""
     d = haversine_arrays(loc.lat, loc.lon, graph._lats, graph._lons)
-    return int(graph._ids[int(np.argmin(d))])
+    return int(np.argmin(d))
 
 
 def legal_action_mask(region, grid_shape) -> np.ndarray:
@@ -989,7 +984,7 @@ class ReferenceSimulation:
         o = nearest_node_reference(origin, self.graph)
         d = nearest_node_reference(dest, self.graph)
         path = astar_reference(o, d, self.graph)
-        if path is None or len(path.nodes) < 2:
+        if not path.nodes:  # both ends share their nearest node
             dist = haversine(origin, dest)
             return (origin, dest), dist
         points = [origin] + [self.graph.nodes[n] for n in path.nodes] + [dest]
@@ -1544,7 +1539,7 @@ def synth_city_reference(cfg, seed: int, days: int):
                     draws.append((minute, pickup, dropoff, max(1.0, minutes), dist_km))
     draws.sort(key=lambda draw: draw[0])
     trips = [RideRequest(i, *draw) for i, draw in enumerate(draws)]
-    return SynthCity(grid=grid, graph=build_road_grid(grid),
+    return SynthCity(grid=grid, graph=RoadGraph(grid),
                      regions=RegionMap(grid, cfg.region_block),
                      zones=RegionMap(grid, cfg.zone_block), trips=trips)
 

@@ -24,11 +24,12 @@ from fleetsim import neural
 from fleetsim.clock import Clock
 from fleetsim.dqn import Q_SPEC, QNetwork
 from fleetsim.eta import ETA_SPEC
-from fleetsim.geo import GridSpec, Location, haversine, haversine_arrays
+from fleetsim.geo import Location, haversine_arrays
 from fleetsim.harness.config import _RULES, ConfigError, ExperimentConfig, parse_config
-from fleetsim.harness.synth import build_road_grid, synth_city
+from fleetsim.harness.synth import synth_city
 from fleetsim.harness import cli
 from fleetsim.harness import experiment as ex
+from fleetsim.roadgraph import RoadGraph, shortest_path
 from fleetsim.sim import EpisodeMetrics, Outcomes, RideRequest, Trips, finalize_metrics
 from oracles import (demand_slot_counts_reference, demand_slot_series_reference,
                      episode_requests_reference, eta_feature_row,
@@ -365,30 +366,25 @@ class TestSynth:
         assert 1000 < np.mean(weekdays) < 2200
 
     def test_road_grid_connected(self, tmp_path):
-        cfg = small_cfg(tmp_path)
-        grid = GridSpec(rows=4, cols=4, cell_size=500.0, origin=Location(40.0, -74.0))
-        graph = build_road_grid(grid)
-        from fleetsim.roadgraph import shortest_path
+        # every node of the city's lattice is reachable from node 0
+        cfg = small_cfg(tmp_path, trips_per_day=0.0)
+        graph = synth_city(cfg, seed=5, days=1).graph
+        seen, todo = {0}, [0]
+        while todo:
+            for to, _ in graph.adjacency[todo.pop()]:
+                if to not in seen:
+                    seen.add(to)
+                    todo.append(to)
+        assert len(seen) == len(graph.nodes) == 100
+        assert shortest_path(0, 99, graph).nodes[-1] == 99
 
-        assert len(graph.nodes) == 16
-        p = shortest_path(0, 15, graph)
-        assert p is not None
-
-    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 7), (7, 1), (4, 4), (6, 11), (20, 20)])
-    def test_road_grid_is_the_cell_centres_and_their_neighbours(self, rows, cols):
-        # no road file is read: every node is its cell's centre, inside the
-        # grid, and every edge joins two neighbours both ways at their distance
-        grid = GridSpec(rows=rows, cols=cols, cell_size=550.0, origin=Location(40.0, -74.0))
-        graph = build_road_grid(grid)
-        assert sorted(graph.nodes) == list(range(rows * cols))
-        for nid, loc in graph.nodes.items():
-            assert loc == Location(*grid.center(nid // cols, nid % cols))
-            assert grid.contains(loc.lat, loc.lon)
-        edges = {(frm, to): length for frm, out in graph.adjacency.items() for to, length in out}
-        assert len(edges) == 2 * (rows * (cols - 1) + cols * (rows - 1))
-        for (frm, to), length in edges.items():
-            assert abs(frm // cols - to // cols) + abs(frm % cols - to % cols) == 1
-            assert length == edges[to, frm] == haversine(graph.nodes[frm], graph.nodes[to])
+    def test_city_roads_are_its_grid_lattice(self, tmp_path):
+        # no road file is read: the roads are the lattice of the config's grid
+        cfg = small_cfg(tmp_path, trips_per_day=0.0)
+        city = synth_city(cfg, seed=5, days=1)
+        lattice = RoadGraph(cfg.layout()[0])
+        assert city.graph.nodes == lattice.nodes
+        assert city.graph.adjacency == lattice.adjacency
 
 
 # pickups on slot and day edges, before the series and past its end

@@ -432,6 +432,33 @@ def test_layout_construction_detection():
                                             "f.g", "h"]
 
 
+def road_constructions(source: str) -> list[str]:
+    """The dotted scope of each call that constructs a ``RoadGraph``: a call of
+    it by name or attribute, or of ``cls`` inside it."""
+    return scopes_where(source, lambda node, scope: calls(node, "RoadGraph") or (
+        calls(node, "cls") and isinstance(node.func, ast.Name) and "RoadGraph" in scope))
+
+
+def test_one_builder_of_the_roads():
+    """A city's roads are its grid's lattice: nothing in the package constructs
+    a ``RoadGraph`` but ``synth.synth_city``, once."""
+    found = [f"{p.relative_to(SRC)}:{scope}" for p in MODULES
+             for scope in road_constructions(p.read_text(encoding="utf-8"))]
+    assert found == ["harness/synth.py:synth_city"]
+
+
+def test_road_construction_detection():
+    source = ("from . import roadgraph\nfrom .roadgraph import RoadGraph\n"
+              "LATTICE = RoadGraph(grid)\n"
+              "class RoadGraph:\n"
+              "    @classmethod\n    def of(cls, grid):\n        return cls(grid)\n"
+              "class City:\n    def roads(self, cls):\n"
+              "        return roadgraph.RoadGraph(self.grid), cls(1)\n"
+              "def f(grid):\n    def g():\n        return RoadGraph(grid)\n"
+              "    return g(), road_graph(grid), RoadGraph.__name__, isinstance(grid, RoadGraph)\n")
+    assert road_constructions(source) == ["<module>", "RoadGraph.of", "City.roads", "f.g"]
+
+
 def q_input_builds(source: str) -> list[str]:
     """The dotted scope of each call of ``_pooled`` or ``_region_aux``, by name or attribute."""
     return scopes_where(source, lambda node, scope: calls(node, "_pooled")
